@@ -47,7 +47,7 @@ func main() {
 		cacheOn  = flag.Bool("cache", false, "serve and persist scenario results via the content-addressed store")
 		cacheDir = flag.String("cachedir", "results/cache", "result store directory")
 		resume   = flag.Bool("resume", false, "resume an interrupted sweep from the store (implies -cache)")
-		out      = flag.String("out", "results/sweep_summary.json", "machine-readable summary path (empty disables)")
+		out      = flag.String("out", "", "machine-readable summary path (default: the suite's committed results/ file; empty disables)")
 		observe  = flag.Bool("observe", false, "attach obs recorders so summary rows carry overlap ratios (timing-neutral)")
 		data     = flag.Bool("data", false, "real payloads with per-iteration data verification (virtual times unchanged; slower)")
 		chaosStr = flag.String("chaos", "off", "fault/noise injection profile: off, "+strings.Join(profiles.Names(), ", "))
@@ -60,6 +60,11 @@ func main() {
 		shardStr = flag.String("shards", "", "run scenarios on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count; empty = sequential engine")
 	)
 	flag.Parse()
+	outSet := false
+	flag.Visit(func(f *flag.Flag) { outSet = outSet || f.Name == "out" })
+	if !outSet {
+		*out = defaultOut(*suite)
+	}
 
 	shards, pdes, err := parseShards(*shardStr)
 	if err != nil {
@@ -282,6 +287,22 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "%d tuned winners shared with kb %s\n", len(kbRecords), *kbAddr)
 	}
+}
+
+// defaultOut is where a suite's summary goes when -out is not given: each
+// suite has its own committed file under results/, so running one suite never
+// overwrites another's pinned artifact. Unknown suites get no file (main
+// rejects them).
+func defaultOut(suite string) string {
+	switch suite {
+	case "verification":
+		return "results/sweep_summary.json"
+	case "fft":
+		return "results/sweep_summary_fft.json"
+	case "scale":
+		return "results/scale_summary.json"
+	}
+	return ""
 }
 
 // parseShards interprets the -shards flag: "" keeps the sequential engine,

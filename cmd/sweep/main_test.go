@@ -1,6 +1,32 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"testing"
+)
+
+// TestDefaultOut pins the suite -> summary path table against the three
+// committed artifacts: a suite run without -out must only ever rewrite its
+// own file.
+func TestDefaultOut(t *testing.T) {
+	cases := map[string]string{
+		"verification": "results/sweep_summary.json",
+		"fft":          "results/sweep_summary_fft.json",
+		"scale":        "results/scale_summary.json",
+		"nonesuch":     "",
+	}
+	for suite, want := range cases {
+		if got := defaultOut(suite); got != want {
+			t.Errorf("defaultOut(%q) = %q, want %q", suite, got, want)
+		}
+		if want == "" {
+			continue
+		}
+		if _, err := os.Stat("../../" + want); err != nil {
+			t.Errorf("suite %q defaults to %s, which is not a committed artifact: %v", suite, want, err)
+		}
+	}
+}
 
 func TestParseShards(t *testing.T) {
 	cases := []struct {

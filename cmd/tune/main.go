@@ -304,7 +304,7 @@ func main() {
 		if specRes != nil {
 			// Everything recorded here is virtual-time and fork-order
 			// deterministic: two runs differing only in -spec-workers write
-			// byte-identical artifacts (make fork-smoke pins this).
+			// byte-identical artifacts (make e2e pins this).
 			out.Selector = "speculative+" + *selName
 			out.SpecLatency = specRes.SpecLatency
 			out.SeqLatency = specRes.SeqLatency

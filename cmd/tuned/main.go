@@ -72,8 +72,8 @@ func main() {
 		}
 	}
 	srv.Serve()
-	// The listening line goes to stdout unbuffered so scripts (and the
-	// kb-smoke test) can start with -addr :0 and parse the bound port.
+	// The listening line goes to stdout unbuffered so scripts (and
+	// TestKBSmoke) can start with -addr :0 and parse the bound port.
 	fmt.Printf("tuned: listening on %s (%d records loaded, snapshot %s)\n",
 		srv.Addr, st.Len(), snapshotName(*snapshot))
 

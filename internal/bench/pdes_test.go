@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 
 	"nbctune/internal/core"
 	"nbctune/internal/mpi"
@@ -150,32 +149,5 @@ func TestPDESGates(t *testing.T) {
 	spec.Chaos = ""
 	if _, err := RunSpeculative(spec, "brute-force", 2); err == nil || !strings.Contains(err.Error(), "PDES") {
 		t.Errorf("RunSpeculative under PDES: err = %v, want PDES rejection", err)
-	}
-}
-
-// TestMeasurePDESPoint pins that the measurement harness reports identical
-// simulated quantities at different shard counts, and that the sequential
-// point runs.
-func TestMeasurePDESPoint(t *testing.T) {
-	seq, err := MeasurePDESPoint(256, 0, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Events == 0 || seq.VirtualSeconds <= 0 || seq.EventsPerSec <= 0 {
-		t.Errorf("sequential point incomplete: %+v", seq)
-	}
-	p2, err := MeasurePDESPoint(256, 2, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4, err := MeasurePDESPoint(256, 4, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Events != p4.Events || p2.VirtualSeconds != p4.VirtualSeconds {
-		t.Errorf("shard count changed simulated quantities: %+v vs %+v", p2, p4)
-	}
-	if p2.WindowBarriers == 0 {
-		t.Errorf("sharded point recorded no window barriers: %+v", p2)
 	}
 }

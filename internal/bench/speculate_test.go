@@ -38,33 +38,58 @@ func TestSpeculativeWorkerCountInvariant(t *testing.T) {
 
 // TestSpeculativeSelectionLatency pins the point of the exercise: measuring
 // candidates on concurrent forks turns the sum of candidate costs into (at
-// the critical path) the max, and the makespan model is monotone in the
-// worker count.
+// the critical path) the max, the makespan model is monotone in the worker
+// count, and four fork workers at least halve the virtual selection latency
+// (2.70x on the 3-candidate ialltoall row, 3.53x on the 21-candidate ibcast
+// row when committed).
 func TestSpeculativeSelectionLatency(t *testing.T) {
-	spec := smallSpec(t)
-	r, err := RunSpeculative(spec, "brute-force", 4)
+	whale, err := platform.ByName("whale")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.CandidateTime) < 2 {
-		t.Fatalf("only %d candidates measured", len(r.CandidateTime))
+	short := smallSpec(t)
+	short.Iterations = 10
+	rows := []struct {
+		name string
+		spec MicroSpec
+	}{
+		{"ialltoall-crill-24it", smallSpec(t)},
+		{"ialltoall-crill", short},
+		{"ibcast-whale", MicroSpec{
+			Platform: whale, Procs: 8, MsgSize: 128 * 1024, Op: OpIbcast,
+			ComputePerIter: 4e-3, Iterations: 10, ProgressCalls: 4, Seed: 7, EvalsPerFn: 3,
+		}},
 	}
-	for i, d := range r.CandidateTime {
-		if d <= 0 {
-			t.Fatalf("candidate %d has non-positive fork duration %g", i, d)
-		}
-	}
-	if r.Speedup() < 2 {
-		t.Fatalf("critical-path speedup %.2f, want >= 2 with %d candidates", r.Speedup(), len(r.CandidateTime))
-	}
-	if got := r.SpecLatencyAt(1); got != r.SeqLatency {
-		t.Fatalf("one-worker makespan %g != sequential latency %g", got, r.SeqLatency)
-	}
-	if got := r.SpecLatencyAt(len(r.CandidateTime)); got != r.SpecLatency {
-		t.Fatalf("full-pool makespan %g != critical path %g", got, r.SpecLatency)
-	}
-	if m2, m4 := r.SpecLatencyAt(2), r.SpecLatencyAt(4); m4 > m2 {
-		t.Fatalf("makespan grew with workers: %g at 2, %g at 4", m2, m4)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			r, err := RunSpeculative(row.spec, "brute-force", 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.CandidateTime) < 2 {
+				t.Fatalf("only %d candidates measured", len(r.CandidateTime))
+			}
+			for i, d := range r.CandidateTime {
+				if d <= 0 {
+					t.Fatalf("candidate %d has non-positive fork duration %g", i, d)
+				}
+			}
+			if r.Speedup() < 2 {
+				t.Fatalf("critical-path speedup %.2f, want >= 2 with %d candidates", r.Speedup(), len(r.CandidateTime))
+			}
+			if got := r.SeqLatency / r.SpecLatencyAt(4); got < 2 {
+				t.Fatalf("selection speedup at 4 workers %.2f, want >= 2", got)
+			}
+			if got := r.SpecLatencyAt(1); got != r.SeqLatency {
+				t.Fatalf("one-worker makespan %g != sequential latency %g", got, r.SeqLatency)
+			}
+			if got := r.SpecLatencyAt(len(r.CandidateTime)); got != r.SpecLatency {
+				t.Fatalf("full-pool makespan %g != critical path %g", got, r.SpecLatency)
+			}
+			if m2, m4 := r.SpecLatencyAt(2), r.SpecLatencyAt(4); m4 > m2 {
+				t.Fatalf("makespan grew with workers: %g at 2, %g at 4", m2, m4)
+			}
+		})
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 	"nbctune/internal/obs"
 )
 
-// SchemaVersion identifies the report layout. cmd/audit -check (and the CI
-// benchguard) fails loudly when a report's version does not match, so a
+// SchemaVersion identifies the report layout. cmd/audit -check (run by make
+// e2e) fails loudly when a report's version does not match, so a
 // schema change cannot silently invalidate committed artifacts.
 const SchemaVersion = 1
 
@@ -108,8 +108,8 @@ func LoadFile(path string) (*Report, error) {
 // because every finding carries its raw samples — every verdict and effect
 // size is re-derived from the samples and compared against the stored
 // values. A report that passes Check is self-consistent without any
-// re-simulation; the CI benchguard runs this against the committed report so
-// a schema or judgment change fails loudly.
+// re-simulation; make e2e runs this against the committed report so a schema
+// or judgment change fails loudly.
 func (r *Report) Check() error {
 	if r.SchemaVersion != SchemaVersion {
 		return fmt.Errorf("guideline: report schema v%d, this build expects v%d — regenerate the report (cmd/audit) and review EXPERIMENTS.md E14", r.SchemaVersion, SchemaVersion)

@@ -11,9 +11,10 @@ import (
 	"time"
 )
 
-// TestKBSmoke is `make kb-smoke`: build the real cmd/tuned binary, start it
-// on a random port, run the fixture workload through kb.Client, and assert
-// the lookups reproduce the committed golden transcript deterministically.
+// TestKBSmoke is the daemon's end-to-end check: build the real cmd/tuned
+// binary, start it on a random port, run the fixture workload through
+// kb.Client, and assert the lookups reproduce the committed golden
+// transcript deterministically.
 // It then terminates the daemon gracefully and verifies the
 // shutdown-flushed snapshot restores the identical store.
 func TestKBSmoke(t *testing.T) {

@@ -1,8 +1,8 @@
 package mpi
 
 // MatchBench is a reusable harness over the message-matching engines, shared
-// by the in-package benchmarks, the AllocsPerRun regression test, and
-// cmd/benchmpi (which records the numbers in BENCH_mpi.json). It keeps k
+// by the in-package benchmarks, the AllocsPerRun regression test, and the
+// repository benchmark's mpi.match_ns.* probes (perf/README.md). It keeps k
 // receives posted for one rank and, per cycle, matches one arriving message
 // against the full window and re-posts the freed receive. Arrival tags walk
 // a fixed odd-stride permutation of 0..k-1, so the linear reference scans

@@ -150,7 +150,7 @@ func TestScaleConformanceIallgatherBruck(t *testing.T) {
 	confModes(t, func(t *testing.T, withChaos bool) {
 		n := scaleRanks(t, 1024)
 		if withChaos {
-			n = 256 // torture-profile events per message make 1K+ ranks non-smoke-sized
+			n = 256 // torture-profile events per message make 1K+ ranks too slow for tier-1
 		}
 		for rep := 0; rep < scaleReps(t); rep++ {
 			bs := 4 + rep*13 // small blocks: the Bruck regime

@@ -5,13 +5,11 @@ import (
 	"testing"
 )
 
-// BenchmarkEngineThroughput is the repository's committed engine baseline
-// (BENCH_sim.json): a mixed hot-path workload of pure timer events plus
-// sleeping processes, the two event shapes every simulated MPI rank drives.
-// It reports events/sec and allocs/event; CI runs it with -benchtime=1x as a
-// smoke test, and the numbers in BENCH_sim.json are regenerated with
-//
-//	go test -bench=EngineThroughput -benchtime=2s ./internal/sim
+// BenchmarkEngineThroughput is a mixed hot-path workload of pure timer events
+// plus sleeping processes, the two event shapes every simulated MPI rank
+// drives. It reports events/sec and allocs/event for measuring while you
+// work; the gated number for the same workload is the repository
+// benchmark's sim.events_per_s.bare (perf/README.md).
 func BenchmarkEngineThroughput(b *testing.B) {
 	const procs = 8
 	e := NewEngine(1)
