@@ -31,23 +31,29 @@ race:
 # What only the built CLIs can show, one row each (the echo after a row says
 # what held). Everything is written to one scratch directory that the trap
 # removes on every exit path, so a failing row leaves nothing beside the
-# committed results/. Row 2 dominates the wall time: sharded sweeps of small
-# worlds spend it in window barriers.
+# committed results/. Shard-count identity of sweeps, traces and audits is
+# tier-1 (TestPDESDeterminismMatrix, again under `make race`); rows 2 and 4
+# only prove the -shards flag reaches the spec. Rows 5 and 6 pin the two
+# figure artifacts no test names.
 e2e:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/" ./cmd/tune ./cmd/sweep ./cmd/audit; \
 	for w in 1 8; do "$$d/tune" -op ialltoall -np 8 -msg 65536 -compute 0.005 -iters 5 -speculate -spec-workers $$w -metrics "$$d/spec_w$$w.json" > /dev/null; done; \
 	cmp "$$d/spec_w1.json" "$$d/spec_w8.json"; \
-	echo "e2e 1/4: tune -speculate decision artifact byte-identical at 1 and 8 fork workers"; \
-	for s in 2 4; do "$$d/sweep" -suite verification -fast -quiet -shards $$s -out "$$d/sweep_s$$s.json" > /dev/null; done; \
-	cmp "$$d/sweep_s2.json" "$$d/sweep_s4.json"; \
-	echo "e2e 2/4: fast verification sweep summary byte-identical at 2 and 4 shards"; \
+	echo "e2e 1/6: tune -speculate decision artifact byte-identical at 1 and 8 fork workers"; \
+	for s in 2 4; do "$$d/tune" -op ialltoall -np 32 -msg 65536 -compute 0.005 -iters 12 -shards $$s -metrics "$$d/tune_s$$s.json" > /dev/null; done; \
+	cmp "$$d/tune_s2.json" "$$d/tune_s4.json"; \
+	echo "e2e 2/6: tune -shards metrics + selection audit byte-identical at 2 and 4 shards"; \
 	"$$d/audit" -matrix smoke -quiet -cache -out "$$d/guideline_report.json" > /dev/null; \
 	cmp "$$d/guideline_report.json" results/guideline_report.json; \
 	"$$d/audit" -check results/guideline_report.json; \
-	echo "e2e 3/4: audit -matrix smoke reproduces the committed report, which passes audit -check"; \
-	"$$d/sweep" -suite scale -fast -quiet -out "$$d/scale.json" > /dev/null; \
-	echo "e2e 4/4: fast scale sweep runs through the CLI"
+	echo "e2e 3/6: audit -matrix smoke reproduces the committed report, which passes audit -check"; \
+	"$$d/sweep" -suite scale -fast -quiet -shards 2 -out "$$d/scale.json" > /dev/null; \
+	echo "e2e 4/6: fast scale sweep runs through the CLI on 2 shards"; \
+	"$$d/sweep" -suite figs-micro -fast -quiet | cmp - results/microbench.txt; \
+	echo "e2e 5/6: sweep -suite figs-micro -fast reproduces results/microbench.txt (Figs 2-7)"; \
+	"$$d/sweep" -suite figs-fft -fast -quiet | cmp - results/fftbench.txt; \
+	echo "e2e 6/6: sweep -suite figs-fft -fast reproduces results/fftbench.txt (Figs 9-12)"
 
 # One run of each BENCHMARK.json workload; the last line of each is the JSON
 # result. Add --trace 1 by hand for the per-layer metrics of one workload.

@@ -1,9 +1,8 @@
-// Package nbctune_test holds the repository-level benchmark suite: one
-// benchmark per table/figure of the paper's evaluation (see DESIGN.md §5 for
-// the experiment index) plus ablation benchmarks for the design choices the
-// library makes. The configurations here are scaled down so the whole suite
-// runs in a few minutes; the cmd/ drivers regenerate the figures at full
-// simulation scale.
+// Package nbctune_test holds the repository-level ablation benchmarks for
+// the design choices the library makes (DESIGN.md §8) and the integration
+// tests. The paper's figures and aggregate statistics are suites of the
+// scenario catalogue (internal/bench), run by cmd/sweep -suite NAME; host
+// time is measured by the repository benchmark (perf/).
 //
 // Every benchmark reports the *virtual* execution time of the simulated
 // scenario via custom metrics (vsec_* = virtual seconds); the Go ns/op
@@ -15,7 +14,6 @@ import (
 
 	"nbctune/internal/bench"
 	"nbctune/internal/core"
-	"nbctune/internal/fft"
 	"nbctune/internal/platform"
 	"nbctune/internal/stats"
 )
@@ -30,262 +28,7 @@ func plat(b *testing.B, name string) platform.Platform {
 }
 
 // ---------------------------------------------------------------------------
-// E1 / Fig 2: verification runs — every fixed Ialltoall implementation plus
-// the ADCL selections on one scenario.
-
-func BenchmarkFig2_VerificationIalltoall(b *testing.B) {
-	spec := bench.MicroSpec{
-		Platform: plat(b, "crill"), Procs: 16, MsgSize: 128 * 1024, Op: bench.OpIalltoall,
-		ComputePerIter: 0.05, Iterations: 16, ProgressCalls: 5, Seed: 21, EvalsPerFn: 2,
-	}
-	for i := 0; i < b.N; i++ {
-		v, err := bench.RunVerification(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(v.Fixed[v.Best].Total, "vsec_best_fixed")
-		b.ReportMetric(v.ADCL[0].Total, "vsec_adcl_bruteforce")
-	}
-}
-
-func BenchmarkFig2_VerificationIbcast(b *testing.B) {
-	spec := bench.MicroSpec{
-		Platform: plat(b, "whale"), Procs: 8, MsgSize: 2 * 1024 * 1024, Op: bench.OpIbcast,
-		ComputePerIter: 0.02, Iterations: 48, ProgressCalls: 5, Seed: 22, EvalsPerFn: 2,
-	}
-	for i := 0; i < b.N; i++ {
-		v, err := bench.RunVerification(spec, "attr-heuristic")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(v.Fixed[v.Best].Total, "vsec_best_fixed")
-		b.ReportMetric(v.ADCL[0].Total, "vsec_adcl_heuristic")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E2 / Fig 3: network influence — whale (InfiniBand) vs whale-tcp (GigE).
-
-func benchFig3(b *testing.B, platName string) {
-	spec := bench.MicroSpec{
-		Platform: plat(b, platName), Procs: 16, MsgSize: 128 * 1024, Op: bench.OpIalltoall,
-		ComputePerIter: 0.05, Iterations: 15, ProgressCalls: 5, Seed: 31,
-	}
-	for i := 0; i < b.N; i++ {
-		rs, err := bench.RunAllFixed(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rs {
-			b.ReportMetric(r.Total, "vsec_"+r.Impl)
-		}
-	}
-}
-
-func BenchmarkFig3_WhaleIB(b *testing.B)  { benchFig3(b, "whale") }
-func BenchmarkFig3_WhaleTCP(b *testing.B) { benchFig3(b, "whale-tcp") }
-
-// ---------------------------------------------------------------------------
-// E3 / Fig 4: message-size influence on crill (1KB vs 128KB per pair).
-
-func benchFig4(b *testing.B, msg int, np int, compute float64) {
-	spec := bench.MicroSpec{
-		Platform: plat(b, "crill"), Procs: np, MsgSize: msg, Op: bench.OpIalltoall,
-		ComputePerIter: compute, Iterations: 10, ProgressCalls: 5, Seed: 41,
-	}
-	for i := 0; i < b.N; i++ {
-		rs, err := bench.RunAllFixed(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rs {
-			b.ReportMetric(r.PerIter*1e3, "vms_"+r.Impl)
-		}
-	}
-}
-
-func BenchmarkFig4_Msg1KB(b *testing.B)   { benchFig4(b, 1024, 64, 1e-3) }
-func BenchmarkFig4_Msg128KB(b *testing.B) { benchFig4(b, 128*1024, 32, 1e-2) }
-
-// ---------------------------------------------------------------------------
-// E4 / Fig 5: process-count influence on whale (1KB, 100 progress calls).
-
-func benchFig5(b *testing.B, np int) {
-	spec := bench.MicroSpec{
-		Platform: plat(b, "whale"), Procs: np, MsgSize: 1024, Op: bench.OpIalltoall,
-		ComputePerIter: 1e-3, Iterations: 15, ProgressCalls: 100, Seed: 51,
-	}
-	for i := 0; i < b.N; i++ {
-		rs, err := bench.RunAllFixed(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rs {
-			b.ReportMetric(r.PerIter*1e3, "vms_"+r.Impl)
-		}
-	}
-}
-
-func BenchmarkFig5_NP16(b *testing.B) { benchFig5(b, 16) }
-func BenchmarkFig5_NP64(b *testing.B) { benchFig5(b, 64) }
-
-// ---------------------------------------------------------------------------
-// E5 / Fig 6: progress-call overhead for a small Ibcast.
-
-func BenchmarkFig6_ProgressOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, pc := range []int{1, 10, 1000} {
-			spec := bench.MicroSpec{
-				Platform: plat(b, "whale"), Procs: 16, MsgSize: 1024, Op: bench.OpIbcast,
-				ComputePerIter: 5e-3, Iterations: 15, ProgressCalls: pc, Seed: 61,
-			}
-			r, err := bench.RunFixed(spec, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(r.PerIter*1e3, "vms_progress_"+itoa(pc))
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E6 / Fig 7: the progress-call crossover (pairwise wins at 1 call, linear
-// at several).
-
-func BenchmarkFig7_ProgressCrossover(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, pc := range []int{1, 10} {
-			spec := bench.MicroSpec{
-				Platform: plat(b, "crill"), Procs: 32, MsgSize: 128 * 1024, Op: bench.OpIalltoall,
-				ComputePerIter: 0.1, Iterations: 10, ProgressCalls: pc, Seed: 71,
-			}
-			rs, err := bench.RunAllFixed(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, r := range rs {
-				b.ReportMetric(r.PerIter*1e3, "vms_p"+itoa(pc)+"_"+r.Impl)
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E7 / §IV-A statistic: correct-decision rate over a small verification
-// sweep.
-
-func BenchmarkVerificationSweep(b *testing.B) {
-	crill := plat(b, "crill")
-	whaletcp := plat(b, "whale-tcp")
-	specs := []bench.MicroSpec{
-		{Platform: crill, Procs: 8, MsgSize: 1024, Op: bench.OpIalltoall,
-			ComputePerIter: 2e-3, Iterations: 20, ProgressCalls: 5, Seed: 81, EvalsPerFn: 3},
-		{Platform: crill, Procs: 8, MsgSize: 128 * 1024, Op: bench.OpIalltoall,
-			ComputePerIter: 5e-2, Iterations: 20, ProgressCalls: 5, Seed: 82, EvalsPerFn: 3},
-		{Platform: whaletcp, Procs: 8, MsgSize: 128 * 1024, Op: bench.OpIalltoall,
-			ComputePerIter: 5e-2, Iterations: 20, ProgressCalls: 5, Seed: 83, EvalsPerFn: 3},
-	}
-	for i := 0; i < b.N; i++ {
-		st, err := bench.VerificationSweep(specs, []string{"brute-force", "attr-heuristic"}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(st.Rate("brute-force")*100, "correct_pct_bruteforce")
-		b.ReportMetric(st.Rate("attr-heuristic")*100, "correct_pct_heuristic")
-	}
-}
-
-// BenchmarkVerificationSweepParallel is the same sweep on the experiment
-// runner with a GOMAXPROCS worker pool — the speedup over
-// BenchmarkVerificationSweep is the runner's parallel efficiency on this
-// machine (scenarios are independent simulations, so it should be
-// near-linear in cores).
-func BenchmarkVerificationSweepParallel(b *testing.B) {
-	crill := plat(b, "crill")
-	whaletcp := plat(b, "whale-tcp")
-	specs := []bench.MicroSpec{
-		{Platform: crill, Procs: 8, MsgSize: 1024, Op: bench.OpIalltoall,
-			ComputePerIter: 2e-3, Iterations: 20, ProgressCalls: 5, Seed: 81, EvalsPerFn: 3},
-		{Platform: crill, Procs: 8, MsgSize: 128 * 1024, Op: bench.OpIalltoall,
-			ComputePerIter: 5e-2, Iterations: 20, ProgressCalls: 5, Seed: 82, EvalsPerFn: 3},
-		{Platform: whaletcp, Procs: 8, MsgSize: 128 * 1024, Op: bench.OpIalltoall,
-			ComputePerIter: 5e-2, Iterations: 20, ProgressCalls: 5, Seed: 83, EvalsPerFn: 3},
-	}
-	for i := 0; i < b.N; i++ {
-		st, err := bench.VerificationSweepOpts(specs, []string{"brute-force", "attr-heuristic"},
-			bench.Parallel(0, nil))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(st.Rate("brute-force")*100, "correct_pct_bruteforce")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E8-E11 / Figs 9-12: the 3D-FFT application kernel.
-
-func benchFFT(b *testing.B, platName string, np, n int, pattern fft.Pattern,
-	place platform.Placement, flavors ...fft.Flavor) {
-	spec := bench.FFTSpec{
-		Platform: plat(b, platName), Procs: np, N: n, Pattern: pattern,
-		Iterations: 15, Seed: 91, EvalsPerFn: 2, Placement: place, ProgressPerTile: 1,
-	}
-	for i := 0; i < b.N; i++ {
-		rs, err := bench.FFTComparison(spec, flavors...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rs {
-			b.ReportMetric(r.Total, "vsec_"+r.Label)
-		}
-	}
-}
-
-func BenchmarkFig9_FFTCrill_NBCvsADCL(b *testing.B) {
-	benchFFT(b, "crill", 16, 64, fft.Tiled, platform.Block, fft.FlavorNBC, fft.FlavorADCL)
-}
-
-func BenchmarkFig10_FFTWhale_NBCvsADCLvsMPI(b *testing.B) {
-	benchFFT(b, "whale", 16, 64, fft.WindowTiled, platform.Block,
-		fft.FlavorNBC, fft.FlavorADCL, fft.FlavorMPI)
-}
-
-func BenchmarkFig11_FFTExtendedSetVsMPI(b *testing.B) {
-	benchFFT(b, "whale", 16, 64, fft.Tiled, platform.Block,
-		fft.FlavorADCLExt, fft.FlavorMPI)
-}
-
-func BenchmarkFig12_FFTBlueGene(b *testing.B) {
-	benchFFT(b, "bgp", 32, 64, fft.WindowTiled, platform.Cyclic,
-		fft.FlavorADCLExt, fft.FlavorMPI, fft.FlavorNBC)
-}
-
-// ---------------------------------------------------------------------------
-// E12 / §IV-B statistic: ADCL vs LibNBC over a small FFT sweep.
-
-func BenchmarkFFTSweep(b *testing.B) {
-	crill := plat(b, "crill")
-	whale := plat(b, "whale")
-	// One scenario from the contention regime (where ADCL's pairwise pick
-	// beats LibNBC's fixed linear algorithm) and one linear-friendly one.
-	specs := []bench.FFTSpec{
-		{Platform: whale, Procs: 64, N: 256, Pattern: fft.Tiled, Iterations: 20,
-			Seed: 101, EvalsPerFn: 2, Placement: platform.Block, ProgressPerTile: 1},
-		{Platform: crill, Procs: 32, N: 128, Pattern: fft.Pipelined, Iterations: 15,
-			Seed: 102, EvalsPerFn: 2, Placement: platform.Block, ProgressPerTile: 1},
-	}
-	for i := 0; i < b.N; i++ {
-		st, err := bench.FFTSweep(specs, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(st.FasterRate()*100, "adcl_faster_pct")
-		b.ReportMetric(st.MaxImprovement*100, "max_improvement_pct")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §7).
+// Ablations (DESIGN.md §8).
 
 // Ablation 1: statistical outlier filtering. On a noisy platform, scoring by
 // plain mean instead of the outlier-filtered mean degrades tuning decisions.

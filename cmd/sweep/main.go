@@ -1,4 +1,4 @@
-// Command sweep reproduces the paper's aggregate statistics:
+// Command sweep runs any scenario grid of the catalogue (internal/bench):
 //
 //   - suite "verification" (§IV-A): the correct-decision rate of the ADCL
 //     selection logics over a grid of micro-benchmark scenarios (paper: 90%
@@ -6,49 +6,60 @@
 //   - suite "fft" (§IV-B): the fraction of 3D-FFT kernel tests where ADCL
 //     beats LibNBC, and the maximum improvement (paper: 74% of 393 tests,
 //     up to 40%).
+//   - suite "scale" (E15): the scalable function sets on the bgp-16k torus.
+//   - suites "fig2".."fig7" and "fig9".."fig12": one paper figure each; the
+//     bundles "figs-micro" and "figs-fft" print results/microbench.txt and
+//     results/fftbench.txt. -fast is the scale of the committed files.
 //
 // Scenarios execute on the experiment runner (internal/runner): -jobs
 // parallelizes across a worker pool, -cache persists every completed
 // scenario in a content-addressed store so re-runs are nearly free and an
 // interrupted sweep resumes where it stopped (-resume). Aggregated output
 // is byte-identical for every -jobs value and for cached vs fresh runs.
-// Alongside the table, a machine-readable summary is written to -out.
+// Alongside the tables, the aggregate suites write a machine-readable
+// summary to -out.
 //
 // Example:
 //
 //	sweep -suite verification -fast -jobs 8 -cache
 //	sweep -suite fft
+//	sweep -suite fig6 -fast -observe       # Fig 6 with the overlap column
+//	sweep -suite fig9 -fast -trace traces/ # one Perfetto timeline per run
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"nbctune/internal/bench"
 	"nbctune/internal/chaos/profiles"
 	"nbctune/internal/core"
 	"nbctune/internal/kb"
+	"nbctune/internal/obs"
 	"nbctune/internal/platform"
 	"nbctune/internal/runner"
 )
 
 func main() {
 	var (
-		suite    = flag.String("suite", "verification", "sweep suite: verification, fft, or scale")
-		fast     = flag.Bool("fast", false, "trimmed scenario grid (minutes instead of hours)")
+		suite    = flag.String("suite", "verification", "scenario grid: "+strings.Join(bench.SuiteNames(), ", "))
+		fast     = flag.Bool("fast", false, "trimmed scenario grid (minutes instead of hours; the scale of the committed results/ files)")
+		csv      = flag.Bool("csv", false, "emit CSV tables")
 		quiet    = flag.Bool("quiet", false, "suppress per-scenario progress lines")
 		jobs     = flag.Int("jobs", 0, "parallel scenario workers (0 = GOMAXPROCS, 1 = sequential)")
 		cacheOn  = flag.Bool("cache", false, "serve and persist scenario results via the content-addressed store")
 		cacheDir = flag.String("cachedir", "results/cache", "result store directory")
 		resume   = flag.Bool("resume", false, "resume an interrupted sweep from the store (implies -cache)")
-		out      = flag.String("out", "", "machine-readable summary path (default: the suite's committed results/ file; empty disables)")
-		observe  = flag.Bool("observe", false, "attach obs recorders so summary rows carry overlap ratios (timing-neutral)")
+		out      = flag.String("out", "", "machine-readable summary path (default: the committed results/ file of verification, fft and scale, none for figure suites; empty disables)")
+		observe  = flag.Bool("observe", false, "attach obs recorders so summary rows and the Fig 6 table carry overlap ratios (timing-neutral)")
+		traceDir = flag.String("trace", "", "directory for one Chrome trace-event JSON per run of a figure matrix (fig3..fig7, fig9..fig12; open in Perfetto)")
 		data     = flag.Bool("data", false, "real payloads with per-iteration data verification (virtual times unchanged; slower)")
 		chaosStr = flag.String("chaos", "off", "fault/noise injection profile: off, "+strings.Join(profiles.Names(), ", "))
 		chaosSd  = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
@@ -57,24 +68,26 @@ func main() {
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		specOn   = flag.Bool("speculate", false, "evaluate ADCL selector runs via speculative world forks (decisions worker-count independent)")
 		specWrk  = flag.Int("spec-workers", 0, "fork worker pool per speculative scenario (0 = GOMAXPROCS)")
-		shardStr = flag.String("shards", "", "run scenarios on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count; empty = sequential engine")
+		shardStr = flag.String("shards", "", "run micro-benchmark scenarios on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
 	)
 	flag.Parse()
+	suites, err := bench.Suites(*suite, *fast)
+	if err != nil {
+		fail(err)
+	}
 	outSet := false
 	flag.Visit(func(f *flag.Flag) { outSet = outSet || f.Name == "out" })
 	if !outSet {
 		*out = defaultOut(*suite)
 	}
 
-	shards, pdes, err := parseShards(*shardStr)
+	shards, pdes, err := bench.ParseShards(*shardStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
+		fail(err)
 	}
 
 	if _, err := profiles.ByName(*chaosStr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
 	chaosName := *chaosStr
 	if chaosName == "off" {
@@ -84,12 +97,10 @@ func main() {
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -116,164 +127,79 @@ func main() {
 	opt.Speculate = *specOn
 	opt.SpecWorkers = *specWrk
 	if *specOn && (*observe || *data) {
-		fmt.Fprintln(os.Stderr, "sweep: -speculate is incompatible with -observe and -data (state cannot cross a snapshot)")
-		os.Exit(1)
+		fail(errors.New("-speculate is incompatible with -observe and -data (state cannot cross a snapshot)"))
 	}
 	if pdes {
 		if *specOn {
-			fmt.Fprintln(os.Stderr, "sweep: -shards is incompatible with -speculate (a sharded world cannot be snapshotted)")
-			os.Exit(1)
+			fail(errors.New("-shards is incompatible with -speculate (a sharded world cannot be snapshotted)"))
 		}
 		if chaosName != "" {
-			fmt.Fprintln(os.Stderr, "sweep: -shards is incompatible with -chaos (injection streams are consumed in global order)")
-			os.Exit(1)
-		}
-		if *suite == "fft" {
-			fmt.Fprintln(os.Stderr, "sweep: -shards applies to the micro-benchmark suites (verification, scale), not fft")
-			os.Exit(1)
+			fail(errors.New("-shards is incompatible with -chaos (injection streams are consumed in global order)"))
 		}
 	}
 	if *cacheOn || *resume {
 		c, err := runner.OpenCache(*cacheDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
 		opt.Cache = c
 	}
 
+	var trace bench.TraceSink
+	if *traceDir != "" {
+		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
+			fail(err)
+		}
+		trace = func(cell string, rec *obs.Recorder) error { return writeTrace(*traceDir, cell, rec) }
+	}
+
 	var summary *bench.SweepSummary
 	var kbRecords []kb.Record
-	switch *suite {
-	case "verification":
-		specs := bench.VerificationScenarios(*fast)
-		for i := range specs {
-			specs[i].Observe = specs[i].Observe || *observe
-			specs[i].Data = specs[i].Data || *data
+	for i := range suites {
+		s := &suites[i]
+		if pdes && s.FFT != nil {
+			fail(fmt.Errorf("-shards applies to the micro-benchmark suites, %s runs the 3D-FFT kernel", s.Name))
+		}
+		// The run-wide settings, laid over every scenario of the grid.
+		for j := range s.Micro {
+			m := &s.Micro[j]
+			m.Observe, m.Data = m.Observe || *observe, m.Data || *data
+			m.PDES, m.Shards = pdes, shards
 			if chaosName != "" {
-				specs[i].Chaos = chaosName
-				specs[i].ChaosSeed = *chaosSd
-			}
-			if pdes {
-				specs[i].PDES = true
-				specs[i].Shards = shards
+				m.Chaos, m.ChaosSeed = chaosName, *chaosSd
 			}
 		}
-		selectors := []string{"brute-force", "attr-heuristic", "factorial-2k"}
-		st, err := bench.VerificationSweepOpts(specs, selectors, opt)
+		for j := range s.FFT {
+			f := &s.FFT[j]
+			f.Observe, f.Data = f.Observe || *observe, f.Data || *data
+			if chaosName != "" {
+				f.Chaos, f.ChaosSeed = chaosName, *chaosSd
+			}
+		}
+		o, err := s.Run(opt, trace)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
-		t := bench.NewTable(fmt.Sprintf("Verification sweep: %d scenarios (paper §IV-A: 324 runs, 90%% / 92%%)", st.Total),
-			"selector", "correct", "total", "rate")
-		for _, sel := range st.Selectors {
-			t.AddRow(sel, st.Correct[sel], st.Total, fmt.Sprintf("%.1f%%", st.Rate(sel)*100))
+		for _, t := range o.Tables {
+			if *csv {
+				t.RenderCSV(os.Stdout)
+			} else {
+				t.Render(os.Stdout)
+			}
+			fmt.Println()
 		}
-		t.Render(os.Stdout)
-		summary = st.Summary()
+		summary = o.Summary
 		if *kbAddr != "" {
-			// Each verification run measured every fixed implementation, so
-			// the per-scenario best is exactly what a tuner would commit:
-			// share it keyed by the same (HistoryKey, EnvFingerprint) pair
-			// tune -kb looks up.
-			for _, v := range st.Runs {
-				kbRecords = append(kbRecords, kb.Record{
-					Key:    core.HistoryKey(v.Spec.Op, v.Spec.Platform.Name, v.Spec.Procs, v.Spec.MsgSize),
-					Env:    envFingerprint(v.Spec.Platform, v.Spec.Chaos, v.Spec.ChaosSeed),
-					Winner: v.Fixed[v.Best].Impl,
-					Score:  v.Fixed[v.Best].Total,
-				})
-			}
+			kbRecords = append(kbRecords, winners(o)...)
 		}
-
-	case "scale":
-		// E15: the scalable function sets on the bgp-16k torus at 64 ranks vs
-		// the 1K–4K regime, where the tuned winner flips (EXPERIMENTS.md E15).
-		specs := bench.ScaleScenarios(*fast)
-		for i := range specs {
-			specs[i].Observe = specs[i].Observe || *observe
-			specs[i].Data = specs[i].Data || *data
-			if chaosName != "" {
-				specs[i].Chaos = chaosName
-				specs[i].ChaosSeed = *chaosSd
-			}
-			if pdes {
-				specs[i].PDES = true
-				specs[i].Shards = shards
-			}
-		}
-		selectors := []string{"brute-force", "attr-heuristic"}
-		st, err := bench.VerificationSweepOpts(specs, selectors, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		t := bench.NewTable(fmt.Sprintf("Scale sweep: %d scenarios on %s (winner per scenario)", st.Total, "bgp-16k"),
-			"scenario", "best fixed", "brute-force correct")
-		for _, v := range st.Runs {
-			t.AddRow(v.Spec.String(), v.Fixed[v.Best].Impl, v.Correct(0))
-		}
-		t.Render(os.Stdout)
-		t2 := bench.NewTable("Correct-decision rates", "selector", "correct", "total", "rate")
-		for _, sel := range st.Selectors {
-			t2.AddRow(sel, st.Correct[sel], st.Total, fmt.Sprintf("%.1f%%", st.Rate(sel)*100))
-		}
-		t2.Render(os.Stdout)
-		summary = st.Summary()
-		summary.Suite = "scale"
-
-	case "fft":
-		specs := bench.FFTScenarios(*fast)
-		for i := range specs {
-			specs[i].Observe = specs[i].Observe || *observe
-			specs[i].Data = specs[i].Data || *data
-			if chaosName != "" {
-				specs[i].Chaos = chaosName
-				specs[i].ChaosSeed = *chaosSd
-			}
-		}
-		st, err := bench.FFTSweepOpts(specs, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		t := bench.NewTable(fmt.Sprintf("FFT sweep: %d scenarios (paper §IV-B: ADCL faster in 74%% of 393 tests, up to 40%%)", st.Total),
-			"metric", "value")
-		t.AddRow("adcl faster than libnbc", fmt.Sprintf("%d/%d (%.1f%%)", st.ADCLFaster, st.Total, st.FasterRate()*100))
-		t.AddRow("on par (within 2%)", st.OnPar)
-		t.AddRow("max improvement vs libnbc", fmt.Sprintf("%.1f%%", st.MaxImprovement*100))
-		t.Render(os.Stdout)
-		summary = st.Summary()
-		if *kbAddr != "" {
-			for _, pair := range st.Rows {
-				adclR := pair[1]
-				if adclR.Winner == "" {
-					continue
-				}
-				// FFT scenarios are keyed by kernel variant and grid size: N
-				// (with np) determines every transpose's message size, so it
-				// plays HistoryKey's msgsize role.
-				kbRecords = append(kbRecords, kb.Record{
-					Key: core.HistoryKey(fmt.Sprintf("fft3d-%s-%s", adclR.Spec.Pattern, adclR.Spec.Flavor),
-						adclR.Spec.Platform.Name, adclR.Spec.Procs, adclR.Spec.N),
-					Env:    envFingerprint(adclR.Spec.Platform, adclR.Spec.Chaos, adclR.Spec.ChaosSeed),
-					Winner: adclR.Winner,
-					Score:  adclR.PostLearnPerIter,
-					Evals:  adclR.Evals,
-				})
-			}
-		}
-
-	default:
-		fmt.Fprintf(os.Stderr, "unknown suite %q (verification, fft, scale)\n", *suite)
-		os.Exit(1)
 	}
 
 	if *out != "" {
+		if summary == nil {
+			fail(fmt.Errorf("-out: %s has no machine-readable summary (verification, fft, scale and fig2 do)", *suite))
+		}
 		if err := bench.WriteSummaryFile(*out, summary); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "summary written to %s\n", *out)
 	}
@@ -289,10 +215,73 @@ func main() {
 	}
 }
 
+// winners are the tuned decisions of an aggregate suite in the form tune -kb
+// looks them up: keyed by the same (HistoryKey, EnvFingerprint) pair.
+func winners(o *bench.Outcome) []kb.Record {
+	var recs []kb.Record
+	if o.Verification != nil {
+		// Each verification run measured every fixed implementation, so the
+		// per-scenario best is exactly what a tuner would commit.
+		for _, v := range o.Verification.Runs {
+			recs = append(recs, kb.Record{
+				Key:    core.HistoryKey(v.Spec.Op, v.Spec.Platform.Name, v.Spec.Procs, v.Spec.MsgSize),
+				Env:    envFingerprint(v.Spec.Platform, v.Spec.Chaos, v.Spec.ChaosSeed),
+				Winner: v.Fixed[v.Best].Impl,
+				Score:  v.Fixed[v.Best].Total,
+			})
+		}
+	}
+	if o.FFT != nil {
+		for _, pair := range o.FFT.Rows {
+			adclR := pair[1]
+			if adclR.Winner == "" {
+				continue
+			}
+			// FFT scenarios are keyed by kernel variant and grid size: N
+			// (with np) determines every transpose's message size, so it
+			// plays HistoryKey's msgsize role.
+			recs = append(recs, kb.Record{
+				Key: core.HistoryKey(fmt.Sprintf("fft3d-%s-%s", adclR.Spec.Pattern, adclR.Spec.Flavor),
+					adclR.Spec.Platform.Name, adclR.Spec.Procs, adclR.Spec.N),
+				Env:    envFingerprint(adclR.Spec.Platform, adclR.Spec.Chaos, adclR.Spec.ChaosSeed),
+				Winner: adclR.Winner,
+				Score:  adclR.PostLearnPerIter,
+				Evals:  adclR.Evals,
+			})
+		}
+	}
+	return recs
+}
+
+// writeTrace exports one traced run as dir/<cell>.trace.json, the cell name
+// reduced to file-name-safe characters.
+func writeTrace(dir, cell string, rec *obs.Recorder) error {
+	name := strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
+			return r
+		}
+		return '-'
+	}, cell) + ".trace.json"
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		return err
+	}
+	if err := rec.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "trace written: %s\n", filepath.Join(dir, name))
+	return nil
+}
+
 // defaultOut is where a suite's summary goes when -out is not given: each
-// suite has its own committed file under results/, so running one suite never
-// overwrites another's pinned artifact. Unknown suites get no file (main
-// rejects them).
+// aggregate suite has its own committed file under results/, so running one
+// suite never overwrites another's pinned artifact. Figure suites and unknown
+// names get no file.
 func defaultOut(suite string) string {
 	switch suite {
 	case "verification":
@@ -305,25 +294,6 @@ func defaultOut(suite string) string {
 	return ""
 }
 
-// parseShards interprets the -shards flag: "" keeps the sequential engine,
-// "auto" selects the sharded (PDES) engine with a GOMAXPROCS-derived worker
-// count (platform assembly clamps it to the used node count), and a positive
-// integer pins the shard count. Aggregate output is byte-identical for every
-// value — the shard count, like -jobs, changes only wall-clock.
-func parseShards(v string) (shards int, pdes bool, err error) {
-	switch v {
-	case "":
-		return 0, false, nil
-	case "auto":
-		return 0, true, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, false, fmt.Errorf("invalid -shards %q (want auto or a positive shard count)", v)
-	}
-	return n, true, nil
-}
-
 // envFingerprint mirrors cmd/tune's history gating: flat topology maps to
 // the clean empty tag so sweep-shared winners land under the same
 // fingerprints tune -kb looks up.
@@ -333,4 +303,9 @@ func envFingerprint(pl platform.Platform, chaosName string, chaosSeed int64) str
 		topo = ""
 	}
 	return core.EnvFingerprint(topo, chaosName, chaosSeed)
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "sweep:", err)
+	os.Exit(1)
 }

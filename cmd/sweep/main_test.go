@@ -2,59 +2,41 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
+
+	"nbctune/internal/bench"
 )
 
 // TestDefaultOut pins the suite -> summary path table against the three
 // committed artifacts: a suite run without -out must only ever rewrite its
-// own file.
+// own file, and a figure suite or bundle none.
 func TestDefaultOut(t *testing.T) {
-	cases := map[string]string{
+	want := map[string]string{
 		"verification": "results/sweep_summary.json",
 		"fft":          "results/sweep_summary_fft.json",
 		"scale":        "results/scale_summary.json",
-		"nonesuch":     "",
 	}
-	for suite, want := range cases {
-		if got := defaultOut(suite); got != want {
-			t.Errorf("defaultOut(%q) = %q, want %q", suite, got, want)
+	for _, suite := range append(bench.SuiteNames(), "nonesuch") {
+		if got := defaultOut(suite); got != want[suite] {
+			t.Errorf("defaultOut(%q) = %q, want %q", suite, got, want[suite])
 		}
-		if want == "" {
-			continue
-		}
-		if _, err := os.Stat("../../" + want); err != nil {
-			t.Errorf("suite %q defaults to %s, which is not a committed artifact: %v", suite, want, err)
+	}
+	for suite, path := range want {
+		if _, err := os.Stat("../../" + path); err != nil {
+			t.Errorf("suite %q defaults to %s, which is not a committed artifact: %v", suite, path, err)
 		}
 	}
 }
 
-func TestParseShards(t *testing.T) {
-	cases := []struct {
-		in     string
-		shards int
-		pdes   bool
-		ok     bool
-	}{
-		{"", 0, false, true},
-		{"auto", 0, true, true},
-		{"1", 1, true, true},
-		{"8", 8, true, true},
-		{"0", 0, false, false},
-		{"-2", 0, false, false},
-		{"many", 0, false, false},
-		{"2.5", 0, false, false},
+// TestUnknownSuite: the rejection main prints lists the catalogue's own
+// names, so it cannot go stale when a suite is added.
+func TestUnknownSuite(t *testing.T) {
+	_, err := bench.Suites("nonesuch", true)
+	if err == nil {
+		t.Fatal("unknown suite resolved")
 	}
-	for _, c := range cases {
-		shards, pdes, err := parseShards(c.in)
-		if (err == nil) != c.ok {
-			t.Errorf("parseShards(%q) err = %v, want ok=%v", c.in, err, c.ok)
-			continue
-		}
-		if !c.ok {
-			continue
-		}
-		if shards != c.shards || pdes != c.pdes {
-			t.Errorf("parseShards(%q) = (%d, %v), want (%d, %v)", c.in, shards, pdes, c.shards, c.pdes)
-		}
+	if list := strings.Join(bench.SuiteNames(), ", "); !strings.Contains(err.Error(), list) {
+		t.Errorf("error %q does not list the catalogue (%s)", err, list)
 	}
 }

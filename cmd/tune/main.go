@@ -2,7 +2,10 @@
 // and prints the full tuning report: every implementation's robust score,
 // sample counts, the decision, and the learning cost. With -history it
 // persists the winner and reuses it on the next invocation (ADCL's historic
-// learning).
+// learning). With -verify it then applies the paper's verification-run
+// methodology (§IV-A, Fig 2) to the same scenario: every fixed implementation
+// is measured beside the selector and the winner is judged correct when it is
+// within 5% of the best fixed run.
 //
 // Examples:
 //
@@ -12,6 +15,7 @@
 //	tune -op ialltoall -history /tmp/adcl.json   # run twice to see the hit
 //	tune -op ialltoall -kb 127.0.0.1:7070        # share winners via a tuned daemon
 //	tune -op ialltoall -metrics audit.json       # selection audit + overlap
+//	tune -op ialltoall -np 32 -progress 5 -verify   # was the winner correct?
 //
 // With -kb, winners learned by any process sharing the daemon are reused
 // (the learning phase is skipped exactly as with a warm -history file);
@@ -24,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"nbctune/internal/bench"
 	"nbctune/internal/chaos/profiles"
@@ -55,7 +58,8 @@ func main() {
 		chaosSd  = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
 		specOn   = flag.Bool("speculate", false, "evaluate candidates on speculative world forks instead of in-line learning (ialltoall/ibcast)")
 		specWrk  = flag.Int("spec-workers", 0, "fork worker pool for -speculate (0 = GOMAXPROCS); decisions are identical for every value")
-		shardStr = flag.String("shards", "", "run on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count; empty = sequential engine")
+		shardStr = flag.String("shards", "", "run on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
+		verify   = flag.Bool("verify", false, "also measure every fixed implementation on the micro-benchmark loop and report whether the selector's winner is correct (ialltoall, ibcast, ibcast-scalable, iallgather-scalable, ibarrier)")
 	)
 	flag.Parse()
 
@@ -71,7 +75,7 @@ func main() {
 	if prof != nil {
 		chaosName = prof.Name
 	}
-	shards, pdes, err := parseShards(*shardStr)
+	shards, pdes, err := bench.ParseShards(*shardStr)
 	if err != nil {
 		fail(err)
 	}
@@ -168,19 +172,23 @@ func main() {
 	var evalsUsed int
 	var audit *obs.Audit
 	var specRes *bench.SpecResult
+	// The scenario as a micro-benchmark spec, for the bench-harness paths
+	// (-speculate, -verify).
+	mspec := bench.MicroSpec{
+		Platform: plat, Procs: *np, MsgSize: *msg, Op: *op,
+		ComputePerIter: *compute, Iterations: *iters, ProgressCalls: *progress,
+		Seed: *seed, EvalsPerFn: *evals, Chaos: chaosName, ChaosSeed: *chaosSd,
+		PDES: pdes, Shards: shards,
+	}
+	if chaosName == "" {
+		mspec.ChaosSeed = 0
+	}
 	if speculate {
 		n := *iters
 		if n == 0 {
 			n = 10 // all iterations run post-decision
 		}
-		mspec := bench.MicroSpec{
-			Platform: plat, Procs: *np, MsgSize: *msg, Op: *op,
-			ComputePerIter: *compute, Iterations: n, ProgressCalls: *progress,
-			Seed: *seed, EvalsPerFn: *evals, Chaos: chaosName, ChaosSeed: *chaosSd,
-		}
-		if chaosName == "" {
-			mspec.ChaosSeed = 0
-		}
+		mspec.Iterations = n
 		sr, err := bench.RunSpeculative(mspec, *selName, *specWrk)
 		if err != nil {
 			fail(err)
@@ -236,6 +244,7 @@ func main() {
 				core.StopMaybeSynced(c, timer, req)
 			}
 			if c.Rank() == 0 {
+				mspec.Iterations = n // -verify measures over the same loop length
 				report = core.TuningReport(req)
 				if w := req.Winner(); w != nil {
 					winnerName = w.Name
@@ -249,6 +258,17 @@ func main() {
 	fmt.Printf("platform %s, %d ranks, %d-byte messages, %g s compute/iter, %d progress calls\n\n",
 		plat.Name, *np, *msg, *compute, *progress)
 	fmt.Print(report)
+
+	if *verify {
+		opt := bench.Parallel(0, nil)
+		opt.Speculate, opt.SpecWorkers = speculate, *specWrk
+		v, err := bench.RunVerificationOpts(mspec, opt, *selName)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Println()
+		verificationTable(v).Render(os.Stdout)
+	}
 
 	if src != nil && winnerName != "" {
 		src.Record(histKey, core.HistoryEntry{Winner: winnerName, Evals: evalsUsed, Env: env})
@@ -358,6 +378,28 @@ type tuneMetrics struct {
 	EvalRounds    int       `json:"eval_rounds,omitempty"`
 }
 
+// verificationTable renders a verification run: every fixed implementation,
+// then the ADCL run with its verdict.
+func verificationTable(v *bench.Verification) *bench.Table {
+	t := bench.NewTable(fmt.Sprintf("Verification run: %s", v.Spec),
+		"implementation", "total_s", "periter_ms", "vs_best", "note")
+	best := v.Fixed[v.Best].Total
+	for i, r := range v.Fixed {
+		note := ""
+		if i == v.Best {
+			note = "best fixed"
+		}
+		t.AddRow(r.Impl, bench.Sec(r.Total), bench.Ms(r.PerIter),
+			fmt.Sprintf("%+.1f%%", (r.Total-best)/best*100), note)
+	}
+	for i, r := range v.ADCL {
+		note := fmt.Sprintf("winner=%s evals=%d correct=%v", r.Winner, r.Evals, v.Correct(i))
+		t.AddRow(r.Impl, bench.Sec(r.Total), bench.Ms(r.PerIter),
+			fmt.Sprintf("%+.1f%%", (r.Total-best)/best*100), note)
+	}
+	return t
+}
+
 func buildSet(c *mpi.Comm, op string, msg int) (*core.FunctionSet, error) {
 	switch op {
 	case "ialltoall":
@@ -404,23 +446,6 @@ func buildSet(c *mpi.Comm, op string, msg int) (*core.FunctionSet, error) {
 	default:
 		return nil, fmt.Errorf("unknown operation %q", op)
 	}
-}
-
-// parseShards interprets the -shards flag exactly as cmd/sweep does: "" keeps
-// the sequential engine, "auto" selects the sharded (PDES) engine with a
-// GOMAXPROCS-derived worker count, a positive integer pins the shard count.
-func parseShards(v string) (shards int, pdes bool, err error) {
-	switch v {
-	case "":
-		return 0, false, nil
-	case "auto":
-		return 0, true, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, false, fmt.Errorf("invalid -shards %q (want auto or a positive shard count)", v)
-	}
-	return n, true, nil
 }
 
 func fail(err error) {

@@ -35,20 +35,25 @@ func main() {
 	}
 	fmt.Println("  best")
 
-	for _, pc := range progressCounts {
-		spec := bench.MicroSpec{
+	specs := make([]bench.MicroSpec, len(progressCounts))
+	for i, pc := range progressCounts {
+		specs[i] = bench.MicroSpec{
 			Platform: plat, Procs: 32, MsgSize: 128 * 1024, Op: bench.OpIalltoall,
 			ComputePerIter: 0.1, Iterations: 15, ProgressCalls: pc, Seed: 9,
 		}
-		rs, err := bench.RunAllFixed(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
+	}
+	// Every (progress count, algorithm) cell is an independent simulation:
+	// run them all on the experiment runner's worker pool.
+	matrix, err := bench.FixedMatrix(specs, 0, bench.Parallel(0, nil), nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, rs := range matrix {
 		best := 0
-		fmt.Printf("%-10d", pc)
-		for i, r := range rs {
+		fmt.Printf("%-10d", progressCounts[i])
+		for j, r := range rs {
 			if r.Total < rs[best].Total {
-				best = i
+				best = j
 			}
 			fmt.Printf("  %-24s", fmt.Sprintf("%.2f ms/iter", r.PerIter*1000))
 		}

@@ -185,7 +185,7 @@ func TestIntegration_FFTFlavorsConsistentTimes(t *testing.T) {
 		Platform: plat, Procs: 16, N: 64, Pattern: fft.WindowTiled,
 		Iterations: 12, Seed: 13, EvalsPerFn: 1,
 	}
-	rs, err := bench.FFTComparison(spec, fft.FlavorMPI, fft.FlavorNBC, fft.FlavorADCL, fft.FlavorADCLExt)
+	rs, err := bench.FFTComparison(spec, []fft.Flavor{fft.FlavorMPI, fft.FlavorNBC, fft.FlavorADCL, fft.FlavorADCLExt}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestIntegration_SweepMachinery(t *testing.T) {
 		Platform: plat, Procs: 8, MsgSize: 128 * 1024, Op: bench.OpIalltoall,
 		ComputePerIter: 2e-2, Iterations: 14, ProgressCalls: 5, Seed: 3, EvalsPerFn: 3,
 	}}
-	st, err := bench.VerificationSweep(specs, []string{"brute-force", "attr-heuristic"}, nil)
+	st, err := bench.VerificationSweepOpts(specs, []string{"brute-force", "attr-heuristic"}, bench.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func trueBest(t *testing.T, spec MicroSpec) string {
 	t.Helper()
 	clean := spec
 	clean.Chaos, clean.ChaosSeed = "", 0
-	fixed, err := RunAllFixed(clean)
+	fixed, err := allFixed(clean)
 	if err != nil {
 		t.Fatal(err)
 	}

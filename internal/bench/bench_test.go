@@ -61,6 +61,15 @@ func TestRunFixedOutOfRange(t *testing.T) {
 	}
 }
 
+// allFixed measures every implementation of the spec's function set.
+func allFixed(spec MicroSpec) ([]MicroResult, error) {
+	m, err := FixedMatrix([]MicroSpec{spec}, 0, RunOptions{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return m[0], nil
+}
+
 func TestSpecValidation(t *testing.T) {
 	spec := smallSpec(t)
 	spec.Procs = 1
@@ -69,12 +78,12 @@ func TestSpecValidation(t *testing.T) {
 	}
 	spec = smallSpec(t)
 	spec.Op = "igather"
-	if _, err := runLoop(spec, "x", nil); err == nil {
+	if _, _, err := runLoop(spec, "x", nil); err == nil {
 		t.Error("unknown op accepted")
 	}
 	spec = smallSpec(t)
 	spec.ProgressCalls = 0
-	if _, err := runLoop(spec, "x", nil); err == nil {
+	if _, _, err := runLoop(spec, "x", nil); err == nil {
 		t.Error("zero progress calls accepted")
 	}
 }
@@ -167,7 +176,7 @@ func TestFFTRunSmoke(t *testing.T) {
 		Platform: plat, Procs: 8, N: 32, Pattern: fft.WindowTiled,
 		Iterations: 10, Seed: 5, EvalsPerFn: 2,
 	}
-	rs, err := FFTComparison(spec, fft.FlavorNBC, fft.FlavorADCL, fft.FlavorMPI)
+	rs, err := FFTComparison(spec, []fft.Flavor{fft.FlavorNBC, fft.FlavorADCL, fft.FlavorMPI}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +202,7 @@ func TestFFTSweepSmallGrid(t *testing.T) {
 		Platform: plat, Procs: 8, N: 32, Pattern: fft.Tiled,
 		Iterations: 10, Seed: 7, EvalsPerFn: 1,
 	}}
-	st, err := FFTSweep(specs, nil)
+	st, err := FFTSweepOpts(specs, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +213,7 @@ func TestFFTSweepSmallGrid(t *testing.T) {
 
 func TestVerificationSweepSmall(t *testing.T) {
 	spec := smallSpec(t)
-	st, err := VerificationSweep([]MicroSpec{spec}, []string{"brute-force"}, nil)
+	st, err := VerificationSweepOpts([]MicroSpec{spec}, []string{"brute-force"}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,104 @@
+package bench
+
+import "testing"
+
+// TestCatalogue checks the catalogue as data: every name resolves at both
+// scales, and the fast figure grids have the scenario counts and seeds of the
+// committed results/microbench.txt and results/fftbench.txt.
+func TestCatalogue(t *testing.T) {
+	for _, name := range SuiteNames() {
+		for _, fast := range []bool{true, false} {
+			suites, err := Suites(name, fast)
+			if err != nil {
+				t.Fatalf("%s fast=%v: %v", name, fast, err)
+			}
+			for _, s := range suites {
+				if (len(s.Micro) == 0) == (len(s.FFT) == 0) {
+					t.Errorf("%s fast=%v: member %s has %d micro and %d FFT scenarios, want exactly one kind",
+						name, fast, s.Name, len(s.Micro), len(s.FFT))
+				}
+			}
+		}
+	}
+
+	figures := []struct {
+		name        string
+		scenarios   int
+		first, step int64 // seed of scenario i is first + i*step
+	}{
+		{"verification", 24, 101, 1},
+		{"fft", 8, 501, 1},
+		{"scale", 6, 1501, 1},
+		{"fig2", 4, 21, 0},
+		{"fig3", 2, 31, 0},
+		{"fig4", 2, 41, 0},
+		{"fig5", 2, 51, 0},
+		{"fig6", 6, 61, 0},
+		{"fig7", 5, 71, 0},
+		{"fig9", 8, 92, 1},
+		{"fig10", 8, 92, 1},
+		{"fig11", 16, 92, 1},
+		{"fig12", 4, 122, 1},
+	}
+	if len(figures) != len(catalogue) {
+		t.Errorf("%d suites pinned, catalogue has %d", len(figures), len(catalogue))
+	}
+	for _, f := range figures {
+		suites, err := Suites(f.name, true)
+		if err != nil || len(suites) != 1 {
+			t.Fatalf("%s: %d suites, err %v", f.name, len(suites), err)
+		}
+		var seeds []int64
+		for _, m := range suites[0].Micro {
+			seeds = append(seeds, m.Seed)
+		}
+		for _, s := range suites[0].FFT {
+			seeds = append(seeds, s.Seed)
+		}
+		if len(seeds) != f.scenarios {
+			t.Errorf("%s: %d scenarios, want %d", f.name, len(seeds), f.scenarios)
+		}
+		for i, seed := range seeds {
+			if want := f.first + int64(i)*f.step; seed != want {
+				t.Errorf("%s scenario %d: seed %d, want %d", f.name, i, seed, want)
+			}
+		}
+	}
+
+	for bundle, want := range map[string]int{"figs-micro": 6, "figs-fft": 4} {
+		if suites, _ := Suites(bundle, true); len(suites) != want {
+			t.Errorf("%s runs %d suites, want %d", bundle, len(suites), want)
+		}
+	}
+}
+
+func TestParseShards(t *testing.T) {
+	cases := []struct {
+		in     string
+		shards int
+		pdes   bool
+		ok     bool
+	}{
+		{"", 0, false, true},
+		{"auto", 0, true, true},
+		{"1", 1, true, true},
+		{"8", 8, true, true},
+		{"0", 0, false, false},
+		{"-2", 0, false, false},
+		{"many", 0, false, false},
+		{"2.5", 0, false, false},
+	}
+	for _, c := range cases {
+		shards, pdes, err := ParseShards(c.in)
+		if (err == nil) != c.ok {
+			t.Errorf("ParseShards(%q) err = %v, want ok=%v", c.in, err, c.ok)
+			continue
+		}
+		if !c.ok {
+			continue
+		}
+		if shards != c.shards || pdes != c.pdes {
+			t.Errorf("ParseShards(%q) = (%d, %v), want (%d, %v)", c.in, shards, pdes, c.shards, c.pdes)
+		}
+	}
+}

@@ -95,7 +95,7 @@ func TestChaosTraceDeterministic(t *testing.T) {
 	trace := func(chaosSeed int64) []byte {
 		s := spec
 		s.ChaosSeed = chaosSeed
-		_, rec, err := RunFixedObserved(s, 0)
+		_, rec, err := runFixed(s, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,12 +169,12 @@ func TestChaosLandscapeDiffersFromClean(t *testing.T) {
 		Platform: plat, Procs: 8, MsgSize: 256 * 1024, Op: OpIbcast,
 		ComputePerIter: 2e-3, Iterations: 4, ProgressCalls: 2, Seed: 9, EvalsPerFn: 1,
 	}
-	clean, err := RunAllFixed(spec)
+	clean, err := allFixed(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Chaos, spec.ChaosSeed = "regime-shift", 7
-	noisy, err := RunAllFixed(spec)
+	noisy, err := allFixed(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestFFTDataModeTimingNeutral(t *testing.T) {
 // elision must be invisible to the virtual-time schedule, span for span.
 func TestTraceBytesNeutralAcrossDataMode(t *testing.T) {
 	trace := func(spec MicroSpec) []byte {
-		_, rec, err := RunFixedObserved(spec, 0)
+		_, rec, err := runFixed(spec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestTraceBytesNeutralAcrossDataMode(t *testing.T) {
 		Iterations: 4, Seed: 7, EvalsPerFn: 2, Observe: true,
 	}
 	ftrace := func(spec FFTSpec) []byte {
-		_, rec, err := RunFFTObserved(spec)
+		_, rec, err := runFFT(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

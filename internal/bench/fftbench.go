@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"nbctune/internal/fft"
 	"nbctune/internal/mpi"
@@ -68,13 +69,13 @@ type FFTResult struct {
 // spec.Data set the transform runs on real field data at identical virtual
 // times.
 func RunFFT(spec FFTSpec) (FFTResult, error) {
-	r, _, err := RunFFTObserved(spec)
+	r, _, err := runFFT(spec)
 	return r, err
 }
 
-// RunFFTObserved is RunFFT, additionally returning the run's recorder when
-// spec.Observe is set (nil otherwise).
-func RunFFTObserved(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
+// runFFT is RunFFT, additionally returning the run's recorder (nil unless
+// spec.Observe is set) for trace export.
+func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 	if spec.Iterations < 1 {
 		return FFTResult{}, nil, fmt.Errorf("bench: iterations must be >= 1")
 	}
@@ -173,67 +174,77 @@ func RunFFTObserved(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 }
 
 // FFTComparison runs the kernel under several flavors on the same scenario,
-// the structure of Figs 9-12.
-func FFTComparison(spec FFTSpec, flavors ...fft.Flavor) ([]FFTResult, error) {
+// the structure of Figs 9-12. A non-nil trace forces observation on and
+// receives every run's recorder.
+func FFTComparison(spec FFTSpec, flavors []fft.Flavor, trace TraceSink) ([]FFTResult, error) {
 	out := make([]FFTResult, 0, len(flavors))
 	for _, fl := range flavors {
 		s := spec
 		s.Flavor = fl
-		r, err := RunFFT(s)
+		s.Observe = s.Observe || trace != nil
+		r, rec, err := runFFT(s)
 		if err != nil {
 			return nil, err
+		}
+		if trace != nil {
+			name := fmt.Sprintf("%s-np%d-%s_%s", s.Platform.Name, s.Procs, s.Pattern, r.Label)
+			if err := trace(name, rec); err != nil {
+				return nil, err
+			}
 		}
 		out = append(out, r)
 	}
 	return out, nil
 }
 
-// FFTMatrixOpts runs every (scenario, flavor) cell of a comparison matrix
-// as one experiment-runner job and returns the results indexed
-// [scenario][flavor], in submission order regardless of completion order.
-// This is the parallel/cached backend of the cmd/fftbench figure drivers.
-func FFTMatrixOpts(specs []FFTSpec, flavors []fft.Flavor, opt RunOptions) ([][]FFTResult, error) {
-	jobs := make([]runner.Job, 0, len(specs)*len(flavors))
-	for _, spec := range specs {
-		for _, fl := range flavors {
-			s := spec
-			s.Flavor = fl
-			jobs = append(jobs, runner.Job{
-				Label: s.String(),
-				Key:   FFTKey(s),
-				Run:   func() (any, error) { return RunFFT(s) },
-				Note:  fftNote,
-			})
+// fftComparisons runs one multi-flavor comparison job per scenario on the
+// experiment runner and returns the results indexed [scenario][flavor], in
+// submission order regardless of completion order. It is the one runner path
+// of the §IV-B sweep and of the Fig 9-12 suites. Traced jobs carry no cache
+// key: a cache hit would export nothing.
+func fftComparisons(specs []FFTSpec, flavors []fft.Flavor, opt RunOptions, trace TraceSink) ([][]FFTResult, error) {
+	jobs := make([]runner.Job, len(specs))
+	for i, spec := range specs {
+		spec := spec
+		jobs[i] = runner.Job{
+			Label: spec.String(),
+			Key:   FFTComparisonKey(spec, flavors),
+			Run:   func() (any, error) { return FFTComparison(spec, flavors, trace) },
+			Note:  fftComparisonNote,
+		}
+		if trace != nil {
+			jobs[i].Key = ""
 		}
 	}
-	rs, err := runner.Run(jobs, opt.runnerOptions())
+	rrs, err := runner.Run(jobs, opt.runnerOptions())
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]FFTResult, len(specs))
-	k := 0
-	for i := range specs {
-		out[i] = make([]FFTResult, len(flavors))
-		for j := range flavors {
-			if err := rs[k].Decode(&out[i][j]); err != nil {
-				return nil, fmt.Errorf("cell %d: %w", k, err)
-			}
-			k++
+	for i, rr := range rrs {
+		if err := rr.Decode(&out[i]); err != nil {
+			return nil, fmt.Errorf("scenario %d: %w", rr.Index, err)
+		}
+		if len(out[i]) != len(flavors) {
+			return nil, fmt.Errorf("scenario %d: comparison produced %d results", rr.Index, len(out[i]))
 		}
 	}
 	return out, nil
 }
 
-// fftNote annotates a progress line with the run's simulated time and
-// tuned winner.
-func fftNote(raw json.RawMessage) string {
-	var r FFTResult
-	if json.Unmarshal(raw, &r) != nil {
+// fftComparisonNote annotates a progress line with every flavor's simulated
+// time and, for the tuned flavors, the winner.
+func fftComparisonNote(raw json.RawMessage) string {
+	var rs []FFTResult
+	if json.Unmarshal(raw, &rs) != nil {
 		return ""
 	}
-	n := fmt.Sprintf("virt=%.3fs %s", r.Total, r.Label)
-	if r.Winner != "" && r.Winner != r.Label {
-		n += " winner=" + r.Winner
+	parts := make([]string, len(rs))
+	for i, r := range rs {
+		parts[i] = fmt.Sprintf("%s=%.3fs", r.Label, r.Total)
+		if r.Winner != "" && r.Winner != r.Label {
+			parts[i] += " winner=" + r.Winner
+		}
 	}
-	return n
+	return strings.Join(parts, " ")
 }

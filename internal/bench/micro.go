@@ -6,14 +6,14 @@
 // substitution map (DESIGN.md §1).
 //
 // Invariant: a spec fully determines its result — runs are deterministic
-// per seed, and attaching observation (MicroSpec.Observe, the *Observed
-// entry points) is passive: it never changes a simulated timestamp, so
-// observed and unobserved runs of the same spec report identical times
-// (bench's own tests pin this).
+// per seed, and attaching observation (MicroSpec.Observe) is passive: it
+// never changes a simulated timestamp, so observed and unobserved runs of the
+// same spec report identical times (bench's own tests pin this).
 package bench
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"nbctune/internal/chaos/profiles"
@@ -75,6 +75,26 @@ type MicroSpec struct {
 	// specs fingerprint (and cache, and summarize) identically at every
 	// count — the same philosophy as the runner's -jobs.
 	Shards int `json:"-"`
+}
+
+// ParseShards interprets a driver's -shards flag: "" keeps the sequential
+// engine, "auto" selects the sharded (PDES) engine with a GOMAXPROCS-derived
+// worker count (platform assembly clamps it to the used node count), and a
+// positive integer pins the shard count. Results are identical for every
+// shard count >= 1 — like -jobs, the count changes only wall-clock — but
+// differ from the default sequential engine (DESIGN.md §13).
+func ParseShards(v string) (shards int, pdes bool, err error) {
+	switch v {
+	case "":
+		return 0, false, nil
+	case "auto":
+		return 0, true, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		return 0, false, fmt.Errorf("invalid -shards %q (want auto or a positive shard count)", v)
+	}
+	return n, true, nil
 }
 
 // Ops supported by the micro-benchmark. The -scalable variants select from
@@ -343,15 +363,9 @@ type MicroResult struct {
 }
 
 // runLoop executes the §IV-A benchmark loop on every rank with the given
-// selector factory and returns the aggregate result.
-func runLoop(spec MicroSpec, label string, mkSel func(fs *core.FunctionSet) core.Selector) (MicroResult, error) {
-	r, _, err := runLoopObserved(spec, label, mkSel)
-	return r, err
-}
-
-// runLoopObserved is runLoop, additionally returning the recorder when
-// spec.Observe is set (nil otherwise).
-func runLoopObserved(spec MicroSpec, label string, mkSel func(fs *core.FunctionSet) core.Selector) (MicroResult, *obs.Recorder, error) {
+// selector factory and returns the aggregate result, plus the run's recorder
+// when spec.Observe is set (nil otherwise).
+func runLoop(spec MicroSpec, label string, mkSel func(fs *core.FunctionSet) core.Selector) (MicroResult, *obs.Recorder, error) {
 	if err := spec.validate(); err != nil {
 		return MicroResult{}, nil, err
 	}
@@ -451,29 +465,18 @@ func runLoopObserved(spec MicroSpec, label string, mkSel func(fs *core.FunctionS
 
 // RunFixed runs the benchmark pinned to implementation index fn.
 func RunFixed(spec MicroSpec, fn int) (MicroResult, error) {
-	names := spec.FunctionNames()
-	if fn < 0 || fn >= len(names) {
-		return MicroResult{}, fmt.Errorf("bench: implementation index %d out of range (%d impls)", fn, len(names))
-	}
-	r, err := runLoop(spec, names[fn], func(fs *core.FunctionSet) core.Selector {
-		return &core.FixedSelector{Fn: fn}
-	})
-	if err != nil {
-		return r, err
-	}
-	r.Winner = r.Impl
-	return r, nil
+	r, _, err := runFixed(spec, fn)
+	return r, err
 }
 
-// RunFixedObserved is RunFixed with spec.Observe forced on, additionally
-// returning the run's recorder for trace export.
-func RunFixedObserved(spec MicroSpec, fn int) (MicroResult, *obs.Recorder, error) {
-	spec.Observe = true
+// runFixed is RunFixed, additionally returning the run's recorder (nil unless
+// spec.Observe is set) for trace export.
+func runFixed(spec MicroSpec, fn int) (MicroResult, *obs.Recorder, error) {
 	names := spec.FunctionNames()
 	if fn < 0 || fn >= len(names) {
 		return MicroResult{}, nil, fmt.Errorf("bench: implementation index %d out of range (%d impls)", fn, len(names))
 	}
-	r, rec, err := runLoopObserved(spec, names[fn], func(fs *core.FunctionSet) core.Selector {
+	r, rec, err := runLoop(spec, names[fn], func(fs *core.FunctionSet) core.Selector {
 		return &core.FixedSelector{Fn: fn}
 	})
 	if err != nil {
@@ -483,13 +486,19 @@ func RunFixedObserved(spec MicroSpec, fn int) (MicroResult, *obs.Recorder, error
 	return r, rec, nil
 }
 
-// RunADCLObserved is RunADCL with spec.Observe forced on, additionally
-// returning the run's recorder for trace export.
-func RunADCLObserved(spec MicroSpec, selector string) (MicroResult, *obs.Recorder, error) {
-	spec.Observe = true
+// RunADCL runs the benchmark under a runtime selection logic
+// ("brute-force", "attr-heuristic", or "factorial-2k").
+func RunADCL(spec MicroSpec, selector string) (MicroResult, error) {
+	r, _, err := runADCL(spec, selector)
+	return r, err
+}
+
+// runADCL is RunADCL, additionally returning the run's recorder (nil unless
+// spec.Observe is set).
+func runADCL(spec MicroSpec, selector string) (MicroResult, *obs.Recorder, error) {
 	var selErr error
 	var selOnce sync.Once // every rank constructs a selector; under PDES they do so concurrently
-	r, rec, err := runLoopObserved(spec, "adcl:"+selector, func(fs *core.FunctionSet) core.Selector {
+	r, rec, err := runLoop(spec, "adcl:"+selector, func(fs *core.FunctionSet) core.Selector {
 		sel, err := core.SelectorByName(selector, fs, spec.evals())
 		if err != nil {
 			selOnce.Do(func() { selErr = err })
@@ -503,79 +512,61 @@ func RunADCLObserved(spec MicroSpec, selector string) (MicroResult, *obs.Recorde
 	return r, rec, err
 }
 
-// RunAllFixed measures every implementation of the spec's function set.
-func RunAllFixed(spec MicroSpec) ([]MicroResult, error) {
-	names := spec.FunctionNames()
-	out := make([]MicroResult, 0, len(names))
-	for i := range names {
-		r, err := RunFixed(spec, i)
-		if err != nil {
+// TraceSink receives the recorder of one traced simulation; cell names the
+// run (scenario and implementation or flavor).
+type TraceSink func(cell string, rec *obs.Recorder) error
+
+// fixedJob is the experiment-runner job of one fixed-implementation run. A
+// non-nil trace forces observation on and receives the run's recorder; a
+// traced job carries no cache key, since a cache hit would export nothing.
+func fixedJob(spec MicroSpec, fn int, impl string, trace TraceSink) runner.Job {
+	label, key := fmt.Sprintf("%s fixed=%s", spec, impl), FixedKey(spec, fn)
+	if trace != nil {
+		spec.Observe, key = true, ""
+	}
+	return runner.Job{Label: label, Key: key, Run: func() (any, error) {
+		r, rec, err := runFixed(spec, fn)
+		if err != nil || trace == nil {
+			return r, err
+		}
+		cell := fmt.Sprintf("%s-%s-np%d-msg%d-pc%d_%s", spec.Op, spec.Platform.Name, spec.Procs, spec.MsgSize, spec.ProgressCalls, impl)
+		return r, trace(cell, rec)
+	}}
+}
+
+// FixedMatrix measures the fixed implementations of every scenario on the
+// experiment runner, one job per (scenario, implementation), and returns the
+// results indexed [scenario][implementation] in submission order regardless
+// of completion order. limit > 0 measures only the first limit
+// implementations of each function set.
+func FixedMatrix(specs []MicroSpec, limit int, opt RunOptions, trace TraceSink) ([][]MicroResult, error) {
+	var jobs []runner.Job
+	out := make([][]MicroResult, len(specs))
+	for i, spec := range specs {
+		if err := spec.validate(); err != nil {
 			return nil, err
 		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// RunADCL runs the benchmark under a runtime selection logic
-// ("brute-force", "attr-heuristic", or "factorial-2k").
-func RunADCL(spec MicroSpec, selector string) (MicroResult, error) {
-	var selErr error
-	var selOnce sync.Once // see RunADCLObserved: ranks race on this under PDES
-	r, err := runLoop(spec, "adcl:"+selector, func(fs *core.FunctionSet) core.Selector {
-		sel, err := core.SelectorByName(selector, fs, spec.evals())
-		if err != nil {
-			selOnce.Do(func() { selErr = err })
-			return &core.FixedSelector{Fn: 0}
+		names := spec.FunctionNames()
+		if limit > 0 && limit < len(names) {
+			names = names[:limit]
 		}
-		return sel
-	})
-	if selErr != nil {
-		return MicroResult{}, selErr
+		out[i] = make([]MicroResult, len(names))
+		for fn, impl := range names {
+			jobs = append(jobs, fixedJob(spec, fn, impl, trace))
+		}
 	}
-	return r, err
-}
-
-// TuningReportFor reruns the ADCL benchmark loop for a selector and returns
-// the full per-implementation tuning report (core.TuningReport) from rank 0.
-func TuningReportFor(spec MicroSpec, selector string) (string, error) {
-	if err := spec.validate(); err != nil {
-		return "", err
-	}
-	start, _, run, err := spec.world()
+	rs, err := runner.Run(jobs, opt.runnerOptions())
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	chunk := spec.ComputePerIter / float64(spec.ProgressCalls)
-	var out string
-	var selErr error
-	var selOnce sync.Once // see RunADCLObserved: ranks race on this under PDES
-	start(func(c *mpi.Comm) {
-		fs := spec.functionSet(c)
-		sel, err := core.SelectorByName(selector, fs, spec.evals())
-		if err != nil {
-			selOnce.Do(func() { selErr = err })
-			return
-		}
-		req := core.MustRequest(fs, sel, c.Now)
-		timer := core.MustTimer(c.Now, req)
-		for it := 0; it < spec.Iterations; it++ {
-			timer.Start()
-			req.Init()
-			for k := 0; k < spec.ProgressCalls; k++ {
-				c.Compute(chunk)
-				req.Progress()
+	k := 0
+	for i := range out {
+		for fn := range out[i] {
+			if err := rs[k].Decode(&out[i][fn]); err != nil {
+				return nil, fmt.Errorf("cell %d: %w", k, err)
 			}
-			req.Wait()
-			core.StopMaybeSynced(c, timer, req)
+			k++
 		}
-		if c.Rank() == 0 {
-			out = core.TuningReport(req)
-		}
-	})
-	run()
-	if selErr != nil {
-		return "", selErr
 	}
 	return out, nil
 }
@@ -609,12 +600,7 @@ func RunVerificationOpts(spec MicroSpec, opt RunOptions, selectors ...string) (*
 	names := spec.FunctionNames()
 	jobs := make([]runner.Job, 0, len(names)+len(selectors))
 	for i := range names {
-		i := i
-		jobs = append(jobs, runner.Job{
-			Label: fmt.Sprintf("%s fixed=%s", spec, names[i]),
-			Key:   FixedKey(spec, i),
-			Run:   func() (any, error) { return RunFixed(spec, i) },
-		})
+		jobs = append(jobs, fixedJob(spec, i, names[i], nil))
 	}
 	for _, sel := range selectors {
 		sel := sel

@@ -23,7 +23,8 @@ func TestObservationIsTimingNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, rec, err := RunFixedObserved(spec, 0)
+	spec.Observe = true
+	observed, rec, err := runFixed(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestObservationIsTimingNeutral(t *testing.T) {
 		t.Errorf("observed run changed timing: %v vs %v", observed.Total, plain.Total)
 	}
 	if rec == nil {
-		t.Fatal("RunFixedObserved returned nil recorder")
+		t.Fatal("observed run returned nil recorder")
 	}
 	m := rec.Metrics()
 	if m.Overlap <= 0 || m.Overlap > 1 {

@@ -53,7 +53,9 @@ func TestPDESDeterminismMatrix(t *testing.T) {
 		var a artifacts
 
 		// ADCL result + trace.
-		res, rec, err := RunADCLObserved(s, "brute-force")
+		observed := s
+		observed.Observe = true
+		res, rec, err := runADCL(observed, "brute-force")
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

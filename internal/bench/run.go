@@ -94,12 +94,6 @@ func SpecKey(spec MicroSpec, selector string) string {
 	return fingerprint("speculative", spec, selector)
 }
 
-// FFTKey is the content address of one FFT kernel run (the spec carries the
-// flavor and selector).
-func FFTKey(spec FFTSpec) string {
-	return fingerprint("fft", spec)
-}
-
 // FFTComparisonKey is the content address of a multi-flavor comparison
 // (e.g. LibNBC vs ADCL) on one scenario.
 func FFTComparisonKey(spec FFTSpec, flavors []fft.Flavor) string {

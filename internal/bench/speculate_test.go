@@ -101,7 +101,7 @@ func TestSpeculativeWinnerIsCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := RunAllFixed(spec)
+	fixed, err := allFixed(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"nbctune/internal/fft"
 	"nbctune/internal/platform"
@@ -152,13 +151,6 @@ func (s *SweepStats) Rate(sel string) float64 {
 	return float64(s.Correct[sel]) / float64(s.Total)
 }
 
-// VerificationSweep reproduces the §IV-A statistic over the given scenarios,
-// sequentially. progress, when non-nil, receives one line per completed
-// scenario. It is VerificationSweepOpts on one worker with no cache.
-func VerificationSweep(specs []MicroSpec, selectors []string, progress io.Writer) (*SweepStats, error) {
-	return VerificationSweepOpts(specs, selectors, RunOptions{Progress: progress})
-}
-
 // VerificationSweepOpts runs the §IV-A sweep on the experiment runner: one
 // job per scenario, executed on opt.Workers workers with optional result
 // caching. Results are aggregated in scenario order regardless of
@@ -276,39 +268,15 @@ func (s *FFTSweepStats) FasterRate() float64 {
 	return float64(s.ADCLFaster) / float64(s.Total)
 }
 
-// FFTSweep reproduces the §IV-B statistic over the given scenarios,
-// sequentially. It is FFTSweepOpts on one worker with no cache.
-func FFTSweep(specs []FFTSpec, progress io.Writer) (*FFTSweepStats, error) {
-	return FFTSweepOpts(specs, RunOptions{Progress: progress})
-}
-
 // FFTSweepOpts runs the §IV-B sweep on the experiment runner: one
 // LibNBC-vs-ADCL comparison job per scenario.
 func FFTSweepOpts(specs []FFTSpec, opt RunOptions) (*FFTSweepStats, error) {
-	flavors := []fft.Flavor{fft.FlavorNBC, fft.FlavorADCL}
-	jobs := make([]runner.Job, len(specs))
-	for i, spec := range specs {
-		spec := spec
-		jobs[i] = runner.Job{
-			Label: spec.String(),
-			Key:   FFTComparisonKey(spec, flavors),
-			Run:   func() (any, error) { return FFTComparison(spec, flavors...) },
-			Note:  fftComparisonNote,
-		}
-	}
-	rrs, err := runner.Run(jobs, opt.runnerOptions())
+	rows, err := fftComparisons(specs, []fft.Flavor{fft.FlavorNBC, fft.FlavorADCL}, opt, nil)
 	if err != nil {
 		return nil, err
 	}
 	st := &FFTSweepStats{}
-	for _, rr := range rrs {
-		var rs []FFTResult
-		if err := rr.Decode(&rs); err != nil {
-			return nil, fmt.Errorf("scenario %d: %w", rr.Index, err)
-		}
-		if len(rs) != 2 {
-			return nil, fmt.Errorf("scenario %d: comparison produced %d results", rr.Index, len(rs))
-		}
+	for _, rs := range rows {
 		nbcR, adclR := rs[0], rs[1]
 		st.Rows = append(st.Rows, [2]FFTResult{nbcR, adclR})
 		st.Total++
@@ -324,16 +292,4 @@ func FFTSweepOpts(specs []FFTSpec, opt RunOptions) (*FFTSweepStats, error) {
 		}
 	}
 	return st, nil
-}
-
-// fftComparisonNote annotates a progress line with both flavors' simulated
-// times and the tuned winner.
-func fftComparisonNote(raw json.RawMessage) string {
-	var rs []FFTResult
-	if json.Unmarshal(raw, &rs) != nil || len(rs) != 2 {
-		return ""
-	}
-	rel := (rs[0].Total - rs[1].Total) / rs[0].Total
-	return fmt.Sprintf("nbc=%.3fs adcl=%.3fs (%+.1f%%) winner=%s",
-		rs[0].Total, rs[1].Total, -rel*100, rs[1].Winner)
 }

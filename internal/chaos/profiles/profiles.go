@@ -1,5 +1,5 @@
-// Package profiles ships the named chaos profiles used by cmd/sweep,
-// cmd/tune and cmd/fftbench (-chaos <name>) and by the regression suites.
+// Package profiles ships the named chaos profiles used by cmd/sweep and
+// cmd/tune (-chaos <name>) and by the regression suites.
 // Profiles live here rather than in package chaos so the injector mechanism
 // stays policy-free; adding a profile is a data change, not a code change.
 package profiles
