@@ -2,14 +2,15 @@
 // with cooperatively scheduled processes. It is layer S1 of the substitution
 // map (DESIGN.md §1): the stand-in for MPI ranks running on real clusters.
 //
-// The engine owns a virtual clock and a priority queue of events. Simulated
-// processes run as goroutines, but the engine guarantees that at most one
-// goroutine executes at any instant. Control moves as a single "scheduler
-// token": whichever goroutine holds the token runs the event loop inline,
-// and parking a process hands the token to whoever the next event wakes.
-// A process whose own wake event is next therefore parks and resumes with
-// zero channel operations, and any cross-process switch costs exactly one
-// channel rendezvous (the old design paid two per park/wake cycle). Runs
+// The engine owns a virtual clock and a priority queue of events. Every
+// simulated process is a coroutine (iter.Pull), so exactly one of them or the
+// Run caller executes at any instant and control moves by direct goroutine
+// switches that never enter the Go scheduler. A parking process fires events
+// itself: if its own wake is the next live one it simply returns, with no
+// switch at all; otherwise it yields to the Run caller naming the process to
+// wake, and the Run caller resumes that process — two coroutine switches per
+// cross-process hand-off, each a fraction of a channel rendezvous. At the
+// horizon the parked process yields nobody and Run/RunUntil returns. Runs
 // are fully deterministic for a fixed seed, which is what makes the
 // reproduction of the paper's measurements repeatable.
 //
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime/debug"
 	"sort"
 )
 
@@ -113,10 +113,9 @@ type Engine struct {
 	heap []int32    // 4-ary min-heap of queued records, keyed by (t, seq)
 	seq  int64
 
-	deadline  Time          // horizon of the current Run/RunUntil
-	strictEnd bool          // exclusive horizon: stop before t == deadline (PDES windows)
-	toMain    chan struct{} // token handoff back to the Run caller
-	procPanic *ProcPanic    // pending fault captured from a process body
+	deadline  Time       // horizon of the current Run/RunUntil
+	strictEnd bool       // exclusive horizon: stop before t == deadline (PDES windows)
+	procPanic *ProcPanic // pending fault captured from a process body
 
 	procs []*Proc
 	live  int
@@ -130,10 +129,7 @@ type Engine struct {
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		toMain: make(chan struct{}),
-		rng:    NewClonableRand(seed),
-	}
+	return &Engine{rng: NewClonableRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -331,23 +327,13 @@ func (e *Engine) InjectAt(t Time, fn func(any), arg any) {
 // atWake schedules a wake ticket for p's park generation g. Wake tickets are
 // plain pooled records — no closure, no handle — and stale tickets (the
 // process was already woken, re-parked, or finished) are dropped in the
-// dispatch loop, which is how same-instant wakeups coalesce into one resume.
+// event loop (fire), which is how same-instant wakeups coalesce into one resume.
 func (e *Engine) atWake(d Time, p *Proc, g uint64) {
 	idx := e.schedule(d, evWake)
 	r := &e.recs[idx]
 	r.proc, r.wgen = p, g
 }
 
-// dispatch runs the event loop on the calling goroutine, which must hold the
-// scheduler token. self is the process the caller just parked (nil when the
-// caller is the exit wrapper of a finished process). dispatch returns when
-// the token has left the calling goroutine:
-//
-//   - an evWake for self pops: self resumes inline, zero channel operations;
-//   - an evWake for another parked process pops: one channel send hands the
-//     token over, and (self != nil) the caller blocks until its own wake is
-//     eventually popped by a later token holder;
-//   - the queue drains past e.deadline: the token returns to the Run caller.
 // horizonReached reports whether no queued event may fire under the current
 // horizon. Run/RunUntil use an inclusive deadline; a PDES window sets
 // strictEnd so events at exactly the window boundary wait for the next
@@ -364,15 +350,12 @@ func (e *Engine) horizonReached() bool {
 	return t > e.deadline
 }
 
-func (e *Engine) dispatch(self *Proc) {
-	for {
-		if e.horizonReached() {
-			e.toMain <- struct{}{}
-			if self != nil {
-				<-self.resume
-			}
-			return
-		}
+// fire is the event loop: it pops and fires events on the calling goroutine
+// until a live wake ticket pops, and returns that ticket's process; at the
+// horizon it returns nil. Its callers are a parking process (parkPrepared)
+// and the Run caller (runLoop), whichever is executing.
+func (e *Engine) fire() *Proc {
+	for !e.horizonReached() {
 		idx := e.heapPop()
 		r := &e.recs[idx]
 		e.now = r.t
@@ -389,64 +372,46 @@ func (e *Engine) dispatch(self *Proc) {
 		default: // evWake
 			q, g := r.proc, r.wgen
 			e.freeRec(idx)
-			if q.done || !q.parked || q.gen != g {
-				continue // stale ticket: this wakeup was coalesced away
+			if !q.done && q.parked && q.gen == g {
+				return q
 			}
-			if q == self {
-				return // own wake: resume without touching a channel
-			}
-			q.resume <- struct{}{}
-			if self != nil {
-				<-self.resume
-			}
-			return
+			// stale ticket: this wakeup was coalesced away
 		}
 	}
+	return nil
 }
 
-// runLoop is dispatch's twin for the Run caller: it fires events until the
-// horizon, handing the token to woken processes and reclaiming it (via
-// toMain) when no runnable work remains before the deadline.
+// runLoop fires events until the horizon on behalf of the Run caller,
+// resuming each process fire names. A resumed process runs until it parks
+// (or finishes) and hands back the next process to wake, so a chain of
+// hand-offs is served without going through the queue check in between.
 func (e *Engine) runLoop(deadline Time) {
 	e.deadline = deadline
-	for {
-		if e.horizonReached() {
-			return
+	for q := e.fire(); q != nil; {
+		q, _ = q.next()
+		if pp := e.procPanic; pp != nil {
+			e.procPanic = nil
+			e.abandon()
+			panic(pp)
 		}
-		idx := e.heapPop()
-		r := &e.recs[idx]
-		e.now = r.t
-		e.EventsFired++
-		switch r.kind {
-		case evFunc:
-			fn := r.fn
-			e.freeRec(idx)
-			fn()
-		case evCall:
-			fn, arg := r.fn2, r.arg
-			e.freeRec(idx)
-			fn(arg)
-		default: // evWake
-			q, g := r.proc, r.wgen
-			e.freeRec(idx)
-			if q.done || !q.parked || q.gen != g {
-				continue
-			}
-			q.resume <- struct{}{}
-			e.waitToken()
+		if q == nil {
+			q = e.fire()
 		}
 	}
 }
 
-// waitToken blocks until the scheduler token returns to the Run caller,
-// re-raising any panic captured from a process body.
-func (e *Engine) waitToken() {
-	<-e.toMain
-	if pp := e.procPanic; pp != nil {
-		e.procPanic = nil
-		panic(pp)
+// abandon unwinds every process that has not finished, so that the
+// goroutines of an engine whose Run ended in a panic exit instead of staying
+// parked forever: a parked process's yield returns false and parkPrepared
+// panics with abandoned{}, which runBody swallows.
+func (e *Engine) abandon() {
+	for _, p := range e.procs {
+		p.stop()
 	}
 }
+
+// abandoned is the panic value that unwinds a parked process on abandon.
+type abandoned struct{}
 
 // Run executes events until the queue drains. It returns the final virtual
 // time. If processes remain parked when the queue drains, the simulation is
@@ -462,7 +427,9 @@ func (e *Engine) Run() Time {
 			}
 		}
 		sort.Strings(stuck)
-		panic(fmt.Sprintf("sim: deadlock at t=%g, %d process(es) parked: %v", e.now, e.live, stuck))
+		msg := fmt.Sprintf("sim: deadlock at t=%g, %d process(es) parked: %v", e.now, e.live, stuck)
+		e.abandon()
+		panic(msg)
 	}
 	return e.now
 }
@@ -494,55 +461,6 @@ func (e *Engine) nextEventTime() (Time, bool) {
 		return 0, false
 	}
 	return e.recs[e.heap[0]].t, true
-}
-
-// Spawn starts a new process executing fn. The process begins running at the
-// current virtual time (via a zero-delay wake event). If fn panics, the
-// panic is captured with its stack and re-raised from Run as a *ProcPanic.
-func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		id:     len(e.procs),
-		resume: make(chan struct{}),
-		parked: true,
-		gen:    1,
-	}
-	e.procs = append(e.procs, p)
-	e.live++
-	go func() {
-		<-p.resume
-		p.parked = false
-		fail := p.runBody(fn)
-		p.done = true
-		e.live--
-		if fail != nil {
-			e.procPanic = fail
-			e.toMain <- struct{}{}
-			return
-		}
-		// The body returned while holding the token: keep dispatching on
-		// this goroutine until the token moves on, then exit.
-		e.dispatch(nil)
-	}()
-	e.atWake(0, p, 1)
-	return p
-}
-
-// runBody executes the process body, converting an escaped panic into a
-// *ProcPanic so it can be re-raised on the Run caller's goroutine.
-func (p *Proc) runBody(fn func(*Proc)) (fail *ProcPanic) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pp, ok := r.(*ProcPanic); ok {
-				fail = pp // already wrapped by a nested dispatch
-				return
-			}
-			fail = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	fn(p)
-	return nil
 }
 
 // Procs returns all processes ever spawned.

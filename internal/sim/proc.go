@@ -1,27 +1,74 @@
+// The iter package needs language version 1.23 while go.mod stays at 1.22
+// (perf/go.mod, which the benchmark owns, builds against it); the build
+// constraint raises the language version for this file alone.
+
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
-// Proc is a simulated process. A Proc's body function runs in its own
-// goroutine, but the engine guarantees that at most one goroutine executes
-// at a time via the scheduler token (see the package comment): a parking
-// process runs the event dispatch loop itself, resuming inline when its own
-// wake event is next and handing the token over with a single channel send
-// otherwise.
+// Proc is a simulated process: a coroutine that the engine resumes when one
+// of the process's wake tickets fires and that gives control back by parking.
+// A parking process runs the event loop itself (see the package comment),
+// returning inline when its own wake is the next live one and otherwise
+// yielding the process to wake to the Run caller; either way exactly one
+// goroutine executes at a time, and a process always runs on the thread of
+// the goroutine that called Run (or of the PDES shard worker driving its
+// engine).
 //
 // Wakeups are pooled evWake records addressed by (process, park generation).
 // Any API that logically wakes a process (Sleep timers, Cond.Broadcast,
-// Cond.Signal) pushes such a record; the dispatch loop drops tickets whose
+// Cond.Signal) pushes such a record; the event loop drops tickets whose
 // generation is stale, which coalesces multiple same-instant wakeups of one
 // process into a single resume.
 type Proc struct {
 	eng    *Engine
 	name   string
 	id     int
-	resume chan struct{}
+	next   func() (*Proc, bool) // resume; returns the process to wake next, if any
+	yield  func(*Proc) bool     // suspend, naming the process to wake; false once stopped
+	stop   func()               // unwind a suspended process (Engine.abandon)
 	done   bool
 	parked bool
 	gen    uint64 // park generation; wake tickets target a generation
+}
+
+// Spawn starts a new process executing fn. The process begins running at the
+// current virtual time (via a zero-delay wake event). If fn panics, the
+// panic is captured with its stack and re-raised from Run as a *ProcPanic.
+func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
+	p := &Proc{eng: e, name: name, id: len(e.procs), parked: true, gen: 1}
+	e.procs = append(e.procs, p)
+	e.live++
+	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
+		p.yield, p.parked = yield, false
+		e.procPanic = p.runBody(fn)
+		p.done = true
+		e.live--
+	})
+	e.atWake(0, p, 1)
+	return p
+}
+
+// runBody executes the process body, converting an escaped panic into a
+// *ProcPanic so it can be re-raised on the Run caller's goroutine.
+func (p *Proc) runBody(fn func(*Proc)) (fail *ProcPanic) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil, abandoned:
+		case *ProcPanic:
+			fail = r // already wrapped by a nested engine's Run
+		default:
+			fail = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	fn(p)
+	return nil
 }
 
 // Name returns the process name given at Spawn time.
@@ -49,11 +96,14 @@ func (p *Proc) prepark() uint64 {
 }
 
 // parkPrepared suspends the process until a wake record with a matching
-// ticket fires. The process keeps the scheduler token and dispatches events
-// itself, so a park whose wake is the next runnable event costs no channel
-// operations at all.
+// ticket fires. The process fires events itself, so a park whose wake is the
+// next live one costs no switch at all; before any other process's wake, and
+// at the horizon (nil), it yields to the Run caller, which resumes it once a
+// later fire pops its ticket.
 func (p *Proc) parkPrepared() {
-	p.eng.dispatch(p)
+	if q := p.eng.fire(); q != p && !p.yield(q) {
+		panic(abandoned{})
+	}
 	p.parked = false
 }
 
@@ -108,7 +158,7 @@ func (c *Cond) Wait(p *Proc) {
 // record, so the wakeups happen strictly after the caller's current step,
 // in consecutive event order. A waiter that was meanwhile woken through
 // another path holds a newer park generation and its record is dropped as
-// stale by the dispatch loop.
+// stale by the event loop.
 func (c *Cond) Broadcast() {
 	for _, w := range c.waiters {
 		c.eng.atWake(0, w.p, w.g)

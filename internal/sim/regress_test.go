@@ -112,7 +112,7 @@ func TestStaleHandleAfterRecycle(t *testing.T) {
 }
 
 // TestStaleWakeTicketDropped injects a wake ticket carrying an outdated park
-// generation while the process is parked on a newer one. The dispatch loop
+// generation while the process is parked on a newer one. The event loop
 // must drop it, so the process sleeps its full duration instead of waking
 // early. This is the mechanism behind wake coalescing and behind Cond's
 // "stale broadcast" safety.

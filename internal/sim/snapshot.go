@@ -67,7 +67,6 @@ func (s *Snapshot) Fork() *Engine {
 	e := &Engine{
 		now:         s.now,
 		seq:         s.seq,
-		toMain:      make(chan struct{}),
 		rng:         s.rng.Clone(),
 		EventsFired: s.fired,
 	}

@@ -1,8 +1,8 @@
 // Conservative parallel discrete-event simulation (PDES) across shards.
 //
 // A sharded world partitions its ranks over K engines, each driven on its
-// own goroutine (pinned to an OS thread while a window runs). Shards
-// synchronize on global time windows: every window ends at
+// own goroutine. Shards synchronize on global time windows: every window
+// ends at
 //
 //	end = min over shards of (earliest queued event) + lookahead
 //
@@ -25,9 +25,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // Pending is one cross-shard event awaiting injection at the next window
@@ -195,6 +193,7 @@ func (ws *Windows) Run() Time {
 	}
 	if live > 0 {
 		sort.Strings(stuck)
+		ws.abandon()
 		panic(fmt.Sprintf("sim: PDES deadlock at t=%g, %d process(es) parked: %v", ws.Now(), live, stuck))
 	}
 	return ws.Now()
@@ -219,30 +218,33 @@ func (ws *Windows) runWindow(end Time) {
 		}
 	}
 	if fail != nil {
+		ws.abandon()
 		panic(fail)
 	}
 }
 
-// startWorkers launches one persistent goroutine per shard. Each pins
-// itself to an OS thread for the lifetime of the run: the shard's event
-// loop executes on it whenever a simulated process is not holding the
-// scheduler token.
+// abandon unwinds the unfinished processes of every shard (Engine.abandon);
+// it runs after a barrier, when no worker is inside its engine.
+func (ws *Windows) abandon() {
+	for _, e := range ws.engs {
+		e.abandon()
+	}
+}
+
+// startWorkers launches one persistent goroutine per shard. The workers are
+// not pinned to OS threads: the runtime refuses to resume a coroutine from a
+// goroutine whose thread-lock state differs from the one that created it, and
+// processes are spawned by the Run caller but resumed here.
 func (ws *Windows) startWorkers() {
 	ws.workers = make([]windowWorker, len(ws.engs))
-	var ready sync.WaitGroup
 	for i := range ws.engs {
 		ws.workers[i] = windowWorker{start: make(chan Time), done: make(chan any, 1)}
-		ready.Add(1)
 		go func(w windowWorker, e *Engine) {
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
-			ready.Done()
 			for end := range w.start {
 				w.done <- runOneWindow(e, end)
 			}
 		}(ws.workers[i], ws.engs[i])
 	}
-	ready.Wait()
 }
 
 // runOneWindow runs one engine's window leg, converting a panic (engine

@@ -39,20 +39,34 @@ func TestInjectAtExact(t *testing.T) {
 	}
 }
 
-// TestWindowsCrossShardExchange runs two shards that ping-pong events
-// through the outbox and checks both shards' clocks advance and the
-// exchange completes.
+// TestWindowsCrossShardExchange runs a sender process on shard 0 and a
+// receiver process on shard 1 that exchange events through the outbox, and
+// checks both shards' clocks advance and the exchange completes. Both
+// processes are spawned here, on the test goroutine, and resumed by the shard
+// workers: a coroutine may be resumed from any goroutine whose thread-lock
+// state matches its creator's, which is why the workers are not pinned.
 func TestWindowsCrossShardExchange(t *testing.T) {
 	engs := []*Engine{NewEngine(1), NewEngine(2)}
 	ws := NewWindows(engs, 0.5)
 	var got []float64
-	// Shard 0 sends three messages to shard 1, each one lookahead apart.
-	for i := 1; i <= 3; i++ {
-		tt := float64(i)
-		engs[0].At(tt-0.5, func() {
-			ws.Outbox(0).Add(tt, 0, uint64(tt), 1, func(any) { got = append(got, engs[1].Now()) }, nil)
-		})
-	}
+	arrived, pending := NewCond(engs[1]), 0
+	// The sender emits three messages, each one lookahead ahead of its clock.
+	engs[0].Spawn("sender", func(p *Proc) {
+		for i := 1; i <= 3; i++ {
+			tt := float64(i)
+			p.Sleep(tt - 0.5 - p.Now())
+			ws.Outbox(0).Add(tt, 0, uint64(i), 1, func(any) { pending++; arrived.Signal() }, nil)
+		}
+	})
+	engs[1].Spawn("receiver", func(p *Proc) {
+		for len(got) < 3 {
+			for pending == 0 {
+				arrived.Wait(p)
+			}
+			pending--
+			got = append(got, p.Now())
+		}
+	})
 	end := ws.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("deliveries at %v, want [1 2 3]", got)
@@ -98,16 +112,21 @@ func TestWindowsCanonicalMergeOrder(t *testing.T) {
 }
 
 // TestWindowsProcPanicPropagates re-raises a process panic from a shard
-// worker on the Run caller.
+// worker on the Run caller; the process parked on the other shard is unwound
+// (TestAbandonedEngineFreesItsProcesses counts the goroutines).
 func TestWindowsProcPanicPropagates(t *testing.T) {
 	engs := []*Engine{NewEngine(1), NewEngine(2)}
 	ws := NewWindows(engs, 1)
-	engs[1].Spawn("boom", func(p *Proc) { panic("shard fault") })
+	bystander := engs[0].Spawn("bystander", func(p *Proc) { NewCond(engs[0]).Wait(p) })
+	engs[1].Spawn("boom", func(p *Proc) { p.Sleep(2); panic("shard fault") })
 	defer func() {
 		r := recover()
 		pp, ok := r.(*ProcPanic)
 		if !ok || pp.Value != "shard fault" {
 			t.Fatalf("recovered %v, want ProcPanic(shard fault)", r)
+		}
+		if !bystander.Done() {
+			t.Fatal("the process parked on the healthy shard was left behind")
 		}
 	}()
 	ws.Run()
