@@ -10,10 +10,12 @@ all: ci
 build:
 	$(GO) build ./...
 
+# perf/ is its own module, which ./... from the root does not reach: vet it
+# too, so a signature it compiles against cannot break unnoticed until `test`.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C perf ./...
 
-# perf/ is its own module, which ./... from the root does not reach.
 test:
 	$(GO) test ./...
 	$(GO) test -C perf ./...

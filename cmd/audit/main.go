@@ -45,9 +45,8 @@ func main() {
 		out       = flag.String("out", "results/guideline_report.json", "machine-readable report path (empty disables)")
 		check     = flag.String("check", "", "validate an existing report (schema version + verdicts re-derived from its samples) and exit; no simulation")
 		jobs      = flag.Int("jobs", 0, "parallel measurement workers (0 = GOMAXPROCS, 1 = sequential)")
-		cacheOn   = flag.Bool("cache", false, "serve and persist leaf measurements via the content-addressed store")
+		cacheOn   = flag.Bool("cache", false, "serve and persist leaf measurements via the content-addressed store; an interrupted matrix resumes from it")
 		cacheDir  = flag.String("cachedir", "results/cache", "result store directory")
-		resume    = flag.Bool("resume", false, "resume an interrupted matrix from the store (implies -cache)")
 		kbAddr    = flag.String("kb", "", "share every adopted registration's winner with a tuned knowledge-base daemon at this address")
 		quiet     = flag.Bool("quiet", false, "suppress per-measurement progress lines")
 	)
@@ -94,7 +93,7 @@ func main() {
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}
-	if *cacheOn || *resume {
+	if *cacheOn {
 		c, err := runner.OpenCache(*cacheDir)
 		if err != nil {
 			fatal(err)
@@ -142,13 +141,9 @@ func shareKB(addr string, rep *guideline.Report, diag io.Writer) {
 		if err != nil {
 			continue
 		}
-		topo := pl.Net.Topology.String()
-		if topo == "flat" {
-			topo = "" // mirror cmd/tune's history gating: flat is the clean empty tag
-		}
 		records = append(records, kb.Record{
 			Key:    core.HistoryKey(reg.Op, reg.Scenario.Platform, reg.Scenario.Procs, reg.Scenario.Size),
-			Env:    core.EnvFingerprint(topo, reg.Scenario.Chaos, reg.Scenario.ChaosSeed),
+			Env:    core.EnvFingerprint(pl.Net.Topology.String(), reg.Scenario.Chaos, reg.Scenario.ChaosSeed),
 			Winner: reg.Chosen,
 			Evals:  reg.Evals,
 		})

@@ -14,7 +14,7 @@
 // Scenarios execute on the experiment runner (internal/runner): -jobs
 // parallelizes across a worker pool, -cache persists every completed
 // scenario in a content-addressed store so re-runs are nearly free and an
-// interrupted sweep resumes where it stopped (-resume). Aggregated output
+// interrupted sweep resumes where it stopped. Aggregated output
 // is byte-identical for every -jobs value and for cached vs fresh runs.
 // Alongside the tables, the aggregate suites write a machine-readable
 // summary to -out.
@@ -28,14 +28,11 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"nbctune/internal/bench"
@@ -43,7 +40,6 @@ import (
 	"nbctune/internal/core"
 	"nbctune/internal/kb"
 	"nbctune/internal/obs"
-	"nbctune/internal/platform"
 	"nbctune/internal/runner"
 )
 
@@ -54,9 +50,8 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit CSV tables")
 		quiet    = flag.Bool("quiet", false, "suppress per-scenario progress lines")
 		jobs     = flag.Int("jobs", 0, "parallel scenario workers (0 = GOMAXPROCS, 1 = sequential)")
-		cacheOn  = flag.Bool("cache", false, "serve and persist scenario results via the content-addressed store")
+		cacheOn  = flag.Bool("cache", false, "serve and persist scenario results via the content-addressed store; an interrupted sweep resumes from it")
 		cacheDir = flag.String("cachedir", "results/cache", "result store directory")
-		resume   = flag.Bool("resume", false, "resume an interrupted sweep from the store (implies -cache)")
 		out      = flag.String("out", "", "machine-readable summary path (default: the committed results/ file of verification, fft and scale, none for figure suites; empty disables)")
 		observe  = flag.Bool("observe", false, "attach obs recorders so summary rows and the Fig 6 table carry overlap ratios (timing-neutral)")
 		traceDir = flag.String("trace", "", "directory for one Chrome trace-event JSON per run of a figure matrix (fig3..fig7, fig9..fig12; open in Perfetto)")
@@ -64,8 +59,6 @@ func main() {
 		chaosStr = flag.String("chaos", "off", "fault/noise injection profile: off, "+strings.Join(profiles.Names(), ", "))
 		chaosSd  = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
 		kbAddr   = flag.String("kb", "", "share every scenario's tuned winner with a tuned knowledge-base daemon at this address")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		specOn   = flag.Bool("speculate", false, "evaluate ADCL selector runs via speculative world forks (decisions worker-count independent)")
 		specWrk  = flag.Int("spec-workers", 0, "fork worker pool per speculative scenario (0 = GOMAXPROCS)")
 		shardStr = flag.String("shards", "", "run micro-benchmark scenarios on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
@@ -94,31 +87,6 @@ func main() {
 		chaosName = "" // canonical clean spelling: specs fingerprint identically to pre-chaos runs
 	}
 
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprof != "" {
-		defer func() {
-			f, err := os.Create(*memprof)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			f.Close()
-		}()
-	}
-
 	var progress io.Writer = os.Stderr
 	if *quiet {
 		progress = nil
@@ -126,18 +94,7 @@ func main() {
 	opt := bench.Parallel(*jobs, progress)
 	opt.Speculate = *specOn
 	opt.SpecWorkers = *specWrk
-	if *specOn && (*observe || *data) {
-		fail(errors.New("-speculate is incompatible with -observe and -data (state cannot cross a snapshot)"))
-	}
-	if pdes {
-		if *specOn {
-			fail(errors.New("-shards is incompatible with -speculate (a sharded world cannot be snapshotted)"))
-		}
-		if chaosName != "" {
-			fail(errors.New("-shards is incompatible with -chaos (injection streams are consumed in global order)"))
-		}
-	}
-	if *cacheOn || *resume {
+	if *cacheOn {
 		c, err := runner.OpenCache(*cacheDir)
 		if err != nil {
 			fail(err)
@@ -225,7 +182,7 @@ func winners(o *bench.Outcome) []kb.Record {
 		for _, v := range o.Verification.Runs {
 			recs = append(recs, kb.Record{
 				Key:    core.HistoryKey(v.Spec.Op, v.Spec.Platform.Name, v.Spec.Procs, v.Spec.MsgSize),
-				Env:    envFingerprint(v.Spec.Platform, v.Spec.Chaos, v.Spec.ChaosSeed),
+				Env:    core.EnvFingerprint(v.Spec.Platform.Net.Topology.String(), v.Spec.Chaos, v.Spec.ChaosSeed),
 				Winner: v.Fixed[v.Best].Impl,
 				Score:  v.Fixed[v.Best].Total,
 			})
@@ -243,7 +200,7 @@ func winners(o *bench.Outcome) []kb.Record {
 			recs = append(recs, kb.Record{
 				Key: core.HistoryKey(fmt.Sprintf("fft3d-%s-%s", adclR.Spec.Pattern, adclR.Spec.Flavor),
 					adclR.Spec.Platform.Name, adclR.Spec.Procs, adclR.Spec.N),
-				Env:    envFingerprint(adclR.Spec.Platform, adclR.Spec.Chaos, adclR.Spec.ChaosSeed),
+				Env:    core.EnvFingerprint(adclR.Spec.Platform.Net.Topology.String(), adclR.Spec.Chaos, adclR.Spec.ChaosSeed),
 				Winner: adclR.Winner,
 				Score:  adclR.PostLearnPerIter,
 				Evals:  adclR.Evals,
@@ -292,17 +249,6 @@ func defaultOut(suite string) string {
 		return "results/scale_summary.json"
 	}
 	return ""
-}
-
-// envFingerprint mirrors cmd/tune's history gating: flat topology maps to
-// the clean empty tag so sweep-shared winners land under the same
-// fingerprints tune -kb looks up.
-func envFingerprint(pl platform.Platform, chaosName string, chaosSeed int64) string {
-	topo := pl.Net.Topology.String()
-	if topo == "flat" {
-		topo = ""
-	}
-	return core.EnvFingerprint(topo, chaosName, chaosSeed)
 }
 
 func fail(err error) {

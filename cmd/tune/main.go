@@ -27,7 +27,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"nbctune/internal/bench"
 	"nbctune/internal/chaos/profiles"
@@ -39,101 +41,91 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "tune:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, runs the session and writes the
+// report to stdout (main_test.go pins its output byte for byte).
+func run(args []string, stdout, stderr io.Writer) error {
+	fl := flag.NewFlagSet("tune", flag.ExitOnError)
+	fl.SetOutput(stderr)
 	var (
-		platName = flag.String("platform", "crill", "platform preset: crill, whale, whale-tcp, bgp, bgp-16k")
-		np       = flag.Int("np", 16, "number of ranks")
-		op       = flag.String("op", "ialltoall", "operation: ialltoall, ialltoall-ext, ialltoall-prim, ibcast, ibcast-scalable, iallgather, iallgather-scalable, iallreduce, ibarrier, neighborhood")
-		msg      = flag.Int("msg", 128*1024, "message size in bytes")
-		compute  = flag.Float64("compute", 0.02, "compute seconds per iteration")
-		progress = flag.Int("progress", 5, "progress calls per iteration")
-		iters    = flag.Int("iters", 0, "loop iterations (0 = enough for learning + 10)")
-		selName  = flag.String("selector", "brute-force", "selection logic: brute-force, attr-heuristic, factorial-2k, adaptive[+inner], brute-force-mean")
-		evals    = flag.Int("evals", 3, "measurements per implementation")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		histPath = flag.String("history", "", "history file for persistent learning (optional)")
-		kbAddr   = flag.String("kb", "", "tuned knowledge-base daemon address (host:port); shares winners across runs and falls back to -history when unreachable")
-		tracOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run (open in Perfetto)")
-		metrOut  = flag.String("metrics", "", "write overlap metrics + the rank-0 selection audit as JSON")
-		chaosStr = flag.String("chaos", "off", "fault/noise injection profile: off or a profile name")
-		chaosSd  = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
-		specOn   = flag.Bool("speculate", false, "evaluate candidates on speculative world forks instead of in-line learning (ialltoall/ibcast)")
-		specWrk  = flag.Int("spec-workers", 0, "fork worker pool for -speculate (0 = GOMAXPROCS); decisions are identical for every value")
-		shardStr = flag.String("shards", "", "run on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
-		verify   = flag.Bool("verify", false, "also measure every fixed implementation on the micro-benchmark loop and report whether the selector's winner is correct (ialltoall, ibcast, ibcast-scalable, iallgather-scalable, ibarrier)")
+		platName = fl.String("platform", "crill", "platform preset: crill, whale, whale-tcp, bgp, bgp-16k")
+		np       = fl.Int("np", 16, "number of ranks")
+		opName   = fl.String("op", "ialltoall", "operation: "+strings.Join(core.OpNames(), ", "))
+		msg      = fl.Int("msg", 128*1024, "message size in bytes")
+		compute  = fl.Float64("compute", 0.02, "compute seconds per iteration")
+		progress = fl.Int("progress", 5, "progress calls per iteration")
+		iters    = fl.Int("iters", 0, "loop iterations (0 = enough for learning + 10)")
+		selName  = fl.String("selector", "brute-force", "selection logic: brute-force, attr-heuristic, factorial-2k, adaptive[+inner], brute-force-mean")
+		evals    = fl.Int("evals", 3, "measurements per implementation")
+		seed     = fl.Int64("seed", 1, "simulation seed")
+		histPath = fl.String("history", "", "history file for persistent learning (optional)")
+		kbAddr   = fl.String("kb", "", "tuned knowledge-base daemon address (host:port); shares winners across runs and falls back to -history when unreachable")
+		tracOut  = fl.String("trace", "", "write a Chrome trace-event JSON of the run (open in Perfetto)")
+		metrOut  = fl.String("metrics", "", "write overlap metrics + the rank-0 selection audit as JSON")
+		chaosStr = fl.String("chaos", "off", "fault/noise injection profile: off or a profile name")
+		chaosSd  = fl.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
+		specOn   = fl.Bool("speculate", false, "evaluate candidates on speculative world forks instead of in-line learning (ialltoall/ibcast)")
+		specWrk  = fl.Int("spec-workers", 0, "fork worker pool for -speculate (0 = GOMAXPROCS); decisions are identical for every value")
+		shardStr = fl.String("shards", "", "run on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
+		verify   = fl.Bool("verify", false, "also measure every fixed implementation on the micro-benchmark loop and report whether the selector's winner is correct")
 	)
-	flag.Parse()
+	fl.Parse(args)
 
 	plat, err := platform.ByName(*platName)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	prof, err := profiles.ByName(*chaosStr)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	chaosName := ""
+	// The scenario as a micro-benchmark spec: it names the op, assembles the
+	// world and carries the loop parameters of every path below.
+	mspec := bench.MicroSpec{
+		Platform: plat, Procs: *np, MsgSize: *msg, Op: *opName,
+		ComputePerIter: *compute, Iterations: *iters, ProgressCalls: *progress,
+		Seed: *seed, EvalsPerFn: *evals,
+	}
 	if prof != nil {
-		chaosName = prof.Name
+		mspec.Chaos, mspec.ChaosSeed = prof.Name, *chaosSd
 	}
-	shards, pdes, err := bench.ParseShards(*shardStr)
+	if mspec.Shards, mspec.PDES, err = bench.ParseShards(*shardStr); err != nil {
+		return err
+	}
+	op, err := core.OpByName(*opName)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	if pdes {
-		// The gated feature set (DESIGN.md §13): chaos consumes injection
-		// streams in global call order, speculation needs a snapshot, the
-		// primitive set creates one-sided windows, and history/kb lookups run
-		// once per rank — concurrently under PDES.
-		switch {
-		case chaosName != "":
-			fail(fmt.Errorf("-shards is incompatible with -chaos"))
-		case *specOn:
-			fail(fmt.Errorf("-shards is incompatible with -speculate (a sharded world cannot be snapshotted)"))
-		case *op == "ialltoall-prim":
-			fail(fmt.Errorf("-shards does not support op %q (one-sided windows are gated on a sharded world)", *op))
-		case *histPath != "" || *kbAddr != "":
-			fail(fmt.Errorf("-shards is incompatible with -history and -kb"))
-		}
+	hostFS, err := mspec.HostFunctionSet()
+	if err != nil {
+		return err
 	}
-	// The uniform start/observe/run triple over the sequential engine or the
-	// sharded (PDES) world; the tuning loop below runs unchanged on either.
-	var startW func(func(*mpi.Comm))
-	var observeW func(*obs.Recorder)
-	var runW func()
-	if pdes {
-		sw, err := plat.NewWorldPDES(*np, *seed, platform.Cyclic, shards)
-		if err != nil {
-			fail(err)
-		}
-		startW, observeW, runW = sw.Start, sw.Observe, sw.Run
-	} else {
-		eng, world, err := plat.NewWorldChaos(*np, *seed, platform.Cyclic, prof, *chaosSd)
-		if err != nil {
-			fail(err)
-		}
-		startW, observeW, runW = world.Start, world.Observe, func() { eng.Run() }
+	if _, err := core.SelectorByName(*selName, hostFS, *evals); err != nil {
+		return err
 	}
+
 	// The environment fingerprint gates history hits: a winner tuned on a
 	// clean flat fabric must not be replayed under a chaos profile (or vice
-	// versa). Flat topology maps to the empty tag so clean runs keep
-	// matching history files written before fingerprints existed.
-	topo := plat.Net.Topology.String()
-	if topo == "flat" {
-		topo = ""
-	}
-	env := core.EnvFingerprint(topo, chaosName, *chaosSd)
+	// versa).
+	env := core.EnvFingerprint(plat.Net.Topology.String(), mspec.Chaos, *chaosSd)
 	var hist *core.History
-	histKey := core.HistoryKey(*op, plat.Name, *np, *msg)
+	histKey := core.HistoryKey(*opName, plat.Name, *np, *msg)
 	if *histPath != "" {
 		hist, err = core.LoadHistory(*histPath)
 		if err != nil {
-			fail(err)
+			return err
 		}
 	}
-	// The history source the tuning loop consults: the local file, or —
-	// with -kb — the shared daemon with that same local history as
-	// write-through fallback, so a daemon outage degrades to exactly the
-	// plain -history behaviour.
+	// The history source the session consults: the local file, or — with
+	// -kb — the shared daemon with that same local history as write-through
+	// fallback, so a daemon outage degrades to exactly the plain -history
+	// behaviour. It is asked once, here on the host; known is the recorded
+	// winner's index in the function set, -1 when there is none to replay.
 	var src core.HistorySource
 	var kbh *core.KBHistory
 	switch {
@@ -143,55 +135,38 @@ func main() {
 	case hist != nil:
 		src = hist
 	}
+	known := -1
+	if src != nil {
+		if e, ok := src.LookupEnv(histKey, env); ok {
+			known = hostFS.IndexOf(e.Winner)
+		}
+	}
 
-	speculate := *specOn
-	if speculate {
-		if *op != "ialltoall" && *op != "ibcast" {
-			fail(fmt.Errorf("-speculate supports ops ialltoall and ibcast, not %q", *op))
+	// Warm history leaves no learning phase to speculate on: fall through to
+	// the normal fixed-winner path.
+	speculate := *specOn && known < 0
+	if *specOn {
+		if *opName != "ialltoall" && *opName != "ibcast" {
+			return fmt.Errorf("-speculate supports ops ialltoall and ibcast, not %q", *opName)
 		}
 		if *tracOut != "" {
-			fail(fmt.Errorf("-speculate does not support -trace: recorder spans cannot cross a snapshot"))
-		}
-		if src != nil {
-			if _, ok := src.LookupEnv(histKey, env); ok {
-				// Warm history: there is no learning phase to speculate on, so
-				// fall through to the normal fixed-winner path.
-				speculate = false
-			}
+			return fmt.Errorf("-speculate does not support -trace: recorder spans cannot cross a snapshot")
 		}
 	}
 
 	var rec *obs.Recorder
-	if (*tracOut != "" || *metrOut != "") && !speculate {
-		rec = obs.NewRecorder(*np)
-		observeW(rec)
-	}
-
 	var report string
 	var winnerName string
 	var evalsUsed int
 	var audit *obs.Audit
 	var specRes *bench.SpecResult
-	// The scenario as a micro-benchmark spec, for the bench-harness paths
-	// (-speculate, -verify).
-	mspec := bench.MicroSpec{
-		Platform: plat, Procs: *np, MsgSize: *msg, Op: *op,
-		ComputePerIter: *compute, Iterations: *iters, ProgressCalls: *progress,
-		Seed: *seed, EvalsPerFn: *evals, Chaos: chaosName, ChaosSeed: *chaosSd,
-		PDES: pdes, Shards: shards,
-	}
-	if chaosName == "" {
-		mspec.ChaosSeed = 0
-	}
 	if speculate {
-		n := *iters
-		if n == 0 {
-			n = 10 // all iterations run post-decision
+		if mspec.Iterations == 0 {
+			mspec.Iterations = 10 // all iterations run post-decision
 		}
-		mspec.Iterations = n
 		sr, err := bench.RunSpeculative(mspec, *selName, *specWrk)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		specRes = sr
 		winnerName = sr.Result.Winner
@@ -205,46 +180,40 @@ func main() {
 				"winner: %s (%d evals consumed, %.6g s/iter post-decision over %d iterations)\n",
 			len(sr.CandidateTime), sr.EvalRounds,
 			sr.SeqLatency, sr.SpecLatency, sr.Speedup(),
-			winnerName, evalsUsed, sr.Result.PostLearnPerIter, n)
+			winnerName, evalsUsed, sr.Result.PostLearnPerIter, mspec.Iterations)
 	} else {
-		startW(func(c *mpi.Comm) {
-			fs, err := buildSet(c, *op, *msg)
-			if err != nil {
-				fail(err)
-			}
-			sel, err := core.SelectorByName(*selName, fs, *evals)
-			if err != nil {
-				fail(err)
-			}
-			hit := false
-			if src != nil {
-				sel, hit = core.SelectorWithSourceEnv(src, histKey, env, fs, sel)
+		if mspec.Iterations == 0 {
+			mspec.Iterations = *evals*len(hostFS.Fns) + 10
+		}
+		w, err := mspec.World()
+		if err != nil {
+			return err
+		}
+		if *tracOut != "" || *metrOut != "" {
+			rec = obs.NewRecorder(*np)
+			w.Observe(rec)
+		}
+		if known >= 0 {
+			fmt.Fprintf(stdout, "history hit for %q: learning phase skipped\n\n", histKey)
+		}
+		// The tuning loop proper: bench's iteration body between no barriers,
+		// so the report's times are those of the loop alone. Set and selector
+		// were built on the host above, so neither can fail on a rank.
+		w.Start(func(c *mpi.Comm) {
+			fs := must(op.Set(c, *msg, nil))
+			sel := must(core.SelectorByName(*selName, fs, *evals))
+			if known >= 0 {
+				sel = &core.FixedSelector{Fn: known}
 			}
 			if c.Rank() == 0 && rec != nil {
 				audit = core.AttachAudit(sel, fs)
 			}
-			if c.Rank() == 0 && hit {
-				fmt.Printf("history hit for %q: learning phase skipped\n\n", histKey)
-			}
 			req := core.MustRequest(fs, sel, c.Now)
 			timer := core.MustTimer(c.Now, req)
-
-			n := *iters
-			if n == 0 {
-				n = *evals*len(fs.Fns) + 10
-			}
-			for it := 0; it < n; it++ {
-				timer.Start()
-				req.Init()
-				for k := 0; k < *progress; k++ {
-					c.Compute(*compute / float64(*progress))
-					req.Progress()
-				}
-				req.Wait()
-				core.StopMaybeSynced(c, timer, req)
+			for it := 0; it < mspec.Iterations; it++ {
+				mspec.Iterate(c, req, timer)
 			}
 			if c.Rank() == 0 {
-				mspec.Iterations = n // -verify measures over the same loop length
 				report = core.TuningReport(req)
 				if w := req.Winner(); w != nil {
 					winnerName = w.Name
@@ -252,22 +221,22 @@ func main() {
 				}
 			}
 		})
-		runW()
+		w.Run()
 	}
 
-	fmt.Printf("platform %s, %d ranks, %d-byte messages, %g s compute/iter, %d progress calls\n\n",
+	fmt.Fprintf(stdout, "platform %s, %d ranks, %d-byte messages, %g s compute/iter, %d progress calls\n\n",
 		plat.Name, *np, *msg, *compute, *progress)
-	fmt.Print(report)
+	fmt.Fprint(stdout, report)
 
 	if *verify {
 		opt := bench.Parallel(0, nil)
 		opt.Speculate, opt.SpecWorkers = speculate, *specWrk
 		v, err := bench.RunVerificationOpts(mspec, opt, *selName)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println()
-		verificationTable(v).Render(os.Stdout)
+		fmt.Fprintln(stdout)
+		verificationTable(v).Render(stdout)
 	}
 
 	if src != nil && winnerName != "" {
@@ -275,7 +244,7 @@ func main() {
 		switch {
 		case kbh != nil:
 			if err := kbh.Flush(); err != nil {
-				fail(err)
+				return err
 			}
 			where := "kb " + *kbAddr
 			if kbh.FellBack() {
@@ -283,39 +252,31 @@ func main() {
 				if *histPath != "" {
 					where += " " + *histPath
 				}
-				fmt.Fprintf(os.Stderr, "tune: kb daemon %s unreachable, winner kept locally\n", *kbAddr)
+				fmt.Fprintf(stderr, "tune: kb daemon %s unreachable, winner kept locally\n", *kbAddr)
 			} else if *histPath != "" {
 				where += " (and " + *histPath + ")"
 			}
-			fmt.Printf("\nwinner stored in %s under key %q\n", where, histKey)
+			fmt.Fprintf(stdout, "\nwinner stored in %s under key %q\n", where, histKey)
 		default:
 			if err := hist.Save(*histPath); err != nil {
-				fail(err)
+				return err
 			}
-			fmt.Printf("\nwinner stored in %s under key %q\n", *histPath, histKey)
+			fmt.Fprintf(stdout, "\nwinner stored in %s under key %q\n", *histPath, histKey)
 		}
 	}
 
 	if *tracOut != "" {
-		f, err := os.Create(*tracOut)
-		if err != nil {
-			fail(err)
+		if err := writeFile(*tracOut, rec.WriteChromeTrace); err != nil {
+			return err
 		}
-		if err := rec.WriteChromeTrace(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("\ntrace written to %s\n", *tracOut)
+		fmt.Fprintf(stdout, "\ntrace written to %s\n", *tracOut)
 	}
 	if *metrOut != "" {
 		out := tuneMetrics{
-			Platform: plat.Name, Op: *op, Procs: *np, MsgSize: *msg,
+			Platform: plat.Name, Op: *opName, Procs: *np, MsgSize: *msg,
 			Compute: *compute, ProgressCalls: *progress, Selector: *selName,
 			Seed: *seed, Winner: winnerName, Evals: evalsUsed,
-			Chaos: chaosName, ChaosSeed: *chaosSd,
+			Chaos: mspec.Chaos, ChaosSeed: mspec.ChaosSeed,
 			Audit: audit,
 		}
 		if rec != nil {
@@ -331,24 +292,39 @@ func main() {
 			out.CandidateTime = specRes.CandidateTime
 			out.EvalRounds = specRes.EvalRounds
 		}
-		if chaosName == "" {
-			out.ChaosSeed = 0
-		}
-		f, err := os.Create(*metrOut)
+		err := writeFile(*metrOut, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(out)
+		})
 		if err != nil {
-			fail(err)
+			return err
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("\nmetrics + selection audit written to %s\n", *metrOut)
+		fmt.Fprintf(stdout, "\nmetrics + selection audit written to %s\n", *metrOut)
 	}
+	return nil
+}
+
+// must unwraps a result whose error only a bug can produce.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// writeFile creates path and fills it with write, reporting the first error
+// of either.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // tuneMetrics is the -metrics artifact: enough to reproduce the selection
@@ -398,57 +374,4 @@ func verificationTable(v *bench.Verification) *bench.Table {
 			fmt.Sprintf("%+.1f%%", (r.Total-best)/best*100), note)
 	}
 	return t
-}
-
-func buildSet(c *mpi.Comm, op string, msg int) (*core.FunctionSet, error) {
-	switch op {
-	case "ialltoall":
-		n := c.Size()
-		return core.IalltoallSet(c, mpi.Virtual(n*msg), mpi.Virtual(n*msg), false), nil
-	case "ialltoall-ext":
-		n := c.Size()
-		return core.IalltoallSet(c, mpi.Virtual(n*msg), mpi.Virtual(n*msg), true), nil
-	case "ialltoall-prim":
-		n := c.Size()
-		return core.IalltoallPrimitivesSet(c, mpi.Virtual(n*msg), mpi.Virtual(n*msg)), nil
-	case "ibcast":
-		return core.IbcastSet(c, 0, mpi.Virtual(msg)), nil
-	case "ibcast-scalable":
-		return core.IbcastScalableSet(c, 0, mpi.Virtual(msg)), nil
-	case "iallgather":
-		n := c.Size()
-		return core.IallgatherSet(c, mpi.Virtual(msg), mpi.Virtual(n*msg)), nil
-	case "iallgather-scalable":
-		n := c.Size()
-		return core.IallgatherScalableSet(c, mpi.Virtual(msg), mpi.Virtual(n*msg)), nil
-	case "ibarrier":
-		return core.IbarrierSet(c), nil
-	case "iallreduce":
-		return core.IallreduceSet(c, mpi.Virtual(msg), mpi.Virtual(msg), nil), nil
-	case "neighborhood":
-		// Square periodic process grid; msg bytes per field row.
-		g := 1
-		for (g+1)*(g+1) <= c.Size() {
-			g++
-		}
-		if g*g != c.Size() {
-			return nil, fmt.Errorf("neighborhood needs a square rank count, have %d", c.Size())
-		}
-		cols := msg / 8
-		if cols < 4 {
-			cols = 4
-		}
-		halo, err := core.Grid2D(c, g, g, cols, cols, 8, mpi.Buf{})
-		if err != nil {
-			return nil, err
-		}
-		return core.NeighborhoodSet(c, halo)
-	default:
-		return nil, fmt.Errorf("unknown operation %q", op)
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "tune:", err)
-	os.Exit(1)
 }

@@ -11,8 +11,8 @@ import (
 	"nbctune/internal/core"
 	"nbctune/internal/fft"
 	"nbctune/internal/mpi"
+	"nbctune/internal/obs"
 	"nbctune/internal/platform"
-	"nbctune/internal/sim"
 )
 
 // TestIntegration_PutPrimitiveWinsWhenProgressStarved drives the paper's
@@ -141,8 +141,8 @@ func TestIntegration_VerificationDeterministic(t *testing.T) {
 	}
 }
 
-// TestIntegration_TraceObservesRendezvous: attach a trace and check the
-// library's protocol transitions are visible.
+// TestIntegration_TraceObservesRendezvous: attach a recorder and check the
+// library's protocol transitions are visible on the NIC timelines.
 func TestIntegration_TraceObservesRendezvous(t *testing.T) {
 	plat, err := platform.ByName("whale")
 	if err != nil {
@@ -152,24 +152,29 @@ func TestIntegration_TraceObservesRendezvous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := sim.NewTrace(eng, 10000)
+	rec := obs.NewRecorder(4)
+	world.Observe(rec)
 	world.Start(func(c *mpi.Comm) {
 		c.Alltoall(mpi.Virtual(4*64*1024), mpi.Virtual(4*64*1024)) // rendezvous-sized blocking alltoall
 	})
 	eng.Run()
-	sends := tr.Filter("isend")
-	bulks := tr.Filter("bulk-done")
-	if len(sends) != 4*3 {
-		t.Fatalf("traced %d isends, want 12", len(sends))
-	}
-	if len(bulks) != 4*3 {
-		t.Fatalf("traced %d bulk completions, want 12", len(bulks))
-	}
-	// Every bulk completion happens after the first send.
-	for _, b := range bulks {
-		if b.T < sends[0].T {
-			t.Fatal("bulk completion precedes first isend")
+	var firstTX, firstRX float64 = -1, -1
+	count := map[obs.Dir]int{}
+	for _, s := range rec.NICSpans() {
+		count[s.Dir]++
+		first := &firstTX
+		if s.Dir == obs.RX {
+			first = &firstRX
 		}
+		if *first < 0 || s.Start < *first {
+			*first = s.Start
+		}
+	}
+	if count[obs.TX] != 4*3 || count[obs.RX] != 4*3 {
+		t.Fatalf("recorded %d TX and %d RX NIC spans, want 12 each", count[obs.TX], count[obs.RX])
+	}
+	if firstRX <= firstTX {
+		t.Fatalf("first RX span starts at %g, not after the first TX span at %g", firstRX, firstTX)
 	}
 }
 

@@ -78,12 +78,12 @@ func TestSpecValidation(t *testing.T) {
 	}
 	spec = smallSpec(t)
 	spec.Op = "igather"
-	if _, _, err := runLoop(spec, "x", nil); err == nil {
+	if _, _, err := spec.run("x", nil); err == nil {
 		t.Error("unknown op accepted")
 	}
 	spec = smallSpec(t)
 	spec.ProgressCalls = 0
-	if _, _, err := runLoop(spec, "x", nil); err == nil {
+	if _, _, err := spec.run("x", nil); err == nil {
 		t.Error("zero progress calls accepted")
 	}
 }

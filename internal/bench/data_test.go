@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"nbctune/internal/core"
 	"nbctune/internal/fft"
 	"nbctune/internal/platform"
 )
@@ -60,6 +61,37 @@ func TestMicroDataModeVerifiesPayloads(t *testing.T) {
 	plain.Data = false
 	if VerificationKey(spec, nil) == VerificationKey(plain, nil) {
 		t.Fatal("Data flag must be part of the cache fingerprint")
+	}
+}
+
+// TestDataModeFollowsTheCatalogue: Data mode accepts exactly the ops that
+// declare a data pattern, and for those every implementation delivers the
+// pattern on odd and even, power-of-two and other communicator sizes.
+func TestDataModeFollowsTheCatalogue(t *testing.T) {
+	for _, name := range core.OpNames() {
+		op, err := core.OpByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := smallSpec(t)
+		spec.Op, spec.MsgSize, spec.Data = name, 4800, true
+		if name == "neighborhood" {
+			spec.Procs = 9
+		}
+		if err := spec.validate(); (err == nil) != (op.Pattern != nil) {
+			t.Errorf("%s declares pattern %v, Data mode says: %v", name, op.Pattern, err)
+		}
+		if op.Pattern == nil {
+			continue
+		}
+		for _, np := range []int{2, 3, 4, 5} {
+			spec.Procs = np
+			spec.Iterations = len(spec.FunctionNames()) + 1
+			spec.EvalsPerFn = 1 // brute force then runs every implementation once
+			if _, err := RunADCL(spec, "brute-force"); err != nil {
+				t.Errorf("%s on %d ranks: %v", name, np, err)
+			}
+		}
 	}
 }
 

@@ -55,12 +55,7 @@ type FFTResult struct {
 	DecidedIter      int
 	PostLearnPerIter float64 // mean per-iteration time after the decision
 	LearnTime        float64 // time spent until the decision locked in
-
-	// Observability metrics, filled only when Spec.Observe is set.
-	Overlap          float64 `json:",omitempty"`
-	ProgressMade     int64   `json:",omitempty"`
-	ProgressAdvanced int64   `json:",omitempty"`
-	StallTime        float64 `json:",omitempty"`
+	Observed
 }
 
 // RunFFT executes the kernel, by default with timing-only payloads (the
@@ -87,7 +82,7 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 	if spec.Flavor == fft.FlavorADCL || spec.Flavor == fft.FlavorADCLExt {
 		label += ":" + sel
 	}
-	eng, w, err := chaosWorld(spec.Platform, spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed)
+	w, err := chaosWorld(spec.Platform, spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed)
 	if err != nil {
 		return FFTResult{}, nil, err
 	}
@@ -97,11 +92,9 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 		w.Observe(rec)
 	}
 	res := FFTResult{Spec: spec, Label: label, DecidedIter: -1}
-	starts := make([]float64, spec.Procs)
-	ends := make([]float64, spec.Procs)
 	var planErr error
 
-	w.Start(func(c *mpi.Comm) {
+	res.Total = timed(w, spec.Procs, func(c *mpi.Comm) func(float64) {
 		me := c.Rank()
 		pl, err := fft.NewPlan(c, fft.Config{
 			N:               spec.N,
@@ -115,61 +108,43 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 		})
 		if err != nil {
 			planErr = err
-			return
+			return nil
 		}
-		c.Barrier()
-		starts[me] = c.Now()
-		var postSum float64
-		var postN int
-		for it := 0; it < spec.Iterations; it++ {
-			iterStart := c.Now()
-			if err := pl.Forward(); err != nil {
-				planErr = err
-				return
-			}
-			if me == 0 {
-				if done, name := pl.Decided(); done {
+		return func(t0 float64) {
+			var postSum float64
+			var postN int
+			for it := 0; it < spec.Iterations; it++ {
+				iterStart := c.Now()
+				if err := pl.Forward(); err != nil {
+					planErr = err
+					return
+				}
+				if done, name := pl.Decided(); me == 0 && done {
 					if res.DecidedIter < 0 {
 						res.DecidedIter = it
 						res.Winner = name
-						res.LearnTime = iterStart - starts[me]
+						res.LearnTime = iterStart - t0
 					}
 					postSum += c.Now() - iterStart
 					postN++
 				}
 			}
-		}
-		c.Barrier()
-		ends[me] = c.Now()
-		if me == 0 {
-			res.Evals = pl.Evals()
-			if postN > 0 {
-				res.PostLearnPerIter = postSum / float64(postN)
-			}
-			if res.Winner == "" {
-				if _, name := pl.Decided(); name != "" {
-					res.Winner = name
+			if me == 0 {
+				res.Evals = pl.Evals()
+				if postN > 0 {
+					res.PostLearnPerIter = postSum / float64(postN)
+				}
+				if res.Winner == "" {
+					_, res.Winner = pl.Decided()
 				}
 			}
 		}
 	})
-	eng.Run()
 	if planErr != nil {
 		return FFTResult{}, nil, planErr
 	}
-	for me := 0; me < spec.Procs; me++ {
-		if d := ends[me] - starts[me]; d > res.Total {
-			res.Total = d
-		}
-	}
 	res.PerIter = res.Total / float64(spec.Iterations)
-	if rec != nil {
-		m := rec.Metrics()
-		res.Overlap = m.Overlap
-		res.ProgressMade = m.ProgressCalls
-		res.ProgressAdvanced = m.ProgressAdvanced
-		res.StallTime = m.RendezvousStallTime
-	}
+	res.Observed = observed(rec)
 	return res, rec, nil
 }
 

@@ -22,7 +22,6 @@ import (
 	"nbctune/internal/obs"
 	"nbctune/internal/platform"
 	"nbctune/internal/runner"
-	"nbctune/internal/sim"
 )
 
 // MicroSpec describes one micro-benchmark configuration.
@@ -97,9 +96,10 @@ func ParseShards(v string) (shards int, pdes bool, err error) {
 	return n, true, nil
 }
 
-// Ops supported by the micro-benchmark. The -scalable variants select from
-// the scale-oriented function sets (core/funcsets_scale.go) that add the
-// O(log n) and topology-aware algorithms; MsgSize is the per-rank block for
+// Names of the catalogue ops (core.OpByName) the scenario grids use; a spec
+// may name any op of the catalogue. The -scalable variants select from the
+// scale-oriented function sets (core/funcsets_scale.go) that add the O(log n)
+// and topology-aware algorithms; MsgSize is the per-rank block for
 // iallgather-scalable and is ignored by ibarrier.
 const (
 	OpIalltoall          = "ialltoall"
@@ -109,14 +109,13 @@ const (
 	OpIbarrier           = "ibarrier"
 )
 
-// microOps lists every op the micro-benchmark accepts.
-var microOps = []string{OpIalltoall, OpIbcast, OpIbcastScalable, OpIallgatherScalable, OpIbarrier}
-
 func (s MicroSpec) String() string {
 	return fmt.Sprintf("%s/%s np=%d msg=%dB compute=%gs progress=%d iters=%d",
 		s.Op, s.Platform.Name, s.Procs, s.MsgSize, s.ComputePerIter, s.ProgressCalls, s.Iterations)
 }
 
+// validate is the one place a spec's combinations are refused; the drivers
+// pass their flags through and report what it says.
 func (s MicroSpec) validate() error {
 	if s.Procs < 2 {
 		return fmt.Errorf("bench: need at least 2 procs")
@@ -124,27 +123,21 @@ func (s MicroSpec) validate() error {
 	if s.Iterations < 1 || s.ProgressCalls < 1 {
 		return fmt.Errorf("bench: iterations and progress calls must be >= 1")
 	}
-	known := false
-	for _, op := range microOps {
-		if s.Op == op {
-			known = true
-			break
-		}
+	op, err := core.OpByName(s.Op)
+	if err != nil {
+		return fmt.Errorf("bench: %w", err)
 	}
-	if !known {
-		return fmt.Errorf("bench: unknown op %q", s.Op)
+	if err := op.CheckMocks(s.Mocks); err != nil {
+		return fmt.Errorf("bench: %w", err)
 	}
-	for _, m := range s.Mocks {
-		def, ok := core.MockByName(m)
-		if !ok {
-			return fmt.Errorf("bench: unknown mock %q", m)
-		}
-		if def.Op != s.Op {
-			return fmt.Errorf("bench: mock %q extends %q sets, not %q", m, def.Op, s.Op)
-		}
+	if s.Data && op.Pattern == nil {
+		return fmt.Errorf("bench: op %q declares no data pattern to verify", s.Op)
 	}
 	if s.PDES && s.Chaos != "" && s.Chaos != "off" {
 		return fmt.Errorf("bench: chaos profile %q is not supported under PDES (sharded) simulation", s.Chaos)
+	}
+	if s.PDES && op.Windows {
+		return fmt.Errorf("bench: op %q is not supported under PDES (sharded) simulation: one-sided windows need a sequential world", s.Op)
 	}
 	return nil
 }
@@ -156,32 +149,38 @@ func (s MicroSpec) evals() int {
 	return 3
 }
 
-// chaosWorld builds a simulated machine through the single platform assembly
-// point, with the named chaos profile attached (none for ""/"off").
-func chaosWorld(pl platform.Platform, procs int, seed int64, place platform.Placement, chaosName string, chaosSeed int64) (*sim.Engine, *mpi.World, error) {
-	prof, err := profiles.ByName(chaosName)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl.NewWorldChaos(procs, seed, place, prof, chaosSeed)
+// World is a simulated machine as a rank-program harness sees it; both
+// *mpi.World and *mpi.ShardedWorld are one.
+type World interface {
+	Observe(rec *obs.Recorder)
+	Start(prog func(c *mpi.Comm))
+	Run()
 }
 
-// world assembles the spec's simulated machine — sequential by default, the
-// sharded (PDES) world when spec.PDES is set — behind a uniform
-// start/observe/run triple so the benchmark loops run unchanged on either.
-func (s MicroSpec) world() (start func(func(*mpi.Comm)), observe func(*obs.Recorder), run func(), err error) {
-	if s.PDES {
-		sw, err := s.Platform.NewWorldPDES(s.Procs, s.Seed, s.Placement, s.Shards)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return sw.Start, sw.Observe, sw.Run, nil
-	}
-	eng, w, err := chaosWorld(s.Platform, s.Procs, s.Seed, s.Placement, s.Chaos, s.ChaosSeed)
+// chaosWorld builds a sequential simulated machine through the single
+// platform assembly point, with the named chaos profile attached (none for
+// ""/"off").
+func chaosWorld(pl platform.Platform, procs int, seed int64, place platform.Placement, chaosName string, chaosSeed int64) (*mpi.World, error) {
+	prof, err := profiles.ByName(chaosName)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return w.Start, w.Observe, func() { eng.Run() }, nil
+	_, w, err := pl.NewWorldChaos(procs, seed, place, prof, chaosSeed)
+	return w, err
+}
+
+// World assembles the spec's simulated machine — sequential by default, the
+// sharded (PDES) world when spec.PDES is set. It is the one place a driver or
+// harness turns a spec into a machine, so it is also where an unsupported
+// spec is refused.
+func (s MicroSpec) World() (World, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	if s.PDES {
+		return s.Platform.NewWorldPDES(s.Procs, s.Seed, s.Placement, s.Shards)
+	}
+	return chaosWorld(s.Platform, s.Procs, s.Seed, s.Placement, s.Chaos, s.ChaosSeed)
 }
 
 // payload allocates an n-byte buffer descriptor in the spec's data mode:
@@ -193,155 +192,42 @@ func (s MicroSpec) payload(n int) mpi.Buf {
 	return mpi.Virtual(n)
 }
 
-// functionSet builds the op's function set on a communicator, with virtual
-// payloads (timing only) unless the spec opts into data verification.
-func (s MicroSpec) functionSet(c *mpi.Comm) *core.FunctionSet {
-	fs, _, _ := s.functionSetData(c)
-	return fs
-}
-
-// functionSetData builds the op's function set plus, in data mode, an init
-// function that stamps the send buffers with a deterministic pattern and a
-// check function that validates the received bytes (both nil on virtual
-// runs).
-func (s MicroSpec) functionSetData(c *mpi.Comm) (*core.FunctionSet, func(), func() error) {
-	n, me := c.Size(), c.Rank()
-	pat := func(src, dst, k int) byte { return byte(src*131 + dst*31 + k) }
-	switch s.Op {
-	case OpIalltoall:
-		send := s.payload(n * s.MsgSize)
-		recv := s.payload(n * s.MsgSize)
-		fs, err := core.IalltoallSetWith(c, send, recv, false, s.Mocks)
-		if err != nil {
-			panic(err) // unreachable: validate() vets mock names
-		}
-		if !s.Data {
-			return fs, nil, nil
-		}
-		init := func() {
-			for j := 0; j < n; j++ {
-				b := send.Slice(j*s.MsgSize, s.MsgSize).Data()
-				for k := range b {
-					b[k] = pat(me, j, k)
-				}
-			}
-		}
-		check := func() error {
-			for j := 0; j < n; j++ {
-				b := recv.Slice(j*s.MsgSize, s.MsgSize).Data()
-				for k := range b {
-					if b[k] != pat(j, me, k) {
-						return fmt.Errorf("bench: ialltoall data mismatch at rank %d block %d byte %d", me, j, k)
-					}
-				}
-			}
-			return nil
-		}
-		return fs, init, check
-	case OpIbcast:
-		buf := s.payload(s.MsgSize)
-		fs, err := core.IbcastSetWith(c, 0, buf, s.Mocks)
-		if err != nil {
-			panic(err) // unreachable: validate() vets mock names
-		}
-		if !s.Data {
-			return fs, nil, nil
-		}
-		init := func() {
-			if me == 0 {
-				b := buf.Data()
-				for k := range b {
-					b[k] = pat(0, 1, k)
-				}
-			}
-		}
-		check := func() error {
-			b := buf.Data()
-			for k := range b {
-				if b[k] != pat(0, 1, k) {
-					return fmt.Errorf("bench: ibcast data mismatch at rank %d byte %d", me, k)
-				}
-			}
-			return nil
-		}
-		return fs, init, check
-	case OpIbcastScalable:
-		buf := s.payload(s.MsgSize)
-		fs := core.IbcastScalableSet(c, 0, buf)
-		if !s.Data {
-			return fs, nil, nil
-		}
-		init := func() {
-			if me == 0 {
-				b := buf.Data()
-				for k := range b {
-					b[k] = pat(0, 1, k)
-				}
-			}
-		}
-		check := func() error {
-			b := buf.Data()
-			for k := range b {
-				if b[k] != pat(0, 1, k) {
-					return fmt.Errorf("bench: ibcast-scalable data mismatch at rank %d byte %d", me, k)
-				}
-			}
-			return nil
-		}
-		return fs, init, check
-	case OpIallgatherScalable:
-		send := s.payload(s.MsgSize)
-		recv := s.payload(n * s.MsgSize)
-		fs := core.IallgatherScalableSet(c, send, recv)
-		if !s.Data {
-			return fs, nil, nil
-		}
-		init := func() {
-			b := send.Data()
-			for k := range b {
-				b[k] = pat(me, 0, k)
-			}
-		}
-		check := func() error {
-			for j := 0; j < n; j++ {
-				b := recv.Slice(j*s.MsgSize, s.MsgSize).Data()
-				for k := range b {
-					if b[k] != pat(j, 0, k) {
-						return fmt.Errorf("bench: iallgather data mismatch at rank %d block %d byte %d", me, j, k)
-					}
-				}
-			}
-			return nil
-		}
-		return fs, init, check
-	case OpIbarrier:
-		// Barriers move no payload; data mode has nothing to verify.
-		return core.IbarrierSet(c), nil, nil
-	default:
-		panic("bench: unknown op " + s.Op)
+// HostFunctionSet builds the spec's function set outside any run, for its
+// names and for host-side selector replay. The set's structure is
+// rank-independent, so it is built on rank 0 of a throwaway world — of two
+// ranks unless the op's shape depends on the communicator size; the Start
+// closures are bound to that world and never invoked.
+func (s MicroSpec) HostFunctionSet() (*core.FunctionSet, error) {
+	op, err := core.OpByName(s.Op)
+	if err != nil {
+		return nil, err
 	}
+	n := 2
+	if op.PerSize {
+		n = s.Procs
+	}
+	_, w, err := s.Platform.NewWorld(n, 1)
+	if err != nil {
+		return nil, err
+	}
+	var fs *core.FunctionSet
+	w.Start(func(c *mpi.Comm) {
+		if c.Rank() == 0 {
+			fs, err = op.Set(c, s.MsgSize, s.Mocks)
+		}
+	})
+	w.Run()
+	return fs, err
 }
 
 // FunctionNames lists the implementation names of the spec's function set,
 // in index order, without running a simulation.
 func (s MicroSpec) FunctionNames() []string {
-	// The set structure is rank-independent; build it against a throwaway
-	// 2-rank world.
-	tmp := s
-	tmp.Procs = 2
-	var names []string
-	eng, w, err := tmp.Platform.NewWorld(2, 1)
+	fs, err := s.HostFunctionSet()
 	if err != nil {
 		panic(err)
 	}
-	w.Start(func(c *mpi.Comm) {
-		if c.Rank() == 0 {
-			names = tmp.functionSet(c).FunctionNames()
-		}
-	})
-	eng.Run()
-	_ = eng
-	return names
+	return fs.FunctionNames()
 }
 
 // MicroResult is the outcome of one micro-benchmark run.
@@ -354,113 +240,155 @@ type MicroResult struct {
 	Evals            int     // ADCL runs: learning-phase measurements
 	DecidedIter      int     // ADCL runs: iteration at which the winner locked in
 	PostLearnPerIter float64 // ADCL runs: mean per-iteration time after decision
+	Observed
+}
 
-	// Observability metrics, filled only when Spec.Observe is set.
+// Observed holds a result's observability metrics, filled only when the
+// spec's Observe is set.
+type Observed struct {
 	Overlap          float64 `json:",omitempty"` // aggregate fraction of comm hidden under compute
 	ProgressMade     int64   `json:",omitempty"` // explicit progress calls across all ranks
 	ProgressAdvanced int64   `json:",omitempty"` // progress calls that advanced a schedule round
 	StallTime        float64 `json:",omitempty"` // summed rendezvous RTS->CTS stall seconds
 }
 
-// runLoop executes the §IV-A benchmark loop on every rank with the given
-// selector factory and returns the aggregate result, plus the run's recorder
-// when spec.Observe is set (nil otherwise).
-func runLoop(spec MicroSpec, label string, mkSel func(fs *core.FunctionSet) core.Selector) (MicroResult, *obs.Recorder, error) {
-	if err := spec.validate(); err != nil {
-		return MicroResult{}, nil, err
+// observed derives a result's metrics from the run's recorder (nil: none).
+func observed(rec *obs.Recorder) Observed {
+	if rec == nil {
+		return Observed{}
 	}
-	start, observe, run, err := spec.world()
+	m := rec.Metrics()
+	return Observed{m.Overlap, m.ProgressCalls, m.ProgressAdvanced, m.RendezvousStallTime}
+}
+
+// Iterate runs one §IV-A benchmark iteration on rank c: initiate, compute in
+// chunks with a progress call after each, wait, and record the (max-reduced
+// while still learning) interval into the request's selector.
+func (s MicroSpec) Iterate(c *mpi.Comm, req *core.Request, timer *core.Timer) {
+	chunk := s.ComputePerIter / float64(s.ProgressCalls)
+	if s.Imbalance > 0 && s.Procs > 1 {
+		// Deterministic stagger (process arrival patterns): rank r computes
+		// Imbalance*r/(P-1) longer than rank 0, so ranks enter the
+		// collective at different times.
+		chunk *= 1 + s.Imbalance*float64(c.Rank())/float64(s.Procs-1)
+	}
+	timer.Start()
+	req.Init()
+	for k := 0; k < s.ProgressCalls; k++ {
+		c.Compute(chunk)
+		req.Progress()
+	}
+	req.Wait()
+	core.StopMaybeSynced(c, timer, req)
+}
+
+// timed runs one rank program per rank of w and returns the rank-max
+// barrier-to-barrier virtual time of its timed region, the Total of every
+// result. prog sets the rank up and returns the region (nil: the rank gives
+// up); the region receives the time it starts at.
+func timed(w World, procs int, prog func(c *mpi.Comm) (region func(t0 float64))) float64 {
+	starts := make([]float64, procs)
+	ends := make([]float64, procs)
+	w.Start(func(c *mpi.Comm) {
+		region := prog(c)
+		if region == nil {
+			return
+		}
+		me := c.Rank()
+		c.Barrier()
+		starts[me] = c.Now()
+		region(starts[me])
+		c.Barrier()
+		ends[me] = c.Now()
+	})
+	w.Run()
+	total := 0.0
+	for me := range starts {
+		if d := ends[me] - starts[me]; d > total {
+			total = d
+		}
+	}
+	return total
+}
+
+// runLoop is the §IV-A rank program: on every rank of the already assembled
+// world w it builds the op's function set, lets mkSel pick the selection
+// logic (rank 0's result is the one reported), and iterates barrier to
+// barrier. It returns the aggregate result, plus the run's recorder when
+// spec.Observe is set (nil otherwise).
+func runLoop(spec MicroSpec, w World, label string, mkSel func(rank int, fs *core.FunctionSet) core.Selector) (MicroResult, *obs.Recorder, error) {
+	op, err := core.OpByName(spec.Op)
 	if err != nil {
 		return MicroResult{}, nil, err
 	}
 	var rec *obs.Recorder
 	if spec.Observe {
 		rec = obs.NewRecorder(spec.Procs)
-		observe(rec)
+		w.Observe(rec)
 	}
 	res := MicroResult{Spec: spec, Impl: label, DecidedIter: -1}
-	chunk := spec.ComputePerIter / float64(spec.ProgressCalls)
-
-	starts := make([]float64, spec.Procs)
-	ends := make([]float64, spec.Procs)
 	// Per-rank error slots: under PDES, ranks on different shards check
 	// concurrently, so a shared variable would race.
-	dataErrs := make([]error, spec.Procs)
+	errs := make([]error, spec.Procs)
 
-	start(func(c *mpi.Comm) {
+	res.Total = timed(w, spec.Procs, func(c *mpi.Comm) func(float64) {
 		me := c.Rank()
-		fs, dinit, dcheck := spec.functionSetData(c)
-		req := core.MustRequest(fs, mkSel(fs), c.Now)
+		send, recv := op.Buffers(spec.Procs, spec.MsgSize, spec.payload)
+		fs, err := op.Build(c, send, recv, 0, spec.Mocks)
+		if err != nil {
+			errs[me] = err
+			return nil
+		}
+		req := core.MustRequest(fs, mkSel(me, fs), c.Now)
 		timer := core.MustTimer(c.Now, req)
-		if dinit != nil {
-			dinit()
+		if spec.Data {
+			op.Fill(me, 0, spec.MsgSize, send)
 		}
-
-		c.Barrier()
-		starts[me] = c.Now()
-		var postSum float64
-		var postN int
-		skew := 0.0
-		if spec.Imbalance > 0 && spec.Procs > 1 {
-			// Deterministic stagger (process arrival patterns): rank r
-			// computes Imbalance*r/(P-1) longer than rank 0, so ranks enter
-			// the collective at different times.
-			skew = spec.Imbalance * float64(me) / float64(spec.Procs-1)
-		}
-		for it := 0; it < spec.Iterations; it++ {
-			iterStart := c.Now()
-			timer.Start()
-			req.Init()
-			if me == 0 && res.DecidedIter < 0 && req.Decided() {
-				res.DecidedIter = it
+		return func(float64) {
+			var postSum float64
+			var postN int
+			for it := 0; it < spec.Iterations; it++ {
+				iterStart := c.Now()
+				spec.Iterate(c, req, timer)
+				if spec.Data && errs[me] == nil {
+					errs[me] = op.Check(me, 0, spec.MsgSize, recv)
+				}
+				if me == 0 && req.Decided() {
+					if res.DecidedIter < 0 {
+						res.DecidedIter = it
+					}
+					postSum += c.Now() - iterStart
+					postN++
+				}
 			}
-			for k := 0; k < spec.ProgressCalls; k++ {
-				c.Compute(chunk * (1 + skew))
-				req.Progress()
-			}
-			req.Wait()
-			if dcheck != nil && dataErrs[me] == nil {
-				dataErrs[me] = dcheck()
-			}
-			core.StopMaybeSynced(c, timer, req)
-			if me == 0 && req.Decided() {
-				postSum += c.Now() - iterStart
-				postN++
-			}
-		}
-		c.Barrier()
-		ends[me] = c.Now()
-		if me == 0 {
-			if wf := req.Winner(); wf != nil {
-				res.Winner = wf.Name
-			}
-			res.Evals = req.Selector().Evals()
-			if postN > 0 {
-				res.PostLearnPerIter = postSum / float64(postN)
+			if me == 0 {
+				if wf := req.Winner(); wf != nil {
+					res.Winner = wf.Name
+				}
+				res.Evals = req.Selector().Evals()
+				if postN > 0 {
+					res.PostLearnPerIter = postSum / float64(postN)
+				}
 			}
 		}
 	})
-	run()
-	for _, derr := range dataErrs {
-		if derr != nil {
-			return res, nil, derr
-		}
-	}
-
-	for me := 0; me < spec.Procs; me++ {
-		if d := ends[me] - starts[me]; d > res.Total {
-			res.Total = d
+	for _, err := range errs {
+		if err != nil {
+			return res, nil, fmt.Errorf("bench: %w", err)
 		}
 	}
 	res.PerIter = res.Total / float64(spec.Iterations)
-	if rec != nil {
-		m := rec.Metrics()
-		res.Overlap = m.Overlap
-		res.ProgressMade = m.ProgressCalls
-		res.ProgressAdvanced = m.ProgressAdvanced
-		res.StallTime = m.RendezvousStallTime
-	}
+	res.Observed = observed(rec)
 	return res, rec, nil
+}
+
+// run assembles the spec's world and runs the §IV-A loop on it.
+func (s MicroSpec) run(label string, mkSel func(rank int, fs *core.FunctionSet) core.Selector) (MicroResult, *obs.Recorder, error) {
+	w, err := s.World()
+	if err != nil {
+		return MicroResult{}, nil, err
+	}
+	return runLoop(s, w, label, mkSel)
 }
 
 // RunFixed runs the benchmark pinned to implementation index fn.
@@ -472,11 +400,14 @@ func RunFixed(spec MicroSpec, fn int) (MicroResult, error) {
 // runFixed is RunFixed, additionally returning the run's recorder (nil unless
 // spec.Observe is set) for trace export.
 func runFixed(spec MicroSpec, fn int) (MicroResult, *obs.Recorder, error) {
-	names := spec.FunctionNames()
-	if fn < 0 || fn >= len(names) {
-		return MicroResult{}, nil, fmt.Errorf("bench: implementation index %d out of range (%d impls)", fn, len(names))
+	fs, err := spec.HostFunctionSet()
+	if err != nil {
+		return MicroResult{}, nil, fmt.Errorf("bench: %w", err)
 	}
-	r, rec, err := runLoop(spec, names[fn], func(fs *core.FunctionSet) core.Selector {
+	if fn < 0 || fn >= len(fs.Fns) {
+		return MicroResult{}, nil, fmt.Errorf("bench: implementation index %d out of range (%d impls)", fn, len(fs.Fns))
+	}
+	r, rec, err := spec.run(fs.Fns[fn].Name, func(int, *core.FunctionSet) core.Selector {
 		return &core.FixedSelector{Fn: fn}
 	})
 	if err != nil {
@@ -498,7 +429,7 @@ func RunADCL(spec MicroSpec, selector string) (MicroResult, error) {
 func runADCL(spec MicroSpec, selector string) (MicroResult, *obs.Recorder, error) {
 	var selErr error
 	var selOnce sync.Once // every rank constructs a selector; under PDES they do so concurrently
-	r, rec, err := runLoop(spec, "adcl:"+selector, func(fs *core.FunctionSet) core.Selector {
+	r, rec, err := spec.run("adcl:"+selector, func(_ int, fs *core.FunctionSet) core.Selector {
 		sel, err := core.SelectorByName(selector, fs, spec.evals())
 		if err != nil {
 			selOnce.Do(func() { selErr = err })
@@ -594,7 +525,11 @@ func RunVerificationOpts(spec MicroSpec, opt RunOptions, selectors ...string) (*
 	if len(selectors) == 0 {
 		selectors = []string{"brute-force", "attr-heuristic"}
 	}
-	if err := spec.validate(); err != nil {
+	check := spec.validate
+	if opt.Speculate {
+		check = spec.speculable // refuse before the fixed runs, not after
+	}
+	if err := check(); err != nil {
 		return nil, err
 	}
 	names := spec.FunctionNames()

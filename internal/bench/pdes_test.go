@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"nbctune/internal/core"
-	"nbctune/internal/mpi"
 	"nbctune/internal/obs"
 	"nbctune/internal/platform"
 )
@@ -71,35 +70,23 @@ func TestPDESDeterminismMatrix(t *testing.T) {
 
 		// Selection audit from a rank-0-attached selector (the cmd/tune
 		// -metrics path).
-		start, _, runW, err := s.world()
+		w, err := s.World()
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		var audit *obs.Audit
-		chunk := s.ComputePerIter / float64(s.ProgressCalls)
-		start(func(c *mpi.Comm) {
-			fs := s.functionSet(c)
+		if _, _, err := runLoop(s, w, "", func(rank int, fs *core.FunctionSet) core.Selector {
 			sel, err := core.SelectorByName("brute-force", fs, s.evals())
 			if err != nil {
 				panic(err)
 			}
-			if c.Rank() == 0 {
+			if rank == 0 {
 				audit = core.AttachAudit(sel, fs)
 			}
-			req := core.MustRequest(fs, sel, c.Now)
-			timer := core.MustTimer(c.Now, req)
-			for it := 0; it < s.Iterations; it++ {
-				timer.Start()
-				req.Init()
-				for k := 0; k < s.ProgressCalls; k++ {
-					c.Compute(chunk)
-					req.Progress()
-				}
-				req.Wait()
-				core.StopMaybeSynced(c, timer, req)
-			}
-		})
-		runW()
+			return sel
+		}); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
 		var au bytes.Buffer
 		if err := audit.WriteJSON(&au); err != nil {
 			t.Fatalf("shards=%d: audit: %v", shards, err)

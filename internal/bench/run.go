@@ -8,7 +8,7 @@ import (
 )
 
 // RunOptions configures how a sweep or verification run executes: worker
-// count, result caching, retry budget, and progress streaming. The zero
+// count, result caching, and progress streaming. The zero
 // value runs sequentially with no cache and no progress, which is exactly
 // the pre-runner behaviour.
 //
@@ -23,9 +23,6 @@ type RunOptions struct {
 	// Cache, when non-nil, serves previously completed scenarios from the
 	// content-addressed store and persists new completions into it.
 	Cache *runner.Cache
-	// Retries re-runs a panicked scenario this many times before failing
-	// the sweep.
-	Retries int
 	// Progress receives one line per completed scenario.
 	Progress io.Writer
 	// Speculate switches ADCL measurements to speculative parallel candidate
@@ -46,7 +43,6 @@ func (o RunOptions) runnerOptions() runner.Options {
 	return runner.Options{
 		Workers:  w,
 		Cache:    o.Cache,
-		Retries:  o.Retries,
 		Progress: o.Progress,
 	}
 }

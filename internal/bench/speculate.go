@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nbctune/internal/core"
-	"nbctune/internal/mpi"
 	"nbctune/internal/obs"
 )
 
@@ -24,8 +23,7 @@ import (
 // independent of the host worker count: SeqLatency is the cost of measuring
 // the candidates back to back (what the in-line learning phase pays), and
 // SpecLatency is the critical path — the slowest single candidate — which a
-// pool of >= one-worker-per-candidate achieves. Use SpecLatencyAt for the
-// makespan under a finite pool.
+// pool of >= one-worker-per-candidate achieves.
 type SpecResult struct {
 	Result MicroResult
 	// Audit is the selection log: fork and join events bracketing the inner
@@ -45,37 +43,6 @@ type SpecResult struct {
 	Workers int
 }
 
-// SpecLatencyAt returns the virtual selection latency under a pool of w
-// workers: the makespan of dispatching the candidate forks in index order,
-// each worker taking the next candidate when it falls idle. w <= 0 or
-// w >= len(CandidateTime) gives the critical path.
-func (s *SpecResult) SpecLatencyAt(w int) float64 {
-	n := len(s.CandidateTime)
-	if w <= 0 || w > n {
-		w = n
-	}
-	if w == 0 {
-		return 0
-	}
-	busy := make([]float64, w)
-	for _, d := range s.CandidateTime {
-		min := 0
-		for i := 1; i < w; i++ {
-			if busy[i] < busy[min] {
-				min = i
-			}
-		}
-		busy[min] += d
-	}
-	max := 0.0
-	for _, b := range busy {
-		if b > max {
-			max = b
-		}
-	}
-	return max
-}
-
 // Speedup is the selection-latency ratio sequential/speculative at the
 // critical path (>= worker-per-candidate pool).
 func (s *SpecResult) Speedup() float64 {
@@ -85,91 +52,63 @@ func (s *SpecResult) Speedup() float64 {
 	return s.SeqLatency / s.SpecLatency
 }
 
-// specSkew mirrors runLoop's deterministic arrival stagger for rank me.
-func specSkew(spec MicroSpec, me int) float64 {
-	if spec.Imbalance > 0 && spec.Procs > 1 {
-		return spec.Imbalance * float64(me) / float64(spec.Procs-1)
+// speculable refuses the specs a speculative run cannot serve: the invalid
+// ones, and those whose state cannot cross a snapshot.
+func (s MicroSpec) speculable() error {
+	switch {
+	case s.Observe:
+		return fmt.Errorf("bench: speculative runs do not support Observe (recorder spans cannot cross a snapshot)")
+	case s.Data:
+		return fmt.Errorf("bench: speculative runs do not support Data (payload state cannot cross a snapshot)")
+	case s.PDES:
+		return fmt.Errorf("bench: speculative runs do not support PDES (a sharded world cannot be snapshotted)")
 	}
-	return 0
-}
-
-// specIter is one §IV-A benchmark iteration: initiate, compute in chunks
-// with progress calls between, wait, record the (possibly max-reduced)
-// interval into the request's selector.
-func specIter(spec MicroSpec, c *mpi.Comm, req *core.Request, timer *core.Timer, skew float64) {
-	chunk := spec.ComputePerIter / float64(spec.ProgressCalls)
-	timer.Start()
-	req.Init()
-	for k := 0; k < spec.ProgressCalls; k++ {
-		c.Compute(chunk * (1 + skew))
-		req.Progress()
-	}
-	req.Wait()
-	core.StopMaybeSynced(c, timer, req)
-}
-
-// hostFunctionSet builds the spec's function set outside any live rank, for
-// host-side selector replay. The set's structure (names, attributes) is
-// rank-independent; the Start closures are bound to a throwaway world and
-// never invoked by selectors.
-func (s MicroSpec) hostFunctionSet() (*core.FunctionSet, error) {
-	tmp := s
-	tmp.Procs = 2
-	eng, w, err := tmp.Platform.NewWorld(2, 1)
-	if err != nil {
-		return nil, err
-	}
-	var fs *core.FunctionSet
-	w.Start(func(c *mpi.Comm) {
-		if c.Rank() == 0 {
-			fs = tmp.functionSet(c)
-		}
-	})
-	eng.Run()
-	return fs, nil
+	return s.validate()
 }
 
 // RunSpeculative runs the micro-benchmark with speculative parallel
 // candidate evaluation: warm the world, snapshot, measure every candidate on
 // a forked copy (dispatched to `workers` host workers), replay the streams
 // through the named selector, then run the application loop on a fresh fork
-// pinned to the committed winner.
+// pinned to the committed winner. Every phase is the §IV-A rank program
+// (runLoop) on a different world with a different selection logic.
 func RunSpeculative(spec MicroSpec, selector string, workers int) (*SpecResult, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.speculable(); err != nil {
 		return nil, err
 	}
-	if spec.Observe {
-		return nil, fmt.Errorf("bench: speculative runs do not support Observe (recorder spans cannot cross a snapshot)")
-	}
-	if spec.Data {
-		return nil, fmt.Errorf("bench: speculative runs do not support Data (payload state cannot cross a snapshot)")
-	}
-	if spec.PDES {
-		return nil, fmt.Errorf("bench: speculative runs do not support PDES (a sharded world cannot be snapshotted)")
-	}
-	hostFS, err := spec.hostFunctionSet()
+	hostFS, err := spec.HostFunctionSet()
 	if err != nil {
 		return nil, err
+	}
+	// capture measures implementation fn for rounds iterations on w and
+	// returns rank 0's samples (all ranks capture identical streams).
+	capture := func(w World, fn, rounds int) ([]float64, error) {
+		s := spec
+		s.Iterations = rounds
+		var cap0 *core.Capture
+		_, _, err := runLoop(s, w, "", func(rank int, _ *core.FunctionSet) core.Selector {
+			c := core.NewCapture(fn)
+			if rank == 0 {
+				cap0 = c
+			}
+			return c
+		})
+		if err != nil {
+			return nil, err
+		}
+		return cap0.Samples(), nil
 	}
 
-	// Phase A: warm the world — build the function set, run one pinned
-	// iteration so every pool (handles, requests, matcher lists) reaches
-	// working size — then snapshot at the quiescent decision point.
-	eng, w, err := chaosWorld(spec.Platform, spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed)
+	// Warm the world — one pinned iteration, so every pool (handles,
+	// requests, matcher lists) reaches working size — then snapshot at the
+	// quiescent decision point.
+	w, err := chaosWorld(spec.Platform, spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed)
 	if err != nil {
 		return nil, err
 	}
-	w.Start(func(c *mpi.Comm) {
-		fs := spec.functionSet(c)
-		cap := core.NewCapture(0)
-		req := core.MustRequest(fs, cap, c.Now)
-		timer := core.MustTimer(c.Now, req)
-		skew := specSkew(spec, c.Rank())
-		c.Barrier()
-		specIter(spec, c, req, timer, skew)
-		c.Barrier()
-	})
-	eng.Run()
+	if _, err := capture(w, 0, 1); err != nil {
+		return nil, err
+	}
 	snap, err := w.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("bench: world not forkable at the decision point: %w", err)
@@ -182,30 +121,16 @@ func RunSpeculative(spec MicroSpec, selector string, workers int) (*SpecResult, 
 	durs := make([]float64, len(hostFS.Fns))
 	runCand := func(fn, rounds int) ([]float64, error) {
 		feng, fw := snap.Fork()
-		var samples []float64
-		fw.Start(func(c *mpi.Comm) {
-			fs := spec.functionSet(c)
-			capSel := core.NewCapture(fn)
-			req := core.MustRequest(fs, capSel, c.Now)
-			timer := core.MustTimer(c.Now, req)
-			skew := specSkew(spec, c.Rank())
-			c.Barrier()
-			for it := 0; it < rounds; it++ {
-				specIter(spec, c, req, timer, skew)
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				samples = capSel.Samples()
-			}
-		})
-		feng.Run()
+		samples, err := capture(fw, fn, rounds)
+		if err != nil {
+			return nil, err
+		}
 		if len(samples) != rounds {
 			return nil, fmt.Errorf("bench: candidate %d fork captured %d samples, want %d", fn, len(samples), rounds)
 		}
 		durs[fn] = float64(feng.Now()) - base
 		return samples, nil
 	}
-
 	ssel, err := core.NewSpeculativeSelector(selector, hostFS, spec.evals(), workers, runCand)
 	if err != nil {
 		return nil, err
@@ -215,41 +140,15 @@ func RunSpeculative(spec MicroSpec, selector string, workers int) (*SpecResult, 
 		return nil, fmt.Errorf("bench: speculative selection produced no winner")
 	}
 
-	// Phase B: the application loop on a fresh fork, pinned to the winner.
-	feng, fw := snap.Fork()
-	res := MicroResult{Spec: spec, Impl: "adcl:" + ssel.Name(), DecidedIter: 0}
-	starts := make([]float64, spec.Procs)
-	ends := make([]float64, spec.Procs)
-	fw.Start(func(c *mpi.Comm) {
-		me := c.Rank()
-		fs := spec.functionSet(c)
-		req := core.MustRequest(fs, &core.FixedSelector{Fn: winner}, c.Now)
-		timer := core.MustTimer(c.Now, req)
-		skew := specSkew(spec, me)
-		c.Barrier()
-		starts[me] = c.Now()
-		var postSum float64
-		for it := 0; it < spec.Iterations; it++ {
-			iterStart := c.Now()
-			specIter(spec, c, req, timer, skew)
-			postSum += c.Now() - iterStart
-		}
-		c.Barrier()
-		ends[me] = c.Now()
-		if me == 0 {
-			if wf := req.Winner(); wf != nil {
-				res.Winner = wf.Name
-			}
-			res.PostLearnPerIter = postSum / float64(spec.Iterations)
-		}
+	// The application loop on a fresh fork, pinned to the winner: every
+	// iteration runs post-decision.
+	_, fw := snap.Fork()
+	res, _, err := runLoop(spec, fw, "adcl:"+ssel.Name(), func(int, *core.FunctionSet) core.Selector {
+		return &core.FixedSelector{Fn: winner}
 	})
-	feng.Run()
-	for me := 0; me < spec.Procs; me++ {
-		if d := ends[me] - starts[me]; d > res.Total {
-			res.Total = d
-		}
+	if err != nil {
+		return nil, err
 	}
-	res.PerIter = res.Total / float64(spec.Iterations)
 	res.Evals = ssel.Evals()
 
 	out := &SpecResult{

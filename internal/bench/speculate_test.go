@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"nbctune/internal/platform"
@@ -38,10 +39,8 @@ func TestSpeculativeWorkerCountInvariant(t *testing.T) {
 
 // TestSpeculativeSelectionLatency pins the point of the exercise: measuring
 // candidates on concurrent forks turns the sum of candidate costs into (at
-// the critical path) the max, the makespan model is monotone in the worker
-// count, and four fork workers at least halve the virtual selection latency
-// (2.70x on the 3-candidate ialltoall row, 3.53x on the 21-candidate ibcast
-// row when committed).
+// the critical path) the max, which at least halves the virtual selection
+// latency (2.70x on the 3-candidate ialltoall row when committed).
 func TestSpeculativeSelectionLatency(t *testing.T) {
 	whale, err := platform.ByName("whale")
 	if err != nil {
@@ -76,18 +75,6 @@ func TestSpeculativeSelectionLatency(t *testing.T) {
 			}
 			if r.Speedup() < 2 {
 				t.Fatalf("critical-path speedup %.2f, want >= 2 with %d candidates", r.Speedup(), len(r.CandidateTime))
-			}
-			if got := r.SeqLatency / r.SpecLatencyAt(4); got < 2 {
-				t.Fatalf("selection speedup at 4 workers %.2f, want >= 2", got)
-			}
-			if got := r.SpecLatencyAt(1); got != r.SeqLatency {
-				t.Fatalf("one-worker makespan %g != sequential latency %g", got, r.SeqLatency)
-			}
-			if got := r.SpecLatencyAt(len(r.CandidateTime)); got != r.SpecLatency {
-				t.Fatalf("full-pool makespan %g != critical path %g", got, r.SpecLatency)
-			}
-			if m2, m4 := r.SpecLatencyAt(2), r.SpecLatencyAt(4); m4 > m2 {
-				t.Fatalf("makespan grew with workers: %g at 2, %g at 4", m2, m4)
 			}
 		})
 	}
@@ -175,6 +162,19 @@ func TestVerificationOptsSpeculate(t *testing.T) {
 	}
 	if k := SpecKey(spec, "brute-force"); k == "" || k == ADCLKey(spec, "brute-force") {
 		t.Fatal("SpecKey must be distinct and non-empty")
+	}
+	// The sweep hands the option down to each scenario's verification
+	// (sweep -speculate), and refuses up front what a snapshot cannot carry.
+	st, err := VerificationSweepOpts([]MicroSpec{spec}, []string{"brute-force"}, RunOptions{Speculate: true, SpecWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(t, st.Runs[0]), encode(t, v)) {
+		t.Fatal("speculative sweep run differs from the speculative verification of its scenario")
+	}
+	spec.PDES = true
+	if _, err := RunVerificationOpts(spec, RunOptions{Speculate: true}, "brute-force"); err == nil || !strings.Contains(err.Error(), "PDES") {
+		t.Fatalf("speculative verification on a sharded world: %v", err)
 	}
 }
 

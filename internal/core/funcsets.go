@@ -9,28 +9,34 @@ import (
 // 7 tree fan-outs x 3 segment sizes) and ADCL_Ialltoall (linear,
 // dissemination, pairwise), plus the extended Ialltoall set that also
 // contains the blocking MPI_Alltoall (paper §IV-B-f), and sets for the other
-// converted operations.
+// converted operations. The op catalogue (ops.go) names each of them, sizes
+// its buffers and appends guideline mocks; the constructors here only say
+// which schedules make up a set.
 
-// Attribute value used for the blocking implementation in the extended
-// Ialltoall function set.
-const AlltoallBlocking = 3
+// schedFn wraps a compiled schedule as one function of a set. The schedule
+// is compiled once and restarted per execution (persistent request
+// semantics).
+func schedFn(c *mpi.Comm, s *nbc.Schedule, attrs ...int) *Function {
+	return &Function{Name: s.Name, Attrs: attrs, Start: func() Started { return nbc.Start(c, s) }}
+}
 
-// IbcastSet builds the paper's default Ibcast function set over buf
-// (virtual or real) from root on comm. Schedules are compiled once and
-// reused per execution (persistent request semantics).
-func IbcastSet(c *mpi.Comm, root int, buf mpi.Buf) *FunctionSet {
-	fs, err := IbcastSetWith(c, root, buf, nil)
-	if err != nil {
-		panic(err) // unreachable: no mocks requested
+// algoSet builds a set characterized by the single attribute "algorithm":
+// one function per entry of algos, compiled by sched.
+func algoSet[A ~int](c *mpi.Comm, name string, algos []A, sched func(A) *nbc.Schedule) *FunctionSet {
+	vals := make([]int, len(algos))
+	fs := &FunctionSet{Name: name, Fns: make([]*Function, len(algos))}
+	for i, a := range algos {
+		vals[i] = int(a)
+		fs.Fns[i] = schedFn(c, sched(a), int(a))
 	}
+	fs.AttrSet = &AttributeSet{Attrs: []Attribute{{Name: "algorithm", Values: vals}}}
 	return fs
 }
 
-// IbcastSetWith is IbcastSet extended with the named guideline mocks
-// (mocks.go); an empty mock list yields the identical pre-guideline set.
-func IbcastSetWith(c *mpi.Comm, root int, buf mpi.Buf, mocks []string) (*FunctionSet, error) {
+// IbcastSet builds the paper's default Ibcast function set over buf
+// (virtual or real) from root on comm.
+func IbcastSet(c *mpi.Comm, root int, buf mpi.Buf) *FunctionSet {
 	n, me := c.Size(), c.Rank()
-	fanouts := nbc.DefaultFanouts
 	segs := nbc.DefaultSegSizes
 	fs := &FunctionSet{
 		Name: "ibcast",
@@ -39,22 +45,17 @@ func IbcastSetWith(c *mpi.Comm, root int, buf mpi.Buf, mocks []string) (*Functio
 			{Name: "segsize", Values: append([]int(nil), segs...)},
 		}},
 	}
-	for _, f := range fanouts {
+	for _, f := range nbc.DefaultFanouts {
 		for _, s := range segs {
-			f, s := f, s
-			sched := nbc.Ibcast(n, me, root, buf, f, s)
-			fs.Fns = append(fs.Fns, &Function{
-				Name:  sched.Name,
-				Attrs: []int{f, s},
-				Start: func() Started { return nbc.Start(c, sched) },
-			})
+			fs.Fns = append(fs.Fns, schedFn(c, nbc.Ibcast(n, me, root, buf, f, s), f, s))
 		}
 	}
-	if err := appendMocks(fs, "ibcast", mocks, MockEnv{Comm: c, Root: root, Buf: buf}); err != nil {
-		return nil, err
-	}
-	return fs, nil
+	return fs
 }
+
+// Attribute value used for the blocking implementation in the extended
+// Ialltoall function set.
+const AlltoallBlocking = 3
 
 // IalltoallSet builds the paper's Ialltoall function set exchanging
 // send.Len()/Size() bytes per rank pair. With includeBlocking the set also contains
@@ -62,41 +63,14 @@ func IbcastSetWith(c *mpi.Comm, root int, buf mpi.Buf, mocks []string) (*Functio
 // modified function set of §IV-B-f that lets ADCL decide at runtime whether
 // a code region benefits from a non-blocking operation at all.
 func IalltoallSet(c *mpi.Comm, send, recv mpi.Buf, includeBlocking bool) *FunctionSet {
-	fs, err := IalltoallSetWith(c, send, recv, includeBlocking, nil)
-	if err != nil {
-		panic(err) // unreachable: no mocks requested
-	}
-	return fs
-}
-
-// IalltoallSetWith is IalltoallSet extended with the named guideline mocks
-// (mocks.go); an empty mock list yields the identical pre-guideline set.
-func IalltoallSetWith(c *mpi.Comm, send, recv mpi.Buf, includeBlocking bool, mocks []string) (*FunctionSet, error) {
 	n, me := c.Size(), c.Rank()
-	algoVals := []int{int(nbc.AlgoLinear), int(nbc.AlgoBruck), int(nbc.AlgoPairwise)}
+	fs := algoSet(c, "ialltoall", nbc.DefaultAlltoallAlgos, func(a nbc.AlltoallAlgo) *nbc.Schedule {
+		return nbc.Ialltoall(n, me, send, recv, a)
+	})
 	if includeBlocking {
-		algoVals = append(algoVals, AlltoallBlocking)
-	}
-	name := "ialltoall"
-	if includeBlocking {
-		name = "ialltoall-ext"
-	}
-	fs := &FunctionSet{
-		Name: name,
-		AttrSet: &AttributeSet{Attrs: []Attribute{
-			{Name: "algorithm", Values: algoVals},
-		}},
-	}
-	for _, a := range nbc.DefaultAlltoallAlgos {
-		a := a
-		sched := nbc.Ialltoall(n, me, send, recv, a)
-		fs.Fns = append(fs.Fns, &Function{
-			Name:  sched.Name,
-			Attrs: []int{int(a)},
-			Start: func() Started { return nbc.Start(c, sched) },
-		})
-	}
-	if includeBlocking {
+		fs.Name = "ialltoall-ext"
+		algo := &fs.AttrSet.Attrs[0]
+		algo.Values = append(algo.Values, AlltoallBlocking)
 		fs.Fns = append(fs.Fns, &Function{
 			Name:  "alltoall-blocking",
 			Attrs: []int{AlltoallBlocking},
@@ -106,10 +80,7 @@ func IalltoallSetWith(c *mpi.Comm, send, recv mpi.Buf, includeBlocking bool, moc
 			},
 		})
 	}
-	if err := appendMocks(fs, "ialltoall", mocks, MockEnv{Comm: c, Send: send, Recv: recv}); err != nil {
-		return nil, err
-	}
-	return fs, nil
+	return fs
 }
 
 // Primitive attribute values for IalltoallPrimitivesSet.
@@ -135,106 +106,48 @@ func IalltoallPrimitivesSet(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet {
 		}},
 	}
 	for _, a := range nbc.DefaultAlltoallAlgos {
-		a := a
-		sched := nbc.Ialltoall(n, me, send, recv, a)
-		fs.Fns = append(fs.Fns, &Function{
-			Name:  sched.Name,
-			Attrs: []int{int(a), PrimitiveP2P},
-			Start: func() Started { return nbc.Start(c, sched) },
-		})
+		fs.Fns = append(fs.Fns, schedFn(c, nbc.Ialltoall(n, me, send, recv, a), int(a), PrimitiveP2P))
 	}
 	win := nbc.IalltoallWindows(c, recv)
-	linPut := nbc.IalltoallLinearPut(n, me, send, recv, win)
-	pwPut := nbc.IalltoallPairwisePut(n, me, send, recv, win)
 	fs.Fns = append(fs.Fns,
-		&Function{Name: linPut.Name, Attrs: []int{int(nbc.AlgoLinear), PrimitivePut},
-			Start: func() Started { return nbc.Start(c, linPut) }},
-		&Function{Name: pwPut.Name, Attrs: []int{int(nbc.AlgoPairwise), PrimitivePut},
-			Start: func() Started { return nbc.Start(c, pwPut) }},
+		schedFn(c, nbc.IalltoallLinearPut(n, me, send, recv, win), int(nbc.AlgoLinear), PrimitivePut),
+		schedFn(c, nbc.IalltoallPairwisePut(n, me, send, recv, win), int(nbc.AlgoPairwise), PrimitivePut),
 	)
 	return fs
 }
 
-// IallgatherSet builds a function set over the two Iallgather algorithms.
-func IallgatherSet(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet {
-	fs, err := IallgatherSetWith(c, send, recv, nil)
-	if err != nil {
-		panic(err) // unreachable: no mocks requested
-	}
-	return fs
+// iallgatherSet builds a function set over the given Iallgather algorithms.
+func iallgatherSet(c *mpi.Comm, name string, send, recv mpi.Buf, algos ...nbc.AllgatherAlgo) *FunctionSet {
+	n, me := c.Size(), c.Rank()
+	return algoSet(c, name, algos, func(a nbc.AllgatherAlgo) *nbc.Schedule {
+		return nbc.Iallgather(n, me, send, recv, a)
+	})
 }
 
-// IallgatherSetWith is IallgatherSet extended with the named guideline
-// mocks (mocks.go); an empty mock list yields the identical pre-guideline
-// set.
-func IallgatherSetWith(c *mpi.Comm, send, recv mpi.Buf, mocks []string) (*FunctionSet, error) {
-	n, me := c.Size(), c.Rank()
-	fs := &FunctionSet{
-		Name: "iallgather",
-		AttrSet: &AttributeSet{Attrs: []Attribute{
-			{Name: "algorithm", Values: []int{int(nbc.AllgatherRing), int(nbc.AllgatherLinear)}},
-		}},
-	}
-	for _, a := range []nbc.AllgatherAlgo{nbc.AllgatherRing, nbc.AllgatherLinear} {
-		a := a
-		sched := nbc.Iallgather(n, me, send, recv, a)
-		fs.Fns = append(fs.Fns, &Function{
-			Name:  sched.Name,
-			Attrs: []int{int(a)},
-			Start: func() Started { return nbc.Start(c, sched) },
-		})
-	}
-	if err := appendMocks(fs, "iallgather", mocks, MockEnv{Comm: c, Send: send, Recv: recv}); err != nil {
-		return nil, err
-	}
-	return fs, nil
+// IallgatherSet builds a function set over the two Iallgather algorithms.
+func IallgatherSet(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet {
+	return iallgatherSet(c, "iallgather", send, recv, nbc.AllgatherRing, nbc.AllgatherLinear)
 }
 
 // IreduceSet builds a function set over the Ireduce algorithms.
 func IreduceSet(c *mpi.Comm, root int, send, recv mpi.Buf, op mpi.ReduceOp) *FunctionSet {
 	n, me := c.Size(), c.Rank()
-	fs := &FunctionSet{
-		Name: "ireduce",
-		AttrSet: &AttributeSet{Attrs: []Attribute{
-			{Name: "algorithm", Values: []int{int(nbc.ReduceBinomial), int(nbc.ReduceChain)}},
-		}},
-	}
-	for _, a := range []nbc.ReduceAlgo{nbc.ReduceBinomial, nbc.ReduceChain} {
-		a := a
-		sched := nbc.Ireduce(n, me, root, send, recv, op, a)
-		fs.Fns = append(fs.Fns, &Function{
-			Name:  sched.Name,
-			Attrs: []int{int(a)},
-			Start: func() Started { return nbc.Start(c, sched) },
-		})
-	}
-	return fs
+	return algoSet(c, "ireduce", []nbc.ReduceAlgo{nbc.ReduceBinomial, nbc.ReduceChain}, func(a nbc.ReduceAlgo) *nbc.Schedule {
+		return nbc.Ireduce(n, me, root, send, recv, op, a)
+	})
 }
 
 // IallreduceSet builds a function set over the Iallreduce algorithms.
 func IallreduceSet(c *mpi.Comm, send, recv mpi.Buf, op mpi.ReduceOp) *FunctionSet {
 	n, me := c.Size(), c.Rank()
-	fs := &FunctionSet{
-		Name: "iallreduce",
-		AttrSet: &AttributeSet{Attrs: []Attribute{
-			{Name: "algorithm", Values: []int{int(nbc.AllreduceRecursiveDoubling), int(nbc.AllreduceReduceBcast)}},
-		}},
-	}
-	for _, a := range []nbc.AllreduceAlgo{nbc.AllreduceRecursiveDoubling, nbc.AllreduceReduceBcast} {
-		a := a
-		sched := nbc.Iallreduce(n, me, send, recv, op, a)
-		fs.Fns = append(fs.Fns, &Function{
-			Name:  sched.Name,
-			Attrs: []int{int(a)},
-			Start: func() Started { return nbc.Start(c, sched) },
-		})
-	}
+	fs := algoSet(c, "iallreduce", []nbc.AllreduceAlgo{nbc.AllreduceRecursiveDoubling, nbc.AllreduceReduceBcast}, func(a nbc.AllreduceAlgo) *nbc.Schedule {
+		return nbc.Iallreduce(n, me, send, recv, op, a)
+	})
 	// On non-power-of-two communicators both algorithms compile to
 	// reduce-bcast; de-duplicate by name to keep the set valid.
 	if fs.Fns[0].Name == fs.Fns[1].Name {
-		fs.Fns = fs.Fns[:1]
+		fs.Fns = fs.Fns[1:]
 		fs.AttrSet.Attrs[0].Values = fs.AttrSet.Attrs[0].Values[1:]
-		fs.Fns[0].Attrs = []int{int(nbc.AllreduceReduceBcast)}
 	}
 	return fs
 }

@@ -28,23 +28,11 @@ func IbcastScalableSet(c *mpi.Comm, root int, buf mpi.Buf) *FunctionSet {
 	}
 	for _, f := range []int{0, nbc.FanoutBinomial} {
 		for _, s := range segs {
-			f, s := f, s
-			sched := nbc.Ibcast(n, me, root, buf, f, s)
-			fs.Fns = append(fs.Fns, &Function{
-				Name:  sched.Name,
-				Attrs: []int{f, s},
-				Start: func() Started { return nbc.Start(c, sched) },
-			})
+			fs.Fns = append(fs.Fns, schedFn(c, nbc.Ibcast(n, me, root, buf, f, s), f, s))
 		}
 	}
 	for _, s := range segs {
-		s := s
-		sched := nbc.IbcastTorus(c, root, buf, s)
-		fs.Fns = append(fs.Fns, &Function{
-			Name:  sched.Name,
-			Attrs: []int{nbc.FanoutTorus, s},
-			Start: func() Started { return nbc.Start(c, sched) },
-		})
+		fs.Fns = append(fs.Fns, schedFn(c, nbc.IbcastTorus(c, root, buf, s), nbc.FanoutTorus, s))
 	}
 	return fs
 }
@@ -53,24 +41,7 @@ func IbcastScalableSet(c *mpi.Comm, root int, buf mpi.Buf) *FunctionSet {
 // dissemination algorithm: O(log n) rounds against the ring's O(n), the
 // large-n winner for small blocks.
 func IallgatherScalableSet(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet {
-	n, me := c.Size(), c.Rank()
-	algos := []nbc.AllgatherAlgo{nbc.AllgatherRing, nbc.AllgatherLinear, nbc.AllgatherBruck}
-	fs := &FunctionSet{
-		Name: "iallgather-scalable",
-		AttrSet: &AttributeSet{Attrs: []Attribute{
-			{Name: "algorithm", Values: []int{int(nbc.AllgatherRing), int(nbc.AllgatherLinear), int(nbc.AllgatherBruck)}},
-		}},
-	}
-	for _, a := range algos {
-		a := a
-		sched := nbc.Iallgather(n, me, send, recv, a)
-		fs.Fns = append(fs.Fns, &Function{
-			Name:  sched.Name,
-			Attrs: []int{int(a)},
-			Start: func() Started { return nbc.Start(c, sched) },
-		})
-	}
-	return fs
+	return iallgatherSet(c, "iallgather-scalable", send, recv, nbc.AllgatherRing, nbc.AllgatherLinear, nbc.AllgatherBruck)
 }
 
 // Ibarrier algorithm attribute values.
@@ -85,18 +56,14 @@ const (
 // total messages and matches, which is what scales).
 func IbarrierSet(c *mpi.Comm) *FunctionSet {
 	n, me := c.Size(), c.Rank()
-	diss := nbc.Ibarrier(n, me)
-	tree := nbc.IbarrierTree(n, me)
 	return &FunctionSet{
 		Name: "ibarrier",
 		AttrSet: &AttributeSet{Attrs: []Attribute{
 			{Name: "algorithm", Values: []int{BarrierDissemination, BarrierTree}},
 		}},
 		Fns: []*Function{
-			{Name: diss.Name, Attrs: []int{BarrierDissemination},
-				Start: func() Started { return nbc.Start(c, diss) }},
-			{Name: tree.Name, Attrs: []int{BarrierTree},
-				Start: func() Started { return nbc.Start(c, tree) }},
+			schedFn(c, nbc.Ibarrier(n, me), BarrierDissemination),
+			schedFn(c, nbc.IbarrierTree(n, me), BarrierTree),
 		},
 	}
 }

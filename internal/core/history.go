@@ -16,12 +16,6 @@ import (
 // later run can skip the learning phase entirely.
 type History struct {
 	Entries map[string]HistoryEntry `json:"entries"`
-
-	// frozen, when non-empty, makes the history read-only: Save refuses and
-	// Record panics, each citing this reason. Forked worlds freeze their
-	// histories so a speculative measurement round can never leak a winner —
-	// or half a file write — into the durable store the parent owns.
-	frozen string
 }
 
 // HistoryEntry records one tuned scenario.
@@ -49,12 +43,13 @@ func HistoryKey(fnset, platform string, nprocs, msgSize int) string {
 // EnvFingerprint builds the environment tag stored in HistoryEntry.Env:
 // the interconnect topology plus the active chaos profile name (with its
 // seed — the same profile seeded differently degrades different nodes).
-// The clean environment is the empty string, matching pre-existing entries.
+// The clean environment — flat topology, no chaos — is the empty string, so
+// clean runs keep matching entries written before fingerprints existed.
 func EnvFingerprint(topology string, chaosProfile string, chaosSeed int64) string {
+	if topology == "flat" {
+		topology = ""
+	}
 	if chaosProfile == "" || chaosProfile == "off" {
-		if topology == "" {
-			return ""
-		}
 		return topology
 	}
 	if topology == "" {
@@ -93,9 +88,6 @@ func LoadHistory(path string) (*History, error) {
 // the earlier fixed-name .tmp scheme could additionally corrupt itself
 // under two concurrent savers writing the same temp path.
 func (h *History) Save(path string) error {
-	if h.frozen != "" {
-		return fmt.Errorf("adcl: history is read-only (%s); refusing to write %s", h.frozen, path)
-	}
 	data, err := json.MarshalIndent(h, "", "  ")
 	if err != nil {
 		return err
@@ -103,24 +95,8 @@ func (h *History) Save(path string) error {
 	return kb.WriteFileAtomic(path, data, 0o644)
 }
 
-// Freeze makes the history read-only, recording why. Lookups keep working;
-// Save returns an error and Record panics with the reason. There is no
-// unfreeze — a fork that wants a writable history must load its own.
-func (h *History) Freeze(reason string) {
-	if reason == "" {
-		reason = "frozen"
-	}
-	h.frozen = reason
-}
-
-// Frozen reports whether the history has been made read-only.
-func (h *History) Frozen() bool { return h.frozen != "" }
-
 // Record stores a tuning outcome.
 func (h *History) Record(key string, e HistoryEntry) {
-	if h.frozen != "" {
-		panic(fmt.Sprintf("adcl: Record(%q) on a read-only history (%s)", key, h.frozen))
-	}
 	h.Entries[key] = e
 }
 
@@ -152,52 +128,15 @@ func (h *History) Keys() []string {
 	return ks
 }
 
-// HistorySource is the seam the selector-building path consumes: anything
-// that can answer "who won this scenario under this environment" and
-// accept new outcomes. *History is the local-file implementation; KBHistory
-// serves the same contract from the shared tuned daemon.
+// HistorySource is the seam a tuning session consults, once, before it
+// starts: anything that can answer "who won this scenario under this
+// environment" and accept new outcomes. *History is the local-file
+// implementation; KBHistory serves the same contract from the shared tuned
+// daemon, so a warm daemon's decisions are byte-identical to a warm local
+// history's.
 type HistorySource interface {
 	LookupEnv(key, env string) (HistoryEntry, bool)
 	Record(key string, e HistoryEntry)
-}
-
-// ReadOnlySource wraps a HistorySource so lookups pass through but Record
-// panics. This is the guard handed to code running on a forked world: a
-// speculative candidate evaluation may consult the shared history (or the kb
-// daemon) for context, but only the parent — after the join — may commit a
-// winner.
-func ReadOnlySource(src HistorySource) HistorySource {
-	return readOnlySource{src: src}
-}
-
-type readOnlySource struct{ src HistorySource }
-
-func (r readOnlySource) LookupEnv(key, env string) (HistoryEntry, bool) {
-	if r.src == nil {
-		return HistoryEntry{}, false
-	}
-	return r.src.LookupEnv(key, env)
-}
-
-func (r readOnlySource) Record(key string, e HistoryEntry) {
-	panic(fmt.Sprintf("adcl: Record(%q) through a read-only history source; forked worlds must not write tuning outcomes", key))
-}
-
-// SelectorWithSourceEnv returns a FixedSelector when src already knows the
-// winner for (key, env) and the function still exists in fset; otherwise
-// it returns fallback. The returned bool reports a hit. This is the single
-// lookup path both the local history file and the kb service flow through,
-// which is what makes a warm daemon's decisions byte-identical to a warm
-// local history's.
-func SelectorWithSourceEnv(src HistorySource, key, env string, fset *FunctionSet, fallback Selector) (Selector, bool) {
-	if src != nil {
-		if e, ok := src.LookupEnv(key, env); ok {
-			if idx := fset.IndexOf(e.Winner); idx >= 0 {
-				return &FixedSelector{Fn: idx}, true
-			}
-		}
-	}
-	return fallback, false
 }
 
 // SelectorWithHistory returns a FixedSelector when the history already knows
@@ -213,8 +152,12 @@ func SelectorWithHistory(h *History, key string, fset *FunctionSet, fallback Sel
 // different topology or chaos profile) are skipped and the fallback
 // selector re-learns.
 func SelectorWithHistoryEnv(h *History, key, env string, fset *FunctionSet, fallback Selector) (Selector, bool) {
-	if h == nil {
-		return fallback, false
+	if h != nil {
+		if e, ok := h.LookupEnv(key, env); ok {
+			if idx := fset.IndexOf(e.Winner); idx >= 0 {
+				return &FixedSelector{Fn: idx}, true
+			}
+		}
 	}
-	return SelectorWithSourceEnv(h, key, env, fset, fallback)
+	return fallback, false
 }

@@ -16,8 +16,8 @@ import (
 // violated (the tuned table robustly loses to the mock), the mock is
 // promoted into the operation's function set so the ADCL selector can pick
 // it on the next tuning round. This file is the registration seam: a
-// catalog of named mock builders, and With-variants of the built-in set
-// constructors that append the named mocks.
+// catalog of named mock schedules, each tied to one operation of the op
+// catalogue (ops.go), whose Build appends the named mocks.
 //
 // Mock functions carry the sentinel attribute vector (MockAttrValue in
 // every dimension): they are deliberately *uncharacterized* — a composed
@@ -45,97 +45,65 @@ func IsMockFn(f *Function) bool {
 	return true
 }
 
-// MockEnv carries the per-rank context a mock builder needs: the
-// communicator plus the operation's buffers. Only the fields meaningful
-// for the mock's operation are set (Buf for ibcast, Send/Recv for
-// ialltoall and iallgather).
-type MockEnv struct {
-	Comm *mpi.Comm
-	Root int
-	Buf  mpi.Buf // ibcast payload
-	Send mpi.Buf
-	Recv mpi.Buf
-}
-
 // MockDef describes one registrable mock implementation: the operation
-// whose function set it extends, its unique name, and the builder that
-// compiles it for one rank. Provenance records which guideline promoted it
-// (empty for catalog entries that were never promoted).
+// whose function set it extends, its unique name, and the schedule that
+// implements it over that operation's buffers. Provenance records which
+// guideline promoted it (empty for catalog entries that were never
+// promoted).
 type MockDef struct {
 	Op         string
 	Name       string
 	Provenance string
-	Build      func(env MockEnv) func() Started
+
+	sched func(n, me, root int, send, recv mpi.Buf) *nbc.Schedule
 }
 
-// mockCatalog is the static vocabulary of composed mocks the guideline
-// engine knows how to build, keyed by name. Guarded by mockMu only for the
-// Provenance updates of RecordMockProvenance; the set of entries is fixed
-// at init.
-var (
-	mockMu      sync.Mutex
-	mockCatalog = map[string]*MockDef{
-		MockIbcastScatterAllgather: {
-			Op:   "ibcast",
-			Name: MockIbcastScatterAllgather,
-			Build: func(env MockEnv) func() Started {
-				n, me := env.Comm.Size(), env.Comm.Rank()
-				sched := nbc.MockBcastScatterAllgather(n, me, env.Root, env.Buf)
-				c := env.Comm
-				return func() Started { return nbc.Start(c, sched) }
-			},
-		},
-		MockIallgatherGatherBcast: {
-			Op:   "iallgather",
-			Name: MockIallgatherGatherBcast,
-			Build: func(env MockEnv) func() Started {
-				n, me := env.Comm.Size(), env.Comm.Rank()
-				sched := nbc.MockAllgatherGatherBcast(n, me, env.Send, env.Recv)
-				c := env.Comm
-				return func() Started { return nbc.Start(c, sched) }
-			},
-		},
-		MockIalltoallSplit: {
-			Op:   "ialltoall",
-			Name: MockIalltoallSplit,
-			Build: func(env MockEnv) func() Started {
-				n, me := env.Comm.Size(), env.Comm.Rank()
-				sched := nbc.MockAlltoallSplit(n, me, env.Send, env.Recv)
-				c := env.Comm
-				return func() Started { return nbc.Start(c, sched) }
-			},
-		},
-	}
-)
-
-// Names of the catalog mocks, usable in bench.MicroSpec.Mocks and the
-// *SetWith constructors.
+// Names of the catalog mocks, usable in bench.MicroSpec.Mocks and Op.Build.
 const (
 	MockIbcastScatterAllgather = "mock-ibcast-scatter-allgather"
 	MockIallgatherGatherBcast  = "mock-iallgather-gather-bcast"
 	MockIalltoallSplit         = "mock-ialltoall-split2"
 )
 
+// mockCatalog is the static vocabulary of composed mocks the guideline
+// engine knows how to build, sorted by name. Guarded by mockMu only for the
+// Provenance updates of RecordMockProvenance; the set of entries is fixed.
+var (
+	mockMu      sync.Mutex
+	mockCatalog = []*MockDef{
+		{Op: "iallgather", Name: MockIallgatherGatherBcast,
+			sched: func(n, me, _ int, send, recv mpi.Buf) *nbc.Schedule {
+				return nbc.MockAllgatherGatherBcast(n, me, send, recv)
+			}},
+		{Op: "ialltoall", Name: MockIalltoallSplit,
+			sched: func(n, me, _ int, send, recv mpi.Buf) *nbc.Schedule {
+				return nbc.MockAlltoallSplit(n, me, send, recv)
+			}},
+		{Op: "ibcast", Name: MockIbcastScatterAllgather,
+			sched: func(n, me, root int, buf, _ mpi.Buf) *nbc.Schedule {
+				return nbc.MockBcastScatterAllgather(n, me, root, buf)
+			}},
+	}
+)
+
 // MockByName returns the catalog entry for a mock name.
 func MockByName(name string) (MockDef, bool) {
 	mockMu.Lock()
 	defer mockMu.Unlock()
-	d, ok := mockCatalog[name]
-	if !ok {
-		return MockDef{}, false
+	for _, d := range mockCatalog {
+		if d.Name == name {
+			return *d, true
+		}
 	}
-	return *d, true
+	return MockDef{}, false
 }
 
 // MockNames returns the sorted names of every catalog mock.
 func MockNames() []string {
-	mockMu.Lock()
-	defer mockMu.Unlock()
-	out := make([]string, 0, len(mockCatalog))
-	for n := range mockCatalog {
-		out = append(out, n)
+	out := make([]string, len(mockCatalog))
+	for i, d := range mockCatalog {
+		out[i] = d.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -145,44 +113,70 @@ func MockNames() []string {
 func RecordMockProvenance(name, provenance string) {
 	mockMu.Lock()
 	defer mockMu.Unlock()
-	if d, ok := mockCatalog[name]; ok {
-		d.Provenance = provenance
+	for _, d := range mockCatalog {
+		if d.Name == name {
+			d.Provenance = provenance
+		}
 	}
 }
 
-// appendMocks extends fs with the named catalog mocks for op: each
-// attribute's value range gains the MockAttrValue sentinel and each mock
-// joins with the all-sentinel attribute vector. Mock names are sorted so
-// the extended set's function order is deterministic regardless of caller
-// order. Unknown names and mocks for a different op are errors — a
-// violated guideline must never silently fail to register its mock.
-func appendMocks(fs *FunctionSet, op string, mocks []string, env MockEnv) error {
-	if len(mocks) == 0 {
-		return nil
-	}
-	sorted := append([]string(nil), mocks...)
-	sort.Strings(sorted)
-	if fs.AttrSet != nil {
-		for i := range fs.AttrSet.Attrs {
-			fs.AttrSet.Attrs[i].Values = append(fs.AttrSet.Attrs[i].Values, MockAttrValue)
-		}
-	}
-	for _, name := range sorted {
+// CheckMocks vets a mock list against the operation: unknown names and
+// mocks for a different operation are errors — a violated guideline must
+// never silently fail to register its mock.
+func (o *Op) CheckMocks(mocks []string) error {
+	for _, name := range mocks {
 		def, ok := MockByName(name)
 		if !ok {
 			return fmt.Errorf("adcl: unknown mock %q (have %v)", name, MockNames())
 		}
-		if def.Op != op {
-			return fmt.Errorf("adcl: mock %q extends %q sets, not %q", name, def.Op, op)
+		if def.Op != o.Name {
+			return fmt.Errorf("adcl: mock %q extends %q sets, not %q", name, def.Op, o.Name)
 		}
-		attrs := []int(nil)
-		if fs.AttrSet != nil {
-			attrs = make([]int, len(fs.AttrSet.Attrs))
-			for i := range attrs {
-				attrs[i] = MockAttrValue
-			}
-		}
-		fs.Fns = append(fs.Fns, &Function{Name: def.Name, Attrs: attrs, Start: def.Build(env)})
 	}
 	return nil
+}
+
+// appendMocks extends fs with the named catalog mocks: each attribute's
+// value range gains the MockAttrValue sentinel and each mock joins with the
+// all-sentinel attribute vector. Mock names are sorted so the extended set's
+// function order is deterministic regardless of caller order.
+func (o *Op) appendMocks(fs *FunctionSet, mocks []string, c *mpi.Comm, send, recv mpi.Buf, root int) error {
+	if len(mocks) == 0 {
+		return nil
+	}
+	if err := o.CheckMocks(mocks); err != nil {
+		return err
+	}
+	sorted := append([]string(nil), mocks...)
+	sort.Strings(sorted)
+	attrs := []int(nil)
+	if fs.AttrSet != nil {
+		attrs = make([]int, len(fs.AttrSet.Attrs))
+		for i := range fs.AttrSet.Attrs {
+			fs.AttrSet.Attrs[i].Values = append(fs.AttrSet.Attrs[i].Values, MockAttrValue)
+			attrs[i] = MockAttrValue
+		}
+	}
+	for _, name := range sorted {
+		def, _ := MockByName(name)
+		fs.Fns = append(fs.Fns, schedFn(c, def.sched(c.Size(), c.Rank(), root, send, recv), attrs...))
+	}
+	return nil
+}
+
+// MockSet wraps one catalog mock as a single-candidate, uncharacterized
+// function set over length-only buffers sized like Op.Set sizes the mock's
+// operation.
+func MockSet(c *mpi.Comm, name string, msg int) (*FunctionSet, error) {
+	def, ok := MockByName(name)
+	if !ok {
+		return nil, fmt.Errorf("adcl: unknown mock %q (have %v)", name, MockNames())
+	}
+	op, err := OpByName(def.Op)
+	if err != nil {
+		return nil, err
+	}
+	send, recv := op.Buffers(c.Size(), msg, mpi.Virtual)
+	fn := schedFn(c, def.sched(c.Size(), c.Rank(), 0, send, recv))
+	return &FunctionSet{Name: name, Fns: []*Function{fn}}, nil
 }

@@ -7,6 +7,15 @@ import (
 	"nbctune/internal/platform"
 )
 
+func mustOp(t *testing.T, name string) *Op {
+	t.Helper()
+	op, err := OpByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
 // buildIbcastWith compiles an Ibcast set on a small crill world, optionally
 // extended with guideline mocks.
 func buildIbcastWith(t *testing.T, mocks []string) *FunctionSet {
@@ -20,7 +29,7 @@ func buildIbcastWith(t *testing.T, mocks []string) *FunctionSet {
 	var buildErr error
 	w.Start(func(c *mpi.Comm) {
 		if c.Rank() == 0 {
-			fs, buildErr = IbcastSetWith(c, 0, mpi.Virtual(4096), mocks)
+			fs, buildErr = mustOp(t, "ibcast").Set(c, 4096, mocks)
 		}
 	})
 	eng.Run()
@@ -57,11 +66,11 @@ func TestMockExtendedSetValidates(t *testing.T) {
 }
 
 func TestAppendMocksRejectsBadNames(t *testing.T) {
-	fs := fakeSet([]int{0, 1})
-	if err := appendMocks(fs, "ibcast", []string{"no-such-mock"}, MockEnv{}); err == nil {
+	op := mustOp(t, "ibcast")
+	if err := op.CheckMocks([]string{"no-such-mock"}); err == nil {
 		t.Fatal("unknown mock name accepted")
 	}
-	if err := appendMocks(fs, "ibcast", []string{MockIalltoallSplit}, MockEnv{}); err == nil {
+	if err := op.CheckMocks([]string{MockIalltoallSplit}); err == nil {
 		t.Fatal("mock for a different operation accepted")
 	}
 }

@@ -1,0 +1,142 @@
+package core
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"nbctune/internal/mpi"
+	"nbctune/internal/platform"
+)
+
+// onEveryRank runs prog on every rank of a fresh np-rank crill world.
+func onEveryRank(t *testing.T, np int, prog func(c *mpi.Comm)) {
+	t.Helper()
+	_, w, err := platform.Crill().NewWorld(np, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Start(prog)
+	w.Run()
+}
+
+// opFunctions pins every catalogue op's function names, in index order, as
+// they were when each driver still had its own op switch. iallreduce lists
+// the power-of-two shape; elsewhere its two algorithms compile to one.
+var opFunctions = map[string][]string{
+	"ialltoall":      {"ialltoall-linear", "ialltoall-dissemination", "ialltoall-pairwise"},
+	"ialltoall-ext":  {"ialltoall-linear", "ialltoall-dissemination", "ialltoall-pairwise", "alltoall-blocking"},
+	"ialltoall-prim": {"ialltoall-linear", "ialltoall-dissemination", "ialltoall-pairwise", "ialltoall-linear-put", "ialltoall-pairwise-put"},
+	"ibcast": {
+		"ibcast-linear-seg32k", "ibcast-linear-seg64k", "ibcast-linear-seg128k",
+		"ibcast-chain-seg32k", "ibcast-chain-seg64k", "ibcast-chain-seg128k",
+		"ibcast-2-ary-seg32k", "ibcast-2-ary-seg64k", "ibcast-2-ary-seg128k",
+		"ibcast-3-ary-seg32k", "ibcast-3-ary-seg64k", "ibcast-3-ary-seg128k",
+		"ibcast-4-ary-seg32k", "ibcast-4-ary-seg64k", "ibcast-4-ary-seg128k",
+		"ibcast-5-ary-seg32k", "ibcast-5-ary-seg64k", "ibcast-5-ary-seg128k",
+		"ibcast-binomial-seg32k", "ibcast-binomial-seg64k", "ibcast-binomial-seg128k",
+	},
+	"ibcast-scalable": {
+		"ibcast-linear-seg32k", "ibcast-linear-seg64k", "ibcast-linear-seg128k",
+		"ibcast-binomial-seg32k", "ibcast-binomial-seg64k", "ibcast-binomial-seg128k",
+		"ibcast-torus-seg32k", "ibcast-torus-seg64k", "ibcast-torus-seg128k",
+	},
+	"iallgather":          {"iallgather-ring", "iallgather-linear"},
+	"iallgather-scalable": {"iallgather-ring", "iallgather-linear", "iallgather-bruck"},
+	"ireduce":             {"ireduce-binomial", "ireduce-chain"},
+	"iallreduce":          {"iallreduce-recursive-doubling", "iallreduce-reduce-bcast"},
+	"ibarrier":            {"ibarrier-dissemination", "ibarrier-tree"},
+	"neighborhood": {
+		"aao-isendirecv-pack", "aao-isendirecv-ddt", "pairwise-isendirecv-pack",
+		"pairwise-isendirecv-ddt", "pairwise-sendrecv-pack", "pairwise-sendrecv-ddt",
+	},
+}
+
+// TestOpCatalogue: every op of the catalogue builds a valid function set on
+// every rank of small communicators, under the names the drivers have always
+// printed, and one run of every function completes.
+func TestOpCatalogue(t *testing.T) {
+	if got := OpNames(); len(got) != len(opFunctions) {
+		t.Fatalf("catalogue lists %v, the test pins %d ops", got, len(opFunctions))
+	}
+	for _, name := range OpNames() {
+		op := mustOp(t, name)
+		sizes := []int{2, 3, 4, 5}
+		if name == "neighborhood" {
+			sizes = []int{9} // square process grids only
+		}
+		if op.PerSize != (name == "iallreduce" || name == "neighborhood") {
+			t.Errorf("%s: PerSize = %v", name, op.PerSize)
+		}
+		for _, np := range sizes {
+			want := opFunctions[name]
+			if name == "iallreduce" && np&(np-1) != 0 {
+				want = want[1:]
+			}
+			onEveryRank(t, np, func(c *mpi.Comm) {
+				fs, err := op.Set(c, 4096, nil)
+				if err == nil {
+					err = fs.Validate()
+				}
+				if err != nil {
+					t.Errorf("%s on %d ranks: %v", name, np, err)
+					return
+				}
+				if got := fs.FunctionNames(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s on %d ranks: functions %v, want %v", name, np, got, want)
+				}
+				for _, fn := range fs.Fns {
+					if h := fn.Start(); h != nil {
+						h.Wait()
+					}
+				}
+			})
+		}
+	}
+	if _, err := OpByName("igather"); err == nil || !strings.Contains(err.Error(), "ialltoall, ialltoall-ext") {
+		t.Errorf("unknown op error %v does not list the catalogue", err)
+	}
+}
+
+// TestMocksAttachToTheirOp: every catalogue mock extends exactly the one op it
+// names — appended last, under its own name, as an uncharacterized function —
+// and every other op refuses it; MockSet wraps it alone.
+func TestMocksAttachToTheirOp(t *testing.T) {
+	for _, mock := range MockNames() {
+		def, ok := MockByName(mock)
+		if !ok || def.Name != mock {
+			t.Fatalf("MockByName(%q) = %+v, %v", mock, def, ok)
+		}
+		for _, name := range OpNames() {
+			op := mustOp(t, name)
+			np := 4
+			if name == "neighborhood" {
+				np = 9
+			}
+			onEveryRank(t, np, func(c *mpi.Comm) {
+				fs, err := op.Set(c, 4096, []string{mock})
+				if name != def.Op {
+					if err == nil {
+						t.Errorf("%s accepted %s, a mock for %s", name, mock, def.Op)
+					}
+					return
+				}
+				if err == nil {
+					err = fs.Validate()
+				}
+				if err != nil {
+					t.Errorf("%s + %s: %v", name, mock, err)
+					return
+				}
+				last := fs.Fns[len(fs.Fns)-1]
+				if last.Name != mock || !IsMockFn(last) || len(fs.Fns) != len(opFunctions[name])+1 {
+					t.Errorf("%s + %s: functions %v", name, mock, fs.FunctionNames())
+				}
+				alone, err := MockSet(c, mock, 4096)
+				if err != nil || alone.Validate() != nil || len(alone.Fns) != 1 || alone.Fns[0].Name != mock {
+					t.Errorf("MockSet(%s) = %+v, %v", mock, alone, err)
+				}
+			})
+		}
+	}
+}

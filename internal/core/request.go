@@ -155,7 +155,6 @@ type Timer struct {
 	reqs    []*Request
 	t0      float64
 	running bool
-	laps    int
 	seen    []Selector // StopWith scratch, capacity-reused so Stop never allocates
 }
 
@@ -205,9 +204,6 @@ func (t *Timer) Stop() {
 	t.StopWith(t.Elapsed())
 }
 
-// Laps returns how many intervals have been recorded.
-func (t *Timer) Laps() int { return t.laps }
-
 // Elapsed returns the time since Start of the running interval.
 func (t *Timer) Elapsed() float64 {
 	if !t.running {
@@ -229,7 +225,6 @@ func (t *Timer) StopWith(elapsed float64) {
 		panic("adcl: timer stopped without start")
 	}
 	t.running = false
-	t.laps++
 	// Timers own a handful of requests, so the duplicate-selector check is a
 	// scan over a reused scratch list rather than a per-stop map.
 	t.seen = t.seen[:0]

@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/json"
 	"math"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -154,52 +152,5 @@ func TestCaptureNeverDecides(t *testing.T) {
 	}
 	if got := c.Samples(); len(got) != 10 || got[4] != 4 {
 		t.Fatalf("Capture.Samples() = %v", got)
-	}
-}
-
-// TestHistoryFreeze is the satellite read-only guard: a frozen history keeps
-// answering lookups but refuses Save and panics on Record.
-func TestHistoryFreeze(t *testing.T) {
-	h := NewHistory()
-	h.Record("k", HistoryEntry{Winner: "w"})
-	h.Freeze("forked world")
-	if !h.Frozen() {
-		t.Fatal("Frozen() false after Freeze")
-	}
-	if _, ok := h.Lookup("k"); !ok {
-		t.Fatal("frozen history lost its entries")
-	}
-	if err := h.Save(filepath.Join(t.TempDir(), "h.json")); err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("frozen Save error = %v, want read-only refusal", err)
-	}
-	func() {
-		defer func() {
-			if r := recover(); r == nil || !strings.Contains(r.(string), "read-only") {
-				t.Fatalf("frozen Record panic = %v, want read-only diagnostic", r)
-			}
-		}()
-		h.Record("k2", HistoryEntry{Winner: "x"})
-	}()
-}
-
-// TestReadOnlySource: lookups pass through, writes panic with the fork
-// diagnostic, and a nil inner source degrades to a pure miss.
-func TestReadOnlySource(t *testing.T) {
-	h := NewHistory()
-	h.Record("k", HistoryEntry{Winner: "w", Env: "e"})
-	src := ReadOnlySource(h)
-	if e, ok := src.LookupEnv("k", "e"); !ok || e.Winner != "w" {
-		t.Fatalf("LookupEnv through ReadOnlySource = (%+v,%v)", e, ok)
-	}
-	func() {
-		defer func() {
-			if r := recover(); r == nil || !strings.Contains(r.(string), "forked worlds") {
-				t.Fatalf("ReadOnlySource.Record panic = %v", r)
-			}
-		}()
-		src.Record("k", HistoryEntry{Winner: "x"})
-	}()
-	if _, ok := ReadOnlySource(nil).LookupEnv("k", "e"); ok {
-		t.Fatal("nil-backed ReadOnlySource reported a hit")
 	}
 }

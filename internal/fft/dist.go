@@ -239,13 +239,6 @@ func (p *Plan) Slab() []complex128 { return p.slab }
 // Trans returns the transposed array ([L][N][N], index (ly*N+gx)*N+z).
 func (p *Plan) Trans() []complex128 { return p.trans }
 
-// LocalPlanes returns the number of x-planes owned by this rank.
-func (p *Plan) LocalPlanes() int { return p.L }
-
-// Window and TileSize expose the pattern geometry actually in use.
-func (p *Plan) Window() int   { return p.W }
-func (p *Plan) TileSize() int { return p.tp }
-
 // Decided reports whether the ADCL selection (if any) has converged, and
 // the winner's name.
 func (p *Plan) Decided() (bool, string) {

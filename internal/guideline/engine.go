@@ -32,7 +32,6 @@ type Config struct {
 	// progress lines.
 	Workers  int
 	Cache    *runner.Cache
-	Retries  int
 	Progress io.Writer
 }
 
@@ -170,7 +169,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	results, err := runner.Run(jobs, runner.Options{
-		Workers: cfg.Workers, Cache: cfg.Cache, Retries: cfg.Retries, Progress: cfg.Progress,
+		Workers: cfg.Workers, Cache: cfg.Cache, Progress: cfg.Progress,
 	})
 	if err != nil {
 		return nil, err
@@ -293,7 +292,7 @@ func adopt(sc Scenario, g Guideline, mock string) (Registration, error) {
 	var buildErr error
 	var audit *obs.Audit
 	run(func(c *mpi.Comm) {
-		fs, err := opSetWith(c, g.Op, sc.Size, []string{mock})
+		fs, err := opSet(c, g.Op, sc.Size, []string{mock})
 		if err != nil {
 			if c.Rank() == 0 {
 				buildErr = err

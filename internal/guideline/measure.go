@@ -155,55 +155,25 @@ func LeafKey(sc Scenario, l Leaf) (string, error) {
 	return runner.Fingerprint(measureVersion, sc.env(), l)
 }
 
-// opSetWith builds the tuned function set for an operation at a payload
-// size, optionally extended with guideline mocks, using cmd/tune's sizing
-// conventions (virtual payloads: the guideline engine compares timings).
-func opSetWith(c *mpi.Comm, op string, size int, mocks []string) (*core.FunctionSet, error) {
-	n := c.Size()
-	switch op {
-	case "ibcast":
-		return core.IbcastSetWith(c, 0, mpi.Virtual(size), mocks)
-	case "ialltoall":
-		return core.IalltoallSetWith(c, mpi.Virtual(n*size), mpi.Virtual(n*size), false, mocks)
-	case "iallgather":
-		return core.IallgatherSetWith(c, mpi.Virtual(size), mpi.Virtual(n*size), mocks)
-	case "ireduce":
-		if len(mocks) > 0 {
-			return nil, fmt.Errorf("guideline: no mocks defined for %q", op)
-		}
-		return core.IreduceSet(c, 0, mpi.Virtual(size), mpi.Virtual(size), nil), nil
-	case "iallreduce":
-		if len(mocks) > 0 {
-			return nil, fmt.Errorf("guideline: no mocks defined for %q", op)
-		}
-		return core.IallreduceSet(c, mpi.Virtual(size), mpi.Virtual(size), nil), nil
-	default:
-		return nil, fmt.Errorf("guideline: unknown operation %q", op)
+// leafSet builds what a leaf measures — the tuned function set of its
+// operation, or its mock as a single-candidate set — through the op
+// catalogue's sizing conventions (virtual payloads: the guideline engine
+// compares timings).
+func leafSet(c *mpi.Comm, l Leaf) (*core.FunctionSet, error) {
+	if l.Mock != "" {
+		return core.MockSet(c, l.Mock, l.Size)
 	}
+	return opSet(c, l.Op, l.Size, nil)
 }
 
-// mockSet wraps one catalog mock as a single-candidate function set, sized
-// like opSetWith sizes the mock's operation.
-func mockSet(c *mpi.Comm, name string, size int) (*core.FunctionSet, error) {
-	def, ok := core.MockByName(name)
-	if !ok {
-		return nil, fmt.Errorf("guideline: unknown mock %q", name)
+// opSet builds the tuned function set for an operation at a payload size,
+// optionally extended with guideline mocks.
+func opSet(c *mpi.Comm, op string, size int, mocks []string) (*core.FunctionSet, error) {
+	o, err := core.OpByName(op)
+	if err != nil {
+		return nil, fmt.Errorf("guideline: %w", err)
 	}
-	n := c.Size()
-	env := core.MockEnv{Comm: c}
-	switch def.Op {
-	case "ibcast":
-		env.Buf = mpi.Virtual(size)
-	case "ialltoall":
-		env.Send, env.Recv = mpi.Virtual(n*size), mpi.Virtual(n*size)
-	case "iallgather":
-		env.Send, env.Recv = mpi.Virtual(size), mpi.Virtual(n*size)
-	default:
-		return nil, fmt.Errorf("guideline: mock %q has unsupported op %q", name, def.Op)
-	}
-	return &core.FunctionSet{Name: name, Fns: []*core.Function{
-		{Name: name, Start: def.Build(env)},
-	}}, nil
+	return o.Set(c, size, mocks)
 }
 
 // world assembles the scenario's simulated machine (the single platform
@@ -217,13 +187,13 @@ func (s Scenario) world() (runFn func(prog func(c *mpi.Comm)), err error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, w, err := pl.NewWorldChaos(s.Procs, s.Seed, platform.Cyclic, prof, s.ChaosSeed)
+	_, w, err := pl.NewWorldChaos(s.Procs, s.Seed, platform.Cyclic, prof, s.ChaosSeed)
 	if err != nil {
 		return nil, err
 	}
 	return func(prog func(c *mpi.Comm)) {
 		w.Start(prog)
-		eng.Run()
+		w.Run()
 	}, nil
 }
 
@@ -247,13 +217,7 @@ func MeasureLeaf(sc Scenario, l Leaf) (LeafResult, error) {
 		buildErr error
 	)
 	run(func(c *mpi.Comm) {
-		var fs *core.FunctionSet
-		var err error
-		if l.Mock != "" {
-			fs, err = mockSet(c, l.Mock, l.Size)
-		} else {
-			fs, err = opSetWith(c, l.Op, l.Size, nil)
-		}
+		fs, err := leafSet(c, l)
 		if err != nil {
 			if c.Rank() == 0 {
 				buildErr = err

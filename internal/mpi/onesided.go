@@ -28,13 +28,12 @@ import "fmt"
 // Win is a one-sided communication window: a per-rank exposed buffer.
 // Creating a window is collective over the communicator.
 type Win struct {
-	c        *Comm
-	buf      Buf // exposed memory; virtual windows carry no storage
-	ctx      int
-	local    []*Request // requests for locally-issued operations
-	inPuts   int        // incoming puts not yet visible (host-attended)
-	received int64      // total puts landed in this window, monotone
-	epoch    int
+	c      *Comm
+	buf    Buf // exposed memory; virtual windows carry no storage
+	ctx    int
+	local  []*Request // requests for locally-issued operations
+	inPuts int        // incoming puts not yet visible (host-attended)
+	epoch  int
 
 	// Per-instance arrival counting for put-with-notify collectives.
 	// Instances are ordered collectively (NextInstance), so a put tagged
@@ -44,10 +43,6 @@ type Win struct {
 	instanceSeq int64
 	perInstance map[int64]int
 }
-
-// TotalReceived returns the monotone count of puts that have landed in this
-// window.
-func (w *Win) TotalReceived() int64 { return w.received }
 
 // NextInstance starts a new collective operation instance over this window
 // and returns its id. Like all collective state it relies on every rank
@@ -69,7 +64,6 @@ func (w *Win) ReceivedFor(instance int64) int {
 }
 
 func (w *Win) countArrival(instance int64) {
-	w.received++
 	if instance > 0 {
 		if w.perInstance == nil {
 			w.perInstance = map[int64]int{}

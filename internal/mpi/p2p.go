@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // Point-to-point messaging: requests, matching, and the eager/rendezvous
 // protocol state machines. Matching itself is delegated to the indexed
 // engine in match.go; this file keeps the protocol and its modeled costs.
@@ -292,9 +290,6 @@ func (r *Rank) processCTS(sreq, rreq *Request) {
 }
 
 func (r *Rank) processBulk(src, tag int, buf Buf, rreq *Request) {
-	if r.w.eng.TraceOf() != nil {
-		r.w.eng.Tracef("bulk-done", fmt.Sprintf("rank%d", r.id), "src=%d size=%d", src, buf.Len())
-	}
 	p := r.net().Params()
 	cost := p.ORecv
 	if !p.RDMA {
@@ -314,9 +309,6 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 	req := r.w.allocReq()
 	req.r, req.kind, req.peer, req.tag, req.ctx, req.buf = r, reqSend, dst, tag, ctx, b
 	p := r.net().Params()
-	if r.w.eng.TraceOf() != nil {
-		r.w.eng.Tracef("isend", fmt.Sprintf("rank%d", r.id), "dst=%d tag=%d size=%d", dst, tag, size)
-	}
 	r.charge(p.OPost)
 	dstRank := r.w.ranks[dst]
 	if p.Eager(size) {

@@ -108,7 +108,7 @@ func (w *World) Observe(rec *obs.Recorder) {
 }
 
 // Start spawns one simulated process per rank, each executing prog with its
-// world communicator. Call eng.Run() afterwards to execute the simulation.
+// world communicator. Call Run afterwards to execute the simulation.
 func (w *World) Start(prog func(c *Comm)) {
 	ctx := w.nextCtx
 	w.nextCtx++
@@ -131,6 +131,11 @@ func (w *World) Start(prog func(c *Comm)) {
 		})
 	}
 }
+
+// Run executes the simulation to completion on the world's engine. With
+// Start and Observe it is the whole surface a rank-program harness needs, and
+// the one ShardedWorld shares.
+func (w *World) Run() { w.eng.Run() }
 
 // Rank is the per-process state of the simulated MPI library.
 type Rank struct {

@@ -269,10 +269,6 @@ func (h *Handle) roundDone() bool {
 	return h.awaitSatisfied()
 }
 
-// Released reports whether the handle has been returned to its rank's pool
-// (its execution completed and was observed via Wait or Progress).
-func (h *Handle) Released() bool { return h.released }
-
 // awaitSatisfied checks the current round's put-count gate.
 func (h *Handle) awaitSatisfied() bool {
 	if h.await < 0 {

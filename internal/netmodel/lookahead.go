@@ -32,10 +32,3 @@ func (p *Params) LookaheadFloorUnder(nodes int, minLatFactor float64) float64 {
 	}
 	return p.LookaheadFloor(nodes) * f
 }
-
-// Lookahead returns this network's cached PDES lookahead floor. On a
-// sequential network it still reports the platform's floor (useful for
-// diagnostics); a sharded view computes it once at construction.
-func (n *Network) Lookahead() float64 {
-	return n.p.LookaheadFloor(len(n.nodes))
-}

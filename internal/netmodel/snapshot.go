@@ -107,6 +107,3 @@ func (s *Snapshot) Fork(eng *sim.Engine, inj *chaos.Injector) *Network {
 	}
 	return n
 }
-
-// ChaosInjector returns the attached injector (nil when running clean).
-func (n *Network) ChaosInjector() *chaos.Injector { return n.chaos }

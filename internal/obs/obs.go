@@ -254,9 +254,6 @@ func (r *Recorder) Ranks() int {
 // Intervals returns rank's state timeline, oldest first.
 func (r *Recorder) Intervals(rank int) []Interval { return r.ranks[rank].intervals }
 
-// Ops returns rank's collective-operation spans, oldest first.
-func (r *Recorder) Ops(rank int) []OpSpan { return r.ranks[rank].ops }
-
 // NICSpans returns all recorded NIC occupancy spans in canonical order:
 // by node, then recording order within the node.
 func (r *Recorder) NICSpans() []NICSpan {
@@ -266,19 +263,6 @@ func (r *Recorder) NICSpans() []NICSpan {
 	var out []NICSpan
 	for _, ns := range r.nicByNode {
 		out = append(out, ns...)
-	}
-	return out
-}
-
-// Marks returns all instant annotations in canonical order: by rank, then
-// recording order within the rank.
-func (r *Recorder) Marks() []Mark {
-	if r == nil {
-		return nil
-	}
-	var out []Mark
-	for i := range r.ranks {
-		out = append(out, r.ranks[i].marks...)
 	}
 	return out
 }

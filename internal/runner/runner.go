@@ -1,9 +1,10 @@
 // Package runner is the experiment execution engine behind the sweep
 // drivers: it runs independent, deterministic simulation jobs on a worker
-// pool sized by GOMAXPROCS, isolates per-job panics, retries transient
-// failures, enforces per-job timeouts, streams progress with an ETA to
-// stderr, and persists every completed result in a content-addressed
-// on-disk cache so re-runs and interrupted sweeps resume for free.
+// pool sized by GOMAXPROCS, isolates per-job panics (a deterministic job that
+// panicked would panic again, so nothing is retried), streams progress with
+// an ETA to stderr, and persists every completed result in a
+// content-addressed on-disk cache so re-runs and interrupted sweeps resume
+// for free.
 //
 // Results come back indexed by submission order regardless of completion
 // order, so aggregation over them is byte-identical whether a sweep ran on
@@ -45,13 +46,6 @@ type Options struct {
 	// Cache, when non-nil, is consulted before running a job and updated
 	// after each completion.
 	Cache *Cache
-	// Retries is how many times a failed or panicked attempt is re-run
-	// before the job is reported as failed. Timeouts are not retried.
-	Retries int
-	// Timeout bounds one attempt's wall-clock time; 0 means no bound.
-	// A timed-out attempt's goroutine is abandoned, not killed — use
-	// generous bounds, this is a hang backstop, not a scheduler.
-	Timeout time.Duration
 	// Progress, when non-nil, receives one line per completed job:
 	// done/total, the label, per-job wall time, cache hits, and an ETA.
 	Progress io.Writer
@@ -73,14 +67,13 @@ func (o Options) workers(n int) int {
 
 // Result is the outcome of one job.
 type Result struct {
-	Index    int             // position in the submitted job slice
-	Label    string          // copied from the job
-	Key      string          // copied from the job
-	Value    json.RawMessage // JSON-encoded result (also what was cached)
-	Err      error           // non-nil if every attempt failed
-	Cached   bool            // true if served from the store without running
-	Attempts int             // attempts executed (0 for cache hits)
-	Wall     time.Duration   // wall-clock time spent on this job
+	Index  int             // position in the submitted job slice
+	Label  string          // copied from the job
+	Key    string          // copied from the job
+	Value  json.RawMessage // JSON-encoded result (also what was cached)
+	Err    error           // non-nil if the job failed or panicked
+	Cached bool            // true if served from the store without running
+	Wall   time.Duration   // wall-clock time spent on this job
 }
 
 // Decode unmarshals a result value into out.
@@ -129,7 +122,7 @@ func Run(jobs []Job, opt Options) ([]Result, error) {
 	return results, nil
 }
 
-// runOne serves one job from the cache or executes it with retry.
+// runOne serves one job from the cache or executes it.
 func runOne(i int, job Job, opt Options) Result {
 	res := Result{Index: i, Label: job.Label, Key: job.Key}
 	start := time.Now()
@@ -142,68 +135,25 @@ func runOne(i int, job Job, opt Options) Result {
 			return res
 		}
 	}
-	for a := 0; a <= opt.Retries; a++ {
-		res.Attempts = a + 1
-		v, err := attempt(job, opt.Timeout)
-		if err != nil {
-			res.Err = err
-			if _, timedOut := err.(*TimeoutError); timedOut {
-				break
-			}
-			continue
-		}
-		raw, err := json.Marshal(v)
-		if err != nil {
-			res.Err = fmt.Errorf("encode result: %w", err)
-			break
-		}
-		res.Value = raw
-		res.Err = nil
-		if opt.Cache != nil && job.Key != "" {
-			if err := opt.Cache.Put(job.Key, job.Label, raw); err != nil {
-				res.Err = err
-			}
-		}
-		break
+	v, err := attempt(job)
+	if err != nil {
+		res.Err = err
+		return res
+	}
+	if res.Value, err = json.Marshal(v); err != nil {
+		res.Err = fmt.Errorf("encode result: %w", err)
+	} else if opt.Cache != nil && job.Key != "" {
+		res.Err = opt.Cache.Put(job.Key, job.Label, res.Value)
 	}
 	return res
 }
 
-// TimeoutError reports an attempt that exceeded Options.Timeout.
-type TimeoutError struct {
-	Limit time.Duration
-}
-
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("timed out after %s", e.Limit)
-}
-
-// attempt runs the job once with panic isolation and an optional deadline.
-func attempt(job Job, timeout time.Duration) (any, error) {
-	run := func() (v any, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}()
-		return job.Run()
-	}
-	if timeout <= 0 {
-		return run()
-	}
-	type outcome struct {
-		v   any
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		v, err := run()
-		ch <- outcome{v, err}
+// attempt runs the job with panic isolation.
+func attempt(job Job) (v any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
 	}()
-	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-time.After(timeout):
-		return nil, &TimeoutError{Limit: timeout}
-	}
+	return job.Run()
 }

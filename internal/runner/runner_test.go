@@ -55,8 +55,8 @@ func TestRunPreservesSubmissionOrder(t *testing.T) {
 		if v != i*10 {
 			t.Fatalf("result %d = %d, want %d", i, v, i*10)
 		}
-		if r.Cached || r.Attempts != 1 {
-			t.Fatalf("result %d: cached=%v attempts=%d", i, r.Cached, r.Attempts)
+		if r.Cached {
+			t.Fatalf("result %d served from a cache that was not configured", i)
 		}
 	}
 }
@@ -111,7 +111,7 @@ func TestCacheHitAndMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range rs2 {
-		if !r.Cached || r.Attempts != 0 {
+		if !r.Cached {
 			t.Fatalf("warm run missed on job %d: %+v", i, r)
 		}
 		if !bytes.Equal(r.Value, rs[i].Value) {
@@ -164,44 +164,22 @@ func TestResumeAfterSimulatedInterrupt(t *testing.T) {
 	}
 }
 
-func TestRetryOnPanic(t *testing.T) {
-	var calls atomic.Int32
-	jobs := []Job{{
-		Label: "flaky",
-		Run: func() (any, error) {
-			if calls.Add(1) == 1 {
-				panic("transient failure")
-			}
-			return "ok", nil
-		},
-	}}
-	rs, err := Run(jobs, Options{Workers: 1, Retries: 2})
-	if err != nil {
-		t.Fatal(err)
+// TestPanicBecomesError: a panicking job fails its own result and the run,
+// not the process, and the other jobs still complete.
+func TestPanicBecomesError(t *testing.T) {
+	jobs := []Job{
+		{Label: "doomed", Run: func() (any, error) { panic("always") }},
+		{Label: "fine", Run: func() (any, error) { return 1, nil }},
 	}
-	if rs[0].Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", rs[0].Attempts)
-	}
-	var v string
-	if err := rs[0].Decode(&v); err != nil || v != "ok" {
-		t.Fatalf("v=%q err=%v", v, err)
-	}
-}
-
-func TestPanicExhaustsRetries(t *testing.T) {
-	jobs := []Job{{
-		Label: "doomed",
-		Run:   func() (any, error) { panic("always") },
-	}}
-	rs, err := Run(jobs, Options{Workers: 1, Retries: 1})
+	rs, err := Run(jobs, Options{Workers: 1})
 	if err == nil {
-		t.Fatal("exhausted retries reported no error")
+		t.Fatal("panicked job reported no error")
 	}
 	if !strings.Contains(err.Error(), "panic: always") || !strings.Contains(err.Error(), "doomed") {
 		t.Fatalf("error = %v", err)
 	}
-	if rs[0].Attempts != 2 || rs[0].Err == nil {
-		t.Fatalf("result: %+v", rs[0])
+	if rs[0].Err == nil || rs[1].Err != nil {
+		t.Fatalf("results: %+v", rs)
 	}
 }
 
@@ -222,29 +200,6 @@ func TestFirstErrorByIndexIsDeterministic(t *testing.T) {
 	_, err := Run(jobs, Options{Workers: 3})
 	if err == nil || !strings.Contains(err.Error(), "early-index-slow") {
 		t.Fatalf("error = %v", err)
-	}
-}
-
-func TestTimeoutNotRetried(t *testing.T) {
-	var calls atomic.Int32
-	jobs := []Job{{
-		Label: "hang",
-		Run: func() (any, error) {
-			calls.Add(1)
-			time.Sleep(5 * time.Second)
-			return nil, nil
-		},
-	}}
-	start := time.Now()
-	_, err := Run(jobs, Options{Workers: 1, Retries: 3, Timeout: 30 * time.Millisecond})
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("error = %v", err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("timed-out job retried %d times", calls.Load())
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("timeout did not bound the run")
 	}
 }
 

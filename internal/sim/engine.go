@@ -123,8 +123,6 @@ type Engine struct {
 
 	// Stats counters, useful in tests and for harness reporting.
 	EventsFired int64
-
-	trace *Trace
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -265,82 +264,4 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
-}
-
-func TestTraceRecordsAndBounds(t *testing.T) {
-	e := NewEngine(1)
-	tr := NewTrace(e, 3)
-	for i := 0; i < 5; i++ {
-		i := i
-		e.At(float64(i), func() { e.Tracef("tick", "test", "i=%d", i) })
-	}
-	e.Run()
-	if tr.Total() != 5 {
-		t.Fatalf("total = %d", tr.Total())
-	}
-	evs := tr.Events()
-	if len(evs) != 3 {
-		t.Fatalf("ring kept %d events", len(evs))
-	}
-	if evs[0].Msg != "i=2" || evs[2].Msg != "i=4" {
-		t.Fatalf("ring contents wrong: %v", evs)
-	}
-	if len(tr.Filter("tick")) != 3 || len(tr.Filter("other")) != 0 {
-		t.Fatal("filter wrong")
-	}
-	if ks := tr.Kinds(); len(ks) != 1 || ks[0] != "tick" {
-		t.Fatalf("kinds = %v", ks)
-	}
-}
-
-func TestTracefWithoutTraceIsNoop(t *testing.T) {
-	e := NewEngine(1)
-	e.Tracef("x", "y", "z") // must not panic
-	if e.TraceOf() != nil {
-		t.Fatal("trace attached unexpectedly")
-	}
-}
-
-func TestTraceRingWrapsMultipleTimes(t *testing.T) {
-	// Regression test for the head-index ring: after wrapping several times
-	// the events must still come back oldest-first, at every fill level.
-	for total := 1; total <= 13; total++ {
-		e := NewEngine(1)
-		tr := NewTrace(e, 4)
-		for i := 0; i < total; i++ {
-			i := i
-			e.At(float64(i), func() { e.Tracef("tick", "test", "i=%d", i) })
-		}
-		e.Run()
-		evs := tr.Events()
-		want := total
-		if want > 4 {
-			want = 4
-		}
-		if len(evs) != want {
-			t.Fatalf("total=%d: kept %d events, want %d", total, len(evs), want)
-		}
-		for j, ev := range evs {
-			if wantMsg := fmt.Sprintf("i=%d", total-want+j); ev.Msg != wantMsg {
-				t.Fatalf("total=%d: event %d = %q, want %q (%v)", total, j, ev.Msg, wantMsg, evs)
-			}
-		}
-		if tr.Total() != int64(total) {
-			t.Fatalf("total=%d: Total()=%d", total, tr.Total())
-		}
-	}
-}
-
-func BenchmarkTraceRecordFullRing(b *testing.B) {
-	// The ring is at capacity for the whole benchmark, so every Record
-	// takes the eviction path; it must be O(1), not O(capacity).
-	e := NewEngine(1)
-	tr := NewTrace(e, 4096)
-	for i := 0; i < 4096; i++ {
-		tr.Record("warm", "bench", "fill")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Record("tick", "bench", "hot")
-	}
 }

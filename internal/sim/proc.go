@@ -121,14 +121,6 @@ func (p *Proc) Sleep(d Time) {
 	p.parkPrepared()
 }
 
-// Yield parks the process and schedules an immediate wakeup, letting other
-// events at the current virtual time run first.
-func (p *Proc) Yield() {
-	g := p.prepark()
-	p.eng.atWake(0, p, g)
-	p.parkPrepared()
-}
-
 type condWaiter struct {
 	p *Proc
 	g uint64
@@ -176,6 +168,3 @@ func (c *Cond) Signal() {
 	c.waiters = c.waiters[:n]
 	c.eng.atWake(0, w.p, w.g)
 }
-
-// Waiters reports the number of parked processes on the condition.
-func (c *Cond) Waiters() int { return len(c.waiters) }

@@ -107,9 +107,6 @@ func NewWindows(engs []*Engine, lookahead float64) *Windows {
 // deliveries to it from shard i's engine context.
 func (ws *Windows) Outbox(i int) *Outbox { return &ws.out[i] }
 
-// Lookahead returns the window lookahead in virtual seconds.
-func (ws *Windows) Lookahead() float64 { return ws.la }
-
 // Shards returns the number of shard engines.
 func (ws *Windows) Shards() int { return len(ws.engs) }
 
