@@ -12,9 +12,12 @@ build:
 
 # perf/ is its own module, which ./... from the root does not reach: vet it
 # too, so a signature it compiles against cannot break unnoticed until `test`.
+# Any file gofmt would rewrite fails the target (perf/ belongs to the
+# benchmark and is not checked here).
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C perf ./...
+	@out=$$(gofmt -l cmd internal examples *.go); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		metrOut  = fl.String("metrics", "", "write overlap metrics + the rank-0 selection audit as JSON")
 		chaosStr = fl.String("chaos", "off", "fault/noise injection profile: off or a profile name")
 		chaosSd  = fl.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
-		specOn   = fl.Bool("speculate", false, "evaluate candidates on speculative world forks instead of in-line learning (ialltoall/ibcast)")
+		specOn   = fl.Bool("speculate", false, "evaluate candidates on speculative world forks instead of in-line learning")
 		specWrk  = fl.Int("spec-workers", 0, "fork worker pool for -speculate (0 = GOMAXPROCS); decisions are identical for every value")
 		shardStr = fl.String("shards", "", "run on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
 		verify   = fl.Bool("verify", false, "also measure every fixed implementation on the micro-benchmark loop and report whether the selector's winner is correct")
@@ -145,13 +145,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Warm history leaves no learning phase to speculate on: fall through to
 	// the normal fixed-winner path.
 	speculate := *specOn && known < 0
-	if *specOn {
-		if *opName != "ialltoall" && *opName != "ibcast" {
-			return fmt.Errorf("-speculate supports ops ialltoall and ibcast, not %q", *opName)
-		}
-		if *tracOut != "" {
-			return fmt.Errorf("-speculate does not support -trace: recorder spans cannot cross a snapshot")
-		}
+	if *specOn && *tracOut != "" {
+		return fmt.Errorf("-speculate does not support -trace: recorder spans cannot cross a snapshot")
 	}
 
 	var rec *obs.Recorder

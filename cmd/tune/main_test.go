@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"nbctune/internal/core"
 )
 
 // TestGolden pins stdout and the -metrics artifact of four command lines,
@@ -66,6 +69,25 @@ func TestShardsWithHistory(t *testing.T) {
 	}
 }
 
+// TestSpeculateEveryOp: -speculate is not limited to the ops it was first
+// wired for; every catalogue op snapshots, forks one world per candidate and
+// commits a winner.
+func TestSpeculateEveryOp(t *testing.T) {
+	winner := regexp.MustCompile(`(?m)^winner: \S+ \(`)
+	for _, op := range core.OpNames() {
+		np := "8"
+		if op == "neighborhood" {
+			np = "16" // needs a square rank count
+		}
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-op", op, "-np", np, "-speculate", "-spec-workers", "2"}, &stdout, &stderr); err != nil {
+			t.Errorf("tune -op %s -speculate: %v\n%s", op, err, stderr.Bytes())
+		} else if !winner.Match(stdout.Bytes()) {
+			t.Errorf("tune -op %s -speculate printed no winner:\n%s", op, stdout.Bytes())
+		}
+	}
+}
+
 // TestRefusals: each unsupported combination is refused once, by the layer
 // that cannot serve it, and tune reports that layer's message.
 func TestRefusals(t *testing.T) {
@@ -76,7 +98,6 @@ func TestRefusals(t *testing.T) {
 		"-shards 2 -chaos congested":   "not supported under PDES",
 		"-shards 2 -op ialltoall-prim": "not supported under PDES",
 		"-shards 2 -speculate":         "do not support PDES",
-		"-speculate -op iallgather":    "-speculate supports ops",
 		"-speculate -trace t.json":     "-speculate does not support -trace",
 		"-shards 0":                    "invalid -shards",
 	} {

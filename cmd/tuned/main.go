@@ -35,7 +35,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:7070", "listen address (host:0 picks a free port)")
 		snapshot = flag.String("snapshot", "results/kb_snapshot.json", "snapshot file for persistence (empty disables)")
 		flush    = flag.Duration("flush", 2*time.Second, "coalescing interval of the background snapshot flusher")
-		shards   = flag.Int("shards", kb.DefaultShards, "store shard count (rounded up to a power of two)")
 		quiet    = flag.Bool("quiet", false, "disable the per-request access log")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-request handling timeout")
 	)
@@ -53,7 +52,7 @@ func main() {
 			}
 		}
 	}
-	st, err := kb.Open(kb.StoreOptions{Shards: *shards, SnapshotPath: *snapshot, FlushEvery: *flush})
+	st, err := kb.Open(kb.StoreOptions{SnapshotPath: *snapshot, FlushEvery: *flush})
 	if err != nil {
 		fail(err)
 	}

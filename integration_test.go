@@ -4,6 +4,9 @@ package nbctune_test
 // (sim -> netmodel -> mpi -> nbc -> core -> bench) rather than one layer.
 
 import (
+	"bytes"
+	"encoding/json"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
@@ -123,11 +126,11 @@ func TestIntegration_VerificationDeterministic(t *testing.T) {
 		Platform: plat, Procs: 8, MsgSize: 64 * 1024, Op: bench.OpIalltoall,
 		ComputePerIter: 5e-3, Iterations: 15, ProgressCalls: 3, Seed: 77, EvalsPerFn: 2,
 	}
-	v1, err := bench.RunVerification(spec, "brute-force")
+	v1, err := bench.RunVerificationOpts(spec, bench.RunOptions{}, "brute-force")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := bench.RunVerification(spec, "brute-force")
+	v2, err := bench.RunVerificationOpts(spec, bench.RunOptions{}, "brute-force")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +145,8 @@ func TestIntegration_VerificationDeterministic(t *testing.T) {
 }
 
 // TestIntegration_TraceObservesRendezvous: attach a recorder and check the
-// library's protocol transitions are visible on the NIC timelines.
+// library's protocol transitions are visible on the NIC timelines of the
+// exported trace.
 func TestIntegration_TraceObservesRendezvous(t *testing.T) {
 	plat, err := platform.ByName("whale")
 	if err != nil {
@@ -158,20 +162,40 @@ func TestIntegration_TraceObservesRendezvous(t *testing.T) {
 		c.Alltoall(mpi.Virtual(4*64*1024), mpi.Virtual(4*64*1024)) // rendezvous-sized blocking alltoall
 	})
 	eng.Run()
+	var buf bytes.Buffer
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Cat  string  `json:"cat"`
+			Ts   float64 `json:"ts"`
+			Args struct {
+				Dir string `json:"dir"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
 	var firstTX, firstRX float64 = -1, -1
-	count := map[obs.Dir]int{}
-	for _, s := range rec.NICSpans() {
-		count[s.Dir]++
+	count := map[string]int{}
+	for _, ev := range trace.TraceEvents {
+		if ev.Cat != "nic" {
+			continue
+		}
+		count[ev.Args.Dir]++
 		first := &firstTX
-		if s.Dir == obs.RX {
+		if ev.Args.Dir == obs.RX.String() {
 			first = &firstRX
 		}
-		if *first < 0 || s.Start < *first {
-			*first = s.Start
+		if *first < 0 || ev.Ts < *first {
+			*first = ev.Ts
 		}
 	}
-	if count[obs.TX] != 4*3 || count[obs.RX] != 4*3 {
-		t.Fatalf("recorded %d TX and %d RX NIC spans, want 12 each", count[obs.TX], count[obs.RX])
+	tx, rx := count[obs.TX.String()], count[obs.RX.String()]
+	if tx != 4*3 || rx != 4*3 {
+		t.Fatalf("trace holds %d TX and %d RX NIC spans, want 12 each", tx, rx)
 	}
 	if firstRX <= firstTX {
 		t.Fatalf("first RX span starts at %g, not after the first TX span at %g", firstRX, firstTX)
@@ -228,5 +252,18 @@ func TestIntegration_SweepMachinery(t *testing.T) {
 		if r := st.Rate(sel); r < 0 || r > 1 {
 			t.Fatalf("%s rate = %g", sel, r)
 		}
+	}
+}
+
+// TestPerfModuleBuilds: perf/ is its own module, which `go test ./...` from
+// the root does not reach, yet it compiles against this module's internal
+// packages. Vetting it here makes an API deletion that breaks the
+// benchmark's build fail tier-1, not only `make vet`.
+func TestPerfModuleBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the go tool on the perf module")
+	}
+	if out, err := exec.Command("go", "vet", "-C", "perf", "./...").CombinedOutput(); err != nil {
+		t.Fatalf("go vet -C perf ./...: %v\n%s", err, out)
 	}
 }

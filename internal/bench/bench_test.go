@@ -115,7 +115,7 @@ func TestRunADCLUnknownSelector(t *testing.T) {
 }
 
 func TestVerificationCorrectness(t *testing.T) {
-	v, err := RunVerification(smallSpec(t), "brute-force")
+	v, err := RunVerificationOpts(smallSpec(t), RunOptions{}, "brute-force")
 	if err != nil {
 		t.Fatal(err)
 	}

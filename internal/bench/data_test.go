@@ -19,12 +19,12 @@ func TestMicroDataModeTimingNeutral(t *testing.T) {
 	for _, op := range []string{OpIalltoall, OpIbcast} {
 		spec := smallSpec(t)
 		spec.Op = op
-		virt, err := RunVerification(spec, "brute-force")
+		virt, err := RunVerificationOpts(spec, RunOptions{}, "brute-force")
 		if err != nil {
 			t.Fatal(err)
 		}
 		spec.Data = true
-		real, err := RunVerification(spec, "brute-force")
+		real, err := RunVerificationOpts(spec, RunOptions{}, "brute-force")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestMicroDataModeVerifiesPayloads(t *testing.T) {
 	spec := smallSpec(t)
 	spec.Data = true
 	spec.Iterations = 8
-	if _, err := RunVerification(spec, "brute-force"); err != nil {
+	if _, err := RunVerificationOpts(spec, RunOptions{}, "brute-force"); err != nil {
 		t.Fatalf("data-mode run failed: %v", err)
 	}
 	plain := spec

@@ -82,7 +82,7 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 	if spec.Flavor == fft.FlavorADCL || spec.Flavor == fft.FlavorADCLExt {
 		label += ":" + sel
 	}
-	w, err := chaosWorld(spec.Platform, spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed)
+	w, err := spec.Platform.NewWorldChaosNamed(spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed)
 	if err != nil {
 		return FFTResult{}, nil, err
 	}

@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"sync"
 
-	"nbctune/internal/chaos/profiles"
 	"nbctune/internal/core"
 	"nbctune/internal/mpi"
 	"nbctune/internal/obs"
@@ -157,18 +156,6 @@ type World interface {
 	Run()
 }
 
-// chaosWorld builds a sequential simulated machine through the single
-// platform assembly point, with the named chaos profile attached (none for
-// ""/"off").
-func chaosWorld(pl platform.Platform, procs int, seed int64, place platform.Placement, chaosName string, chaosSeed int64) (*mpi.World, error) {
-	prof, err := profiles.ByName(chaosName)
-	if err != nil {
-		return nil, err
-	}
-	_, w, err := pl.NewWorldChaos(procs, seed, place, prof, chaosSeed)
-	return w, err
-}
-
 // World assembles the spec's simulated machine — sequential by default, the
 // sharded (PDES) world when spec.PDES is set. It is the one place a driver or
 // harness turns a spec into a machine, so it is also where an unsupported
@@ -180,7 +167,7 @@ func (s MicroSpec) World() (World, error) {
 	if s.PDES {
 		return s.Platform.NewWorldPDES(s.Procs, s.Seed, s.Placement, s.Shards)
 	}
-	return chaosWorld(s.Platform, s.Procs, s.Seed, s.Placement, s.Chaos, s.ChaosSeed)
+	return s.Platform.NewWorldChaosNamed(s.Procs, s.Seed, s.Placement, s.Chaos, s.ChaosSeed)
 }
 
 // payload allocates an n-byte buffer descriptor in the spec's data mode:
@@ -509,12 +496,6 @@ type Verification struct {
 	Fixed []MicroResult
 	ADCL  []MicroResult
 	Best  int // index into Fixed of the fastest fixed implementation
-}
-
-// RunVerification executes the full verification run for a spec,
-// sequentially. It is RunVerificationOpts on one worker with no cache.
-func RunVerification(spec MicroSpec, selectors ...string) (*Verification, error) {
-	return RunVerificationOpts(spec, RunOptions{}, selectors...)
 }
 
 // RunVerificationOpts executes the verification run on the experiment

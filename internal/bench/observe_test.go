@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"nbctune/internal/platform"
@@ -50,16 +52,35 @@ func TestObservationIsTimingNeutral(t *testing.T) {
 	if len(m.NIC) == 0 {
 		t.Error("no NIC spans recorded for an inter-node broadcast")
 	}
-	// Per-rank timelines must exist and stay inside the run's time range.
-	for rank := 0; rank < rec.Ranks(); rank++ {
-		ivs := rec.Intervals(rank)
-		if len(ivs) == 0 {
-			t.Fatalf("rank %d has no state intervals", rank)
+	// Per-rank timelines must exist in the exported trace, in order and
+	// without overlap (1e-6 µs absorbs the seconds-to-µs rounding).
+	var buf bytes.Buffer
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Cat     string
+			Tid     int
+			Ts, Dur float64
 		}
-		for i := 1; i < len(ivs); i++ {
-			if ivs[i].Start < ivs[i-1].End {
-				t.Fatalf("rank %d intervals overlap: %+v then %+v", rank, ivs[i-1], ivs[i])
-			}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	ends := make([]float64, spec.Procs)
+	for _, ev := range trace.TraceEvents {
+		if ev.Cat != "state" {
+			continue
+		}
+		if ev.Ts < ends[ev.Tid]-1e-6 {
+			t.Fatalf("rank %d intervals overlap: one starts at %v µs, the previous ends at %v µs", ev.Tid, ev.Ts, ends[ev.Tid])
+		}
+		ends[ev.Tid] = ev.Ts + ev.Dur
+	}
+	for rank, end := range ends {
+		if end == 0 {
+			t.Fatalf("rank %d has no state intervals", rank)
 		}
 	}
 }

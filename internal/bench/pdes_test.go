@@ -87,11 +87,9 @@ func TestPDESDeterminismMatrix(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		var au bytes.Buffer
-		if err := audit.WriteJSON(&au); err != nil {
+		if a.audit, err = json.Marshal(audit); err != nil {
 			t.Fatalf("shards=%d: audit: %v", shards, err)
 		}
-		a.audit = au.Bytes()
 
 		// Full verification-sweep summary over the spec.
 		st, err := VerificationSweepOpts([]MicroSpec{s}, []string{"brute-force", "attr-heuristic"}, RunOptions{})

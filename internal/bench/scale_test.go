@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nbctune/internal/mpi"
+	"nbctune/internal/nbc"
 	"nbctune/internal/platform"
 	"nbctune/internal/sim"
 )
@@ -16,6 +17,24 @@ import (
 var update = flag.Bool("update", false, "rewrite BENCH_scale.json from the rows this run simulates")
 
 const scalePinsPath = "../../BENCH_scale.json"
+
+// IdleBudgetBytesPerRank is the hard per-rank memory budget for an idle
+// world, independent of any committed baseline: a 16K-rank world must
+// construct inside it on any machine. Measured cost is ~400 B/rank (rank
+// records, world free lists, per-node NIC state amortized over the ranks
+// sharing the node); the budget leaves ~2.5x headroom while still refusing
+// any eager-initialization regression — pre-scale-work worlds cost
+// ~5.5 KiB/rank (per-rank RNGs alone were 4.9 KiB).
+const IdleBudgetBytesPerRank = 1024
+
+// scaleProg is the pinned workload: a full-world barrier (matching
+// pressure: log2(n) rounds, n messages each) followed by a binomial
+// broadcast (tree latency + pipelining).
+func scaleProg(c *mpi.Comm) {
+	n, me := c.Size(), c.Rank()
+	nbc.Run(c, nbc.Ibarrier(n, me))
+	nbc.Run(c, nbc.Ibcast(n, me, 0, mpi.Virtual(64*1024), nbc.FanoutBinomial, 32*1024))
+}
 
 // scalePins is BENCH_scale.json: what scaleProg deterministically does on
 // block-placed bgp-16k worlds. Sequential worlds are keyed by rank count; the
@@ -92,11 +111,11 @@ func bgp16k(t *testing.T) platform.Platform {
 }
 
 // runScale runs scaleProg on a freshly built sequential world.
-func runScale(plat platform.Platform, eng *sim.Engine, w *mpi.World) ScalePoint {
+func runScale(plat platform.Platform, ranks int, eng *sim.Engine, w *mpi.World) ScalePoint {
 	w.Start(scaleProg)
 	virt := eng.Run()
 	return ScalePoint{
-		Ranks: w.Size(), Nodes: (w.Size() + plat.CoresPerNode - 1) / plat.CoresPerNode,
+		Ranks: ranks, Nodes: (ranks + plat.CoresPerNode - 1) / plat.CoresPerNode,
 		Events: eng.EventsFired, VirtualSeconds: virt,
 	}
 }
@@ -120,7 +139,7 @@ func TestSimulatedPins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pins.checkPoint(t, runScale(plat, eng, w))
+			pins.checkPoint(t, runScale(plat, row.ranks, eng, w))
 			continue
 		}
 		sw, err := plat.NewWorldPDES(row.ranks, 1, platform.Block, row.shards)
@@ -129,7 +148,7 @@ func TestSimulatedPins(t *testing.T) {
 		}
 		sw.Start(scaleProg)
 		sw.Run()
-		got := pdesPin{Events: sw.EventsFired(), WindowBarriers: sw.Windows().Barriers, VirtualSeconds: sw.Now()}
+		got := pdesPin{Events: sw.EventsFired(), WindowBarriers: sw.Windows().Barriers, VirtualSeconds: sw.Windows().Now()}
 		if *update && row.shards == 1 { // higher shard counts must then reproduce it
 			pins.PDES = got
 		}
@@ -169,7 +188,7 @@ func TestIdleWorldFootprint16K(t *testing.T) {
 			ranks, perRank, IdleBudgetBytesPerRank)
 	}
 
-	pt := runScale(plat, eng, w)
+	pt := runScale(plat, ranks, eng, w)
 	loadScalePins(t).checkPoint(t, pt)
 	t.Logf("%d ranks: %.0f B/rank idle, workload %d events in %.3f virtual s",
 		ranks, perRank, pt.Events, pt.VirtualSeconds)

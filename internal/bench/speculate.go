@@ -102,7 +102,7 @@ func RunSpeculative(spec MicroSpec, selector string, workers int) (*SpecResult, 
 	// Warm the world — one pinned iteration, so every pool (handles,
 	// requests, matcher lists) reaches working size — then snapshot at the
 	// quiescent decision point.
-	w, err := chaosWorld(spec.Platform, spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed)
+	w, err := spec.Platform.NewWorldChaosNamed(spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed)
 	if err != nil {
 		return nil, err
 	}

@@ -79,14 +79,6 @@ type Shift struct {
 	BandwidthFactor float64 `json:"bandwidth_factor,omitempty"`
 }
 
-// Zero reports whether the profile perturbs nothing (the clean baseline).
-func (p *Profile) Zero() bool {
-	return p.NoiseRel == 0 && p.DetourProb == 0 &&
-		factor(p.LatencyFactor) == 1 && factor(p.BandwidthFactor) == 1 &&
-		p.JitterMean == 0 && p.BurstEvery == 0 && p.SlowNodeFrac == 0 &&
-		len(p.Shifts) == 0
-}
-
 // Validate reports a descriptive error for nonsensical profiles.
 func (p *Profile) Validate() error {
 	switch {
@@ -114,22 +106,6 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// MinLatencyFactor returns the smallest latency multiplier this profile can
-// ever apply to an inter-node transfer: the minimum over the static factor
-// and every regime shift's override. Delivery jitter is excluded because it
-// only adds delay. PDES lookahead computation multiplies the clean latency
-// floor by this value, so a profile that *speeds up* links (factor < 1)
-// still yields a window bound no message can undercut.
-func (p *Profile) MinLatencyFactor() float64 {
-	min := factor(p.LatencyFactor)
-	for _, s := range p.Shifts {
-		if s.LatencyFactor > 0 && s.LatencyFactor < min {
-			min = s.LatencyFactor
-		}
-	}
-	return min
-}
-
 // factor maps the "0 means 1.0" convention.
 func factor(f float64) float64 {
 	if f == 0 {
@@ -145,10 +121,7 @@ func factor(f float64) float64 {
 // All methods are called from engine context (the netmodel and mpi layers),
 // which serializes them — the injector needs no locking.
 type Injector struct {
-	prof  Profile
-	seed  int64
-	ranks int
-	nodes int
+	prof Profile
 
 	compute []*rand.Rand // one OS-noise stream per rank
 	link    *rand.Rand   // delivery-jitter stream
@@ -169,9 +142,9 @@ type Injector struct {
 	nextBurst  float64
 
 	// Counters for tests and reporting.
-	Detours     int64
+	Detours      int64
 	BurstWindows int64
-	JitterDraws int64
+	JitterDraws  int64
 }
 
 // pcgSrc derives an independent deterministic source from (seed, lane).
@@ -193,7 +166,7 @@ func NewInjector(p Profile, seed int64, ranks, nodes int) (*Injector, error) {
 	if ranks < 1 || nodes < 1 {
 		return nil, fmt.Errorf("chaos: need at least one rank and one node")
 	}
-	in := &Injector{prof: p, seed: seed, ranks: ranks, nodes: nodes, shiftIdx: -1}
+	in := &Injector{prof: p, shiftIdx: -1}
 	in.compute = make([]*rand.Rand, ranks)
 	in.computeSrc = make([]*rand.PCG, ranks)
 	for r := 0; r < ranks; r++ {
@@ -259,12 +232,6 @@ func (in *Injector) Clone() *Injector {
 	cp.slow = append([]bool(nil), in.slow...)
 	return &cp
 }
-
-// Profile returns the injector's profile.
-func (in *Injector) Profile() Profile { return in.prof }
-
-// Seed returns the injector's seed.
-func (in *Injector) Seed() int64 { return in.seed }
 
 // SlowNode reports whether node nd has a degraded NIC under this injector.
 func (in *Injector) SlowNode(nd int) bool { return nd >= 0 && nd < len(in.slow) && in.slow[nd] }

@@ -86,11 +86,7 @@ func TestComputeNoiseNeverShrinks(t *testing.T) {
 }
 
 func TestZeroProfileIsIdentity(t *testing.T) {
-	var p Profile
-	if !p.Zero() {
-		t.Fatal("zero value not Zero()")
-	}
-	in, err := NewInjector(p, 1, 2, 2)
+	in, err := NewInjector(Profile{}, 1, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

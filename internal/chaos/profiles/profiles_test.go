@@ -1,6 +1,7 @@
 package profiles
 
 import (
+	"reflect"
 	"testing"
 
 	"nbctune/internal/chaos"
@@ -25,7 +26,7 @@ func TestAllShippedProfilesValidate(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Errorf("profile %q invalid: %v", n, err)
 		}
-		if p.Zero() {
+		if reflect.DeepEqual(*p, chaos.Profile{Name: n}) {
 			t.Errorf("profile %q perturbs nothing", n)
 		}
 		if _, err := chaos.NewInjector(*p, 1, 8, 4); err != nil {

@@ -183,9 +183,6 @@ func (s *Adaptive) Winner() int { return s.winner }
 // Evals returns measurements consumed across all tuning rounds.
 func (s *Adaptive) Evals() int { return s.pastEvals + s.inner.Evals() }
 
-// Retunes returns how many times drift re-opened measurement.
-func (s *Adaptive) Retunes() int { return s.retunes }
-
 // Monitoring reports that this selector consumes post-decision measurements
 // and therefore needs decision synchronization to continue after learning.
 func (s *Adaptive) Monitoring() bool { return true }

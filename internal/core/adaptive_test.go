@@ -59,27 +59,26 @@ func TestAdaptiveRetunesWhenWinnerDegrades(t *testing.T) {
 	}
 
 	h.run(8) // stable monitoring: two full windows, no drift
-	if sel.Retunes() != 0 {
-		t.Fatalf("retuned %d times in a stable environment", sel.Retunes())
+	if sel.retunes != 0 {
+		t.Fatalf("retuned %d times in a stable environment", sel.retunes)
 	}
 
 	// The environment shifts: the committed winner becomes 3x slower while
 	// the loser improves. The next full window departs the baseline.
 	h.costs[0], h.costs[1] = 3.0, 0.5
 	h.run(4 + 6 + 1) // one drift window + relearn + first monitored lap
-	if sel.Retunes() != 1 {
-		t.Fatalf("retunes = %d, want 1", sel.Retunes())
+	if sel.retunes != 1 {
+		t.Fatalf("retunes = %d, want 1", sel.retunes)
 	}
 	if sel.Winner() != 1 {
 		t.Fatalf("post-drift winner = %d, want 1", sel.Winner())
 	}
-	if au.Count(obs.AuditDrift) != 1 || au.Count(obs.AuditRetune) != 1 {
-		t.Fatalf("audit drift/retune counts = %d/%d, want 1/1",
-			au.Count(obs.AuditDrift), au.Count(obs.AuditRetune))
+	if drifts, retunes := len(auditEvents(au, obs.AuditDrift)), len(auditEvents(au, obs.AuditRetune)); drifts != 1 || retunes != 1 {
+		t.Fatalf("audit drift/retune counts = %d/%d, want 1/1", drifts, retunes)
 	}
 	// The audit's last decision (inner selector's Decide) names the new winner.
-	if au.Winner() != 1 {
-		t.Fatalf("audit winner = %d, want 1", au.Winner())
+	if w := auditWinner(t, au); w != 1 {
+		t.Fatalf("audit winner = %d, want 1", w)
 	}
 }
 
@@ -94,8 +93,8 @@ func TestAdaptiveRetunesWhenEnvironmentImproves(t *testing.T) {
 	}
 	h.costs[0], h.costs[1] = 0.9, 0.2 // everything faster, and impl1 now best
 	h.run(4 + 6)
-	if sel.Retunes() != 1 || sel.Winner() != 1 {
-		t.Fatalf("retunes=%d winner=%d, want 1/1", sel.Retunes(), sel.Winner())
+	if sel.retunes != 1 || sel.Winner() != 1 {
+		t.Fatalf("retunes=%d winner=%d, want 1/1", sel.retunes, sel.Winner())
 	}
 }
 
@@ -103,8 +102,8 @@ func TestAdaptiveStableWithoutDrift(t *testing.T) {
 	sel := NewAdaptive(func() Selector { return NewBruteForce(3, 2) }, 4, 1.5)
 	h := newDriftHarness(t, sel, 2.0, 1.0, 3.0)
 	h.run(100)
-	if sel.Retunes() != 0 {
-		t.Fatalf("spurious retunes: %d", sel.Retunes())
+	if sel.retunes != 0 {
+		t.Fatalf("spurious retunes: %d", sel.retunes)
 	}
 	if sel.Winner() != 1 {
 		t.Fatalf("winner = %d, want 1", sel.Winner())
@@ -121,8 +120,8 @@ func TestAdaptiveSmallFluctuationsTolerated(t *testing.T) {
 	h.run(6)
 	h.costs[0] = 1.3 // 1.3x baseline < 1.5x factor
 	h.run(40)
-	if sel.Retunes() != 0 {
-		t.Fatalf("retuned on sub-threshold fluctuation (%d times)", sel.Retunes())
+	if sel.retunes != 0 {
+		t.Fatalf("retuned on sub-threshold fluctuation (%d times)", sel.retunes)
 	}
 }
 

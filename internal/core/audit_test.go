@@ -15,6 +15,28 @@ func auditSet(fns int) *FunctionSet {
 	return fs
 }
 
+// auditEvents returns the audit's events of one kind, in order: how a reader
+// of the artifact (EXPERIMENTS.md's walkthrough, these tests) queries it.
+func auditEvents(a *obs.Audit, kind string) []obs.AuditEvent {
+	var out []obs.AuditEvent
+	for _, ev := range a.Events {
+		if ev.Kind == kind {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// auditWinner returns the last decision the audit logged.
+func auditWinner(t *testing.T, a *obs.Audit) int {
+	t.Helper()
+	ds := auditEvents(a, obs.AuditDecide)
+	if len(ds) == 0 {
+		t.Fatal("audit logged no decision")
+	}
+	return ds[len(ds)-1].Fn
+}
+
 // TestAuditReproducesBruteForceWinner replays the audit artifact by hand:
 // the winner must be the argmin of the robust scores of the logged raw
 // samples — the walkthrough EXPERIMENTS.md documents.
@@ -39,12 +61,17 @@ func TestAuditReproducesBruteForceWinner(t *testing.T) {
 		t.Fatalf("selector winner = %d, want 1", sel.Winner())
 	}
 	// Re-derive from the audit alone.
-	if a.Winner() != sel.Winner() {
-		t.Errorf("audit winner = %d, selector winner = %d", a.Winner(), sel.Winner())
+	if w := auditWinner(t, a); w != sel.Winner() {
+		t.Errorf("audit winner = %d, selector winner = %d", w, sel.Winner())
 	}
 	best, bestScore := -1, 0.0
 	for fn := range fs.Fns {
-		samples := a.Samples(fn)
+		var samples []float64
+		for _, ev := range auditEvents(a, obs.AuditSample) {
+			if ev.Fn == fn {
+				samples = append(samples, ev.Value)
+			}
+		}
 		if len(samples) != 2 {
 			t.Fatalf("fn %d: %d samples logged, want 2", fn, len(samples))
 		}
@@ -53,8 +80,8 @@ func TestAuditReproducesBruteForceWinner(t *testing.T) {
 			best, bestScore = fn, score
 		}
 	}
-	if best != a.Winner() {
-		t.Errorf("hand-derived winner = %d, audit says %d", best, a.Winner())
+	if w := auditWinner(t, a); best != w {
+		t.Errorf("hand-derived winner = %d, audit says %d", best, w)
 	}
 	// Estimates and the decision must be logged.
 	var sawEstimate, sawDecide bool
@@ -104,8 +131,8 @@ func TestAuditDoesNotChangeSelection(t *testing.T) {
 	if plain.Evals() != audited.Evals() {
 		t.Errorf("audit changed evals: %d vs %d", audited.Evals(), plain.Evals())
 	}
-	if a.Winner() != audited.Winner() {
-		t.Errorf("audit log winner %d != selector winner %d", a.Winner(), audited.Winner())
+	if w := auditWinner(t, a); w != audited.Winner() {
+		t.Errorf("audit log winner %d != selector winner %d", w, audited.Winner())
 	}
 	// The heuristic must have logged at least one prune or phase event.
 	var sawStructure bool

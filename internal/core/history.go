@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"sort"
 
 	"nbctune/internal/kb"
 )
@@ -100,12 +99,6 @@ func (h *History) Record(key string, e HistoryEntry) {
 	h.Entries[key] = e
 }
 
-// Lookup returns the recorded winner for a scenario key.
-func (h *History) Lookup(key string) (HistoryEntry, bool) {
-	e, ok := h.Entries[key]
-	return e, ok
-}
-
 // LookupEnv returns the recorded winner for a scenario key, but only when
 // the entry's environment fingerprint matches env: an entry tuned under a
 // different environment is stale and reported as a miss, so the caller
@@ -116,16 +109,6 @@ func (h *History) LookupEnv(key, env string) (HistoryEntry, bool) {
 		return HistoryEntry{}, false
 	}
 	return e, true
-}
-
-// Keys returns all scenario keys, sorted.
-func (h *History) Keys() []string {
-	ks := make([]string, 0, len(h.Entries))
-	for k := range h.Entries {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 // HistorySource is the seam a tuning session consults, once, before it

@@ -251,8 +251,6 @@ func ddtBlocks(dt mpi.Datatype) int {
 	switch t := dt.(type) {
 	case mpi.Vector:
 		return t.Count
-	case mpi.Indexed:
-		return len(t.Offsets)
 	case mpi.AtOffset:
 		return ddtBlocks(t.Inner)
 	default:

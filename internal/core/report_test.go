@@ -45,13 +45,13 @@ func TestTuningReportContents(t *testing.T) {
 	fs := clockFns(&clock, 3.0, 1.0)
 	req := MustRequest(fs, NewBruteForce(2, 2), now)
 	// Mid-learning report.
-	req.Start()
+	runOnce(req)
 	mid := TuningReport(req)
 	if !strings.Contains(mid, "still learning") {
 		t.Fatalf("mid-learning report:\n%s", mid)
 	}
 	for i := 0; i < 6; i++ {
-		req.Start()
+		runOnce(req)
 	}
 	rep := TuningReport(req)
 	for _, want := range []string{"impl1", "impl0", "decision: impl1", "brute-force", "clockset"} {
@@ -73,7 +73,7 @@ func TestTuningReportFixedSelector(t *testing.T) {
 	now := func() float64 { return clock }
 	fs := clockFns(&clock, 1.0)
 	req := MustRequest(fs, &FixedSelector{Fn: 0}, now)
-	req.Start()
+	runOnce(req)
 	rep := TuningReport(req)
 	if !strings.Contains(rep, "no measurements") {
 		t.Fatalf("fixed-selector report:\n%s", rep)

@@ -32,7 +32,6 @@ type Request struct {
 
 	learned   bool
 	learnedAt float64
-	execCount int
 }
 
 // NewRequest creates a persistent request. nowFn supplies the (virtual)
@@ -75,7 +74,6 @@ func (r *Request) Init() {
 	}
 	r.curFn = fn
 	r.started = true
-	r.execCount++
 	if r.timer == nil {
 		r.t0 = r.now()
 	}
@@ -108,13 +106,6 @@ func (r *Request) Wait() {
 	}
 }
 
-// Start executes the operation blocking (Init + Wait), the ADCL
-// Request_start entry point.
-func (r *Request) Start() {
-	r.Init()
-	r.Wait()
-}
-
 // Decided reports whether the selection logic has locked in a winner.
 func (r *Request) Decided() bool { return r.learned }
 
@@ -129,17 +120,6 @@ func (r *Request) Winner() *Function {
 	}
 	return r.fset.Fns[r.sel.Winner()]
 }
-
-// Current returns the implementation used by the most recent Init.
-func (r *Request) Current() *Function {
-	if r.curFn < 0 {
-		return nil
-	}
-	return r.fset.Fns[r.curFn]
-}
-
-// Executions returns how many times the operation ran.
-func (r *Request) Executions() int { return r.execCount }
 
 // Timer decouples measurement from the operation call sites (paper §III-D):
 // the elapsed time between Start and Stop — which may span computation and

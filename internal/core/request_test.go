@@ -20,22 +20,25 @@ func clockFns(clock *float64, costs ...float64) *FunctionSet {
 	return fs
 }
 
+// runOnce executes the operation blocking: one self-timed Init..Wait interval.
+func runOnce(r *Request) {
+	r.Init()
+	r.Wait()
+}
+
 func TestRequestSelfTimingConverges(t *testing.T) {
 	clock := 0.0
 	now := func() float64 { return clock }
 	fs := clockFns(&clock, 3.0, 1.0, 2.0)
 	req := MustRequest(fs, NewBruteForce(len(fs.Fns), 3), now)
 	for i := 0; i < 20; i++ {
-		req.Start()
+		runOnce(req)
 	}
 	if !req.Decided() {
 		t.Fatal("request never decided")
 	}
 	if req.Winner().Name != "impl1" {
 		t.Fatalf("winner = %s, want impl1", req.Winner().Name)
-	}
-	if req.Executions() != 20 {
-		t.Fatalf("executions = %d", req.Executions())
 	}
 }
 
@@ -85,9 +88,8 @@ func TestTimerLockstepSharedSelector(t *testing.T) {
 		timer.Start()
 		ra.Init()
 		rb.Init()
-		if ra.Current().Name != rb.Current().Name {
-			t.Fatalf("iteration %d: requests diverged: %s vs %s",
-				i, ra.Current().Name, rb.Current().Name)
+		if ra.curFn != rb.curFn {
+			t.Fatalf("iteration %d: requests diverged: fn %d vs %d", i, ra.curFn, rb.curFn)
 		}
 		ra.Wait()
 		rb.Wait()
@@ -185,7 +187,7 @@ func TestDecidedAtRecorded(t *testing.T) {
 	fs := clockFns(&clock, 2.0, 1.0)
 	req := MustRequest(fs, NewBruteForce(2, 2), now)
 	for i := 0; i < 10; i++ {
-		req.Start()
+		runOnce(req)
 	}
 	if !req.Decided() {
 		t.Fatal("not decided")
@@ -210,12 +212,12 @@ func TestHistoryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := h2.Lookup(key)
+	e, ok := h2.LookupEnv(key, "")
 	if !ok || e.Winner != "ialltoall-linear" || e.Score != 1.5 {
 		t.Fatalf("lookup = %+v, %v", e, ok)
 	}
-	if len(h2.Keys()) != 1 {
-		t.Fatalf("keys = %v", h2.Keys())
+	if len(h2.Entries) != 1 {
+		t.Fatalf("entries = %v", h2.Entries)
 	}
 }
 
@@ -248,7 +250,7 @@ func TestSelectorWithHistorySkipsLearning(t *testing.T) {
 		t.Fatal("history miss")
 	}
 	req := MustRequest(fs, sel, now)
-	req.Start()
+	runOnce(req)
 	if !req.Decided() || req.Winner().Name != "impl1" || clock != 1.0 {
 		t.Fatalf("history-driven request: decided=%v winner=%v clock=%g",
 			req.Decided(), req.Winner(), clock)

@@ -91,10 +91,10 @@ func TestSpeculativeMatchesSequential(t *testing.T) {
 		if spec1.Winner() != spec8.Winner() {
 			t.Fatalf("%s: winner differs between 1 and 8 workers", inner)
 		}
-		if got, want := spec1.Audit().Count("fork"), len(fs.Fns); got != want {
+		if got, want := len(auditEvents(spec1.Audit(), "fork")), len(fs.Fns); got != want {
 			t.Fatalf("%s: %d fork events, want %d", inner, got, want)
 		}
-		if got, want := spec1.Audit().Count("join"), len(fs.Fns); got != want {
+		if got, want := len(auditEvents(spec1.Audit(), "join")), len(fs.Fns); got != want {
 			t.Fatalf("%s: %d join events, want %d", inner, got, want)
 		}
 		if fn, decided := spec1.Next(); !decided || fn != seq.Winner() {

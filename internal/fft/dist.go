@@ -123,11 +123,11 @@ func (c Config) withDefaults() Config {
 type slot struct {
 	send, recv   []byte
 	sendB, recvB mpi.Buf
-	req        *core.Request // ADCL flavors
-	sched      *nbc.Schedule // NBC flavor
-	handle     *nbc.Handle   // NBC flavor, in flight
-	busy       bool
-	tile       int
+	req          *core.Request // ADCL flavors
+	sched        *nbc.Schedule // NBC flavor
+	handle       *nbc.Handle   // NBC flavor, in flight
+	busy         bool
+	tile         int
 }
 
 // Plan is the per-rank state of the distributed 3D FFT.
@@ -235,9 +235,6 @@ func NewPlan(c *mpi.Comm, cfg Config) (*Plan, error) {
 // Slab returns the rank's input/output x-slab array ([L][N][N], index
 // (lx*N+y)*N+z). Nil in virtual mode.
 func (p *Plan) Slab() []complex128 { return p.slab }
-
-// Trans returns the transposed array ([L][N][N], index (ly*N+gx)*N+z).
-func (p *Plan) Trans() []complex128 { return p.trans }
 
 // Decided reports whether the ADCL selection (if any) has converged, and
 // the winner's name.

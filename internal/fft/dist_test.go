@@ -82,7 +82,7 @@ func runForward3D(t *testing.T, full []complex128, N, P int, cfg Config) []compl
 		for ly := 0; ly < L; ly++ {
 			ky := c.Rank()*L + ly
 			for kx := 0; kx < N; kx++ {
-				copy(spectrum[(kx*N+ky)*N:(kx*N+ky)*N+N], pl.Trans()[(ly*N+kx)*N:(ly*N+kx)*N+N])
+				copy(spectrum[(kx*N+ky)*N:(kx*N+ky)*N+N], pl.trans[(ly*N+kx)*N:(ly*N+kx)*N+N])
 			}
 		}
 	})

@@ -65,7 +65,8 @@ func FFT1D(x []complex128, inverse bool) error {
 	return nil
 }
 
-// DFT1D is the O(n^2) reference transform used to validate FFT1D.
+// DFT1D is the O(n^2) reference transform; only the tests call it, to
+// validate FFT1D against.
 func DFT1D(x []complex128, inverse bool) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)

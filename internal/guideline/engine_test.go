@@ -79,8 +79,8 @@ func TestViolationFeedbackLoop(t *testing.T) {
 	if aud.Events[0].Detail == "" {
 		t.Fatal("mock promotion event carries no provenance detail")
 	}
-	if aud.Winner() != mockIdx {
-		t.Fatalf("audited winner = %d, want the mock (%d)", aud.Winner(), mockIdx)
+	if last := aud.Events[len(aud.Events)-1]; last.Kind != obs.AuditDecide || last.Fn != mockIdx {
+		t.Fatalf("audit ends with %+v, want the decision for the mock (%d)", last, mockIdx)
 	}
 	// And the catalog remembers which guideline promoted it.
 	def, _ := core.MockByName(reg.Mock)

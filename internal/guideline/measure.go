@@ -3,7 +3,6 @@ package guideline
 import (
 	"fmt"
 
-	"nbctune/internal/chaos/profiles"
 	"nbctune/internal/core"
 	"nbctune/internal/mpi"
 	"nbctune/internal/platform"
@@ -183,11 +182,7 @@ func (s Scenario) world() (runFn func(prog func(c *mpi.Comm)), err error) {
 	if err != nil {
 		return nil, err
 	}
-	prof, err := profiles.ByName(s.Chaos)
-	if err != nil {
-		return nil, err
-	}
-	_, w, err := pl.NewWorldChaos(s.Procs, s.Seed, platform.Cyclic, prof, s.ChaosSeed)
+	w, err := pl.NewWorldChaosNamed(s.Procs, s.Seed, platform.Cyclic, s.Chaos, s.ChaosSeed)
 	if err != nil {
 		return nil, err
 	}

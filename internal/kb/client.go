@@ -218,24 +218,6 @@ func (c *Client) sendBatch(rs []Record) error {
 	return nil
 }
 
-// Stats returns the daemon's store counters.
-func (c *Client) Stats() (Stats, error) {
-	var st Stats
-	err := c.do("GET", "/v1/stats", nil, &st)
-	return st, err
-}
-
-// Healthy reports whether the daemon answers /healthz.
-func (c *Client) Healthy() bool {
-	resp, err := c.hc.Get(c.base + "/healthz")
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
 // FellBack reports whether any operation degraded to the local fallback.
 func (c *Client) FellBack() bool {
 	c.statsMu.Lock()

@@ -2,6 +2,7 @@ package kb
 
 import (
 	"bufio"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -59,10 +60,15 @@ func TestKBSmoke(t *testing.T) {
 		}
 	}()
 
-	c := NewClient(addr, ClientOptions{})
-	if !c.Healthy() {
-		t.Fatal("daemon not healthy")
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatalf("daemon not healthy: %v", err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("daemon not healthy: /healthz answers %s", resp.Status)
+	}
+	c := NewClient(addr, ClientOptions{})
 
 	// Load the fixture through the client's batch path and replay the
 	// golden workload: answers must match the committed transcript exactly.

@@ -10,7 +10,8 @@ package mpi
 // means the reduction is timing-only (virtual payloads).
 type ReduceOp func(dst, src []byte)
 
-// SumFloat64 is a ReduceOp adding little-endian float64 vectors.
+// SumFloat64 is a ReduceOp adding little-endian float64 vectors. Only tests
+// reduce real data: it is the operator of the reduction conformance tests.
 func SumFloat64(dst, src []byte) {
 	for i := 0; i+8 <= len(dst) && i+8 <= len(src); i += 8 {
 		d := float64frombytes(dst[i : i+8])
@@ -117,7 +118,8 @@ func (c *Comm) Allreduce(send, recv Buf, op ReduceOp) {
 }
 
 // Allgather gathers each rank's send block into recv (ring algorithm).
-// recv must describe Size()*send.Len() bytes.
+// recv must describe Size()*send.Len() bytes. Kept as the reference nbc's
+// conformance tests check the Iallgather schedules against.
 func (c *Comm) Allgather(send, recv Buf) {
 	n := c.Size()
 	ssize := send.Len()
@@ -176,7 +178,8 @@ func (c *Comm) Alltoall(send, recv Buf) {
 }
 
 // Gather collects each rank's send block at root (linear). recv must
-// describe Size()*send.Len() bytes at root.
+// describe Size()*send.Len() bytes at root. Kept as the reference nbc's
+// conformance tests check the Igather schedule against.
 func (c *Comm) Gather(root int, send, recv Buf) {
 	n := c.Size()
 	ssize := send.Len()
@@ -199,7 +202,8 @@ func (c *Comm) Gather(root int, send, recv Buf) {
 }
 
 // Scatter distributes recv.Len()-byte blocks from root to every rank
-// (linear). send must describe Size()*recv.Len() bytes at root.
+// (linear). send must describe Size()*recv.Len() bytes at root. Kept as the
+// reference nbc's conformance tests check the Iscatter schedule against.
 func (c *Comm) Scatter(root int, send, recv Buf) {
 	n := c.Size()
 	ssize := recv.Len()

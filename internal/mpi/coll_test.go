@@ -263,45 +263,3 @@ func TestBcastProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSplitCreatesDisjointComms(t *testing.T) {
-	n := 8
-	sums := make([]float64, n)
-	runProg(t, n, nil, func(c *Comm) {
-		color := c.Rank() % 2
-		sub := c.Split(color, c.Rank())
-		send := Float64sToBytes([]float64{float64(c.Rank())})
-		recv := make([]byte, 8)
-		sub.Allreduce(Bytes(send), Bytes(recv), SumFloat64)
-		sums[c.Rank()] = BytesToFloat64s(recv)[0]
-	})
-	// Even ranks: 0+2+4+6 = 12; odd ranks: 1+3+5+7 = 16.
-	for r := 0; r < n; r++ {
-		want := 12.0
-		if r%2 == 1 {
-			want = 16.0
-		}
-		if sums[r] != want {
-			t.Fatalf("rank %d subcomm sum = %g, want %g", r, sums[r], want)
-		}
-	}
-}
-
-func TestDupIsolatesTraffic(t *testing.T) {
-	n := 2
-	runProg(t, n, nil, func(c *Comm) {
-		d := c.Dup()
-		peer := 1 - c.Rank()
-		// Same tag on two communicators: traffic must not cross.
-		b1 := make([]byte, 1)
-		b2 := make([]byte, 1)
-		r1 := c.Irecv(peer, 9, Bytes(b1))
-		r2 := d.Irecv(peer, 9, Bytes(b2))
-		d.Send(peer, 9, Bytes([]byte{2})) // dup comm first
-		c.Send(peer, 9, Bytes([]byte{1}))
-		c.Wait(r1, r2)
-		if b1[0] != 1 || b2[0] != 2 {
-			t.Errorf("context mixing: comm got %d, dup got %d", b1[0], b2[0])
-		}
-	})
-}

@@ -1,7 +1,5 @@
 package mpi
 
-import "sort"
-
 // Comm is a communicator handle held by one rank. As in MPI, every member of
 // a communicator holds its own handle; handles of the same communicator share
 // a context id so their traffic never matches other communicators' traffic.
@@ -10,7 +8,7 @@ type Comm struct {
 	members []int // comm rank -> world rank
 	me      int   // this rank's position in members
 	ctx     int
-	splits  int // per-handle split counter; consistent across members because Split is collective
+	wins    int // per-handle window counter; consistent across members because CreateWin is collective
 	collSeq int // per-handle collective sequence number, used to build tags
 }
 
@@ -31,9 +29,6 @@ func (c *Comm) Now() float64 { return c.r.Now() }
 
 // Compute advances this rank by d seconds of application computation.
 func (c *Comm) Compute(d float64) { c.r.Compute(d) }
-
-// Progress performs one explicit progress call on the library.
-func (c *Comm) Progress() { c.r.Progress() }
 
 // translate maps a comm-rank peer (or wildcard) to a world rank.
 func (c *Comm) translate(peer int) int {
@@ -162,72 +157,4 @@ func (c *Comm) nextCollTag() int {
 func (c *Comm) FreshNBTag() int {
 	c.collSeq++
 	return nbTagBase + ((c.collSeq-1)%nbTagWindow+1)*nbTagStride
-}
-
-// Dup returns a handle to a duplicate communicator (fresh context id). Every
-// member must call Dup the same number of times, in the same order, as with
-// a real collective.
-func (c *Comm) Dup() *Comm {
-	c.splits++
-	ctx := c.ctx*1000003 + c.splits
-	return &Comm{r: c.r, members: c.members, me: c.me, ctx: ctx}
-}
-
-// Split partitions the communicator by color, ordered by key then by
-// original rank. All members must call Split collectively with consistent
-// arguments; like a real MPI the result is undefined otherwise.
-func (c *Comm) Split(color, key int) *Comm {
-	c.splits++
-	// Deterministic context derivation shared by all members: same parent
-	// ctx, same split ordinal, same color.
-	ctx := (c.ctx*1000003+c.splits)*4099 + color + 1
-
-	// Gather (color,key) from all members through an allgather on the parent
-	// communicator so the membership list is consistent.
-	type ck struct{ color, key, rank int }
-	mine := []byte{byte(color >> 8), byte(color), byte(key >> 8), byte(key)}
-	all := make([]byte, 4*c.Size())
-	c.allgatherBytes(mine, all)
-	var group []ck
-	for i := 0; i < c.Size(); i++ {
-		col := int(int16(uint16(all[4*i])<<8 | uint16(all[4*i+1])))
-		k := int(int16(uint16(all[4*i+2])<<8 | uint16(all[4*i+3])))
-		if col == color {
-			group = append(group, ck{col, k, i})
-		}
-	}
-	sort.Slice(group, func(a, b int) bool {
-		if group[a].key != group[b].key {
-			return group[a].key < group[b].key
-		}
-		return group[a].rank < group[b].rank
-	})
-	members := make([]int, len(group))
-	me := -1
-	for i, g := range group {
-		members[i] = c.members[g.rank]
-		if g.rank == c.me {
-			me = i
-		}
-	}
-	return &Comm{r: c.r, members: members, me: me, ctx: ctx}
-}
-
-// allgatherBytes is a small internal allgather used by Split: each rank
-// contributes len(mine) bytes; out must hold Size()*len(mine) bytes.
-func (c *Comm) allgatherBytes(mine []byte, out []byte) {
-	n := c.Size()
-	bs := len(mine)
-	copy(out[c.me*bs:], mine)
-	tag := c.nextCollTag()
-	// Ring allgather.
-	right := (c.me + 1) % n
-	left := (c.me - 1 + n) % n
-	cur := c.me
-	for step := 0; step < n-1; step++ {
-		prev := (cur - 1 + n) % n
-		c.Sendrecv(right, tag, Bytes(out[cur*bs:(cur+1)*bs]),
-			left, tag, Bytes(out[prev*bs:(prev+1)*bs]))
-		cur = prev
-	}
 }

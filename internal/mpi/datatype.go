@@ -1,12 +1,10 @@
 package mpi
 
-import "fmt"
-
 // Derived datatypes. The paper lists "the method used to handle
 // discontiguous data (e.g. pack/unpack, derived data types, etc.)" among the
 // typical attributes characterizing implementations in an ADCL function set
-// (§III-C). This file provides the datatype engine those attributes choose
-// between:
+// (§III-C). This file provides the layouts; core.NeighborhoodSet's
+// implementations handle them either way:
 //
 //   - pack/unpack: gather the discontiguous elements into a contiguous
 //     staging buffer (paying memcpy time), send contiguously;
@@ -15,7 +13,7 @@ import "fmt"
 //     inefficiency instead of the copy.
 //
 // Which is faster depends on the layout's density and the network — another
-// tuning dimension, exercised by core.NeighborhoodSet.
+// tuning dimension.
 
 // Datatype describes a (possibly discontiguous) data layout in a buffer.
 type Datatype interface {
@@ -28,8 +26,6 @@ type Datatype interface {
 	Pack(dst, src []byte)
 	// Unpack scatters size bytes from src into dst's selected positions.
 	Unpack(dst, src []byte)
-	// Name identifies the type for diagnostics.
-	Name() string
 }
 
 // Contig is n contiguous bytes.
@@ -47,26 +43,12 @@ func (c Contig) Pack(dst, src []byte) { copy(dst[:c], src[:c]) }
 // Unpack implements Datatype.
 func (c Contig) Unpack(dst, src []byte) { copy(dst[:c], src[:c]) }
 
-// Name implements Datatype.
-func (c Contig) Name() string { return fmt.Sprintf("contig(%d)", int(c)) }
-
 // Vector is the classic strided layout: Count blocks of BlockLen bytes,
 // the start of consecutive blocks Stride bytes apart (Stride >= BlockLen).
 type Vector struct {
 	Count    int
 	BlockLen int
 	Stride   int
-}
-
-// Validate reports whether the vector layout is well-formed.
-func (v Vector) Validate() error {
-	if v.Count < 0 || v.BlockLen < 0 {
-		return fmt.Errorf("mpi: vector with negative count/blocklen")
-	}
-	if v.Count > 0 && v.Stride < v.BlockLen {
-		return fmt.Errorf("mpi: vector stride %d smaller than block length %d", v.Stride, v.BlockLen)
-	}
-	return nil
 }
 
 // Size implements Datatype.
@@ -94,61 +76,6 @@ func (v Vector) Unpack(dst, src []byte) {
 	}
 }
 
-// Name implements Datatype.
-func (v Vector) Name() string {
-	return fmt.Sprintf("vector(%dx%d/%d)", v.Count, v.BlockLen, v.Stride)
-}
-
-// Indexed is an arbitrary block layout: blocks of BlockLen bytes at the
-// given byte offsets (ascending, non-overlapping).
-type Indexed struct {
-	Offsets  []int
-	BlockLen int
-}
-
-// Validate reports whether the indexed layout is well-formed.
-func (x Indexed) Validate() error {
-	if x.BlockLen < 0 {
-		return fmt.Errorf("mpi: indexed with negative block length")
-	}
-	for i := 1; i < len(x.Offsets); i++ {
-		if x.Offsets[i] < x.Offsets[i-1]+x.BlockLen {
-			return fmt.Errorf("mpi: indexed offsets overlap or are unsorted at %d", i)
-		}
-	}
-	return nil
-}
-
-// Size implements Datatype.
-func (x Indexed) Size() int { return len(x.Offsets) * x.BlockLen }
-
-// Extent implements Datatype.
-func (x Indexed) Extent() int {
-	if len(x.Offsets) == 0 {
-		return 0
-	}
-	return x.Offsets[len(x.Offsets)-1] + x.BlockLen
-}
-
-// Pack implements Datatype.
-func (x Indexed) Pack(dst, src []byte) {
-	for i, off := range x.Offsets {
-		copy(dst[i*x.BlockLen:(i+1)*x.BlockLen], src[off:off+x.BlockLen])
-	}
-}
-
-// Unpack implements Datatype.
-func (x Indexed) Unpack(dst, src []byte) {
-	for i, off := range x.Offsets {
-		copy(dst[off:off+x.BlockLen], src[i*x.BlockLen:(i+1)*x.BlockLen])
-	}
-}
-
-// Name implements Datatype.
-func (x Indexed) Name() string {
-	return fmt.Sprintf("indexed(%dx%d)", len(x.Offsets), x.BlockLen)
-}
-
 // AtOffset places a datatype at a byte offset within the buffer, composing
 // layouts (e.g. "the second row" = AtOffset(rowBytes, Contig(rowBytes))).
 type AtOffset struct {
@@ -168,66 +95,7 @@ func (o AtOffset) Pack(dst, src []byte) { o.Inner.Pack(dst, src[o.Off:]) }
 // Unpack implements Datatype.
 func (o AtOffset) Unpack(dst, src []byte) { o.Inner.Unpack(dst[o.Off:], src) }
 
-// Name implements Datatype.
-func (o AtOffset) Name() string { return fmt.Sprintf("at(%d,%s)", o.Off, o.Inner.Name()) }
-
-// DDTOverheadFactor models the cost of sending a derived datatype in place:
+// ddtPerBlockOverhead models the cost of sending a derived datatype in place:
 // the NIC's gather/scatter descriptors add per-block handling that shows up
 // as extra injection overhead proportional to the number of blocks.
 const ddtPerBlockOverhead = 6e-8 // seconds per discontiguous block
-
-// blocks returns how many discontiguous pieces a datatype has.
-func blocks(dt Datatype) int {
-	switch t := dt.(type) {
-	case Contig:
-		return 1
-	case Vector:
-		return t.Count
-	case Indexed:
-		return len(t.Offsets)
-	case AtOffset:
-		return blocks(t.Inner)
-	default:
-		return 1
-	}
-}
-
-// SendTyped sends the elements dt selects from buf to dst, handling the
-// layout with pack/unpack staging when packed is true or as an in-place
-// derived datatype otherwise. The receive side mirrors with RecvTyped.
-// Virtual payloads simulate the costs only.
-func (c *Comm) SendTyped(dst, tag int, buf Buf, dt Datatype, packed bool) {
-	size := dt.Size()
-	staging := Virtual(size)
-	if buf.HasData() {
-		staging = Bytes(make([]byte, size))
-		dt.Pack(staging.Data(), buf.Data())
-	}
-	if packed {
-		c.r.ChargeCopy(size)
-	} else {
-		// Derived datatype: no copy, but per-block descriptor overhead.
-		// (The payload extraction above is semantic, at zero virtual cost.)
-		c.r.charge(ddtPerBlockOverhead * float64(blocks(dt)))
-	}
-	c.Send(dst, tag, staging)
-}
-
-// RecvTyped receives into the layout dt selects in buf.
-func (c *Comm) RecvTyped(src, tag int, buf Buf, dt Datatype, packed bool) {
-	size := dt.Size()
-	staging := Virtual(size)
-	if buf.HasData() {
-		staging = Bytes(make([]byte, size))
-	}
-	if !packed {
-		c.r.charge(ddtPerBlockOverhead * float64(blocks(dt)))
-	}
-	c.Recv(src, tag, staging)
-	if packed {
-		c.r.ChargeCopy(size)
-	}
-	if buf.HasData() {
-		dt.Unpack(buf.Data(), staging.Data())
-	}
-}

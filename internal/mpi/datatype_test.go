@@ -25,18 +25,11 @@ func TestContigPackUnpack(t *testing.T) {
 
 func TestVectorGeometry(t *testing.T) {
 	v := Vector{Count: 3, BlockLen: 2, Stride: 5}
-	if err := v.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if v.Size() != 6 {
 		t.Fatalf("size = %d", v.Size())
 	}
 	if v.Extent() != 12 { // 2*5 + 2
 		t.Fatalf("extent = %d", v.Extent())
-	}
-	bad := Vector{Count: 2, BlockLen: 4, Stride: 2}
-	if bad.Validate() == nil {
-		t.Fatal("overlapping stride accepted")
 	}
 	empty := Vector{}
 	if empty.Size() != 0 || empty.Extent() != 0 {
@@ -64,19 +57,6 @@ func TestVectorPackUnpack(t *testing.T) {
 	}
 }
 
-func TestIndexedGeometryAndValidation(t *testing.T) {
-	x := Indexed{Offsets: []int{0, 8, 20}, BlockLen: 4}
-	if err := x.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if x.Size() != 12 || x.Extent() != 24 {
-		t.Fatalf("geometry: size=%d extent=%d", x.Size(), x.Extent())
-	}
-	if (Indexed{Offsets: []int{0, 2}, BlockLen: 4}).Validate() == nil {
-		t.Fatal("overlapping indexed accepted")
-	}
-}
-
 // Property: for any valid vector layout, Pack then Unpack restores exactly
 // the selected bytes and touches nothing else.
 func TestVectorRoundTripProperty(t *testing.T) {
@@ -86,9 +66,6 @@ func TestVectorRoundTripProperty(t *testing.T) {
 			BlockLen: int(bl8%16) + 1,
 		}
 		v.Stride = v.BlockLen + int(pad8%8)
-		if v.Validate() != nil {
-			return true
-		}
 		rng := rand.New(rand.NewSource(seed))
 		src := make([]byte, v.Extent())
 		rng.Read(src)
@@ -116,96 +93,5 @@ func TestVectorRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(71))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: a Vector and the equivalent Indexed layout pack identically.
-func TestVectorIndexedEquivalenceProperty(t *testing.T) {
-	f := func(cnt8, bl8, pad8 uint8, seed int64) bool {
-		v := Vector{Count: int(cnt8%8) + 1, BlockLen: int(bl8%8) + 1}
-		v.Stride = v.BlockLen + int(pad8%5)
-		offs := make([]int, v.Count)
-		for i := range offs {
-			offs[i] = i * v.Stride
-		}
-		x := Indexed{Offsets: offs, BlockLen: v.BlockLen}
-		rng := rand.New(rand.NewSource(seed))
-		src := make([]byte, v.Extent())
-		rng.Read(src)
-		p1 := make([]byte, v.Size())
-		p2 := make([]byte, x.Size())
-		v.Pack(p1, src)
-		x.Pack(p2, src)
-		for i := range p1 {
-			if p1[i] != p2[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(73))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendRecvTypedBothModes(t *testing.T) {
-	v := Vector{Count: 4, BlockLen: 3, Stride: 8}
-	for _, packed := range []bool{true, false} {
-		src := make([]byte, v.Extent())
-		for i := range src {
-			src[i] = byte(i + 1)
-		}
-		dst := make([]byte, v.Extent())
-		runProg(t, 2, nil, func(c *Comm) {
-			switch c.Rank() {
-			case 0:
-				c.SendTyped(1, 5, Bytes(src), v, packed)
-			case 1:
-				c.RecvTyped(0, 5, Bytes(dst), v, packed)
-			}
-		})
-		for i := 0; i < v.Count; i++ {
-			for j := 0; j < v.BlockLen; j++ {
-				pos := i*v.Stride + j
-				if dst[pos] != src[pos] {
-					t.Fatalf("packed=%v: byte %d = %d, want %d", packed, pos, dst[pos], src[pos])
-				}
-			}
-		}
-	}
-}
-
-func TestTypedCostTradeoff(t *testing.T) {
-	// A very sparse layout (many tiny blocks) should be cheaper to pack than
-	// to send as a derived datatype, and a dense layout the other way
-	// around: verify the cost model produces a crossover at all.
-	run := func(dt Datatype, packed bool) float64 {
-		var elapsed float64
-		runProg(t, 2, nil, func(c *Comm) {
-			buf := make([]byte, dt.Extent())
-			t0 := c.Now()
-			switch c.Rank() {
-			case 0:
-				for i := 0; i < 20; i++ {
-					c.SendTyped(1, i, Bytes(buf), dt, packed)
-				}
-			case 1:
-				for i := 0; i < 20; i++ {
-					c.RecvTyped(0, i, Bytes(buf), dt, packed)
-				}
-			}
-			if c.Rank() == 0 {
-				elapsed = c.Now() - t0
-			}
-		})
-		return elapsed
-	}
-	sparse := Vector{Count: 512, BlockLen: 4, Stride: 64} // 2KB in 512 blocks
-	dense := Vector{Count: 2, BlockLen: 64 * 1024, Stride: 80 * 1024}
-	if run(sparse, true) >= run(sparse, false) {
-		t.Fatal("packing should win for many tiny blocks")
-	}
-	if run(dense, false) >= run(dense, true) {
-		t.Fatal("derived datatype should win for few large blocks")
 	}
 }

@@ -182,7 +182,6 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 		net:     s.net.Fork(eng, inj),
 		opts:    s.opts,
 		nextCtx: s.nextCtx,
-		forked:  true,
 	}
 	w.opts.Chaos = inj
 	// Rank records come out of one contiguous batch, and the lazily created
@@ -238,8 +237,3 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 	}
 	return eng, w
 }
-
-// Forked reports whether this world was materialized from a snapshot rather
-// than built by NewWorld. Higher layers use it to enforce fork-local
-// restrictions (e.g. tuning histories are read-only inside a fork).
-func (w *World) Forked() bool { return w.forked }

@@ -13,7 +13,7 @@ import (
 // deliberately never touches rank RNGs: forcing 4096 lazy RNGs into
 // existence would swamp the per-fork cost this file pins.
 func forkScaleFingerprint(eng *sim.Engine, w *World) []float64 {
-	n := w.Size()
+	n := len(w.ranks)
 	w.Start(func(c *Comm) {
 		me := c.Rank()
 		c.Compute(1e-5)
@@ -23,7 +23,7 @@ func forkScaleFingerprint(eng *sim.Engine, w *World) []float64 {
 	})
 	eng.Run()
 	fp := []float64{eng.Now(), float64(eng.EventsFired)}
-	net := w.Network()
+	net := w.net
 	fp = append(fp, float64(net.Transfers), float64(net.CtrlMessages), float64(net.BytesOnWire))
 	for _, r := range w.ranks {
 		fp = append(fp, r.MPITime, r.ComputeTime, float64(r.ProgressCalls))

@@ -46,7 +46,7 @@ func forkTestWorld(t testing.TB, n int) (*sim.Engine, *World) {
 // traffic, collectives, noisy compute) on a world and condenses everything
 // observable into a slice of floats for exact comparison.
 func forkFingerprint(eng *sim.Engine, w *World) []float64 {
-	n := w.Size()
+	n := len(w.ranks)
 	w.Start(func(c *Comm) {
 		me := c.Rank()
 		peer := (me + 1) % n
@@ -63,10 +63,10 @@ func forkFingerprint(eng *sim.Engine, w *World) []float64 {
 	})
 	eng.Run()
 	fp := []float64{eng.Now(), float64(eng.EventsFired)}
-	net := w.Network()
+	net := w.net
 	fp = append(fp, float64(net.Transfers), float64(net.CtrlMessages), float64(net.BytesOnWire))
 	for _, r := range w.ranks {
-		fp = append(fp, r.MPITime, r.ComputeTime, float64(r.ProgressCalls), r.Rand().Float64())
+		fp = append(fp, r.MPITime, r.ComputeTime, float64(r.ProgressCalls), r.random().Rand.Float64())
 	}
 	return fp
 }
@@ -97,9 +97,6 @@ func TestWorldForkDeterminism(t *testing.T) {
 			t.Fatalf("fork fingerprint slot %d diverged: %v vs %v", i, a[i], b[i])
 		}
 	}
-	if !w1.Forked() || w.Forked() {
-		t.Fatal("Forked() flag wrong on fork or parent")
-	}
 	if a[0] <= snap.sim.Now() {
 		t.Fatal("fork program did not advance virtual time")
 	}
@@ -118,7 +115,7 @@ func TestForkCarriesUnexpectedEager(t *testing.T) {
 			c.Send(1, 77, Bytes(payload))
 		case 1:
 			c.Compute(1e-3) // let the eager payload arrive...
-			c.Progress()    // ...and enter the unexpected queue
+			c.r.Progress()  // ...and enter the unexpected queue
 		}
 	})
 	eng.Run()

@@ -23,7 +23,7 @@ func NewMatchBench(k int, indexed bool) *MatchBench {
 	mb := &MatchBench{indexed: indexed, k: k, step: oddCoprimeStep(k)}
 	if indexed {
 		for i := 0; i < k; i++ {
-			q := &Request{kind: reqRecv, peer: 0, tag: i, ctx: 1}
+			q := &Request{peer: 0, tag: i, ctx: 1}
 			mb.reqs = append(mb.reqs, q)
 			mb.m.post(q)
 		}

@@ -35,7 +35,9 @@ const (
 // post mirrors irecv: consume the earliest matching unexpected eager
 // envelope, else the earliest matching unexpected RTS, else append to the
 // posted queue. Returns the consumed envelope's id and its queue class
-// (refQueueNone when the receive was queued).
+// (refQueueNone when the receive was queued). Only TestMatchingOrderProperty
+// calls it: it is the reference the indexed matcher's post path is checked
+// against (MatchBench drives arrive only).
 func (m *refMatcher) post(ctx, src, tag, id int) (envID, queue int) {
 	for i, e := range m.eager {
 		if refMatches(ctx, src, tag, e) {
@@ -67,22 +69,6 @@ func (m *refMatcher) arrive(ctx, src, tag, id int, rts bool) int {
 		m.rts = append(m.rts, refItem{ctx: ctx, src: src, tag: tag, id: id})
 	} else {
 		m.eager = append(m.eager, refItem{ctx: ctx, src: src, tag: tag, id: id})
-	}
-	return -1
-}
-
-// probe mirrors Iprobe: the earliest matching unexpected envelope, eager
-// class first. Returns its id or -1.
-func (m *refMatcher) probe(ctx, src, tag int) int {
-	for _, e := range m.eager {
-		if refMatches(ctx, src, tag, e) {
-			return e.id
-		}
-	}
-	for _, e := range m.rts {
-		if refMatches(ctx, src, tag, e) {
-			return e.id
-		}
 	}
 	return -1
 }

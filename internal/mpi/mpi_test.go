@@ -97,7 +97,7 @@ func TestUnexpectedEagerMessageMatchesAtPost(t *testing.T) {
 			c.Send(1, 5, Bytes([]byte{9, 8, 7}))
 		case 1:
 			c.Compute(1e-3) // message arrives while computing
-			c.Progress()    // processed into the unexpected queue
+			c.r.Progress()  // processed into the unexpected queue
 			c.Recv(0, 5, Bytes(got))
 		}
 	})
@@ -186,7 +186,7 @@ func TestRendezvousOverlapsWithProgress(t *testing.T) {
 			req := c.Irecv(0, 1, Virtual(64*1024))
 			for i := 0; i < 10; i++ {
 				c.Compute(computeT / 10)
-				c.Progress()
+				c.r.Progress()
 			}
 			c.Wait(req)
 		}
@@ -202,7 +202,7 @@ func TestEagerCompletesImmediatelyAtSender(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			req := c.Isend(1, 1, Virtual(1024))
-			if !req.Done() {
+			if !req.done {
 				t.Error("eager send not complete at post")
 			}
 			sendDone = c.Now()
@@ -257,7 +257,7 @@ func TestAccountingCounters(t *testing.T) {
 	w.Start(func(c *Comm) {
 		peer := 1 - c.Rank()
 		c.Sendrecv(peer, 1, Virtual(1024), peer, 1, Virtual(1024))
-		c.Progress()
+		c.r.Progress()
 	})
 	eng.Run()
 	for i, r := range w.ranks {

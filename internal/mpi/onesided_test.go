@@ -6,16 +6,24 @@ import (
 	"nbctune/internal/netmodel"
 )
 
+// arrived is the put-with-notify completion predicate the put-based schedules
+// wait on: n puts of the given instance have landed in w.
+func arrived(w *Win, instance int64, n int) func() bool {
+	return func() bool { return w.ReceivedFor(instance) >= n }
+}
+
 func TestPutDeliversData(t *testing.T) {
 	bufs := make([][]byte, 2)
 	runProg(t, 2, nil, func(c *Comm) {
 		buf := make([]byte, 16)
 		w := c.CreateWin(Bytes(buf))
-		w.Fence()
+		c.Barrier() // every rank has created its window
+		k := w.NextInstance()
 		if c.Rank() == 0 {
-			w.Put(1, 4, Bytes([]byte{9, 8, 7}))
+			c.Wait(w.PutInstanced(k, 1, 4, Bytes([]byte{9, 8, 7})))
+		} else {
+			c.WaitFor(arrived(w, k, 1))
 		}
-		w.Fence()
 		bufs[c.Rank()] = buf
 	})
 	if bufs[1][4] != 9 || bufs[1][5] != 8 || bufs[1][6] != 7 {
@@ -26,100 +34,109 @@ func TestPutDeliversData(t *testing.T) {
 	}
 }
 
+// On a host-attended transport the wire delivery alone changes nothing at the
+// target: the put becomes visible, is counted, and its receive overhead plus
+// copy is charged, at the target's next MPI instant.
 func TestPutHostAttendedTransport(t *testing.T) {
-	bufs := make([][]byte, 2)
-	runProg(t, 2, func(p *netmodel.Params) { p.RDMA = false }, func(c *Comm) {
-		buf := make([]byte, 8)
-		w := c.CreateWin(Bytes(buf))
-		w.Fence()
-		if c.Rank() == 0 {
-			w.Put(1, 0, Bytes([]byte{1, 2, 3, 4, 5, 6, 7, 8}))
-		}
-		w.Fence()
-		bufs[c.Rank()] = buf
-	})
-	for i, v := range bufs[1] {
-		if v != byte(i+1) {
-			t.Fatalf("TCP put: window = %v", bufs[1])
-		}
+	const size = 64 * 1024
+	payload := make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i + 1)
 	}
-}
-
-func TestGetFetchesData(t *testing.T) {
-	var got []byte
-	runProg(t, 2, nil, func(c *Comm) {
-		buf := make([]byte, 8)
-		if c.Rank() == 1 {
-			for i := range buf {
-				buf[i] = byte(40 + i)
+	runProg(t, 2, func(p *netmodel.Params) { p.RDMA = false }, func(c *Comm) {
+		buf := make([]byte, size)
+		w := c.CreateWin(Bytes(buf))
+		c.Barrier() // every rank has created its window
+		k := w.NextInstance()
+		if c.Rank() == 0 {
+			c.Wait(w.PutInstanced(k, 1, 0, Bytes(payload)))
+			return
+		}
+		c.Compute(0.5) // the transfer arrives long before this ends
+		if w.ReceivedFor(k) != 0 || buf[0] != 0 {
+			t.Errorf("TCP put visible before the target entered MPI: count %d, window[0] = %d", w.ReceivedFor(k), buf[0])
+		}
+		r := c.RankState()
+		before := r.MPITime
+		c.WaitFor(arrived(w, k, 1))
+		for i, v := range buf {
+			if v != payload[i] {
+				t.Fatalf("TCP put: window[%d] = %d, want %d", i, v, payload[i])
 			}
 		}
-		w := c.CreateWin(Bytes(buf))
-		w.Fence()
-		if c.Rank() == 0 {
-			dst := make([]byte, 4)
-			req := w.Get(1, 2, Bytes(dst))
-			c.Wait(req)
-			got = dst
-		}
-		w.Fence()
-	})
-	if got[0] != 42 || got[3] != 45 {
-		t.Fatalf("get = %v", got)
-	}
-}
-
-func TestPutVisibilityRequiresFence(t *testing.T) {
-	// The origin's put request completing locally does not imply target
-	// visibility; only the fence does. Verify the fence actually waits for
-	// incoming puts on the target side.
-	var sawAfterFence byte
-	runProg(t, 2, nil, func(c *Comm) {
-		buf := make([]byte, 4)
-		w := c.CreateWin(Bytes(buf))
-		w.Fence()
-		if c.Rank() == 0 {
-			c.Compute(1e-3) // let rank 1 reach its fence first
-			w.Put(1, 0, Bytes([]byte{77}))
-		}
-		w.Fence()
-		if c.Rank() == 1 {
-			sawAfterFence = buf[0]
+		p := r.Network().Params()
+		if got, want := r.MPITime-before, p.ORecv+p.CopyTime(size); got < want {
+			t.Errorf("target charged %g s for the put, want at least ORecv + copy = %g", got, want)
 		}
 	})
-	if sawAfterFence != 77 {
-		t.Fatalf("after fence, target saw %d", sawAfterFence)
-	}
 }
 
+// On an RDMA transport a put lands without the target entering MPI: while
+// the target computes, the origin's request completes and the bytes and the
+// arrival count appear in the target's window.
 func TestPutAutonomousOnRDMA(t *testing.T) {
-	// On an RDMA transport a put must land without the target entering MPI:
-	// the target computes for a long time, and the origin's request still
-	// completes long before the target's next MPI instant.
 	var originDone float64
 	runProg(t, 2, nil, func(c *Comm) {
-		w := c.CreateWin(Virtual(64*1024))
-		w.Fence()
+		buf := make([]byte, 64*1024)
+		w := c.CreateWin(Bytes(buf))
+		c.Barrier() // every rank has created its window
+		k := w.NextInstance()
 		switch c.Rank() {
 		case 0:
-			req := w.Put(1, 0, Virtual(64*1024))
-			c.Wait(req)
+			data := make([]byte, len(buf))
+			data[len(data)-1] = 5
+			c.Wait(w.PutInstanced(k, 1, 0, Bytes(data)))
 			originDone = c.Now()
 		case 1:
+			mpiTime := c.RankState().MPITime
 			c.Compute(0.5) // no MPI instants during the put
+			if w.ReceivedFor(k) != 1 || buf[len(buf)-1] != 5 {
+				t.Errorf("RDMA put not landed while the target computed: count %d, last byte %d", w.ReceivedFor(k), buf[len(buf)-1])
+			}
+			if c.RankState().MPITime != mpiTime {
+				t.Error("RDMA put charged the target CPU")
+			}
 		}
-		w.Fence()
 	})
 	if originDone > 0.1 {
 		t.Fatalf("RDMA put completed at %g, should not wait for the target", originDone)
 	}
 }
 
+// A put tagged for instance k+1 that arrives while the target is still in
+// instance k is not counted for k, and is not lost either: it is there when
+// the target starts k+1.
+func TestEarlyPutCountsForItsOwnInstance(t *testing.T) {
+	runProg(t, 2, nil, func(c *Comm) {
+		w := c.CreateWin(Virtual(64))
+		c.Barrier() // every rank has created its window
+		k := w.NextInstance()
+		if c.Rank() == 0 {
+			c.Wait(w.PutInstanced(k, 1, 0, Virtual(8)))
+			next := w.NextInstance()
+			c.Wait(w.PutInstanced(next, 1, 8, Virtual(8)))
+			return
+		}
+		c.Compute(0.5) // both puts land meanwhile
+		if got := w.ReceivedFor(k); got != 1 {
+			t.Errorf("instance %d counts %d puts, want 1 (the early put of instance %d leaked in)", k, got, k+1)
+		}
+		next := w.NextInstance()
+		if got := w.ReceivedFor(next); got != 1 {
+			t.Errorf("instance %d counts %d puts, want the 1 that arrived early", next, got)
+		}
+		if got := w.ReceivedFor(k); got != 0 {
+			t.Errorf("finished instance %d still holds a count of %d", k, got)
+		}
+	})
+}
+
 func TestPutBoundsChecked(t *testing.T) {
 	panicked := false
 	runProg(t, 2, nil, func(c *Comm) {
 		w := c.CreateWin(Bytes(make([]byte, 8)))
-		w.Fence()
+		c.Barrier() // every rank has created its window
+		k := w.NextInstance()
 		if c.Rank() == 0 {
 			func() {
 				defer func() {
@@ -127,34 +144,36 @@ func TestPutBoundsChecked(t *testing.T) {
 						panicked = true
 					}
 				}()
-				w.Put(1, 6, Bytes([]byte{1, 2, 3, 4})) // exceeds the window
+				w.PutInstanced(k, 1, 6, Bytes([]byte{1, 2, 3, 4})) // exceeds the window
 			}()
 		}
-		w.Fence()
 	})
 	if !panicked {
 		t.Fatal("oversized put accepted")
 	}
 }
 
-func TestManyPutsThenFence(t *testing.T) {
+func TestManyPutsCounted(t *testing.T) {
 	const n = 4
 	const chunk = 8
 	bufs := make([][]byte, n)
 	runProg(t, n, nil, func(c *Comm) {
 		buf := make([]byte, n*chunk)
 		w := c.CreateWin(Bytes(buf))
-		w.Fence()
+		c.Barrier() // every rank has created its window
+		k := w.NextInstance()
 		data := make([]byte, chunk)
 		for i := range data {
 			data[i] = byte(c.Rank() + 1)
 		}
+		var reqs []*Request
 		for p := 0; p < n; p++ {
 			if p != c.Rank() {
-				w.Put(p, c.Rank()*chunk, Bytes(data))
+				reqs = append(reqs, w.PutInstanced(k, p, c.Rank()*chunk, Bytes(data)))
 			}
 		}
-		w.Fence()
+		c.Wait(reqs...)
+		c.WaitFor(arrived(w, k, n-1))
 		bufs[c.Rank()] = buf
 	})
 	for r := 0; r < n; r++ {
@@ -167,15 +186,4 @@ func TestManyPutsThenFence(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestWinEpochCounts(t *testing.T) {
-	runProg(t, 2, nil, func(c *Comm) {
-		w := c.CreateWin(Virtual(128))
-		w.Fence()
-		w.Fence()
-		if w.Epoch() != 2 {
-			t.Errorf("epoch = %d", w.Epoch())
-		}
-	})
 }

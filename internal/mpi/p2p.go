@@ -11,13 +11,6 @@ const (
 	AnyTag = -1
 )
 
-type reqKind uint8
-
-const (
-	reqSend reqKind = iota
-	reqRecv
-)
-
 // Request is a non-blocking communication request handle. Requests are
 // pooled per World: completed requests returned to the pool (FreeRequests,
 // FreeHandles, or the library's own internal frees) are recycled by later
@@ -26,16 +19,14 @@ const (
 // completion must be observable past an ownership transfer.
 type Request struct {
 	r    *Rank
-	kind reqKind
 	peer int // destination (send) or source filter (recv)
 	tag  int
 	ctx  int
 	buf  Buf // payload (send) or destination buffer (recv)
 	done bool
 
-	rndvMatched bool     // recv: matched an RTS, bulk transfer pending
-	matched     *Request // send: the matched receive (rendezvous correlation)
-	rtsAt       float64  // send: virtual time the RTS was posted (stall metric)
+	matched *Request // send: the matched receive (rendezvous correlation)
+	rtsAt   float64  // send: virtual time the RTS was posted (stall metric)
 
 	// Pooling state: gen increments when the record is freed, invalidating
 	// outstanding ReqHandles; freed guards double-free; mnext/pseq thread the
@@ -50,19 +41,10 @@ type Request struct {
 	TagActual int
 }
 
-// Done reports whether the request has completed. Note that completion is
-// only observed at MPI instants; calling Done outside MPI reads the last
-// observed state, exactly like a real single-threaded MPI.
-func (req *Request) Done() bool { return req.done }
-
-// Size returns the message size in bytes.
-func (req *Request) Size() int { return req.buf.Len() }
-
 // Handle returns a generation-checked reference to the request, valid across
 // a FreeRequests/FreeHandles of the underlying record: once freed (which
 // requires completion), the handle keeps reading as done instead of
-// observing the record's next life. Same discipline as the sim engine's
-// pooled event handles.
+// observing the record's next life.
 func (req *Request) Handle() ReqHandle { return ReqHandle{q: req, gen: req.gen} }
 
 // ReqHandle is a generation-checked Request reference (see Request.Handle).
@@ -255,7 +237,6 @@ func (r *Rank) processRTS(env *envelope) {
 // sendCTS answers a rendezvous RTS: the receive is now matched and the
 // clear-to-send control message flows back to the sender.
 func (r *Rank) sendCTS(rreq *Request, env *envelope) {
-	rreq.rndvMatched = true
 	rreq.SrcActual, rreq.TagActual = env.src, env.tag
 	p := r.net().Params()
 	r.charge(p.OSend)
@@ -307,7 +288,7 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 		panic("mpi: isend to invalid rank")
 	}
 	req := r.w.allocReq()
-	req.r, req.kind, req.peer, req.tag, req.ctx, req.buf = r, reqSend, dst, tag, ctx, b
+	req.r, req.peer, req.tag, req.ctx, req.buf = r, dst, tag, ctx, b
 	p := r.net().Params()
 	r.charge(p.OPost)
 	dstRank := r.w.ranks[dst]
@@ -342,7 +323,7 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 // irecv posts a non-blocking receive into b on a context.
 func (r *Rank) irecv(src, tag, ctx int, b Buf) *Request {
 	req := r.w.allocReq()
-	req.r, req.kind, req.peer, req.tag, req.ctx, req.buf = r, reqRecv, src, tag, ctx, b
+	req.r, req.peer, req.tag, req.ctx, req.buf = r, src, tag, ctx, b
 	p := r.net().Params()
 	r.charge(p.OPost + p.OMatch*float64(r.m.eager.count+r.m.rts.count))
 	r.outstanding++

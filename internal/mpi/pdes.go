@@ -28,9 +28,8 @@ import (
 // ShardedWorld is a set of per-shard Worlds executing one MPI program over a
 // common rank space under conservative time-window synchronization.
 type ShardedWorld struct {
-	worlds  []*World
-	win     *sim.Windows
-	shardOf []int // rank -> shard
+	worlds []*World
+	win    *sim.Windows
 }
 
 // NewSharded assembles a sharded world from per-shard engines and network
@@ -72,24 +71,11 @@ func NewSharded(engs []*sim.Engine, nets []*netmodel.Network, win *sim.Windows, 
 	for _, w := range worlds {
 		w.ranks = ranks
 	}
-	return &ShardedWorld{worlds: worlds, win: win, shardOf: shardOf}, nil
+	return &ShardedWorld{worlds: worlds, win: win}, nil
 }
-
-// Size returns the number of ranks across all shards.
-func (sw *ShardedWorld) Size() int { return len(sw.worlds[0].ranks) }
-
-// Shards returns the shard count.
-func (sw *ShardedWorld) Shards() int { return len(sw.worlds) }
 
 // Windows returns the window coordinator driving the shards.
 func (sw *ShardedWorld) Windows() *sim.Windows { return sw.win }
-
-// World returns shard s's world (its engine and network view hang off it).
-func (sw *ShardedWorld) World(s int) *World { return sw.worlds[s] }
-
-// Rank returns the global rank record; valid for any rank regardless of its
-// shard (read-only use from other shards: accounting, placement).
-func (sw *ShardedWorld) Rank(i int) *Rank { return sw.worlds[0].ranks[i] }
 
 // Observe attaches one recorder to every rank and every shard's network
 // view. The recorder's per-node NIC storage is pre-sized here: growing it
@@ -120,6 +106,3 @@ func (sw *ShardedWorld) Run() { sw.win.Run() }
 
 // EventsFired returns the total events executed across all shard engines.
 func (sw *ShardedWorld) EventsFired() int64 { return sw.win.EventsFired() }
-
-// Now returns the maximum virtual time reached by any shard.
-func (sw *ShardedWorld) Now() float64 { return sw.win.Now() }

@@ -43,7 +43,7 @@ func testShardedWorld(t testing.TB, n, ranksPerNode, shards int) *ShardedWorld {
 	for s := range engs {
 		engs[s] = sim.NewEngine(42)
 	}
-	win := sim.NewWindows(engs, p.LookaheadFloor(usedNodes))
+	win := sim.NewWindows(engs, p.Latency)
 	shardOfNode := make([]int, usedNodes)
 	for nd := range shardOfNode {
 		shardOfNode[nd] = nd * shards / usedNodes
@@ -149,9 +149,9 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 		prog, times := shardedRingProg(n, sizes)
 		sw.Start(prog)
 		sw.Run()
-		res := result{doneAt: times(), now: sw.Now()}
+		res := result{doneAt: times(), now: sw.win.Now()}
 		for i := 0; i < n; i++ {
-			res.mpiTime = append(res.mpiTime, sw.Rank(i).MPITime)
+			res.mpiTime = append(res.mpiTime, sw.worlds[0].ranks[i].MPITime)
 		}
 		return res
 	}

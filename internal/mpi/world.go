@@ -46,7 +46,6 @@ type World struct {
 	opts    Options
 	nextCtx int
 	winReg  *winRegistry
-	forked  bool // materialized by WorldSnapshot.Fork, not NewWorld
 
 	// PDES sharding (DESIGN.md §13). On a sequential world shardOf is nil.
 	// On a sharded world this World executes only the ranks with
@@ -85,15 +84,6 @@ func NewWorld(eng *sim.Engine, net *netmodel.Network, n int, opts Options) *Worl
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.ranks) }
-
-// Engine returns the simulation engine.
-func (w *World) Engine() *sim.Engine { return w.eng }
-
-// Network returns the interconnect model.
-func (w *World) Network() *netmodel.Network { return w.net }
-
 // Observe attaches an observability recorder to every rank and to the
 // network: compute/in-MPI/blocked state spans, progress-call counts,
 // rendezvous stalls, and NIC occupancy are reported to it from now on.
@@ -114,7 +104,7 @@ func (w *World) Start(prog func(c *Comm)) {
 	w.nextCtx++
 	// One immutable members table shared by every rank's world communicator:
 	// per-rank copies would cost O(n²) memory (2GB at 16K ranks). Comm never
-	// mutates members, and Split/Dup build fresh slices, so sharing is safe.
+	// mutates members, so sharing is safe.
 	members := make([]int, len(w.ranks))
 	for i := range members {
 		members[i] = i
@@ -176,9 +166,6 @@ func (r *Rank) Now() float64 { return r.proc.Now() }
 
 // Proc returns the simulated process executing this rank.
 func (r *Rank) Proc() *sim.Proc { return r.proc }
-
-// Rand returns this rank's deterministic RNG.
-func (r *Rank) Rand() *rand.Rand { return r.random().Rand }
 
 // random returns the rank's clonable RNG, creating it on first use. The
 // stream is fully determined by the world seed and the rank id, so lazy

@@ -12,7 +12,7 @@ import "nbctune/internal/mpi"
 // at the receiver is detected by counting landed puts (put-with-notify).
 // On RDMA transports a put needs no CPU and no MPI instant at the target,
 // so put-based algorithms keep overlapping even when the target makes few
-// progress calls — at the price of an extra exposure epoch and window setup.
+// progress calls — at the price of the window setup.
 
 // IalltoallWindows creates the per-rank receive window a put-based alltoall
 // schedule deposits into. recv is the same receive buffer the schedule's

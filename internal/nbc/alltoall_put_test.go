@@ -155,11 +155,11 @@ func TestPutScheduleRoundCounts(t *testing.T) {
 		win := IalltoallWindows(c, mpi.Virtual(4*128))
 		lin := IalltoallLinearPut(4, c.Rank(), mpi.Virtual(4*128), mpi.Virtual(4*128), win)
 		pw := IalltoallPairwisePut(4, c.Rank(), mpi.Virtual(4*128), mpi.Virtual(4*128), win)
-		if lin.NumRounds() != 1 {
-			t.Errorf("linear-put rounds = %d, want 1", lin.NumRounds())
+		if len(lin.Rounds) != 1 {
+			t.Errorf("linear-put rounds = %d, want 1", len(lin.Rounds))
 		}
-		if pw.NumRounds() != 4 {
-			t.Errorf("pairwise-put rounds = %d, want 4", pw.NumRounds())
+		if len(pw.Rounds) != 4 {
+			t.Errorf("pairwise-put rounds = %d, want 4", len(pw.Rounds))
 		}
 		// Consume the schedules so the window state stays consistent.
 		Run(c, lin)

@@ -48,22 +48,6 @@ func Compose(name string, parts ...*Schedule) *Schedule {
 	return s
 }
 
-// MaxTagOff returns the largest tag offset any send or receive of the
-// schedule uses; -1 for schedules with no point-to-point operations.
-// Compose uses it to rebase later parts; exported so callers can check a
-// composition stays inside the per-handle tag window.
-func MaxTagOff(s *Schedule) int {
-	hi := -1
-	for _, r := range s.Rounds {
-		for _, op := range r {
-			if (op.Kind == OpSend || op.Kind == OpRecv) && op.TagOff > hi {
-				hi = op.TagOff
-			}
-		}
-	}
-	return hi
-}
-
 // mockBlock returns the padded per-rank block size for splitting a size-byte
 // buffer across n ranks: ceil(size/n).
 func mockBlock(size, n int) int {

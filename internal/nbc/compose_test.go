@@ -31,9 +31,6 @@ func TestComposeRebasesTags(t *testing.T) {
 	if got := c.Rounds[1][0].TagOff; got != 6 {
 		t.Fatalf("second part's tag not rebased past the first: got %d, want 6", got)
 	}
-	if MaxTagOff(c) != 6 {
-		t.Fatalf("MaxTagOff = %d, want 6", MaxTagOff(c))
-	}
 	// Originals must be untouched (schedules are immutable and reusable).
 	if a.Rounds[0][0].TagOff != 3 || b.Rounds[0][0].TagOff != 2 {
 		t.Fatalf("Compose mutated its input schedules")

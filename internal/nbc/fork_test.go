@@ -37,7 +37,7 @@ func TestStartPanicsOnPendingPooledHandle(t *testing.T) {
 		me := c.Rank()
 		sched := Ibcast(n, me, 0, mpi.Virtual(256*1024), 2, 64*1024) // rendezvous: rounds stay pending past Start
 		h := Start(c, sched)
-		if h.Done() {
+		if h.done {
 			errs <- "collective completed inline; test needs in-flight rounds"
 		}
 		pool := poolFor(c.RankState())
@@ -84,9 +84,8 @@ func TestForkHandlePoolNoAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fw := snap.Fork()
+	feng, fw := snap.Fork()
 	forkRanks := make([]*mpi.Rank, n)
-	feng := fw.Engine()
 	fw.Start(func(c *mpi.Comm) { forkRanks[c.Rank()] = c.RankState() })
 	feng.Run()
 
@@ -134,8 +133,7 @@ func TestForkedPersistentIbcastSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fw := snap.Fork()
-	feng := fw.Engine()
+	feng, fw := snap.Fork()
 	gate := sim.NewCond(feng)
 	released := 0
 	fw.Start(func(c *mpi.Comm) {
@@ -192,8 +190,14 @@ func TestComposeTagRebaseAcrossNBTagWindowWrap(t *testing.T) {
 		buf := make([]byte, size)
 		want := make([]byte, size)
 		sched := MockBcastScatterAllgather(n, me, root, mpi.Bytes(buf))
-		if hi := MaxTagOff(sched); hi < 1 || hi >= tagStride {
-			errs <- fmt.Sprintf("composed schedule MaxTagOff=%d, want within (0,%d)", hi, tagStride)
+		hi := 0
+		for _, r := range sched.Rounds {
+			for _, op := range r {
+				hi = max(hi, op.TagOff)
+			}
+		}
+		if hi < 1 || hi >= tagStride {
+			errs <- fmt.Sprintf("composed schedule's largest tag offset %d, want within (0,%d)", hi, tagStride)
 		}
 		for it := 0; it < iterations; it++ {
 			if me == root {

@@ -297,7 +297,7 @@ func TestHandleDoneIdempotent(t *testing.T) {
 	runProg(t, 2, nil, func(c *mpi.Comm) {
 		h := Start(c, Ibarrier(2, c.Rank()))
 		h.Wait()
-		if !h.Done() {
+		if !h.done {
 			t.Error("handle not done after wait")
 		}
 		if !h.Progress() {
@@ -429,7 +429,7 @@ func TestRoundCounts(t *testing.T) {
 		{Ibcast(8, 0, 0, mpi.Virtual(100*1024), 0, 32*1024), 4}, // root: 4 segments
 	}
 	for i, tc := range cases {
-		if got := tc.sched.NumRounds(); got != tc.want {
+		if got := len(tc.sched.Rounds); got != tc.want {
 			t.Errorf("case %d (%s): rounds = %d, want %d", i, tc.sched.Name, got, tc.want)
 		}
 	}

@@ -71,9 +71,6 @@ type Schedule struct {
 	Win *mpi.Win
 }
 
-// NumRounds returns how many progress-gated rounds the schedule has.
-func (s *Schedule) NumRounds() int { return len(s.Rounds) }
-
 // Handle is the execution state of one started schedule (LibNBC's
 // NBC_Handle). It is bound to the communicator it was started on.
 //
@@ -194,16 +191,8 @@ func (h *Handle) release() {
 }
 
 // freePending recycles the completed requests of the round just finished.
-// Put-schedule requests are co-owned by the window's fence list, so they are
-// left to the GC; the generation check in mpi.ReqHandle is what makes this
-// split ownership safe.
 func (h *Handle) freePending() {
-	if len(h.pending) == 0 {
-		return
-	}
-	if h.sched.Win == nil {
-		h.comm.FreeHandles(h.pending)
-	}
+	h.comm.FreeHandles(h.pending)
 	h.pending = h.pending[:0]
 }
 
@@ -258,17 +247,6 @@ func (h *Handle) execRounds() {
 	rec.OpEnd(rank.ID(), h.obsID, rank.Now())
 }
 
-// roundDone reports whether all of the current round's requests completed
-// and any put-count condition is satisfied.
-func (h *Handle) roundDone() bool {
-	for _, q := range h.pending {
-		if !q.Done() {
-			return false
-		}
-	}
-	return h.awaitSatisfied()
-}
-
 // awaitSatisfied checks the current round's put-count gate.
 func (h *Handle) awaitSatisfied() bool {
 	if h.await < 0 {
@@ -315,9 +293,6 @@ func (h *Handle) Wait() {
 	}
 	h.release()
 }
-
-// Done reports whether the schedule has completed.
-func (h *Handle) Done() bool { return h.done }
 
 // Run executes a schedule to completion, blocking (init + wait).
 func Run(comm *mpi.Comm, sched *Schedule) {

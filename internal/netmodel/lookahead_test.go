@@ -1,15 +1,14 @@
 package netmodel
 
-import (
-	"testing"
+import "testing"
 
-	"nbctune/internal/chaos"
-)
-
-// TestLookaheadFloorBounds re-derives the closed-form lookahead floor by
-// exhaustive pair scan: on flat and torus platforms the floor must
-// lower-bound every cross-node WireLatency, and must be attained by some
-// pair (otherwise windows would be needlessly small).
+// TestLookaheadFloorBounds re-derives by exhaustive pair scan the PDES
+// lookahead platform.NewWorldPDES uses, Params.Latency: Validate pins
+// HopLatency >= 0 and every distinct pair is at hop distance >= 1, so
+// WireLatency = Latency + (hops-1)*HopLatency is minimized at an adjacent
+// pair. On flat and torus platforms the floor must lower-bound every
+// cross-node WireLatency, and must be attained by some pair (otherwise
+// windows would be needlessly small).
 func TestLookaheadFloorBounds(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -30,7 +29,7 @@ func TestLookaheadFloorBounds(t *testing.T) {
 			if err := tc.p.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			floor := tc.p.LookaheadFloor(tc.nodes)
+			floor := tc.p.Latency
 			if floor <= 0 {
 				t.Fatalf("floor = %g, want positive", floor)
 			}
@@ -53,46 +52,5 @@ func TestLookaheadFloorBounds(t *testing.T) {
 				t.Errorf("floor %g not attained by any pair (needlessly small windows)", floor)
 			}
 		})
-	}
-}
-
-// TestLookaheadFloorUnderChaos checks the chaos-tightened floor against
-// every pair under the profile's worst-case (fastest) latency regime,
-// including a shift that speeds links up below the static factor.
-func TestLookaheadFloorUnderChaos(t *testing.T) {
-	p := Params{Name: "torus", Latency: 3.5e-6, HopLatency: 8e-8,
-		Topology: Torus3D, TorusDims: [3]int{4, 4, 4}, Bandwidth: 1e9, NICs: 1,
-		CopyBandwidth: 1e9, ShmBandwidth: 1e9}
-	prof := chaos.Profile{
-		Name:          "fastlink",
-		LatencyFactor: 1.5,
-		Shifts: []chaos.Shift{
-			{At: 1, LatencyFactor: 0.25}, // the regime PDES must survive
-			{At: 2, LatencyFactor: 3.0},
-		},
-	}
-	if err := prof.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	minF := prof.MinLatencyFactor()
-	if minF != 0.25 {
-		t.Fatalf("MinLatencyFactor = %g, want 0.25 (the fastest shift)", minF)
-	}
-	nodes := 64
-	floor := p.LookaheadFloorUnder(nodes, minF)
-	for a := 0; a < nodes; a++ {
-		for b := 0; b < nodes; b++ {
-			if a == b {
-				continue
-			}
-			if worst := p.WireLatency(a, b) * minF; worst < floor {
-				t.Fatalf("degraded WireLatency(%d,%d) = %g below chaos floor %g", a, b, worst, floor)
-			}
-		}
-	}
-	// A profile that only slows links must not shrink the floor.
-	slow := chaos.Profile{Name: "slow", LatencyFactor: 4}
-	if got := p.LookaheadFloorUnder(nodes, slow.MinLatencyFactor()); got != p.LookaheadFloor(nodes) {
-		t.Errorf("slow-only profile changed the floor: %g != %g", got, p.LookaheadFloor(nodes))
 	}
 }

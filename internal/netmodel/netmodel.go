@@ -435,9 +435,3 @@ func (n *Network) Ctrl(src, dst int, deliver func(any), arg any) float64 {
 	n.eng.AtTimeCall(arrival, deliver, arg)
 	return arrival
 }
-
-// MinTransferTime returns the uncontended wire time for a message of n bytes
-// between distinct nodes; useful for calibration tests.
-func (n *Network) MinTransferTime(bytes int) float64 {
-	return n.p.Latency + n.p.MsgGap + float64(bytes)/n.p.Bandwidth
-}

@@ -222,7 +222,7 @@ func TestTransferLowerBoundProperty(t *testing.T) {
 		ok := true
 		for _, s := range sizes {
 			bytes := int(s%1_000_000) + 1
-			lower := eng.Now() + n.MinTransferTime(bytes)
+			lower := eng.Now() + p.Latency + p.MsgGap + float64(bytes)/p.Bandwidth
 			at := n.Transfer(0, 1, bytes, func(any) {}, nil)
 			if at < lower-1e-12 {
 				ok = false
@@ -385,7 +385,7 @@ func TestChaosDeliveryPreservesChannelOrder(t *testing.T) {
 						n.Ctrl(0, 1, deliver, nil)
 					}
 				}
-				eng.AtTime(float64(i)*1e-5, send)
+				eng.At(float64(i)*1e-5, send)
 			}
 			eng.Run()
 			if len(order) != msgs {

@@ -31,7 +31,6 @@ import (
 // pdesLinks is the per-view PDES state.
 type pdesLinks struct {
 	out         *sim.Outbox
-	shard       int
 	shardOfNode []int      // node -> shard; shared, immutable
 	peers       []*Network // all shard views, indexed by shard
 	seq         []uint64   // per-rank cross-shard send sequence; shared, but
@@ -161,7 +160,7 @@ func NewSharded(engs []*sim.Engine, ws *sim.Windows, p Params, nodeOf []int, sha
 			topo = newTopo(&n.p, len(nodes))
 		}
 		n.topo = topo
-		n.pdes = &pdesLinks{out: ws.Outbox(s), shard: s, shardOfNode: shardOfNode, seq: seq}
+		n.pdes = &pdesLinks{out: ws.Outbox(s), shardOfNode: shardOfNode, seq: seq}
 		nets[s] = n
 	}
 	for s := range nets {
@@ -169,6 +168,3 @@ func NewSharded(engs []*sim.Engine, ws *sim.Windows, p Params, nodeOf []int, sha
 	}
 	return nets, nil
 }
-
-// PDES reports whether this view belongs to a sharded (PDES) network.
-func (n *Network) PDES() bool { return n.pdes != nil }

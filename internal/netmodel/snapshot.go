@@ -16,7 +16,6 @@ type Snapshot struct {
 	nodeOf []int // immutable; shared by every fork rather than re-copied
 	topo   *Topo // immutable; shared by every fork
 	tx, rx [][]float64
-	inRx   []int
 
 	transfers, ctrl, bytes, incast int64
 
@@ -39,7 +38,6 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 		topo:      n.topo,
 		tx:        make([][]float64, len(n.nodes)),
 		rx:        make([][]float64, len(n.nodes)),
-		inRx:      make([]int, len(n.nodes)),
 		transfers: n.Transfers,
 		ctrl:      n.CtrlMessages,
 		bytes:     n.BytesOnWire,

@@ -1,10 +1,5 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-)
-
 // Selection audit: a machine-readable log of everything an ADCL selector saw
 // and decided during one tuning session, detailed enough that a winner can
 // be re-derived by hand from the artifact alone (EXPERIMENTS.md walks
@@ -160,53 +155,4 @@ func (a *Audit) Mock(fn int, detail string) {
 		return
 	}
 	a.add(AuditEvent{Kind: AuditMock, Fn: fn, Detail: detail})
-}
-
-// Count returns the number of logged events of the given kind.
-func (a *Audit) Count(kind string) int {
-	if a == nil {
-		return 0
-	}
-	n := 0
-	for _, ev := range a.Events {
-		if ev.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// Samples returns the raw measurements logged for function fn, in order.
-func (a *Audit) Samples(fn int) []float64 {
-	if a == nil {
-		return nil
-	}
-	var out []float64
-	for _, ev := range a.Events {
-		if ev.Kind == AuditSample && ev.Fn == fn {
-			out = append(out, ev.Value)
-		}
-	}
-	return out
-}
-
-// Winner returns the decided function index, or -1 if no decision was
-// logged.
-func (a *Audit) Winner() int {
-	if a == nil {
-		return -1
-	}
-	for i := len(a.Events) - 1; i >= 0; i-- {
-		if a.Events[i].Kind == AuditDecide {
-			return a.Events[i].Fn
-		}
-	}
-	return -1
-}
-
-// WriteJSON writes the audit log as indented JSON.
-func (a *Audit) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(a)
 }

@@ -108,10 +108,3 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
 }
-
-// WriteJSON writes the metrics summary as indented JSON.
-func (m *Metrics) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
-}

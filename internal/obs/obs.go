@@ -242,27 +242,3 @@ func (r *Recorder) NIC(node, channel int, dir Dir, t0, t1 float64, bytes int) {
 	r.nicByNode[node] = append(r.nicByNode[node],
 		NICSpan{Node: node, Channel: channel, Dir: dir, Start: t0, End: t1, Bytes: bytes})
 }
-
-// Ranks returns the number of ranks the recorder tracks.
-func (r *Recorder) Ranks() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.ranks)
-}
-
-// Intervals returns rank's state timeline, oldest first.
-func (r *Recorder) Intervals(rank int) []Interval { return r.ranks[rank].intervals }
-
-// NICSpans returns all recorded NIC occupancy spans in canonical order:
-// by node, then recording order within the node.
-func (r *Recorder) NICSpans() []NICSpan {
-	if r == nil {
-		return nil
-	}
-	var out []NICSpan
-	for _, ns := range r.nicByNode {
-		out = append(out, ns...)
-	}
-	return out
-}

@@ -33,51 +33,51 @@ func TestOverlapDerivation(t *testing.T) {
 		wantOv   float64
 	}{
 		{
-			name:   "fully overlapped: compute covers the whole op",
-			states: []iv{{StateCompute, 0, 10}},
-			ops:    []op{{2, 8}},
+			name:     "fully overlapped: compute covers the whole op",
+			states:   []iv{{StateCompute, 0, 10}},
+			ops:      []op{{2, 8}},
 			wantWall: 6, wantHid: 6, wantOv: 1,
 		},
 		{
-			name:   "half hidden",
-			states: []iv{{StateCompute, 0, 5}, {StateBlocked, 5, 10}},
-			ops:    []op{{0, 10}},
+			name:     "half hidden",
+			states:   []iv{{StateCompute, 0, 5}, {StateBlocked, 5, 10}},
+			ops:      []op{{0, 10}},
 			wantWall: 10, wantHid: 5, wantOv: 0.5,
 		},
 		{
-			name:   "zero communication reports overlap 0",
-			states: []iv{{StateCompute, 0, 10}},
-			ops:    nil,
+			name:     "zero communication reports overlap 0",
+			states:   []iv{{StateCompute, 0, 10}},
+			ops:      nil,
 			wantWall: 0, wantHid: 0, wantOv: 0,
 		},
 		{
-			name:   "zero compute reports overlap 0",
-			states: []iv{{StateMPI, 0, 1}, {StateBlocked, 1, 9}, {StateMPI, 9, 10}},
-			ops:    []op{{0, 10}},
+			name:     "zero compute reports overlap 0",
+			states:   []iv{{StateMPI, 0, 1}, {StateBlocked, 1, 9}, {StateMPI, 9, 10}},
+			ops:      []op{{0, 10}},
 			wantWall: 10, wantHid: 0, wantOv: 0,
 		},
 		{
-			name:   "fully serialized run reports overlap 0",
-			states: []iv{{StateMPI, 0, 4}, {StateBlocked, 4, 6}, {StateCompute, 6, 16}},
-			ops:    []op{{0, 6}}, // compute strictly after Wait
+			name:     "fully serialized run reports overlap 0",
+			states:   []iv{{StateMPI, 0, 4}, {StateBlocked, 4, 6}, {StateCompute, 6, 16}},
+			ops:      []op{{0, 6}}, // compute strictly after Wait
 			wantWall: 6, wantHid: 0, wantOv: 0,
 		},
 		{
-			name:   "overlapping ops union, not double count",
-			states: []iv{{StateCompute, 0, 10}},
-			ops:    []op{{0, 6}, {4, 10}}, // union is [0,10], not 12
+			name:     "overlapping ops union, not double count",
+			states:   []iv{{StateCompute, 0, 10}},
+			ops:      []op{{0, 6}, {4, 10}}, // union is [0,10], not 12
 			wantWall: 10, wantHid: 10, wantOv: 1,
 		},
 		{
-			name:   "compute split across the op boundary",
-			states: []iv{{StateCompute, 0, 3}, {StateMPI, 3, 4}, {StateCompute, 4, 7}, {StateBlocked, 7, 9}},
-			ops:    []op{{2, 9}},
+			name:     "compute split across the op boundary",
+			states:   []iv{{StateCompute, 0, 3}, {StateMPI, 3, 4}, {StateCompute, 4, 7}, {StateBlocked, 7, 9}},
+			ops:      []op{{2, 9}},
 			wantWall: 7, wantHid: 4, wantOv: 4.0 / 7.0, // [2,3] + [4,7]
 		},
 		{
-			name:   "open op span is ignored",
-			states: []iv{{StateCompute, 0, 10}},
-			ops:    []op{{3, -1}}, // never ended
+			name:     "open op span is ignored",
+			states:   []iv{{StateCompute, 0, 10}},
+			ops:      []op{{3, -1}}, // never ended
 			wantWall: 0, wantHid: 0, wantOv: 0,
 		},
 	}
@@ -154,7 +154,7 @@ func TestStateCoalescing(t *testing.T) {
 	r.StateSpan(0, StateMPI, 1, 2) // contiguous, same state: coalesce
 	r.StateSpan(0, StateMPI, 3, 4) // gap: new interval
 	r.StateSpan(0, StateCompute, 4, 5)
-	got := r.Intervals(0)
+	got := r.ranks[0].intervals
 	if len(got) != 3 {
 		t.Fatalf("got %d intervals, want 3: %+v", len(got), got)
 	}
@@ -211,9 +211,6 @@ func TestNilRecorder(t *testing.T) {
 	r.RendezvousStall(0, 1)
 	r.AlgoBytes(0, "x", 1)
 	r.NIC(0, 0, TX, 0, 1, 1)
-	if r.Ranks() != 0 {
-		t.Errorf("nil Ranks() = %d", r.Ranks())
-	}
 	m := r.Metrics()
 	if m.Overlap != 0 || len(m.Ranks) != 0 {
 		t.Errorf("nil Metrics() = %+v", m)
@@ -228,9 +225,6 @@ func TestNilRecorder(t *testing.T) {
 	a.Prune("", nil)
 	a.Phase("")
 	a.Decide(0, 0)
-	if a.Winner() != -1 {
-		t.Errorf("nil Audit.Winner() = %d", a.Winner())
-	}
 }
 
 func TestChromeTraceExport(t *testing.T) {
@@ -291,11 +285,11 @@ func TestAuditLog(t *testing.T) {
 	a.Estimate(0, 3.1, "kept 2/2")
 	a.Estimate(1, 1.05, "kept 2/2")
 	a.Decide(1, 4)
-	if got := a.Samples(0); len(got) != 2 || got[1] != 3.2 {
-		t.Errorf("Samples(0) = %v", got)
+	if ev := a.Events[2]; ev.Kind != AuditSample || ev.Fn != 0 || ev.Value != 3.2 {
+		t.Errorf("third event = %+v, want the second sample of fn 0", ev)
 	}
-	if a.Winner() != 1 {
-		t.Errorf("Winner = %d, want 1", a.Winner())
+	if ev := a.Events[len(a.Events)-1]; ev.Kind != AuditDecide || ev.Fn != 1 {
+		t.Errorf("last event = %+v, want the decision for fn 1", ev)
 	}
 	for i, ev := range a.Events {
 		if ev.Seq != i {
@@ -305,18 +299,18 @@ func TestAuditLog(t *testing.T) {
 	if a.Events[1].Name != "binom" {
 		t.Errorf("event name = %q, want binom", a.Events[1].Name)
 	}
-	var buf bytes.Buffer
-	if err := a.WriteJSON(&buf); err != nil {
+	enc, err := json.MarshalIndent(a, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Audit
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(enc, &back); err != nil {
 		t.Fatalf("audit JSON round trip: %v", err)
 	}
 	if back.Selector != "brute-force" || len(back.Events) != len(a.Events) {
 		t.Errorf("round trip mismatch: %+v", back)
 	}
-	if !strings.Contains(buf.String(), "\"kind\": \"decide\"") {
+	if !strings.Contains(string(enc), "\"kind\": \"decide\"") {
 		t.Error("decide event missing from JSON")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"nbctune/internal/chaos"
+	"nbctune/internal/chaos/profiles"
 	"nbctune/internal/mpi"
 	"nbctune/internal/netmodel"
 	"nbctune/internal/sim"
@@ -300,6 +301,18 @@ func (p Platform) NewWorldChaos(nprocs int, seed int64, pl Placement, prof *chao
 	return eng, w, nil
 }
 
+// NewWorldChaosNamed is NewWorldChaos with the profile given by its shipped
+// name ("" and "off" mean none): the form the drivers' -chaos flag, bench
+// specs and guideline scenarios carry. The world's Run drives its engine.
+func (p Platform) NewWorldChaosNamed(nprocs int, seed int64, pl Placement, chaosName string, chaosSeed int64) (*mpi.World, error) {
+	prof, err := profiles.ByName(chaosName)
+	if err != nil {
+		return nil, err
+	}
+	_, w, err := p.NewWorldChaos(nprocs, seed, pl, prof, chaosSeed)
+	return w, err
+}
+
 // NewWorldPDES assembles a sharded (PDES) world: `shards` engines, each
 // driving a node-aligned partition of the ranks, synchronized in
 // conservative time windows bounded by the platform's lookahead floor
@@ -334,7 +347,10 @@ func (p Platform) NewWorldPDES(nprocs int, seed int64, pl Placement, shards int)
 	for s := range engs {
 		engs[s] = sim.NewEngine(seed)
 	}
-	win := sim.NewWindows(engs, p.Net.LookaheadFloor(usedNodes))
+	// Lookahead = the minimum cross-node wire latency: Validate pins
+	// HopLatency >= 0, so an adjacent pair (hops == 1) attains Net.Latency
+	// (TestLookaheadFloorBounds re-derives it by pair scan).
+	win := sim.NewWindows(engs, p.Net.Latency)
 	// Contiguous node ranges per shard: node-aligned by construction, and
 	// balanced to within one node.
 	shardOfNode := make([]int, usedNodes)
@@ -350,13 +366,4 @@ func (p Platform) NewWorldPDES(nprocs int, seed int64, pl Placement, shards int)
 		shardOf[r] = shardOfNode[nodeOf[r]]
 	}
 	return mpi.NewSharded(engs, nets, win, nprocs, mpi.Options{Seed: seed, Noise: p.Noise}, shardOf)
-}
-
-// FFTComputeTime estimates the per-rank time to compute k complex-FFT
-// butterfly stages over n points: 5*n*log2(n) flops at the platform rate.
-func (p Platform) FFTComputeTime(n int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	return 5 * float64(n) * math.Log2(float64(n)) / p.FlopRate
 }

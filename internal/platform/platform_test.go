@@ -96,18 +96,3 @@ func TestNoiseModelProperties(t *testing.T) {
 		t.Fatal("no OS spike in 1000 draws at p=0.1")
 	}
 }
-
-func TestFFTComputeTime(t *testing.T) {
-	p := Crill()
-	if p.FFTComputeTime(1) != 0 || p.FFTComputeTime(0) != 0 {
-		t.Fatal("degenerate sizes should cost 0")
-	}
-	small, big := p.FFTComputeTime(1024), p.FFTComputeTime(4096)
-	if big <= small*4 { // n log n growth is superlinear
-		t.Fatalf("FFT cost not superlinear: %g vs %g", small, big)
-	}
-	// BGP cores are slower: same FFT should take longer.
-	if BGP().FFTComputeTime(4096) <= p.FFTComputeTime(4096) {
-		t.Fatal("BGP should be slower than crill")
-	}
-}

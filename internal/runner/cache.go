@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // Cache is a content-addressed on-disk result store: one JSON file per
@@ -39,9 +38,6 @@ func OpenCache(dir string) (*Cache, error) {
 	}
 	return &Cache{dir: dir}, nil
 }
-
-// Dir returns the store's root directory.
-func (c *Cache) Dir() string { return c.dir }
 
 // Path returns the file backing a key.
 func (c *Cache) Path(key string) string {
@@ -92,20 +88,4 @@ func (c *Cache) Put(key, label string, value json.RawMessage) error {
 		return fmt.Errorf("runner: cache write: %w", err)
 	}
 	return nil
-}
-
-// Len counts the complete entries in the store.
-func (c *Cache) Len() int {
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".json") && !strings.HasPrefix(name, ".") {
-			n++
-		}
-	}
-	return n
 }

@@ -37,9 +37,11 @@ const (
 	evWake              // wake proc if still parked on generation wgen
 )
 
-// eventRec is one pooled event. Records are recycled through a free list;
-// gen distinguishes a live record from a recycled one so that stale Event
-// handles become no-ops instead of acting on the wrong event.
+// eventRec is one pooled event, recycled through a free list once it fires.
+// Events fire in (time, sequence) order; the sequence number makes
+// simultaneous events deterministic (FIFO). A scheduled event cannot be
+// withdrawn: the one kind that goes stale, the wake ticket, is dropped by its
+// park generation when it fires.
 type eventRec struct {
 	t    Time
 	seq  int64
@@ -48,37 +50,7 @@ type eventRec struct {
 	fn2  func(any) // evCall
 	arg  any       // evCall
 	proc *Proc     // evWake
-	pos  int32     // heap position; -1 when not queued
-	gen  uint32    // handle generation, bumped on free
 	kind uint8
-}
-
-// Event is a cancelable handle to a scheduled callback. Events fire in
-// (time, sequence) order; the sequence number makes simultaneous events
-// deterministic (FIFO). The zero Event is a valid no-op handle.
-type Event struct {
-	e   *Engine
-	idx int32
-	gen uint32
-	t   Time
-}
-
-// Time returns the virtual time at which the event fires (or fired).
-func (ev Event) Time() Time { return ev.t }
-
-// Cancel prevents a queued event from firing, removing it from the queue
-// immediately so long sweeps with many canceled timers do not grow the heap.
-// Canceling an already fired or already canceled event is a no-op.
-func (ev Event) Cancel() {
-	if ev.e == nil {
-		return
-	}
-	r := &ev.e.recs[ev.idx]
-	if r.gen != ev.gen || r.pos < 0 {
-		return // already fired, freed, or mid-dispatch
-	}
-	ev.e.heapRemove(r.pos)
-	ev.e.freeRec(ev.idx)
 }
 
 // ProcPanic wraps a panic that escaped a simulated process body. It is
@@ -133,7 +105,9 @@ func NewEngine(seed int64) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand returns the engine's deterministic random source.
+// Rand returns the engine's deterministic random source. Nothing outside
+// the tests draws from it today; it stays because the seed is NewEngine's
+// only argument and the fork tests pin that the stream crosses a snapshot.
 func (e *Engine) Rand() *rand.Rand { return e.rng.Rand }
 
 // allocRec returns a free record index, growing the pool only when the free
@@ -148,13 +122,10 @@ func (e *Engine) allocRec() int32 {
 	return int32(len(e.recs) - 1)
 }
 
-// freeRec recycles a record, bumping its generation so outstanding Event
-// handles go stale, and dropping references so fired callbacks can be
-// collected.
+// freeRec recycles a record, dropping its references so fired callbacks can
+// be collected.
 func (e *Engine) freeRec(idx int32) {
 	r := &e.recs[idx]
-	r.gen++
-	r.pos = -1
 	r.fn = nil
 	r.fn2 = nil
 	r.arg = nil
@@ -173,10 +144,8 @@ func (e *Engine) less(a, b int32) bool {
 }
 
 func (e *Engine) heapPush(idx int32) {
-	i := len(e.heap)
 	e.heap = append(e.heap, idx)
-	e.recs[idx].pos = int32(i)
-	e.siftUp(i)
+	e.siftUp(len(e.heap) - 1)
 }
 
 func (e *Engine) siftUp(i int) {
@@ -188,11 +157,9 @@ func (e *Engine) siftUp(i int) {
 			break
 		}
 		h[i] = h[parent]
-		e.recs[h[i]].pos = int32(i)
 		i = parent
 	}
 	h[i] = idx
-	e.recs[idx].pos = int32(i)
 }
 
 func (e *Engine) siftDown(i int) {
@@ -218,11 +185,9 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		h[i] = h[best]
-		e.recs[h[i]].pos = int32(i)
 		i = best
 	}
 	h[i] = idx
-	e.recs[idx].pos = int32(i)
 }
 
 // heapPop removes and returns the minimum record index.
@@ -231,30 +196,12 @@ func (e *Engine) heapPop() int32 {
 	n := len(e.heap) - 1
 	if n > 0 {
 		e.heap[0] = e.heap[n]
-		e.recs[e.heap[0]].pos = 0
 	}
 	e.heap = e.heap[:n]
 	if n > 1 {
 		e.siftDown(0)
 	}
-	e.recs[top].pos = -1
 	return top
-}
-
-// heapRemove deletes the record at heap position i (Cancel's path).
-func (e *Engine) heapRemove(i int32) {
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if int(i) == n {
-		return
-	}
-	e.heap[i] = last
-	e.recs[last].pos = i
-	e.siftDown(int(i))
-	if e.recs[last].pos == i {
-		e.siftUp(int(i))
-	}
 }
 
 // schedule allocates and enqueues a record firing after delay d.
@@ -272,33 +219,23 @@ func (e *Engine) schedule(d Time, kind uint8) int32 {
 	return idx
 }
 
-// At schedules fn to run after delay d (d >= 0) and returns the event so it
-// can be canceled. Scheduling with d < 0 panics: the past is immutable.
-func (e *Engine) At(d Time, fn func()) Event {
-	idx := e.schedule(d, evFunc)
-	r := &e.recs[idx]
-	r.fn = fn
-	return Event{e: e, idx: idx, gen: r.gen, t: r.t}
+// At schedules fn to run after delay d (d >= 0). Scheduling with d < 0
+// panics: the past is immutable.
+func (e *Engine) At(d Time, fn func()) {
+	e.recs[e.schedule(d, evFunc)].fn = fn
 }
 
 // AtCall schedules fn(arg) after delay d. It is the allocation-free variant
 // of At for hot paths: passing state through arg instead of a closure lets
 // callers schedule with a package-level function and an already-held pointer.
-func (e *Engine) AtCall(d Time, fn func(any), arg any) Event {
-	idx := e.schedule(d, evCall)
-	r := &e.recs[idx]
+func (e *Engine) AtCall(d Time, fn func(any), arg any) {
+	r := &e.recs[e.schedule(d, evCall)]
 	r.fn2, r.arg = fn, arg
-	return Event{e: e, idx: idx, gen: r.gen, t: r.t}
-}
-
-// AtTime schedules fn at absolute virtual time t (t >= Now()).
-func (e *Engine) AtTime(t Time, fn func()) Event {
-	return e.At(t-e.now, fn)
 }
 
 // AtTimeCall schedules fn(arg) at absolute virtual time t (t >= Now()).
-func (e *Engine) AtTimeCall(t Time, fn func(any), arg any) Event {
-	return e.AtCall(t-e.now, fn, arg)
+func (e *Engine) AtTimeCall(t Time, fn func(any), arg any) {
+	e.AtCall(t-e.now, fn, arg)
 }
 
 // InjectAt enqueues fn(arg) at absolute virtual time t, bypassing the
@@ -323,12 +260,11 @@ func (e *Engine) InjectAt(t Time, fn func(any), arg any) {
 }
 
 // atWake schedules a wake ticket for p's park generation g. Wake tickets are
-// plain pooled records — no closure, no handle — and stale tickets (the
+// plain pooled records — no closure — and stale tickets (the
 // process was already woken, re-parked, or finished) are dropped in the
 // event loop (fire), which is how same-instant wakeups coalesce into one resume.
 func (e *Engine) atWake(d Time, p *Proc, g uint64) {
-	idx := e.schedule(d, evWake)
-	r := &e.recs[idx]
+	r := &e.recs[e.schedule(d, evWake)]
 	r.proc, r.wgen = p, g
 }
 

@@ -39,17 +39,6 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.At(1, func() { fired = true })
-	e.At(0.5, func() { ev.Cancel() })
-	e.Run()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -53,7 +53,7 @@ func TestRunUntilResumesAcrossHorizon(t *testing.T) {
 		t.Run(fmt.Sprintf("otherProcess=%v", other), func(t *testing.T) {
 			e := NewEngine(1)
 			var woke []string
-			note := func(p *Proc) { woke = append(woke, fmt.Sprintf("%s@%g", p.Name(), p.Now())) }
+			note := func(p *Proc) { woke = append(woke, fmt.Sprintf("%s@%g", p.name, p.Now())) }
 			e.Spawn("long", func(p *Proc) {
 				p.Sleep(10)
 				note(p)
@@ -100,7 +100,7 @@ func TestHandOffChain(t *testing.T) {
 				for turn != i {
 					conds[i].Wait(p)
 				}
-				trace = append(trace, fmt.Sprintf("%s@%g", p.Name(), p.Now()))
+				trace = append(trace, fmt.Sprintf("%s@%g", p.name, p.Now()))
 				if i == len(names)-1 {
 					p.Sleep(1) // the ring's last member moves the clock between laps
 				}

@@ -29,7 +29,6 @@ import (
 type Proc struct {
 	eng    *Engine
 	name   string
-	id     int
 	next   func() (*Proc, bool) // resume; returns the process to wake next, if any
 	yield  func(*Proc) bool     // suspend, naming the process to wake; false once stopped
 	stop   func()               // unwind a suspended process (Engine.abandon)
@@ -42,7 +41,7 @@ type Proc struct {
 // current virtual time (via a zero-delay wake event). If fn panics, the
 // panic is captured with its stack and re-raised from Run as a *ProcPanic.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, id: len(e.procs), parked: true, gen: 1}
+	p := &Proc{eng: e, name: name, parked: true, gen: 1}
 	e.procs = append(e.procs, p)
 	e.live++
 	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
@@ -70,15 +69,6 @@ func (p *Proc) runBody(fn func(*Proc)) (fail *ProcPanic) {
 	fn(p)
 	return nil
 }
-
-// Name returns the process name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// ID returns the process index in spawn order.
-func (p *Proc) ID() int { return p.id }
-
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }

@@ -2,114 +2,13 @@ package sim
 
 import (
 	"errors"
-	"math/rand"
-	"sort"
 	"testing"
 )
 
-// Regression tests for the pooled-event execution core: heap-backed Cancel,
-// generation-checked wake tickets, panic propagation, and the allocation-free
-// steady state. These are deliberately white-box — they pin the internal
+// Regression tests for the pooled-event execution core: generation-checked
+// wake tickets, panic propagation, and the allocation-free steady state. These are deliberately white-box — they pin the internal
 // invariants (free-list recycling, ticket coalescing) that the public-API
 // tests in engine_test.go cannot reach.
-
-func TestCancelRemovesFromQueue(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	e.At(0.5, func() {})
-	ev := e.At(1.0, func() { fired = true })
-	ev.Cancel()
-	if n := len(e.heap); n != 1 {
-		t.Fatalf("cancel must remove the record from the heap: %d queued", n)
-	}
-	if end := e.Run(); end != 0.5 {
-		t.Fatalf("run ended at %g, want 0.5: canceled event still advanced the clock", end)
-	}
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-}
-
-func TestCancelMidRun(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.At(2, func() { fired = true })
-	e.At(1, func() { ev.Cancel() })
-	if end := e.Run(); end != 1 {
-		t.Fatalf("run ended at %g, want 1", end)
-	}
-	if fired {
-		t.Fatal("event canceled at t=1 fired anyway")
-	}
-	// Double cancel and zero-handle cancel are no-ops.
-	ev.Cancel()
-	(Event{}).Cancel()
-}
-
-// TestCancelSubsetHeapIntegrity cancels a pseudo-random subset of queued
-// events at scattered heap positions and checks that the survivors still pop
-// in strict time order — i.e. heapRemove's sift-down/sift-up repair keeps the
-// 4-ary heap invariant intact.
-func TestCancelSubsetHeapIntegrity(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		e := NewEngine(1)
-		const n = 500
-		events := make([]Event, n)
-		times := make([]Time, n)
-		var fired []Time
-		for i := 0; i < n; i++ {
-			d := rng.Float64() * 100
-			times[i] = d
-			i := i
-			events[i] = e.At(d, func() { fired = append(fired, times[i]) })
-		}
-		canceled := make(map[int]bool)
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				events[i].Cancel()
-				canceled[i] = true
-			}
-		}
-		e.Run()
-		want := make([]Time, 0, n)
-		for i := 0; i < n; i++ {
-			if !canceled[i] {
-				want = append(want, times[i])
-			}
-		}
-		sort.Float64s(want)
-		if len(fired) != len(want) {
-			t.Fatalf("trial %d: %d events fired, want %d", trial, len(fired), len(want))
-		}
-		for i := range want {
-			if fired[i] != want[i] {
-				t.Fatalf("trial %d: fire order broken at %d: got %g, want %g", trial, i, fired[i], want[i])
-			}
-		}
-	}
-}
-
-// TestStaleHandleAfterRecycle: once an event fires, its pooled record goes to
-// the free list and a later event reuses the slot. Canceling through the old
-// handle must not kill the new tenant — the generation check makes the stale
-// handle a no-op.
-func TestStaleHandleAfterRecycle(t *testing.T) {
-	e := NewEngine(1)
-	ev1 := e.At(0, func() {})
-	e.Run() // ev1 fires; its record is free-listed
-
-	fired := false
-	ev2 := e.At(1, func() { fired = true })
-	if ev2.idx != ev1.idx {
-		t.Fatalf("expected slot reuse: ev1 idx %d, ev2 idx %d", ev1.idx, ev2.idx)
-	}
-	ev1.Cancel() // stale generation: must not touch ev2
-	e.Run()
-	if !fired {
-		t.Fatal("stale Cancel removed a recycled record's new event")
-	}
-}
 
 // TestStaleWakeTicketDropped injects a wake ticket carrying an outdated park
 // generation while the process is parked on a newer one. The event loop

@@ -51,7 +51,8 @@ func NewClonableRand(seed int64) *ClonableRand {
 	return &ClonableRand{Rand: rand.New(cs), seed: seed, cnt: cs}
 }
 
-// Draws returns the number of source words consumed so far.
+// Draws returns the number of source words consumed so far. Only the tests
+// call it: it is how they check a clone sits where its parent does.
 func (c *ClonableRand) Draws() uint64 { return c.cnt.n }
 
 // Clone returns an independent stream positioned at exactly the same point:

@@ -11,17 +11,14 @@ import "fmt"
 // quiescent point: no live processes, an empty event queue, and every pooled
 // event record back on the free list. Engine.Run drains the queue completely,
 // so "after Run returned" is the natural snapshot point. What the snapshot
-// preserves beyond the clock is the pool discipline: record generation
-// counters (so Event handles minted before the snapshot stay valid — stale —
-// in every fork instead of aliasing recycled records) and the free-list
-// order (so forks allocate records in exactly the sequence the parent would
-// have, keeping forked runs byte-deterministic).
+// preserves beyond the clock is the pool discipline: the pool's size (a fork
+// starts as warm as its parent) and the free-list order (so forks allocate
+// records in exactly the sequence the parent would have).
 type Snapshot struct {
 	now   Time
 	seq   int64
 	fired int64
-	gens  []uint32 // per-record generation counters, index-aligned with recs
-	free  []int32  // free-list content in stack order
+	free  []int32 // free-list content in stack order; every record is on it
 	rng   *ClonableRand
 }
 
@@ -45,12 +42,8 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		now:   e.now,
 		seq:   e.seq,
 		fired: e.EventsFired,
-		gens:  make([]uint32, len(e.recs)),
 		free:  append([]int32(nil), e.free...),
 		rng:   e.rng.Clone(),
-	}
-	for i := range e.recs {
-		s.gens[i] = e.recs[i].gen
 	}
 	return s, nil
 }
@@ -59,8 +52,8 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 func (s *Snapshot) Now() Time { return s.now }
 
 // Fork materializes a fresh engine from the snapshot: same clock, same event
-// sequence counter, a warm record pool with the parent's generations and
-// free-list order, and a random stream positioned exactly where the parent's
+// sequence counter, a warm record pool with the parent's free-list order,
+// and a random stream positioned exactly where the parent's
 // was. The fork starts with no processes; spawn new ones to resume work.
 // Fork only reads the snapshot, so concurrent Forks are safe.
 func (s *Snapshot) Fork() *Engine {
@@ -70,12 +63,8 @@ func (s *Snapshot) Fork() *Engine {
 		rng:         s.rng.Clone(),
 		EventsFired: s.fired,
 	}
-	e.recs = make([]eventRec, len(s.gens))
-	for i := range e.recs {
-		e.recs[i].gen = s.gens[i]
-		e.recs[i].pos = -1
-	}
+	e.recs = make([]eventRec, len(s.free))
 	e.free = append(make([]int32, 0, len(s.free)), s.free...)
-	e.heap = make([]int32, 0, len(s.gens))
+	e.heap = make([]int32, 0, len(s.free))
 	return e
 }

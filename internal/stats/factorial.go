@@ -29,7 +29,6 @@ func Corners(k int) []Corner {
 // Effects holds the estimated main effects and two-factor interaction
 // effects of a full 2^k design.
 type Effects struct {
-	K     int
 	Main  []float64   // Main[i]: mean(high_i) - mean(low_i)
 	Inter [][]float64 // Inter[i][j], i<j: interaction contrast
 }
@@ -41,7 +40,7 @@ func ComputeEffects(corners []Corner) Effects {
 		return Effects{}
 	}
 	k := len(corners[0].Levels)
-	e := Effects{K: k, Main: make([]float64, k), Inter: make([][]float64, k)}
+	e := Effects{Main: make([]float64, k), Inter: make([][]float64, k)}
 	for i := range e.Inter {
 		e.Inter[i] = make([]float64, k)
 	}
@@ -71,20 +70,6 @@ func ComputeEffects(corners []Corner) Effects {
 		}
 	}
 	return e
-}
-
-// StrongFactors returns the indices of factors whose |main effect| exceeds
-// threshold (an absolute response-scale value). ADCL pins strong factors to
-// their better level and leaves weak factors to a brute-force pass over the
-// surviving candidates.
-func (e Effects) StrongFactors(threshold float64) []int {
-	var out []int
-	for f, m := range e.Main {
-		if m > threshold || m < -threshold {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // BetterLevel reports the preferred level of factor f when minimizing the

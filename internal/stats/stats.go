@@ -25,11 +25,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Median returns the median of xs, or NaN when xs is empty.
-func Median(xs []float64) float64 {
-	return Percentile(xs, 50)
-}
-
 // Percentile returns the p-th percentile (0..100) using linear
 // interpolation, or NaN when xs is empty.
 func Percentile(xs []float64, p float64) float64 {
@@ -49,20 +44,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// StdDev returns the sample standard deviation of xs (0 for len < 2).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
 }
 
 // Min returns the minimum of xs, or NaN when empty.
