@@ -3,7 +3,7 @@
 # (BENCHMARK.json, perf/README.md), the only place host time is measured.
 GO ?= go
 
-.PHONY: all build vet test race e2e bench ci
+.PHONY: all build vet test race e2e bench stat ci
 
 all: ci
 
@@ -65,5 +65,14 @@ e2e:
 WORKLOADS = sweep-verify fft-app scale-4k wide-alltoall kb-mixed
 bench:
 	@set -e; for w in $(WORKLOADS); do bash perf/run.sh --workload $$w --seed 0 --seconds 16 --trace 0; done
+
+# The size of the repository in the four numbers ROADMAP's state line and
+# every simplicity PR quote, each printed under the command that counts it.
+stat:
+	find cmd internal examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l   # non-test lines
+	find *.go cmd internal examples -name '*_test.go' | xargs cat | wc -l             # test lines ...
+	cat *_test.go | wc -l                                                             # ... of which in the root package
+	grep -rhoE 'fl(ag)?\.(Bool|Int|Int64|Uint|String|Float64|Duration|Var)\(' cmd | wc -l   # command-line flags
+	grep -rn 'panic(' --include='*.go' cmd internal examples | grep -vc '_test\.go:'         # non-test panic( sites
 
 ci: build vet test race e2e

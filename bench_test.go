@@ -1,5 +1,5 @@
 // Package nbctune_test holds the repository-level ablation benchmarks for
-// the design choices the library makes (DESIGN.md §8) and the integration
+// the design choices the library makes (DESIGN.md §5) and the integration
 // tests. The paper's figures and aggregate statistics are suites of the
 // scenario catalogue (internal/bench), run by cmd/sweep -suite NAME; host
 // time is measured by the repository benchmark (perf/).
@@ -28,7 +28,7 @@ func plat(b *testing.B, name string) platform.Platform {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §8).
+// Ablations (DESIGN.md §5).
 
 // Ablation 1: statistical outlier filtering. On a noisy platform, scoring by
 // plain mean instead of the outlier-filtered mean degrades tuning decisions.

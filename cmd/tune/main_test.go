@@ -69,6 +69,28 @@ func TestShardsWithHistory(t *testing.T) {
 	}
 }
 
+// TestHistoryAcrossEnvironments: one -history file serves a scenario under
+// several environments, as the tuned daemon does. A chaos run must not evict
+// the clean winner (it did while the file held one entry per scenario), so
+// after one cold run each, both environments replay their own winner.
+func TestHistoryAcrossEnvironments(t *testing.T) {
+	chdir(t, t.TempDir())
+	clean := "-op ialltoall -np 8 -msg 65536 -compute 0.005 -history h.json"
+	chaos := clean + " -chaos congested -chaos-seed 3"
+	for i, step := range []struct {
+		args string
+		hit  bool
+	}{{clean, false}, {chaos, false}, {clean, true}, {chaos, true}} {
+		var stdout, stderr bytes.Buffer
+		if err := run(strings.Fields(step.args), &stdout, &stderr); err != nil {
+			t.Fatalf("run %d: %v\n%s", i, err, stderr.Bytes())
+		}
+		if hit := strings.HasPrefix(stdout.String(), "history hit for "); hit != step.hit {
+			t.Fatalf("run %d (tune %s): history hit = %v, want %v\n%s", i, step.args, hit, step.hit, stdout.Bytes())
+		}
+	}
+}
+
 // TestSpeculateEveryOp: -speculate is not limited to the ops it was first
 // wired for; every catalogue op snapshots, forks one world per candidate and
 // commits a winner.

@@ -60,7 +60,7 @@ type MicroSpec struct {
 	// violations→function-set feedback loop. Omitempty: mock-free specs
 	// fingerprint identically to specs that predate the guideline layer.
 	Mocks []string `json:",omitempty"`
-	// PDES selects the sharded multi-core simulation engine (DESIGN.md §13).
+	// PDES selects the sharded multi-core simulation engine (DESIGN.md §2).
 	// Results are identical at every shard count but legitimately differ
 	// from the sequential engine (the rendezvous sender completes at
 	// NIC-drain time; incast is sampled at wire arrival), so the flag is
@@ -80,7 +80,7 @@ type MicroSpec struct {
 // worker count (platform assembly clamps it to the used node count), and a
 // positive integer pins the shard count. Results are identical for every
 // shard count >= 1 — like -jobs, the count changes only wall-clock — but
-// differ from the default sequential engine (DESIGN.md §13).
+// differ from the default sequential engine (DESIGN.md §2).
 func ParseShards(v string) (shards int, pdes bool, err error) {
 	switch v {
 	case "":

@@ -38,7 +38,7 @@ func scaleProg(c *mpi.Comm) {
 
 // scalePins is BENCH_scale.json: what scaleProg deterministically does on
 // block-placed bgp-16k worlds. Sequential worlds are keyed by rank count; the
-// sharded engine has its own timeline (DESIGN.md §13), pinned at 4096 ranks
+// sharded engine has its own timeline (DESIGN.md §2), pinned at 4096 ranks
 // and identical at every shard count.
 type scalePins struct {
 	Pins     string                `json:"pins"`

@@ -131,31 +131,27 @@ func RunSpeculative(spec MicroSpec, selector string, workers int) (*SpecResult, 
 		durs[fn] = float64(feng.Now()) - base
 		return samples, nil
 	}
-	ssel, err := core.NewSpeculativeSelector(selector, hostFS, spec.evals(), workers, runCand)
+	dec, err := core.Speculate(selector, hostFS, spec.evals(), workers, runCand)
 	if err != nil {
 		return nil, err
-	}
-	winner := ssel.Winner()
-	if winner < 0 || winner >= len(hostFS.Fns) {
-		return nil, fmt.Errorf("bench: speculative selection produced no winner")
 	}
 
 	// The application loop on a fresh fork, pinned to the winner: every
 	// iteration runs post-decision.
 	_, fw := snap.Fork()
-	res, _, err := runLoop(spec, fw, "adcl:"+ssel.Name(), func(int, *core.FunctionSet) core.Selector {
-		return &core.FixedSelector{Fn: winner}
+	res, _, err := runLoop(spec, fw, "adcl:"+dec.Audit.Selector, func(int, *core.FunctionSet) core.Selector {
+		return &core.FixedSelector{Fn: dec.Winner}
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Evals = ssel.Evals()
+	res.Evals = dec.Evals
 
 	out := &SpecResult{
 		Result:        res,
-		Audit:         ssel.Audit(),
+		Audit:         dec.Audit,
 		CandidateTime: durs,
-		EvalRounds:    ssel.Rounds(),
+		EvalRounds:    dec.Rounds,
 		Workers:       workers,
 	}
 	for _, d := range durs {

@@ -16,11 +16,11 @@ import (
 // the committed winner is still observed, reduced over tumbling windows with
 // the same robust score used for tuning, and compared against the
 // tuning-time estimate. When the windowed score departs from that baseline
-// by more than a configurable factor — in either direction; an environment
+// by more than driftFactor — in either direction; an environment
 // that *improved* can also have a new best implementation — measurement is
 // re-opened with a fresh inner selector and the operation re-tunes.
 //
-// State machine (documented in DESIGN.md §2):
+// State machine (documented in DESIGN.md §4):
 //
 //	LEARN ──inner decides──▶ MONITOR ──window departs baseline──▶ LEARN
 //
@@ -31,37 +31,29 @@ import (
 // would disagree on the implementation of a collective and deadlock. That
 // holds exactly when every rank feeds identical measurement values — which
 // decision synchronization (SyncedStop's max-allreduce) provides — so
-// StopMaybeSynced keeps syncing for as long as a Monitoring selector is
-// attached, not just during the initial learning phase.
+// StopMaybeSynced keeps syncing for as long as a monitor is attached, not
+// just during the initial learning phase.
 
-// scorer is implemented by selectors that can report their current robust
-// estimate for a function; Adaptive uses it to seed the drift baseline with
-// the tuning-time score of the winner.
-type scorer interface{ Score(fn int) float64 }
+// monitor is implemented by selectors that keep consuming measurements of
+// the committed winner after deciding (Adaptive is the only one).
+// Timer.StopWith feeds them every post-decision interval, and because their
+// re-tune trigger must fire at the same iteration on every rank,
+// StopMaybeSynced keeps max-reducing for as long as one is attached.
+type monitor interface{ Monitor(fn int, t float64) }
 
-// monitorSink receives post-decision measurements of the committed winner.
-// Timer.StopWith feeds every decided selector that implements it.
-type monitorSink interface{ Monitor(fn int, t float64) }
+// driftWindow is the number of committed-winner iterations reduced into one
+// monitoring score.
+const driftWindow = 8
 
-// monitoring marks selectors that still need synchronized measurements
-// after deciding (drift monitors). StopMaybeSynced checks it.
-type monitoring interface{ Monitoring() bool }
-
-// DefaultDriftWindow is the number of committed-winner iterations reduced
-// into one monitoring score.
-const DefaultDriftWindow = 8
-
-// DefaultDriftFactor is the departure factor that triggers a re-tune: the
-// windowed score must exceed baseline*factor or fall below baseline/factor.
-const DefaultDriftFactor = 1.5
+// driftFactor is the departure factor that triggers a re-tune: the windowed
+// score must exceed baseline*driftFactor or fall below baseline/driftFactor.
+const driftFactor = 1.5
 
 // Adaptive wraps a selector factory with windowed drift detection and
 // re-tuning. Build with NewAdaptive; use like any other Selector.
 type Adaptive struct {
-	mk      func() Selector
-	inner   Selector
-	winSize int
-	fac     float64
+	mk    func() Selector
+	inner Selector
 
 	committed bool
 	winner    int
@@ -75,19 +67,8 @@ type Adaptive struct {
 
 // NewAdaptive builds an adaptive selector. mk must return a fresh instance
 // of the inner learning selector on every call (one per tuning round).
-// window and factor fall back to the defaults when <= 0 (or, for factor,
-// <= 1: a departure factor must exceed 1 to mean anything).
-func NewAdaptive(mk func() Selector, window int, factor float64) *Adaptive {
-	if window <= 0 {
-		window = DefaultDriftWindow
-	}
-	if window < 2 {
-		window = 2
-	}
-	if factor <= 1 {
-		factor = DefaultDriftFactor
-	}
-	return &Adaptive{mk: mk, inner: mk(), winSize: window, fac: factor, baseline: math.NaN()}
+func NewAdaptive(mk func() Selector) *Adaptive {
+	return &Adaptive{mk: mk, inner: mk(), baseline: math.NaN()}
 }
 
 func (s *Adaptive) Name() string { return "adaptive+" + s.inner.Name() }
@@ -125,7 +106,7 @@ func (s *Adaptive) commit() {
 	s.winner = s.inner.Winner()
 	s.window = s.window[:0]
 	s.baseline = math.NaN()
-	if sc, ok := s.inner.(scorer); ok {
+	if sc, ok := s.inner.(Reporter); ok {
 		if v := sc.Score(s.winner); v > 0 && !math.IsNaN(v) && !math.IsInf(v, 0) {
 			s.baseline = v
 		}
@@ -143,7 +124,7 @@ func (s *Adaptive) Monitor(fn int, t float64) {
 		return
 	}
 	s.window = append(s.window, t)
-	if len(s.window) < s.winSize {
+	if len(s.window) < driftWindow {
 		return
 	}
 	score := stats.RobustScore(s.window)
@@ -152,11 +133,11 @@ func (s *Adaptive) Monitor(fn int, t float64) {
 		// No usable tuning-time estimate (e.g. a FixedSelector inner):
 		// the first monitoring window becomes the baseline.
 		s.baseline = score
-		s.audit.Phase(fmt.Sprintf("drift baseline calibrated to %.4g over %d laps", score, s.winSize))
+		s.audit.Phase(fmt.Sprintf("drift baseline calibrated to %.4g over %d laps", score, driftWindow))
 		return
 	}
-	if score > s.baseline*s.fac || score < s.baseline/s.fac {
-		s.audit.Drift(s.winner, score, fmt.Sprintf("baseline %.4g departed by factor > %.3g", s.baseline, s.fac))
+	if score > s.baseline*driftFactor || score < s.baseline/driftFactor {
+		s.audit.Drift(s.winner, score, fmt.Sprintf("baseline %.4g departed by factor > %.3g", s.baseline, driftFactor))
 		s.reopen()
 	}
 }
@@ -182,10 +163,6 @@ func (s *Adaptive) Winner() int { return s.winner }
 
 // Evals returns measurements consumed across all tuning rounds.
 func (s *Adaptive) Evals() int { return s.pastEvals + s.inner.Evals() }
-
-// Monitoring reports that this selector consumes post-decision measurements
-// and therefore needs decision synchronization to continue after learning.
-func (s *Adaptive) Monitoring() bool { return true }
 
 func (s *Adaptive) setAudit(a *obs.Audit) {
 	s.audit = a

@@ -49,7 +49,7 @@ func (h *driftHarness) run(n int) {
 }
 
 func TestAdaptiveRetunesWhenWinnerDegrades(t *testing.T) {
-	sel := NewAdaptive(func() Selector { return NewBruteForce(2, 3) }, 4, 1.5)
+	sel := NewAdaptive(func() Selector { return NewBruteForce(2, 3) })
 	h := newDriftHarness(t, sel, 1.0, 2.0)
 	au := AttachAudit(sel, h.req.FunctionSet())
 
@@ -58,7 +58,7 @@ func TestAdaptiveRetunesWhenWinnerDegrades(t *testing.T) {
 		t.Fatalf("initial tuning picked %d (decided=%v), want 0", sel.Winner(), h.req.Decided())
 	}
 
-	h.run(8) // stable monitoring: two full windows, no drift
+	h.run(2 * driftWindow) // stable monitoring: two full windows, no drift
 	if sel.retunes != 0 {
 		t.Fatalf("retuned %d times in a stable environment", sel.retunes)
 	}
@@ -66,7 +66,7 @@ func TestAdaptiveRetunesWhenWinnerDegrades(t *testing.T) {
 	// The environment shifts: the committed winner becomes 3x slower while
 	// the loser improves. The next full window departs the baseline.
 	h.costs[0], h.costs[1] = 3.0, 0.5
-	h.run(4 + 6 + 1) // one drift window + relearn + first monitored lap
+	h.run(driftWindow + 6 + 1) // one drift window + relearn + first monitored lap
 	if sel.retunes != 1 {
 		t.Fatalf("retunes = %d, want 1", sel.retunes)
 	}
@@ -85,21 +85,21 @@ func TestAdaptiveRetunesWhenWinnerDegrades(t *testing.T) {
 func TestAdaptiveRetunesWhenEnvironmentImproves(t *testing.T) {
 	// Drift in the *good* direction must also re-open measurement: when the
 	// whole machine speeds up, a different implementation may now be best.
-	sel := NewAdaptive(func() Selector { return NewBruteForce(2, 3) }, 4, 1.5)
+	sel := NewAdaptive(func() Selector { return NewBruteForce(2, 3) })
 	h := newDriftHarness(t, sel, 2.0, 3.0)
 	h.run(6)
 	if sel.Winner() != 0 {
 		t.Fatalf("initial winner = %d, want 0", sel.Winner())
 	}
 	h.costs[0], h.costs[1] = 0.9, 0.2 // everything faster, and impl1 now best
-	h.run(4 + 6)
+	h.run(driftWindow + 6)
 	if sel.retunes != 1 || sel.Winner() != 1 {
 		t.Fatalf("retunes=%d winner=%d, want 1/1", sel.retunes, sel.Winner())
 	}
 }
 
 func TestAdaptiveStableWithoutDrift(t *testing.T) {
-	sel := NewAdaptive(func() Selector { return NewBruteForce(3, 2) }, 4, 1.5)
+	sel := NewAdaptive(func() Selector { return NewBruteForce(3, 2) })
 	h := newDriftHarness(t, sel, 2.0, 1.0, 3.0)
 	h.run(100)
 	if sel.retunes != 0 {
@@ -115,7 +115,7 @@ func TestAdaptiveStableWithoutDrift(t *testing.T) {
 
 func TestAdaptiveSmallFluctuationsTolerated(t *testing.T) {
 	// A drift below the departure factor must not trigger a re-tune.
-	sel := NewAdaptive(func() Selector { return NewBruteForce(2, 3) }, 4, 1.5)
+	sel := NewAdaptive(func() Selector { return NewBruteForce(2, 3) })
 	h := newDriftHarness(t, sel, 1.0, 2.0)
 	h.run(6)
 	h.costs[0] = 1.3 // 1.3x baseline < 1.5x factor
@@ -126,11 +126,11 @@ func TestAdaptiveSmallFluctuationsTolerated(t *testing.T) {
 }
 
 func TestAdaptiveEvalsAccumulateAcrossRounds(t *testing.T) {
-	sel := NewAdaptive(func() Selector { return NewBruteForce(2, 3) }, 4, 1.5)
+	sel := NewAdaptive(func() Selector { return NewBruteForce(2, 3) })
 	h := newDriftHarness(t, sel, 1.0, 2.0)
 	h.run(6)
 	h.costs[0] = 5.0
-	h.run(4 + 6)
+	h.run(driftWindow + 6)
 	if got, want := sel.Evals(), 12; got != want {
 		t.Fatalf("evals = %d, want %d (two rounds of 6)", got, want)
 	}
@@ -154,7 +154,7 @@ func TestSelectorByNameAdaptiveVariants(t *testing.T) {
 	if err != nil {
 		t.Fatalf("brute-force-mean: %v", err)
 	}
-	if b, ok := s.(*BruteForce); !ok || b.store.score0 == nil {
+	if b, ok := s.(*Search); !ok || b.final.score0 == nil {
 		t.Fatalf("brute-force-mean did not install a custom score (got %T)", s)
 	}
 }

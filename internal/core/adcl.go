@@ -8,7 +8,12 @@
 // implementations (Functions), optionally characterized by an AttributeSet.
 // A persistent Request executes the operation repeatedly; during the first
 // iterations a runtime Selector switches among the implementations and
-// measures them, then locks in the fastest. Because the time spent inside a
+// measures them, then locks in the fastest. The paper's three selection
+// logics are one staged learner, Search (selector.go): brute force, the
+// attribute heuristic and the 2^k factorial design differ only in the plan
+// that picks and prunes its screening stages. Adaptive re-opens a decision
+// under drift, Speculate measures the candidates on forked worlds, History
+// carries winners across runs. Because the time spent inside a
 // non-blocking operation cannot be measured directly, measurement is
 // decoupled from the call through Timer objects that bracket a whole code
 // region (paper §III-D); a Timer may own several Requests, which co-tunes
@@ -139,11 +144,14 @@ func (fs *FunctionSet) IndexOf(name string) int {
 }
 
 // distinctValues returns the sorted distinct values attribute a takes across
-// the given candidate functions.
+// the characterized candidate functions: a guideline mock's sentinel is not a
+// level of any attribute.
 func distinctValues(fns []*Function, cands []int, attr int) []int {
 	set := map[int]bool{}
 	for _, i := range cands {
-		set[fns[i].Attrs[attr]] = true
+		if !IsMockFn(fns[i]) {
+			set[fns[i].Attrs[attr]] = true
+		}
 	}
 	vals := make([]int, 0, len(set))
 	for v := range set {

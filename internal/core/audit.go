@@ -28,24 +28,12 @@ func AttachAudit(sel Selector, fs *FunctionSet) *obs.Audit {
 	return a
 }
 
-func (b *BruteForce) setAudit(a *obs.Audit) { b.audit = a }
-
-func (h *AttrHeuristic) setAudit(a *obs.Audit) {
-	h.audit = a
-	if h.final != nil {
-		h.final.audit = a
-	}
-	// The constructor picks the first slice before an audit can attach;
-	// describe the in-flight phase so the log starts complete.
-	if !h.decided && h.final == nil && len(h.slice) > 0 {
-		a.Phase(fmt.Sprintf("slicing attribute %q over %d candidates", h.attrs.Attrs[h.attr].Name, len(h.slice)))
-	}
-}
-
-func (f *Factorial2K) setAudit(a *obs.Audit) {
-	f.audit = a
-	if f.final != nil {
-		f.final.audit = a
+func (s *Search) setAudit(a *obs.Audit) {
+	s.audit = a
+	// The constructor opens the first stage before an audit can attach;
+	// describe an in-flight screening stage so the log starts complete.
+	if !s.decided && !s.deciding && s.phase != "" {
+		a.Phase(s.phase)
 	}
 }
 

@@ -14,7 +14,17 @@ import (
 // in earlier executions are persisted and looked up by a scenario key, so a
 // later run can skip the learning phase entirely.
 type History struct {
+	// Entries holds one outcome per (scenario key, environment): a clean
+	// environment's under the plain scenario key, a fingerprinted one's under
+	// kb.CombinedKey, the key the tuned daemon files the same pair under.
 	Entries map[string]HistoryEntry `json:"entries"`
+}
+
+func entryKey(key, env string) string {
+	if env == "" {
+		return key
+	}
+	return kb.CombinedKey(key, env)
 }
 
 // HistoryEntry records one tuned scenario.
@@ -94,17 +104,28 @@ func (h *History) Save(path string) error {
 	return kb.WriteFileAtomic(path, data, 0o644)
 }
 
-// Record stores a tuning outcome.
+// Record stores a tuning outcome for the scenario key under the entry's
+// environment, replacing only an earlier outcome of that same pair.
 func (h *History) Record(key string, e HistoryEntry) {
-	h.Entries[key] = e
+	if old, ok := h.Entries[key]; ok && old.Env != "" {
+		// Files written before entries were keyed per environment hold a
+		// scenario's only outcome under the plain key whatever its
+		// environment: give it its own key instead of overwriting it.
+		delete(h.Entries, key)
+		h.Entries[entryKey(key, old.Env)] = old
+	}
+	h.Entries[entryKey(key, e.Env)] = e
 }
 
-// LookupEnv returns the recorded winner for a scenario key, but only when
-// the entry's environment fingerprint matches env: an entry tuned under a
-// different environment is stale and reported as a miss, so the caller
-// falls back to live learning instead of committing an invalidated winner.
+// LookupEnv returns the recorded winner for a scenario key under the
+// environment fingerprint env. An outcome tuned under a different
+// environment is stale and never answers, so the caller falls back to live
+// learning instead of committing an invalidated winner.
 func (h *History) LookupEnv(key, env string) (HistoryEntry, bool) {
-	e, ok := h.Entries[key]
+	e, ok := h.Entries[entryKey(key, env)]
+	if !ok {
+		e, ok = h.Entries[key] // a file from before per-environment keys
+	}
 	if !ok || e.Env != env {
 		return HistoryEntry{}, false
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"nbctune/internal/mpi"
 	"nbctune/internal/nbc"
@@ -47,13 +46,12 @@ func IsMockFn(f *Function) bool {
 
 // MockDef describes one registrable mock implementation: the operation
 // whose function set it extends, its unique name, and the schedule that
-// implements it over that operation's buffers. Provenance records which
-// guideline promoted it (empty for catalog entries that were never
-// promoted).
+// implements it over that operation's buffers. Which guideline promoted a
+// mock is recorded where the promotion happens: guideline.Registration and
+// the selection audit's mock event.
 type MockDef struct {
-	Op         string
-	Name       string
-	Provenance string
+	Op   string
+	Name string
 
 	sched func(n, me, root int, send, recv mpi.Buf) *nbc.Schedule
 }
@@ -66,33 +64,27 @@ const (
 )
 
 // mockCatalog is the static vocabulary of composed mocks the guideline
-// engine knows how to build, sorted by name. Guarded by mockMu only for the
-// Provenance updates of RecordMockProvenance; the set of entries is fixed.
-var (
-	mockMu      sync.Mutex
-	mockCatalog = []*MockDef{
-		{Op: "iallgather", Name: MockIallgatherGatherBcast,
-			sched: func(n, me, _ int, send, recv mpi.Buf) *nbc.Schedule {
-				return nbc.MockAllgatherGatherBcast(n, me, send, recv)
-			}},
-		{Op: "ialltoall", Name: MockIalltoallSplit,
-			sched: func(n, me, _ int, send, recv mpi.Buf) *nbc.Schedule {
-				return nbc.MockAlltoallSplit(n, me, send, recv)
-			}},
-		{Op: "ibcast", Name: MockIbcastScatterAllgather,
-			sched: func(n, me, root int, buf, _ mpi.Buf) *nbc.Schedule {
-				return nbc.MockBcastScatterAllgather(n, me, root, buf)
-			}},
-	}
-)
+// engine knows how to build, sorted by name.
+var mockCatalog = []MockDef{
+	{Op: "iallgather", Name: MockIallgatherGatherBcast,
+		sched: func(n, me, _ int, send, recv mpi.Buf) *nbc.Schedule {
+			return nbc.MockAllgatherGatherBcast(n, me, send, recv)
+		}},
+	{Op: "ialltoall", Name: MockIalltoallSplit,
+		sched: func(n, me, _ int, send, recv mpi.Buf) *nbc.Schedule {
+			return nbc.MockAlltoallSplit(n, me, send, recv)
+		}},
+	{Op: "ibcast", Name: MockIbcastScatterAllgather,
+		sched: func(n, me, root int, buf, _ mpi.Buf) *nbc.Schedule {
+			return nbc.MockBcastScatterAllgather(n, me, root, buf)
+		}},
+}
 
 // MockByName returns the catalog entry for a mock name.
 func MockByName(name string) (MockDef, bool) {
-	mockMu.Lock()
-	defer mockMu.Unlock()
 	for _, d := range mockCatalog {
 		if d.Name == name {
-			return *d, true
+			return d, true
 		}
 	}
 	return MockDef{}, false
@@ -105,19 +97,6 @@ func MockNames() []string {
 		out[i] = d.Name
 	}
 	return out
-}
-
-// RecordMockProvenance stamps the guideline that promoted a mock onto its
-// catalog entry (the audit trail cmd/audit reports alongside the
-// registration). Unknown names are ignored.
-func RecordMockProvenance(name, provenance string) {
-	mockMu.Lock()
-	defer mockMu.Unlock()
-	for _, d := range mockCatalog {
-		if d.Name == name {
-			d.Provenance = provenance
-		}
-	}
 }
 
 // CheckMocks vets a mock list against the operation: unknown names and

@@ -144,7 +144,7 @@ func TestFactorial2KCarriesMock(t *testing.T) {
 		}
 		return 10 + float64(d)*10 + seg
 	}
-	w := drive(t, NewFactorial2K(fs, 4, 0.25), cost, 10000)
+	w := drive(t, NewFactorial2K(fs, 4), cost, 10000)
 	if w != mock {
 		t.Fatalf("winner = %s, want the mock", fs.Fns[w].Name)
 	}

@@ -9,8 +9,12 @@ import (
 )
 
 // Reporter is implemented by selectors that expose their per-implementation
-// measurements; all built-in selectors except FixedSelector do.
+// measurements: every Search does.
 type Reporter interface {
+	// Score returns the current robust estimate for fn (NaN with no
+	// samples); the adaptive drift monitor seeds its baseline with the
+	// winner's.
+	Score(fn int) float64
 	// Scores returns the robust score per measured implementation index.
 	Scores() map[int]float64
 	// Samples returns the raw measurements of one implementation.
@@ -25,53 +29,23 @@ func (m *measStore) scores() map[int]float64 {
 	return out
 }
 
-// Scores implements Reporter.
-func (b *BruteForce) Scores() map[int]float64 { return b.store.scores() }
+// Score implements Reporter: a winner decided by the final brute force is
+// scored there, one decided purely by pruning from the screening samples.
+func (s *Search) Score(fn int) float64 { return s.store().score(fn) }
 
-// Samples implements Reporter.
-func (b *BruteForce) Samples(fn int) []float64 {
-	return append([]float64(nil), b.store.meas[fn]...)
-}
-
-// Scores implements Reporter, merging the heuristic's phase measurements
-// with its final brute-force pass.
-func (h *AttrHeuristic) Scores() map[int]float64 {
-	out := h.store.scores()
-	if h.final != nil {
-		for fn, s := range h.final.Scores() {
-			out[fn] = s
-		}
+// Scores implements Reporter, merging the screening stages' measurements
+// with the final brute-force pass.
+func (s *Search) Scores() map[int]float64 {
+	out := s.screen.scores()
+	for fn, v := range s.final.scores() {
+		out[fn] = v
 	}
 	return out
 }
 
 // Samples implements Reporter.
-func (h *AttrHeuristic) Samples(fn int) []float64 {
-	out := append([]float64(nil), h.store.meas[fn]...)
-	if h.final != nil {
-		out = append(out, h.final.Samples(fn)...)
-	}
-	return out
-}
-
-// Scores implements Reporter.
-func (f *Factorial2K) Scores() map[int]float64 {
-	out := f.store.scores()
-	if f.final != nil {
-		for fn, s := range f.final.Scores() {
-			out[fn] = s
-		}
-	}
-	return out
-}
-
-// Samples implements Reporter.
-func (f *Factorial2K) Samples(fn int) []float64 {
-	out := append([]float64(nil), f.store.meas[fn]...)
-	if f.final != nil {
-		out = append(out, f.final.Samples(fn)...)
-	}
-	return out
+func (s *Search) Samples(fn int) []float64 {
+	return append(append([]float64(nil), s.screen.meas[fn]...), s.final.meas[fn]...)
 }
 
 // TuningReport renders a human-readable summary of a request's tuning state:

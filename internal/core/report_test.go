@@ -10,7 +10,7 @@ func TestReporterInterfaces(t *testing.T) {
 	for _, sel := range []Selector{
 		NewBruteForce(len(fs.Fns), 2),
 		NewAttrHeuristic(fs, 2),
-		NewFactorial2K(fs, 2, 0.05),
+		NewFactorial2K(fs, 2),
 	} {
 		rep, ok := sel.(Reporter)
 		if !ok {

@@ -136,6 +136,7 @@ type Timer struct {
 	t0      float64
 	running bool
 	seen    []Selector // StopWith scratch, capacity-reused so Stop never allocates
+	syncBuf [16]byte   // SyncedStop scratch: the allreduce's 8-byte input and output
 }
 
 // NewTimer creates a timer measuring for the given requests. The requests'
@@ -224,7 +225,7 @@ func (t *Timer) StopWith(elapsed float64) {
 			}
 			continue
 		}
-		if m, ok := r.sel.(monitorSink); ok {
+		if m, ok := r.sel.(monitor); ok {
 			m.Monitor(r.curFn, elapsed)
 		}
 	}

@@ -263,6 +263,52 @@ func TestSelectorWithHistorySkipsLearning(t *testing.T) {
 	}
 }
 
+// TestHistoryKeepsEveryEnvironment: a scenario's outcomes under different
+// environments live side by side — through a save and a load — and a file
+// from before entries were keyed per environment (one entry per scenario,
+// under the plain key) keeps answering for the environment it names.
+func TestHistoryKeepsEveryEnvironment(t *testing.T) {
+	key := HistoryKey("ibcast", "crill", 16, 1<<21)
+	chaos := EnvFingerprint("flat", "congested", 1)
+	h := NewHistory()
+	h.Record(key, HistoryEntry{Winner: "clean-winner"})
+	h.Record(key, HistoryEntry{Winner: "chaos-winner", Env: chaos})
+	path := filepath.Join(t.TempDir(), "h.json")
+	if err := h.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	h, err := LoadHistory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for env, want := range map[string]string{"": "clean-winner", chaos: "chaos-winner"} {
+		if e, ok := h.LookupEnv(key, env); !ok || e.Winner != want {
+			t.Errorf("env %q: got %+v (hit=%v), want %s", env, e, ok, want)
+		}
+	}
+
+	old := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(old, []byte(`{"entries":{"`+key+`":{"winner":"old-chaos","evals":9,"env":"`+chaos+`"}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if h, err = LoadHistory(old); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := h.LookupEnv(key, ""); ok {
+		t.Error("an old chaos entry answered a clean lookup")
+	}
+	if e, ok := h.LookupEnv(key, chaos); !ok || e.Winner != "old-chaos" {
+		t.Errorf("old-format chaos entry: %+v (hit=%v)", e, ok)
+	}
+	h.Record(key, HistoryEntry{Winner: "clean-winner"})
+	if e, ok := h.LookupEnv(key, chaos); !ok || e.Winner != "old-chaos" || e.Evals != 9 {
+		t.Errorf("old-format chaos entry after a clean record: %+v (hit=%v)", e, ok)
+	}
+	if e, ok := h.LookupEnv(key, ""); !ok || e.Winner != "clean-winner" {
+		t.Errorf("clean entry beside an old-format one: %+v (hit=%v)", e, ok)
+	}
+}
+
 func TestFunctionSetValidate(t *testing.T) {
 	ok := fakeSet([]int{0, 1})
 	if err := ok.Validate(); err != nil {

@@ -37,9 +37,10 @@ type measStore struct {
 	score0 func([]float64) float64
 }
 
-func newMeasStore() measStore { return measStore{meas: map[int][]float64{}} }
-
 func (m *measStore) record(fn int, t float64) {
+	if m.meas == nil {
+		m.meas = map[int][]float64{}
+	}
 	m.meas[fn] = append(m.meas[fn], t)
 	m.n++
 }
@@ -71,135 +72,227 @@ func (s *FixedSelector) Record(fn int, t float64) {}
 func (s *FixedSelector) Winner() int              { return s.Fn }
 func (s *FixedSelector) Evals() int               { return 0 }
 
-// BruteForce evaluates every candidate EvalsPerFn times (round-robin over
-// passes, so slow drift hits all candidates equally) and picks the best
-// robust score. It is guaranteed to consider every implementation, at the
-// price of the longest learning phase (paper §III-A).
-type BruteForce struct {
-	cands   []int
-	evals   int
-	seq     int
-	store   measStore
+// Search is the one learner behind every selection logic of the paper
+// (§III-A). It measures in stages: a stage's candidates run round-robin
+// (so slow drift hits all of them equally) until each has `evals` samples,
+// then the stage is reduced with the robust score. Screening stages, chosen
+// and read by the search's plan, only prune the survivors; the last stage is
+// always a brute force over whoever survived, scored from its own samples,
+// and its best candidate is the decision. The three logics differ in their
+// plan alone:
+//
+//   - brute force has none: the one stage covers every implementation, at
+//     the price of the longest learning phase;
+//   - the attribute heuristic (attrPlan) screens one attribute per stage;
+//   - the 2^k factorial design (factorialPlan) screens the corner
+//     implementations once.
+type Search struct {
+	name  string
+	fns   []*Function // what a plan's verdict is applied to; nil without a plan
+	evals int
+	plan  plan
+
+	remaining []int  // survivors of the screening stages so far
+	cands     []int  // the stage being measured
+	phase     string // its label in the audit ("" for none)
+	deciding  bool   // the stage is the final brute force over remaining
+	seq       int    // measurements taken in the stage
+
+	screen measStore // every screening stage's samples
+	final  measStore // the final brute force's samples
+
 	decided bool
 	winner  int
 	audit   *obs.Audit
 }
 
-// NewBruteForce tunes over all fnCount implementations.
-func NewBruteForce(fnCount, evalsPerFn int) *BruteForce {
-	cands := make([]int, fnCount)
-	for i := range cands {
-		cands[i] = i
-	}
-	return newBruteForceOver(cands, evalsPerFn)
+// plan is what distinguishes the pruning logics: which candidates a screening
+// stage measures and what its scores say about the survivors. The
+// measurement protocol, the audit trail and the guideline-mock exemption are
+// the Search's.
+type plan interface {
+	// stage opens the next screening stage over the survivors: the
+	// candidates to measure and the stage's label for the audit ("" for
+	// none). No candidates ends the screening.
+	stage(remaining []int) (cands []int, phase string)
+	// reduce reads the finished stage's scores: the survivors for which keep
+	// holds stay, and reason describes the cut to the audit.
+	reduce(st *measStore, cands []int) (keep func(*Function) bool, reason string)
+	// maxStages bounds how many stages, the final one included, can measure
+	// one and the same candidate.
+	maxStages() int
 }
 
-// NewBruteForceWithScore is NewBruteForce with a custom measurement scoring
-// function (e.g. stats.Mean to ablate the outlier filter).
-func NewBruteForceWithScore(fnCount, evalsPerFn int, score func([]float64) float64) *BruteForce {
-	b := NewBruteForce(fnCount, evalsPerFn)
-	b.store.score0 = score
-	return b
-}
-
-func newBruteForceOver(cands []int, evalsPerFn int) *BruteForce {
-	if len(cands) == 0 {
+func newSearch(name string, fns []*Function, fnCount, evalsPerFn int, p plan) *Search {
+	if fnCount == 0 {
 		panic("adcl: brute force over empty candidate set")
 	}
 	if evalsPerFn < 1 {
 		evalsPerFn = 1
 	}
-	return &BruteForce{cands: cands, evals: evalsPerFn, store: newMeasStore()}
-}
-
-func (b *BruteForce) Name() string { return "brute-force" }
-
-func (b *BruteForce) Next() (int, bool) {
-	if b.decided {
-		return b.winner, true
+	s := &Search{name: name, fns: fns, evals: evalsPerFn, plan: p}
+	s.remaining = make([]int, fnCount)
+	for i := range s.remaining {
+		s.remaining[i] = i
 	}
-	return b.cands[b.seq%len(b.cands)], false
+	s.advance()
+	return s
 }
 
-func (b *BruteForce) Record(fn int, t float64) {
-	if b.decided {
+// NewBruteForce tunes over all fnCount implementations: every candidate is
+// evaluated evalsPerFn times and the best robust score wins. It is guaranteed
+// to consider every implementation (paper §III-A).
+func NewBruteForce(fnCount, evalsPerFn int) *Search {
+	return newSearch("brute-force", nil, fnCount, evalsPerFn, nil)
+}
+
+// NewBruteForceWithScore is NewBruteForce with a custom measurement scoring
+// function (e.g. stats.Mean to ablate the outlier filter).
+func NewBruteForceWithScore(fnCount, evalsPerFn int, score func([]float64) float64) *Search {
+	s := NewBruteForce(fnCount, evalsPerFn)
+	s.final.score0 = score
+	return s
+}
+
+// advance opens the next stage: the plan's next screen, or — once the plan
+// has none left — the final brute force, which a lone survivor of the
+// screening wins without further measurement.
+func (s *Search) advance() {
+	s.seq = 0
+	if s.plan != nil {
+		if s.cands, s.phase = s.plan.stage(s.remaining); s.cands != nil {
+			if s.phase != "" {
+				s.audit.Phase(s.phase)
+			}
+			return
+		}
+		if len(s.remaining) == 1 {
+			s.decide(s.remaining[0], s.screen.n)
+			return
+		}
+		s.audit.Phase(fmt.Sprintf("final brute force over %d survivors", len(s.remaining)))
+	}
+	s.cands, s.deciding = s.remaining, true
+}
+
+func (s *Search) decide(winner, evals int) {
+	s.winner, s.decided = winner, true
+	s.audit.Decide(winner, evals)
+}
+
+// store returns the samples the current stage records into and is scored from.
+func (s *Search) store() *measStore {
+	if s.deciding {
+		return &s.final
+	}
+	return &s.screen
+}
+
+func (s *Search) Name() string { return s.name }
+
+func (s *Search) Next() (int, bool) {
+	if s.decided {
+		return s.winner, true
+	}
+	return s.cands[s.seq%len(s.cands)], false
+}
+
+func (s *Search) Record(fn int, t float64) {
+	if s.decided {
 		return
 	}
-	b.audit.Sample(fn, t)
-	b.store.record(fn, t)
-	b.seq++
-	if b.seq >= b.evals*len(b.cands) {
-		b.winner = b.store.argmin(b.cands)
-		b.decided = true
-		auditEstimates(b.audit, &b.store, b.cands)
-		b.audit.Decide(b.winner, b.store.n)
+	st := s.store()
+	s.audit.Sample(fn, t)
+	st.record(fn, t)
+	if s.seq++; s.seq < s.evals*len(s.cands) {
+		return
 	}
+	auditEstimates(s.audit, st, s.cands)
+	if s.deciding {
+		s.decide(st.argmin(s.cands), st.n)
+		return
+	}
+	keep, reason := s.plan.reduce(st, s.cands)
+	s.keep(keep, reason)
+	s.advance()
 }
 
-func (b *BruteForce) Winner() int { return b.winner }
-func (b *BruteForce) Evals() int  { return b.store.n }
+// keep applies a screening verdict to the survivors. Guideline mocks
+// (all-sentinel attribute vectors) are exempt: no attribute describes them,
+// so no attribute decision can eliminate them — they ride through to the
+// final brute force.
+func (s *Search) keep(pred func(*Function) bool, reason string) {
+	var kept, removed []int
+	for _, i := range s.remaining {
+		if pred(s.fns[i]) || IsMockFn(s.fns[i]) {
+			kept = append(kept, i)
+		} else {
+			removed = append(removed, i)
+		}
+	}
+	if len(removed) > 0 {
+		s.audit.Prune(reason, removed)
+	}
+	s.remaining = kept
+}
 
-// Score returns the current robust estimate for fn (NaN with no samples);
-// the adaptive drift monitor seeds its baseline with the winner's score.
-func (b *BruteForce) Score(fn int) float64 { return b.store.score(fn) }
+func (s *Search) Winner() int { return s.winner }
+func (s *Search) Evals() int  { return s.screen.n + s.final.n }
 
-// AttrHeuristic is ADCL's attribute-based search heuristic [13]: it assumes
-// the best implementation has the optimal value in every attribute
-// dimension, so it optimizes one attribute at a time over a "slice" of
-// implementations that differ only in that attribute, then prunes every
-// implementation without the winning value. Cost is roughly the sum of the
-// attribute cardinalities rather than their product.
-type AttrHeuristic struct {
+// rounds is the most measurements the search can ask of one candidate: its
+// evaluations per stage times the stages that can reach the same candidate.
+func (s *Search) rounds() int {
+	if s.plan == nil {
+		return s.evals
+	}
+	return s.evals * s.plan.maxStages()
+}
+
+// attrPlan is ADCL's attribute-based search heuristic [13]: it assumes the
+// best implementation has the optimal value in every attribute dimension, so
+// each stage optimizes one attribute over a "slice" of implementations that
+// differ only in that attribute, and prunes every implementation without the
+// winning value. Cost is roughly the sum of the attribute cardinalities
+// rather than their product.
+type attrPlan struct {
 	fns   []*Function
-	attrs *AttributeSet
-	evals int
-
-	remaining []int
-	attr      int
-	slice     []int
-	seq       int
-	store     measStore
-
-	final   *BruteForce
-	decided bool
-	winner  int
-	audit   *obs.Audit
+	attrs []Attribute
+	attr  int // the attribute being sliced, or the next to try
 }
 
 // NewAttrHeuristic builds the heuristic for a function set. Function sets
 // without attributes degrade to brute force.
-func NewAttrHeuristic(fs *FunctionSet, evalsPerFn int) Selector {
+func NewAttrHeuristic(fs *FunctionSet, evalsPerFn int) *Search {
 	if fs.AttrSet == nil || len(fs.AttrSet.Attrs) == 0 {
 		return NewBruteForce(len(fs.Fns), evalsPerFn)
 	}
-	if evalsPerFn < 1 {
-		evalsPerFn = 1
-	}
-	h := &AttrHeuristic{fns: fs.Fns, attrs: fs.AttrSet, evals: evalsPerFn}
-	h.remaining = make([]int, len(fs.Fns))
-	for i := range h.remaining {
-		h.remaining[i] = i
-	}
-	h.store = newMeasStore()
-	h.advancePhase()
-	return h
+	return newSearch("attr-heuristic", fs.Fns, len(fs.Fns), evalsPerFn, &attrPlan{fns: fs.Fns, attrs: fs.AttrSet.Attrs})
 }
 
-// buildSlice collects, for the current attribute, one candidate per distinct
-// value: implementations equal to remaining[0] in every other attribute.
-// Guideline mocks (all-sentinel attribute vectors) never slice — they are
-// uncharacterized, so no attribute dimension describes them.
-func (h *AttrHeuristic) buildSlice() []int {
-	base := h.fns[h.remaining[0]]
-	var out []int
-	for _, i := range h.remaining {
-		f := h.fns[i]
-		if IsMockFn(f) {
+// stage moves to the next attribute with at least two live values and a
+// slice that can tell them apart.
+func (p *attrPlan) stage(remaining []int) ([]int, string) {
+	for ; p.attr < len(p.attrs); p.attr++ {
+		if len(distinctValues(p.fns, remaining, p.attr)) < 2 {
 			continue
 		}
-		ok := true
-		for a := range f.Attrs {
-			if a != h.attr && f.Attrs[a] != base.Attrs[a] {
+		if sl := p.slice(remaining); len(sl) >= 2 {
+			return sl, fmt.Sprintf("slicing attribute %q over %d candidates", p.attrs[p.attr].Name, len(sl))
+		}
+	}
+	return nil, ""
+}
+
+// slice collects, for the current attribute, one candidate per distinct
+// value: the characterized implementations equal to remaining[0] in every
+// other attribute.
+func (p *attrPlan) slice(remaining []int) []int {
+	base := p.fns[remaining[0]]
+	var out []int
+	for _, i := range remaining {
+		ok := !IsMockFn(p.fns[i]) // uncharacterized: no attribute slices it
+		for a, v := range p.fns[i].Attrs {
+			if a != p.attr && v != base.Attrs[a] {
 				ok = false
 				break
 			}
@@ -211,193 +304,68 @@ func (h *AttrHeuristic) buildSlice() []int {
 	return out
 }
 
-// realCands filters guideline mocks out of a candidate list; attribute
-// slicing, factor extraction, and pruning reason only over characterized
-// implementations.
-func realCands(fns []*Function, cands []int) []int {
-	out := make([]int, 0, len(cands))
-	for _, i := range cands {
-		if !IsMockFn(fns[i]) {
-			out = append(out, i)
-		}
-	}
-	return out
+func (p *attrPlan) reduce(st *measStore, cands []int) (func(*Function) bool, string) {
+	a := p.attr
+	p.attr++
+	best := p.fns[st.argmin(cands)].Attrs[a]
+	return func(f *Function) bool { return f.Attrs[a] == best },
+		fmt.Sprintf("attribute %q pinned to %d", p.attrs[a].Name, best)
 }
 
-// advancePhase moves to the next attribute with at least two live values,
-// or finishes.
-func (h *AttrHeuristic) advancePhase() {
-	for h.attr < len(h.attrs.Attrs) {
-		if len(distinctValues(h.fns, realCands(h.fns, h.remaining), h.attr)) >= 2 {
-			sl := h.buildSlice()
-			if len(sl) >= 2 {
-				h.slice = sl
-				h.seq = 0
-				h.audit.Phase(fmt.Sprintf("slicing attribute %q over %d candidates", h.attrs.Attrs[h.attr].Name, len(sl)))
-				return
-			}
-		}
-		h.attr++
-	}
-	// All attributes processed.
-	if len(h.remaining) == 1 {
-		h.winner = h.remaining[0]
-		h.decided = true
-		h.audit.Decide(h.winner, h.store.n)
-		return
-	}
-	h.audit.Phase(fmt.Sprintf("final brute force over %d survivors", len(h.remaining)))
-	h.final = newBruteForceOver(h.remaining, h.evals)
-	h.final.audit = h.audit
-}
+// One candidate can sit in every attribute's slice and in the final stage.
+func (p *attrPlan) maxStages() int { return len(p.attrs) + 1 }
 
-func (h *AttrHeuristic) Name() string { return "attr-heuristic" }
+// factorialThreshold scales the strong-effect cutoff of the 2^k design: an
+// attribute is pinned when |main effect| > factorialThreshold * mean corner
+// response.
+const factorialThreshold = 0.02
 
-func (h *AttrHeuristic) Next() (int, bool) {
-	if h.decided {
-		return h.winner, true
-	}
-	if h.final != nil {
-		fn, done := h.final.Next()
-		if done {
-			h.winner = h.final.Winner()
-			h.decided = true
-		}
-		return fn, h.decided
-	}
-	return h.slice[h.seq%len(h.slice)], false
-}
-
-func (h *AttrHeuristic) Record(fn int, t float64) {
-	if h.decided {
-		return
-	}
-	if h.final != nil {
-		h.final.Record(fn, t)
-		if _, done := h.final.Next(); done {
-			h.winner = h.final.Winner()
-			h.decided = true
-		}
-		return
-	}
-	h.audit.Sample(fn, t)
-	h.store.record(fn, t)
-	h.seq++
-	if h.seq < h.evals*len(h.slice) {
-		return
-	}
-	// Decide the optimal value for this attribute and prune. Guideline mocks
-	// are exempt: no attribute describes them, so no attribute decision can
-	// eliminate them — they ride through to the final brute force.
-	auditEstimates(h.audit, &h.store, h.slice)
-	best := h.store.argmin(h.slice)
-	bestVal := h.fns[best].Attrs[h.attr]
-	var kept, removed []int
-	for _, i := range h.remaining {
-		if h.fns[i].Attrs[h.attr] == bestVal || IsMockFn(h.fns[i]) {
-			kept = append(kept, i)
-		} else {
-			removed = append(removed, i)
-		}
-	}
-	h.audit.Prune(fmt.Sprintf("attribute %q pinned to %d", h.attrs.Attrs[h.attr].Name, bestVal), removed)
-	h.remaining = kept
-	h.attr++
-	h.advancePhase()
-}
-
-func (h *AttrHeuristic) Winner() int { return h.winner }
-
-// Score returns the current robust estimate for fn (NaN with no samples).
-// A winner decided by the final brute-force pass is scored there; one
-// decided purely by pruning is scored from the slice measurements.
-func (h *AttrHeuristic) Score(fn int) float64 {
-	if h.final != nil {
-		return h.final.Score(fn)
-	}
-	return h.store.score(fn)
-}
-
-func (h *AttrHeuristic) Evals() int {
-	n := h.store.n
-	if h.final != nil {
-		n += h.final.Evals()
-	}
-	return n
-}
-
-// Factorial2K is the 2^k factorial design selection logic [4,5]: it measures
-// only the corner implementations (every attribute at its extreme values),
-// estimates main effects, pins attributes with strong effects to their
-// better extreme, and brute-forces the surviving candidates. Unlike
-// AttrHeuristic it tolerates correlated attributes, because interactions are
-// visible in the corner responses.
-type Factorial2K struct {
-	fns   []*Function
-	evals int
-	// ThresholdFrac scales the strong-effect cutoff: an attribute is pinned
-	// when |main effect| > ThresholdFrac * mean corner response.
-	thresholdFrac float64
-
-	factors  []int // attribute indices participating as 2-level factors
-	lows     []int
-	highs    []int
-	corners  []stats.Corner
-	cornerFn []int
-	seq      int
-	store    measStore
-
-	final   *BruteForce
-	decided bool
-	winner  int
-	audit   *obs.Audit
+// factorialPlan is the 2^k factorial design selection logic [4,5]: one stage
+// measures only the corner implementations (every attribute at its extreme
+// values), estimates main effects and pins attributes with strong effects to
+// their better extreme. Unlike the attribute heuristic it tolerates
+// correlated attributes, because interactions are visible in the corner
+// responses.
+type factorialPlan struct {
+	factors     []int // attribute indices participating as 2-level factors
+	lows, highs []int
+	corners     []stats.Corner
+	cornerFn    []int
+	screened    bool
 }
 
 // NewFactorial2K builds the factorial-design selector; it falls back to
 // brute force when the function set has no attributes or the corner
 // implementations don't all exist.
-func NewFactorial2K(fs *FunctionSet, evalsPerFn int, thresholdFrac float64) Selector {
-	if fs.AttrSet == nil || len(fs.AttrSet.Attrs) == 0 {
+func NewFactorial2K(fs *FunctionSet, evalsPerFn int) *Search {
+	if fs.AttrSet == nil {
 		return NewBruteForce(len(fs.Fns), evalsPerFn)
-	}
-	if evalsPerFn < 1 {
-		evalsPerFn = 1
-	}
-	if thresholdFrac <= 0 {
-		thresholdFrac = 0.02
 	}
 	all := make([]int, len(fs.Fns))
 	for i := range all {
 		all[i] = i
 	}
-	f := &Factorial2K{fns: fs.Fns, evals: evalsPerFn, thresholdFrac: thresholdFrac, store: newMeasStore()}
-	// Factor extremes come from characterized implementations only; mocks'
-	// sentinel attributes are not levels of any real design factor.
+	p := &factorialPlan{}
 	for a := range fs.AttrSet.Attrs {
-		vals := distinctValues(fs.Fns, realCands(fs.Fns, all), a)
-		if len(vals) >= 2 {
-			f.factors = append(f.factors, a)
-			f.lows = append(f.lows, vals[0])
-			f.highs = append(f.highs, vals[len(vals)-1])
+		if vals := distinctValues(fs.Fns, all, a); len(vals) >= 2 {
+			p.factors = append(p.factors, a)
+			p.lows = append(p.lows, vals[0])
+			p.highs = append(p.highs, vals[len(vals)-1])
 		}
 	}
-	if len(f.factors) == 0 {
+	if len(p.factors) == 0 {
 		return NewBruteForce(len(fs.Fns), evalsPerFn)
 	}
-	f.corners = stats.Corners(len(f.factors))
-	attrCount := len(fs.AttrSet.Attrs)
-	for _, c := range f.corners {
+	p.corners = stats.Corners(len(p.factors))
+	for _, c := range p.corners {
 		// Build the attribute vector for this corner: factor attributes at
 		// their extreme, non-factor attributes at their single value.
-		want := make([]int, attrCount)
-		for a := 0; a < attrCount; a++ {
-			want[a] = fs.Fns[0].Attrs[a]
-		}
-		for fi, a := range f.factors {
+		want := append([]int(nil), fs.Fns[0].Attrs...)
+		for fi, a := range p.factors {
 			if c.Levels[fi] {
-				want[a] = f.highs[fi]
+				want[a] = p.highs[fi]
 			} else {
-				want[a] = f.lows[fi]
+				want[a] = p.lows[fi]
 			}
 		}
 		idx := fs.FindFunction(want)
@@ -405,148 +373,86 @@ func NewFactorial2K(fs *FunctionSet, evalsPerFn int, thresholdFrac float64) Sele
 			// Incomplete design: cannot run the factorial screen.
 			return NewBruteForce(len(fs.Fns), evalsPerFn)
 		}
-		f.cornerFn = append(f.cornerFn, idx)
+		p.cornerFn = append(p.cornerFn, idx)
 	}
-	return f
+	return newSearch("factorial-2k", fs.Fns, len(fs.Fns), evalsPerFn, p)
 }
 
-func (f *Factorial2K) Name() string { return "factorial-2k" }
-
-func (f *Factorial2K) Next() (int, bool) {
-	if f.decided {
-		return f.winner, true
+func (p *factorialPlan) stage([]int) ([]int, string) {
+	if p.screened {
+		return nil, ""
 	}
-	if f.final != nil {
-		fn, done := f.final.Next()
-		if done {
-			f.winner = f.final.Winner()
-			f.decided = true
-		}
-		return fn, f.decided
-	}
-	return f.cornerFn[f.seq%len(f.cornerFn)], false
+	p.screened = true
+	return p.cornerFn, ""
 }
 
-func (f *Factorial2K) Record(fn int, t float64) {
-	if f.decided {
-		return
-	}
-	if f.final != nil {
-		f.final.Record(fn, t)
-		if _, done := f.final.Next(); done {
-			f.winner = f.final.Winner()
-			f.decided = true
-		}
-		return
-	}
-	f.audit.Sample(fn, t)
-	f.store.record(fn, t)
-	f.seq++
-	if f.seq < f.evals*len(f.cornerFn) {
-		return
-	}
-	// Score corners and estimate effects.
-	auditEstimates(f.audit, &f.store, f.cornerFn)
+func (p *factorialPlan) reduce(st *measStore, _ []int) (func(*Function) bool, string) {
 	total := 0.0
-	for i := range f.corners {
-		f.corners[i].Score = f.store.score(f.cornerFn[i])
-		total += f.corners[i].Score
+	for i := range p.corners {
+		p.corners[i].Score = st.score(p.cornerFn[i])
+		total += p.corners[i].Score
 	}
-	eff := stats.ComputeEffects(f.corners)
-	threshold := f.thresholdFrac * total / float64(len(f.corners))
+	eff := stats.ComputeEffects(p.corners)
+	threshold := factorialThreshold * total / float64(len(p.corners))
 	pinned := map[int]int{} // attribute index -> pinned value
-	for fi, a := range f.factors {
-		m := eff.Main[fi]
-		if m > threshold || m < -threshold {
+	for fi, a := range p.factors {
+		if m := eff.Main[fi]; m > threshold || m < -threshold {
 			if eff.BetterLevel(fi) {
-				pinned[a] = f.highs[fi]
+				pinned[a] = p.highs[fi]
 			} else {
-				pinned[a] = f.lows[fi]
+				pinned[a] = p.lows[fi]
 			}
 		}
 	}
-	var survivors, removed []int
-	for i, fnc := range f.fns {
-		ok := true
+	keep := func(f *Function) bool {
 		for a, v := range pinned {
-			if fnc.Attrs[a] != v {
-				ok = false
-				break
+			if f.Attrs[a] != v {
+				return false
 			}
 		}
-		// Guideline mocks survive the corner screen unconditionally: the
-		// factorial design screens attribute levels, and mocks have none.
-		if ok || IsMockFn(fnc) {
-			survivors = append(survivors, i)
-		} else {
-			removed = append(removed, i)
-		}
+		return true
 	}
-	if f.audit != nil && len(removed) > 0 {
-		f.audit.Prune(fmt.Sprintf("corner screen pinned %d attribute(s)", len(pinned)), removed)
-	}
-	if len(survivors) == 1 {
-		f.winner = survivors[0]
-		f.decided = true
-		f.audit.Decide(f.winner, f.store.n)
-		return
-	}
-	f.audit.Phase(fmt.Sprintf("final brute force over %d survivors", len(survivors)))
-	f.final = newBruteForceOver(survivors, f.evals)
-	f.final.audit = f.audit
+	return keep, fmt.Sprintf("corner screen pinned %d attribute(s)", len(pinned))
 }
 
-func (f *Factorial2K) Winner() int { return f.winner }
-
-// Score returns the current robust estimate for fn (NaN with no samples).
-func (f *Factorial2K) Score(fn int) float64 {
-	if f.final != nil {
-		return f.final.Score(fn)
-	}
-	return f.store.score(fn)
-}
-
-func (f *Factorial2K) Evals() int {
-	n := f.store.n
-	if f.final != nil {
-		n += f.final.Evals()
-	}
-	return n
-}
+// Corners are measured in the screen, survivors once more in the final stage.
+func (p *factorialPlan) maxStages() int { return 2 }
 
 // SelectorByName builds a selector from its registry name; used by the
 // benchmark drivers' command lines. "adaptive" (or "adaptive+<inner>")
 // wraps the inner learning selector with the drift monitor of adaptive.go;
 // "brute-force-mean" is the outlier-filter ablation (plain mean scoring).
 func SelectorByName(name string, fs *FunctionSet, evalsPerFn int) (Selector, error) {
+	mk, err := selectorMaker(name, fs, evalsPerFn)
+	if err != nil {
+		return nil, err
+	}
+	return mk(), nil
+}
+
+// selectorMaker resolves a registry name to the constructor call it stands
+// for, which an adaptive selector repeats once per tuning round.
+func selectorMaker(name string, fs *FunctionSet, evalsPerFn int) (func() Selector, error) {
 	if rest, ok := strings.CutPrefix(name, "adaptive"); ok && (rest == "" || rest[0] == '+') {
-		innerName := strings.TrimPrefix(rest, "+")
-		if innerName == "" {
-			innerName = "brute-force"
+		inner := strings.TrimPrefix(rest, "+")
+		if inner == "" {
+			inner = "brute-force"
 		}
-		// Resolve once up front so a bad inner name fails loudly here
-		// rather than inside the first re-tune.
-		if _, err := SelectorByName(innerName, fs, evalsPerFn); err != nil {
+		mk, err := selectorMaker(inner, fs, evalsPerFn)
+		if err != nil {
 			return nil, fmt.Errorf("adcl: adaptive selector: %w", err)
 		}
-		mk := func() Selector {
-			s, err := SelectorByName(innerName, fs, evalsPerFn)
-			if err != nil {
-				panic(err) // unreachable: validated above
-			}
-			return s
-		}
-		return NewAdaptive(mk, 0, 0), nil
+		return func() Selector { return NewAdaptive(mk) }, nil
 	}
 	switch name {
 	case "brute-force", "bruteforce", "bf":
-		return NewBruteForce(len(fs.Fns), evalsPerFn), nil
+		return func() Selector { return NewBruteForce(len(fs.Fns), evalsPerFn) }, nil
 	case "brute-force-mean", "mean":
-		return NewBruteForceWithScore(len(fs.Fns), evalsPerFn, stats.Mean), nil
+		return func() Selector { return NewBruteForceWithScore(len(fs.Fns), evalsPerFn, stats.Mean) }, nil
 	case "attr-heuristic", "heuristic":
-		return NewAttrHeuristic(fs, evalsPerFn), nil
+		return func() Selector { return NewAttrHeuristic(fs, evalsPerFn) }, nil
 	case "factorial-2k", "factorial":
-		return NewFactorial2K(fs, evalsPerFn, 0), nil
+		return func() Selector { return NewFactorial2K(fs, evalsPerFn) }, nil
 	default:
 		return nil, fmt.Errorf("adcl: unknown selector %q", name)
 	}

@@ -167,7 +167,7 @@ func TestFactorial2KPinsStrongFactor(t *testing.T) {
 		c += float64(fs.Fns[fn].Attrs[1]) * 0.5 // weak preference for low attr1
 		return c
 	}
-	sel := NewFactorial2K(fs, 3, 0.05)
+	sel := NewFactorial2K(fs, 3)
 	w := drive(t, sel, cost, 10000)
 	if fs.Fns[w].Attrs[0] != 1 {
 		t.Fatalf("factorial failed to pin strong factor: picked %s", fs.Fns[w].Name)
@@ -191,7 +191,7 @@ func TestFactorial2KHandlesInteraction(t *testing.T) {
 		}
 		return 20 // (0,0) second
 	}
-	sel := NewFactorial2K(fs, 3, 0.05)
+	sel := NewFactorial2K(fs, 3)
 	w := drive(t, sel, cost, 10000)
 	if fs.Fns[w].Attrs[0] != 1 || fs.Fns[w].Attrs[1] != 1 {
 		t.Fatalf("factorial picked %s, want f-1-1", fs.Fns[w].Name)
@@ -201,7 +201,7 @@ func TestFactorial2KHandlesInteraction(t *testing.T) {
 func TestFactorial2KIncompleteGridFallsBack(t *testing.T) {
 	fs := fakeSet([]int{0, 1}, []int{0, 1})
 	fs.Fns = fs.Fns[:3] // drop corner (1,1)
-	sel := NewFactorial2K(fs, 2, 0.05)
+	sel := NewFactorial2K(fs, 2)
 	if sel.Name() != "brute-force" {
 		t.Fatalf("expected brute-force fallback, got %s", sel.Name())
 	}
@@ -229,7 +229,7 @@ func TestSelectorsDecideProperty(t *testing.T) {
 		for _, sel := range []Selector{
 			NewBruteForce(len(fs.Fns), 3),
 			NewAttrHeuristic(fs, 3),
-			NewFactorial2K(fs, 3, 0.05),
+			NewFactorial2K(fs, 3),
 		} {
 			w := -1
 			for iter := 0; iter < 10000; iter++ {

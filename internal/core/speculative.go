@@ -48,80 +48,63 @@ func (c *Capture) Evals() int               { return len(c.samples) }
 // Samples returns the captured measurements in iteration order.
 func (c *Capture) Samples() []float64 { return c.samples }
 
-// SpeculativeRounds returns the per-candidate measurement budget the named
-// inner selector can demand of any single candidate in the worst case. Every
-// fork runs exactly this many rounds, so the replay can never starve;
-// surplus measurements are simply never consumed. The budgets follow the
-// selectors' structure: brute force measures each candidate evalsPerFn
-// times; the attribute heuristic can measure one candidate in every
-// attribute slice plus the final brute force; the factorial screen measures
-// corners once and survivors once more.
-func SpeculativeRounds(inner string, fs *FunctionSet, evalsPerFn int) (int, error) {
-	if evalsPerFn < 1 {
-		evalsPerFn = 1
-	}
+// speculable builds the named inner selector for a replay. Adaptive
+// selectors are refused: a fixed per-fork budget cannot feed a monitor.
+func speculable(inner string, fs *FunctionSet, evalsPerFn int) (*Search, error) {
 	sel, err := SelectorByName(inner, fs, evalsPerFn)
+	if err != nil {
+		return nil, err
+	}
+	s, ok := sel.(*Search)
+	if !ok {
+		return nil, fmt.Errorf("adcl: speculative evaluation cannot drive %q: adaptive selectors keep measuring after the decision", inner)
+	}
+	return s, nil
+}
+
+// SpeculativeRounds returns the per-candidate measurement budget the named
+// inner selector can demand of any single candidate in the worst case: its
+// evaluations per stage times the stages that can reach one candidate. Every
+// fork runs exactly this many rounds, so the replay can never starve; surplus
+// measurements are simply never consumed.
+func SpeculativeRounds(inner string, fs *FunctionSet, evalsPerFn int) (int, error) {
+	s, err := speculable(inner, fs, evalsPerFn)
 	if err != nil {
 		return 0, err
 	}
-	if m, ok := sel.(monitoring); ok && m.Monitoring() {
-		return 0, fmt.Errorf("adcl: speculative evaluation cannot drive %q: adaptive selectors keep measuring after the decision", inner)
-	}
-	attrs := 0
-	if fs.AttrSet != nil {
-		attrs = len(fs.AttrSet.Attrs)
-	}
-	switch sel.(type) {
-	case *BruteForce:
-		return evalsPerFn, nil
-	case *AttrHeuristic:
-		return evalsPerFn * (attrs + 1), nil
-	case *Factorial2K:
-		return 2 * evalsPerFn, nil
-	default:
-		return 0, fmt.Errorf("adcl: speculative evaluation does not support selector %q", sel.Name())
-	}
+	return s.rounds(), nil
 }
 
-// SpeculativeSelector is the decided result of a speculative evaluation: it
-// satisfies Selector with the winner already fixed (the application's
-// iterations all run post-decision), and carries the audit of how the
-// decision was reached — fork and join events bracketing the inner
+// Speculation is the decided result of a speculative evaluation: the winner
+// (the application's iterations all run post-decision) and the audit of how
+// the decision was reached — fork and join events bracketing the inner
 // selector's own sample/estimate/prune/decide trail.
-type SpeculativeSelector struct {
-	name   string
-	winner int
-	evals  int
-	rounds int
-	audit  *obs.Audit
+type Speculation struct {
+	Winner int
+	Evals  int        // measurements the inner selector consumed
+	Rounds int        // per-candidate measurement budget the forks ran
+	Audit  *obs.Audit // its Selector names the logic: "speculative+<inner selector>"
 }
 
-// NewSpeculativeSelector snapshots nothing itself — the CandidateRunner owns
-// the forks. It dispatches one job per candidate to `workers` parallel
-// workers, then replays the captured streams through a fresh inner selector
-// in its sequential measurement order. Fork events are logged in candidate
-// order before dispatch and join events after all forks complete, so the
-// audit — like the decision — is byte-identical for every worker count.
-func NewSpeculativeSelector(inner string, fs *FunctionSet, evalsPerFn, workers int, run CandidateRunner) (*SpeculativeSelector, error) {
-	if evalsPerFn < 1 {
-		evalsPerFn = 1
-	}
+// Speculate snapshots nothing itself — the CandidateRunner owns the forks. It
+// dispatches one job per candidate to `workers` parallel workers, then
+// replays the captured streams through a fresh inner selector in its
+// sequential measurement order. Fork events are logged in candidate order
+// before dispatch and join events after all forks complete, so the audit —
+// like the decision — is byte-identical for every worker count.
+func Speculate(inner string, fs *FunctionSet, evalsPerFn, workers int, run CandidateRunner) (*Speculation, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	rounds, err := SpeculativeRounds(inner, fs, evalsPerFn)
+	sel, err := speculable(inner, fs, evalsPerFn)
 	if err != nil {
 		return nil, err
 	}
-	sel, err := SelectorByName(inner, fs, evalsPerFn)
-	if err != nil {
-		return nil, err
-	}
+	rounds := sel.rounds()
 	au := obs.NewAudit("speculative+"+sel.Name(), fs.FunctionNames())
 
 	jobs := make([]runner.Job, len(fs.Fns))
 	for fn := range fs.Fns {
-		fn := fn
 		au.Fork(fn, fmt.Sprintf("rounds=%d", rounds))
 		jobs[fn] = runner.Job{
 			Label: fmt.Sprintf("speculate %s", fs.Fns[fn].Name),
@@ -137,33 +120,22 @@ func NewSpeculativeSelector(inner string, fs *FunctionSet, evalsPerFn, workers i
 		if res.Err != nil {
 			return nil, fmt.Errorf("adcl: speculative fork for %q failed: %w", fs.Fns[fn].Name, res.Err)
 		}
-		var s []float64
-		if err := res.Decode(&s); err != nil {
+		if err := res.Decode(&streams[fn]); err != nil {
 			return nil, err
 		}
-		streams[fn] = s
-		au.Join(fn, len(s), "")
+		au.Join(fn, len(streams[fn]), "")
 	}
 
 	// Merge: replay the streams through the inner selector in the exact
 	// order it would have measured in-line. Each candidate's samples are
 	// consumed front to back, so the scores flow through the identical
 	// robust-score arithmetic.
-	if a, ok := sel.(auditable); ok {
-		a.setAudit(au)
-	}
+	sel.setAudit(au)
 	pos := make([]int, len(fs.Fns))
-	budget := 0
-	for _, s := range streams {
-		budget += len(s)
-	}
-	for step := 0; ; step++ {
+	for {
 		fn, decided := sel.Next()
 		if decided {
 			break
-		}
-		if step > budget {
-			return nil, fmt.Errorf("adcl: selector %q did not decide within %d speculative measurements", sel.Name(), budget)
 		}
 		if pos[fn] >= len(streams[fn]) {
 			return nil, fmt.Errorf("adcl: speculative stream for %q exhausted after %d rounds (budget bug)", fs.Fns[fn].Name, len(streams[fn]))
@@ -171,24 +143,5 @@ func NewSpeculativeSelector(inner string, fs *FunctionSet, evalsPerFn, workers i
 		sel.Record(fn, streams[fn][pos[fn]])
 		pos[fn]++
 	}
-	return &SpeculativeSelector{
-		name:   "speculative+" + sel.Name(),
-		winner: sel.Winner(),
-		evals:  sel.Evals(),
-		rounds: rounds,
-		audit:  au,
-	}, nil
+	return &Speculation{Winner: sel.Winner(), Evals: sel.Evals(), Rounds: rounds, Audit: au}, nil
 }
-
-func (s *SpeculativeSelector) Name() string             { return s.name }
-func (s *SpeculativeSelector) Next() (int, bool)        { return s.winner, true }
-func (s *SpeculativeSelector) Record(fn int, t float64) {}
-func (s *SpeculativeSelector) Winner() int              { return s.winner }
-func (s *SpeculativeSelector) Evals() int               { return s.evals }
-
-// Rounds returns the per-candidate measurement budget the forks ran.
-func (s *SpeculativeSelector) Rounds() int { return s.rounds }
-
-// Audit returns the selection log, with fork/join events bracketing the
-// inner selector's trail.
-func (s *SpeculativeSelector) Audit() *obs.Audit { return s.audit }

@@ -43,11 +43,11 @@ func TestSpeculativeMatchesSequential(t *testing.T) {
 	run := stubStream(costs)
 	const evals = 3
 	for _, inner := range []string{"brute-force", "brute-force-mean", "attr-heuristic", "factorial-2k"} {
-		spec1, err := NewSpeculativeSelector(inner, fs, evals, 1, run)
+		spec1, err := Speculate(inner, fs, evals, 1, run)
 		if err != nil {
 			t.Fatalf("%s: %v", inner, err)
 		}
-		spec8, err := NewSpeculativeSelector(inner, fs, evals, 8, run)
+		spec8, err := Speculate(inner, fs, evals, 8, run)
 		if err != nil {
 			t.Fatalf("%s workers=8: %v", inner, err)
 		}
@@ -79,26 +79,23 @@ func TestSpeculativeMatchesSequential(t *testing.T) {
 			pos[fn]++
 		}
 
-		if spec1.Winner() != seq.Winner() || spec1.Evals() != seq.Evals() {
-			t.Fatalf("%s: speculative (winner=%d evals=%d) != sequential (winner=%d evals=%d)",
-				inner, spec1.Winner(), spec1.Evals(), seq.Winner(), seq.Evals())
+		if spec1.Winner != seq.Winner() || spec1.Evals != seq.Evals() || spec1.Rounds != rounds {
+			t.Fatalf("%s: speculative (winner=%d evals=%d rounds=%d) != sequential (winner=%d evals=%d rounds=%d)",
+				inner, spec1.Winner, spec1.Evals, spec1.Rounds, seq.Winner(), seq.Evals(), rounds)
 		}
-		a1, _ := json.Marshal(spec1.Audit())
-		a8, _ := json.Marshal(spec8.Audit())
+		a1, _ := json.Marshal(spec1.Audit)
+		a8, _ := json.Marshal(spec8.Audit)
 		if string(a1) != string(a8) {
 			t.Fatalf("%s: audit differs between 1 and 8 workers", inner)
 		}
-		if spec1.Winner() != spec8.Winner() {
+		if spec1.Winner != spec8.Winner {
 			t.Fatalf("%s: winner differs between 1 and 8 workers", inner)
 		}
-		if got, want := len(auditEvents(spec1.Audit(), "fork")), len(fs.Fns); got != want {
+		if got, want := len(auditEvents(spec1.Audit, "fork")), len(fs.Fns); got != want {
 			t.Fatalf("%s: %d fork events, want %d", inner, got, want)
 		}
-		if got, want := len(auditEvents(spec1.Audit(), "join")), len(fs.Fns); got != want {
+		if got, want := len(auditEvents(spec1.Audit, "join")), len(fs.Fns); got != want {
 			t.Fatalf("%s: %d join events, want %d", inner, got, want)
-		}
-		if fn, decided := spec1.Next(); !decided || fn != seq.Winner() {
-			t.Fatalf("%s: SpeculativeSelector.Next() = (%d,%v), want decided winner %d", inner, fn, decided, seq.Winner())
 		}
 	}
 }
@@ -131,7 +128,7 @@ func TestSpeculativeRoundsBudgets(t *testing.T) {
 // decision, which a fixed per-fork budget cannot honor.
 func TestSpeculativeRejectsAdaptive(t *testing.T) {
 	fs := fakeSet([]int{1, 2})
-	if _, err := NewSpeculativeSelector("adaptive", fs, 3, 2, stubStream(separableCosts(fs))); err == nil {
+	if _, err := Speculate("adaptive", fs, 3, 2, stubStream(separableCosts(fs))); err == nil {
 		t.Fatal("speculative evaluation accepted an adaptive inner selector")
 	}
 	if _, err := SpeculativeRounds("adaptive", fs, 3); err == nil {

@@ -11,11 +11,10 @@ import "nbctune/internal/mpi"
 // few microseconds per iteration and is only needed while a selector is
 // still learning; afterwards, use CheapStop.
 func SyncedStop(c *mpi.Comm, t *Timer) {
-	e := t.Elapsed()
-	in := mpi.Float64sToBytes([]float64{e})
-	out := make([]byte, 8)
+	in, out := t.syncBuf[:8:8], t.syncBuf[8:]
+	mpi.PutFloat64(in, t.Elapsed())
 	c.Allreduce(mpi.Bytes(in), mpi.Bytes(out), mpi.MaxFloat64)
-	t.StopWith(mpi.BytesToFloat64s(out)[0])
+	t.StopWith(mpi.GetFloat64(out))
 }
 
 // StopMaybeSynced stops the timer with decision synchronization while any
@@ -31,7 +30,7 @@ func StopMaybeSynced(c *mpi.Comm, t *Timer, reqs ...*Request) {
 			learning = true
 			break
 		}
-		if m, ok := r.Selector().(monitoring); ok && m.Monitoring() {
+		if _, ok := r.Selector().(monitor); ok {
 			learning = true
 			break
 		}

@@ -2,7 +2,6 @@ package fft
 
 import (
 	"fmt"
-	"math"
 
 	"nbctune/internal/core"
 	"nbctune/internal/mpi"
@@ -505,28 +504,13 @@ func (p *Plan) Inverse() error {
 
 func putComplexRow(dst []byte, src []complex128) {
 	for i, v := range src {
-		putF64(dst[16*i:], real(v))
-		putF64(dst[16*i+8:], imag(v))
+		mpi.PutFloat64(dst[16*i:], real(v))
+		mpi.PutFloat64(dst[16*i+8:], imag(v))
 	}
 }
 
 func getComplexRow(dst []complex128, src []byte) {
 	for i := range dst {
-		dst[i] = complex(getF64(src[16*i:]), getF64(src[16*i+8:]))
+		dst[i] = complex(mpi.GetFloat64(src[16*i:]), mpi.GetFloat64(src[16*i+8:]))
 	}
-}
-
-func putF64(b []byte, v float64) {
-	u := math.Float64bits(v)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-	}
-}
-
-func getF64(b []byte) float64 {
-	var u uint64
-	for i := 0; i < 8; i++ {
-		u |= uint64(b[i]) << (8 * i)
-	}
-	return math.Float64frombits(u)
 }

@@ -282,8 +282,6 @@ func adoptIterations(nfns, evalsPerFn int) int {
 // conditions, the mock stays a candidate without becoming the winner.
 func adopt(sc Scenario, g Guideline, mock string) (Registration, error) {
 	provenance := fmt.Sprintf("guideline=%s scenario=%s", g.Name, sc)
-	core.RecordMockProvenance(mock, provenance)
-
 	run, err := sc.world()
 	if err != nil {
 		return Registration{}, err

@@ -7,7 +7,6 @@ import (
 	"nbctune/internal/mpi"
 	"nbctune/internal/platform"
 	"nbctune/internal/runner"
-	"nbctune/internal/stats"
 )
 
 // measureVersion salts every leaf fingerprint (on top of runner.CodeVersion)
@@ -241,17 +240,14 @@ func MeasureLeaf(sc Scenario, l Leaf) (LeafResult, error) {
 	if buildErr != nil {
 		return LeafResult{}, buildErr
 	}
-	win := 0
-	scores := make([]float64, len(samples))
-	for fi := range samples {
-		ev := sc.Evals
-		if ev > len(samples[fi]) {
-			ev = len(samples[fi])
-		}
-		scores[fi] = stats.RobustScore(samples[fi][:ev])
-		if scores[fi] < scores[win] {
-			win = fi
+	// The tuner's commitment: a brute force fed the first Evals rounds.
+	evals := min(sc.Evals, sc.Reps)
+	sel := core.NewBruteForce(len(samples), evals)
+	for rep := 0; rep < evals; rep++ {
+		for fi := range samples {
+			sel.Record(fi, samples[fi][rep])
 		}
 	}
+	win := sel.Winner()
 	return LeafResult{Leaf: l, Samples: samples[win], Winner: names[win], Candidates: len(names)}, nil
 }

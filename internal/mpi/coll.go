@@ -14,9 +14,7 @@ type ReduceOp func(dst, src []byte)
 // reduce real data: it is the operator of the reduction conformance tests.
 func SumFloat64(dst, src []byte) {
 	for i := 0; i+8 <= len(dst) && i+8 <= len(src); i += 8 {
-		d := float64frombytes(dst[i : i+8])
-		s := float64frombytes(src[i : i+8])
-		float64tobytes(dst[i:i+8], d+s)
+		PutFloat64(dst[i:], GetFloat64(dst[i:])+GetFloat64(src[i:]))
 	}
 }
 
@@ -24,10 +22,8 @@ func SumFloat64(dst, src []byte) {
 // float64 vectors.
 func MaxFloat64(dst, src []byte) {
 	for i := 0; i+8 <= len(dst) && i+8 <= len(src); i += 8 {
-		d := float64frombytes(dst[i : i+8])
-		s := float64frombytes(src[i : i+8])
-		if s > d {
-			float64tobytes(dst[i:i+8], s)
+		if s := GetFloat64(src[i:]); s > GetFloat64(dst[i:]) {
+			PutFloat64(dst[i:], s)
 		}
 	}
 }
@@ -44,8 +40,8 @@ func (c *Comm) Barrier() {
 	}
 	tag := c.nextCollTag()
 	for dist := 1; dist < n; dist *= 2 {
-		to := (c.me + dist) % n
-		from := (c.me - dist + n) % n
+		to := (c.r.id + dist) % n
+		from := (c.r.id - dist + n) % n
 		c.Sendrecv(to, tag, Virtual(1), from, tag, Virtual(1))
 	}
 }
@@ -57,7 +53,7 @@ func (c *Comm) Bcast(root int, b Buf) {
 		return
 	}
 	tag := c.nextCollTag()
-	vrank := (c.me - root + n) % n
+	vrank := (c.r.id - root + n) % n
 	// Receive from parent.
 	if vrank != 0 {
 		parent := vrank & (vrank - 1) // clear lowest set bit
@@ -81,7 +77,7 @@ func (c *Comm) Reduce(root int, send, recv Buf, op ReduceOp) {
 	acc := send.Clone()
 	if n > 1 {
 		tag := c.nextCollTag()
-		vrank := (c.me - root + n) % n
+		vrank := (c.r.id - root + n) % n
 		for dist := 1; dist < n; dist *= 2 {
 			if vrank&dist != 0 {
 				c.Send((vrank-dist+root)%n, tag, acc)
@@ -101,7 +97,7 @@ func (c *Comm) Reduce(root int, send, recv Buf, op ReduceOp) {
 			}
 		}
 	}
-	if c.me == root {
+	if c.r.id == root {
 		Copy(recv, acc)
 	}
 }
@@ -123,14 +119,14 @@ func (c *Comm) Allreduce(send, recv Buf, op ReduceOp) {
 func (c *Comm) Allgather(send, recv Buf) {
 	n := c.Size()
 	ssize := send.Len()
-	Copy(recv.Slice(c.me*ssize, ssize), send)
+	Copy(recv.Slice(c.r.id*ssize, ssize), send)
 	if n == 1 {
 		return
 	}
 	tag := c.nextCollTag()
-	right := (c.me + 1) % n
-	left := (c.me - 1 + n) % n
-	cur := c.me
+	right := (c.r.id + 1) % n
+	left := (c.r.id - 1 + n) % n
+	cur := c.r.id
 	for step := 0; step < n-1; step++ {
 		prev := (cur - 1 + n) % n
 		c.Sendrecv(right, tag, recv.Slice(cur*ssize, ssize),
@@ -147,7 +143,7 @@ func (c *Comm) Alltoall(send, recv Buf) {
 	n := c.Size()
 	blockSize := send.Len() / n
 	// Self block.
-	Copy(recv.Slice(c.me*blockSize, blockSize), send.Slice(c.me*blockSize, blockSize))
+	Copy(recv.Slice(c.r.id*blockSize, blockSize), send.Slice(c.r.id*blockSize, blockSize))
 	if n == 1 {
 		return
 	}
@@ -156,11 +152,11 @@ func (c *Comm) Alltoall(send, recv Buf) {
 		// Basic linear: post everything, wait for all.
 		reqs := c.r.scratch[:0]
 		for off := 1; off < n; off++ {
-			peer := (c.me + off) % n
+			peer := (c.r.id + off) % n
 			reqs = append(reqs, c.Irecv(peer, tag, recv.Slice(peer*blockSize, blockSize)))
 		}
 		for off := 1; off < n; off++ {
-			peer := (c.me - off + n) % n
+			peer := (c.r.id - off + n) % n
 			reqs = append(reqs, c.Isend(peer, tag, send.Slice(peer*blockSize, blockSize)))
 		}
 		c.Wait(reqs...)
@@ -170,8 +166,8 @@ func (c *Comm) Alltoall(send, recv Buf) {
 	}
 	// Pairwise exchange: n-1 structured steps.
 	for step := 1; step < n; step++ {
-		sendTo := (c.me + step) % n
-		recvFrom := (c.me - step + n) % n
+		sendTo := (c.r.id + step) % n
+		recvFrom := (c.r.id - step + n) % n
 		c.Sendrecv(sendTo, tag, send.Slice(sendTo*blockSize, blockSize),
 			recvFrom, tag, recv.Slice(recvFrom*blockSize, blockSize))
 	}
@@ -184,7 +180,7 @@ func (c *Comm) Gather(root int, send, recv Buf) {
 	n := c.Size()
 	ssize := send.Len()
 	tag := c.nextCollTag()
-	if c.me == root {
+	if c.r.id == root {
 		reqs := c.r.scratch[:0]
 		for i := 0; i < n; i++ {
 			if i == root {
@@ -208,7 +204,7 @@ func (c *Comm) Scatter(root int, send, recv Buf) {
 	n := c.Size()
 	ssize := recv.Len()
 	tag := c.nextCollTag()
-	if c.me == root {
+	if c.r.id == root {
 		reqs := c.r.scratch[:0]
 		for i := 0; i < n; i++ {
 			if i == root {
@@ -231,16 +227,4 @@ func nextPow2(n int) int {
 		p *= 2
 	}
 	return p
-}
-
-func float64frombytes(b []byte) float64 {
-	return f64(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
-}
-
-func float64tobytes(b []byte, v float64) {
-	u := u64(v)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-	}
 }

@@ -3,23 +3,20 @@ package mpi
 // Comm is a communicator handle held by one rank. As in MPI, every member of
 // a communicator holds its own handle; handles of the same communicator share
 // a context id so their traffic never matches other communicators' traffic.
+// Every communicator spans the whole world (World.Start hands out the only
+// ones), so a communicator rank is the world rank.
 type Comm struct {
 	r       *Rank
-	members []int // comm rank -> world rank
-	me      int   // this rank's position in members
 	ctx     int
 	wins    int // per-handle window counter; consistent across members because CreateWin is collective
 	collSeq int // per-handle collective sequence number, used to build tags
 }
 
 // Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int { return len(c.members) }
+func (c *Comm) Size() int { return len(c.r.w.ranks) }
 
 // Rank returns the calling process's rank within the communicator.
-func (c *Comm) Rank() int { return c.me }
-
-// WorldRank translates a communicator rank to a world rank.
-func (c *Comm) WorldRank(cr int) int { return c.members[cr] }
+func (c *Comm) Rank() int { return c.r.id }
 
 // RankState exposes the underlying library state (accounting, RNG).
 func (c *Comm) RankState() *Rank { return c.r }
@@ -30,23 +27,15 @@ func (c *Comm) Now() float64 { return c.r.Now() }
 // Compute advances this rank by d seconds of application computation.
 func (c *Comm) Compute(d float64) { c.r.Compute(d) }
 
-// translate maps a comm-rank peer (or wildcard) to a world rank.
-func (c *Comm) translate(peer int) int {
-	if peer == AnySource {
-		return AnySource
-	}
-	return c.members[peer]
-}
-
 // Isend posts a non-blocking send of b to comm rank dst.
 func (c *Comm) Isend(dst, tag int, b Buf) *Request {
-	return c.r.isend(c.members[dst], tag, c.ctx, b)
+	return c.r.isend(dst, tag, c.ctx, b)
 }
 
 // Irecv posts a non-blocking receive into b from comm rank src (or
 // AnySource).
 func (c *Comm) Irecv(src, tag int, b Buf) *Request {
-	return c.r.irecv(c.translate(src), tag, c.ctx, b)
+	return c.r.irecv(src, tag, c.ctx, b)
 }
 
 // Send performs a blocking send.

@@ -5,7 +5,7 @@ package mpi
 // O(1) expected matching regardless of how many receives are posted, while
 // reproducing the linear engine's matching decisions exactly (the
 // matching-order property test drives both engines in lockstep; see
-// matchref.go and DESIGN.md §S3 "matching engine").
+// matchref.go and DESIGN.md §3 "matching engine").
 //
 // Two invariants govern this file:
 //

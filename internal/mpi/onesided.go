@@ -68,7 +68,7 @@ func (w *World) registry() *winRegistry {
 // CreateWin collectively creates a window exposing b on every rank of c.
 // Not available on a sharded (PDES) world: puts deposit into the target
 // rank's window from the origin's execution context, which would mutate
-// another shard's state (DESIGN.md §13).
+// another shard's state (DESIGN.md §2).
 func (c *Comm) CreateWin(b Buf) *Win {
 	if c.r.w.shardOf != nil {
 		panic("mpi: one-sided windows are not supported on a sharded (PDES) world")
@@ -87,7 +87,7 @@ func (c *Comm) CreateWin(b Buf) *Win {
 // target returns the peer's window object.
 func (w *Win) target(peer int) *Win {
 	reg := w.c.r.w.registry()
-	t := reg.wins[w.ctx][w.c.members[peer]]
+	t := reg.wins[w.ctx][peer]
 	if t == nil {
 		panic(fmt.Sprintf("mpi: rank %d has no window for ctx %d (window not created collectively?)", peer, w.ctx))
 	}
@@ -164,11 +164,11 @@ func (w *Win) PutInstanced(instance int64, peer, off int, b Buf) *Request {
 		panic(fmt.Sprintf("mpi: put of %d bytes at offset %d exceeds window size %d", size, off, w.buf.Len()))
 	}
 	req := r.w.allocReq()
-	req.r, req.peer, req.ctx, req.buf = r, w.c.members[peer], w.ctx, b
+	req.r, req.peer, req.ctx, req.buf = r, peer, w.ctx, b
 	r.charge(p.OPost + p.OSend)
 	r.outstanding++
 	tgt := w.target(peer)
-	tgtRank := r.w.ranks[w.c.members[peer]]
+	tgtRank := r.w.ranks[peer]
 	if !p.RDMA {
 		r.charge(p.CopyTime(size))
 	}

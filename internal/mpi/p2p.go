@@ -322,6 +322,10 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 
 // irecv posts a non-blocking receive into b on a context.
 func (r *Rank) irecv(src, tag, ctx int, b Buf) *Request {
+	if src != AnySource && (src < 0 || src >= len(r.w.ranks)) {
+		// Posted anyway it could never match: a deadlock instead of a bug report.
+		panic("mpi: irecv from invalid rank")
+	}
 	req := r.w.allocReq()
 	req.r, req.peer, req.tag, req.ctx, req.buf = r, src, tag, ctx, b
 	p := r.net().Params()

@@ -1,4 +1,4 @@
-// PDES support: the sharded world (DESIGN.md §13).
+// PDES support: the sharded world (DESIGN.md §2).
 //
 // A ShardedWorld runs one World per shard over a single global rank space.
 // The shards share the immutable platform (placement, topology, parameters)

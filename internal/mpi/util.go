@@ -1,15 +1,24 @@
 package mpi
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
-func f64(u uint64) float64 { return math.Float64frombits(u) }
-func u64(v float64) uint64 { return math.Float64bits(v) }
+// Float64 payloads travel as little-endian IEEE-754, the layout SumFloat64
+// and MaxFloat64 reduce; this is the one codec for it.
+
+// PutFloat64 stores v in the first 8 bytes of b.
+func PutFloat64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
+
+// GetFloat64 loads the float64 in the first 8 bytes of b.
+func GetFloat64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 // Float64sToBytes encodes a float64 slice into little-endian bytes.
 func Float64sToBytes(xs []float64) []byte {
 	b := make([]byte, 8*len(xs))
 	for i, x := range xs {
-		float64tobytes(b[8*i:8*i+8], x)
+		PutFloat64(b[8*i:], x)
 	}
 	return b
 }
@@ -18,7 +27,7 @@ func Float64sToBytes(xs []float64) []byte {
 func BytesToFloat64s(b []byte) []float64 {
 	xs := make([]float64, len(b)/8)
 	for i := range xs {
-		xs[i] = float64frombytes(b[8*i : 8*i+8])
+		xs[i] = GetFloat64(b[8*i:])
 	}
 	return xs
 }

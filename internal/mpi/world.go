@@ -47,7 +47,7 @@ type World struct {
 	nextCtx int
 	winReg  *winRegistry
 
-	// PDES sharding (DESIGN.md §13). On a sequential world shardOf is nil.
+	// PDES sharding (DESIGN.md §2). On a sequential world shardOf is nil.
 	// On a sharded world this World executes only the ranks with
 	// shardOf[id] == shard; w.ranks still holds the full global rank table
 	// so any rank can address any peer.
@@ -102,19 +102,12 @@ func (w *World) Observe(rec *obs.Recorder) {
 func (w *World) Start(prog func(c *Comm)) {
 	ctx := w.nextCtx
 	w.nextCtx++
-	// One immutable members table shared by every rank's world communicator:
-	// per-rank copies would cost O(n²) memory (2GB at 16K ranks). Comm never
-	// mutates members, so sharing is safe.
-	members := make([]int, len(w.ranks))
-	for i := range members {
-		members[i] = i
-	}
 	for _, r := range w.ranks {
 		if w.shardOf != nil && w.shardOf[r.id] != w.shard {
 			continue // another shard's world spawns this rank
 		}
 		r := r
-		c := &Comm{r: r, members: members, me: r.id, ctx: ctx}
+		c := &Comm{r: r, ctx: ctx}
 		w.eng.Spawn(fmt.Sprintf("rank%d", r.id), func(p *sim.Proc) {
 			r.proc = p
 			prog(c)

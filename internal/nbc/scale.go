@@ -127,14 +127,13 @@ func IbcastTorus(c *mpi.Comm, root int, buf mpi.Buf, segSize int) *Schedule {
 
 	// Group comm ranks by node. The leader of a node is its lowest comm rank,
 	// except the root's node, which the root itself leads (it owns the data).
-	nodeOf := func(cr int) int { return net.NodeOf(c.WorldRank(cr)) }
-	myNode := nodeOf(me)
-	rootNode := nodeOf(root)
+	myNode := net.NodeOf(me)
+	rootNode := net.NodeOf(root)
 	leader := map[int]int{rootNode: root}
 	occupied := []int{rootNode}
 	var local []int // non-leader comm ranks on my node
 	for cr := 0; cr < n; cr++ {
-		nd := nodeOf(cr)
+		nd := net.NodeOf(cr)
 		if _, ok := leader[nd]; !ok {
 			leader[nd] = cr
 			occupied = append(occupied, nd)

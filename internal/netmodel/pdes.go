@@ -1,6 +1,6 @@
 // PDES support: sharded network views over one shared platform.
 //
-// Under PDES (DESIGN.md §13) every shard owns a *view* of the same physical
+// Under PDES (DESIGN.md §2) every shard owns a *view* of the same physical
 // network: the per-node NIC states, topology table and rank placement are
 // shared, but each view is bound to its shard's engine and outbox. The
 // single-writer discipline that makes this race-free without locks:

@@ -17,7 +17,7 @@
 // instrumentation zero-cost when disabled: call sites never check for nil.
 //
 // Storage is partitioned for the PDES single-writer discipline (DESIGN.md
-// §13): everything rank-scoped (timelines, ops, marks, per-algorithm bytes)
+// §2): everything rank-scoped (timelines, ops, marks, per-algorithm bytes)
 // lives with its rank, and NIC spans live with their node. A sharded world
 // assigns each rank — and each node, and each node's NIC tx/rx recording —
 // to exactly one shard, so concurrent shards never touch the same slice and

@@ -321,7 +321,7 @@ func (p Platform) NewWorldChaosNamed(nprocs int, seed int64, pl Placement, chaos
 // nodes the placement actually uses, since a shard without nodes would idle.
 //
 // Every simulated quantity is independent of the shard count (DESIGN.md
-// §13); only wall-clock changes. Chaos profiles, one-sided windows, and
+// §2); only wall-clock changes. Chaos profiles, one-sided windows, and
 // snapshot/fork are not available on sharded worlds.
 func (p Platform) NewWorldPDES(nprocs int, seed int64, pl Placement, shards int) (*mpi.ShardedWorld, error) {
 	nodeOf, err := p.NodeOf(nprocs, pl)

@@ -19,7 +19,7 @@
 // Both the window boundaries and the merge order are functions of the
 // simulation's (deterministic) virtual timeline only — not of the
 // partition — which is what makes every artifact byte-identical at any
-// shard count (DESIGN.md §13).
+// shard count (DESIGN.md §2).
 package sim
 
 import (
