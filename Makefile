@@ -1,5 +1,5 @@
-# `make ci` is the gate: tier-1 verification, static checks, the race pass
-# and the end-to-end CLI checks. `make bench` runs the repository benchmark
+# `make ci` is the gate: tier-1 verification, static checks, the race pass,
+# the end-to-end CLI checks and a fixed fuzzing budget. `make bench` runs the repository benchmark
 # (BENCHMARK.json, perf/README.md), the only place host time is measured.
 GO ?= go
 
@@ -75,4 +75,11 @@ stat:
 	grep -rhoE 'fl(ag)?\.(Bool|Int|Int64|Uint|String|Float64|Duration|Var)\(' cmd | wc -l   # command-line flags
 	grep -rn 'panic(' --include='*.go' cmd internal examples | grep -vc '_test\.go:'         # non-test panic( sites
 
+# Last, the gate fuzzes the run-ahead equivalence oracle
+# (internal/sim/runahead_test.go) for a fixed budget; its committed corpus
+# already ran as plain tests in `test`. A failure leaves its minimised input
+# under internal/sim/testdata/fuzz/FuzzRunAhead/: commit it with the fix, so
+# it stays in the corpus. (Minimising inputs that merely add coverage is
+# capped, or it eats most of the ten seconds.)
 ci: build vet test race e2e
+	$(GO) test -run '^$$' -fuzz FuzzRunAhead -fuzztime 10s -fuzzminimizetime 1s ./internal/sim

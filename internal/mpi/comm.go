@@ -87,7 +87,9 @@ func (c *Comm) FreeHandles(hs []ReqHandle) { c.r.FreeHandles(hs) }
 // states) wait through this.
 func (c *Comm) WaitFor(pred func() bool) {
 	c.r.charge(c.r.net().Params().OProgress)
-	c.r.waitUntil(pred)
+	c.r.waitPred = pred
+	c.r.waitUntil()
+	c.r.waitPred = nil
 }
 
 // Test performs one progress pass and reports completion of all requests.

@@ -302,3 +302,26 @@ func TestManyMessagesStress(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockingRendezvousResumesOncePerCall is a hand-off budget no host can
+// move: a blocking call's CPU charges and protocol steps (RTS, CTS, bulk,
+// completion) run ahead or in event context, and the rank's coroutine is
+// resumed once, when the call is over — not once per charge.
+func TestBlockingRendezvousResumesOncePerCall(t *testing.T) {
+	const calls = 10
+	eng, w := testWorld(t, 2, nil)
+	w.Start(func(c *Comm) {
+		buf := Virtual(64 * 1024) // above the 12KB eager limit
+		for i := 0; i < calls; i++ {
+			if c.Rank() == 0 {
+				c.Send(1, i, buf)
+			} else {
+				c.FreeRequests(c.Recv(0, i, buf))
+			}
+		}
+	})
+	eng.Run()
+	if want := int64(2 + 2*calls); eng.Resumes != want {
+		t.Fatalf("%d resumes for %d Send/Recv pairs, want %d: one start per rank, one resume per call", eng.Resumes, calls, want)
+	}
+}

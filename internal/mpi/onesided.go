@@ -35,7 +35,12 @@ type Win struct {
 // NextInstance starts a new collective operation instance over this window
 // and returns its id. Like all collective state it relies on every rank
 // calling it in the same order. Counters of past instances are released.
+//
+// The counters are written by events (an RDMA put lands with no rank
+// involved), so this, ReceivedFor and PutInstanced's target lookup wait for
+// the engine to catch up with the rank first.
 func (w *Win) NextInstance() int64 {
+	w.c.r.proc.Sync()
 	w.instanceSeq++
 	for k := range w.perInstance {
 		if k < w.instanceSeq {
@@ -48,6 +53,7 @@ func (w *Win) NextInstance() int64 {
 // ReceivedFor returns how many instance-tagged puts have landed for the
 // given instance id.
 func (w *Win) ReceivedFor(instance int64) int {
+	w.c.r.proc.Sync()
 	return w.perInstance[instance]
 }
 
@@ -129,6 +135,13 @@ func (op *osOp) land() {
 	w.perInstance[op.instance]++
 }
 
+// xmitPut starts a put's transfer at the instant the origin's clock had
+// reached (see the protocol's other network calls in p2p.go).
+func xmitPut(arg any) {
+	op := arg.(*osOp)
+	op.origin.net().Transfer(op.origin.id, op.tgtRank.id, op.data.Len(), deliverPut, op)
+}
+
 // deliverPut is the Transfer callback of PutInstanced: on RDMA the bytes land
 // directly in target memory with no target CPU; on host-attended transports
 // visibility waits for the target's next MPI instant.
@@ -167,6 +180,7 @@ func (w *Win) PutInstanced(instance int64, peer, off int, b Buf) *Request {
 	req.r, req.peer, req.ctx, req.buf = r, peer, w.ctx, b
 	r.charge(p.OPost + p.OSend)
 	r.outstanding++
+	r.proc.Sync()
 	tgt := w.target(peer)
 	tgtRank := r.w.ranks[peer]
 	if !p.RDMA {
@@ -175,6 +189,6 @@ func (w *Win) PutInstanced(instance int64, peer, off int, b Buf) *Request {
 	op := r.w.allocOS()
 	op.tgt, op.tgtRank, op.origin, op.req = tgt, tgtRank, r, req
 	op.data, op.off, op.instance, op.rdma = b.Clone(), off, instance, p.RDMA
-	r.net().Transfer(r.id, tgtRank.id, size, deliverPut, op)
+	r.proc.Do(xmitPut, op)
 	return req
 }

@@ -125,6 +125,50 @@ func (n notice) process(r *Rank) {
 	}
 }
 
+// The protocol's network calls. A rank decides to send while its clock runs
+// ahead of the engine's, so the call itself is deferred with Proc.Do to the
+// instant the rank's clock showed (it runs at once when the rank is level).
+// Like the delivery entry points below these are package-level functions
+// taking the protocol record the message owns anyway — the envelope of an
+// eager payload or RTS, the send request of a CTS or bulk transfer — so
+// neither deferring nor delivering ever allocates a closure.
+
+// sender returns the library state of the envelope's source rank.
+func (env *envelope) sender() *Rank { return env.dstRank.w.ranks[env.src] }
+
+func xmitEager(arg any) {
+	env := arg.(*envelope)
+	env.sender().net().Transfer(env.src, env.dst, env.buf.Len(), deliverEager, env)
+}
+
+func xmitRTS(arg any) {
+	env := arg.(*envelope)
+	env.sender().net().Ctrl(env.src, env.dst, deliverRTS, env)
+}
+
+func xmitCTS(arg any) {
+	sreq := arg.(*Request)
+	rcv := sreq.matched.r
+	rcv.net().Ctrl(rcv.id, sreq.r.id, deliverCTS, sreq)
+}
+
+func xmitBulk(arg any) {
+	sreq := arg.(*Request)
+	sreq.r.net().Transfer(sreq.r.id, sreq.matched.r.id, sreq.buf.Len(), deliverBulk, sreq)
+}
+
+// xmitBulkPDES is xmitBulk on a sharded world: the delivery fires on the
+// receiver's shard and hands bx over to it, and the send completes locally
+// when this shard's NIC has drained the payload (Transfer's return under
+// PDES).
+func xmitBulkPDES(arg any) {
+	bx := arg.(*bulkXfer)
+	sreq := bx.sreq
+	r := sreq.r
+	txEnd := r.net().Transfer(r.id, bx.rreq.r.id, bx.buf.Len(), deliverBulkPDES, bx)
+	r.w.eng.AtTimeCall(txEnd, fireSendDone, sreq)
+}
+
 // Delivery entry points passed to netmodel: package-level functions plus an
 // already-held pointer, so no per-message closure is ever allocated.
 
@@ -163,6 +207,7 @@ func deliverBulk(arg any) {
 // Records are pooled like envelopes; allocated on the sender's shard, freed
 // into the receiving rank's world pool.
 type bulkXfer struct {
+	sreq     *Request // read by the sender's shard only, until the transfer starts
 	rreq     *Request
 	src, tag int
 	buf      Buf
@@ -240,15 +285,17 @@ func (r *Rank) sendCTS(rreq *Request, env *envelope) {
 	rreq.SrcActual, rreq.TagActual = env.src, env.tag
 	p := r.net().Params()
 	r.charge(p.OSend)
+	// The send request is the receiver's to write between RTS and CTS: its
+	// sender next looks at it when the CTS arrives.
 	env.sreq.matched = rreq
-	r.net().Ctrl(r.id, env.src, deliverCTS, env.sreq)
+	r.proc.Do(xmitCTS, env.sreq)
 }
 
 func (r *Rank) processCTS(sreq, rreq *Request) {
 	// The whole RTS→CTS handshake happened while this sender was outside
 	// MPI (or blocked): the elapsed time is the rendezvous stall that an
 	// extra progress call on either side could have shortened.
-	r.rec.RendezvousStall(r.id, r.w.eng.Now()-sreq.rtsAt)
+	r.rec.RendezvousStall(r.id, r.proc.Now()-sreq.rtsAt)
 	p := r.net().Params()
 	cost := p.OSend
 	if !p.RDMA {
@@ -262,12 +309,11 @@ func (r *Rank) processCTS(sreq, rreq *Request) {
 		// receiver half now and complete the send locally at NIC-drain time
 		// (Transfer's return under PDES).
 		bx := r.w.allocBX()
-		bx.rreq, bx.src, bx.tag, bx.buf = rreq, r.id, sreq.tag, sreq.buf.Clone()
-		txEnd := r.net().Transfer(r.id, rreq.r.id, sreq.buf.Len(), deliverBulkPDES, bx)
-		r.w.eng.AtTimeCall(txEnd, fireSendDone, sreq)
+		bx.sreq, bx.rreq, bx.src, bx.tag, bx.buf = sreq, rreq, r.id, sreq.tag, sreq.buf.Clone()
+		r.proc.Do(xmitBulkPDES, bx)
 		return
 	}
-	r.net().Transfer(r.id, rreq.r.id, sreq.buf.Len(), deliverBulk, sreq)
+	r.proc.Do(xmitBulk, sreq)
 }
 
 func (r *Rank) processBulk(src, tag int, buf Buf, rreq *Request) {
@@ -304,7 +350,7 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 		env := r.w.allocEnv()
 		env.src, env.dst, env.tag, env.ctx = r.id, dst, tag, ctx
 		env.buf, env.dstRank = b.Clone(), dstRank
-		r.net().Transfer(r.id, dst, size, deliverEager, env)
+		r.proc.Do(xmitEager, env)
 		req.done = true
 		return req
 	}
@@ -312,11 +358,11 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 	// both sides.
 	r.outstanding++
 	r.charge(p.OSend)
-	req.rtsAt = r.w.eng.Now()
+	req.rtsAt = r.proc.Now()
 	env := r.w.allocEnv()
 	env.src, env.dst, env.tag, env.ctx = r.id, dst, tag, ctx
 	env.buf, env.dstRank, env.sreq = b, dstRank, req
-	r.net().Ctrl(r.id, dst, deliverRTS, env)
+	r.proc.Do(xmitRTS, env)
 	return req
 }
 
@@ -351,14 +397,10 @@ func (r *Rank) irecv(src, tag, ctx int, b Buf) *Request {
 func (r *Rank) Wait(reqs ...*Request) {
 	p := r.net().Params()
 	r.charge(p.OProgress + p.OTest*float64(r.outstanding))
-	r.waitUntil(func() bool {
-		for _, q := range reqs {
-			if !q.done {
-				return false
-			}
-		}
-		return true
-	})
+	r.waitReqs = append(r.waitReqs, reqs...)
+	r.waitUntil()
+	clear(r.waitReqs) // completed requests stay collectable
+	r.waitReqs = r.waitReqs[:0]
 }
 
 // WaitHandles is Wait over generation-checked handles: handles whose request
@@ -366,14 +408,9 @@ func (r *Rank) Wait(reqs ...*Request) {
 func (r *Rank) WaitHandles(hs []ReqHandle) {
 	p := r.net().Params()
 	r.charge(p.OProgress + p.OTest*float64(r.outstanding))
-	r.waitUntil(func() bool {
-		for _, h := range hs {
-			if !h.Done() {
-				return false
-			}
-		}
-		return true
-	})
+	r.waitHs = hs
+	r.waitUntil()
+	r.waitHs = nil
 }
 
 // Test performs one progress pass and reports whether all given requests

@@ -128,14 +128,23 @@ type Rank struct {
 	rng  *sim.ClonableRand // lazily created (see random); nil until first draw
 	rec  *obs.Recorder     // nil unless World.Observe attached one
 
-	// Message-progression state. The notice queue and the matcher are only
-	// mutated in engine-event context (enqueue) or in the rank's own proc
-	// context (processing); the engine serializes those.
+	// Message-progression state. The notice queue is appended to in
+	// engine-event context (enqueue) and drained, like the matcher, only by
+	// the rank's own progress engine (poll); the engine serializes those.
 	notices      []notice // arrived, not yet seen by the library
 	nhead        int      // first unprocessed notice (head cursor)
 	m            matcher  // posted receives and unexpected envelopes (match.go)
 	blockedInMPI bool
-	cond         *sim.Cond // lazily created on first block (waitUntil)
+	blockedAt    float64     // when the open blocked span began
+	cond         *sim.Cond   // lazily created with pollFn on first use (waitUntil)
+	pollFn       func() bool // r.poll, evaluated once: a method value allocates
+
+	// The wait set of the blocking call in progress, in fields rather than in
+	// a closure so that waiting allocates nothing: poll resumes the rank once
+	// all of these hold. Empty between calls (and for a plain progress pass).
+	waitReqs []*Request // Wait's requests, copied into reused capacity
+	waitHs   []ReqHandle
+	waitPred func() bool
 
 	outstanding int // open non-blocking requests, for OTest charging
 
@@ -154,7 +163,8 @@ type Rank struct {
 // ID returns the world rank number.
 func (r *Rank) ID() int { return r.id }
 
-// Now returns the current virtual time.
+// Now returns the rank's virtual time: its own clock, which runs ahead of the
+// engine's between the points where the rank waits (DESIGN.md §2).
 func (r *Rank) Now() float64 { return r.proc.Now() }
 
 // Proc returns the simulated process executing this rank.
@@ -196,7 +206,7 @@ func (r *Rank) Compute(d float64) {
 	}
 	r.ComputeTime += d
 	t0 := r.proc.Now()
-	r.proc.Sleep(d)
+	r.proc.Advance(d)
 	r.rec.StateSpan(r.id, obs.StateCompute, t0, t0+d)
 }
 
@@ -212,14 +222,17 @@ func (r *Rank) ChargeDDTBlocks(n int) {
 	r.charge(ddtPerBlockOverhead * float64(n))
 }
 
-// charge advances the rank's clock by d seconds of library CPU time.
+// charge advances the rank's clock by d seconds of library CPU time. The
+// rank does not wait for the engine: whatever follows runs ahead, under the
+// contract of package sim — rank-local state only, every network call
+// deferred with Proc.Do.
 func (r *Rank) charge(d float64) {
 	if d <= 0 {
 		return
 	}
 	r.MPITime += d
 	t0 := r.proc.Now()
-	r.proc.Sleep(d)
+	r.proc.Advance(d)
 	r.rec.StateSpan(r.id, obs.StateMPI, t0, t0+d)
 }
 
@@ -240,23 +253,7 @@ func (r *Rank) Progress() {
 	r.ProgressCalls++
 	r.rec.ProgressCall(r.id)
 	r.charge(p.OProgress + p.OTest*float64(r.outstanding))
-	r.processNotices()
-}
-
-// processNotices drains the notice queue, performing protocol actions and
-// charging their CPU costs. New notices that arrive while costs are being
-// charged (the clock advances) are appended behind the head cursor and
-// drained too; once empty, the queue is truncated in place so its capacity
-// is reused instead of abandoned.
-func (r *Rank) processNotices() {
-	for r.nhead < len(r.notices) {
-		n := r.notices[r.nhead]
-		r.notices[r.nhead] = notice{} // release references
-		r.nhead++
-		n.process(r)
-	}
-	r.notices = r.notices[:0]
-	r.nhead = 0
+	r.waitUntil() // an empty wait set: one pass of the progress engine
 }
 
 func (r *Rank) net() *netmodel.Network { return r.w.net }
@@ -330,21 +327,66 @@ func (w *World) freeOS(op *osOp) {
 	w.osFree = append(w.osFree, op)
 }
 
-// waitUntil blocks the rank inside MPI until pred holds, processing notices
-// as they arrive. It is the core of Wait and the blocking collectives.
-func (r *Rank) waitUntil(pred func() bool) {
+// waitUntil keeps the rank inside MPI until the queued notices are processed
+// and the wait set holds. It is the core of Progress, Wait and the blocking
+// collectives, and the one place a rank parks: the progress engine (poll)
+// runs in event context for as long as the rank has to stay.
+func (r *Rank) waitUntil() {
 	if r.cond == nil {
 		r.cond = sim.NewCond(r.w.eng)
+		r.pollFn = r.poll
 	}
-	for {
-		r.processNotices()
-		if pred() {
-			return
-		}
-		r.blockedInMPI = true
-		t0 := r.proc.Now()
-		r.cond.Wait(r.proc)
-		r.rec.StateSpan(r.id, obs.StateBlocked, t0, r.proc.Now())
+	r.proc.ParkUntil(r.pollFn)
+}
+
+// poll is the progress engine, called whenever the engine has caught up with
+// the rank (sim.Proc.ParkUntil). It drains the notice queue, performing
+// protocol actions and charging their CPU costs — which puts the rank ahead
+// again, so the notices that arrive while those costs elapse are found by the
+// next call, when the engine is level with the last charge: only then can the
+// queue be declared empty and the wait set be tested. A rank with nothing to
+// do blocks on its cond until enqueue wakes it.
+func (r *Rank) poll() bool {
+	if r.blockedInMPI {
 		r.blockedInMPI = false
+		r.rec.StateSpan(r.id, obs.StateBlocked, r.blockedAt, r.proc.Now())
 	}
+	for r.nhead < len(r.notices) {
+		if r.proc.Full() {
+			return false
+		}
+		n := r.notices[r.nhead]
+		r.notices[r.nhead] = notice{} // release references
+		r.nhead++
+		n.process(r)
+	}
+	// Truncate in place so the queue's capacity is reused instead of abandoned.
+	r.notices = r.notices[:0]
+	r.nhead = 0
+	if r.proc.Ahead() {
+		return false
+	}
+	if r.waitSatisfied() {
+		return true
+	}
+	r.blockedInMPI = true
+	r.blockedAt = r.proc.Now()
+	r.cond.Block(r.proc)
+	return false
+}
+
+// waitSatisfied tests the wait set. It runs level with the engine, so a
+// predicate may read what events write (window counters).
+func (r *Rank) waitSatisfied() bool {
+	for _, q := range r.waitReqs {
+		if !q.done {
+			return false
+		}
+	}
+	for _, h := range r.waitHs {
+		if !h.Done() {
+			return false
+		}
+	}
+	return r.waitPred == nil || r.waitPred()
 }

@@ -90,13 +90,11 @@ func TestPersistentIbcastReuse(t *testing.T) {
 	}
 }
 
-// TestPersistentIbcastSteadyStateAllocs pins the acceptance criterion: a
-// steady-state persistent Ibcast iteration performs zero allocations. Rank
-// programs park on a gate condition between iterations; each measured run
-// releases one iteration and drives the engine until the world is quiescent
-// again.
-func TestPersistentIbcastSteadyStateAllocs(t *testing.T) {
-	const n = 4
+// persistentLoop starts an n-rank world in which every rank runs the schedule
+// mk builds for it once per released iteration, parking on a gate condition in
+// between. It returns the engine and step, which releases one iteration and
+// drives the engine until the world is quiescent again.
+func persistentLoop(t *testing.T, n int, mk func(c *mpi.Comm) *Schedule) (*sim.Engine, func()) {
 	eng := sim.NewEngine(1)
 	nodeOf := make([]int, n)
 	for i := range nodeOf {
@@ -110,8 +108,7 @@ func TestPersistentIbcastSteadyStateAllocs(t *testing.T) {
 	gate := sim.NewCond(eng)
 	released := 0
 	w.Start(func(c *mpi.Comm) {
-		me := c.Rank()
-		sched := Ibcast(n, me, 0, mpi.Virtual(32*1024), 2, 8*1024)
+		sched := mk(c)
 		it := 0
 		for {
 			for released <= it {
@@ -122,7 +119,7 @@ func TestPersistentIbcastSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	deadline := 0.0
-	step := func() {
+	return eng, func() {
 		released++
 		gate.Broadcast()
 		// Generous per-iteration horizon; RunUntil returns as soon as the
@@ -130,10 +127,58 @@ func TestPersistentIbcastSteadyStateAllocs(t *testing.T) {
 		deadline += 1.0
 		eng.RunUntil(deadline)
 	}
+}
+
+// TestPersistentIbcastSteadyStateAllocs pins the acceptance criterion: a
+// steady-state persistent Ibcast iteration performs zero allocations.
+func TestPersistentIbcastSteadyStateAllocs(t *testing.T) {
+	const n = 4
+	requireSteadyStateAllocFree(t, n, func(c *mpi.Comm) *Schedule {
+		return Ibcast(n, c.Rank(), 0, mpi.Virtual(32*1024), 2, 8*1024)
+	})
+}
+
+// TestPersistentPutAlltoallSteadyStateAllocs is the same pin for a put-based
+// schedule, which waits on its request handles and then, through a predicate
+// (Comm.WaitFor), on the window's put counter — every round.
+func TestPersistentPutAlltoallSteadyStateAllocs(t *testing.T) {
+	const n = 4
+	requireSteadyStateAllocFree(t, n, func(c *mpi.Comm) *Schedule {
+		send, recv := mpi.Virtual(n*16*1024), mpi.Virtual(n*16*1024)
+		return IalltoallPairwisePut(n, c.Rank(), send, recv, IalltoallWindows(c, recv))
+	})
+}
+
+func requireSteadyStateAllocFree(t *testing.T, n int, mk func(c *mpi.Comm) *Schedule) {
+	_, step := persistentLoop(t, n, mk)
 	for i := 0; i < 50; i++ {
 		step() // warm every pool, free list, and reused slice
 	}
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-		t.Fatalf("steady-state persistent Ibcast iteration: %v allocs, want 0", allocs)
+		t.Fatalf("steady-state persistent iteration: %v allocs, want 0", allocs)
+	}
+}
+
+// TestPersistentIbcastResumesPerIteration is the hand-off budget, which no
+// host can move: a rank's coroutine is resumed when a wait of its ends, not
+// once for every CPU charge and notice on the way there. 16 ranks, 4 segments
+// down a binary tree: one resume per rank to leave the gate, then one per
+// schedule round that had to wait — 87 for the iteration's 447 events. When
+// every charge parked the coroutine the same 447 events took 387 resumes.
+func TestPersistentIbcastResumesPerIteration(t *testing.T) {
+	const n = 16
+	eng, step := persistentLoop(t, n, func(c *mpi.Comm) *Schedule {
+		return Ibcast(n, c.Rank(), 0, mpi.Virtual(32*1024), 2, 8*1024)
+	})
+	step()
+	before, fired := eng.Resumes, eng.EventsFired
+	const iters = 10
+	for i := 0; i < iters; i++ {
+		step()
+	}
+	perIter := float64(eng.Resumes-before) / iters
+	t.Logf("%.1f resumes and %.1f events per iteration", perIter, float64(eng.EventsFired-fired)/iters)
+	if perIter > 87 {
+		t.Fatalf("%.1f resumes per persistent Ibcast iteration at %d ranks, budget 87", perIter, n)
 	}
 }

@@ -89,8 +89,9 @@ type Handle struct {
 	tag      int
 	round    int
 	pending  []mpi.ReqHandle
-	await    int   // cumulative put count the current round waits for (-1: none)
-	instance int64 // collective instance id on the schedule's window
+	await    int         // cumulative put count the current round waits for (-1: none)
+	awaitFn  func() bool // h.awaitSatisfied, evaluated once per record: a method value allocates
+	instance int64       // collective instance id on the schedule's window
 	done     bool
 	released bool
 	obsID    int // recorder span id for this execution (-1: not observed)
@@ -286,7 +287,10 @@ func (h *Handle) Wait() {
 	for !h.done {
 		h.comm.WaitHandles(h.pending)
 		if h.await >= 0 {
-			h.comm.WaitFor(h.awaitSatisfied)
+			if h.awaitFn == nil {
+				h.awaitFn = h.awaitSatisfied
+			}
+			h.comm.WaitFor(h.awaitFn)
 		}
 		h.round++
 		h.execRounds()

@@ -5,19 +5,58 @@
 // The engine owns a virtual clock and a priority queue of events. Every
 // simulated process is a coroutine (iter.Pull), so exactly one of them or the
 // Run caller executes at any instant and control moves by direct goroutine
-// switches that never enter the Go scheduler. A parking process fires events
-// itself: if its own wake is the next live one it simply returns, with no
-// switch at all; otherwise it yields to the Run caller naming the process to
-// wake, and the Run caller resumes that process — two coroutine switches per
-// cross-process hand-off, each a fraction of a channel rendezvous. At the
-// horizon the parked process yields nobody and Run/RunUntil returns. Runs
-// are fully deterministic for a fixed seed, which is what makes the
-// reproduction of the paper's measurements repeatable.
+// switches that never enter the Go scheduler. Runs are fully deterministic
+// for a fixed seed, which is what makes the reproduction of the paper's
+// measurements repeatable.
+//
+// # Run-ahead processes
+//
+// A process has a clock of its own, and spending virtual time does not park
+// its coroutine. Proc.Advance adds to the process's clock and records a stop,
+// the instant a Sleep of the same length would have ended; Proc.Do defers a
+// call to the current stop (and runs it at once while the process is level
+// with the engine). The coroutine parks only where it needs something from
+// the engine: in Proc.Sync (until the engine has caught up; Sleep is Advance
+// then Sync), in Proc.ParkUntil (until a poll says so) and in Cond.Wait.
+//
+// While the coroutine is parked the event loop travels for it. The process
+// has one wake ticket queued, keyed to its first pending stop. When the ticket
+// fires, the calls deferred to that stop run, and the same record is re-keyed
+// to the next stop under a fresh sequence number — the number the eager
+// process's next Sleep would have drawn at that point of the global order.
+// Past the last stop the process's poll runs, in event context, on whichever
+// goroutine is firing events: true resumes the coroutine; false leaves it
+// parked, on the stops the poll has just made (it is called again past them)
+// or on a Cond it blocked on. Every event therefore keeps the (time,
+// sequence) key it has when each Advance is a Sleep, each Do an inline call
+// and each poll a loop around Cond.Wait, so event counts, the order of
+// exact-time ties and the final clock do not depend on running ahead; only
+// the coroutine switches go, all but the one that ends the wait.
+// FuzzRunAhead checks that equivalence on random programs.
+//
+// What makes it exact is a contract on code that runs ahead — a process after
+// Advance, and anything inside a poll. It touches only state its own process
+// owns (or state, like a free list, whose order of use no result depends on).
+// It defers every interaction with the engine, the network or another process
+// with Do. It never parks: Sync, ParkUntil and Cond.Wait inside a
+// poll or a deferred call panic, and in a poll the itinerary's bound is
+// honoured by giving up (Proc.Full), not by syncing. And it reads what an
+// event or another process writes only when level (Proc.Ahead reports false,
+// or after Sync): having run ahead it would miss the writes still to come.
+//
+// # Hand-off
+//
+// A parking process fires events itself: if it is the next process to resume
+// it simply returns, with no switch at all; otherwise it yields to the Run
+// caller naming the process to wake, and the Run caller resumes that process
+// — two coroutine switches per cross-process hand-off, each a fraction of a
+// channel rendezvous. At the horizon the parked process yields nobody and
+// Run/RunUntil returns. Engine.Resumes counts the hand-offs.
 //
 // Events live in a pool of records indexed by an inlined 4-ary heap, so the
-// steady-state hot path (schedule, fire, free-list) performs no allocation.
-// Callback state that would otherwise force a closure allocation can be
-// passed through AtCall's (fn, arg) pair.
+// steady-state hot path (schedule, fire, re-key, free-list) performs no
+// allocation. Callback state that would otherwise force a closure allocation
+// can be passed through AtCall's (fn, arg) pair.
 package sim
 
 import (
@@ -53,12 +92,15 @@ type eventRec struct {
 	kind uint8
 }
 
-// ProcPanic wraps a panic that escaped a simulated process body. It is
+// ProcPanic wraps a panic that escaped a simulated process body, or a poll or
+// deferred call running in event context on the process's behalf. It is
 // re-raised on the goroutine that called Run/RunUntil, so harness code (the
 // experiment runner, tests) can recover from faults in simulated rank code
-// exactly like it recovers from engine-level panics.
+// exactly like it recovers from engine-level panics. (A plain callback
+// belongs to no process: its panic is blamed on the process that fired it,
+// and reaches the Run caller unwrapped when that is who fired it.)
 type ProcPanic struct {
-	Proc  string // name of the process whose body panicked
+	Proc  string // name of the process whose code panicked
 	Value any    // the original panic value
 	Stack []byte // stack captured at the panic site
 }
@@ -95,6 +137,7 @@ type Engine struct {
 
 	// Stats counters, useful in tests and for harness reporting.
 	EventsFired int64
+	Resumes     int64 // times the event loop handed control (back) to a process
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -209,10 +252,16 @@ func (e *Engine) schedule(d Time, kind uint8) int32 {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: scheduling event in the past (d=%g)", d))
 	}
+	return e.scheduleAt(e.now+d, kind)
+}
+
+// scheduleAt allocates and enqueues a record firing at absolute time t under
+// the engine's next sequence number.
+func (e *Engine) scheduleAt(t Time, kind uint8) int32 {
 	e.seq++
 	idx := e.allocRec()
 	r := &e.recs[idx]
-	r.t = e.now + d
+	r.t = t
 	r.seq = e.seq
 	r.kind = kind
 	e.heapPush(idx)
@@ -249,22 +298,16 @@ func (e *Engine) InjectAt(t Time, fn func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: injecting event in the past (t=%g, now=%g)", t, e.now))
 	}
-	e.seq++
-	idx := e.allocRec()
-	r := &e.recs[idx]
-	r.t = t
-	r.seq = e.seq
-	r.kind = evCall
+	r := &e.recs[e.scheduleAt(t, evCall)]
 	r.fn2, r.arg = fn, arg
-	e.heapPush(idx)
 }
 
-// atWake schedules a wake ticket for p's park generation g. Wake tickets are
-// plain pooled records — no closure — and stale tickets (the
-// process was already woken, re-parked, or finished) are dropped in the
-// event loop (fire), which is how same-instant wakeups coalesce into one resume.
-func (e *Engine) atWake(d Time, p *Proc, g uint64) {
-	r := &e.recs[e.schedule(d, evWake)]
+// wakeAt schedules a wake ticket for p's park generation g at absolute time
+// t. Wake tickets are plain pooled records — no closure — and stale tickets
+// (the process was already woken, re-parked, or finished) are dropped in the
+// event loop (fire), which is how same-instant wakeups coalesce into one.
+func (e *Engine) wakeAt(t Time, p *Proc, g uint64) {
+	r := &e.recs[e.scheduleAt(t, evWake)]
 	r.proc, r.wgen = p, g
 }
 
@@ -285,9 +328,10 @@ func (e *Engine) horizonReached() bool {
 }
 
 // fire is the event loop: it pops and fires events on the calling goroutine
-// until a live wake ticket pops, and returns that ticket's process; at the
-// horizon it returns nil. Its callers are a parking process (parkPrepared)
-// and the Run caller (runLoop), whichever is executing.
+// until a live wake ticket ends in a process to resume (Proc.reach), and
+// returns that process; at the horizon it returns nil. Its callers are a
+// parking process (park) and the Run caller (runLoop), whichever is
+// executing.
 func (e *Engine) fire() *Proc {
 	for !e.horizonReached() {
 		idx := e.heapPop()
@@ -304,12 +348,12 @@ func (e *Engine) fire() *Proc {
 			e.freeRec(idx)
 			fn(arg)
 		default: // evWake
-			q, g := r.proc, r.wgen
-			e.freeRec(idx)
-			if !q.done && q.parked && q.gen == g {
+			if q := r.proc; q.done || q.gen != r.wgen {
+				e.freeRec(idx) // stale ticket: this wakeup was coalesced away
+			} else if q.reach(idx) {
+				e.Resumes++
 				return q
 			}
-			// stale ticket: this wakeup was coalesced away
 		}
 	}
 	return nil
@@ -321,23 +365,32 @@ func (e *Engine) fire() *Proc {
 // hand-offs is served without going through the queue check in between.
 func (e *Engine) runLoop(deadline Time) {
 	e.deadline = deadline
+	// Whatever panics out of here — a process fault re-raised below, or a
+	// callback, deferred call or poll fired on this goroutine — leaves
+	// processes parked that nothing will resume.
+	failed := true
+	defer func() {
+		if failed {
+			e.abandon()
+		}
+	}()
 	for q := e.fire(); q != nil; {
 		q, _ = q.next()
 		if pp := e.procPanic; pp != nil {
 			e.procPanic = nil
-			e.abandon()
 			panic(pp)
 		}
 		if q == nil {
 			q = e.fire()
 		}
 	}
+	failed = false
 }
 
 // abandon unwinds every process that has not finished, so that the
 // goroutines of an engine whose Run ended in a panic exit instead of staying
-// parked forever: a parked process's yield returns false and parkPrepared
-// panics with abandoned{}, which runBody swallows.
+// parked forever: a parked process's yield returns false and park panics
+// with abandoned{}, which runBody swallows.
 func (e *Engine) abandon() {
 	for _, p := range e.procs {
 		p.stop()

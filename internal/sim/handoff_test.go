@@ -173,6 +173,82 @@ func TestAbandonedEngineFreesItsProcesses(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestPollPanicNamesItsOwner: a poll runs in event context on whichever
+// goroutine is firing events. When it panics while another process fires, Run
+// must still blame the process the poll belongs to, with the stack of the
+// panic site.
+func TestPollPanicNamesItsOwner(t *testing.T) {
+	e := NewEngine(1)
+	c := NewCond(e)
+	e.Spawn("owner", func(p *Proc) {
+		calls := 0
+		p.ParkUntil(func() bool {
+			if calls++; calls > 1 {
+				panic("poll fault") // the second call: woken by firer's Broadcast
+			}
+			c.Block(p)
+			return false
+		})
+	})
+	e.Spawn("firer", func(p *Proc) {
+		c.Broadcast()
+		p.Sleep(1) // fires owner's ticket, and with it the poll, from in here
+	})
+	defer func() {
+		pp, ok := recover().(*ProcPanic)
+		if !ok || pp.Value != "poll fault" || pp.Proc != "owner" {
+			t.Fatalf("recovered %v, want ProcPanic(poll fault) in owner", pp)
+		}
+		if !strings.Contains(string(pp.Stack), "TestPollPanicNamesItsOwner") {
+			t.Fatalf("stack does not reach the poll:\n%s", pp.Stack)
+		}
+	}()
+	e.Run()
+	t.Fatal("Run returned despite poll panic")
+}
+
+// TestPanicFiredByRunCallerFreesProcesses: after a process has finished it is
+// the Run caller that fires events, and a panic from there — a plain
+// callback's, which nobody wraps, or a deferred call's — must unwind the
+// parked processes like a process fault does.
+func TestPanicFiredByRunCallerFreesProcesses(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault func(e *Engine)
+		want  any
+	}{
+		{"callback", func(e *Engine) {
+			e.AtCall(1, func(arg any) { panic(arg) }, "callback fault")
+		}, "callback fault"},
+		{"deferred call", func(e *Engine) {
+			e.Spawn("owner", func(p *Proc) {
+				p.Advance(1)
+				p.Do(func(arg any) { panic(arg) }, "call fault")
+			})
+		}, &ProcPanic{Proc: "owner", Value: "call fault"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEngine(1)
+			parkRanks(e, 8)
+			tc.fault(e)
+			e.Spawn("ender", func(p *Proc) {}) // the last process to run at t=0 returns: Run fires t=1
+			defer func() {
+				r := recover()
+				if pp, ok := r.(*ProcPanic); ok {
+					pp.Stack = nil
+				}
+				if !reflect.DeepEqual(r, tc.want) {
+					t.Fatalf("recovered %v, want %v", r, tc.want)
+				}
+				waitGoroutines(t, base)
+			}()
+			e.Run()
+			t.Fatal("Run returned")
+		})
+	}
+}
+
 // BenchmarkProcHandOff is BenchmarkProcContextSwitch's sibling: there one
 // process sleeps alone, so every park resumes inline (no switch); here two
 // processes alternate, so every park hands off to the other one.

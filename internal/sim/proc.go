@@ -12,103 +12,258 @@ import (
 	"runtime/debug"
 )
 
-// Proc is a simulated process: a coroutine that the engine resumes when one
-// of the process's wake tickets fires and that gives control back by parking.
-// A parking process runs the event loop itself (see the package comment),
-// returning inline when its own wake is the next live one and otherwise
+// Proc is a simulated process: a coroutine with a clock of its own that may
+// run ahead of the engine's (see the package comment for the protocol and its
+// contract). Advance moves the process's clock and records a stop, Do defers
+// a call to the current stop, and only Sync, ParkUntil and Cond.Wait park the
+// coroutine; while it is parked the event loop walks its wake ticket from
+// stop to stop, runs the deferred calls there, and finally asks the
+// process's poll whether to resume it. A parking process runs the event loop
+// itself, returning inline when it is the one to resume and otherwise
 // yielding the process to wake to the Run caller; either way exactly one
 // goroutine executes at a time, and a process always runs on the thread of
 // the goroutine that called Run (or of the PDES shard worker driving its
 // engine).
 //
 // Wakeups are pooled evWake records addressed by (process, park generation).
-// Any API that logically wakes a process (Sleep timers, Cond.Broadcast,
-// Cond.Signal) pushes such a record; the event loop drops tickets whose
-// generation is stale, which coalesces multiple same-instant wakeups of one
-// process into a single resume.
+// Any API that logically wakes a process (the itinerary, Cond.Broadcast,
+// Cond.Signal) pushes such a record; the generation moves on every time the
+// event loop accepts one, so the event loop drops the others as stale, which
+// coalesces multiple same-instant wakeups of one process into a single one.
 type Proc struct {
-	eng    *Engine
-	name   string
-	next   func() (*Proc, bool) // resume; returns the process to wake next, if any
-	yield  func(*Proc) bool     // suspend, naming the process to wake; false once stopped
-	stop   func()               // unwind a suspended process (Engine.abandon)
-	done   bool
-	parked bool
-	gen    uint64 // park generation; wake tickets target a generation
+	eng     *Engine
+	name    string
+	next    func() (*Proc, bool) // resume; returns the process to wake next, if any
+	yield   func(*Proc) bool     // suspend, naming the process to wake; false once stopped
+	stop    func()               // unwind a suspended process (Engine.abandon)
+	done    bool
+	inEvent bool   // a poll or a deferred call of this process is running: it must not park
+	gen     uint64 // park generation; wake tickets target a generation
+
+	// The run-ahead itinerary. local is the process's own clock, meaningful
+	// while stops are pending; otherwise the process is level with the engine.
+	local Time
+	stops []stop   // instants the eager process would have woken at; stops[at:] are pending
+	at    int      // first pending stop
+	acts  []action // deferred calls of the pending stops, in order
+	act   int      // first pending call
+	poll  func() bool
 }
+
+// stop is one instant of a process's itinerary: where a Sleep would have
+// ended, and how many deferred calls run once the engine gets there.
+type stop struct {
+	t    Time
+	acts int
+}
+
+// action is a call deferred with Do.
+type action struct {
+	fn  func(any)
+	arg any
+}
+
+// maxAhead bounds the pending stops of one process, and with them the memory
+// of its itinerary: in process context Advance syncs when the itinerary is
+// full, and a poll is expected to stop making work when Full reports true.
+const maxAhead = 64
 
 // Spawn starts a new process executing fn. The process begins running at the
 // current virtual time (via a zero-delay wake event). If fn panics, the
 // panic is captured with its stack and re-raised from Run as a *ProcPanic.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, parked: true, gen: 1}
+	p := &Proc{eng: e, name: name, gen: 1}
 	e.procs = append(e.procs, p)
 	e.live++
 	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
-		p.yield, p.parked = yield, false
+		p.yield = yield
 		e.procPanic = p.runBody(fn)
 		p.done = true
 		e.live--
 	})
-	e.atWake(0, p, 1)
+	e.wakeAt(e.now, p, 1)
 	return p
 }
 
 // runBody executes the process body, converting an escaped panic into a
-// *ProcPanic so it can be re-raised on the Run caller's goroutine.
+// *ProcPanic so it can be re-raised on the Run caller's goroutine. The body
+// ends level with the engine: time the process only advanced by is simulated
+// time like any other, and Run's result has to include it.
 func (p *Proc) runBody(fn func(*Proc)) (fail *ProcPanic) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil, abandoned:
 		case *ProcPanic:
-			fail = r // already wrapped by a nested engine's Run
+			fail = r // a nested engine's Run, or a poll or deferred call this process fired
 		default:
 			fail = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	fn(p)
+	p.Sync()
 	return nil
 }
 
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.eng.now }
+// blame is deferred around what runs in event context on p's behalf: a panic
+// there belongs to p, whichever goroutine happens to be firing events.
+func (p *Proc) blame() {
+	switch r := recover().(type) {
+	case nil:
+	case *ProcPanic:
+		panic(r)
+	default:
+		panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+	}
+}
+
+// Now returns the process's virtual time: its own clock while it runs ahead,
+// the engine's otherwise.
+func (p *Proc) Now() Time {
+	if p.Ahead() {
+		return p.local
+	}
+	return p.eng.now
+}
 
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// prepark marks the process as about to park and returns the wake ticket
-// that targets exactly this park. Must be called from the process's own
-// goroutine, immediately before parkPrepared.
-func (p *Proc) prepark() uint64 {
-	p.gen++
-	p.parked = true
-	return p.gen
-}
+// Ahead reports whether the process's clock is ahead of the engine's, i.e.
+// whether stops are pending. A process that is not ahead is level.
+func (p *Proc) Ahead() bool { return p.at < len(p.stops) }
 
-// parkPrepared suspends the process until a wake record with a matching
-// ticket fires. The process fires events itself, so a park whose wake is the
-// next live one costs no switch at all; before any other process's wake, and
-// at the horizon (nil), it yields to the Run caller, which resumes it once a
-// later fire pops its ticket.
-func (p *Proc) parkPrepared() {
-	if q := p.eng.fire(); q != p && !p.yield(q) {
-		panic(abandoned{})
-	}
-	p.parked = false
-}
+// Full reports whether the itinerary holds as many stops as it should; a
+// poll stops making work and returns false then (Advance cannot sync there).
+func (p *Proc) Full() bool { return len(p.stops)-p.at >= maxAhead }
 
-// Sleep advances the process's local activity by duration d of virtual time.
-// Other events interleave while the process sleeps.
-func (p *Proc) Sleep(d Time) {
+// Advance moves the process's clock forward by d without parking and records
+// the instant reached as a stop. The clock accumulates the way consecutive
+// Sleeps accumulate the engine's (local += d, one rounding per step), so
+// every stop is bit for bit the instant the Sleep would have ended at.
+func (p *Proc) Advance(d Time) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: negative sleep %g in %q", d, p.name))
+		panic(fmt.Sprintf("sim: negative advance %g in %q", d, p.name))
 	}
 	if d == 0 {
 		return
 	}
-	g := p.prepark()
-	p.eng.atWake(d, p, g)
-	p.parkPrepared()
+	if !p.Ahead() {
+		p.local = p.eng.now
+	} else if p.Full() && !p.inEvent {
+		p.Sync() // level again, and local is exactly the engine's clock
+	}
+	p.local += d
+	p.stops = append(p.stops, stop{t: p.local})
+}
+
+// Do calls fn(arg) in event context once the engine has reached the
+// process's current stop: at once when the process is level, otherwise after
+// the calls deferred to that stop before it and before the ticket moves on.
+// It is how code that runs ahead touches the engine or anything another
+// process may see.
+func (p *Proc) Do(fn func(any), arg any) {
+	if !p.Ahead() {
+		fn(arg)
+		return
+	}
+	p.acts = append(p.acts, action{fn, arg})
+	p.stops[len(p.stops)-1].acts++
+}
+
+// Sync parks the process until the engine has caught up with its clock. It
+// returns at once, with no event, when the process is level.
+func (p *Proc) Sync() {
+	if p.Ahead() {
+		p.park()
+	}
+}
+
+// Sleep advances the process by duration d of virtual time and waits for the
+// engine to get there. Other events interleave while the process sleeps.
+func (p *Proc) Sleep(d Time) {
+	p.Advance(d)
+	p.Sync()
+}
+
+// ParkUntil parks the process until poll returns true. poll is called when
+// the engine has caught up with the process — the first time right here if
+// it already has — and again each time a wake ticket of the process fires
+// with no stop pending, i.e. after whatever poll itself advanced by has been
+// walked, or after a Cond it blocked on was signaled. It runs in event
+// context, under the contract of the package comment: it may Advance, Do and
+// Cond.Block, it must not park.
+func (p *Proc) ParkUntil(poll func() bool) {
+	if !p.Ahead() {
+		p.inEvent = true
+		ok := poll()
+		p.inEvent = false
+		if ok {
+			return
+		}
+	}
+	p.poll = poll
+	p.park()
+	p.poll = nil
+}
+
+// park suspends the coroutine until reach says to resume it. The process
+// fires events itself, so a park that ends with its own ticket costs no
+// switch at all; before any other process's resumption, and at the horizon
+// (nil), it yields to the Run caller, which resumes it once a later fire
+// returns it.
+func (p *Proc) park() {
+	if p.inEvent {
+		panic(fmt.Sprintf("sim: process %q parks in event context (inside a poll or a deferred call)", p.name))
+	}
+	e := p.eng
+	if p.Ahead() {
+		// The number the eager process's first Sleep would have drawn: nothing
+		// was scheduled since the process went ahead.
+		e.wakeAt(p.stops[p.at].t, p, p.gen)
+	}
+	if q := e.fire(); q != p && !p.yield(q) {
+		panic(abandoned{})
+	}
+}
+
+// reach handles a live wake ticket of the parked process p, record idx, in
+// event context, and reports whether to resume the coroutine. If the ticket
+// stands at a stop, the calls deferred to it run. With stops left the same
+// record is re-keyed to the next one under a fresh sequence number — the one
+// the eager process's next Sleep would have drawn here. With none left the
+// poll decides: true resumes; false leaves the process parked, on the new
+// stops the poll made or on the Cond it blocked on.
+func (p *Proc) reach(idx int32) bool {
+	defer p.blame()
+	e := p.eng
+	p.gen++
+	p.inEvent = true
+	if p.Ahead() {
+		n := p.stops[p.at].acts
+		p.at++
+		for ; n > 0; n-- {
+			a := p.acts[p.act]
+			p.acts[p.act] = action{}
+			p.act++
+			a.fn(a.arg)
+		}
+	}
+	resume := false
+	if !p.Ahead() {
+		p.stops, p.at = p.stops[:0], 0
+		p.acts, p.act = p.acts[:0], 0
+		resume = p.poll == nil || p.poll()
+	}
+	p.inEvent = false
+	if resume || !p.Ahead() {
+		e.freeRec(idx)
+		return resume
+	}
+	e.seq++
+	r := &e.recs[idx] // taken here: a deferred call may have grown the pool
+	r.t, r.seq, r.wgen = p.stops[p.at].t, e.seq, p.gen
+	e.heapPush(idx)
+	return false
 }
 
 type condWaiter struct {
@@ -130,9 +285,20 @@ func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 
 // Wait parks p until the condition is signaled.
 func (c *Cond) Wait(p *Proc) {
-	g := p.prepark()
-	c.waiters = append(c.waiters, condWaiter{p, g})
-	p.parkPrepared()
+	p.Sync()
+	c.Block(p)
+	p.park()
+}
+
+// Block makes p a waiter without parking it: the next Broadcast or Signal
+// sends it a wake ticket. It is for a level process that is about to park or
+// is parked already — a poll that found nothing to do (ParkUntil). A process
+// that is ahead already has a ticket on its way, and two would race.
+func (c *Cond) Block(p *Proc) {
+	if p.Ahead() {
+		panic(fmt.Sprintf("sim: process %q blocks on a Cond while ahead of the engine", p.name))
+	}
+	c.waiters = append(c.waiters, condWaiter{p, p.gen})
 }
 
 // Broadcast wakes all current waiters in FIFO order. It is safe to call from
@@ -143,7 +309,7 @@ func (c *Cond) Wait(p *Proc) {
 // stale by the event loop.
 func (c *Cond) Broadcast() {
 	for _, w := range c.waiters {
-		c.eng.atWake(0, w.p, w.g)
+		c.eng.wakeAt(c.eng.now, w.p, w.g)
 	}
 	c.waiters = c.waiters[:0]
 }
@@ -156,5 +322,5 @@ func (c *Cond) Signal() {
 	w := c.waiters[0]
 	n := copy(c.waiters, c.waiters[1:])
 	c.waiters = c.waiters[:n]
-	c.eng.atWake(0, w.p, w.g)
+	c.eng.wakeAt(c.eng.now, w.p, w.g)
 }

@@ -25,7 +25,7 @@ func TestStaleWakeTicketDropped(t *testing.T) {
 	})
 	// At t=2 the proc is parked on its second sleep (gen 3). A ticket for
 	// gen 2 must be dropped, not resume it.
-	e.At(2, func() { e.atWake(0, p, 2) })
+	e.At(2, func() { e.wakeAt(e.now, p, 2) })
 	end := e.Run()
 	if wokeAt != 11 {
 		t.Fatalf("stale ticket woke the process early: woke at %g, want 11", wokeAt)
@@ -34,7 +34,7 @@ func TestStaleWakeTicketDropped(t *testing.T) {
 		t.Fatalf("run ended at %g, want 11", end)
 	}
 	// A ticket for a finished process is likewise dropped without incident.
-	e.atWake(0, p, 99)
+	e.wakeAt(e.now, p, 99)
 	e.Run()
 }
 
@@ -57,8 +57,8 @@ func TestWakeTicketCoalescing(t *testing.T) {
 	})
 	e.At(1, func() {
 		g := p.gen // the generation of the current park
-		e.atWake(0, p, g)
-		e.atWake(0, p, g)
+		e.wakeAt(e.now, p, g)
+		e.wakeAt(e.now, p, g)
 	})
 	e.At(2, func() {
 		ready = true

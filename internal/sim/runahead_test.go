@@ -1,0 +1,212 @@
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// The equivalence oracle of the run-ahead protocol: a small program is run
+// twice on fresh engines, once eagerly — every Advance read as a Sleep, every
+// Do as an inline call, every poll as a loop around Cond.Wait — and once
+// running ahead, and both runs must fire the same things at the same times in
+// the same order and end with the same clock and event count. Coalescing
+// stops into fewer events, or scheduling a stop at now + Σd instead of at the
+// sequentially accumulated clock, reorders exact-time ties and fails it.
+//
+// A program is read two bytes at a time: the process (byte % 8, so '0'..'7'
+// name themselves) and one of its next operations (byte % 16, 'a'..'p'):
+//
+//	a b c     advance 1, 2, 3          (exact sums: 1+2 and 3 tie)
+//	d e f     advance 0.1, 0.2, 0.3    (0.1+0.2 and 0.3 differ in the last bit)
+//	g h p     do: log, then schedule a callback 0, 1 or 0.1 later that counts,
+//	          hands the next process a work item and broadcasts the cond
+//	i         sync
+//	j k l     block until the count reaches 1, 2, 3, processing work items —
+//	          advance 0.5, do a logging call — whenever woken (mpi's waitUntil)
+//	m n o     plain sleep 1, 0.3, 0.5
+
+type raKind uint8
+
+const (
+	raAdvance raKind = iota
+	raDo
+	raSync
+	raBlock
+	raSleep
+)
+
+var raOps = [16]struct {
+	kind raKind
+	d    Time // duration, callback delay, or count to block for
+}{
+	'a' % 16: {raAdvance, 1}, 'b' % 16: {raAdvance, 2}, 'c' % 16: {raAdvance, 3},
+	'd' % 16: {raAdvance, 0.1}, 'e' % 16: {raAdvance, 0.2}, 'f' % 16: {raAdvance, 0.3},
+	'g' % 16: {raDo, 0}, 'h' % 16: {raDo, 1}, 'p' % 16: {raDo, 0.1},
+	'i' % 16: {raSync, 0},
+	'j' % 16: {raBlock, 1}, 'k' % 16: {raBlock, 2}, 'l' % 16: {raBlock, 3},
+	'm' % 16: {raSleep, 1}, 'n' % 16: {raSleep, 0.3}, 'o' % 16: {raSleep, 0.5},
+}
+
+// raWorld is what the processes of one run share.
+type raWorld struct {
+	e     *Engine
+	ahead bool // run ahead; false reads the program eagerly
+	cond  *Cond
+	count int   // callbacks fired
+	work  []int // per process: items handed over and not yet processed
+	log   []string
+}
+
+func (w *raWorld) note(t Time, who int, what string) {
+	w.log = append(w.log, fmt.Sprintf("%v p%d %s", t, who, what))
+}
+
+// raCall is the argument of a deferred call and of the callback it schedules.
+type raCall struct {
+	w     *raWorld
+	who   int
+	delay Time
+	quiet bool // the callback only logs (calls made while processing work)
+}
+
+func raAct(arg any) {
+	c := arg.(*raCall)
+	c.w.note(c.w.e.Now(), c.who, "call")
+	c.w.e.AtCall(c.delay, raCallback, c)
+}
+
+func raCallback(arg any) {
+	c := arg.(*raCall)
+	w := c.w
+	w.note(w.e.Now(), c.who, "callback")
+	if c.quiet {
+		return
+	}
+	w.count++
+	w.work[(c.who+1)%len(w.work)]++
+	w.cond.Broadcast()
+}
+
+// body returns the process body executing ops as process who.
+func (w *raWorld) body(who int, ops []byte) func(*Proc) {
+	return func(p *Proc) {
+		advance := func(d Time) {
+			if w.ahead {
+				p.Advance(d)
+			} else {
+				p.Sleep(d)
+			}
+		}
+		do := func(delay Time, quiet bool) {
+			c := &raCall{w: w, who: who, delay: delay, quiet: quiet}
+			if w.ahead {
+				p.Do(raAct, c)
+			} else {
+				raAct(c)
+			}
+		}
+		// process handles the queued work items; inside a poll it gives up
+		// when the itinerary is full.
+		process := func() bool {
+			for w.work[who] > 0 {
+				if w.ahead && p.Full() {
+					return false
+				}
+				w.work[who]--
+				advance(0.5)
+				do(0, true)
+			}
+			return true
+		}
+		for _, op := range ops {
+			switch o := raOps[op]; o.kind {
+			case raAdvance:
+				advance(o.d)
+			case raDo:
+				do(o.d, false)
+			case raSync:
+				p.Sync()
+				w.note(p.Now(), who, "level")
+			case raSleep:
+				p.Sleep(o.d)
+				w.note(p.Now(), who, "slept")
+			case raBlock:
+				if w.ahead {
+					p.ParkUntil(func() bool {
+						if !process() || p.Ahead() {
+							return false
+						}
+						if w.count >= int(o.d) {
+							return true
+						}
+						w.cond.Block(p)
+						return false
+					})
+				} else {
+					for {
+						process()
+						if w.count >= int(o.d) {
+							break
+						}
+						w.cond.Wait(p)
+					}
+				}
+				w.note(p.Now(), who, "woke")
+			}
+		}
+	}
+}
+
+// runRunAhead runs the program one way and returns what fired, in order,
+// and how the run ended: final clock and event count, or the deadlock report.
+func runRunAhead(prog [][]byte, ahead bool) (log []string, outcome string) {
+	e := NewEngine(1)
+	w := &raWorld{e: e, ahead: ahead, cond: NewCond(e), work: make([]int, len(prog))}
+	for who, ops := range prog {
+		e.Spawn(fmt.Sprintf("p%d", who), w.body(who, ops))
+	}
+	defer func() {
+		log = w.log
+		if r := recover(); r != nil {
+			outcome = fmt.Sprintf("%v events=%d", r, e.EventsFired)
+		}
+	}()
+	end := e.Run()
+	return nil, fmt.Sprintf("end=%v events=%d", end, e.EventsFired)
+}
+
+func FuzzRunAhead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 { // 128 operations: two itineraries can fill up
+			data = data[:256]
+		}
+		var prog [][]byte
+		for i := 0; i+1 < len(data); i += 2 {
+			who := int(data[i] % 8)
+			for len(prog) <= who {
+				prog = append(prog, nil)
+			}
+			prog[who] = append(prog[who], data[i+1]%16)
+		}
+		eagerLog, eagerEnd := runRunAhead(prog, false)
+		aheadLog, aheadEnd := runRunAhead(prog, true)
+		if eagerEnd != aheadEnd {
+			t.Errorf("eager run: %s\nrun-ahead: %s", eagerEnd, aheadEnd)
+		}
+		if !reflect.DeepEqual(eagerLog, aheadLog) {
+			for i := 0; i < len(eagerLog) || i < len(aheadLog); i++ {
+				var a, b string
+				if i < len(eagerLog) {
+					a = eagerLog[i]
+				}
+				if i < len(aheadLog) {
+					b = aheadLog[i]
+				}
+				if a != b {
+					t.Fatalf("logs differ at entry %d of %d/%d: eager %q, run-ahead %q", i, len(eagerLog), len(aheadLog), a, b)
+				}
+			}
+		}
+	})
+}
