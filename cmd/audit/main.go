@@ -114,7 +114,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "report written to %s\n", *out)
 	}
 	if *kbAddr != "" {
-		shareKB(*kbAddr, rep, os.Stderr)
+		if err := shareKB(*kbAddr, rep, os.Stderr); err != nil {
+			fatal(err)
+		}
 	}
 }
 
@@ -130,8 +132,10 @@ func workers(jobs int) int {
 // shareKB publishes every adopted registration's winner to the tuned
 // knowledge-base daemon, keyed by the same (HistoryKey, EnvFingerprint)
 // pair cmd/tune -kb looks up — a mock adopted here becomes a warm-start
-// candidate for later tuning sessions on the same scenario.
-func shareKB(addr string, rep *guideline.Report, diag io.Writer) {
+// candidate for later tuning sessions on the same scenario (tune replays a
+// recorded catalogue mock of its op). A failed upload is the command's
+// failure.
+func shareKB(addr string, rep *guideline.Report, diag io.Writer) error {
 	var records []kb.Record
 	for _, reg := range rep.Registrations {
 		if !reg.Adopted {
@@ -149,12 +153,13 @@ func shareKB(addr string, rep *guideline.Report, diag io.Writer) {
 		})
 	}
 	c := kb.NewClient(addr, kb.ClientOptions{})
-	c.RecordBatch(records)
-	if err := c.Flush(); err != nil {
-		fmt.Fprintf(diag, "audit: kb daemon %s unreachable, registrations not shared: %v\n", addr, err)
-		os.Exit(1)
+	c.Record(records...)
+	n, err := c.Flush()
+	if err != nil {
+		return fmt.Errorf("audit: kb daemon %s: registrations not shared: %w", addr, err)
 	}
-	fmt.Fprintf(diag, "%d adopted winners shared with kb %s\n", len(records), addr)
+	fmt.Fprintf(diag, "%d adopted winners shared with kb %s\n", n, addr)
+	return nil
 }
 
 func fatal(err error) {

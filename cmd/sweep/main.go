@@ -162,52 +162,49 @@ func main() {
 	}
 
 	if *kbAddr != "" {
-		c := kb.NewClient(*kbAddr, kb.ClientOptions{})
-		c.RecordBatch(kbRecords)
-		if err := c.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: kb daemon %s unreachable, winners not shared: %v\n", *kbAddr, err)
-			os.Exit(1)
+		if err := shareKB(*kbAddr, kbRecords, os.Stderr); err != nil {
+			fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "%d tuned winners shared with kb %s\n", len(kbRecords), *kbAddr)
 	}
 }
 
-// winners are the tuned decisions of an aggregate suite in the form tune -kb
-// looks them up: keyed by the same (HistoryKey, EnvFingerprint) pair.
+// winners are the tuned decisions of a verification sweep in the form tune
+// -kb looks them up: keyed by the same (HistoryKey, EnvFingerprint) pair.
+// Each verification run measured every fixed implementation, so the
+// per-scenario best is exactly what a tuner would commit. The other suites
+// decide nothing a command looks up (a 3D-FFT kernel's winner has no tune
+// scenario), so they have nothing to share.
 func winners(o *bench.Outcome) []kb.Record {
-	var recs []kb.Record
-	if o.Verification != nil {
-		// Each verification run measured every fixed implementation, so the
-		// per-scenario best is exactly what a tuner would commit.
-		for _, v := range o.Verification.Runs {
-			recs = append(recs, kb.Record{
-				Key:    core.HistoryKey(v.Spec.Op, v.Spec.Platform.Name, v.Spec.Procs, v.Spec.MsgSize),
-				Env:    core.EnvFingerprint(v.Spec.Platform.Net.Topology.String(), v.Spec.Chaos, v.Spec.ChaosSeed),
-				Winner: v.Fixed[v.Best].Impl,
-				Score:  v.Fixed[v.Best].Total,
-			})
-		}
+	if o.Verification == nil {
+		return nil
 	}
-	if o.FFT != nil {
-		for _, pair := range o.FFT.Rows {
-			adclR := pair[1]
-			if adclR.Winner == "" {
-				continue
-			}
-			// FFT scenarios are keyed by kernel variant and grid size: N
-			// (with np) determines every transpose's message size, so it
-			// plays HistoryKey's msgsize role.
-			recs = append(recs, kb.Record{
-				Key: core.HistoryKey(fmt.Sprintf("fft3d-%s-%s", adclR.Spec.Pattern, adclR.Spec.Flavor),
-					adclR.Spec.Platform.Name, adclR.Spec.Procs, adclR.Spec.N),
-				Env:    core.EnvFingerprint(adclR.Spec.Platform.Net.Topology.String(), adclR.Spec.Chaos, adclR.Spec.ChaosSeed),
-				Winner: adclR.Winner,
-				Score:  adclR.PostLearnPerIter,
-				Evals:  adclR.Evals,
-			})
-		}
+	var recs []kb.Record
+	for _, v := range o.Verification.Runs {
+		recs = append(recs, kb.Record{
+			Key:    core.HistoryKey(v.Spec.Op, v.Spec.Platform.Name, v.Spec.Procs, v.Spec.MsgSize),
+			Env:    core.EnvFingerprint(v.Spec.Platform.Net.Topology.String(), v.Spec.Chaos, v.Spec.ChaosSeed),
+			Winner: v.Fixed[v.Best].Impl,
+			Score:  v.Fixed[v.Best].Total,
+		})
 	}
 	return recs
+}
+
+// shareKB uploads the winners in one batch and reports on diag what the
+// daemon took delivery of; a failed upload is the command's failure.
+func shareKB(addr string, recs []kb.Record, diag io.Writer) error {
+	if len(recs) == 0 {
+		fmt.Fprintf(diag, "no tuned winners to share with kb %s: this suite decides no scenario tune looks up\n", addr)
+		return nil
+	}
+	c := kb.NewClient(addr, kb.ClientOptions{})
+	c.Record(recs...)
+	n, err := c.Flush()
+	if err != nil {
+		return fmt.Errorf("kb daemon %s: winners not shared: %w", addr, err)
+	}
+	fmt.Fprintf(diag, "%d tuned winners shared with kb %s\n", n, addr)
+	return nil
 }
 
 // writeTrace exports one traced run as dir/<cell>.trace.json, the cell name

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"nbctune/internal/bench"
+	"nbctune/internal/kb"
 )
 
 // TestDefaultOut pins the suite -> summary path table against the three
@@ -38,5 +43,39 @@ func TestUnknownSuite(t *testing.T) {
 	}
 	if list := strings.Join(bench.SuiteNames(), ", "); !strings.Contains(err.Error(), list) {
 		t.Errorf("error %q does not list the catalogue (%s)", err, list)
+	}
+}
+
+// TestShareKB: -kb reports the count the daemon took delivery of; a daemon
+// that fails the batch is an error (main exits 1), never a success line; and
+// a suite whose decisions no command looks up — the 3D-FFT sweep — shares
+// nothing instead of filing records under keys nobody reads.
+func TestShareKB(t *testing.T) {
+	recs := []kb.Record{{Key: "k1", Winner: "a", Score: 1}, {Key: "k2", Env: "e", Winner: "b", Score: 2}}
+	st := kb.NewStore(kb.StoreOptions{})
+	good := httptest.NewServer(kb.NewHandler(st, kb.HandlerOptions{}))
+	defer good.Close()
+	var diag bytes.Buffer
+	if err := shareKB(good.URL, recs, &diag); err != nil || !strings.HasPrefix(diag.String(), "2 tuned winners shared") || st.Len() != 2 {
+		t.Errorf("healthy daemon: error %v, %d records stored, said %q", err, st.Len(), diag.String())
+	}
+
+	var requests atomic.Int64
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "disk full", http.StatusInternalServerError)
+	}))
+	defer broken.Close()
+	diag.Reset()
+	if err := shareKB(broken.URL, recs, &diag); err == nil || diag.Len() != 0 {
+		t.Errorf("daemon answering 500 to /v1/batch: error %v, said %q", err, diag.String())
+	}
+
+	requests.Store(0)
+	if fft := winners(&bench.Outcome{FFT: &bench.FFTSweepStats{}}); fft != nil {
+		t.Errorf("an FFT outcome yields %d records no command looks up", len(fft))
+	}
+	if err := shareKB(broken.URL, nil, &diag); err != nil || requests.Load() != 0 || !strings.Contains(diag.String(), "no tuned winners to share") {
+		t.Errorf("nothing to share: error %v, %d requests, said %q", err, requests.Load(), diag.String())
 	}
 }

@@ -1,11 +1,12 @@
 // Command tune runs one ADCL auto-tuning session on a simulated platform
 // and prints the full tuning report: every implementation's robust score,
 // sample counts, the decision, and the learning cost. With -history it
-// persists the winner and reuses it on the next invocation (ADCL's historic
-// learning). With -verify it then applies the paper's verification-run
-// methodology (§IV-A, Fig 2) to the same scenario: every fixed implementation
-// is measured beside the selector and the winner is judged correct when it is
-// within 5% of the best fixed run.
+// persists the winner in a knowledge-base snapshot (internal/kb, the file
+// format of tuned -snapshot) and reuses it on the next invocation (ADCL's
+// historic learning). With -verify it then applies the paper's
+// verification-run methodology (§IV-A, Fig 2) to the same scenario: every
+// fixed implementation is measured beside the selector and the winner is
+// judged correct when it is within 5% of the best fixed run.
 //
 // Examples:
 //
@@ -19,8 +20,8 @@
 //
 // With -kb, winners learned by any process sharing the daemon are reused
 // (the learning phase is skipped exactly as with a warm -history file);
-// when the daemon is down, tuning silently falls back to the -history
-// file (or an in-memory history) and keeps working.
+// when the daemon is down, tuning falls back to the -history file (or an
+// in-memory store) and keeps working.
 package main
 
 import (
@@ -101,6 +102,31 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+
+	// The knowledge base the session consults: one store — the -history file
+	// (a kb snapshot, the format tuned -snapshot serves), or memory without
+	// one — and, with -kb, a client of the shared daemon that falls back to
+	// that store, so a daemon outage degrades to exactly the plain -history
+	// behaviour. It is asked once, here on the host. The environment
+	// fingerprint gates hits: a winner tuned on a clean flat fabric must not
+	// be replayed under a chaos profile (or vice versa).
+	env := core.EnvFingerprint(plat.Net.Topology.String(), mspec.Chaos, *chaosSd)
+	histKey := core.HistoryKey(*opName, plat.Name, *np, *msg)
+	store, err := kb.Open(kb.StoreOptions{SnapshotPath: *histPath})
+	if err != nil {
+		return err
+	}
+	var client *kb.Client
+	prior, hit := store.Lookup(histKey, env)
+	if *kbAddr != "" {
+		client = kb.NewClient(*kbAddr, kb.ClientOptions{Fallback: store})
+		prior, hit, _ = client.Lookup(histKey, env) // never an error with a fallback
+	}
+	// A guideline mock the audit promoted (audit -kb) is no member of the
+	// op's own set: it joins it for this session, as it did in the audit.
+	if def, ok := core.MockByName(prior.Winner); hit && ok && def.Op == *opName {
+		mspec.Mocks = []string{prior.Winner}
+	}
 	hostFS, err := mspec.HostFunctionSet()
 	if err != nil {
 		return err
@@ -108,37 +134,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if _, err := core.SelectorByName(*selName, hostFS, *evals); err != nil {
 		return err
 	}
-
-	// The environment fingerprint gates history hits: a winner tuned on a
-	// clean flat fabric must not be replayed under a chaos profile (or vice
-	// versa).
-	env := core.EnvFingerprint(plat.Net.Topology.String(), mspec.Chaos, *chaosSd)
-	var hist *core.History
-	histKey := core.HistoryKey(*opName, plat.Name, *np, *msg)
-	if *histPath != "" {
-		hist, err = core.LoadHistory(*histPath)
-		if err != nil {
-			return err
-		}
-	}
-	// The history source the session consults: the local file, or — with
-	// -kb — the shared daemon with that same local history as write-through
-	// fallback, so a daemon outage degrades to exactly the plain -history
-	// behaviour. It is asked once, here on the host; known is the recorded
-	// winner's index in the function set, -1 when there is none to replay.
-	var src core.HistorySource
-	var kbh *core.KBHistory
-	switch {
-	case *kbAddr != "":
-		kbh = core.NewKBHistory(kb.NewClient(*kbAddr, kb.ClientOptions{}), hist, *histPath)
-		src = kbh
-	case hist != nil:
-		src = hist
-	}
+	// known is the recorded winner's index in the function set, -1 when
+	// there is none to replay.
 	known := -1
-	if src != nil {
-		if e, ok := src.LookupEnv(histKey, env); ok {
-			known = hostFS.IndexOf(e.Winner)
+	if hit {
+		if known = hostFS.IndexOf(prior.Winner); known < 0 {
+			fmt.Fprintf(stderr, "tune: recorded winner %q for %q is not an implementation of %s, learning afresh\n", prior.Winner, histKey, *opName)
 		}
 	}
 
@@ -195,7 +196,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// so the report's times are those of the loop alone. Set and selector
 		// were built on the host above, so neither can fail on a rank.
 		w.Start(func(c *mpi.Comm) {
-			fs := must(op.Set(c, *msg, nil))
+			fs := must(op.Set(c, *msg, mspec.Mocks))
 			sel := must(core.SelectorByName(*selName, fs, *evals))
 			if known >= 0 {
 				sel = &core.FixedSelector{Fn: known}
@@ -234,15 +235,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		verificationTable(v).Render(stdout)
 	}
 
-	if src != nil && winnerName != "" {
-		src.Record(histKey, core.HistoryEntry{Winner: winnerName, Evals: evalsUsed, Env: env})
-		switch {
-		case kbh != nil:
-			if err := kbh.Flush(); err != nil {
+	// A learned winner goes to the store (and its file) and, with -kb, to
+	// the daemon; a replayed one is already where it came from.
+	if known < 0 && winnerName != "" && (*histPath != "" || client != nil) {
+		learned := kb.Record{Key: histKey, Env: env, Winner: winnerName, Evals: evalsUsed}
+		store.Put(learned)
+		where := *histPath
+		if client != nil {
+			client.Record(learned)
+			if _, err := client.Flush(); err != nil {
 				return err
 			}
-			where := "kb " + *kbAddr
-			if kbh.FellBack() {
+			where = "kb " + *kbAddr
+			if client.FellBack() {
 				where = "local fallback"
 				if *histPath != "" {
 					where += " " + *histPath
@@ -251,13 +256,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			} else if *histPath != "" {
 				where += " (and " + *histPath + ")"
 			}
-			fmt.Fprintf(stdout, "\nwinner stored in %s under key %q\n", where, histKey)
-		default:
-			if err := hist.Save(*histPath); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "\nwinner stored in %s under key %q\n", *histPath, histKey)
 		}
+		if err := store.Flush(false); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "\nwinner stored in %s under key %q\n", where, histKey)
 	}
 
 	if *tracOut != "" {

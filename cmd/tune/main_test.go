@@ -7,8 +7,10 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"nbctune/internal/core"
+	"nbctune/internal/kb"
 )
 
 // TestGolden pins stdout and the -metrics artifact of four command lines,
@@ -88,6 +90,169 @@ func TestHistoryAcrossEnvironments(t *testing.T) {
 		if hit := strings.HasPrefix(stdout.String(), "history hit for "); hit != step.hit {
 			t.Fatalf("run %d (tune %s): history hit = %v, want %v\n%s", i, step.args, hit, step.hit, stdout.Bytes())
 		}
+	}
+}
+
+// tune runs one command line and returns what it printed.
+func tune(t *testing.T, args string) (stdout, stderr string) {
+	t.Helper()
+	var o, e bytes.Buffer
+	if err := run(strings.Fields(args), &o, &e); err != nil {
+		t.Fatalf("tune %s: %v\n%s", args, err, e.Bytes())
+	}
+	return o.String(), e.String()
+}
+
+// daemon serves st as cmd/tuned does, on a free loopback port.
+func daemon(t *testing.T, st *kb.Store) *kb.Server {
+	t.Helper()
+	srv, err := kb.Listen("127.0.0.1:0", st, kb.HandlerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Serve()
+	t.Cleanup(func() { srv.Shutdown(time.Second) })
+	return srv
+}
+
+const kbScenario = "-op ialltoall -np 8 -msg 65536 -compute 0.005"
+
+var kbScenarioKey = core.HistoryKey("ialltoall", "crill", 8, 65536)
+
+// TestDaemonAndHistoryFileEquivalent pins what DESIGN.md §6 claims of the one
+// knowledge base: a cold tune -kb records and the next one hits; a run warmed
+// by the daemon prints and measures byte for byte what a run warmed by a
+// -history file holding the same record does; and the file tune -history
+// writes is a snapshot the daemon serves.
+func TestDaemonAndHistoryFileEquivalent(t *testing.T) {
+	chdir(t, t.TempDir())
+	st := kb.NewStore(kb.StoreOptions{})
+	kbArgs := kbScenario + " -metrics m.json -kb " + daemon(t, st).Addr
+
+	cold, _ := tune(t, kbArgs)
+	rec, ok := st.Lookup(kbScenarioKey, "")
+	if strings.Contains(cold, "history hit") || !ok || rec.Evals == 0 || !strings.Contains(cold, "winner stored in kb ") {
+		t.Fatalf("cold tune -kb: daemon holds %+v (found=%v) after\n%s", rec, ok, cold)
+	}
+	viaDaemon, _ := tune(t, kbArgs)
+	daemonMetrics, err := os.ReadFile("m.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(viaDaemon, "history hit for ") || !strings.Contains(viaDaemon, "decision: "+rec.Winner+" after 0 measurements") {
+		t.Fatalf("warm tune -kb did not replay %s:\n%s", rec.Winner, viaDaemon)
+	}
+	if now, _ := st.Lookup(kbScenarioKey, ""); now != rec {
+		t.Errorf("a replayed winner rewrote its record: %+v, was %+v", now, rec)
+	}
+
+	file := kb.NewStore(kb.StoreOptions{SnapshotPath: "h.json"})
+	file.Put(rec)
+	if err := file.Flush(false); err != nil {
+		t.Fatal(err)
+	}
+	viaFile, _ := tune(t, kbScenario+" -metrics m.json -history h.json")
+	fileMetrics, err := os.ReadFile("m.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaFile != viaDaemon || !bytes.Equal(fileMetrics, daemonMetrics) {
+		t.Errorf("warmed by the -history file:\n%s\nwarmed by the daemon:\n%s", viaFile, viaDaemon)
+	}
+
+	// The other direction: what tune -history writes, tuned -snapshot serves.
+	tune(t, kbScenario+" -history written.json")
+	written, err := kb.Open(kb.StoreOptions{SnapshotPath: "written.json"})
+	if err != nil {
+		t.Fatalf("kb.Open on a file tune -history wrote: %v", err)
+	}
+	served, ok, err := kb.NewClient(daemon(t, written).Addr, kb.ClientOptions{}).Lookup(kbScenarioKey, "")
+	if err != nil || !ok || served != rec {
+		t.Errorf("file written by tune -history, served over HTTP: %+v (found=%v, err=%v), want %+v", served, ok, err, rec)
+	}
+}
+
+// TestDaemonDownFallsBackToHistoryFile: with nothing listening at -kb, tune
+// keeps working on the -history file alone, says so, and the file holds the
+// winner for the next run, daemon or not.
+func TestDaemonDownFallsBackToHistoryFile(t *testing.T) {
+	chdir(t, t.TempDir())
+	srv, err := kb.Listen("127.0.0.1:0", kb.NewStore(kb.StoreOptions{}), kb.HandlerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Serve()
+	if err := srv.Shutdown(time.Second); err != nil { // the port is known and nobody listens on it
+		t.Fatal(err)
+	}
+	args := kbScenario + " -history h.json -kb " + srv.Addr
+	stdout, stderr := tune(t, args)
+	if !strings.Contains(stderr, "unreachable, winner kept locally") || !strings.Contains(stdout, "winner stored in local fallback h.json") {
+		t.Fatalf("tune against a stopped daemon:\n%s\nstderr:\n%s", stdout, stderr)
+	}
+	h, err := kb.Open(kb.StoreOptions{SnapshotPath: "h.json"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := h.Lookup(kbScenarioKey, ""); !ok || !strings.Contains(stdout, "decision: "+rec.Winner+" after ") {
+		t.Fatalf("h.json holds %+v (found=%v) after\n%s", rec, ok, stdout)
+	}
+	if stdout, _ = tune(t, args); !strings.HasPrefix(stdout, "history hit for ") {
+		t.Fatalf("second run against the stopped daemon did not hit h.json:\n%s", stdout)
+	}
+}
+
+// TestOldHistoryFileRefused: a file in the format tune -history wrote before
+// it was a kb snapshot is refused by version, never read as an empty history
+// and overwritten. (Migration: delete it, or wrap its entries as
+// {"version":1,"records":[{"key":…,"env":…,"winner":…}]}.)
+func TestOldHistoryFileRefused(t *testing.T) {
+	chdir(t, t.TempDir())
+	old := `{"entries":{"` + kbScenarioKey + `":{"winner":"ialltoall-linear","evals":9}}}`
+	if err := os.WriteFile("h.json", []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	err := run(strings.Fields(kbScenario+" -history h.json"), &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 0") {
+		t.Fatalf("tune on a pre-snapshot history file: error %v, want the snapshot-version refusal", err)
+	}
+	if left, _ := os.ReadFile("h.json"); string(left) != old {
+		t.Errorf("the refused file was rewritten:\n%s", left)
+	}
+}
+
+// TestRecordedMockReplayed closes the audit -> kb -> tune loop: the mock the
+// committed guideline report adopts for ibcast, once recorded, joins the op's
+// set for the session and is replayed like any winner; the record stays. A
+// recorded name that is no implementation of the op is reported, not silently
+// re-learned.
+func TestRecordedMockReplayed(t *testing.T) {
+	chdir(t, t.TempDir())
+	mock := kb.Record{Key: core.HistoryKey("ibcast", "crill", 8, 262144), Winner: core.MockIbcastScatterAllgather, Evals: 66}
+	alien := kb.Record{Key: core.HistoryKey("iallgather", "crill", 8, 262144), Winner: core.MockIbcastScatterAllgather}
+	st := kb.NewStore(kb.StoreOptions{SnapshotPath: "h.json"})
+	st.Put(mock)
+	st.Put(alien)
+	if err := st.Flush(false); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile("h.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stdout, stderr := tune(t, "-op ibcast -np 8 -msg 262144 -history h.json")
+	if !strings.HasPrefix(stdout, "history hit for ") || !strings.Contains(stdout, "decision: "+mock.Winner+" after 0 measurements") || stderr != "" {
+		t.Fatalf("recorded mock not replayed:\n%s\nstderr:\n%s", stdout, stderr)
+	}
+	if after, _ := os.ReadFile("h.json"); !bytes.Equal(after, before) {
+		t.Errorf("replaying the mock rewrote the history file:\n%s", after)
+	}
+
+	stdout, stderr = tune(t, "-op iallgather -np 8 -msg 262144 -history h.json")
+	if strings.Contains(stdout, "history hit") || !strings.Contains(stderr, "is not an implementation of iallgather") {
+		t.Fatalf("a foreign recorded winner was not reported:\n%s\nstderr:\n%s", stdout, stderr)
 	}
 }
 

@@ -7,7 +7,7 @@
 // originally built for) is implemented three ways — blocking sendrecv
 // ordered by dimension, all non-blocking with a single waitall, and
 // pairwise-ordered — and tuned at runtime. The tuned winner is then stored
-// in a history file so a later run skips the learning phase entirely.
+// in a history file (a knowledge-base snapshot) so a later run skips the learning phase entirely.
 //
 // Run with: go run ./examples/customfunctions
 package main
@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 
 	"nbctune/internal/core"
+	"nbctune/internal/kb"
 	"nbctune/internal/mpi"
 	"nbctune/internal/platform"
 )
@@ -99,7 +100,7 @@ func runOnce(histPath string) (winner string, evals int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hist, err := core.LoadHistory(histPath)
+	hist, err := kb.Open(kb.StoreOptions{SnapshotPath: histPath})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func runOnce(histPath string) (winner string, evals int) {
 
 	world.Start(func(c *mpi.Comm) {
 		fs := haloSet(c)
-		sel, hit := core.SelectorWithHistory(hist, key, fs, core.NewBruteForce(len(fs.Fns), 3))
+		sel, hit := core.SelectorWithHistory(hist, key, "", fs, core.NewBruteForce(len(fs.Fns), 3))
 		if c.Rank() == 0 && hit {
 			fmt.Println("  history hit: skipping the learning phase")
 		}
@@ -128,8 +129,8 @@ func runOnce(histPath string) (winner string, evals int) {
 	})
 	eng.Run()
 
-	hist.Record(key, core.HistoryEntry{Winner: winner, Evals: evals})
-	if err := hist.Save(histPath); err != nil {
+	hist.Put(kb.Record{Key: key, Winner: winner, Evals: evals})
+	if err := hist.Flush(false); err != nil {
 		log.Fatal(err)
 	}
 	return winner, evals

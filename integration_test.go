@@ -13,6 +13,7 @@ import (
 	"nbctune/internal/bench"
 	"nbctune/internal/core"
 	"nbctune/internal/fft"
+	"nbctune/internal/kb"
 	"nbctune/internal/mpi"
 	"nbctune/internal/obs"
 	"nbctune/internal/platform"
@@ -66,7 +67,7 @@ func TestIntegration_HistoryAcrossSimulatedRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() (winner string, evals int) {
-		hist, err := core.LoadHistory(histPath)
+		hist, err := kb.Open(kb.StoreOptions{SnapshotPath: histPath})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestIntegration_HistoryAcrossSimulatedRuns(t *testing.T) {
 		}
 		world.Start(func(c *mpi.Comm) {
 			fs := core.IalltoallSet(c, mpi.Virtual(8*64*1024), mpi.Virtual(8*64*1024), false)
-			sel, _ := core.SelectorWithHistory(hist, key, fs, core.NewBruteForce(len(fs.Fns), 4))
+			sel, _ := core.SelectorWithHistory(hist, key, "", fs, core.NewBruteForce(len(fs.Fns), 4))
 			req := core.MustRequest(fs, sel, c.Now)
 			timer := core.MustTimer(c.Now, req)
 			for it := 0; it < 20; it++ {
@@ -96,8 +97,8 @@ func TestIntegration_HistoryAcrossSimulatedRuns(t *testing.T) {
 			}
 		})
 		eng.Run()
-		hist.Record(key, core.HistoryEntry{Winner: winner, Evals: evals})
-		if err := hist.Save(histPath); err != nil {
+		hist.Put(kb.Record{Key: key, Winner: winner, Evals: evals})
+		if err := hist.Flush(false); err != nil {
 			t.Fatal(err)
 		}
 		return winner, evals

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"nbctune/internal/kb"
 	"nbctune/internal/obs"
 )
 
@@ -160,46 +161,29 @@ func TestSelectorByNameAdaptiveVariants(t *testing.T) {
 }
 
 func TestHistoryEnvInvalidation(t *testing.T) {
-	h := NewHistory()
+	h := kb.NewStore(kb.StoreOptions{})
 	key := HistoryKey("ibcast", "crill", 16, 1<<21)
 	cleanEnv := EnvFingerprint("flat", "", 0)
 	chaosEnv := EnvFingerprint("flat", "regime-shift", 42)
 	if cleanEnv == chaosEnv {
 		t.Fatal("clean and chaos fingerprints collide")
 	}
-	h.Record(key, HistoryEntry{Winner: "impl0", Env: chaosEnv})
+	h.Put(kb.Record{Key: key, Env: chaosEnv, Winner: "impl0"})
 
-	if _, ok := h.LookupEnv(key, cleanEnv); ok {
-		t.Fatal("stale entry (tuned under chaos) hit a clean-environment lookup")
-	}
-	if e, ok := h.LookupEnv(key, chaosEnv); !ok || e.Winner != "impl0" {
-		t.Fatalf("matching env lookup failed: %v %v", e, ok)
-	}
 	// A different seed of the same profile is a different environment.
-	if _, ok := h.LookupEnv(key, EnvFingerprint("flat", "regime-shift", 43)); ok {
-		t.Fatal("same profile, different seed must not match")
-	}
+	otherSeed := EnvFingerprint("flat", "regime-shift", 43)
 
-	// Legacy entries (no Env field) only match the clean fingerprint of an
-	// un-topologized platform.
-	h.Record("legacy", HistoryEntry{Winner: "impl1"})
-	if _, ok := h.LookupEnv("legacy", ""); !ok {
-		t.Fatal("legacy entry must match the empty fingerprint")
-	}
-	if _, ok := h.LookupEnv("legacy", chaosEnv); ok {
-		t.Fatal("legacy entry must not match a chaos fingerprint")
-	}
-
-	// SelectorWithHistoryEnv falls back to the learning selector on staleness.
+	// SelectorWithHistory falls back to the learning selector on staleness.
 	fs := &FunctionSet{Name: "f", Fns: []*Function{
 		{Name: "impl0", Start: func() Started { return nil }},
 	}}
 	fb := NewBruteForce(1, 1)
-	sel, hit := SelectorWithHistoryEnv(h, key, cleanEnv, fs, fb)
-	if hit || sel != Selector(fb) {
-		t.Fatal("stale entry did not fall back to learning")
+	for _, stale := range []string{cleanEnv, otherSeed} {
+		if sel, hit := SelectorWithHistory(h, key, stale, fs, fb); hit || sel != Selector(fb) {
+			t.Fatalf("entry tuned under %q answered a lookup under %q instead of falling back to learning", chaosEnv, stale)
+		}
 	}
-	sel, hit = SelectorWithHistoryEnv(h, key, chaosEnv, fs, fb)
+	sel, hit := SelectorWithHistory(h, key, chaosEnv, fs, fb)
 	if !hit {
 		t.Fatal("matching entry did not hit")
 	}

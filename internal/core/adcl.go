@@ -12,8 +12,9 @@
 // logics are one staged learner, Search (selector.go): brute force, the
 // attribute heuristic and the 2^k factorial design differ only in the plan
 // that picks and prunes its screening stages. Adaptive re-opens a decision
-// under drift, Speculate measures the candidates on forked worlds, History
-// carries winners across runs. Because the time spent inside a
+// under drift, Speculate measures the candidates on forked worlds,
+// SelectorWithHistory replays a winner an earlier run left in the knowledge
+// base. Because the time spent inside a
 // non-blocking operation cannot be measured directly, measurement is
 // decoupled from the call through Timer objects that bracket a whole code
 // region (paper §III-D); a Timer may own several Requests, which co-tunes

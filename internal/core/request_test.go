@@ -1,9 +1,10 @@
 package core
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
+
+	"nbctune/internal/kb"
 )
 
 // clockFns builds a function set whose implementations advance a fake clock
@@ -199,53 +200,14 @@ func TestDecidedAtRecorded(t *testing.T) {
 	}
 }
 
-func TestHistoryRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "hist.json")
-	h := NewHistory()
-	key := HistoryKey("ialltoall", "whale", 32, 128*1024)
-	h.Record(key, HistoryEntry{Winner: "ialltoall-linear", Score: 1.5, Evals: 30})
-	if err := h.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	h2, err := LoadHistory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := h2.LookupEnv(key, "")
-	if !ok || e.Winner != "ialltoall-linear" || e.Score != 1.5 {
-		t.Fatalf("lookup = %+v, %v", e, ok)
-	}
-	if len(h2.Entries) != 1 {
-		t.Fatalf("entries = %v", h2.Entries)
-	}
-}
-
-func TestLoadHistoryMissingFile(t *testing.T) {
-	h, err := LoadHistory(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil || len(h.Entries) != 0 {
-		t.Fatalf("missing history: %v %v", h, err)
-	}
-}
-
-func TestLoadHistoryCorrupt(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte("{nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadHistory(path); err == nil {
-		t.Fatal("corrupt history accepted")
-	}
-}
-
 func TestSelectorWithHistorySkipsLearning(t *testing.T) {
 	clock := 0.0
 	now := func() float64 { return clock }
 	fs := clockFns(&clock, 5.0, 1.0)
-	h := NewHistory()
+	h := kb.NewStore(kb.StoreOptions{})
 	key := HistoryKey("clockset", "test", 2, 0)
-	h.Record(key, HistoryEntry{Winner: "impl1"})
-	sel, hit := SelectorWithHistory(h, key, fs, NewBruteForce(2, 5))
+	h.Put(kb.Record{Key: key, Winner: "impl1"})
+	sel, hit := SelectorWithHistory(h, key, "", fs, NewBruteForce(2, 5))
 	if !hit {
 		t.Fatal("history miss")
 	}
@@ -256,56 +218,38 @@ func TestSelectorWithHistorySkipsLearning(t *testing.T) {
 			req.Decided(), req.Winner(), clock)
 	}
 	// Unknown function name in history -> fall back.
-	h.Record(key, HistoryEntry{Winner: "gone"})
-	_, hit = SelectorWithHistory(h, key, fs, NewBruteForce(2, 5))
+	h.Put(kb.Record{Key: key, Winner: "gone"})
+	_, hit = SelectorWithHistory(h, key, "", fs, NewBruteForce(2, 5))
 	if hit {
 		t.Fatal("stale history entry should miss")
 	}
 }
 
 // TestHistoryKeepsEveryEnvironment: a scenario's outcomes under different
-// environments live side by side — through a save and a load — and a file
-// from before entries were keyed per environment (one entry per scenario,
-// under the plain key) keeps answering for the environment it names.
+// environments live side by side in one store — through a flush and a load
+// of its -history file — and a later record for one never evicts another's.
 func TestHistoryKeepsEveryEnvironment(t *testing.T) {
 	key := HistoryKey("ibcast", "crill", 16, 1<<21)
 	chaos := EnvFingerprint("flat", "congested", 1)
-	h := NewHistory()
-	h.Record(key, HistoryEntry{Winner: "clean-winner"})
-	h.Record(key, HistoryEntry{Winner: "chaos-winner", Env: chaos})
 	path := filepath.Join(t.TempDir(), "h.json")
-	if err := h.Save(path); err != nil {
+	h := kb.NewStore(kb.StoreOptions{SnapshotPath: path})
+	h.Put(kb.Record{Key: key, Winner: "clean-winner"})
+	h.Put(kb.Record{Key: key, Env: chaos, Winner: "chaos-winner", Evals: 9})
+	if err := h.Flush(false); err != nil {
 		t.Fatal(err)
 	}
-	h, err := LoadHistory(path)
+	h, err := kb.Open(kb.StoreOptions{SnapshotPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for env, want := range map[string]string{"": "clean-winner", chaos: "chaos-winner"} {
-		if e, ok := h.LookupEnv(key, env); !ok || e.Winner != want {
-			t.Errorf("env %q: got %+v (hit=%v), want %s", env, e, ok, want)
+	h.Put(kb.Record{Key: key, Winner: "clean-again"})
+	for env, want := range map[string]kb.Record{
+		"":    {Key: key, Winner: "clean-again"},
+		chaos: {Key: key, Env: chaos, Winner: "chaos-winner", Evals: 9},
+	} {
+		if r, ok := h.Lookup(key, env); !ok || r != want {
+			t.Errorf("env %q: got %+v (hit=%v), want %+v", env, r, ok, want)
 		}
-	}
-
-	old := filepath.Join(t.TempDir(), "old.json")
-	if err := os.WriteFile(old, []byte(`{"entries":{"`+key+`":{"winner":"old-chaos","evals":9,"env":"`+chaos+`"}}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if h, err = LoadHistory(old); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := h.LookupEnv(key, ""); ok {
-		t.Error("an old chaos entry answered a clean lookup")
-	}
-	if e, ok := h.LookupEnv(key, chaos); !ok || e.Winner != "old-chaos" {
-		t.Errorf("old-format chaos entry: %+v (hit=%v)", e, ok)
-	}
-	h.Record(key, HistoryEntry{Winner: "clean-winner"})
-	if e, ok := h.LookupEnv(key, chaos); !ok || e.Winner != "old-chaos" || e.Evals != 9 {
-		t.Errorf("old-format chaos entry after a clean record: %+v (hit=%v)", e, ok)
-	}
-	if e, ok := h.LookupEnv(key, ""); !ok || e.Winner != "clean-winner" {
-		t.Errorf("clean entry beside an old-format one: %+v (hit=%v)", e, ok)
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 // or the new complete file, never a truncated mix. The data is written to a
 // uniquely named temp file in the same directory (same filesystem, so the
 // final rename is atomic), fsynced so the rename cannot be reordered ahead
-// of the content reaching disk, and renamed over path. Both the kb snapshot
-// and core's history file persist through this helper.
+// of the content reaching disk, and renamed over path.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")

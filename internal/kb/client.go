@@ -12,99 +12,52 @@ import (
 	"time"
 )
 
-// Fallback is a local source of tuning records the Client consults when the
-// daemon is unreachable after retries, so tuning keeps working offline.
-// *Store implements it; internal/core adapts its History to it.
-type Fallback interface {
-	Lookup(key, env string) (Record, bool)
-	Put(Record) bool
-}
+// The client's request policy. Every command talks to the daemon a handful
+// of times per process (one lookup, one batch), so nothing here is tunable.
+const (
+	attempts       = 3                     // per request: transport errors and 5xx retry
+	backoff        = 50 * time.Millisecond // before the second attempt, doubling per retry
+	requestTimeout = 2 * time.Second       // bound on a single HTTP attempt
+)
 
 // ClientOptions configures a Client.
 type ClientOptions struct {
-	// Retries is the number of attempts per request (network error or 5xx
-	// retries after backoff); 0 means 3.
-	Retries int
-	// Backoff is the delay before the second attempt, doubling per retry;
-	// 0 means 50ms.
-	Backoff time.Duration
-	// RequestTimeout bounds a single HTTP attempt; 0 means 2s.
-	RequestTimeout time.Duration
-	// NegativeTTL is how long a daemon-confirmed miss is cached before the
-	// daemon is asked again (another tuner may have recorded the scenario
-	// meanwhile); 0 means 30s.
-	NegativeTTL time.Duration
-	// BatchSize is the pending-record threshold that triggers an async
-	// upload; 0 means 32. Flush drains whatever is pending.
-	BatchSize int
 	// Fallback, when non-nil, serves lookups and absorbs records whenever
-	// the daemon is down.
-	Fallback Fallback
+	// the daemon is unreachable after retries, so tuning keeps working
+	// offline (cmd/tune passes the store behind its -history file).
+	Fallback Source
 }
 
 // Client talks to a tuned daemon with a read-through in-memory cache:
 // positive lookups are cached forever (a better winner arriving later is
 // an acceptable staleness for one process lifetime — exactly the warm
-// local-history semantics), daemon-confirmed misses are cached for
-// NegativeTTL, and records are written through the cache and uploaded
-// asynchronously in coalesced batches. All methods are safe for concurrent
-// use.
+// -history file's semantics), a miss is not cached (another tuner may have
+// recorded the scenario meanwhile), and records are written through the
+// cache and uploaded by Flush in one batch. All methods are safe for
+// concurrent use.
 type Client struct {
-	base string
-	hc   *http.Client
-	opts ClientOptions
+	base     string
+	hc       *http.Client
+	fallback Source
 
-	mu    sync.RWMutex
-	cache map[string]Record
-	neg   map[string]time.Time
-
-	pmu     sync.Mutex
-	pending []Record
-	upload  sync.WaitGroup
-
-	now func() time.Time // injectable clock for negative-TTL tests
-
-	fellBack  bool
-	statsMu   sync.Mutex
-	netErrors int
+	mu       sync.RWMutex
+	cache    map[string]Record
+	pending  []Record
+	fellBack bool
 }
 
 // NewClient builds a client for a daemon address ("host:port" or a full
 // http:// URL).
 func NewClient(addr string, opts ClientOptions) *Client {
-	if opts.Retries <= 0 {
-		opts.Retries = 3
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
-	}
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = 2 * time.Second
-	}
-	if opts.NegativeTTL <= 0 {
-		opts.NegativeTTL = 30 * time.Second
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = 32
-	}
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
 	return &Client{
-		base:  strings.TrimRight(addr, "/"),
-		hc:    &http.Client{Timeout: opts.RequestTimeout},
-		opts:  opts,
-		cache: make(map[string]Record),
-		neg:   make(map[string]time.Time),
-		now:   time.Now,
+		base:     strings.TrimRight(addr, "/"),
+		hc:       &http.Client{Timeout: requestTimeout},
+		fallback: opts.Fallback,
+		cache:    make(map[string]Record),
 	}
-}
-
-// SetFallback installs (or replaces) the local fallback source. Call it
-// before issuing traffic; it is not synchronized against in-flight
-// requests.
-func (c *Client) SetFallback(f Fallback) {
-	c.opts.Fallback = f
 }
 
 // Lookup returns the known winner for a (scenario key, env) pair. The
@@ -114,121 +67,82 @@ func (c *Client) SetFallback(f Fallback) {
 func (c *Client) Lookup(key, env string) (Record, bool, error) {
 	ck := CombinedKey(key, env)
 	c.mu.RLock()
-	if r, ok := c.cache[ck]; ok {
-		c.mu.RUnlock()
+	r, ok := c.cache[ck]
+	c.mu.RUnlock()
+	if ok {
 		return r, true, nil
 	}
-	if exp, ok := c.neg[ck]; ok && c.now().Before(exp) {
-		c.mu.RUnlock()
-		return Record{}, false, nil
-	}
-	c.mu.RUnlock()
 
 	q := url.Values{"key": {key}}
 	if env != "" {
 		q.Set("env", env)
 	}
 	var resp lookupResponse
-	err := c.do("GET", "/v1/lookup?"+q.Encode(), nil, &resp)
-	if err != nil {
-		if c.opts.Fallback != nil {
-			c.noteFellBack()
-			r, ok := c.opts.Fallback.Lookup(key, env)
-			return r, ok, nil
+	if err := c.do("GET", "/v1/lookup?"+q.Encode(), nil, &resp); err != nil {
+		if c.fallback == nil {
+			return Record{}, false, err
 		}
-		return Record{}, false, err
+		c.noteFellBack()
+		r, ok := c.fallback.Lookup(key, env)
+		return r, ok, nil
+	}
+	if !resp.Found {
+		return Record{}, false, nil
 	}
 	c.mu.Lock()
-	if resp.Found {
-		c.cache[ck] = *resp.Record
-		delete(c.neg, ck)
-	} else {
-		c.neg[ck] = c.now().Add(c.opts.NegativeTTL)
-	}
+	c.cache[ck] = *resp.Record
 	c.mu.Unlock()
-	if resp.Found {
-		return *resp.Record, true, nil
-	}
-	return Record{}, false, nil
+	return *resp.Record, true, nil
 }
 
-// Record queues a tuning decision for upload, writing it through the local
-// cache immediately. Uploads happen asynchronously once BatchSize records
-// are pending (coalescing a sweep's worth of winners into few requests);
-// call Flush to drain the rest and learn about failures.
-func (c *Client) Record(r Record) {
+// Record queues tuning decisions for the next Flush, writing them through
+// the local cache immediately.
+func (c *Client) Record(rs ...Record) {
 	c.mu.Lock()
-	c.cache[CombinedKey(r.Key, r.Env)] = r
-	delete(c.neg, CombinedKey(r.Key, r.Env))
-	c.mu.Unlock()
-
-	c.pmu.Lock()
-	c.pending = append(c.pending, r)
-	var batch []Record
-	if len(c.pending) >= c.opts.BatchSize {
-		batch = c.pending
-		c.pending = nil
-	}
-	c.pmu.Unlock()
-	if batch != nil {
-		c.upload.Add(1)
-		go func() {
-			defer c.upload.Done()
-			c.sendBatch(batch)
-		}()
-	}
-}
-
-// RecordBatch queues many records at once (cmd/sweep shares a whole
-// sweep's winners this way).
-func (c *Client) RecordBatch(rs []Record) {
 	for _, r := range rs {
-		c.Record(r)
+		c.cache[CombinedKey(r.Key, r.Env)] = r
 	}
+	c.pending = append(c.pending, rs...)
+	c.mu.Unlock()
 }
 
-// Flush waits for in-flight uploads and synchronously sends any pending
-// records. It returns the first upload error only when no fallback is
-// configured; with a fallback, failed batches are absorbed locally.
-func (c *Client) Flush() error {
-	c.upload.Wait()
-	c.pmu.Lock()
+// Flush uploads every queued record in one /v1/batch request and returns
+// how many the daemon took delivery of. When the upload fails, the batch
+// goes to the fallback instead (0, nil; FellBack reports it); without a
+// fallback the error is returned and the batch is dropped.
+func (c *Client) Flush() (int, error) {
+	c.mu.Lock()
 	batch := c.pending
 	c.pending = nil
-	c.pmu.Unlock()
+	c.mu.Unlock()
 	if len(batch) == 0 {
-		return nil
+		return 0, nil
 	}
-	return c.sendBatch(batch)
-}
-
-func (c *Client) sendBatch(rs []Record) error {
 	var resp recordResponse
-	err := c.do("POST", "/v1/batch", batchRequest{Records: rs}, &resp)
-	if err != nil {
-		if c.opts.Fallback != nil {
-			c.noteFellBack()
-			for _, r := range rs {
-				c.opts.Fallback.Put(r)
-			}
-			return nil
+	if err := c.do("POST", "/v1/batch", batchRequest{Records: batch}, &resp); err != nil {
+		if c.fallback == nil {
+			return 0, err
 		}
-		return err
+		c.noteFellBack()
+		for _, r := range batch {
+			c.fallback.Put(r)
+		}
+		return 0, nil
 	}
-	return nil
+	return resp.Total, nil
 }
 
 // FellBack reports whether any operation degraded to the local fallback.
 func (c *Client) FellBack() bool {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.fellBack
 }
 
 func (c *Client) noteFellBack() {
-	c.statsMu.Lock()
+	c.mu.Lock()
 	c.fellBack = true
-	c.statsMu.Unlock()
+	c.mu.Unlock()
 }
 
 // do performs one request with bounded retry: transport errors and 5xx
@@ -243,8 +157,8 @@ func (c *Client) do(method, path string, body, out any) error {
 		}
 	}
 	var lastErr error
-	delay := c.opts.Backoff
-	for attempt := 0; attempt < c.opts.Retries; attempt++ {
+	delay := backoff
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(delay)
 			delay *= 2
@@ -258,9 +172,6 @@ func (c *Client) do(method, path string, body, out any) error {
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			c.statsMu.Lock()
-			c.netErrors++
-			c.statsMu.Unlock()
 			lastErr = err
 			continue
 		}
@@ -284,5 +195,5 @@ func (c *Client) do(method, path string, body, out any) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("kb: daemon unreachable after %d attempts: %w", c.opts.Retries, lastErr)
+	return fmt.Errorf("kb: daemon unreachable after %d attempts: %w", attempts, lastErr)
 }

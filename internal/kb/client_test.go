@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestClientReadThroughCache: the second lookup of the same scenario must
@@ -33,9 +32,9 @@ func TestClientReadThroughCache(t *testing.T) {
 	}
 }
 
-// TestClientNegativeTTL: a confirmed miss is cached for NegativeTTL, then
-// the daemon is asked again.
-func TestClientNegativeTTL(t *testing.T) {
+// TestClientMissAskedAgain: a miss is not cached — another tuner may record
+// the scenario a moment later, and the next lookup must see it.
+func TestClientMissAskedAgain(t *testing.T) {
 	st := NewStore(StoreOptions{})
 	var hits atomic.Int64
 	inner := NewHandler(st, HandlerOptions{})
@@ -45,25 +44,19 @@ func TestClientNegativeTTL(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.URL, ClientOptions{NegativeTTL: time.Minute})
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-
-	for i := 0; i < 3; i++ {
+	c := NewClient(srv.URL, ClientOptions{})
+	for i := 0; i < 2; i++ {
 		if _, ok, err := c.Lookup("missing", ""); ok || err != nil {
 			t.Fatalf("lookup: ok=%v err=%v", ok, err)
 		}
 	}
-	if got := hits.Load(); got != 1 {
-		t.Fatalf("daemon saw %d requests inside the negative TTL, want 1", got)
+	if got := hits.Load(); got != 2 {
+		t.Fatalf("daemon saw %d requests for 2 missed lookups, want 2", got)
 	}
-	// Another tuner records the scenario; after the TTL expires the client
-	// must see it.
 	st.Put(Record{Key: "missing", Winner: "late", Score: 1})
-	now = now.Add(2 * time.Minute)
 	r, ok, err := c.Lookup("missing", "")
 	if err != nil || !ok || r.Winner != "late" {
-		t.Fatalf("post-TTL lookup: %+v %v %v", r, ok, err)
+		t.Fatalf("lookup after another tuner's record: %+v %v %v", r, ok, err)
 	}
 }
 
@@ -83,7 +76,7 @@ func TestClientRetryBackoff(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.URL, ClientOptions{Retries: 3, Backoff: time.Millisecond})
+	c := NewClient(srv.URL, ClientOptions{})
 	r, ok, err := c.Lookup("k", "")
 	if err != nil || !ok || r.Winner != "w" {
 		t.Fatalf("lookup after transient failures: %+v %v %v", r, ok, err)
@@ -94,7 +87,7 @@ func TestClientRetryBackoff(t *testing.T) {
 
 	// Exhausted retries surface an error when no fallback is configured.
 	calls.Store(-1000)
-	c2 := NewClient(srv.URL, ClientOptions{Retries: 2, Backoff: time.Millisecond})
+	c2 := NewClient(srv.URL, ClientOptions{})
 	if _, _, err := c2.Lookup("k2", ""); err == nil {
 		t.Fatal("exhausted retries did not surface an error")
 	}
@@ -107,7 +100,7 @@ func TestClientFallback(t *testing.T) {
 	local.Put(Record{Key: "k", Env: "e", Winner: "local", Score: 1})
 
 	// 127.0.0.1:1 refuses connections immediately.
-	c := NewClient("127.0.0.1:1", ClientOptions{Retries: 2, Backoff: time.Millisecond, Fallback: local})
+	c := NewClient("127.0.0.1:1", ClientOptions{Fallback: local})
 	r, ok, err := c.Lookup("k", "e")
 	if err != nil || !ok || r.Winner != "local" {
 		t.Fatalf("fallback lookup: %+v %v %v", r, ok, err)
@@ -117,16 +110,24 @@ func TestClientFallback(t *testing.T) {
 	}
 
 	c.Record(Record{Key: "new", Winner: "n", Score: 2})
-	if err := c.Flush(); err != nil {
-		t.Fatalf("flush with fallback: %v", err)
+	if n, err := c.Flush(); n != 0 || err != nil {
+		t.Fatalf("flush with fallback delivered %d records, error %v; want 0, nil", n, err)
 	}
 	if got, ok := local.Lookup("new", ""); !ok || got.Winner != "n" {
 		t.Fatal("failed record did not land in the fallback store")
 	}
+
+	// Without a fallback the failed batch is the caller's error: nothing may
+	// report records as shared that the daemon never took.
+	bare := NewClient("127.0.0.1:1", ClientOptions{})
+	bare.Record(Record{Key: "new", Winner: "n", Score: 2})
+	if n, err := bare.Flush(); n != 0 || err == nil {
+		t.Fatalf("flush to a dead daemon without fallback delivered %d records, error %v", n, err)
+	}
 }
 
-// TestClientBatchedRecords: BatchSize pending records trigger one async
-// batch upload; Flush drains the remainder.
+// TestClientBatchedRecords: Record only queues; Flush uploads everything
+// queued in exactly one batch request and reports what the daemon took.
 func TestClientBatchedRecords(t *testing.T) {
 	st := NewStore(StoreOptions{})
 	var batches atomic.Int64
@@ -139,18 +140,24 @@ func TestClientBatchedRecords(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.URL, ClientOptions{BatchSize: 10})
+	c := NewClient(srv.URL, ClientOptions{})
 	for i := 0; i < 25; i++ {
 		c.Record(Record{Key: "k" + string(rune('a'+i)), Winner: "w", Score: float64(i + 1)})
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
+	if batches.Load() != 0 || st.Len() != 0 {
+		t.Fatalf("Record alone reached the daemon: %d batch requests, %d records", batches.Load(), st.Len())
+	}
+	if n, err := c.Flush(); n != 25 || err != nil {
+		t.Fatalf("Flush delivered %d records, error %v; want 25, nil", n, err)
 	}
 	if st.Len() != 25 {
 		t.Fatalf("daemon stored %d records, want 25", st.Len())
 	}
-	if got := batches.Load(); got != 3 { // 10 + 10 async, 5 via Flush
-		t.Fatalf("daemon saw %d batch requests for 25 records, want 3", got)
+	if got := batches.Load(); got != 1 {
+		t.Fatalf("daemon saw %d batch requests for 25 records, want 1", got)
+	}
+	if n, err := c.Flush(); n != 0 || err != nil || batches.Load() != 1 {
+		t.Fatalf("Flush with nothing queued: %d records, error %v, %d batch requests", n, err, batches.Load())
 	}
 
 	// Recorded winners are served from the write-through cache without a

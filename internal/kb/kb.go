@@ -1,7 +1,6 @@
-// Package kb is the tuning knowledge base: a sharded, content-addressed
-// store of ADCL tuning decisions shared across processes and runs. It
-// promotes internal/core's per-process history file (paper §IV-B historic
-// learning) into a standalone service layer, the direction the NBC survey
+// Package kb is the tuning knowledge base: the store of ADCL tuning
+// decisions behind the paper's historic learning (§IV-B), in one process or
+// shared across processes and runs — the direction the NBC survey
 // (Wickramasinghe & Lumsdaine, arXiv:1611.06334) identifies as the key
 // lever once per-run tuning works: a winner learned once — by any tuner,
 // at any scale — is reused by every later run that hits the same scenario
@@ -11,19 +10,18 @@
 //
 //   - Store: an in-process sharded map (per-shard RWMutex) with
 //     last-write-wins-by-score conflict resolution, snapshot persistence
-//     (atomic rename, load-on-start) and coalesced async flushing.
+//     (atomic rename, load-on-start) and coalesced async flushing. A tuner's
+//     -history file and the daemon's -snapshot are the same snapshot format.
 //   - Handler/Serve: the HTTP+JSON surface cmd/tuned exposes
 //     (GET /v1/lookup, POST /v1/record, POST /v1/batch, GET /v1/stats,
 //     GET /healthz).
-//   - Client: a read-through caching client with negative-entry TTL,
-//     bounded retry with backoff, asynchronous batched record uploads,
-//     and a local fallback so tuning keeps working when the daemon is
-//     down.
+//   - Client: a read-through caching client with bounded retry and backoff,
+//     one synchronous batch upload per Flush, and a local Source as fallback
+//     so tuning keeps working when the daemon is down.
 //
-// kb deliberately imports only the standard library: internal/core layers
-// its HistorySource adapter (core.KBHistory) on top without an import
-// cycle, and the same atomic-write helper backs both the kb snapshot and
-// core's history file.
+// kb deliberately imports only the standard library, so internal/core's
+// selector helper (core.SelectorWithHistory) consults a Source without an
+// import cycle.
 package kb
 
 import "strconv"
@@ -39,6 +37,18 @@ type Record struct {
 	Score  float64 `json:"score,omitempty"` // robust score of the winner (seconds; lower is better)
 	Evals  int     `json:"evals,omitempty"` // learning cost that produced it
 }
+
+// Source is the seam a tuning session consults before it starts and feeds
+// when it has learned: anything that answers "who won this scenario under
+// this environment" and accepts new outcomes. *Store is the implementation
+// — opened on a -history file, in memory, or behind the daemon — and what a
+// Client falls back to when the daemon is unreachable.
+type Source interface {
+	Lookup(key, env string) (Record, bool)
+	Put(Record) bool
+}
+
+var _ Source = (*Store)(nil)
 
 // CombinedKey builds the canonical storage key for a (scenario key,
 // environment fingerprint) pair. Both components use '|' internally

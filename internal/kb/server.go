@@ -12,9 +12,9 @@ import (
 )
 
 // Wire types of the HTTP+JSON surface. Lookup responses always answer 200
-// with an explicit Found flag (rather than 404 on miss) so the client's
-// negative cache can distinguish "the daemon said no" from transport
-// failures, which must fall back instead of being cached.
+// with an explicit Found flag (rather than 404 on miss) so the client can
+// distinguish "the daemon said no" from transport failures, which must
+// fall back instead of being reported as a miss.
 type lookupResponse struct {
 	Found  bool    `json:"found"`
 	Record *Record `json:"record,omitempty"`

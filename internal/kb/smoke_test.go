@@ -72,9 +72,9 @@ func TestKBSmoke(t *testing.T) {
 
 	// Load the fixture through the client's batch path and replay the
 	// golden workload: answers must match the committed transcript exactly.
-	c.RecordBatch(FixtureRecords())
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
+	c.Record(FixtureRecords()...)
+	if n, err := c.Flush(); n != 50 || err != nil {
+		t.Fatalf("fixture upload delivered %d records, error %v; want 50, nil", n, err)
 	}
 	want := loadGoldenTranscript(t)
 	// A fresh client so every lookup hits the daemon, not the write-through
