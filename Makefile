@@ -48,7 +48,7 @@ e2e:
 	$(GO) build -o "$$d/" ./cmd/tune ./cmd/sweep ./cmd/audit; \
 	for w in 1 8; do "$$d/tune" -op ialltoall -np 8 -msg 65536 -compute 0.005 -iters 5 -speculate -spec-workers $$w -metrics "$$d/spec_w$$w.json" > /dev/null; done; \
 	cmp "$$d/spec_w1.json" "$$d/spec_w8.json"; \
-	echo "e2e 1/6: tune -speculate decision artifact byte-identical at 1 and 8 fork workers"; \
+	echo "e2e 1/6: tune -speculate decision artifact byte-identical at 1 and 8 candidate workers"; \
 	for s in 2 4; do "$$d/tune" -op ialltoall -np 32 -msg 65536 -compute 0.005 -iters 12 -shards $$s -metrics "$$d/tune_s$$s.json" > /dev/null; done; \
 	cmp "$$d/tune_s2.json" "$$d/tune_s4.json"; \
 	echo "e2e 2/6: tune -shards metrics + selection audit byte-identical at 2 and 4 shards"; \
@@ -69,7 +69,7 @@ WORKLOADS = sweep-verify fft-app scale-4k wide-alltoall kb-mixed
 bench:
 	@set -e; for w in $(WORKLOADS); do bash perf/run.sh --workload $$w --seed 0 --seconds 16 --trace 0; done
 
-# The size of the repository in the four numbers ROADMAP's state line and
+# The size of the repository in the five numbers ROADMAP's state line and
 # every simplicity PR quote, each printed under the command that counts it.
 stat:
 	find cmd internal examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l   # non-test lines
@@ -77,6 +77,7 @@ stat:
 	cat *_test.go | wc -l                                                             # ... of which in the root package
 	grep -rhoE 'fl(ag)?\.(Bool|Int|Int64|Uint|String|Float64|Duration|Var)\(' cmd | wc -l   # command-line flags
 	grep -rn 'panic(' --include='*.go' cmd internal examples | grep -vc '_test\.go:'         # non-test panic( sites
+	grep -rnE 'not supported|do not support|does not support|applies to the' --include='*.go' cmd internal | grep -vc '_test\.go:'   # non-test refusal sites
 
 # Last, the gate fuzzes the run-ahead equivalence oracle
 # (internal/sim/runahead_test.go) for a fixed budget; its committed corpus

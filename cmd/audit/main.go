@@ -35,20 +35,17 @@ import (
 
 func main() {
 	var (
-		matrix    = flag.String("matrix", "smoke", "scenario matrix: smoke (CI-sized) or full (overnight)")
-		chaosStr  = flag.String("chaos", "off", "fault/noise injection profile for the smoke matrix: off, "+strings.Join(profiles.Names(), ", "))
-		chaosSd   = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
-		seed      = flag.Int64("seed", 42, "simulation seed for every scenario")
-		tol       = flag.Float64("tol", guideline.DefaultTol, "relative slack before a guideline loss counts")
-		minEffect = flag.Float64("min-effect", guideline.DefaultMinEffect, "minimum Cliff's-delta effect size for a violation")
-		noAdopt   = flag.Bool("no-adopt", false, "report violations without running the mock-promotion feedback loop")
-		out       = flag.String("out", "results/guideline_report.json", "machine-readable report path (empty disables)")
-		check     = flag.String("check", "", "validate an existing report (schema version + verdicts re-derived from its samples) and exit; no simulation")
-		jobs      = flag.Int("jobs", 0, "parallel measurement workers (0 = GOMAXPROCS, 1 = sequential)")
-		cacheOn   = flag.Bool("cache", false, "serve and persist leaf measurements via the content-addressed store; an interrupted matrix resumes from it")
-		cacheDir  = flag.String("cachedir", "results/cache", "result store directory")
-		kbAddr    = flag.String("kb", "", "share every adopted registration's winner with a tuned knowledge-base daemon at this address")
-		quiet     = flag.Bool("quiet", false, "suppress per-measurement progress lines")
+		matrix   = flag.String("matrix", "smoke", "scenario matrix: smoke (CI-sized) or full (overnight)")
+		chaosStr = flag.String("chaos", "off", "fault/noise injection profile for the smoke matrix: off, "+strings.Join(profiles.Names(), ", "))
+		chaosSd  = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
+		seed     = flag.Int64("seed", 42, "simulation seed for every scenario")
+		out      = flag.String("out", "results/guideline_report.json", "machine-readable report path (empty disables)")
+		check    = flag.String("check", "", "validate an existing report (schema version + verdicts re-derived from its samples) and exit; no simulation")
+		jobs     = flag.Int("jobs", 0, "parallel measurement workers (0 = GOMAXPROCS, 1 = sequential)")
+		cacheOn  = flag.Bool("cache", false, "serve and persist leaf measurements via the content-addressed store; an interrupted matrix resumes from it")
+		cacheDir = flag.String("cachedir", "results/cache", "result store directory")
+		kbAddr   = flag.String("kb", "", "share every adopted registration's winner with a tuned knowledge-base daemon at this address")
+		quiet    = flag.Bool("quiet", false, "suppress per-measurement progress lines")
 	)
 	flag.Parse()
 
@@ -85,9 +82,7 @@ func main() {
 
 	cfg := guideline.Config{
 		Scenarios: scenarios,
-		Tol:       *tol,
-		MinEffect: *minEffect,
-		Adopt:     !*noAdopt,
+		Adopt:     true,
 		Workers:   workers(*jobs),
 	}
 	if !*quiet {

@@ -59,9 +59,9 @@ func main() {
 		chaosStr = flag.String("chaos", "off", "fault/noise injection profile: off, "+strings.Join(profiles.Names(), ", "))
 		chaosSd  = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
 		kbAddr   = flag.String("kb", "", "share every scenario's tuned winner with a tuned knowledge-base daemon at this address")
-		specOn   = flag.Bool("speculate", false, "evaluate ADCL selector runs via speculative world forks (decisions worker-count independent)")
-		specWrk  = flag.Int("spec-workers", 0, "fork worker pool per speculative scenario (0 = GOMAXPROCS)")
-		shardStr = flag.String("shards", "", "run micro-benchmark scenarios on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
+		specOn   = flag.Bool("speculate", false, "evaluate ADCL selector runs speculatively, every candidate on its own copy of the world (decisions worker-count independent)")
+		specWrk  = flag.Int("spec-workers", 0, "candidate worker pool per speculative scenario (0 = GOMAXPROCS)")
+		shardStr = flag.String("shards", "", "run every scenario on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
 	)
 	flag.Parse()
 	suites, err := bench.Suites(*suite, *fast)
@@ -72,6 +72,11 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { outSet = outSet || f.Name == "out" })
 	if !outSet {
 		*out = defaultOut(*suite)
+	}
+	// The file holds the last suite's summary; whether there will be one is
+	// known from the suite, before hours of simulation.
+	if *out != "" && !suites[len(suites)-1].Summarizes() {
+		fail(fmt.Errorf("-out: %s has no machine-readable summary (verification, fft, scale and fig2 do)", *suite))
 	}
 
 	shards, pdes, err := bench.ParseShards(*shardStr)
@@ -114,9 +119,6 @@ func main() {
 	var kbRecords []kb.Record
 	for i := range suites {
 		s := &suites[i]
-		if pdes && s.FFT != nil {
-			fail(fmt.Errorf("-shards applies to the micro-benchmark suites, %s runs the 3D-FFT kernel", s.Name))
-		}
 		// The run-wide settings, laid over every scenario of the grid.
 		for j := range s.Micro {
 			m := &s.Micro[j]
@@ -129,6 +131,7 @@ func main() {
 		for j := range s.FFT {
 			f := &s.FFT[j]
 			f.Observe, f.Data = f.Observe || *observe, f.Data || *data
+			f.PDES, f.Shards = pdes, shards
 			if chaosName != "" {
 				f.Chaos, f.ChaosSeed = chaosName, *chaosSd
 			}
@@ -152,9 +155,6 @@ func main() {
 	}
 
 	if *out != "" {
-		if summary == nil {
-			fail(fmt.Errorf("-out: %s has no machine-readable summary (verification, fft, scale and fig2 do)", *suite))
-		}
 		if err := bench.WriteSummaryFile(*out, summary); err != nil {
 			fail(err)
 		}

@@ -70,12 +70,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		metrOut  = fl.String("metrics", "", "write overlap metrics + the rank-0 selection audit as JSON")
 		chaosStr = fl.String("chaos", "off", "fault/noise injection profile: off or a profile name")
 		chaosSd  = fl.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
-		specOn   = fl.Bool("speculate", false, "evaluate candidates on speculative world forks instead of in-line learning")
-		specWrk  = fl.Int("spec-workers", 0, "fork worker pool for -speculate (0 = GOMAXPROCS); decisions are identical for every value")
+		specOn   = fl.Bool("speculate", false, "measure every candidate on its own copy of the world at the decision point instead of in-line learning")
+		specWrk  = fl.Int("spec-workers", 0, "candidate worker pool for -speculate (0 = GOMAXPROCS); decisions are identical for every value")
 		shardStr = fl.String("shards", "", "run on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
 		verify   = fl.Bool("verify", false, "also measure every fixed implementation on the micro-benchmark loop and report whether the selector's winner is correct")
 	)
 	fl.Parse(args)
+	if *evals < 1 {
+		return fmt.Errorf("-evals %d: every implementation needs at least one measurement", *evals)
+	}
 
 	plat, err := platform.ByName(*platName)
 	if err != nil {
@@ -146,9 +149,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Warm history leaves no learning phase to speculate on: fall through to
 	// the normal fixed-winner path.
 	speculate := *specOn && known < 0
-	if *specOn && *tracOut != "" {
-		return fmt.Errorf("-speculate does not support -trace: recorder spans cannot cross a snapshot")
-	}
 
 	var rec *obs.Recorder
 	var report string
@@ -160,11 +160,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if mspec.Iterations == 0 {
 			mspec.Iterations = 10 // all iterations run post-decision
 		}
-		sr, err := bench.RunSpeculative(mspec, *selName, *specWrk)
+		// The trace is the committed-winner loop's; -metrics alone keeps
+		// its overlap block empty, as the selection happened off that loop.
+		traced := mspec
+		traced.Observe = *tracOut != ""
+		sr, err := bench.RunSpeculative(traced, *selName, *specWrk)
 		if err != nil {
 			return err
 		}
-		specRes = sr
+		specRes, rec = sr, sr.Recorder
 		winnerName = sr.Result.Winner
 		evalsUsed = sr.Result.Evals
 		audit = sr.Audit
@@ -281,7 +285,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			out.Metrics = rec.Metrics()
 		}
 		if specRes != nil {
-			// Everything recorded here is virtual-time and fork-order
+			// Everything recorded here is virtual-time and candidate-order
 			// deterministic: two runs differing only in -spec-workers write
 			// byte-identical artifacts (make e2e pins this).
 			out.Selector = "speculative+" + *selName
@@ -344,7 +348,7 @@ type tuneMetrics struct {
 	Audit         *obs.Audit   `json:"audit,omitempty"`
 
 	// Speculative-selection fields (-speculate): virtual selection latencies
-	// and per-candidate fork costs. The fork worker count is deliberately
+	// and per-candidate measurement costs. The worker count is deliberately
 	// absent — the artifact is byte-identical for every -spec-workers value.
 	SpecLatency   float64   `json:"spec_latency,omitempty"`
 	SeqLatency    float64   `json:"seq_latency,omitempty"`

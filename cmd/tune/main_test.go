@@ -257,8 +257,8 @@ func TestRecordedMockReplayed(t *testing.T) {
 }
 
 // TestSpeculateEveryOp: -speculate is not limited to the ops it was first
-// wired for; every catalogue op snapshots, forks one world per candidate and
-// commits a winner.
+// wired for; every catalogue op measures one world per candidate and commits
+// a winner.
 func TestSpeculateEveryOp(t *testing.T) {
 	winner := regexp.MustCompile(`(?m)^winner: \S+ \(`)
 	for _, op := range core.OpNames() {
@@ -275,6 +275,35 @@ func TestSpeculateEveryOp(t *testing.T) {
 	}
 }
 
+// TestSpeculateComposes: a speculative session is a run like any other — it
+// writes a trace (of the committed-winner loop), and on the sharded engine its
+// -metrics artifact does not depend on the shard count.
+func TestSpeculateComposes(t *testing.T) {
+	chdir(t, t.TempDir())
+	base := "-op ialltoall -np 32 -msg 65536 -compute 0.005 -iters 6 -speculate "
+	if out, _ := tune(t, base+"-trace t.json"); !strings.Contains(out, "trace written to t.json") {
+		t.Fatalf("no trace reported:\n%s", out)
+	}
+	if trace, err := os.ReadFile("t.json"); err != nil || !bytes.Contains(trace, []byte(`"traceEvents"`)) {
+		t.Fatalf("t.json is not a trace (%d bytes, err %v)", len(trace), err)
+	}
+	var metrics [][]byte
+	for _, shards := range []string{"1", "2", "4"} {
+		tune(t, base+"-shards "+shards+" -metrics m"+shards+".json")
+		m, err := os.ReadFile("m" + shards + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics = append(metrics, m)
+	}
+	if !bytes.Contains(metrics[0], []byte(`"kind": "sample"`)) {
+		t.Fatalf("sharded speculative audit holds no samples:\n%s", metrics[0])
+	}
+	if !bytes.Equal(metrics[0], metrics[1]) || !bytes.Equal(metrics[1], metrics[2]) {
+		t.Error("tune -speculate -metrics differs between 1, 2 and 4 shards")
+	}
+}
+
 // TestRefusals: each unsupported combination is refused once, by the layer
 // that cannot serve it, and tune reports that layer's message.
 func TestRefusals(t *testing.T) {
@@ -284,9 +313,8 @@ func TestRefusals(t *testing.T) {
 		"-selector nonesuch":           "unknown selector",
 		"-shards 2 -chaos congested":   "not supported under PDES",
 		"-shards 2 -op ialltoall-prim": "not supported under PDES",
-		"-shards 2 -speculate":         "do not support PDES",
-		"-speculate -trace t.json":     "-speculate does not support -trace",
 		"-shards 0":                    "invalid -shards",
+		"-evals 0":                     "at least one measurement",
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(strings.Fields(args), &stdout, &stderr); err == nil || !strings.Contains(err.Error(), want) {

@@ -9,7 +9,7 @@
 //	tuned -snapshot results/kb.json        # persistence location
 //
 // The store loads its snapshot at start, flushes it atomically (temp file
-// + rename) every -flush interval when dirty and again on shutdown, and
+// + rename) every two seconds when dirty and again on shutdown, and
 // exits cleanly on SIGINT/SIGTERM after draining in-flight requests.
 //
 // Endpoints: GET /v1/lookup, POST /v1/record, POST /v1/batch,
@@ -34,9 +34,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "listen address (host:0 picks a free port)")
 		snapshot = flag.String("snapshot", "results/kb_snapshot.json", "snapshot file for persistence (empty disables)")
-		flush    = flag.Duration("flush", 2*time.Second, "coalescing interval of the background snapshot flusher")
 		quiet    = flag.Bool("quiet", false, "disable the per-request access log")
-		timeout  = flag.Duration("timeout", 5*time.Second, "per-request handling timeout")
 	)
 	flag.Parse()
 
@@ -52,7 +50,7 @@ func main() {
 			}
 		}
 	}
-	st, err := kb.Open(kb.StoreOptions{SnapshotPath: *snapshot, FlushEvery: *flush})
+	st, err := kb.Open(kb.StoreOptions{SnapshotPath: *snapshot})
 	if err != nil {
 		fail(err)
 	}
@@ -61,7 +59,7 @@ func main() {
 	if !*quiet {
 		accessLog = os.Stderr
 	}
-	srv, err := kb.Listen(*addr, st, kb.HandlerOptions{AccessLog: accessLog, RequestTimeout: *timeout})
+	srv, err := kb.Listen(*addr, st, kb.HandlerOptions{AccessLog: accessLog})
 	if err != nil {
 		fail(err)
 	}

@@ -66,3 +66,44 @@ func TestE15AuditArtifactIntegrity(t *testing.T) {
 		t.Errorf("decompressed audit missing winner/audit fields (winner=%q, audit %d bytes)", doc.Winner, len(doc.Audit))
 	}
 }
+
+// TestFFTFlavorRowsMatchCommitted pins one committed results/fftbench.txt row
+// per kernel flavor — LibNBC, ADCL and blocking MPI from Fig 10's first
+// scenario, the extended ADCL set from Fig 11's — so the transposer every
+// flavor shares is held to the committed timeline by tier-1, not only by
+// `make e2e` row 6.
+func TestFFTFlavorRowsMatchCommitted(t *testing.T) {
+	committed, err := os.ReadFile("../../results/fftbench.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, line := range strings.Split(string(committed), "\n") {
+		want[strings.Join(strings.Fields(line), " ")] = true
+	}
+	rows := 0
+	for _, fig := range []string{"fig10", "fig11"} {
+		suites, err := Suites(fig, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := suites[0]
+		s.FFT = s.FFT[:1]
+		if fig == "fig11" {
+			s.Flavors = s.Flavors[:1] // adcl-ext; its MPI row is Fig 10's
+		}
+		o, err := s.Run(RunOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range o.Tables[0].Rows {
+			rows++
+			if row := strings.Join(strings.Fields(strings.Join(r, " ")), " "); !want[row] {
+				t.Errorf("%s row not in results/fftbench.txt: %s", fig, row)
+			}
+		}
+	}
+	if rows != 4 {
+		t.Errorf("%d rows checked, want one per flavor", rows)
+	}
+}

@@ -50,6 +50,14 @@ type Outcome struct {
 	Summary *SweepSummary
 }
 
+// Summarizes reports whether Run fills Outcome.Summary: the aggregate suites
+// (a verification methodology, or the §IV-B statistic) do, the
+// per-implementation and per-flavor matrices have none. A driver asked for a
+// summary file decides from it before anything runs.
+func (s *Suite) Summarizes() bool {
+	return s.Selectors != nil || s.Micro == nil && s.Flavors == nil
+}
+
 // Run executes the suite's scenarios on the experiment runner and renders
 // its tables. A non-nil trace receives the recorder of every run of a
 // per-implementation or per-flavor matrix (the suites that fill Outcome.Fixed

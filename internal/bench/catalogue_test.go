@@ -25,20 +25,21 @@ func TestCatalogue(t *testing.T) {
 		name        string
 		scenarios   int
 		first, step int64 // seed of scenario i is first + i*step
+		summary     bool  // sweep -out has something to write
 	}{
-		{"verification", 24, 101, 1},
-		{"fft", 8, 501, 1},
-		{"scale", 6, 1501, 1},
-		{"fig2", 4, 21, 0},
-		{"fig3", 2, 31, 0},
-		{"fig4", 2, 41, 0},
-		{"fig5", 2, 51, 0},
-		{"fig6", 6, 61, 0},
-		{"fig7", 5, 71, 0},
-		{"fig9", 8, 92, 1},
-		{"fig10", 8, 92, 1},
-		{"fig11", 16, 92, 1},
-		{"fig12", 4, 122, 1},
+		{"verification", 24, 101, 1, true},
+		{"fft", 8, 501, 1, true},
+		{"scale", 6, 1501, 1, true},
+		{"fig2", 4, 21, 0, true},
+		{"fig3", 2, 31, 0, false},
+		{"fig4", 2, 41, 0, false},
+		{"fig5", 2, 51, 0, false},
+		{"fig6", 6, 61, 0, false},
+		{"fig7", 5, 71, 0, false},
+		{"fig9", 8, 92, 1, false},
+		{"fig10", 8, 92, 1, false},
+		{"fig11", 16, 92, 1, false},
+		{"fig12", 4, 122, 1, false},
 	}
 	if len(figures) != len(catalogue) {
 		t.Errorf("%d suites pinned, catalogue has %d", len(figures), len(catalogue))
@@ -54,6 +55,9 @@ func TestCatalogue(t *testing.T) {
 		}
 		for _, s := range suites[0].FFT {
 			seeds = append(seeds, s.Seed)
+		}
+		if got := suites[0].Summarizes(); got != f.summary {
+			t.Errorf("%s: Summarizes() = %v, want %v", f.name, got, f.summary)
 		}
 		if len(seeds) != f.scenarios {
 			t.Errorf("%s: %d scenarios, want %d", f.name, len(seeds), f.scenarios)

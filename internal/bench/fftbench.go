@@ -37,6 +37,10 @@ type FFTSpec struct {
 	// MicroSpec; omitempty keeps clean-spec fingerprints stable.
 	Chaos     string `json:",omitempty"`
 	ChaosSeed int64  `json:",omitempty"`
+	// PDES/Shards select the sharded engine, as in MicroSpec: PDES is part
+	// of the spec's identity, the shard count only of its wall-clock.
+	PDES   bool `json:",omitempty"`
+	Shards int  `json:"-"`
 }
 
 func (s FFTSpec) String() string {
@@ -82,7 +86,7 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 	if spec.Flavor == fft.FlavorADCL || spec.Flavor == fft.FlavorADCLExt {
 		label += ":" + sel
 	}
-	w, err := spec.Platform.NewWorldChaosNamed(spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed)
+	w, err := assemble(spec.Platform, spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed, spec.PDES, spec.Shards)
 	if err != nil {
 		return FFTResult{}, nil, err
 	}
@@ -92,7 +96,9 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 		w.Observe(rec)
 	}
 	res := FFTResult{Spec: spec, Label: label, DecidedIter: -1}
-	var planErr error
+	// Per-rank error slots: under PDES, ranks on different shards fail
+	// concurrently, so a shared variable would race.
+	errs := make([]error, spec.Procs)
 
 	res.Total = timed(w, spec.Procs, func(c *mpi.Comm) func(float64) {
 		me := c.Rank()
@@ -107,7 +113,7 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 			FlopRate:        spec.Platform.FlopRate,
 		})
 		if err != nil {
-			planErr = err
+			errs[me] = err
 			return nil
 		}
 		return func(t0 float64) {
@@ -116,7 +122,7 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 			for it := 0; it < spec.Iterations; it++ {
 				iterStart := c.Now()
 				if err := pl.Forward(); err != nil {
-					planErr = err
+					errs[me] = err
 					return
 				}
 				if done, name := pl.Decided(); me == 0 && done {
@@ -140,8 +146,10 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 			}
 		}
 	})
-	if planErr != nil {
-		return FFTResult{}, nil, planErr
+	for _, err := range errs {
+		if err != nil {
+			return FFTResult{}, nil, err
+		}
 	}
 	res.PerIter = res.Total / float64(spec.Iterations)
 	res.Observed = observed(rec)

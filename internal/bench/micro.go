@@ -14,7 +14,6 @@ package bench
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"nbctune/internal/core"
 	"nbctune/internal/mpi"
@@ -132,9 +131,6 @@ func (s MicroSpec) validate() error {
 	if s.Data && op.Pattern == nil {
 		return fmt.Errorf("bench: op %q declares no data pattern to verify", s.Op)
 	}
-	if s.PDES && s.Chaos != "" && s.Chaos != "off" {
-		return fmt.Errorf("bench: chaos profile %q is not supported under PDES (sharded) simulation", s.Chaos)
-	}
 	if s.PDES && op.Windows {
 		return fmt.Errorf("bench: op %q is not supported under PDES (sharded) simulation: one-sided windows need a sequential world", s.Op)
 	}
@@ -149,25 +145,36 @@ func (s MicroSpec) evals() int {
 }
 
 // World is a simulated machine as a rank-program harness sees it; both
-// *mpi.World and *mpi.ShardedWorld are one.
+// *mpi.World and *mpi.ShardedWorld are one. Programs may run back to back on
+// one world: Now is where the last one ended and the next one starts.
 type World interface {
 	Observe(rec *obs.Recorder)
 	Start(prog func(c *mpi.Comm))
 	Run()
+	Now() float64
 }
 
-// World assembles the spec's simulated machine — sequential by default, the
-// sharded (PDES) world when spec.PDES is set. It is the one place a driver or
-// harness turns a spec into a machine, so it is also where an unsupported
+// assemble builds the simulated machine a spec names — MicroSpec and FFTSpec
+// both come here: sequential by default, the sharded (PDES) world when pdes is
+// set.
+func assemble(p platform.Platform, procs int, seed int64, pl platform.Placement, chaos string, chaosSeed int64, pdes bool, shards int) (World, error) {
+	if !pdes {
+		return p.NewWorldChaosNamed(procs, seed, pl, chaos, chaosSeed)
+	}
+	if chaos != "" && chaos != "off" {
+		return nil, fmt.Errorf("bench: chaos profile %q is not supported under PDES (sharded) simulation", chaos)
+	}
+	return p.NewWorldPDES(procs, seed, pl, shards)
+}
+
+// World assembles the spec's simulated machine. It is the one place a driver
+// or harness turns a spec into a machine, so it is also where an unsupported
 // spec is refused.
 func (s MicroSpec) World() (World, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	if s.PDES {
-		return s.Platform.NewWorldPDES(s.Procs, s.Seed, s.Placement, s.Shards)
-	}
-	return s.Platform.NewWorldChaosNamed(s.Procs, s.Seed, s.Placement, s.Chaos, s.ChaosSeed)
+	return assemble(s.Platform, s.Procs, s.Seed, s.Placement, s.Chaos, s.ChaosSeed, s.PDES, s.Shards)
 }
 
 // payload allocates an n-byte buffer descriptor in the spec's data mode:
@@ -298,12 +305,26 @@ func timed(w World, procs int, prog func(c *mpi.Comm) (region func(t0 float64)))
 	return total
 }
 
+// selectorFor picks a rank's selection logic once its function set is built.
+type selectorFor func(rank int, fs *core.FunctionSet) (core.Selector, error)
+
+// pinned is the selection logic of a fixed-implementation run; the index is
+// checked against the set the run itself built.
+func pinned(fn int) selectorFor {
+	return func(_ int, fs *core.FunctionSet) (core.Selector, error) {
+		if fn < 0 || fn >= len(fs.Fns) {
+			return nil, fmt.Errorf("implementation index %d out of range (%d impls)", fn, len(fs.Fns))
+		}
+		return &core.FixedSelector{Fn: fn}, nil
+	}
+}
+
 // runLoop is the §IV-A rank program: on every rank of the already assembled
 // world w it builds the op's function set, lets mkSel pick the selection
 // logic (rank 0's result is the one reported), and iterates barrier to
 // barrier. It returns the aggregate result, plus the run's recorder when
 // spec.Observe is set (nil otherwise).
-func runLoop(spec MicroSpec, w World, label string, mkSel func(rank int, fs *core.FunctionSet) core.Selector) (MicroResult, *obs.Recorder, error) {
+func runLoop(spec MicroSpec, w World, label string, mkSel selectorFor) (MicroResult, *obs.Recorder, error) {
 	op, err := core.OpByName(spec.Op)
 	if err != nil {
 		return MicroResult{}, nil, err
@@ -326,7 +347,12 @@ func runLoop(spec MicroSpec, w World, label string, mkSel func(rank int, fs *cor
 			errs[me] = err
 			return nil
 		}
-		req := core.MustRequest(fs, mkSel(me, fs), c.Now)
+		sel, err := mkSel(me, fs)
+		if err != nil {
+			errs[me] = err
+			return nil
+		}
+		req := core.MustRequest(fs, sel, c.Now)
 		timer := core.MustTimer(c.Now, req)
 		if spec.Data {
 			op.Fill(me, 0, spec.MsgSize, send)
@@ -370,7 +396,7 @@ func runLoop(spec MicroSpec, w World, label string, mkSel func(rank int, fs *cor
 }
 
 // run assembles the spec's world and runs the §IV-A loop on it.
-func (s MicroSpec) run(label string, mkSel func(rank int, fs *core.FunctionSet) core.Selector) (MicroResult, *obs.Recorder, error) {
+func (s MicroSpec) run(label string, mkSel selectorFor) (MicroResult, *obs.Recorder, error) {
 	w, err := s.World()
 	if err != nil {
 		return MicroResult{}, nil, err
@@ -385,23 +411,11 @@ func RunFixed(spec MicroSpec, fn int) (MicroResult, error) {
 }
 
 // runFixed is RunFixed, additionally returning the run's recorder (nil unless
-// spec.Observe is set) for trace export.
+// spec.Observe is set) for trace export. The run names its implementation.
 func runFixed(spec MicroSpec, fn int) (MicroResult, *obs.Recorder, error) {
-	fs, err := spec.HostFunctionSet()
-	if err != nil {
-		return MicroResult{}, nil, fmt.Errorf("bench: %w", err)
-	}
-	if fn < 0 || fn >= len(fs.Fns) {
-		return MicroResult{}, nil, fmt.Errorf("bench: implementation index %d out of range (%d impls)", fn, len(fs.Fns))
-	}
-	r, rec, err := spec.run(fs.Fns[fn].Name, func(int, *core.FunctionSet) core.Selector {
-		return &core.FixedSelector{Fn: fn}
-	})
-	if err != nil {
-		return r, nil, err
-	}
-	r.Winner = r.Impl
-	return r, rec, nil
+	r, rec, err := spec.run("", pinned(fn))
+	r.Impl = r.Winner
+	return r, rec, err
 }
 
 // RunADCL runs the benchmark under a runtime selection logic
@@ -414,20 +428,9 @@ func RunADCL(spec MicroSpec, selector string) (MicroResult, error) {
 // runADCL is RunADCL, additionally returning the run's recorder (nil unless
 // spec.Observe is set).
 func runADCL(spec MicroSpec, selector string) (MicroResult, *obs.Recorder, error) {
-	var selErr error
-	var selOnce sync.Once // every rank constructs a selector; under PDES they do so concurrently
-	r, rec, err := spec.run("adcl:"+selector, func(_ int, fs *core.FunctionSet) core.Selector {
-		sel, err := core.SelectorByName(selector, fs, spec.evals())
-		if err != nil {
-			selOnce.Do(func() { selErr = err })
-			return &core.FixedSelector{Fn: 0}
-		}
-		return sel
+	return spec.run("adcl:"+selector, func(_ int, fs *core.FunctionSet) (core.Selector, error) {
+		return core.SelectorByName(selector, fs, spec.evals())
 	})
-	if selErr != nil {
-		return MicroResult{}, nil, selErr
-	}
-	return r, rec, err
 }
 
 // TraceSink receives the recorder of one traced simulation; cell names the
@@ -506,11 +509,7 @@ func RunVerificationOpts(spec MicroSpec, opt RunOptions, selectors ...string) (*
 	if len(selectors) == 0 {
 		selectors = []string{"brute-force", "attr-heuristic"}
 	}
-	check := spec.validate
-	if opt.Speculate {
-		check = spec.speculable // refuse before the fixed runs, not after
-	}
-	if err := check(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	names := spec.FunctionNames()

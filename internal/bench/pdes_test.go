@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nbctune/internal/core"
+	"nbctune/internal/fft"
 	"nbctune/internal/obs"
 	"nbctune/internal/platform"
 )
@@ -36,7 +37,8 @@ func pdesSpec(t *testing.T) MicroSpec {
 
 // TestPDESDeterminismMatrix is the tentpole acceptance test at the bench
 // layer: sweep summaries, Perfetto traces, and selection audits produced by a
-// PDES run are byte-identical at shard counts 1, 2, 4 and 8.
+// PDES run — and the results of an FFT-kernel comparison on the sharded
+// world — are byte-identical at shard counts 1, 2, 4 and 8.
 func TestPDESDeterminismMatrix(t *testing.T) {
 	spec := pdesSpec(t)
 
@@ -45,6 +47,7 @@ func TestPDESDeterminismMatrix(t *testing.T) {
 		trace   []byte // Chrome/Perfetto trace
 		audit   []byte // rank-0 selection audit JSON
 		summary []byte // verification-sweep summary JSON
+		fft     []byte // FFTResult JSON of a three-flavor kernel comparison
 	}
 	run := func(shards int) artifacts {
 		s := spec
@@ -75,15 +78,12 @@ func TestPDESDeterminismMatrix(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		var audit *obs.Audit
-		if _, _, err := runLoop(s, w, "", func(rank int, fs *core.FunctionSet) core.Selector {
+		if _, _, err := runLoop(s, w, "", func(rank int, fs *core.FunctionSet) (core.Selector, error) {
 			sel, err := core.SelectorByName("brute-force", fs, s.evals())
-			if err != nil {
-				panic(err)
-			}
-			if rank == 0 {
+			if err == nil && rank == 0 {
 				audit = core.AttachAudit(sel, fs)
 			}
-			return sel
+			return sel, err
 		}); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -101,6 +101,19 @@ func TestPDESDeterminismMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		a.summary = sm.Bytes()
+
+		// The 3D-FFT kernel on the same machine: blocking, LibNBC and tuned
+		// transposes, 16 ranks on 4 nodes.
+		rs, err := FFTComparison(FFTSpec{
+			Platform: s.Platform, Procs: 16, N: 32, Pattern: fft.WindowTiled, Iterations: 8,
+			Seed: 7, EvalsPerFn: 1, Placement: platform.Block, PDES: true, Shards: shards,
+		}, []fft.Flavor{fft.FlavorMPI, fft.FlavorNBC, fft.FlavorADCLExt}, nil)
+		if err != nil {
+			t.Fatalf("shards=%d: fft: %v", shards, err)
+		}
+		if a.fft, err = json.Marshal(rs); err != nil {
+			t.Fatal(err)
+		}
 		return a
 	}
 
@@ -122,11 +135,16 @@ func TestPDESDeterminismMatrix(t *testing.T) {
 		if !bytes.Equal(got.summary, base.summary) {
 			t.Errorf("shards=%d: sweep summary differs from shards=1:\n%s\nvs\n%s", shards, got.summary, base.summary)
 		}
+		if !bytes.Equal(got.fft, base.fft) {
+			t.Errorf("shards=%d: FFT comparison differs from shards=1:\n%s\nvs\n%s", shards, got.fft, base.fft)
+		}
 	}
 }
 
-// TestPDESGates pins the spec-level guards: chaos profiles and speculative
-// runs refuse PDES.
+// TestPDESGates pins the one spec-level guard, chaos profiles, and that a
+// speculative run is no longer one: on the sharded world it commits a winner
+// and its whole result — audit samples, candidate durations, the committed
+// loop — is identical at 1, 2 and 4 shards.
 func TestPDESGates(t *testing.T) {
 	spec := pdesSpec(t)
 	spec.Chaos = "noisy-neighbor"
@@ -134,7 +152,20 @@ func TestPDESGates(t *testing.T) {
 		t.Errorf("PDES+chaos: err = %v, want chaos rejection", err)
 	}
 	spec.Chaos = ""
-	if _, err := RunSpeculative(spec, "brute-force", 2); err == nil || !strings.Contains(err.Error(), "PDES") {
-		t.Errorf("RunSpeculative under PDES: err = %v, want PDES rejection", err)
+	var base []byte
+	for _, shards := range []int{1, 2, 4} {
+		spec.Shards = shards
+		r, err := RunSpeculative(spec, "brute-force", 2)
+		if err != nil {
+			t.Fatalf("RunSpeculative on %d shards: %v", shards, err)
+		}
+		if r.Result.Winner == "" || !bytes.Contains(encode(t, r.Audit), []byte(`"kind":"sample"`)) {
+			t.Fatalf("shards=%d: winner %q, audit without samples", shards, r.Result.Winner)
+		}
+		if got := encode(t, r); base == nil {
+			base = got
+		} else if !bytes.Equal(got, base) {
+			t.Errorf("shards=%d: speculative result differs from shards=1:\n%s\nvs\n%s", shards, got, base)
+		}
 	}
 }

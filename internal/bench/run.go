@@ -26,7 +26,7 @@ type RunOptions struct {
 	// Progress receives one line per completed scenario.
 	Progress io.Writer
 	// Speculate switches ADCL measurements to speculative parallel candidate
-	// evaluation (RunSpeculative) with SpecWorkers fork workers. Decisions
+	// evaluation (RunSpeculative) with SpecWorkers candidate workers. Decisions
 	// and latency fields are worker-count independent, so results cache
 	// under a key that ignores SpecWorkers.
 	Speculate   bool
@@ -84,7 +84,7 @@ func ADCLKey(spec MicroSpec, selector string) string {
 }
 
 // SpecKey is the content address of one speculative runtime-selection run.
-// The fork worker count is deliberately absent: the decision and every
+// The candidate worker count is deliberately absent: the decision and every
 // latency field are worker-independent, so all pool sizes share one entry.
 func SpecKey(spec MicroSpec, selector string) string {
 	return fingerprint("speculative", spec, selector)

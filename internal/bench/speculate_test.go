@@ -2,16 +2,15 @@ package bench
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"nbctune/internal/platform"
 )
 
-// TestSpeculativeWorkerCountInvariant is the acceptance pin for the fork
-// tentpole at the bench layer: the entire speculative result — decision,
+// TestSpeculativeWorkerCountInvariant is the acceptance pin of speculative
+// evaluation at the bench layer: the entire speculative result — decision,
 // audit trail, execution-phase timing, per-candidate virtual costs — must be
-// byte-identical whether the candidate forks ran on one worker or many.
+// byte-identical whether the candidates ran on one worker or many.
 func TestSpeculativeWorkerCountInvariant(t *testing.T) {
 	spec := smallSpec(t)
 	for _, sel := range []string{"brute-force", "attr-heuristic"} {
@@ -38,7 +37,7 @@ func TestSpeculativeWorkerCountInvariant(t *testing.T) {
 }
 
 // TestSpeculativeSelectionLatency pins the point of the exercise: measuring
-// candidates on concurrent forks turns the sum of candidate costs into (at
+// candidates on concurrent worlds turns the sum of candidate costs into (at
 // the critical path) the max, which at least halves the virtual selection
 // latency (2.70x on the 3-candidate ialltoall row when committed).
 func TestSpeculativeSelectionLatency(t *testing.T) {
@@ -70,7 +69,7 @@ func TestSpeculativeSelectionLatency(t *testing.T) {
 			}
 			for i, d := range r.CandidateTime {
 				if d <= 0 {
-					t.Fatalf("candidate %d has non-positive fork duration %g", i, d)
+					t.Fatalf("candidate %d has non-positive duration %g", i, d)
 				}
 			}
 			if r.Speedup() < 2 {
@@ -112,8 +111,10 @@ func TestSpeculativeWinnerIsCorrect(t *testing.T) {
 }
 
 // TestSpeculativeChaosAndRejections: speculative runs compose with a chaos
-// profile (the injector streams clone into every fork), and the documented
-// unsupported modes fail loudly instead of silently dropping features.
+// profile (every candidate's world replays the same injector streams), with
+// Observe and with Data — both passive, so the run commits the same winner
+// from the same samples at the same times as the plain one — and the one
+// selector kind that cannot be replayed fails loudly.
 func TestSpeculativeChaosAndRejections(t *testing.T) {
 	spec := smallSpec(t)
 	spec.Chaos = "os-jitter"
@@ -131,15 +132,28 @@ func TestSpeculativeChaosAndRejections(t *testing.T) {
 		t.Fatal("chaos speculative result depends on worker count")
 	}
 
-	bad := smallSpec(t)
-	bad.Observe = true
-	if _, err := RunSpeculative(bad, "brute-force", 2); err == nil {
-		t.Fatal("Observe spec accepted")
+	plain, err := RunSpeculative(smallSpec(t), "brute-force", 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad = smallSpec(t)
-	bad.Data = true
-	if _, err := RunSpeculative(bad, "brute-force", 2); err == nil {
-		t.Fatal("Data spec accepted")
+	for name, set := range map[string]func(*MicroSpec){
+		"Observe": func(s *MicroSpec) { s.Observe = true },
+		"Data":    func(s *MicroSpec) { s.Data = true },
+	} {
+		spec := smallSpec(t)
+		set(&spec)
+		got, err := RunSpeculative(spec, "brute-force", 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if (got.Recorder != nil) != spec.Observe || (got.Result.Overlap > 0) != spec.Observe {
+			t.Errorf("%s: recorder %v, overlap %g", name, got.Recorder != nil, got.Result.Overlap)
+		}
+		// Everything but the mode itself and what it alone reports.
+		got.Result.Spec, got.Result.Observed = plain.Result.Spec, plain.Result.Observed
+		if !bytes.Equal(encode(t, got), encode(t, plain)) {
+			t.Errorf("%s speculative run differs from the plain one:\n%s\nvs\n%s", name, encode(t, got), encode(t, plain))
+		}
 	}
 	if _, err := RunSpeculative(smallSpec(t), "adaptive", 2); err == nil {
 		t.Fatal("adaptive selector accepted")
@@ -164,7 +178,7 @@ func TestVerificationOptsSpeculate(t *testing.T) {
 		t.Fatal("SpecKey must be distinct and non-empty")
 	}
 	// The sweep hands the option down to each scenario's verification
-	// (sweep -speculate), and refuses up front what a snapshot cannot carry.
+	// (sweep -speculate).
 	st, err := VerificationSweepOpts([]MicroSpec{spec}, []string{"brute-force"}, RunOptions{Speculate: true, SpecWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -172,9 +186,24 @@ func TestVerificationOptsSpeculate(t *testing.T) {
 	if !bytes.Equal(encode(t, st.Runs[0]), encode(t, v)) {
 		t.Fatal("speculative sweep run differs from the speculative verification of its scenario")
 	}
+	// On the sharded world too, with the same verification at every shard
+	// count.
 	spec.PDES = true
-	if _, err := RunVerificationOpts(spec, RunOptions{Speculate: true}, "brute-force"); err == nil || !strings.Contains(err.Error(), "PDES") {
-		t.Fatalf("speculative verification on a sharded world: %v", err)
+	var base []byte
+	for _, shards := range []int{1, 2, 4} {
+		spec.Shards = shards
+		sv, err := RunVerificationOpts(spec, RunOptions{Speculate: true}, "brute-force")
+		if err != nil {
+			t.Fatalf("speculative verification on %d shards: %v", shards, err)
+		}
+		if sv.ADCL[0].Winner == "" {
+			t.Fatalf("shards=%d: no winner committed", shards)
+		}
+		if got := encode(t, sv); base == nil {
+			base = got
+		} else if !bytes.Equal(got, base) {
+			t.Errorf("shards=%d: speculative verification differs from shards=1", shards)
+		}
 	}
 }
 

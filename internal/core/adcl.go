@@ -12,7 +12,7 @@
 // logics are one staged learner, Search (selector.go): brute force, the
 // attribute heuristic and the 2^k factorial design differ only in the plan
 // that picks and prunes its screening stages. Adaptive re-opens a decision
-// under drift, Speculate measures the candidates on forked worlds,
+// under drift, Speculate measures every candidate on a world of its own,
 // SelectorWithHistory replays a winner an earlier run left in the knowledge
 // base. Because the time spent inside a
 // non-blocking operation cannot be measured directly, measurement is

@@ -7,26 +7,26 @@ import (
 	"nbctune/internal/runner"
 )
 
-// Speculative candidate evaluation (the PR-8 tentpole): instead of measuring
-// candidates one after another in-line with the running application, the
-// world is snapshotted at the decision point and every candidate's
-// measurement rounds run on an independent fork, dispatched to a worker
-// pool. The measurements then replay through the unmodified inner selector
-// (same robust-score path, same pruning, same audit events), so the decision
-// is byte-identical to feeding the selector the same streams sequentially —
+// Speculative candidate evaluation: instead of measuring candidates one after
+// another in-line with the running application, every candidate's measurement
+// rounds run on an independent copy of the world at the decision point (its
+// "fork" in the audit), dispatched to a worker pool. The measurements then
+// replay through the unmodified inner selector (same robust-score path, same
+// pruning, same audit events), so the decision is byte-identical to feeding the selector the same streams sequentially —
 // which is exactly what a 1-worker run does. Selection latency drops from
 // the sum of all candidates' measurement time to the maximum over
 // candidates.
 
-// CandidateRunner measures one candidate on a forked world: it runs
-// `rounds` iterations of implementation fn from the snapshot point and
+// CandidateRunner measures one candidate on a world of its own: it runs
+// `rounds` iterations of implementation fn from the decision point and
 // returns the per-iteration measurements in iteration order. Implementations
 // must be deterministic in (fn, rounds) — every call with the same arguments
-// yields the same stream — and safe to call concurrently (each call owns a
-// private fork). internal/bench provides the World-backed implementation.
+// yields the same stream — and safe to call concurrently (each call owns its
+// world). internal/bench provides the implementation, a world assembled from
+// the spec and replayed to the decision point.
 type CandidateRunner func(fn, rounds int) ([]float64, error)
 
-// Capture is the fork-side selection logic: it never decides, pins every
+// Capture is the candidate-side selection logic: it never decides, pins every
 // iteration to one implementation, and collects the (synchronized)
 // measurements for later replay through the real selector. Because it never
 // reports decided, Timer.StopWith keeps max-reducing across ranks, so all
@@ -86,7 +86,7 @@ type Speculation struct {
 	Audit  *obs.Audit // its Selector names the logic: "speculative+<inner selector>"
 }
 
-// Speculate snapshots nothing itself — the CandidateRunner owns the forks. It
+// Speculate builds no world itself — the CandidateRunner owns them. It
 // dispatches one job per candidate to `workers` parallel workers, then
 // replays the captured streams through a fresh inner selector in its
 // sequential measurement order. Fork events are logged in candidate order

@@ -8,7 +8,10 @@ import (
 	"nbctune/internal/nbc"
 )
 
-// Flavor selects the communication back end of the transpose step.
+// Flavor selects the communication back end of the transpose step: which
+// function set the per-slot persistent request runs (transposeSet) and under
+// which selection logic — the fixed flavors are one-function sets under a
+// FixedSelector, the ADCL flavors the tuned sets under the named selector.
 type Flavor int
 
 const (
@@ -118,14 +121,44 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// slot is one window entry: buffers plus the in-flight operation state.
+// transposeSet builds the flavor's all-to-all over one slot's buffers as a
+// function set. The blocking MPI_Alltoall is a function with no wait pointer
+// (nil Started, paper §IV-B-f); LibNBC's default is the linear schedule.
+func (f Flavor) transposeSet(c *mpi.Comm, send, recv mpi.Buf) (*core.FunctionSet, error) {
+	one := func(start func() core.Started) *core.FunctionSet {
+		return &core.FunctionSet{Name: f.String(), Fns: []*core.Function{{Name: f.String(), Start: start}}}
+	}
+	switch f {
+	case FlavorMPI:
+		return one(func() core.Started {
+			c.Alltoall(send, recv)
+			return nil
+		}), nil
+	case FlavorNBC:
+		sched := nbc.Ialltoall(c.Size(), c.Rank(), send, recv, nbc.AlgoLinear)
+		return one(func() core.Started { return nbc.Start(c, sched) }), nil
+	case FlavorADCL, FlavorADCLExt:
+		return core.IalltoallSet(c, send, recv, f == FlavorADCLExt), nil
+	}
+	return nil, fmt.Errorf("fft: unknown flavor %d", int(f))
+}
+
+// selector is the selection logic the slots' requests share: the named one
+// for the tuned flavors, the set's one function for the fixed ones.
+func (c Config) selector(fs *core.FunctionSet) (core.Selector, error) {
+	if c.Flavor == FlavorMPI || c.Flavor == FlavorNBC {
+		return &core.FixedSelector{Fn: 0}, nil
+	}
+	return core.SelectorByName(c.Selector, fs, c.EvalsPerFn)
+}
+
+// slot is one window entry: buffers plus the persistent transpose operation
+// bound to them.
 type slot struct {
 	send, recv   []byte
 	sendB, recvB mpi.Buf
-	req          *core.Request // ADCL flavors
-	sched        *nbc.Schedule // NBC flavor
-	handle       *nbc.Handle   // NBC flavor, in flight
-	busy         bool
+	req          *core.Request
+	busy         bool // started, unpack still pending
 	tile         int
 }
 
@@ -145,10 +178,8 @@ type Plan struct {
 	scratch []complex128
 
 	slots []*slot
-	timer *core.Timer // ADCL flavors
-	reqs  []*core.Request
-
-	iters int
+	reqs  []*core.Request // the slots' requests, sharing one selector
+	timer *core.Timer     // brackets a whole iteration for them
 }
 
 // NewPlan builds the per-rank FFT plan. The communicator size must divide N,
@@ -182,8 +213,8 @@ func NewPlan(c *mpi.Comm, cfg Config) (*Plan, error) {
 		pl.scratch = make([]complex128, N)
 	}
 
-	// Window slots with persistent buffers and, per flavor, a persistent
-	// operation bound to them.
+	// Window slots with persistent buffers and a persistent request bound to
+	// them; the slots share one selector, so they switch in lockstep.
 	var shared core.Selector
 	for s := 0; s < pl.W; s++ {
 		sl := &slot{
@@ -196,37 +227,24 @@ func NewPlan(c *mpi.Comm, cfg Config) (*Plan, error) {
 			sl.sendB = mpi.Bytes(sl.send)
 			sl.recvB = mpi.Bytes(sl.recv)
 		}
-		switch cfg.Flavor {
-		case FlavorMPI:
-			// blocking: no persistent op needed
-		case FlavorNBC:
-			sl.sched = nbc.Ialltoall(P, pl.me, sl.sendB, sl.recvB, nbc.AlgoLinear)
-		case FlavorADCL, FlavorADCLExt:
-			fs := core.IalltoallSet(c, sl.sendB, sl.recvB, cfg.Flavor == FlavorADCLExt)
-			if shared == nil {
-				sel, err := core.SelectorByName(cfg.Selector, fs, cfg.EvalsPerFn)
-				if err != nil {
-					return nil, err
-				}
-				shared = sel
-			}
-			req, err := core.NewRequest(fs, shared, c.Now)
-			if err != nil {
-				return nil, err
-			}
-			sl.req = req
-			pl.reqs = append(pl.reqs, req)
-		default:
-			return nil, fmt.Errorf("fft: unknown flavor %d", int(cfg.Flavor))
-		}
-		pl.slots = append(pl.slots, sl)
-	}
-	if len(pl.reqs) > 0 {
-		t, err := core.NewTimer(c.Now, pl.reqs...)
+		fs, err := cfg.Flavor.transposeSet(c, sl.sendB, sl.recvB)
 		if err != nil {
 			return nil, err
 		}
-		pl.timer = t
+		if shared == nil {
+			if shared, err = cfg.selector(fs); err != nil {
+				return nil, err
+			}
+		}
+		if sl.req, err = core.NewRequest(fs, shared, c.Now); err != nil {
+			return nil, err
+		}
+		pl.reqs = append(pl.reqs, sl.req)
+		pl.slots = append(pl.slots, sl)
+	}
+	var err error
+	if pl.timer, err = core.NewTimer(c.Now, pl.reqs...); err != nil {
+		return nil, err
 	}
 	return pl, nil
 }
@@ -235,12 +253,9 @@ func NewPlan(c *mpi.Comm, cfg Config) (*Plan, error) {
 // (lx*N+y)*N+z). Nil in virtual mode.
 func (p *Plan) Slab() []complex128 { return p.slab }
 
-// Decided reports whether the ADCL selection (if any) has converged, and
-// the winner's name.
+// Decided reports whether the selection has converged — for the fixed
+// flavors, from the first transpose on — and the winner's name.
 func (p *Plan) Decided() (bool, string) {
-	if len(p.reqs) == 0 {
-		return true, p.cfg.Flavor.String()
-	}
 	if w := p.reqs[0].Winner(); w != nil {
 		return true, w.Name
 	}
@@ -248,12 +263,7 @@ func (p *Plan) Decided() (bool, string) {
 }
 
 // Evals returns the ADCL learning cost so far (0 for fixed flavors).
-func (p *Plan) Evals() int {
-	if len(p.reqs) == 0 {
-		return 0
-	}
-	return p.reqs[0].Selector().Evals()
-}
+func (p *Plan) Evals() int { return p.reqs[0].Selector().Evals() }
 
 // tileComputeTime is the modeled cost of the 2D FFTs of one tile: per plane,
 // N row FFTs (z) and N column FFTs (y).
@@ -302,19 +312,8 @@ func (p *Plan) chunkedCompute(d float64) {
 
 func (p *Plan) progressBusy() {
 	for _, sl := range p.slots {
-		if !sl.busy {
-			continue
-		}
-		switch {
-		case sl.req != nil:
+		if sl.busy {
 			sl.req.Progress()
-		case sl.handle != nil:
-			// A true return releases the handle to the rank's pool; drop
-			// the reference so a later Wait/Progress cannot touch a record
-			// that the next nbc.Start re-arms.
-			if sl.handle.Progress() {
-				sl.handle = nil
-			}
 		}
 	}
 }
@@ -362,44 +361,22 @@ func (p *Plan) unpack(t int, sl *slot) {
 // startTranspose initiates the all-to-all for tile t on the given slot.
 func (p *Plan) startTranspose(t int, sl *slot) {
 	sl.tile = t
-	switch p.cfg.Flavor {
-	case FlavorMPI:
-		p.c.Alltoall(sl.sendB, sl.recvB)
-		sl.busy = true // completed, but unpack still pending
-	case FlavorNBC:
-		sl.handle = nbc.Start(p.c, sl.sched)
-		sl.busy = true
-	default:
-		sl.req.Init()
-		sl.busy = true
-	}
+	sl.req.Init()
+	sl.busy = true
 }
 
 // finishTranspose completes the slot's operation and unpacks it.
 func (p *Plan) finishTranspose(sl *slot) {
-	switch p.cfg.Flavor {
-	case FlavorMPI:
-		// already complete
-	case FlavorNBC:
-		if sl.handle != nil {
-			sl.handle.Wait()
-			sl.handle = nil
-		}
-	default:
-		sl.req.Wait()
-	}
+	sl.req.Wait()
 	p.unpack(sl.tile, sl)
 	sl.busy = false
 }
 
 // Forward runs one forward 3D FFT iteration: 2D FFTs + windowed/tiled
-// transpose + final FFT along x. For ADCL flavors the iteration is bracketed
-// by the plan's timer, so the runtime selection tunes the entire region.
+// transpose + final FFT along x. The iteration is bracketed by the plan's
+// timer, so a runtime selection tunes the entire region.
 func (p *Plan) Forward() error {
-	p.iters++
-	if p.timer != nil {
-		p.timer.Start()
-	}
+	p.timer.Start()
 	for t := 0; t < p.T; t++ {
 		sl := p.slots[t%p.W]
 		if sl.busy {
@@ -420,9 +397,7 @@ func (p *Plan) Forward() error {
 	if err := p.fftAlongX(false); err != nil {
 		return err
 	}
-	if p.timer != nil {
-		core.StopMaybeSynced(p.c, p.timer, p.reqs...)
-	}
+	core.StopMaybeSynced(p.c, p.timer, p.reqs...)
 	return nil
 }
 

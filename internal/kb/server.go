@@ -35,13 +35,14 @@ type HandlerOptions struct {
 	// method path status duration bytes. Logging serializes on a mutex, so
 	// benchmarking paths leave it nil.
 	AccessLog io.Writer
-	// RequestTimeout bounds each request end to end. Listen applies it as
-	// the http.Server's Read/WriteTimeout — per-connection deadline
-	// enforcement in the kernel — rather than wrapping every request in an
-	// http.TimeoutHandler goroutine, which would cost more than the
-	// handlers themselves (all O(1) map operations). 0 means 5s.
-	RequestTimeout time.Duration
 }
+
+// serveTimeout bounds each request end to end. Listen applies it as the
+// http.Server's Read/WriteTimeout — per-connection deadline enforcement in
+// the kernel — rather than wrapping every request in an http.TimeoutHandler
+// goroutine, which would cost more than the handlers themselves (all O(1)
+// map operations).
+const serveTimeout = 5 * time.Second
 
 // NewHandler serves a Store over the kb wire protocol:
 //
@@ -180,15 +181,11 @@ func Listen(addr string, st *Store, opts HandlerOptions) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kb: listen %s: %w", addr, err)
 	}
-	timeout := opts.RequestTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
 	srv := &http.Server{
 		Handler:           NewHandler(st, opts),
-		ReadTimeout:       timeout,
-		WriteTimeout:      timeout,
-		ReadHeaderTimeout: timeout,
+		ReadTimeout:       serveTimeout,
+		WriteTimeout:      serveTimeout,
+		ReadHeaderTimeout: serveTimeout,
 		IdleTimeout:       60 * time.Second,
 	}
 	return &Server{Store: st, Addr: lis.Addr().String(), srv: srv, lis: lis, done: make(chan error, 1)}, nil

@@ -31,7 +31,7 @@ func TestKBSmoke(t *testing.T) {
 	}
 
 	snapshot := filepath.Join(dir, "snap.json")
-	daemon := exec.Command(bin, "-addr", "127.0.0.1:0", "-snapshot", snapshot, "-flush", "50ms", "-quiet")
+	daemon := exec.Command(bin, "-addr", "127.0.0.1:0", "-snapshot", snapshot, "-quiet")
 	stdout, err := daemon.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -104,5 +104,8 @@ func (sw *ShardedWorld) Start(prog func(c *Comm)) {
 // time windows until every event queue drains (sim.Windows.Run).
 func (sw *ShardedWorld) Run() { sw.win.Run() }
 
+// Now returns the global virtual time, which every shard is at between runs.
+func (sw *ShardedWorld) Now() float64 { return sw.win.Now() }
+
 // EventsFired returns the total events executed across all shard engines.
 func (sw *ShardedWorld) EventsFired() int64 { return sw.win.EventsFired() }

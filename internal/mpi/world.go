@@ -116,9 +116,13 @@ func (w *World) Start(prog func(c *Comm)) {
 }
 
 // Run executes the simulation to completion on the world's engine. With
-// Start and Observe it is the whole surface a rank-program harness needs, and
-// the one ShardedWorld shares.
+// Start, Observe and Now it is the whole surface a rank-program harness
+// needs, and the one ShardedWorld shares.
 func (w *World) Run() { w.eng.Run() }
+
+// Now returns the world's virtual time: between runs, the time the last
+// program ended and the next one starts at.
+func (w *World) Now() float64 { return w.eng.Now() }
 
 // Rank is the per-process state of the simulated MPI library.
 type Rank struct {

@@ -97,7 +97,6 @@ func FanoutName(fanout int) string {
 // children in the same round in which it receives segment s+1 from its
 // parent.
 func Ibcast(n, me, root int, buf mpi.Buf, fanout, segSize int) *Schedule {
-	size := buf.Len()
 	name := fmt.Sprintf("ibcast-%s-seg%dk", FanoutName(fanout), segSize/1024)
 	s := &Schedule{Name: name}
 	if n == 1 {
@@ -107,36 +106,50 @@ func Ibcast(n, me, root int, buf mpi.Buf, fanout, segSize int) *Schedule {
 	parent, children := bcastTree(n, vrank, fanout)
 	toWorld := func(v int) int { return (v + root) % n }
 
-	S := numSegs(size, segSize)
-	if vrank == 0 {
-		// Root: one round per segment, sending it to every child.
-		for si := 0; si < S; si++ {
-			off, l := seg(size, segSize, si)
-			var r Round
-			for _, c := range children {
-				r = append(r, Op{Kind: OpSend, Peer: toWorld(c), TagOff: si, Buf: buf.Slice(off, l)})
-			}
-			s.Rounds = append(s.Rounds, r)
-		}
-		return s
+	if parent >= 0 {
+		parent = toWorld(parent)
 	}
-	// Non-root: receive segment 0; then per segment, forward the previous
-	// segment while receiving the next; finally forward the last segment.
+	for i, c := range children {
+		children[i] = toWorld(c)
+	}
+	s.Rounds = pipelinedRounds(buf, segSize, parent, children)
+	return s
+}
+
+// pipelinedRounds builds the rounds of one rank of a segmented broadcast
+// tree: parent (a comm rank, negative on the root) is whom it receives buf's
+// segments from, children whom it sends them to. The root sends one segment
+// per round; every other rank receives segment 0, then per round forwards the
+// previous segment while receiving the next, and finally forwards the last.
+func pipelinedRounds(buf mpi.Buf, segSize, parent int, children []int) []Round {
+	size := buf.Len()
+	S := numSegs(size, segSize)
+	sendTo := func(r Round, si int) Round {
+		off, l := seg(size, segSize, si)
+		for _, c := range children {
+			r = append(r, Op{Kind: OpSend, Peer: c, TagOff: si, Buf: buf.Slice(off, l)})
+		}
+		return r
+	}
+	var rounds []Round
+	if parent < 0 {
+		for si := 0; si < S; si++ {
+			rounds = append(rounds, sendTo(nil, si))
+		}
+		return rounds
+	}
 	for si := 0; si <= S; si++ {
 		var r Round
-		if si > 0 && len(children) > 0 {
-			off, l := seg(size, segSize, si-1)
-			for _, c := range children {
-				r = append(r, Op{Kind: OpSend, Peer: toWorld(c), TagOff: si - 1, Buf: buf.Slice(off, l)})
-			}
+		if si > 0 {
+			r = sendTo(r, si-1)
 		}
 		if si < S {
 			off, l := seg(size, segSize, si)
-			r = append(r, Op{Kind: OpRecv, Peer: toWorld(parent), TagOff: si, Buf: buf.Slice(off, l)})
+			r = append(r, Op{Kind: OpRecv, Peer: parent, TagOff: si, Buf: buf.Slice(off, l)})
 		}
 		if len(r) > 0 {
-			s.Rounds = append(s.Rounds, r)
+			rounds = append(rounds, r)
 		}
 	}
-	return s
+	return rounds
 }

@@ -117,7 +117,6 @@ const FanoutTorus = -2
 // receiving segment s+1.
 func IbcastTorus(c *mpi.Comm, root int, buf mpi.Buf, segSize int) *Schedule {
 	n, me := c.Size(), c.Rank()
-	size := buf.Len()
 	s := &Schedule{Name: fmt.Sprintf("ibcast-torus-seg%dk", segSize/1024)}
 	if n == 1 {
 		return s
@@ -166,34 +165,7 @@ func IbcastTorus(c *mpi.Comm, root int, buf mpi.Buf, segSize int) *Schedule {
 		parent = leader[myNode]
 	}
 
-	S := numSegs(size, segSize)
-	if parent < 0 {
-		for si := 0; si < S; si++ {
-			off, l := seg(size, segSize, si)
-			var r Round
-			for _, ch := range children {
-				r = append(r, Op{Kind: OpSend, Peer: ch, TagOff: si, Buf: buf.Slice(off, l)})
-			}
-			s.Rounds = append(s.Rounds, r)
-		}
-		return s
-	}
-	for si := 0; si <= S; si++ {
-		var r Round
-		if si > 0 && len(children) > 0 {
-			off, l := seg(size, segSize, si-1)
-			for _, ch := range children {
-				r = append(r, Op{Kind: OpSend, Peer: ch, TagOff: si - 1, Buf: buf.Slice(off, l)})
-			}
-		}
-		if si < S {
-			off, l := seg(size, segSize, si)
-			r = append(r, Op{Kind: OpRecv, Peer: parent, TagOff: si, Buf: buf.Slice(off, l)})
-		}
-		if len(r) > 0 {
-			s.Rounds = append(s.Rounds, r)
-		}
-	}
+	s.Rounds = pipelinedRounds(buf, segSize, parent, children)
 	return s
 }
 

@@ -193,7 +193,14 @@ func (ws *Windows) Run() Time {
 		ws.abandon()
 		panic(fmt.Sprintf("sim: PDES deadlock at t=%g, %d process(es) parked: %v", ws.Now(), live, stuck))
 	}
-	return ws.Now()
+	// Every shard leaves at the common final time, not at its own last
+	// event: a program started on the same engines afterwards must begin at
+	// one clock whatever the partition.
+	end := ws.Now()
+	for _, e := range ws.engs {
+		e.now = end
+	}
+	return end
 }
 
 // runWindow executes one window boundary-exclusively on every shard. With a

@@ -152,3 +152,38 @@ func TestWindowsDeadlockDiagnosis(t *testing.T) {
 	ws.Run()
 	t.Fatal("Run returned despite deadlock")
 }
+
+// TestWindowsSecondProgramStartsAtCommonClock runs two programs back to back
+// on the same engines: the first leaves its processes at different last-event
+// times, and the second must still start every process at the one global
+// final time, whatever the partition.
+func TestWindowsSecondProgramStartsAtCommonClock(t *testing.T) {
+	const procs = 4
+	for _, shards := range []int{1, 2, 4} {
+		engs := make([]*Engine, shards)
+		for s := range engs {
+			engs[s] = NewEngine(1)
+		}
+		ws := NewWindows(engs, 0.5)
+		for i := 0; i < procs; i++ {
+			d := float64(i + 1)
+			engs[i*shards/procs].Spawn("first", func(p *Proc) { p.Sleep(d) })
+		}
+		if end := ws.Run(); end != procs {
+			t.Fatalf("shards=%d: first program ended at %v, want %d", shards, end, procs)
+		}
+		starts := make([]float64, procs)
+		for i := 0; i < procs; i++ {
+			i := i
+			engs[i*shards/procs].Spawn("second", func(p *Proc) { starts[i] = p.Now(); p.Sleep(1) })
+		}
+		if end := ws.Run(); end != procs+1 {
+			t.Fatalf("shards=%d: second program ended at %v, want %d", shards, end, procs+1)
+		}
+		for i, s := range starts {
+			if s != procs {
+				t.Fatalf("shards=%d: process %d of the second program started at %v, want %d", shards, i, s, procs)
+			}
+		}
+	}
+}
