@@ -1,9 +1,10 @@
 # `make ci` is the gate: tier-1 verification, static checks, the race pass,
 # the end-to-end CLI checks and a fixed fuzzing budget. `make bench` runs the repository benchmark
-# (BENCHMARK.json, perf/README.md), the only place host time is measured.
+# (BENCHMARK.json, perf/README.md), the only place host time is measured;
+# `make pairs` runs it as alternating parent/change pairs.
 GO ?= go
 
-.PHONY: all build vet test race e2e bench stat ci
+.PHONY: all build vet test race e2e bench pairs stat ci
 
 all: ci
 
@@ -69,6 +70,47 @@ WORKLOADS = sweep-verify fft-app scale-4k wide-alltoall kb-mixed
 bench:
 	@set -e; for w in $(WORKLOADS); do bash perf/run.sh --workload $$w --seed 0 --seconds 16 --trace 0; done
 
+# perf/README.md "Claiming a gain", steps 3-4, as one command:
+#   make pairs PARENT=<rev> W=<workload> [N=10] [SEED=0]
+# PARENT is checked out (git archive: nothing is registered under .git, so
+# there is nothing to prune) into a scratch directory that the trap removes on
+# every exit path, both trees build their benchmark once through their own
+# perf/run.sh (a tiny run, which also shows a broken tree before the first
+# pair), and N pairs run alternately — parent first, then change first, … —
+# with identical flags. One line per run; at the end each side's quartiles of
+# the four end-to-end metrics and, per metric, the pairs the change won (ties
+# count for neither side). The claim itself is the reader's: >= 9 of 10 pairs
+# and medians apart by more than the parent's q3 - q1.
+N ?= 10
+SEED ?= 0
+pairs:
+	@set -eu; [ -n "$(PARENT)" ] && [ -n "$(W)" ] || { echo "usage: make pairs PARENT=<rev> W=<workload> [N=10] [SEED=0]" >&2; exit 2; }; \
+	d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir "$$d/parent"; \
+	git archive "$(PARENT)" | tar -x -C "$$d/parent"; \
+	for tree in "$$d/parent" .; do bash "$$tree/perf/run.sh" --workload $(W) --scale tiny --seconds 1 > /dev/null; done; \
+	run() { \
+		out=$$(cd "$$2" && .bench_build/perf --workload $(W) --seed $(SEED) --seconds 16 --trace 0 | tail -n 1); \
+		case "$$out" in *'"correct":true'*'"failed":0'*) ;; *) echo "pairs: $$1 run failed: $$out" >&2; exit 1;; esac; \
+		line="$$i $$1"; for m in setup_s norm_ops_per_s alloc_mb peak_rss_mb; do \
+			line="$$line $$(printf '%s' "$$out" | sed -E 's/.*"'$$m'":\{"value":([^,}]*).*/\1/')"; done; \
+		echo "$$line" | tee -a "$$d/runs"; \
+	}; \
+	echo "pair side setup_s norm_ops_per_s alloc_mb peak_rss_mb   ($(W), seed $(SEED), parent $(PARENT))"; \
+	i=1; while [ $$i -le $(N) ]; do \
+		if [ $$((i % 2)) -eq 1 ]; then run parent "$$d/parent"; run change .; else run change .; run parent "$$d/parent"; fi; \
+		i=$$((i + 1)); done; \
+	awk 'function q(a, n, p,   x, k) { x = (n - 1) * p; k = int(x); return k + 1 < n ? a[k+1] + (x - k) * (a[k+2] - a[k+1]) : a[n] } \
+		function sorted(side, c, out,   i, j, t) { for (i = 1; i <= pairs; i++) out[i] = v[i, side, c]; \
+			for (i = 2; i <= pairs; i++) { t = out[i]; for (j = i - 1; j >= 1 && out[j] > t; j--) out[j+1] = out[j]; out[j+1] = t } } \
+		{ pairs = $$1; for (c = 3; c <= 6; c++) v[$$1, $$2, c] = $$c } \
+		END { split("setup_s norm_ops_per_s alloc_mb peak_rss_mb", name, " "); \
+			printf "%-15s %-32s %-32s %s\n", "metric", "parent q1 / median / q3", "change q1 / median / q3", "change wins"; \
+			for (c = 3; c <= 6; c++) { wins = 0; for (i = 1; i <= pairs; i++) { a = v[i, "parent", c]; b = v[i, "change", c]; \
+					if (c == 4 ? b > a : b < a) wins++ }; \
+				sorted("parent", c, P); sorted("change", c, C); \
+				printf "%-15s %-32s %-32s %d/%d\n", name[c-2], sprintf("%.4g / %.4g / %.4g", q(P, pairs, .25), q(P, pairs, .5), q(P, pairs, .75)), \
+					sprintf("%.4g / %.4g / %.4g", q(C, pairs, .25), q(C, pairs, .5), q(C, pairs, .75)), wins, pairs } }' "$$d/runs"
+
 # The size of the repository in the five numbers ROADMAP's state line and
 # every simplicity PR quote, each printed under the command that counts it.
 stat:
@@ -79,11 +121,13 @@ stat:
 	grep -rn 'panic(' --include='*.go' cmd internal examples | grep -vc '_test\.go:'         # non-test panic( sites
 	grep -rnE 'not supported|do not support|does not support|applies to the' --include='*.go' cmd internal | grep -vc '_test\.go:'   # non-test refusal sites
 
-# Last, the gate fuzzes the run-ahead equivalence oracle
-# (internal/sim/runahead_test.go) for a fixed budget; its committed corpus
-# already ran as plain tests in `test`. A failure leaves its minimised input
-# under internal/sim/testdata/fuzz/FuzzRunAhead/: commit it with the fix, so
+# Last, the gate fuzzes the simulator's two oracles for a fixed budget each:
+# run-ahead against the eager reading (internal/sim/runahead_test.go) and the
+# event queue against a sorted reference (queue_test.go); their committed
+# corpora already ran as plain tests in `test`. A failure leaves its minimised
+# input under internal/sim/testdata/fuzz/<target>/: commit it with the fix, so
 # it stays in the corpus. (Minimising inputs that merely add coverage is
 # capped, or it eats most of the ten seconds.)
 ci: build vet test race e2e
 	$(GO) test -run '^$$' -fuzz FuzzRunAhead -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s -fuzzminimizetime 1s ./internal/sim

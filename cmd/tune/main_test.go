@@ -315,6 +315,8 @@ func TestRefusals(t *testing.T) {
 		"-shards 2 -op ialltoall-prim": "not supported under PDES",
 		"-shards 0":                    "invalid -shards",
 		"-evals 0":                     "at least one measurement",
+		"-compute -1":                  "non-negative and finite",
+		"-msg -1024":                   "non-negative and finite",
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(strings.Fields(args), &stdout, &stderr); err == nil || !strings.Contains(err.Error(), want) {

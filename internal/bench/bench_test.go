@@ -2,10 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"nbctune/internal/fft"
+	"nbctune/internal/mpi"
+	"nbctune/internal/nbc"
 	"nbctune/internal/platform"
 )
 
@@ -55,6 +59,53 @@ func TestRunFixedDeterministic(t *testing.T) {
 	}
 }
 
+// TestFixedRunCompilesOneSchedule: a fixed run pays for the one schedule it
+// starts, on every rank, and for no other of the set. No hook counts compiles;
+// the bytes do: what two fixed runs allocate differs by what compiling their
+// two schedules allocates, and the run of the cheaper one stays far below the
+// cost of compiling the set (which every run used to pay).
+func TestFixedRunCompilesOneSchedule(t *testing.T) {
+	spec := smallSpec(t)
+	spec.Op, spec.Procs, spec.MsgSize, spec.Iterations = OpIbcast, 16, 2<<20, 3
+	allocated := func(f func()) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	var compile []int64 // per function: compiling its schedule on every rank
+	for _, f := range nbc.DefaultFanouts {
+		for _, seg := range nbc.DefaultSegSizes {
+			compile = append(compile, allocated(func() {
+				for me := 0; me < spec.Procs; me++ {
+					nbc.Ibcast(spec.Procs, me, 0, mpi.Virtual(spec.MsgSize), f, seg)
+				}
+			}))
+		}
+	}
+	run := func(fn int) int64 {
+		return allocated(func() {
+			if _, err := RunFixed(spec, fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	var set int64
+	for _, b := range compile {
+		set += b
+	}
+	const dear, cheap = 0, 20 // linear 32 KiB and binomial 128 KiB segments
+	runDear, runCheap := run(dear), run(cheap)
+	if got, want := runDear-runCheap, compile[dear]-compile[cheap]; want < set/20 || got < want*9/10 || got > want*11/10 {
+		t.Errorf("fixed runs of functions %d and %d allocate %d and %d bytes, %d apart; their schedules are %d apart (the set costs %d)",
+			dear, cheap, runDear, runCheap, got, want, set)
+	}
+	if runCheap > set/4 {
+		t.Errorf("a fixed run of function %d allocates %d bytes where compiling the whole set takes %d", cheap, runCheap, set)
+	}
+}
+
 func TestRunFixedOutOfRange(t *testing.T) {
 	if _, err := RunFixed(smallSpec(t), 99); err == nil {
 		t.Fatal("out-of-range implementation accepted")
@@ -85,6 +136,18 @@ func TestSpecValidation(t *testing.T) {
 	spec.ProgressCalls = 0
 	if _, _, err := spec.run("x", nil); err == nil {
 		t.Error("zero progress calls accepted")
+	}
+	for _, compute := range []float64{-1, math.NaN(), math.Inf(1)} {
+		spec = smallSpec(t)
+		spec.ComputePerIter = compute
+		if _, _, err := spec.run("x", nil); err == nil {
+			t.Errorf("compute time %g accepted", compute)
+		}
+	}
+	spec = smallSpec(t)
+	spec.MsgSize = -1024
+	if _, _, err := spec.run("x", nil); err == nil {
+		t.Error("negative message size accepted")
 	}
 }
 

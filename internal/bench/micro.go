@@ -13,6 +13,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"nbctune/internal/core"
@@ -121,6 +122,9 @@ func (s MicroSpec) validate() error {
 	if s.Iterations < 1 || s.ProgressCalls < 1 {
 		return fmt.Errorf("bench: iterations and progress calls must be >= 1")
 	}
+	if s.MsgSize < 0 || !(s.ComputePerIter >= 0) || math.IsInf(s.ComputePerIter, 1) {
+		return fmt.Errorf("bench: message size and compute time must be non-negative and finite, have %d bytes and %g s", s.MsgSize, s.ComputePerIter)
+	}
 	op, err := core.OpByName(s.Op)
 	if err != nil {
 		return fmt.Errorf("bench: %w", err)
@@ -190,7 +194,8 @@ func (s MicroSpec) payload(n int) mpi.Buf {
 // names and for host-side selector replay. The set's structure is
 // rank-independent, so it is built on rank 0 of a throwaway world — of two
 // ranks unless the op's shape depends on the communicator size; the Start
-// closures are bound to that world and never invoked.
+// closures are bound to that world and never invoked, so no schedule is ever
+// compiled for it (core.schedFn).
 func (s MicroSpec) HostFunctionSet() (*core.FunctionSet, error) {
 	op, err := core.OpByName(s.Op)
 	if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"nbctune/internal/mpi"
 	"nbctune/internal/nbc"
 )
@@ -11,23 +13,33 @@ import (
 // contains the blocking MPI_Alltoall (paper §IV-B-f), and sets for the other
 // converted operations. The op catalogue (ops.go) names each of them, sizes
 // its buffers and appends guideline mocks; the constructors here only say
-// which schedules make up a set.
+// which schedules make up a set. Building a set compiles none of them.
 
-// schedFn wraps a compiled schedule as one function of a set. The schedule
-// is compiled once and restarted per execution (persistent request
-// semantics).
-func schedFn(c *mpi.Comm, s *nbc.Schedule, attrs ...int) *Function {
-	return &Function{Name: s.Name, Attrs: attrs, Start: func() Started { return nbc.Start(c, s) }}
+// schedFn is the function of a set that runs the schedule build compiles,
+// declared under the name nbc gives that schedule. The schedule is compiled
+// when the function is first started — most runs start one or a few of a
+// set's functions, and a set built only for its names none — and restarted
+// per execution from then on (persistent request semantics).
+func schedFn(c *mpi.Comm, name string, build func() *nbc.Schedule, attrs ...int) *Function {
+	var s *nbc.Schedule
+	return &Function{Name: name, Attrs: attrs, Start: func() Started {
+		if s == nil {
+			if s = build(); s.Name != name {
+				panic(fmt.Sprintf("adcl: function %q compiled to schedule %q", name, s.Name))
+			}
+		}
+		return nbc.Start(c, s)
+	}}
 }
 
 // algoSet builds a set characterized by the single attribute "algorithm":
-// one function per entry of algos, compiled by sched.
-func algoSet[A ~int](c *mpi.Comm, name string, algos []A, sched func(A) *nbc.Schedule) *FunctionSet {
+// one function per entry of algos, named by fnName and compiled by sched.
+func algoSet[A ~int](c *mpi.Comm, name string, algos []A, fnName func(A) string, sched func(A) *nbc.Schedule) *FunctionSet {
 	vals := make([]int, len(algos))
 	fs := &FunctionSet{Name: name, Fns: make([]*Function, len(algos))}
 	for i, a := range algos {
 		vals[i] = int(a)
-		fs.Fns[i] = schedFn(c, sched(a), int(a))
+		fs.Fns[i] = schedFn(c, fnName(a), func() *nbc.Schedule { return sched(a) }, int(a))
 	}
 	fs.AttrSet = &AttributeSet{Attrs: []Attribute{{Name: "algorithm", Values: vals}}}
 	return fs
@@ -47,10 +59,17 @@ func IbcastSet(c *mpi.Comm, root int, buf mpi.Buf) *FunctionSet {
 	}
 	for _, f := range nbc.DefaultFanouts {
 		for _, s := range segs {
-			fs.Fns = append(fs.Fns, schedFn(c, nbc.Ibcast(n, me, root, buf, f, s), f, s))
+			fs.Fns = append(fs.Fns, ibcastFn(c, n, me, root, buf, f, s))
 		}
 	}
 	return fs
+}
+
+// ibcastFn is the Ibcast function of one tree shape and segment size.
+func ibcastFn(c *mpi.Comm, n, me, root int, buf mpi.Buf, fanout, seg int) *Function {
+	return schedFn(c, nbc.IbcastName(fanout, seg), func() *nbc.Schedule {
+		return nbc.Ibcast(n, me, root, buf, fanout, seg)
+	}, fanout, seg)
 }
 
 // Attribute value used for the blocking implementation in the extended
@@ -64,7 +83,7 @@ const AlltoallBlocking = 3
 // a code region benefits from a non-blocking operation at all.
 func IalltoallSet(c *mpi.Comm, send, recv mpi.Buf, includeBlocking bool) *FunctionSet {
 	n, me := c.Size(), c.Rank()
-	fs := algoSet(c, "ialltoall", nbc.DefaultAlltoallAlgos, func(a nbc.AlltoallAlgo) *nbc.Schedule {
+	fs := algoSet(c, "ialltoall", nbc.DefaultAlltoallAlgos, nbc.IalltoallName, func(a nbc.AlltoallAlgo) *nbc.Schedule {
 		return nbc.Ialltoall(n, me, send, recv, a)
 	})
 	if includeBlocking {
@@ -106,12 +125,20 @@ func IalltoallPrimitivesSet(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet {
 		}},
 	}
 	for _, a := range nbc.DefaultAlltoallAlgos {
-		fs.Fns = append(fs.Fns, schedFn(c, nbc.Ialltoall(n, me, send, recv, a), int(a), PrimitiveP2P))
+		fs.Fns = append(fs.Fns, schedFn(c, nbc.IalltoallName(a), func() *nbc.Schedule {
+			return nbc.Ialltoall(n, me, send, recv, a)
+		}, int(a), PrimitiveP2P))
 	}
+	// The window is created with the set, not with the first put schedule:
+	// creation is collective, and ranks start different functions.
 	win := nbc.IalltoallWindows(c, recv)
 	fs.Fns = append(fs.Fns,
-		schedFn(c, nbc.IalltoallLinearPut(n, me, send, recv, win), int(nbc.AlgoLinear), PrimitivePut),
-		schedFn(c, nbc.IalltoallPairwisePut(n, me, send, recv, win), int(nbc.AlgoPairwise), PrimitivePut),
+		schedFn(c, nbc.IalltoallPutName(nbc.AlgoLinear), func() *nbc.Schedule {
+			return nbc.IalltoallLinearPut(n, me, send, recv, win)
+		}, int(nbc.AlgoLinear), PrimitivePut),
+		schedFn(c, nbc.IalltoallPutName(nbc.AlgoPairwise), func() *nbc.Schedule {
+			return nbc.IalltoallPairwisePut(n, me, send, recv, win)
+		}, int(nbc.AlgoPairwise), PrimitivePut),
 	)
 	return fs
 }
@@ -119,7 +146,7 @@ func IalltoallPrimitivesSet(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet {
 // iallgatherSet builds a function set over the given Iallgather algorithms.
 func iallgatherSet(c *mpi.Comm, name string, send, recv mpi.Buf, algos ...nbc.AllgatherAlgo) *FunctionSet {
 	n, me := c.Size(), c.Rank()
-	return algoSet(c, name, algos, func(a nbc.AllgatherAlgo) *nbc.Schedule {
+	return algoSet(c, name, algos, nbc.IallgatherName, func(a nbc.AllgatherAlgo) *nbc.Schedule {
 		return nbc.Iallgather(n, me, send, recv, a)
 	})
 }
@@ -132,7 +159,7 @@ func IallgatherSet(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet {
 // IreduceSet builds a function set over the Ireduce algorithms.
 func IreduceSet(c *mpi.Comm, root int, send, recv mpi.Buf, op mpi.ReduceOp) *FunctionSet {
 	n, me := c.Size(), c.Rank()
-	return algoSet(c, "ireduce", []nbc.ReduceAlgo{nbc.ReduceBinomial, nbc.ReduceChain}, func(a nbc.ReduceAlgo) *nbc.Schedule {
+	return algoSet(c, "ireduce", []nbc.ReduceAlgo{nbc.ReduceBinomial, nbc.ReduceChain}, nbc.IreduceName, func(a nbc.ReduceAlgo) *nbc.Schedule {
 		return nbc.Ireduce(n, me, root, send, recv, op, a)
 	})
 }
@@ -140,7 +167,8 @@ func IreduceSet(c *mpi.Comm, root int, send, recv mpi.Buf, op mpi.ReduceOp) *Fun
 // IallreduceSet builds a function set over the Iallreduce algorithms.
 func IallreduceSet(c *mpi.Comm, send, recv mpi.Buf, op mpi.ReduceOp) *FunctionSet {
 	n, me := c.Size(), c.Rank()
-	fs := algoSet(c, "iallreduce", []nbc.AllreduceAlgo{nbc.AllreduceRecursiveDoubling, nbc.AllreduceReduceBcast}, func(a nbc.AllreduceAlgo) *nbc.Schedule {
+	algos := []nbc.AllreduceAlgo{nbc.AllreduceRecursiveDoubling, nbc.AllreduceReduceBcast}
+	fs := algoSet(c, "iallreduce", algos, func(a nbc.AllreduceAlgo) string { return nbc.IallreduceName(n, a) }, func(a nbc.AllreduceAlgo) *nbc.Schedule {
 		return nbc.Iallreduce(n, me, send, recv, op, a)
 	})
 	// On non-power-of-two communicators both algorithms compile to

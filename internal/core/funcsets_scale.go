@@ -28,11 +28,13 @@ func IbcastScalableSet(c *mpi.Comm, root int, buf mpi.Buf) *FunctionSet {
 	}
 	for _, f := range []int{0, nbc.FanoutBinomial} {
 		for _, s := range segs {
-			fs.Fns = append(fs.Fns, schedFn(c, nbc.Ibcast(n, me, root, buf, f, s), f, s))
+			fs.Fns = append(fs.Fns, ibcastFn(c, n, me, root, buf, f, s))
 		}
 	}
 	for _, s := range segs {
-		fs.Fns = append(fs.Fns, schedFn(c, nbc.IbcastTorus(c, root, buf, s), nbc.FanoutTorus, s))
+		fs.Fns = append(fs.Fns, schedFn(c, nbc.IbcastName(nbc.FanoutTorus, s), func() *nbc.Schedule {
+			return nbc.IbcastTorus(c, root, buf, s)
+		}, nbc.FanoutTorus, s))
 	}
 	return fs
 }
@@ -62,8 +64,8 @@ func IbarrierSet(c *mpi.Comm) *FunctionSet {
 			{Name: "algorithm", Values: []int{BarrierDissemination, BarrierTree}},
 		}},
 		Fns: []*Function{
-			schedFn(c, nbc.Ibarrier(n, me), BarrierDissemination),
-			schedFn(c, nbc.IbarrierTree(n, me), BarrierTree),
+			schedFn(c, nbc.IbarrierName, func() *nbc.Schedule { return nbc.Ibarrier(n, me) }, BarrierDissemination),
+			schedFn(c, nbc.IbarrierTreeName, func() *nbc.Schedule { return nbc.IbarrierTree(n, me) }, BarrierTree),
 		},
 	}
 }

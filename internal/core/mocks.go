@@ -45,10 +45,10 @@ func IsMockFn(f *Function) bool {
 }
 
 // MockDef describes one registrable mock implementation: the operation
-// whose function set it extends, its unique name, and the schedule that
-// implements it over that operation's buffers. Which guideline promoted a
-// mock is recorded where the promotion happens: guideline.Registration and
-// the selection audit's mock event.
+// whose function set it extends, its unique name — also its schedule's — and
+// the schedule that implements it over that operation's buffers. Which
+// guideline promoted a mock is recorded where the promotion happens:
+// guideline.Registration and the selection audit's mock event.
 type MockDef struct {
 	Op   string
 	Name string
@@ -138,9 +138,14 @@ func (o *Op) appendMocks(fs *FunctionSet, mocks []string, c *mpi.Comm, send, rec
 	}
 	for _, name := range sorted {
 		def, _ := MockByName(name)
-		fs.Fns = append(fs.Fns, schedFn(c, def.sched(c.Size(), c.Rank(), root, send, recv), attrs...))
+		fs.Fns = append(fs.Fns, def.fn(c, root, send, recv, attrs...))
 	}
 	return nil
+}
+
+// fn is the mock as one function of a set on c.
+func (d MockDef) fn(c *mpi.Comm, root int, send, recv mpi.Buf, attrs ...int) *Function {
+	return schedFn(c, d.Name, func() *nbc.Schedule { return d.sched(c.Size(), c.Rank(), root, send, recv) }, attrs...)
 }
 
 // MockSet wraps one catalog mock as a single-candidate, uncharacterized
@@ -156,6 +161,5 @@ func MockSet(c *mpi.Comm, name string, msg int) (*FunctionSet, error) {
 		return nil, err
 	}
 	send, recv := op.Buffers(c.Size(), msg, mpi.Virtual)
-	fn := schedFn(c, def.sched(c.Size(), c.Rank(), 0, send, recv))
-	return &FunctionSet{Name: name, Fns: []*Function{fn}}, nil
+	return &FunctionSet{Name: name, Fns: []*Function{def.fn(c, 0, send, recv)}}, nil
 }

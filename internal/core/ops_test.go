@@ -2,10 +2,12 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"nbctune/internal/mpi"
+	"nbctune/internal/nbc"
 	"nbctune/internal/platform"
 )
 
@@ -52,29 +54,40 @@ var opFunctions = map[string][]string{
 	},
 }
 
-// TestOpCatalogue: every op of the catalogue builds a valid function set on
-// every rank of small communicators, under the names the drivers have always
-// printed, and one run of every function completes.
+// TestOpCatalogue: every op of the catalogue, extended with every mock it
+// has, builds a valid function set on every rank of small communicators,
+// under the names the drivers have always printed, and one run of every
+// function completes. A set declares its functions' names before any schedule
+// exists (schedFn), and a function whose schedule compiles to another name
+// panics on its first Start: starting every function is what holds nbc's name
+// helpers — the allreduce fallback among them — to its constructors.
 func TestOpCatalogue(t *testing.T) {
 	if got := OpNames(); len(got) != len(opFunctions) {
 		t.Fatalf("catalogue lists %v, the test pins %d ops", got, len(opFunctions))
 	}
 	for _, name := range OpNames() {
 		op := mustOp(t, name)
-		sizes := []int{2, 3, 4, 5}
+		sizes := []int{2, 3, 4, 5, 8, 16}
 		if name == "neighborhood" {
-			sizes = []int{9} // square process grids only
+			sizes = []int{9, 16} // square process grids only
 		}
 		if op.PerSize != (name == "iallreduce" || name == "neighborhood") {
 			t.Errorf("%s: PerSize = %v", name, op.PerSize)
+		}
+		var mocks []string
+		for _, mock := range MockNames() {
+			if def, _ := MockByName(mock); def.Op == name {
+				mocks = append(mocks, mock)
+			}
 		}
 		for _, np := range sizes {
 			want := opFunctions[name]
 			if name == "iallreduce" && np&(np-1) != 0 {
 				want = want[1:]
 			}
+			want = append(want[:len(want):len(want)], mocks...)
 			onEveryRank(t, np, func(c *mpi.Comm) {
-				fs, err := op.Set(c, 4096, nil)
+				fs, err := op.Set(c, 4096, mocks)
 				if err == nil {
 					err = fs.Validate()
 				}
@@ -139,4 +152,64 @@ func TestMocksAttachToTheirOp(t *testing.T) {
 			})
 		}
 	}
+}
+
+// allocated returns the bytes f allocates. Ranks are coroutines of one
+// goroutine, so inside a rank program it counts f alone as long as f does not
+// park.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSetsCompileOnFirstStart: a function compiles its schedule when it is
+// first started and never again, and building a set compiles nothing — the
+// paper's 21-function Ibcast set at 16 ranks / 2 MiB fits a per-rank budget a
+// tenth of what compiling its schedules allocates on the rank that needs
+// least.
+func TestSetsCompileOnFirstStart(t *testing.T) {
+	const np, msg, setBudget = 16, 2 << 20, 8 << 10
+	ibcast := mustOp(t, "ibcast")
+	onEveryRank(t, np, func(c *mpi.Comm) {
+		me := c.Rank()
+		var fs *FunctionSet
+		if got := allocated(func() { fs, _ = ibcast.Set(c, msg, nil) }); got > setBudget {
+			t.Errorf("rank %d: building the ibcast set allocates %d bytes, budget %d", me, got, setBudget)
+		}
+		eager := allocated(func() {
+			for _, f := range nbc.DefaultFanouts {
+				for _, seg := range nbc.DefaultSegSizes {
+					nbc.Ibcast(np, me, 0, mpi.Virtual(msg), f, seg)
+				}
+			}
+		})
+		if eager < 10*setBudget {
+			t.Errorf("rank %d: compiling the set's schedules allocates %d bytes: a budget of %d proves nothing", me, eager, setBudget)
+		}
+		if me != 0 || fs == nil {
+			return
+		}
+		compiles := 0
+		fn := schedFn(c, "counted", func() *nbc.Schedule {
+			compiles++
+			return &nbc.Schedule{Name: "counted"}
+		})
+		if compiles != 0 {
+			t.Errorf("schedFn compiled its schedule before any Start")
+		}
+		fn.Start().Wait()
+		fn.Start().Wait()
+		if compiles != 1 {
+			t.Errorf("two Starts compiled the schedule %d times, want once", compiles)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Errorf("a function declared under another name than its schedule's started")
+			}
+		}()
+		schedFn(c, "declared", func() *nbc.Schedule { return &nbc.Schedule{Name: "compiled"} }).Start()
+	})
 }

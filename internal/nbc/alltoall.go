@@ -34,6 +34,9 @@ func (a AlltoallAlgo) String() string {
 	}
 }
 
+// IalltoallName names an algorithm's Ialltoall schedule.
+func IalltoallName(a AlltoallAlgo) string { return "ialltoall-" + a.String() }
+
 // DefaultAlltoallAlgos lists the paper's three Ialltoall implementations.
 var DefaultAlltoallAlgos = []AlltoallAlgo{AlgoLinear, AlgoBruck, AlgoPairwise}
 
@@ -75,7 +78,7 @@ func staging(like mpi.Buf, n int) mpi.Buf {
 // single progress call to be fully in flight, but exposes maximal
 // concurrency to the network (incast on TCP).
 func ialltoallLinear(n, me int, send, recv mpi.Buf, bs int) *Schedule {
-	s := &Schedule{Name: "ialltoall-linear"}
+	s := &Schedule{Name: IalltoallName(AlgoLinear)}
 	r := Round{selfCopyOp(send, recv, me, bs)}
 	for off := 1; off < n; off++ {
 		peer := (me + off) % n
@@ -97,7 +100,7 @@ func ialltoallLinear(n, me int, send, recv mpi.Buf, bs int) *Schedule {
 // rounds. Structured and contention-free, but each round gates on a
 // progress call.
 func ialltoallPairwise(n, me int, send, recv mpi.Buf, bs int) *Schedule {
-	s := &Schedule{Name: "ialltoall-pairwise"}
+	s := &Schedule{Name: IalltoallName(AlgoPairwise)}
 	s.Rounds = append(s.Rounds, Round{selfCopyOp(send, recv, me, bs)})
 	for step := 1; step < n; step++ {
 		to := (me + step) % n
@@ -116,7 +119,7 @@ func ialltoallPairwise(n, me int, send, recv mpi.Buf, bs int) *Schedule {
 // (log2 n) but ~n/2*log2(n) blocks of data in total, plus pack/unpack
 // copies, so it wins for small blocks and loses for large ones.
 func ialltoallBruck(n, me int, send, recv mpi.Buf, bs int) *Schedule {
-	s := &Schedule{Name: "ialltoall-dissemination"}
+	s := &Schedule{Name: IalltoallName(AlgoBruck)}
 
 	// Working buffer in "rotated" order: tmp[i] = block destined for rank
 	// (me+i)%n. Staging buffers per phase are allocated at build time so a

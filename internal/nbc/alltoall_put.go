@@ -23,6 +23,9 @@ func IalltoallWindows(c *mpi.Comm, recv mpi.Buf) *mpi.Win {
 	return c.CreateWin(recv)
 }
 
+// IalltoallPutName names an algorithm's put-based Ialltoall schedule.
+func IalltoallPutName(a AlltoallAlgo) string { return IalltoallName(a) + "-put" }
+
 // IalltoallLinearPut builds the one-sided linear algorithm: one round that
 // puts every block into the peers' windows, then a completion gate for the
 // n-1 incoming blocks. Like its two-sided sibling it occupies a single
@@ -31,7 +34,7 @@ func IalltoallWindows(c *mpi.Comm, recv mpi.Buf) *mpi.Win {
 // flow.
 func IalltoallLinearPut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule {
 	blockSize := send.Len() / n
-	s := &Schedule{Name: "ialltoall-linear-put", Win: win}
+	s := &Schedule{Name: IalltoallPutName(AlgoLinear), Win: win}
 	r := Round{selfCopyOp(send, recv, me, blockSize)}
 	for off := 1; off < n; off++ {
 		peer := (me + off) % n
@@ -49,7 +52,7 @@ func IalltoallLinearPut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule {
 // bounded per-round network pressure.
 func IalltoallPairwisePut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule {
 	blockSize := send.Len() / n
-	s := &Schedule{Name: "ialltoall-pairwise-put", Win: win}
+	s := &Schedule{Name: IalltoallPutName(AlgoPairwise), Win: win}
 	s.Rounds = append(s.Rounds, Round{selfCopyOp(send, recv, me, blockSize)})
 	for step := 1; step < n; step++ {
 		to := (me + step) % n

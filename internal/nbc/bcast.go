@@ -91,14 +91,21 @@ func FanoutName(fanout int) string {
 	}
 }
 
+// IbcastName names the broadcast schedule of a tree shape and segment size
+// without building it. Every constructor takes its schedule's name from such
+// a function, so a function set can declare its functions before any of them
+// is compiled (core.schedFn).
+func IbcastName(fanout, segSize int) string {
+	return fmt.Sprintf("ibcast-%s-seg%dk", FanoutName(fanout), segSize/1024)
+}
+
 // Ibcast builds this rank's schedule for a non-blocking broadcast of buf
 // (virtual or real) from root, using the given tree fan-out and segment
 // size. Segments pipeline down the tree: a rank forwards segment s to its
 // children in the same round in which it receives segment s+1 from its
 // parent.
 func Ibcast(n, me, root int, buf mpi.Buf, fanout, segSize int) *Schedule {
-	name := fmt.Sprintf("ibcast-%s-seg%dk", FanoutName(fanout), segSize/1024)
-	s := &Schedule{Name: name}
+	s := &Schedule{Name: IbcastName(fanout, segSize)}
 	if n == 1 {
 		return s
 	}

@@ -29,18 +29,28 @@ func (a AllreduceAlgo) String() string {
 	return "reduce-bcast"
 }
 
+// on returns the algorithm Iallreduce runs on n ranks when asked for a:
+// recursive doubling requires a power-of-two communicator size and falls back
+// to reduce+bcast otherwise.
+func (a AllreduceAlgo) on(n int) AllreduceAlgo {
+	if a == AllreduceRecursiveDoubling && n&(n-1) != 0 {
+		return AllreduceReduceBcast
+	}
+	return a
+}
+
+// IallreduceName names the schedule Iallreduce builds for algo on n ranks,
+// fallback applied.
+func IallreduceName(n int, algo AllreduceAlgo) string { return "iallreduce-" + algo.on(n).String() }
+
 // Iallreduce builds this rank's schedule combining send.Len() bytes across
 // all ranks with op; every rank receives the result in recv. Virtual
-// buffers build a timing-only schedule. Recursive doubling requires a
-// power-of-two communicator size and falls back to reduce+bcast otherwise.
+// buffers build a timing-only schedule.
 func Iallreduce(n, me int, send, recv mpi.Buf, op mpi.ReduceOp, algo AllreduceAlgo) *Schedule {
 	size := send.Len()
-	if algo == AllreduceRecursiveDoubling && n&(n-1) != 0 {
-		algo = AllreduceReduceBcast
-	}
-	switch algo {
+	s := &Schedule{Name: IallreduceName(n, algo)}
+	switch algo.on(n) {
 	case AllreduceRecursiveDoubling:
-		s := &Schedule{Name: "iallreduce-recursive-doubling"}
 		acc := staging(send, size)
 		tmp := staging(send, size)
 		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: size, Fn: func() {
@@ -65,7 +75,6 @@ func Iallreduce(n, me int, send, recv mpi.Buf, op mpi.ReduceOp, algo AllreduceAl
 		}}})
 		return s
 	case AllreduceReduceBcast:
-		s := &Schedule{Name: "iallreduce-reduce-bcast"}
 		red := Ireduce(n, me, 0, send, recv, op, ReduceBinomial)
 		s.Rounds = append(s.Rounds, red.Rounds...)
 		bc := Ibcast(n, me, 0, recv, FanoutBinomial, 1<<30)

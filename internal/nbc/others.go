@@ -10,10 +10,16 @@ import (
 // schedules: Iallgather, Ireduce, and (as the basic synchronization
 // primitive) Ibarrier.
 
+// Names of the two Ibarrier schedules (IbarrierTree is in scale.go).
+const (
+	IbarrierName     = "ibarrier-dissemination"
+	IbarrierTreeName = "ibarrier-tree"
+)
+
 // Ibarrier builds a dissemination barrier schedule: ceil(log2 n) rounds of
 // one-byte exchanges at doubling distances.
 func Ibarrier(n, me int) *Schedule {
-	s := &Schedule{Name: "ibarrier-dissemination"}
+	s := &Schedule{Name: IbarrierName}
 	phase := 0
 	for dist := 1; dist < n; dist *= 2 {
 		to := (me + dist) % n
@@ -49,12 +55,15 @@ func (a AllgatherAlgo) String() string {
 	}
 }
 
+// IallgatherName names an algorithm's Iallgather schedule.
+func IallgatherName(a AllgatherAlgo) string { return "iallgather-" + a.String() }
+
 // Iallgather builds this rank's schedule for gathering send.Len() bytes from
 // every rank into recv (n*send.Len() bytes). send may alias recv's own
 // block; virtual buffers simulate timing only.
 func Iallgather(n, me int, send, recv mpi.Buf, algo AllgatherAlgo) *Schedule {
 	bs := send.Len()
-	s := &Schedule{Name: "iallgather-" + algo.String()}
+	s := &Schedule{Name: IallgatherName(algo)}
 	self := Op{Kind: OpLocal, Bytes: bs, Fn: func() {
 		mpi.Copy(block(recv, me, bs), send)
 	}}
@@ -114,12 +123,15 @@ func (a ReduceAlgo) String() string {
 	return "chain"
 }
 
+// IreduceName names an algorithm's Ireduce schedule.
+func IreduceName(a ReduceAlgo) string { return "ireduce-" + a.String() }
+
 // Ireduce builds this rank's schedule reducing send.Len() bytes onto root
 // with op. send must not be modified between executions; recv is only
 // written at root. Virtual buffers give a timing-only schedule.
 func Ireduce(n, me, root int, send, recv mpi.Buf, op mpi.ReduceOp, algo ReduceAlgo) *Schedule {
 	size := send.Len()
-	s := &Schedule{Name: "ireduce-" + algo.String()}
+	s := &Schedule{Name: IreduceName(algo)}
 	acc := staging(send, size)
 	tmp := staging(send, size)
 	// Round 0 (local): refresh the accumulator from the send buffer so a

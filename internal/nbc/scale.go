@@ -1,7 +1,6 @@
 package nbc
 
 import (
-	"fmt"
 	"sort"
 
 	"nbctune/internal/mpi"
@@ -25,7 +24,7 @@ import (
 // small blocks.
 func IallgatherBruck(n, me int, send, recv mpi.Buf) *Schedule {
 	bs := send.Len()
-	s := &Schedule{Name: "iallgather-bruck"}
+	s := &Schedule{Name: IallgatherName(AllgatherBruck)}
 	// tmp holds blocks in rotated order: tmp[i] = block of rank (me+i)%n.
 	tmp := staging(send, n*bs)
 	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: bs, Fn: func() {
@@ -70,7 +69,7 @@ func IallgatherBruck(n, me int, send, recv mpi.Buf) *Schedule {
 // what matters once OMatch×queue length and NIC message gaps dominate at 4K+
 // ranks.
 func IbarrierTree(n, me int) *Schedule {
-	s := &Schedule{Name: "ibarrier-tree"}
+	s := &Schedule{Name: IbarrierTreeName}
 	if n == 1 {
 		return s
 	}
@@ -117,7 +116,7 @@ const FanoutTorus = -2
 // receiving segment s+1.
 func IbcastTorus(c *mpi.Comm, root int, buf mpi.Buf, segSize int) *Schedule {
 	n, me := c.Size(), c.Rank()
-	s := &Schedule{Name: fmt.Sprintf("ibcast-torus-seg%dk", segSize/1024)}
+	s := &Schedule{Name: IbcastName(FanoutTorus, segSize)}
 	if n == 1 {
 		return s
 	}

@@ -53,10 +53,13 @@
 // channel rendezvous. At the horizon the parked process yields nobody and
 // Run/RunUntil returns. Engine.Resumes counts the hand-offs.
 //
-// Events live in a pool of records indexed by an inlined 4-ary heap, so the
-// steady-state hot path (schedule, fire, re-key, free-list) performs no
-// allocation. Callback state that would otherwise force a closure allocation
-// can be passed through AtCall's (fn, arg) pair.
+// Events live in a pool of records; the queue is an inlined 4-ary heap whose
+// array carries each event's (time, sequence) key beside its record's index,
+// so ordering it loads no record, and a walking ticket is re-keyed at the top
+// of the array instead of being popped and pushed. The steady-state hot path
+// (schedule, fire, re-key, free-list) performs no allocation. Callback state
+// that would otherwise force a closure allocation can be passed through
+// AtCall's (fn, arg) pair.
 package sim
 
 import (
@@ -76,14 +79,11 @@ const (
 	evWake              // wake proc if still parked on generation wgen
 )
 
-// eventRec is one pooled event, recycled through a free list once it fires.
-// Events fire in (time, sequence) order; the sequence number makes
-// simultaneous events deterministic (FIFO). A scheduled event cannot be
-// withdrawn: the one kind that goes stale, the wake ticket, is dropped by its
-// park generation when it fires.
+// eventRec is what a pooled event does when it fires, recycled through a free
+// list afterwards; when it fires is the key of its queue entry (heapEnt). A
+// scheduled event cannot be withdrawn: the one kind that goes stale, the wake
+// ticket, is dropped by its park generation when it fires.
 type eventRec struct {
-	t    Time
-	seq  int64
 	wgen uint64    // evWake: park generation the ticket targets
 	fn   func()    // evFunc
 	fn2  func(any) // evCall
@@ -122,9 +122,9 @@ func (pp *ProcPanic) Unwrap() error {
 // Engine is a discrete-event simulator.
 type Engine struct {
 	now  Time
-	recs []eventRec // event pool; heap and free list hold indices into it
+	recs []eventRec // event pool; heap entries and the free list hold indices into it
 	free []int32    // recycled record indexes
-	heap []int32    // 4-ary min-heap of queued records, keyed by (t, seq)
+	heap []heapEnt  // 4-ary min-heap of the queued events
 	seq  int64
 
 	deadline  Time       // horizon of the current Run/RunUntil
@@ -176,75 +176,84 @@ func (e *Engine) freeRec(idx int32) {
 	e.free = append(e.free, idx)
 }
 
-// less orders records by (time, sequence); seq uniqueness makes this a
-// strict total order, so the heap's pop sequence is fully deterministic.
-func (e *Engine) less(a, b int32) bool {
-	ra, rb := &e.recs[a], &e.recs[b]
-	if ra.t != rb.t {
-		return ra.t < rb.t
-	}
-	return ra.seq < rb.seq
+// evKey is when an event fires: events fire in (time, sequence) order, and
+// the sequence number makes simultaneous events deterministic (FIFO).
+type evKey struct {
+	t   Time
+	seq int64
 }
 
-func (e *Engine) heapPush(idx int32) {
-	e.heap = append(e.heap, idx)
-	e.siftUp(len(e.heap) - 1)
+// less orders keys; seq uniqueness makes this a strict total order, so the
+// heap's pop sequence is fully deterministic.
+func (a evKey) less(b evKey) bool {
+	return a.t < b.t || a.t == b.t && a.seq < b.seq
 }
 
-func (e *Engine) siftUp(i int) {
+// heapEnt is one queued event: its key and the index of its pooled record.
+// The key lives in the heap array itself, so ordering the queue never loads a
+// record.
+type heapEnt struct {
+	evKey
+	idx int32
+}
+
+func (e *Engine) heapPush(ent heapEnt) {
+	e.heap = append(e.heap, ent)
 	h := e.heap
-	idx := h[i]
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !e.less(idx, h[parent]) {
+		if !ent.less(h[parent].evKey) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = idx
+	h[i] = ent
 }
 
-func (e *Engine) siftDown(i int) {
+// siftDown restores the heap below its top entry, after the top was replaced
+// (heapPop) or re-keyed later (Proc.reach).
+func (e *Engine) siftDown() {
 	h := e.heap
 	n := len(h)
-	idx := h[i]
+	ent := h[0]
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
-		best := first
 		end := first + 4
 		if end > n {
 			end = n
 		}
+		best, key := first, h[first].evKey
 		for c := first + 1; c < end; c++ {
-			if e.less(h[c], h[best]) {
-				best = c
+			if k := h[c].evKey; k.less(key) {
+				best, key = c, k
 			}
 		}
-		if !e.less(h[best], idx) {
+		if !key.less(ent.evKey) {
 			break
 		}
 		h[i] = h[best]
 		i = best
 	}
-	h[i] = idx
+	h[i] = ent
 }
 
-// heapPop removes and returns the minimum record index.
-func (e *Engine) heapPop() int32 {
-	top := e.heap[0]
+// heapPop removes the minimum entry and recycles its record.
+func (e *Engine) heapPop() {
+	e.freeRec(e.heap[0].idx)
 	n := len(e.heap) - 1
 	if n > 0 {
 		e.heap[0] = e.heap[n]
 	}
 	e.heap = e.heap[:n]
 	if n > 1 {
-		e.siftDown(0)
+		e.siftDown()
 	}
-	return top
 }
 
 // schedule allocates and enqueues a record firing after delay d.
@@ -260,11 +269,8 @@ func (e *Engine) schedule(d Time, kind uint8) int32 {
 func (e *Engine) scheduleAt(t Time, kind uint8) int32 {
 	e.seq++
 	idx := e.allocRec()
-	r := &e.recs[idx]
-	r.t = t
-	r.seq = e.seq
-	r.kind = kind
-	e.heapPush(idx)
+	e.recs[idx].kind = kind
+	e.heapPush(heapEnt{evKey{t, e.seq}, idx})
 	return idx
 }
 
@@ -320,37 +326,38 @@ func (e *Engine) horizonReached() bool {
 	if len(e.heap) == 0 {
 		return true
 	}
-	t := e.recs[e.heap[0]].t
+	t := e.heap[0].t
 	if e.strictEnd {
 		return t >= e.deadline
 	}
 	return t > e.deadline
 }
 
-// fire is the event loop: it pops and fires events on the calling goroutine
-// until a live wake ticket ends in a process to resume (Proc.reach), and
-// returns that process; at the horizon it returns nil. Its callers are a
-// parking process (park) and the Run caller (runLoop), whichever is
-// executing.
+// fire is the event loop: it fires the queue's top event on the calling
+// goroutine until a live wake ticket ends in a process to resume
+// (Proc.reach), and returns that process; at the horizon it returns nil. A
+// callback is popped, then called; a live ticket is left at the top for reach
+// to re-key in place or pop. Its callers are a parking process (park) and the
+// Run caller (runLoop), whichever is executing.
 func (e *Engine) fire() *Proc {
 	for !e.horizonReached() {
-		idx := e.heapPop()
-		r := &e.recs[idx]
-		e.now = r.t
+		top := e.heap[0]
+		r := &e.recs[top.idx]
+		e.now = top.t
 		e.EventsFired++
 		switch r.kind {
 		case evFunc:
 			fn := r.fn
-			e.freeRec(idx)
+			e.heapPop()
 			fn()
 		case evCall:
 			fn, arg := r.fn2, r.arg
-			e.freeRec(idx)
+			e.heapPop()
 			fn(arg)
 		default: // evWake
 			if q := r.proc; q.done || q.gen != r.wgen {
-				e.freeRec(idx) // stale ticket: this wakeup was coalesced away
-			} else if q.reach(idx) {
+				e.heapPop() // stale ticket: this wakeup was coalesced away
+			} else if q.reach(top.idx) {
 				e.Resumes++
 				return q
 			}
@@ -447,7 +454,7 @@ func (e *Engine) nextEventTime() (Time, bool) {
 	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.recs[e.heap[0]].t, true
+	return e.heap[0].t, true
 }
 
 // Procs returns all processes ever spawned.

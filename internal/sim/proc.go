@@ -226,13 +226,18 @@ func (p *Proc) park() {
 	}
 }
 
-// reach handles a live wake ticket of the parked process p, record idx, in
-// event context, and reports whether to resume the coroutine. If the ticket
-// stands at a stop, the calls deferred to it run. With stops left the same
-// record is re-keyed to the next one under a fresh sequence number — the one
-// the eager process's next Sleep would have drawn here. With none left the
-// poll decides: true resumes; false leaves the process parked, on the new
-// stops the poll made or on the Cond it blocked on.
+// reach handles a live wake ticket of the parked process p, record idx at the
+// top of the queue, in event context, and reports whether to resume the
+// coroutine. If the ticket stands at a stop, the calls deferred to it run.
+// With stops left the ticket is re-keyed where it sits, to the next stop under
+// a fresh sequence number — the one the eager process's next Sleep would have
+// drawn here — and sinks from the top. With none left the poll decides: true
+// resumes; false leaves the process parked, on the new stops the poll made or
+// on the Cond it blocked on.
+//
+// The ticket stays at the top meanwhile: whatever the calls and the poll
+// schedule fires no earlier than now and draws a later sequence number than
+// the ticket's, so nothing can sift past it.
 func (p *Proc) reach(idx int32) bool {
 	defer p.blame()
 	e := p.eng
@@ -255,14 +260,17 @@ func (p *Proc) reach(idx int32) bool {
 		resume = p.poll == nil || p.poll()
 	}
 	p.inEvent = false
+	if e.heap[0].idx != idx {
+		panic(fmt.Sprintf("sim: an event was scheduled ahead of the firing wake ticket of %q", p.name))
+	}
 	if resume || !p.Ahead() {
-		e.freeRec(idx)
+		e.heapPop()
 		return resume
 	}
 	e.seq++
-	r := &e.recs[idx] // taken here: a deferred call may have grown the pool
-	r.t, r.seq, r.wgen = p.stops[p.at].t, e.seq, p.gen
-	e.heapPush(idx)
+	e.heap[0].evKey = evKey{p.stops[p.at].t, e.seq}
+	e.recs[idx].wgen = p.gen // indexed here: a deferred call may have grown the pool
+	e.siftDown()
 	return false
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 )
 
@@ -194,19 +193,23 @@ func FuzzRunAhead(f *testing.F) {
 		if eagerEnd != aheadEnd {
 			t.Errorf("eager run: %s\nrun-ahead: %s", eagerEnd, aheadEnd)
 		}
-		if !reflect.DeepEqual(eagerLog, aheadLog) {
-			for i := 0; i < len(eagerLog) || i < len(aheadLog); i++ {
-				var a, b string
-				if i < len(eagerLog) {
-					a = eagerLog[i]
-				}
-				if i < len(aheadLog) {
-					b = aheadLog[i]
-				}
-				if a != b {
-					t.Fatalf("logs differ at entry %d of %d/%d: eager %q, run-ahead %q", i, len(eagerLog), len(aheadLog), a, b)
-				}
-			}
-		}
+		sameLogs(t, "eager", eagerLog, "run-ahead", aheadLog)
 	})
+}
+
+// sameLogs fails the test at the first entry in which two runs' logs differ.
+func sameLogs(t *testing.T, nameA string, a []string, nameB string, b []string) {
+	t.Helper()
+	for i := 0; i < len(a) || i < len(b); i++ {
+		var x, y string
+		if i < len(a) {
+			x = a[i]
+		}
+		if i < len(b) {
+			y = b[i]
+		}
+		if x != y {
+			t.Fatalf("logs differ at entry %d of %d/%d: %s %q, %s %q", i, len(a), len(b), nameA, x, nameB, y)
+		}
+	}
 }

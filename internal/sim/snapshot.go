@@ -65,6 +65,6 @@ func (s *Snapshot) Fork() *Engine {
 	}
 	e.recs = make([]eventRec, len(s.free))
 	e.free = append(make([]int32, 0, len(s.free)), s.free...)
-	e.heap = make([]int32, 0, len(s.free))
+	e.heap = make([]heapEnt, 0, len(s.free))
 	return e
 }
