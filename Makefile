@@ -71,31 +71,33 @@ bench:
 	@set -e; for w in $(WORKLOADS); do bash perf/run.sh --workload $$w --seed 0 --seconds 16 --trace 0; done
 
 # perf/README.md "Claiming a gain", steps 3-4, as one command:
-#   make pairs PARENT=<rev> W=<workload> [N=10] [SEED=0]
+#   make pairs PARENT=<rev> W="<workload> [<workload> ...]" [N=10] [SEED=0]
 # PARENT is checked out (git archive: nothing is registered under .git, so
 # there is nothing to prune) into a scratch directory that the trap removes on
-# every exit path, both trees build their benchmark once through their own
-# perf/run.sh (a tiny run, which also shows a broken tree before the first
-# pair), and N pairs run alternately — parent first, then change first, … —
-# with identical flags. One line per run; at the end each side's quartiles of
-# the four end-to-end metrics and, per metric, the pairs the change won (ties
+# every exit path, and both trees build their benchmark once through their own
+# perf/run.sh (a tiny run of every workload in W, which also shows a broken
+# tree or workload before the first pair). Then, workload by workload, N pairs
+# run alternately — parent first, then change first, … — with identical flags.
+# One line per run; after each workload's pairs, each side's quartiles of the
+# four end-to-end metrics and, per metric, the pairs the change won (ties
 # count for neither side). The claim itself is the reader's: >= 9 of 10 pairs
 # and medians apart by more than the parent's q3 - q1.
 N ?= 10
 SEED ?= 0
 pairs:
-	@set -eu; [ -n "$(PARENT)" ] && [ -n "$(W)" ] || { echo "usage: make pairs PARENT=<rev> W=<workload> [N=10] [SEED=0]" >&2; exit 2; }; \
+	@set -eu; [ -n "$(PARENT)" ] && [ -n "$(W)" ] || { echo "usage: make pairs PARENT=<rev> W=\"<workload> ...\" [N=10] [SEED=0]" >&2; exit 2; }; \
 	d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir "$$d/parent"; \
 	git archive "$(PARENT)" | tar -x -C "$$d/parent"; \
-	for tree in "$$d/parent" .; do bash "$$tree/perf/run.sh" --workload $(W) --scale tiny --seconds 1 > /dev/null; done; \
+	for tree in "$$d/parent" .; do for w in $(W); do bash "$$tree/perf/run.sh" --workload $$w --scale tiny --seconds 1 > /dev/null; done; done; \
 	run() { \
-		out=$$(cd "$$2" && .bench_build/perf --workload $(W) --seed $(SEED) --seconds 16 --trace 0 | tail -n 1); \
-		case "$$out" in *'"correct":true'*'"failed":0'*) ;; *) echo "pairs: $$1 run failed: $$out" >&2; exit 1;; esac; \
+		out=$$(cd "$$2" && .bench_build/perf --workload $$w --seed $(SEED) --seconds 16 --trace 0 | tail -n 1); \
+		case "$$out" in *'"correct":true'*'"failed":0'*) ;; *) echo "pairs: $$w $$1 run failed: $$out" >&2; exit 1;; esac; \
 		line="$$i $$1"; for m in setup_s norm_ops_per_s alloc_mb peak_rss_mb; do \
 			line="$$line $$(printf '%s' "$$out" | sed -E 's/.*"'$$m'":\{"value":([^,}]*).*/\1/')"; done; \
-		echo "$$line" | tee -a "$$d/runs"; \
+		echo "$$line" | tee -a "$$d/runs.$$w"; \
 	}; \
-	echo "pair side setup_s norm_ops_per_s alloc_mb peak_rss_mb   ($(W), seed $(SEED), parent $(PARENT))"; \
+	for w in $(W); do \
+	echo "pair side setup_s norm_ops_per_s alloc_mb peak_rss_mb   ($$w, seed $(SEED), parent $(PARENT))"; \
 	i=1; while [ $$i -le $(N) ]; do \
 		if [ $$((i % 2)) -eq 1 ]; then run parent "$$d/parent"; run change .; else run change .; run parent "$$d/parent"; fi; \
 		i=$$((i + 1)); done; \
@@ -109,7 +111,8 @@ pairs:
 					if (c == 4 ? b > a : b < a) wins++ }; \
 				sorted("parent", c, P); sorted("change", c, C); \
 				printf "%-15s %-32s %-32s %d/%d\n", name[c-2], sprintf("%.4g / %.4g / %.4g", q(P, pairs, .25), q(P, pairs, .5), q(P, pairs, .75)), \
-					sprintf("%.4g / %.4g / %.4g", q(C, pairs, .25), q(C, pairs, .5), q(C, pairs, .75)), wins, pairs } }' "$$d/runs"
+					sprintf("%.4g / %.4g / %.4g", q(C, pairs, .25), q(C, pairs, .5), q(C, pairs, .75)), wins, pairs } }' "$$d/runs.$$w"; \
+	done
 
 # The size of the repository in the five numbers ROADMAP's state line and
 # every simplicity PR quote, each printed under the command that counts it.

@@ -48,6 +48,9 @@ func main() {
 		quiet    = flag.Bool("quiet", false, "suppress per-measurement progress lines")
 	)
 	flag.Parse()
+	if err := runner.CheckWorkers("jobs", *jobs); err != nil {
+		fatal(err)
+	}
 
 	if *check != "" {
 		rep, err := guideline.LoadFile(*check)

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -39,5 +42,31 @@ func TestShareKB(t *testing.T) {
 	diag.Reset()
 	if err := shareKB(broken.URL, rep, &diag); err == nil || diag.Len() != 0 {
 		t.Errorf("daemon answering 500 to /v1/batch: error %v, said %q", err, diag.String())
+	}
+}
+
+// TestMain runs the command itself when TestRefusals re-executes this test
+// binary as audit, so a refusal is checked where a user meets it: the exit
+// status and the lines printed.
+func TestMain(m *testing.M) {
+	if os.Getenv("AUDIT_AS_COMMAND") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRefusals: a negative -jobs is refused with one error line and exit
+// status 1, before any measurement (0 is GOMAXPROCS; -5 used to be too). The
+// unknown matrix makes a missing refusal fail fast on the wrong message.
+func TestRefusals(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-jobs", "-5", "-matrix", "nonesuch")
+	cmd.Env = append(os.Environ(), "AUDIT_AS_COMMAND=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Count(stderr.String(), "\n") != 1 || !strings.Contains(stderr.String(), "worker count") {
+		t.Errorf("audit -jobs -5: %v, stderr %q; want exit status 1 and one line naming the worker count", err, stderr.String())
 	}
 }

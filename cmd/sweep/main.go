@@ -64,6 +64,12 @@ func main() {
 		shardStr = flag.String("shards", "", "run every scenario on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
 	)
 	flag.Parse()
+	if err := runner.CheckWorkers("jobs", *jobs); err != nil {
+		fail(err)
+	}
+	if err := runner.CheckWorkers("spec-workers", *specWrk); err != nil {
+		fail(err)
+	}
 	suites, err := bench.Suites(*suite, *fast)
 	if err != nil {
 		fail(err)

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -77,5 +79,33 @@ func TestShareKB(t *testing.T) {
 	}
 	if err := shareKB(broken.URL, nil, &diag); err != nil || requests.Load() != 0 || !strings.Contains(diag.String(), "no tuned winners to share") {
 		t.Errorf("nothing to share: error %v, %d requests, said %q", err, requests.Load(), diag.String())
+	}
+}
+
+// TestMain runs the command itself when TestRefusals re-executes this test
+// binary as sweep, so a refusal is checked where a user meets it: the exit
+// status and the lines printed.
+func TestMain(m *testing.M) {
+	if os.Getenv("SWEEP_AS_COMMAND") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRefusals: a negative worker count is refused with one error line and
+// exit status 1, before any simulation (0 is GOMAXPROCS; -1 used to be too).
+// The unknown suite makes a missing refusal fail fast on the wrong message.
+func TestRefusals(t *testing.T) {
+	for _, flag := range []string{"-jobs", "-spec-workers"} {
+		cmd := exec.Command(os.Args[0], flag, "-1", "-suite", "nonesuch")
+		cmd.Env = append(os.Environ(), "SWEEP_AS_COMMAND=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Count(stderr.String(), "\n") != 1 || !strings.Contains(stderr.String(), "worker count") {
+			t.Errorf("sweep %s -1: %v, stderr %q; want exit status 1 and one line naming the worker count", flag, err, stderr.String())
+		}
 	}
 }

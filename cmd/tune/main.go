@@ -39,6 +39,7 @@ import (
 	"nbctune/internal/mpi"
 	"nbctune/internal/obs"
 	"nbctune/internal/platform"
+	"nbctune/internal/runner"
 )
 
 func main() {
@@ -78,6 +79,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fl.Parse(args)
 	if *evals < 1 {
 		return fmt.Errorf("-evals %d: every implementation needs at least one measurement", *evals)
+	}
+	if err := runner.CheckWorkers("spec-workers", *specWrk); err != nil {
+		return err
 	}
 
 	plat, err := platform.ByName(*platName)

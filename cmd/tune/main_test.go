@@ -317,6 +317,7 @@ func TestRefusals(t *testing.T) {
 		"-evals 0":                     "at least one measurement",
 		"-compute -1":                  "non-negative and finite",
 		"-msg -1024":                   "non-negative and finite",
+		"-speculate -spec-workers -1":  "worker count",
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(strings.Fields(args), &stdout, &stderr); err == nil || !strings.Contains(err.Error(), want) {

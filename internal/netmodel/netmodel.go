@@ -167,10 +167,41 @@ func (p *Params) Eager(n int) bool { return n <= p.EagerLimit }
 // system (pack/unpack, TCP socket copies).
 func (p *Params) CopyTime(n int) float64 { return float64(n) / p.CopyBandwidth }
 
+// nicState is one node's NIC channels and the lanes (sim.Lane) every delivery
+// to the node waits in. On a clean flat fabric each lane's arrivals rise in
+// the order they are scheduled: a bulk transfer arrives at its rx channel's
+// new rxFree, a control or same-size shared-memory message a fixed time after
+// it is sent. Chaos jitter, torus distances and mixed sizes make the odd
+// message fall back to an ordinary event.
 type nicState struct {
 	txFree []float64 // per channel
 	rxFree []float64
-	inRx   int // flows currently inbound to this node
+	inRx   int        // flows currently inbound to this node
+	rx     []sim.Lane // per channel: bulk transfers in
+	ctrl   sim.Lane   // inter-node control messages in
+	shm    sim.Lane   // shared-memory data
+	shmCtl sim.Lane   // shared-memory control messages
+}
+
+// newNodes builds count nodes of nics channels each with one allocation per
+// field, not per node, binding each node's lanes to the engine engOf names.
+func newNodes(count, nics int, engOf func(node int) *sim.Engine) []nicState {
+	nodes := make([]nicState, count)
+	free := make([]float64, 2*count*nics)
+	lanes := make([]sim.Lane, count*nics)
+	for i := range nodes {
+		nd := &nodes[i]
+		nd.txFree, nd.rxFree, free = free[:nics:nics], free[nics:2*nics:2*nics], free[2*nics:]
+		nd.rx, lanes = lanes[:nics:nics], lanes[nics:]
+		e := engOf(i)
+		for j := range nd.rx {
+			nd.rx[j].Bind(e)
+		}
+		nd.ctrl.Bind(e)
+		nd.shm.Bind(e)
+		nd.shmCtl.Bind(e)
+	}
+	return nodes
 }
 
 // Network applies Params to transfers between nodes, tracking NIC channel
@@ -179,7 +210,7 @@ type Network struct {
 	eng    *sim.Engine
 	p      Params
 	nodeOf []int // rank -> node; immutable after New, shared by forks
-	nodes  []*nicState
+	nodes  []nicState
 	topo   *Topo // immutable topology table, shared by forks (topo.go)
 
 	// Counters for tests and reporting.
@@ -293,15 +324,8 @@ func New(eng *sim.Engine, p Params, nodeOf []int) (*Network, error) {
 			maxNode = nd
 		}
 	}
-	nodes := make([]*nicState, maxNode+1)
-	for i := range nodes {
-		nodes[i] = &nicState{
-			txFree: make([]float64, p.NICs),
-			rxFree: make([]float64, p.NICs),
-		}
-	}
-	cp := p
-	n := &Network{eng: eng, p: cp, nodeOf: append([]int(nil), nodeOf...), nodes: nodes}
+	nodes := newNodes(maxNode+1, p.NICs, func(int) *sim.Engine { return eng })
+	n := &Network{eng: eng, p: p, nodeOf: append([]int(nil), nodeOf...), nodes: nodes}
 	n.topo = newTopo(&n.p, len(nodes))
 	return n, nil
 }
@@ -338,13 +362,13 @@ func (n *Network) Transfer(src, dst, bytes int, deliver func(any), arg any) floa
 	a, b := n.nodeOf[src], n.nodeOf[dst]
 	if a == b {
 		arrival := now + n.p.ShmLatency + float64(bytes)/n.p.ShmBandwidth
-		n.eng.AtTimeCall(arrival, deliver, arg)
+		n.nodes[a].shm.Append(arrival, deliver, arg)
 		return arrival
 	}
 	if n.pdes != nil {
 		return n.transferPDES(src, dst, bytes, a, b, deliver, arg)
 	}
-	sn, rn := n.nodes[a], n.nodes[b]
+	sn, rn := &n.nodes[a], &n.nodes[b]
 
 	// Link parameters in force for this message. With no injector attached
 	// these are exactly the static params (same values, same arithmetic);
@@ -392,46 +416,46 @@ func (n *Network) Transfer(src, dst, bytes int, deliver func(any), arg any) floa
 	n.rec.NIC(a, ti, obs.TX, start, start+txDur, bytes)
 	n.rec.NIC(b, ri, obs.RX, rxStart, rxStart+rxDur, bytes)
 
-	n.eng.AtTimeCall(arrival, fireDelivery, n.newDelivery(rn, deliver, arg))
+	rn.rx[ri].Append(arrival, fireDelivery, n.newDelivery(rn, deliver, arg))
 	return arrival
 }
 
 // Ctrl schedules a small control message (RTS/CTS/ack) from src to dst,
-// invoking deliver(arg) on arrival. Control messages ride a separate lane:
+// invoking deliver(arg) on arrival. Control messages ride lanes of their own:
 // they see wire latency but do not occupy NIC channels, so bulk transfers
 // cannot head-of-line block the protocol handshake.
 func (n *Network) Ctrl(src, dst int, deliver func(any), arg any) float64 {
 	now := n.eng.Now()
 	n.CtrlMessages++
-	var arrival float64
-	if n.nodeOf[src] == n.nodeOf[dst] {
-		arrival = now + n.p.ShmLatency
-	} else {
-		a, b := n.nodeOf[src], n.nodeOf[dst]
-		lat := n.p.WireLatency(a, b)
-		bw := n.p.Bandwidth
-		var jit float64
-		if n.chaos != nil {
-			lf, bf := n.chaos.Wire(now, a, b)
-			lat *= lf
-			bw *= bf
-			jit = n.chaos.DeliveryJitter(now)
-		}
-		arrival = now + lat + float64(n.p.CtrlBytes)/bw
-		if jit > 0 {
-			arrival += jit
-		}
-		if n.chaos != nil {
-			arrival = fifoClamp(n.chaosCtrlFloor, src, dst, arrival)
-		}
-		if n.pdes != nil {
-			// Cross-node control messages cross the window barrier like bulk
-			// deliveries: arrival >= now + Latency >= the window end, so the
-			// merge at the next barrier always precedes the event.
-			n.pdes.out.Add(arrival, int32(src), n.nextSeq(src), n.pdes.shardOfNode[b], deliver, arg)
-			return arrival
-		}
+	a, b := n.nodeOf[src], n.nodeOf[dst]
+	if a == b {
+		arrival := now + n.p.ShmLatency
+		n.nodes[a].shmCtl.Append(arrival, deliver, arg)
+		return arrival
 	}
-	n.eng.AtTimeCall(arrival, deliver, arg)
+	lat := n.p.WireLatency(a, b)
+	bw := n.p.Bandwidth
+	var jit float64
+	if n.chaos != nil {
+		lf, bf := n.chaos.Wire(now, a, b)
+		lat *= lf
+		bw *= bf
+		jit = n.chaos.DeliveryJitter(now)
+	}
+	arrival := now + lat + float64(n.p.CtrlBytes)/bw
+	if jit > 0 {
+		arrival += jit
+	}
+	if n.chaos != nil {
+		arrival = fifoClamp(n.chaosCtrlFloor, src, dst, arrival)
+	}
+	if n.pdes != nil {
+		// Cross-node control messages cross the window barrier like bulk
+		// deliveries: arrival >= now + Latency >= the window end, so the
+		// merge at the next barrier always precedes the event.
+		n.pdes.out.Add(arrival, int32(src), n.nextSeq(src), n.pdes.shardOfNode[b], deliver, arg)
+		return arrival
+	}
+	n.nodes[b].ctrl.Append(arrival, deliver, arg)
 	return arrival
 }

@@ -9,7 +9,9 @@
 //     and ranks of one node always live on one shard (node-aligned
 //     partition);
 //   - a node's rx channels and incast counter are touched only by the
-//     receive half, which runs on the receiving node's shard.
+//     receive half, which runs on the receiving node's shard;
+//   - a node's delivery lanes are bound to its shard's engine and appended
+//     to only there: by the receive half, or by a sender on the same node.
 //
 // A cross-node transfer is split at the wire: the tx half (sender NIC
 // serialization) runs at send time on the source shard; the rx half
@@ -18,7 +20,7 @@
 // time start + WireLatency — which is >= send time + the lookahead floor,
 // so it can never land inside the window that produced it. Control
 // messages compute their full arrival at send time and cross the barrier
-// directly. Intra-node (shm) traffic stays an ordinary local event.
+// directly. Intra-node (shm) traffic stays local, in the node's lanes.
 package netmodel
 
 import (
@@ -74,7 +76,7 @@ func (n *Network) nextSeq(src int) uint64 {
 // receiver finish asynchronously on the destination shard.
 func (n *Network) transferPDES(src, dst, bytes, a, b int, deliver func(any), arg any) float64 {
 	now := n.eng.Now()
-	sn := n.nodes[a]
+	sn := &n.nodes[a]
 	ti := minIdx(sn.txFree)
 	start := max(now, sn.txFree[ti])
 	txDur := n.p.MsgGap + float64(bytes)/n.p.Bandwidth
@@ -98,7 +100,7 @@ func fireRxHalf(argv any) {
 	op := argv.(*rxOp)
 	n := op.n // destination shard's view
 	now := n.eng.Now()
-	rn := n.nodes[op.node]
+	rn := &n.nodes[op.node]
 	flows := rn.inRx
 	rn.inRx++
 	factor := 1.0
@@ -114,7 +116,7 @@ func fireRxHalf(argv any) {
 	rxDur := n.p.MsgGap + float64(op.bytes)/n.p.Bandwidth*factor
 	rn.rxFree[ri] = rxStart + rxDur
 	n.rec.NIC(op.node, ri, obs.RX, rxStart, rxStart+rxDur, op.bytes)
-	n.eng.AtTimeCall(rxStart+rxDur, fireDelivery, n.newDelivery(rn, op.fn, op.arg))
+	rn.rx[ri].Append(rxStart+rxDur, fireDelivery, n.newDelivery(rn, op.fn, op.arg))
 	op.n, op.fn, op.arg = nil, nil, nil
 	n.pdes.freeRx = append(n.pdes.freeRx, op)
 }
@@ -123,7 +125,8 @@ func fireRxHalf(argv any) {
 // shardOfNode maps every node to its shard; all ranks of a node must live
 // on that shard (the mpi layer's sharded world construction guarantees
 // this). The views share NIC states, placement and topology; each is bound
-// to its engine and its shard's outbox on ws.
+// to its engine and its shard's outbox on ws, and each node's lanes to the
+// engine of the shard that owns the node.
 func NewSharded(engs []*sim.Engine, ws *sim.Windows, p Params, nodeOf []int, shardOfNode []int) ([]*Network, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -143,13 +146,7 @@ func NewSharded(engs []*sim.Engine, ws *sim.Windows, p Params, nodeOf []int, sha
 	if maxNode+1 > len(shardOfNode) {
 		return nil, fmt.Errorf("netmodel: placement uses node %d but shardOfNode covers %d nodes", maxNode, len(shardOfNode))
 	}
-	nodes := make([]*nicState, maxNode+1)
-	for i := range nodes {
-		nodes[i] = &nicState{
-			txFree: make([]float64, p.NICs),
-			rxFree: make([]float64, p.NICs),
-		}
-	}
+	nodes := newNodes(maxNode+1, p.NICs, func(node int) *sim.Engine { return engs[shardOfNode[node]] })
 	placement := append([]int(nil), nodeOf...)
 	seq := make([]uint64, len(nodeOf))
 	nets := make([]*Network, len(engs))

@@ -74,17 +74,15 @@ func (s *Snapshot) Fork(eng *sim.Engine, inj *chaos.Injector) *Network {
 		p:             s.p,
 		nodeOf:        s.nodeOf,
 		topo:          s.topo,
-		nodes:         make([]*nicState, len(s.tx)),
+		nodes:         newNodes(len(s.tx), s.p.NICs, func(int) *sim.Engine { return eng }),
 		Transfers:     s.transfers,
 		CtrlMessages:  s.ctrl,
 		BytesOnWire:   s.bytes,
 		IncastSamples: s.incast,
 	}
 	for i := range n.nodes {
-		n.nodes[i] = &nicState{
-			txFree: append([]float64(nil), s.tx[i]...),
-			rxFree: append([]float64(nil), s.rx[i]...),
-		}
+		copy(n.nodes[i].txFree, s.tx[i])
+		copy(n.nodes[i].rxFree, s.rx[i])
 	}
 	if s.delivCap > 0 {
 		n.freeDeliv = make([]*delivery, s.delivCap)

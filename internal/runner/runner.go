@@ -51,6 +51,16 @@ type Options struct {
 	Progress io.Writer
 }
 
+// CheckWorkers vets a command's worker-count flag (-jobs, -spec-workers),
+// whose convention is 0 = GOMAXPROCS and n > 0 = n workers: a negative count
+// is refused instead of running as GOMAXPROCS.
+func CheckWorkers(flag string, n int) error {
+	if n < 0 {
+		return fmt.Errorf("-%s %d: a worker count is 0 (GOMAXPROCS) or positive", flag, n)
+	}
+	return nil
+}
+
 func (o Options) workers(n int) int {
 	w := o.Workers
 	if w <= 0 {

@@ -56,10 +56,10 @@
 // Events live in a pool of records; the queue is an inlined 4-ary heap whose
 // array carries each event's (time, sequence) key beside its record's index,
 // so ordering it loads no record, and a walking ticket is re-keyed at the top
-// of the array instead of being popped and pushed. The steady-state hot path
-// (schedule, fire, re-key, free-list) performs no allocation. Callback state
-// that would otherwise force a closure allocation can be passed through
-// AtCall's (fn, arg) pair.
+// of the array instead of being popped and pushed, as is the head of a Lane.
+// The steady-state hot path (schedule, fire, re-key, free-list) performs no
+// allocation. Callback state that would otherwise force a closure allocation
+// can be passed through AtCall's (fn, arg) pair.
 package sim
 
 import (
@@ -77,6 +77,7 @@ const (
 	evFunc uint8 = iota // fn()
 	evCall              // fn2(arg)
 	evWake              // wake proc if still parked on generation wgen
+	evLane              // the next callback of the Lane in arg
 )
 
 // eventRec is what a pooled event does when it fires, recycled through a free
@@ -87,7 +88,7 @@ type eventRec struct {
 	wgen uint64    // evWake: park generation the ticket targets
 	fn   func()    // evFunc
 	fn2  func(any) // evCall
-	arg  any       // evCall
+	arg  any       // evCall; evLane: the *Lane
 	proc *Proc     // evWake
 	kind uint8
 }
@@ -135,9 +136,14 @@ type Engine struct {
 	live  int
 	rng   *ClonableRand
 
+	lanePool []laneEnt // the callbacks of every lane (lane.go); entry 0 is unused
+	laneFree int32     // first free entry of lanePool, chained through next; 0: none
+
 	// Stats counters, useful in tests and for harness reporting.
-	EventsFired int64
-	Resumes     int64 // times the event loop handed control (back) to a process
+	EventsFired   int64
+	Resumes       int64 // times the event loop handed control (back) to a process
+	LaneFallbacks int64 // lane appends that became ordinary events (Lane.Append)
+	QueuePeak     int   // most entries the heap has held at once
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -201,6 +207,9 @@ func (e *Engine) heapPush(ent heapEnt) {
 	e.heap = append(e.heap, ent)
 	h := e.heap
 	i := len(h) - 1
+	if i >= e.QueuePeak {
+		e.QueuePeak = i + 1
+	}
 	for i > 0 {
 		parent := (i - 1) / 4
 		if !ent.less(h[parent].evKey) {
@@ -256,12 +265,13 @@ func (e *Engine) heapPop() {
 	}
 }
 
-// schedule allocates and enqueues a record firing after delay d.
-func (e *Engine) schedule(d Time, kind uint8) int32 {
+// due returns the instant an event scheduled d from now fires at. d < 0
+// panics: the past is immutable.
+func (e *Engine) due(d Time) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: scheduling event in the past (d=%g)", d))
 	}
-	return e.scheduleAt(e.now+d, kind)
+	return e.now + d
 }
 
 // scheduleAt allocates and enqueues a record firing at absolute time t under
@@ -277,14 +287,14 @@ func (e *Engine) scheduleAt(t Time, kind uint8) int32 {
 // At schedules fn to run after delay d (d >= 0). Scheduling with d < 0
 // panics: the past is immutable.
 func (e *Engine) At(d Time, fn func()) {
-	e.recs[e.schedule(d, evFunc)].fn = fn
+	e.recs[e.scheduleAt(e.due(d), evFunc)].fn = fn
 }
 
 // AtCall schedules fn(arg) after delay d. It is the allocation-free variant
 // of At for hot paths: passing state through arg instead of a closure lets
 // callers schedule with a package-level function and an already-held pointer.
 func (e *Engine) AtCall(d Time, fn func(any), arg any) {
-	r := &e.recs[e.schedule(d, evCall)]
+	r := &e.recs[e.scheduleAt(e.due(d), evCall)]
 	r.fn2, r.arg = fn, arg
 }
 
@@ -336,7 +346,8 @@ func (e *Engine) horizonReached() bool {
 // fire is the event loop: it fires the queue's top event on the calling
 // goroutine until a live wake ticket ends in a process to resume
 // (Proc.reach), and returns that process; at the horizon it returns nil. A
-// callback is popped, then called; a live ticket is left at the top for reach
+// callback is popped, then called; a lane head is re-keyed to the lane's next
+// callback or popped, then called; a live ticket is left at the top for reach
 // to re-key in place or pop. Its callers are a parking process (park) and the
 // Run caller (runLoop), whichever is executing.
 func (e *Engine) fire() *Proc {
@@ -353,6 +364,9 @@ func (e *Engine) fire() *Proc {
 		case evCall:
 			fn, arg := r.fn2, r.arg
 			e.heapPop()
+			fn(arg)
+		case evLane:
+			fn, arg := r.arg.(*Lane).next()
 			fn(arg)
 		default: // evWake
 			if q := r.proc; q.done || q.gen != r.wgen {

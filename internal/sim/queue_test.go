@@ -6,20 +6,22 @@ import (
 	"testing"
 )
 
-// The event queue against a reference: a small program of callbacks and
-// run-ahead processes is run on an engine and replayed on qRef, which keeps
-// its queue as a slice sorted by (time, sequence) and draws sequence numbers
-// where the engine's contract says they are drawn — one per scheduled
-// callback, one per park, one per re-key of a walking wake ticket. Both must
-// fire the same things at the same times in the same order and end with the
-// same clock, event count and resume count. What the engine does differently
-// is all that is under test: keys inside a 4-ary heap array, and a live
-// ticket that stays at the top while its stop's deferred calls run and is
-// then re-keyed where it sits.
+// The event queue against a reference: a small program of callbacks, lane
+// appends and run-ahead processes is run on an engine and replayed on qRef,
+// which keeps its queue as a slice sorted by (time, sequence) and draws
+// sequence numbers where the engine's contract says they are drawn — one per
+// scheduled callback, whether it is an ordinary event or waits in a lane, one
+// per park, one per re-key of a walking wake ticket. Both must fire the same
+// things at the same times in the same order and end with the same clock,
+// event count, resume count and number of lane fallbacks. What the engine does
+// differently is all that is under test: keys inside a 4-ary heap array, a
+// live ticket that stays at the top while its stop's deferred calls run and is
+// then re-keyed where it sits, and lanes, of which only the head is in the
+// heap and is re-keyed the same way.
 //
 // A program is read two bytes at a time: the actor (byte % 4; '0' is the
 // host, which acts before Run, '1'..'3' are processes) and its next operation
-// (byte % 16, 'a'..'p'):
+// (byte % 32, 'a'..'z'; the six other values repeat one of them):
 //
 //	a b c g   advance 1, 2, 3, 100     (exact sums: 1+2 and 3 tie)
 //	d e f     advance 0.1, 0.2, 0.3    (0.1+0.2 and 0.3 differ in the last bit)
@@ -28,9 +30,12 @@ import (
 //	          deferred call, more records than the pool holds)
 //	l         sync
 //	n o p     again advance 1, callback 0 later, sync
+//	q r s v y do: append a callback 0, 1, 100, 0.3 or 2 later to lane A
+//	t u x w z do: append a callback 0, 1, 100, 0.3 or 2 later to lane B
 //
 // The host ignores advance and sync; a process's do runs inline while it is
-// level and as a deferred call of its current stop once it is ahead.
+// level and as a deferred call of its current stop once it is ahead. An
+// append earlier than its lane's last pending callback is an ordinary event.
 
 type qKind uint8
 
@@ -39,6 +44,7 @@ const (
 	qCall
 	qBurst
 	qSync
+	qLane
 )
 
 const qBurstLen = 100 // > 1+4+16+64: a burst alone makes the heap five levels deep
@@ -46,11 +52,15 @@ const qBurstLen = 100 // > 1+4+16+64: a burst alone makes the heap five levels d
 type qOp struct {
 	kind qKind
 	d    Time
+	lane int // qLane: 1 (A) or 2 (B)
 }
+
+// issues reports whether the operation schedules callbacks.
+func (op qOp) issues() bool { return op.kind == qCall || op.kind == qBurst || op.kind == qLane }
 
 // delays lists how much later each callback of a scheduling operation fires.
 func (op qOp) delays() []Time {
-	if op.kind == qCall {
+	if op.kind == qCall || op.kind == qLane {
 		return []Time{op.d}
 	}
 	burst := make([]Time, qBurstLen)
@@ -60,37 +70,48 @@ func (op qOp) delays() []Time {
 	return burst
 }
 
-var qOps = [16]qOp{
-	'a' % 16: {qAdvance, 1}, 'b' % 16: {qAdvance, 2}, 'c' % 16: {qAdvance, 3}, 'g' % 16: {qAdvance, 100},
-	'd' % 16: {qAdvance, 0.1}, 'e' % 16: {qAdvance, 0.2}, 'f' % 16: {qAdvance, 0.3},
-	'h' % 16: {qCall, 0}, 'i' % 16: {qCall, 1}, 'j' % 16: {qCall, 0.3}, 'm' % 16: {qCall, 100},
-	'k' % 16: {qBurst, 0},
-	'l' % 16: {qSync, 0},
-	'n' % 16: {qAdvance, 1}, 'o' % 16: {qCall, 0}, 'p' % 16: {qSync, 0},
+var qOps = [32]qOp{
+	'a' % 32: {qAdvance, 1, 0}, 'b' % 32: {qAdvance, 2, 0}, 'c' % 32: {qAdvance, 3, 0}, 'g' % 32: {qAdvance, 100, 0},
+	'd' % 32: {qAdvance, 0.1, 0}, 'e' % 32: {qAdvance, 0.2, 0}, 'f' % 32: {qAdvance, 0.3, 0},
+	'h' % 32: {qCall, 0, 0}, 'i' % 32: {qCall, 1, 0}, 'j' % 32: {qCall, 0.3, 0}, 'm' % 32: {qCall, 100, 0},
+	'k' % 32: {qBurst, 0, 0},
+	'l' % 32: {qSync, 0, 0},
+	'n' % 32: {qAdvance, 1, 0}, 'o' % 32: {qCall, 0, 0}, 'p' % 32: {qSync, 0, 0},
+	'q' % 32: {qLane, 0, 1}, 'r' % 32: {qLane, 1, 1}, 's' % 32: {qLane, 100, 1}, 'v' % 32: {qLane, 0.3, 1}, 'y' % 32: {qLane, 2, 1},
+	't' % 32: {qLane, 0, 2}, 'u' % 32: {qLane, 1, 2}, 'x' % 32: {qLane, 100, 2}, 'w' % 32: {qLane, 0.3, 2}, 'z' % 32: {qLane, 2, 2},
+	0: {qAdvance, 1, 0}, 27: {qCall, 0, 0}, 28: {qSync, 0, 0}, 29: {qLane, 0, 1}, 30: {qLane, 1, 2}, 31: {qAdvance, 0.1, 0},
 }
 
 // qOutcome is what a run leaves to compare, and what it says about the paths
 // it took (the seeds' claims, checked by TestEventQueueSeeds).
 type qOutcome struct {
-	Log     []string
-	End     Time
-	Fired   int64
-	Resumes int64
+	Log       []string
+	End       Time
+	Fired     int64
+	Resumes   int64
+	Fallbacks int64 // lane appends that became ordinary events
 
 	tieFired   int  // events fired at the instant of the event before them
-	maxQueued  int  // most events queued at once
+	maxQueued  int  // most events queued at once (the engine: in its heap)
 	ownInstant int  // callbacks a deferred call scheduled at its ticket's own instant
 	rekeyTop   int  // re-keys after which the ticket was still the minimum of a non-empty queue
 	rekeyLeaf  int  // re-keys that made the ticket the maximum of a queue >= 4 levels deep
 	poolGrew   bool // engine only: a deferred call grew the record pool
 	topChecked int  // engine only: deferred calls that found their ticket at the top
+
+	laneAppends  int // appends that waited in their lane
+	tieKinds     int // instants at which a lane callback, a plain callback and a ticket all fired
+	refilled     int // appends to a lane that had drained at the same instant
+	laneSwitches int // lane callbacks fired right after one of the other lane
+	laneLeaf     int // lane heads re-keyed to the maximum of a queue >= 4 levels deep
 }
 
 // qWorld runs a program on the engine.
 type qWorld struct {
-	e   *Engine
-	ids int
-	out qOutcome
+	e     *Engine
+	lanes [3]Lane // 1: A, 2: B
+	ids   int
+	out   qOutcome
 }
 
 func (w *qWorld) callback(arg any) {
@@ -101,7 +122,11 @@ func (w *qWorld) issue(who int, op qOp) {
 	w.out.Log = append(w.out.Log, fmt.Sprintf("%v p%d issues", w.e.Now(), who))
 	for _, d := range op.delays() {
 		w.ids++
-		w.e.AtCall(d, w.callback, w.ids)
+		if op.kind == qLane {
+			w.lanes[op.lane].Append(w.e.Now()+d, w.callback, w.ids)
+		} else {
+			w.e.AtCall(d, w.callback, w.ids)
+		}
 	}
 }
 
@@ -139,8 +164,10 @@ func (w *qWorld) body(who int, ops []qOp) func(*Proc) {
 func runQueueEngine(prog [][]qOp) qOutcome {
 	e := NewEngine(1)
 	w := &qWorld{e: e}
+	w.lanes[1].Bind(e)
+	w.lanes[2].Bind(e)
 	for _, op := range prog[0] {
-		if op.kind == qCall || op.kind == qBurst {
+		if op.issues() {
 			w.issue(0, op)
 		}
 	}
@@ -148,7 +175,8 @@ func runQueueEngine(prog [][]qOp) qOutcome {
 		e.Spawn(fmt.Sprintf("p%d", who), w.body(who, prog[who]))
 	}
 	w.out.End = e.Run()
-	w.out.Fired, w.out.Resumes = e.EventsFired, e.Resumes
+	w.out.Fired, w.out.Resumes, w.out.Fallbacks = e.EventsFired, e.Resumes, e.LaneFallbacks
+	w.out.maxQueued = e.QueuePeak
 	return w.out
 }
 
@@ -159,15 +187,27 @@ type qRef struct {
 	queue []refEv // sorted by (t, seq)
 	ids   int
 	procs []*refProc
+	lanes [3]refLane
 	out   qOutcome
 }
 
-// refEv is a queued callback (id > 0) or the wake ticket of process who.
+// refEv is a queued callback (id > 0), waiting in lane > 0 or not, or the
+// wake ticket of process who.
 type refEv struct {
-	t   Time
-	seq int64
-	who int
-	id  int
+	t    Time
+	seq  int64
+	who  int
+	id   int
+	lane int
+}
+
+// refLane is what the reference knows of a lane: how many of its callbacks
+// are pending, when the last of them fires, and when it last fired one.
+type refLane struct {
+	pending   int
+	tail      Time
+	fired     bool
+	lastFired Time
 }
 
 type refProc struct {
@@ -184,12 +224,12 @@ type refStop struct {
 
 // push queues an event under the next sequence number: behind everything
 // queued for the same instant.
-func (r *qRef) push(t Time, who, id int) {
+func (r *qRef) push(t Time, who, id, lane int) {
 	r.seq++
 	i := sort.Search(len(r.queue), func(i int) bool { return r.queue[i].t > t })
 	r.queue = append(r.queue, refEv{})
 	copy(r.queue[i+1:], r.queue[i:])
-	r.queue[i] = refEv{t, r.seq, who, id}
+	r.queue[i] = refEv{t, r.seq, who, id, lane}
 	if n := len(r.queue); n > r.out.maxQueued {
 		r.out.maxQueued = n
 	}
@@ -199,10 +239,30 @@ func (r *qRef) issue(who int, op qOp, deferred bool) {
 	r.out.Log = append(r.out.Log, fmt.Sprintf("%v p%d issues", r.now, who))
 	for _, d := range op.delays() {
 		r.ids++
-		r.push(r.now+d, 0, r.ids)
 		if deferred && d == 0 {
 			r.out.ownInstant++
 		}
+		if op.kind != qLane {
+			r.push(r.now+d, 0, r.ids, 0)
+			continue
+		}
+		// Engine.AtTimeCall's time: the absolute instant, through the delay.
+		t := r.now + d
+		t = r.now + (t - r.now)
+		lane, ln := op.lane, &r.lanes[op.lane]
+		switch {
+		case ln.pending > 0 && t < ln.tail:
+			r.out.Fallbacks++
+			lane = 0
+		default:
+			if ln.pending == 0 && ln.fired && ln.lastFired == r.now {
+				r.out.refilled++
+			}
+			ln.pending++
+			ln.tail = t
+			r.out.laneAppends++
+		}
+		r.push(t, 0, r.ids, lane)
 	}
 }
 
@@ -219,7 +279,7 @@ func (r *qRef) resume(who int) {
 			p.local += op.d
 			p.stops = append(p.stops, refStop{t: p.local})
 		case op.kind == qSync && len(p.stops) > 0:
-			r.push(p.stops[0].t, who, 0)
+			r.push(p.stops[0].t, who, 0, 0)
 			return // parked; the sync is read again, level, on resumption
 		case op.kind == qSync:
 			r.out.Log = append(r.out.Log, fmt.Sprintf("%v p%d level", r.now, who))
@@ -231,30 +291,45 @@ func (r *qRef) resume(who int) {
 		}
 	}
 	if len(p.stops) > 0 {
-		r.push(p.stops[0].t, who, 0)
+		r.push(p.stops[0].t, who, 0, 0)
 	}
 }
 
 func runQueueRef(prog [][]qOp) qOutcome {
 	r := &qRef{}
 	for _, op := range prog[0] {
-		if op.kind == qCall || op.kind == qBurst {
+		if op.issues() {
 			r.issue(0, op, false)
 		}
 	}
 	r.procs = make([]*refProc, len(prog))
 	for who := 1; who < len(prog); who++ {
 		r.procs[who] = &refProc{ops: prog[who]}
-		r.push(r.now, who, 0)
+		r.push(r.now, who, 0, 0)
 	}
+	kinds, lastLane := 0, 0 // what fired at this instant (lane 1, plain callback 2, ticket 4); the last lane to fire
 	for len(r.queue) > 0 {
 		ev := r.queue[0]
 		r.queue = r.queue[1:]
 		if r.out.Fired > 0 && ev.t == r.now {
 			r.out.tieFired++
+		} else {
+			kinds = 0
 		}
 		r.now = ev.t
 		r.out.Fired++
+		kind := 4
+		if ev.lane > 0 {
+			kind = 1
+			r.fireLane(ev, lastLane)
+			lastLane = ev.lane
+		} else if ev.id > 0 {
+			kind = 2
+		}
+		if kinds != 7 && kinds|kind == 7 {
+			r.out.tieKinds++
+		}
+		kinds |= kind
 		if ev.id > 0 {
 			r.out.Log = append(r.out.Log, fmt.Sprintf("%v cb%d", r.now, ev.id))
 			continue
@@ -278,10 +353,28 @@ func runQueueRef(prog [][]qOp) qOutcome {
 		} else if n > 1+4+16+64 && t >= r.queue[n-1].t {
 			r.out.rekeyLeaf++
 		}
-		r.push(t, ev.who, 0)
+		r.push(t, ev.who, 0, 0)
 	}
 	r.out.End = r.now
 	return r.out
+}
+
+// fireLane accounts for a lane callback leaving the queue: its lane's head
+// moves on to the next of its callbacks, if any.
+func (r *qRef) fireLane(ev refEv, lastLane int) {
+	ln := &r.lanes[ev.lane]
+	ln.pending--
+	ln.fired, ln.lastFired = true, r.now
+	if lastLane > 0 && lastLane != ev.lane {
+		r.out.laneSwitches++
+	}
+	if ln.pending == 0 {
+		return
+	}
+	n := len(r.queue)
+	if last := r.queue[n-1]; n > 1+4+16+64 && last.lane == ev.lane {
+		r.out.laneLeaf++ // the lane's next callback is the queue's maximum
+	}
 }
 
 func parseQueueProgram(data []byte) [][]qOp {
@@ -291,7 +384,7 @@ func parseQueueProgram(data []byte) [][]qOp {
 	prog := make([][]qOp, 4)
 	for i := 0; i+1 < len(data); i += 2 {
 		who := data[i] % 4
-		prog[who] = append(prog[who], qOps[data[i+1]%16])
+		prog[who] = append(prog[who], qOps[data[i+1]%32])
 	}
 	return prog
 }
@@ -316,6 +409,18 @@ var queueSeeds = []struct {
 		func(ref, _ qOutcome) bool { return ref.rekeyLeaf == 1 }},
 	{"three walking tickets through a burst", "0k1d2e3f1e2d3f1f2f3d1k2h3i1a2b3c",
 		func(ref, eng qOutcome) bool { return ref.ownInstant > 0 && eng.poolGrew }},
+	{"in-order lane appends wait outside the heap", "0q0r0s",
+		func(ref, eng qOutcome) bool { return ref.laneAppends == 3 && eng.maxQueued == ref.maxQueued-2 }},
+	{"an out-of-order lane append falls back", "0s0q",
+		func(ref, _ qOutcome) bool { return ref.laneAppends == 1 && ref.Fallbacks == 1 }},
+	{"a lane head, a plain callback and a ticket tie", "0r0i1a1l",
+		func(ref, _ qOutcome) bool { return ref.laneAppends == 1 && ref.tieKinds == 1 }},
+	{"a lane drained and refilled at one instant", "0r1a1q1l",
+		func(ref, _ qOutcome) bool { return ref.refilled == 1 && ref.Fallbacks == 0 }},
+	{"two lanes interleave", "0q0t0r0u0s0x",
+		func(ref, eng qOutcome) bool { return ref.laneSwitches == 5 && eng.maxQueued == ref.maxQueued-4 }},
+	{"a re-keyed lane head sinks to a leaf", "0k0k0q0s",
+		func(ref, _ qOutcome) bool { return ref.laneLeaf == 1 }},
 }
 
 // checkQueueProgram runs the program both ways and compares what is common
@@ -324,9 +429,9 @@ func checkQueueProgram(t *testing.T, data []byte) (ref, eng qOutcome) {
 	t.Helper()
 	prog := parseQueueProgram(data)
 	ref, eng = runQueueRef(prog), runQueueEngine(prog)
-	if ref.End != eng.End || ref.Fired != eng.Fired || ref.Resumes != eng.Resumes {
-		t.Errorf("reference ends at %v after %d events and %d resumes, the engine at %v after %d and %d",
-			ref.End, ref.Fired, ref.Resumes, eng.End, eng.Fired, eng.Resumes)
+	if ref.End != eng.End || ref.Fired != eng.Fired || ref.Resumes != eng.Resumes || ref.Fallbacks != eng.Fallbacks {
+		t.Errorf("reference ends at %v after %d events, %d resumes and %d lane fallbacks, the engine at %v after %d, %d and %d",
+			ref.End, ref.Fired, ref.Resumes, ref.Fallbacks, eng.End, eng.Fired, eng.Resumes, eng.Fallbacks)
 	}
 	sameLogs(t, "reference", ref.Log, "engine", eng.Log)
 	return ref, eng
