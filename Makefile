@@ -38,21 +38,22 @@ race:
 # what held). Everything is written to one scratch directory that the trap
 # removes on every exit path, so a failing row leaves nothing beside the
 # committed results/. Shard-count identity of sweeps, traces and audits is
-# tier-1 (TestPDESDeterminismMatrix, again under `make race`); rows 2 and 4
-# only prove the -shards flag reaches the spec. Row 3 keeps its result cache
-# inside the scratch directory: the shared results/cache/ is keyed by
-# runner.CodeVersion, not by the code, so on a developer checkout it may hold
-# measurements of an older simulator. Rows 5 and 6 pin the two figure
-# artifacts no test names.
+# tier-1 (TestPDESDeterminismMatrix, again under `make race`); row 2 proves
+# that a chaos profile and the put functions reach the sharded engine
+# through the CLI, row 4 that -shards reaches a sweep's specs. Row 3 keeps
+# its result cache inside the scratch directory: the shared results/cache/ is
+# keyed by runner.CodeVersion, not by the code, so on a developer checkout it
+# may hold measurements of an older simulator. Rows 5 and 6 pin the two
+# figure artifacts no test names.
 e2e:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/" ./cmd/tune ./cmd/sweep ./cmd/audit; \
 	for w in 1 8; do "$$d/tune" -op ialltoall -np 8 -msg 65536 -compute 0.005 -iters 5 -speculate -spec-workers $$w -metrics "$$d/spec_w$$w.json" > /dev/null; done; \
 	cmp "$$d/spec_w1.json" "$$d/spec_w8.json"; \
 	echo "e2e 1/6: tune -speculate decision artifact byte-identical at 1 and 8 candidate workers"; \
-	for s in 2 4; do "$$d/tune" -op ialltoall -np 32 -msg 65536 -compute 0.005 -iters 12 -shards $$s -metrics "$$d/tune_s$$s.json" > /dev/null; done; \
+	for s in 2 4; do "$$d/tune" -op ialltoall-prim -chaos congested -np 32 -msg 65536 -compute 0.005 -iters 20 -shards $$s -metrics "$$d/tune_s$$s.json" > /dev/null; done; \
 	cmp "$$d/tune_s2.json" "$$d/tune_s4.json"; \
-	echo "e2e 2/6: tune -shards metrics + selection audit byte-identical at 2 and 4 shards"; \
+	echo "e2e 2/6: tune -op ialltoall-prim -chaos congested -shards: metrics + selection audit byte-identical at 2 and 4 shards"; \
 	for run in cold cached; do "$$d/audit" -matrix smoke -quiet -cache -cachedir "$$d/cache" -out "$$d/guideline_$$run.json" > /dev/null; \
 	cmp "$$d/guideline_$$run.json" results/guideline_report.json; done; \
 	"$$d/audit" -check results/guideline_report.json; \
@@ -122,7 +123,7 @@ stat:
 	cat *_test.go | wc -l                                                             # ... of which in the root package
 	grep -rhoE 'fl(ag)?\.(Bool|Int|Int64|Uint|String|Float64|Duration|Var)\(' cmd | wc -l   # command-line flags
 	grep -rn 'panic(' --include='*.go' cmd internal examples | grep -vc '_test\.go:'         # non-test panic( sites
-	grep -rnE 'not supported|do not support|does not support|applies to the' --include='*.go' cmd internal | grep -vc '_test\.go:'   # non-test refusal sites
+	grep -rnE '(panic|Errorf)\(.*(not supported|do not support|does not support|applies to the)' --include='*.go' cmd internal | grep -vc '_test\.go:'   # non-test refusal sites (panics and errors, not comments)
 
 # Last, the gate fuzzes the simulator's two oracles for a fixed budget each:
 # run-ahead against the eager reading (internal/sim/runahead_test.go) and the

@@ -304,20 +304,43 @@ func TestSpeculateComposes(t *testing.T) {
 	}
 }
 
+// TestShardsRunChaosAndPuts: a chaos profile and the put functions of
+// ialltoall-prim reach the sharded engine through the command line, alone
+// and together, and a session's -metrics artifact does not depend on the
+// shard count.
+func TestShardsRunChaosAndPuts(t *testing.T) {
+	chdir(t, t.TempDir())
+	for _, args := range []string{"-chaos congested", "-op ialltoall-prim", "-op ialltoall-prim -chaos congested -chaos-seed 3"} {
+		var metrics [][]byte
+		for _, shards := range []string{"2", "4"} {
+			out, _ := tune(t, "-np 16 -msg 65536 -compute 0.005 -iters 18 "+args+" -shards "+shards+" -metrics m.json")
+			if !strings.Contains(out, "decision: ") {
+				t.Fatalf("tune %s -shards %s made no decision:\n%s", args, shards, out)
+			}
+			m, err := os.ReadFile("m.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			metrics = append(metrics, m)
+		}
+		if !bytes.Equal(metrics[0], metrics[1]) {
+			t.Errorf("tune %s: -metrics differs between 2 and 4 shards", args)
+		}
+	}
+}
+
 // TestRefusals: each unsupported combination is refused once, by the layer
 // that cannot serve it, and tune reports that layer's message.
 func TestRefusals(t *testing.T) {
 	for args, want := range map[string]string{
-		"-op nonesuch":                 "unknown operation",
-		"-op neighborhood -np 8":       "square rank count",
-		"-selector nonesuch":           "unknown selector",
-		"-shards 2 -chaos congested":   "not supported under PDES",
-		"-shards 2 -op ialltoall-prim": "not supported under PDES",
-		"-shards 0":                    "invalid -shards",
-		"-evals 0":                     "at least one measurement",
-		"-compute -1":                  "non-negative and finite",
-		"-msg -1024":                   "non-negative and finite",
-		"-speculate -spec-workers -1":  "worker count",
+		"-op nonesuch":                "unknown operation",
+		"-op neighborhood -np 8":      "square rank count",
+		"-selector nonesuch":          "unknown selector",
+		"-shards 0":                   "invalid -shards",
+		"-evals 0":                    "at least one measurement",
+		"-compute -1":                 "non-negative and finite",
+		"-msg -1024":                  "non-negative and finite",
+		"-speculate -spec-workers -1": "worker count",
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(strings.Fields(args), &stdout, &stderr); err == nil || !strings.Contains(err.Error(), want) {

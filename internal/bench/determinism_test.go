@@ -210,3 +210,49 @@ func TestExactTimeTieOrder(t *testing.T) {
 	}
 	t.Fatalf("no ialltoall-pairwise among %v", names)
 }
+
+// TestPutTotalsPinned pins the fixed-run total of every ialltoall-prim
+// function, the two-sided ones and the one-sided puts, on an RDMA fabric
+// (whale: a put lands with no target CPU) and a host-attended one (whale-tcp:
+// the target copies each put in at its next MPI instant). Where the put
+// protocol keeps its records and how it finds the target window may change;
+// these totals may not.
+func TestPutTotalsPinned(t *testing.T) {
+	want := map[string]map[string]float64{
+		"whale": {
+			"ialltoall-linear":        0.032138643821106504,
+			"ialltoall-dissemination": 0.04202543162416631,
+			"ialltoall-pairwise":      0.03434874391909794,
+			"ialltoall-linear-put":    0.03171460382110645,
+			"ialltoall-pairwise-put":  0.032799003783639605,
+		},
+		"whale-tcp": {
+			"ialltoall-linear":        0.06956463707627114,
+			"ialltoall-dissemination": 0.07134307128526562,
+			"ialltoall-pairwise":      0.046098781563743314,
+			"ialltoall-linear-put":    0.06955947707627118,
+			"ialltoall-pairwise-put":  0.0454139828878081,
+		},
+	}
+	for name, totals := range want {
+		plat, err := platform.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := allFixed(MicroSpec{
+			Platform: plat, Procs: 8, MsgSize: 64 * 1024, Op: "ialltoall-prim",
+			ComputePerIter: 5e-3, Iterations: 6, ProgressCalls: 4, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs) != len(totals) {
+			t.Fatalf("%s: %d functions, want %d", name, len(rs), len(totals))
+		}
+		for _, r := range rs {
+			if w, ok := totals[r.Impl]; !ok || r.Total != w {
+				t.Errorf("%s %s: total %v s, want exactly %v", name, r.Impl, r.Total, w)
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"nbctune/internal/chaos/profiles"
 	"nbctune/internal/fft"
 	"nbctune/internal/mpi"
 	"nbctune/internal/platform"
@@ -14,11 +13,7 @@ import (
 // engine beside it, so a test can read the engine's counters after a run.
 func engineOf(t *testing.T, p platform.Platform, procs int, seed int64, pl platform.Placement, chaos string, chaosSeed int64) (*sim.Engine, World) {
 	t.Helper()
-	prof, err := profiles.ByName(chaos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, w, err := p.NewWorldChaos(procs, seed, pl, prof, chaosSeed)
+	eng, w, err := p.NewWorldChaos(procs, seed, pl, chaos, chaosSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

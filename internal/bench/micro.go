@@ -62,10 +62,10 @@ type MicroSpec struct {
 	Mocks []string `json:",omitempty"`
 	// PDES selects the sharded multi-core simulation engine (DESIGN.md §2).
 	// Results are identical at every shard count but legitimately differ
-	// from the sequential engine (the rendezvous sender completes at
+	// from the sequential engine (a rendezvous send or a put completes at
 	// NIC-drain time; incast is sampled at wire arrival), so the flag is
-	// part of the spec's identity and cache fingerprint. Chaos profiles are
-	// not supported under PDES.
+	// part of the spec's identity and cache fingerprint. Every op and chaos
+	// profile runs under it.
 	PDES bool `json:",omitempty"`
 	// Shards is the worker (OS thread) count used when PDES is set; <= 0
 	// selects min(GOMAXPROCS, used nodes). Excluded from the JSON form: the
@@ -135,9 +135,6 @@ func (s MicroSpec) validate() error {
 	if s.Data && op.Pattern == nil {
 		return fmt.Errorf("bench: op %q declares no data pattern to verify", s.Op)
 	}
-	if s.PDES && op.Windows {
-		return fmt.Errorf("bench: op %q is not supported under PDES (sharded) simulation: one-sided windows need a sequential world", s.Op)
-	}
 	return nil
 }
 
@@ -163,12 +160,10 @@ type World interface {
 // set.
 func assemble(p platform.Platform, procs int, seed int64, pl platform.Placement, chaos string, chaosSeed int64, pdes bool, shards int) (World, error) {
 	if !pdes {
-		return p.NewWorldChaosNamed(procs, seed, pl, chaos, chaosSeed)
+		_, w, err := p.NewWorldChaos(procs, seed, pl, chaos, chaosSeed)
+		return w, err
 	}
-	if chaos != "" && chaos != "off" {
-		return nil, fmt.Errorf("bench: chaos profile %q is not supported under PDES (sharded) simulation", chaos)
-	}
-	return p.NewWorldPDES(procs, seed, pl, shards)
+	return p.NewWorldPDESChaos(procs, seed, pl, shards, chaos, chaosSeed)
 }
 
 // World assembles the spec's simulated machine. It is the one place a driver

@@ -16,7 +16,8 @@
 //   - per-rank OS noise: relative jitter plus "detour" events (an OS daemon
 //     stealing a fixed slice of CPU with some probability per compute call);
 //   - link degradation: static latency/bandwidth factors on inter-node
-//     transfers, plus exponential per-message delivery jitter;
+//     transfers, plus exponential per-message delivery jitter drawn from
+//     the sending rank's stream;
 //   - congestion bursts: randomly timed windows during which effective
 //     bandwidth collapses (a neighbor job hammering the shared switch);
 //   - slow-NIC nodes: a deterministic subset of nodes whose transfers run at
@@ -52,7 +53,7 @@ type Profile struct {
 	DetourTime float64 `json:"detour_time,omitempty"` // CPU seconds one detour steals
 
 	// Static link degradation for inter-node transfers.
-	LatencyFactor   float64 `json:"latency_factor,omitempty"`   // multiplies wire latency (>= 1 degrades)
+	LatencyFactor   float64 `json:"latency_factor,omitempty"`   // multiplies wire latency (0, or >= 1: never faster)
 	BandwidthFactor float64 `json:"bandwidth_factor,omitempty"` // multiplies bandwidth (<= 1 degrades)
 	JitterMean      float64 `json:"jitter_mean,omitempty"`      // mean of exponential per-message delivery jitter
 
@@ -94,6 +95,8 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("chaos %q: bursts need a positive BurstLen", p.Name)
 	case p.SlowNodeFrac < 0 || p.SlowNodeFrac > 1:
 		return fmt.Errorf("chaos %q: SlowNodeFrac must be in [0,1]", p.Name)
+	case p.LatencyFactor > 0 && p.LatencyFactor < 1: // a faster wire would undercut the PDES lookahead
+		return fmt.Errorf("chaos %q: LatencyFactor %g would make the wire faster (want 0 or >= 1)", p.Name, p.LatencyFactor)
 	}
 	if !sort.SliceIsSorted(p.Shifts, func(i, j int) bool { return p.Shifts[i].At < p.Shifts[j].At }) {
 		return fmt.Errorf("chaos %q: shifts must be in ascending At order", p.Name)
@@ -101,6 +104,9 @@ func (p *Profile) Validate() error {
 	for _, s := range p.Shifts {
 		if s.At < 0 || s.LatencyFactor < 0 || s.BandwidthFactor < 0 {
 			return fmt.Errorf("chaos %q: shift fields must be non-negative", p.Name)
+		}
+		if s.LatencyFactor > 0 && s.LatencyFactor < 1 {
+			return fmt.Errorf("chaos %q: shift at %g: LatencyFactor %g would make the wire faster (want 0 or >= 1)", p.Name, s.At, s.LatencyFactor)
 		}
 	}
 	return nil
@@ -115,24 +121,20 @@ func factor(f float64) float64 {
 }
 
 // Injector is the per-run instantiation of a profile: seeded streams plus
-// the burst/shift state machines. One injector serves exactly one simulated
-// world; its state advances with the engine's (monotonic) virtual time.
+// the burst/shift state machines. One injector serves one simulated world, or
+// one shard of a sharded world: every shard builds its own from the same
+// (profile, seed), and they agree because a rank's draws come from that
+// rank's own streams and the burst and shift schedules are pure functions of
+// virtual time. Its state advances with its engine's (monotonic) virtual time.
 //
 // All methods are called from engine context (the netmodel and mpi layers),
 // which serializes them — the injector needs no locking.
 type Injector struct {
 	prof Profile
 
-	compute []*rand.Rand // one OS-noise stream per rank
-	link    *rand.Rand   // delivery-jitter stream
-	burst   *rand.Rand   // burst-schedule stream
-
-	// The raw PCG sources backing the streams above, retained because
-	// *rand.Rand cannot export its source: Clone serializes these to give a
-	// forked world streams positioned exactly where the parent's are.
-	computeSrc []*rand.PCG
-	linkSrc    *rand.PCG
-	burstSrc   *rand.PCG
+	compute []stream // one OS-noise stream per rank
+	link    []stream // one delivery-jitter stream per sending rank
+	burst   stream   // burst-schedule stream
 
 	slow []bool // per node: degraded NIC
 
@@ -147,14 +149,27 @@ type Injector struct {
 	JitterDraws  int64
 }
 
-// pcgSrc derives an independent deterministic source from (seed, lane).
-func pcgSrc(seed int64, lane uint64) *rand.PCG {
-	return rand.NewPCG(uint64(seed)*0x9E3779B97F4A7C15+lane, lane*0xDA942042E4DD58B5+0x6368616F73)
+// stream is a PCG-seeded generator that keeps its source, because *rand.Rand
+// cannot export it: clone serializes the source to give a forked world a
+// stream positioned exactly where the parent's is.
+type stream struct {
+	*rand.Rand
+	src *rand.PCG
 }
 
 // pcg derives an independent deterministic stream from (seed, lane).
-func pcg(seed int64, lane uint64) *rand.Rand {
-	return rand.New(pcgSrc(seed, lane))
+func pcg(seed int64, lane uint64) stream {
+	src := rand.NewPCG(uint64(seed)*0x9E3779B97F4A7C15+lane, lane*0xDA942042E4DD58B5+0x6368616F73)
+	return stream{rand.New(src), src}
+}
+
+// perRank derives one stream per rank, rank r's from lane base+r.
+func perRank(seed int64, base uint64, ranks int) []stream {
+	out := make([]stream, ranks)
+	for r := range out {
+		out[r] = pcg(seed, base+uint64(r))
+	}
+	return out
 }
 
 // NewInjector instantiates a profile for a world of `ranks` ranks on
@@ -167,16 +182,7 @@ func NewInjector(p Profile, seed int64, ranks, nodes int) (*Injector, error) {
 		return nil, fmt.Errorf("chaos: need at least one rank and one node")
 	}
 	in := &Injector{prof: p, shiftIdx: -1}
-	in.compute = make([]*rand.Rand, ranks)
-	in.computeSrc = make([]*rand.PCG, ranks)
-	for r := 0; r < ranks; r++ {
-		in.computeSrc[r] = pcgSrc(seed, 1000+uint64(r))
-		in.compute[r] = rand.New(in.computeSrc[r])
-	}
-	in.linkSrc = pcgSrc(seed, 1)
-	in.link = rand.New(in.linkSrc)
-	in.burstSrc = pcgSrc(seed, 2)
-	in.burst = rand.New(in.burstSrc)
+	in.compute, in.link, in.burst = perRank(seed, 1000, ranks), perRank(seed, 1<<32, ranks), pcg(seed, 2)
 	if p.BurstEvery > 0 {
 		in.nextBurst = p.BurstEvery * (0.5 + in.burst.Float64())
 		in.burstStart = math.Inf(1)
@@ -199,9 +205,9 @@ func NewInjector(p Profile, seed int64, ranks, nodes int) (*Injector, error) {
 	return in, nil
 }
 
-// clonePCG duplicates a PCG source mid-stream via its binary state.
-func clonePCG(src *rand.PCG) *rand.PCG {
-	b, err := src.MarshalBinary()
+// clone duplicates the stream mid-stream via its source's binary state.
+func (s stream) clone() stream {
+	b, err := s.src.MarshalBinary()
 	if err != nil {
 		panic(fmt.Sprintf("chaos: PCG state export failed: %v", err))
 	}
@@ -209,7 +215,16 @@ func clonePCG(src *rand.PCG) *rand.PCG {
 	if err := cp.UnmarshalBinary(b); err != nil {
 		panic(fmt.Sprintf("chaos: PCG state import failed: %v", err))
 	}
-	return cp
+	return stream{rand.New(cp), cp}
+}
+
+// cloneAll clones every stream of a per-rank set.
+func cloneAll(ss []stream) []stream {
+	out := make([]stream, len(ss))
+	for r, s := range ss {
+		out[r] = s.clone()
+	}
+	return out
 }
 
 // Clone returns a detached injector positioned exactly where the receiver
@@ -219,16 +234,7 @@ func clonePCG(src *rand.PCG) *rand.PCG {
 // serves exactly one forked world.
 func (in *Injector) Clone() *Injector {
 	cp := *in
-	cp.computeSrc = make([]*rand.PCG, len(in.computeSrc))
-	cp.compute = make([]*rand.Rand, len(in.compute))
-	for r, src := range in.computeSrc {
-		cp.computeSrc[r] = clonePCG(src)
-		cp.compute[r] = rand.New(cp.computeSrc[r])
-	}
-	cp.linkSrc = clonePCG(in.linkSrc)
-	cp.link = rand.New(cp.linkSrc)
-	cp.burstSrc = clonePCG(in.burstSrc)
-	cp.burst = rand.New(cp.burstSrc)
+	cp.compute, cp.link, cp.burst = cloneAll(in.compute), cloneAll(in.link), in.burst.clone()
 	cp.slow = append([]bool(nil), in.slow...)
 	return &cp
 }
@@ -302,11 +308,13 @@ func (in *Injector) Wire(now float64, a, b int) (latF, bwF float64) {
 }
 
 // DeliveryJitter draws the extra delivery delay of one inter-node message
-// (exponential with mean JitterMean; 0 when the profile has no jitter).
-func (in *Injector) DeliveryJitter(now float64) float64 {
+// sent by rank src (exponential with mean JitterMean; 0 when the profile has
+// no jitter). Each sending rank has its own stream, so a rank's draws depend
+// only on its own sends, not on how sends of different ranks interleave.
+func (in *Injector) DeliveryJitter(src int) float64 {
 	if in.prof.JitterMean <= 0 {
 		return 0
 	}
 	in.JitterDraws++
-	return in.link.ExpFloat64() * in.prof.JitterMean
+	return in.link[src].ExpFloat64() * in.prof.JitterMean
 }

@@ -30,7 +30,6 @@ func TestInjectorDeterminism(t *testing.T) {
 	sameAll, diffAny := true, false
 	for i := 0; i < 200; i++ {
 		rank := i % 4
-		now := float64(i) * 1e-4
 		av := a.ComputeNoise(rank, 1e-3)
 		if av != b.ComputeNoise(rank, 1e-3) {
 			sameAll = false
@@ -38,11 +37,11 @@ func TestInjectorDeterminism(t *testing.T) {
 		if av != c.ComputeNoise(rank, 1e-3) {
 			diffAny = true
 		}
-		aj := a.DeliveryJitter(now)
-		if aj != b.DeliveryJitter(now) {
+		aj := a.DeliveryJitter(rank)
+		if aj != b.DeliveryJitter(rank) {
 			sameAll = false
 		}
-		if aj != c.DeliveryJitter(now) {
+		if aj != c.DeliveryJitter(rank) {
 			diffAny = true
 		}
 	}
@@ -56,7 +55,8 @@ func TestInjectorDeterminism(t *testing.T) {
 
 // Per-rank streams must be independent: draws on rank 0 may not perturb the
 // sequence rank 1 sees (otherwise rank-local call ordering would leak
-// nondeterminism across ranks).
+// nondeterminism across ranks, and shards of a sharded world, each with its
+// own injector, would disagree).
 func TestPerRankStreamsIndependent(t *testing.T) {
 	p := noisy()
 	a, _ := NewInjector(p, 1, 2, 1)
@@ -64,10 +64,14 @@ func TestPerRankStreamsIndependent(t *testing.T) {
 	// Interleave extra rank-0 draws on a only.
 	for i := 0; i < 50; i++ {
 		a.ComputeNoise(0, 1e-3)
+		a.DeliveryJitter(0)
 	}
 	for i := 0; i < 50; i++ {
 		if a.ComputeNoise(1, 1e-3) != b.ComputeNoise(1, 1e-3) {
-			t.Fatal("rank-1 stream perturbed by rank-0 draws")
+			t.Fatal("rank-1 compute stream perturbed by rank-0 draws")
+		}
+		if a.DeliveryJitter(1) != b.DeliveryJitter(1) {
+			t.Fatal("rank-1 jitter stream perturbed by rank-0 draws")
 		}
 	}
 }
@@ -97,7 +101,7 @@ func TestZeroProfileIsIdentity(t *testing.T) {
 	if lf != 1 || bf != 1 {
 		t.Fatalf("zero profile perturbed wire: %g %g", lf, bf)
 	}
-	if j := in.DeliveryJitter(0.5); j != 0 {
+	if j := in.DeliveryJitter(0); j != 0 {
 		t.Fatalf("zero profile jittered: %g", j)
 	}
 }
@@ -211,7 +215,7 @@ func TestDeliveryJitterPositiveWithFiniteMean(t *testing.T) {
 	in, _ := NewInjector(p, 2, 1, 1)
 	sum := 0.0
 	for i := 0; i < 5000; i++ {
-		j := in.DeliveryJitter(float64(i) * 1e-5)
+		j := in.DeliveryJitter(0)
 		if j < 0 || math.IsInf(j, 0) || math.IsNaN(j) {
 			t.Fatalf("bad jitter draw %g", j)
 		}
@@ -232,6 +236,10 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{Name: "frac", SlowNodeFrac: 2},
 		{Name: "unsorted", Shifts: []Shift{{At: 2}, {At: 1}}},
 		{Name: "neg-shift", Shifts: []Shift{{At: -1}}},
+		// Chaos never makes a wire faster, statically or after a shift.
+		{Name: "fast-wire", LatencyFactor: 0.5},
+		{Name: "fast-wire-barely", LatencyFactor: 0.999},
+		{Name: "fast-shift", Shifts: []Shift{{At: 1, LatencyFactor: 0.25}}},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -239,6 +247,16 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		}
 		if _, err := NewInjector(p, 1, 1, 1); err == nil {
 			t.Errorf("NewInjector accepted invalid profile %q", p.Name)
+		}
+	}
+	// 0 still means 1, and 1 itself is the clean wire.
+	for _, p := range []Profile{
+		{Name: "zero", Shifts: []Shift{{At: 1, BandwidthFactor: 0.5}}},
+		{Name: "one", LatencyFactor: 1, Shifts: []Shift{{At: 1, LatencyFactor: 1}}},
+		{Name: "slower", LatencyFactor: 4, Shifts: []Shift{{At: 1, LatencyFactor: 1.5}}},
+	} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("profile %q refused: %v", p.Name, err)
 		}
 	}
 }
@@ -263,7 +281,7 @@ func TestInjectorClone(t *testing.T) {
 		now += 1e-5
 		in.ComputeNoise(i%4, 1e-5)
 		in.Wire(now, 0, 1)
-		in.DeliveryJitter(now)
+		in.DeliveryJitter(i % 4)
 	}
 	cl := in.Clone()
 	if cl.Detours != in.Detours || cl.BurstWindows != in.BurstWindows || cl.JitterDraws != in.JitterDraws {
@@ -280,7 +298,7 @@ func TestInjectorClone(t *testing.T) {
 		if al != bl || ab != bb {
 			t.Fatalf("step %d: Wire diverged: (%v,%v) != (%v,%v)", i, al, ab, bl, bb)
 		}
-		if a, b := in.DeliveryJitter(now), cl.DeliveryJitter(now); a != b {
+		if a, b := in.DeliveryJitter(r), cl.DeliveryJitter(r); a != b {
 			t.Fatalf("step %d: DeliveryJitter diverged: %v != %v", i, a, b)
 		}
 	}

@@ -63,9 +63,6 @@ type Op struct {
 	// the communicator size, so a host-side copy must be built at the real
 	// rank count rather than on a small stand-in.
 	PerSize bool
-	// Windows marks sets that create one-sided windows, which a sharded
-	// (PDES) world does not support.
-	Windows bool
 	// Pattern is nil for operations whose result depends on more than who
 	// sent what (reductions, halo exchanges); data verification is refused
 	// for those.
@@ -96,7 +93,7 @@ var ops = []*Op{
 		build: set(func(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet { return IalltoallSet(c, send, recv, false) })},
 	{Name: "ialltoall-ext", Send: BlockPerRank, Recv: BlockPerRank, Pattern: personalized,
 		build: set(func(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet { return IalltoallSet(c, send, recv, true) })},
-	{Name: "ialltoall-prim", Send: BlockPerRank, Recv: BlockPerRank, Pattern: personalized, Windows: true,
+	{Name: "ialltoall-prim", Send: BlockPerRank, Recv: BlockPerRank, Pattern: personalized,
 		build: set(IalltoallPrimitivesSet)},
 	{Name: "ibcast", Send: OneBlock, Pattern: fromRoot, build: rooted(IbcastSet)},
 	{Name: "ibcast-scalable", Send: OneBlock, Pattern: fromRoot, build: rooted(IbcastScalableSet)},

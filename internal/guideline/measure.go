@@ -181,7 +181,7 @@ func (s Scenario) world() (runFn func(prog func(c *mpi.Comm)), err error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := pl.NewWorldChaosNamed(s.Procs, s.Seed, platform.Cyclic, s.Chaos, s.ChaosSeed)
+	_, w, err := pl.NewWorldChaos(s.Procs, s.Seed, platform.Cyclic, s.Chaos, s.ChaosSeed)
 	if err != nil {
 		return nil, err
 	}

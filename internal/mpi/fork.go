@@ -143,9 +143,8 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 	for i, q := range w.reqFree {
 		s.reqGens[i] = q.gen
 	}
-	if w.opts.Chaos != nil {
-		s.chaos = w.opts.Chaos.Clone()
-		s.opts.Chaos = nil // each Fork gets its own clone of s.chaos
+	if in := w.net.Chaos(); in != nil {
+		s.chaos = in.Clone() // each Fork gets its own clone of s.chaos
 	}
 	netSnap, err := w.net.Snapshot()
 	if err != nil {
@@ -183,7 +182,6 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 		opts:    s.opts,
 		nextCtx: s.nextCtx,
 	}
-	w.opts.Chaos = inj
 	// Rank records come out of one contiguous batch, and the lazily created
 	// structures (RNG, wait condition, matcher maps) stay absent in the fork
 	// exactly where they were absent in the parent — per-fork cost is

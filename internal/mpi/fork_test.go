@@ -39,7 +39,7 @@ func forkTestWorld(t testing.TB, n int) (*sim.Engine, *World) {
 		t.Fatal(err)
 	}
 	net.SetChaos(in)
-	return eng, NewWorld(eng, net, n, Options{Seed: 42, Chaos: in})
+	return eng, NewWorld(eng, net, n, Options{Seed: 42})
 }
 
 // forkFingerprint runs a protocol-heavy program (eager and rendezvous

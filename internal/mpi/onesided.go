@@ -13,6 +13,13 @@ package mpi
 // attraction of put-based collectives. On host-attended transports (TCP) the
 // target is charged the per-byte copy cost at its next MPI instant before
 // the put is visible (and counted).
+//
+// The origin names the target by rank and window context only: the put's
+// record crosses the network like an envelope, the target window is looked
+// up where the put lands, and the record is recycled into the target's pool.
+// So a put to another shard of a sharded world is an ordinary cross-shard
+// message; its origin completes when its NIC has drained the payload, on its
+// own shard (xmitPut), as a sharded rendezvous send does.
 
 import "fmt"
 
@@ -37,8 +44,8 @@ type Win struct {
 // calling it in the same order. Counters of past instances are released.
 //
 // The counters are written by events (an RDMA put lands with no rank
-// involved), so this, ReceivedFor and PutInstanced's target lookup wait for
-// the engine to catch up with the rank first.
+// involved), so this and ReceivedFor wait for the engine to catch up with the
+// rank first.
 func (w *Win) NextInstance() int64 {
 	w.c.r.proc.Sync()
 	w.instanceSeq++
@@ -58,8 +65,9 @@ func (w *Win) ReceivedFor(instance int64) int {
 }
 
 // winRegistry lets puts find the target rank's window object. Windows are
-// registered per (world, ctx); creation order is collective so ctx values
-// agree across ranks.
+// registered per (world, ctx) — on a sharded world, in the world of the
+// shard that runs the rank; creation order is collective so ctx values agree
+// across ranks.
 type winRegistry struct {
 	wins map[int]map[int]*Win // ctx -> world rank -> *Win
 }
@@ -72,13 +80,7 @@ func (w *World) registry() *winRegistry {
 }
 
 // CreateWin collectively creates a window exposing b on every rank of c.
-// Not available on a sharded (PDES) world: puts deposit into the target
-// rank's window from the origin's execution context, which would mutate
-// another shard's state (DESIGN.md §2).
 func (c *Comm) CreateWin(b Buf) *Win {
-	if c.r.w.shardOf != nil {
-		panic("mpi: one-sided windows are not supported on a sharded (PDES) world")
-	}
 	c.wins++
 	ctx := c.ctx*1000003 + 500000 + c.wins
 	win := &Win{c: c, buf: b, ctx: ctx}
@@ -90,12 +92,11 @@ func (c *Comm) CreateWin(b Buf) *Win {
 	return win
 }
 
-// target returns the peer's window object.
-func (w *Win) target(peer int) *Win {
-	reg := w.c.r.w.registry()
-	t := reg.wins[w.ctx][peer]
+// window returns rank r's window of context ctx. It runs where r runs.
+func (r *Rank) window(ctx int) *Win {
+	t := r.w.registry().wins[ctx][r.id]
 	if t == nil {
-		panic(fmt.Sprintf("mpi: rank %d has no window for ctx %d (window not created collectively?)", peer, w.ctx))
+		panic(fmt.Sprintf("mpi: rank %d has no window for ctx %d (window not created collectively?)", r.id, ctx))
 	}
 	return t
 }
@@ -104,28 +105,29 @@ func (w *Win) target(peer int) *Win {
 // on host-attended transports, the notice payload made visible at the
 // target's next MPI instant.
 type osOp struct {
-	tgt      *Win
 	tgtRank  *Rank
-	origin   *Rank
-	req      *Request
-	data     Buf // payload in flight
+	origin   *Rank    // read by the origin's shard only, until the transfer starts
+	req      *Request // completed at delivery; nil once xmitPut completes it at NIC drain
+	ctx      int      // the target window's context
+	data     Buf      // payload in flight
 	off      int
 	instance int64
 	rdma     bool
 }
 
 // process handles the ntOneSided notice at an MPI instant: a host-attended
-// put becomes visible. The osOp leaves the protocol here, so it is recycled.
+// put becomes visible.
 func (op *osOp) process(r *Rank) {
 	p := r.net().Params()
 	r.charge(p.ORecv + p.CopyTime(op.data.Len()))
 	op.land()
-	r.w.freeOS(op)
 }
 
-// land deposits the payload in the target window and counts the arrival.
+// land deposits the payload in the target window, counts the arrival, and
+// recycles the osOp into the target's pool: the put leaves the protocol here.
 func (op *osOp) land() {
-	w := op.tgt
+	t := op.tgtRank
+	w := t.window(op.ctx)
 	if op.data.HasData() && w.buf.HasData() {
 		copy(w.buf.Data()[op.off:], op.data.Data())
 	}
@@ -133,34 +135,46 @@ func (op *osOp) land() {
 		w.perInstance = map[int64]int{}
 	}
 	w.perInstance[op.instance]++
+	t.w.freeOS(op)
 }
 
 // xmitPut starts a put's transfer at the instant the origin's clock had
-// reached (see the protocol's other network calls in p2p.go).
+// reached (see the protocol's other network calls in p2p.go). A put to
+// another node of a sharded world lands on the target's shard, where the
+// origin's request must not be touched: it completes here, on the origin's
+// shard, when the NIC has drained the payload (Transfer's return under
+// PDES), as xmitBulkPDES does for a rendezvous send.
 func xmitPut(arg any) {
 	op := arg.(*osOp)
-	op.origin.net().Transfer(op.origin.id, op.tgtRank.id, op.data.Len(), deliverPut, op)
+	r := op.origin
+	if r.w.shardOf == nil || r.net().SameNode(r.id, op.tgtRank.id) {
+		r.net().Transfer(r.id, op.tgtRank.id, op.data.Len(), deliverPut, op)
+		return
+	}
+	req := op.req
+	op.origin, op.req = nil, nil
+	txEnd := r.net().Transfer(r.id, op.tgtRank.id, op.data.Len(), deliverPut, op)
+	r.w.eng.AtTimeCall(txEnd, fireSendDone, req)
 }
 
 // deliverPut is the Transfer callback of PutInstanced: on RDMA the bytes land
 // directly in target memory with no target CPU; on host-attended transports
-// visibility waits for the target's next MPI instant.
+// visibility waits for the target's next MPI instant. A request still on the
+// op completes here.
 func deliverPut(arg any) {
 	op := arg.(*osOp)
-	origin, req := op.origin, op.req
+	origin, req, tgt := op.origin, op.req, op.tgtRank
 	if op.rdma {
 		op.land()
 		// A target blocked in a put-counting schedule must observe the
 		// arrival.
-		op.tgtRank.enqueue(notice{kind: ntWake})
-		// The op leaves the protocol here; the origin notice below carries
-		// only the request.
-		origin.w.freeOS(op)
+		tgt.enqueue(notice{kind: ntWake})
 	} else {
-		op.tgtRank.enqueue(notice{kind: ntOneSided, os: op})
+		tgt.enqueue(notice{kind: ntOneSided, os: op})
 	}
-	// Local completion notice for the origin.
-	origin.enqueue(notice{kind: ntSendDone, sreq: req})
+	if req != nil {
+		origin.enqueue(notice{kind: ntSendDone, sreq: req})
+	}
 }
 
 // PutInstanced transfers b into the target rank's window at byte offset off,
@@ -180,14 +194,11 @@ func (w *Win) PutInstanced(instance int64, peer, off int, b Buf) *Request {
 	req.r, req.peer, req.ctx, req.buf = r, peer, w.ctx, b
 	r.charge(p.OPost + p.OSend)
 	r.outstanding++
-	r.proc.Sync()
-	tgt := w.target(peer)
-	tgtRank := r.w.ranks[peer]
 	if !p.RDMA {
 		r.charge(p.CopyTime(size))
 	}
 	op := r.w.allocOS()
-	op.tgt, op.tgtRank, op.origin, op.req = tgt, tgtRank, r, req
+	op.tgtRank, op.origin, op.req, op.ctx = r.w.ranks[peer], r, req, w.ctx
 	op.data, op.off, op.instance, op.rdma = b.Clone(), off, instance, p.RDMA
 	r.proc.Do(xmitPut, op)
 	return req

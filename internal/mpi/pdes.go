@@ -9,12 +9,13 @@
 // barriers in canonical (time, source rank, sequence) order, which is what
 // makes every simulated quantity independent of the shard count.
 //
-// Gated features: chaos injection (its RNG streams are consumed in global
-// call order, which a partition would reorder), one-sided windows (the put
-// registry and delivery paths mutate target-rank state from the origin's
-// context), and snapshot/fork (netmodel refuses to snapshot a sharded
-// network). Everything else — p2p, collectives, the NBC layer, tuning,
-// observability — runs unchanged.
+// Everything runs unchanged on it — p2p, collectives, the NBC layer,
+// one-sided puts, tuning, observability, and chaos, from one injector per
+// shard's network view (netmodel.SetChaos), all built from the same
+// (profile, seed) — except that a rendezvous send or a put to another node
+// completes at its origin when the origin's NIC has drained the payload, on
+// the origin's shard, not at remote delivery. Only snapshot/fork is refused
+// (netmodel will not snapshot a sharded network).
 package mpi
 
 import (
@@ -37,9 +38,6 @@ type ShardedWorld struct {
 // shardOf maps every rank to its shard and must be node-aligned: all ranks
 // of one node on one shard, or the NIC single-writer discipline breaks.
 func NewSharded(engs []*sim.Engine, nets []*netmodel.Network, win *sim.Windows, n int, opts Options, shardOf []int) (*ShardedWorld, error) {
-	if opts.Chaos != nil {
-		return nil, fmt.Errorf("mpi: chaos injection is not supported on a sharded (PDES) world")
-	}
 	k := len(engs)
 	if k == 0 || k != len(nets) || k != win.Shards() {
 		return nil, fmt.Errorf("mpi: %d engines / %d networks / %d window shards", len(engs), len(nets), win.Shards())

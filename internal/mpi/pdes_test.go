@@ -172,24 +172,96 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestShardedGates pins the unsupported-feature guards: chaos at
-// construction, one-sided windows at CreateWin.
-func TestShardedGates(t *testing.T) {
-	inj, err := chaos.NewInjector(chaos.Profile{Name: "x", LatencyFactor: 2}, 1, 2, 1)
-	if err != nil {
-		t.Fatal(err)
+// shardedChaos gives every shard's network view its own injector of prof,
+// as platform.NewWorldPDESChaos does.
+func shardedChaos(t testing.TB, sw *ShardedWorld, prof chaos.Profile, seed int64) {
+	t.Helper()
+	for _, w := range sw.worlds {
+		inj, err := chaos.NewInjector(prof, seed, len(w.ranks), w.net.Topo().NumNodes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.net.SetChaos(inj)
 	}
-	if _, err := NewSharded(nil, nil, nil, 2, Options{Chaos: inj}, []int{0, 0}); err == nil {
-		t.Error("NewSharded with chaos: want error")
+}
+
+// TestShardedChaosAndPuts runs what a sharded world once refused — a chaos
+// profile with OS noise, jitter, bursts and a shift back down to the clean
+// latency, under one-sided puts with real payloads across shards and nodes
+// and rendezvous sends — and pins that every window receives exactly what
+// was put, that chaos bites, and that completion times, MPI time and the
+// final clock are bit-identical at every shard count.
+func TestShardedChaosAndPuts(t *testing.T) {
+	const n, perNode, chunk = 8, 2, 20 * 1024 // above the eager limit
+	prof := chaos.Profile{
+		Name: "sharded", NoiseRel: 0.05, DetourProb: 0.1, DetourTime: 2e-5,
+		LatencyFactor: 2, JitterMean: 5e-6, BurstEvery: 1e-4, BurstLen: 3e-5, BurstBWFactor: 0.3,
+		Shifts: []chaos.Shift{{At: 2e-4, LatencyFactor: 8}, {At: 4e-4, LatencyFactor: 1}},
 	}
-	sw := testShardedWorld(t, 2, 2, 1)
-	sw.Start(func(c *Comm) {
-		defer func() {
-			if recover() == nil {
-				t.Error("CreateWin on sharded world: want panic")
+	type result struct {
+		doneAt, mpiTime []float64
+		now             float64
+	}
+	run := func(shards int, noisy bool) result {
+		sw := testShardedWorld(t, n, perNode, shards)
+		if noisy {
+			shardedChaos(t, sw, prof, 3)
+		}
+		doneAt := make([]float64, n)
+		sw.Start(func(c *Comm) {
+			me := c.Rank()
+			win := make([]byte, n*chunk)
+			w := c.CreateWin(Bytes(win))
+			c.Barrier()
+			for it := 0; it < 3; it++ {
+				k := w.NextInstance()
+				var reqs []*Request
+				for off := 1; off < n; off++ {
+					peer := (me + off) % n
+					data := make([]byte, chunk)
+					for i := range data {
+						data[i] = byte(me*31 + peer*7 + it + i)
+					}
+					reqs = append(reqs, w.PutInstanced(k, peer, me*chunk, Bytes(data)))
+				}
+				c.Compute(1e-5)
+				c.Wait(reqs...)
+				c.WaitFor(arrived(w, k, n-1))
+				for src := 0; src < n; src++ {
+					for i, b := range win[src*chunk : (src+1)*chunk] {
+						if src != me && b != byte(src*31+me*7+it+i) {
+							t.Errorf("shards=%d iteration %d: rank %d window byte %d from rank %d = %d", shards, it, me, i, src, b)
+							return
+						}
+					}
+				}
+				sb, rb := make([]byte, chunk), make([]byte, chunk)
+				c.Sendrecv((me+1)%n, it, Bytes(sb), (me+n-1)%n, it, Bytes(rb))
+				c.Barrier()
 			}
-		}()
-		c.CreateWin(Bytes(make([]byte, 8)))
-	})
-	sw.Run()
+			doneAt[me] = c.Now()
+		})
+		sw.Run()
+		res := result{doneAt: doneAt, now: sw.Now()}
+		for _, r := range sw.worlds[0].ranks {
+			res.mpiTime = append(res.mpiTime, r.MPITime)
+		}
+		return res
+	}
+	if clean, noisy := run(1, false), run(1, true); noisy.now <= clean.now {
+		t.Errorf("chaos did not slow the program down: %g s, clean %g s", noisy.now, clean.now)
+	}
+	base := run(1, true)
+	for _, shards := range []int{2, 4} {
+		got := run(shards, true)
+		if got.now != base.now {
+			t.Errorf("shards=%d: final time %.17g != %.17g", shards, got.now, base.now)
+		}
+		for i := 0; i < n; i++ {
+			if got.doneAt[i] != base.doneAt[i] || got.mpiTime[i] != base.mpiTime[i] {
+				t.Errorf("shards=%d: rank %d done at %.17g with MPI time %.17g, want %.17g and %.17g",
+					shards, i, got.doneAt[i], got.mpiTime[i], base.doneAt[i], base.mpiTime[i])
+			}
+		}
+	}
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"nbctune/internal/chaos"
 	"nbctune/internal/netmodel"
 	"nbctune/internal/obs"
 	"nbctune/internal/sim"
@@ -32,10 +31,6 @@ type Options struct {
 	Noise NoiseFunc
 	// Seed feeds the per-rank RNGs.
 	Seed int64
-	// Chaos, when non-nil, layers the fault-injection profile's per-rank OS
-	// noise on top of Noise. (The same injector degrades the network when
-	// attached there via netmodel.SetChaos; this field covers the host side.)
-	Chaos *chaos.Injector
 }
 
 // World is a set of simulated MPI ranks sharing one interconnect.
@@ -196,8 +191,9 @@ func (r *Rank) Recorder() *obs.Recorder { return r.rec }
 func (r *Rank) Network() *netmodel.Network { return r.w.net }
 
 // Compute advances this rank by d seconds of application computation,
-// perturbed by the world's noise model. It is the only rank API that does
-// NOT count as an MPI instant.
+// perturbed by the world's noise model and by the OS noise of the chaos
+// injector attached to its network, if any (netmodel.SetChaos). It is the
+// only rank API that does NOT count as an MPI instant.
 func (r *Rank) Compute(d float64) {
 	if d < 0 {
 		panic("mpi: negative compute time")
@@ -205,7 +201,7 @@ func (r *Rank) Compute(d float64) {
 	if n := r.w.opts.Noise; n != nil {
 		d = n(r.random().Rand, d)
 	}
-	if in := r.w.opts.Chaos; in != nil {
+	if in := r.w.net.Chaos(); in != nil {
 		d = in.ComputeNoise(r.id, d)
 	}
 	r.ComputeTime += d

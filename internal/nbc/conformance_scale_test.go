@@ -14,49 +14,24 @@ import (
 	"sync"
 	"testing"
 
-	"nbctune/internal/chaos"
 	"nbctune/internal/mpi"
 	"nbctune/internal/netmodel"
-	"nbctune/internal/sim"
 )
 
 // runConfTorus is runConf with an explicit rank→node placement on a 3D torus
 // of the given dimensions, so tests control multi-rank nodes and sparse
 // (partially occupied) machines.
-func runConfTorus(t testing.TB, nodeOf []int, dims [3]int, withChaos bool, chaosSeed int64, prog func(c *mpi.Comm)) {
+func runConfTorus(t testing.TB, nodeOf []int, dims [3]int, mode confMode, chaosSeed int64, prog func(c *mpi.Comm)) {
 	t.Helper()
-	n := len(nodeOf)
-	eng := sim.NewEngine(1)
-	net, err := netmodel.New(eng, testParams(func(p *netmodel.Params) {
+	runConfOn(t, testParams(func(p *netmodel.Params) {
 		p.Topology = netmodel.Torus3D
 		p.TorusDims = dims
 		p.HopLatency = 5e-7
-	}), nodeOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := mpi.Options{Seed: 7}
-	if withChaos {
-		maxNode := 0
-		for _, nd := range nodeOf {
-			if nd > maxNode {
-				maxNode = nd
-			}
-		}
-		in, err := chaos.NewInjector(tortureProfile(), chaosSeed, n, maxNode+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.SetChaos(in)
-		opts.Chaos = in
-	}
-	w := mpi.NewWorld(eng, net, n, opts)
-	w.Start(prog)
-	eng.Run()
+	}), nodeOf, mode, chaosSeed, prog)
 }
 
 func TestConformanceIbcastTorus(t *testing.T) {
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		rng := rand.New(rand.NewPCG(0x702, 0xBca))
 		for ci := 0; ci < confCases(t); ci++ {
 			dims := [3]int{2 + rng.IntN(3), 2 + rng.IntN(3), 1 + rng.IntN(3)}
@@ -73,7 +48,7 @@ func TestConformanceIbcastTorus(t *testing.T) {
 			size := 1 + rng.IntN(96*1024)
 			segSize := DefaultSegSizes[rng.IntN(len(DefaultSegSizes))]
 			ms, record, _ := recordOn()
-			runConfTorus(t, nodeOf, dims, withChaos, int64(ci+1), func(c *mpi.Comm) {
+			runConfTorus(t, nodeOf, dims, mode, int64(ci+1), func(c *mpi.Comm) {
 				me := c.Rank()
 				nb := make([]byte, size)
 				bl := make([]byte, size)
@@ -88,8 +63,8 @@ func TestConformanceIbcastTorus(t *testing.T) {
 				}
 			})
 			if len(*ms) > 0 {
-				t.Fatalf("case %d (n=%d dims=%v root=%d size=%d seg=%d chaos=%v): %v",
-					ci, n, dims, root, size, segSize, withChaos, (*ms)[0])
+				t.Fatalf("case %d (n=%d dims=%v root=%d size=%d seg=%d mode=%v): %v",
+					ci, n, dims, root, size, segSize, mode, (*ms)[0])
 			}
 		}
 	})
@@ -98,7 +73,7 @@ func TestConformanceIbcastTorus(t *testing.T) {
 func TestConformanceIbarrierTree(t *testing.T) {
 	// Same synchronization invariant as TestConformanceIbarrier: no rank may
 	// leave the barrier before the last rank arrives.
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		rng := rand.New(rand.NewPCG(0xBA2, 0x72e))
 		for ci := 0; ci < confCases(t); ci++ {
 			n := 2 + rng.IntN(9)
@@ -106,7 +81,7 @@ func TestConformanceIbarrierTree(t *testing.T) {
 			var mu sync.Mutex
 			var maxBefore float64
 			minAfter := 1e18
-			runConf(t, n, withChaos, int64(ci+1), func(c *mpi.Comm) {
+			runConf(t, n, mode, int64(ci+1), func(c *mpi.Comm) {
 				c.Compute(stagger * float64(c.Rank()+1))
 				mu.Lock()
 				if c.Now() > maxBefore {
@@ -121,8 +96,8 @@ func TestConformanceIbarrierTree(t *testing.T) {
 				mu.Unlock()
 			})
 			if minAfter < maxBefore {
-				t.Fatalf("case %d (n=%d chaos=%v): a rank left the tree barrier at %g before the last arrival %g",
-					ci, n, withChaos, minAfter, maxBefore)
+				t.Fatalf("case %d (n=%d mode=%v): a rank left the tree barrier at %g before the last arrival %g",
+					ci, n, mode, minAfter, maxBefore)
 			}
 		}
 	})
@@ -147,15 +122,15 @@ func scaleRanks(t *testing.T, cap int) int {
 }
 
 func TestScaleConformanceIallgatherBruck(t *testing.T) {
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		n := scaleRanks(t, 1024)
-		if withChaos {
+		if mode != confClean {
 			n = 256 // torture-profile events per message make 1K+ ranks too slow for tier-1
 		}
 		for rep := 0; rep < scaleReps(t); rep++ {
 			bs := 4 + rep*13 // small blocks: the Bruck regime
 			ms, record, _ := recordOn()
-			runConf(t, n, withChaos, int64(rep+1), func(c *mpi.Comm) {
+			runConf(t, n, mode, int64(rep+1), func(c *mpi.Comm) {
 				me := c.Rank()
 				send := make([]byte, bs)
 				confFill(send, uint64(rep)<<16|uint64(me))
@@ -172,8 +147,8 @@ func TestScaleConformanceIallgatherBruck(t *testing.T) {
 				}
 			})
 			if len(*ms) > 0 {
-				t.Fatalf("rep %d (n=%d bs=%d chaos=%v): rank %d: %s",
-					rep, n, bs, withChaos, (*ms)[0].rank, (*ms)[0].err)
+				t.Fatalf("rep %d (n=%d bs=%d mode=%v): rank %d: %s",
+					rep, n, bs, mode, (*ms)[0].rank, (*ms)[0].err)
 			}
 		}
 	})
@@ -184,9 +159,9 @@ func TestScaleConformanceIbcastTorus(t *testing.T) {
 	// torus — a sparse BlueGene/P-style placement where the node tree must
 	// route around 3072 unoccupied positions. -short shrinks to 256 ranks on
 	// a 4x4x4 torus, as does chaos mode.
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		dims, ppn, nodes := [3]int{16, 16, 16}, 4, 1024
-		if testing.Short() || withChaos {
+		if testing.Short() || mode != confClean {
 			dims, nodes = [3]int{4, 4, 4}, 64
 		}
 		n := nodes * ppn
@@ -204,7 +179,7 @@ func TestScaleConformanceIbcastTorus(t *testing.T) {
 			size := 64 * 1024
 			root := (rep * 977) % n
 			ms, record, _ := recordOn()
-			runConfTorus(t, nodeOf, dims, withChaos, int64(rep+1), func(c *mpi.Comm) {
+			runConfTorus(t, nodeOf, dims, mode, int64(rep+1), func(c *mpi.Comm) {
 				me := c.Rank()
 				buf := make([]byte, size)
 				if me == root {
@@ -218,24 +193,24 @@ func TestScaleConformanceIbcastTorus(t *testing.T) {
 				}
 			})
 			if len(*ms) > 0 {
-				t.Fatalf("rep %d (n=%d dims=%v root=%d chaos=%v): rank %d: %s",
-					rep, n, dims, root, withChaos, (*ms)[0].rank, (*ms)[0].err)
+				t.Fatalf("rep %d (n=%d dims=%v root=%d mode=%v): rank %d: %s",
+					rep, n, dims, root, mode, (*ms)[0].rank, (*ms)[0].err)
 			}
 		}
 	})
 }
 
 func TestScaleConformanceIbarrierTree(t *testing.T) {
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		n := scaleRanks(t, 2048)
-		if withChaos {
+		if mode != confClean {
 			n = 256
 		}
 		for rep := 0; rep < scaleReps(t); rep++ {
 			var mu sync.Mutex
 			var maxBefore float64
 			minAfter := 1e18
-			runConf(t, n, withChaos, int64(rep+1), func(c *mpi.Comm) {
+			runConf(t, n, mode, int64(rep+1), func(c *mpi.Comm) {
 				c.Compute(1e-6 * float64(c.Rank()+1))
 				mu.Lock()
 				if c.Now() > maxBefore {
@@ -250,8 +225,8 @@ func TestScaleConformanceIbarrierTree(t *testing.T) {
 				mu.Unlock()
 			})
 			if minAfter < maxBefore {
-				t.Fatalf("rep %d (n=%d chaos=%v): a rank left the tree barrier at %g before the last arrival %g",
-					rep, n, withChaos, minAfter, maxBefore)
+				t.Fatalf("rep %d (n=%d mode=%v): a rank left the tree barrier at %g before the last arrival %g",
+					rep, n, mode, minAfter, maxBefore)
 			}
 		}
 	})

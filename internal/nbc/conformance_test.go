@@ -52,32 +52,77 @@ func tortureProfile() chaos.Profile {
 	}
 }
 
-// runConf runs prog on n single-rank-per-node ranks, optionally under the
-// torture profile seeded with chaosSeed so every case sees a different
-// adversarial schedule.
-func runConf(t testing.TB, n int, withChaos bool, chaosSeed int64, prog func(c *mpi.Comm)) {
+// runConf runs prog on n single-rank-per-node ranks in the given mode, under
+// the torture profile seeded with chaosSeed unless the mode is clean, so
+// every case sees a different adversarial schedule.
+func runConf(t testing.TB, n int, mode confMode, chaosSeed int64, prog func(c *mpi.Comm)) {
 	t.Helper()
-	eng := sim.NewEngine(1)
 	nodeOf := make([]int, n)
 	for i := range nodeOf {
 		nodeOf[i] = i
 	}
-	net, err := netmodel.New(eng, testParams(nil), nodeOf)
-	if err != nil {
-		t.Fatal(err)
+	runConfOn(t, testParams(nil), nodeOf, mode, chaosSeed, prog)
+}
+
+// runConfOn runs prog on one rank per entry of nodeOf: on one engine, or in
+// confShardedChaos mode on two shards (netmodel and mpi's sharded worlds, node
+// ranges split in half as the platform layer splits them), each shard's
+// network view with its own injector.
+func runConfOn(t testing.TB, p netmodel.Params, nodeOf []int, mode confMode, chaosSeed int64, prog func(c *mpi.Comm)) {
+	t.Helper()
+	n, nodes := len(nodeOf), 0
+	for _, nd := range nodeOf {
+		nodes = max(nodes, nd+1)
 	}
-	opts := mpi.Options{Seed: 7}
-	if withChaos {
-		in, err := chaos.NewInjector(tortureProfile(), chaosSeed, n, n)
+	attach := func(net *netmodel.Network) {
+		if mode == confClean {
+			return
+		}
+		in, err := chaos.NewInjector(tortureProfile(), chaosSeed, n, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		net.SetChaos(in)
-		opts.Chaos = in
 	}
-	w := mpi.NewWorld(eng, net, n, opts)
-	w.Start(prog)
-	eng.Run()
+	opts := mpi.Options{Seed: 7}
+	if mode != confShardedChaos {
+		eng := sim.NewEngine(1)
+		net, err := netmodel.New(eng, p, nodeOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attach(net)
+		w := mpi.NewWorld(eng, net, n, opts)
+		w.Start(prog)
+		eng.Run()
+		return
+	}
+	engs := make([]*sim.Engine, min(2, nodes))
+	for s := range engs {
+		engs[s] = sim.NewEngine(1)
+	}
+	win := sim.NewWindows(engs, p.Latency)
+	shardOfNode := make([]int, nodes)
+	for nd := range shardOfNode {
+		shardOfNode[nd] = nd * len(engs) / nodes
+	}
+	nets, err := netmodel.NewSharded(engs, win, p, nodeOf, shardOfNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range nets {
+		attach(net)
+	}
+	shardOf := make([]int, n)
+	for r, nd := range nodeOf {
+		shardOf[r] = shardOfNode[nd]
+	}
+	sw, err := mpi.NewSharded(engs, nets, win, n, opts, shardOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.Start(prog)
+	sw.Run()
 }
 
 // confFill deterministically fills b from a per-(case,rank) tag, so every
@@ -89,10 +134,25 @@ func confFill(b []byte, tag uint64) {
 	}
 }
 
-// confModes runs the same property in a clean and a chaos subtest.
-func confModes(t *testing.T, prop func(t *testing.T, withChaos bool)) {
-	t.Run("clean", func(t *testing.T) { prop(t, false) })
-	t.Run("chaos", func(t *testing.T) { prop(t, true) })
+// confMode is the world a property runs on: clean, under the torture
+// profile, or under it on a 2-shard (PDES) world, where the sender clamps
+// each rank pair's wire times and the receiver its arrivals (the profile's
+// jitter and its shift back down to factor 1 test both).
+type confMode int
+
+const (
+	confClean confMode = iota
+	confChaos
+	confShardedChaos
+)
+
+func (m confMode) String() string { return [...]string{"clean", "chaos", "chaos-2-shards"}[m] }
+
+// confModes runs the same property in one subtest per mode.
+func confModes(t *testing.T, prop func(t *testing.T, mode confMode)) {
+	for _, m := range []confMode{confClean, confChaos, confShardedChaos} {
+		t.Run(m.String(), func(t *testing.T) { prop(t, m) })
+	}
 }
 
 type mismatch struct {
@@ -113,14 +173,14 @@ func recordOn() (*[]mismatch, func(rank int, format string, args ...any), *sync.
 }
 
 func TestConformanceIalltoall(t *testing.T) {
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		rng := rand.New(rand.NewPCG(0xA11, 0xC0F))
 		for ci := 0; ci < confCases(t); ci++ {
 			n := 2 + rng.IntN(9)        // 2..10 ranks
 			bs := 1 + rng.IntN(16*1024) // crosses the 12 KiB eager limit
 			algo := DefaultAlltoallAlgos[rng.IntN(len(DefaultAlltoallAlgos))]
 			ms, record, _ := recordOn()
-			runConf(t, n, withChaos, int64(ci+1), func(c *mpi.Comm) {
+			runConf(t, n, mode, int64(ci+1), func(c *mpi.Comm) {
 				me := c.Rank()
 				send := make([]byte, n*bs)
 				confFill(send, uint64(ci)<<8|uint64(me))
@@ -133,14 +193,14 @@ func TestConformanceIalltoall(t *testing.T) {
 				}
 			})
 			if len(*ms) > 0 {
-				t.Fatalf("case %d (n=%d bs=%d algo=%v chaos=%v): %v", ci, n, bs, algo, withChaos, (*ms)[0])
+				t.Fatalf("case %d (n=%d bs=%d algo=%v mode=%v): %v", ci, n, bs, algo, mode, (*ms)[0])
 			}
 		}
 	})
 }
 
 func TestConformanceIbcast(t *testing.T) {
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		rng := rand.New(rand.NewPCG(0xB0C, 0xA57))
 		for ci := 0; ci < confCases(t); ci++ {
 			n := 1 + rng.IntN(10)
@@ -149,7 +209,7 @@ func TestConformanceIbcast(t *testing.T) {
 			fanout := DefaultFanouts[rng.IntN(len(DefaultFanouts))]
 			segSize := DefaultSegSizes[rng.IntN(len(DefaultSegSizes))]
 			ms, record, _ := recordOn()
-			runConf(t, n, withChaos, int64(ci+1), func(c *mpi.Comm) {
+			runConf(t, n, mode, int64(ci+1), func(c *mpi.Comm) {
 				me := c.Rank()
 				nb := make([]byte, size)
 				bl := make([]byte, size)
@@ -164,22 +224,22 @@ func TestConformanceIbcast(t *testing.T) {
 				}
 			})
 			if len(*ms) > 0 {
-				t.Fatalf("case %d (n=%d root=%d size=%d fanout=%s seg=%d chaos=%v): %v",
-					ci, n, root, size, FanoutName(fanout), segSize, withChaos, (*ms)[0])
+				t.Fatalf("case %d (n=%d root=%d size=%d fanout=%s seg=%d mode=%v): %v",
+					ci, n, root, size, FanoutName(fanout), segSize, mode, (*ms)[0])
 			}
 		}
 	})
 }
 
 func TestConformanceIallreduce(t *testing.T) {
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		rng := rand.New(rand.NewPCG(0xA11, 0x4ed))
 		for ci := 0; ci < confCases(t); ci++ {
 			n := 1 + rng.IntN(10)
 			count := 1 + rng.IntN(256) // float64s
 			algo := []AllreduceAlgo{AllreduceRecursiveDoubling, AllreduceReduceBcast}[rng.IntN(2)]
 			ms, record, _ := recordOn()
-			runConf(t, n, withChaos, int64(ci+1), func(c *mpi.Comm) {
+			runConf(t, n, mode, int64(ci+1), func(c *mpi.Comm) {
 				me := c.Rank()
 				// Small-integer values: float64 sums are exact in any
 				// association order, so byte-identity is well defined.
@@ -197,21 +257,21 @@ func TestConformanceIallreduce(t *testing.T) {
 				}
 			})
 			if len(*ms) > 0 {
-				t.Fatalf("case %d (n=%d count=%d algo=%v chaos=%v): %v", ci, n, count, algo, withChaos, (*ms)[0])
+				t.Fatalf("case %d (n=%d count=%d algo=%v mode=%v): %v", ci, n, count, algo, mode, (*ms)[0])
 			}
 		}
 	})
 }
 
 func TestConformanceIgather(t *testing.T) {
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		rng := rand.New(rand.NewPCG(0x6A7, 0x43e))
 		for ci := 0; ci < confCases(t); ci++ {
 			n := 1 + rng.IntN(10)
 			root := rng.IntN(n)
 			bs := 1 + rng.IntN(16*1024)
 			ms, record, _ := recordOn()
-			runConf(t, n, withChaos, int64(ci+1), func(c *mpi.Comm) {
+			runConf(t, n, mode, int64(ci+1), func(c *mpi.Comm) {
 				me := c.Rank()
 				send := make([]byte, bs)
 				confFill(send, uint64(ci)<<8|uint64(me))
@@ -227,21 +287,21 @@ func TestConformanceIgather(t *testing.T) {
 				}
 			})
 			if len(*ms) > 0 {
-				t.Fatalf("case %d (n=%d root=%d bs=%d chaos=%v): %v", ci, n, root, bs, withChaos, (*ms)[0])
+				t.Fatalf("case %d (n=%d root=%d bs=%d mode=%v): %v", ci, n, root, bs, mode, (*ms)[0])
 			}
 		}
 	})
 }
 
 func TestConformanceIscatter(t *testing.T) {
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		rng := rand.New(rand.NewPCG(0x5Ca, 0x77e))
 		for ci := 0; ci < confCases(t); ci++ {
 			n := 1 + rng.IntN(10)
 			root := rng.IntN(n)
 			bs := 1 + rng.IntN(16*1024)
 			ms, record, _ := recordOn()
-			runConf(t, n, withChaos, int64(ci+1), func(c *mpi.Comm) {
+			runConf(t, n, mode, int64(ci+1), func(c *mpi.Comm) {
 				me := c.Rank()
 				var send []byte
 				if me == root {
@@ -257,21 +317,21 @@ func TestConformanceIscatter(t *testing.T) {
 				}
 			})
 			if len(*ms) > 0 {
-				t.Fatalf("case %d (n=%d root=%d bs=%d chaos=%v): %v", ci, n, root, bs, withChaos, (*ms)[0])
+				t.Fatalf("case %d (n=%d root=%d bs=%d mode=%v): %v", ci, n, root, bs, mode, (*ms)[0])
 			}
 		}
 	})
 }
 
 func TestConformanceIallgather(t *testing.T) {
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		rng := rand.New(rand.NewPCG(0xA11, 0x6a7))
 		for ci := 0; ci < confCases(t); ci++ {
 			n := 1 + rng.IntN(10)
 			bs := 1 + rng.IntN(16*1024)
 			algo := []AllgatherAlgo{AllgatherRing, AllgatherLinear, AllgatherBruck}[rng.IntN(3)]
 			ms, record, _ := recordOn()
-			runConf(t, n, withChaos, int64(ci+1), func(c *mpi.Comm) {
+			runConf(t, n, mode, int64(ci+1), func(c *mpi.Comm) {
 				me := c.Rank()
 				send := make([]byte, bs)
 				confFill(send, uint64(ci)<<8|uint64(me))
@@ -284,14 +344,14 @@ func TestConformanceIallgather(t *testing.T) {
 				}
 			})
 			if len(*ms) > 0 {
-				t.Fatalf("case %d (n=%d bs=%d algo=%v chaos=%v): %v", ci, n, bs, algo, withChaos, (*ms)[0])
+				t.Fatalf("case %d (n=%d bs=%d algo=%v mode=%v): %v", ci, n, bs, algo, mode, (*ms)[0])
 			}
 		}
 	})
 }
 
 func TestConformanceIreduce(t *testing.T) {
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		rng := rand.New(rand.NewPCG(0x4ed, 0x0ce))
 		for ci := 0; ci < confCases(t); ci++ {
 			n := 1 + rng.IntN(10)
@@ -299,7 +359,7 @@ func TestConformanceIreduce(t *testing.T) {
 			count := 1 + rng.IntN(256)
 			algo := []ReduceAlgo{ReduceBinomial, ReduceChain}[rng.IntN(2)]
 			ms, record, _ := recordOn()
-			runConf(t, n, withChaos, int64(ci+1), func(c *mpi.Comm) {
+			runConf(t, n, mode, int64(ci+1), func(c *mpi.Comm) {
 				me := c.Rank()
 				vals := make([]float64, count)
 				for i := range vals {
@@ -315,8 +375,8 @@ func TestConformanceIreduce(t *testing.T) {
 				}
 			})
 			if len(*ms) > 0 {
-				t.Fatalf("case %d (n=%d root=%d count=%d algo=%v chaos=%v): %v",
-					ci, n, root, count, algo, withChaos, (*ms)[0])
+				t.Fatalf("case %d (n=%d root=%d count=%d algo=%v mode=%v): %v",
+					ci, n, root, count, algo, mode, (*ms)[0])
 			}
 		}
 	})
@@ -326,7 +386,7 @@ func TestConformanceIbarrier(t *testing.T) {
 	// Barriers move no data; conformance here is the synchronization
 	// invariant the blocking Barrier also guarantees: no rank leaves before
 	// the last rank arrives — clean and under chaos.
-	confModes(t, func(t *testing.T, withChaos bool) {
+	confModes(t, func(t *testing.T, mode confMode) {
 		rng := rand.New(rand.NewPCG(0xBA2, 0x21e))
 		for ci := 0; ci < confCases(t); ci++ {
 			n := 2 + rng.IntN(9)
@@ -334,7 +394,7 @@ func TestConformanceIbarrier(t *testing.T) {
 			var mu sync.Mutex
 			var maxBefore float64
 			minAfter := 1e18
-			runConf(t, n, withChaos, int64(ci+1), func(c *mpi.Comm) {
+			runConf(t, n, mode, int64(ci+1), func(c *mpi.Comm) {
 				c.Compute(stagger * float64(c.Rank()+1))
 				mu.Lock()
 				if c.Now() > maxBefore {
@@ -349,8 +409,8 @@ func TestConformanceIbarrier(t *testing.T) {
 				mu.Unlock()
 			})
 			if minAfter < maxBefore {
-				t.Fatalf("case %d (n=%d chaos=%v): a rank left the barrier at %g before the last arrival %g",
-					ci, n, withChaos, minAfter, maxBefore)
+				t.Fatalf("case %d (n=%d mode=%v): a rank left the barrier at %g before the last arrival %g",
+					ci, n, mode, minAfter, maxBefore)
 			}
 		}
 	})

@@ -50,7 +50,6 @@ func TestPersistentIbcastReuse(t *testing.T) {
 					t.Fatal(err)
 				}
 				net.SetChaos(in)
-				opts.Chaos = in
 			}
 			w := mpi.NewWorld(eng, net, n, opts)
 			errs := make(chan string, n*iters)

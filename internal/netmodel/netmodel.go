@@ -174,6 +174,7 @@ func (p *Params) CopyTime(n int) float64 { return float64(n) / p.CopyBandwidth }
 // it is sent. Chaos jitter, torus distances and mixed sizes make the odd
 // message fall back to an ordinary event.
 type nicState struct {
+	net    *Network  // the view whose engine runs the node: receive halves, deliveries
 	txFree []float64 // per channel
 	rxFree []float64
 	inRx   int        // flows currently inbound to this node
@@ -184,8 +185,9 @@ type nicState struct {
 }
 
 // newNodes builds count nodes of nics channels each with one allocation per
-// field, not per node, binding each node's lanes to the engine engOf names.
-func newNodes(count, nics int, engOf func(node int) *sim.Engine) []nicState {
+// field, not per node, binding each node to the view viewOf names and its
+// lanes to that view's engine.
+func newNodes(count, nics int, viewOf func(node int) *Network) []nicState {
 	nodes := make([]nicState, count)
 	free := make([]float64, 2*count*nics)
 	lanes := make([]sim.Lane, count*nics)
@@ -193,7 +195,8 @@ func newNodes(count, nics int, engOf func(node int) *sim.Engine) []nicState {
 		nd := &nodes[i]
 		nd.txFree, nd.rxFree, free = free[:nics:nics], free[nics:2*nics:2*nics], free[2*nics:]
 		nd.rx, lanes = lanes[:nics:nics], lanes[nics:]
-		e := engOf(i)
+		nd.net = viewOf(i)
+		e := nd.net.eng
 		for j := range nd.rx {
 			nd.rx[j].Bind(e)
 		}
@@ -219,7 +222,7 @@ type Network struct {
 	BytesOnWire   int64
 	IncastSamples int64
 
-	freeDeliv []*delivery // recycled inter-node arrival records
+	freeRx []*rxOp // recycled inter-node transfer records
 
 	rec   *obs.Recorder
 	chaos *chaos.Injector
@@ -228,42 +231,48 @@ type Network struct {
 	// delivery under chaos: jitter and time-varying link factors may delay
 	// a message but must never let it overtake an earlier one on the same
 	// channel — MPI's non-overtaking guarantee, which real transports
-	// restore with per-peer sequence numbers. Allocated by SetChaos; the
-	// clean path never consults them.
+	// restore with per-peer sequence numbers. wireFloor does the same for
+	// the wire times of a sharded view's rx halves (transferPDES), which
+	// the barrier merges by time. Allocated by SetChaos; the clean path
+	// never consults them.
 	chaosFloor     map[uint64]float64
 	chaosCtrlFloor map[uint64]float64
+	wireFloor      map[uint64]float64
 }
 
-// delivery is the pooled arrival record of one inter-node transfer: it
-// releases the receiver's incast slot and then invokes the caller's
-// callback. Pooling it keeps Transfer allocation-free in steady state.
-type delivery struct {
-	n   *Network
-	rn  *nicState
-	fn  func(any)
-	arg any
+// rxOp is one inter-node transfer from the wire on: what its receive half
+// needs and, once that has run, the arrival record that releases the
+// receiver's incast slot and invokes the caller's callback. Pooling it keeps
+// Transfer allocation-free in steady state. On a sharded network a record
+// is drawn on the sending shard's view, crosses the window barrier
+// (transferPDES) and is recycled into the receiving node's view's pool, as
+// mpi's envelope pools exchange records.
+type rxOp struct {
+	rn       *nicState // the receiving node
+	bytes    int
+	src, dst int32   // ranks, the FIFO clamp's pair (int32 like sim.Pending.Src: 64 B in all)
+	bw, jit  float64 // the sender's link bandwidth and delivery jitter
+	fn       func(any)
+	arg      any
+}
+
+func (n *Network) allocRx() *rxOp {
+	if k := len(n.freeRx); k > 0 {
+		rx := n.freeRx[k-1]
+		n.freeRx = n.freeRx[:k-1]
+		return rx
+	}
+	return &rxOp{}
 }
 
 // fireDelivery is the engine callback for inter-node arrivals.
 func fireDelivery(arg any) {
-	d := arg.(*delivery)
-	fn, a, n := d.fn, d.arg, d.n
-	d.rn.inRx--
-	d.n, d.rn, d.fn, d.arg = nil, nil, nil, nil
-	n.freeDeliv = append(n.freeDeliv, d)
+	rx := arg.(*rxOp)
+	rn, fn, a := rx.rn, rx.fn, rx.arg
+	rn.inRx--
+	rx.rn, rx.fn, rx.arg = nil, nil, nil // release references
+	rn.net.freeRx = append(rn.net.freeRx, rx)
 	fn(a)
-}
-
-func (n *Network) newDelivery(rn *nicState, fn func(any), arg any) *delivery {
-	var d *delivery
-	if k := len(n.freeDeliv); k > 0 {
-		d = n.freeDeliv[k-1]
-		n.freeDeliv = n.freeDeliv[:k-1]
-	} else {
-		d = &delivery{}
-	}
-	d.n, d.rn, d.fn, d.arg = n, rn, fn, arg
-	return d
 }
 
 // SetRecorder attaches an observability recorder; Transfer then reports the
@@ -272,23 +281,23 @@ func (n *Network) newDelivery(rn *nicState, fn func(any), arg any) *delivery {
 func (n *Network) SetRecorder(rec *obs.Recorder) { n.rec = rec }
 
 // SetChaos attaches a fault/noise injector: inter-node transfers and control
-// messages then see the injector's link factors and delivery jitter. nil
-// detaches; with nil attached the arithmetic below is bit-identical to a
-// build without chaos (the factors are never even drawn).
+// messages then see the injector's link factors and delivery jitter, and the
+// MPI layer draws its ranks' OS noise from it (Chaos). nil detaches; with nil
+// attached the arithmetic below is bit-identical to a build without chaos
+// (the factors are never even drawn). Each view of a sharded network takes
+// its own injector built from the same (profile, seed).
 func (n *Network) SetChaos(in *chaos.Injector) {
-	if in != nil && n.pdes != nil {
-		// Chaos streams are consumed in global call order, which a sharded
-		// run cannot reproduce; the platform layer refuses the combination
-		// before it gets here.
-		panic("netmodel: chaos injection is not supported on a sharded (PDES) network")
-	}
 	n.chaos = in
-	n.chaosFloor, n.chaosCtrlFloor = nil, nil
+	n.chaosFloor, n.chaosCtrlFloor, n.wireFloor = nil, nil, nil
 	if in != nil {
 		n.chaosFloor = make(map[uint64]float64)
 		n.chaosCtrlFloor = make(map[uint64]float64)
+		n.wireFloor = make(map[uint64]float64)
 	}
 }
+
+// Chaos returns the attached injector, or nil on a clean network.
+func (n *Network) Chaos() *chaos.Injector { return n.chaos }
 
 func pairKey(src, dst int) uint64 { return uint64(src)<<32 | uint64(uint32(dst)) }
 
@@ -324,9 +333,9 @@ func New(eng *sim.Engine, p Params, nodeOf []int) (*Network, error) {
 			maxNode = nd
 		}
 	}
-	nodes := newNodes(maxNode+1, p.NICs, func(int) *sim.Engine { return eng })
-	n := &Network{eng: eng, p: p, nodeOf: append([]int(nil), nodeOf...), nodes: nodes}
-	n.topo = newTopo(&n.p, len(nodes))
+	n := &Network{eng: eng, p: p, nodeOf: append([]int(nil), nodeOf...)}
+	n.nodes = newNodes(maxNode+1, p.NICs, func(int) *Network { return n })
+	n.topo = newTopo(&n.p, len(n.nodes))
 	return n, nil
 }
 
@@ -352,9 +361,11 @@ func minIdx(xs []float64) int {
 // Transfer schedules the movement of `bytes` payload bytes from the node of
 // rank src to the node of rank dst, and invokes deliver(arg) (in engine
 // event context) at the virtual time the last byte arrives. It returns the
-// predicted arrival time. The (deliver, arg) pair replaces a closure so the
-// caller can pass a package-level function and an already-held pointer,
-// keeping the per-message hot path allocation-free.
+// predicted arrival time — on a sharded network, for a cross-node transfer,
+// the time the sender's NIC has drained the payload (transferPDES). The
+// (deliver, arg) pair replaces a closure so the caller can pass a
+// package-level function and an already-held pointer, keeping the
+// per-message hot path allocation-free.
 func (n *Network) Transfer(src, dst, bytes int, deliver func(any), arg any) float64 {
 	now := n.eng.Now()
 	n.Transfers++
@@ -365,32 +376,50 @@ func (n *Network) Transfer(src, dst, bytes int, deliver func(any), arg any) floa
 		n.nodes[a].shm.Append(arrival, deliver, arg)
 		return arrival
 	}
-	if n.pdes != nil {
-		return n.transferPDES(src, dst, bytes, a, b, deliver, arg)
-	}
-	sn, rn := &n.nodes[a], &n.nodes[b]
-
-	// Link parameters in force for this message. With no injector attached
-	// these are exactly the static params (same values, same arithmetic);
-	// under chaos the injector's factors degrade them and jitter delays
-	// delivery — timing only, never payload.
-	lat := n.p.WireLatency(a, b)
-	bw := n.p.Bandwidth
-	var jit float64
+	// With no injector attached these are exactly the static params (same
+	// values, same arithmetic).
+	lat, bw, jit := n.p.WireLatency(a, b), n.p.Bandwidth, 0.0
 	if n.chaos != nil {
-		lf, bf := n.chaos.Wire(now, a, b)
-		lat *= lf
-		bw *= bf
-		jit = n.chaos.DeliveryJitter(now)
+		lat, bw, jit = n.degrade(now, src, a, b, lat, bw)
 	}
 
 	// Sender-side serialization.
+	sn := &n.nodes[a]
 	ti := minIdx(sn.txFree)
 	start := max(now, sn.txFree[ti])
 	txDur := n.p.MsgGap + float64(bytes)/bw
-	sn.txFree[ti] = start + txDur
+	txEnd := start + txDur
+	sn.txFree[ti] = txEnd
+	n.rec.NIC(a, ti, obs.TX, start, txEnd, bytes)
 
-	// Receiver-side serialization with incast pressure.
+	rx := n.allocRx()
+	// Field by field: a whole-struct store of a pointer-holding record is a
+	// bulk copy under the GC's write barrier, measurably slower here.
+	rx.rn, rx.bytes, rx.src, rx.dst, rx.bw, rx.jit, rx.fn, rx.arg = &n.nodes[b], bytes, int32(src), int32(dst), bw, jit, deliver, arg
+	if n.pdes != nil {
+		n.transferPDES(rx, b, start+lat)
+		return txEnd
+	}
+	return rx.receive(b, start+lat)
+}
+
+// degrade applies the injector to the static latency and bandwidth of a
+// message rank src sends from node a to node b now: the link factors in
+// force and a delivery jitter from the sender's stream — timing only, never
+// payload.
+func (n *Network) degrade(now float64, src, a, b int, lat, bw float64) (float64, float64, float64) {
+	lf, bf := n.chaos.Wire(now, a, b)
+	return lat * lf, bw * bf, n.chaos.DeliveryJitter(src)
+}
+
+// receive runs the receive half on the view of the receiving node, number
+// node, the wire having delivered the message's head at time wire: incast
+// pressure, receiver NIC serialization, the sender's jitter and the pair's
+// FIFO clamp, then the delivery, queued in the lane of its rx channel. It
+// returns the arrival time.
+func (rx *rxOp) receive(node int, wire float64) float64 {
+	rn := rx.rn
+	n := rn.net
 	flows := rn.inRx
 	rn.inRx++
 	factor := 1.0
@@ -402,21 +431,16 @@ func (n *Network) Transfer(src, dst, bytes int, deliver func(any), arg any) floa
 		n.IncastSamples++
 	}
 	ri := minIdx(rn.rxFree)
-	rxStart := max(start+lat, rn.rxFree[ri])
-	rxDur := n.p.MsgGap + float64(bytes)/bw*factor
-	rn.rxFree[ri] = rxStart + rxDur
-	arrival := rxStart + rxDur
-	if jit > 0 {
-		arrival += jit
-	}
+	rxStart := max(wire, rn.rxFree[ri])
+	rxDur := n.p.MsgGap + float64(rx.bytes)/rx.bw*factor
+	rxEnd := rxStart + rxDur
+	rn.rxFree[ri] = rxEnd
+	n.rec.NIC(node, ri, obs.RX, rxStart, rxEnd, rx.bytes)
+	arrival := rxEnd + rx.jit
 	if n.chaos != nil {
-		arrival = fifoClamp(n.chaosFloor, src, dst, arrival)
+		arrival = fifoClamp(n.chaosFloor, int(rx.src), int(rx.dst), arrival)
 	}
-
-	n.rec.NIC(a, ti, obs.TX, start, start+txDur, bytes)
-	n.rec.NIC(b, ri, obs.RX, rxStart, rxStart+rxDur, bytes)
-
-	rn.rx[ri].Append(arrival, fireDelivery, n.newDelivery(rn, deliver, arg))
+	rn.rx[ri].Append(arrival, fireDelivery, rx)
 	return arrival
 }
 
@@ -433,19 +457,11 @@ func (n *Network) Ctrl(src, dst int, deliver func(any), arg any) float64 {
 		n.nodes[a].shmCtl.Append(arrival, deliver, arg)
 		return arrival
 	}
-	lat := n.p.WireLatency(a, b)
-	bw := n.p.Bandwidth
-	var jit float64
+	lat, bw, jit := n.p.WireLatency(a, b), n.p.Bandwidth, 0.0
 	if n.chaos != nil {
-		lf, bf := n.chaos.Wire(now, a, b)
-		lat *= lf
-		bw *= bf
-		jit = n.chaos.DeliveryJitter(now)
+		lat, bw, jit = n.degrade(now, src, a, b, lat, bw)
 	}
-	arrival := now + lat + float64(n.p.CtrlBytes)/bw
-	if jit > 0 {
-		arrival += jit
-	}
+	arrival := now + lat + float64(n.p.CtrlBytes)/bw + jit
 	if n.chaos != nil {
 		arrival = fifoClamp(n.chaosCtrlFloor, src, dst, arrival)
 	}

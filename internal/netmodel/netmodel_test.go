@@ -399,3 +399,65 @@ func TestChaosDeliveryPreservesChannelOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestShardedChaosKeepsPairOrder is the sharded form of the test above, with
+// sender and receiver on different shards. The barrier merges rx halves by
+// wire time, and the shift back down to the clean latency gives later sends
+// earlier wires than the ones before the shift: without the sender's clamp
+// on each pair's wire time those rx halves would reserve the receiver's NIC
+// first and deliver first. Delivery must follow send order with arrivals
+// strictly rising, on both lanes.
+func TestShardedChaosKeepsPairOrder(t *testing.T) {
+	prof := chaos.Profile{
+		Name:       "fifo-test",
+		JitterMean: 5e-4,
+		Shifts: []chaos.Shift{
+			{At: 1e-4, LatencyFactor: 20, BandwidthFactor: 0.05},
+			{At: 2e-4, LatencyFactor: 1, BandwidthFactor: 1},
+		},
+	}
+	for _, lane := range []string{"bulk", "ctrl"} {
+		t.Run(lane, func(t *testing.T) {
+			p := testParams()
+			engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(1)}
+			ws := sim.NewWindows(engs, p.Latency)
+			nets, err := NewSharded(engs, ws, p, []int{0, 1}, []int{0, 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range nets {
+				in, err := chaos.NewInjector(prof, 99, 2, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.SetChaos(in)
+			}
+			const msgs = 64
+			var order []int
+			var at []float64
+			for i := 0; i < msgs; i++ {
+				i := i
+				deliver := func(any) { order, at = append(order, i), append(at, engs[1].Now()) }
+				engs[0].At(float64(i)*1e-5, func() {
+					if lane == "bulk" {
+						nets[0].Transfer(0, 1, 256, deliver, nil)
+					} else {
+						nets[0].Ctrl(0, 1, deliver, nil)
+					}
+				})
+			}
+			ws.Run()
+			if len(order) != msgs {
+				t.Fatalf("delivered %d of %d messages", len(order), msgs)
+			}
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("%s lane reordered under chaos on shards: position %d delivered message %d", lane, i, got)
+				}
+				if i > 0 && !(at[i] > at[i-1]) {
+					t.Fatalf("%s lane: message %d arrived at %g, not after message %d at %g", lane, i, at[i], i-1, at[i-1])
+				}
+			}
+		})
+	}
+}

@@ -42,7 +42,7 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 		ctrl:      n.CtrlMessages,
 		bytes:     n.BytesOnWire,
 		incast:    n.IncastSamples,
-		delivCap:  len(n.freeDeliv),
+		delivCap:  len(n.freeRx),
 	}
 	for i, nd := range n.nodes {
 		if nd.inRx != 0 {
@@ -74,20 +74,20 @@ func (s *Snapshot) Fork(eng *sim.Engine, inj *chaos.Injector) *Network {
 		p:             s.p,
 		nodeOf:        s.nodeOf,
 		topo:          s.topo,
-		nodes:         newNodes(len(s.tx), s.p.NICs, func(int) *sim.Engine { return eng }),
 		Transfers:     s.transfers,
 		CtrlMessages:  s.ctrl,
 		BytesOnWire:   s.bytes,
 		IncastSamples: s.incast,
 	}
+	n.nodes = newNodes(len(s.tx), s.p.NICs, func(int) *Network { return n })
 	for i := range n.nodes {
 		copy(n.nodes[i].txFree, s.tx[i])
 		copy(n.nodes[i].rxFree, s.rx[i])
 	}
 	if s.delivCap > 0 {
-		n.freeDeliv = make([]*delivery, s.delivCap)
-		for i := range n.freeDeliv {
-			n.freeDeliv[i] = &delivery{}
+		n.freeRx = make([]*rxOp, s.delivCap)
+		for i := range n.freeRx {
+			n.freeRx[i] = &rxOp{}
 		}
 	}
 	if inj != nil {

@@ -268,17 +268,19 @@ func (p Platform) NewWorld(nprocs int, seed int64) (*sim.Engine, *mpi.World, err
 
 // NewWorldPlaced is NewWorld with an explicit placement policy.
 func (p Platform) NewWorldPlaced(nprocs int, seed int64, pl Placement) (*sim.Engine, *mpi.World, error) {
-	return p.NewWorldChaos(nprocs, seed, pl, nil, 0)
+	return p.NewWorldChaos(nprocs, seed, pl, "", 0)
 }
 
-// NewWorldChaos is NewWorldPlaced with a fault/noise injection profile. A
-// nil profile is exactly the clean build (no injector is constructed, no
-// stream is seeded, the arithmetic on every hot path is bit-identical).
-// Otherwise one chaos.Injector, seeded with chaosSeed, is attached to both
-// the network (link degradation, bursts, jitter, slow NICs, regime shifts)
-// and the MPI world (per-rank OS detours) — keeping this the single
-// assembly point for the whole simulated machine, adversity included.
-func (p Platform) NewWorldChaos(nprocs int, seed int64, pl Placement, prof *chaos.Profile, chaosSeed int64) (*sim.Engine, *mpi.World, error) {
+// NewWorldChaos is NewWorldPlaced under the shipped fault/noise injection
+// profile named chaosName: the form the drivers' -chaos flag, bench specs and
+// guideline scenarios carry. "" and "off" are exactly the clean build (no
+// injector is constructed, no stream is seeded, the arithmetic on every hot
+// path is bit-identical). Otherwise one chaos.Injector, seeded with
+// chaosSeed, is attached to the network (link degradation, bursts, jitter,
+// slow NICs, regime shifts), and the MPI world draws its ranks' OS detours
+// from it — keeping this the single assembly point for the whole simulated
+// machine, adversity included.
+func (p Platform) NewWorldChaos(nprocs int, seed int64, pl Placement, chaosName string, chaosSeed int64) (*sim.Engine, *mpi.World, error) {
 	nodeOf, err := p.NodeOf(nprocs, pl)
 	if err != nil {
 		return nil, nil, err
@@ -288,29 +290,27 @@ func (p Platform) NewWorldChaos(nprocs int, seed int64, pl Placement, prof *chao
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := mpi.Options{Seed: seed, Noise: p.Noise}
-	if prof != nil {
-		inj, err := chaos.NewInjector(*prof, chaosSeed, nprocs, p.Nodes)
-		if err != nil {
-			return nil, nil, err
-		}
-		net.SetChaos(inj)
-		opts.Chaos = inj
+	if err := p.attachChaos([]*netmodel.Network{net}, nprocs, chaosName, chaosSeed); err != nil {
+		return nil, nil, err
 	}
-	w := mpi.NewWorld(eng, net, nprocs, opts)
-	return eng, w, nil
+	return eng, mpi.NewWorld(eng, net, nprocs, mpi.Options{Seed: seed, Noise: p.Noise}), nil
 }
 
-// NewWorldChaosNamed is NewWorldChaos with the profile given by its shipped
-// name ("" and "off" mean none): the form the drivers' -chaos flag, bench
-// specs and guideline scenarios carry. The world's Run drives its engine.
-func (p Platform) NewWorldChaosNamed(nprocs int, seed int64, pl Placement, chaosName string, chaosSeed int64) (*mpi.World, error) {
+// attachChaos gives every network (view) its own injector of the named
+// profile, seeded with chaosSeed; "" and "off" leave them clean.
+func (p Platform) attachChaos(nets []*netmodel.Network, nprocs int, chaosName string, chaosSeed int64) error {
 	prof, err := profiles.ByName(chaosName)
-	if err != nil {
-		return nil, err
+	if err != nil || prof == nil {
+		return err
 	}
-	_, w, err := p.NewWorldChaos(nprocs, seed, pl, prof, chaosSeed)
-	return w, err
+	for _, net := range nets {
+		inj, err := chaos.NewInjector(*prof, chaosSeed, nprocs, p.Nodes)
+		if err != nil {
+			return err
+		}
+		net.SetChaos(inj)
+	}
+	return nil
 }
 
 // NewWorldPDES assembles a sharded (PDES) world: `shards` engines, each
@@ -321,9 +321,17 @@ func (p Platform) NewWorldChaosNamed(nprocs int, seed int64, pl Placement, chaos
 // nodes the placement actually uses, since a shard without nodes would idle.
 //
 // Every simulated quantity is independent of the shard count (DESIGN.md
-// §2); only wall-clock changes. Chaos profiles, one-sided windows, and
-// snapshot/fork are not available on sharded worlds.
+// §2); only wall-clock changes. Snapshot/fork is not available on sharded
+// worlds.
 func (p Platform) NewWorldPDES(nprocs int, seed int64, pl Placement, shards int) (*mpi.ShardedWorld, error) {
+	return p.NewWorldPDESChaos(nprocs, seed, pl, shards, "", 0)
+}
+
+// NewWorldPDESChaos is NewWorldPDES under the shipped chaos profile named
+// chaosName ("" and "off" mean none), seeded with chaosSeed: every shard's
+// network view gets its own injector, and the shards agree on every draw
+// (chaos.Injector).
+func (p Platform) NewWorldPDESChaos(nprocs int, seed int64, pl Placement, shards int, chaosName string, chaosSeed int64) (*mpi.ShardedWorld, error) {
 	nodeOf, err := p.NodeOf(nprocs, pl)
 	if err != nil {
 		return nil, err
@@ -359,6 +367,9 @@ func (p Platform) NewWorldPDES(nprocs int, seed int64, pl Placement, shards int)
 	}
 	nets, err := netmodel.NewSharded(engs, win, p.Net, nodeOf, shardOfNode)
 	if err != nil {
+		return nil, err
+	}
+	if err := p.attachChaos(nets, nprocs, chaosName, chaosSeed); err != nil {
 		return nil, err
 	}
 	shardOf := make([]int, nprocs)
