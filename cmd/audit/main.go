@@ -86,7 +86,7 @@ func main() {
 	cfg := guideline.Config{
 		Scenarios: scenarios,
 		Adopt:     true,
-		Workers:   workers(*jobs),
+		Workers:   *jobs,
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr
@@ -116,15 +116,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// workers maps the -jobs convention of the other drivers (0 = GOMAXPROCS,
-// 1 = sequential) onto runner.Options.Workers (<= 0 = GOMAXPROCS).
-func workers(jobs int) int {
-	if jobs == 0 {
-		return -1
-	}
-	return jobs
 }
 
 // shareKB publishes every adopted registration's winner to the tuned

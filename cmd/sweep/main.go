@@ -102,7 +102,7 @@ func main() {
 	if *quiet {
 		progress = nil
 	}
-	opt := bench.Parallel(*jobs, progress)
+	opt := bench.RunOptions{Workers: *jobs, Progress: progress}
 	opt.Speculate = *specOn
 	opt.SpecWorkers = *specWrk
 	if *cacheOn {

@@ -233,8 +233,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprint(stdout, report)
 
 	if *verify {
-		opt := bench.Parallel(0, nil)
-		opt.Speculate, opt.SpecWorkers = speculate, *specWrk
+		opt := bench.RunOptions{Speculate: speculate, SpecWorkers: *specWrk}
 		v, err := bench.RunVerificationOpts(mspec, opt, *selName)
 		if err != nil {
 			return err

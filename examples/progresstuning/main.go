@@ -44,7 +44,7 @@ func main() {
 	}
 	// Every (progress count, algorithm) cell is an independent simulation:
 	// run them all on the experiment runner's worker pool.
-	matrix, err := bench.FixedMatrix(specs, 0, bench.Parallel(0, nil), nil)
+	matrix, err := bench.FixedMatrix(specs, 0, bench.RunOptions{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -149,6 +149,16 @@ func TestSpecValidation(t *testing.T) {
 	if _, _, err := spec.run("x", nil); err == nil {
 		t.Error("negative message size accepted")
 	}
+	// A set that cannot be built for the spec is an error from the entry
+	// points that list its functions first, not a panic.
+	spec = smallSpec(t)
+	spec.Op = "neighborhood" // needs a square rank count; Procs is 8
+	if _, err := RunVerificationOpts(spec, RunOptions{}, "brute-force"); err == nil || !strings.Contains(err.Error(), "square") {
+		t.Errorf("unbuildable set: verification error %v", err)
+	}
+	if _, err := FixedMatrix([]MicroSpec{spec}, 0, RunOptions{}, nil); err == nil || !strings.Contains(err.Error(), "square") {
+		t.Errorf("unbuildable set: fixed-matrix error %v", err)
+	}
 }
 
 func TestRunADCLDecides(t *testing.T) {

@@ -144,7 +144,7 @@ func TestCleanSweepMatchesCommittedSummary(t *testing.T) {
 		specs[i].Observe = true
 	}
 	sels := []string{"brute-force", "attr-heuristic", "factorial-2k"}
-	st, err := VerificationSweepOpts(specs, sels, RunOptions{Workers: 0})
+	st, err := VerificationSweepOpts(specs, sels, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

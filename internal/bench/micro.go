@@ -467,7 +467,11 @@ func FixedMatrix(specs []MicroSpec, limit int, opt RunOptions, trace TraceSink) 
 		if err := spec.validate(); err != nil {
 			return nil, err
 		}
-		names := spec.FunctionNames()
+		fs, err := spec.HostFunctionSet()
+		if err != nil {
+			return nil, err
+		}
+		names := fs.FunctionNames()
 		if limit > 0 && limit < len(names) {
 			names = names[:limit]
 		}
@@ -512,7 +516,11 @@ func RunVerificationOpts(spec MicroSpec, opt RunOptions, selectors ...string) (*
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	names := spec.FunctionNames()
+	fs, err := spec.HostFunctionSet()
+	if err != nil {
+		return nil, err
+	}
+	names := fs.FunctionNames()
 	jobs := make([]runner.Job, 0, len(names)+len(selectors))
 	for i := range names {
 		jobs = append(jobs, fixedJob(spec, i, names[i], nil))

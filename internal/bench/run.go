@@ -8,17 +8,15 @@ import (
 )
 
 // RunOptions configures how a sweep or verification run executes: worker
-// count, result caching, and progress streaming. The zero
-// value runs sequentially with no cache and no progress, which is exactly
-// the pre-runner behaviour.
+// count, result caching, and progress streaming. The zero value runs on
+// GOMAXPROCS workers with no cache and no progress.
 //
 // Parallelism is sound because every scenario is an independent,
 // deterministic sim.Engine run: the aggregate built from the ordered
 // results is byte-identical whatever the worker count.
 type RunOptions struct {
-	// Workers is the pool size; 0 means one worker (sequential), < 0 means
-	// runner's GOMAXPROCS default. cmd drivers pass their -jobs flag
-	// through runner semantics: 0 = GOMAXPROCS.
+	// Workers is the pool size, as the commands' -jobs flag and
+	// runner.Options take it: <= 0 means GOMAXPROCS, 1 sequential.
 	Workers int
 	// Cache, when non-nil, serves previously completed scenarios from the
 	// content-addressed store and persists new completions into it.
@@ -34,26 +32,7 @@ type RunOptions struct {
 }
 
 func (o RunOptions) runnerOptions() runner.Options {
-	w := o.Workers
-	if w == 0 {
-		w = 1
-	} else if w < 0 {
-		w = 0 // runner interprets 0 as GOMAXPROCS
-	}
-	return runner.Options{
-		Workers:  w,
-		Cache:    o.Cache,
-		Progress: o.Progress,
-	}
-}
-
-// Parallel returns options for n workers (n <= 0 means GOMAXPROCS) with
-// progress streaming to w.
-func Parallel(n int, w io.Writer) RunOptions {
-	if n <= 0 {
-		n = -1
-	}
-	return RunOptions{Workers: n, Progress: w}
+	return runner.Options{Workers: o.Workers, Cache: o.Cache, Progress: o.Progress}
 }
 
 // fingerprint content-addresses a job spec, or returns "" (uncacheable) if

@@ -162,7 +162,7 @@ func VerificationSweepOpts(specs []MicroSpec, selectors []string, opt RunOptions
 	}
 	// Each scenario's verification runs sequentially inside its job; how its
 	// ADCL runs are measured is part of what the job computes.
-	inner := RunOptions{Speculate: opt.Speculate, SpecWorkers: opt.SpecWorkers}
+	inner := RunOptions{Workers: 1, Speculate: opt.Speculate, SpecWorkers: opt.SpecWorkers}
 	jobs := make([]runner.Job, len(specs))
 	for i, spec := range specs {
 		spec := spec

@@ -68,7 +68,7 @@ type WorldSnapshot struct {
 
 	reqGens []uint32 // request free list: generation per record, stack order
 	envFree int
-	osFree  int
+	xfFree  int
 }
 
 // Now returns the virtual time the snapshot was taken at — the common start
@@ -91,7 +91,7 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 		opts:    w.opts,
 		nextCtx: w.nextCtx,
 		envFree: len(w.envFree),
-		osFree:  len(w.osFree),
+		xfFree:  len(w.xfFree),
 	}
 	for _, r := range w.ranks {
 		if r.nhead != 0 || len(r.notices) != 0 {
@@ -228,10 +228,10 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 	for i := range envRecs {
 		w.envFree[i] = &envRecs[i]
 	}
-	osRecs := make([]osOp, s.osFree)
-	w.osFree = make([]*osOp, s.osFree)
-	for i := range osRecs {
-		w.osFree[i] = &osRecs[i]
+	xfRecs := make([]xfer, s.xfFree)
+	w.xfFree = make([]*xfer, s.xfFree)
+	for i := range xfRecs {
+		w.xfFree[i] = &xfRecs[i]
 	}
 	return eng, w
 }

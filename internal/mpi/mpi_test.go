@@ -89,6 +89,93 @@ func TestRendezvousSendRecvData(t *testing.T) {
 	}
 }
 
+// TestRendezvousPayloadSurvivesSenderReuse pins where the payload of a
+// transfer that moves by itself is snapshotted. The sender overwrites its
+// buffer as soon as its request completes, while the receiver is still
+// computing outside MPI; the receiver must later get the original bytes —
+// for a rendezvous send and for a put, on a sequential and on a 2-shard
+// world. The transport is host-attended, so a put too becomes visible only
+// at the target's next MPI instant.
+func TestRendezvousPayloadSurvivesSenderReuse(t *testing.T) {
+	const size = 64 * 1024 // above the eager limit
+	hostAttended := func(p *netmodel.Params) { p.RDMA = false }
+	worlds := []struct {
+		name string
+		run  func(prog func(*Comm))
+	}{
+		{"sequential", func(prog func(*Comm)) {
+			eng, w := testWorld(t, 2, hostAttended)
+			w.Start(prog)
+			eng.Run()
+		}},
+		{"2-shards", func(prog func(*Comm)) {
+			sw := testShardedWorld(t, 2, 1, 2, hostAttended)
+			sw.Start(prog)
+			sw.Run()
+		}},
+	}
+	for _, world := range worlds {
+		for _, put := range []bool{false, true} {
+			name := world.name + "/rendezvous"
+			if put {
+				name = world.name + "/put"
+			}
+			t.Run(name, func(t *testing.T) {
+				got := make([]byte, size)
+				var reusedAt, consumedAt float64 // written by ranks 0 and 1, read after the run
+				world.run(func(c *Comm) {
+					winBuf := got
+					if c.Rank() == 0 {
+						winBuf = make([]byte, size)
+					}
+					w := c.CreateWin(Bytes(winBuf))
+					c.Barrier() // every rank has created its window
+					k := w.NextInstance()
+					if c.Rank() == 0 {
+						data := make([]byte, size)
+						for i := range data {
+							data[i] = byte(i*7 + 1)
+						}
+						var req *Request
+						if put {
+							req = w.PutInstanced(k, 1, 0, Bytes(data))
+						} else {
+							req = c.Isend(1, 3, Bytes(data))
+						}
+						c.Wait(req)
+						for i := range data {
+							data[i] = 0xEE
+						}
+						reusedAt = c.Now()
+						return
+					}
+					var req *Request
+					if !put {
+						req = c.Irecv(0, 3, Bytes(got))
+					}
+					c.Compute(1e-4)
+					c.Test() // answers the RTS
+					c.Compute(0.5)
+					consumedAt = c.Now()
+					if put {
+						c.WaitFor(arrived(w, k, 1))
+					} else {
+						c.Wait(req)
+					}
+				})
+				if reusedAt <= 0 || reusedAt >= consumedAt {
+					t.Fatalf("sender reused its buffer at %g, receiver consumed at %g: the hazard was not exercised", reusedAt, consumedAt)
+				}
+				for i, b := range got {
+					if want := byte(i*7 + 1); b != want {
+						t.Fatalf("byte %d = %#x, want %#x: the receiver read the sender's reused buffer", i, b, want)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestUnexpectedEagerMessageMatchesAtPost(t *testing.T) {
 	got := make([]byte, 3)
 	runProg(t, 2, nil, func(c *Comm) {

@@ -14,12 +14,12 @@ package mpi
 // target is charged the per-byte copy cost at its next MPI instant before
 // the put is visible (and counted).
 //
-// The origin names the target by rank and window context only: the put's
-// record crosses the network like an envelope, the target window is looked
-// up where the put lands, and the record is recycled into the target's pool.
-// So a put to another shard of a sharded world is an ordinary cross-shard
-// message; its origin completes when its NIC has drained the payload, on its
-// own shard (xmitPut), as a sharded rendezvous send does.
+// The origin names the target by rank and window context only: the put
+// travels in the xfer record a rendezvous send's bulk data uses (p2p.go),
+// the target window is looked up where the put lands, and the record is
+// recycled into the target's pool. So a put to another shard of a sharded
+// world is an ordinary cross-shard message, and where the network splits it
+// its origin completes when its NIC has drained the payload (xmit).
 
 import "fmt"
 
@@ -101,80 +101,28 @@ func (r *Rank) window(ctx int) *Win {
 	return t
 }
 
-// osOp carries a put across the network: the argument of deliverPut and,
-// on host-attended transports, the notice payload made visible at the
-// target's next MPI instant.
-type osOp struct {
-	tgtRank  *Rank
-	origin   *Rank    // read by the origin's shard only, until the transfer starts
-	req      *Request // completed at delivery; nil once xmitPut completes it at NIC drain
-	ctx      int      // the target window's context
-	data     Buf      // payload in flight
-	off      int
-	instance int64
-	rdma     bool
-}
-
-// process handles the ntOneSided notice at an MPI instant: a host-attended
-// put becomes visible.
-func (op *osOp) process(r *Rank) {
+// processPut handles the ntOneSided notice at an MPI instant: a
+// host-attended put becomes visible.
+func (r *Rank) processPut(x *xfer) {
 	p := r.net().Params()
-	r.charge(p.ORecv + p.CopyTime(op.data.Len()))
-	op.land()
+	r.charge(p.ORecv + p.CopyTime(x.buf.Len()))
+	x.land()
 }
 
-// land deposits the payload in the target window, counts the arrival, and
-// recycles the osOp into the target's pool: the put leaves the protocol here.
-func (op *osOp) land() {
-	t := op.tgtRank
-	w := t.window(op.ctx)
-	if op.data.HasData() && w.buf.HasData() {
-		copy(w.buf.Data()[op.off:], op.data.Data())
+// land deposits a put's payload in the target window, counts the arrival,
+// and recycles the record into the target's pool: the put leaves the
+// protocol here.
+func (x *xfer) land() {
+	t := x.dst
+	w := t.window(x.ctx)
+	if x.buf.HasData() && w.buf.HasData() {
+		copy(w.buf.Data()[x.off:], x.buf.Data())
 	}
 	if w.perInstance == nil {
 		w.perInstance = map[int64]int{}
 	}
-	w.perInstance[op.instance]++
-	t.w.freeOS(op)
-}
-
-// xmitPut starts a put's transfer at the instant the origin's clock had
-// reached (see the protocol's other network calls in p2p.go). A put to
-// another node of a sharded world lands on the target's shard, where the
-// origin's request must not be touched: it completes here, on the origin's
-// shard, when the NIC has drained the payload (Transfer's return under
-// PDES), as xmitBulkPDES does for a rendezvous send.
-func xmitPut(arg any) {
-	op := arg.(*osOp)
-	r := op.origin
-	if r.w.shardOf == nil || r.net().SameNode(r.id, op.tgtRank.id) {
-		r.net().Transfer(r.id, op.tgtRank.id, op.data.Len(), deliverPut, op)
-		return
-	}
-	req := op.req
-	op.origin, op.req = nil, nil
-	txEnd := r.net().Transfer(r.id, op.tgtRank.id, op.data.Len(), deliverPut, op)
-	r.w.eng.AtTimeCall(txEnd, fireSendDone, req)
-}
-
-// deliverPut is the Transfer callback of PutInstanced: on RDMA the bytes land
-// directly in target memory with no target CPU; on host-attended transports
-// visibility waits for the target's next MPI instant. A request still on the
-// op completes here.
-func deliverPut(arg any) {
-	op := arg.(*osOp)
-	origin, req, tgt := op.origin, op.req, op.tgtRank
-	if op.rdma {
-		op.land()
-		// A target blocked in a put-counting schedule must observe the
-		// arrival.
-		tgt.enqueue(notice{kind: ntWake})
-	} else {
-		tgt.enqueue(notice{kind: ntOneSided, os: op})
-	}
-	if req != nil {
-		origin.enqueue(notice{kind: ntSendDone, sreq: req})
-	}
+	w.perInstance[x.instance]++
+	t.w.freeXfer(x)
 }
 
 // PutInstanced transfers b into the target rank's window at byte offset off,
@@ -197,9 +145,9 @@ func (w *Win) PutInstanced(instance int64, peer, off int, b Buf) *Request {
 	if !p.RDMA {
 		r.charge(p.CopyTime(size))
 	}
-	op := r.w.allocOS()
-	op.tgtRank, op.origin, op.req, op.ctx = r.w.ranks[peer], r, req, w.ctx
-	op.data, op.off, op.instance, op.rdma = b.Clone(), off, instance, p.RDMA
-	r.proc.Do(xmitPut, op)
+	x := r.w.allocXfer()
+	x.req, x.dst, x.buf = req, r.w.ranks[peer], b.Clone()
+	x.ctx, x.off, x.instance = w.ctx, off, instance
+	r.proc.Do(xmit, x)
 	return req
 }

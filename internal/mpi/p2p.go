@@ -82,9 +82,9 @@ const (
 	ntEager noticeKind = iota
 	ntRTS
 	ntCTS
-	ntBulk
+	ntBulk // a rendezvous payload landed
 	ntSendDone
-	ntOneSided // one-sided extras live behind notice.os
+	ntOneSided // a host-attended put landed
 	ntWake     // wake a blocked rank so it re-checks its predicate
 )
 
@@ -92,15 +92,7 @@ type notice struct {
 	kind noticeKind
 	env  *envelope // ntEager, ntRTS
 	sreq *Request  // ntCTS, ntSendDone
-	rreq *Request  // ntCTS, ntBulk
-	os   *osOp     // ntOneSided
-
-	// ntBulk payload, snapshotted at delivery: the sender observes its own
-	// completion notice independently and may free (recycle) its request
-	// before the receiver processes the bulk arrival, so the receiver-side
-	// notice must not reach through the send request.
-	src, tag int
-	buf      Buf
+	x    *xfer     // ntBulk, ntOneSided
 }
 
 // process performs a notice's protocol action in the receiving rank's
@@ -112,14 +104,14 @@ func (n notice) process(r *Rank) {
 	case ntRTS:
 		r.processRTS(n.env)
 	case ntCTS:
-		r.processCTS(n.sreq, n.rreq)
+		r.processCTS(n.sreq)
 	case ntBulk:
-		r.processBulk(n.src, n.tag, n.buf, n.rreq)
+		r.processBulk(n.x)
 	case ntSendDone:
 		n.sreq.done = true
 		r.outstanding--
 	case ntOneSided:
-		n.os.process(r)
+		r.processPut(n.x)
 	case ntWake:
 		// No action: enqueueing already woke the rank.
 	}
@@ -130,8 +122,8 @@ func (n notice) process(r *Rank) {
 // instant the rank's clock showed (it runs at once when the rank is level).
 // Like the delivery entry points below these are package-level functions
 // taking the protocol record the message owns anyway — the envelope of an
-// eager payload or RTS, the send request of a CTS or bulk transfer — so
-// neither deferring nor delivering ever allocates a closure.
+// eager payload or RTS, the send request of a CTS, the xfer of bulk data or
+// a put — so neither deferring nor delivering ever allocates a closure.
 
 // sender returns the library state of the envelope's source rank.
 func (env *envelope) sender() *Rank { return env.dstRank.w.ranks[env.src] }
@@ -152,21 +144,37 @@ func xmitCTS(arg any) {
 	rcv.net().Ctrl(rcv.id, sreq.r.id, deliverCTS, sreq)
 }
 
-func xmitBulk(arg any) {
-	sreq := arg.(*Request)
-	sreq.r.net().Transfer(sreq.r.id, sreq.matched.r.id, sreq.buf.Len(), deliverBulk, sreq)
+// xfer is a transfer that moves data by itself once started: a rendezvous
+// send's bulk data or a put. The receiver's half never reaches through the
+// sender's request, which the sender may recycle before the receiver has
+// seen the arrival, so the payload is snapshotted when the record is filled.
+// Records are pooled like envelopes: drawn from the sender's world, freed
+// into the receiver's when the data leaves the protocol.
+type xfer struct {
+	req      *Request // the sender's; nil once xmit completes it at NIC drain
+	dst      *Rank
+	rreq     *Request // bulk: the matched receive; nil for a put
+	src, tag int      // bulk: what the receive completes with
+	buf      Buf
+	ctx, off int   // put: the target window's context and byte offset
+	instance int64 // put: the collective instance the landing counts for
 }
 
-// xmitBulkPDES is xmitBulk on a sharded world: the delivery fires on the
-// receiver's shard and hands bx over to it, and the send completes locally
-// when this shard's NIC has drained the payload (Transfer's return under
-// PDES).
-func xmitBulkPDES(arg any) {
-	bx := arg.(*bulkXfer)
-	sreq := bx.sreq
-	r := sreq.r
-	txEnd := r.net().Transfer(r.id, bx.rreq.r.id, bx.buf.Len(), deliverBulkPDES, bx)
-	r.w.eng.AtTimeCall(txEnd, fireSendDone, sreq)
+// xmit starts an xfer. Where the network Splits the transfer, the delivery
+// fires on the receiver's shard, where the sender's request must not be
+// touched: the send completes here instead, when this shard's NIC has
+// drained the payload.
+func xmit(arg any) {
+	x := arg.(*xfer)
+	req := x.req
+	net := req.r.net()
+	if !net.Splits(req.r.id, x.dst.id) {
+		net.Transfer(req.r.id, x.dst.id, x.buf.Len(), deliverXfer, x)
+		return
+	}
+	x.req = nil
+	drain := net.Transfer(req.r.id, x.dst.id, x.buf.Len(), deliverXfer, x)
+	req.r.w.eng.AtTimeCall(drain, fireSendDone, req)
 }
 
 // Delivery entry points passed to netmodel: package-level functions plus an
@@ -184,62 +192,32 @@ func deliverRTS(arg any) {
 
 func deliverCTS(arg any) {
 	sreq := arg.(*Request)
-	sreq.r.enqueue(notice{kind: ntCTS, sreq: sreq, rreq: sreq.matched})
+	sreq.r.enqueue(notice{kind: ntCTS, sreq: sreq})
 }
 
-func deliverBulk(arg any) {
-	sreq := arg.(*Request)
-	rreq := sreq.matched
-	// Snapshot the payload at transfer completion: the sender's request is
-	// still pending here (its completion notice is enqueued below), so the
-	// buffer is stable — but once the sender observes completion it may
-	// overwrite the buffer before the receiver processes the bulk notice at
-	// its next MPI instant. Cloning is free for virtual payloads.
-	rreq.r.enqueue(notice{kind: ntBulk, rreq: rreq, src: sreq.r.id, tag: sreq.tag, buf: sreq.buf.Clone()})
-	sreq.r.enqueue(notice{kind: ntSendDone, sreq: sreq})
-}
-
-// bulkXfer carries the receiver half of a sharded-world rendezvous bulk
-// transfer across the window barrier. It must not reach through the send
-// request: under PDES the sender completes at NIC-drain time on its own
-// shard and may recycle the request before the receiver's shard processes
-// the arrival, so everything the receiver needs is snapshotted at CTS time.
-// Records are pooled like envelopes; allocated on the sender's shard, freed
-// into the receiving rank's world pool.
-type bulkXfer struct {
-	sreq     *Request // read by the sender's shard only, until the transfer starts
-	rreq     *Request
-	src, tag int
-	buf      Buf
-}
-
-func (w *World) allocBX() *bulkXfer {
-	if n := len(w.bxFree); n > 0 {
-		bx := w.bxFree[n-1]
-		w.bxFree[n-1] = nil
-		w.bxFree = w.bxFree[:n-1]
-		return bx
+// deliverXfer lands an xfer: the receiver's notice first, then the sender's
+// completion unless xmit already completed it at NIC drain. An RDMA put
+// lands here, with no target CPU; a target blocked in a put-counting
+// schedule must still observe the arrival.
+func deliverXfer(arg any) {
+	x := arg.(*xfer)
+	req, dst := x.req, x.dst
+	switch {
+	case x.rreq != nil:
+		dst.enqueue(notice{kind: ntBulk, x: x})
+	case dst.net().Params().RDMA:
+		x.land()
+		dst.enqueue(notice{kind: ntWake})
+	default:
+		dst.enqueue(notice{kind: ntOneSided, x: x})
 	}
-	return &bulkXfer{}
+	if req != nil {
+		req.r.enqueue(notice{kind: ntSendDone, sreq: req})
+	}
 }
 
-func (w *World) freeBX(bx *bulkXfer) {
-	*bx = bulkXfer{}
-	w.bxFree = append(w.bxFree, bx)
-}
-
-// deliverBulkPDES runs on the receiver's shard when the cross-shard bulk
-// transfer finishes serializing into the destination NIC.
-func deliverBulkPDES(arg any) {
-	bx := arg.(*bulkXfer)
-	r := bx.rreq.r
-	r.enqueue(notice{kind: ntBulk, rreq: bx.rreq, src: bx.src, tag: bx.tag, buf: bx.buf})
-	r.w.freeBX(bx)
-}
-
-// fireSendDone completes a rendezvous send on the sender's own shard at the
-// time its NIC drained the payload (the PDES split of deliverBulk's
-// sender-side half).
+// fireSendDone completes a send on the sender's own shard at the time its
+// NIC drained the payload (xmit's split).
 func fireSendDone(arg any) {
 	sreq := arg.(*Request)
 	sreq.r.enqueue(notice{kind: ntSendDone, sreq: sreq})
@@ -291,7 +269,7 @@ func (r *Rank) sendCTS(rreq *Request, env *envelope) {
 	r.proc.Do(xmitCTS, env.sreq)
 }
 
-func (r *Rank) processCTS(sreq, rreq *Request) {
+func (r *Rank) processCTS(sreq *Request) {
 	// The whole RTS→CTS handshake happened while this sender was outside
 	// MPI (or blocked): the elapsed time is the rendezvous stall that an
 	// extra progress call on either side could have shortened.
@@ -302,28 +280,21 @@ func (r *Rank) processCTS(sreq, rreq *Request) {
 		cost += p.CopyTime(sreq.buf.Len())
 	}
 	r.charge(cost)
-	if r.w.shardOf != nil && !r.net().SameNode(r.id, rreq.r.id) {
-		// PDES split: the cross-node transfer's delivery fires on the
-		// receiver's shard, where the sender's request must not be touched
-		// (its lifecycle belongs to the sender's shard). Snapshot the
-		// receiver half now and complete the send locally at NIC-drain time
-		// (Transfer's return under PDES).
-		bx := r.w.allocBX()
-		bx.sreq, bx.rreq, bx.src, bx.tag, bx.buf = sreq, rreq, r.id, sreq.tag, sreq.buf.Clone()
-		r.proc.Do(xmitBulkPDES, bx)
-		return
-	}
-	r.proc.Do(xmitBulk, sreq)
+	rreq := sreq.matched
+	x := r.w.allocXfer()
+	x.req, x.dst, x.rreq, x.src, x.tag, x.buf = sreq, rreq.r, rreq, r.id, sreq.tag, sreq.buf.Clone()
+	r.proc.Do(xmit, x)
 }
 
-func (r *Rank) processBulk(src, tag int, buf Buf, rreq *Request) {
+func (r *Rank) processBulk(x *xfer) {
 	p := r.net().Params()
 	cost := p.ORecv
 	if !p.RDMA {
-		cost += p.CopyTime(buf.Len())
+		cost += p.CopyTime(x.buf.Len())
 	}
 	r.charge(cost)
-	r.completeRecv(rreq, src, tag, buf)
+	r.completeRecv(x.rreq, x.src, x.tag, x.buf)
+	r.w.freeXfer(x)
 }
 
 // isend posts a non-blocking send of b on a context. Virtual payloads

@@ -4,18 +4,20 @@
 // The shards share the immutable platform (placement, topology, parameters)
 // and the global rank table, but each shard owns its own engine, its own
 // netmodel view, and its own protocol-record pools, and executes only the
-// ranks whose nodes were assigned to it. Cross-shard protocol traffic flows
-// through the netmodel PDES layer's outboxes and is injected at window
-// barriers in canonical (time, source rank, sequence) order, which is what
-// makes every simulated quantity independent of the shard count.
+// ranks whose nodes its view owns (netmodel.Network.Owns). Cross-shard
+// protocol traffic flows through the netmodel PDES layer's outboxes and is
+// injected at window barriers in canonical (time, source rank, sequence)
+// order, which is what makes every simulated quantity independent of the
+// shard count.
 //
-// Everything runs unchanged on it — p2p, collectives, the NBC layer,
-// one-sided puts, tuning, observability, and chaos, from one injector per
-// shard's network view (netmodel.SetChaos), all built from the same
-// (profile, seed) — except that a rendezvous send or a put to another node
-// completes at its origin when the origin's NIC has drained the payload, on
-// the origin's shard, not at remote delivery. Only snapshot/fork is refused
-// (netmodel will not snapshot a sharded network).
+// The protocol is the sequential world's, record for record: p2p,
+// collectives, the NBC layer, one-sided puts, tuning, observability, and
+// chaos, from one injector per shard's network view (netmodel.SetChaos), all
+// built from the same (profile, seed). The one difference is netmodel's:
+// where a view Splits a transfer at the wire, a rendezvous send or a put to
+// another node completes at its origin when the origin's NIC has drained the
+// payload, not at remote delivery (xmit). A sharded world cannot be
+// snapshotted, because netmodel will not snapshot a sharded network.
 package mpi
 
 import (
@@ -35,35 +37,29 @@ type ShardedWorld struct {
 
 // NewSharded assembles a sharded world from per-shard engines and network
 // views (netmodel.NewSharded) plus the window coordinator they are bound to.
-// shardOf maps every rank to its shard and must be node-aligned: all ranks
-// of one node on one shard, or the NIC single-writer discipline breaks.
-func NewSharded(engs []*sim.Engine, nets []*netmodel.Network, win *sim.Windows, n int, opts Options, shardOf []int) (*ShardedWorld, error) {
+// Each rank lives in the world of the view that Owns its node.
+func NewSharded(engs []*sim.Engine, nets []*netmodel.Network, win *sim.Windows, n int, opts Options) (*ShardedWorld, error) {
 	k := len(engs)
 	if k == 0 || k != len(nets) || k != win.Shards() {
 		return nil, fmt.Errorf("mpi: %d engines / %d networks / %d window shards", len(engs), len(nets), win.Shards())
 	}
-	if len(shardOf) < n {
-		return nil, fmt.Errorf("mpi: shardOf covers %d of %d ranks", len(shardOf), n)
-	}
 	worlds := make([]*World, k)
 	for s := range worlds {
-		worlds[s] = &World{eng: engs[s], net: nets[s], opts: opts, nextCtx: 1, shard: s, shardOf: shardOf}
+		worlds[s] = &World{eng: engs[s], net: nets[s], opts: opts, nextCtx: 1}
 	}
 	recs := make([]Rank, n)
 	ranks := make([]*Rank, n)
-	nodeShard := make(map[int]int)
-	for i := 0; i < n; i++ {
-		s := shardOf[i]
-		if s < 0 || s >= k {
-			return nil, fmt.Errorf("mpi: rank %d assigned to shard %d of %d", i, s, k)
-		}
-		nd := nets[0].NodeOf(i)
-		if prev, ok := nodeShard[nd]; ok && prev != s {
-			return nil, fmt.Errorf("mpi: node %d split across shards %d and %d (partition must be node-aligned)", nd, prev, s)
-		}
-		nodeShard[nd] = s
+	for i := range recs {
 		r := &recs[i]
-		r.w, r.id = worlds[s], i
+		r.id = i
+		for _, w := range worlds {
+			if w.net.Owns(i) {
+				r.w = w
+			}
+		}
+		if r.w == nil {
+			return nil, fmt.Errorf("mpi: no network view runs rank %d's node", i)
+		}
 		ranks[i] = r
 	}
 	for _, w := range worlds {
@@ -75,17 +71,10 @@ func NewSharded(engs []*sim.Engine, nets []*netmodel.Network, win *sim.Windows, 
 // Windows returns the window coordinator driving the shards.
 func (sw *ShardedWorld) Windows() *sim.Windows { return sw.win }
 
-// Observe attaches one recorder to every rank and every shard's network
-// view. The recorder's per-node NIC storage is pre-sized here: growing it
-// lazily from concurrent shards would race. As in World.Observe, recording
-// is passive; nil detaches.
+// Observe attaches one recorder to every shard's world (World.Observe).
 func (sw *ShardedWorld) Observe(rec *obs.Recorder) {
-	rec.EnsureNodes(sw.worlds[0].net.Topo().NumNodes())
-	for _, r := range sw.worlds[0].ranks {
-		r.rec = rec
-	}
 	for _, w := range sw.worlds {
-		w.net.SetRecorder(rec)
+		w.Observe(rec)
 	}
 }
 

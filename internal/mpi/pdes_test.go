@@ -9,8 +9,8 @@ import (
 )
 
 // testShardedWorld builds an n-rank sharded world with ranksPerNode ranks
-// per node over the same parameter set as testWorld.
-func testShardedWorld(t testing.TB, n, ranksPerNode, shards int) *ShardedWorld {
+// per node over the same parameter set as testWorld, mutate applied.
+func testShardedWorld(t testing.TB, n, ranksPerNode, shards int, mutate func(*netmodel.Params)) *ShardedWorld {
 	t.Helper()
 	p := netmodel.Params{
 		Name:          "test-ib",
@@ -31,6 +31,9 @@ func testShardedWorld(t testing.TB, n, ranksPerNode, shards int) *ShardedWorld {
 		IncastK:       8,
 		IncastBeta:    0.02,
 	}
+	if mutate != nil {
+		mutate(&p)
+	}
 	nodeOf := make([]int, n)
 	for i := range nodeOf {
 		nodeOf[i] = i / ranksPerNode
@@ -44,19 +47,15 @@ func testShardedWorld(t testing.TB, n, ranksPerNode, shards int) *ShardedWorld {
 		engs[s] = sim.NewEngine(42)
 	}
 	win := sim.NewWindows(engs, p.Latency)
-	shardOfNode := make([]int, usedNodes)
-	for nd := range shardOfNode {
-		shardOfNode[nd] = nd * shards / usedNodes
+	nodeShard := make([]int, usedNodes)
+	for nd := range nodeShard {
+		nodeShard[nd] = nd * shards / usedNodes
 	}
-	nets, err := netmodel.NewSharded(engs, win, p, nodeOf, shardOfNode)
+	nets, err := netmodel.NewSharded(engs, win, p, nodeOf, nodeShard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardOf := make([]int, n)
-	for r := range shardOf {
-		shardOf[r] = shardOfNode[nodeOf[r]]
-	}
-	sw, err := NewSharded(engs, nets, win, n, Options{Seed: 42}, shardOf)
+	sw, err := NewSharded(engs, nets, win, n, Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +73,7 @@ func TestShardedDataIntegrity(t *testing.T) {
 	gotShm := make([]byte, 4)
 	gotEager := make([]byte, 4)
 	gotBig := make([]byte, len(big))
-	sw := testShardedWorld(t, 4, 2, 2) // ranks 0,1 node 0 / shard 0; ranks 2,3 node 1 / shard 1
+	sw := testShardedWorld(t, 4, 2, 2, nil) // ranks 0,1 node 0 / shard 0; ranks 2,3 node 1 / shard 1
 	sw.Start(func(c *Comm) {
 		switch c.Rank() {
 		case 0:
@@ -145,7 +144,7 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 		now     float64
 	}
 	run := func(shards int) result {
-		sw := testShardedWorld(t, n, perNode, shards)
+		sw := testShardedWorld(t, n, perNode, shards, nil)
 		prog, times := shardedRingProg(n, sizes)
 		sw.Start(prog)
 		sw.Run()
@@ -203,7 +202,7 @@ func TestShardedChaosAndPuts(t *testing.T) {
 		now             float64
 	}
 	run := func(shards int, noisy bool) result {
-		sw := testShardedWorld(t, n, perNode, shards)
+		sw := testShardedWorld(t, n, perNode, shards, nil)
 		if noisy {
 			shardedChaos(t, sw, prof, 3)
 		}

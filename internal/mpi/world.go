@@ -42,20 +42,12 @@ type World struct {
 	nextCtx int
 	winReg  *winRegistry
 
-	// PDES sharding (DESIGN.md §2). On a sequential world shardOf is nil.
-	// On a sharded world this World executes only the ranks with
-	// shardOf[id] == shard; w.ranks still holds the full global rank table
-	// so any rank can address any peer.
-	shard   int
-	shardOf []int
-
 	// Free lists for pooled protocol records. World-level (not per rank) so
 	// a record freed by its receiver can be reused by any sender; safe
 	// without locks because the engine serializes all ranks of one world.
 	reqFree []*Request
 	envFree []*envelope
-	osFree  []*osOp
-	bxFree  []*bulkXfer
+	xfFree  []*xfer
 }
 
 // NewWorld creates n ranks on the given network. The network's rank->node
@@ -84,21 +76,24 @@ func NewWorld(eng *sim.Engine, net *netmodel.Network, n int, opts Options) *Worl
 // rendezvous stalls, and NIC occupancy are reported to it from now on.
 // Recording is passive (it never advances virtual time or perturbs any
 // decision), so an observed run is bit-identical to an unobserved one.
-// Call before Start; nil detaches.
+// The recorder's per-node NIC storage is sized here, before any shard
+// records into it. Call before Start; nil detaches.
 func (w *World) Observe(rec *obs.Recorder) {
+	rec.EnsureNodes(w.net.Topo().NumNodes())
 	for _, r := range w.ranks {
 		r.rec = rec
 	}
 	w.net.SetRecorder(rec)
 }
 
-// Start spawns one simulated process per rank, each executing prog with its
-// world communicator. Call Run afterwards to execute the simulation.
+// Start spawns one simulated process per rank its network view owns, each
+// executing prog with its world communicator. Call Run afterwards to execute
+// the simulation.
 func (w *World) Start(prog func(c *Comm)) {
 	ctx := w.nextCtx
 	w.nextCtx++
 	for _, r := range w.ranks {
-		if w.shardOf != nil && w.shardOf[r.id] != w.shard {
+		if !w.net.Owns(r.id) {
 			continue // another shard's world spawns this rank
 		}
 		r := r
@@ -312,19 +307,19 @@ func (w *World) freeEnv(env *envelope) {
 	w.envFree = append(w.envFree, env)
 }
 
-func (w *World) allocOS() *osOp {
-	if n := len(w.osFree); n > 0 {
-		op := w.osFree[n-1]
-		w.osFree[n-1] = nil
-		w.osFree = w.osFree[:n-1]
-		return op
+func (w *World) allocXfer() *xfer {
+	if n := len(w.xfFree); n > 0 {
+		x := w.xfFree[n-1]
+		w.xfFree[n-1] = nil
+		w.xfFree = w.xfFree[:n-1]
+		return x
 	}
-	return &osOp{}
+	return &xfer{}
 }
 
-func (w *World) freeOS(op *osOp) {
-	*op = osOp{}
-	w.osFree = append(w.osFree, op)
+func (w *World) freeXfer(x *xfer) {
+	*x = xfer{}
+	w.xfFree = append(w.xfFree, x)
 }
 
 // waitUntil keeps the rank inside MPI until the queued notices are processed

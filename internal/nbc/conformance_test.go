@@ -113,11 +113,7 @@ func runConfOn(t testing.TB, p netmodel.Params, nodeOf []int, mode confMode, cha
 	for _, net := range nets {
 		attach(net)
 	}
-	shardOf := make([]int, n)
-	for r, nd := range nodeOf {
-		shardOf[r] = shardOfNode[nd]
-	}
-	sw, err := mpi.NewSharded(engs, nets, win, n, opts, shardOf)
+	sw, err := mpi.NewSharded(engs, nets, win, n, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

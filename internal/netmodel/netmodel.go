@@ -276,7 +276,8 @@ func fireDelivery(arg any) {
 }
 
 // SetRecorder attaches an observability recorder; Transfer then reports the
-// tx/rx occupancy span of every inter-node bulk transfer. Recording is
+// tx/rx occupancy span of every inter-node bulk transfer. The recorder must
+// be sized for the network's nodes (obs.Recorder.EnsureNodes). Recording is
 // passive — it never changes transfer timing — and nil detaches.
 func (n *Network) SetRecorder(rec *obs.Recorder) { n.rec = rec }
 
@@ -345,9 +346,6 @@ func (n *Network) Params() *Params { return &n.p }
 // NodeOf returns the node hosting the given rank.
 func (n *Network) NodeOf(rank int) int { return n.nodeOf[rank] }
 
-// SameNode reports whether two ranks share a node.
-func (n *Network) SameNode(a, b int) bool { return n.nodeOf[a] == n.nodeOf[b] }
-
 func minIdx(xs []float64) int {
 	best := 0
 	for i := range xs {
@@ -361,8 +359,8 @@ func minIdx(xs []float64) int {
 // Transfer schedules the movement of `bytes` payload bytes from the node of
 // rank src to the node of rank dst, and invokes deliver(arg) (in engine
 // event context) at the virtual time the last byte arrives. It returns the
-// predicted arrival time — on a sharded network, for a cross-node transfer,
-// the time the sender's NIC has drained the payload (transferPDES). The
+// predicted arrival time — for a transfer the view Splits, the time the
+// sender's NIC has drained the payload (transferPDES). The
 // (deliver, arg) pair replaces a closure so the caller can pass a
 // package-level function and an already-held pointer, keeping the
 // per-message hot path allocation-free.

@@ -85,8 +85,8 @@ func TestIntraNodeTransfer(t *testing.T) {
 	if math.Abs(arrived-want) > 1e-12 {
 		t.Fatalf("arrival = %g, want %g", arrived, want)
 	}
-	if !n.SameNode(0, 1) {
-		t.Fatal("SameNode(0,1) = false for co-located ranks")
+	if n.Splits(0, 1) || !n.Owns(0) || !n.Owns(1) {
+		t.Fatal("a sequential network splits a transfer or disowns a rank")
 	}
 }
 
@@ -397,6 +397,30 @@ func TestChaosDeliveryPreservesChannelOrder(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardedViewsSplitAndOwn pins the two questions the MPI layer asks a
+// view: a sharded view splits exactly the transfers between nodes, and a
+// rank is owned by the view of its node's shard alone.
+func TestShardedViewsSplitAndOwn(t *testing.T) {
+	p := testParams()
+	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(1)}
+	ws := sim.NewWindows(engs, p.Latency)
+	shardOfRank := []int{0, 0, 1} // ranks 0 and 1 on node 0, rank 2 on node 1
+	nets, err := NewSharded(engs, ws, p, []int{0, 0, 1}, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, n := range nets {
+		if n.Splits(0, 1) || !n.Splits(0, 2) || !n.Splits(2, 1) {
+			t.Errorf("view %d: Splits(0,1), (0,2), (2,1) = %v, %v, %v; want false, true, true", s, n.Splits(0, 1), n.Splits(0, 2), n.Splits(2, 1))
+		}
+		for rank, shard := range shardOfRank {
+			if n.Owns(rank) != (s == shard) {
+				t.Errorf("view %d: Owns(%d) = %v, rank is on shard %d", s, rank, n.Owns(rank), shard)
+			}
+		}
 	}
 }
 

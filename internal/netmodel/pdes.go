@@ -71,6 +71,18 @@ func (n *Network) transferPDES(rx *rxOp, node int, wire float64) {
 	n.pdes.out.Add(wire, rx.src, n.nextSeq(int(rx.src)), n.pdes.shardOfNode[node], fireRxHalf, rx)
 }
 
+// Splits reports whether this view splits a transfer from rank src to rank
+// dst at the wire: on a sharded view, when the ranks are on different nodes.
+// Transfer then returns the time the sender's NIC drained the payload, and
+// the delivery fires on the receiving node's shard.
+func (n *Network) Splits(src, dst int) bool {
+	return n.pdes != nil && n.nodeOf[src] != n.nodeOf[dst]
+}
+
+// Owns reports whether this view runs the rank's node: on a sequential
+// network every rank's, on a sharded view those of its shard's nodes.
+func (n *Network) Owns(rank int) bool { return n.nodes[n.nodeOf[rank]].net == n }
+
 // fireRxHalf runs on the destination shard at wire-arrival time.
 func fireRxHalf(arg any) {
 	rx := arg.(*rxOp)
@@ -79,9 +91,9 @@ func fireRxHalf(arg any) {
 }
 
 // NewSharded builds one network view per shard over a common platform.
-// shardOfNode maps every node to its shard; all ranks of a node must live
-// on that shard (the mpi layer's sharded world construction guarantees
-// this). The views share NIC states, placement and topology; each is bound
+// shardOfNode maps every node to its shard, and a rank runs on its node's
+// shard (Owns), so the partition is node-aligned by construction. The views
+// share NIC states, placement and topology; each is bound
 // to its engine and its shard's outbox on ws, and each node to the view of
 // the shard that owns it, its lanes to that shard's engine.
 func NewSharded(engs []*sim.Engine, ws *sim.Windows, p Params, nodeOf []int, shardOfNode []int) ([]*Network, error) {

@@ -113,8 +113,8 @@ type rankTimeline struct {
 }
 
 // Recorder collects the observable behaviour of one simulation run. Obtain
-// one with NewRecorder, hand it to mpi.World.Observe and
-// netmodel.Network.SetRecorder, and read it back through Metrics,
+// one with NewRecorder, hand it to mpi.World.Observe, which also attaches it
+// to the network, and read it back through Metrics,
 // WriteChromeTrace, or the exported span accessors.
 //
 // All methods are no-ops on a nil *Recorder.
@@ -128,10 +128,9 @@ func NewRecorder(ranks int) *Recorder {
 	return &Recorder{ranks: make([]rankTimeline, ranks)}
 }
 
-// EnsureNodes pre-sizes the per-node NIC storage. Sequential runs grow it
-// lazily; a sharded world must call this before starting (attaching a
-// recorder does so), because growing the outer slice from concurrent shards
-// would race.
+// EnsureNodes sizes the per-node NIC storage for n nodes. NIC records only
+// into nodes sized here (mpi.World.Observe does it on attach): growing the
+// outer slice while shards record concurrently would race.
 func (r *Recorder) EnsureNodes(n int) {
 	if r == nil || n <= len(r.nicByNode) {
 		return
@@ -235,9 +234,6 @@ func (r *Recorder) AlgoBytes(rank int, name string, n int) {
 func (r *Recorder) NIC(node, channel int, dir Dir, t0, t1 float64, bytes int) {
 	if r == nil || t1 <= t0 || node < 0 {
 		return
-	}
-	if node >= len(r.nicByNode) {
-		r.EnsureNodes(node + 1)
 	}
 	r.nicByNode[node] = append(r.nicByNode[node],
 		NICSpan{Node: node, Channel: channel, Dir: dir, Start: t0, End: t1, Bytes: bytes})

@@ -181,6 +181,7 @@ func TestRendezvousStallAndBytes(t *testing.T) {
 
 func TestNICMetrics(t *testing.T) {
 	r := NewRecorder(1)
+	r.EnsureNodes(2)
 	r.NIC(0, 0, TX, 0, 2, 100)
 	r.NIC(0, 1, TX, 1, 2, 50)
 	r.NIC(1, 0, RX, 0, 3, 150)
@@ -233,6 +234,7 @@ func TestChromeTraceExport(t *testing.T) {
 	r.StateSpan(0, StateMPI, 0.010, 0.011)
 	r.OpEnd(0, r.OpBegin(0, "ibcast-binomial", 0.002), 0.011)
 	r.MarkInstant(0, "round 1", 0.005)
+	r.EnsureNodes(1)
 	r.NIC(0, 0, TX, 0.003, 0.004, 1024)
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {

@@ -372,9 +372,5 @@ func (p Platform) NewWorldPDESChaos(nprocs int, seed int64, pl Placement, shards
 	if err := p.attachChaos(nets, nprocs, chaosName, chaosSeed); err != nil {
 		return nil, err
 	}
-	shardOf := make([]int, nprocs)
-	for r := range shardOf {
-		shardOf[r] = shardOfNode[nodeOf[r]]
-	}
-	return mpi.NewSharded(engs, nets, win, nprocs, mpi.Options{Seed: seed, Noise: p.Noise}, shardOf)
+	return mpi.NewSharded(engs, nets, win, nprocs, mpi.Options{Seed: seed, Noise: p.Noise})
 }
