@@ -127,13 +127,15 @@ stat:
 	grep -rnE '(panic|Errorf)\(.*(not supported|do not support|does not support|applies to the)' --include='*.go' cmd internal | grep -vc '_test\.go:'   # non-test refusal sites (panics and errors, not comments)
 	find internal/sim internal/netmodel internal/mpi -name '*.go' ! -name '*_test.go' | xargs cat | wc -l   # non-test lines in sim, netmodel and mpi
 
-# Last, the gate fuzzes the simulator's two oracles for a fixed budget each:
-# run-ahead against the eager reading (internal/sim/runahead_test.go) and the
-# event queue against a sorted reference (queue_test.go); their committed
-# corpora already ran as plain tests in `test`. A failure leaves its minimised
-# input under internal/sim/testdata/fuzz/<target>/: commit it with the fix, so
-# it stays in the corpus. (Minimising inputs that merely add coverage is
+# Last, the gate fuzzes the simulator's three oracles for a fixed budget each:
+# run-ahead against the eager reading (internal/sim/runahead_test.go), the
+# event queue against a sorted reference (queue_test.go) and the message
+# matcher against the linear reference (internal/mpi/match_test.go); their
+# committed corpora already ran as plain tests in `test`. A failure leaves its
+# minimised input under internal/<pkg>/testdata/fuzz/<target>/: commit it with
+# the fix, so it stays in the corpus. (Minimising inputs that merely add coverage is
 # capped, or it eats most of the ten seconds.)
 ci: build vet test race e2e
 	$(GO) test -run '^$$' -fuzz FuzzRunAhead -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/mpi

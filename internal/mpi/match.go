@@ -1,11 +1,13 @@
 package mpi
 
-// Indexed message matching. This replaces the linear postedRecvs /
-// unexpEager / unexpRTS scans with hash-bucketed FIFO match lists, giving
-// O(1) expected matching regardless of how many receives are posted, while
-// reproducing the linear engine's matching decisions exactly (the
-// matching-order property test drives both engines in lockstep; see
-// matchref.go and DESIGN.md §3 "matching engine").
+// Message matching. A shallow queue is an insertion-ordered chain scanned
+// front to back, exactly like the linear engine it models; once a queue grows
+// past the depth shallow, it is indexed by FIFO match lists in a map keyed by
+// one packed word, so matching stays O(1) expected however many receives are
+// posted. Both reproduce the linear engine's matching decisions exactly (the
+// matching-order property test and FuzzMatch drive this matcher and the
+// linear reference in lockstep; see matchref.go and DESIGN.md §3
+// "Matching").
 //
 // Two invariants govern this file:
 //
@@ -18,87 +20,160 @@ package mpi
 //  2. Modeled cost ≠ host cost. The virtual-time cost of matching is still
 //     charged as OMatch × queue length (Open MPI 1.6's linear engine, which
 //     S3 models — see netmodel.Params.OMatch); the counters below exist so
-//     the callers can keep charging that exact formula. Only the host-side
-//     cost of computing the match is O(1) now. No virtual timestamp moves.
-type matchKey struct {
-	ctx, src, tag int
+//     the callers can keep charging that exact formula, whichever structure
+//     holds the queue. Only the host-side cost of computing the match
+//     changes. No virtual timestamp moves.
+type matchKey uint64
+
+// A matchKey packs (ctx, src, tag) into one word, so the matcher's maps take
+// the runtime's 64-bit fast path instead of hashing a three-int struct. The
+// rank and tag are stored +1, so the wildcards AnySource and AnyTag (-1) pack
+// as zero fields. The bounds are checked, not assumed: checkKey refuses
+// anything else at isend, irecv and World.Start, and comm.go's highest tag
+// (TestMatchKeyBounds) sits below maxTag.
+const (
+	tagBits = 34
+	srcBits = 18
+	ctxBits = 64 - tagBits - srcBits
+
+	maxTag   = 1<<tagBits - 2 // tag+1 fills the field
+	maxRanks = 1<<srcBits - 1 // ranks 0..maxRanks-1, so src+1 fits
+	maxCtx   = 1<<ctxBits - 1
+)
+
+func keyOf(ctx, src, tag int) matchKey {
+	return matchKey(ctx)<<(srcBits+tagBits) | matchKey(src+1)<<tagBits | matchKey(tag+1)
 }
 
-// reqList is a FIFO of posted receives sharing one match key, linked through
-// Request.mnext. Emptied lists are recycled through matcher.freeRL so
-// steady-state posting allocates nothing.
+// shallow is the depth up to which a queue lives only in its chain. A queue
+// whose push takes it past shallow moves into its map; the map empties, and
+// the queue returns to its chain, when the queue drains. A queue is therefore
+// in map mode exactly when its map is non-empty.
+const shallow = 16
+
+// reqList is a FIFO of posted receives linked through Request.mnext: the
+// posted chain, or one map bucket. Emptied buckets are recycled through
+// matcher.freeRL so steady-state posting allocates nothing.
 type reqList struct {
 	head, tail *Request
+	free       *reqList // next on the free list
 }
 
-// matcher indexes one rank's posted receives and unexpected envelopes.
-type matcher struct {
-	// posted buckets receives by the (ctx, peer, tag) triple they were
-	// posted with; wildcard receives use the raw AnySource/AnyTag values as
-	// ordinary key components. An arriving message can therefore match at
-	// most four buckets: {src,tag}, {*,tag}, {src,*}, {*,*}.
-	posted      map[matchKey]*reqList
-	postedCount int // total posted receives (modeled-cost counter)
-	postedWild  int // posted receives with at least one wildcard
-	pseq        uint64
-	freeRL      []*reqList
-
-	eager unexpQueue // arrived eager messages with no matching receive
-	rts   unexpQueue // arrived RTS envelopes with no matching receive
-}
-
-// The matcher's hash maps are created lazily on first insertion — a nil map
-// reads as empty in Go, so the lookup paths (matchArrival, find) need no
-// guards, and an idle rank carries no map headers at all. A 16K-rank world
-// where only a subset of ranks communicate pays for exactly the maps it uses.
-
-// post indexes a receive. Its position in posted order is stamped into
-// req.pseq so concurrent buckets can be merged by age.
-func (m *matcher) post(req *Request) {
-	m.pseq++
-	req.pseq = m.pseq
-	req.mnext = nil
-	k := matchKey{req.ctx, req.peer, req.tag}
-	if m.posted == nil {
-		m.posted = map[matchKey]*reqList{}
-	}
-	l := m.posted[k]
-	if l == nil {
-		if n := len(m.freeRL); n > 0 {
-			l = m.freeRL[n-1]
-			m.freeRL = m.freeRL[:n-1]
-		} else {
-			l = &reqList{}
-		}
-		m.posted[k] = l
-	}
+func (l *reqList) push(req *Request) {
 	if l.tail == nil {
 		l.head = req
 	} else {
 		l.tail.mnext = req
 	}
 	l.tail = req
+}
+
+// matcher holds one rank's posted receives and unexpected envelopes.
+type matcher struct {
+	// chain holds the posted receives in posted order while there are at
+	// most shallow of them. Past that, posted buckets them by the
+	// (ctx, peer, tag) triple they were posted with; wildcard receives use
+	// the AnySource/AnyTag key fields like any other value. An arriving
+	// message can therefore match at most four buckets: {src,tag},
+	// {*,tag}, {src,*}, {*,*}.
+	chain       reqList
+	posted      map[matchKey]*reqList
+	postedCount int // total posted receives (modeled-cost counter)
+	postedWild  int // posted receives with at least one wildcard
+	pseq        uint64
+	freeRL      *reqList
+
+	eager unexpQueue // arrived eager messages with no matching receive
+	rts   unexpQueue // arrived RTS envelopes with no matching receive
+}
+
+// Nothing here is allocated ahead of use. A nil map reads as empty in Go, so
+// an idle rank keeps nil maps, nil chains and nil free lists: its matcher is
+// the zero value inside its Rank record, and a 16K-rank world where only a
+// subset of ranks communicate pays for exactly the maps it uses
+// (TestIdleWorldFootprint16K). A map is made the first time its queue grows
+// past shallow and kept, empty, when the queue drains, so a queue that swings
+// across shallow again reuses it.
+
+// post queues a receive. Its position in posted order is stamped into
+// req.pseq so concurrent buckets can be merged by age.
+func (m *matcher) post(req *Request) {
+	m.pseq++
+	req.pseq = m.pseq
+	req.mnext = nil
 	m.postedCount++
 	if req.peer == AnySource || req.tag == AnyTag {
 		m.postedWild++
 	}
+	if len(m.posted) == 0 {
+		if m.postedCount <= shallow {
+			m.chain.push(req)
+			return
+		}
+		for q := m.chain.head; q != nil; {
+			next := q.mnext
+			q.mnext = nil
+			m.bucket(q)
+			q = next
+		}
+		m.chain = reqList{}
+	}
+	m.bucket(req)
+}
+
+// bucket appends a receive to its map bucket.
+func (m *matcher) bucket(req *Request) {
+	k := keyOf(req.ctx, req.peer, req.tag)
+	if m.posted == nil {
+		m.posted = map[matchKey]*reqList{}
+	}
+	l := m.posted[k]
+	if l == nil {
+		if l = m.freeRL; l != nil {
+			m.freeRL, l.free = l.free, nil
+		} else {
+			l = &reqList{}
+		}
+		m.posted[k] = l
+	}
+	l.push(req)
 }
 
 // matchArrival removes and returns the earliest-posted receive eligible for
-// a message with concrete (ctx, src, tag), or nil. Each candidate bucket is
-// FIFO, so comparing the four bucket heads by pseq finds the global
-// earliest-posted match.
+// a message with concrete (ctx, src, tag), or nil. On the chain that is the
+// first eligible receive; in map mode each candidate bucket is FIFO, so
+// comparing the four bucket heads by pseq finds the global earliest-posted
+// match.
 func (m *matcher) matchArrival(ctx, src, tag int) *Request {
+	if len(m.posted) == 0 {
+		var prev *Request
+		for q := m.chain.head; q != nil; prev, q = q, q.mnext {
+			if q.ctx == ctx && (q.peer == src || q.peer == AnySource) && (q.tag == tag || q.tag == AnyTag) {
+				if prev == nil {
+					m.chain.head = q.mnext
+				} else {
+					prev.mnext = q.mnext
+				}
+				if m.chain.tail == q {
+					m.chain.tail = prev
+				}
+				q.mnext = nil
+				m.unpost(q)
+				return q
+			}
+		}
+		return nil
+	}
 	var best *Request
-	bestK := matchKey{ctx, src, tag}
+	bestK := keyOf(ctx, src, tag)
 	if l := m.posted[bestK]; l != nil {
 		best = l.head
 	}
 	if m.postedWild > 0 {
 		for _, k := range [3]matchKey{
-			{ctx, AnySource, tag},
-			{ctx, src, AnyTag},
-			{ctx, AnySource, AnyTag},
+			keyOf(ctx, AnySource, tag),
+			keyOf(ctx, src, AnyTag),
+			keyOf(ctx, AnySource, AnyTag),
 		} {
 			if l := m.posted[k]; l != nil && (best == nil || l.head.pseq < best.pseq) {
 				best, bestK = l.head, k
@@ -114,7 +189,8 @@ func (m *matcher) matchArrival(ctx, src, tag int) *Request {
 
 // popPosted removes the head of a posted bucket, recycling the bucket when
 // it empties so the map's live key set tracks only occupied keys (rotating
-// collective tags would otherwise grow it without bound).
+// collective tags would otherwise grow it without bound). The last bucket
+// to go leaves the map empty and the queue back on its chain.
 func (m *matcher) popPosted(k matchKey) {
 	l := m.posted[k]
 	q := l.head
@@ -123,8 +199,12 @@ func (m *matcher) popPosted(k matchKey) {
 	if l.head == nil {
 		l.tail = nil
 		delete(m.posted, k)
-		m.freeRL = append(m.freeRL, l)
+		l.free, m.freeRL = m.freeRL, l
 	}
+	m.unpost(q)
+}
+
+func (m *matcher) unpost(q *Request) {
 	m.postedCount--
 	if q.peer == AnySource || q.tag == AnyTag {
 		m.postedWild--
@@ -135,32 +215,52 @@ func (m *matcher) popPosted(k matchKey) {
 // linked through envelope.bnext.
 type envList struct {
 	head, tail *envelope
+	free       *envList // next on the free list
 }
 
 // unexpQueue holds arrived-but-unmatched envelopes of one protocol class
-// (eager or RTS). Envelopes live in two structures at once: a per-key FIFO
-// bucket for O(1) concrete-receive lookup, and a global arrival-ordered
-// doubly-linked chain that wildcard receives walk. Because bucket order is a
-// subsequence of global arrival order and all bucket-mates match identically,
-// the earliest matching envelope found on the global chain is always its
-// bucket's head — remove() asserts this.
+// (eager or RTS) on a global arrival-ordered doubly-linked chain. While the
+// queue is at most shallow deep, every receive scans that chain. Deeper, each
+// envelope also sits in a per-key FIFO bucket for O(1) concrete-receive
+// lookup, and only wildcard receives walk the chain. Because bucket order is
+// a subsequence of arrival order and all bucket-mates match identically, the
+// earliest matching envelope on the chain is always its bucket's head —
+// remove() asserts this.
 type unexpQueue struct {
 	buckets      map[matchKey]*envList
 	ghead, gtail *envelope
 	count        int // modeled-cost counter
-	freeEL       []*envList
+	freeEL       *envList
 }
 
 func (u *unexpQueue) push(env *envelope) {
-	k := matchKey{env.ctx, env.src, env.tag}
+	env.gprev, env.gnext = u.gtail, nil
+	if u.gtail == nil {
+		u.ghead = env
+	} else {
+		u.gtail.gnext = env
+	}
+	u.gtail = env
+	u.count++
+	if len(u.buckets) > 0 {
+		u.bucket(env)
+	} else if u.count > shallow {
+		for e := u.ghead; e != nil; e = e.gnext {
+			u.bucket(e)
+		}
+	}
+}
+
+// bucket appends an envelope to its map bucket.
+func (u *unexpQueue) bucket(env *envelope) {
+	k := keyOf(env.ctx, env.src, env.tag)
 	if u.buckets == nil {
 		u.buckets = map[matchKey]*envList{}
 	}
 	l := u.buckets[k]
 	if l == nil {
-		if n := len(u.freeEL); n > 0 {
-			l = u.freeEL[n-1]
-			u.freeEL = u.freeEL[:n-1]
+		if l = u.freeEL; l != nil {
+			u.freeEL, l.free = l.free, nil
 		} else {
 			l = &envList{}
 		}
@@ -173,25 +273,14 @@ func (u *unexpQueue) push(env *envelope) {
 		l.tail.bnext = env
 	}
 	l.tail = env
-	env.gprev, env.gnext = u.gtail, nil
-	if u.gtail == nil {
-		u.ghead = env
-	} else {
-		u.gtail.gnext = env
-	}
-	u.gtail = env
-	u.count++
 }
 
 // find returns the earliest-arrived envelope a receive posted with
 // (ctx, peer, tag) would match, without removing it. peer and tag may be
-// wildcards; a fully concrete receive matches exactly one bucket.
+// wildcards; in map mode a fully concrete receive matches exactly one bucket.
 func (u *unexpQueue) find(ctx, peer, tag int) *envelope {
-	if u.count == 0 {
-		return nil
-	}
-	if peer != AnySource && tag != AnyTag {
-		if l := u.buckets[matchKey{ctx, peer, tag}]; l != nil {
+	if peer != AnySource && tag != AnyTag && len(u.buckets) > 0 {
+		if l := u.buckets[keyOf(ctx, peer, tag)]; l != nil {
 			return l.head
 		}
 		return nil
@@ -216,16 +305,18 @@ func (u *unexpQueue) take(ctx, peer, tag int) *envelope {
 }
 
 func (u *unexpQueue) remove(env *envelope) {
-	k := matchKey{env.ctx, env.src, env.tag}
-	l := u.buckets[k]
-	if l == nil || l.head != env {
-		panic("mpi: unexpected-queue removal out of bucket order")
-	}
-	l.head = env.bnext
-	if l.head == nil {
-		l.tail = nil
-		delete(u.buckets, k)
-		u.freeEL = append(u.freeEL, l)
+	if len(u.buckets) > 0 {
+		k := keyOf(env.ctx, env.src, env.tag)
+		l := u.buckets[k]
+		if l == nil || l.head != env {
+			panic("mpi: unexpected-queue removal out of bucket order")
+		}
+		l.head = env.bnext
+		if l.head == nil {
+			l.tail = nil
+			delete(u.buckets, k)
+			l.free, u.freeEL = u.freeEL, l
+		}
 	}
 	if env.gprev == nil {
 		u.ghead = env.gnext

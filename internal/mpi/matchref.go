@@ -2,8 +2,8 @@ package mpi
 
 // refMatcher is an executable specification of the pre-indexed matching
 // engine: the exact front-to-back scans and append-removals p2p.go used
-// before the bucketed rewrite. The matching-order property test drives it in
-// lockstep with the indexed matcher on random post/arrive interleavings, and
+// before the bucketed rewrite. The matching-order property test and FuzzMatch
+// drive it in lockstep with the matcher on post/arrive interleavings, and
 // the matching microbenchmarks (MatchBench) quantify the rewrite against
 // it. Matching depends only on (ctx, src, tag) triples, so the reference
 // carries bare triples plus an id for cross-checking.
@@ -36,8 +36,8 @@ const (
 // envelope, else the earliest matching unexpected RTS, else append to the
 // posted queue. Returns the consumed envelope's id and its queue class
 // (refQueueNone when the receive was queued). Only TestMatchingOrderProperty
-// calls it: it is the reference the indexed matcher's post path is checked
-// against (MatchBench drives arrive only).
+// and FuzzMatch call it: it is the reference the matcher's post path is
+// checked against (MatchBench drives arrive only).
 func (m *refMatcher) post(ctx, src, tag, id int) (envID, queue int) {
 	for i, e := range m.eager {
 		if refMatches(ctx, src, tag, e) {

@@ -30,7 +30,7 @@ type Request struct {
 
 	// Pooling state: gen increments when the record is freed, invalidating
 	// outstanding ReqHandles; freed guards double-free; mnext/pseq thread the
-	// record through the matcher's posted buckets.
+	// record through the matcher's posted chain or buckets.
 	gen   uint32
 	freed bool
 	mnext *Request
@@ -301,9 +301,7 @@ func (r *Rank) processBulk(x *xfer) {
 // simulate only b.Len() bytes of timing; no data moves.
 func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 	size := b.Len()
-	if dst < 0 || dst >= len(r.w.ranks) {
-		panic("mpi: isend to invalid rank")
-	}
+	r.w.checkKey("isend to", ctx, dst, tag, false)
 	req := r.w.allocReq()
 	req.r, req.peer, req.tag, req.ctx, req.buf = r, dst, tag, ctx, b
 	p := r.net().Params()
@@ -339,10 +337,9 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 
 // irecv posts a non-blocking receive into b on a context.
 func (r *Rank) irecv(src, tag, ctx int, b Buf) *Request {
-	if src != AnySource && (src < 0 || src >= len(r.w.ranks)) {
-		// Posted anyway it could never match: a deadlock instead of a bug report.
-		panic("mpi: irecv from invalid rank")
-	}
+	// Posted anyway it could never match (or would alias another key): a
+	// deadlock or a wrong match instead of a bug report.
+	r.w.checkKey("irecv from", ctx, src, tag, true)
 	req := r.w.allocReq()
 	req.r, req.peer, req.tag, req.ctx, req.buf = r, src, tag, ctx, b
 	p := r.net().Params()

@@ -56,7 +56,7 @@ type World struct {
 // Per-rank state is deliberately minimal at construction: the rank records
 // come out of one contiguous batch allocation, and everything that is only
 // needed once a rank actually communicates — its RNG (≈5KB of math/rand
-// state), its wait condition, the matcher's hash maps — is created lazily on
+// state), its wait condition, the matcher's maps and chains — is created lazily on
 // first use. An idle 16K-rank world therefore costs a few hundred bytes per
 // rank (pinned by TestIdleWorldFootprint16K), not kilobytes.
 func NewWorld(eng *sim.Engine, net *netmodel.Network, n int, opts Options) *World {
@@ -92,6 +92,7 @@ func (w *World) Observe(rec *obs.Recorder) {
 func (w *World) Start(prog func(c *Comm)) {
 	ctx := w.nextCtx
 	w.nextCtx++
+	w.checkKey("Start with", ctx, AnySource, AnyTag, true)
 	for _, r := range w.ranks {
 		if !w.net.Owns(r.id) {
 			continue // another shard's world spawns this rank
@@ -102,6 +103,19 @@ func (w *World) Start(prog func(c *Comm)) {
 			r.proc = p
 			prog(c)
 		})
+	}
+}
+
+// checkKey panics unless the matcher's one-word key (keyOf) holds ctx, peer
+// and tag: a context in 0..maxCtx, a world of at most maxRanks ranks, peer one
+// of its ranks and tag in 0..maxTag, or AnySource and AnyTag where wild (a
+// receive filter) allows them.
+func (w *World) checkKey(op string, ctx, peer, tag int, wild bool) {
+	if ctx < 0 || ctx > maxCtx || len(w.ranks) > maxRanks ||
+		!(peer >= 0 && peer < len(w.ranks) || wild && peer == AnySource) ||
+		!(tag >= 0 && tag <= maxTag || wild && tag == AnyTag) {
+		panic(fmt.Sprintf("mpi: %s rank %d, tag %d, context %d: not matchable in a %d-rank world (tags 0..%d, contexts 0..%d)",
+			op, peer, tag, ctx, len(w.ranks), maxTag, maxCtx))
 	}
 }
 
