@@ -28,11 +28,13 @@ test:
 # (worker pool, shared progress state, cache writes), the kb store, the
 # sharded PDES engine and everything that executes on it (sim windows, the
 # sharded netmodel views and mpi world) — run under the race detector, then
-# the bench layer's PDES determinism matrix (shards 1/2/4/8 byte-identical)
-# and its noisy sweeps with the "congested" chaos profile attached.
+# the bench layer's PDES determinism matrix (shards 1/2/4/8 byte-identical),
+# its noisy sweeps with the "congested" chaos profile attached, and
+# speculation, whose candidate pool runs on GOMAXPROCS workers by default.
 race:
 	$(GO) test -race ./internal/runner ./internal/sim/... ./internal/mpi/... ./internal/nbc/... ./internal/chaos/... ./internal/kb ./internal/netmodel
-	$(GO) test -race -count 1 -run 'PDES|TestChaos' ./internal/bench
+	$(GO) test -race -count 1 -run 'PDES|TestChaos|Speculat' ./internal/bench
+	$(GO) test -race -count 1 -run Speculat ./internal/core
 
 # What only the built CLIs can show, one row each (the echo after a row says
 # what held). Everything is written to one scratch directory that the trap
@@ -48,9 +50,9 @@ race:
 e2e:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/" ./cmd/tune ./cmd/sweep ./cmd/audit; \
-	for w in 1 8; do "$$d/tune" -op ialltoall -np 8 -msg 65536 -compute 0.005 -iters 5 -speculate -spec-workers $$w -metrics "$$d/spec_w$$w.json" > /dev/null; done; \
-	cmp "$$d/spec_w1.json" "$$d/spec_w8.json"; \
-	echo "e2e 1/6: tune -speculate decision artifact byte-identical at 1 and 8 candidate workers"; \
+	for p in 1 8; do GOMAXPROCS=$$p "$$d/tune" -op ialltoall -np 8 -msg 65536 -compute 0.005 -iters 5 -selector speculative+brute-force -metrics "$$d/spec_p$$p.json" > /dev/null; done; \
+	cmp "$$d/spec_p1.json" "$$d/spec_p8.json"; \
+	echo "e2e 1/6: speculative tune decision artifact byte-identical at GOMAXPROCS 1 and 8 (candidate workers)"; \
 	for s in 2 4; do "$$d/tune" -op ialltoall-prim -chaos congested -np 32 -msg 65536 -compute 0.005 -iters 20 -shards $$s -metrics "$$d/tune_s$$s.json" > /dev/null; done; \
 	cmp "$$d/tune_s2.json" "$$d/tune_s4.json"; \
 	echo "e2e 2/6: tune -op ialltoall-prim -chaos congested -shards: metrics + selection audit byte-identical at 2 and 4 shards"; \

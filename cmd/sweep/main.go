@@ -59,15 +59,11 @@ func main() {
 		chaosStr = flag.String("chaos", "off", "fault/noise injection profile: off, "+strings.Join(profiles.Names(), ", "))
 		chaosSd  = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
 		kbAddr   = flag.String("kb", "", "share every scenario's tuned winner with a tuned knowledge-base daemon at this address")
-		specOn   = flag.Bool("speculate", false, "evaluate ADCL selector runs speculatively, every candidate on its own copy of the world (decisions worker-count independent)")
-		specWrk  = flag.Int("spec-workers", 0, "candidate worker pool per speculative scenario (0 = GOMAXPROCS)")
+		specOn   = flag.Bool("speculate", false, "run the suite's selectors as speculative+<selector>: every candidate measured on its own copy of the world")
 		shardStr = flag.String("shards", "", "run every scenario on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
 	)
 	flag.Parse()
 	if err := runner.CheckWorkers("jobs", *jobs); err != nil {
-		fail(err)
-	}
-	if err := runner.CheckWorkers("spec-workers", *specWrk); err != nil {
 		fail(err)
 	}
 	suites, err := bench.Suites(*suite, *fast)
@@ -83,6 +79,19 @@ func main() {
 	// known from the suite, before hours of simulation.
 	if *out != "" && !suites[len(suites)-1].Summarizes() {
 		fail(fmt.Errorf("-out: %s has no machine-readable summary (verification, fft, scale and fig2 do)", *suite))
+	}
+	if *specOn {
+		// Speculation is a selector name: each selector a suite runs becomes
+		// speculative+<selector>. A suite without one would ignore the flag.
+		prefixed := false
+		for i := range suites {
+			for j, sel := range suites[i].Selectors {
+				suites[i].Selectors[j], prefixed = "speculative+"+sel, true
+			}
+		}
+		if !prefixed {
+			fail(fmt.Errorf("-speculate: %s runs no selection logic (verification, scale and fig2 do)", *suite))
+		}
 	}
 
 	shards, pdes, err := bench.ParseShards(*shardStr)
@@ -103,8 +112,6 @@ func main() {
 		progress = nil
 	}
 	opt := bench.RunOptions{Workers: *jobs, Progress: progress}
-	opt.Speculate = *specOn
-	opt.SpecWorkers = *specWrk
 	if *cacheOn {
 		c, err := runner.OpenCache(*cacheDir)
 		if err != nil {

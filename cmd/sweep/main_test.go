@@ -93,19 +93,24 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRefusals: a negative worker count is refused with one error line and
-// exit status 1, before any simulation (0 is GOMAXPROCS; -1 used to be too).
-// The unknown suite makes a missing refusal fail fast on the wrong message.
+// TestRefusals: a flag the run cannot honour is refused with one error line
+// and exit status 1, before any simulation: a negative worker count (0 is
+// GOMAXPROCS; -1 used to be too), and -speculate on a suite that runs no
+// selector (it used to be ignored). The unknown suite makes a missing
+// worker-count refusal fail fast on the wrong message.
 func TestRefusals(t *testing.T) {
-	for _, flag := range []string{"-jobs", "-spec-workers"} {
-		cmd := exec.Command(os.Args[0], flag, "-1", "-suite", "nonesuch")
+	for args, want := range map[string]string{
+		"-jobs -1 -suite nonesuch": "worker count",
+		"-speculate -suite fft":    "runs no selection logic",
+	} {
+		cmd := exec.Command(os.Args[0], strings.Fields(args)...)
 		cmd.Env = append(os.Environ(), "SWEEP_AS_COMMAND=1")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Count(stderr.String(), "\n") != 1 || !strings.Contains(stderr.String(), "worker count") {
-			t.Errorf("sweep %s -1: %v, stderr %q; want exit status 1 and one line naming the worker count", flag, err, stderr.String())
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Count(stderr.String(), "\n") != 1 || !strings.Contains(stderr.String(), want) {
+			t.Errorf("sweep %s: %v, stderr %q; want exit status 1 and one line containing %q", args, err, stderr.String(), want)
 		}
 	}
 }

@@ -17,6 +17,7 @@
 //	tune -op ialltoall -kb 127.0.0.1:7070        # share winners via a tuned daemon
 //	tune -op ialltoall -metrics audit.json       # selection audit + overlap
 //	tune -op ialltoall -np 32 -progress 5 -verify   # was the winner correct?
+//	tune -op ialltoall -selector speculative+brute-force   # one world per candidate
 //
 // With -kb, winners learned by any process sharing the daemon are reused
 // (the learning phase is skipped exactly as with a warm -history file);
@@ -39,7 +40,6 @@ import (
 	"nbctune/internal/mpi"
 	"nbctune/internal/obs"
 	"nbctune/internal/platform"
-	"nbctune/internal/runner"
 )
 
 func main() {
@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		compute  = fl.Float64("compute", 0.02, "compute seconds per iteration")
 		progress = fl.Int("progress", 5, "progress calls per iteration")
 		iters    = fl.Int("iters", 0, "loop iterations (0 = enough for learning + 10)")
-		selName  = fl.String("selector", "brute-force", "selection logic: brute-force, attr-heuristic, factorial-2k, adaptive[+inner], brute-force-mean")
+		selName  = fl.String("selector", "brute-force", "selection logic: brute-force, attr-heuristic, factorial-2k, adaptive[+inner], brute-force-mean, or speculative+inner (every candidate measured on its own copy of the world at the decision point)")
 		evals    = fl.Int("evals", 3, "measurements per implementation")
 		seed     = fl.Int64("seed", 1, "simulation seed")
 		histPath = fl.String("history", "", "history file for persistent learning (optional)")
@@ -71,17 +71,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		metrOut  = fl.String("metrics", "", "write overlap metrics + the rank-0 selection audit as JSON")
 		chaosStr = fl.String("chaos", "off", "fault/noise injection profile: off or a profile name")
 		chaosSd  = fl.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
-		specOn   = fl.Bool("speculate", false, "measure every candidate on its own copy of the world at the decision point instead of in-line learning")
-		specWrk  = fl.Int("spec-workers", 0, "candidate worker pool for -speculate (0 = GOMAXPROCS); decisions are identical for every value")
 		shardStr = fl.String("shards", "", "run on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
 		verify   = fl.Bool("verify", false, "also measure every fixed implementation on the micro-benchmark loop and report whether the selector's winner is correct")
 	)
 	fl.Parse(args)
 	if *evals < 1 {
 		return fmt.Errorf("-evals %d: every implementation needs at least one measurement", *evals)
-	}
-	if err := runner.CheckWorkers("spec-workers", *specWrk); err != nil {
-		return err
 	}
 
 	plat, err := platform.ByName(*platName)
@@ -138,7 +133,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if _, err := core.SelectorByName(*selName, hostFS, *evals); err != nil {
+	// A speculative name is vetted through its inner logic; its session
+	// measures the candidates outside the tuning loop (below).
+	inner, speculate := core.SpeculativeInner(*selName)
+	if _, err := core.SelectorByName(inner, hostFS, *evals); err != nil {
 		return err
 	}
 	// known is the recorded winner's index in the function set, -1 when
@@ -152,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	// Warm history leaves no learning phase to speculate on: fall through to
 	// the normal fixed-winner path.
-	speculate := *specOn && known < 0
+	speculate = speculate && known < 0
 
 	var rec *obs.Recorder
 	var report string
@@ -168,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// its overlap block empty, as the selection happened off that loop.
 		traced := mspec
 		traced.Observe = *tracOut != ""
-		sr, err := bench.RunSpeculative(traced, *selName, *specWrk)
+		sr, err := bench.RunSpeculative(traced, inner, 0)
 		if err != nil {
 			return err
 		}
@@ -205,7 +203,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// were built on the host above, so neither can fail on a rank.
 		w.Start(func(c *mpi.Comm) {
 			fs := must(op.Set(c, *msg, mspec.Mocks))
-			sel := must(core.SelectorByName(*selName, fs, *evals))
+			sel := must(core.SelectorByName(inner, fs, *evals))
 			if known >= 0 {
 				sel = &core.FixedSelector{Fn: known}
 			}
@@ -233,8 +231,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprint(stdout, report)
 
 	if *verify {
-		opt := bench.RunOptions{Speculate: speculate, SpecWorkers: *specWrk}
-		v, err := bench.RunVerificationOpts(mspec, opt, *selName)
+		v, err := bench.RunVerificationOpts(mspec, bench.RunOptions{}, *selName)
 		if err != nil {
 			return err
 		}
@@ -289,9 +286,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if specRes != nil {
 			// Everything recorded here is virtual-time and candidate-order
-			// deterministic: two runs differing only in -spec-workers write
+			// deterministic: runs on any number of host cores write
 			// byte-identical artifacts (make e2e pins this).
-			out.Selector = "speculative+" + *selName
 			out.SpecLatency = specRes.SpecLatency
 			out.SeqLatency = specRes.SeqLatency
 			out.CandidateTime = specRes.CandidateTime
@@ -350,9 +346,9 @@ type tuneMetrics struct {
 	Metrics       *obs.Metrics `json:"metrics"`
 	Audit         *obs.Audit   `json:"audit,omitempty"`
 
-	// Speculative-selection fields (-speculate): virtual selection latencies
-	// and per-candidate measurement costs. The worker count is deliberately
-	// absent — the artifact is byte-identical for every -spec-workers value.
+	// Speculative-selection fields (-selector speculative+<inner>): virtual
+	// selection latencies and per-candidate measurement costs. The candidate
+	// worker count is deliberately absent — no field depends on it.
 	SpecLatency   float64   `json:"spec_latency,omitempty"`
 	SeqLatency    float64   `json:"seq_latency,omitempty"`
 	CandidateTime []float64 `json:"candidate_time,omitempty"`

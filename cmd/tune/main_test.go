@@ -23,7 +23,7 @@ func TestGolden(t *testing.T) {
 		"ialltoall":   "-op ialltoall -platform crill -np 32 -msg 131072",
 		"ibcast_attr": "-op ibcast -selector attr-heuristic -np 16",
 		"chaos":       "-op ialltoall -np 8 -msg 65536 -compute 0.005 -chaos congested -chaos-seed 3",
-		"speculate":   "-op ialltoall -np 8 -msg 65536 -compute 0.005 -iters 5 -speculate -spec-workers 2",
+		"speculate":   "-op ialltoall -np 8 -msg 65536 -compute 0.005 -iters 5 -selector speculative+brute-force",
 	}
 	golden, err := filepath.Abs("testdata")
 	if err != nil {
@@ -256,7 +256,7 @@ func TestRecordedMockReplayed(t *testing.T) {
 	}
 }
 
-// TestSpeculateEveryOp: -speculate is not limited to the ops it was first
+// TestSpeculateEveryOp: speculation is not limited to the ops it was first
 // wired for; every catalogue op measures one world per candidate and commits
 // a winner.
 func TestSpeculateEveryOp(t *testing.T) {
@@ -267,10 +267,10 @@ func TestSpeculateEveryOp(t *testing.T) {
 			np = "16" // needs a square rank count
 		}
 		var stdout, stderr bytes.Buffer
-		if err := run([]string{"-op", op, "-np", np, "-speculate", "-spec-workers", "2"}, &stdout, &stderr); err != nil {
-			t.Errorf("tune -op %s -speculate: %v\n%s", op, err, stderr.Bytes())
+		if err := run([]string{"-op", op, "-np", np, "-selector", "speculative+brute-force"}, &stdout, &stderr); err != nil {
+			t.Errorf("tune -op %s speculative: %v\n%s", op, err, stderr.Bytes())
 		} else if !winner.Match(stdout.Bytes()) {
-			t.Errorf("tune -op %s -speculate printed no winner:\n%s", op, stdout.Bytes())
+			t.Errorf("tune -op %s speculative printed no winner:\n%s", op, stdout.Bytes())
 		}
 	}
 }
@@ -280,7 +280,7 @@ func TestSpeculateEveryOp(t *testing.T) {
 // -metrics artifact does not depend on the shard count.
 func TestSpeculateComposes(t *testing.T) {
 	chdir(t, t.TempDir())
-	base := "-op ialltoall -np 32 -msg 65536 -compute 0.005 -iters 6 -speculate "
+	base := "-op ialltoall -np 32 -msg 65536 -compute 0.005 -iters 6 -selector speculative+brute-force "
 	if out, _ := tune(t, base+"-trace t.json"); !strings.Contains(out, "trace written to t.json") {
 		t.Fatalf("no trace reported:\n%s", out)
 	}
@@ -300,7 +300,7 @@ func TestSpeculateComposes(t *testing.T) {
 		t.Fatalf("sharded speculative audit holds no samples:\n%s", metrics[0])
 	}
 	if !bytes.Equal(metrics[0], metrics[1]) || !bytes.Equal(metrics[1], metrics[2]) {
-		t.Error("tune -speculate -metrics differs between 1, 2 and 4 shards")
+		t.Error("speculative tune -metrics differs between 1, 2 and 4 shards")
 	}
 }
 
@@ -333,14 +333,16 @@ func TestShardsRunChaosAndPuts(t *testing.T) {
 // that cannot serve it, and tune reports that layer's message.
 func TestRefusals(t *testing.T) {
 	for args, want := range map[string]string{
-		"-op nonesuch":                "unknown operation",
-		"-op neighborhood -np 8":      "square rank count",
-		"-selector nonesuch":          "unknown selector",
-		"-shards 0":                   "invalid -shards",
-		"-evals 0":                    "at least one measurement",
-		"-compute -1":                 "non-negative and finite",
-		"-msg -1024":                  "non-negative and finite",
-		"-speculate -spec-workers -1": "worker count",
+		"-op nonesuch":                    "unknown operation",
+		"-op neighborhood -np 8":          "square rank count",
+		"-selector nonesuch":              "unknown selector",
+		"-shards 0":                       "invalid -shards",
+		"-evals 0":                        "at least one measurement",
+		"-compute -1":                     "non-negative and finite",
+		"-msg -1024":                      "non-negative and finite",
+		"-selector speculative+nonesuch":  "unknown selector",
+		"-selector speculative+adaptive":  "adaptive selectors keep measuring",
+		"-np 16 -msg 1152921504606846976": "overflows",
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(strings.Fields(args), &stdout, &stderr); err == nil || !strings.Contains(err.Error(), want) {

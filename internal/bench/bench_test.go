@@ -149,6 +149,12 @@ func TestSpecValidation(t *testing.T) {
 	if _, _, err := spec.run("x", nil); err == nil {
 		t.Error("negative message size accepted")
 	}
+	// 16 ranks x 2^60 bytes per pair wraps an int to 0.
+	spec = smallSpec(t)
+	spec.Procs, spec.MsgSize = 16, 1<<60
+	if _, _, err := spec.run("x", nil); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("overflowing buffer size: error %v", err)
+	}
 	// A set that cannot be built for the spec is an error from the entry
 	// points that list its functions first, not a panic.
 	spec = smallSpec(t)

@@ -19,7 +19,6 @@ type FFTSpec struct {
 	N               int // grid points per dimension
 	Pattern         fft.Pattern
 	Flavor          fft.Flavor
-	Selector        string
 	EvalsPerFn      int
 	Iterations      int
 	ProgressPerTile int
@@ -78,13 +77,9 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 	if spec.Iterations < 1 {
 		return FFTResult{}, nil, fmt.Errorf("bench: iterations must be >= 1")
 	}
-	sel := spec.Selector
-	if sel == "" {
-		sel = "brute-force"
-	}
 	label := spec.Flavor.String()
 	if spec.Flavor == fft.FlavorADCL || spec.Flavor == fft.FlavorADCLExt {
-		label += ":" + sel
+		label += ":" + fft.SelectorName
 	}
 	w, err := assemble(spec.Platform, spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed, spec.PDES, spec.Shards)
 	if err != nil {
@@ -106,7 +101,6 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 			N:               spec.N,
 			Pattern:         spec.Pattern,
 			Flavor:          spec.Flavor,
-			Selector:        sel,
 			EvalsPerFn:      spec.EvalsPerFn,
 			ProgressPerTile: spec.ProgressPerTile,
 			Virtual:         !spec.Data,

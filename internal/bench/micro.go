@@ -129,6 +129,9 @@ func (s MicroSpec) validate() error {
 	if err != nil {
 		return fmt.Errorf("bench: %w", err)
 	}
+	if (op.Send == core.BlockPerRank || op.Recv == core.BlockPerRank) && s.MsgSize > 0 && s.Procs > math.MaxInt/s.MsgSize {
+		return fmt.Errorf("bench: %d ranks x %d bytes overflows a buffer size", s.Procs, s.MsgSize)
+	}
 	if err := op.CheckMocks(s.Mocks); err != nil {
 		return fmt.Errorf("bench: %w", err)
 	}
@@ -418,19 +421,23 @@ func runFixed(spec MicroSpec, fn int) (MicroResult, *obs.Recorder, error) {
 	return r, rec, err
 }
 
-// RunADCL runs the benchmark under a runtime selection logic
-// ("brute-force", "attr-heuristic", or "factorial-2k").
+// RunADCL runs the benchmark under a runtime selection logic: any name
+// core.SelectorByName resolves ("brute-force", "attr-heuristic",
+// "factorial-2k", "adaptive+<inner>", …), or "speculative+<inner>", which
+// measures the candidates on worlds of their own (RunSpeculative, on a
+// GOMAXPROCS pool) before a loop that runs entirely post-decision.
 func RunADCL(spec MicroSpec, selector string) (MicroResult, error) {
-	r, _, err := runADCL(spec, selector)
-	return r, err
-}
-
-// runADCL is RunADCL, additionally returning the run's recorder (nil unless
-// spec.Observe is set).
-func runADCL(spec MicroSpec, selector string) (MicroResult, *obs.Recorder, error) {
-	return spec.run("adcl:"+selector, func(_ int, fs *core.FunctionSet) (core.Selector, error) {
+	if inner, ok := core.SpeculativeInner(selector); ok {
+		sr, err := RunSpeculative(spec, inner, 0)
+		if err != nil {
+			return MicroResult{}, err
+		}
+		return sr.Result, nil
+	}
+	r, _, err := spec.run("adcl:"+selector, func(_ int, fs *core.FunctionSet) (core.Selector, error) {
 		return core.SelectorByName(selector, fs, spec.evals())
 	})
+	return r, err
 }
 
 // TraceSink receives the recorder of one traced simulation; cell names the
@@ -527,23 +534,11 @@ func RunVerificationOpts(spec MicroSpec, opt RunOptions, selectors ...string) (*
 	}
 	for _, sel := range selectors {
 		sel := sel
-		job := runner.Job{
+		jobs = append(jobs, runner.Job{
 			Label: fmt.Sprintf("%s adcl=%s", spec, sel),
 			Key:   ADCLKey(spec, sel),
 			Run:   func() (any, error) { return RunADCL(spec, sel) },
-		}
-		if opt.Speculate {
-			job.Label = fmt.Sprintf("%s adcl=speculative+%s", spec, sel)
-			job.Key = SpecKey(spec, sel)
-			job.Run = func() (any, error) {
-				sr, err := RunSpeculative(spec, sel, opt.SpecWorkers)
-				if err != nil {
-					return nil, err
-				}
-				return sr.Result, nil
-			}
-		}
-		jobs = append(jobs, job)
+		})
 	}
 	rs, err := runner.Run(jobs, opt.runnerOptions())
 	if err != nil {

@@ -23,12 +23,6 @@ type RunOptions struct {
 	Cache *runner.Cache
 	// Progress receives one line per completed scenario.
 	Progress io.Writer
-	// Speculate switches ADCL measurements to speculative parallel candidate
-	// evaluation (RunSpeculative) with SpecWorkers candidate workers. Decisions
-	// and latency fields are worker-count independent, so results cache
-	// under a key that ignores SpecWorkers.
-	Speculate   bool
-	SpecWorkers int
 }
 
 func (o RunOptions) runnerOptions() runner.Options {
@@ -57,16 +51,11 @@ func FixedKey(spec MicroSpec, fn int) string {
 	return fingerprint("fixed", spec, fn)
 }
 
-// ADCLKey is the content address of one runtime-selection run.
+// ADCLKey is the content address of one runtime-selection run. A speculative
+// run's name carries its prefix, so it has its own address; the candidate
+// worker count is not part of it, as no result depends on it.
 func ADCLKey(spec MicroSpec, selector string) string {
 	return fingerprint("adcl", spec, selector)
-}
-
-// SpecKey is the content address of one speculative runtime-selection run.
-// The candidate worker count is deliberately absent: the decision and every
-// latency field are worker-independent, so all pool sizes share one entry.
-func SpecKey(spec MicroSpec, selector string) string {
-	return fingerprint("speculative", spec, selector)
 }
 
 // FFTComparisonKey is the content address of a multi-flavor comparison

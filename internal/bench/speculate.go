@@ -42,9 +42,6 @@ type SpecResult struct {
 	CandidateTime []float64
 	// EvalRounds is the per-candidate measurement budget each candidate ran.
 	EvalRounds int
-	// Workers is the pool size the candidates were dispatched to (host-side
-	// execution detail; no latency field depends on it).
-	Workers int
 }
 
 // Speedup is the selection-latency ratio sequential/speculative at the
@@ -58,7 +55,8 @@ func (s *SpecResult) Speedup() float64 {
 
 // RunSpeculative runs the micro-benchmark with speculative parallel
 // candidate evaluation: measure every candidate on a world of its own at the
-// decision point (dispatched to `workers` host workers), replay the streams
+// decision point (dispatched to `workers` host workers, <= 0: GOMAXPROCS;
+// nothing in the result depends on the count), replay the streams
 // through the named selector, then run the application loop, pinned to the
 // committed winner, on one more such world. Every phase is the §IV-A rank
 // program (runLoop) under a different selection logic.
@@ -131,7 +129,6 @@ func RunSpeculative(spec MicroSpec, selector string, workers int) (*SpecResult, 
 		Recorder:      rec,
 		CandidateTime: durs,
 		EvalRounds:    dec.Rounds,
-		Workers:       workers,
 	}
 	for _, d := range durs {
 		out.SeqLatency += d

@@ -22,7 +22,6 @@ func TestSpeculativeWorkerCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s workers=8: %v", sel, err)
 		}
-		r8.Workers = r1.Workers // the one intentionally worker-dependent field
 		b1, b8 := encode(t, r1), encode(t, r8)
 		if !bytes.Equal(b1, b8) {
 			t.Fatalf("%s: speculative result depends on worker count:\n%s\nvs\n%s", sel, b1, b8)
@@ -127,7 +126,6 @@ func TestSpeculativeChaosAndRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Workers = a.Workers
 	if !bytes.Equal(encode(t, a), encode(t, b)) {
 		t.Fatal("chaos speculative result depends on worker count")
 	}
@@ -155,31 +153,35 @@ func TestSpeculativeChaosAndRejections(t *testing.T) {
 			t.Errorf("%s speculative run differs from the plain one:\n%s\nvs\n%s", name, encode(t, got), encode(t, plain))
 		}
 	}
-	if _, err := RunSpeculative(smallSpec(t), "adaptive", 2); err == nil {
+	if _, err := RunADCL(smallSpec(t), "speculative+adaptive"); err == nil {
 		t.Fatal("adaptive selector accepted")
 	}
 }
 
-// TestVerificationOptsSpeculate: the RunOptions plumbing swaps ADCL jobs to
-// speculative evaluation and the aggregate stays a plain []MicroResult.
+// TestVerificationOptsSpeculate: "speculative+<inner>" is a selector name like
+// any other — a verification run measures it beside the fixed implementations
+// under its own cache address, and the aggregate stays a plain []MicroResult.
 func TestVerificationOptsSpeculate(t *testing.T) {
+	const sel = "speculative+brute-force"
 	spec := smallSpec(t)
-	v, err := RunVerificationOpts(spec, RunOptions{Workers: 2, Speculate: true, SpecWorkers: 4}, "brute-force")
+	v, err := RunVerificationOpts(spec, RunOptions{Workers: 2}, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.ADCL) != 1 || v.ADCL[0].Impl != "adcl:speculative+brute-force" {
+	if len(v.ADCL) != 1 || v.ADCL[0].Impl != "adcl:"+sel {
 		t.Fatalf("speculative verification ADCL entry = %+v", v.ADCL)
 	}
 	if !v.Correct(0) {
 		t.Fatalf("speculative verification picked %q, outside tolerance", v.ADCL[0].Winner)
 	}
-	if k := SpecKey(spec, "brute-force"); k == "" || k == ADCLKey(spec, "brute-force") {
-		t.Fatal("SpecKey must be distinct and non-empty")
+	if k := ADCLKey(spec, sel); k == "" || k == ADCLKey(spec, "brute-force") {
+		t.Fatal("the prefixed name must have its own non-empty ADCLKey")
 	}
-	// The sweep hands the option down to each scenario's verification
-	// (sweep -speculate).
-	st, err := VerificationSweepOpts([]MicroSpec{spec}, []string{"brute-force"}, RunOptions{Speculate: true, SpecWorkers: 4})
+	if VerificationKey(spec, []string{sel}) == VerificationKey(spec, []string{"brute-force"}) {
+		t.Fatal("the prefixed name must have its own VerificationKey")
+	}
+	// The sweep runs each scenario's verification (sweep -speculate).
+	st, err := VerificationSweepOpts([]MicroSpec{spec}, []string{sel}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestVerificationOptsSpeculate(t *testing.T) {
 	var base []byte
 	for _, shards := range []int{1, 2, 4} {
 		spec.Shards = shards
-		sv, err := RunVerificationOpts(spec, RunOptions{Speculate: true}, "brute-force")
+		sv, err := RunVerificationOpts(spec, RunOptions{}, sel)
 		if err != nil {
 			t.Fatalf("speculative verification on %d shards: %v", shards, err)
 		}
@@ -208,7 +210,7 @@ func TestVerificationOptsSpeculate(t *testing.T) {
 }
 
 // TestSpeculativeDeterministic: same spec, run twice, byte-identical — the
-// property SpecKey caching relies on.
+// property caching a speculative run under its ADCLKey relies on.
 func TestSpeculativeDeterministic(t *testing.T) {
 	plat, err := platform.ByName("whale")
 	if err != nil {

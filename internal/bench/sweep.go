@@ -160,9 +160,8 @@ func VerificationSweepOpts(specs []MicroSpec, selectors []string, opt RunOptions
 	if len(selectors) == 0 {
 		selectors = []string{"brute-force", "attr-heuristic"}
 	}
-	// Each scenario's verification runs sequentially inside its job; how its
-	// ADCL runs are measured is part of what the job computes.
-	inner := RunOptions{Workers: 1, Speculate: opt.Speculate, SpecWorkers: opt.SpecWorkers}
+	// Each scenario's verification runs sequentially inside its job.
+	inner := RunOptions{Workers: 1}
 	jobs := make([]runner.Job, len(specs))
 	for i, spec := range specs {
 		spec := spec
@@ -171,9 +170,6 @@ func VerificationSweepOpts(specs []MicroSpec, selectors []string, opt RunOptions
 			Key:   VerificationKey(spec, selectors),
 			Run:   func() (any, error) { return RunVerificationOpts(spec, inner, selectors...) },
 			Note:  verificationNote,
-		}
-		if opt.Speculate {
-			jobs[i].Key = fingerprint("verification-speculative", spec, selectors)
 		}
 	}
 	rs, err := runner.Run(jobs, opt.runnerOptions())

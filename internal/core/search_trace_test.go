@@ -147,7 +147,7 @@ var traceLandscapes = []struct {
 func traceOne(t *testing.T, label string, fs *FunctionSet, selName string, evals int, cost landscape) searchTrace {
 	t.Helper()
 	tr := searchTrace{Case: label}
-	if r, err := SpeculativeRounds(selName, fs, evals); err != nil {
+	if r, err := speculativeRounds(selName, fs, evals); err != nil {
 		tr.Rounds = err.Error()
 	} else {
 		tr.Rounds = strconv.Itoa(r)

@@ -418,6 +418,17 @@ func (p *factorialPlan) reduce(st *measStore, _ []int) (func(*Function) bool, st
 // Corners are measured in the screen, survivors once more in the final stage.
 func (p *factorialPlan) maxStages() int { return 2 }
 
+// SpeculativeInner splits a "speculative+<inner>" name: the logic that
+// measures every candidate on a world of its own and replays the streams
+// through the inner selector (speculative.go). Only a harness that builds
+// worlds can run it (bench.RunADCL), so SelectorByName never resolves it; ok
+// is false, and inner the whole name, for every other selector.
+func SpeculativeInner(name string) (inner string, ok bool) {
+	return strings.CutPrefix(name, speculativePrefix)
+}
+
+const speculativePrefix = "speculative+"
+
 // SelectorByName builds a selector from its registry name; used by the
 // benchmark drivers' command lines. "adaptive" (or "adaptive+<inner>")
 // wraps the inner learning selector with the drift monitor of adaptive.go;

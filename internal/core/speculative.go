@@ -62,12 +62,12 @@ func speculable(inner string, fs *FunctionSet, evalsPerFn int) (*Search, error) 
 	return s, nil
 }
 
-// SpeculativeRounds returns the per-candidate measurement budget the named
+// speculativeRounds returns the per-candidate measurement budget the named
 // inner selector can demand of any single candidate in the worst case: its
 // evaluations per stage times the stages that can reach one candidate. Every
 // fork runs exactly this many rounds, so the replay can never starve; surplus
 // measurements are simply never consumed.
-func SpeculativeRounds(inner string, fs *FunctionSet, evalsPerFn int) (int, error) {
+func speculativeRounds(inner string, fs *FunctionSet, evalsPerFn int) (int, error) {
 	s, err := speculable(inner, fs, evalsPerFn)
 	if err != nil {
 		return 0, err
@@ -87,21 +87,19 @@ type Speculation struct {
 }
 
 // Speculate builds no world itself — the CandidateRunner owns them. It
-// dispatches one job per candidate to `workers` parallel workers, then
-// replays the captured streams through a fresh inner selector in its
-// sequential measurement order. Fork events are logged in candidate order
-// before dispatch and join events after all forks complete, so the audit —
-// like the decision — is byte-identical for every worker count.
+// dispatches one job per candidate to `workers` parallel workers (<= 0:
+// GOMAXPROCS, as runner.Options takes it), then replays the captured streams
+// through a fresh inner selector in its sequential measurement order. Fork
+// events are logged in candidate order before dispatch and join events after
+// all forks complete, so the audit — like the decision — is byte-identical
+// for every worker count.
 func Speculate(inner string, fs *FunctionSet, evalsPerFn, workers int, run CandidateRunner) (*Speculation, error) {
-	if workers < 1 {
-		workers = 1
-	}
 	sel, err := speculable(inner, fs, evalsPerFn)
 	if err != nil {
 		return nil, err
 	}
 	rounds := sel.rounds()
-	au := obs.NewAudit("speculative+"+sel.Name(), fs.FunctionNames())
+	au := obs.NewAudit(speculativePrefix+sel.Name(), fs.FunctionNames())
 
 	jobs := make([]runner.Job, len(fs.Fns))
 	for fn := range fs.Fns {

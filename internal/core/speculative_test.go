@@ -54,7 +54,7 @@ func TestSpeculativeMatchesSequential(t *testing.T) {
 
 		// Sequential reference: the same inner selector fed the same streams
 		// front to back, exactly as it would measure in-line.
-		rounds, err := SpeculativeRounds(inner, fs, evals)
+		rounds, err := speculativeRounds(inner, fs, evals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,12 +114,12 @@ func TestSpeculativeRoundsBudgets(t *testing.T) {
 		{"factorial-2k", 10},      // corner screen + survivor brute force
 	}
 	for _, c := range cases {
-		got, err := SpeculativeRounds(c.inner, fs, 5)
+		got, err := speculativeRounds(c.inner, fs, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", c.inner, err)
 		}
 		if got != c.want {
-			t.Fatalf("SpeculativeRounds(%s) = %d, want %d", c.inner, got, c.want)
+			t.Fatalf("speculativeRounds(%s) = %d, want %d", c.inner, got, c.want)
 		}
 	}
 }
@@ -131,8 +131,22 @@ func TestSpeculativeRejectsAdaptive(t *testing.T) {
 	if _, err := Speculate("adaptive", fs, 3, 2, stubStream(separableCosts(fs))); err == nil {
 		t.Fatal("speculative evaluation accepted an adaptive inner selector")
 	}
-	if _, err := SpeculativeRounds("adaptive", fs, 3); err == nil {
-		t.Fatal("SpeculativeRounds accepted an adaptive inner selector")
+	if _, err := speculativeRounds("adaptive", fs, 3); err == nil {
+		t.Fatal("speculativeRounds accepted an adaptive inner selector")
+	}
+}
+
+// TestSpeculativeName: "speculative+<inner>" splits into its inner name, and
+// no selector that runs inside one world answers to it.
+func TestSpeculativeName(t *testing.T) {
+	if inner, ok := SpeculativeInner("speculative+attr-heuristic"); !ok || inner != "attr-heuristic" {
+		t.Errorf("SpeculativeInner(speculative+attr-heuristic) = %q, %v", inner, ok)
+	}
+	if inner, ok := SpeculativeInner("adaptive+brute-force"); ok || inner != "adaptive+brute-force" {
+		t.Errorf("SpeculativeInner(adaptive+brute-force) = %q, %v", inner, ok)
+	}
+	if _, err := SelectorByName("speculative+brute-force", fakeSet([]int{1, 2}), 2); err == nil {
+		t.Error("SelectorByName resolved a speculative name")
 	}
 }
 

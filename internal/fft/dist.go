@@ -11,8 +11,11 @@ import (
 // Flavor selects the communication back end of the transpose step: which
 // function set the per-slot persistent request runs (transposeSet) and under
 // which selection logic — the fixed flavors are one-function sets under a
-// FixedSelector, the ADCL flavors the tuned sets under the named selector.
+// FixedSelector, the ADCL flavors the tuned sets under SelectorName.
 type Flavor int
+
+// SelectorName is the selection logic every ADCL flavor tunes under.
+const SelectorName = "brute-force"
 
 const (
 	// FlavorMPI uses the blocking MPI_Alltoall (no overlap).
@@ -98,7 +101,6 @@ type Config struct {
 	N               int // grid points per dimension (power of two)
 	Pattern         Pattern
 	Flavor          Flavor
-	Selector        string  // ADCL flavors: selection logic name
 	EvalsPerFn      int     // ADCL flavors: measurements per implementation
 	ProgressPerTile int     // progress calls inserted per tile compute phase
 	Virtual         bool    // timing-only: no payload math or data movement
@@ -106,9 +108,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Selector == "" {
-		c.Selector = "brute-force"
-	}
 	if c.EvalsPerFn == 0 {
 		c.EvalsPerFn = 3
 	}
@@ -143,13 +142,13 @@ func (f Flavor) transposeSet(c *mpi.Comm, send, recv mpi.Buf) (*core.FunctionSet
 	return nil, fmt.Errorf("fft: unknown flavor %d", int(f))
 }
 
-// selector is the selection logic the slots' requests share: the named one
+// selector is the selection logic the slots' requests share: SelectorName
 // for the tuned flavors, the set's one function for the fixed ones.
 func (c Config) selector(fs *core.FunctionSet) (core.Selector, error) {
 	if c.Flavor == FlavorMPI || c.Flavor == FlavorNBC {
 		return &core.FixedSelector{Fn: 0}, nil
 	}
-	return core.SelectorByName(c.Selector, fs, c.EvalsPerFn)
+	return core.SelectorByName(SelectorName, fs, c.EvalsPerFn)
 }
 
 // slot is one window entry: buffers plus the persistent transpose operation

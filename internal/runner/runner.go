@@ -51,7 +51,7 @@ type Options struct {
 	Progress io.Writer
 }
 
-// CheckWorkers vets a command's worker-count flag (-jobs, -spec-workers),
+// CheckWorkers vets a command's worker-count flag (-jobs),
 // whose convention is 0 = GOMAXPROCS and n > 0 = n workers: a negative count
 // is refused instead of running as GOMAXPROCS.
 func CheckWorkers(flag string, n int) error {
