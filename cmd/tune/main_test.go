@@ -333,16 +333,17 @@ func TestShardsRunChaosAndPuts(t *testing.T) {
 // that cannot serve it, and tune reports that layer's message.
 func TestRefusals(t *testing.T) {
 	for args, want := range map[string]string{
-		"-op nonesuch":                    "unknown operation",
-		"-op neighborhood -np 8":          "square rank count",
-		"-selector nonesuch":              "unknown selector",
-		"-shards 0":                       "invalid -shards",
-		"-evals 0":                        "at least one measurement",
-		"-compute -1":                     "non-negative and finite",
-		"-msg -1024":                      "non-negative and finite",
-		"-selector speculative+nonesuch":  "unknown selector",
-		"-selector speculative+adaptive":  "adaptive selectors keep measuring",
-		"-np 16 -msg 1152921504606846976": "overflows",
+		"-op nonesuch":                              "unknown operation",
+		"-op neighborhood -np 8":                    "square rank count",
+		"-selector nonesuch":                        "unknown selector",
+		"-shards 0":                                 "invalid -shards",
+		"-evals 0":                                  "at least one measurement",
+		"-compute -1":                               "non-negative and finite",
+		"-msg -1024":                                "non-negative and finite",
+		"-selector speculative+nonesuch":            "unknown selector",
+		"-selector speculative+adaptive":            "adaptive selectors keep measuring",
+		"-np 16 -msg 1152921504606846976":           "overflows",
+		"-op ibcast -np 2 -msg 9223372036854775807": "segments",
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(strings.Fields(args), &stdout, &stderr); err == nil || !strings.Contains(err.Error(), want) {

@@ -5,10 +5,12 @@ package nbctune_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os/exec"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"nbctune/internal/bench"
 	"nbctune/internal/core"
@@ -266,5 +268,34 @@ func TestPerfModuleBuilds(t *testing.T) {
 	}
 	if out, err := exec.Command("go", "vet", "-C", "perf", "./...").CombinedOutput(); err != nil {
 		t.Fatalf("go vet -C perf ./...: %v\n%s", err, out)
+	}
+}
+
+// TestExamplesRun: `go build ./...` only compiles the example programs, and
+// customfunctions is the only program that calls core.SelectorWithHistory.
+// Each is built and run here, from a scratch directory, and must exit 0.
+func TestExamplesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the example programs")
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./examples/...").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./examples/...: %v\n%s", err, out)
+	}
+	mains, err := filepath.Glob("examples/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no example programs found: %v", err)
+	}
+	for _, main := range mains {
+		name := filepath.Base(filepath.Dir(main))
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, filepath.Join(bin, name))
+			cmd.Dir = t.TempDir()
+			if out, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+		})
 	}
 }

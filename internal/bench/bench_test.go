@@ -155,6 +155,23 @@ func TestSpecValidation(t *testing.T) {
 	if _, _, err := spec.run("x", nil); err == nil || !strings.Contains(err.Error(), "overflows") {
 		t.Errorf("overflowing buffer size: error %v", err)
 	}
+	// A broadcast has one tag per segment: a payload of more segments than a
+	// schedule has tags is refused before any world runs, and a size near
+	// MaxInt must not wrap to a one-segment broadcast.
+	const most = mpi.NBTagStride * 32 << 10 // the largest in the smallest segments
+	for _, op := range []string{OpIbcast, OpIbcastScalable} {
+		for _, size := range []int{most + 1, math.MaxInt} {
+			spec = smallSpec(t)
+			spec.Op, spec.MsgSize = op, size
+			if _, _, err := spec.run("x", nil); err == nil || !strings.Contains(err.Error(), "segments") {
+				t.Errorf("%s of %d bytes: error %v", op, size, err)
+			}
+		}
+		spec.MsgSize = most
+		if err := spec.validate(); err != nil {
+			t.Errorf("%s of %d bytes refused: %v", op, most, err)
+		}
+	}
 	// A set that cannot be built for the spec is an error from the entry
 	// points that list its functions first, not a panic.
 	spec = smallSpec(t)

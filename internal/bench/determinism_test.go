@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"nbctune/internal/chaos"
 	"nbctune/internal/fft"
 	"nbctune/internal/platform"
 	"nbctune/internal/runner"
@@ -171,6 +172,27 @@ func TestVerificationKeysDistinguishSpecs(t *testing.T) {
 	other.Seed++
 	if k4 := VerificationKey(other, sels); k4 == k1 {
 		t.Fatal("different seeds share a fingerprint")
+	}
+}
+
+// TestPresetNoiseInKeys: a preset carries its OS noise as data, so two presets
+// that differ only in their noise never share a cached result, fixed or
+// verification, and neither do the FFT specs over them.
+func TestPresetNoiseInKeys(t *testing.T) {
+	spec := smallSpec(t)
+	quiet := spec
+	quiet.Platform.Noise = chaos.OSNoise{}
+	if FixedKey(spec, 0) == FixedKey(quiet, 0) {
+		t.Error("presets differing only in OS noise share a FixedKey")
+	}
+	if sels := []string{"brute-force"}; VerificationKey(spec, sels) == VerificationKey(quiet, sels) {
+		t.Error("presets differing only in OS noise share a VerificationKey")
+	}
+	fs := FFTSpec{Platform: spec.Platform, Procs: 4, N: 16, Iterations: 2, Seed: 1}
+	fq := fs
+	fq.Platform = quiet.Platform
+	if flavors := []fft.Flavor{fft.FlavorNBC}; FFTComparisonKey(fs, flavors) == FFTComparisonKey(fq, flavors) {
+		t.Error("presets differing only in OS noise share an FFTComparisonKey")
 	}
 }
 

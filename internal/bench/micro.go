@@ -129,8 +129,8 @@ func (s MicroSpec) validate() error {
 	if err != nil {
 		return fmt.Errorf("bench: %w", err)
 	}
-	if (op.Send == core.BlockPerRank || op.Recv == core.BlockPerRank) && s.MsgSize > 0 && s.Procs > math.MaxInt/s.MsgSize {
-		return fmt.Errorf("bench: %d ranks x %d bytes overflows a buffer size", s.Procs, s.MsgSize)
+	if err := op.CheckSize(s.Procs, s.MsgSize); err != nil {
+		return fmt.Errorf("bench: %w", err)
 	}
 	if err := op.CheckMocks(s.Mocks); err != nil {
 		return fmt.Errorf("bench: %w", err)

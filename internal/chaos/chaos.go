@@ -40,6 +40,42 @@ import (
 	"sort"
 )
 
+// OSNoise is the one model of OS noise on application compute phases: a
+// phase of d seconds takes d·(1+|N(0,1)|·NoiseRel), plus DetourTime seconds
+// when an OS daemon steals the CPU, which it does with probability DetourProb
+// per phase. Two callers apply it, each from its own per-rank stream: a
+// platform preset (platform.Platform.Noise) and a chaos profile. The zero
+// model draws nothing and leaves every phase as it is.
+type OSNoise struct {
+	NoiseRel   float64 `json:"noise_rel,omitempty"`   // relative jitter: d *= 1 + |N(0,1)|*NoiseRel
+	DetourProb float64 `json:"detour_prob,omitempty"` // probability per compute call of an OS detour
+	DetourTime float64 `json:"detour_time,omitempty"` // CPU seconds one detour steals
+}
+
+// Source is the stream OSNoise draws from; *rand.Rand of math/rand and of
+// math/rand/v2 both are one.
+type Source interface {
+	NormFloat64() float64
+	Float64() float64
+}
+
+// Draws reports whether the model draws from its stream at all; a model that
+// does not leaves every phase unchanged.
+func (m OSNoise) Draws() bool { return m.NoiseRel > 0 || m.DetourProb > 0 }
+
+// Apply perturbs a compute phase of d seconds with draws from r: one normal
+// draw if NoiseRel > 0, then one uniform draw if DetourProb > 0. The result
+// is >= d.
+func (m OSNoise) Apply(r Source, d float64) float64 {
+	if m.NoiseRel > 0 {
+		d *= 1 + math.Abs(r.NormFloat64())*m.NoiseRel
+	}
+	if m.DetourProb > 0 && r.Float64() < m.DetourProb {
+		d += m.DetourTime
+	}
+	return d
+}
+
 // Profile declares one named adversity configuration. The zero value of any
 // field disables that concern; factor fields interpret 0 as "1.0" so partial
 // literals stay readable. Profiles are plain data — JSON-serializable, and
@@ -47,10 +83,9 @@ import (
 type Profile struct {
 	Name string `json:"name"`
 
-	// Per-rank OS noise, applied to application compute phases.
-	NoiseRel   float64 `json:"noise_rel,omitempty"`   // relative jitter: d *= 1 + |N(0,1)|*NoiseRel
-	DetourProb float64 `json:"detour_prob,omitempty"` // probability per compute call of an OS detour
-	DetourTime float64 `json:"detour_time,omitempty"` // CPU seconds one detour steals
+	// Per-rank OS noise, applied to application compute phases. Embedded, so
+	// its fields serialize as the profile's own.
+	OSNoise
 
 	// Static link degradation for inter-node transfers.
 	LatencyFactor   float64 `json:"latency_factor,omitempty"`   // multiplies wire latency (0, or >= 1: never faster)
@@ -142,11 +177,6 @@ type Injector struct {
 	burstStart float64
 	burstEnd   float64
 	nextBurst  float64
-
-	// Counters for tests and reporting.
-	Detours      int64
-	BurstWindows int64
-	JitterDraws  int64
 }
 
 // stream is a PCG-seeded generator that keeps its source, because *rand.Rand
@@ -229,7 +259,7 @@ func cloneAll(ss []stream) []stream {
 
 // Clone returns a detached injector positioned exactly where the receiver
 // is: every noise stream continues with the identical values, and the
-// burst/shift state machines and counters carry over. Clone does not mutate
+// burst/shift state machines carry over. Clone does not mutate
 // the receiver, so one parent can be cloned once per fork and each clone
 // serves exactly one forked world.
 func (in *Injector) Clone() *Injector {
@@ -242,19 +272,10 @@ func (in *Injector) Clone() *Injector {
 // SlowNode reports whether node nd has a degraded NIC under this injector.
 func (in *Injector) SlowNode(nd int) bool { return nd >= 0 && nd < len(in.slow) && in.slow[nd] }
 
-// ComputeNoise perturbs a compute phase of rank `rank`: relative jitter plus
-// a possible OS detour stealing DetourTime seconds. The result is >= d.
+// ComputeNoise perturbs a compute phase of rank `rank` with the profile's OS
+// noise, drawn from the rank's own stream. The result is >= d.
 func (in *Injector) ComputeNoise(rank int, d float64) float64 {
-	r := in.compute[rank]
-	out := d
-	if in.prof.NoiseRel > 0 {
-		out *= 1 + math.Abs(r.NormFloat64())*in.prof.NoiseRel
-	}
-	if in.prof.DetourProb > 0 && r.Float64() < in.prof.DetourProb {
-		out += in.prof.DetourTime
-		in.Detours++
-	}
-	return out
+	return in.prof.OSNoise.Apply(in.compute[rank].Rand, d)
 }
 
 // advanceBursts rolls the burst state machine forward to virtual time now.
@@ -265,7 +286,6 @@ func (in *Injector) advanceBursts(now float64) {
 		in.burstStart = in.nextBurst
 		in.burstEnd = in.burstStart + in.prof.BurstLen*(0.5+in.burst.Float64())
 		in.nextBurst = in.burstEnd + in.prof.BurstEvery*(0.5+in.burst.Float64())
-		in.BurstWindows++
 	}
 }
 
@@ -315,6 +335,5 @@ func (in *Injector) DeliveryJitter(src int) float64 {
 	if in.prof.JitterMean <= 0 {
 		return 0
 	}
-	in.JitterDraws++
 	return in.link[src].ExpFloat64() * in.prof.JitterMean
 }

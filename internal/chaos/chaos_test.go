@@ -2,15 +2,15 @@ package chaos
 
 import (
 	"math"
+	rand1 "math/rand"
+	"math/rand/v2"
 	"testing"
 )
 
 func noisy() Profile {
 	return Profile{
 		Name:       "t",
-		NoiseRel:   0.02,
-		DetourProb: 0.2,
-		DetourTime: 1e-3,
+		OSNoise:    OSNoise{NoiseRel: 0.02, DetourProb: 0.2, DetourTime: 1e-3},
 		JitterMean: 5e-6,
 	}
 }
@@ -78,14 +78,50 @@ func TestPerRankStreamsIndependent(t *testing.T) {
 
 func TestComputeNoiseNeverShrinks(t *testing.T) {
 	in, _ := NewInjector(noisy(), 3, 2, 1)
+	detours := 0
 	for i := 0; i < 1000; i++ {
 		d := in.ComputeNoise(i%2, 1e-3)
 		if d < 1e-3 {
 			t.Fatalf("compute noise shrank the phase: %g < 1e-3", d)
 		}
+		if d >= 2e-3 { // only a 1 ms detour doubles a 1 ms phase at 2 % jitter
+			detours++
+		}
 	}
-	if in.Detours == 0 {
+	if detours == 0 {
 		t.Fatal("DetourProb=0.2 over 1000 draws produced no detours")
+	}
+}
+
+// TestOSNoiseDraws pins the model both callers share: the draws it takes, in
+// order, and the formula over them. A platform preset applies it to a
+// math/rand stream, a chaos profile to a math/rand/v2 one.
+func TestOSNoiseDraws(t *testing.T) {
+	m := OSNoise{NoiseRel: 0.01, DetourProb: 0.5, DetourTime: 1e-3}
+	type src struct {
+		name string
+		a, b Source // two streams seeded alike
+	}
+	for _, s := range []src{
+		{"math/rand", rand1.New(rand1.NewSource(1)), rand1.New(rand1.NewSource(1))},
+		{"math/rand/v2", rand.New(rand.NewPCG(1, 2)), rand.New(rand.NewPCG(1, 2))},
+	} {
+		for i := 0; i < 200; i++ {
+			want := 1e-3 * (1 + math.Abs(s.b.NormFloat64())*m.NoiseRel)
+			if s.b.Float64() < m.DetourProb {
+				want += m.DetourTime
+			}
+			if got := m.Apply(s.a, 1e-3); got != want {
+				t.Fatalf("%s draw %d: Apply = %g, want %g", s.name, i, got, want)
+			}
+		}
+	}
+	if (OSNoise{DetourTime: 1}).Draws() || !(OSNoise{NoiseRel: 1}).Draws() || !(OSNoise{DetourProb: 1}).Draws() {
+		t.Error("Draws must hold exactly when NoiseRel or DetourProb is positive")
+	}
+	var zero OSNoise
+	if got := zero.Apply(nil, 2e-3); got != 2e-3 {
+		t.Errorf("zero model changed a phase: %g", got)
 	}
 }
 
@@ -229,8 +265,8 @@ func TestDeliveryJitterPositiveWithFiniteMean(t *testing.T) {
 
 func TestValidateRejectsNonsense(t *testing.T) {
 	bad := []Profile{
-		{Name: "neg-noise", NoiseRel: -1},
-		{Name: "prob", DetourProb: 1.5},
+		{Name: "neg-noise", OSNoise: OSNoise{NoiseRel: -1}},
+		{Name: "prob", OSNoise: OSNoise{DetourProb: 1.5}},
 		{Name: "neg-factor", BandwidthFactor: -2},
 		{Name: "burst-no-len", BurstEvery: 1},
 		{Name: "frac", SlowNodeFrac: 2},
@@ -266,7 +302,7 @@ func TestValidateRejectsNonsense(t *testing.T) {
 // produced, without the two coupling afterwards.
 func TestInjectorClone(t *testing.T) {
 	prof := Profile{
-		Name: "clone-test", NoiseRel: 0.1, DetourProb: 0.05, DetourTime: 1e-4,
+		Name: "clone-test", OSNoise: OSNoise{NoiseRel: 0.1, DetourProb: 0.05, DetourTime: 1e-4},
 		JitterMean: 1e-6, BurstEvery: 1e-3, BurstLen: 2e-4, BurstBWFactor: 0.25,
 		SlowNodeFrac: 0.25, SlowNodeBWFactor: 0.5,
 		Shifts: []Shift{{At: 0.5, LatencyFactor: 2}},
@@ -284,9 +320,6 @@ func TestInjectorClone(t *testing.T) {
 		in.DeliveryJitter(i % 4)
 	}
 	cl := in.Clone()
-	if cl.Detours != in.Detours || cl.BurstWindows != in.BurstWindows || cl.JitterDraws != in.JitterDraws {
-		t.Fatal("clone counters diverge from parent at clone time")
-	}
 	for i := 0; i < 500; i++ {
 		now += 1e-5
 		r := i % 4

@@ -22,10 +22,8 @@ var registry = map[string]func() chaos.Profile{
 	// scores do not (EXPERIMENTS.md §E13a).
 	"os-jitter": func() chaos.Profile {
 		return chaos.Profile{
-			Name:       "os-jitter",
-			NoiseRel:   0.02,
-			DetourProb: 0.08,
-			DetourTime: 2e-3,
+			Name:    "os-jitter",
+			OSNoise: chaos.OSNoise{NoiseRel: 0.02, DetourProb: 0.08, DetourTime: 2e-3},
 		}
 	},
 
@@ -35,7 +33,7 @@ var registry = map[string]func() chaos.Profile{
 	"congested": func() chaos.Profile {
 		return chaos.Profile{
 			Name:          "congested",
-			NoiseRel:      0.005,
+			OSNoise:       chaos.OSNoise{NoiseRel: 0.005},
 			JitterMean:    20e-6,
 			BurstEvery:    40e-3,
 			BurstLen:      8e-3,
@@ -49,7 +47,7 @@ var registry = map[string]func() chaos.Profile{
 	"slow-nic": func() chaos.Profile {
 		return chaos.Profile{
 			Name:             "slow-nic",
-			NoiseRel:         0.003,
+			OSNoise:          chaos.OSNoise{NoiseRel: 0.003},
 			SlowNodeFrac:     0.25,
 			SlowNodeBWFactor: 0.4,
 		}
@@ -63,8 +61,8 @@ var registry = map[string]func() chaos.Profile{
 	// (EXPERIMENTS.md §E13b).
 	"regime-shift": func() chaos.Profile {
 		return chaos.Profile{
-			Name:     "regime-shift",
-			NoiseRel: 0.002,
+			Name:    "regime-shift",
+			OSNoise: chaos.OSNoise{NoiseRel: 0.002},
 			Shifts: []chaos.Shift{
 				{At: 0.25, LatencyFactor: 4, BandwidthFactor: 0.08},
 			},

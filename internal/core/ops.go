@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"nbctune/internal/mpi"
+	"nbctune/internal/nbc"
 )
 
 // The op catalogue: every tunable operation the drivers know, defined once
@@ -67,6 +69,9 @@ type Op struct {
 	// sent what (reductions, halo exchanges); data verification is refused
 	// for those.
 	Pattern *Pattern
+	// SegSize is the smallest segment the set's schedules pipeline the
+	// payload in, one tag offset per segment; 0 for unsegmented sets.
+	SegSize int
 
 	build func(c *mpi.Comm, send, recv mpi.Buf, root int) (*FunctionSet, error)
 }
@@ -95,8 +100,8 @@ var ops = []*Op{
 		build: set(func(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet { return IalltoallSet(c, send, recv, true) })},
 	{Name: "ialltoall-prim", Send: BlockPerRank, Recv: BlockPerRank, Pattern: personalized,
 		build: set(IalltoallPrimitivesSet)},
-	{Name: "ibcast", Send: OneBlock, Pattern: fromRoot, build: rooted(IbcastSet)},
-	{Name: "ibcast-scalable", Send: OneBlock, Pattern: fromRoot, build: rooted(IbcastScalableSet)},
+	{Name: "ibcast", Send: OneBlock, Pattern: fromRoot, SegSize: nbc.DefaultSegSizes[0], build: rooted(IbcastSet)},
+	{Name: "ibcast-scalable", Send: OneBlock, Pattern: fromRoot, SegSize: nbc.DefaultSegSizes[0], build: rooted(IbcastScalableSet)},
 	{Name: "iallgather", Send: OneBlock, Recv: BlockPerRank, Pattern: gathered, build: set(IallgatherSet)},
 	{Name: "iallgather-scalable", Send: OneBlock, Recv: BlockPerRank, Pattern: gathered, build: set(IallgatherScalableSet)},
 	{Name: "ireduce", Send: OneBlock, Recv: OneBlock,
@@ -151,6 +156,19 @@ func OpByName(name string) (*Op, error) {
 	return nil, fmt.Errorf("unknown operation %q (have %s)", name, strings.Join(OpNames(), ", "))
 }
 
+// CheckSize refuses a payload parameter the operation cannot run at on n
+// ranks: a buffer size that overflows an int, or more segments than a
+// schedule has tags.
+func (o *Op) CheckSize(n, msg int) error {
+	if (o.Send == BlockPerRank || o.Recv == BlockPerRank) && msg > 0 && n > math.MaxInt/msg {
+		return fmt.Errorf("%d ranks x %d bytes overflows a buffer size", n, msg)
+	}
+	if o.SegSize > 0 {
+		return nbc.CheckSegments(msg, o.SegSize)
+	}
+	return nil
+}
+
 // Buffers allocates the operation's buffers for an n-rank communicator at
 // payload parameter msg: alloc is mpi.Virtual for timing-only runs, or a
 // real allocator for data verification. An in-place operation gets one
@@ -179,9 +197,12 @@ func (o *Op) Build(c *mpi.Comm, send, recv mpi.Buf, root int, mocks []string) (*
 	return fs, nil
 }
 
-// Set is Buffers + Build with length-only payloads rooted at rank 0, the form
-// everything that only compares timings uses.
+// Set is CheckSize + Buffers + Build with length-only payloads rooted at rank
+// 0, the form everything that only compares timings uses.
 func (o *Op) Set(c *mpi.Comm, msg int, mocks []string) (*FunctionSet, error) {
+	if err := o.CheckSize(c.Size(), msg); err != nil {
+		return nil, err
+	}
 	send, recv := o.Buffers(c.Size(), msg, mpi.Virtual)
 	return o.Build(c, send, recv, 0, mocks)
 }

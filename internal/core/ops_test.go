@@ -154,15 +154,46 @@ func TestMocksAttachToTheirOp(t *testing.T) {
 	}
 }
 
-// allocated returns the bytes f allocates. Ranks are coroutines of one
-// goroutine, so inside a rank program it counts f alone as long as f does not
-// park.
-func allocated(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+// allocated returns the bytes f allocates, read from a heap profile that
+// samples every allocation with its call stack: only allocations made
+// beneath this function's frame count, so whatever other goroutines allocate
+// meanwhile does not. f must not park (a rank's coroutine runs it through).
+func allocated(f func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := allocatedBeneath()
 	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return allocatedBeneath() - before
+}
+
+// allocatedBeneath sums the bytes the heap profile attributes to call stacks
+// through allocated but not through itself, after two collections have
+// published every allocation made so far.
+func allocatedBeneath() int64 {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	for {
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	var sum int64
+	for _, rec := range recs[:n] {
+		for frames := runtime.CallersFrames(rec.Stack()); ; { // innermost first
+			fr, more := frames.Next()
+			if fr.Function == "nbctune/internal/core.allocated" {
+				sum += rec.AllocBytes
+			}
+			if !more || fr.Function == "nbctune/internal/core.allocated" || fr.Function == "nbctune/internal/core.allocatedBeneath" {
+				break
+			}
+		}
+	}
+	return sum
 }
 
 // TestSetsCompileOnFirstStart: a function compiles its schedule when it is

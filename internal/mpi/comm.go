@@ -18,7 +18,7 @@ func (c *Comm) Size() int { return len(c.r.w.ranks) }
 // Rank returns the calling process's rank within the communicator.
 func (c *Comm) Rank() int { return c.r.id }
 
-// RankState exposes the underlying library state (accounting, RNG).
+// RankState exposes the underlying library state.
 func (c *Comm) RankState() *Rank { return c.r }
 
 // Now returns the current virtual time.

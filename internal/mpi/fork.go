@@ -42,15 +42,12 @@ type envSnap struct {
 
 // rankSnap is the detached per-rank state.
 type rankSnap struct {
-	rng           *sim.ClonableRand
-	mpiTime       float64
-	computeTime   float64
-	progressCalls int64
-	pseq          uint64
-	eager         []envSnap
-	scratchCap    int
-	noticeCap     int
-	layer         any // LayerForker copy, re-forked per Fork; nil if none
+	rng        *sim.ClonableRand
+	pseq       uint64
+	eager      []envSnap
+	scratchCap int
+	noticeCap  int
+	layer      any // LayerForker copy, re-forked per Fork; nil if none
 }
 
 // WorldSnapshot is a detached, immutable checkpoint of a quiescent world and
@@ -110,12 +107,9 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 			return nil, fmt.Errorf("mpi: snapshot with %d open request(s) on rank %d", r.outstanding, r.id)
 		}
 		rs := rankSnap{
-			mpiTime:       r.MPITime,
-			computeTime:   r.ComputeTime,
-			progressCalls: r.ProgressCalls,
-			pseq:          r.m.pseq,
-			scratchCap:    cap(r.scratch),
-			noticeCap:     cap(r.notices),
+			pseq:       r.m.pseq,
+			scratchCap: cap(r.scratch),
+			noticeCap:  cap(r.notices),
 		}
 		// A rank that never drew randomness has no stream to position; the
 		// fork re-creates it lazily from the same seed, so leaving it nil
@@ -157,7 +151,7 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 // Fork materializes an independent world from the snapshot: a fresh engine
 // at the snapshot's virtual time, a network with the parent's NIC high-water
 // marks and FIFO floors, chaos noise streams positioned mid-stream exactly
-// where the parent's were, and per-rank state — accounting, RNG position,
+// where the parent's were, and per-rank state — RNG position,
 // unexpected-eager queues (payloads re-cloned), posted-order counters, and
 // the layer state re-forked. The pool free lists come back warm: request
 // records carry the parent's generation counters in the parent's stack
@@ -193,7 +187,6 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 		rs := &s.ranks[i]
 		r := &recs[i]
 		r.w, r.id = w, i
-		r.MPITime, r.ComputeTime, r.ProgressCalls = rs.mpiTime, rs.computeTime, rs.progressCalls
 		if rs.rng != nil {
 			r.rng = rs.rng.Clone()
 		}

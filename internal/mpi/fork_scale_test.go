@@ -4,16 +4,19 @@ import (
 	"runtime"
 	"testing"
 
+	"nbctune/internal/obs"
 	"nbctune/internal/sim"
 )
 
 // forkScaleFingerprint runs a light full-world program — noisy compute, an
-// eager ring, a barrier — and condenses timing, event counts, network
-// counters and per-rank accounting into floats for exact comparison. It
-// deliberately never touches rank RNGs: forcing 4096 lazy RNGs into
-// existence would swamp the per-fork cost this file pins.
+// eager ring, a barrier — and condenses timing, event counts and what a
+// recorder saw into floats for exact comparison. It deliberately never
+// touches rank RNGs: forcing 4096 lazy RNGs into existence would swamp the
+// per-fork cost this file pins.
 func forkScaleFingerprint(eng *sim.Engine, w *World) []float64 {
 	n := len(w.ranks)
+	rec := obs.NewRecorder(n)
+	w.Observe(rec)
 	w.Start(func(c *Comm) {
 		me := c.Rank()
 		c.Compute(1e-5)
@@ -22,11 +25,20 @@ func forkScaleFingerprint(eng *sim.Engine, w *World) []float64 {
 		c.Barrier()
 	})
 	eng.Run()
-	fp := []float64{eng.Now(), float64(eng.EventsFired)}
-	net := w.net
-	fp = append(fp, float64(net.Transfers), float64(net.CtrlMessages), float64(net.BytesOnWire))
-	for _, r := range w.ranks {
-		fp = append(fp, r.MPITime, r.ComputeTime, float64(r.ProgressCalls))
+	return recorded(eng, w, rec)
+}
+
+// recorded condenses a finished run into floats: virtual time, events fired,
+// transfers, the recorder's bytes on the wire, and per rank its recorded time
+// in compute and in MPI and its progress calls.
+func recorded(eng *sim.Engine, w *World, rec *obs.Recorder) []float64 {
+	m := rec.Metrics()
+	fp := []float64{eng.Now(), float64(eng.EventsFired), float64(w.net.Transfers)}
+	for _, nic := range m.NIC {
+		fp = append(fp, float64(nic.TxBytes), float64(nic.RxBytes))
+	}
+	for _, rm := range m.Ranks {
+		fp = append(fp, rm.Compute, rm.MPI, float64(rm.ProgressCalls))
 	}
 	return fp
 }

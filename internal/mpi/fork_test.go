@@ -6,6 +6,7 @@ import (
 
 	"nbctune/internal/chaos"
 	"nbctune/internal/netmodel"
+	"nbctune/internal/obs"
 	"nbctune/internal/sim"
 )
 
@@ -31,7 +32,7 @@ func forkTestWorld(t testing.TB, n int) (*sim.Engine, *World) {
 		t.Fatal(err)
 	}
 	prof := chaos.Profile{
-		Name: "fork-test", NoiseRel: 0.05, DetourProb: 0.02, DetourTime: 5e-6,
+		Name: "fork-test", OSNoise: chaos.OSNoise{NoiseRel: 0.05, DetourProb: 0.02, DetourTime: 5e-6},
 		JitterMean: 5e-7, BurstEvery: 5e-4, BurstLen: 1e-4, BurstBWFactor: 0.3,
 	}
 	in, err := chaos.NewInjector(prof, 17, n, n)
@@ -47,6 +48,8 @@ func forkTestWorld(t testing.TB, n int) (*sim.Engine, *World) {
 // observable into a slice of floats for exact comparison.
 func forkFingerprint(eng *sim.Engine, w *World) []float64 {
 	n := len(w.ranks)
+	rec := obs.NewRecorder(n)
+	w.Observe(rec)
 	w.Start(func(c *Comm) {
 		me := c.Rank()
 		peer := (me + 1) % n
@@ -62,11 +65,9 @@ func forkFingerprint(eng *sim.Engine, w *World) []float64 {
 		}
 	})
 	eng.Run()
-	fp := []float64{eng.Now(), float64(eng.EventsFired)}
-	net := w.net
-	fp = append(fp, float64(net.Transfers), float64(net.CtrlMessages), float64(net.BytesOnWire))
+	fp := recorded(eng, w, rec)
 	for _, r := range w.ranks {
-		fp = append(fp, r.MPITime, r.ComputeTime, float64(r.ProgressCalls), r.random().Rand.Float64())
+		fp = append(fp, r.random().Rand.Float64())
 	}
 	return fp
 }

@@ -1,10 +1,11 @@
 package mpi
 
 import (
-	"math/rand"
 	"testing"
 
+	"nbctune/internal/chaos"
 	"nbctune/internal/netmodel"
+	"nbctune/internal/obs"
 	"nbctune/internal/sim"
 )
 
@@ -313,46 +314,64 @@ func TestSendrecvNoDeadlock(t *testing.T) {
 	}
 }
 
+// TestNoiseApplied: Compute stretches a phase by the world's noise model,
+// drawn from the rank's stream, which a model that draws nothing never
+// creates. The recorder sees the stretched phase.
 func TestNoiseApplied(t *testing.T) {
-	eng := sim.NewEngine(1)
-	p := netmodel.Params{Name: "t", Latency: 1e-6, Bandwidth: 1e9, NICs: 1,
-		EagerLimit: 1024, CtrlBytes: 64, CopyBandwidth: 1e9, ShmLatency: 1e-7, ShmBandwidth: 1e9}
-	net, err := netmodel.New(eng, p, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWorld(eng, net, 1, Options{
-		Seed:  1,
-		Noise: func(rng *rand.Rand, d float64) float64 { return d * 2 },
-	})
-	var end float64
-	w.Start(func(c *Comm) {
-		c.Compute(1.0)
-		end = c.Now()
-	})
-	eng.Run()
-	if end != 2.0 {
-		t.Fatalf("noisy compute ended at %g, want 2.0", end)
-	}
-	if w.ranks[0].ComputeTime != 2.0 {
-		t.Fatalf("ComputeTime = %g, want 2.0", w.ranks[0].ComputeTime)
+	for _, tc := range []struct {
+		noise   chaos.OSNoise
+		end     float64
+		drawing bool
+	}{
+		{chaos.OSNoise{DetourProb: 1, DetourTime: 1.0}, 2.0, true}, // a certain detour
+		{chaos.OSNoise{DetourTime: 1.0}, 1.0, false},               // never drawn
+	} {
+		eng := sim.NewEngine(1)
+		p := netmodel.Params{Name: "t", Latency: 1e-6, Bandwidth: 1e9, NICs: 1,
+			EagerLimit: 1024, CtrlBytes: 64, CopyBandwidth: 1e9, ShmLatency: 1e-7, ShmBandwidth: 1e9}
+		net, err := netmodel.New(eng, p, []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWorld(eng, net, 1, Options{Seed: 1, Noise: tc.noise})
+		rec := obs.NewRecorder(1)
+		w.Observe(rec)
+		var end float64
+		w.Start(func(c *Comm) {
+			c.Compute(1.0)
+			end = c.Now()
+		})
+		eng.Run()
+		if end != tc.end {
+			t.Fatalf("%+v: compute ended at %g, want %g", tc.noise, end, tc.end)
+		}
+		if got := rec.Metrics().TotalCompute; got != tc.end {
+			t.Fatalf("%+v: recorded compute %g, want %g", tc.noise, got, tc.end)
+		}
+		if (w.ranks[0].rng != nil) != tc.drawing {
+			t.Fatalf("%+v: rank stream created = %v, want %v", tc.noise, w.ranks[0].rng != nil, tc.drawing)
+		}
 	}
 }
 
+// TestAccountingCounters: the recorder, not the rank, accounts a rank's time
+// inside MPI and its progress calls.
 func TestAccountingCounters(t *testing.T) {
 	eng, w := testWorld(t, 2, nil)
+	rec := obs.NewRecorder(2)
+	w.Observe(rec)
 	w.Start(func(c *Comm) {
 		peer := 1 - c.Rank()
 		c.Sendrecv(peer, 1, Virtual(1024), peer, 1, Virtual(1024))
 		c.r.Progress()
 	})
 	eng.Run()
-	for i, r := range w.ranks {
-		if r.MPITime <= 0 {
-			t.Errorf("rank %d: MPITime = %g, want > 0", i, r.MPITime)
+	for i, rm := range rec.Metrics().Ranks {
+		if rm.MPI <= 0 {
+			t.Errorf("rank %d: time in MPI = %g, want > 0", i, rm.MPI)
 		}
-		if r.ProgressCalls != 1 {
-			t.Errorf("rank %d: ProgressCalls = %d, want 1", i, r.ProgressCalls)
+		if rm.ProgressCalls != 1 {
+			t.Errorf("rank %d: progress calls = %d, want 1", i, rm.ProgressCalls)
 		}
 	}
 }

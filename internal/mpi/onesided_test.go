@@ -4,7 +4,21 @@ import (
 	"testing"
 
 	"nbctune/internal/netmodel"
+	"nbctune/internal/obs"
 )
+
+// runObserved is runProg with a recorder attached, which prog may read as it
+// runs: a rank's spans are recorded as its clock advances.
+func runObserved(t *testing.T, n int, mutate func(*netmodel.Params), prog func(c *Comm, rec *obs.Recorder)) {
+	eng, w := testWorld(t, n, mutate)
+	rec := obs.NewRecorder(n)
+	w.Observe(rec)
+	w.Start(func(c *Comm) { prog(c, rec) })
+	eng.Run()
+}
+
+// mpiSeconds is the time the recorder has seen rank spend inside MPI.
+func mpiSeconds(rec *obs.Recorder, rank int) float64 { return rec.Metrics().Ranks[rank].MPI }
 
 // arrived is the put-with-notify completion predicate the put-based schedules
 // wait on: n puts of the given instance have landed in w.
@@ -43,7 +57,7 @@ func TestPutHostAttendedTransport(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i + 1)
 	}
-	runProg(t, 2, func(p *netmodel.Params) { p.RDMA = false }, func(c *Comm) {
+	runObserved(t, 2, func(p *netmodel.Params) { p.RDMA = false }, func(c *Comm, rec *obs.Recorder) {
 		buf := make([]byte, size)
 		w := c.CreateWin(Bytes(buf))
 		c.Barrier() // every rank has created its window
@@ -56,16 +70,15 @@ func TestPutHostAttendedTransport(t *testing.T) {
 		if w.ReceivedFor(k) != 0 || buf[0] != 0 {
 			t.Errorf("TCP put visible before the target entered MPI: count %d, window[0] = %d", w.ReceivedFor(k), buf[0])
 		}
-		r := c.RankState()
-		before := r.MPITime
+		before := mpiSeconds(rec, 1)
 		c.WaitFor(arrived(w, k, 1))
 		for i, v := range buf {
 			if v != payload[i] {
 				t.Fatalf("TCP put: window[%d] = %d, want %d", i, v, payload[i])
 			}
 		}
-		p := r.Network().Params()
-		if got, want := r.MPITime-before, p.ORecv+p.CopyTime(size); got < want {
+		p := c.RankState().Network().Params()
+		if got, want := mpiSeconds(rec, 1)-before, p.ORecv+p.CopyTime(size); got < want {
 			t.Errorf("target charged %g s for the put, want at least ORecv + copy = %g", got, want)
 		}
 	})
@@ -76,7 +89,7 @@ func TestPutHostAttendedTransport(t *testing.T) {
 // arrival count appear in the target's window.
 func TestPutAutonomousOnRDMA(t *testing.T) {
 	var originDone float64
-	runProg(t, 2, nil, func(c *Comm) {
+	runObserved(t, 2, nil, func(c *Comm, rec *obs.Recorder) {
 		buf := make([]byte, 64*1024)
 		w := c.CreateWin(Bytes(buf))
 		c.Barrier() // every rank has created its window
@@ -88,12 +101,12 @@ func TestPutAutonomousOnRDMA(t *testing.T) {
 			c.Wait(w.PutInstanced(k, 1, 0, Bytes(data)))
 			originDone = c.Now()
 		case 1:
-			mpiTime := c.RankState().MPITime
+			mpiTime := mpiSeconds(rec, 1)
 			c.Compute(0.5) // no MPI instants during the put
 			if w.ReceivedFor(k) != 1 || buf[len(buf)-1] != 5 {
 				t.Errorf("RDMA put not landed while the target computed: count %d, last byte %d", w.ReceivedFor(k), buf[len(buf)-1])
 			}
-			if c.RankState().MPITime != mpiTime {
+			if mpiSeconds(rec, 1) != mpiTime {
 				t.Error("RDMA put charged the target CPU")
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"nbctune/internal/chaos"
 	"nbctune/internal/netmodel"
+	"nbctune/internal/obs"
 	"nbctune/internal/sim"
 )
 
@@ -145,14 +146,12 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 	}
 	run := func(shards int) result {
 		sw := testShardedWorld(t, n, perNode, shards, nil)
+		rec := obs.NewRecorder(n)
+		sw.Observe(rec)
 		prog, times := shardedRingProg(n, sizes)
 		sw.Start(prog)
 		sw.Run()
-		res := result{doneAt: times(), now: sw.win.Now()}
-		for i := 0; i < n; i++ {
-			res.mpiTime = append(res.mpiTime, sw.worlds[0].ranks[i].MPITime)
-		}
-		return res
+		return result{doneAt: times(), mpiTime: recordedMPI(rec), now: sw.win.Now()}
 	}
 	base := run(1)
 	for _, shards := range []int{2, 4, 8} {
@@ -169,6 +168,15 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recordedMPI is each rank's time inside MPI as the recorder saw it.
+func recordedMPI(rec *obs.Recorder) []float64 {
+	var out []float64
+	for _, rm := range rec.Metrics().Ranks {
+		out = append(out, rm.MPI)
+	}
+	return out
 }
 
 // shardedChaos gives every shard's network view its own injector of prof,
@@ -193,7 +201,7 @@ func shardedChaos(t testing.TB, sw *ShardedWorld, prof chaos.Profile, seed int64
 func TestShardedChaosAndPuts(t *testing.T) {
 	const n, perNode, chunk = 8, 2, 20 * 1024 // above the eager limit
 	prof := chaos.Profile{
-		Name: "sharded", NoiseRel: 0.05, DetourProb: 0.1, DetourTime: 2e-5,
+		Name: "sharded", OSNoise: chaos.OSNoise{NoiseRel: 0.05, DetourProb: 0.1, DetourTime: 2e-5},
 		LatencyFactor: 2, JitterMean: 5e-6, BurstEvery: 1e-4, BurstLen: 3e-5, BurstBWFactor: 0.3,
 		Shifts: []chaos.Shift{{At: 2e-4, LatencyFactor: 8}, {At: 4e-4, LatencyFactor: 1}},
 	}
@@ -206,6 +214,8 @@ func TestShardedChaosAndPuts(t *testing.T) {
 		if noisy {
 			shardedChaos(t, sw, prof, 3)
 		}
+		rec := obs.NewRecorder(n)
+		sw.Observe(rec)
 		doneAt := make([]float64, n)
 		sw.Start(func(c *Comm) {
 			me := c.Rank()
@@ -241,11 +251,7 @@ func TestShardedChaosAndPuts(t *testing.T) {
 			doneAt[me] = c.Now()
 		})
 		sw.Run()
-		res := result{doneAt: doneAt, now: sw.Now()}
-		for _, r := range sw.worlds[0].ranks {
-			res.mpiTime = append(res.mpiTime, r.MPITime)
-		}
-		return res
+		return result{doneAt: doneAt, mpiTime: recordedMPI(rec), now: sw.Now()}
 	}
 	if clean, noisy := run(1, false), run(1, true); noisy.now <= clean.now {
 		t.Errorf("chaos did not slow the program down: %g s, clean %g s", noisy.now, clean.now)

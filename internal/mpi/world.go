@@ -14,21 +14,18 @@ package mpi
 
 import (
 	"fmt"
-	"math/rand"
 
+	"nbctune/internal/chaos"
 	"nbctune/internal/netmodel"
 	"nbctune/internal/obs"
 	"nbctune/internal/sim"
 )
 
-// NoiseFunc perturbs a nominal compute duration, modeling OS jitter.
-// It must return a non-negative duration.
-type NoiseFunc func(rng *rand.Rand, d float64) float64
-
 // Options configures a World.
 type Options struct {
-	// Noise perturbs every Compute call. Nil means no noise.
-	Noise NoiseFunc
+	// Noise perturbs every Compute call, drawn from the rank's own stream. A
+	// model that draws nothing (the zero model) leaves that stream uncreated.
+	Noise chaos.OSNoise
 	// Seed feeds the per-rank RNGs.
 	Seed int64
 }
@@ -161,11 +158,6 @@ type Rank struct {
 	// layerState is an opaque per-rank slot for a higher layer's reusable
 	// execution state (the nbc handle pool lives here; see LayerState).
 	layerState any
-
-	// Accounting.
-	MPITime       float64
-	ComputeTime   float64
-	ProgressCalls int64
 }
 
 // ID returns the world rank number.
@@ -207,13 +199,12 @@ func (r *Rank) Compute(d float64) {
 	if d < 0 {
 		panic("mpi: negative compute time")
 	}
-	if n := r.w.opts.Noise; n != nil {
-		d = n(r.random().Rand, d)
+	if n := r.w.opts.Noise; n.Draws() {
+		d = n.Apply(r.random().Rand, d)
 	}
 	if in := r.w.net.Chaos(); in != nil {
 		d = in.ComputeNoise(r.id, d)
 	}
-	r.ComputeTime += d
 	t0 := r.proc.Now()
 	r.proc.Advance(d)
 	r.rec.StateSpan(r.id, obs.StateCompute, t0, t0+d)
@@ -239,7 +230,6 @@ func (r *Rank) charge(d float64) {
 	if d <= 0 {
 		return
 	}
-	r.MPITime += d
 	t0 := r.proc.Now()
 	r.proc.Advance(d)
 	r.rec.StateSpan(r.id, obs.StateMPI, t0, t0+d)
@@ -259,7 +249,6 @@ func (r *Rank) enqueue(n notice) {
 // and ADCL's progress function drive.
 func (r *Rank) Progress() {
 	p := r.net().Params()
-	r.ProgressCalls++
 	r.rec.ProgressCall(r.id)
 	r.charge(p.OProgress + p.OTest*float64(r.outstanding))
 	r.waitUntil() // an empty wait set: one pass of the progress engine

@@ -123,6 +123,17 @@ func Ibcast(n, me, root int, buf mpi.Buf, fanout, segSize int) *Schedule {
 	return s
 }
 
+// CheckSegments refuses a size-byte broadcast that splits into more segSize
+// segments than a schedule has tag offsets (mpi.NBTagStride): every segment
+// of a pipelined broadcast is one tag offset.
+func CheckSegments(size, segSize int) error {
+	if n := numSegs(size, segSize); n > mpi.NBTagStride {
+		return fmt.Errorf("a %d-byte broadcast in %d-byte segments needs %d segments, more than the %d tags a schedule has",
+			size, segSize, n, mpi.NBTagStride)
+	}
+	return nil
+}
+
 // pipelinedRounds builds the rounds of one rank of a segmented broadcast
 // tree: parent (a comm rank, negative on the root) is whom it receives buf's
 // segments from, children whom it sends them to. The root sends one segment

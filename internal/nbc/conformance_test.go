@@ -34,9 +34,7 @@ func confCases(t *testing.T) int {
 func tortureProfile() chaos.Profile {
 	return chaos.Profile{
 		Name:             "conformance-torture",
-		NoiseRel:         0.05,
-		DetourProb:       0.10,
-		DetourTime:       2e-4,
+		OSNoise:          chaos.OSNoise{NoiseRel: 0.05, DetourProb: 0.10, DetourTime: 2e-4},
 		LatencyFactor:    2.5,
 		BandwidthFactor:  0.5,
 		JitterMean:       3e-5,

@@ -314,14 +314,11 @@ func seg(size, segSize, s int) (int, int) {
 	return off, l
 }
 
-// numSegs returns the segment count for a message of size bytes.
+// numSegs returns the segment count for a message of size bytes, without
+// overflow at any size.
 func numSegs(size, segSize int) int {
 	if size <= 0 {
 		return 1
 	}
-	n := (size + segSize - 1) / segSize
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return (size-1)/segSize + 1
 }

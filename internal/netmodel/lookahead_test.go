@@ -5,9 +5,9 @@ import "testing"
 // TestLookaheadFloorBounds re-derives by exhaustive pair scan the PDES
 // lookahead platform.NewWorldPDES uses, Params.Latency: Validate pins
 // HopLatency >= 0 and every distinct pair is at hop distance >= 1, so
-// WireLatency = Latency + (hops-1)*HopLatency is minimized at an adjacent
+// the wire latency Latency + (hops-1)*HopLatency is minimized at an adjacent
 // pair. On flat and torus platforms the floor must lower-bound every
-// cross-node WireLatency, and must be attained by some pair (otherwise
+// cross-node wire latency, and must be attained by some pair (otherwise
 // windows would be needlessly small).
 func TestLookaheadFloorBounds(t *testing.T) {
 	cases := []struct {
@@ -26,9 +26,11 @@ func TestLookaheadFloorBounds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.p.Validate(); err != nil {
-				t.Fatal(err)
+			nodeOf := make([]int, tc.nodes)
+			for i := range nodeOf {
+				nodeOf[i] = i
 			}
+			_, n := mustNet(t, tc.p, nodeOf)
 			floor := tc.p.Latency
 			if floor <= 0 {
 				t.Fatalf("floor = %g, want positive", floor)
@@ -39,9 +41,9 @@ func TestLookaheadFloorBounds(t *testing.T) {
 					if a == b {
 						continue
 					}
-					wl := tc.p.WireLatency(a, b)
+					wl := n.wireLatency(a, b)
 					if wl < floor {
-						t.Fatalf("WireLatency(%d,%d) = %g below floor %g", a, b, wl, floor)
+						t.Fatalf("wireLatency(%d,%d) = %g below floor %g", a, b, wl, floor)
 					}
 					if wl == floor {
 						attained = true

@@ -117,31 +117,6 @@ func (p *Params) Validate() error {
 	return nil
 }
 
-// Hops returns the torus hop distance between two nodes (1 for distinct
-// nodes under Flat topology, 0 for the same node).
-func (p *Params) Hops(a, b int) int {
-	if a == b {
-		return 0
-	}
-	if p.Topology != Torus3D {
-		return 1
-	}
-	ax, ay, az := coords(a, p.TorusDims)
-	bx, by, bz := coords(b, p.TorusDims)
-	return torusDist(ax, bx, p.TorusDims[0]) +
-		torusDist(ay, by, p.TorusDims[1]) +
-		torusDist(az, bz, p.TorusDims[2])
-}
-
-// WireLatency returns the one-way latency between two nodes.
-func (p *Params) WireLatency(a, b int) float64 {
-	h := p.Hops(a, b)
-	if h <= 1 {
-		return p.Latency
-	}
-	return p.Latency + float64(h-1)*p.HopLatency
-}
-
 func coords(n int, dims [3]int) (x, y, z int) {
 	x = n % dims[0]
 	y = (n / dims[0]) % dims[1]
@@ -216,11 +191,7 @@ type Network struct {
 	nodes  []nicState
 	topo   *Topo // immutable topology table, shared by forks (topo.go)
 
-	// Counters for tests and reporting.
-	Transfers     int64
-	CtrlMessages  int64
-	BytesOnWire   int64
-	IncastSamples int64
+	Transfers int64 // Transfer calls, for the benchmark's per-transfer cost
 
 	freeRx []*rxOp // recycled inter-node transfer records
 
@@ -367,7 +338,6 @@ func minIdx(xs []float64) int {
 func (n *Network) Transfer(src, dst, bytes int, deliver func(any), arg any) float64 {
 	now := n.eng.Now()
 	n.Transfers++
-	n.BytesOnWire += int64(bytes)
 	a, b := n.nodeOf[src], n.nodeOf[dst]
 	if a == b {
 		arrival := now + n.p.ShmLatency + float64(bytes)/n.p.ShmBandwidth
@@ -376,7 +346,7 @@ func (n *Network) Transfer(src, dst, bytes int, deliver func(any), arg any) floa
 	}
 	// With no injector attached these are exactly the static params (same
 	// values, same arithmetic).
-	lat, bw, jit := n.p.WireLatency(a, b), n.p.Bandwidth, 0.0
+	lat, bw, jit := n.wireLatency(a, b), n.p.Bandwidth, 0.0
 	if n.chaos != nil {
 		lat, bw, jit = n.degrade(now, src, a, b, lat, bw)
 	}
@@ -426,7 +396,6 @@ func (rx *rxOp) receive(node int, wire float64) float64 {
 		if n.p.IncastCap > 1 && factor > n.p.IncastCap {
 			factor = n.p.IncastCap
 		}
-		n.IncastSamples++
 	}
 	ri := minIdx(rn.rxFree)
 	rxStart := max(wire, rn.rxFree[ri])
@@ -448,14 +417,13 @@ func (rx *rxOp) receive(node int, wire float64) float64 {
 // cannot head-of-line block the protocol handshake.
 func (n *Network) Ctrl(src, dst int, deliver func(any), arg any) float64 {
 	now := n.eng.Now()
-	n.CtrlMessages++
 	a, b := n.nodeOf[src], n.nodeOf[dst]
 	if a == b {
 		arrival := now + n.p.ShmLatency
 		n.nodes[a].shmCtl.Append(arrival, deliver, arg)
 		return arrival
 	}
-	lat, bw, jit := n.p.WireLatency(a, b), n.p.Bandwidth, 0.0
+	lat, bw, jit := n.wireLatency(a, b), n.p.Bandwidth, 0.0
 	if n.chaos != nil {
 		lat, bw, jit = n.degrade(now, src, a, b, lat, bw)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"nbctune/internal/chaos"
+	"nbctune/internal/obs"
 	"nbctune/internal/sim"
 )
 
@@ -265,14 +266,24 @@ func TestWorkConservationProperty(t *testing.T) {
 	}
 }
 
+// TestCountersAdvance: Transfers counts Transfer calls, and the recorder, not
+// a counter of the network, reports the bytes on the wire; a control message
+// occupies no NIC.
 func TestCountersAdvance(t *testing.T) {
 	p := testParams()
 	eng, n := mustNet(t, p, []int{0, 1})
+	rec := obs.NewRecorder(2)
+	rec.EnsureNodes(2)
+	n.SetRecorder(rec)
 	n.Transfer(0, 1, 1234, func(any) {}, nil)
 	n.Ctrl(1, 0, func(any) {}, nil)
 	eng.Run()
-	if n.Transfers != 1 || n.CtrlMessages != 1 || n.BytesOnWire != 1234 {
-		t.Fatalf("counters: transfers=%d ctrl=%d bytes=%d", n.Transfers, n.CtrlMessages, n.BytesOnWire)
+	if n.Transfers != 1 {
+		t.Fatalf("Transfers = %d, want 1", n.Transfers)
+	}
+	nic := rec.Metrics().NIC
+	if len(nic) != 2 || nic[0].TxBytes != 1234 || nic[0].RxBytes != 0 || nic[1].RxBytes != 1234 || nic[1].TxBytes != 0 {
+		t.Fatalf("recorded NIC bytes %+v, want 1234 out of node 0 into node 1", nic)
 	}
 }
 
@@ -281,9 +292,8 @@ func TestTorusHops(t *testing.T) {
 	p.Topology = Torus3D
 	p.TorusDims = [3]int{4, 4, 2}
 	p.HopLatency = 1e-7
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	_, n := mustNet(t, p, []int{0})
+	topo := n.Topo()
 	cases := []struct{ a, b, want int }{
 		{0, 0, 0},
 		{0, 1, 1},  // +x neighbor
@@ -294,14 +304,14 @@ func TestTorusHops(t *testing.T) {
 		{0, 21, 3}, // (1,1,1): 1+1+1
 	}
 	for _, c := range cases {
-		if got := p.Hops(c.a, c.b); got != c.want {
+		if got := topo.Hops(c.a, c.b); got != c.want {
 			t.Errorf("Hops(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 	// Symmetry property.
 	for a := 0; a < 32; a++ {
 		for b := 0; b < 32; b++ {
-			if p.Hops(a, b) != p.Hops(b, a) {
+			if topo.Hops(a, b) != topo.Hops(b, a) {
 				t.Fatalf("hops not symmetric for (%d,%d)", a, b)
 			}
 		}
@@ -313,8 +323,9 @@ func TestTorusLatencyGrowsWithDistance(t *testing.T) {
 	p.Topology = Torus3D
 	p.TorusDims = [3]int{8, 8, 4}
 	p.HopLatency = 1e-7
-	near := p.WireLatency(0, 1)         // 1 hop
-	far := p.WireLatency(0, 2+8*2+64*2) // (2,2,2): 6 hops
+	_, n := mustNet(t, p, []int{0})
+	near := n.wireLatency(0, 1)         // 1 hop
+	far := n.wireLatency(0, 2+8*2+64*2) // (2,2,2): 6 hops
 	if near != p.Latency {
 		t.Fatalf("single hop latency %g, want base %g", near, p.Latency)
 	}

@@ -17,7 +17,7 @@ type Snapshot struct {
 	topo   *Topo // immutable; shared by every fork
 	tx, rx [][]float64
 
-	transfers, ctrl, bytes, incast int64
+	transfers int64
 
 	delivCap   int
 	floors     map[uint64]float64
@@ -39,9 +39,6 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 		tx:        make([][]float64, len(n.nodes)),
 		rx:        make([][]float64, len(n.nodes)),
 		transfers: n.Transfers,
-		ctrl:      n.CtrlMessages,
-		bytes:     n.BytesOnWire,
-		incast:    n.IncastSamples,
 		delivCap:  len(n.freeRx),
 	}
 	for i, nd := range n.nodes {
@@ -70,14 +67,11 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 // across the fork boundary. Fork only reads the snapshot.
 func (s *Snapshot) Fork(eng *sim.Engine, inj *chaos.Injector) *Network {
 	n := &Network{
-		eng:           eng,
-		p:             s.p,
-		nodeOf:        s.nodeOf,
-		topo:          s.topo,
-		Transfers:     s.transfers,
-		CtrlMessages:  s.ctrl,
-		BytesOnWire:   s.bytes,
-		IncastSamples: s.incast,
+		eng:       eng,
+		p:         s.p,
+		nodeOf:    s.nodeOf,
+		topo:      s.topo,
+		Transfers: s.transfers,
 	}
 	n.nodes = newNodes(len(s.tx), s.p.NICs, func(int) *Network { return n })
 	for i := range n.nodes {

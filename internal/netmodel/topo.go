@@ -80,5 +80,15 @@ func (t *Topo) Hops(a, b int) int {
 		torusDist(int(t.coords[3*a+2]), int(t.coords[3*b+2]), t.dims[2])
 }
 
+// wireLatency returns the one-way latency between two distinct nodes: the
+// Latency of one hop, plus HopLatency for each further torus hop.
+func (n *Network) wireLatency(a, b int) float64 {
+	h := n.topo.Hops(a, b)
+	if h <= 1 {
+		return n.p.Latency
+	}
+	return n.p.Latency + float64(h-1)*n.p.HopLatency
+}
+
 // Topo returns the network's shared topology table.
 func (n *Network) Topo() *Topo { return n.topo }

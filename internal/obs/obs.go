@@ -33,7 +33,7 @@ const (
 	// StateCompute: executing application computation (mpi.Rank.Compute).
 	StateCompute State = iota
 	// StateMPI: executing MPI library code (posting, matching, copying,
-	// progress overhead — everything mpi charges as MPITime).
+	// progress overhead — everything mpi's charge advances a rank by).
 	StateMPI
 	// StateBlocked: parked inside a blocking MPI call waiting for a
 	// protocol event (the inside of waitUntil).

@@ -12,8 +12,6 @@ package platform
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 
@@ -44,25 +42,10 @@ type Platform struct {
 	// FlopRate is the effective per-rank compute rate in flop/s, used by
 	// application cost models (the FFT kernel).
 	FlopRate float64
-	// Noise perturbs compute phases (OS jitter). Nil for noiseless systems.
-	// Excluded from JSON: function values cannot be serialized, and for
-	// fingerprinting/caching (internal/runner) the preset is identified by
-	// Name plus its numeric parameters; the noise model is part of the
-	// preset definition and is covered by the cache's code-version salt.
-	Noise mpi.NoiseFunc `json:"-"`
-}
-
-// noiseModel returns a NoiseFunc with relative jitter `rel` (standard
-// deviation as a fraction of the duration) and an OS-daemon spike of
-// spikeT seconds with probability spikeP per compute call.
-func noiseModel(rel, spikeP, spikeT float64) mpi.NoiseFunc {
-	return func(rng *rand.Rand, d float64) float64 {
-		out := d * (1 + math.Abs(rng.NormFloat64())*rel)
-		if spikeP > 0 && rng.Float64() < spikeP {
-			out += spikeT
-		}
-		return out
-	}
+	// Noise is the OS noise every compute phase of a rank absorbs, drawn
+	// from the rank's own stream (mpi.Options.Noise). Plain data like the
+	// rest of the preset, so it is part of every fingerprint that holds one.
+	Noise chaos.OSNoise
 }
 
 // Crill models the 16-node, 48-core AMD Magny-Cours cluster with two 4x DDR
@@ -73,7 +56,7 @@ func Crill() Platform {
 		Nodes:        16,
 		CoresPerNode: 48,
 		FlopRate:     2.0e9,
-		Noise:        noiseModel(0.004, 0.002, 1e-3),
+		Noise:        chaos.OSNoise{NoiseRel: 0.004, DetourProb: 0.002, DetourTime: 1e-3},
 		Net: netmodel.Params{
 			Name:          "crill-ib",
 			Latency:       1.6e-6,
@@ -107,7 +90,7 @@ func Whale() Platform {
 		Nodes:        64,
 		CoresPerNode: 8,
 		FlopRate:     1.8e9,
-		Noise:        noiseModel(0.005, 0.003, 1.2e-3),
+		Noise:        chaos.OSNoise{NoiseRel: 0.005, DetourProb: 0.003, DetourTime: 1.2e-3},
 		Net: netmodel.Params{
 			Name:          "whale-ib",
 			Latency:       2.1e-6,
@@ -172,8 +155,7 @@ func BGP() Platform {
 		Name:         "bgp",
 		Nodes:        256,
 		CoresPerNode: 4,
-		FlopRate:     0.7e9,
-		Noise:        nil, // CNK: effectively noiseless
+		FlopRate:     0.7e9, // no Noise: CNK is effectively noiseless
 		Net: netmodel.Params{
 			Name:          "bgp-torus",
 			Latency:       3.5e-6,

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nbctune/internal/chaos"
 	"nbctune/internal/mpi"
 )
 
@@ -79,12 +80,23 @@ func TestNewWorldRuns(t *testing.T) {
 	}
 }
 
+// TestNoiseModelProperties: every preset's OS noise is a valid model, only
+// BG/P's compute-node kernel is noiseless, and the model applied to a rank's
+// math/rand stream never shortens a phase and now and then detours.
 func TestNoiseModelProperties(t *testing.T) {
-	n := noiseModel(0.01, 0.1, 1e-3)
+	for _, p := range All() {
+		if err := (&chaos.Profile{Name: p.Name, OSNoise: p.Noise}).Validate(); err != nil {
+			t.Errorf("%s: %v", p.Name, err)
+		}
+		if noiseless := p.Name == "bgp" || p.Name == "bgp-16k"; p.Noise.Draws() == noiseless {
+			t.Errorf("%s: noise %+v", p.Name, p.Noise)
+		}
+	}
+	n := chaos.OSNoise{NoiseRel: 0.01, DetourProb: 0.1, DetourTime: 1e-3}
 	rng := rand.New(rand.NewSource(1))
 	sawSpike := false
 	for i := 0; i < 1000; i++ {
-		d := n(rng, 0.01)
+		d := n.Apply(rng, 0.01)
 		if d < 0.01 {
 			t.Fatal("noise shortened a compute phase")
 		}
