@@ -118,8 +118,9 @@ pairs:
 	done
 
 # The size of the repository in the numbers ROADMAP's state line and every
-# simplicity PR quote, each printed under the command that counts it. The last
-# is ROADMAP item 1's measure: the non-test lines of the three engine layers.
+# simplicity PR quote, each printed under the command that counts it. The
+# next to last is ROADMAP item 1's measure: the non-test lines of the three
+# engine layers.
 stat:
 	find cmd internal examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l   # non-test lines
 	find *.go cmd internal examples -name '*_test.go' | xargs cat | wc -l             # test lines ...
@@ -128,12 +129,15 @@ stat:
 	grep -rn 'panic(' --include='*.go' cmd internal examples | grep -vc '_test\.go:'         # non-test panic( sites
 	grep -rnE '(panic|Errorf)\(.*(not supported|do not support|does not support|applies to the)' --include='*.go' cmd internal | grep -vc '_test\.go:'   # non-test refusal sites (panics and errors, not comments)
 	find internal/sim internal/netmodel internal/mpi -name '*.go' ! -name '*_test.go' | xargs cat | wc -l   # non-test lines in sim, netmodel and mpi
+	ls -d cmd/*/ | wc -l                                                              # binaries
 
-# Last, the gate fuzzes the simulator's three oracles for a fixed budget each:
-# run-ahead against the eager reading (internal/sim/runahead_test.go), the
-# event queue against a sorted reference (queue_test.go) and the message
-# matcher against the linear reference (internal/mpi/match_test.go); their
-# committed corpora already ran as plain tests in `test`. A failure leaves its
+# Last, the gate runs its four fuzz targets for a fixed budget each: the
+# simulator's three oracles — run-ahead against the eager reading
+# (internal/sim/runahead_test.go), the event queue against a sorted reference
+# (queue_test.go) and the message matcher against the linear reference
+# (internal/mpi/match_test.go) — and the -history file loader against its own
+# Flush/Open round trip (internal/kb/kb_test.go); their committed corpora
+# already ran as plain tests in `test`. A failure leaves its
 # minimised input under internal/<pkg>/testdata/fuzz/<target>/: commit it with
 # the fix, so it stays in the corpus. (Minimising inputs that merely add coverage is
 # capped, or it eats most of the ten seconds.)
@@ -141,3 +145,4 @@ ci: build vet test race e2e
 	$(GO) test -run '^$$' -fuzz FuzzRunAhead -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/mpi
+	$(GO) test -run '^$$' -fuzz FuzzHistoryFile -fuzztime 10s -fuzzminimizetime 1s ./internal/kb

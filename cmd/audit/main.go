@@ -44,7 +44,7 @@ func main() {
 		jobs     = flag.Int("jobs", 0, "parallel measurement workers (0 = GOMAXPROCS, 1 = sequential)")
 		cacheOn  = flag.Bool("cache", false, "serve and persist leaf measurements via the content-addressed store; an interrupted matrix resumes from it")
 		cacheDir = flag.String("cachedir", "results/cache", "result store directory")
-		kbAddr   = flag.String("kb", "", "share every adopted registration's winner with a tuned knowledge-base daemon at this address")
+		histPath = flag.String("history", "", "file every adopted registration's winner in this history file, the one tune -history reads")
 		quiet    = flag.Bool("quiet", false, "suppress per-measurement progress lines")
 	)
 	flag.Parse()
@@ -71,6 +71,13 @@ func main() {
 	chaosName := *chaosStr
 	if chaosName == "off" {
 		chaosName = "" // canonical clean spelling: leaves fingerprint identically to pre-chaos runs
+	}
+
+	// Opened before anything runs, so a corrupt or old-format file is refused
+	// up front, not after the matrix.
+	hist, err := kb.Open(kb.StoreOptions{SnapshotPath: *histPath})
+	if err != nil {
+		fatal(err)
 	}
 
 	var scenarios []guideline.Scenario
@@ -111,20 +118,20 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "report written to %s\n", *out)
 	}
-	if *kbAddr != "" {
-		if err := shareKB(*kbAddr, rep, os.Stderr); err != nil {
+	if *histPath != "" {
+		if err := fileAdopted(hist, *histPath, rep, os.Stderr); err != nil {
 			fatal(err)
 		}
 	}
 }
 
-// shareKB publishes every adopted registration's winner to the tuned
-// knowledge-base daemon, keyed by the same (HistoryKey, EnvFingerprint)
-// pair cmd/tune -kb looks up — a mock adopted here becomes a warm-start
-// candidate for later tuning sessions on the same scenario (tune replays a
-// recorded catalogue mock of its op). A failed upload is the command's
-// failure.
-func shareKB(addr string, rep *guideline.Report, diag io.Writer) error {
+// fileAdopted puts every adopted registration's winner into the history
+// store, keyed by the same (HistoryKey, EnvFingerprint) pair tune -history
+// looks up — a mock adopted here becomes a warm-start candidate for later
+// tuning sessions on the same scenario (tune replays a recorded catalogue
+// mock of its op) — then writes its file and reports on diag how many
+// records the file took. A failed write is the command's failure.
+func fileAdopted(hist *kb.Store, path string, rep *guideline.Report, diag io.Writer) error {
 	var records []kb.Record
 	for _, reg := range rep.Registrations {
 		if !reg.Adopted {
@@ -141,13 +148,11 @@ func shareKB(addr string, rep *guideline.Report, diag io.Writer) error {
 			Evals:  reg.Evals,
 		})
 	}
-	c := kb.NewClient(addr, kb.ClientOptions{})
-	c.Record(records...)
-	n, err := c.Flush()
-	if err != nil {
-		return fmt.Errorf("audit: kb daemon %s: registrations not shared: %w", addr, err)
+	n := hist.PutBatch(records)
+	if err := hist.Flush(false); err != nil {
+		return fmt.Errorf("-history: adopted winners not filed: %w", err)
 	}
-	fmt.Fprintf(diag, "%d adopted winners shared with kb %s\n", n, addr)
+	fmt.Fprintf(diag, "%d adopted winners filed in %s\n", n, path)
 	return nil
 }
 

@@ -3,10 +3,9 @@ package main
 import (
 	"bytes"
 	"errors"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,33 +14,31 @@ import (
 	"nbctune/internal/kb"
 )
 
-// TestShareKB: audit -kb files an adopted mock under the key tune looks up,
-// reports the count the daemon took delivery of, and treats a daemon that
-// fails the batch as an error (main exits 1), never as a success line.
+// TestShareKB: audit -history files an adopted mock, with the evaluations
+// its adoption cost, under the key tune -history looks up, into a file
+// kb.Open reads back; a registration the audit did not adopt is not filed.
 func TestShareKB(t *testing.T) {
 	sc := guideline.Scenario{Platform: "whale-tcp", Procs: 8, Size: 262144}
 	rep := &guideline.Report{Registrations: []guideline.Registration{
 		{Op: "ibcast", Scenario: sc, Chosen: core.MockIbcastScatterAllgather, Adopted: true, Evals: 66},
-		{Op: "ialltoall", Scenario: sc, Chosen: "ialltoall-linear"}, // not adopted: not shared
+		{Op: "ialltoall", Scenario: sc, Chosen: "ialltoall-linear"}, // not adopted: not filed
 	}}
-	st := kb.NewStore(kb.StoreOptions{})
-	good := httptest.NewServer(kb.NewHandler(st, kb.HandlerOptions{}))
-	defer good.Close()
+	path := filepath.Join(t.TempDir(), "h.json")
+	hist, err := kb.Open(kb.StoreOptions{SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var diag bytes.Buffer
-	if err := shareKB(good.URL, rep, &diag); err != nil || !strings.HasPrefix(diag.String(), "1 adopted winners shared") {
-		t.Errorf("healthy daemon: error %v, said %q", err, diag.String())
+	if err := fileAdopted(hist, path, rep, &diag); err != nil || diag.String() != "1 adopted winners filed in "+path+"\n" {
+		t.Fatalf("fileAdopted: error %v, said %q", err, diag.String())
 	}
-	if r, ok := st.Lookup(core.HistoryKey("ibcast", "whale-tcp", 8, 262144), ""); !ok || r.Winner != core.MockIbcastScatterAllgather {
-		t.Errorf("adopted mock under tune's key: %+v (found=%v)", r, ok)
+	file, err := kb.Open(kb.StoreOptions{SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "disk full", http.StatusInternalServerError)
-	}))
-	defer broken.Close()
-	diag.Reset()
-	if err := shareKB(broken.URL, rep, &diag); err == nil || diag.Len() != 0 {
-		t.Errorf("daemon answering 500 to /v1/batch: error %v, said %q", err, diag.String())
+	want := kb.Record{Key: core.HistoryKey("ibcast", "whale-tcp", 8, 262144), Winner: core.MockIbcastScatterAllgather, Evals: 66}
+	if got := file.Records(); len(got) != 1 || got[0] != want {
+		t.Errorf("h.json holds %+v, want only %+v", got, want)
 	}
 }
 

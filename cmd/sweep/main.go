@@ -58,7 +58,7 @@ func main() {
 		data     = flag.Bool("data", false, "real payloads with per-iteration data verification (virtual times unchanged; slower)")
 		chaosStr = flag.String("chaos", "off", "fault/noise injection profile: off, "+strings.Join(profiles.Names(), ", "))
 		chaosSd  = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
-		kbAddr   = flag.String("kb", "", "share every scenario's tuned winner with a tuned knowledge-base daemon at this address")
+		histPath = flag.String("history", "", "file every scenario's tuned winner in this history file, the one tune -history reads")
 		specOn   = flag.Bool("speculate", false, "run the suite's selectors as speculative+<selector>: every candidate measured on its own copy of the world")
 		shardStr = flag.String("shards", "", "run every scenario on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
 	)
@@ -80,18 +80,33 @@ func main() {
 	if *out != "" && !suites[len(suites)-1].Summarizes() {
 		fail(fmt.Errorf("-out: %s has no machine-readable summary (verification, fft, scale and fig2 do)", *suite))
 	}
+	// Speculation and the history file both act on the suite's selectors: a
+	// suite that runs none would ignore -speculate and has no winner to file.
+	selects := false
+	for _, s := range suites {
+		selects = selects || len(s.Selectors) > 0
+	}
+	const noSelector = "-%s: %s runs no selection logic (verification, scale and fig2 do)"
+	if *specOn && !selects {
+		fail(fmt.Errorf(noSelector, "speculate", *suite))
+	}
+	if *histPath != "" && !selects {
+		fail(fmt.Errorf(noSelector, "history", *suite))
+	}
 	if *specOn {
 		// Speculation is a selector name: each selector a suite runs becomes
-		// speculative+<selector>. A suite without one would ignore the flag.
-		prefixed := false
+		// speculative+<selector>.
 		for i := range suites {
 			for j, sel := range suites[i].Selectors {
-				suites[i].Selectors[j], prefixed = "speculative+"+sel, true
+				suites[i].Selectors[j] = "speculative+" + sel
 			}
 		}
-		if !prefixed {
-			fail(fmt.Errorf("-speculate: %s runs no selection logic (verification, scale and fig2 do)", *suite))
-		}
+	}
+	// Opened before anything runs, so a corrupt or old-format file is refused
+	// up front, not after the sweep.
+	hist, err := kb.Open(kb.StoreOptions{SnapshotPath: *histPath})
+	if err != nil {
+		fail(err)
 	}
 
 	shards, pdes, err := bench.ParseShards(*shardStr)
@@ -129,7 +144,7 @@ func main() {
 	}
 
 	var summary *bench.SweepSummary
-	var kbRecords []kb.Record
+	var learned []kb.Record
 	for i := range suites {
 		s := &suites[i]
 		// The run-wide settings, laid over every scenario of the grid.
@@ -162,9 +177,7 @@ func main() {
 			fmt.Println()
 		}
 		summary = o.Summary
-		if *kbAddr != "" {
-			kbRecords = append(kbRecords, winners(o)...)
-		}
+		learned = append(learned, winners(o)...)
 	}
 
 	if *out != "" {
@@ -174,19 +187,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "summary written to %s\n", *out)
 	}
 
-	if *kbAddr != "" {
-		if err := shareKB(*kbAddr, kbRecords, os.Stderr); err != nil {
+	if *histPath != "" {
+		if err := fileWinners(hist, *histPath, learned, os.Stderr); err != nil {
 			fail(err)
 		}
 	}
 }
 
 // winners are the tuned decisions of a verification sweep in the form tune
-// -kb looks them up: keyed by the same (HistoryKey, EnvFingerprint) pair.
-// Each verification run measured every fixed implementation, so the
+// -history looks them up: keyed by the same (HistoryKey, EnvFingerprint)
+// pair. Each verification run measured every fixed implementation, so the
 // per-scenario best is exactly what a tuner would commit. The other suites
 // decide nothing a command looks up (a 3D-FFT kernel's winner has no tune
-// scenario), so they have nothing to share.
+// scenario), so they have nothing to file.
 func winners(o *bench.Outcome) []kb.Record {
 	if o.Verification == nil {
 		return nil
@@ -203,20 +216,15 @@ func winners(o *bench.Outcome) []kb.Record {
 	return recs
 }
 
-// shareKB uploads the winners in one batch and reports on diag what the
-// daemon took delivery of; a failed upload is the command's failure.
-func shareKB(addr string, recs []kb.Record, diag io.Writer) error {
-	if len(recs) == 0 {
-		fmt.Fprintf(diag, "no tuned winners to share with kb %s: this suite decides no scenario tune looks up\n", addr)
-		return nil
+// fileWinners puts the winners into the history store, writes its file and
+// reports on diag how many records the file took (a stored better score
+// keeps its record); a failed write is the command's failure.
+func fileWinners(hist *kb.Store, path string, recs []kb.Record, diag io.Writer) error {
+	n := hist.PutBatch(recs)
+	if err := hist.Flush(false); err != nil {
+		return fmt.Errorf("-history: winners not filed: %w", err)
 	}
-	c := kb.NewClient(addr, kb.ClientOptions{})
-	c.Record(recs...)
-	n, err := c.Flush()
-	if err != nil {
-		return fmt.Errorf("kb daemon %s: winners not shared: %w", addr, err)
-	}
-	fmt.Fprintf(diag, "%d tuned winners shared with kb %s\n", n, addr)
+	fmt.Fprintf(diag, "%d tuned winners filed in %s\n", n, path)
 	return nil
 }
 

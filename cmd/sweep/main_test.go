@@ -3,16 +3,16 @@ package main
 import (
 	"bytes"
 	"errors"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"nbctune/internal/bench"
+	"nbctune/internal/core"
 	"nbctune/internal/kb"
+	"nbctune/internal/platform"
 )
 
 // TestDefaultOut pins the suite -> summary path table against the three
@@ -48,37 +48,56 @@ func TestUnknownSuite(t *testing.T) {
 	}
 }
 
-// TestShareKB: -kb reports the count the daemon took delivery of; a daemon
-// that fails the batch is an error (main exits 1), never a success line; and
-// a suite whose decisions no command looks up — the 3D-FFT sweep — shares
-// nothing instead of filing records under keys nobody reads.
+// TestShareKB: -history files the best fixed implementation of every
+// verification scenario, with its score, under the key and environment tune
+// -history looks up, into a file kb.Open reads back; a stored better score
+// keeps its record. A suite whose decisions no command looks up — the 3D-FFT
+// sweep — yields no records (and is refused before it runs; TestRefusals).
 func TestShareKB(t *testing.T) {
-	recs := []kb.Record{{Key: "k1", Winner: "a", Score: 1}, {Key: "k2", Env: "e", Winner: "b", Score: 2}}
-	st := kb.NewStore(kb.StoreOptions{})
-	good := httptest.NewServer(kb.NewHandler(st, kb.HandlerOptions{}))
-	defer good.Close()
+	plat, err := platform.ByName("crill")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(procs int, chaos string, best string, score float64) *bench.Verification {
+		return &bench.Verification{
+			Spec:  bench.MicroSpec{Platform: plat, Procs: procs, MsgSize: 1024, Op: "ibcast", Chaos: chaos, ChaosSeed: 3},
+			Fixed: []bench.MicroResult{{Impl: "slow", Total: 2 * score}, {Impl: best, Total: score}},
+			Best:  1,
+		}
+	}
+	o := &bench.Outcome{Verification: &bench.SweepStats{Runs: []*bench.Verification{
+		run(8, "", "ibcast-binomial-seg32k", 0.5),
+		run(8, "congested", "ibcast-chain-seg32k", 0.7),
+	}}}
+	path := filepath.Join(t.TempDir(), "h.json")
+	hist, err := kb.Open(kb.StoreOptions{SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	better := kb.Record{Key: core.HistoryKey("ibcast", "crill", 8, 1024), Env: "chaos=congested#3", Winner: "kept", Score: 0.1}
+	hist.Put(better)
 	var diag bytes.Buffer
-	if err := shareKB(good.URL, recs, &diag); err != nil || !strings.HasPrefix(diag.String(), "2 tuned winners shared") || st.Len() != 2 {
-		t.Errorf("healthy daemon: error %v, %d records stored, said %q", err, st.Len(), diag.String())
+	if err := fileWinners(hist, path, winners(o), &diag); err != nil || diag.String() != "1 tuned winners filed in "+path+"\n" {
+		t.Fatalf("fileWinners: error %v, said %q", err, diag.String())
 	}
-
-	var requests atomic.Int64
-	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		http.Error(w, "disk full", http.StatusInternalServerError)
-	}))
-	defer broken.Close()
-	diag.Reset()
-	if err := shareKB(broken.URL, recs, &diag); err == nil || diag.Len() != 0 {
-		t.Errorf("daemon answering 500 to /v1/batch: error %v, said %q", err, diag.String())
+	file, err := kb.Open(kb.StoreOptions{SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	requests.Store(0)
+	want := []kb.Record{
+		{Key: core.HistoryKey("ibcast", "crill", 8, 1024), Winner: "ibcast-binomial-seg32k", Score: 0.5},
+		better,
+	}
+	for _, w := range want {
+		if got, ok := file.Lookup(w.Key, w.Env); !ok || got != w {
+			t.Errorf("h.json under (%q, %q): %+v (found=%v), want %+v", w.Key, w.Env, got, ok, w)
+		}
+	}
+	if file.Len() != len(want) {
+		t.Errorf("h.json holds %d records, want %d", file.Len(), len(want))
+	}
 	if fft := winners(&bench.Outcome{FFT: &bench.FFTSweepStats{}}); fft != nil {
 		t.Errorf("an FFT outcome yields %d records no command looks up", len(fft))
-	}
-	if err := shareKB(broken.URL, nil, &diag); err != nil || requests.Load() != 0 || !strings.Contains(diag.String(), "no tuned winners to share") {
-		t.Errorf("nothing to share: error %v, %d requests, said %q", err, requests.Load(), diag.String())
 	}
 }
 
@@ -95,15 +114,19 @@ func TestMain(m *testing.M) {
 
 // TestRefusals: a flag the run cannot honour is refused with one error line
 // and exit status 1, before any simulation: a negative worker count (0 is
-// GOMAXPROCS; -1 used to be too), and -speculate on a suite that runs no
-// selector (it used to be ignored). The unknown suite makes a missing
-// worker-count refusal fail fast on the wrong message.
+// GOMAXPROCS; -1 used to be too), and -speculate or -history on a suite that
+// runs no selector (the first used to be ignored, the second to run the
+// whole suite before saying it had nothing to share). The unknown suite makes
+// a missing worker-count refusal fail fast on the wrong message.
 func TestRefusals(t *testing.T) {
 	for args, want := range map[string]string{
-		"-jobs -1 -suite nonesuch": "worker count",
-		"-speculate -suite fft":    "runs no selection logic",
+		"-jobs -1 -suite nonesuch":                  "worker count",
+		"-speculate -suite fft":                     "runs no selection logic",
+		"-history h.json -suite fft":                "-history: fft runs no selection logic",
+		"-history missing/h.json -suite fig2 -fast": "no such file or directory",
 	} {
 		cmd := exec.Command(os.Args[0], strings.Fields(args)...)
+		cmd.Dir = t.TempDir()
 		cmd.Env = append(os.Environ(), "SWEEP_AS_COMMAND=1")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr

@@ -2,9 +2,9 @@
 // and prints the full tuning report: every implementation's robust score,
 // sample counts, the decision, and the learning cost. With -history it
 // persists the winner in a knowledge-base snapshot (internal/kb, the file
-// format of tuned -snapshot) and reuses it on the next invocation (ADCL's
-// historic learning). With -verify it then applies the paper's
-// verification-run methodology (§IV-A, Fig 2) to the same scenario: every
+// sweep -history and audit -history also write) and reuses it on the next
+// invocation (ADCL's historic learning). With -verify it then applies the
+// paper's verification-run methodology (§IV-A, Fig 2) to the same scenario: every
 // fixed implementation is measured beside the selector and the winner is
 // judged correct when it is within 5% of the best fixed run.
 //
@@ -14,15 +14,9 @@
 //	tune -op ibcast -selector attr-heuristic -np 16
 //	tune -op ialltoall-prim -np 16         # algorithm x primitive (put/get) set
 //	tune -op ialltoall -history /tmp/adcl.json   # run twice to see the hit
-//	tune -op ialltoall -kb 127.0.0.1:7070        # share winners via a tuned daemon
 //	tune -op ialltoall -metrics audit.json       # selection audit + overlap
 //	tune -op ialltoall -np 32 -progress 5 -verify   # was the winner correct?
 //	tune -op ialltoall -selector speculative+brute-force   # one world per candidate
-//
-// With -kb, winners learned by any process sharing the daemon are reused
-// (the learning phase is skipped exactly as with a warm -history file);
-// when the daemon is down, tuning falls back to the -history file (or an
-// in-memory store) and keeps working.
 package main
 
 import (
@@ -66,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		evals    = fl.Int("evals", 3, "measurements per implementation")
 		seed     = fl.Int64("seed", 1, "simulation seed")
 		histPath = fl.String("history", "", "history file for persistent learning (optional)")
-		kbAddr   = fl.String("kb", "", "tuned knowledge-base daemon address (host:port); shares winners across runs and falls back to -history when unreachable")
 		tracOut  = fl.String("trace", "", "write a Chrome trace-event JSON of the run (open in Perfetto)")
 		metrOut  = fl.String("metrics", "", "write overlap metrics + the rank-0 selection audit as JSON")
 		chaosStr = fl.String("chaos", "off", "fault/noise injection profile: off or a profile name")
@@ -105,26 +98,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// The knowledge base the session consults: one store — the -history file
-	// (a kb snapshot, the format tuned -snapshot serves), or memory without
-	// one — and, with -kb, a client of the shared daemon that falls back to
-	// that store, so a daemon outage degrades to exactly the plain -history
-	// behaviour. It is asked once, here on the host. The environment
-	// fingerprint gates hits: a winner tuned on a clean flat fabric must not
-	// be replayed under a chaos profile (or vice versa).
+	// The knowledge base the session consults: the -history file (a kb
+	// snapshot), or memory without one. It is asked once, here on the host.
+	// The environment fingerprint gates hits: a winner tuned on a clean flat
+	// fabric must not be replayed under a chaos profile (or vice versa).
 	env := core.EnvFingerprint(plat.Net.Topology.String(), mspec.Chaos, *chaosSd)
 	histKey := core.HistoryKey(*opName, plat.Name, *np, *msg)
 	store, err := kb.Open(kb.StoreOptions{SnapshotPath: *histPath})
 	if err != nil {
 		return err
 	}
-	var client *kb.Client
 	prior, hit := store.Lookup(histKey, env)
-	if *kbAddr != "" {
-		client = kb.NewClient(*kbAddr, kb.ClientOptions{Fallback: store})
-		prior, hit, _ = client.Lookup(histKey, env) // never an error with a fallback
-	}
-	// A guideline mock the audit promoted (audit -kb) is no member of the
+	// A guideline mock the audit promoted (audit -history) is no member of the
 	// op's own set: it joins it for this session, as it did in the audit.
 	if def, ok := core.MockByName(prior.Winner); hit && ok && def.Op == *opName {
 		mspec.Mocks = []string{prior.Winner}
@@ -239,32 +224,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		verificationTable(v).Render(stdout)
 	}
 
-	// A learned winner goes to the store (and its file) and, with -kb, to
-	// the daemon; a replayed one is already where it came from.
-	if known < 0 && winnerName != "" && (*histPath != "" || client != nil) {
-		learned := kb.Record{Key: histKey, Env: env, Winner: winnerName, Evals: evalsUsed}
-		store.Put(learned)
-		where := *histPath
-		if client != nil {
-			client.Record(learned)
-			if _, err := client.Flush(); err != nil {
-				return err
-			}
-			where = "kb " + *kbAddr
-			if client.FellBack() {
-				where = "local fallback"
-				if *histPath != "" {
-					where += " " + *histPath
-				}
-				fmt.Fprintf(stderr, "tune: kb daemon %s unreachable, winner kept locally\n", *kbAddr)
-			} else if *histPath != "" {
-				where += " (and " + *histPath + ")"
-			}
-		}
+	// A learned winner goes to the history file; a replayed one is already
+	// there.
+	if known < 0 && winnerName != "" && *histPath != "" {
+		store.Put(kb.Record{Key: histKey, Env: env, Winner: winnerName, Evals: evalsUsed})
 		if err := store.Flush(false); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "\nwinner stored in %s under key %q\n", where, histKey)
+		fmt.Fprintf(stdout, "\nwinner stored in %s under key %q\n", *histPath, histKey)
 	}
 
 	if *tracOut != "" {

@@ -7,7 +7,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"nbctune/internal/core"
 	"nbctune/internal/kb"
@@ -103,102 +102,36 @@ func tune(t *testing.T, args string) (stdout, stderr string) {
 	return o.String(), e.String()
 }
 
-// daemon serves st as cmd/tuned does, on a free loopback port.
-func daemon(t *testing.T, st *kb.Store) *kb.Server {
-	t.Helper()
-	srv, err := kb.Listen("127.0.0.1:0", st, kb.HandlerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Serve()
-	t.Cleanup(func() { srv.Shutdown(time.Second) })
-	return srv
-}
-
 const kbScenario = "-op ialltoall -np 8 -msg 65536 -compute 0.005"
 
 var kbScenarioKey = core.HistoryKey("ialltoall", "crill", 8, 65536)
 
-// TestDaemonAndHistoryFileEquivalent pins what DESIGN.md §6 claims of the one
-// knowledge base: a cold tune -kb records and the next one hits; a run warmed
-// by the daemon prints and measures byte for byte what a run warmed by a
-// -history file holding the same record does; and the file tune -history
-// writes is a snapshot the daemon serves.
-func TestDaemonAndHistoryFileEquivalent(t *testing.T) {
+// TestHistoryColdThenWarm: a cold tune -history learns, says so, and files
+// its winner with the measurements it cost; the warm run replays exactly that
+// winner after 0 measurements and leaves the file as it was.
+func TestHistoryColdThenWarm(t *testing.T) {
 	chdir(t, t.TempDir())
-	st := kb.NewStore(kb.StoreOptions{})
-	kbArgs := kbScenario + " -metrics m.json -kb " + daemon(t, st).Addr
-
-	cold, _ := tune(t, kbArgs)
-	rec, ok := st.Lookup(kbScenarioKey, "")
-	if strings.Contains(cold, "history hit") || !ok || rec.Evals == 0 || !strings.Contains(cold, "winner stored in kb ") {
-		t.Fatalf("cold tune -kb: daemon holds %+v (found=%v) after\n%s", rec, ok, cold)
-	}
-	viaDaemon, _ := tune(t, kbArgs)
-	daemonMetrics, err := os.ReadFile("m.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(viaDaemon, "history hit for ") || !strings.Contains(viaDaemon, "decision: "+rec.Winner+" after 0 measurements") {
-		t.Fatalf("warm tune -kb did not replay %s:\n%s", rec.Winner, viaDaemon)
-	}
-	if now, _ := st.Lookup(kbScenarioKey, ""); now != rec {
-		t.Errorf("a replayed winner rewrote its record: %+v, was %+v", now, rec)
-	}
-
-	file := kb.NewStore(kb.StoreOptions{SnapshotPath: "h.json"})
-	file.Put(rec)
-	if err := file.Flush(false); err != nil {
-		t.Fatal(err)
-	}
-	viaFile, _ := tune(t, kbScenario+" -metrics m.json -history h.json")
-	fileMetrics, err := os.ReadFile("m.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaFile != viaDaemon || !bytes.Equal(fileMetrics, daemonMetrics) {
-		t.Errorf("warmed by the -history file:\n%s\nwarmed by the daemon:\n%s", viaFile, viaDaemon)
-	}
-
-	// The other direction: what tune -history writes, tuned -snapshot serves.
-	tune(t, kbScenario+" -history written.json")
-	written, err := kb.Open(kb.StoreOptions{SnapshotPath: "written.json"})
-	if err != nil {
-		t.Fatalf("kb.Open on a file tune -history wrote: %v", err)
-	}
-	served, ok, err := kb.NewClient(daemon(t, written).Addr, kb.ClientOptions{}).Lookup(kbScenarioKey, "")
-	if err != nil || !ok || served != rec {
-		t.Errorf("file written by tune -history, served over HTTP: %+v (found=%v, err=%v), want %+v", served, ok, err, rec)
-	}
-}
-
-// TestDaemonDownFallsBackToHistoryFile: with nothing listening at -kb, tune
-// keeps working on the -history file alone, says so, and the file holds the
-// winner for the next run, daemon or not.
-func TestDaemonDownFallsBackToHistoryFile(t *testing.T) {
-	chdir(t, t.TempDir())
-	srv, err := kb.Listen("127.0.0.1:0", kb.NewStore(kb.StoreOptions{}), kb.HandlerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Serve()
-	if err := srv.Shutdown(time.Second); err != nil { // the port is known and nobody listens on it
-		t.Fatal(err)
-	}
-	args := kbScenario + " -history h.json -kb " + srv.Addr
-	stdout, stderr := tune(t, args)
-	if !strings.Contains(stderr, "unreachable, winner kept locally") || !strings.Contains(stdout, "winner stored in local fallback h.json") {
-		t.Fatalf("tune against a stopped daemon:\n%s\nstderr:\n%s", stdout, stderr)
-	}
+	args := kbScenario + " -history h.json"
+	cold, _ := tune(t, args)
 	h, err := kb.Open(kb.StoreOptions{SnapshotPath: "h.json"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, ok := h.Lookup(kbScenarioKey, ""); !ok || !strings.Contains(stdout, "decision: "+rec.Winner+" after ") {
-		t.Fatalf("h.json holds %+v (found=%v) after\n%s", rec, ok, stdout)
+	rec, ok := h.Lookup(kbScenarioKey, "")
+	if strings.Contains(cold, "history hit") || !ok || rec.Evals == 0 ||
+		!strings.Contains(cold, "decision: "+rec.Winner+" after ") || !strings.Contains(cold, "winner stored in h.json ") {
+		t.Fatalf("cold tune -history: h.json holds %+v (found=%v) after\n%s", rec, ok, cold)
 	}
-	if stdout, _ = tune(t, args); !strings.HasPrefix(stdout, "history hit for ") {
-		t.Fatalf("second run against the stopped daemon did not hit h.json:\n%s", stdout)
+	before, err := os.ReadFile("h.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, _ := tune(t, args)
+	if !strings.HasPrefix(warm, "history hit for ") || !strings.Contains(warm, "decision: "+rec.Winner+" after 0 measurements") {
+		t.Fatalf("warm tune -history did not replay %s:\n%s", rec.Winner, warm)
+	}
+	if after, _ := os.ReadFile("h.json"); !bytes.Equal(after, before) {
+		t.Errorf("a replayed winner rewrote the history file:\n%s", after)
 	}
 }
 
@@ -330,8 +263,12 @@ func TestShardsRunChaosAndPuts(t *testing.T) {
 }
 
 // TestRefusals: each unsupported combination is refused once, by the layer
-// that cannot serve it, and tune reports that layer's message.
+// that cannot serve it, before anything is printed: run's error is the one
+// line main prints before it exits 1, and stdout stays empty. A -history file
+// in a directory that does not exist used to be refused only after the whole
+// session, losing the winner it had learned.
 func TestRefusals(t *testing.T) {
+	chdir(t, t.TempDir())
 	for args, want := range map[string]string{
 		"-op nonesuch":                              "unknown operation",
 		"-op neighborhood -np 8":                    "square rank count",
@@ -344,10 +281,12 @@ func TestRefusals(t *testing.T) {
 		"-selector speculative+adaptive":            "adaptive selectors keep measuring",
 		"-np 16 -msg 1152921504606846976":           "overflows",
 		"-op ibcast -np 2 -msg 9223372036854775807": "segments",
+		"-history missing/h.json":                   "no such file or directory",
 	} {
 		var stdout, stderr bytes.Buffer
-		if err := run(strings.Fields(args), &stdout, &stderr); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("tune %s: error %v, want one containing %q", args, err, want)
+		err := run(strings.Fields(args), &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "\n") || stdout.Len() != 0 {
+			t.Errorf("tune %s: error %v after %d bytes of stdout, want one line containing %q and no output", args, err, stdout.Len(), want)
 		}
 	}
 }

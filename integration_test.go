@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -268,6 +269,38 @@ func TestPerfModuleBuilds(t *testing.T) {
 	}
 	if out, err := exec.Command("go", "vet", "-C", "perf", "./...").CombinedOutput(); err != nil {
 		t.Fatalf("go vet -C perf ./...: %v\n%s", err, out)
+	}
+}
+
+// TestAuditHistoryTuneLoop closes the audit -> history -> tune loop with the
+// built commands and no other channel between them: the smoke audit adopts
+// the scatter+allgather mock for 256 KB broadcasts on whale-tcp and files it
+// in h.json, and tune on that scenario replays the mock from the file without
+// measuring anything.
+func TestAuditHistoryTuneLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs cmd/audit and cmd/tune")
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/audit", "./cmd/tune").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	dir := t.TempDir()
+	command := func(name string, args ...string) (stdout, stderr string) {
+		var o, e bytes.Buffer
+		cmd := exec.Command(filepath.Join(bin, name), args...)
+		cmd.Dir, cmd.Stdout, cmd.Stderr = dir, &o, &e
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%s %s: %v\n%s", name, strings.Join(args, " "), err, e.Bytes())
+		}
+		return o.String(), e.String()
+	}
+	if _, diag := command("audit", "-matrix", "smoke", "-quiet", "-out", "r.json", "-history", "h.json"); !strings.Contains(diag, "1 adopted winners filed in h.json") {
+		t.Fatalf("audit did not file the adopted mock:\n%s", diag)
+	}
+	out, _ := command("tune", "-op", "ibcast", "-platform", "whale-tcp", "-np", "16", "-msg", "262144", "-history", "h.json")
+	if !strings.HasPrefix(out, "history hit for ") || !strings.Contains(out, "decision: "+core.MockIbcastScatterAllgather+" after 0 measurements") {
+		t.Fatalf("tune did not replay the mock audit filed:\n%s", out)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // ADCL's historic learning (paper §IV-B): winners found in earlier
 // executions are kept in the knowledge base (internal/kb: a *kb.Store, whose
-// snapshot is the -history file and what the tuned daemon serves) and looked
+// snapshot is the -history file) and looked
 // up by scenario key and environment, so a later run can skip the learning
 // phase entirely. This file holds the two halves of that key and the helper
 // that turns a hit into a selector.

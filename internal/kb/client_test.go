@@ -85,7 +85,7 @@ func TestClientRetryBackoff(t *testing.T) {
 		t.Fatalf("daemon saw %d attempts, want 3", calls.Load())
 	}
 
-	// Exhausted retries surface an error when no fallback is configured.
+	// Exhausted retries surface an error.
 	calls.Store(-1000)
 	c2 := NewClient(srv.URL, ClientOptions{})
 	if _, _, err := c2.Lookup("k2", ""); err == nil {
@@ -93,77 +93,44 @@ func TestClientRetryBackoff(t *testing.T) {
 	}
 }
 
-// TestClientFallback: with the daemon down, lookups and records degrade to
-// the local fallback without surfacing errors — tuning keeps working.
-func TestClientFallback(t *testing.T) {
-	local := NewStore(StoreOptions{})
-	local.Put(Record{Key: "k", Env: "e", Winner: "local", Score: 1})
-
-	// 127.0.0.1:1 refuses connections immediately.
-	c := NewClient("127.0.0.1:1", ClientOptions{Fallback: local})
-	r, ok, err := c.Lookup("k", "e")
-	if err != nil || !ok || r.Winner != "local" {
-		t.Fatalf("fallback lookup: %+v %v %v", r, ok, err)
-	}
-	if !c.FellBack() {
-		t.Fatal("FellBack not reported")
-	}
-
-	c.Record(Record{Key: "new", Winner: "n", Score: 2})
-	if n, err := c.Flush(); n != 0 || err != nil {
-		t.Fatalf("flush with fallback delivered %d records, error %v; want 0, nil", n, err)
-	}
-	if got, ok := local.Lookup("new", ""); !ok || got.Winner != "n" {
-		t.Fatal("failed record did not land in the fallback store")
-	}
-
-	// Without a fallback the failed batch is the caller's error: nothing may
-	// report records as shared that the daemon never took.
-	bare := NewClient("127.0.0.1:1", ClientOptions{})
-	bare.Record(Record{Key: "new", Winner: "n", Score: 2})
-	if n, err := bare.Flush(); n != 0 || err == nil {
-		t.Fatalf("flush to a dead daemon without fallback delivered %d records, error %v", n, err)
-	}
-}
-
-// TestClientBatchedRecords: Record only queues; Flush uploads everything
-// queued in exactly one batch request and reports what the daemon took.
+// TestClientBatchedRecords: records uploaded in one /v1/batch request are
+// all served to a client, each asked of the server once and then answered
+// from the client cache.
 func TestClientBatchedRecords(t *testing.T) {
 	st := NewStore(StoreOptions{})
-	var batches atomic.Int64
+	var batches, lookups atomic.Int64
 	inner := NewHandler(st, HandlerOptions{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/batch" {
+		switch r.URL.Path {
+		case "/v1/batch":
 			batches.Add(1)
+		case "/v1/lookup":
+			lookups.Add(1)
 		}
 		inner.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.URL, ClientOptions{})
+	var recs []Record
 	for i := 0; i < 25; i++ {
-		c.Record(Record{Key: "k" + string(rune('a'+i)), Winner: "w", Score: float64(i + 1)})
+		recs = append(recs, Record{Key: "k" + string(rune('a'+i)), Winner: "w", Score: float64(i + 1)})
 	}
-	if batches.Load() != 0 || st.Len() != 0 {
-		t.Fatalf("Record alone reached the daemon: %d batch requests, %d records", batches.Load(), st.Len())
-	}
-	if n, err := c.Flush(); n != 25 || err != nil {
-		t.Fatalf("Flush delivered %d records, error %v; want 25, nil", n, err)
-	}
-	if st.Len() != 25 {
-		t.Fatalf("daemon stored %d records, want 25", st.Len())
-	}
-	if got := batches.Load(); got != 1 {
-		t.Fatalf("daemon saw %d batch requests for 25 records, want 1", got)
-	}
-	if n, err := c.Flush(); n != 0 || err != nil || batches.Load() != 1 {
-		t.Fatalf("Flush with nothing queued: %d records, error %v, %d batch requests", n, err, batches.Load())
+	var rr recordResponse
+	postJSON(t, srv.URL+"/v1/batch", batchRequest{Records: recs}, &rr)
+	if rr.Applied != 25 || rr.Total != 25 || st.Len() != 25 || batches.Load() != 1 {
+		t.Fatalf("batch upload: %+v, %d records stored, %d batch requests", rr, st.Len(), batches.Load())
 	}
 
-	// Recorded winners are served from the write-through cache without a
-	// daemon round-trip.
-	r, ok, err := c.Lookup("ka", "")
-	if err != nil || !ok || r.Winner != "w" {
-		t.Fatalf("write-through lookup: %+v %v %v", r, ok, err)
+	c := NewClient(srv.URL, ClientOptions{})
+	for round := 0; round < 2; round++ {
+		for _, want := range recs {
+			r, ok, err := c.Lookup(want.Key, "")
+			if err != nil || !ok || r != want {
+				t.Fatalf("round %d lookup %q: %+v %v %v", round, want.Key, r, ok, err)
+			}
+		}
+	}
+	if got := lookups.Load(); got != 25 {
+		t.Fatalf("server saw %d lookups for 2 rounds over 25 batched records, want 25", got)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // nprocs x msgsize x env fingerprint), and FixtureQueries derives
 // deterministic lookup workloads over it. The committed copies in
 // testdata/ (fixture.json, golden_lookups.json) must match what these
-// functions generate — fixture_test.go pins both, and TestKBSmoke replays
-// the same workload against a live daemon.
+// functions generate — fixture_test.go pins both, and
+// TestServerGoldenTranscript replays the same workload over HTTP.
 
 // FixtureSeed seeds every fixture stream; the same seed always yields the
 // identical population and workloads.

@@ -1,23 +1,20 @@
 // Package kb is the tuning knowledge base: the store of ADCL tuning
-// decisions behind the paper's historic learning (§IV-B), in one process or
-// shared across processes and runs — the direction the NBC survey
-// (Wickramasinghe & Lumsdaine, arXiv:1611.06334) identifies as the key
-// lever once per-run tuning works: a winner learned once — by any tuner,
-// at any scale — is reused by every later run that hits the same scenario
-// under the same environment.
+// decisions behind the paper's historic learning (§IV-B), persisted across
+// runs in one file — the direction the NBC survey (Wickramasinghe &
+// Lumsdaine, arXiv:1611.06334) identifies as the key lever once per-run
+// tuning works: a winner learned once — by any tuner, at any scale — is
+// reused by every later run that hits the same scenario under the same
+// environment.
 //
-// The package splits into three parts, each usable on its own:
+// Store is a sharded map (per-shard RWMutex) with last-write-wins-by-score
+// conflict resolution and a versioned snapshot written atomically (temp
+// file, fsync, rename). Open loads that snapshot: it is the -history file
+// that tune reads and writes and that sweep and audit write.
 //
-//   - Store: an in-process sharded map (per-shard RWMutex) with
-//     last-write-wins-by-score conflict resolution, snapshot persistence
-//     (atomic rename, load-on-start) and coalesced async flushing. A tuner's
-//     -history file and the daemon's -snapshot are the same snapshot format.
-//   - Handler/Serve: the HTTP+JSON surface cmd/tuned exposes
-//     (GET /v1/lookup, POST /v1/record, POST /v1/batch, GET /v1/stats,
-//     GET /healthz).
-//   - Client: a read-through caching client with bounded retry and backoff,
-//     one synchronous batch upload per Flush, and a local Source as fallback
-//     so tuning keeps working when the daemon is down.
+// Listen/NewHandler (GET /v1/lookup, POST /v1/record, POST /v1/batch) and
+// Client (a read-through caching lookup client) serve a Store over
+// HTTP+JSON. No command uses them; they remain for the repository
+// benchmark's kb-mixed workload and kb.* probes.
 //
 // kb deliberately imports only the standard library, so internal/core's
 // selector helper (core.SelectorWithHistory) consults a Source without an
@@ -38,14 +35,11 @@ type Record struct {
 	Evals  int     `json:"evals,omitempty"` // learning cost that produced it
 }
 
-// Source is the seam a tuning session consults before it starts and feeds
-// when it has learned: anything that answers "who won this scenario under
-// this environment" and accepts new outcomes. *Store is the implementation
-// — opened on a -history file, in memory, or behind the daemon — and what a
-// Client falls back to when the daemon is unreachable.
+// Source is the seam a tuning session consults before it starts: anything
+// that answers "who won this scenario under this environment". *Store is
+// the implementation, opened on a -history file or in memory.
 type Source interface {
 	Lookup(key, env string) (Record, bool)
-	Put(Record) bool
 }
 
 var _ Source = (*Store)(nil)

@@ -4,17 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 )
 
 // Wire types of the HTTP+JSON surface. Lookup responses always answer 200
 // with an explicit Found flag (rather than 404 on miss) so the client can
-// distinguish "the daemon said no" from transport failures, which must
-// fall back instead of being reported as a miss.
+// distinguish "the server said no" from transport failures, which are
+// errors, not misses.
 type lookupResponse struct {
 	Found  bool    `json:"found"`
 	Record *Record `json:"record,omitempty"`
@@ -29,13 +27,8 @@ type batchRequest struct {
 	Records []Record `json:"records"`
 }
 
-// HandlerOptions configures the HTTP surface.
-type HandlerOptions struct {
-	// AccessLog, when non-nil, receives one line per request:
-	// method path status duration bytes. Logging serializes on a mutex, so
-	// benchmarking paths leave it nil.
-	AccessLog io.Writer
-}
+// HandlerOptions configures the HTTP surface; it has no settings left.
+type HandlerOptions struct{}
 
 // serveTimeout bounds each request end to end. Listen applies it as the
 // http.Server's Read/WriteTimeout — per-connection deadline enforcement in
@@ -49,15 +42,8 @@ const serveTimeout = 5 * time.Second
 //	GET  /v1/lookup?key=K&env=E  -> {"found":bool, "record":{...}}
 //	POST /v1/record   {record}   -> {"applied":0|1, "total":1}
 //	POST /v1/batch    {"records":[...]} -> {"applied":n, "total":m}
-//	GET  /v1/stats               -> Stats
-//	GET  /healthz                -> "ok"
 func NewHandler(st *Store, opts HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
-
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "ok\n")
-	})
 	mux.HandleFunc("GET /v1/lookup", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		key := q.Get("key")
@@ -102,15 +88,7 @@ func NewHandler(st *Store, opts HandlerOptions) http.Handler {
 		}
 		writeJSON(w, recordResponse{Applied: st.PutBatch(b.Records), Total: len(b.Records)})
 	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, st.Stats())
-	})
-
-	var h http.Handler = mux
-	if opts.AccessLog != nil {
-		h = accessLog(h, opts.AccessLog)
-	}
-	return h
+	return mux
 }
 
 func decodeBody(r *http.Request, v any) error {
@@ -133,39 +111,8 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// accessLog wraps h to emit one line per request.
-func accessLog(h http.Handler, out io.Writer) http.Handler {
-	var mu sync.Mutex
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		lw := &logWriter{ResponseWriter: w, status: http.StatusOK}
-		h.ServeHTTP(lw, r)
-		mu.Lock()
-		fmt.Fprintf(out, "%s %s %d %s %dB\n", r.Method, r.URL.Path, lw.status, time.Since(start).Round(time.Microsecond), lw.bytes)
-		mu.Unlock()
-	})
-}
-
-type logWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (w *logWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *logWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += n
-	return n, err
-}
-
-// Server couples a Store with a listening HTTP server; cmd/tuned and the
-// self-hosting benchmark/smoke paths share it so they exercise the same
-// stack a remote client sees.
+// Server couples a Store with a listening HTTP server on a real socket, so
+// the benchmark exercises the stack a remote client would see.
 type Server struct {
 	Store *Store
 	Addr  string // actual listen address (resolves :0)
@@ -211,7 +158,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	if serveErr := <-s.done; err == nil {
 		err = serveErr
 	}
-	if flushErr := s.Store.Close(); err == nil {
+	if flushErr := s.Store.Flush(false); err == nil {
 		err = flushErr
 	}
 	return err

@@ -6,8 +6,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func newTestServer(t *testing.T, st *Store) *httptest.Server {
@@ -55,13 +58,6 @@ func TestServerEndpoints(t *testing.T) {
 	st := NewStore(StoreOptions{})
 	srv := newTestServer(t, st)
 
-	// healthz
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %v %v", resp.Status, err)
-	}
-	resp.Body.Close()
-
 	// record then lookup
 	var rr recordResponse
 	code := postJSON(t, srv.URL+"/v1/record", Record{Key: "k|a", Env: "e", Winner: "w", Score: 0.01, Evals: 6}, &rr)
@@ -92,13 +88,6 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("batch: %+v", rr)
 	}
 
-	// stats
-	var stats Stats
-	getJSON(t, srv.URL+"/v1/stats", &stats)
-	if stats.Records != 3 || stats.Puts != 4 || stats.Rejected != 1 {
-		t.Fatalf("stats: %+v", stats)
-	}
-
 	// malformed requests are 400s
 	if code := getJSON(t, srv.URL+"/v1/lookup", nil); code != http.StatusBadRequest {
 		t.Fatalf("lookup without key: %d", code)
@@ -106,7 +95,7 @@ func TestServerEndpoints(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/v1/record", Record{Env: "e"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("record without key/winner: %d", code)
 	}
-	resp, err = http.Post(srv.URL+"/v1/batch", "application/json", strings.NewReader(`{"records": [{`))
+	resp, err := http.Post(srv.URL+"/v1/batch", "application/json", strings.NewReader(`{"records": [{`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,19 +143,59 @@ func TestServerGoldenTranscript(t *testing.T) {
 	}
 }
 
-func TestAccessLog(t *testing.T) {
-	var buf bytes.Buffer
-	st := NewStore(StoreOptions{})
-	srv := httptest.NewServer(NewHandler(st, HandlerOptions{AccessLog: &buf}))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/healthz")
+// TestKBSmoke is the server's end-to-end check on a real socket: Listen on a
+// free port, load the fixture through /v1/batch, replay the golden workload
+// through a Client, then Shutdown and require the flushed snapshot to
+// restore the identical store.
+func TestKBSmoke(t *testing.T) {
+	snapshot := filepath.Join(t.TempDir(), "snap.json")
+	st, err := Open(StoreOptions{SnapshotPath: snapshot})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	line := buf.String()
-	if !strings.Contains(line, "GET /healthz 200") {
-		t.Fatalf("access log line = %q", line)
+	s, err := Listen("127.0.0.1:0", st, HandlerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Serve()
+	shut := false
+	defer func() {
+		if !shut {
+			s.Shutdown(time.Second)
+		}
+	}()
+
+	var rr recordResponse
+	postJSON(t, "http://"+s.Addr+"/v1/batch", batchRequest{Records: FixtureRecords()}, &rr)
+	if rr.Applied != 50 || rr.Total != 50 {
+		t.Fatalf("fixture load: %+v", rr)
+	}
+	want := loadGoldenTranscript(t)
+	c := NewClient(s.Addr, ClientOptions{})
+	for i, q := range FixtureQueries(0, len(want)) {
+		rec, found, err := c.Lookup(q.Key, q.Env)
+		if err != nil {
+			t.Fatalf("lookup[%d]: %v", i, err)
+		}
+		got := TranscriptEntry{Key: q.Key, Env: q.Env, Found: found}
+		if found {
+			got.Winner = rec.Winner
+		}
+		if got != want[i] {
+			t.Fatalf("transcript[%d]: got %+v, want %+v", i, got, want[i])
+		}
+	}
+
+	shut = true
+	if err := s.Shutdown(10 * time.Second); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	restored, err := Open(StoreOptions{SnapshotPath: snapshot})
+	if err != nil {
+		t.Fatalf("restore snapshot: %v", err)
+	}
+	if !reflect.DeepEqual(restored.Records(), st.Records()) || restored.Len() != 50 {
+		t.Fatalf("restored snapshot has %d records and differs from the served store", restored.Len())
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"hash/fnv"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultShards is the shard count used when StoreOptions leaves it zero:
@@ -26,9 +26,6 @@ type StoreOptions struct {
 	// SnapshotPath, when non-empty, is where Flush persists the store and
 	// where Open loads it from at start.
 	SnapshotPath string
-	// FlushEvery is the coalescing interval of the background flusher
-	// started by StartAutoFlush; 0 means 2s.
-	FlushEvery time.Duration
 }
 
 // Store is the sharded in-memory knowledge base. Every public method is
@@ -41,9 +38,7 @@ type Store struct {
 	opts  StoreOptions
 	dirty atomic.Bool // set by writers, cleared by Flush — coalesces bursts into one snapshot write
 
-	flushMu   sync.Mutex // serializes snapshot writes
-	stopFlush chan struct{}
-	flushDone chan struct{}
+	flushMu sync.Mutex // serializes snapshot writes
 
 	// counters, exposed by Stats
 	lookups  atomic.Uint64
@@ -70,22 +65,24 @@ func NewStore(opts StoreOptions) *Store {
 		pow <<= 1
 	}
 	s := &Store{shards: make([]shard, pow), mask: uint32(pow - 1), opts: opts}
-	if s.opts.FlushEvery <= 0 {
-		s.opts.FlushEvery = 2 * time.Second
-	}
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]Record)
 	}
 	return s
 }
 
-// Open builds a store and loads its snapshot; a missing snapshot yields an
-// empty store, a corrupt one an error (a daemon must not silently discard
-// accumulated tuning knowledge).
+// Open builds a store and loads its snapshot. A missing snapshot yields an
+// empty store; a corrupt one, or one in a directory that does not exist, an
+// error. Both are refused here, before the caller spends a run learning
+// winners it could not keep: a corrupt file must not be silently replaced by
+// an empty one, and a file that cannot be created would fail only at Flush.
 func Open(opts StoreOptions) (*Store, error) {
 	s := NewStore(opts)
 	if opts.SnapshotPath == "" {
 		return s, nil
+	}
+	if _, err := os.Stat(filepath.Dir(opts.SnapshotPath)); err != nil {
+		return nil, fmt.Errorf("kb: snapshot %s: %w", opts.SnapshotPath, err)
 	}
 	if err := s.loadSnapshot(opts.SnapshotPath); err != nil {
 		return nil, err
@@ -160,7 +157,7 @@ func (s *Store) Len() int {
 }
 
 // Records returns every stored record sorted by combined key, so snapshots
-// (and /v1/stats-driven dumps) are deterministic for a given content.
+// are deterministic for a given content.
 func (s *Store) Records() []Record {
 	type kr struct {
 		ck string
@@ -183,8 +180,7 @@ func (s *Store) Records() []Record {
 	return rs
 }
 
-// Stats is a point-in-time snapshot of the store's counters, served by
-// GET /v1/stats.
+// Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
 	Records  int    `json:"records"`
 	Shards   int    `json:"shards"`
@@ -232,7 +228,10 @@ func (s *Store) loadSnapshot(path string) error {
 	if f.Version != 1 {
 		return fmt.Errorf("kb: snapshot %s has unsupported version %d", path, f.Version)
 	}
-	for _, r := range f.Records {
+	for i, r := range f.Records {
+		if r.Key == "" || r.Winner == "" {
+			return fmt.Errorf("kb: snapshot %s: record %d needs key and winner", path, i)
+		}
 		s.Put(r)
 	}
 	s.dirty.Store(false) // loading is not new state
@@ -261,44 +260,4 @@ func (s *Store) Flush(force bool) error {
 	}
 	s.flushes.Add(1)
 	return nil
-}
-
-// StartAutoFlush starts the background flusher: every FlushEvery it writes
-// a snapshot iff the store changed. Call Close to stop it (with a final
-// flush). Calling it twice or without a snapshot path is an error.
-func (s *Store) StartAutoFlush() error {
-	if s.opts.SnapshotPath == "" {
-		return errors.New("kb: StartAutoFlush needs a snapshot path")
-	}
-	if s.stopFlush != nil {
-		return errors.New("kb: auto-flush already running")
-	}
-	s.stopFlush = make(chan struct{})
-	s.flushDone = make(chan struct{})
-	go func() {
-		t := time.NewTicker(s.opts.FlushEvery)
-		defer t.Stop()
-		defer close(s.flushDone)
-		for {
-			select {
-			case <-t.C:
-				s.Flush(false) // best-effort; shutdown flush reports the error
-			case <-s.stopFlush:
-				return
-			}
-		}
-	}()
-	return nil
-}
-
-// Close stops the auto-flusher (if running) and writes a final snapshot of
-// any unflushed state.
-func (s *Store) Close() error {
-	if s.stopFlush != nil {
-		close(s.stopFlush)
-		<-s.flushDone
-		s.stopFlush = nil
-		s.flushDone = nil
-	}
-	return s.Flush(false)
 }

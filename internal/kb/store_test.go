@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestStoreLWWByScore(t *testing.T) {
@@ -150,58 +149,67 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotRefused: a daemon must not silently start empty over a
-// torn or garbage snapshot.
+// TestCorruptSnapshotRefused: a store must not silently start empty, or
+// partly loaded, over a torn, foreign or invalid snapshot, and the error says
+// what is wrong — for an invalid record, which one (the HTTP surface refuses
+// the same record).
 func TestCorruptSnapshotRefused(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.json")
-	if err := os.WriteFile(path, []byte(`{"version":1,"records":[{"key":"k"`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(StoreOptions{SnapshotPath: path}); err == nil {
-		t.Fatal("Open accepted a truncated snapshot")
-	}
-	if err := os.WriteFile(path, []byte(`{"version":9,"records":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(StoreOptions{SnapshotPath: path}); err == nil {
-		t.Fatal("Open accepted an unknown snapshot version")
+	for _, c := range []struct{ data, want string }{
+		{`{"version":1,"records":[{"key":"k"`, "corrupt snapshot"},
+		{`{"version":9,"records":[]}`, "unsupported version 9"},
+		{`{"version":1,"records":[{"key":"","winner":""}]}`, "record 0 needs key and winner"},
+		{`{"version":1,"records":[{"key":"k","winner":"w"},{"key":"k2"}]}`, "record 1 needs key and winner"},
+		{`{"version":1,"records":[{"winner":"w"}]}`, "record 0 needs key and winner"},
+	} {
+		path := filepath.Join(t.TempDir(), "snap.json")
+		if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(StoreOptions{SnapshotPath: path}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Open(%s): error %v, want one containing %q", c.data, err, c.want)
+		}
 	}
 }
 
-// TestAutoFlushCoalesces: many records between ticks produce at most one
-// snapshot write per tick, and Close flushes the remainder.
+// TestAutoFlushCoalesces: a burst of records between two flushes costs one
+// snapshot write, a flush with nothing new writes nothing, and a record that
+// loses on score does not make the store dirty.
 func TestAutoFlushCoalesces(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.json")
-	st := NewStore(StoreOptions{SnapshotPath: path, FlushEvery: 20 * time.Millisecond})
-	if err := st.StartAutoFlush(); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "snap.json")
+	st := NewStore(StoreOptions{SnapshotPath: path})
 	for i := 0; i < 100; i++ {
 		st.Put(Record{Key: fmt.Sprintf("k%d", i), Winner: "w", Score: 1})
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for st.Stats().Flushes == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("auto-flusher never wrote a snapshot")
+	for i := 0; i < 3; i++ {
+		if err := st.Flush(false); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	st.Put(Record{Key: "late", Winner: "w", Score: 1})
-	if err := st.Close(); err != nil {
+	if got := st.Stats().Flushes; got != 1 {
+		t.Fatalf("a burst of 100 records and 3 flushes wrote %d snapshots, want 1", got)
+	}
+	if st.Put(Record{Key: "k0", Winner: "worse", Score: 2}) {
+		t.Fatal("worse score superseded a better one")
+	}
+	if err := st.Flush(false); err != nil {
 		t.Fatal(err)
 	}
-	flushes := st.Stats().Flushes
-	if flushes > 20 {
-		t.Fatalf("flusher wrote %d snapshots for a burst + one late record; writes are not coalesced", flushes)
+	if got := st.Stats().Flushes; got != 1 {
+		t.Fatalf("a rejected record caused a snapshot write (%d writes)", got)
+	}
+	st.Put(Record{Key: "late", Winner: "w", Score: 1})
+	if err := st.Flush(false); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().Flushes; got != 2 {
+		t.Fatalf("a late record after a flush wrote %d snapshots in all, want 2", got)
 	}
 	st2, err := Open(StoreOptions{SnapshotPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st2.Lookup("late", ""); !ok {
-		t.Fatal("Close did not flush the final record")
+	if _, ok := st2.Lookup("late", ""); !ok || st2.Len() != 101 {
+		t.Fatalf("reloaded store has %d records (late found: %v), want 101 with late", st2.Len(), ok)
 	}
 }
 
