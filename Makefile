@@ -140,8 +140,11 @@ stat:
 # already ran as plain tests in `test`. A failure leaves its
 # minimised input under internal/<pkg>/testdata/fuzz/<target>/: commit it with
 # the fix, so it stays in the corpus. (Minimising inputs that merely add coverage is
-# capped, or it eats most of the ten seconds.)
+# capped, or it eats most of the ten seconds.) Before them, the one-shot world
+# benchmark (bench_test.go, the target of `go test -cpuprofile|-memprofile`)
+# runs each of its worlds once, so it cannot rot.
 ci: build vet test race e2e
+	$(GO) test -run '^$$' -bench OneShotWorld -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -fuzz FuzzRunAhead -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/mpi

@@ -4,16 +4,20 @@
 // scenario catalogue (internal/bench), run by cmd/sweep -suite NAME; host
 // time is measured by the repository benchmark (perf/).
 //
-// Every benchmark reports the *virtual* execution time of the simulated
+// Every ablation reports the *virtual* execution time of the simulated
 // scenario via custom metrics (vsec_* = virtual seconds); the Go ns/op
-// number only measures how fast the simulator itself runs.
+// number only measures how fast the simulator itself runs, which is all
+// BenchmarkOneShotWorld measures.
 package nbctune_test
 
 import (
+	"runtime"
 	"testing"
 
 	"nbctune/internal/bench"
 	"nbctune/internal/core"
+	"nbctune/internal/mpi"
+	"nbctune/internal/nbc"
 	"nbctune/internal/platform"
 	"nbctune/internal/stats"
 )
@@ -175,6 +179,98 @@ func BenchmarkAblation_SelectorOverhead(b *testing.B) {
 			}
 			sel.Record(fn, float64(fn))
 		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// One-shot worlds: the profiling entry point for the simulator itself.
+
+// oneShotWorlds are fresh block-placed bgp-16k worlds that each run one
+// program to completion and are dropped, as every pass of the repository
+// benchmark's world workloads is: the 384-rank linear Ialltoall with 1 KiB
+// blocks (wide-alltoall) and BENCH_scale.json's barrier + 64 KiB binomial
+// broadcast at 1K, 4K and 16K ranks (scale-4k at 4K).
+var oneShotWorlds = []struct {
+	name  string
+	ranks int
+	prog  func(*mpi.Comm)
+}{
+	{"alltoall384", 384, linearAlltoall1K},
+	{"bcast1k", 1024, barrierBcast},
+	{"bcast4k", 4096, barrierBcast},
+	{"bcast16k", 16384, barrierBcast},
+}
+
+func linearAlltoall1K(c *mpi.Comm) {
+	n, me := c.Size(), c.Rank()
+	nbc.Run(c, nbc.Ialltoall(n, me, mpi.Virtual(n*1024), mpi.Virtual(n*1024), nbc.AlgoLinear))
+}
+
+func barrierBcast(c *mpi.Comm) {
+	n, me := c.Size(), c.Rank()
+	nbc.Run(c, nbc.Ibarrier(n, me))
+	nbc.Run(c, nbc.Ibcast(n, me, 0, mpi.Virtual(64*1024), nbc.FanoutBinomial, 32*1024))
+}
+
+// runOneShotWorld builds a world, runs prog on every rank and returns the
+// events the engine fired.
+func runOneShotWorld(tb testing.TB, ranks int, prog func(*mpi.Comm)) int64 {
+	tb.Helper()
+	plat, err := platform.ByName("bgp-16k")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, w, err := plat.NewWorldPlaced(ranks, 1, platform.Block)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.Start(prog)
+	eng.Run()
+	return eng.EventsFired
+}
+
+// oneShotAllocCeiling is what TestOneShotWorldAllocBudget lets its two
+// one-shot worlds allocate: the bytes they allocated when the ceiling was
+// set, plus 10 %. A world's first run allocates its live set once:
+// schedules in one exactly sized op array, free lists chained through their
+// records, the lane pool grown by doubling (DESIGN.md §3 "Pooling").
+const oneShotAllocCeiling = 143 << 20
+
+// TestOneShotWorldAllocBudget runs the 384-rank linear Ialltoall world and
+// the 1K-rank barrier + broadcast world once each and fails if together they
+// allocate more than oneShotAllocCeiling bytes.
+func TestOneShotWorldAllocBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ow := range oneShotWorlds[:2] {
+		runOneShotWorld(t, ow.ranks, ow.prog)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > oneShotAllocCeiling {
+		t.Fatalf("one-shot %s and %s worlds allocated %.1f MiB, the ceiling is %.1f MiB",
+			oneShotWorlds[0].name, oneShotWorlds[1].name, float64(got)/(1<<20), float64(oneShotAllocCeiling)/(1<<20))
+	}
+}
+
+// BenchmarkOneShotWorld times world construction and one run, per event as
+// well as per world; it is the target of `go test -run '^$' -bench
+// OneShotWorld/alltoall384 -cpuprofile|-memprofile`. B/event counts every
+// byte allocated, beside -benchmem's per-world figure.
+func BenchmarkOneShotWorld(b *testing.B) {
+	for _, ow := range oneShotWorlds {
+		b.Run(ow.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			var events int64
+			for i := 0; i < b.N; i++ {
+				events += runOneShotWorld(b, ow.ranks, ow.prog)
+			}
+			runtime.ReadMemStats(&m1)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(events), "B/event")
+		})
 	}
 }
 

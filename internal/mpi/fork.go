@@ -63,8 +63,8 @@ type WorldSnapshot struct {
 	nextCtx int
 	ranks   []rankSnap
 
-	reqGens []uint32 // request free list: generation per record, stack order
-	envFree int
+	reqGens []uint32 // request free list: generation per record, in pop order
+	envFree int      // free-list lengths; their records are blank
 	xfFree  int
 }
 
@@ -87,8 +87,15 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 		sim:     simSnap,
 		opts:    w.opts,
 		nextCtx: w.nextCtx,
-		envFree: len(w.envFree),
-		xfFree:  len(w.xfFree),
+	}
+	for env := w.envFree; env != nil; env = env.bnext {
+		s.envFree++
+	}
+	for x := w.xfFree; x != nil; x = x.next {
+		s.xfFree++
+	}
+	for q := w.reqFree; q != nil; q = q.mnext {
+		s.reqGens = append(s.reqGens, q.gen)
 	}
 	for _, r := range w.ranks {
 		if r.nhead != 0 || len(r.notices) != 0 {
@@ -132,10 +139,6 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 			rs.layer = lf.ForkLayer()
 		}
 		s.ranks = append(s.ranks, rs)
-	}
-	s.reqGens = make([]uint32, len(w.reqFree))
-	for i, q := range w.reqFree {
-		s.reqGens[i] = q.gen
 	}
 	if in := w.net.Chaos(); in != nil {
 		s.chaos = in.Clone() // each Fork gets its own clone of s.chaos
@@ -209,22 +212,22 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 			r.layerState = rs.layer.(LayerForker).ForkLayer()
 		}
 	}
-	// Free lists are rebuilt as batch allocations in the parent's stack order.
+	// Free lists are rebuilt as batch allocations chained in the parent's pop
+	// order, back to front so each record links the one after it.
 	reqRecs := make([]Request, len(s.reqGens))
-	w.reqFree = make([]*Request, len(s.reqGens))
-	for i, g := range s.reqGens {
-		reqRecs[i] = Request{gen: g, freed: true}
-		w.reqFree[i] = &reqRecs[i]
+	for i := len(reqRecs) - 1; i >= 0; i-- {
+		reqRecs[i] = Request{gen: s.reqGens[i], freed: true, mnext: w.reqFree}
+		w.reqFree = &reqRecs[i]
 	}
 	envRecs := make([]envelope, s.envFree)
-	w.envFree = make([]*envelope, s.envFree)
-	for i := range envRecs {
-		w.envFree[i] = &envRecs[i]
+	for i := len(envRecs) - 1; i >= 0; i-- {
+		envRecs[i].bnext = w.envFree
+		w.envFree = &envRecs[i]
 	}
 	xfRecs := make([]xfer, s.xfFree)
-	w.xfFree = make([]*xfer, s.xfFree)
-	for i := range xfRecs {
-		w.xfFree[i] = &xfRecs[i]
+	for i := len(xfRecs) - 1; i >= 0; i-- {
+		xfRecs[i].next = w.xfFree
+		w.xfFree = &xfRecs[i]
 	}
 	return eng, w
 }

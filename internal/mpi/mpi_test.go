@@ -376,6 +376,63 @@ func TestAccountingCounters(t *testing.T) {
 	}
 }
 
+// TestWaitOnReverseArrivals: rank 0 posts one receive per peer and waits on
+// all of them while the sends arrive in reverse post order, so every poll of
+// the wait finds the last-posted receives done and the first-posted one still
+// open. The wait resumes its scan where the last poll stopped, which must
+// change nothing: the virtual end is pinned, for Wait and WaitHandles, eager
+// and rendezvous, and for arrivals in post order too.
+func TestWaitOnReverseArrivals(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		size    int
+		reverse bool
+		end     float64
+	}{
+		{1024, true, 7.4882666666666674e-05},
+		{1024, false, 7.4882666666666674e-05},
+		{64 * 1024, true, 0.00032712000000000008},
+		{64 * 1024, false, 0.00032712000000000008},
+	} {
+		for _, handles := range []bool{false, true} {
+			end := runProg(t, n, nil, func(c *Comm) {
+				me := c.Rank()
+				if me != 0 {
+					delay := me
+					if tc.reverse {
+						delay = n - me
+					}
+					c.Compute(float64(delay) * 1e-5)
+					c.Send(0, me, Virtual(tc.size))
+					return
+				}
+				reqs := make([]*Request, 0, n-1)
+				for src := 1; src < n; src++ {
+					reqs = append(reqs, c.Irecv(src, src, Virtual(tc.size)))
+				}
+				if handles {
+					hs := make([]ReqHandle, len(reqs))
+					for i, q := range reqs {
+						hs[i] = q.Handle()
+					}
+					c.WaitHandles(hs)
+				} else {
+					c.Wait(reqs...)
+				}
+				for _, q := range reqs {
+					if !q.done {
+						t.Errorf("size %d reverse %v handles %v: the wait returned with a receive from %d open", tc.size, tc.reverse, handles, q.peer)
+					}
+				}
+				c.FreeRequests(reqs...)
+			})
+			if end != tc.end {
+				t.Errorf("size %d reverse %v handles %v: virtual end %.17g, want %.17g", tc.size, tc.reverse, handles, end, tc.end)
+			}
+		}
+	}
+}
+
 func TestManyMessagesStress(t *testing.T) {
 	const n = 8
 	const msgs = 50

@@ -30,7 +30,8 @@ type Request struct {
 
 	// Pooling state: gen increments when the record is freed, invalidating
 	// outstanding ReqHandles; freed guards double-free; mnext/pseq thread the
-	// record through the matcher's posted chain or buckets.
+	// record through the matcher's posted chain or buckets, and mnext a freed
+	// record through the world's free list.
 	gen   uint32
 	freed bool
 	mnext *Request
@@ -61,7 +62,8 @@ func (h ReqHandle) Done() bool {
 }
 
 // envelope describes a message in flight. Envelopes are pooled per World;
-// bnext/gprev/gnext thread them through the matcher's unexpected queues.
+// bnext/gprev/gnext thread them through the matcher's unexpected queues, and
+// bnext a freed envelope through the world's free list.
 type envelope struct {
 	src, dst int // world ranks
 	tag, ctx int
@@ -158,6 +160,7 @@ type xfer struct {
 	buf      Buf
 	ctx, off int   // put: the target window's context and byte offset
 	instance int64 // put: the collective instance the landing counts for
+	next     *xfer // the world's free list
 }
 
 // xmit starts an xfer. Where the network Splits the transfer, the delivery
@@ -368,7 +371,7 @@ func (r *Rank) Wait(reqs ...*Request) {
 	r.waitReqs = append(r.waitReqs, reqs...)
 	r.waitUntil()
 	clear(r.waitReqs) // completed requests stay collectable
-	r.waitReqs = r.waitReqs[:0]
+	r.waitReqs, r.waitSeen = r.waitReqs[:0], 0
 }
 
 // WaitHandles is Wait over generation-checked handles: handles whose request
@@ -378,7 +381,7 @@ func (r *Rank) WaitHandles(hs []ReqHandle) {
 	r.charge(p.OProgress + p.OTest*float64(r.outstanding))
 	r.waitHs = hs
 	r.waitUntil()
-	r.waitHs = nil
+	r.waitHs, r.waitSeen = nil, 0
 }
 
 // Test performs one progress pass and reports whether all given requests

@@ -42,9 +42,11 @@ type World struct {
 	// Free lists for pooled protocol records. World-level (not per rank) so
 	// a record freed by its receiver can be reused by any sender; safe
 	// without locks because the engine serializes all ranks of one world.
-	reqFree []*Request
-	envFree []*envelope
-	xfFree  []*xfer
+	// Each is an intrusive LIFO chain through a link field that a free record
+	// never otherwise uses, so a list costs nothing to grow.
+	reqFree *Request  // through mnext
+	envFree *envelope // through bnext
+	xfFree  *xfer     // through next
 }
 
 // NewWorld creates n ranks on the given network. The network's rank->node
@@ -150,6 +152,7 @@ type Rank struct {
 	waitReqs []*Request // Wait's requests, copied into reused capacity
 	waitHs   []ReqHandle
 	waitPred func() bool
+	waitSeen int // entries of waitReqs, or of waitHs, already seen done
 
 	outstanding int // open non-blocking requests, for OTest charging
 
@@ -265,10 +268,8 @@ func (r *Rank) LayerState() *any { return &r.layerState }
 // allocReq draws a Request from the world's pool. All fields except the
 // pooling generation are zero.
 func (w *World) allocReq() *Request {
-	if n := len(w.reqFree); n > 0 {
-		q := w.reqFree[n-1]
-		w.reqFree[n-1] = nil
-		w.reqFree = w.reqFree[:n-1]
+	if q := w.reqFree; q != nil {
+		w.reqFree, q.mnext = q.mnext, nil
 		q.freed = false
 		return q
 	}
@@ -285,16 +286,13 @@ func (w *World) freeReq(q *Request) {
 	if !q.done {
 		panic("mpi: freeing an incomplete request (Wait before freeing)")
 	}
-	gen := q.gen + 1
-	*q = Request{gen: gen, freed: true}
-	w.reqFree = append(w.reqFree, q)
+	*q = Request{gen: q.gen + 1, freed: true, mnext: w.reqFree}
+	w.reqFree = q
 }
 
 func (w *World) allocEnv() *envelope {
-	if n := len(w.envFree); n > 0 {
-		env := w.envFree[n-1]
-		w.envFree[n-1] = nil
-		w.envFree = w.envFree[:n-1]
+	if env := w.envFree; env != nil {
+		w.envFree, env.bnext = env.bnext, nil
 		return env
 	}
 	return &envelope{}
@@ -306,23 +304,21 @@ func (w *World) allocEnv() *envelope {
 // answered with a CTS (the sender correlation travels on the send request,
 // not the envelope).
 func (w *World) freeEnv(env *envelope) {
-	*env = envelope{}
-	w.envFree = append(w.envFree, env)
+	*env = envelope{bnext: w.envFree}
+	w.envFree = env
 }
 
 func (w *World) allocXfer() *xfer {
-	if n := len(w.xfFree); n > 0 {
-		x := w.xfFree[n-1]
-		w.xfFree[n-1] = nil
-		w.xfFree = w.xfFree[:n-1]
+	if x := w.xfFree; x != nil {
+		w.xfFree, x.next = x.next, nil
 		return x
 	}
 	return &xfer{}
 }
 
 func (w *World) freeXfer(x *xfer) {
-	*x = xfer{}
-	w.xfFree = append(w.xfFree, x)
+	*x = xfer{next: w.xfFree}
+	w.xfFree = x
 }
 
 // waitUntil keeps the rank inside MPI until the queued notices are processed
@@ -374,15 +370,18 @@ func (r *Rank) poll() bool {
 }
 
 // waitSatisfied tests the wait set. It runs level with the engine, so a
-// predicate may read what events write (window counters).
+// predicate may read what events write (window counters). A request seen
+// done stays done — completion never reverts, and a freed record reads as
+// done through its generation — so each poll resumes at the first entry not
+// yet seen done instead of rescanning the completed prefix.
 func (r *Rank) waitSatisfied() bool {
-	for _, q := range r.waitReqs {
-		if !q.done {
+	for ; r.waitSeen < len(r.waitReqs); r.waitSeen++ {
+		if !r.waitReqs[r.waitSeen].done {
 			return false
 		}
 	}
-	for _, h := range r.waitHs {
-		if !h.Done() {
+	for ; r.waitSeen < len(r.waitHs); r.waitSeen++ {
+		if !r.waitHs[r.waitSeen].Done() {
 			return false
 		}
 	}

@@ -78,39 +78,35 @@ func staging(like mpi.Buf, n int) mpi.Buf {
 // single progress call to be fully in flight, but exposes maximal
 // concurrency to the network (incast on TCP).
 func ialltoallLinear(n, me int, send, recv mpi.Buf, bs int) *Schedule {
-	s := &Schedule{Name: IalltoallName(AlgoLinear)}
-	r := Round{selfCopyOp(send, recv, me, bs)}
+	b := newRoundBuf(2*n-1, 1)
+	b.add(selfCopyOp(send, recv, me, bs))
 	for off := 1; off < n; off++ {
 		peer := (me + off) % n
-		r = append(r, Op{Kind: OpRecv, Peer: peer, Buf: block(recv, peer, bs)})
+		b.add(Op{Kind: OpRecv, Peer: peer, Buf: block(recv, peer, bs)})
 	}
 	for off := 1; off < n; off++ {
 		peer := (me - off + n) % n
-		r = append(r, Op{Kind: OpSend, Peer: peer, Buf: block(send, peer, bs)})
+		b.add(Op{Kind: OpSend, Peer: peer, Buf: block(send, peer, bs)})
 	}
-	if n > 1 {
-		s.Rounds = append(s.Rounds, r)
-	} else {
-		s.Rounds = append(s.Rounds, Round{selfCopyOp(send, recv, me, bs)})
-	}
-	return s
+	b.end()
+	return &Schedule{Name: IalltoallName(AlgoLinear), Rounds: b.rounds}
 }
 
 // ialltoallPairwise exchanges with partner (me+step) / (me-step) in N-1
 // rounds. Structured and contention-free, but each round gates on a
 // progress call.
 func ialltoallPairwise(n, me int, send, recv mpi.Buf, bs int) *Schedule {
-	s := &Schedule{Name: IalltoallName(AlgoPairwise)}
-	s.Rounds = append(s.Rounds, Round{selfCopyOp(send, recv, me, bs)})
+	b := newRoundBuf(2*n-1, n)
+	b.add(selfCopyOp(send, recv, me, bs))
+	b.end()
 	for step := 1; step < n; step++ {
 		to := (me + step) % n
 		from := (me - step + n) % n
-		s.Rounds = append(s.Rounds, Round{
-			{Kind: OpRecv, Peer: from, TagOff: step, Buf: block(recv, from, bs)},
-			{Kind: OpSend, Peer: to, TagOff: step, Buf: block(send, to, bs)},
-		})
+		b.add(Op{Kind: OpRecv, Peer: from, TagOff: step, Buf: block(recv, from, bs)})
+		b.add(Op{Kind: OpSend, Peer: to, TagOff: step, Buf: block(send, to, bs)})
+		b.end()
 	}
-	return s
+	return &Schedule{Name: IalltoallName(AlgoPairwise), Rounds: b.rounds}
 }
 
 // ialltoallBruck is the dissemination algorithm: ceil(log2 n) phases, each

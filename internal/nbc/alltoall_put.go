@@ -34,16 +34,16 @@ func IalltoallPutName(a AlltoallAlgo) string { return IalltoallName(a) + "-put" 
 // flow.
 func IalltoallLinearPut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule {
 	blockSize := send.Len() / n
-	s := &Schedule{Name: IalltoallPutName(AlgoLinear), Win: win}
-	r := Round{selfCopyOp(send, recv, me, blockSize)}
+	b := newRoundBuf(n+1, 1)
+	b.add(selfCopyOp(send, recv, me, blockSize))
 	for off := 1; off < n; off++ {
 		peer := (me + off) % n
-		r = append(r, Op{Kind: OpPut, Peer: peer, Off: me * blockSize,
+		b.add(Op{Kind: OpPut, Peer: peer, Off: me * blockSize,
 			Buf: block(send, peer, blockSize)})
 	}
-	r = append(r, Op{Kind: OpAwaitPuts, Count: n - 1})
-	s.Rounds = append(s.Rounds, r)
-	return s
+	b.add(Op{Kind: OpAwaitPuts, Count: n - 1})
+	b.end()
+	return &Schedule{Name: IalltoallPutName(AlgoLinear), Rounds: b.rounds, Win: win}
 }
 
 // IalltoallPairwisePut builds the one-sided pairwise algorithm: n-1
@@ -52,15 +52,15 @@ func IalltoallLinearPut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule {
 // bounded per-round network pressure.
 func IalltoallPairwisePut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule {
 	blockSize := send.Len() / n
-	s := &Schedule{Name: IalltoallPutName(AlgoPairwise), Win: win}
-	s.Rounds = append(s.Rounds, Round{selfCopyOp(send, recv, me, blockSize)})
+	b := newRoundBuf(2*n-1, n)
+	b.add(selfCopyOp(send, recv, me, blockSize))
+	b.end()
 	for step := 1; step < n; step++ {
 		to := (me + step) % n
-		s.Rounds = append(s.Rounds, Round{
-			{Kind: OpPut, Peer: to, Off: me * blockSize,
-				Buf: block(send, to, blockSize)},
-			{Kind: OpAwaitPuts, Count: step},
-		})
+		b.add(Op{Kind: OpPut, Peer: to, Off: me * blockSize,
+			Buf: block(send, to, blockSize)})
+		b.add(Op{Kind: OpAwaitPuts, Count: step})
+		b.end()
 	}
-	return s
+	return &Schedule{Name: IalltoallPutName(AlgoPairwise), Rounds: b.rounds, Win: win}
 }

@@ -2,6 +2,7 @@ package nbc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nbctune/internal/mpi"
 )
@@ -28,6 +29,7 @@ func bcastTree(n, vrank, fanout int) (parent int, children []int) {
 	switch {
 	case fanout == 0: // linear: root is everyone's parent
 		if vrank == 0 {
+			children = make([]int, 0, n-1)
 			for c := 1; c < n; c++ {
 				children = append(children, c)
 			}
@@ -46,6 +48,7 @@ func bcastTree(n, vrank, fanout int) (parent int, children []int) {
 		if vrank == 0 {
 			low = nextPow2(n)
 		}
+		children = make([]int, 0, bits.TrailingZeros(uint(low))) // one per bit below low
 		for bit := low / 2; bit >= 1; bit /= 2 {
 			if vrank+bit < n {
 				children = append(children, vrank+bit)
@@ -142,32 +145,33 @@ func CheckSegments(size, segSize int) error {
 func pipelinedRounds(buf mpi.Buf, segSize, parent int, children []int) []Round {
 	size := buf.Len()
 	S := numSegs(size, segSize)
-	sendTo := func(r Round, si int) Round {
+	ops, rounds := S*len(children), S
+	if parent >= 0 {
+		ops, rounds = S*(len(children)+1), S+1
+	}
+	b := newRoundBuf(ops, rounds)
+	sendTo := func(si int) {
 		off, l := seg(size, segSize, si)
 		for _, c := range children {
-			r = append(r, Op{Kind: OpSend, Peer: c, TagOff: si, Buf: buf.Slice(off, l)})
+			b.add(Op{Kind: OpSend, Peer: c, TagOff: si, Buf: buf.Slice(off, l)})
 		}
-		return r
 	}
-	var rounds []Round
 	if parent < 0 {
 		for si := 0; si < S; si++ {
-			rounds = append(rounds, sendTo(nil, si))
+			sendTo(si)
+			b.end()
 		}
-		return rounds
+		return b.rounds
 	}
 	for si := 0; si <= S; si++ {
-		var r Round
 		if si > 0 {
-			r = sendTo(r, si-1)
+			sendTo(si - 1)
 		}
 		if si < S {
 			off, l := seg(size, segSize, si)
-			r = append(r, Op{Kind: OpRecv, Peer: parent, TagOff: si, Buf: buf.Slice(off, l)})
+			b.add(Op{Kind: OpRecv, Peer: parent, TagOff: si, Buf: buf.Slice(off, l)})
 		}
-		if len(r) > 0 {
-			rounds = append(rounds, r)
-		}
+		b.end()
 	}
-	return rounds
+	return b.rounds
 }

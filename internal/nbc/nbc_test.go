@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nbctune/internal/mpi"
 	"nbctune/internal/netmodel"
@@ -431,6 +432,69 @@ func TestRoundCounts(t *testing.T) {
 	for i, tc := range cases {
 		if got := len(tc.sched.Rounds); got != tc.want {
 			t.Errorf("case %d (%s): rounds = %d, want %d", i, tc.sched.Name, got, tc.want)
+		}
+	}
+}
+
+// TestRoundsShareOneOpArray pins the layout of the schedules whose rounds
+// grow with the rank or segment count (roundBuf): every round is a capped
+// slice that starts where the round before it ends, so a schedule's ops are
+// one array that an append to a round cannot write through, and building a
+// schedule makes as many allocations at 256 ranks as at 16, so nothing is
+// grown on the way.
+func TestRoundsShareOneOpArray(t *testing.T) {
+	v := func(n int) mpi.Buf { return mpi.Virtual(n * 64) }
+	// Ibcast's rounds, rooted at 0, without the schedule name: fmt's buffer
+	// pool drops buffers at random under the race detector, which would make
+	// the allocation counts below vary.
+	pipelined := func(fanout int) func(n, me int) *Schedule {
+		return func(n, me int) *Schedule {
+			parent, children := bcastTree(n, me, fanout)
+			return &Schedule{Rounds: pipelinedRounds(v(2048), 32*1024, parent, children)}
+		}
+	}
+	builders := []struct {
+		name  string
+		build func(n, me int) *Schedule
+	}{
+		{"ialltoall-linear", func(n, me int) *Schedule { return Ialltoall(n, me, v(n), v(n), AlgoLinear) }},
+		{"ialltoall-pairwise", func(n, me int) *Schedule { return Ialltoall(n, me, v(n), v(n), AlgoPairwise) }},
+		{"ialltoall-linear-put", func(n, me int) *Schedule { return IalltoallLinearPut(n, me, v(n), v(n), nil) }},
+		{"ialltoall-pairwise-put", func(n, me int) *Schedule { return IalltoallPairwisePut(n, me, v(n), v(n), nil) }},
+		{"iallgather-linear", func(n, me int) *Schedule { return Iallgather(n, me, v(1), v(n), AllgatherLinear) }},
+		{"iallgather-ring", func(n, me int) *Schedule { return Iallgather(n, me, v(1), v(n), AllgatherRing) }},
+		{"ibarrier-dissemination", Ibarrier},
+		{"ibarrier-tree", IbarrierTree},
+		{"ibcast-linear", pipelined(0)},
+		{"ibcast-binomial", pipelined(FanoutBinomial)},
+		{"ibcast-3-ary", pipelined(3)},
+	}
+	opSize := unsafe.Sizeof(Op{})
+	for _, b := range builders {
+		for _, n := range []int{1, 2, 5, 16, 256} {
+			for _, me := range []int{0, 1, n / 2, n - 1} {
+				if me >= n {
+					continue
+				}
+				rounds := b.build(n, me).Rounds
+				for i, r := range rounds {
+					if len(r) == 0 || cap(r) != len(r) {
+						t.Fatalf("%s n=%d me=%d: round %d has %d ops and capacity %d", b.name, n, me, i, len(r), cap(r))
+					}
+					if i == 0 {
+						continue
+					}
+					prev := rounds[i-1]
+					if unsafe.Pointer(&r[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), uintptr(len(prev))*opSize) {
+						t.Fatalf("%s n=%d me=%d: round %d does not start where round %d ends", b.name, n, me, i, i-1)
+					}
+				}
+			}
+		}
+		small := testing.AllocsPerRun(10, func() { b.build(16, 0) })
+		large := testing.AllocsPerRun(10, func() { b.build(256, 0) })
+		if small != large {
+			t.Errorf("%s: building rank 0's schedule takes %v allocations at 16 ranks and %v at 256", b.name, small, large)
 		}
 	}
 }

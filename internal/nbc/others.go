@@ -2,6 +2,7 @@ package nbc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nbctune/internal/mpi"
 )
@@ -19,18 +20,16 @@ const (
 // Ibarrier builds a dissemination barrier schedule: ceil(log2 n) rounds of
 // one-byte exchanges at doubling distances.
 func Ibarrier(n, me int) *Schedule {
-	s := &Schedule{Name: IbarrierName}
-	phase := 0
-	for dist := 1; dist < n; dist *= 2 {
+	phases := bits.Len(uint(n - 1)) // dist = 1, 2, 4, ... below n
+	b := newRoundBuf(2*phases, phases)
+	for phase, dist := 0, 1; dist < n; phase, dist = phase+1, dist*2 {
 		to := (me + dist) % n
 		from := (me - dist + n) % n
-		s.Rounds = append(s.Rounds, Round{
-			{Kind: OpRecv, Peer: from, TagOff: phase, Buf: mpi.Virtual(1)},
-			{Kind: OpSend, Peer: to, TagOff: phase, Buf: mpi.Virtual(1)},
-		})
-		phase++
+		b.add(Op{Kind: OpRecv, Peer: from, TagOff: phase, Buf: mpi.Virtual(1)})
+		b.add(Op{Kind: OpSend, Peer: to, TagOff: phase, Buf: mpi.Virtual(1)})
+		b.end()
 	}
-	return s
+	return &Schedule{Name: IbarrierName, Rounds: b.rounds}
 }
 
 // AllgatherAlgo names an Iallgather algorithm.
@@ -74,32 +73,36 @@ func Iallgather(n, me int, send, recv mpi.Buf, algo AllgatherAlgo) *Schedule {
 	switch algo {
 	case AllgatherLinear:
 		// One round: send own block to everyone, receive everyone's block.
-		r := Round{self}
+		b := newRoundBuf(2*n-1, 1)
+		b.add(self)
 		for off := 1; off < n; off++ {
 			peer := (me + off) % n
-			r = append(r, Op{Kind: OpRecv, Peer: peer, Buf: block(recv, peer, bs)})
+			b.add(Op{Kind: OpRecv, Peer: peer, Buf: block(recv, peer, bs)})
 		}
 		for off := 1; off < n; off++ {
 			peer := (me - off + n) % n
-			r = append(r, Op{Kind: OpSend, Peer: peer, Buf: block(recv, me, bs)})
+			b.add(Op{Kind: OpSend, Peer: peer, Buf: block(recv, me, bs)})
 		}
-		s.Rounds = append(s.Rounds, r)
+		b.end()
+		s.Rounds = b.rounds
 		// Note: sends reference recv[me], written by the self copy in the
 		// same round; OpLocal entries run before any posting.
 		return s
 	case AllgatherRing:
-		s.Rounds = append(s.Rounds, Round{self})
+		b := newRoundBuf(2*n-1, n)
+		b.add(self)
+		b.end()
 		right := (me + 1) % n
 		left := (me - 1 + n) % n
 		cur := me
 		for step := 0; step < n-1; step++ {
 			prev := (cur - 1 + n) % n
-			s.Rounds = append(s.Rounds, Round{
-				{Kind: OpRecv, Peer: left, TagOff: step, Buf: block(recv, prev, bs)},
-				{Kind: OpSend, Peer: right, TagOff: step, Buf: block(recv, cur, bs)},
-			})
+			b.add(Op{Kind: OpRecv, Peer: left, TagOff: step, Buf: block(recv, prev, bs)})
+			b.add(Op{Kind: OpSend, Peer: right, TagOff: step, Buf: block(recv, cur, bs)})
+			b.end()
 			cur = prev
 		}
+		s.Rounds = b.rounds
 		return s
 	case AllgatherBruck:
 		return IallgatherBruck(n, me, send, recv)

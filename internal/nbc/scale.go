@@ -74,27 +74,29 @@ func IbarrierTree(n, me int) *Schedule {
 		return s
 	}
 	parent, children := bcastTree(n, me, FanoutBinomial)
+	ops := 2 * len(children)
+	if parent >= 0 {
+		ops += 2
+	}
+	b := newRoundBuf(ops, 4)
 	// Up phase (tag offset 0): leaves report first; an inner node reports
 	// once all its children have.
-	if len(children) > 0 {
-		var r Round
-		for _, c := range children {
-			r = append(r, Op{Kind: OpRecv, Peer: c, TagOff: 0, Buf: mpi.Virtual(1)})
-		}
-		s.Rounds = append(s.Rounds, r)
+	for _, c := range children {
+		b.add(Op{Kind: OpRecv, Peer: c, TagOff: 0, Buf: mpi.Virtual(1)})
 	}
+	b.end()
 	if parent >= 0 {
-		s.Rounds = append(s.Rounds, Round{{Kind: OpSend, Peer: parent, TagOff: 0, Buf: mpi.Virtual(1)}})
-		s.Rounds = append(s.Rounds, Round{{Kind: OpRecv, Peer: parent, TagOff: 1, Buf: mpi.Virtual(1)}})
+		b.add(Op{Kind: OpSend, Peer: parent, TagOff: 0, Buf: mpi.Virtual(1)})
+		b.end()
+		b.add(Op{Kind: OpRecv, Peer: parent, TagOff: 1, Buf: mpi.Virtual(1)})
+		b.end()
 	}
 	// Down phase (tag offset 1): release the subtree.
-	if len(children) > 0 {
-		var r Round
-		for _, c := range children {
-			r = append(r, Op{Kind: OpSend, Peer: c, TagOff: 1, Buf: mpi.Virtual(1)})
-		}
-		s.Rounds = append(s.Rounds, r)
+	for _, c := range children {
+		b.add(Op{Kind: OpSend, Peer: c, TagOff: 1, Buf: mpi.Virtual(1)})
 	}
+	b.end()
+	s.Rounds = b.rounds
 	return s
 }
 

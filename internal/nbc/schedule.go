@@ -20,6 +20,7 @@ package nbc
 
 import (
 	"fmt"
+	"slices"
 
 	"nbctune/internal/mpi"
 )
@@ -57,6 +58,32 @@ type Op struct {
 
 // Round is a set of operations started together.
 type Round []Op
+
+// roundBuf lays a schedule's rounds out in one exactly sized array of ops,
+// as LibNBC builds a schedule in one contiguous buffer. A builder whose
+// round widths grow with the rank or segment count counts its ops and rounds
+// first, adds the ops in order and ends each round; every round is a capped
+// sub-slice of the array, so an append to one round can never write into the
+// next.
+type roundBuf struct {
+	ops    []Op
+	rounds []Round
+	start  int // first op of the open round
+}
+
+func newRoundBuf(ops, rounds int) *roundBuf {
+	return &roundBuf{ops: make([]Op, 0, ops), rounds: make([]Round, 0, rounds)}
+}
+
+func (b *roundBuf) add(op Op) { b.ops = append(b.ops, op) }
+
+// end closes the open round; a round without ops is dropped.
+func (b *roundBuf) end() {
+	if n := len(b.ops); n > b.start {
+		b.rounds = append(b.rounds, Round(b.ops[b.start:n:n]))
+		b.start = n
+	}
+}
 
 // Schedule is a per-rank compiled collective operation. Schedules are
 // immutable and reusable: every Start creates fresh execution state, so a
@@ -205,6 +232,7 @@ func (h *Handle) execRounds() {
 	for h.round < len(h.sched.Rounds) {
 		r := h.sched.Rounds[h.round]
 		h.freePending()
+		h.pending = slices.Grow(h.pending, len(r))
 		h.await = -1
 		for _, op := range r {
 			if uint(op.TagOff) >= mpi.NBTagStride {

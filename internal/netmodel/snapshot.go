@@ -39,7 +39,9 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 		tx:        make([][]float64, len(n.nodes)),
 		rx:        make([][]float64, len(n.nodes)),
 		transfers: n.Transfers,
-		delivCap:  len(n.freeRx),
+	}
+	for rx := n.freeRx; rx != nil; rx = rx.next {
+		s.delivCap++
 	}
 	for i, nd := range n.nodes {
 		if nd.inRx != 0 {
@@ -78,11 +80,10 @@ func (s *Snapshot) Fork(eng *sim.Engine, inj *chaos.Injector) *Network {
 		copy(n.nodes[i].txFree, s.tx[i])
 		copy(n.nodes[i].rxFree, s.rx[i])
 	}
-	if s.delivCap > 0 {
-		n.freeRx = make([]*rxOp, s.delivCap)
-		for i := range n.freeRx {
-			n.freeRx[i] = &rxOp{}
-		}
+	recs := make([]rxOp, s.delivCap)
+	for i := len(recs) - 1; i >= 0; i-- {
+		recs[i].next = n.freeRx
+		n.freeRx = &recs[i]
 	}
 	if inj != nil {
 		// SetChaos resets the FIFO floors; install the injector first, then

@@ -9,7 +9,8 @@ package sim
 // the lane drains. An append that would fire before the lane's last callback
 // becomes an ordinary event (Engine.LaneFallbacks), so every lane stays
 // sorted and the firing order is exact whatever the caller promises. The
-// callbacks of all of an engine's lanes share one pool with a free list. The
+// callbacks of all of an engine's lanes share one pool, grown by doubling,
+// with a free list. The
 // zero Lane is empty and must be bound to its engine before the first Append.
 type Lane struct {
 	eng        *Engine
@@ -47,6 +48,13 @@ func (l *Lane) Append(t Time, fn func(any), arg any) {
 	if i != 0 {
 		e.laneFree = e.lanePool[i].next
 	} else {
+		if len(e.lanePool) == cap(e.lanePool) {
+			// Double: append grows a large slice by 1.25x, so a pool that
+			// ends at N entries would allocate about 5N on the way, not 2N.
+			grown := make([]laneEnt, len(e.lanePool), max(2*len(e.lanePool), 16))
+			copy(grown, e.lanePool)
+			e.lanePool = grown
+		}
 		if len(e.lanePool) == 0 {
 			e.lanePool = append(e.lanePool, laneEnt{}) // index 0 is every lane's "none"
 		}

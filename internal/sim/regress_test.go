@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // Regression tests for the pooled-event execution core: generation-checked
@@ -172,4 +174,26 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if per := allocs / batch; per > 0.01 {
 		t.Fatalf("steady state allocates %.4f allocs/event, want ~0", per)
 	}
+}
+
+// TestLanePoolGrowsByDoubling pins what a first run pays for the lane pool:
+// growing it to N entries allocates less than 2N entries in all, where
+// append's 1.25x growth of a large slice would allocate about 5N.
+func TestLanePoolGrowsByDoubling(t *testing.T) {
+	e := NewEngine(1)
+	var l Lane
+	l.Bind(e)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100_000; i++ {
+		l.Append(float64(i), nopCall, nil)
+	}
+	runtime.ReadMemStats(&after)
+	n, entry := uint64(cap(e.lanePool)), uint64(unsafe.Sizeof(laneEnt{}))
+	// 128 KiB covers the head's heap entry and record and the rounding of
+	// large allocations up to whole pages.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 2*n*entry+128<<10; got > limit {
+		t.Fatalf("growing the lane pool to %d entries of %d B allocated %d B, want under %d B", n, entry, got, limit)
+	}
+	e.Run()
 }
