@@ -42,11 +42,9 @@ race:
 # committed results/. Shard-count identity of sweeps, traces and audits is
 # tier-1 (TestPDESDeterminismMatrix, again under `make race`); row 2 proves
 # that a chaos profile and the put functions reach the sharded engine
-# through the CLI, row 4 that -shards reaches a sweep's specs. Row 3 keeps
-# its result cache inside the scratch directory: the shared results/cache/ is
-# keyed by runner.CodeVersion, not by the code, so on a developer checkout it
-# may hold measurements of an older simulator. Rows 5 and 6 pin the two
-# figure artifacts no test names.
+# through the CLI, row 3 that an audit served from the result cache it just
+# wrote reproduces the committed report, row 4 that -shards reaches a sweep's
+# specs. Rows 5 and 6 pin the two figure artifacts no test names.
 e2e:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/" ./cmd/tune ./cmd/sweep ./cmd/audit; \
@@ -56,7 +54,7 @@ e2e:
 	for s in 2 4; do "$$d/tune" -op ialltoall-prim -chaos congested -np 32 -msg 65536 -compute 0.005 -iters 20 -shards $$s -metrics "$$d/tune_s$$s.json" > /dev/null; done; \
 	cmp "$$d/tune_s2.json" "$$d/tune_s4.json"; \
 	echo "e2e 2/6: tune -op ialltoall-prim -chaos congested -shards: metrics + selection audit byte-identical at 2 and 4 shards"; \
-	for run in cold cached; do "$$d/audit" -matrix smoke -quiet -cache -cachedir "$$d/cache" -out "$$d/guideline_$$run.json" > /dev/null; \
+	for run in cold cached; do "$$d/audit" -matrix smoke -quiet -cache "$$d/cache" -out "$$d/guideline_$$run.json" > /dev/null; \
 	cmp "$$d/guideline_$$run.json" results/guideline_report.json; done; \
 	"$$d/audit" -check results/guideline_report.json; \
 	echo "e2e 3/6: audit -matrix smoke reproduces the committed report, cold and from the cache it just wrote; the report passes audit -check"; \

@@ -7,13 +7,13 @@
 // audited tuning round.
 //
 // Scenarios execute on the experiment runner: -jobs parallelizes leaf
-// measurements, -cache persists them in the content-addressed store so
-// re-runs and interrupted matrices resume for free. The report is
+// measurements, -cache DIR persists them in the content-addressed store so
+// re-runs of the same build and interrupted matrices resume for free. The report is
 // byte-identical for every -jobs value and for cached versus fresh runs.
 //
 // Examples:
 //
-//	audit -matrix smoke -jobs 8 -cache      # the CI gate's matrix
+//	audit -matrix smoke -jobs 8 -cache ~/.cache/nbctune   # the CI gate's matrix
 //	audit -matrix full -chaos congested
 //	audit -check results/guideline_report.json
 package main
@@ -42,8 +42,7 @@ func main() {
 		out      = flag.String("out", "results/guideline_report.json", "machine-readable report path (empty disables)")
 		check    = flag.String("check", "", "validate an existing report (schema version + verdicts re-derived from its samples) and exit; no simulation")
 		jobs     = flag.Int("jobs", 0, "parallel measurement workers (0 = GOMAXPROCS, 1 = sequential)")
-		cacheOn  = flag.Bool("cache", false, "serve and persist leaf measurements via the content-addressed store; an interrupted matrix resumes from it")
-		cacheDir = flag.String("cachedir", "results/cache", "result store directory")
+		cacheDir = flag.String("cache", "", "result store directory: serve and persist leaf measurements there, for this build of audit only; an interrupted matrix resumes from it (empty = no store)")
 		histPath = flag.String("history", "", "file every adopted registration's winner in this history file, the one tune -history reads")
 		quiet    = flag.Bool("quiet", false, "suppress per-measurement progress lines")
 	)
@@ -98,7 +97,7 @@ func main() {
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}
-	if *cacheOn {
+	if *cacheDir != "" {
 		c, err := runner.OpenCache(*cacheDir)
 		if err != nil {
 			fatal(err)

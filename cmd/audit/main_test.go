@@ -53,17 +53,35 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRefusals: a negative -jobs is refused with one error line and exit
-// status 1, before any measurement (0 is GOMAXPROCS; -5 used to be too). The
-// unknown matrix makes a missing refusal fail fast on the wrong message.
-func TestRefusals(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-jobs", "-5", "-matrix", "nonesuch")
+// audit runs the command and returns its exit status and stderr.
+func audit(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Dir = t.TempDir()
 	cmd.Env = append(os.Environ(), "AUDIT_AS_COMMAND=1")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Count(stderr.String(), "\n") != 1 || !strings.Contains(stderr.String(), "worker count") {
-		t.Errorf("audit -jobs -5: %v, stderr %q; want exit status 1 and one line naming the worker count", err, stderr.String())
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("audit %s: %v", strings.Join(args, " "), err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// TestRefusals: a negative -jobs is refused with one error line and exit
+// status 1, before any measurement (0 is GOMAXPROCS; -5 used to be too). The
+// unknown matrix makes a missing refusal fail fast on the wrong message.
+func TestRefusals(t *testing.T) {
+	if code, stderr := audit(t, "-jobs", "-5", "-matrix", "nonesuch"); code != 1 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, "worker count") {
+		t.Errorf("audit -jobs -5: exit status %d, stderr %q; want exit status 1 and one line naming the worker count", code, stderr)
+	}
+}
+
+// TestCachedirGone: the store directory is the value of -cache; the separate
+// -cachedir flag is gone and is refused as unknown.
+func TestCachedirGone(t *testing.T) {
+	if code, stderr := audit(t, "-matrix", "nonesuch", "-cachedir", "d"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -cachedir") {
+		t.Errorf("audit -cachedir: exit status %d, stderr %q; want exit status 2 and an unknown-flag error", code, stderr)
 	}
 }

@@ -12,16 +12,16 @@
 //     results/fftbench.txt. -fast is the scale of the committed files.
 //
 // Scenarios execute on the experiment runner (internal/runner): -jobs
-// parallelizes across a worker pool, -cache persists every completed
-// scenario in a content-addressed store so re-runs are nearly free and an
-// interrupted sweep resumes where it stopped. Aggregated output
-// is byte-identical for every -jobs value and for cached vs fresh runs.
+// parallelizes across a worker pool, -cache DIR persists every completed
+// scenario in a content-addressed store so re-runs of the same build are
+// nearly free and an interrupted sweep resumes where it stopped. Aggregated
+// output is byte-identical for every -jobs value and for cached vs fresh runs.
 // Alongside the tables, the aggregate suites write a machine-readable
 // summary to -out.
 //
 // Example:
 //
-//	sweep -suite verification -fast -jobs 8 -cache
+//	sweep -suite verification -fast -jobs 8 -cache ~/.cache/nbctune
 //	sweep -suite fft
 //	sweep -suite fig6 -fast -observe       # Fig 6 with the overlap column
 //	sweep -suite fig9 -fast -trace traces/ # one Perfetto timeline per run
@@ -50,8 +50,7 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit CSV tables")
 		quiet    = flag.Bool("quiet", false, "suppress per-scenario progress lines")
 		jobs     = flag.Int("jobs", 0, "parallel scenario workers (0 = GOMAXPROCS, 1 = sequential)")
-		cacheOn  = flag.Bool("cache", false, "serve and persist scenario results via the content-addressed store; an interrupted sweep resumes from it")
-		cacheDir = flag.String("cachedir", "results/cache", "result store directory")
+		cacheDir = flag.String("cache", "", "result store directory: serve and persist scenario results there, for this build of sweep only; an interrupted sweep resumes from it (empty = no store)")
 		out      = flag.String("out", "", "machine-readable summary path (default: the committed results/ file of verification, fft and scale, none for figure suites; empty disables)")
 		observe  = flag.Bool("observe", false, "attach obs recorders so summary rows and the Fig 6 table carry overlap ratios (timing-neutral)")
 		traceDir = flag.String("trace", "", "directory for one Chrome trace-event JSON per run of a figure matrix (fig3..fig7, fig9..fig12; open in Perfetto)")
@@ -127,7 +126,7 @@ func main() {
 		progress = nil
 	}
 	opt := bench.RunOptions{Workers: *jobs, Progress: progress}
-	if *cacheOn {
+	if *cacheDir != "" {
 		c, err := runner.OpenCache(*cacheDir)
 		if err != nil {
 			fail(err)
@@ -238,18 +237,11 @@ func writeTrace(dir, cell string, rec *obs.Recorder) error {
 		}
 		return '-'
 	}, cell) + ".trace.json"
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
+	path := filepath.Join(dir, name)
+	if err := runner.WriteFileAtomic(path, rec.WriteChromeTrace); err != nil {
 		return err
 	}
-	if err := rec.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "trace written: %s\n", filepath.Join(dir, name))
+	fmt.Fprintf(os.Stderr, "trace written: %s\n", path)
 	return nil
 }
 

@@ -112,28 +112,48 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// sweep runs the command in a scratch directory and returns its exit status
+// and stderr.
+func sweep(t *testing.T, args string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], strings.Fields(args)...)
+	cmd.Dir = t.TempDir()
+	cmd.Env = append(os.Environ(), "SWEEP_AS_COMMAND=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("sweep %s: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
 // TestRefusals: a flag the run cannot honour is refused with one error line
 // and exit status 1, before any simulation: a negative worker count (0 is
-// GOMAXPROCS; -1 used to be too), and -speculate or -history on a suite that
+// GOMAXPROCS; -1 used to be too), -speculate or -history on a suite that
 // runs no selector (the first used to be ignored, the second to run the
-// whole suite before saying it had nothing to share). The unknown suite makes
-// a missing worker-count refusal fail fast on the wrong message.
+// whole suite before saying it had nothing to share), and a -cache directory
+// that is the next flag (what the old boolean -cache parses to). The unknown
+// suite makes a missing worker-count refusal fail fast on the wrong message.
 func TestRefusals(t *testing.T) {
 	for args, want := range map[string]string{
 		"-jobs -1 -suite nonesuch":                  "worker count",
 		"-speculate -suite fft":                     "runs no selection logic",
 		"-history h.json -suite fft":                "-history: fft runs no selection logic",
 		"-history missing/h.json -suite fig2 -fast": "no such file or directory",
+		"-suite fig2 -cache -fast":                  "looks like a flag",
 	} {
-		cmd := exec.Command(os.Args[0], strings.Fields(args)...)
-		cmd.Dir = t.TempDir()
-		cmd.Env = append(os.Environ(), "SWEEP_AS_COMMAND=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Count(stderr.String(), "\n") != 1 || !strings.Contains(stderr.String(), want) {
-			t.Errorf("sweep %s: %v, stderr %q; want exit status 1 and one line containing %q", args, err, stderr.String(), want)
+		if code, stderr := sweep(t, args); code != 1 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, want) {
+			t.Errorf("sweep %s: exit status %d, stderr %q; want exit status 1 and one line containing %q", args, code, stderr, want)
 		}
+	}
+}
+
+// TestCachedirGone: the store directory is the value of -cache; the separate
+// -cachedir flag is gone and is refused as unknown.
+func TestCachedirGone(t *testing.T) {
+	if code, stderr := sweep(t, "-suite fig2 -fast -cachedir d"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -cachedir") {
+		t.Errorf("sweep -cachedir: exit status %d, stderr %q; want exit status 2 and an unknown-flag error", code, stderr)
 	}
 }

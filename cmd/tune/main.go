@@ -34,6 +34,7 @@ import (
 	"nbctune/internal/mpi"
 	"nbctune/internal/obs"
 	"nbctune/internal/platform"
+	"nbctune/internal/runner"
 )
 
 func main() {
@@ -235,7 +236,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *tracOut != "" {
-		if err := writeFile(*tracOut, rec.WriteChromeTrace); err != nil {
+		if err := runner.WriteFileAtomic(*tracOut, rec.WriteChromeTrace); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "\ntrace written to %s\n", *tracOut)
@@ -260,7 +261,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			out.CandidateTime = specRes.CandidateTime
 			out.EvalRounds = specRes.EvalRounds
 		}
-		err := writeFile(*metrOut, func(w io.Writer) error {
+		err := runner.WriteFileAtomic(*metrOut, func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			return enc.Encode(out)
@@ -279,20 +280,6 @@ func must[T any](v T, err error) T {
 		panic(err)
 	}
 	return v
-}
-
-// writeFile creates path and fills it with write, reporting the first error
-// of either.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // tuneMetrics is the -metrics artifact: enough to reproduce the selection

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -301,6 +302,64 @@ func TestAuditHistoryTuneLoop(t *testing.T) {
 	out, _ := command("tune", "-op", "ibcast", "-platform", "whale-tcp", "-np", "16", "-msg", "262144", "-history", "h.json")
 	if !strings.HasPrefix(out, "history hit for ") || !strings.Contains(out, "decision: "+core.MockIbcastScatterAllgather+" after 0 measurements") {
 		t.Fatalf("tune did not replay the mock audit filed:\n%s", out)
+	}
+}
+
+// TestCacheNotServedToAnotherBinary: a result store serves an entry only to
+// the binary that wrote it. sweep is built twice, plain and with -trimpath,
+// which yields different bytes from the same source; the first binary
+// simulates fig6 into an empty store and is then served all of it, and the
+// second simulates everything again. All three print the same tables.
+func TestCacheNotServedToAnotherBinary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds cmd/sweep twice and runs it three times")
+	}
+	bin := t.TempDir()
+	plain, trimmed := filepath.Join(bin, "plain", "sweep"), filepath.Join(bin, "trimmed", "sweep")
+	for path, flags := range map[string][]string{plain: nil, trimmed: {"-trimpath"}} {
+		args := append(append([]string{"build"}, flags...), "-o", path, "./cmd/sweep")
+		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+	a, errA := os.ReadFile(plain)
+	b, errB := os.ReadFile(trimmed)
+	if errA != nil || errB != nil || bytes.Equal(a, b) {
+		t.Fatalf("the two builds must be readable and differ (%v, %v)", errA, errB)
+	}
+	dir := t.TempDir()
+	sweep := func(exe string) (tables string, cached, ran int) {
+		var o, e bytes.Buffer
+		cmd := exec.Command(exe, "-suite", "fig6", "-fast", "-cache", "cache")
+		cmd.Dir, cmd.Stdout, cmd.Stderr = dir, &o, &e
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%s: %v\n%s", exe, err, e.Bytes())
+		}
+		for _, line := range strings.Split(e.String(), "\n") {
+			switch {
+			case strings.Contains(line, " cached eta="):
+				cached++
+			case strings.Contains(line, "s eta="):
+				ran++
+			}
+		}
+		return o.String(), cached, ran
+	}
+	want, cached, ran := sweep(plain)
+	if cached != 0 || ran != 6 {
+		t.Fatalf("first run on an empty store: %d cached, %d simulated; want 0 and 6", cached, ran)
+	}
+	for _, run := range []struct {
+		exe    string
+		cached int
+	}{{plain, 6}, {trimmed, 0}} {
+		out, cached, ran := sweep(run.exe)
+		if cached != run.cached || cached+ran != 6 {
+			t.Errorf("%s: %d of 6 scenarios cached (%d simulated), want %d", run.exe, cached, ran, run.cached)
+		}
+		if out != want {
+			t.Errorf("%s printed other tables than the first run:\n%s\nwant\n%s", run.exe, out, want)
+		}
 	}
 }
 

@@ -193,7 +193,7 @@ func fftComparisons(specs []FFTSpec, flavors []fft.Flavor, opt RunOptions, trace
 			jobs[i].Key = ""
 		}
 	}
-	rrs, err := runner.Run(jobs, opt.runnerOptions())
+	rrs, err := runner.Run(jobs, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -487,7 +487,7 @@ func FixedMatrix(specs []MicroSpec, limit int, opt RunOptions, trace TraceSink) 
 			jobs = append(jobs, fixedJob(spec, fn, impl, trace))
 		}
 	}
-	rs, err := runner.Run(jobs, opt.runnerOptions())
+	rs, err := runner.Run(jobs, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -540,7 +540,7 @@ func RunVerificationOpts(spec MicroSpec, opt RunOptions, selectors ...string) (*
 			Run:   func() (any, error) { return RunADCL(spec, sel) },
 		})
 	}
-	rs, err := runner.Run(jobs, opt.runnerOptions())
+	rs, err := runner.Run(jobs, opt)
 	if err != nil {
 		return nil, err
 	}

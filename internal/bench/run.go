@@ -1,33 +1,19 @@
 package bench
 
 import (
-	"io"
-
 	"nbctune/internal/fft"
 	"nbctune/internal/runner"
 )
 
 // RunOptions configures how a sweep or verification run executes: worker
-// count, result caching, and progress streaming. The zero value runs on
+// count (<= 0 means GOMAXPROCS, 1 sequential, as the commands' -jobs flag
+// takes it), result caching, and progress streaming. The zero value runs on
 // GOMAXPROCS workers with no cache and no progress.
 //
 // Parallelism is sound because every scenario is an independent,
 // deterministic sim.Engine run: the aggregate built from the ordered
 // results is byte-identical whatever the worker count.
-type RunOptions struct {
-	// Workers is the pool size, as the commands' -jobs flag and
-	// runner.Options take it: <= 0 means GOMAXPROCS, 1 sequential.
-	Workers int
-	// Cache, when non-nil, serves previously completed scenarios from the
-	// content-addressed store and persists new completions into it.
-	Cache *runner.Cache
-	// Progress receives one line per completed scenario.
-	Progress io.Writer
-}
-
-func (o RunOptions) runnerOptions() runner.Options {
-	return runner.Options{Workers: o.Workers, Cache: o.Cache, Progress: o.Progress}
-}
+type RunOptions = runner.Options
 
 // fingerprint content-addresses a job spec, or returns "" (uncacheable) if
 // any part fails to serialize — a missing key degrades to always-run, never

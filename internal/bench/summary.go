@@ -2,13 +2,15 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"nbctune/internal/runner"
 )
+
+// summaryFormat labels the summary format in every SweepSummary's
+// code_version field. It names the layout, not the code that computed the
+// numbers: the committed summaries under results/ carry it.
+const summaryFormat = "nbctune-v1"
 
 // SweepSummary is the machine-readable counterpart of the sweep tables:
 // cmd/sweep writes it to results/sweep_summary.json so downstream tooling
@@ -65,7 +67,7 @@ type SummaryRow struct {
 func (s *SweepStats) Summary() *SweepSummary {
 	sum := &SweepSummary{
 		Suite:       "verification",
-		CodeVersion: runner.CodeVersion,
+		CodeVersion: summaryFormat,
 		Scenarios:   s.Total,
 	}
 	for _, sel := range s.Selectors {
@@ -93,7 +95,7 @@ func (s *SweepStats) Summary() *SweepSummary {
 func (s *FFTSweepStats) Summary() *SweepSummary {
 	sum := &SweepSummary{
 		Suite:       "fft",
-		CodeVersion: runner.CodeVersion,
+		CodeVersion: summaryFormat,
 		Scenarios:   s.Total,
 		FFT: &FFTSummary{
 			Total: s.Total, ADCLFaster: s.ADCLFaster, OnPar: s.OnPar,
@@ -124,21 +126,8 @@ func (s *SweepSummary) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteSummaryFile writes the summary to path, creating parent directories
-// as needed.
+// WriteSummaryFile writes the summary to path atomically, creating parent
+// directories as needed: an interrupted sweep leaves the previous file whole.
 func WriteSummaryFile(path string, s *SweepSummary) error {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("bench: summary dir: %w", err)
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("bench: summary file: %w", err)
-	}
-	if err := s.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return runner.WriteFileAtomic(path, s.WriteJSON)
 }

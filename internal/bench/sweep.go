@@ -172,7 +172,7 @@ func VerificationSweepOpts(specs []MicroSpec, selectors []string, opt RunOptions
 			Note:  verificationNote,
 		}
 	}
-	rs, err := runner.Run(jobs, opt.runnerOptions())
+	rs, err := runner.Run(jobs, opt)
 	if err != nil {
 		return nil, err
 	}

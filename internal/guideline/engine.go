@@ -10,18 +10,13 @@ import (
 	"nbctune/internal/runner"
 )
 
-// Config parameterizes one engine run.
+// Config parameterizes one engine run, which judges the shipped guidelines
+// (Defaults) with the default gates (DefaultTol, DefaultMinEffect).
 type Config struct {
-	// Guidelines to check; nil means Defaults().
-	Guidelines []Guideline
 	// Scenarios is the evaluation matrix (SmokeScenarios/FullScenarios or a
 	// custom list). Every guideline is judged on every scenario whose Op
 	// matches.
 	Scenarios []Scenario
-	// Tol and MinEffect gate violations (Judge); zero values mean
-	// DefaultTol/DefaultMinEffect.
-	Tol       float64
-	MinEffect float64
 	// Adopt runs the feedback loop: every violated guideline that promotes a
 	// mock gets a fresh tuning round on the mock-extended function set, with
 	// the promotion recorded in the selection audit.
@@ -33,20 +28,6 @@ type Config struct {
 	Workers  int
 	Cache    *runner.Cache
 	Progress io.Writer
-}
-
-func (c Config) tol() float64 {
-	if c.Tol > 0 {
-		return c.Tol
-	}
-	return DefaultTol
-}
-
-func (c Config) minEffect() float64 {
-	if c.MinEffect > 0 {
-		return c.MinEffect
-	}
-	return DefaultMinEffect
 }
 
 // SmokeScenarios is the CI-sized matrix: the three mock-checkable
@@ -111,21 +92,13 @@ func FullScenarios(seed int64, chaosSeed int64) []Scenario {
 	return out
 }
 
-// Run checks every configured guideline on every matching scenario. Leaf
+// Run checks every shipped guideline on every matching scenario. Leaf
 // measurements fan out over the experiment runner (parallel, cached,
 // resumable); judgments and the report are computed from the collected
 // samples, so the report is byte-identical for any worker count and for
 // cached versus fresh runs.
 func Run(cfg Config) (*Report, error) {
-	gls := cfg.Guidelines
-	if gls == nil {
-		gls = Defaults()
-	}
-	for _, g := range gls {
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
-	}
+	gls := Defaults()
 
 	// Collect the deduplicated set of leaf measurements the matrix needs.
 	type cell struct {
@@ -188,13 +161,13 @@ func Run(cfg Config) (*Report, error) {
 
 	rep := &Report{
 		SchemaVersion: SchemaVersion,
-		Tol:           cfg.tol(),
-		MinEffect:     cfg.minEffect(),
+		Tol:           DefaultTol,
+		MinEffect:     DefaultMinEffect,
 		Scenarios:     len(cfg.Scenarios),
 		Measurements:  len(jobs),
 	}
 	for _, c := range cells {
-		f, err := judgeCell(c.sc, c.g, cfg, leafOfKey)
+		f, err := judgeCell(c.sc, c.g, leafOfKey)
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +196,7 @@ func leafName(l Leaf) string {
 }
 
 // judgeCell evaluates one (scenario, guideline) pair into a Finding.
-func judgeCell(sc Scenario, g Guideline, cfg Config, get func(Scenario, Leaf) (LeafResult, error)) (Finding, error) {
+func judgeCell(sc Scenario, g Guideline, get func(Scenario, Leaf) (LeafResult, error)) (Finding, error) {
 	lookup := func(l Leaf) ([]float64, error) {
 		r, err := get(sc, l)
 		if err != nil {
@@ -246,7 +219,7 @@ func judgeCell(sc Scenario, g Guideline, cfg Config, get func(Scenario, Leaf) (L
 	if err != nil {
 		return Finding{}, fmt.Errorf("guideline %s on %s: right: %w", g.Name, sc, err)
 	}
-	v := Judge(left, right, cfg.tol(), cfg.minEffect())
+	v := Judge(left, right, DefaultTol, DefaultMinEffect)
 	return Finding{
 		Guideline: g.Name,
 		Kind:      g.Kind,

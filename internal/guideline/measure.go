@@ -9,11 +9,6 @@ import (
 	"nbctune/internal/runner"
 )
 
-// measureVersion salts every leaf fingerprint (on top of runner.CodeVersion)
-// so cached leaf measurements are invalidated when the measurement protocol
-// below changes semantically.
-const measureVersion = "guideline-measure-v1"
-
 // Scenario is one cell of the evaluation matrix: an operation on a simulated
 // machine at a payload size, optionally under a chaos profile. Size follows
 // the per-operation convention of cmd/tune: total bytes for ibcast, bytes
@@ -149,8 +144,9 @@ type LeafResult struct {
 }
 
 // LeafKey is the content address of a leaf measurement for the runner cache.
+// Its kind tag keeps leaves apart from the bench harness's keys.
 func LeafKey(sc Scenario, l Leaf) (string, error) {
-	return runner.Fingerprint(measureVersion, sc.env(), l)
+	return runner.Fingerprint("guideline-leaf", sc.env(), l)
 }
 
 // leafSet builds what a leaf measures — the tuned function set of its

@@ -6,10 +6,10 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"text/tabwriter"
 
 	"nbctune/internal/obs"
+	"nbctune/internal/runner"
 )
 
 // SchemaVersion identifies the report layout. cmd/audit -check (run by make
@@ -75,20 +75,15 @@ type Report struct {
 	Registrations []Registration `json:",omitempty"`
 }
 
-// WriteFile writes the report as indented JSON (trailing newline), creating
-// parent directories. Encoding is deterministic: the report holds no maps
-// and no timestamps.
+// WriteFile writes the report atomically as indented JSON (trailing newline),
+// creating parent directories. Encoding is deterministic: the report holds no
+// maps and no timestamps.
 func (r *Report) WriteFile(path string) error {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return runner.WriteFileAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(r)
+	})
 }
 
 // LoadFile reads a report written by WriteFile.

@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"nbctune/internal/runner"
 )
 
 // DefaultShards is the shard count used when StoreOptions leaves it zero:
@@ -251,11 +254,12 @@ func (s *Store) Flush(force bool) error {
 	}
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	data, err := json.MarshalIndent(snapshotFile{Version: 1, Records: s.Records()}, "", "  ")
+	err := runner.WriteFileAtomic(s.opts.SnapshotPath, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(snapshotFile{Version: 1, Records: s.Records()})
+	})
 	if err != nil {
-		return err
-	}
-	if err := WriteFileAtomic(s.opts.SnapshotPath, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	s.flushes.Add(1)

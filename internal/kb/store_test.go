@@ -212,25 +212,3 @@ func TestAutoFlushCoalesces(t *testing.T) {
 		t.Fatalf("reloaded store has %d records (late found: %v), want 101 with late", st2.Len(), ok)
 	}
 }
-
-func TestWriteFileAtomicReplaces(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "f")
-	if err := WriteFileAtomic(path, []byte("one"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileAtomic(path, []byte("two"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "two" {
-		t.Fatalf("content = %q, want two", data)
-	}
-	info, _ := os.Stat(path)
-	if info.Mode().Perm() != 0o600 {
-		t.Fatalf("perm = %v, want 0600", info.Mode().Perm())
-	}
-}

@@ -5,27 +5,19 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 )
-
-// CodeVersion salts every fingerprint. Bump it whenever a change to the
-// simulator, the collectives, or the selection logics alters measured
-// results: old cache entries then stop matching and re-runs recompute
-// everything instead of serving stale numbers.
-const CodeVersion = "nbctune-v1"
 
 // Fingerprint derives the content address of a job from its full input
 // specification. Each part is canonically JSON-encoded (Go struct fields in
-// declaration order, map keys sorted), length-framed, and hashed together
-// with CodeVersion, so two jobs share an address exactly when they would
-// compute the same result under the current code.
+// declaration order, map keys sorted), length-framed, and hashed, so two jobs
+// share an address exactly when their specs are equal. Which code computed a
+// result is not part of the address: the Cache records that per entry.
 //
 // Parts must be JSON-marshalable; a part that is not (e.g. contains a
 // channel or function value) yields an error and the job should run
 // uncached rather than risk a colliding address.
 func Fingerprint(parts ...any) (string, error) {
 	h := sha256.New()
-	io.WriteString(h, CodeVersion)
 	for _, p := range parts {
 		b, err := json.Marshal(p)
 		if err != nil {

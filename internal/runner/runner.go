@@ -10,8 +10,9 @@
 // order, so aggregation over them is byte-identical whether a sweep ran on
 // one worker or sixteen. That property — plus the determinism of
 // sim.Engine for a fixed seed — is what makes caching sound: a job's
-// fingerprint covers its entire input spec, so equal fingerprints imply
-// equal results.
+// fingerprint covers its entire input spec, so under one build equal
+// fingerprints imply equal results, and the cache serves an entry only to the
+// build that wrote it.
 package runner
 
 import (

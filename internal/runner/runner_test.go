@@ -2,8 +2,12 @@ package runner
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -279,20 +283,12 @@ func TestCacheRejectsCorruptAndForeignEntries(t *testing.T) {
 	}
 	// Entry whose recorded key disagrees with its address.
 	other := mustKey(t, "other")
-	b, _ := json.Marshal(cacheEntry{Key: other, Version: CodeVersion, Value: json.RawMessage(`1`)})
+	b, _ := json.Marshal(cacheEntry{Key: other, Build: cache.build, Value: json.RawMessage(`1`)})
 	if err := os.WriteFile(cache.Path(key), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := cache.Get(key); ok {
 		t.Fatal("mismatched entry served as a hit")
-	}
-	// Entry from an older code version.
-	b, _ = json.Marshal(cacheEntry{Key: key, Version: "stale-v0", Value: json.RawMessage(`1`)})
-	if err := os.WriteFile(cache.Path(key), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cache.Get(key); ok {
-		t.Fatal("stale-version entry served as a hit")
 	}
 	// A Put over the bad entry must repair it.
 	if err := cache.Put(key, "fixed", json.RawMessage(`42`)); err != nil {
@@ -301,6 +297,100 @@ func TestCacheRejectsCorruptAndForeignEntries(t *testing.T) {
 	raw, ok := cache.Get(key)
 	if !ok || string(raw) != "42" {
 		t.Fatalf("repaired entry: ok=%v raw=%s", ok, raw)
+	}
+}
+
+// TestCacheEntriesCarryTheBuild: an entry records the SHA-256 of the
+// executable that opened the store; an entry of any other build is a miss
+// however well it matches otherwise, and Put repairs it.
+func TestCacheEntriesCarryTheBuild(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := os.ReadFile(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(bin)
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := mustKey(t, "build-test")
+	entry := func() cacheEntry {
+		t.Helper()
+		var e cacheEntry
+		b, err := os.ReadFile(cache.Path(key))
+		if err == nil {
+			err = json.Unmarshal(b, &e)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	if err := cache.Put(key, "lbl", json.RawMessage(`7`)); err != nil {
+		t.Fatal(err)
+	}
+	e := entry()
+	if want := hex.EncodeToString(sum[:]); e.Build != want {
+		t.Fatalf("entry written by build %q, want the test binary's %q", e.Build, want)
+	}
+	for _, other := range []string{"", strings.Repeat("0", 64), e.Build[:63] + "x"} {
+		e.Build = other
+		b, _ := json.Marshal(e)
+		if err := os.WriteFile(cache.Path(key), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := cache.Get(key); ok {
+			t.Fatalf("entry of build %q served as a hit: %s", other, v)
+		}
+		if err := cache.Put(key, "lbl", json.RawMessage(`7`)); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := cache.Get(key); !ok || string(v) != "7" {
+			t.Fatalf("repaired entry: ok=%v value=%s", ok, v)
+		}
+	}
+}
+
+// TestWriteFileAtomicReplaces: a write replaces the file whole, mode 0644,
+// creating its directory; a write that fails leaves the previous file as it
+// was and no temp file beside it.
+func TestWriteFileAtomicReplaces(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sub", "f")
+	write := func(data string, err error) error {
+		return WriteFileAtomic(path, func(w io.Writer) error {
+			if _, werr := io.WriteString(w, data); werr != nil {
+				return werr
+			}
+			return err
+		})
+	}
+	if err := write("one", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := write("two", nil); err != nil {
+		t.Fatal(err)
+	}
+	interrupted := errors.New("interrupted")
+	if err := write("thr", interrupted); !errors.Is(err, interrupted) {
+		t.Fatalf("failed write returned %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "two" {
+		t.Fatalf("content = %q, want two", data)
+	}
+	info, _ := os.Stat(path)
+	if info.Mode().Perm() != 0o644 {
+		t.Fatalf("perm = %v, want 0644", info.Mode().Perm())
+	}
+	if ents, _ := os.ReadDir(filepath.Dir(path)); len(ents) != 1 {
+		t.Fatalf("directory holds %d files, want only f", len(ents))
 	}
 }
 
@@ -335,5 +425,8 @@ func TestCachePutIsAtomic(t *testing.T) {
 func TestOpenCacheEmptyDirRejected(t *testing.T) {
 	if _, err := OpenCache(""); err == nil {
 		t.Fatal("empty dir accepted")
+	}
+	if _, err := OpenCache("-fast"); err == nil || !strings.Contains(err.Error(), "looks like a flag") {
+		t.Fatalf("a flag taken for a directory: %v", err)
 	}
 }
