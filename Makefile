@@ -42,22 +42,21 @@ race:
 # committed results/. Shard-count identity of sweeps, traces and audits is
 # tier-1 (TestPDESDeterminismMatrix, again under `make race`); row 2 proves
 # that a chaos profile and the put functions reach the sharded engine
-# through the CLI, row 3 that an audit served from the result cache it just
-# wrote reproduces the committed report, row 4 that -shards reaches a sweep's
-# specs. Rows 5 and 6 pin the two figure artifacts no test names.
+# through the CLI, row 3 that a guideline audit served from the result cache
+# it just wrote reproduces the committed report, row 4 that -shards reaches
+# a sweep's specs. Rows 5 and 6 pin the two figure artifacts no test names.
 e2e:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	$(GO) build -o "$$d/" ./cmd/tune ./cmd/sweep ./cmd/audit; \
+	$(GO) build -o "$$d/" ./cmd/tune ./cmd/sweep; \
 	for p in 1 8; do GOMAXPROCS=$$p "$$d/tune" -op ialltoall -np 8 -msg 65536 -compute 0.005 -iters 5 -selector speculative+brute-force -metrics "$$d/spec_p$$p.json" > /dev/null; done; \
 	cmp "$$d/spec_p1.json" "$$d/spec_p8.json"; \
 	echo "e2e 1/6: speculative tune decision artifact byte-identical at GOMAXPROCS 1 and 8 (candidate workers)"; \
 	for s in 2 4; do "$$d/tune" -op ialltoall-prim -chaos congested -np 32 -msg 65536 -compute 0.005 -iters 20 -shards $$s -metrics "$$d/tune_s$$s.json" > /dev/null; done; \
 	cmp "$$d/tune_s2.json" "$$d/tune_s4.json"; \
 	echo "e2e 2/6: tune -op ialltoall-prim -chaos congested -shards: metrics + selection audit byte-identical at 2 and 4 shards"; \
-	for run in cold cached; do "$$d/audit" -matrix smoke -quiet -cache "$$d/cache" -out "$$d/guideline_$$run.json" > /dev/null; \
+	for run in cold cached; do "$$d/sweep" -suite guidelines -fast -quiet -cache "$$d/cache" -out "$$d/guideline_$$run.json" > /dev/null; \
 	cmp "$$d/guideline_$$run.json" results/guideline_report.json; done; \
-	"$$d/audit" -check results/guideline_report.json; \
-	echo "e2e 3/6: audit -matrix smoke reproduces the committed report, cold and from the cache it just wrote; the report passes audit -check"; \
+	echo "e2e 3/6: sweep -suite guidelines -fast reproduces the committed report, cold and from the cache it just wrote"; \
 	"$$d/sweep" -suite scale -fast -quiet -shards 2 -out "$$d/scale.json" > /dev/null; \
 	echo "e2e 4/6: fast scale sweep runs through the CLI on 2 shards"; \
 	"$$d/sweep" -suite figs-micro -fast -quiet | cmp - results/microbench.txt; \

@@ -10,6 +10,9 @@
 //   - suites "fig2".."fig7" and "fig9".."fig12": one paper figure each; the
 //     bundles "figs-micro" and "figs-fft" print results/microbench.txt and
 //     results/fftbench.txt. -fast is the scale of the committed files.
+//   - suite "guidelines" (E14): the performance-guideline audit
+//     (internal/guideline); every violated guideline's mock is adopted into
+//     a fresh tuning round, and -history files the mocks the selector chose.
 //
 // Scenarios execute on the experiment runner (internal/runner): -jobs
 // parallelizes across a worker pool, -cache DIR persists every completed
@@ -17,7 +20,7 @@
 // nearly free and an interrupted sweep resumes where it stopped. Aggregated
 // output is byte-identical for every -jobs value and for cached vs fresh runs.
 // Alongside the tables, the aggregate suites write a machine-readable
-// summary to -out.
+// summary (for guidelines, the report) to -out.
 //
 // Example:
 //
@@ -25,6 +28,7 @@
 //	sweep -suite fft
 //	sweep -suite fig6 -fast -observe       # Fig 6 with the overlap column
 //	sweep -suite fig9 -fast -trace traces/ # one Perfetto timeline per run
+//	sweep -suite guidelines -fast          # results/guideline_report.json
 package main
 
 import (
@@ -40,6 +44,7 @@ import (
 	"nbctune/internal/core"
 	"nbctune/internal/kb"
 	"nbctune/internal/obs"
+	"nbctune/internal/platform"
 	"nbctune/internal/runner"
 )
 
@@ -51,13 +56,13 @@ func main() {
 		quiet    = flag.Bool("quiet", false, "suppress per-scenario progress lines")
 		jobs     = flag.Int("jobs", 0, "parallel scenario workers (0 = GOMAXPROCS, 1 = sequential)")
 		cacheDir = flag.String("cache", "", "result store directory: serve and persist scenario results there, for this build of sweep only; an interrupted sweep resumes from it (empty = no store)")
-		out      = flag.String("out", "", "machine-readable summary path (default: the committed results/ file of verification, fft and scale, none for figure suites; empty disables)")
+		out      = flag.String("out", "", "machine-readable summary path (default: the committed results/ file of verification, fft, scale and guidelines, none for figure suites; empty disables)")
 		observe  = flag.Bool("observe", false, "attach obs recorders so summary rows and the Fig 6 table carry overlap ratios (timing-neutral)")
 		traceDir = flag.String("trace", "", "directory for one Chrome trace-event JSON per run of a figure matrix (fig3..fig7, fig9..fig12; open in Perfetto)")
 		data     = flag.Bool("data", false, "real payloads with per-iteration data verification (virtual times unchanged; slower)")
 		chaosStr = flag.String("chaos", "off", "fault/noise injection profile: off, "+strings.Join(profiles.Names(), ", "))
 		chaosSd  = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
-		histPath = flag.String("history", "", "file every scenario's tuned winner in this history file, the one tune -history reads")
+		histPath = flag.String("history", "", "file every scenario's tuned winner (guidelines: every adopted mock) in this history file, the one tune -history reads")
 		specOn   = flag.Bool("speculate", false, "run the suite's selectors as speculative+<selector>: every candidate measured on its own copy of the world")
 		shardStr = flag.String("shards", "", "run every scenario on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
 	)
@@ -77,20 +82,50 @@ func main() {
 	// The file holds the last suite's summary; whether there will be one is
 	// known from the suite, before hours of simulation.
 	if *out != "" && !suites[len(suites)-1].Summarizes() {
-		fail(fmt.Errorf("-out: %s has no machine-readable summary (verification, fft, scale and fig2 do)", *suite))
+		fail(fmt.Errorf("-out: %s has no machine-readable summary (verification, fft, scale, fig2 and guidelines do)", *suite))
 	}
-	// Speculation and the history file both act on the suite's selectors: a
-	// suite that runs none would ignore -speculate and has no winner to file.
-	selects := false
+	if _, err := profiles.ByName(*chaosStr); err != nil {
+		fail(err)
+	}
+	chaosName := *chaosStr
+	if chaosName == "off" {
+		chaosName = "" // canonical clean spelling: specs fingerprint identically to pre-chaos runs
+	}
+
+	// A flag is refused, not ignored, when no suite of the run acts on it.
+	// Speculation acts on the suite's selectors, the history file on their
+	// winners and on the guideline audit's adopted mocks, -trace on the runs
+	// of a per-implementation or per-flavor matrix.
+	var selects, traces, audits bool
 	for _, s := range suites {
 		selects = selects || len(s.Selectors) > 0
+		traces = traces || s.Traces()
+		audits = audits || s.Guidelines != nil
 	}
-	const noSelector = "-%s: %s runs no selection logic (verification, scale and fig2 do)"
+	if audits {
+		// A guideline leaf is a virtual measurement, unobserved, on the
+		// sequential engine (DESIGN.md §5).
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"observe", *observe}, {"data", *data}, {"shards", *shardStr != ""}, {"speculate", *specOn}} {
+			if f.set {
+				fail(fmt.Errorf("-%s: guidelines measures unobserved virtual leaves on the sequential engine", f.name))
+			}
+		}
+		if !*fast && chaosName != "" {
+			fail(fmt.Errorf("-chaos: the full guidelines grid runs its own clean and congested machines (-fast takes a profile)"))
+		}
+	}
+	const noSelector = "-%s: %s runs no selection logic (%s do)"
 	if *specOn && !selects {
-		fail(fmt.Errorf(noSelector, "speculate", *suite))
+		fail(fmt.Errorf(noSelector, "speculate", *suite, "verification, scale and fig2"))
 	}
-	if *histPath != "" && !selects {
-		fail(fmt.Errorf(noSelector, "history", *suite))
+	if *histPath != "" && !selects && !audits {
+		fail(fmt.Errorf(noSelector, "history", *suite, "verification, scale, fig2 and guidelines"))
+	}
+	if *traceDir != "" && !traces {
+		fail(fmt.Errorf("-trace: %s exports no trace (fig3..fig7 and fig9..fig12 do)", *suite))
 	}
 	if *specOn {
 		// Speculation is a selector name: each selector a suite runs becomes
@@ -111,14 +146,6 @@ func main() {
 	shards, pdes, err := bench.ParseShards(*shardStr)
 	if err != nil {
 		fail(err)
-	}
-
-	if _, err := profiles.ByName(*chaosStr); err != nil {
-		fail(err)
-	}
-	chaosName := *chaosStr
-	if chaosName == "off" {
-		chaosName = "" // canonical clean spelling: specs fingerprint identically to pre-chaos runs
 	}
 
 	var progress io.Writer = os.Stderr
@@ -142,7 +169,7 @@ func main() {
 		trace = func(cell string, rec *obs.Recorder) error { return writeTrace(*traceDir, cell, rec) }
 	}
 
-	var summary *bench.SweepSummary
+	var last *bench.Outcome
 	var learned []kb.Record
 	for i := range suites {
 		s := &suites[i]
@@ -163,6 +190,15 @@ func main() {
 				f.Chaos, f.ChaosSeed = chaosName, *chaosSd
 			}
 		}
+		// Every guideline scenario takes -chaos-seed; -chaos reaches only the
+		// fast grid, the full one refusing it above.
+		for j := range s.Guidelines {
+			g := &s.Guidelines[j]
+			g.ChaosSeed = *chaosSd
+			if chaosName != "" {
+				g.Chaos = chaosName
+			}
+		}
 		o, err := s.Run(opt, trace)
 		if err != nil {
 			fail(err)
@@ -175,12 +211,12 @@ func main() {
 			}
 			fmt.Println()
 		}
-		summary = o.Summary
+		last = o
 		learned = append(learned, winners(o)...)
 	}
 
 	if *out != "" {
-		if err := bench.WriteSummaryFile(*out, summary); err != nil {
+		if err := last.WriteFile(*out); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "summary written to %s\n", *out)
@@ -193,24 +229,39 @@ func main() {
 	}
 }
 
-// winners are the tuned decisions of a verification sweep in the form tune
-// -history looks them up: keyed by the same (HistoryKey, EnvFingerprint)
-// pair. Each verification run measured every fixed implementation, so the
-// per-scenario best is exactly what a tuner would commit. The other suites
-// decide nothing a command looks up (a 3D-FFT kernel's winner has no tune
+// winners are the tuned decisions of a run in the form tune -history looks
+// them up: keyed by the same (HistoryKey, EnvFingerprint) pair. Each
+// verification run measured every fixed implementation, so the per-scenario
+// best is exactly what a tuner would commit. A guideline audit contributes
+// every mock its tuning round adopted, with the evaluations that cost — tune
+// replays a recorded catalogue mock of its op. The other suites decide
+// nothing a command looks up (a 3D-FFT kernel's winner has no tune
 // scenario), so they have nothing to file.
 func winners(o *bench.Outcome) []kb.Record {
-	if o.Verification == nil {
-		return nil
-	}
 	var recs []kb.Record
-	for _, v := range o.Verification.Runs {
-		recs = append(recs, kb.Record{
-			Key:    core.HistoryKey(v.Spec.Op, v.Spec.Platform.Name, v.Spec.Procs, v.Spec.MsgSize),
-			Env:    core.EnvFingerprint(v.Spec.Platform.Net.Topology.String(), v.Spec.Chaos, v.Spec.ChaosSeed),
-			Winner: v.Fixed[v.Best].Impl,
-			Score:  v.Fixed[v.Best].Total,
-		})
+	switch {
+	case o.Verification != nil:
+		for _, v := range o.Verification.Runs {
+			recs = append(recs, kb.Record{
+				Key:    core.HistoryKey(v.Spec.Op, v.Spec.Platform.Name, v.Spec.Procs, v.Spec.MsgSize),
+				Env:    core.EnvFingerprint(v.Spec.Platform.Net.Topology.String(), v.Spec.Chaos, v.Spec.ChaosSeed),
+				Winner: v.Fixed[v.Best].Impl,
+				Score:  v.Fixed[v.Best].Total,
+			})
+		}
+	case o.Guidelines != nil:
+		for _, reg := range o.Guidelines.Registrations {
+			pl, err := platform.ByName(reg.Scenario.Platform)
+			if !reg.Adopted || err != nil {
+				continue
+			}
+			recs = append(recs, kb.Record{
+				Key:    core.HistoryKey(reg.Op, reg.Scenario.Platform, reg.Scenario.Procs, reg.Scenario.Size),
+				Env:    core.EnvFingerprint(pl.Net.Topology.String(), reg.Scenario.Chaos, reg.Scenario.ChaosSeed),
+				Winner: reg.Chosen,
+				Evals:  reg.Evals,
+			})
+		}
 	}
 	return recs
 }
@@ -257,6 +308,8 @@ func defaultOut(suite string) string {
 		return "results/sweep_summary_fft.json"
 	case "scale":
 		return "results/scale_summary.json"
+	case "guidelines":
+		return "results/guideline_report.json"
 	}
 	return ""
 }

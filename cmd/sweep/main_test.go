@@ -11,11 +11,12 @@ import (
 
 	"nbctune/internal/bench"
 	"nbctune/internal/core"
+	"nbctune/internal/guideline"
 	"nbctune/internal/kb"
 	"nbctune/internal/platform"
 )
 
-// TestDefaultOut pins the suite -> summary path table against the three
+// TestDefaultOut pins the suite -> summary path table against the four
 // committed artifacts: a suite run without -out must only ever rewrite its
 // own file, and a figure suite or bundle none.
 func TestDefaultOut(t *testing.T) {
@@ -23,6 +24,7 @@ func TestDefaultOut(t *testing.T) {
 		"verification": "results/sweep_summary.json",
 		"fft":          "results/sweep_summary_fft.json",
 		"scale":        "results/scale_summary.json",
+		"guidelines":   "results/guideline_report.json",
 	}
 	for _, suite := range append(bench.SuiteNames(), "nonesuch") {
 		if got := defaultOut(suite); got != want[suite] {
@@ -49,10 +51,12 @@ func TestUnknownSuite(t *testing.T) {
 }
 
 // TestShareKB: -history files the best fixed implementation of every
-// verification scenario, with its score, under the key and environment tune
+// verification scenario, with its score, and every mock a guideline audit
+// adopted, with the evaluations that cost, under the key and environment tune
 // -history looks up, into a file kb.Open reads back; a stored better score
-// keeps its record. A suite whose decisions no command looks up — the 3D-FFT
-// sweep — yields no records (and is refused before it runs; TestRefusals).
+// keeps its record, and a registration the audit did not adopt is not filed.
+// A suite whose decisions no command looks up — the 3D-FFT sweep — yields no
+// records (and is refused before it runs; TestRefusals).
 func TestShareKB(t *testing.T) {
 	plat, err := platform.ByName("crill")
 	if err != nil {
@@ -69,6 +73,11 @@ func TestShareKB(t *testing.T) {
 		run(8, "", "ibcast-binomial-seg32k", 0.5),
 		run(8, "congested", "ibcast-chain-seg32k", 0.7),
 	}}}
+	sc := guideline.Scenario{Platform: "whale-tcp", Procs: 8, Size: 262144}
+	audit := &bench.Outcome{Guidelines: &guideline.Report{Registrations: []guideline.Registration{
+		{Op: "ibcast", Scenario: sc, Chosen: core.MockIbcastScatterAllgather, Adopted: true, Evals: 66},
+		{Op: "ialltoall", Scenario: sc, Chosen: "ialltoall-linear"}, // not adopted: not filed
+	}}}
 	path := filepath.Join(t.TempDir(), "h.json")
 	hist, err := kb.Open(kb.StoreOptions{SnapshotPath: path})
 	if err != nil {
@@ -77,7 +86,7 @@ func TestShareKB(t *testing.T) {
 	better := kb.Record{Key: core.HistoryKey("ibcast", "crill", 8, 1024), Env: "chaos=congested#3", Winner: "kept", Score: 0.1}
 	hist.Put(better)
 	var diag bytes.Buffer
-	if err := fileWinners(hist, path, winners(o), &diag); err != nil || diag.String() != "1 tuned winners filed in "+path+"\n" {
+	if err := fileWinners(hist, path, append(winners(o), winners(audit)...), &diag); err != nil || diag.String() != "2 tuned winners filed in "+path+"\n" {
 		t.Fatalf("fileWinners: error %v, said %q", err, diag.String())
 	}
 	file, err := kb.Open(kb.StoreOptions{SnapshotPath: path})
@@ -87,6 +96,7 @@ func TestShareKB(t *testing.T) {
 	want := []kb.Record{
 		{Key: core.HistoryKey("ibcast", "crill", 8, 1024), Winner: "ibcast-binomial-seg32k", Score: 0.5},
 		better,
+		{Key: core.HistoryKey("ibcast", "whale-tcp", 8, 262144), Winner: core.MockIbcastScatterAllgather, Evals: 66},
 	}
 	for _, w := range want {
 		if got, ok := file.Lookup(w.Key, w.Env); !ok || got != w {
@@ -133,9 +143,13 @@ func sweep(t *testing.T, args string) (int, string) {
 // and exit status 1, before any simulation: a negative worker count (0 is
 // GOMAXPROCS; -1 used to be too), -speculate or -history on a suite that
 // runs no selector (the first used to be ignored, the second to run the
-// whole suite before saying it had nothing to share), and a -cache directory
-// that is the next flag (what the old boolean -cache parses to). The unknown
-// suite makes a missing worker-count refusal fail fast on the wrong message.
+// whole suite before saying it had nothing to share), -trace on a suite that
+// exports no trace (it used to leave an empty directory), a flag the
+// guideline audit's unobserved sequential leaves cannot take, -chaos on the
+// full guideline grid, which has its own clean and congested axis, and a
+// -cache directory that is the next flag (what the old boolean -cache parses
+// to). The unknown suite makes a missing worker-count refusal fail fast on
+// the wrong message.
 func TestRefusals(t *testing.T) {
 	for args, want := range map[string]string{
 		"-jobs -1 -suite nonesuch":                  "worker count",
@@ -143,6 +157,12 @@ func TestRefusals(t *testing.T) {
 		"-history h.json -suite fft":                "-history: fft runs no selection logic",
 		"-history missing/h.json -suite fig2 -fast": "no such file or directory",
 		"-suite fig2 -cache -fast":                  "looks like a flag",
+		"-trace t -suite verification -fast":        "-trace: verification exports no trace",
+		"-observe -suite guidelines -fast":          "-observe: guidelines measures unobserved",
+		"-data -suite guidelines -fast":             "-data: guidelines measures unobserved",
+		"-shards 2 -suite guidelines -fast":         "-shards: guidelines measures unobserved",
+		"-speculate -suite guidelines -fast":        "-speculate: guidelines measures unobserved",
+		"-chaos congested -suite guidelines":        "-chaos: the full guidelines grid",
 	} {
 		if code, stderr := sweep(t, args); code != 1 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, want) {
 			t.Errorf("sweep %s: exit status %d, stderr %q; want exit status 1 and one line containing %q", args, code, stderr, want)

@@ -2,11 +2,12 @@
 // and prints the full tuning report: every implementation's robust score,
 // sample counts, the decision, and the learning cost. With -history it
 // persists the winner in a knowledge-base snapshot (internal/kb, the file
-// sweep -history and audit -history also write) and reuses it on the next
-// invocation (ADCL's historic learning). With -verify it then applies the
-// paper's verification-run methodology (§IV-A, Fig 2) to the same scenario: every
-// fixed implementation is measured beside the selector and the winner is
-// judged correct when it is within 5% of the best fixed run.
+// sweep -history also writes, for -suite guidelines every adopted mock) and
+// reuses it on the next invocation (ADCL's historic learning). With -verify
+// it then applies the paper's verification-run methodology (§IV-A, Fig 2) to
+// the same scenario: every fixed implementation is measured beside the
+// selector and the winner is judged correct when it is within 5% of the best
+// fixed run.
 //
 // Examples:
 //
@@ -110,8 +111,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	prior, hit := store.Lookup(histKey, env)
-	// A guideline mock the audit promoted (audit -history) is no member of the
-	// op's own set: it joins it for this session, as it did in the audit.
+	// A guideline mock the audit promoted (sweep -suite guidelines -history)
+	// is no member of the op's own set: it joins it for this session, as it
+	// did in the audit.
 	if def, ok := core.MockByName(prior.Winner); hit && ok && def.Op == *opName {
 		mspec.Mocks = []string{prior.Winner}
 	}

@@ -274,16 +274,16 @@ func TestPerfModuleBuilds(t *testing.T) {
 }
 
 // TestAuditHistoryTuneLoop closes the audit -> history -> tune loop with the
-// built commands and no other channel between them: the smoke audit adopts
-// the scatter+allgather mock for 256 KB broadcasts on whale-tcp and files it
-// in h.json, and tune on that scenario replays the mock from the file without
-// measuring anything.
+// built commands and no other channel between them: the fast guideline suite
+// adopts the scatter+allgather mock for 256 KB broadcasts on whale-tcp and
+// files it in h.json, and tune on that scenario replays the mock from the
+// file without measuring anything.
 func TestAuditHistoryTuneLoop(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs cmd/audit and cmd/tune")
+		t.Skip("builds and runs cmd/sweep and cmd/tune")
 	}
 	bin := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/audit", "./cmd/tune").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/sweep", "./cmd/tune").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	dir := t.TempDir()
@@ -296,12 +296,12 @@ func TestAuditHistoryTuneLoop(t *testing.T) {
 		}
 		return o.String(), e.String()
 	}
-	if _, diag := command("audit", "-matrix", "smoke", "-quiet", "-out", "r.json", "-history", "h.json"); !strings.Contains(diag, "1 adopted winners filed in h.json") {
-		t.Fatalf("audit did not file the adopted mock:\n%s", diag)
+	if _, diag := command("sweep", "-suite", "guidelines", "-fast", "-quiet", "-out", "r.json", "-history", "h.json"); !strings.Contains(diag, "1 tuned winners filed in h.json") {
+		t.Fatalf("sweep did not file the adopted mock:\n%s", diag)
 	}
 	out, _ := command("tune", "-op", "ibcast", "-platform", "whale-tcp", "-np", "16", "-msg", "262144", "-history", "h.json")
 	if !strings.HasPrefix(out, "history hit for ") || !strings.Contains(out, "decision: "+core.MockIbcastScatterAllgather+" after 0 measurements") {
-		t.Fatalf("tune did not replay the mock audit filed:\n%s", out)
+		t.Fatalf("tune did not replay the mock sweep filed:\n%s", out)
 	}
 }
 

@@ -5,23 +5,26 @@ import (
 	"strings"
 
 	"nbctune/internal/fft"
+	"nbctune/internal/guideline"
 	"nbctune/internal/platform"
 )
 
 // The catalogue: every scenario grid the repository runs, defined once. The
 // three aggregate suites reproduce the paper's statistics (§IV-A, §IV-B) and
 // the E15 scale sweep; one suite per paper figure reproduces Figs 2-7
-// (micro-benchmark) and Figs 9-12 (3D-FFT kernel). fast=true is the scale of
-// the committed results/ files; fast=false approaches the paper's process and
+// (micro-benchmark) and Figs 9-12 (3D-FFT kernel); the guidelines suite is
+// the E14 performance-guideline audit. fast=true is the scale of the
+// committed results/ files; fast=false approaches the paper's process and
 // iteration counts. cmd/sweep -suite NAME runs any of them.
 
 // Suite is one named scenario grid and the way it is measured and rendered.
 // A driver may rewrite the run-wide spec fields (Observe, Data, Chaos, PDES)
 // of every scenario before calling Run.
 type Suite struct {
-	Name  string
-	Micro []MicroSpec // micro-benchmark scenarios, or
-	FFT   []FFTSpec   // 3D-FFT kernel scenarios
+	Name       string
+	Micro      []MicroSpec          // micro-benchmark scenarios, or
+	FFT        []FFTSpec            // 3D-FFT kernel scenarios, or
+	Guidelines []guideline.Scenario // guideline-audit scenarios
 
 	// Selectors, on a micro suite, runs the verification methodology: every
 	// fixed implementation beside these ADCL selectors, one runner job per
@@ -48,21 +51,40 @@ type Outcome struct {
 	// Summary is the machine-readable form of the aggregate statistics; nil
 	// for the figure matrices, which have none.
 	Summary *SweepSummary
+	// Guidelines is the guideline suite's report, its machine-readable form
+	// in place of a Summary.
+	Guidelines *guideline.Report
 }
 
-// Summarizes reports whether Run fills Outcome.Summary: the aggregate suites
-// (a verification methodology, or the §IV-B statistic) do, the
-// per-implementation and per-flavor matrices have none. A driver asked for a
-// summary file decides from it before anything runs.
+// WriteFile writes the outcome's machine-readable form, the guideline
+// report or the summary, to path.
+func (o *Outcome) WriteFile(path string) error {
+	if o.Guidelines != nil {
+		return o.Guidelines.WriteFile(path)
+	}
+	return WriteSummaryFile(path, o.Summary)
+}
+
+// Summarizes reports whether Run fills Outcome.Summary or
+// Outcome.Guidelines: the aggregate suites (a verification methodology, the
+// §IV-B statistic, the guideline audit) do, the per-implementation and
+// per-flavor matrices have none. A driver asked for a summary file decides
+// from it before anything runs.
 func (s *Suite) Summarizes() bool {
 	return s.Selectors != nil || s.Micro == nil && s.Flavors == nil
+}
+
+// Traces reports whether Run hands recorders to its trace sink: only the
+// per-implementation and per-flavor matrices run one traceable world per job.
+func (s *Suite) Traces() bool {
+	return s.Selectors == nil && (s.Micro != nil || s.Flavors != nil)
 }
 
 // Run executes the suite's scenarios on the experiment runner and renders
 // its tables. A non-nil trace receives the recorder of every run of a
 // per-implementation or per-flavor matrix (the suites that fill Outcome.Fixed
-// or Outcome.Cells); the aggregate suites run whole verifications or
-// comparisons per job and export none.
+// or Outcome.Cells); the aggregate suites run whole verifications,
+// comparisons or guideline leaves per job and export none.
 func (s *Suite) Run(opt RunOptions, trace TraceSink) (*Outcome, error) {
 	o := &Outcome{}
 	var err error
@@ -75,6 +97,11 @@ func (s *Suite) Run(opt RunOptions, trace TraceSink) (*Outcome, error) {
 		o.Fixed, err = FixedMatrix(s.Micro, s.Impls, opt, trace)
 	case s.Flavors != nil:
 		o.Cells, err = fftComparisons(s.FFT, s.Flavors, opt, trace)
+	case s.Guidelines != nil:
+		o.Guidelines, err = guideline.Run(guideline.Config{
+			Scenarios: s.Guidelines, Adopt: true,
+			Workers: opt.Workers, Cache: opt.Cache, Progress: opt.Progress,
+		})
 	default:
 		if o.FFT, err = FFTSweepOpts(s.FFT, opt); err == nil {
 			o.Summary = o.FFT.Summary()
@@ -100,6 +127,7 @@ var catalogue = []struct {
 	{"scale", scaleSuite},
 	{"fig2", fig2}, {"fig3", fig3}, {"fig4", fig4}, {"fig5", fig5}, {"fig6", fig6}, {"fig7", fig7},
 	{"fig9", fig9}, {"fig10", fig10}, {"fig11", fig11}, {"fig12", fig12},
+	{"guidelines", guidelines},
 }
 
 // bundles name several suites run back to back: the content of
@@ -466,4 +494,42 @@ func fig12(fast bool) Suite {
 	return fftFigure("Fig 12: 3D FFT BlueGene/P-like — extended ADCL vs MPI vs LibNBC (scaled from 1024 ranks)",
 		[]string{"bgp"}, []int{pick(fast, 128, 256)}, pick(fast, 20, 40), 121,
 		fft.FlavorADCLExt, fft.FlavorMPI, fft.FlavorNBC)
+}
+
+// guidelines: the E14 audit of Hunold-style performance guidelines
+// (internal/guideline), every violated dominance guideline's mock adopted
+// into a fresh tuning round. The fast grid is results/guideline_report.json's
+// clean smoke matrix; the full grid has its own clean/congested axis.
+func guidelines(fast bool) Suite {
+	scenarios := guideline.FullScenarios(42, 1)
+	if fast {
+		scenarios = guideline.SmokeScenarios(42, "", 1)
+	}
+	return Suite{Guidelines: scenarios, tables: guidelineTables}
+}
+
+// guidelineTables renders a guideline report: one row per finding, then the
+// feedback loop's registrations, if any.
+func guidelineTables(_ *Suite, o *Outcome) []*Table {
+	r := o.Guidelines
+	t := NewTable(fmt.Sprintf("Guideline report: %d findings over %d scenarios (%d leaf measurements), %d violations, tol %.0f%%, min effect %.2f",
+		len(r.Findings), r.Scenarios, r.Measurements, r.Violations, r.Tol*100, r.MinEffect),
+		"verdict", "guideline", "scenario", "left", "right", "delta", "rel-shift")
+	for _, f := range r.Findings {
+		verdict := "ok"
+		if f.Violated {
+			verdict = "VIOLATED"
+		}
+		t.AddRow(verdict, f.Guideline, f.Scenario, fmt.Sprintf("%.3gs", f.Left.Score), fmt.Sprintf("%.3gs", f.Right.Score),
+			fmt.Sprintf("%+.2f", f.CliffDelta), fmt.Sprintf("%+.1f%%", f.RelShift*100))
+	}
+	if len(r.Registrations) == 0 {
+		return []*Table{t}
+	}
+	reg := NewTable(fmt.Sprintf("Feedback loop: %d mock registrations (adopted = the selector chose the mock)", len(r.Registrations)),
+		"guideline", "mock", "scenario", "winner", "evals", "adopted")
+	for _, g := range r.Registrations {
+		reg.AddRow(g.Guideline, g.Mock, g.Scenario, g.Chosen, g.Evals, g.Adopted)
+	}
+	return []*Table{t, reg}
 }

@@ -3,8 +3,8 @@ package bench
 import "testing"
 
 // TestCatalogue checks the catalogue as data: every name resolves at both
-// scales, and the fast figure grids have the scenario counts and seeds of the
-// committed results/microbench.txt and results/fftbench.txt.
+// scales, and the fast grids have the scenario counts and seeds of the
+// committed results/ files.
 func TestCatalogue(t *testing.T) {
 	for _, name := range SuiteNames() {
 		for _, fast := range []bool{true, false} {
@@ -13,9 +13,15 @@ func TestCatalogue(t *testing.T) {
 				t.Fatalf("%s fast=%v: %v", name, fast, err)
 			}
 			for _, s := range suites {
-				if (len(s.Micro) == 0) == (len(s.FFT) == 0) {
-					t.Errorf("%s fast=%v: member %s has %d micro and %d FFT scenarios, want exactly one kind",
-						name, fast, s.Name, len(s.Micro), len(s.FFT))
+				kinds := 0
+				for _, n := range []int{len(s.Micro), len(s.FFT), len(s.Guidelines)} {
+					if n > 0 {
+						kinds++
+					}
+				}
+				if kinds != 1 {
+					t.Errorf("%s fast=%v: member %s has %d micro, %d FFT and %d guideline scenarios, want exactly one kind",
+						name, fast, s.Name, len(s.Micro), len(s.FFT), len(s.Guidelines))
 				}
 			}
 		}
@@ -40,6 +46,7 @@ func TestCatalogue(t *testing.T) {
 		{"fig10", 8, 92, 1, false},
 		{"fig11", 16, 92, 1, false},
 		{"fig12", 4, 122, 1, false},
+		{"guidelines", 14, 42, 0, true},
 	}
 	if len(figures) != len(catalogue) {
 		t.Errorf("%d suites pinned, catalogue has %d", len(figures), len(catalogue))
@@ -55,6 +62,9 @@ func TestCatalogue(t *testing.T) {
 		}
 		for _, s := range suites[0].FFT {
 			seeds = append(seeds, s.Seed)
+		}
+		for _, g := range suites[0].Guidelines {
+			seeds = append(seeds, g.Seed)
 		}
 		if got := suites[0].Summarizes(); got != f.summary {
 			t.Errorf("%s: Summarizes() = %v, want %v", f.name, got, f.summary)

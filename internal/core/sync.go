@@ -9,7 +9,7 @@ import "nbctune/internal/mpi"
 // receives the slowest rank's time — which is also the measurement that
 // actually matters for a collective operation. The 8-byte allreduce costs a
 // few microseconds per iteration and is only needed while a selector is
-// still learning; afterwards, use CheapStop.
+// still learning; StopMaybeSynced drops it once every decision is made.
 func SyncedStop(c *mpi.Comm, t *Timer) {
 	in, out := t.syncBuf[:8:8], t.syncBuf[8:]
 	mpi.PutFloat64(in, t.Elapsed())

@@ -160,6 +160,28 @@ func TestCheckCatchesTampering(t *testing.T) {
 	}
 }
 
+// TestCommittedReportChecks: the committed results/guideline_report.json is
+// of this build's schema, and every verdict and effect size it stores
+// re-derives from its own samples. Whether sweep -suite guidelines -fast
+// still writes those bytes is make e2e's row 3.
+func TestCommittedReportChecks(t *testing.T) {
+	b, err := os.ReadFile("../../results/guideline_report.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(b, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Violations != 1 || len(rep.Registrations) != 1 || !rep.Registrations[0].Adopted {
+		t.Errorf("committed report: %d violations, %d registrations; want the one adopted ibcast/whale-tcp mock",
+			rep.Violations, len(rep.Registrations))
+	}
+}
+
 func clone(t *testing.T, r *Report) *Report {
 	t.Helper()
 	b, err := json.Marshal(r)

@@ -15,8 +15,8 @@
 // set (core's *SetWith constructors) and re-runs a tuning round, recording
 // the promotion in the selection audit (obs.AuditMock). A guideline
 // violation is thus not just a report line — it widens the search space the
-// ADCL selector optimizes over. cmd/audit drives the engine over a scenario
-// matrix and emits results/guideline_report.json.
+// ADCL selector optimizes over. sweep -suite guidelines drives the engine
+// over a scenario matrix and emits results/guideline_report.json.
 package guideline
 
 import (

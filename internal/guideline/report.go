@@ -5,21 +5,19 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"text/tabwriter"
 
 	"nbctune/internal/obs"
 	"nbctune/internal/runner"
 )
 
-// SchemaVersion identifies the report layout. cmd/audit -check (run by make
-// e2e) fails loudly when a report's version does not match, so a
-// schema change cannot silently invalidate committed artifacts.
+// SchemaVersion identifies the report layout. Report.Check, which a test
+// runs on the committed report, fails loudly when a report's version does not
+// match, so a schema change cannot silently invalidate committed artifacts.
 const SchemaVersion = 1
 
 // Side is one side of a judged guideline: the rendered expression, the
 // tuned winner(s) its term leaves committed, the robust score, and the raw
-// per-repetition samples. Samples are committed so -check can re-derive the
+// per-repetition samples. Samples are committed so Check can re-derive the
 // verdict without re-simulating.
 type Side struct {
 	Expr    string
@@ -86,28 +84,15 @@ func (r *Report) WriteFile(path string) error {
 	})
 }
 
-// LoadFile reads a report written by WriteFile.
-func LoadFile(path string) (*Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("guideline: %s: %w", path, err)
-	}
-	return &r, nil
-}
-
 // Check validates a report's internal consistency: schema version, and —
 // because every finding carries its raw samples — every verdict and effect
 // size is re-derived from the samples and compared against the stored
 // values. A report that passes Check is self-consistent without any
-// re-simulation; make e2e runs this against the committed report so a schema
-// or judgment change fails loudly.
+// re-simulation; TestCommittedReportChecks runs this against the committed
+// report so a schema or judgment change fails loudly.
 func (r *Report) Check() error {
 	if r.SchemaVersion != SchemaVersion {
-		return fmt.Errorf("guideline: report schema v%d, this build expects v%d — regenerate the report (cmd/audit) and review EXPERIMENTS.md E14", r.SchemaVersion, SchemaVersion)
+		return fmt.Errorf("guideline: report schema v%d, this build expects v%d — regenerate the report (sweep -suite guidelines -fast) and review EXPERIMENTS.md E14", r.SchemaVersion, SchemaVersion)
 	}
 	viol := 0
 	for i, f := range r.Findings {
@@ -149,33 +134,4 @@ func closeEnough(a, b float64) bool {
 		return true
 	}
 	return math.Abs(a-b) <= 1e-12*(1+math.Abs(a)+math.Abs(b))
-}
-
-// Summary renders the human-readable report: one line per finding, the
-// violated ones marked, then the feedback-loop registrations.
-func (r *Report) Summary(w io.Writer) {
-	fmt.Fprintf(w, "Guideline report: %d findings over %d scenarios (%d leaf measurements), %d violations, tol %.0f%%, min effect %.2f\n\n",
-		len(r.Findings), r.Scenarios, r.Measurements, r.Violations, r.Tol*100, r.MinEffect)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "verdict\tguideline\tscenario\tleft\tright\tdelta\trel-shift")
-	for _, f := range r.Findings {
-		verdict := "ok"
-		if f.Violated {
-			verdict = "VIOLATED"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%.3gs\t%.3gs\t%+.2f\t%+.1f%%\n",
-			verdict, f.Guideline, f.Scenario, f.Left.Score, f.Right.Score, f.CliffDelta, f.RelShift*100)
-	}
-	tw.Flush()
-	if len(r.Registrations) > 0 {
-		fmt.Fprintf(w, "\nFeedback loop: %d mock registrations\n", len(r.Registrations))
-		for _, reg := range r.Registrations {
-			outcome := "candidate only (tuned set won the rematch)"
-			if reg.Adopted {
-				outcome = "ADOPTED (selector chose the mock)"
-			}
-			fmt.Fprintf(w, "  %s -> %s into %s on %s: %s, winner %s after %d evals\n",
-				reg.Guideline, reg.Mock, reg.Op, reg.Scenario, outcome, reg.Chosen, reg.Evals)
-		}
-	}
 }

@@ -9,7 +9,7 @@
 // Store is a sharded map (per-shard RWMutex) with last-write-wins-by-score
 // conflict resolution and a versioned snapshot written atomically (temp
 // file, fsync, rename). Open loads that snapshot: it is the -history file
-// that tune reads and writes and that sweep and audit write.
+// that tune reads and writes and that sweep writes.
 //
 // Listen/NewHandler (GET /v1/lookup, POST /v1/record, POST /v1/batch) and
 // Client (a read-through caching lookup client) serve a Store over
