@@ -1,5 +1,5 @@
 # `make ci` is the gate: tier-1 verification, static checks, the race pass,
-# the end-to-end CLI checks and a fixed fuzzing budget. `make bench` runs the repository benchmark
+# the one end-to-end reproduction and a fixed fuzzing budget. `make bench` runs the repository benchmark
 # (BENCHMARK.json, perf/README.md), the only place host time is measured;
 # `make pairs` runs it as alternating parent/change pairs.
 GO ?= go
@@ -36,33 +36,17 @@ race:
 	$(GO) test -race -count 1 -run 'PDES|TestChaos|Speculat' ./internal/bench
 	$(GO) test -race -count 1 -run Speculat ./internal/core
 
-# What only the built CLIs can show, one row each (the echo after a row says
-# what held). Everything is written to one scratch directory that the trap
-# removes on every exit path, so a failing row leaves nothing beside the
-# committed results/. Shard-count identity of sweeps, traces and audits is
-# tier-1 (TestPDESDeterminismMatrix, again under `make race`); row 2 proves
-# that a chaos profile and the put functions reach the sharded engine
-# through the CLI, row 3 that a guideline audit served from the result cache
-# it just wrote reproduces the committed report, row 4 that -shards reaches
-# a sweep's specs. Rows 5 and 6 pin the two figure artifacts no test names.
+# The one committed file too slow for tier-1: sweep -suite figs-fft -fast
+# (~60 s on two cores) must reproduce results/fftbench.txt (Figs 9-12). Every
+# other file under results/ that regenerates in under 10 s is a row of the
+# root package's TestCommittedResults, which also names the ones it leaves out.
+# The binary goes to a scratch directory that the trap removes on every exit
+# path.
 e2e:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	$(GO) build -o "$$d/" ./cmd/tune ./cmd/sweep; \
-	for p in 1 8; do GOMAXPROCS=$$p "$$d/tune" -op ialltoall -np 8 -msg 65536 -compute 0.005 -iters 5 -selector speculative+brute-force -metrics "$$d/spec_p$$p.json" > /dev/null; done; \
-	cmp "$$d/spec_p1.json" "$$d/spec_p8.json"; \
-	echo "e2e 1/6: speculative tune decision artifact byte-identical at GOMAXPROCS 1 and 8 (candidate workers)"; \
-	for s in 2 4; do "$$d/tune" -op ialltoall-prim -chaos congested -np 32 -msg 65536 -compute 0.005 -iters 20 -shards $$s -metrics "$$d/tune_s$$s.json" > /dev/null; done; \
-	cmp "$$d/tune_s2.json" "$$d/tune_s4.json"; \
-	echo "e2e 2/6: tune -op ialltoall-prim -chaos congested -shards: metrics + selection audit byte-identical at 2 and 4 shards"; \
-	for run in cold cached; do "$$d/sweep" -suite guidelines -fast -quiet -cache "$$d/cache" -out "$$d/guideline_$$run.json" > /dev/null; \
-	cmp "$$d/guideline_$$run.json" results/guideline_report.json; done; \
-	echo "e2e 3/6: sweep -suite guidelines -fast reproduces the committed report, cold and from the cache it just wrote"; \
-	"$$d/sweep" -suite scale -fast -quiet -shards 2 -out "$$d/scale.json" > /dev/null; \
-	echo "e2e 4/6: fast scale sweep runs through the CLI on 2 shards"; \
-	"$$d/sweep" -suite figs-micro -fast -quiet | cmp - results/microbench.txt; \
-	echo "e2e 5/6: sweep -suite figs-micro -fast reproduces results/microbench.txt (Figs 2-7)"; \
+	$(GO) build -o "$$d/" ./cmd/sweep; \
 	"$$d/sweep" -suite figs-fft -fast -quiet | cmp - results/fftbench.txt; \
-	echo "e2e 6/6: sweep -suite figs-fft -fast reproduces results/fftbench.txt (Figs 9-12)"
+	echo "e2e: sweep -suite figs-fft -fast reproduces results/fftbench.txt (Figs 9-12)"
 
 # One run of each BENCHMARK.json workload; the last line of each is the JSON
 # result. Add --trace 1 by hand for the per-layer metrics of one workload.

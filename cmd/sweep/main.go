@@ -20,7 +20,9 @@
 // nearly free and an interrupted sweep resumes where it stopped. Aggregated
 // output is byte-identical for every -jobs value and for cached vs fresh runs.
 // Alongside the tables, the aggregate suites write a machine-readable
-// summary (for guidelines, the report) to -out.
+// summary (for guidelines, the report) to -out; without -out no file is
+// written. EXPERIMENTS.md gives the one command behind each committed
+// results/ file.
 //
 // Example:
 //
@@ -28,7 +30,7 @@
 //	sweep -suite fft
 //	sweep -suite fig6 -fast -observe       # Fig 6 with the overlap column
 //	sweep -suite fig9 -fast -trace traces/ # one Perfetto timeline per run
-//	sweep -suite guidelines -fast          # results/guideline_report.json
+//	sweep -suite guidelines -fast -out results/guideline_report.json
 package main
 
 import (
@@ -56,7 +58,7 @@ func main() {
 		quiet    = flag.Bool("quiet", false, "suppress per-scenario progress lines")
 		jobs     = flag.Int("jobs", 0, "parallel scenario workers (0 = GOMAXPROCS, 1 = sequential)")
 		cacheDir = flag.String("cache", "", "result store directory: serve and persist scenario results there, for this build of sweep only; an interrupted sweep resumes from it (empty = no store)")
-		out      = flag.String("out", "", "machine-readable summary path (default: the committed results/ file of verification, fft, scale and guidelines, none for figure suites; empty disables)")
+		out      = flag.String("out", "", "machine-readable summary path (verification, fft, scale, fig2 and guidelines write one; empty = no file)")
 		observe  = flag.Bool("observe", false, "attach obs recorders so summary rows and the Fig 6 table carry overlap ratios (timing-neutral)")
 		traceDir = flag.String("trace", "", "directory for one Chrome trace-event JSON per run of a figure matrix (fig3..fig7, fig9..fig12; open in Perfetto)")
 		data     = flag.Bool("data", false, "real payloads with per-iteration data verification (virtual times unchanged; slower)")
@@ -73,11 +75,6 @@ func main() {
 	suites, err := bench.Suites(*suite, *fast)
 	if err != nil {
 		fail(err)
-	}
-	outSet := false
-	flag.Visit(func(f *flag.Flag) { outSet = outSet || f.Name == "out" })
-	if !outSet {
-		*out = defaultOut(*suite)
 	}
 	// The file holds the last suite's summary; whether there will be one is
 	// known from the suite, before hours of simulation.
@@ -294,24 +291,6 @@ func writeTrace(dir, cell string, rec *obs.Recorder) error {
 	}
 	fmt.Fprintf(os.Stderr, "trace written: %s\n", path)
 	return nil
-}
-
-// defaultOut is where a suite's summary goes when -out is not given: each
-// aggregate suite has its own committed file under results/, so running one
-// suite never overwrites another's pinned artifact. Figure suites and unknown
-// names get no file.
-func defaultOut(suite string) string {
-	switch suite {
-	case "verification":
-		return "results/sweep_summary.json"
-	case "fft":
-		return "results/sweep_summary_fft.json"
-	case "scale":
-		return "results/scale_summary.json"
-	case "guidelines":
-		return "results/guideline_report.json"
-	}
-	return ""
 }
 
 func fail(err error) {

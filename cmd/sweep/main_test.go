@@ -16,25 +16,16 @@ import (
 	"nbctune/internal/platform"
 )
 
-// TestDefaultOut pins the suite -> summary path table against the four
-// committed artifacts: a suite run without -out must only ever rewrite its
-// own file, and a figure suite or bundle none.
+// TestDefaultOut: without -out a suite writes no file, not even the
+// aggregate suites whose summaries are committed under results/ (each has
+// its one command, with -out, in EXPERIMENTS.md).
 func TestDefaultOut(t *testing.T) {
-	want := map[string]string{
-		"verification": "results/sweep_summary.json",
-		"fft":          "results/sweep_summary_fft.json",
-		"scale":        "results/scale_summary.json",
-		"guidelines":   "results/guideline_report.json",
+	dir := t.TempDir()
+	if code, _, stderr := sweep(t, dir, "-suite guidelines -fast -quiet"); code != 0 {
+		t.Fatalf("sweep -suite guidelines -fast: exit status %d\n%s", code, stderr)
 	}
-	for _, suite := range append(bench.SuiteNames(), "nonesuch") {
-		if got := defaultOut(suite); got != want[suite] {
-			t.Errorf("defaultOut(%q) = %q, want %q", suite, got, want[suite])
-		}
-	}
-	for suite, path := range want {
-		if _, err := os.Stat("../../" + path); err != nil {
-			t.Errorf("suite %q defaults to %s, which is not a committed artifact: %v", suite, path, err)
-		}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Errorf("sweep without -out left %d entries in its directory (%v)", len(left), err)
 	}
 }
 
@@ -122,21 +113,21 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// sweep runs the command in a scratch directory and returns its exit status
-// and stderr.
-func sweep(t *testing.T, args string) (int, string) {
+// sweep runs the command in dir and returns its exit status and what it
+// printed.
+func sweep(t *testing.T, dir, args string) (code int, stdout, stderr string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], strings.Fields(args)...)
-	cmd.Dir = t.TempDir()
+	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "SWEEP_AS_COMMAND=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var o, e bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &o, &e
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if err != nil && !errors.As(err, &exit) {
 		t.Fatalf("sweep %s: %v", args, err)
 	}
-	return cmd.ProcessState.ExitCode(), stderr.String()
+	return cmd.ProcessState.ExitCode(), o.String(), e.String()
 }
 
 // TestRefusals: a flag the run cannot honour is refused with one error line
@@ -148,8 +139,8 @@ func sweep(t *testing.T, args string) (int, string) {
 // guideline audit's unobserved sequential leaves cannot take, -chaos on the
 // full guideline grid, which has its own clean and congested axis, and a
 // -cache directory that is the next flag (what the old boolean -cache parses
-// to). The unknown suite makes a missing worker-count refusal fail fast on
-// the wrong message.
+// to), and -out on a figure suite, which prints tables only. The unknown
+// suite makes a missing worker-count refusal fail fast on the wrong message.
 func TestRefusals(t *testing.T) {
 	for args, want := range map[string]string{
 		"-jobs -1 -suite nonesuch":                  "worker count",
@@ -163,8 +154,9 @@ func TestRefusals(t *testing.T) {
 		"-shards 2 -suite guidelines -fast":         "-shards: guidelines measures unobserved",
 		"-speculate -suite guidelines -fast":        "-speculate: guidelines measures unobserved",
 		"-chaos congested -suite guidelines":        "-chaos: the full guidelines grid",
+		"-suite fig3 -fast -out x.json":             "has no machine-readable summary",
 	} {
-		if code, stderr := sweep(t, args); code != 1 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, want) {
+		if code, _, stderr := sweep(t, t.TempDir(), args); code != 1 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, want) {
 			t.Errorf("sweep %s: exit status %d, stderr %q; want exit status 1 and one line containing %q", args, code, stderr, want)
 		}
 	}
@@ -173,7 +165,27 @@ func TestRefusals(t *testing.T) {
 // TestCachedirGone: the store directory is the value of -cache; the separate
 // -cachedir flag is gone and is refused as unknown.
 func TestCachedirGone(t *testing.T) {
-	if code, stderr := sweep(t, "-suite fig2 -fast -cachedir d"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -cachedir") {
+	if code, _, stderr := sweep(t, t.TempDir(), "-suite fig2 -fast -cachedir d"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -cachedir") {
 		t.Errorf("sweep -cachedir: exit status %d, stderr %q; want exit status 2 and an unknown-flag error", code, stderr)
+	}
+}
+
+// TestShardsReachTheSpecs: -shards is laid over every scenario of a figure
+// suite. Fig 3 prints the same tables at 2 and 4 shards, and they differ
+// from the sequential engine's, whose timeline is another one.
+func TestShardsReachTheSpecs(t *testing.T) {
+	tables := map[string]string{}
+	for _, shards := range []string{"", "-shards 2", "-shards 4"} {
+		code, stdout, stderr := sweep(t, t.TempDir(), "-suite fig3 -fast -quiet "+shards)
+		if code != 0 {
+			t.Fatalf("sweep -suite fig3 -fast %s: exit status %d\n%s", shards, code, stderr)
+		}
+		tables[shards] = stdout
+	}
+	if tables["-shards 2"] != tables["-shards 4"] {
+		t.Errorf("fig3 tables differ between 2 and 4 shards:\n%s\nvs\n%s", tables["-shards 2"], tables["-shards 4"])
+	}
+	if tables["-shards 2"] == tables[""] {
+		t.Error("fig3 on 2 shards printed the sequential engine's tables: -shards did not reach the specs")
 	}
 }

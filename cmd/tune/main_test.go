@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -210,7 +211,8 @@ func TestSpeculateEveryOp(t *testing.T) {
 
 // TestSpeculateComposes: a speculative session is a run like any other — it
 // writes a trace (of the committed-winner loop), and on the sharded engine its
-// -metrics artifact does not depend on the shard count.
+// -metrics artifact depends neither on the shard count nor on the number of
+// host threads its candidate pool runs on.
 func TestSpeculateComposes(t *testing.T) {
 	chdir(t, t.TempDir())
 	base := "-op ialltoall -np 32 -msg 65536 -compute 0.005 -iters 6 -selector speculative+brute-force "
@@ -235,6 +237,22 @@ func TestSpeculateComposes(t *testing.T) {
 	if !bytes.Equal(metrics[0], metrics[1]) || !bytes.Equal(metrics[1], metrics[2]) {
 		t.Error("speculative tune -metrics differs between 1, 2 and 4 shards")
 	}
+	// The candidate pool has GOMAXPROCS workers; the decision must not
+	// depend on how many there are.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var pooled [][]byte
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		tune(t, "-op ialltoall -np 8 -msg 65536 -compute 0.005 -iters 5 -selector speculative+brute-force -metrics m.json")
+		m, err := os.ReadFile("m.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled = append(pooled, m)
+	}
+	if !bytes.Equal(pooled[0], pooled[1]) {
+		t.Error("speculative tune -metrics differs between GOMAXPROCS 1 and 8")
+	}
 }
 
 // TestShardsRunChaosAndPuts: a chaos profile and the put functions of
@@ -243,10 +261,16 @@ func TestSpeculateComposes(t *testing.T) {
 // shard count.
 func TestShardsRunChaosAndPuts(t *testing.T) {
 	chdir(t, t.TempDir())
-	for _, args := range []string{"-chaos congested", "-op ialltoall-prim", "-op ialltoall-prim -chaos congested -chaos-seed 3"} {
+	const scenario = "-np 16 -msg 65536 -compute 0.005 -iters 18 "
+	for _, args := range []string{
+		scenario + "-chaos congested",
+		scenario + "-op ialltoall-prim",
+		scenario + "-op ialltoall-prim -chaos congested -chaos-seed 3",
+		"-op ialltoall-prim -chaos congested -np 32 -msg 65536 -compute 0.005 -iters 20",
+	} {
 		var metrics [][]byte
 		for _, shards := range []string{"2", "4"} {
-			out, _ := tune(t, "-np 16 -msg 65536 -compute 0.005 -iters 18 "+args+" -shards "+shards+" -metrics m.json")
+			out, _ := tune(t, args+" -shards "+shards+" -metrics m.json")
 			if !strings.Contains(out, "decision: ") {
 				t.Fatalf("tune %s -shards %s made no decision:\n%s", args, shards, out)
 			}

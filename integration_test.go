@@ -282,10 +282,7 @@ func TestAuditHistoryTuneLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs cmd/sweep and cmd/tune")
 	}
-	bin := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/sweep", "./cmd/tune").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCommands(t)
 	dir := t.TempDir()
 	command := func(name string, args ...string) (stdout, stderr string) {
 		var o, e bytes.Buffer

@@ -13,7 +13,7 @@ import (
 const summaryFormat = "nbctune-v1"
 
 // SweepSummary is the machine-readable counterpart of the sweep tables:
-// cmd/sweep writes it to results/sweep_summary.json so downstream tooling
+// cmd/sweep -out writes it (results/sweep_summary.json) so downstream tooling
 // does not have to scrape aligned text. Construction is fully deterministic
 // — rows follow scenario order, selector blocks follow selector order, and
 // JSON maps are key-sorted by encoding/json — so a summary is byte-identical

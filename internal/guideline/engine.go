@@ -22,9 +22,9 @@ type Config struct {
 	// the promotion recorded in the selection audit.
 	Adopt bool
 	// Workers sizes the runner pool (<= 0: GOMAXPROCS); Cache, when non-nil,
-	// serves repeated leaf measurements from the content-addressed store, so
-	// interrupted matrix runs resume for free. Progress streams runner
-	// progress lines.
+	// serves repeated leaf measurements and adoption rounds from the
+	// content-addressed store, so interrupted matrix runs resume for free.
+	// Progress streams runner progress lines.
 	Workers  int
 	Cache    *runner.Cache
 	Progress io.Writer
@@ -93,10 +93,11 @@ func FullScenarios(seed int64, chaosSeed int64) []Scenario {
 }
 
 // Run checks every shipped guideline on every matching scenario. Leaf
-// measurements fan out over the experiment runner (parallel, cached,
-// resumable); judgments and the report are computed from the collected
-// samples, so the report is byte-identical for any worker count and for
-// cached versus fresh runs.
+// measurements, and then the adoption rounds of the violated guidelines, fan
+// out over the experiment runner (parallel, cached, resumable); judgments
+// and the report are computed from the collected results in cell order, so
+// the report is byte-identical for any worker count and for cached versus
+// fresh runs.
 func Run(cfg Config) (*Report, error) {
 	gls := Defaults()
 
@@ -141,9 +142,8 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	results, err := runner.Run(jobs, runner.Options{
-		Workers: cfg.Workers, Cache: cfg.Cache, Progress: cfg.Progress,
-	})
+	opt := runner.Options{Workers: cfg.Workers, Cache: cfg.Cache, Progress: cfg.Progress}
+	results, err := runner.Run(jobs, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -166,6 +166,9 @@ func Run(cfg Config) (*Report, error) {
 		Scenarios:     len(cfg.Scenarios),
 		Measurements:  len(jobs),
 	}
+	// Every violated guideline that promotes a mock gets its tuning round as
+	// one more runner job, in cell order.
+	var adoptions []runner.Job
 	for _, c := range cells {
 		f, err := judgeCell(c.sc, c.g, leafOfKey)
 		if err != nil {
@@ -175,15 +178,28 @@ func Run(cfg Config) (*Report, error) {
 		if f.Violated {
 			rep.Violations++
 		}
-		if cfg.Adopt && f.Violated {
-			if mock := c.g.PromotesMock(); mock != "" {
-				reg, err := adopt(c.sc, c.g, mock)
-				if err != nil {
-					return nil, err
-				}
-				rep.Registrations = append(rep.Registrations, reg)
+		if mock := c.g.PromotesMock(); cfg.Adopt && f.Violated && mock != "" {
+			key, err := runner.Fingerprint("guideline-adopt", c.sc, c.g.Name, mock)
+			if err != nil {
+				return nil, err
 			}
+			adoptions = append(adoptions, runner.Job{
+				Label: fmt.Sprintf("%s adopt=%s", c.sc, mock),
+				Key:   key,
+				Run:   func() (any, error) { return adopt(c.sc, c.g, mock) },
+			})
 		}
+	}
+	adopted, err := runner.Run(adoptions, opt)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range adopted {
+		var reg Registration
+		if err := r.Decode(&reg); err != nil {
+			return nil, err
+		}
+		rep.Registrations = append(rep.Registrations, reg)
 	}
 	return rep, nil
 }

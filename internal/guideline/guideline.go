@@ -16,7 +16,7 @@
 // the promotion in the selection audit (obs.AuditMock). A guideline
 // violation is thus not just a report line — it widens the search space the
 // ADCL selector optimizes over. sweep -suite guidelines drives the engine
-// over a scenario matrix and emits results/guideline_report.json.
+// over a scenario matrix; -out writes the report (results/guideline_report.json).
 package guideline
 
 import (

@@ -43,13 +43,7 @@ type Store struct {
 
 	flushMu sync.Mutex // serializes snapshot writes
 
-	// counters, exposed by Stats
-	lookups  atomic.Uint64
-	hits     atomic.Uint64
-	puts     atomic.Uint64
-	applied  atomic.Uint64
-	rejected atomic.Uint64
-	flushes  atomic.Uint64
+	rejected atomic.Uint64 // records that lost to a stored one, exposed by Stats
 }
 
 type shard struct {
@@ -102,22 +96,17 @@ func (s *Store) shardFor(ck string) *shard {
 // Lookup returns the stored record for a (scenario key, env fingerprint)
 // pair.
 func (s *Store) Lookup(key, env string) (Record, bool) {
-	s.lookups.Add(1)
 	ck := CombinedKey(key, env)
 	sh := s.shardFor(ck)
 	sh.mu.RLock()
 	r, ok := sh.m[ck]
 	sh.mu.RUnlock()
-	if ok {
-		s.hits.Add(1)
-	}
 	return r, ok
 }
 
 // Put records a tuning decision, resolving conflicts LWW-by-score (see
 // supersedes). It reports whether the record was applied.
 func (s *Store) Put(r Record) bool {
-	s.puts.Add(1)
 	ck := CombinedKey(r.Key, r.Env)
 	sh := s.shardFor(ck)
 	sh.mu.Lock()
@@ -128,7 +117,6 @@ func (s *Store) Put(r Record) bool {
 	}
 	sh.mu.Unlock()
 	if apply {
-		s.applied.Add(1)
 		s.dirty.Store(true)
 	} else {
 		s.rejected.Add(1)
@@ -183,30 +171,16 @@ func (s *Store) Records() []Record {
 	return rs
 }
 
-// Stats is a point-in-time snapshot of the store's counters.
+// Stats is a point-in-time reading of the store's counter.
 type Stats struct {
-	Records  int    `json:"records"`
-	Shards   int    `json:"shards"`
-	Lookups  uint64 `json:"lookups"`
-	Hits     uint64 `json:"hits"`
-	Puts     uint64 `json:"puts"`
-	Applied  uint64 `json:"applied"`
+	// Rejected counts the records Put did not apply because a stored record
+	// supersedes them (the benchmark's kb.lww_rejects).
 	Rejected uint64 `json:"rejected"`
-	Flushes  uint64 `json:"flushes"`
 }
 
-// Stats returns current counters.
+// Stats returns the current count.
 func (s *Store) Stats() Stats {
-	return Stats{
-		Records:  s.Len(),
-		Shards:   len(s.shards),
-		Lookups:  s.lookups.Load(),
-		Hits:     s.hits.Load(),
-		Puts:     s.puts.Load(),
-		Applied:  s.applied.Load(),
-		Rejected: s.rejected.Load(),
-		Flushes:  s.flushes.Load(),
-	}
+	return Stats{Rejected: s.rejected.Load()}
 }
 
 // snapshotFile is the on-disk format: versioned so a future layout change
@@ -254,14 +228,9 @@ func (s *Store) Flush(force bool) error {
 	}
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	err := runner.WriteFileAtomic(s.opts.SnapshotPath, func(w io.Writer) error {
+	return runner.WriteFileAtomic(s.opts.SnapshotPath, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(snapshotFile{Version: 1, Records: s.Records()})
 	})
-	if err != nil {
-		return err
-	}
-	s.flushes.Add(1)
-	return nil
 }
