@@ -213,8 +213,8 @@ func barrierBcast(c *mpi.Comm) {
 }
 
 // runOneShotWorld builds a world, runs prog on every rank and returns the
-// events the engine fired.
-func runOneShotWorld(tb testing.TB, ranks int, prog func(*mpi.Comm)) int64 {
+// events the engine fired and the coroutine resumes it took.
+func runOneShotWorld(tb testing.TB, ranks int, prog func(*mpi.Comm)) (events, resumes int64) {
 	tb.Helper()
 	plat, err := platform.ByName("bgp-16k")
 	if err != nil {
@@ -226,7 +226,7 @@ func runOneShotWorld(tb testing.TB, ranks int, prog func(*mpi.Comm)) int64 {
 	}
 	w.Start(prog)
 	eng.Run()
-	return eng.EventsFired
+	return eng.EventsFired, eng.Resumes
 }
 
 // oneShotAllocCeiling is what TestOneShotWorldAllocBudget lets its two
@@ -235,6 +235,24 @@ func runOneShotWorld(tb testing.TB, ranks int, prog func(*mpi.Comm)) int64 {
 // schedules in one exactly sized op array, free lists chained through their
 // records, the lane pool grown by doubling (DESIGN.md §3 "Pooling").
 const oneShotAllocCeiling = 143 << 20
+
+// TestOneShotWorldResumes pins the events the two worlds of
+// TestOneShotWorldAllocBudget fire and the coroutine resumes they take,
+// exactly: no host moves either count. A blocking collective wait starts each
+// next round inside its poll, so a rank is resumed once to start and once per
+// collective, not once per round: 3 per rank for the 1K-rank barrier and
+// broadcast. The all-to-all's single round posts its 766 requests from the
+// rank's own context, where every 64 pending stops sync the rank, so it takes
+// 19 per rank.
+func TestOneShotWorldResumes(t *testing.T) {
+	want := map[string][2]int64{"alltoall384": {742464, 7296}, "bcast1k": {101278, 3072}}
+	for _, ow := range oneShotWorlds[:2] {
+		events, resumes := runOneShotWorld(t, ow.ranks, ow.prog)
+		if w := want[ow.name]; events != w[0] || resumes != w[1] {
+			t.Errorf("%s: %d events and %d resumes, want %d and %d", ow.name, events, resumes, w[0], w[1])
+		}
+	}
+}
 
 // TestOneShotWorldAllocBudget runs the 384-rank linear Ialltoall world and
 // the 1K-rank barrier + broadcast world once each and fails if together they
@@ -263,13 +281,15 @@ func BenchmarkOneShotWorld(b *testing.B) {
 			b.ReportAllocs()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			var events int64
+			var events, resumes int64
 			for i := 0; i < b.N; i++ {
-				events += runOneShotWorld(b, ow.ranks, ow.prog)
+				e, r := runOneShotWorld(b, ow.ranks, ow.prog)
+				events, resumes = events+e, resumes+r
 			}
 			runtime.ReadMemStats(&m1)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(events), "B/event")
+			b.ReportMetric(float64(resumes)/float64(events), "resumes/event")
 		})
 	}
 }

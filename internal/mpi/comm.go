@@ -68,7 +68,11 @@ func (c *Comm) Wait(reqs ...*Request) { c.r.Wait(reqs...) }
 
 // WaitHandles blocks until all requests behind the handles complete; freed
 // requests read as done.
-func (c *Comm) WaitHandles(hs []ReqHandle) { c.r.WaitHandles(hs) }
+func (c *Comm) WaitHandles(hs []ReqHandle) {
+	c.ArmHandles(hs)
+	c.r.waitUntil()
+	c.r.waitHs, c.r.waitSeen = nil, 0
+}
 
 // TestHandles performs one progress pass and reports completion of all
 // requests behind the handles.
@@ -86,10 +90,36 @@ func (c *Comm) FreeHandles(hs []ReqHandle) { c.r.FreeHandles(hs) }
 // they arrive. Non-request completion conditions (put counters, window
 // states) wait through this.
 func (c *Comm) WaitFor(pred func() bool) {
-	c.r.charge(c.r.net().Params().OProgress)
-	c.r.waitPred = pred
+	c.ArmFor(pred)
 	c.r.waitUntil()
 	c.r.waitPred = nil
+}
+
+// WaitSteps blocks inside MPI on the requests behind hs and then on each wait
+// set next installs: next runs in event context whenever the current set
+// holds, and either returns true to end the wait or re-arms it with
+// ArmHandles or ArmFor and returns false. A multi-round collective thus
+// starts its next round at the instant the last one completes, as LibNBC's
+// progress engine does, and its rank is resumed once for the whole wait.
+func (c *Comm) WaitSteps(hs []ReqHandle, next func() bool) {
+	c.r.waitNext = next
+	c.WaitHandles(hs)
+	c.r.waitNext, c.r.waitPred = nil, nil
+}
+
+// ArmHandles, inside a WaitSteps hook, makes the requests behind hs the next
+// wait set, charging what WaitHandles charges on entry: one progress pass
+// that tests every open request.
+func (c *Comm) ArmHandles(hs []ReqHandle) {
+	c.r.chargeTest()
+	c.r.waitHs, c.r.waitPred, c.r.waitSeen = hs, nil, 0
+}
+
+// ArmFor, inside a WaitSteps hook, makes pred the next wait set, charging
+// what WaitFor charges on entry: one progress pass.
+func (c *Comm) ArmFor(pred func() bool) {
+	c.r.charge(c.r.net().Params().OProgress)
+	c.r.waitHs, c.r.waitPred, c.r.waitSeen = nil, pred, 0
 }
 
 // Test performs one progress pass and reports completion of all requests.

@@ -366,22 +366,18 @@ func (r *Rank) irecv(src, tag, ctx int, b Buf) *Request {
 
 // Wait blocks inside MPI until all given requests complete.
 func (r *Rank) Wait(reqs ...*Request) {
-	p := r.net().Params()
-	r.charge(p.OProgress + p.OTest*float64(r.outstanding))
+	r.chargeTest()
 	r.waitReqs = append(r.waitReqs, reqs...)
 	r.waitUntil()
 	clear(r.waitReqs) // completed requests stay collectable
 	r.waitReqs, r.waitSeen = r.waitReqs[:0], 0
 }
 
-// WaitHandles is Wait over generation-checked handles: handles whose request
-// was freed read as done.
-func (r *Rank) WaitHandles(hs []ReqHandle) {
+// chargeTest charges one progress pass that tests every open request: what
+// entering a wait or an explicit progress call costs.
+func (r *Rank) chargeTest() {
 	p := r.net().Params()
 	r.charge(p.OProgress + p.OTest*float64(r.outstanding))
-	r.waitHs = hs
-	r.waitUntil()
-	r.waitHs, r.waitSeen = nil, 0
 }
 
 // Test performs one progress pass and reports whether all given requests

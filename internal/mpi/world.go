@@ -152,7 +152,8 @@ type Rank struct {
 	waitReqs []*Request // Wait's requests, copied into reused capacity
 	waitHs   []ReqHandle
 	waitPred func() bool
-	waitSeen int // entries of waitReqs, or of waitHs, already seen done
+	waitSeen int         // entries of waitReqs, or of waitHs, already seen done
+	waitNext func() bool // WaitSteps' hook: runs when the wait set holds (see poll)
 
 	outstanding int // open non-blocking requests, for OTest charging
 
@@ -251,9 +252,8 @@ func (r *Rank) enqueue(n notice) {
 // overhead and processes all queued notices. This is the hook the NBC layer
 // and ADCL's progress function drive.
 func (r *Rank) Progress() {
-	p := r.net().Params()
 	r.rec.ProgressCall(r.id)
-	r.charge(p.OProgress + p.OTest*float64(r.outstanding))
+	r.chargeTest()
 	r.waitUntil() // an empty wait set: one pass of the progress engine
 }
 
@@ -340,33 +340,42 @@ func (r *Rank) waitUntil() {
 // next call, when the engine is level with the last charge: only then can the
 // queue be declared empty and the wait set be tested. A rank with nothing to
 // do blocks on its cond until enqueue wakes it.
+//
+// A wait set that holds ends the wait, unless WaitSteps set a hook: then the
+// hook runs here, in event context, and either ends the wait or installs the
+// next wait set and the loop goes on — what the resumed coroutine would have
+// done at this instant, without resuming it.
 func (r *Rank) poll() bool {
 	if r.blockedInMPI {
 		r.blockedInMPI = false
 		r.rec.StateSpan(r.id, obs.StateBlocked, r.blockedAt, r.proc.Now())
 	}
-	for r.nhead < len(r.notices) {
-		if r.proc.Full() {
+	for {
+		for r.nhead < len(r.notices) {
+			if r.proc.Full() {
+				return false
+			}
+			n := r.notices[r.nhead]
+			r.notices[r.nhead] = notice{} // release references
+			r.nhead++
+			n.process(r)
+		}
+		// Truncate in place so the queue's capacity is reused instead of abandoned.
+		r.notices = r.notices[:0]
+		r.nhead = 0
+		if r.proc.Ahead() {
 			return false
 		}
-		n := r.notices[r.nhead]
-		r.notices[r.nhead] = notice{} // release references
-		r.nhead++
-		n.process(r)
+		if !r.waitSatisfied() {
+			r.blockedInMPI = true
+			r.blockedAt = r.proc.Now()
+			r.cond.Block(r.proc)
+			return false
+		}
+		if r.waitNext == nil || r.waitNext() {
+			return true
+		}
 	}
-	// Truncate in place so the queue's capacity is reused instead of abandoned.
-	r.notices = r.notices[:0]
-	r.nhead = 0
-	if r.proc.Ahead() {
-		return false
-	}
-	if r.waitSatisfied() {
-		return true
-	}
-	r.blockedInMPI = true
-	r.blockedAt = r.proc.Now()
-	r.cond.Block(r.proc)
-	return false
 }
 
 // waitSatisfied tests the wait set. It runs level with the engine, so a

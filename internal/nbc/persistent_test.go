@@ -160,10 +160,12 @@ func requireSteadyStateAllocFree(t *testing.T, n int, mk func(c *mpi.Comm) *Sche
 
 // TestPersistentIbcastResumesPerIteration is the hand-off budget, which no
 // host can move: a rank's coroutine is resumed when a wait of its ends, not
-// once for every CPU charge and notice on the way there. 16 ranks, 4 segments
-// down a binary tree: one resume per rank to leave the gate, then one per
-// schedule round that had to wait — 87 for the iteration's 447 events. When
-// every charge parked the coroutine the same 447 events took 387 resumes.
+// once for every CPU charge and notice on the way there, and a collective's
+// rounds start inside the wait's poll instead of resuming it once per round.
+// 16 ranks, 4 segments down a binary tree: one resume per rank to leave the
+// gate and one when its Wait ends — exactly 32 for the iteration's 447
+// events. When every charge parked the coroutine the same 447 events took
+// 387 resumes.
 func TestPersistentIbcastResumesPerIteration(t *testing.T) {
 	const n = 16
 	eng, step := persistentLoop(t, n, func(c *mpi.Comm) *Schedule {
@@ -177,7 +179,7 @@ func TestPersistentIbcastResumesPerIteration(t *testing.T) {
 	}
 	perIter := float64(eng.Resumes-before) / iters
 	t.Logf("%.1f resumes and %.1f events per iteration", perIter, float64(eng.EventsFired-fired)/iters)
-	if perIter > 87 {
-		t.Fatalf("%.1f resumes per persistent Ibcast iteration at %d ranks, budget 87", perIter, n)
+	if perIter != 2*n {
+		t.Fatalf("%.1f resumes per persistent Ibcast iteration at %d ranks, want %d: two per rank", perIter, n, 2*n)
 	}
 }

@@ -118,10 +118,12 @@ type Handle struct {
 	pending  []mpi.ReqHandle
 	await    int         // cumulative put count the current round waits for (-1: none)
 	awaitFn  func() bool // h.awaitSatisfied, evaluated once per record: a method value allocates
+	nextFn   func() bool // h.next, likewise
 	instance int64       // collective instance id on the schedule's window
 	done     bool
 	released bool
-	obsID    int // recorder span id for this execution (-1: not observed)
+	gated    bool // Wait's wait set is the round's await gate, not its requests
+	obsID    int  // recorder span id for this execution (-1: not observed)
 }
 
 // handlePool is the per-rank free list of Handle records, kept in the rank's
@@ -309,21 +311,41 @@ func (h *Handle) Progress() bool {
 }
 
 // Wait blocks inside MPI until the schedule completes, driving all remaining
-// rounds. On return the handle has been released back to the pool and must
+// rounds. Each round starts inside the wait's poll, at the instant the round
+// before it completes (next), so the rank parks once per Wait, not once per
+// round. On return the handle has been released back to the pool and must
 // not be touched again.
 func (h *Handle) Wait() {
-	for !h.done {
-		h.comm.WaitHandles(h.pending)
-		if h.await >= 0 {
-			if h.awaitFn == nil {
-				h.awaitFn = h.awaitSatisfied
-			}
-			h.comm.WaitFor(h.awaitFn)
+	if !h.done {
+		if h.nextFn == nil {
+			h.nextFn = h.next
 		}
-		h.round++
-		h.execRounds()
+		h.comm.WaitSteps(h.pending, h.nextFn)
 	}
 	h.release()
+}
+
+// next is Wait's step, run in event context once the current wait set holds:
+// a round that awaits puts waits for them next; otherwise the following round
+// starts and its requests become the wait set. It reports whether the
+// schedule is done.
+func (h *Handle) next() bool {
+	if h.await >= 0 && !h.gated {
+		if h.awaitFn == nil {
+			h.awaitFn = h.awaitSatisfied
+		}
+		h.gated = true
+		h.comm.ArmFor(h.awaitFn)
+		return false
+	}
+	h.gated = false
+	h.round++
+	h.execRounds()
+	if h.done {
+		return true
+	}
+	h.comm.ArmHandles(h.pending)
+	return false
 }
 
 // Run executes a schedule to completion, blocking (init + wait).

@@ -38,9 +38,10 @@
 // Advance, and anything inside a poll. It touches only state its own process
 // owns (or state, like a free list, whose order of use no result depends on).
 // It defers every interaction with the engine, the network or another process
-// with Do. It never parks: Sync, ParkUntil and Cond.Wait inside a
-// poll or a deferred call panic, and in a poll the itinerary's bound is
-// honoured by giving up (Proc.Full), not by syncing. And it reads what an
+// with Do. It never parks: Sync, ParkUntil and Cond.Wait inside a poll or a
+// deferred call panic, and in a poll the itinerary's bound is honoured by
+// giving up (Proc.Full), not by syncing — except for the one step of new
+// work a poll starts once its wait holds (see maxAhead). And it reads what an
 // event or another process writes only when level (Proc.Ahead reports false,
 // or after Sync): having run ahead it would miss the writes still to come.
 //

@@ -66,6 +66,10 @@ type action struct {
 // maxAhead bounds the pending stops of one process, and with them the memory
 // of its itinerary: in process context Advance syncs when the itinerary is
 // full, and a poll is expected to stop making work when Full reports true.
+// A poll that, once its wait holds, starts the next step of a longer wait (a
+// collective's next round, mpi's WaitSteps) records that step's charges even
+// past the bound, since Advance cannot sync in event context: the bound can
+// be exceeded by at most one step's stops, one round's posts.
 const maxAhead = 64
 
 // Spawn starts a new process executing fn. The process begins running at the

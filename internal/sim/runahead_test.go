@@ -14,7 +14,8 @@ import (
 // sequentially accumulated clock, reorders exact-time ties and fails it.
 //
 // A program is read two bytes at a time: the process (byte % 8, so '0'..'7'
-// name themselves) and one of its next operations (byte % 16, 'a'..'p'):
+// name themselves) and one of its next operations (byte % 32, 'a'..'s'; the
+// other values are no-ops):
 //
 //	a b c     advance 1, 2, 3          (exact sums: 1+2 and 3 tie)
 //	d e f     advance 0.1, 0.2, 0.3    (0.1+0.2 and 0.3 differ in the last bit)
@@ -24,27 +25,36 @@ import (
 //	j k l     block until the count reaches 1, 2, 3, processing work items —
 //	          advance 0.5, do a logging call — whenever woken (mpi's waitUntil)
 //	m n o     plain sleep 1, 0.3, 0.5
+//	q r s     block as j k l, but once the count holds the poll goes on with
+//	          the ops that follow, in event context: advances and calls, and
+//	          the waits of further q r s, which it re-arms in place — up to
+//	          the first other op, or the end (mpi's WaitSteps). Read eagerly,
+//	          the same ops run in process context after the wait returns. An
+//	          itinerary can grow past maxAhead there.
 
 type raKind uint8
 
 const (
-	raAdvance raKind = iota
+	raNop raKind = iota // the values no letter names
+	raAdvance
 	raDo
 	raSync
 	raBlock
 	raSleep
+	raBlockOn // a block whose poll continues with the ops after it
 )
 
-var raOps = [16]struct {
+var raOps = [32]struct {
 	kind raKind
 	d    Time // duration, callback delay, or count to block for
 }{
-	'a' % 16: {raAdvance, 1}, 'b' % 16: {raAdvance, 2}, 'c' % 16: {raAdvance, 3},
-	'd' % 16: {raAdvance, 0.1}, 'e' % 16: {raAdvance, 0.2}, 'f' % 16: {raAdvance, 0.3},
-	'g' % 16: {raDo, 0}, 'h' % 16: {raDo, 1}, 'p' % 16: {raDo, 0.1},
-	'i' % 16: {raSync, 0},
-	'j' % 16: {raBlock, 1}, 'k' % 16: {raBlock, 2}, 'l' % 16: {raBlock, 3},
-	'm' % 16: {raSleep, 1}, 'n' % 16: {raSleep, 0.3}, 'o' % 16: {raSleep, 0.5},
+	'a' % 32: {raAdvance, 1}, 'b' % 32: {raAdvance, 2}, 'c' % 32: {raAdvance, 3},
+	'd' % 32: {raAdvance, 0.1}, 'e' % 32: {raAdvance, 0.2}, 'f' % 32: {raAdvance, 0.3},
+	'g' % 32: {raDo, 0}, 'h' % 32: {raDo, 1}, 'p' % 32: {raDo, 0.1},
+	'i' % 32: {raSync, 0},
+	'j' % 32: {raBlock, 1}, 'k' % 32: {raBlock, 2}, 'l' % 32: {raBlock, 3},
+	'm' % 32: {raSleep, 1}, 'n' % 32: {raSleep, 0.3}, 'o' % 32: {raSleep, 0.5},
+	'q' % 32: {raBlockOn, 1}, 'r' % 32: {raBlockOn, 2}, 's' % 32: {raBlockOn, 3},
 }
 
 // raWorld is what the processes of one run share.
@@ -118,8 +128,10 @@ func (w *raWorld) body(who int, ops []byte) func(*Proc) {
 			}
 			return true
 		}
-		for _, op := range ops {
-			switch o := raOps[op]; o.kind {
+		for pc := 0; pc < len(ops); {
+			o := raOps[ops[pc]]
+			pc++
+			switch o.kind {
 			case raAdvance:
 				advance(o.d)
 			case raDo:
@@ -130,19 +142,8 @@ func (w *raWorld) body(who int, ops []byte) func(*Proc) {
 			case raSleep:
 				p.Sleep(o.d)
 				w.note(p.Now(), who, "slept")
-			case raBlock:
-				if w.ahead {
-					p.ParkUntil(func() bool {
-						if !process() || p.Ahead() {
-							return false
-						}
-						if w.count >= int(o.d) {
-							return true
-						}
-						w.cond.Block(p)
-						return false
-					})
-				} else {
+			case raBlock, raBlockOn:
+				if !w.ahead {
 					for {
 						process()
 						if w.count >= int(o.d) {
@@ -150,8 +151,44 @@ func (w *raWorld) body(who int, ops []byte) func(*Proc) {
 						}
 						w.cond.Wait(p)
 					}
+					w.note(p.Now(), who, "woke")
+					continue
 				}
-				w.note(p.Now(), who, "woke")
+				p.ParkUntil(func() bool {
+					for {
+						if !process() || p.Ahead() {
+							return false
+						}
+						if w.count < int(o.d) {
+							w.cond.Block(p)
+							return false
+						}
+						w.note(p.Now(), who, "woke")
+						if o.kind != raBlockOn {
+							return true
+						}
+						// Go on with the ops that follow, up to the next
+						// wait, which is re-armed here, or the first op
+						// this context cannot run.
+						for o.kind = raNop; pc < len(ops) && o.kind == raNop; {
+							switch n := raOps[ops[pc]]; n.kind {
+							case raAdvance:
+								advance(n.d)
+							case raDo:
+								do(n.d, false)
+							case raBlockOn:
+								o = n
+							case raNop:
+							default:
+								return true
+							}
+							pc++
+						}
+						if o.kind == raNop {
+							return true
+						}
+					}
+				})
 			}
 		}
 	}
@@ -186,7 +223,7 @@ func FuzzRunAhead(f *testing.F) {
 			for len(prog) <= who {
 				prog = append(prog, nil)
 			}
-			prog[who] = append(prog[who], data[i+1]%16)
+			prog[who] = append(prog[who], data[i+1]%32)
 		}
 		eagerLog, eagerEnd := runRunAhead(prog, false)
 		aheadLog, aheadEnd := runRunAhead(prog, true)
