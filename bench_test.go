@@ -189,16 +189,19 @@ func BenchmarkAblation_SelectorOverhead(b *testing.B) {
 // program to completion and are dropped, as every pass of the repository
 // benchmark's world workloads is: the 384-rank linear Ialltoall with 1 KiB
 // blocks (wide-alltoall) and BENCH_scale.json's barrier + 64 KiB binomial
-// broadcast at 1K, 4K and 16K ranks (scale-4k at 4K).
+// broadcast at 1K, 4K and 16K ranks (scale-4k at 4K), and at 4K ranks on the
+// sharded engine's 2 shards, the world of BENCH_scale.json's sharded point.
 var oneShotWorlds = []struct {
-	name  string
-	ranks int
-	prog  func(*mpi.Comm)
+	name   string
+	ranks  int
+	shards int // 0: the sequential engine
+	prog   func(*mpi.Comm)
 }{
-	{"alltoall384", 384, linearAlltoall1K},
-	{"bcast1k", 1024, barrierBcast},
-	{"bcast4k", 4096, barrierBcast},
-	{"bcast16k", 16384, barrierBcast},
+	{"alltoall384", 384, 0, linearAlltoall1K},
+	{"bcast1k", 1024, 0, barrierBcast},
+	{"bcast4k", 4096, 0, barrierBcast},
+	{"bcast16k", 16384, 0, barrierBcast},
+	{"bcast4k-s2", 4096, 2, barrierBcast},
 }
 
 func linearAlltoall1K(c *mpi.Comm) {
@@ -212,21 +215,22 @@ func barrierBcast(c *mpi.Comm) {
 	nbc.Run(c, nbc.Ibcast(n, me, 0, mpi.Virtual(64*1024), nbc.FanoutBinomial, 32*1024))
 }
 
-// runOneShotWorld builds a world, runs prog on every rank and returns the
-// events the engine fired and the coroutine resumes it took.
-func runOneShotWorld(tb testing.TB, ranks int, prog func(*mpi.Comm)) (events, resumes int64) {
+// runOneShotWorld builds a world of ranks on the given number of shards (0:
+// sequential), runs prog on every rank and returns the events its engines
+// fired and the coroutine resumes they took.
+func runOneShotWorld(tb testing.TB, ranks, shards int, prog func(*mpi.Comm)) (events, resumes int64) {
 	tb.Helper()
 	plat, err := platform.ByName("bgp-16k")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	eng, w, err := plat.NewWorldPlaced(ranks, 1, platform.Block)
+	w, err := plat.Assemble(ranks, 1, platform.Block, "", 0, shards > 0, shards)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	w.Start(prog)
-	eng.Run()
-	return eng.EventsFired, eng.Resumes
+	w.Run()
+	return w.EventsFired(), w.Resumes()
 }
 
 // oneShotAllocCeiling is what TestOneShotWorldAllocBudget lets its two
@@ -247,7 +251,7 @@ const oneShotAllocCeiling = 143 << 20
 func TestOneShotWorldResumes(t *testing.T) {
 	want := map[string][2]int64{"alltoall384": {742464, 7296}, "bcast1k": {101278, 3072}}
 	for _, ow := range oneShotWorlds[:2] {
-		events, resumes := runOneShotWorld(t, ow.ranks, ow.prog)
+		events, resumes := runOneShotWorld(t, ow.ranks, ow.shards, ow.prog)
 		if w := want[ow.name]; events != w[0] || resumes != w[1] {
 			t.Errorf("%s: %d events and %d resumes, want %d and %d", ow.name, events, resumes, w[0], w[1])
 		}
@@ -261,7 +265,7 @@ func TestOneShotWorldAllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, ow := range oneShotWorlds[:2] {
-		runOneShotWorld(t, ow.ranks, ow.prog)
+		runOneShotWorld(t, ow.ranks, ow.shards, ow.prog)
 	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
@@ -283,7 +287,7 @@ func BenchmarkOneShotWorld(b *testing.B) {
 			runtime.ReadMemStats(&m0)
 			var events, resumes int64
 			for i := 0; i < b.N; i++ {
-				e, r := runOneShotWorld(b, ow.ranks, ow.prog)
+				e, r := runOneShotWorld(b, ow.ranks, ow.shards, ow.prog)
 				events, resumes = events+e, resumes+r
 			}
 			runtime.ReadMemStats(&m1)

@@ -29,6 +29,35 @@ func TestDefaultOut(t *testing.T) {
 	}
 }
 
+// TestCSV: -csv prints every table as one header line and one
+// comma-separated line per row, holding the cells of the aligned table the
+// same run prints without it (fig6, the cheapest figure suite).
+func TestCSV(t *testing.T) {
+	dir := t.TempDir()
+	code, text, stderr := sweep(t, dir, "-suite fig6 -fast -quiet")
+	if code != 0 {
+		t.Fatalf("sweep -suite fig6 -fast: exit status %d\n%s", code, stderr)
+	}
+	code, csv, stderr := sweep(t, dir, "-suite fig6 -fast -quiet -csv")
+	if code != 0 {
+		t.Fatalf("sweep -suite fig6 -fast -csv: exit status %d\n%s", code, stderr)
+	}
+	var want, got []string
+	for _, line := range strings.Split(text, "\n") {
+		if line != "" && !strings.HasPrefix(line, "## ") && !strings.HasPrefix(line, "-") {
+			want = append(want, strings.Join(strings.Fields(line), ","))
+		}
+	}
+	for _, line := range strings.Split(csv, "\n") {
+		if line != "" {
+			got = append(got, line)
+		}
+	}
+	if len(want) < 2 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("sweep -csv printed\n%s\nwant the header and rows of\n%s", csv, text)
+	}
+}
+
 // TestUnknownSuite: the rejection main prints lists the catalogue's own
 // names, so it cannot go stale when a suite is added.
 func TestUnknownSuite(t *testing.T) {

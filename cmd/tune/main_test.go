@@ -13,10 +13,11 @@ import (
 	"nbctune/internal/kb"
 )
 
-// TestGolden pins stdout and the -metrics artifact of four command lines,
-// captured before cmd/tune was rebuilt on the op catalogue and bench's rank
-// program: the tuning loop's virtual times, the report and the selection
-// audit must not move. Refresh a pair only for a deliberate change of the
+// TestGolden pins stdout and the -metrics artifact of five command lines,
+// four captured before cmd/tune was rebuilt on the op catalogue and bench's
+// rank program: the tuning loop's virtual times, the report and the selection
+// audit must not move. The fifth, "verify", pins -verify's table of every
+// fixed implementation against the tuned run. Refresh a pair only for a deliberate change of the
 // simulated timeline: go run ./cmd/tune ARGS -metrics m.json > NAME.stdout.
 func TestGolden(t *testing.T) {
 	cases := map[string]string{
@@ -24,6 +25,7 @@ func TestGolden(t *testing.T) {
 		"ibcast_attr": "-op ibcast -selector attr-heuristic -np 16",
 		"chaos":       "-op ialltoall -np 8 -msg 65536 -compute 0.005 -chaos congested -chaos-seed 3",
 		"speculate":   "-op ialltoall -np 8 -msg 65536 -compute 0.005 -iters 5 -selector speculative+brute-force",
+		"verify":      "-np 8 -iters 24 -verify",
 	}
 	golden, err := filepath.Abs("testdata")
 	if err != nil {

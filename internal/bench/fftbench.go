@@ -81,7 +81,7 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 	if spec.Flavor == fft.FlavorADCL || spec.Flavor == fft.FlavorADCLExt {
 		label += ":" + fft.SelectorName
 	}
-	w, err := assemble(spec.Platform, spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed, spec.PDES, spec.Shards)
+	w, err := spec.Platform.Assemble(spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed, spec.PDES, spec.Shards)
 	if err != nil {
 		return FFTResult{}, nil, err
 	}

@@ -11,13 +11,13 @@ import (
 
 // engineOf assembles a sequential world for a spec's machine and returns its
 // engine beside it, so a test can read the engine's counters after a run.
-func engineOf(t *testing.T, p platform.Platform, procs int, seed int64, pl platform.Placement, chaos string, chaosSeed int64) (*sim.Engine, World) {
+func engineOf(t *testing.T, p platform.Platform, procs int, seed int64, pl platform.Placement, chaos string, chaosSeed int64) (*sim.Engine, *mpi.World) {
 	t.Helper()
-	eng, w, err := p.NewWorldChaos(procs, seed, pl, chaos, chaosSeed)
+	w, err := p.Assemble(procs, seed, pl, chaos, chaosSeed, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, w
+	return w.Engine(), w
 }
 
 // TestDeliveryLanesKeepTheQueueShallow pins what netmodel's delivery lanes

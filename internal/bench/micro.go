@@ -148,35 +148,15 @@ func (s MicroSpec) evals() int {
 	return 3
 }
 
-// World is a simulated machine as a rank-program harness sees it; both
-// *mpi.World and *mpi.ShardedWorld are one. Programs may run back to back on
-// one world: Now is where the last one ended and the next one starts.
-type World interface {
-	Observe(rec *obs.Recorder)
-	Start(prog func(c *mpi.Comm))
-	Run()
-	Now() float64
-}
-
-// assemble builds the simulated machine a spec names — MicroSpec and FFTSpec
-// both come here: sequential by default, the sharded (PDES) world when pdes is
-// set.
-func assemble(p platform.Platform, procs int, seed int64, pl platform.Placement, chaos string, chaosSeed int64, pdes bool, shards int) (World, error) {
-	if !pdes {
-		_, w, err := p.NewWorldChaos(procs, seed, pl, chaos, chaosSeed)
-		return w, err
-	}
-	return p.NewWorldPDESChaos(procs, seed, pl, shards, chaos, chaosSeed)
-}
-
-// World assembles the spec's simulated machine. It is the one place a driver
-// or harness turns a spec into a machine, so it is also where an unsupported
-// spec is refused.
-func (s MicroSpec) World() (World, error) {
+// World assembles the spec's simulated machine (platform.Assemble). It is
+// the one place a driver or harness turns a spec into a machine, so it is
+// also where an unsupported spec is refused. Programs may run back to back
+// on one world: Now is where the last one ended and the next one starts.
+func (s MicroSpec) World() (*mpi.World, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	return assemble(s.Platform, s.Procs, s.Seed, s.Placement, s.Chaos, s.ChaosSeed, s.PDES, s.Shards)
+	return s.Platform.Assemble(s.Procs, s.Seed, s.Placement, s.Chaos, s.ChaosSeed, s.PDES, s.Shards)
 }
 
 // payload allocates an n-byte buffer descriptor in the spec's data mode:
@@ -283,7 +263,7 @@ func (s MicroSpec) Iterate(c *mpi.Comm, req *core.Request, timer *core.Timer) {
 // barrier-to-barrier virtual time of its timed region, the Total of every
 // result. prog sets the rank up and returns the region (nil: the rank gives
 // up); the region receives the time it starts at.
-func timed(w World, procs int, prog func(c *mpi.Comm) (region func(t0 float64))) float64 {
+func timed(w *mpi.World, procs int, prog func(c *mpi.Comm) (region func(t0 float64))) float64 {
 	starts := make([]float64, procs)
 	ends := make([]float64, procs)
 	w.Start(func(c *mpi.Comm) {
@@ -327,7 +307,7 @@ func pinned(fn int) selectorFor {
 // logic (rank 0's result is the one reported), and iterates barrier to
 // barrier. It returns the aggregate result, plus the run's recorder when
 // spec.Observe is set (nil otherwise).
-func runLoop(spec MicroSpec, w World, label string, mkSel selectorFor) (MicroResult, *obs.Recorder, error) {
+func runLoop(spec MicroSpec, w *mpi.World, label string, mkSel selectorFor) (MicroResult, *obs.Recorder, error) {
 	op, err := core.OpByName(spec.Op)
 	if err != nil {
 		return MicroResult{}, nil, err

@@ -26,7 +26,11 @@ func nbWorld(t *testing.T, n int) (*sim.Engine, *mpi.World) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, mpi.NewWorld(eng, net, n, mpi.Options{Seed: 3})
+	w, err := mpi.NewWorld([]*netmodel.Network{net}, nil, n, mpi.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, w
 }
 
 func TestNeighborhoodSetStructure(t *testing.T) {

@@ -30,7 +30,11 @@ func fftWorld(t testing.TB, n int) (*sim.Engine, *mpi.World) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, mpi.NewWorld(eng, net, n, mpi.Options{Seed: 11})
+	w, err := mpi.NewWorld([]*netmodel.Network{net}, nil, n, mpi.Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, w
 }
 
 // naive3D computes the full 3D DFT of data[x][y][z] (index (x*N+y)*N+z).

@@ -170,14 +170,14 @@ func opSet(c *mpi.Comm, op string, size int, mocks []string) (*core.FunctionSet,
 	return o.Set(c, size, mocks)
 }
 
-// world assembles the scenario's simulated machine (the single platform
-// assembly point, with the scenario's chaos profile attached).
+// world assembles the scenario's simulated machine (platform.Assemble, with
+// the scenario's chaos profile attached) on the sequential engine.
 func (s Scenario) world() (runFn func(prog func(c *mpi.Comm)), err error) {
 	pl, err := platform.ByName(s.Platform)
 	if err != nil {
 		return nil, err
 	}
-	_, w, err := pl.NewWorldChaos(s.Procs, s.Seed, platform.Cyclic, s.Chaos, s.ChaosSeed)
+	w, err := pl.Assemble(s.Procs, s.Seed, platform.Cyclic, s.Chaos, s.ChaosSeed, false, 0)
 	if err != nil {
 		return nil, err
 	}

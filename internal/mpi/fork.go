@@ -79,22 +79,23 @@ func (s *WorldSnapshot) Now() float64 { return float64(s.sim.Now()) }
 // are deep-copied in arrival order, payloads cloned (free for Virtual bufs,
 // one copy for real ones).
 func (w *World) Snapshot() (*WorldSnapshot, error) {
-	simSnap, err := w.eng.Snapshot()
+	sh := w.shards[0]
+	simSnap, err := sh.eng.Snapshot()
 	if err != nil {
 		return nil, err
 	}
 	s := &WorldSnapshot{
 		sim:     simSnap,
-		opts:    w.opts,
+		opts:    sh.opts,
 		nextCtx: w.nextCtx,
 	}
-	for env := w.envFree; env != nil; env = env.bnext {
+	for env := sh.envFree; env != nil; env = env.bnext {
 		s.envFree++
 	}
-	for x := w.xfFree; x != nil; x = x.next {
+	for x := sh.xfFree; x != nil; x = x.next {
 		s.xfFree++
 	}
-	for q := w.reqFree; q != nil; q = q.mnext {
+	for q := sh.reqFree; q != nil; q = q.mnext {
 		s.reqGens = append(s.reqGens, q.gen)
 	}
 	for _, r := range w.ranks {
@@ -140,10 +141,10 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 		}
 		s.ranks = append(s.ranks, rs)
 	}
-	if in := w.net.Chaos(); in != nil {
+	if in := sh.net.Chaos(); in != nil {
 		s.chaos = in.Clone() // each Fork gets its own clone of s.chaos
 	}
-	netSnap, err := w.net.Snapshot()
+	netSnap, err := sh.net.Snapshot() // refuses the views of a world on windows
 	if err != nil {
 		return nil, err
 	}
@@ -173,12 +174,8 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 	if s.chaos != nil {
 		inj = s.chaos.Clone()
 	}
-	w := &World{
-		eng:     eng,
-		net:     s.net.Fork(eng, inj),
-		opts:    s.opts,
-		nextCtx: s.nextCtx,
-	}
+	sh := &shard{eng: eng, net: s.net.Fork(eng, inj), opts: s.opts}
+	w := &World{shards: []*shard{sh}, nextCtx: s.nextCtx}
 	// Rank records come out of one contiguous batch, and the lazily created
 	// structures (RNG, wait condition, matcher maps) stay absent in the fork
 	// exactly where they were absent in the parent — per-fork cost is
@@ -186,10 +183,11 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 	// fully equipped rank.
 	recs := make([]Rank, len(s.ranks))
 	w.ranks = make([]*Rank, len(s.ranks))
+	sh.ranks = w.ranks
 	for i := range s.ranks {
 		rs := &s.ranks[i]
 		r := &recs[i]
-		r.w, r.id = w, i
+		r.w, r.id = sh, i
 		if rs.rng != nil {
 			r.rng = rs.rng.Clone()
 		}
@@ -202,7 +200,7 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 		}
 		w.ranks[i] = r
 		for _, es := range rs.eager {
-			env := w.allocEnv()
+			env := sh.allocEnv()
 			env.src, env.dst, env.tag, env.ctx = es.src, es.dst, es.tag, es.ctx
 			env.buf = es.buf.Clone()
 			env.dstRank = r
@@ -216,18 +214,18 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 	// order, back to front so each record links the one after it.
 	reqRecs := make([]Request, len(s.reqGens))
 	for i := len(reqRecs) - 1; i >= 0; i-- {
-		reqRecs[i] = Request{gen: s.reqGens[i], freed: true, mnext: w.reqFree}
-		w.reqFree = &reqRecs[i]
+		reqRecs[i] = Request{gen: s.reqGens[i], freed: true, mnext: sh.reqFree}
+		sh.reqFree = &reqRecs[i]
 	}
 	envRecs := make([]envelope, s.envFree)
 	for i := len(envRecs) - 1; i >= 0; i-- {
-		envRecs[i].bnext = w.envFree
-		w.envFree = &envRecs[i]
+		envRecs[i].bnext = sh.envFree
+		sh.envFree = &envRecs[i]
 	}
 	xfRecs := make([]xfer, s.xfFree)
 	for i := len(xfRecs) - 1; i >= 0; i-- {
-		xfRecs[i].next = w.xfFree
-		w.xfFree = &xfRecs[i]
+		xfRecs[i].next = sh.xfFree
+		sh.xfFree = &xfRecs[i]
 	}
 	return eng, w
 }

@@ -33,7 +33,7 @@ func forkScaleFingerprint(eng *sim.Engine, w *World) []float64 {
 // in compute and in MPI and its progress calls.
 func recorded(eng *sim.Engine, w *World, rec *obs.Recorder) []float64 {
 	m := rec.Metrics()
-	fp := []float64{eng.Now(), float64(eng.EventsFired), float64(w.net.Transfers)}
+	fp := []float64{eng.Now(), float64(eng.EventsFired), float64(w.shards[0].net.Transfers)}
 	for _, nic := range m.NIC {
 		fp = append(fp, float64(nic.TxBytes), float64(nic.RxBytes))
 	}

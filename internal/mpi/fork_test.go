@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"nbctune/internal/chaos"
@@ -40,7 +41,11 @@ func forkTestWorld(t testing.TB, n int) (*sim.Engine, *World) {
 		t.Fatal(err)
 	}
 	net.SetChaos(in)
-	return eng, NewWorld(eng, net, n, Options{Seed: 42})
+	w, err := NewWorld([]*netmodel.Network{net}, nil, n, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, w
 }
 
 // forkFingerprint runs a protocol-heavy program (eager and rendezvous
@@ -156,5 +161,17 @@ func TestSnapshotRefusesInFlightState(t *testing.T) {
 	eng.RunUntil(1)
 	if _, err := w.Snapshot(); err == nil {
 		t.Fatal("snapshot with a posted receive outstanding must fail")
+	}
+}
+
+// TestSnapshotRefusesShardedWorld: a world on windows is an mpi.World like any
+// other, and its snapshot is refused by netmodel, which will not snapshot a
+// sharded view, even at a quiescent point.
+func TestSnapshotRefusesShardedWorld(t *testing.T) {
+	w := testShardedWorld(t, 4, 2, 2, nil)
+	w.Start(func(c *Comm) { c.Barrier() })
+	w.Run()
+	if _, err := w.Snapshot(); err == nil || !strings.Contains(err.Error(), "sharded") {
+		t.Fatalf("snapshot of a 2-shard world: error %v, want netmodel's refusal of a sharded network", err)
 	}
 }

@@ -373,7 +373,7 @@ func TestRefusedMatchKeys(t *testing.T) {
 	if !refused(func() { w.Start(func(*Comm) {}) }) {
 		t.Errorf("Start with context %d accepted", maxCtx+1)
 	}
-	if big := (&World{ranks: make([]*Rank, maxRanks+1)}); !refused(func() { big.checkKey("Start with", 1, AnySource, AnyTag, true) }) {
+	if big := (&shard{ranks: make([]*Rank, maxRanks+1)}); !refused(func() { big.checkKey("Start with", 1, AnySource, AnyTag, true) }) {
 		t.Errorf("a %d-rank world accepted", maxRanks+1)
 	}
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 
 	"nbctune/internal/chaos"
@@ -9,9 +10,9 @@ import (
 	"nbctune/internal/sim"
 )
 
-// testNet builds an n-rank world, one rank per node, with RDMA semantics.
-func testWorld(t testing.TB, n int, mutate func(*netmodel.Params)) (*sim.Engine, *World) {
-	eng := sim.NewEngine(1)
+// testParams is the RDMA parameter set of the package's test worlds, mutate
+// applied.
+func testParams(mutate func(*netmodel.Params)) netmodel.Params {
 	p := netmodel.Params{
 		Name:          "test-ib",
 		Latency:       2e-6,
@@ -34,15 +35,59 @@ func testWorld(t testing.TB, n int, mutate func(*netmodel.Params)) (*sim.Engine,
 	if mutate != nil {
 		mutate(&p)
 	}
+	return p
+}
+
+// testWorld builds an n-rank sequential world, one rank per node, over
+// testParams.
+func testWorld(t testing.TB, n int, mutate func(*netmodel.Params)) (*sim.Engine, *World) {
 	nodeOf := make([]int, n)
 	for i := range nodeOf {
 		nodeOf[i] = i
 	}
-	net, err := netmodel.New(eng, p, nodeOf)
+	eng := sim.NewEngine(1)
+	net, err := netmodel.New(eng, testParams(mutate), nodeOf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, NewWorld(eng, net, n, Options{Seed: 42})
+	w, err := NewWorld([]*netmodel.Network{net}, nil, n, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, w
+}
+
+// TestNewWorldRefusals pins the errors of the one world constructor: a world
+// larger than its placement (which once indexed past the placement inside
+// Start, or while assigning ranks to shards) names both counts, and the views
+// must come one without windows or as many as the windows have shards.
+func TestNewWorldRefusals(t *testing.T) {
+	seq, err := netmodel.New(sim.NewEngine(1), testParams(nil), []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, win, err := netmodel.NewSharded(testParams(nil), []int{0, 1}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		nets []*netmodel.Network
+		win  *sim.Windows
+		n    int
+		want string
+	}{
+		{"sequential, larger than its placement", []*netmodel.Network{seq}, nil, 4, "4 ranks but the placement covers 2"},
+		{"sharded, larger than its placement", sharded, win, 3, "3 ranks but the placement covers 2"},
+		{"no views", nil, nil, 2, "0 network views for 1 shards"},
+		{"two views without windows", sharded, nil, 2, "2 network views for 1 shards"},
+		{"one view for two window shards", sharded[:1], win, 2, "1 network views for 2 shards"},
+	} {
+		w, err := NewWorld(tc.nets, tc.win, tc.n, Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got world %v, error %v; want an error naming %q", tc.name, w != nil, err, tc.want)
+		}
+	}
 }
 
 func runProg(t testing.TB, n int, mutate func(*netmodel.Params), prog func(c *Comm)) float64 {
@@ -333,7 +378,10 @@ func TestNoiseApplied(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := NewWorld(eng, net, 1, Options{Seed: 1, Noise: tc.noise})
+		w, err := NewWorld([]*netmodel.Network{net}, nil, 1, Options{Seed: 1, Noise: tc.noise})
+		if err != nil {
+			t.Fatal(err)
+		}
 		rec := obs.NewRecorder(1)
 		w.Observe(rec)
 		var end float64

@@ -65,18 +65,17 @@ func (w *Win) ReceivedFor(instance int64) int {
 }
 
 // winRegistry lets puts find the target rank's window object. Windows are
-// registered per (world, ctx) — on a sharded world, in the world of the
-// shard that runs the rank; creation order is collective so ctx values agree
-// across ranks.
+// registered per (shard, ctx), in the shard that runs the rank; creation
+// order is collective so ctx values agree across ranks.
 type winRegistry struct {
 	wins map[int]map[int]*Win // ctx -> world rank -> *Win
 }
 
-func (w *World) registry() *winRegistry {
-	if w.winReg == nil {
-		w.winReg = &winRegistry{wins: map[int]map[int]*Win{}}
+func (s *shard) registry() *winRegistry {
+	if s.winReg == nil {
+		s.winReg = &winRegistry{wins: map[int]map[int]*Win{}}
 	}
-	return w.winReg
+	return s.winReg
 }
 
 // CreateWin collectively creates a window exposing b on every rank of c.

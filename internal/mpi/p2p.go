@@ -12,7 +12,7 @@ const (
 )
 
 // Request is a non-blocking communication request handle. Requests are
-// pooled per World: completed requests returned to the pool (FreeRequests,
+// pooled per shard of a World: completed requests returned to the pool (FreeRequests,
 // FreeHandles, or the library's own internal frees) are recycled by later
 // operations, so steady-state iteration allocates none. A freed request must
 // not be touched through its *Request pointer again — hold a ReqHandle when
@@ -61,9 +61,9 @@ func (h ReqHandle) Done() bool {
 	return h.q == nil || h.q.gen != h.gen || h.q.done
 }
 
-// envelope describes a message in flight. Envelopes are pooled per World;
+// envelope describes a message in flight. Envelopes are pooled per shard;
 // bnext/gprev/gnext thread them through the matcher's unexpected queues, and
-// bnext a freed envelope through the world's free list.
+// bnext a freed envelope through the shard's free list.
 type envelope struct {
 	src, dst int // world ranks
 	tag, ctx int

@@ -6,61 +6,25 @@ import (
 	"nbctune/internal/chaos"
 	"nbctune/internal/netmodel"
 	"nbctune/internal/obs"
-	"nbctune/internal/sim"
 )
 
-// testShardedWorld builds an n-rank sharded world with ranksPerNode ranks
-// per node over the same parameter set as testWorld, mutate applied.
-func testShardedWorld(t testing.TB, n, ranksPerNode, shards int, mutate func(*netmodel.Params)) *ShardedWorld {
+// testShardedWorld builds an n-rank world on the sharded engine with
+// ranksPerNode ranks per node over testParams, mutate applied.
+func testShardedWorld(t testing.TB, n, ranksPerNode, shards int, mutate func(*netmodel.Params)) *World {
 	t.Helper()
-	p := netmodel.Params{
-		Name:          "test-ib",
-		Latency:       2e-6,
-		Bandwidth:     1.5e9,
-		NICs:          1,
-		OSend:         1e-6,
-		ORecv:         1e-6,
-		OPost:         2e-7,
-		OProgress:     5e-7,
-		OTest:         5e-8,
-		EagerLimit:    12 * 1024,
-		RDMA:          true,
-		CtrlBytes:     64,
-		CopyBandwidth: 4e9,
-		ShmLatency:    4e-7,
-		ShmBandwidth:  5e9,
-		IncastK:       8,
-		IncastBeta:    0.02,
-	}
-	if mutate != nil {
-		mutate(&p)
-	}
 	nodeOf := make([]int, n)
 	for i := range nodeOf {
 		nodeOf[i] = i / ranksPerNode
 	}
-	usedNodes := (n + ranksPerNode - 1) / ranksPerNode
-	if shards > usedNodes {
-		shards = usedNodes
-	}
-	engs := make([]*sim.Engine, shards)
-	for s := range engs {
-		engs[s] = sim.NewEngine(42)
-	}
-	win := sim.NewWindows(engs, p.Latency)
-	nodeShard := make([]int, usedNodes)
-	for nd := range nodeShard {
-		nodeShard[nd] = nd * shards / usedNodes
-	}
-	nets, err := netmodel.NewSharded(engs, win, p, nodeOf, nodeShard)
+	nets, win, err := netmodel.NewSharded(testParams(mutate), nodeOf, shards, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := NewSharded(engs, nets, win, n, Options{Seed: 42})
+	w, err := NewWorld(nets, win, n, Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sw
+	return w
 }
 
 // TestShardedDataIntegrity moves real payloads across every protocol path a
@@ -180,15 +144,15 @@ func recordedMPI(rec *obs.Recorder) []float64 {
 }
 
 // shardedChaos gives every shard's network view its own injector of prof,
-// as platform.NewWorldPDESChaos does.
-func shardedChaos(t testing.TB, sw *ShardedWorld, prof chaos.Profile, seed int64) {
+// as platform.Assemble does.
+func shardedChaos(t testing.TB, w *World, prof chaos.Profile, seed int64) {
 	t.Helper()
-	for _, w := range sw.worlds {
-		inj, err := chaos.NewInjector(prof, seed, len(w.ranks), w.net.Topo().NumNodes())
+	for _, s := range w.shards {
+		inj, err := chaos.NewInjector(prof, seed, len(w.ranks), s.net.Topo().NumNodes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.net.SetChaos(inj)
+		s.net.SetChaos(inj)
 	}
 }
 

@@ -30,18 +30,35 @@ type Options struct {
 	Seed int64
 }
 
-// World is a set of simulated MPI ranks sharing one interconnect.
+// World is a set of simulated MPI ranks sharing one interconnect: the rank
+// table, the shards that run it and, on the sharded (PDES) engine, the
+// windows that drive the shards' engines in lockstep (DESIGN.md §2). The
+// sequential world is a world of one shard and no windows. The protocol is
+// the same on both engines; the one difference is netmodel's: where a view
+// Splits a transfer at the wire, a rendezvous send or a put to another node
+// completes at its origin when the origin's NIC has drained the payload, not
+// at remote delivery (xmit).
 type World struct {
-	eng     *sim.Engine
-	net     *netmodel.Network
 	ranks   []*Rank
-	opts    Options
+	shards  []*shard
+	win     *sim.Windows // nil when one engine runs alone
 	nextCtx int
-	winReg  *winRegistry
+}
 
-	// Free lists for pooled protocol records. World-level (not per rank) so
+// shard is the part of a world one engine runs: its engine, network view,
+// record pools and window registry. Rank.w points here, and the shard holds
+// copies of the rank table's header and the options, so each of these is
+// one load from a rank.
+type shard struct {
+	eng    *sim.Engine
+	net    *netmodel.Network
+	ranks  []*Rank // the world's rank table
+	opts   Options
+	winReg *winRegistry
+
+	// Free lists for pooled protocol records. Shard-level (not per rank) so
 	// a record freed by its receiver can be reused by any sender; safe
-	// without locks because the engine serializes all ranks of one world.
+	// without locks because the engine serializes all ranks of one shard.
 	// Each is an intrusive LIFO chain through a link field that a free record
 	// never otherwise uses, so a list costs nothing to grow.
 	reqFree *Request  // through mnext
@@ -49,8 +66,10 @@ type World struct {
 	xfFree  *xfer     // through next
 }
 
-// NewWorld creates n ranks on the given network. The network's rank->node
-// placement must cover at least n ranks.
+// NewWorld creates n ranks over network views: one view and no windows for
+// the sequential engine, or the views netmodel.NewSharded built with the
+// windows that drive them. Each rank runs on the view that owns its node
+// (netmodel.Network.Owns), and the views' placement must cover all n ranks.
 //
 // Per-rank state is deliberately minimal at construction: the rank records
 // come out of one contiguous batch allocation, and everything that is only
@@ -58,47 +77,67 @@ type World struct {
 // state), its wait condition, the matcher's maps and chains — is created lazily on
 // first use. An idle 16K-rank world therefore costs a few hundred bytes per
 // rank (pinned by TestIdleWorldFootprint16K), not kilobytes.
-func NewWorld(eng *sim.Engine, net *netmodel.Network, n int, opts Options) *World {
-	w := &World{eng: eng, net: net, opts: opts, nextCtx: 1}
+func NewWorld(nets []*netmodel.Network, win *sim.Windows, n int, opts Options) (*World, error) {
+	k, want := len(nets), 1
+	if win != nil {
+		want = win.Shards()
+	}
+	if k == 0 || k != want {
+		return nil, fmt.Errorf("mpi: %d network views for %d shards", k, want)
+	}
+	if m := nets[0].Ranks(); n > m {
+		return nil, fmt.Errorf("mpi: %d ranks but the placement covers %d", n, m)
+	}
+	w := &World{ranks: make([]*Rank, n), shards: make([]*shard, k), win: win, nextCtx: 1}
+	for i, net := range nets {
+		w.shards[i] = &shard{eng: net.Engine(), net: net, ranks: w.ranks, opts: opts}
+	}
 	recs := make([]Rank, n)
-	w.ranks = make([]*Rank, n)
-	for i := 0; i < n; i++ {
+	for i := range recs {
 		r := &recs[i]
-		r.w, r.id = w, i
+		r.id = i
+		for _, s := range w.shards {
+			if s.net.Owns(i) {
+				r.w = s
+				break
+			}
+		}
+		if r.w == nil {
+			return nil, fmt.Errorf("mpi: no network view runs rank %d's node", i)
+		}
 		w.ranks[i] = r
 	}
-	return w
+	return w, nil
 }
 
-// Observe attaches an observability recorder to every rank and to the
-// network: compute/in-MPI/blocked state spans, progress-call counts,
+// Observe attaches an observability recorder to every rank and to every
+// network view: compute/in-MPI/blocked state spans, progress-call counts,
 // rendezvous stalls, and NIC occupancy are reported to it from now on.
 // Recording is passive (it never advances virtual time or perturbs any
 // decision), so an observed run is bit-identical to an unobserved one.
 // The recorder's per-node NIC storage is sized here, before any shard
 // records into it. Call before Start; nil detaches.
 func (w *World) Observe(rec *obs.Recorder) {
-	rec.EnsureNodes(w.net.Topo().NumNodes())
+	rec.EnsureNodes(w.shards[0].net.Topo().NumNodes())
 	for _, r := range w.ranks {
 		r.rec = rec
 	}
-	w.net.SetRecorder(rec)
+	for _, s := range w.shards {
+		s.net.SetRecorder(rec)
+	}
 }
 
-// Start spawns one simulated process per rank its network view owns, each
+// Start spawns one simulated process per rank, on its shard's engine, each
 // executing prog with its world communicator. Call Run afterwards to execute
 // the simulation.
 func (w *World) Start(prog func(c *Comm)) {
 	ctx := w.nextCtx
 	w.nextCtx++
-	w.checkKey("Start with", ctx, AnySource, AnyTag, true)
+	w.shards[0].checkKey("Start with", ctx, AnySource, AnyTag, true)
 	for _, r := range w.ranks {
-		if !w.net.Owns(r.id) {
-			continue // another shard's world spawns this rank
-		}
 		r := r
 		c := &Comm{r: r, ctx: ctx}
-		w.eng.Spawn(fmt.Sprintf("rank%d", r.id), func(p *sim.Proc) {
+		r.w.eng.Spawn(fmt.Sprintf("rank%d", r.id), func(p *sim.Proc) {
 			r.proc = p
 			prog(c)
 		})
@@ -109,27 +148,62 @@ func (w *World) Start(prog func(c *Comm)) {
 // and tag: a context in 0..maxCtx, a world of at most maxRanks ranks, peer one
 // of its ranks and tag in 0..maxTag, or AnySource and AnyTag where wild (a
 // receive filter) allows them.
-func (w *World) checkKey(op string, ctx, peer, tag int, wild bool) {
-	if ctx < 0 || ctx > maxCtx || len(w.ranks) > maxRanks ||
-		!(peer >= 0 && peer < len(w.ranks) || wild && peer == AnySource) ||
+func (s *shard) checkKey(op string, ctx, peer, tag int, wild bool) {
+	if ctx < 0 || ctx > maxCtx || len(s.ranks) > maxRanks ||
+		!(peer >= 0 && peer < len(s.ranks) || wild && peer == AnySource) ||
 		!(tag >= 0 && tag <= maxTag || wild && tag == AnyTag) {
 		panic(fmt.Sprintf("mpi: %s rank %d, tag %d, context %d: not matchable in a %d-rank world (tags 0..%d, contexts 0..%d)",
-			op, peer, tag, ctx, len(w.ranks), maxTag, maxCtx))
+			op, peer, tag, ctx, len(s.ranks), maxTag, maxCtx))
 	}
 }
 
-// Run executes the simulation to completion on the world's engine. With
-// Start, Observe and Now it is the whole surface a rank-program harness
-// needs, and the one ShardedWorld shares.
-func (w *World) Run() { w.eng.Run() }
+// Run executes the simulation to completion: the one engine's queue, or all
+// shards in lockstep time windows until every queue drains (sim.Windows.Run).
+func (w *World) Run() {
+	if w.win != nil {
+		w.win.Run()
+	} else {
+		w.shards[0].eng.Run()
+	}
+}
 
 // Now returns the world's virtual time: between runs, the time the last
-// program ended and the next one starts at.
-func (w *World) Now() float64 { return w.eng.Now() }
+// program ended and the next one starts at, which every shard is at.
+func (w *World) Now() float64 {
+	if w.win != nil {
+		return w.win.Now()
+	}
+	return w.shards[0].eng.Now()
+}
+
+// EventsFired and Resumes return the events executed and the coroutine
+// hand-offs taken so far, summed over the shards' engines (sim.Engine).
+func (w *World) EventsFired() int64 { return w.sum(func(e *sim.Engine) int64 { return e.EventsFired }) }
+func (w *World) Resumes() int64     { return w.sum(func(e *sim.Engine) int64 { return e.Resumes }) }
+
+func (w *World) sum(count func(*sim.Engine) int64) (n int64) {
+	for _, s := range w.shards {
+		n += count(s.eng)
+	}
+	return n
+}
+
+// Windows returns the window coordinator driving the shards, or nil when one
+// engine runs alone.
+func (w *World) Windows() *sim.Windows { return w.win }
+
+// Engine returns the engine of a world without windows, and nil for one that
+// runs on windows: there, Run, Now and EventsFired speak for all engines.
+func (w *World) Engine() *sim.Engine {
+	if w.win != nil {
+		return nil
+	}
+	return w.shards[0].eng
+}
 
 // Rank is the per-process state of the simulated MPI library.
 type Rank struct {
-	w    *World
+	w    *shard
 	id   int
 	proc *sim.Proc
 	rng  *sim.ClonableRand // lazily created (see random); nil until first draw
@@ -265,11 +339,11 @@ func (r *Rank) net() *netmodel.Network { return r.w.net }
 // reads it.
 func (r *Rank) LayerState() *any { return &r.layerState }
 
-// allocReq draws a Request from the world's pool. All fields except the
+// allocReq draws a Request from the shard's pool. All fields except the
 // pooling generation are zero.
-func (w *World) allocReq() *Request {
-	if q := w.reqFree; q != nil {
-		w.reqFree, q.mnext = q.mnext, nil
+func (s *shard) allocReq() *Request {
+	if q := s.reqFree; q != nil {
+		s.reqFree, q.mnext = q.mnext, nil
 		q.freed = false
 		return q
 	}
@@ -279,20 +353,20 @@ func (w *World) allocReq() *Request {
 // freeReq returns a completed request to the pool, bumping its generation so
 // outstanding ReqHandles keep reading as done instead of observing the
 // record's next life.
-func (w *World) freeReq(q *Request) {
+func (s *shard) freeReq(q *Request) {
 	if q.freed {
 		panic("mpi: request freed twice")
 	}
 	if !q.done {
 		panic("mpi: freeing an incomplete request (Wait before freeing)")
 	}
-	*q = Request{gen: q.gen + 1, freed: true, mnext: w.reqFree}
-	w.reqFree = q
+	*q = Request{gen: q.gen + 1, freed: true, mnext: s.reqFree}
+	s.reqFree = q
 }
 
-func (w *World) allocEnv() *envelope {
-	if env := w.envFree; env != nil {
-		w.envFree, env.bnext = env.bnext, nil
+func (s *shard) allocEnv() *envelope {
+	if env := s.envFree; env != nil {
+		s.envFree, env.bnext = env.bnext, nil
 		return env
 	}
 	return &envelope{}
@@ -303,22 +377,22 @@ func (w *World) allocEnv() *envelope {
 // (immediately or out of the unexpected queue), and after an RTS has been
 // answered with a CTS (the sender correlation travels on the send request,
 // not the envelope).
-func (w *World) freeEnv(env *envelope) {
-	*env = envelope{bnext: w.envFree}
-	w.envFree = env
+func (s *shard) freeEnv(env *envelope) {
+	*env = envelope{bnext: s.envFree}
+	s.envFree = env
 }
 
-func (w *World) allocXfer() *xfer {
-	if x := w.xfFree; x != nil {
-		w.xfFree, x.next = x.next, nil
+func (s *shard) allocXfer() *xfer {
+	if x := s.xfFree; x != nil {
+		s.xfFree, x.next = x.next, nil
 		return x
 	}
 	return &xfer{}
 }
 
-func (w *World) freeXfer(x *xfer) {
-	*x = xfer{next: w.xfFree}
-	w.xfFree = x
+func (s *shard) freeXfer(x *xfer) {
+	*x = xfer{next: s.xfFree}
+	s.xfFree = x
 }
 
 // waitUntil keeps the rank inside MPI until the queued notices are processed

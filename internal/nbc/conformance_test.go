@@ -63,9 +63,9 @@ func runConf(t testing.TB, n int, mode confMode, chaosSeed int64, prog func(c *m
 }
 
 // runConfOn runs prog on one rank per entry of nodeOf: on one engine, or in
-// confShardedChaos mode on two shards (netmodel and mpi's sharded worlds, node
-// ranges split in half as the platform layer splits them), each shard's
-// network view with its own injector.
+// confShardedChaos mode on two shards (netmodel.NewSharded's partition, as
+// the platform layer builds it), each shard's network view with its own
+// injector.
 func runConfOn(t testing.TB, p netmodel.Params, nodeOf []int, mode confMode, chaosSeed int64, prog func(c *mpi.Comm)) {
 	t.Helper()
 	n, nodes := len(nodeOf), 0
@@ -82,41 +82,28 @@ func runConfOn(t testing.TB, p netmodel.Params, nodeOf []int, mode confMode, cha
 		}
 		net.SetChaos(in)
 	}
-	opts := mpi.Options{Seed: 7}
-	if mode != confShardedChaos {
-		eng := sim.NewEngine(1)
-		net, err := netmodel.New(eng, p, nodeOf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		attach(net)
-		w := mpi.NewWorld(eng, net, n, opts)
-		w.Start(prog)
-		eng.Run()
-		return
+	var nets []*netmodel.Network
+	var win *sim.Windows
+	var err error
+	if mode == confShardedChaos {
+		nets, win, err = netmodel.NewSharded(p, nodeOf, 2, 1)
+	} else {
+		var net *netmodel.Network
+		net, err = netmodel.New(sim.NewEngine(1), p, nodeOf)
+		nets = []*netmodel.Network{net}
 	}
-	engs := make([]*sim.Engine, min(2, nodes))
-	for s := range engs {
-		engs[s] = sim.NewEngine(1)
-	}
-	win := sim.NewWindows(engs, p.Latency)
-	shardOfNode := make([]int, nodes)
-	for nd := range shardOfNode {
-		shardOfNode[nd] = nd * len(engs) / nodes
-	}
-	nets, err := netmodel.NewSharded(engs, win, p, nodeOf, shardOfNode)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, net := range nets {
 		attach(net)
 	}
-	sw, err := mpi.NewSharded(engs, nets, win, n, opts)
+	w, err := mpi.NewWorld(nets, win, n, mpi.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.Start(prog)
-	sw.Run()
+	w.Start(prog)
+	w.Run()
 }
 
 // confFill deterministically fills b from a per-(case,rank) tag, so every

@@ -22,7 +22,11 @@ func forkTestWorld(t testing.TB, n int) (*sim.Engine, *mpi.World) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, mpi.NewWorld(eng, net, n, mpi.Options{Seed: 7})
+	w, err := mpi.NewWorld([]*netmodel.Network{net}, nil, n, mpi.Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, w
 }
 
 // TestStartPanicsOnPendingPooledHandle is the re-arm invariant regression

@@ -49,7 +49,10 @@ func runProg(t testing.TB, n int, mutate func(*netmodel.Params), prog func(c *mp
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := mpi.NewWorld(eng, net, n, mpi.Options{Seed: 7})
+	w, err := mpi.NewWorld([]*netmodel.Network{net}, nil, n, mpi.Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	w.Start(prog)
 	return eng.Run()
 }

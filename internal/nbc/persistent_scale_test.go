@@ -34,7 +34,10 @@ func TestPersistentIbcast4KSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := mpi.NewWorld(eng, net, n, mpi.Options{Seed: 3})
+	w, err := mpi.NewWorld([]*netmodel.Network{net}, nil, n, mpi.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	gate := sim.NewCond(eng)
 	released := 0
 	w.Start(func(c *mpi.Comm) {

@@ -51,7 +51,10 @@ func TestPersistentIbcastReuse(t *testing.T) {
 				}
 				net.SetChaos(in)
 			}
-			w := mpi.NewWorld(eng, net, n, opts)
+			w, err := mpi.NewWorld([]*netmodel.Network{net}, nil, n, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 			errs := make(chan string, n*iters)
 			w.Start(func(c *mpi.Comm) {
 				me := c.Rank()
@@ -103,7 +106,10 @@ func persistentLoop(t *testing.T, n int, mk func(c *mpi.Comm) *Schedule) (*sim.E
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := mpi.NewWorld(eng, net, n, mpi.Options{Seed: 3})
+	w, err := mpi.NewWorld([]*netmodel.Network{net}, nil, n, mpi.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	gate := sim.NewCond(eng)
 	released := 0
 	w.Start(func(c *mpi.Comm) {

@@ -3,7 +3,7 @@ package netmodel
 import "testing"
 
 // TestLookaheadFloorBounds re-derives by exhaustive pair scan the PDES
-// lookahead platform.NewWorldPDES uses, Params.Latency: Validate pins
+// lookahead NewSharded uses, Params.Latency: Validate pins
 // HopLatency >= 0 and every distinct pair is at hop distance >= 1, so
 // the wire latency Latency + (hops-1)*HopLatency is minimized at an adjacent
 // pair. On flat and torus platforms the floor must lower-bound every

@@ -293,22 +293,29 @@ func fifoClamp(floor map[uint64]float64, src, dst int, arrival float64) float64 
 
 // New builds a network for the given rank->node placement.
 func New(eng *sim.Engine, p Params, nodeOf []int) (*Network, error) {
-	if err := p.Validate(); err != nil {
+	used, err := usedNodes(&p, nodeOf)
+	if err != nil {
 		return nil, err
 	}
-	maxNode := -1
-	for _, nd := range nodeOf {
-		if nd < 0 {
-			return nil, fmt.Errorf("netmodel: negative node id %d", nd)
-		}
-		if nd > maxNode {
-			maxNode = nd
-		}
-	}
 	n := &Network{eng: eng, p: p, nodeOf: append([]int(nil), nodeOf...)}
-	n.nodes = newNodes(maxNode+1, p.NICs, func(int) *Network { return n })
+	n.nodes = newNodes(used, p.NICs, func(int) *Network { return n })
 	n.topo = newTopo(&n.p, len(n.nodes))
 	return n, nil
+}
+
+// usedNodes validates p and the placement and returns the nodes it spans.
+func usedNodes(p *Params, nodeOf []int) (int, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	used := 0
+	for _, nd := range nodeOf {
+		if nd < 0 {
+			return 0, fmt.Errorf("netmodel: negative node id %d", nd)
+		}
+		used = max(used, nd+1)
+	}
+	return used, nil
 }
 
 // Params returns the network's parameter set.
@@ -316,6 +323,12 @@ func (n *Network) Params() *Params { return &n.p }
 
 // NodeOf returns the node hosting the given rank.
 func (n *Network) NodeOf(rank int) int { return n.nodeOf[rank] }
+
+// Ranks returns the number of ranks the placement covers.
+func (n *Network) Ranks() int { return len(n.nodeOf) }
+
+// Engine returns the engine the view schedules on.
+func (n *Network) Engine() *sim.Engine { return n.eng }
 
 func minIdx(xs []float64) int {
 	best := 0

@@ -415,11 +415,8 @@ func TestChaosDeliveryPreservesChannelOrder(t *testing.T) {
 // view: a sharded view splits exactly the transfers between nodes, and a
 // rank is owned by the view of its node's shard alone.
 func TestShardedViewsSplitAndOwn(t *testing.T) {
-	p := testParams()
-	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(1)}
-	ws := sim.NewWindows(engs, p.Latency)
 	shardOfRank := []int{0, 0, 1} // ranks 0 and 1 on node 0, rank 2 on node 1
-	nets, err := NewSharded(engs, ws, p, []int{0, 0, 1}, []int{0, 1})
+	nets, _, err := NewSharded(testParams(), []int{0, 0, 1}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,6 +429,95 @@ func TestShardedViewsSplitAndOwn(t *testing.T) {
 				t.Errorf("view %d: Owns(%d) = %v, rank is on shard %d", s, rank, n.Owns(rank), shard)
 			}
 		}
+	}
+}
+
+// TestShardedPartition is the table test of the one partition, NewSharded's:
+// the shard count is clamped to the nodes the placement uses, every view
+// owns a contiguous range of nodes with all of their ranks, the ranges cover
+// the used nodes in shard order, and their sizes differ by at most one node.
+// A zero latency leaves no lookahead and is refused.
+func TestShardedPartition(t *testing.T) {
+	cyclic := func(ranks, nodes int) []int {
+		nodeOf := make([]int, ranks)
+		for r := range nodeOf {
+			nodeOf[r] = r % nodes
+		}
+		return nodeOf
+	}
+	block := func(ranks, perNode int) []int {
+		nodeOf := make([]int, ranks)
+		for r := range nodeOf {
+			nodeOf[r] = r / perNode
+		}
+		return nodeOf
+	}
+	rows := []struct {
+		name       string
+		nodeOf     []int
+		shards     int
+		wantShards int
+	}{
+		{"one shard", block(8, 2), 1, 1},
+		{"even split", block(16, 2), 4, 4},
+		{"uneven split", block(14, 2), 3, 3},    // 7 nodes: 2, 2, 3
+		{"clamped to nodes", block(6, 2), 8, 3}, // 3 nodes
+		{"one rank per node", cyclic(5, 16), 2, 2},
+		{"cyclic, several ranks per node", cyclic(12, 5), 4, 4},
+		{"more shards than nodes", cyclic(3, 3), 64, 3},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			nets, ws, err := NewSharded(testParams(), row.nodeOf, row.shards, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(nets) != row.wantShards || ws.Shards() != row.wantShards {
+				t.Fatalf("%d views and %d window shards, want %d", len(nets), ws.Shards(), row.wantShards)
+			}
+			used := 0
+			for _, nd := range row.nodeOf {
+				used = max(used, nd+1)
+			}
+			shardOf := make([]int, used) // node -> the one view owning its ranks
+			for nd := range shardOf {
+				shardOf[nd] = -1
+			}
+			for rank, nd := range row.nodeOf {
+				owners := 0
+				for s, n := range nets {
+					if n.Owns(rank) {
+						owners++
+						if shardOf[nd] >= 0 && shardOf[nd] != s {
+							t.Fatalf("node %d's ranks are split over views %d and %d", nd, shardOf[nd], s)
+						}
+						shardOf[nd] = s
+					}
+				}
+				if owners != 1 {
+					t.Fatalf("rank %d is owned by %d views", rank, owners)
+				}
+			}
+			size := make([]int, len(nets))
+			for nd, s := range shardOf {
+				if nd > 0 && s != shardOf[nd-1] && s != shardOf[nd-1]+1 {
+					t.Fatalf("node %d on view %d follows node %d on view %d: ranges not contiguous", nd, s, nd-1, shardOf[nd-1])
+				}
+				size[s]++
+			}
+			lo, hi := size[0], size[0]
+			for _, n := range size {
+				lo, hi = min(lo, n), max(hi, n)
+			}
+			if lo == 0 || hi-lo > 1 {
+				t.Errorf("views own %v nodes: want each at least one and within one of each other", size)
+			}
+		})
+	}
+	p := testParams()
+	p.Latency = 0
+	if _, _, err := NewSharded(p, block(4, 2), 2, 1); err == nil {
+		t.Error("a zero latency was accepted as a PDES lookahead")
 	}
 }
 
@@ -453,13 +539,11 @@ func TestShardedChaosKeepsPairOrder(t *testing.T) {
 	}
 	for _, lane := range []string{"bulk", "ctrl"} {
 		t.Run(lane, func(t *testing.T) {
-			p := testParams()
-			engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(1)}
-			ws := sim.NewWindows(engs, p.Latency)
-			nets, err := NewSharded(engs, ws, p, []int{0, 1}, []int{0, 1})
+			nets, ws, err := NewSharded(testParams(), []int{0, 1}, 2, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			engs := []*sim.Engine{nets[0].Engine(), nets[1].Engine()}
 			for _, n := range nets {
 				in, err := chaos.NewInjector(prof, 99, 2, 2)
 				if err != nil {

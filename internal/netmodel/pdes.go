@@ -34,6 +34,7 @@ package netmodel
 
 import (
 	"fmt"
+	"runtime"
 
 	"nbctune/internal/sim"
 )
@@ -90,42 +91,47 @@ func fireRxHalf(arg any) {
 	rx.receive(n.nodeOf[rx.dst], n.eng.Now())
 }
 
-// NewSharded builds one network view per shard over a common platform.
-// shardOfNode maps every node to its shard, and a rank runs on its node's
-// shard (Owns), so the partition is node-aligned by construction. The views
-// share NIC states, placement and topology; each is bound
-// to its engine and its shard's outbox on ws, and each node to the view of
-// the shard that owns it, its lanes to that shard's engine.
-func NewSharded(engs []*sim.Engine, ws *sim.Windows, p Params, nodeOf []int, shardOfNode []int) ([]*Network, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+// NewSharded builds the sharded network: one engine per shard, seeded with
+// seed, the windows that drive them and one view per engine, all over one
+// platform. It alone decides the partition: the shard count (<= 0:
+// GOMAXPROCS) is clamped to the nodes the placement uses, and each shard
+// gets a contiguous range of nodes, balanced to within one node; a rank runs
+// on its node's shard (Owns). The lookahead is Params.Latency, the minimum
+// cross-node wire latency (TestLookaheadFloorBounds). The views share NIC
+// states, placement and topology; each node is bound to its shard's view,
+// its lanes to that shard's engine.
+func NewSharded(p Params, nodeOf []int, shards int, seed int64) ([]*Network, *sim.Windows, error) {
+	used, err := usedNodes(&p, nodeOf)
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(engs) != ws.Shards() {
-		return nil, fmt.Errorf("netmodel: %d engines but %d window shards", len(engs), ws.Shards())
+	if p.Latency <= 0 {
+		return nil, nil, fmt.Errorf("netmodel %q: latency %g leaves no PDES lookahead", p.Name, p.Latency)
 	}
-	maxNode := -1
-	for _, nd := range nodeOf {
-		if nd < 0 {
-			return nil, fmt.Errorf("netmodel: negative node id %d", nd)
-		}
-		if nd > maxNode {
-			maxNode = nd
-		}
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
 	}
-	if maxNode+1 > len(shardOfNode) {
-		return nil, fmt.Errorf("netmodel: placement uses node %d but shardOfNode covers %d nodes", maxNode, len(shardOfNode))
+	shards = max(1, min(shards, used))
+	engs := make([]*sim.Engine, shards)
+	for s := range engs {
+		engs[s] = sim.NewEngine(seed)
+	}
+	ws := sim.NewWindows(engs, p.Latency)
+	shardOfNode := make([]int, used)
+	for nd := range shardOfNode {
+		shardOfNode[nd] = nd * shards / used
 	}
 	placement := append([]int(nil), nodeOf...)
 	seq := make([]uint64, len(nodeOf))
-	nets := make([]*Network, len(engs))
+	nets := make([]*Network, shards)
 	for s := range engs {
 		nets[s] = &Network{eng: engs[s], p: p, nodeOf: placement}
 		nets[s].pdes = &pdesLinks{out: ws.Outbox(s), shardOfNode: shardOfNode, seq: seq}
 	}
-	nodes := newNodes(maxNode+1, p.NICs, func(node int) *Network { return nets[shardOfNode[node]] })
+	nodes := newNodes(used, p.NICs, func(node int) *Network { return nets[shardOfNode[node]] })
 	topo := newTopo(&nets[0].p, len(nodes))
 	for _, n := range nets {
 		n.nodes, n.topo = nodes, topo
 	}
-	return nets, nil
+	return nets, ws, nil
 }

@@ -6,13 +6,12 @@
 // the qualitative properties the paper attributes to each platform
 // (DESIGN.md, substitution 1). It is layer S8 of the substitution map
 // (DESIGN.md §1); the invariant is that a preset plus a seed fully
-// determines the simulated machine — NewWorld is the single assembly point
+// determines the simulated machine — Assemble is the single assembly point
 // wiring sim, netmodel and mpi together.
 package platform
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"nbctune/internal/chaos"
@@ -250,109 +249,68 @@ func (p Platform) NewWorld(nprocs int, seed int64) (*sim.Engine, *mpi.World, err
 
 // NewWorldPlaced is NewWorld with an explicit placement policy.
 func (p Platform) NewWorldPlaced(nprocs int, seed int64, pl Placement) (*sim.Engine, *mpi.World, error) {
-	return p.NewWorldChaos(nprocs, seed, pl, "", 0)
+	return withEngine(p.Assemble(nprocs, seed, pl, "", 0, false, 0))
 }
 
-// NewWorldChaos is NewWorldPlaced under the shipped fault/noise injection
-// profile named chaosName: the form the drivers' -chaos flag, bench specs and
-// guideline scenarios carry. "" and "off" are exactly the clean build (no
-// injector is constructed, no stream is seeded, the arithmetic on every hot
-// path is bit-identical). Otherwise one chaos.Injector, seeded with
-// chaosSeed, is attached to the network (link degradation, bursts, jitter,
-// slow NICs, regime shifts), and the MPI world draws its ranks' OS detours
+// NewWorldPDES is Assemble's sharded (PDES) world on a clean machine.
+func (p Platform) NewWorldPDES(nprocs int, seed int64, pl Placement, shards int) (*mpi.World, error) {
+	return p.Assemble(nprocs, seed, pl, "", 0, true, shards)
+}
+
+// withEngine returns a world without windows beside its engine.
+func withEngine(w *mpi.World, err error) (*sim.Engine, *mpi.World, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return w.Engine(), w, nil
+}
+
+// Assemble builds the simulated machine for nprocs ranks in placement pl:
+// the network and the MPI world over it, on the sequential engine, or with
+// pdes set on the sharded (PDES) engine of netmodel.NewSharded, which
+// decides the partition from shards (<= 0: one shard per GOMAXPROCS). Every
+// simulated quantity is independent of the shard count but differs from the
+// sequential engine's (DESIGN.md §2); snapshot/fork is not available on a
+// sharded world.
+//
+// chaosName names a shipped fault/noise injection profile: the form the
+// drivers' -chaos flag, bench specs and guideline scenarios carry. "" and
+// "off" are exactly the clean build (no injector is constructed, no stream
+// is seeded, the arithmetic on every hot path is bit-identical). Otherwise
+// every network view gets its own chaos.Injector of the profile, seeded with
+// chaosSeed (link degradation, bursts, jitter, slow NICs, regime shifts), the
+// views agree on every draw, and the MPI world draws its ranks' OS detours
 // from it — keeping this the single assembly point for the whole simulated
 // machine, adversity included.
-func (p Platform) NewWorldChaos(nprocs int, seed int64, pl Placement, chaosName string, chaosSeed int64) (*sim.Engine, *mpi.World, error) {
+func (p Platform) Assemble(nprocs int, seed int64, pl Placement, chaosName string, chaosSeed int64, pdes bool, shards int) (*mpi.World, error) {
 	nodeOf, err := p.NodeOf(nprocs, pl)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	eng := sim.NewEngine(seed)
-	net, err := netmodel.New(eng, p.Net, nodeOf)
+	var nets []*netmodel.Network
+	var win *sim.Windows
+	if pdes {
+		nets, win, err = netmodel.NewSharded(p.Net, nodeOf, shards, seed)
+	} else {
+		var net *netmodel.Network
+		net, err = netmodel.New(sim.NewEngine(seed), p.Net, nodeOf)
+		nets = []*netmodel.Network{net}
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := p.attachChaos([]*netmodel.Network{net}, nprocs, chaosName, chaosSeed); err != nil {
-		return nil, nil, err
-	}
-	return eng, mpi.NewWorld(eng, net, nprocs, mpi.Options{Seed: seed, Noise: p.Noise}), nil
-}
-
-// attachChaos gives every network (view) its own injector of the named
-// profile, seeded with chaosSeed; "" and "off" leave them clean.
-func (p Platform) attachChaos(nets []*netmodel.Network, nprocs int, chaosName string, chaosSeed int64) error {
 	prof, err := profiles.ByName(chaosName)
-	if err != nil || prof == nil {
-		return err
-	}
-	for _, net := range nets {
-		inj, err := chaos.NewInjector(*prof, chaosSeed, nprocs, p.Nodes)
-		if err != nil {
-			return err
-		}
-		net.SetChaos(inj)
-	}
-	return nil
-}
-
-// NewWorldPDES assembles a sharded (PDES) world: `shards` engines, each
-// driving a node-aligned partition of the ranks, synchronized in
-// conservative time windows bounded by the platform's lookahead floor
-// (minimum cross-node wire latency). shards <= 0 selects an automatic count
-// — min(GOMAXPROCS, used nodes); any request is clamped to the number of
-// nodes the placement actually uses, since a shard without nodes would idle.
-//
-// Every simulated quantity is independent of the shard count (DESIGN.md
-// §2); only wall-clock changes. Snapshot/fork is not available on sharded
-// worlds.
-func (p Platform) NewWorldPDES(nprocs int, seed int64, pl Placement, shards int) (*mpi.ShardedWorld, error) {
-	return p.NewWorldPDESChaos(nprocs, seed, pl, shards, "", 0)
-}
-
-// NewWorldPDESChaos is NewWorldPDES under the shipped chaos profile named
-// chaosName ("" and "off" mean none), seeded with chaosSeed: every shard's
-// network view gets its own injector, and the shards agree on every draw
-// (chaos.Injector).
-func (p Platform) NewWorldPDESChaos(nprocs int, seed int64, pl Placement, shards int, chaosName string, chaosSeed int64) (*mpi.ShardedWorld, error) {
-	nodeOf, err := p.NodeOf(nprocs, pl)
 	if err != nil {
 		return nil, err
 	}
-	usedNodes := 0
-	for _, nd := range nodeOf {
-		if nd+1 > usedNodes {
-			usedNodes = nd + 1
+	if prof != nil {
+		for _, net := range nets {
+			inj, err := chaos.NewInjector(*prof, chaosSeed, nprocs, p.Nodes)
+			if err != nil {
+				return nil, err
+			}
+			net.SetChaos(inj)
 		}
 	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > usedNodes {
-		shards = usedNodes
-	}
-	if p.Net.Latency <= 0 {
-		return nil, fmt.Errorf("platform %s: latency %g leaves no PDES lookahead", p.Name, p.Net.Latency)
-	}
-	engs := make([]*sim.Engine, shards)
-	for s := range engs {
-		engs[s] = sim.NewEngine(seed)
-	}
-	// Lookahead = the minimum cross-node wire latency: Validate pins
-	// HopLatency >= 0, so an adjacent pair (hops == 1) attains Net.Latency
-	// (TestLookaheadFloorBounds re-derives it by pair scan).
-	win := sim.NewWindows(engs, p.Net.Latency)
-	// Contiguous node ranges per shard: node-aligned by construction, and
-	// balanced to within one node.
-	shardOfNode := make([]int, usedNodes)
-	for nd := range shardOfNode {
-		shardOfNode[nd] = nd * shards / usedNodes
-	}
-	nets, err := netmodel.NewSharded(engs, win, p.Net, nodeOf, shardOfNode)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.attachChaos(nets, nprocs, chaosName, chaosSeed); err != nil {
-		return nil, err
-	}
-	return mpi.NewSharded(engs, nets, win, nprocs, mpi.Options{Seed: seed, Noise: p.Noise})
+	return mpi.NewWorld(nets, win, nprocs, mpi.Options{Seed: seed, Noise: p.Noise})
 }

@@ -121,15 +121,6 @@ func (ws *Windows) Now() Time {
 	return t
 }
 
-// EventsFired sums the event counters of all shards.
-func (ws *Windows) EventsFired() int64 {
-	var n int64
-	for _, e := range ws.engs {
-		n += e.EventsFired
-	}
-	return n
-}
-
 // drain merges every shard's outbox in canonical order and injects the
 // events into their destination engines. Injection happens between windows,
 // when no shard goroutine is running, so it may touch every engine.
