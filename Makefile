@@ -31,9 +31,12 @@ test:
 # the bench layer's PDES determinism matrix (shards 1/2/4/8 byte-identical),
 # its noisy sweeps with the "congested" chaos profile attached, and
 # speculation, whose candidate pool runs on GOMAXPROCS workers by default.
+# A -race build also turns on checkptr, which checks every real-payload
+# mpi.Buf that Data rebuilds with unsafe.Slice: the fft kernel and bench's
+# data-mode tests move real bytes through every collective.
 race:
-	$(GO) test -race ./internal/runner ./internal/sim/... ./internal/mpi/... ./internal/nbc/... ./internal/chaos/... ./internal/kb ./internal/netmodel
-	$(GO) test -race -count 1 -run 'PDES|TestChaos|Speculat' ./internal/bench
+	$(GO) test -race ./internal/runner ./internal/sim/... ./internal/mpi/... ./internal/nbc/... ./internal/chaos/... ./internal/kb ./internal/netmodel ./internal/fft
+	$(GO) test -race -count 1 -run 'PDES|TestChaos|Speculat|DataMode' ./internal/bench
 	$(GO) test -race -count 1 -run Speculat ./internal/core
 
 # The one committed file too slow for tier-1: sweep -suite figs-fft -fast

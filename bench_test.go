@@ -233,14 +233,15 @@ func runOneShotWorld(tb testing.TB, ranks, shards int, prog func(*mpi.Comm)) (ev
 	return w.EventsFired(), w.Resumes()
 }
 
-// oneShotAllocCeiling is what TestOneShotWorldAllocBudget lets its two
-// one-shot worlds allocate: the bytes they allocated when the ceiling was
-// set, plus 10 %. A world's first run allocates its live set once:
-// schedules in one exactly sized op array, free lists chained through their
-// records, the lane pool grown by doubling (DESIGN.md §3 "Pooling").
+// oneShotAllocCeiling is what TestOneShotWorldAllocBudget lets its three
+// one-shot worlds allocate: the 130.4 MiB they allocated when the ceiling was
+// set, plus 10 %. A world's first run allocates its live set once: schedules
+// in one exactly sized op array of 48-byte entries, free lists chained
+// through their records, the lane pool grown by doubling (DESIGN.md §3
+// "Pooling").
 const oneShotAllocCeiling = 143 << 20
 
-// TestOneShotWorldResumes pins the events the two worlds of
+// TestOneShotWorldResumes pins the events the first two worlds of
 // TestOneShotWorldAllocBudget fire and the coroutine resumes they take,
 // exactly: no host moves either count. A blocking collective wait starts each
 // next round inside its poll, so a rank is resumed once to start and once per
@@ -259,19 +260,20 @@ func TestOneShotWorldResumes(t *testing.T) {
 }
 
 // TestOneShotWorldAllocBudget runs the 384-rank linear Ialltoall world and
-// the 1K-rank barrier + broadcast world once each and fails if together they
-// allocate more than oneShotAllocCeiling bytes.
+// the 1K- and 4K-rank barrier + broadcast worlds once each and fails if
+// together they allocate more than oneShotAllocCeiling bytes.
 func TestOneShotWorldAllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for _, ow := range oneShotWorlds[:2] {
+	for _, ow := range oneShotWorlds[:3] {
 		runOneShotWorld(t, ow.ranks, ow.shards, ow.prog)
 	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
 	if got > oneShotAllocCeiling {
-		t.Fatalf("one-shot %s and %s worlds allocated %.1f MiB, the ceiling is %.1f MiB",
-			oneShotWorlds[0].name, oneShotWorlds[1].name, float64(got)/(1<<20), float64(oneShotAllocCeiling)/(1<<20))
+		t.Fatalf("one-shot %s, %s and %s worlds allocated %.1f MiB, the ceiling is %.1f MiB",
+			oneShotWorlds[0].name, oneShotWorlds[1].name, oneShotWorlds[2].name,
+			float64(got)/(1<<20), float64(oneShotAllocCeiling)/(1<<20))
 	}
 }
 

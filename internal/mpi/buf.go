@@ -1,5 +1,7 @@
 package mpi
 
+import "unsafe"
+
 // Buf is the payload-discipline seam for every message the simulated stack
 // carries: a length plus, optionally, real backing bytes.
 //
@@ -11,13 +13,19 @@ package mpi
 // clone, transfers deliver, and receives copy exactly as a real MPI would.
 //
 // The zero Buf is an empty virtual payload.
+//
+// Every schedule entry and in-flight message carries a Buf, so it is 16 bytes:
+// a pointer to the first byte of real storage (nil: virtual) and the length.
+// Data rebuilds the slice with unsafe.Slice, the package's one use of unsafe;
+// Slice and Clone go through Data, so they stay bounds-checked. An empty
+// non-nil slice keeps a non-nil pointer and so still has data.
 type Buf struct {
-	p []byte
+	p *byte
 	n int
 }
 
 // Bytes wraps real storage: the message carries (and moves) p's bytes.
-func Bytes(p []byte) Buf { return Buf{p: p, n: len(p)} }
+func Bytes(p []byte) Buf { return Buf{p: unsafe.SliceData(p), n: len(p)} }
 
 // Virtual describes n bytes of payload that exist only as timing: no
 // storage is attached and nothing is copied anywhere along the path.
@@ -35,7 +43,12 @@ func (b Buf) Len() int { return b.n }
 func (b Buf) HasData() bool { return b.p != nil }
 
 // Data returns the backing bytes (nil for virtual payloads).
-func (b Buf) Data() []byte { return b.p }
+func (b Buf) Data() []byte {
+	if b.p == nil {
+		return nil
+	}
+	return unsafe.Slice(b.p, b.n)
+}
 
 // Slice returns the n-byte sub-payload starting at byte off. Slicing a
 // virtual payload stays virtual; slicing real storage aliases it, so writes
@@ -43,12 +56,9 @@ func (b Buf) Data() []byte { return b.p }
 // collective schedules rely on).
 func (b Buf) Slice(off, n int) Buf {
 	if b.p == nil {
-		if n < 0 {
-			n = 0
-		}
-		return Buf{n: n}
+		return Virtual(n)
 	}
-	return Buf{p: b.p[off : off+n], n: n}
+	return Bytes(b.Data()[off : off+n])
 }
 
 // Clone returns a Buf with private storage holding a copy of b's bytes.
@@ -58,14 +68,10 @@ func (b Buf) Clone() Buf {
 	if b.p == nil {
 		return b
 	}
-	return Buf{p: append([]byte(nil), b.p...), n: b.n}
+	return Bytes(append([]byte(nil), b.Data()...))
 }
 
 // Copy moves min(dst.Len, src.Len) bytes from src to dst when both sides
 // have real storage; with any virtual side it is a no-op, mirroring how the
 // simulated library elides payload work on virtual runs.
-func Copy(dst, src Buf) {
-	if dst.p != nil && src.p != nil {
-		copy(dst.p, src.p)
-	}
-}
+func Copy(dst, src Buf) { copy(dst.Data(), src.Data()) }

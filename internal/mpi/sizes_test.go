@@ -1,0 +1,38 @@
+package mpi_test
+
+import (
+	"reflect"
+	"strconv"
+	"testing"
+
+	"nbctune/internal/mpi"
+	"nbctune/internal/nbc"
+)
+
+// TestRecordSizes pins the records every schedule entry and every message
+// carries at their sizes on a 64-bit host. A schedule is rebuilt for every
+// rank on every call and holds one nbc.Op per entry; each in-flight message
+// holds a Request, an envelope or an xfer, and each of those an mpi.Buf. A
+// field added to or widened in any of them shows up in what a world
+// allocates, so the test names the record that grew (DESIGN.md §3
+// "Schedules" and "Payloads").
+func TestRecordSizes(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	for _, tc := range []struct {
+		name string
+		v    any
+		max  uintptr
+	}{
+		{"nbc.Op", nbc.Op{}, 48},
+		{"mpi.Buf", mpi.Buf{}, 16},
+		{"mpi.Request", mpi.Request{}, 112},
+		{"mpi.envelope", mpi.Envelope{}, 88},
+		{"mpi.xfer", mpi.Xfer{}, 88},
+	} {
+		if got := reflect.TypeOf(tc.v).Size(); got > tc.max {
+			t.Errorf("%s grew to %d bytes, over its %d", tc.name, got, tc.max)
+		}
+	}
+}

@@ -60,7 +60,7 @@ func Ialltoall(n, me int, send, recv mpi.Buf, algo AlltoallAlgo) *Schedule {
 func block(b mpi.Buf, i, bs int) mpi.Buf { return b.Slice(i*bs, bs) }
 
 func selfCopyOp(send, recv mpi.Buf, me, bs int) Op {
-	return Op{Kind: OpLocal, Bytes: bs, Fn: func() {
+	return Op{Kind: OpLocal, N: bs, Fn: func() {
 		mpi.Copy(block(recv, me, bs), block(send, me, bs))
 	}}
 }
@@ -102,8 +102,8 @@ func ialltoallPairwise(n, me int, send, recv mpi.Buf, bs int) *Schedule {
 	for step := 1; step < n; step++ {
 		to := (me + step) % n
 		from := (me - step + n) % n
-		b.add(Op{Kind: OpRecv, Peer: from, TagOff: step, Buf: block(recv, from, bs)})
-		b.add(Op{Kind: OpSend, Peer: to, TagOff: step, Buf: block(send, to, bs)})
+		b.add(Op{Kind: OpRecv, Peer: from, TagOff: tagOff(step), Buf: block(recv, from, bs)})
+		b.add(Op{Kind: OpSend, Peer: to, TagOff: tagOff(step), Buf: block(send, to, bs)})
 		b.end()
 	}
 	return &Schedule{Name: IalltoallName(AlgoPairwise), Rounds: b.rounds}
@@ -123,7 +123,7 @@ func ialltoallBruck(n, me int, send, recv mpi.Buf, bs int) *Schedule {
 	tmp := staging(send, n*bs)
 
 	// Round 0: local rotation.
-	rot := Round{Op{Kind: OpLocal, Bytes: n * bs, Fn: func() {
+	rot := Round{Op{Kind: OpLocal, N: n * bs, Fn: func() {
 		for i := 0; i < n; i++ {
 			mpi.Copy(block(tmp, i, bs), block(send, (me+i)%n, bs))
 		}
@@ -146,18 +146,18 @@ func ialltoallBruck(n, me int, send, recv mpi.Buf, bs int) *Schedule {
 		from := (me - pow + n) % n
 
 		// Pack + exchange in one round.
-		pack := Op{Kind: OpLocal, Bytes: cnt * bs, Fn: func() {
+		pack := Op{Kind: OpLocal, N: cnt * bs, Fn: func() {
 			for j, i := range idxsCopy {
 				mpi.Copy(block(sbuf, j, bs), block(tmp, i, bs))
 			}
 		}}
 		s.Rounds = append(s.Rounds, Round{
 			pack,
-			{Kind: OpRecv, Peer: from, TagOff: phase, Buf: rbuf},
-			{Kind: OpSend, Peer: to, TagOff: phase, Buf: sbuf},
+			{Kind: OpRecv, Peer: from, TagOff: tagOff(phase), Buf: rbuf},
+			{Kind: OpSend, Peer: to, TagOff: tagOff(phase), Buf: sbuf},
 		})
 		// Unpack in the next round (after the receive completed).
-		unpack := Op{Kind: OpLocal, Bytes: cnt * bs, Fn: func() {
+		unpack := Op{Kind: OpLocal, N: cnt * bs, Fn: func() {
 			for j, i := range idxsCopy {
 				mpi.Copy(block(tmp, i, bs), block(rbuf, j, bs))
 			}
@@ -167,7 +167,7 @@ func ialltoallBruck(n, me int, send, recv mpi.Buf, bs int) *Schedule {
 	}
 
 	// Final inverse rotation: recv[(me-i+n)%n] = tmp[i].
-	fin := Round{Op{Kind: OpLocal, Bytes: n * bs, Fn: func() {
+	fin := Round{Op{Kind: OpLocal, N: n * bs, Fn: func() {
 		for i := 0; i < n; i++ {
 			mpi.Copy(block(recv, (me-i+n)%n, bs), block(tmp, i, bs))
 		}

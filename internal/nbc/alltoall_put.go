@@ -38,10 +38,10 @@ func IalltoallLinearPut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule {
 	b.add(selfCopyOp(send, recv, me, blockSize))
 	for off := 1; off < n; off++ {
 		peer := (me + off) % n
-		b.add(Op{Kind: OpPut, Peer: peer, Off: me * blockSize,
+		b.add(Op{Kind: OpPut, Peer: peer, N: me * blockSize,
 			Buf: block(send, peer, blockSize)})
 	}
-	b.add(Op{Kind: OpAwaitPuts, Count: n - 1})
+	b.add(Op{Kind: OpAwaitPuts, N: n - 1})
 	b.end()
 	return &Schedule{Name: IalltoallPutName(AlgoLinear), Rounds: b.rounds, Win: win}
 }
@@ -57,9 +57,9 @@ func IalltoallPairwisePut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule
 	b.end()
 	for step := 1; step < n; step++ {
 		to := (me + step) % n
-		b.add(Op{Kind: OpPut, Peer: to, Off: me * blockSize,
+		b.add(Op{Kind: OpPut, Peer: to, N: me * blockSize,
 			Buf: block(send, to, blockSize)})
-		b.add(Op{Kind: OpAwaitPuts, Count: step})
+		b.add(Op{Kind: OpAwaitPuts, N: step})
 		b.end()
 	}
 	return &Schedule{Name: IalltoallPutName(AlgoPairwise), Rounds: b.rounds, Win: win}

@@ -153,7 +153,7 @@ func pipelinedRounds(buf mpi.Buf, segSize, parent int, children []int) []Round {
 	sendTo := func(si int) {
 		off, l := seg(size, segSize, si)
 		for _, c := range children {
-			b.add(Op{Kind: OpSend, Peer: c, TagOff: si, Buf: buf.Slice(off, l)})
+			b.add(Op{Kind: OpSend, Peer: c, TagOff: tagOff(si), Buf: buf.Slice(off, l)})
 		}
 	}
 	if parent < 0 {
@@ -169,7 +169,7 @@ func pipelinedRounds(buf mpi.Buf, segSize, parent int, children []int) []Round {
 		}
 		if si < S {
 			off, l := seg(size, segSize, si)
-			b.add(Op{Kind: OpRecv, Peer: parent, TagOff: si, Buf: buf.Slice(off, l)})
+			b.add(Op{Kind: OpRecv, Peer: parent, TagOff: tagOff(si), Buf: buf.Slice(off, l)})
 		}
 		b.end()
 	}

@@ -34,10 +34,8 @@ func Compose(name string, parts ...*Schedule) *Schedule {
 			nr := make(Round, len(r))
 			for i, op := range r {
 				if op.Kind == OpSend || op.Kind == OpRecv {
-					if op.TagOff > hi {
-						hi = op.TagOff
-					}
-					op.TagOff += base
+					hi = max(hi, int(op.TagOff))
+					op.TagOff = tagOff(int(op.TagOff) + base)
 				}
 				nr[i] = op
 			}
@@ -71,14 +69,14 @@ func MockBcastScatterAllgather(n, me, root int, buf mpi.Buf) *Schedule {
 	stage := staging(buf, n*bs) // padded rank-order staging, shared by both phases
 	myblk := staging(buf, bs)
 
-	pre := &Schedule{Name: "pack", Rounds: []Round{{{Kind: OpLocal, Bytes: size, Fn: func() {
+	pre := &Schedule{Name: "pack", Rounds: []Round{{{Kind: OpLocal, N: size, Fn: func() {
 		if me == root {
 			mpi.Copy(stage.Slice(0, size), buf)
 		}
 	}}}}}
 	sc := Iscatter(n, me, root, stage, myblk)
 	ag := Iallgather(n, me, myblk, stage, AllgatherRing)
-	post := &Schedule{Name: "unpack", Rounds: []Round{{{Kind: OpLocal, Bytes: size, Fn: func() {
+	post := &Schedule{Name: "unpack", Rounds: []Round{{{Kind: OpLocal, N: size, Fn: func() {
 		mpi.Copy(buf, stage.Slice(0, size))
 	}}}}}
 	s := Compose("mock-ibcast-scatter-allgather", pre, sc, ag, post)
@@ -113,15 +111,15 @@ func MockAlltoallSplit(n, me int, send, recv mpi.Buf) *Schedule {
 	}
 	pass := func(off, l int, phase int) *Schedule {
 		s := &Schedule{Name: fmt.Sprintf("half%d", phase)}
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: l, Fn: func() {
+		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: l, Fn: func() {
 			mpi.Copy(block(recv, me, bs).Slice(off, l), block(send, me, bs).Slice(off, l))
 		}}})
 		for step := 1; step < n; step++ {
 			to := (me + step) % n
 			from := (me - step + n) % n
 			s.Rounds = append(s.Rounds, Round{
-				{Kind: OpRecv, Peer: from, TagOff: step, Buf: block(recv, from, bs).Slice(off, l)},
-				{Kind: OpSend, Peer: to, TagOff: step, Buf: block(send, to, bs).Slice(off, l)},
+				{Kind: OpRecv, Peer: from, TagOff: tagOff(step), Buf: block(recv, from, bs).Slice(off, l)},
+				{Kind: OpSend, Peer: to, TagOff: tagOff(step), Buf: block(send, to, bs).Slice(off, l)},
 			})
 		}
 		return s

@@ -3,6 +3,7 @@ package nbc
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -66,6 +67,40 @@ func TestStartPanicsOnPendingPooledHandle(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
+	}
+}
+
+// TestTagOffOutsideStrideRefused: an offset at or past the stride, a
+// negative one, and one too wide for Op.TagOff that would wrap to 3 all make
+// Start panic instead of posting on another collective's tags.
+func TestTagOffOutsideStrideRefused(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an offset wider than int32 needs a 64-bit int")
+	}
+	var wide int64 = 1<<32 + 3
+	offs := []int{mpi.NBTagStride, -1, int(wide)}
+	const n = 2
+	eng, w := forkTestWorld(t, n)
+	errs := make(chan string, n*len(offs))
+	w.Start(func(c *mpi.Comm) {
+		for _, off := range offs {
+			sched := &Schedule{Name: "bad", Rounds: []Round{{
+				{Kind: OpSend, Peer: 1 - c.Rank(), TagOff: tagOff(off), Buf: mpi.Virtual(1)},
+			}}}
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "outside the") {
+						errs <- fmt.Sprintf("tag offset %d: Start recovered %v, want the stride refusal", off, r)
+					}
+				}()
+				Start(c, sched)
+			}()
+		}
+	})
+	eng.Run()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
 	}
 }
 
@@ -197,7 +232,7 @@ func TestComposeTagRebaseAcrossNBTagWindowWrap(t *testing.T) {
 		hi := 0
 		for _, r := range sched.Rounds {
 			for _, op := range r {
-				hi = max(hi, op.TagOff)
+				hi = max(hi, int(op.TagOff))
 			}
 		}
 		if hi < 1 || hi >= tagStride {

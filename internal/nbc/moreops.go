@@ -53,24 +53,24 @@ func Iallreduce(n, me int, send, recv mpi.Buf, op mpi.ReduceOp, algo AllreduceAl
 	case AllreduceRecursiveDoubling:
 		acc := staging(send, size)
 		tmp := staging(send, size)
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: size, Fn: func() {
+		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: size, Fn: func() {
 			mpi.Copy(acc, send)
 		}}})
 		phase := 0
 		for dist := 1; dist < n; dist *= 2 {
 			peer := me ^ dist
 			s.Rounds = append(s.Rounds, Round{
-				{Kind: OpRecv, Peer: peer, TagOff: phase, Buf: tmp},
-				{Kind: OpSend, Peer: peer, TagOff: phase, Buf: acc},
+				{Kind: OpRecv, Peer: peer, TagOff: tagOff(phase), Buf: tmp},
+				{Kind: OpSend, Peer: peer, TagOff: tagOff(phase), Buf: acc},
 			})
-			s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: size, Fn: func() {
+			s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: size, Fn: func() {
 				if op != nil && acc.HasData() && tmp.HasData() {
 					op(acc.Data(), tmp.Data())
 				}
 			}}})
 			phase++
 		}
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: size, Fn: func() {
+		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: size, Fn: func() {
 			mpi.Copy(recv, acc)
 		}}})
 		return s
@@ -83,7 +83,7 @@ func Iallreduce(n, me int, send, recv mpi.Buf, op mpi.ReduceOp, algo AllreduceAl
 		for _, r := range bc.Rounds {
 			nr := make(Round, len(r))
 			for i, op := range r {
-				op.TagOff += base
+				op.TagOff = tagOff(int(op.TagOff) + base)
 				nr[i] = op
 			}
 			s.Rounds = append(s.Rounds, nr)
@@ -108,7 +108,7 @@ func Igather(n, me, root int, send, recv mpi.Buf) *Schedule {
 	// (binomial subtrees cover contiguous vrank ranges).
 	mySub := subtreeOf(vrank, n)
 	stage := staging(send, mySub*bs)
-	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: bs, Fn: func() {
+	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: bs, Fn: func() {
 		mpi.Copy(stage.Slice(0, bs), send)
 	}}})
 	// Receive children's subtrees (low bit upward), then send to parent.
@@ -136,7 +136,7 @@ func Igather(n, me, root int, send, recv mpi.Buf) *Schedule {
 		})
 	} else {
 		// Root: scatter the vrank-ordered staging into recv's rank order.
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: n * bs, Fn: func() {
+		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: n * bs, Fn: func() {
 			for v := 0; v < n; v++ {
 				r := (v + root) % n
 				mpi.Copy(block(recv, r, bs), block(stage, v, bs))
@@ -172,7 +172,7 @@ func Iscatter(n, me, root int, send, recv mpi.Buf) *Schedule {
 	stage := staging(recv, mySub*bs)
 	// Root packs send (rank order) into vrank order.
 	if vrank == 0 {
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: n * bs, Fn: func() {
+		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: n * bs, Fn: func() {
 			for v := 0; v < n; v++ {
 				r := (v + root) % n
 				mpi.Copy(block(stage, v, bs), block(send, r, bs))
@@ -201,7 +201,7 @@ func Iscatter(n, me, root int, send, recv mpi.Buf) *Schedule {
 			{Kind: OpSend, Peer: toWorld(child), Buf: stage.Slice(coff*bs, cs*bs)},
 		})
 	}
-	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: bs, Fn: func() {
+	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: bs, Fn: func() {
 		mpi.Copy(recv, stage.Slice(0, bs))
 	}}})
 	return s

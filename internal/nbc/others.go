@@ -25,8 +25,8 @@ func Ibarrier(n, me int) *Schedule {
 	for phase, dist := 0, 1; dist < n; phase, dist = phase+1, dist*2 {
 		to := (me + dist) % n
 		from := (me - dist + n) % n
-		b.add(Op{Kind: OpRecv, Peer: from, TagOff: phase, Buf: mpi.Virtual(1)})
-		b.add(Op{Kind: OpSend, Peer: to, TagOff: phase, Buf: mpi.Virtual(1)})
+		b.add(Op{Kind: OpRecv, Peer: from, TagOff: tagOff(phase), Buf: mpi.Virtual(1)})
+		b.add(Op{Kind: OpSend, Peer: to, TagOff: tagOff(phase), Buf: mpi.Virtual(1)})
 		b.end()
 	}
 	return &Schedule{Name: IbarrierName, Rounds: b.rounds}
@@ -63,7 +63,7 @@ func IallgatherName(a AllgatherAlgo) string { return "iallgather-" + a.String() 
 func Iallgather(n, me int, send, recv mpi.Buf, algo AllgatherAlgo) *Schedule {
 	bs := send.Len()
 	s := &Schedule{Name: IallgatherName(algo)}
-	self := Op{Kind: OpLocal, Bytes: bs, Fn: func() {
+	self := Op{Kind: OpLocal, N: bs, Fn: func() {
 		mpi.Copy(block(recv, me, bs), send)
 	}}
 	if n == 1 {
@@ -97,8 +97,8 @@ func Iallgather(n, me int, send, recv mpi.Buf, algo AllgatherAlgo) *Schedule {
 		cur := me
 		for step := 0; step < n-1; step++ {
 			prev := (cur - 1 + n) % n
-			b.add(Op{Kind: OpRecv, Peer: left, TagOff: step, Buf: block(recv, prev, bs)})
-			b.add(Op{Kind: OpSend, Peer: right, TagOff: step, Buf: block(recv, cur, bs)})
+			b.add(Op{Kind: OpRecv, Peer: left, TagOff: tagOff(step), Buf: block(recv, prev, bs)})
+			b.add(Op{Kind: OpSend, Peer: right, TagOff: tagOff(step), Buf: block(recv, cur, bs)})
 			b.end()
 			cur = prev
 		}
@@ -139,18 +139,18 @@ func Ireduce(n, me, root int, send, recv mpi.Buf, op mpi.ReduceOp, algo ReduceAl
 	tmp := staging(send, size)
 	// Round 0 (local): refresh the accumulator from the send buffer so a
 	// persistent request can re-execute the schedule.
-	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: size, Fn: func() {
+	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: size, Fn: func() {
 		mpi.Copy(acc, send)
 	}}})
 	vrank := (me - root + n) % n
 	toWorld := func(v int) int { return (v + root) % n }
 
 	reduceOp := func(phase int) Op {
-		return Op{Kind: OpLocal, Bytes: size, Fn: func() {
+		return Op{Kind: OpLocal, N: size, Fn: func() {
 			if op != nil && acc.HasData() && tmp.HasData() {
 				op(acc.Data(), tmp.Data())
 			}
-		}, TagOff: phase}
+		}, TagOff: tagOff(phase)}
 	}
 
 	switch algo {
@@ -159,13 +159,13 @@ func Ireduce(n, me, root int, send, recv mpi.Buf, op mpi.ReduceOp, algo ReduceAl
 		for dist := 1; dist < n; dist *= 2 {
 			if vrank&dist != 0 {
 				s.Rounds = append(s.Rounds, Round{
-					{Kind: OpSend, Peer: toWorld(vrank - dist), TagOff: phase, Buf: acc},
+					{Kind: OpSend, Peer: toWorld(vrank - dist), TagOff: tagOff(phase), Buf: acc},
 				})
 				break
 			}
 			if vrank+dist < n {
 				s.Rounds = append(s.Rounds, Round{
-					{Kind: OpRecv, Peer: toWorld(vrank + dist), TagOff: phase, Buf: tmp},
+					{Kind: OpRecv, Peer: toWorld(vrank + dist), TagOff: tagOff(phase), Buf: tmp},
 				})
 				s.Rounds = append(s.Rounds, Round{reduceOp(phase)})
 			}
@@ -189,7 +189,7 @@ func Ireduce(n, me, root int, send, recv mpi.Buf, op mpi.ReduceOp, algo ReduceAl
 		panic(fmt.Sprintf("nbc: unknown reduce algorithm %d", int(algo)))
 	}
 	if vrank == 0 {
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: size, Fn: func() {
+		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: size, Fn: func() {
 			mpi.Copy(recv, acc)
 		}}})
 	}

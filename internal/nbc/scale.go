@@ -27,11 +27,11 @@ func IallgatherBruck(n, me int, send, recv mpi.Buf) *Schedule {
 	s := &Schedule{Name: IallgatherName(AllgatherBruck)}
 	// tmp holds blocks in rotated order: tmp[i] = block of rank (me+i)%n.
 	tmp := staging(send, n*bs)
-	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: bs, Fn: func() {
+	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: bs, Fn: func() {
 		mpi.Copy(block(tmp, 0, bs), send)
 	}}})
 	if n == 1 {
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: bs, Fn: func() {
+		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: bs, Fn: func() {
 			mpi.Copy(block(recv, me, bs), block(tmp, 0, bs))
 		}}})
 		return s
@@ -48,13 +48,13 @@ func IallgatherBruck(n, me int, send, recv mpi.Buf) *Schedule {
 		// pow..pow+cnt-1, so no pack/unpack staging is needed (unlike the
 		// Bruck alltoall, whose per-phase block sets are strided).
 		s.Rounds = append(s.Rounds, Round{
-			{Kind: OpRecv, Peer: from, TagOff: phase, Buf: tmp.Slice(pow*bs, cnt*bs)},
-			{Kind: OpSend, Peer: to, TagOff: phase, Buf: tmp.Slice(0, cnt*bs)},
+			{Kind: OpRecv, Peer: from, TagOff: tagOff(phase), Buf: tmp.Slice(pow*bs, cnt*bs)},
+			{Kind: OpSend, Peer: to, TagOff: tagOff(phase), Buf: tmp.Slice(0, cnt*bs)},
 		})
 		phase++
 	}
 	// Inverse rotation into the caller's layout.
-	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, Bytes: n * bs, Fn: func() {
+	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: n * bs, Fn: func() {
 		for i := 0; i < n; i++ {
 			mpi.Copy(block(recv, (me+i)%n, bs), block(tmp, i, bs))
 		}

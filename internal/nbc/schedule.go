@@ -20,6 +20,7 @@ package nbc
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"nbctune/internal/mpi"
@@ -34,26 +35,42 @@ const (
 	// OpRecv posts a non-blocking receive in its round.
 	OpRecv
 	// OpLocal performs local work (copy, pack/unpack, reduction) at round
-	// start, charging Bytes/CopyBandwidth of CPU time.
+	// start, charging N/CopyBandwidth of CPU time.
 	OpLocal
 	// OpPut issues a one-sided put into the schedule's window (the paper's
 	// Put/Get data-transfer-primitive attribute).
 	OpPut
-	// OpAwaitPuts gates the round until Count puts (cumulative for this
+	// OpAwaitPuts gates the round until N puts (cumulative for this
 	// execution) have landed in the schedule's window.
 	OpAwaitPuts
 )
 
-// Op is one entry of a schedule round.
+// Op is one entry of a schedule round: its kind plus that kind's arguments,
+// as LibNBC stores a schedule entry. It is 48 bytes, and a schedule is
+// rebuilt for every rank on every call, so the one integer argument each
+// kind reads beside the peer and payload shares one field, N:
+//
+//	OpLocal      N is the bytes of local work, charged at CopyBandwidth
+//	OpPut        N is the byte offset in the target window
+//	OpAwaitPuts  N is the cumulative puts expected by this round
+//	OpSend/Recv  N is unused
 type Op struct {
 	Kind   OpKind
-	Peer   int     // comm rank (send destination / recv source)
-	TagOff int     // tag offset within the handle's tag range (0..mpi.NBTagStride-1)
+	TagOff int32   // tag offset within the handle's tag range (0..mpi.NBTagStride-1); see tagOff
+	Peer   int     // comm rank (send destination / recv source / put target)
 	Buf    mpi.Buf // payload or destination descriptor (virtual or real)
-	Bytes  int     // OpLocal: bytes of local work for cost accounting
+	N      int     // the kind's argument, as above
 	Fn     func()  // OpLocal: the work itself (may be nil for timing-only)
-	Off    int     // OpPut: byte offset in the target window
-	Count  int     // OpAwaitPuts: cumulative puts expected by this round
+}
+
+// tagOff narrows a builder's tag offset to Op.TagOff. An offset that does not
+// fit saturates instead of wrapping into range, so the executor refuses it as
+// it refuses any offset outside the stride.
+func tagOff(v int) int32 {
+	if v != int(int32(v)) {
+		return math.MaxInt32
+	}
+	return int32(v)
 }
 
 // Round is a set of operations started together.
@@ -236,8 +253,9 @@ func (h *Handle) execRounds() {
 		h.freePending()
 		h.pending = slices.Grow(h.pending, len(r))
 		h.await = -1
-		for _, op := range r {
-			if uint(op.TagOff) >= mpi.NBTagStride {
+		for i := range r {
+			op := &r[i]
+			if uint32(op.TagOff) >= mpi.NBTagStride {
 				// An offset at or above the stride would alias a later
 				// operation's tag range and corrupt matching silently —
 				// the failure mode large-rank schedules (pairwise, ring,
@@ -247,20 +265,20 @@ func (h *Handle) execRounds() {
 			}
 			switch op.Kind {
 			case OpLocal:
-				h.comm.RankState().ChargeCopy(op.Bytes)
+				h.comm.RankState().ChargeCopy(op.N)
 				if op.Fn != nil {
 					op.Fn()
 				}
 			case OpSend:
 				rec.AlgoBytes(rank.ID(), h.sched.Name, op.Buf.Len())
-				h.pending = append(h.pending, h.comm.Isend(op.Peer, h.tag+op.TagOff, op.Buf).Handle())
+				h.pending = append(h.pending, h.comm.Isend(op.Peer, h.tag+int(op.TagOff), op.Buf).Handle())
 			case OpRecv:
-				h.pending = append(h.pending, h.comm.Irecv(op.Peer, h.tag+op.TagOff, op.Buf).Handle())
+				h.pending = append(h.pending, h.comm.Irecv(op.Peer, h.tag+int(op.TagOff), op.Buf).Handle())
 			case OpPut:
 				rec.AlgoBytes(rank.ID(), h.sched.Name, op.Buf.Len())
-				h.pending = append(h.pending, h.sched.Win.PutInstanced(h.instance, op.Peer, op.Off, op.Buf).Handle())
+				h.pending = append(h.pending, h.sched.Win.PutInstanced(h.instance, op.Peer, op.N, op.Buf).Handle())
 			case OpAwaitPuts:
-				h.await = op.Count
+				h.await = op.N
 			default:
 				panic(fmt.Sprintf("nbc: unknown op kind %d", op.Kind))
 			}
