@@ -126,9 +126,11 @@ stat:
 # the fix, so it stays in the corpus. (Minimising inputs that merely add coverage is
 # capped, or it eats most of the ten seconds.) Before them, the one-shot world
 # benchmark (bench_test.go, the target of `go test -cpuprofile|-memprofile`)
-# runs each of its worlds once, so it cannot rot.
+# runs each of its worlds once, and the event-heap benchmark
+# (internal/sim/perf_test.go) each of its queue depths, so neither can rot.
 ci: build vet test race e2e
 	$(GO) test -run '^$$' -bench OneShotWorld -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench EventQueue -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzRunAhead -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/mpi

@@ -55,9 +55,10 @@
 // Run/RunUntil returns. Engine.Resumes counts the hand-offs.
 //
 // Events live in a pool of records; the queue is an inlined 4-ary heap whose
-// array carries each event's (time, sequence) key beside its record's index,
-// so ordering it loads no record, and a walking ticket is re-keyed at the top
-// of the array instead of being popped and pushed, as is the head of a Lane.
+// 16-byte entries pack each event's (time, sequence) key with its record's
+// index, so ordering it is one branch-free compare that loads no record; it
+// sifts bottom-up, and a walking ticket is re-keyed at the top of the array
+// instead of being popped and pushed, as is the head of a Lane.
 // The steady-state hot path (schedule, fire, re-key, free-list) performs no
 // allocation. Callback state that would otherwise force a closure allocation
 // can be passed through AtCall's (fn, arg) pair.
@@ -66,6 +67,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 )
@@ -190,30 +192,70 @@ type evKey struct {
 	seq int64
 }
 
-// less orders keys; seq uniqueness makes this a strict total order, so the
-// heap's pop sequence is fully deterministic.
-func (a evKey) less(b evKey) bool {
-	return a.t < b.t || a.t == b.t && a.seq < b.seq
+// heapEnt is one queued event in 16 bytes: its key and the index of its
+// pooled record, packed so that ordering the queue is one 128-bit compare and
+// never loads a record. hi is the bit pattern of the time, which orders a
+// non-negative float as its value does; lo is seq<<idxBits | index. Sequence
+// numbers are unique, so the index below them never decides an order, and
+// (hi, lo) is a strict total order: the heap's pop sequence is fully
+// deterministic.
+type heapEnt struct {
+	hi, lo uint64
 }
 
-// heapEnt is one queued event: its key and the index of its pooled record.
-// The key lives in the heap array itself, so ordering the queue never loads a
-// record.
-type heapEnt struct {
-	evKey
-	idx int32
+// The split of lo: the record index takes the low idxBits, the sequence
+// number the rest.
+const (
+	idxBits = 24
+	maxIdx  = 1 << idxBits        // records: events queued at once
+	maxSeq  = 1 << (64 - idxBits) // sequence numbers: events scheduled by one engine
+)
+
+// mkEnt builds the queue entry of record idx firing at k, and refuses a key
+// or an index the entry cannot hold. Clearing the sign bit turns a time of -0
+// (a legal InjectAt at the start) into +0, which sorts with the other
+// non-negative times; no negative time gets this far.
+func mkEnt(k evKey, idx int32) heapEnt {
+	if uint64(k.seq) >= maxSeq {
+		panic("sim: an engine has scheduled 2^40 events (about 1.1e12), the bound of the sequence number in a queue entry")
+	}
+	if uint32(idx) >= maxIdx {
+		panic("sim: 2^24 events (about 16.7 M) are queued at once, the bound of the record index in a queue entry")
+	}
+	return heapEnt{math.Float64bits(k.t) &^ (1 << 63), uint64(k.seq)<<idxBits | uint64(idx)}
+}
+
+// time is when the entry's event fires.
+func (h heapEnt) time() Time { return math.Float64frombits(h.hi) }
+
+// rec is the index of the entry's pooled record.
+func (h heapEnt) rec() int32 { return int32(h.lo & (maxIdx - 1)) }
+
+// lt reports a < b as 1 or 0: the borrow out of the 128-bit subtraction
+// a - b. Used as an index, it picks the smaller of two entries without a
+// branch.
+func lt(a, b heapEnt) uint64 {
+	_, borrow := bits.Sub64(a.lo, b.lo, 0)
+	_, borrow = bits.Sub64(a.hi, b.hi, borrow)
+	return borrow
 }
 
 func (e *Engine) heapPush(ent heapEnt) {
 	e.heap = append(e.heap, ent)
-	h := e.heap
-	i := len(h) - 1
+	i := len(e.heap) - 1
 	if i >= e.QueuePeak {
 		e.QueuePeak = i + 1
 	}
+	e.siftUp(i, ent)
+}
+
+// siftUp places ent, whose slot i is a hole, on the path from i to the top:
+// parents later than ent move down into the hole.
+func (e *Engine) siftUp(i int, ent heapEnt) {
+	h := e.heap
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !ent.less(h[parent].evKey) {
+		if lt(ent, h[parent]) == 0 {
 			break
 		}
 		h[i] = h[parent]
@@ -223,7 +265,14 @@ func (e *Engine) heapPush(ent heapEnt) {
 }
 
 // siftDown restores the heap below its top entry, after the top was replaced
-// (heapPop) or re-keyed later (Proc.reach).
+// (heapPop) or re-keyed later (Proc.reach, Lane.next). It sifts bottom-up
+// (Wegener): the hole at the top walks down the smaller children to a leaf,
+// and the entry climbs back up from there. The entry nearly always belongs
+// near the bottom — a popped heap's last entry, a ticket re-keyed to its
+// next stop — so below the top's children the walk does not compare against
+// it and the climb is short. Each complete sibling group's smallest child is
+// three compares used as indexes, without a branch; only an incomplete last
+// group takes a loop.
 func (e *Engine) siftDown() {
 	h := e.heap
 	n := len(h)
@@ -231,31 +280,36 @@ func (e *Engine) siftDown() {
 	i := 0
 	for {
 		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		best, key := first, h[first].evKey
-		for c := first + 1; c < end; c++ {
-			if k := h[c].evKey; k.less(key) {
-				best, key = c, k
+		if first+4 <= n {
+			c := h[first : first+4 : first+4]
+			a := lt(c[1], c[0])
+			b := 2 + lt(c[3], c[2])
+			m := a + (b-a)*lt(c[b&3], c[a&1])
+			if i == 0 && lt(ent, c[m&3]) == 1 {
+				return // still the minimum, as a re-keyed ticket often is in a shallow queue
 			}
+			h[i] = c[m&3]
+			i = first + int(m)
+			continue
 		}
-		if !key.less(ent.evKey) {
-			break
+		if first < n {
+			best := first
+			for c := first + 1; c < n; c++ {
+				if lt(h[c], h[best]) == 1 {
+					best = c
+				}
+			}
+			h[i] = h[best]
+			i = best
 		}
-		h[i] = h[best]
-		i = best
+		break
 	}
-	h[i] = ent
+	e.siftUp(i, ent)
 }
 
 // heapPop removes the minimum entry and recycles its record.
 func (e *Engine) heapPop() {
-	e.freeRec(e.heap[0].idx)
+	e.freeRec(e.heap[0].rec())
 	n := len(e.heap) - 1
 	if n > 0 {
 		e.heap[0] = e.heap[n]
@@ -267,9 +321,9 @@ func (e *Engine) heapPop() {
 }
 
 // due returns the instant an event scheduled d from now fires at. d < 0
-// panics: the past is immutable.
+// panics: the past is immutable; so does a NaN, which no time orders against.
 func (e *Engine) due(d Time) Time {
-	if d < 0 {
+	if !(d >= 0) {
 		panic(fmt.Sprintf("sim: scheduling event in the past (d=%g)", d))
 	}
 	return e.now + d
@@ -281,7 +335,7 @@ func (e *Engine) scheduleAt(t Time, kind uint8) int32 {
 	e.seq++
 	idx := e.allocRec()
 	e.recs[idx].kind = kind
-	e.heapPush(heapEnt{evKey{t, e.seq}, idx})
+	e.heapPush(mkEnt(evKey{t, e.seq}, idx))
 	return idx
 }
 
@@ -312,7 +366,7 @@ func (e *Engine) AtTimeCall(t Time, fn func(any), arg any) {
 // events receive the engine's next sequence number, so the caller's
 // injection order is the tie-break order for simultaneous events.
 func (e *Engine) InjectAt(t Time, fn func(any), arg any) {
-	if t < e.now {
+	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: injecting event in the past (t=%g, now=%g)", t, e.now))
 	}
 	r := &e.recs[e.scheduleAt(t, evCall)]
@@ -337,7 +391,7 @@ func (e *Engine) horizonReached() bool {
 	if len(e.heap) == 0 {
 		return true
 	}
-	t := e.heap[0].t
+	t := e.heap[0].time()
 	if e.strictEnd {
 		return t >= e.deadline
 	}
@@ -354,8 +408,9 @@ func (e *Engine) horizonReached() bool {
 func (e *Engine) fire() *Proc {
 	for !e.horizonReached() {
 		top := e.heap[0]
-		r := &e.recs[top.idx]
-		e.now = top.t
+		idx := top.rec()
+		r := &e.recs[idx]
+		e.now = top.time()
 		e.EventsFired++
 		switch r.kind {
 		case evFunc:
@@ -372,7 +427,7 @@ func (e *Engine) fire() *Proc {
 		default: // evWake
 			if q := r.proc; q.done || q.gen != r.wgen {
 				e.heapPop() // stale ticket: this wakeup was coalesced away
-			} else if q.reach(top.idx) {
+			} else if q.reach(idx) {
 				e.Resumes++
 				return q
 			}
@@ -469,7 +524,7 @@ func (e *Engine) nextEventTime() (Time, bool) {
 	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.heap[0].t, true
+	return e.heap[0].time(), true
 }
 
 // Procs returns all processes ever spawned.

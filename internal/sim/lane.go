@@ -66,7 +66,7 @@ func (l *Lane) Append(t Time, fn func(any), arg any) {
 		l.head = i
 		idx := e.allocRec()
 		e.recs[idx].kind, e.recs[idx].arg = evLane, l
-		e.heapPush(heapEnt{key, idx})
+		e.heapPush(mkEnt(key, idx))
 	} else {
 		e.lanePool[l.tail].next = i
 	}
@@ -84,7 +84,7 @@ func (l *Lane) next() (func(any), any) {
 	*ent = laneEnt{next: e.laneFree}
 	e.laneFree = i
 	if l.head = behind; behind != 0 {
-		e.heap[0].evKey = e.lanePool[behind].evKey
+		e.heap[0] = mkEnt(e.lanePool[behind].evKey, e.heap[0].rec())
 		e.siftDown()
 	} else {
 		l.tail = 0

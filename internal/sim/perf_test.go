@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -34,5 +35,45 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	if events := float64(e.EventsFired); events > 0 {
 		b.ReportMetric(events/b.Elapsed().Seconds(), "events/sec")
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "allocs/event")
+	}
+}
+
+// BenchmarkEventQueue is the event heap at a held depth: depth
+// self-rescheduling timer chains keep that many events queued while b.N of
+// them fire, the shape of the repository benchmark's sim.heap_ns_per_event
+// probe. The depths bracket the queues the workloads hold: about 10 on the
+// verification sweep, 31 in the FFT kernel, 607 in the 384-rank all-to-all,
+// 3 610 in the 4K-rank world and 14 838 at 16K ranks. ns/event counts the
+// events the chains fire as they drain, like the probe.
+func BenchmarkEventQueue(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		depth int
+	}{{"d8", 8}, {"d32", 32}, {"d1k", 1 << 10}, {"d64k", 1 << 16}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			delays := make([]float64, 4096)
+			for i := range delays {
+				delays[i] = 1e-6 * (0.5 + rng.Float64())
+			}
+			e := NewEngine(1)
+			left := b.N
+			var hold func(any)
+			hold = func(arg any) {
+				if left > 0 {
+					left--
+					next := arg.(*int)
+					*next++
+					e.AtCall(delays[*next&4095], hold, next)
+				}
+			}
+			for i := 0; i < bc.depth; i++ {
+				next := i * 7
+				e.AtCall(delays[i&4095], hold, &next)
+			}
+			b.ResetTimer()
+			e.Run()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.EventsFired), "ns/event")
+		})
 	}
 }

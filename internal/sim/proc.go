@@ -145,7 +145,7 @@ func (p *Proc) Full() bool { return len(p.stops)-p.at >= maxAhead }
 // Sleeps accumulate the engine's (local += d, one rounding per step), so
 // every stop is bit for bit the instant the Sleep would have ended at.
 func (p *Proc) Advance(d Time) {
-	if d < 0 {
+	if !(d >= 0) {
 		panic(fmt.Sprintf("sim: negative advance %g in %q", d, p.name))
 	}
 	if d == 0 {
@@ -264,7 +264,7 @@ func (p *Proc) reach(idx int32) bool {
 		resume = p.poll == nil || p.poll()
 	}
 	p.inEvent = false
-	if e.heap[0].idx != idx {
+	if e.heap[0].rec() != idx {
 		panic(fmt.Sprintf("sim: an event was scheduled ahead of the firing wake ticket of %q", p.name))
 	}
 	if resume || !p.Ahead() {
@@ -272,7 +272,7 @@ func (p *Proc) reach(idx int32) bool {
 		return resume
 	}
 	e.seq++
-	e.heap[0].evKey = evKey{p.stops[p.at].t, e.seq}
+	e.heap[0] = mkEnt(evKey{p.stops[p.at].t, e.seq}, idx)
 	e.recs[idx].wgen = p.gen // indexed here: a deferred call may have grown the pool
 	e.siftDown()
 	return false

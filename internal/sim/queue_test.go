@@ -95,7 +95,10 @@ type qOutcome struct {
 	maxQueued  int  // most events queued at once (the engine: in its heap)
 	ownInstant int  // callbacks a deferred call scheduled at its ticket's own instant
 	rekeyTop   int  // re-keys after which the ticket was still the minimum of a non-empty queue
+	rekeyAbove int  // ... of those, re-keys above a complete group of four children
 	rekeyLeaf  int  // re-keys that made the ticket the maximum of a queue >= 4 levels deep
+	rekeyClimb int  // re-keys whose ticket sinks below the top, then climbs back from the bottom
+	popShort   int  // callbacks fired with 2 to 4 events left: the top's children are an incomplete group
 	poolGrew   bool // engine only: a deferred call grew the record pool
 	topChecked int  // engine only: deferred calls that found their ticket at the top
 
@@ -150,7 +153,7 @@ func (w *qWorld) body(who int, ops []qOp) func(*Proc) {
 					pool := len(w.e.recs)
 					w.issue(who, op)
 					top := w.e.heap[0]
-					if r := &w.e.recs[top.idx]; r.kind != evWake || r.proc != p || top.t != w.e.now {
+					if r := &w.e.recs[top.rec()]; r.kind != evWake || r.proc != p || top.time() != w.e.now {
 						w.out.Log = append(w.out.Log, fmt.Sprintf("p%d: the top of the queue is not its firing ticket", who))
 					}
 					w.out.topChecked++
@@ -331,6 +334,9 @@ func runQueueRef(prog [][]qOp) qOutcome {
 		}
 		kinds |= kind
 		if ev.id > 0 {
+			if n := len(r.queue); ev.lane == 0 && r.heapSized() && n >= 2 && n <= 4 {
+				r.out.popShort++
+			}
 			r.out.Log = append(r.out.Log, fmt.Sprintf("%v cb%d", r.now, ev.id))
 			continue
 		}
@@ -350,13 +356,39 @@ func runQueueRef(prog [][]qOp) qOutcome {
 		t := p.stops[0].t
 		if n := len(r.queue); n > 0 && t < r.queue[0].t {
 			r.out.rekeyTop++
+			if n >= 4 && r.heapSized() {
+				r.out.rekeyAbove++
+			}
 		} else if n > 1+4+16+64 && t >= r.queue[n-1].t {
 			r.out.rekeyLeaf++
+		} else if r.heapSized() && climbs(sort.Search(n, func(i int) bool { return r.queue[i].t > t }), n+1) {
+			r.out.rekeyClimb++
 		}
 		r.push(t, ev.who, 0, 0)
 	}
 	r.out.End = r.now
 	return r.out
+}
+
+// heapSized reports whether the engine's heap holds what the reference's
+// queue does: no lane has a callback waiting behind its head.
+func (r *qRef) heapSized() bool {
+	return r.lanes[1].pending <= 1 && r.lanes[2].pending <= 1
+}
+
+// climbs reports whether an entry re-keyed at the top of a 4-ary heap of n
+// entries, rank of them (itself not counted) ordered before its new key, is
+// sure to sink below the top and then climb back. The hole walks down the
+// smaller children at least to the level above the last, each child later
+// than the one before it: rank >= 1 passes the first, and rank smaller than
+// the number of children walked puts the entry above the last of them.
+func climbs(rank, n int) bool {
+	levels := 0
+	for full, width := 0, 1; full < n; width *= 4 {
+		full += width
+		levels++
+	}
+	return rank >= 1 && rank < levels-2
 }
 
 // fireLane accounts for a lane callback leaving the queue: its lane's head
@@ -421,6 +453,12 @@ var queueSeeds = []struct {
 		func(ref, eng qOutcome) bool { return ref.laneSwitches == 5 && eng.maxQueued == ref.maxQueued-4 }},
 	{"a re-keyed lane head sinks to a leaf", "0k0k0q0s",
 		func(ref, _ qOutcome) bool { return ref.laneLeaf == 1 }},
+	{"a re-keyed ticket stays above four children", "0m0m0m0m1a1a1a1l",
+		func(ref, _ qOutcome) bool { return ref.rekeyAbove == 2 }},
+	{"a re-keyed ticket sinks and climbs back", "0k0j1e1e1l",
+		func(ref, _ qOutcome) bool { return ref.rekeyClimb == 1 }},
+	{"a pop reaches an incomplete sibling group", "0i0h0j0m0i",
+		func(ref, _ qOutcome) bool { return ref.popShort == 2 }},
 }
 
 // checkQueueProgram runs the program both ways and compares what is common
@@ -440,10 +478,12 @@ func checkQueueProgram(t *testing.T, data []byte) (ref, eng qOutcome) {
 // TestEventQueueSeeds holds every committed seed to the path it is named for.
 func TestEventQueueSeeds(t *testing.T) {
 	for _, s := range queueSeeds {
-		if ref, eng := checkQueueProgram(t, []byte(s.prog)); !s.claim(ref, eng) {
-			ref.Log, eng.Log = nil, nil
-			t.Errorf("%s: %q does not take that path: reference %+v, engine %+v", s.name, s.prog, ref, eng)
-		}
+		t.Run(s.name, func(t *testing.T) {
+			if ref, eng := checkQueueProgram(t, []byte(s.prog)); !s.claim(ref, eng) {
+				ref.Log, eng.Log = nil, nil
+				t.Errorf("%q does not take that path: reference %+v, engine %+v", s.prog, ref, eng)
+			}
+		})
 	}
 }
 
