@@ -103,8 +103,9 @@ pairs:
 
 # The size of the repository in the numbers ROADMAP's state line and every
 # simplicity PR quote, each printed under the command that counts it. The
-# next to last is ROADMAP item 1's measure: the non-test lines of the three
-# engine layers.
+# seventh is ROADMAP item 1's measure, the non-test lines of the three engine
+# layers; the last is DESIGN.md's length, which ROADMAP item 14 holds under
+# 600 lines.
 stat:
 	find cmd internal examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l   # non-test lines
 	find *.go cmd internal examples -name '*_test.go' | xargs cat | wc -l             # test lines ...
@@ -114,6 +115,7 @@ stat:
 	grep -rnE '(panic|Errorf)\(.*(not supported|do not support|does not support|applies to the)' --include='*.go' cmd internal | grep -vc '_test\.go:'   # non-test refusal sites (panics and errors, not comments)
 	find internal/sim internal/netmodel internal/mpi -name '*.go' ! -name '*_test.go' | xargs cat | wc -l   # non-test lines in sim, netmodel and mpi
 	ls -d cmd/*/ | wc -l                                                              # binaries
+	wc -l < DESIGN.md                                                                 # lines of DESIGN.md
 
 # Last, the gate runs its four fuzz targets for a fixed budget each: the
 # simulator's three oracles — run-ahead against the eager reading

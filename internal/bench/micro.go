@@ -62,10 +62,12 @@ type MicroSpec struct {
 	Mocks []string `json:",omitempty"`
 	// PDES selects the sharded multi-core simulation engine (DESIGN.md §2).
 	// Results are identical at every shard count but legitimately differ
-	// from the sequential engine (a rendezvous send or a put completes at
-	// NIC-drain time; incast is sampled at wire arrival), so the flag is
-	// part of the spec's identity and cache fingerprint. Every op and chaos
-	// profile runs under it.
+	// from the sequential engine in three model points (a rendezvous send or
+	// a put completes at NIC-drain time; incast is sampled and rx reserved
+	// at wire arrival; the window barrier orders cross-node control messages
+	// and rx halves by time, source rank and sequence, not by send order), so
+	// the flag is part of the spec's identity and cache fingerprint. Every op
+	// and chaos profile runs under it.
 	PDES bool `json:",omitempty"`
 	// Shards is the worker (OS thread) count used when PDES is set; <= 0
 	// selects min(GOMAXPROCS, used nodes). Excluded from the JSON form: the

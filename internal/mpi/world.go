@@ -34,10 +34,12 @@ type Options struct {
 // table, the shards that run it and, on the sharded (PDES) engine, the
 // windows that drive the shards' engines in lockstep (DESIGN.md §2). The
 // sequential world is a world of one shard and no windows. The protocol is
-// the same on both engines; the one difference is netmodel's: where a view
+// the same on both engines; what differs is netmodel's timeline. Where a view
 // Splits a transfer at the wire, a rendezvous send or a put to another node
 // completes at its origin when the origin's NIC has drained the payload, not
-// at remote delivery (xmit).
+// at remote delivery (xmit); netmodel also reserves the receiver's NIC at
+// wire arrival and merges cross-node messages at the window barrier in
+// (time, source rank, sequence) order rather than in send order.
 type World struct {
 	ranks   []*Rank
 	shards  []*shard
