@@ -233,13 +233,18 @@ func runOneShotWorld(tb testing.TB, ranks, shards int, prog func(*mpi.Comm)) (ev
 	return w.EventsFired(), w.Resumes()
 }
 
-// oneShotAllocCeiling is what TestOneShotWorldAllocBudget lets its three
-// one-shot worlds allocate: the 130.4 MiB they allocated when the ceiling was
-// set, plus 10 %. A world's first run allocates its live set once: schedules
-// in one exactly sized op array of 48-byte entries, free lists chained
-// through their records, the lane pool grown by doubling (DESIGN.md §3
-// "Pooling").
-const oneShotAllocCeiling = 143 << 20
+// oneShotAllocCeiling and oneShotMallocCeiling are what
+// TestOneShotWorldAllocBudget lets its three one-shot worlds allocate: the
+// 130.4 MiB they allocated when the byte ceiling was set, and the 239.1 K
+// objects when the count ceiling was, each plus 10 %. A world's first run
+// allocates its live set once: schedules in one exactly sized op array of
+// 48-byte entries, protocol records from slab chunks that double up to
+// 32 KiB, free lists chained through their records, the lane pool grown by
+// doubling (DESIGN.md §3 "Pooling").
+const (
+	oneShotAllocCeiling  = 143 << 20
+	oneShotMallocCeiling = 263_000
+)
 
 // TestOneShotWorldResumes pins the events the first two worlds of
 // TestOneShotWorldAllocBudget fire and the coroutine resumes they take,
@@ -261,7 +266,8 @@ func TestOneShotWorldResumes(t *testing.T) {
 
 // TestOneShotWorldAllocBudget runs the 384-rank linear Ialltoall world and
 // the 1K- and 4K-rank barrier + broadcast worlds once each and fails if
-// together they allocate more than oneShotAllocCeiling bytes.
+// together they allocate more than oneShotAllocCeiling bytes or more than
+// oneShotMallocCeiling objects.
 func TestOneShotWorldAllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -269,18 +275,21 @@ func TestOneShotWorldAllocBudget(t *testing.T) {
 		runOneShotWorld(t, ow.ranks, ow.shards, ow.prog)
 	}
 	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	if got > oneShotAllocCeiling {
-		t.Fatalf("one-shot %s, %s and %s worlds allocated %.1f MiB, the ceiling is %.1f MiB",
-			oneShotWorlds[0].name, oneShotWorlds[1].name, oneShotWorlds[2].name,
-			float64(got)/(1<<20), float64(oneShotAllocCeiling)/(1<<20))
+	worlds := oneShotWorlds[0].name + ", " + oneShotWorlds[1].name + " and " + oneShotWorlds[2].name
+	if got := after.TotalAlloc - before.TotalAlloc; got > oneShotAllocCeiling {
+		t.Errorf("one-shot %s worlds allocated %.1f MiB, the ceiling is %.1f MiB",
+			worlds, float64(got)/(1<<20), float64(oneShotAllocCeiling)/(1<<20))
+	}
+	if got := after.Mallocs - before.Mallocs; got > oneShotMallocCeiling {
+		t.Errorf("one-shot %s worlds made %d allocations, the ceiling is %d", worlds, got, oneShotMallocCeiling)
 	}
 }
 
 // BenchmarkOneShotWorld times world construction and one run, per event as
 // well as per world; it is the target of `go test -run '^$' -bench
-// OneShotWorld/alltoall384 -cpuprofile|-memprofile`. B/event counts every
-// byte allocated, beside -benchmem's per-world figure.
+// OneShotWorld/alltoall384 -cpuprofile|-memprofile`. B/event and allocs/event
+// count every byte and every object allocated, beside -benchmem's per-world
+// figures.
 func BenchmarkOneShotWorld(b *testing.B) {
 	for _, ow := range oneShotWorlds {
 		b.Run(ow.name, func(b *testing.B) {
@@ -295,6 +304,7 @@ func BenchmarkOneShotWorld(b *testing.B) {
 			runtime.ReadMemStats(&m1)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(events), "B/event")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(events), "allocs/event")
 			b.ReportMetric(float64(resumes)/float64(events), "resumes/event")
 		})
 	}

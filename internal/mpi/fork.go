@@ -36,8 +36,9 @@ type LayerForker interface {
 // envSnap is one unexpected-eager envelope held by a snapshot. The payload
 // is a private clone (free for virtual bufs).
 type envSnap struct {
-	src, dst, tag, ctx int
-	buf                Buf
+	src, dst, ctx int32
+	tag           int
+	buf           Buf
 }
 
 // rankSnap is the detached per-rank state.

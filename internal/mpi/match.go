@@ -52,11 +52,11 @@ func keyOf(ctx, src, tag int) matchKey {
 const shallow = 16
 
 // reqList is a FIFO of posted receives linked through Request.mnext: the
-// posted chain, or one map bucket. Emptied buckets are recycled through
-// matcher.freeRL so steady-state posting allocates nothing.
+// posted chain, or one map bucket. Buckets are stored in their map by value,
+// so a new key costs a map slot and nothing else, and a steady state that
+// reuses its keys allocates nothing.
 type reqList struct {
 	head, tail *Request
-	free       *reqList // next on the free list
 }
 
 func (l *reqList) push(req *Request) {
@@ -77,20 +77,19 @@ type matcher struct {
 	// message can therefore match at most four buckets: {src,tag},
 	// {*,tag}, {src,*}, {*,*}.
 	chain       reqList
-	posted      map[matchKey]*reqList
+	posted      map[matchKey]reqList
 	postedCount int // total posted receives (modeled-cost counter)
 	postedWild  int // posted receives with at least one wildcard
 	pseq        uint64
-	freeRL      *reqList
 
 	eager unexpQueue // arrived eager messages with no matching receive
 	rts   unexpQueue // arrived RTS envelopes with no matching receive
 }
 
 // Nothing here is allocated ahead of use. A nil map reads as empty in Go, so
-// an idle rank keeps nil maps, nil chains and nil free lists: its matcher is
-// the zero value inside its Rank record, and a 16K-rank world where only a
-// subset of ranks communicate pays for exactly the maps it uses
+// an idle rank keeps nil maps and nil chains: its matcher is the zero value
+// inside its Rank record, and a 16K-rank world where only a subset of ranks
+// communicate pays for exactly the maps it uses
 // (TestIdleWorldFootprint16K). A map is made the first time its queue grows
 // past shallow and kept, empty, when the queue drains, so a queue that swings
 // across shallow again reuses it.
@@ -123,20 +122,13 @@ func (m *matcher) post(req *Request) {
 
 // bucket appends a receive to its map bucket.
 func (m *matcher) bucket(req *Request) {
-	k := keyOf(req.ctx, req.peer, req.tag)
+	k := keyOf(int(req.ctx), int(req.peer), req.tag)
 	if m.posted == nil {
-		m.posted = map[matchKey]*reqList{}
+		m.posted = map[matchKey]reqList{}
 	}
 	l := m.posted[k]
-	if l == nil {
-		if l = m.freeRL; l != nil {
-			m.freeRL, l.free = l.free, nil
-		} else {
-			l = &reqList{}
-		}
-		m.posted[k] = l
-	}
 	l.push(req)
+	m.posted[k] = l
 }
 
 // matchArrival removes and returns the earliest-posted receive eligible for
@@ -148,7 +140,7 @@ func (m *matcher) matchArrival(ctx, src, tag int) *Request {
 	if len(m.posted) == 0 {
 		var prev *Request
 		for q := m.chain.head; q != nil; prev, q = q, q.mnext {
-			if q.ctx == ctx && (q.peer == src || q.peer == AnySource) && (q.tag == tag || q.tag == AnyTag) {
+			if int(q.ctx) == ctx && (int(q.peer) == src || q.peer == AnySource) && (q.tag == tag || q.tag == AnyTag) {
 				if prev == nil {
 					m.chain.head = q.mnext
 				} else {
@@ -164,19 +156,16 @@ func (m *matcher) matchArrival(ctx, src, tag int) *Request {
 		}
 		return nil
 	}
-	var best *Request
 	bestK := keyOf(ctx, src, tag)
-	if l := m.posted[bestK]; l != nil {
-		best = l.head
-	}
+	best := m.posted[bestK].head
 	if m.postedWild > 0 {
 		for _, k := range [3]matchKey{
 			keyOf(ctx, AnySource, tag),
 			keyOf(ctx, src, AnyTag),
 			keyOf(ctx, AnySource, AnyTag),
 		} {
-			if l := m.posted[k]; l != nil && (best == nil || l.head.pseq < best.pseq) {
-				best, bestK = l.head, k
+			if h := m.posted[k].head; h != nil && (best == nil || h.pseq < best.pseq) {
+				best, bestK = h, k
 			}
 		}
 	}
@@ -187,7 +176,7 @@ func (m *matcher) matchArrival(ctx, src, tag int) *Request {
 	return best
 }
 
-// popPosted removes the head of a posted bucket, recycling the bucket when
+// popPosted removes the head of a posted bucket, deleting the bucket when
 // it empties so the map's live key set tracks only occupied keys (rotating
 // collective tags would otherwise grow it without bound). The last bucket
 // to go leaves the map empty and the queue back on its chain.
@@ -197,9 +186,9 @@ func (m *matcher) popPosted(k matchKey) {
 	l.head = q.mnext
 	q.mnext = nil
 	if l.head == nil {
-		l.tail = nil
 		delete(m.posted, k)
-		l.free, m.freeRL = m.freeRL, l
+	} else {
+		m.posted[k] = l
 	}
 	m.unpost(q)
 }
@@ -212,10 +201,9 @@ func (m *matcher) unpost(q *Request) {
 }
 
 // envList is a FIFO of unexpected envelopes sharing one concrete match key,
-// linked through envelope.bnext.
+// linked through envelope.bnext; stored by value like reqList.
 type envList struct {
 	head, tail *envelope
-	free       *envList // next on the free list
 }
 
 // unexpQueue holds arrived-but-unmatched envelopes of one protocol class
@@ -227,10 +215,9 @@ type envList struct {
 // earliest matching envelope on the chain is always its bucket's head —
 // remove() asserts this.
 type unexpQueue struct {
-	buckets      map[matchKey]*envList
+	buckets      map[matchKey]envList
 	ghead, gtail *envelope
 	count        int // modeled-cost counter
-	freeEL       *envList
 }
 
 func (u *unexpQueue) push(env *envelope) {
@@ -253,19 +240,11 @@ func (u *unexpQueue) push(env *envelope) {
 
 // bucket appends an envelope to its map bucket.
 func (u *unexpQueue) bucket(env *envelope) {
-	k := keyOf(env.ctx, env.src, env.tag)
+	k := keyOf(int(env.ctx), int(env.src), env.tag)
 	if u.buckets == nil {
-		u.buckets = map[matchKey]*envList{}
+		u.buckets = map[matchKey]envList{}
 	}
 	l := u.buckets[k]
-	if l == nil {
-		if l = u.freeEL; l != nil {
-			u.freeEL, l.free = l.free, nil
-		} else {
-			l = &envList{}
-		}
-		u.buckets[k] = l
-	}
 	env.bnext = nil
 	if l.tail == nil {
 		l.head = env
@@ -273,6 +252,7 @@ func (u *unexpQueue) bucket(env *envelope) {
 		l.tail.bnext = env
 	}
 	l.tail = env
+	u.buckets[k] = l
 }
 
 // find returns the earliest-arrived envelope a receive posted with
@@ -280,14 +260,11 @@ func (u *unexpQueue) bucket(env *envelope) {
 // wildcards; in map mode a fully concrete receive matches exactly one bucket.
 func (u *unexpQueue) find(ctx, peer, tag int) *envelope {
 	if peer != AnySource && tag != AnyTag && len(u.buckets) > 0 {
-		if l := u.buckets[keyOf(ctx, peer, tag)]; l != nil {
-			return l.head
-		}
-		return nil
+		return u.buckets[keyOf(ctx, peer, tag)].head
 	}
 	for env := u.ghead; env != nil; env = env.gnext {
-		if env.ctx == ctx &&
-			(peer == AnySource || env.src == peer) &&
+		if int(env.ctx) == ctx &&
+			(peer == AnySource || int(env.src) == peer) &&
 			(tag == AnyTag || env.tag == tag) {
 			return env
 		}
@@ -306,16 +283,16 @@ func (u *unexpQueue) take(ctx, peer, tag int) *envelope {
 
 func (u *unexpQueue) remove(env *envelope) {
 	if len(u.buckets) > 0 {
-		k := keyOf(env.ctx, env.src, env.tag)
+		k := keyOf(int(env.ctx), int(env.src), env.tag)
 		l := u.buckets[k]
-		if l == nil || l.head != env {
+		if l.head != env {
 			panic("mpi: unexpected-queue removal out of bucket order")
 		}
 		l.head = env.bnext
 		if l.head == nil {
-			l.tail = nil
 			delete(u.buckets, k)
-			l.free, u.freeEL = u.freeEL, l
+		} else {
+			u.buckets[k] = l
 		}
 	}
 	if env.gprev == nil {

@@ -2,9 +2,7 @@ package mpi
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 )
 
 // TestMatchingOrderProperty drives the indexed matcher and the linear-scan
@@ -44,7 +42,7 @@ func TestMatchingOrderProperty(t *testing.T) {
 				} else if env := m.rts.take(ctx, fsrc, ftag); env != nil {
 					gotEnv, gotQueue = envID[env], refQueueRTS
 				} else {
-					q := &Request{peer: fsrc, tag: ftag, ctx: ctx}
+					q := &Request{peer: int32(fsrc), tag: ftag, ctx: int32(ctx)}
 					reqID[q] = id
 					m.post(q)
 				}
@@ -61,7 +59,7 @@ func TestMatchingOrderProperty(t *testing.T) {
 				if q := m.matchArrival(ctx, src, tag); q != nil {
 					got = reqID[q]
 				} else {
-					env := &envelope{src: src, tag: tag, ctx: ctx}
+					env := &envelope{src: int32(src), tag: tag, ctx: int32(ctx)}
 					envID[env] = id
 					if rts {
 						m.rts.push(env)
@@ -108,7 +106,7 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 	}
 	envs := make([]*envelope, depth)
 	for i := range envs {
-		envs[i] = &envelope{ctx: 1, src: i % 3, tag: i}
+		envs[i] = &envelope{ctx: 1, src: int32(i % 3), tag: i}
 	}
 	crossed := func(mapped, drained bool) {
 		if !mapped || !drained {
@@ -120,7 +118,8 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 	// order.
 	postAll := func(wild func(i int) (src, tag int)) {
 		for i, q := range reqs {
-			q.peer, q.tag = wild(i)
+			src, tag := wild(i)
+			q.peer, q.tag = int32(src), tag
 			m.post(q)
 		}
 		mapped := len(m.posted) > 0
@@ -157,7 +156,7 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 			}
 			mapped := len(m.eager.buckets) > 0
 			for i, env := range envs {
-				src, tag := env.src, env.tag
+				src, tag := int(env.src), env.tag
 				if i%4 == 1 {
 					src = AnySource
 				} else if i%4 == 3 {
@@ -171,7 +170,7 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 		}},
 	}
 	for _, c := range cycles {
-		c.cycle() // make the map and its free lists once
+		c.cycle() // make the map once
 		if n := testing.AllocsPerRun(50, c.cycle); n != 0 {
 			t.Errorf("%s: %v allocs per cycle, want 0", c.name, n)
 		}
@@ -252,37 +251,48 @@ func TestNBTagWraparoundMatching(t *testing.T) {
 	})
 }
 
-// TestCompletedRequestsAreCollectable proves the matcher and notice queue
-// drop all references to a matched receive: with the world still alive, a
-// completed (never pool-freed) request must be garbage-collectable once the
-// caller lets go. The pre-rewrite engine failed this — the append-based
-// slice removal left a live pointer in the vacated tail slot.
+// TestCompletedRequestsAreCollectable proves the library drops every
+// reference to a completed request: once the world has run, no slot it owns
+// (refsTo: notices up to capacity, matcher queues, free lists, ...) holds a
+// completed, never pool-freed send or receive, eager or rendezvous, so the
+// request is collectable once its caller lets go. A finalizer cannot say
+// this, for a record inside a slab chunk cannot carry one. The pre-rewrite
+// engine failed it (the append-based slice removal left a live pointer in
+// the vacated tail slot), and so does a poll that leaves processed notices
+// in the queue's spare capacity. Mid-run, the walk must find the unexpected
+// RTS and the posted receive, so it cannot pass by seeing nothing.
 func TestCompletedRequestsAreCollectable(t *testing.T) {
 	eng, w := testWorld(t, 2, nil)
-	collected := make(chan struct{})
+	var rndv, eager [2]*Request // send, receive
 	w.Start(func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(1, 9, Virtual(128))
+			rndv[0] = c.Isend(1, 9, Virtual(64<<10))
+			c.Wait(rndv[0])
+			eager[0] = c.Isend(1, 10, Virtual(128))
+			c.Wait(eager[0])
 		case 1:
-			req := c.Recv(0, 9, Virtual(128))
-			runtime.SetFinalizer(req, func(*Request) { close(collected) })
+			c.Compute(1e-3)
+			c.RankState().Progress()
+			if n := w.refsTo(rndv[0]); n != 2 {
+				t.Errorf("the unexpected RTS's send request is held by %d slots, want 2 (the RTS, rank 0's wait list)", n)
+			}
+			eager[1] = c.Irecv(0, 10, Virtual(128))
+			if n := w.refsTo(eager[1]); n == 0 {
+				t.Error("the posted receive is held by no slot")
+			}
+			rndv[1] = c.Recv(0, 9, Virtual(64<<10))
+			c.Wait(eager[1])
 		}
 	})
 	eng.Run()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		select {
-		case <-collected:
-			runtime.KeepAlive(w)
-			return
-		default:
+	for i, q := range [4]*Request{rndv[0], rndv[1], eager[0], eager[1]} {
+		if !q.done {
+			t.Fatalf("request %d never completed", i)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("completed receive request never became collectable (a library queue still references it)")
+		if n := w.refsTo(q); n != 0 {
+			t.Errorf("completed request %d (rendezvous send, receive, eager send, receive) is still held by %d library slots", i, n)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -419,7 +429,7 @@ func FuzzMatch(f *testing.F) {
 					} else if env := m.rts.take(ctx, src, tag); env != nil {
 						gotEnv, gotQueue = envID[env], refQueueRTS
 					} else {
-						q := &Request{peer: src, tag: tag, ctx: ctx}
+						q := &Request{peer: int32(src), tag: tag, ctx: int32(ctx)}
 						reqID[q] = id
 						m.post(q)
 					}
@@ -433,7 +443,7 @@ func FuzzMatch(f *testing.F) {
 					if q := m.matchArrival(ctx, src, tag); q != nil {
 						got = reqID[q]
 					} else {
-						env := &envelope{src: src, tag: tag, ctx: ctx}
+						env := &envelope{src: int32(src), tag: tag, ctx: int32(ctx)}
 						envID[env] = id
 						if rts {
 							m.rts.push(env)

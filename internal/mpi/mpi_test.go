@@ -536,3 +536,58 @@ func TestBlockingRendezvousResumesOncePerCall(t *testing.T) {
 		t.Fatalf("%d resumes for %d Send/Recv pairs, want %d: one start per rank, one resume per call", eng.Resumes, calls, want)
 	}
 }
+
+// TestRequestPoolLifecycle pins what DESIGN.md §3 "Pooling" promises of a
+// pooled request: the record a freed request returns to is the next one
+// drawn, one generation on; a handle to its old life keeps reading done while
+// its new life reads not-done until it completes; and freeing twice or before
+// completion panics.
+func TestRequestPoolLifecycle(t *testing.T) {
+	panicOf := func(f func()) (msg string) {
+		defer func() {
+			if p := recover(); p != nil {
+				msg, _ = p.(string)
+			}
+		}()
+		f()
+		return ""
+	}
+	eng, w := testWorld(t, 2, nil)
+	w.Start(func(c *Comm) {
+		if c.Rank() == 0 {
+			for tag := 9; tag <= 11; tag++ {
+				c.Compute(1e-3)
+				c.Send(1, tag, Virtual(128))
+			}
+			return
+		}
+		q := c.Recv(0, 9, Virtual(128))
+		stale := q.Handle()
+		c.FreeRequests(q)
+		q2 := c.Irecv(0, 10, Virtual(128))
+		if q2 != q || q2.gen != stale.gen+1 {
+			t.Errorf("the next receive drew %p at generation %d, want the freed record %p at %d", q2, q2.gen, q, stale.gen+1)
+		}
+		if !stale.Done() {
+			t.Error("a handle to the freed request reads not-done")
+		}
+		fresh := q2.Handle()
+		if fresh.Done() {
+			t.Error("the record's new life reads done before its message arrived")
+		}
+		c.Wait(q2)
+		if !fresh.Done() {
+			t.Error("the record's new life reads not-done after Wait")
+		}
+		c.FreeRequests(q2)
+		if msg := panicOf(func() { c.FreeRequests(q2) }); msg != "mpi: request freed twice" {
+			t.Errorf("a second free panicked with %q, want %q", msg, "mpi: request freed twice")
+		}
+		q3 := c.Irecv(0, 11, Virtual(128))
+		if msg := panicOf(func() { c.FreeRequests(q3) }); !strings.HasPrefix(msg, "mpi: freeing an incomplete request") {
+			t.Errorf("freeing an incomplete request panicked with %q", msg)
+		}
+		c.Wait(q3)
+	})
+	eng.Run()
+}

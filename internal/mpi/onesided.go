@@ -138,7 +138,7 @@ func (w *Win) PutInstanced(instance int64, peer, off int, b Buf) *Request {
 		panic(fmt.Sprintf("mpi: put of %d bytes at offset %d exceeds window size %d", size, off, w.buf.Len()))
 	}
 	req := r.w.allocReq()
-	req.r, req.peer, req.ctx, req.buf = r, peer, w.ctx, b
+	req.r, req.peer, req.ctx, req.buf = r, int32(peer), int32(w.ctx), b
 	r.charge(p.OPost + p.OSend)
 	r.outstanding++
 	if !p.RDMA {

@@ -19,11 +19,10 @@ const (
 // completion must be observable past an ownership transfer.
 type Request struct {
 	r    *Rank
-	peer int // destination (send) or source filter (recv)
+	peer int32 // destination (send) or source filter (recv)
+	ctx  int32 // peer and ctx fit: checkKey bounds them by maxRanks and maxCtx
 	tag  int
-	ctx  int
 	buf  Buf // payload (send) or destination buffer (recv)
-	done bool
 
 	matched *Request // send: the matched receive (rendezvous correlation)
 	rtsAt   float64  // send: virtual time the RTS was posted (stall metric)
@@ -34,6 +33,7 @@ type Request struct {
 	// record through the world's free list.
 	gen   uint32
 	freed bool
+	done  bool // beside gen and freed, where it costs no padding
 	mnext *Request
 	pseq  uint64
 
@@ -65,8 +65,9 @@ func (h ReqHandle) Done() bool {
 // bnext/gprev/gnext thread them through the matcher's unexpected queues, and
 // bnext a freed envelope through the shard's free list.
 type envelope struct {
-	src, dst int // world ranks
-	tag, ctx int
+	src, dst int32 // world ranks
+	ctx      int32
+	tag      int
 	buf      Buf
 	dstRank  *Rank    // receiver's library state (delivery target)
 	sreq     *Request // sending request (rendezvous correlation)
@@ -132,12 +133,12 @@ func (env *envelope) sender() *Rank { return env.dstRank.w.ranks[env.src] }
 
 func xmitEager(arg any) {
 	env := arg.(*envelope)
-	env.sender().net().Transfer(env.src, env.dst, env.buf.Len(), deliverEager, env)
+	env.sender().net().Transfer(int(env.src), int(env.dst), env.buf.Len(), deliverEager, env)
 }
 
 func xmitRTS(arg any) {
 	env := arg.(*envelope)
-	env.sender().net().Ctrl(env.src, env.dst, deliverRTS, env)
+	env.sender().net().Ctrl(int(env.src), int(env.dst), deliverRTS, env)
 }
 
 func xmitCTS(arg any) {
@@ -241,8 +242,8 @@ func (r *Rank) processEager(env *envelope) {
 		cost += p.CopyTime(env.buf.Len())
 	}
 	r.charge(cost)
-	if rreq := r.m.matchArrival(env.ctx, env.src, env.tag); rreq != nil {
-		r.completeRecv(rreq, env.src, env.tag, env.buf)
+	if rreq := r.m.matchArrival(int(env.ctx), int(env.src), env.tag); rreq != nil {
+		r.completeRecv(rreq, int(env.src), env.tag, env.buf)
 		r.w.freeEnv(env)
 		return
 	}
@@ -252,7 +253,7 @@ func (r *Rank) processEager(env *envelope) {
 func (r *Rank) processRTS(env *envelope) {
 	p := r.net().Params()
 	r.charge(p.ORecv + p.OMatch*float64(r.m.postedCount))
-	if rreq := r.m.matchArrival(env.ctx, env.src, env.tag); rreq != nil {
+	if rreq := r.m.matchArrival(int(env.ctx), int(env.src), env.tag); rreq != nil {
 		r.sendCTS(rreq, env)
 		r.w.freeEnv(env)
 		return
@@ -263,7 +264,7 @@ func (r *Rank) processRTS(env *envelope) {
 // sendCTS answers a rendezvous RTS: the receive is now matched and the
 // clear-to-send control message flows back to the sender.
 func (r *Rank) sendCTS(rreq *Request, env *envelope) {
-	rreq.SrcActual, rreq.TagActual = env.src, env.tag
+	rreq.SrcActual, rreq.TagActual = int(env.src), env.tag
 	p := r.net().Params()
 	r.charge(p.OSend)
 	// The send request is the receiver's to write between RTS and CTS: its
@@ -306,7 +307,7 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 	size := b.Len()
 	r.w.checkKey("isend to", ctx, dst, tag, false)
 	req := r.w.allocReq()
-	req.r, req.peer, req.tag, req.ctx, req.buf = r, dst, tag, ctx, b
+	req.r, req.peer, req.tag, req.ctx, req.buf = r, int32(dst), tag, int32(ctx), b
 	p := r.net().Params()
 	r.charge(p.OPost)
 	dstRank := r.w.ranks[dst]
@@ -320,7 +321,7 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 		}
 		r.charge(cost)
 		env := r.w.allocEnv()
-		env.src, env.dst, env.tag, env.ctx = r.id, dst, tag, ctx
+		env.src, env.dst, env.tag, env.ctx = int32(r.id), int32(dst), tag, int32(ctx)
 		env.buf, env.dstRank = b.Clone(), dstRank
 		r.proc.Do(xmitEager, env)
 		req.done = true
@@ -332,7 +333,7 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 	r.charge(p.OSend)
 	req.rtsAt = r.proc.Now()
 	env := r.w.allocEnv()
-	env.src, env.dst, env.tag, env.ctx = r.id, dst, tag, ctx
+	env.src, env.dst, env.tag, env.ctx = int32(r.id), int32(dst), tag, int32(ctx)
 	env.buf, env.dstRank, env.sreq = b, dstRank, req
 	r.proc.Do(xmitRTS, env)
 	return req
@@ -344,13 +345,13 @@ func (r *Rank) irecv(src, tag, ctx int, b Buf) *Request {
 	// deadlock or a wrong match instead of a bug report.
 	r.w.checkKey("irecv from", ctx, src, tag, true)
 	req := r.w.allocReq()
-	req.r, req.peer, req.tag, req.ctx, req.buf = r, src, tag, ctx, b
+	req.r, req.peer, req.tag, req.ctx, req.buf = r, int32(src), tag, int32(ctx), b
 	p := r.net().Params()
 	r.charge(p.OPost + p.OMatch*float64(r.m.eager.count+r.m.rts.count))
 	r.outstanding++
 	// An already-arrived eager message matches at post time.
 	if env := r.m.eager.take(ctx, src, tag); env != nil {
-		r.completeRecv(req, env.src, env.tag, env.buf)
+		r.completeRecv(req, int(env.src), env.tag, env.buf)
 		r.w.freeEnv(env)
 		return req
 	}

@@ -27,8 +27,8 @@ func TestRecordSizes(t *testing.T) {
 	}{
 		{"nbc.Op", nbc.Op{}, 48},
 		{"mpi.Buf", mpi.Buf{}, 16},
-		{"mpi.Request", mpi.Request{}, 112},
-		{"mpi.envelope", mpi.Envelope{}, 88},
+		{"mpi.Request", mpi.Request{}, 96},
+		{"mpi.envelope", mpi.Envelope{}, 80},
 		{"mpi.xfer", mpi.Xfer{}, 88},
 	} {
 		if got := reflect.TypeOf(tc.v).Size(); got > tc.max {

@@ -62,10 +62,14 @@ type shard struct {
 	// a record freed by its receiver can be reused by any sender; safe
 	// without locks because the engine serializes all ranks of one shard.
 	// Each is an intrusive LIFO chain through a link field that a free record
-	// never otherwise uses, so a list costs nothing to grow.
+	// never otherwise uses, so a list costs nothing to grow. A record is
+	// drawn from its slab only when its list is empty.
 	reqFree *Request  // through mnext
 	envFree *envelope // through bnext
 	xfFree  *xfer     // through next
+	reqSlab netmodel.Slab[Request]
+	envSlab netmodel.Slab[envelope]
+	xfSlab  netmodel.Slab[xfer]
 }
 
 // NewWorld creates n ranks over network views: one view and no windows for
@@ -349,7 +353,7 @@ func (s *shard) allocReq() *Request {
 		q.freed = false
 		return q
 	}
-	return &Request{}
+	return s.reqSlab.New()
 }
 
 // freeReq returns a completed request to the pool, bumping its generation so
@@ -371,7 +375,7 @@ func (s *shard) allocEnv() *envelope {
 		s.envFree, env.bnext = env.bnext, nil
 		return env
 	}
-	return &envelope{}
+	return s.envSlab.New()
 }
 
 // freeEnv recycles an envelope. Callers free exactly at the point the
@@ -389,7 +393,7 @@ func (s *shard) allocXfer() *xfer {
 		s.xfFree, x.next = x.next, nil
 		return x
 	}
-	return &xfer{}
+	return s.xfSlab.New()
 }
 
 func (s *shard) freeXfer(x *xfer) {

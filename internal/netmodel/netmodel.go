@@ -193,7 +193,8 @@ type Network struct {
 
 	Transfers int64 // Transfer calls, for the benchmark's per-transfer cost
 
-	freeRx *rxOp // recycled inter-node transfer records, chained through next
+	freeRx *rxOp      // recycled inter-node transfer records, chained through next
+	rxSlab Slab[rxOp] // fresh records when freeRx is empty
 
 	rec   *obs.Recorder
 	chaos *chaos.Injector
@@ -233,7 +234,7 @@ func (n *Network) allocRx() *rxOp {
 		n.freeRx, rx.next = rx.next, nil
 		return rx
 	}
-	return &rxOp{}
+	return n.rxSlab.New()
 }
 
 // fireDelivery is the engine callback for inter-node arrivals.
