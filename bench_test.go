@@ -12,6 +12,7 @@ package nbctune_test
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"nbctune/internal/bench"
@@ -235,14 +236,14 @@ func runOneShotWorld(tb testing.TB, ranks, shards int, prog func(*mpi.Comm)) (ev
 
 // oneShotAllocCeiling and oneShotMallocCeiling are what
 // TestOneShotWorldAllocBudget lets its three one-shot worlds allocate: the
-// 130.4 MiB they allocated when the byte ceiling was set, and the 239.1 K
+// 96.6 MiB they allocated when the byte ceiling was set, and the 239.1 K
 // objects when the count ceiling was, each plus 10 %. A world's first run
 // allocates its live set once: schedules in one exactly sized op array of
 // 48-byte entries, protocol records from slab chunks that double up to
 // 32 KiB, free lists chained through their records, the lane pool grown by
 // doubling (DESIGN.md §3 "Pooling").
 const (
-	oneShotAllocCeiling  = 143 << 20
+	oneShotAllocCeiling  = 1063 << 20 / 10 // 106.3 MiB
 	oneShotMallocCeiling = 263_000
 )
 
@@ -289,12 +290,16 @@ func TestOneShotWorldAllocBudget(t *testing.T) {
 // well as per world; it is the target of `go test -run '^$' -bench
 // OneShotWorld/alltoall384 -cpuprofile|-memprofile`. B/event and allocs/event
 // count every byte and every object allocated, beside -benchmem's per-world
-// figures.
+// figures. gcs/world counts the collections a world took and gc-cpu-frac is
+// the collector's share of the CPU time available meanwhile (runtime/metrics:
+// GC CPU over GOMAXPROCS times wall time), so what a live set costs to trace
+// shows beside what it costs to allocate.
 func BenchmarkOneShotWorld(b *testing.B) {
 	for _, ow := range oneShotWorlds {
 		b.Run(ow.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var m0, m1 runtime.MemStats
+			cpu0, cpu1 := gcCPU(), [2]float64{}
 			runtime.ReadMemStats(&m0)
 			var events, resumes int64
 			for i := 0; i < b.N; i++ {
@@ -302,12 +307,25 @@ func BenchmarkOneShotWorld(b *testing.B) {
 				events, resumes = events+e, resumes+r
 			}
 			runtime.ReadMemStats(&m1)
+			cpu1 = gcCPU()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(events), "B/event")
 			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(events), "allocs/event")
 			b.ReportMetric(float64(resumes)/float64(events), "resumes/event")
+			b.ReportMetric(float64(m1.NumGC-m0.NumGC)/float64(b.N), "gcs/world")
+			if total := cpu1[1] - cpu0[1]; total > 0 {
+				b.ReportMetric((cpu1[0]-cpu0[0])/total, "gc-cpu-frac")
+			}
 		})
 	}
+}
+
+// gcCPU reads the runtime's CPU-time estimates: the collector's, and all
+// that GOMAXPROCS made available, in seconds.
+func gcCPU() [2]float64 {
+	s := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/cpu/classes/total:cpu-seconds"}}
+	metrics.Read(s)
+	return [2]float64{s[0].Value.Float64(), s[1].Value.Float64()}
 }
 
 func itoa(v int) string {

@@ -52,9 +52,9 @@ type rankSnap struct {
 }
 
 // WorldSnapshot is a detached, immutable checkpoint of a quiescent world and
-// everything under it (engine, network, chaos streams, per-rank state, pool
-// free lists). It shares nothing mutable with the parent, so the parent may
-// keep running and concurrent Forks are safe.
+// everything under it (engine, network, chaos streams, per-rank state). It
+// shares nothing mutable with the parent, so the parent may keep running and
+// concurrent Forks are safe.
 type WorldSnapshot struct {
 	sim   *sim.Snapshot
 	net   *netmodel.Snapshot
@@ -63,10 +63,6 @@ type WorldSnapshot struct {
 
 	nextCtx int
 	ranks   []rankSnap
-
-	reqGens []uint32 // request free list: generation per record, in pop order
-	envFree int      // free-list lengths; their records are blank
-	xfFree  int
 }
 
 // Now returns the virtual time the snapshot was taken at — the common start
@@ -89,15 +85,6 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 		sim:     simSnap,
 		opts:    sh.opts,
 		nextCtx: w.nextCtx,
-	}
-	for env := sh.envFree; env != nil; env = env.bnext {
-		s.envFree++
-	}
-	for x := sh.xfFree; x != nil; x = x.next {
-		s.xfFree++
-	}
-	for q := sh.reqFree; q != nil; q = q.mnext {
-		s.reqGens = append(s.reqGens, q.gen)
 	}
 	for _, r := range w.ranks {
 		if r.nhead != 0 || len(r.notices) != 0 {
@@ -127,11 +114,13 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 		if r.rng != nil {
 			rs.rng = r.rng.Clone()
 		}
-		for env := r.m.eager.ghead; env != nil; env = env.gnext {
+		for i := r.m.eager.ghead; i != 0; {
+			env := sh.recs.env(i)
 			rs.eager = append(rs.eager, envSnap{
 				src: env.src, dst: env.dst, tag: env.tag, ctx: env.ctx,
 				buf: env.buf.Clone(),
 			})
+			i = env.gnext
 		}
 		if r.layerState != nil {
 			lf, ok := r.layerState.(LayerForker)
@@ -158,13 +147,10 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 // marks and FIFO floors, chaos noise streams positioned mid-stream exactly
 // where the parent's were, and per-rank state — RNG position,
 // unexpected-eager queues (payloads re-cloned), posted-order counters, and
-// the layer state re-forked. The pool free lists come back warm: request
-// records carry the parent's generation counters in the parent's stack
-// order, so forked runs allocate records in the identical sequence (the
-// byte-determinism contract) and pre-snapshot ReqHandles read as done in a
-// fork exactly as they do in the parent. Nothing in a fork aliases the
-// snapshot or any sibling fork, so concurrent Forks (and concurrent forked
-// runs) are safe.
+// the layer state re-forked. The record pools start empty in every fork, so
+// forked runs draw records in the identical sequence. Nothing in a fork
+// aliases the snapshot or any sibling fork, so concurrent Forks (and
+// concurrent forked runs) are safe.
 //
 // Start a new program on the returned world and run the returned engine;
 // communicator contexts continue from the parent's sequence, so every fork
@@ -175,16 +161,15 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 	if s.chaos != nil {
 		inj = s.chaos.Clone()
 	}
-	sh := &shard{eng: eng, net: s.net.Fork(eng, inj), opts: s.opts}
-	w := &World{shards: []*shard{sh}, nextCtx: s.nextCtx}
+	w := &World{ranks: make([]*Rank, len(s.ranks)), nextCtx: s.nextCtx}
+	sh := newShard(newRecords(1), 0, s.net.Fork(eng, inj), w.ranks, s.opts)
+	w.shards = []*shard{sh}
 	// Rank records come out of one contiguous batch, and the lazily created
 	// structures (RNG, wait condition, matcher maps) stay absent in the fork
 	// exactly where they were absent in the parent — per-fork cost is
 	// proportional to live state, not to the rank count times the size of a
 	// fully equipped rank.
 	recs := make([]Rank, len(s.ranks))
-	w.ranks = make([]*Rank, len(s.ranks))
-	sh.ranks = w.ranks
 	for i := range s.ranks {
 		rs := &s.ranks[i]
 		r := &recs[i]
@@ -204,29 +189,11 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 			env := sh.allocEnv()
 			env.src, env.dst, env.tag, env.ctx = es.src, es.dst, es.tag, es.ctx
 			env.buf = es.buf.Clone()
-			env.dstRank = r
-			r.m.eager.push(env)
+			r.m.eager.push(sh.recs, env)
 		}
 		if rs.layer != nil {
 			r.layerState = rs.layer.(LayerForker).ForkLayer()
 		}
-	}
-	// Free lists are rebuilt as batch allocations chained in the parent's pop
-	// order, back to front so each record links the one after it.
-	reqRecs := make([]Request, len(s.reqGens))
-	for i := len(reqRecs) - 1; i >= 0; i-- {
-		reqRecs[i] = Request{gen: s.reqGens[i], freed: true, mnext: sh.reqFree}
-		sh.reqFree = &reqRecs[i]
-	}
-	envRecs := make([]envelope, s.envFree)
-	for i := len(envRecs) - 1; i >= 0; i-- {
-		envRecs[i].bnext = sh.envFree
-		sh.envFree = &envRecs[i]
-	}
-	xfRecs := make([]xfer, s.xfFree)
-	for i := len(xfRecs) - 1; i >= 0; i-- {
-		xfRecs[i].next = sh.xfFree
-		sh.xfFree = &xfRecs[i]
 	}
 	return eng, w
 }

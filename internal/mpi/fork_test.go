@@ -134,7 +134,7 @@ func TestForkCarriesUnexpectedEager(t *testing.T) {
 	if q.count != 1 {
 		t.Fatalf("fork unexpected-eager count = %d, want 1", q.count)
 	}
-	env := q.ghead
+	env := fw.shards[0].recs.env(q.ghead)
 	if env.src != 0 || env.dst != 1 || env.tag != 77 {
 		t.Fatalf("fork envelope header (src=%d dst=%d tag=%d) wrong", env.src, env.dst, env.tag)
 	}
@@ -142,7 +142,7 @@ func TestForkCarriesUnexpectedEager(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("fork envelope payload = %x, want %x", got, payload)
 	}
-	parentEnv := w.ranks[1].m.eager.ghead
+	parentEnv := w.shards[0].recs.env(w.ranks[1].m.eager.ghead)
 	if parentEnv == env || &parentEnv.buf.Data()[0] == &got[0] {
 		t.Fatal("fork envelope aliases the parent's storage")
 	}

@@ -54,18 +54,20 @@ const shallow = 16
 // reqList is a FIFO of posted receives linked through Request.mnext: the
 // posted chain, or one map bucket. Buckets are stored in their map by value,
 // so a new key costs a map slot and nothing else, and a steady state that
-// reuses its keys allocates nothing.
+// reuses its keys allocates nothing. The links are record indices (0: none),
+// resolved against the world's records, so neither a list nor the map that
+// holds it has a pointer for the collector to trace.
 type reqList struct {
-	head, tail *Request
+	head, tail int32
 }
 
-func (l *reqList) push(req *Request) {
-	if l.tail == nil {
-		l.head = req
+func (l *reqList) push(p *records, req *Request) {
+	if l.tail == 0 {
+		l.head = req.self
 	} else {
-		l.tail.mnext = req
+		p.req(l.tail).mnext = req.self
 	}
-	l.tail = req
+	l.tail = req.self
 }
 
 // matcher holds one rank's posted receives and unexpected envelopes.
@@ -87,7 +89,7 @@ type matcher struct {
 }
 
 // Nothing here is allocated ahead of use. A nil map reads as empty in Go, so
-// an idle rank keeps nil maps and nil chains: its matcher is the zero value
+// an idle rank keeps nil maps and empty chains: its matcher is the zero value
 // inside its Rank record, and a 16K-rank world where only a subset of ranks
 // communicate pays for exactly the maps it uses
 // (TestIdleWorldFootprint16K). A map is made the first time its queue grows
@@ -96,38 +98,37 @@ type matcher struct {
 
 // post queues a receive. Its position in posted order is stamped into
 // req.pseq so concurrent buckets can be merged by age.
-func (m *matcher) post(req *Request) {
+func (m *matcher) post(p *records, req *Request) {
 	m.pseq++
 	req.pseq = m.pseq
-	req.mnext = nil
+	req.mnext = 0
 	m.postedCount++
 	if req.peer == AnySource || req.tag == AnyTag {
 		m.postedWild++
 	}
 	if len(m.posted) == 0 {
 		if m.postedCount <= shallow {
-			m.chain.push(req)
+			m.chain.push(p, req)
 			return
 		}
-		for q := m.chain.head; q != nil; {
-			next := q.mnext
-			q.mnext = nil
-			m.bucket(q)
-			q = next
+		for i := m.chain.head; i != 0; {
+			q := p.req(i)
+			i, q.mnext = q.mnext, 0
+			m.bucket(p, q)
 		}
 		m.chain = reqList{}
 	}
-	m.bucket(req)
+	m.bucket(p, req)
 }
 
 // bucket appends a receive to its map bucket.
-func (m *matcher) bucket(req *Request) {
+func (m *matcher) bucket(p *records, req *Request) {
 	k := keyOf(int(req.ctx), int(req.peer), req.tag)
 	if m.posted == nil {
 		m.posted = map[matchKey]reqList{}
 	}
 	l := m.posted[k]
-	l.push(req)
+	l.push(p, req)
 	m.posted[k] = l
 }
 
@@ -136,56 +137,64 @@ func (m *matcher) bucket(req *Request) {
 // first eligible receive; in map mode each candidate bucket is FIFO, so
 // comparing the four bucket heads by pseq finds the global earliest-posted
 // match.
-func (m *matcher) matchArrival(ctx, src, tag int) *Request {
+func (m *matcher) matchArrival(p *records, ctx, src, tag int) *Request {
 	if len(m.posted) == 0 {
 		var prev *Request
-		for q := m.chain.head; q != nil; prev, q = q, q.mnext {
+		for i := m.chain.head; i != 0; {
+			q := p.req(i)
 			if int(q.ctx) == ctx && (int(q.peer) == src || q.peer == AnySource) && (q.tag == tag || q.tag == AnyTag) {
 				if prev == nil {
 					m.chain.head = q.mnext
 				} else {
 					prev.mnext = q.mnext
 				}
-				if m.chain.tail == q {
-					m.chain.tail = prev
+				if m.chain.tail == i {
+					m.chain.tail = 0
+					if prev != nil {
+						m.chain.tail = prev.self
+					}
 				}
-				q.mnext = nil
+				q.mnext = 0
 				m.unpost(q)
 				return q
 			}
+			prev, i = q, q.mnext
 		}
 		return nil
 	}
 	bestK := keyOf(ctx, src, tag)
-	best := m.posted[bestK].head
+	bestL := m.posted[bestK]
+	var best *Request
+	if bestL.head != 0 {
+		best = p.req(bestL.head)
+	}
 	if m.postedWild > 0 {
 		for _, k := range [3]matchKey{
 			keyOf(ctx, AnySource, tag),
 			keyOf(ctx, src, AnyTag),
 			keyOf(ctx, AnySource, AnyTag),
 		} {
-			if h := m.posted[k].head; h != nil && (best == nil || h.pseq < best.pseq) {
-				best, bestK = h, k
+			if l := m.posted[k]; l.head != 0 {
+				if q := p.req(l.head); best == nil || q.pseq < best.pseq {
+					best, bestK, bestL = q, k, l
+				}
 			}
 		}
 	}
 	if best == nil {
 		return nil
 	}
-	m.popPosted(bestK)
+	m.popPosted(bestK, bestL, best)
 	return best
 }
 
-// popPosted removes the head of a posted bucket, deleting the bucket when
-// it empties so the map's live key set tracks only occupied keys (rotating
-// collective tags would otherwise grow it without bound). The last bucket
-// to go leaves the map empty and the queue back on its chain.
-func (m *matcher) popPosted(k matchKey) {
-	l := m.posted[k]
-	q := l.head
-	l.head = q.mnext
-	q.mnext = nil
-	if l.head == nil {
+// popPosted removes q, the head of the posted bucket l under key k, deleting
+// the bucket when it empties so the map's live key set tracks only occupied
+// keys (rotating collective tags would otherwise grow it without bound). The
+// last bucket to go leaves the map empty and the queue back on its chain.
+func (m *matcher) popPosted(k matchKey, l reqList, q *Request) {
+	l.head, q.mnext = q.mnext, 0
+	if l.head == 0 {
 		delete(m.posted, k)
 	} else {
 		m.posted[k] = l
@@ -203,7 +212,7 @@ func (m *matcher) unpost(q *Request) {
 // envList is a FIFO of unexpected envelopes sharing one concrete match key,
 // linked through envelope.bnext; stored by value like reqList.
 type envList struct {
-	head, tail *envelope
+	head, tail int32
 }
 
 // unexpQueue holds arrived-but-unmatched envelopes of one protocol class
@@ -213,98 +222,105 @@ type envList struct {
 // lookup, and only wildcard receives walk the chain. Because bucket order is
 // a subsequence of arrival order and all bucket-mates match identically, the
 // earliest matching envelope on the chain is always its bucket's head —
-// remove() asserts this.
+// remove() asserts this. Links are record indices, as in reqList.
 type unexpQueue struct {
 	buckets      map[matchKey]envList
-	ghead, gtail *envelope
+	ghead, gtail int32
 	count        int // modeled-cost counter
 }
 
-func (u *unexpQueue) push(env *envelope) {
-	env.gprev, env.gnext = u.gtail, nil
-	if u.gtail == nil {
-		u.ghead = env
+func (u *unexpQueue) push(p *records, env *envelope) {
+	env.gprev, env.gnext = u.gtail, 0
+	if u.gtail == 0 {
+		u.ghead = env.self
 	} else {
-		u.gtail.gnext = env
+		p.env(u.gtail).gnext = env.self
 	}
-	u.gtail = env
+	u.gtail = env.self
 	u.count++
 	if len(u.buckets) > 0 {
-		u.bucket(env)
+		u.bucket(p, env)
 	} else if u.count > shallow {
-		for e := u.ghead; e != nil; e = e.gnext {
-			u.bucket(e)
+		for i := u.ghead; i != 0; {
+			e := p.env(i)
+			u.bucket(p, e)
+			i = e.gnext
 		}
 	}
 }
 
 // bucket appends an envelope to its map bucket.
-func (u *unexpQueue) bucket(env *envelope) {
+func (u *unexpQueue) bucket(p *records, env *envelope) {
 	k := keyOf(int(env.ctx), int(env.src), env.tag)
 	if u.buckets == nil {
 		u.buckets = map[matchKey]envList{}
 	}
 	l := u.buckets[k]
-	env.bnext = nil
-	if l.tail == nil {
-		l.head = env
+	env.bnext = 0
+	if l.tail == 0 {
+		l.head = env.self
 	} else {
-		l.tail.bnext = env
+		p.env(l.tail).bnext = env.self
 	}
-	l.tail = env
+	l.tail = env.self
 	u.buckets[k] = l
 }
 
 // find returns the earliest-arrived envelope a receive posted with
 // (ctx, peer, tag) would match, without removing it. peer and tag may be
 // wildcards; in map mode a fully concrete receive matches exactly one bucket.
-func (u *unexpQueue) find(ctx, peer, tag int) *envelope {
+func (u *unexpQueue) find(p *records, ctx, peer, tag int) *envelope {
 	if peer != AnySource && tag != AnyTag && len(u.buckets) > 0 {
-		return u.buckets[keyOf(ctx, peer, tag)].head
+		if h := u.buckets[keyOf(ctx, peer, tag)].head; h != 0 {
+			return p.env(h)
+		}
+		return nil
 	}
-	for env := u.ghead; env != nil; env = env.gnext {
+	for i := u.ghead; i != 0; {
+		env := p.env(i)
 		if int(env.ctx) == ctx &&
 			(peer == AnySource || int(env.src) == peer) &&
 			(tag == AnyTag || env.tag == tag) {
 			return env
 		}
+		i = env.gnext
 	}
 	return nil
 }
 
 // take is find plus removal.
-func (u *unexpQueue) take(ctx, peer, tag int) *envelope {
-	env := u.find(ctx, peer, tag)
+func (u *unexpQueue) take(p *records, ctx, peer, tag int) *envelope {
+	env := u.find(p, ctx, peer, tag)
 	if env != nil {
-		u.remove(env)
+		u.remove(p, env)
 	}
 	return env
 }
 
-func (u *unexpQueue) remove(env *envelope) {
+func (u *unexpQueue) remove(p *records, env *envelope) {
 	if len(u.buckets) > 0 {
 		k := keyOf(int(env.ctx), int(env.src), env.tag)
 		l := u.buckets[k]
-		if l.head != env {
+		if l.head != env.self {
 			panic("mpi: unexpected-queue removal out of bucket order")
 		}
 		l.head = env.bnext
-		if l.head == nil {
+		if l.head == 0 {
 			delete(u.buckets, k)
 		} else {
 			u.buckets[k] = l
 		}
 	}
-	if env.gprev == nil {
+	if env.gprev == 0 {
 		u.ghead = env.gnext
 	} else {
-		env.gprev.gnext = env.gnext
+		p.env(env.gprev).gnext = env.gnext
 	}
-	if env.gnext == nil {
+	if env.gnext == 0 {
 		u.gtail = env.gprev
 	} else {
-		env.gnext.gprev = env.gprev
+		p.env(env.gnext).gprev = env.gprev
 	}
-	env.bnext, env.gprev, env.gnext = nil, nil, nil
+	env.bnext, env.gprev, env.gnext = 0, 0, 0
 	u.count--
 }

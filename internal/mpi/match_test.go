@@ -10,12 +10,14 @@ import (
 // with wildcard receives, multiple contexts, and both protocol classes.
 // Every decision — which receive an arrival matches, which unexpected
 // envelope a post consumes, and all three modeled-cost counters — must agree
-// at every step.
+// at every step. Records come from a pool and go back to it as they leave
+// the matcher, so a stale index would alias a record's next life.
 func TestMatchingOrderProperty(t *testing.T) {
 	const seeds = 50
 	const steps = 2000
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
+		s := poolShard()
 		var m matcher
 		var ref refMatcher
 		reqID := map[*Request]int{}
@@ -37,14 +39,17 @@ func TestMatchingOrderProperty(t *testing.T) {
 				id := nextID
 				nextID++
 				gotEnv, gotQueue := -1, refQueueNone
-				if env := m.eager.take(ctx, fsrc, ftag); env != nil {
+				if env := m.eager.take(s.recs, ctx, fsrc, ftag); env != nil {
 					gotEnv, gotQueue = envID[env], refQueueEager
-				} else if env := m.rts.take(ctx, fsrc, ftag); env != nil {
+					s.freeEnv(env)
+				} else if env := m.rts.take(s.recs, ctx, fsrc, ftag); env != nil {
 					gotEnv, gotQueue = envID[env], refQueueRTS
+					s.freeEnv(env)
 				} else {
-					q := &Request{peer: int32(fsrc), tag: ftag, ctx: int32(ctx)}
+					q := s.allocReq()
+					q.peer, q.tag, q.ctx = int32(fsrc), ftag, int32(ctx)
 					reqID[q] = id
-					m.post(q)
+					m.post(s.recs, q)
 				}
 				wantEnv, wantQueue := ref.post(ctx, fsrc, ftag, id)
 				if gotEnv != wantEnv || gotQueue != wantQueue {
@@ -56,15 +61,17 @@ func TestMatchingOrderProperty(t *testing.T) {
 				nextID++
 				rts := rng.Intn(2) == 1
 				got := -1
-				if q := m.matchArrival(ctx, src, tag); q != nil {
+				if q := m.matchArrival(s.recs, ctx, src, tag); q != nil {
 					got = reqID[q]
+					retire(s, q)
 				} else {
-					env := &envelope{src: int32(src), tag: tag, ctx: int32(ctx)}
+					env := s.allocEnv()
+					env.src, env.tag, env.ctx = int32(src), tag, int32(ctx)
 					envID[env] = id
 					if rts {
-						m.rts.push(env)
+						m.rts.push(s.recs, env)
 					} else {
-						m.eager.push(env)
+						m.eager.push(s.recs, env)
 					}
 				}
 				want := ref.arrive(ctx, src, tag, id, rts)
@@ -80,6 +87,17 @@ func TestMatchingOrderProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// poolShard returns a shard of a one-shard world with no engine: a record
+// pool for driving a matcher alone.
+func poolShard() *shard { return newShard(newRecords(1), 0, nil, nil, Options{}) }
+
+// retire completes a receive the matcher handed out and returns it to the
+// pool, as a receive leaves the matcher in processEager.
+func retire(s *shard, q *Request) {
+	q.done = true
+	s.freeReq(q)
 }
 
 // TestMatcherSteadyStateAllocs pins the matching hot path at zero
@@ -99,14 +117,17 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 	}
 
 	const depth = 2 * shallow
+	s := poolShard()
 	var m matcher
 	reqs := make([]*Request, depth)
 	for i := range reqs {
-		reqs[i] = &Request{ctx: 1}
+		reqs[i] = s.allocReq()
+		reqs[i].ctx = 1
 	}
 	envs := make([]*envelope, depth)
 	for i := range envs {
-		envs[i] = &envelope{ctx: 1, src: int32(i % 3), tag: i}
+		envs[i] = s.allocEnv()
+		envs[i].ctx, envs[i].src, envs[i].tag = 1, int32(i%3), i
 	}
 	crossed := func(mapped, drained bool) {
 		if !mapped || !drained {
@@ -120,11 +141,11 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 		for i, q := range reqs {
 			src, tag := wild(i)
 			q.peer, q.tag = int32(src), tag
-			m.post(q)
+			m.post(s.recs, q)
 		}
 		mapped := len(m.posted) > 0
 		for i, q := range reqs {
-			if got := m.matchArrival(1, i%3, i); got != q {
+			if got := m.matchArrival(s.recs, 1, i%3, i); got != q {
 				t.Fatalf("arrival %d matched %p, want %p", i, got, q)
 			}
 		}
@@ -152,7 +173,7 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 		}},
 		{"unexpected push and take", func() {
 			for _, env := range envs {
-				m.eager.push(env)
+				m.eager.push(s.recs, env)
 			}
 			mapped := len(m.eager.buckets) > 0
 			for i, env := range envs {
@@ -162,7 +183,7 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 				} else if i%4 == 3 {
 					tag = AnyTag
 				}
-				if got := m.eager.take(1, src, tag); got != env {
+				if got := m.eager.take(s.recs, 1, src, tag); got != env {
 					t.Fatalf("take %d returned %p, want %p", i, got, env)
 				}
 			}
@@ -251,16 +272,17 @@ func TestNBTagWraparoundMatching(t *testing.T) {
 	})
 }
 
-// TestCompletedRequestsAreCollectable proves the library drops every
-// reference to a completed request: once the world has run, no slot it owns
-// (refsTo: notices up to capacity, matcher queues, free lists, ...) holds a
-// completed, never pool-freed send or receive, eager or rendezvous, so the
-// request is collectable once its caller lets go. A finalizer cannot say
-// this, for a record inside a slab chunk cannot carry one. The pre-rewrite
-// engine failed it (the append-based slice removal left a live pointer in
-// the vacated tail slot), and so does a poll that leaves processed notices
-// in the queue's spare capacity. Mid-run, the walk must find the unexpected
-// RTS and the posted receive, so it cannot pass by seeing nothing.
+// TestCompletedRequestsAreCollectable proves the library drops every name of
+// a completed request: once the world has run, no slot it owns (refsTo:
+// notices up to capacity, matcher queues, free lists, ...) holds the pointer
+// or index of a completed, never pool-freed send or receive, eager or
+// rendezvous. The record itself lives in a slab chunk until the world goes,
+// so a name left behind would alias the record's next life once it is freed
+// and drawn again. The pre-rewrite engine failed it (the append-based slice
+// removal left a live pointer in the vacated tail slot), and so do a poll
+// that leaves processed notices in the queue's spare capacity and a Wait
+// that leaves its list there. Mid-run, the walk must find the unexpected RTS
+// and the posted receive, so it cannot pass by seeing nothing.
 func TestCompletedRequestsAreCollectable(t *testing.T) {
 	eng, w := testWorld(t, 2, nil)
 	var rndv, eager [2]*Request // send, receive
@@ -399,11 +421,16 @@ func TestRefusedMatchKeys(t *testing.T) {
 //
 // A repeated operation runs with tags tag, tag+1, ... (mod 8), so a few
 // bytes build deep queues. Every decision and all three modeled-cost
-// counters must agree with the reference after every operation. The seed
+// counters must agree with the reference after every operation. Requests and
+// envelopes are drawn from a pool and freed as they leave the matcher, as
+// processEager and irecv free them, so an index a chain or bucket keeps
+// after its record was drawn again diverges from the reference. The seed
 // corpus (testdata/fuzz/FuzzMatch) reaches both sides of shallow on the
-// posted and both unexpected queues.
+// posted and both unexpected queues, and redraw-deep frees and redraws
+// records past that depth.
 func FuzzMatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
+		s := poolShard()
 		var m matcher
 		var ref refMatcher
 		reqID := map[*Request]int{}
@@ -424,14 +451,17 @@ func FuzzMatch(f *testing.F) {
 						tag = AnyTag
 					}
 					gotEnv, gotQueue := -1, refQueueNone
-					if env := m.eager.take(ctx, src, tag); env != nil {
+					if env := m.eager.take(s.recs, ctx, src, tag); env != nil {
 						gotEnv, gotQueue = envID[env], refQueueEager
-					} else if env := m.rts.take(ctx, src, tag); env != nil {
+						s.freeEnv(env)
+					} else if env := m.rts.take(s.recs, ctx, src, tag); env != nil {
 						gotEnv, gotQueue = envID[env], refQueueRTS
+						s.freeEnv(env)
 					} else {
-						q := &Request{peer: int32(src), tag: tag, ctx: int32(ctx)}
+						q := s.allocReq()
+						q.peer, q.tag, q.ctx = int32(src), tag, int32(ctx)
 						reqID[q] = id
-						m.post(q)
+						m.post(s.recs, q)
 					}
 					if wantEnv, wantQueue := ref.post(ctx, src, tag, id); gotEnv != wantEnv || gotQueue != wantQueue {
 						t.Fatalf("op %d: post(ctx=%d src=%d tag=%d) consumed env %d (queue %d), reference says env %d (queue %d)",
@@ -440,15 +470,17 @@ func FuzzMatch(f *testing.F) {
 				} else {
 					rts := op&2 != 0
 					got := -1
-					if q := m.matchArrival(ctx, src, tag); q != nil {
+					if q := m.matchArrival(s.recs, ctx, src, tag); q != nil {
 						got = reqID[q]
+						retire(s, q)
 					} else {
-						env := &envelope{src: int32(src), tag: tag, ctx: int32(ctx)}
+						env := s.allocEnv()
+						env.src, env.tag, env.ctx = int32(src), tag, int32(ctx)
 						envID[env] = id
 						if rts {
-							m.rts.push(env)
+							m.rts.push(s.recs, env)
 						} else {
-							m.eager.push(env)
+							m.eager.push(s.recs, env)
 						}
 					}
 					if want := ref.arrive(ctx, src, tag, id, rts); got != want {

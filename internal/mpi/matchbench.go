@@ -12,9 +12,9 @@ type MatchBench struct {
 	indexed   bool
 	k         int
 	step, pos int
+	s         *shard // the records the indexed engine links
 	m         matcher
 	ref       refMatcher
-	reqs      []*Request
 }
 
 // NewMatchBench builds a harness with k posted receives, driving the indexed
@@ -22,10 +22,11 @@ type MatchBench struct {
 func NewMatchBench(k int, indexed bool) *MatchBench {
 	mb := &MatchBench{indexed: indexed, k: k, step: oddCoprimeStep(k)}
 	if indexed {
+		mb.s = newShard(newRecords(1), 0, nil, nil, Options{})
 		for i := 0; i < k; i++ {
-			q := &Request{peer: 0, tag: i, ctx: 1}
-			mb.reqs = append(mb.reqs, q)
-			mb.m.post(q)
+			q := mb.s.allocReq()
+			q.peer, q.tag, q.ctx = 0, i, 1
+			mb.m.post(mb.s.recs, q)
 		}
 		return mb
 	}
@@ -42,11 +43,11 @@ func (mb *MatchBench) RunCycles(n int) {
 		mb.pos = (mb.pos + mb.step) % mb.k
 		tag := mb.pos
 		if mb.indexed {
-			q := mb.m.matchArrival(1, 0, tag)
+			q := mb.m.matchArrival(mb.s.recs, 1, 0, tag)
 			if q == nil {
 				panic("mpi: MatchBench lost a posted receive")
 			}
-			mb.m.post(q)
+			mb.m.post(mb.s.recs, q)
 			continue
 		}
 		if id := mb.ref.arrive(1, 0, tag, tag, false); id < 0 {

@@ -105,14 +105,13 @@ func (r *Rank) window(ctx int) *Win {
 func (r *Rank) processPut(x *xfer) {
 	p := r.net().Params()
 	r.charge(p.ORecv + p.CopyTime(x.buf.Len()))
-	x.land()
+	x.land(r)
 }
 
-// land deposits a put's payload in the target window, counts the arrival,
-// and recycles the record into the target's pool: the put leaves the
-// protocol here.
-func (x *xfer) land() {
-	t := x.dst
+// land deposits a put's payload in the target window of t, the rank it was
+// sent to, counts the arrival, and recycles the record into the target's
+// pool: the put leaves the protocol here.
+func (x *xfer) land(t *Rank) {
 	w := t.window(x.ctx)
 	if x.buf.HasData() && w.buf.HasData() {
 		copy(w.buf.Data()[x.off:], x.buf.Data())
@@ -138,15 +137,15 @@ func (w *Win) PutInstanced(instance int64, peer, off int, b Buf) *Request {
 		panic(fmt.Sprintf("mpi: put of %d bytes at offset %d exceeds window size %d", size, off, w.buf.Len()))
 	}
 	req := r.w.allocReq()
-	req.r, req.peer, req.ctx, req.buf = r, int32(peer), int32(w.ctx), b
+	req.rank, req.peer, req.ctx, req.buf = int32(r.id), int32(peer), int32(w.ctx), b
 	r.charge(p.OPost + p.OSend)
 	r.outstanding++
 	if !p.RDMA {
 		r.charge(p.CopyTime(size))
 	}
 	x := r.w.allocXfer()
-	x.req, x.dst, x.buf = req, r.w.ranks[peer], b.Clone()
+	x.req, x.src, x.dst, x.buf = req.self, int32(r.id), int32(peer), b.Clone()
 	x.ctx, x.off, x.instance = w.ctx, off, instance
-	r.proc.Do(xmit, x)
+	r.proc.Do(r.w.fn.xmit, x)
 	return req
 }

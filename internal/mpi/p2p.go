@@ -17,24 +17,28 @@ const (
 // operations, so steady-state iteration allocates none. A freed request must
 // not be touched through its *Request pointer again — hold a ReqHandle when
 // completion must be observable past an ownership transfer.
+//
+// The record holds no pointer but its payload's: it names its rank by id and
+// every protocol record it links to by index (netmodel.Slab), so the slab
+// chunks it lives in give the collector nothing to trace.
 type Request struct {
-	r    *Rank
+	rank int32 // the owner's world rank
 	peer int32 // destination (send) or source filter (recv)
 	ctx  int32 // peer and ctx fit: checkKey bounds them by maxRanks and maxCtx
+	self int32 // this record's index
 	tag  int
 	buf  Buf // payload (send) or destination buffer (recv)
 
-	matched *Request // send: the matched receive (rendezvous correlation)
-	rtsAt   float64  // send: virtual time the RTS was posted (stall metric)
+	matched int32   // send: the matched receive (rendezvous correlation)
+	mnext   int32   // the matcher's posted chain or bucket, or the shard's free list
+	rtsAt   float64 // send: virtual time the RTS was posted (stall metric)
 
 	// Pooling state: gen increments when the record is freed, invalidating
-	// outstanding ReqHandles; freed guards double-free; mnext/pseq thread the
-	// record through the matcher's posted chain or buckets, and mnext a freed
-	// record through the world's free list.
+	// outstanding ReqHandles; freed guards double-free; pseq orders the record
+	// in the matcher's posted buckets.
 	gen   uint32
 	freed bool
 	done  bool // beside gen and freed, where it costs no padding
-	mnext *Request
 	pseq  uint64
 
 	// Actual match metadata, valid for completed receives.
@@ -63,22 +67,23 @@ func (h ReqHandle) Done() bool {
 
 // envelope describes a message in flight. Envelopes are pooled per shard;
 // bnext/gprev/gnext thread them through the matcher's unexpected queues, and
-// bnext a freed envelope through the shard's free list.
+// bnext a freed envelope through the shard's free list. Like Request it
+// links by index and holds no pointer but its payload's.
 type envelope struct {
 	src, dst int32 // world ranks
 	ctx      int32
+	self     int32 // this record's index
 	tag      int
 	buf      Buf
-	dstRank  *Rank    // receiver's library state (delivery target)
-	sreq     *Request // sending request (rendezvous correlation)
+	sreq     int32 // sending request (rendezvous correlation)
 
-	bnext        *envelope // unexpected-queue bucket FIFO link
-	gprev, gnext *envelope // unexpected-queue global arrival chain links
+	bnext        int32 // unexpected-queue bucket FIFO link
+	gprev, gnext int32 // unexpected-queue global arrival chain links
 }
 
 // Protocol notices are queued per rank and processed at its next MPI
 // instant. A notice is a small value struct tagged by kind — not an
-// interface — so enqueueing never boxes.
+// interface — so enqueueing never boxes, and it names its record by index.
 type noticeKind uint8
 
 const (
@@ -93,28 +98,29 @@ const (
 
 type notice struct {
 	kind noticeKind
-	env  *envelope // ntEager, ntRTS
-	sreq *Request  // ntCTS, ntSendDone
-	x    *xfer     // ntBulk, ntOneSided
+	// The envelope (ntEager, ntRTS), send request (ntCTS, ntSendDone) or
+	// xfer (ntBulk, ntOneSided) the notice is about.
+	rec int32
 }
 
 // process performs a notice's protocol action in the receiving rank's
 // context, charging its CPU cost.
 func (n notice) process(r *Rank) {
+	p := r.w.recs
 	switch n.kind {
 	case ntEager:
-		r.processEager(n.env)
+		r.processEager(p.env(n.rec))
 	case ntRTS:
-		r.processRTS(n.env)
+		r.processRTS(p.env(n.rec))
 	case ntCTS:
-		r.processCTS(n.sreq)
+		r.processCTS(p.req(n.rec))
 	case ntBulk:
-		r.processBulk(n.x)
+		r.processBulk(p.xf(n.rec))
 	case ntSendDone:
-		n.sreq.done = true
+		p.req(n.rec).done = true
 		r.outstanding--
 	case ntOneSided:
-		r.processPut(n.x)
+		r.processPut(p.xf(n.rec))
 	case ntWake:
 		// No action: enqueueing already woke the rank.
 	}
@@ -123,108 +129,108 @@ func (n notice) process(r *Rank) {
 // The protocol's network calls. A rank decides to send while its clock runs
 // ahead of the engine's, so the call itself is deferred with Proc.Do to the
 // instant the rank's clock showed (it runs at once when the rank is level).
-// Like the delivery entry points below these are package-level functions
-// taking the protocol record the message owns anyway — the envelope of an
-// eager payload or RTS, the send request of a CTS, the xfer of bulk data or
-// a put — so neither deferring nor delivering ever allocates a closure.
+// Like the delivery entry points below these are methods of the shard, bound
+// once (newShard), taking the protocol record the message owns anyway —
+// the envelope of an eager payload or RTS, the send request of a CTS, the
+// xfer of bulk data or a put — so neither deferring nor delivering ever
+// allocates a closure. A call runs on the shard of the rank that deferred
+// it; a delivery needs only the rank table, which every shard shares.
 
-// sender returns the library state of the envelope's source rank.
-func (env *envelope) sender() *Rank { return env.dstRank.w.ranks[env.src] }
-
-func xmitEager(arg any) {
+func (s *shard) xmitEager(arg any) {
 	env := arg.(*envelope)
-	env.sender().net().Transfer(int(env.src), int(env.dst), env.buf.Len(), deliverEager, env)
+	s.net.Transfer(int(env.src), int(env.dst), env.buf.Len(), s.fn.deliverEager, env)
 }
 
-func xmitRTS(arg any) {
+func (s *shard) xmitRTS(arg any) {
 	env := arg.(*envelope)
-	env.sender().net().Ctrl(int(env.src), int(env.dst), deliverRTS, env)
+	s.net.Ctrl(int(env.src), int(env.dst), s.fn.deliverRTS, env)
 }
 
-func xmitCTS(arg any) {
+// xmitCTS runs on the receiver's shard: the send request's peer.
+func (s *shard) xmitCTS(arg any) {
 	sreq := arg.(*Request)
-	rcv := sreq.matched.r
-	rcv.net().Ctrl(rcv.id, sreq.r.id, deliverCTS, sreq)
+	s.net.Ctrl(int(sreq.peer), int(sreq.rank), s.fn.deliverCTS, sreq)
 }
 
 // xfer is a transfer that moves data by itself once started: a rendezvous
 // send's bulk data or a put. The receiver's half never reaches through the
 // sender's request, which the sender may recycle before the receiver has
 // seen the arrival, so the payload is snapshotted when the record is filled.
-// Records are pooled like envelopes: drawn from the sender's world, freed
+// Records are pooled like envelopes: drawn from the sender's shard, freed
 // into the receiver's when the data leaves the protocol.
 type xfer struct {
-	req      *Request // the sender's; nil once xmit completes it at NIC drain
-	dst      *Rank
-	rreq     *Request // bulk: the matched receive; nil for a put
-	src, tag int      // bulk: what the receive completes with
+	req      int32 // the sender's; 0 once xmit completes it at NIC drain
+	rreq     int32 // bulk: the matched receive; 0 for a put
+	src, dst int32 // world ranks: the origin, which a receive completes with, and the target
+	self     int32 // this record's index
+	next     int32 // the shard's free list
+	tag      int   // bulk: what the receive completes with
 	buf      Buf
 	ctx, off int   // put: the target window's context and byte offset
 	instance int64 // put: the collective instance the landing counts for
-	next     *xfer // the world's free list
 }
 
 // xmit starts an xfer. Where the network Splits the transfer, the delivery
 // fires on the receiver's shard, where the sender's request must not be
 // touched: the send completes here instead, when this shard's NIC has
 // drained the payload.
-func xmit(arg any) {
+func (s *shard) xmit(arg any) {
 	x := arg.(*xfer)
-	req := x.req
-	net := req.r.net()
-	if !net.Splits(req.r.id, x.dst.id) {
-		net.Transfer(req.r.id, x.dst.id, x.buf.Len(), deliverXfer, x)
+	src, dst := int(x.src), int(x.dst)
+	if !s.net.Splits(src, dst) {
+		s.net.Transfer(src, dst, x.buf.Len(), s.fn.deliverXfer, x)
 		return
 	}
-	x.req = nil
-	drain := net.Transfer(req.r.id, x.dst.id, x.buf.Len(), deliverXfer, x)
-	req.r.w.eng.AtTimeCall(drain, fireSendDone, req)
+	req := s.recs.req(x.req)
+	x.req = 0
+	drain := s.net.Transfer(src, dst, x.buf.Len(), s.fn.deliverXfer, x)
+	s.eng.AtTimeCall(drain, s.fn.sendDone, req)
 }
 
-// Delivery entry points passed to netmodel: package-level functions plus an
+// Delivery entry points passed to netmodel: bound methods plus an
 // already-held pointer, so no per-message closure is ever allocated.
 
-func deliverEager(arg any) {
+func (s *shard) deliverEager(arg any) {
 	env := arg.(*envelope)
-	env.dstRank.enqueue(notice{kind: ntEager, env: env})
+	s.ranks[env.dst].enqueue(notice{kind: ntEager, rec: env.self})
 }
 
-func deliverRTS(arg any) {
+func (s *shard) deliverRTS(arg any) {
 	env := arg.(*envelope)
-	env.dstRank.enqueue(notice{kind: ntRTS, env: env})
+	s.ranks[env.dst].enqueue(notice{kind: ntRTS, rec: env.self})
 }
 
-func deliverCTS(arg any) {
+func (s *shard) deliverCTS(arg any) {
 	sreq := arg.(*Request)
-	sreq.r.enqueue(notice{kind: ntCTS, sreq: sreq})
+	s.ranks[sreq.rank].enqueue(notice{kind: ntCTS, rec: sreq.self})
 }
 
 // deliverXfer lands an xfer: the receiver's notice first, then the sender's
 // completion unless xmit already completed it at NIC drain. An RDMA put
 // lands here, with no target CPU; a target blocked in a put-counting
 // schedule must still observe the arrival.
-func deliverXfer(arg any) {
+func (s *shard) deliverXfer(arg any) {
 	x := arg.(*xfer)
-	req, dst := x.req, x.dst
+	req, src, dst := x.req, x.src, s.ranks[x.dst]
 	switch {
-	case x.rreq != nil:
-		dst.enqueue(notice{kind: ntBulk, x: x})
+	case x.rreq != 0:
+		dst.enqueue(notice{kind: ntBulk, rec: x.self})
 	case dst.net().Params().RDMA:
-		x.land()
+		x.land(dst)
 		dst.enqueue(notice{kind: ntWake})
 	default:
-		dst.enqueue(notice{kind: ntOneSided, x: x})
+		dst.enqueue(notice{kind: ntOneSided, rec: x.self})
 	}
-	if req != nil {
-		req.r.enqueue(notice{kind: ntSendDone, sreq: req})
+	if req != 0 {
+		s.ranks[src].enqueue(notice{kind: ntSendDone, rec: req})
 	}
 }
 
-// fireSendDone completes a send on the sender's own shard at the time its
-// NIC drained the payload (xmit's split).
-func fireSendDone(arg any) {
+// sendDone completes a send on the sender's own shard at the time its NIC
+// drained the payload (xmit's split).
+func (s *shard) sendDone(arg any) {
 	sreq := arg.(*Request)
-	sreq.r.enqueue(notice{kind: ntSendDone, sreq: sreq})
+	s.ranks[sreq.rank].enqueue(notice{kind: ntSendDone, rec: sreq.self})
 }
 
 // completeRecv finishes a receive request with the given payload.
@@ -242,23 +248,23 @@ func (r *Rank) processEager(env *envelope) {
 		cost += p.CopyTime(env.buf.Len())
 	}
 	r.charge(cost)
-	if rreq := r.m.matchArrival(int(env.ctx), int(env.src), env.tag); rreq != nil {
+	if rreq := r.m.matchArrival(r.w.recs, int(env.ctx), int(env.src), env.tag); rreq != nil {
 		r.completeRecv(rreq, int(env.src), env.tag, env.buf)
 		r.w.freeEnv(env)
 		return
 	}
-	r.m.eager.push(env)
+	r.m.eager.push(r.w.recs, env)
 }
 
 func (r *Rank) processRTS(env *envelope) {
 	p := r.net().Params()
 	r.charge(p.ORecv + p.OMatch*float64(r.m.postedCount))
-	if rreq := r.m.matchArrival(int(env.ctx), int(env.src), env.tag); rreq != nil {
+	if rreq := r.m.matchArrival(r.w.recs, int(env.ctx), int(env.src), env.tag); rreq != nil {
 		r.sendCTS(rreq, env)
 		r.w.freeEnv(env)
 		return
 	}
-	r.m.rts.push(env)
+	r.m.rts.push(r.w.recs, env)
 }
 
 // sendCTS answers a rendezvous RTS: the receive is now matched and the
@@ -269,8 +275,9 @@ func (r *Rank) sendCTS(rreq *Request, env *envelope) {
 	r.charge(p.OSend)
 	// The send request is the receiver's to write between RTS and CTS: its
 	// sender next looks at it when the CTS arrives.
-	env.sreq.matched = rreq
-	r.proc.Do(xmitCTS, env.sreq)
+	sreq := r.w.recs.req(env.sreq)
+	sreq.matched = rreq.self
+	r.proc.Do(r.w.fn.xmitCTS, sreq)
 }
 
 func (r *Rank) processCTS(sreq *Request) {
@@ -284,10 +291,11 @@ func (r *Rank) processCTS(sreq *Request) {
 		cost += p.CopyTime(sreq.buf.Len())
 	}
 	r.charge(cost)
-	rreq := sreq.matched
+	// The matched receive is the send's destination's, so its rank is the
+	// send's peer and the receive itself stays the receiver's to touch.
 	x := r.w.allocXfer()
-	x.req, x.dst, x.rreq, x.src, x.tag, x.buf = sreq, rreq.r, rreq, r.id, sreq.tag, sreq.buf.Clone()
-	r.proc.Do(xmit, x)
+	x.req, x.rreq, x.src, x.dst, x.tag, x.buf = sreq.self, sreq.matched, int32(r.id), sreq.peer, sreq.tag, sreq.buf.Clone()
+	r.proc.Do(r.w.fn.xmit, x)
 }
 
 func (r *Rank) processBulk(x *xfer) {
@@ -297,7 +305,7 @@ func (r *Rank) processBulk(x *xfer) {
 		cost += p.CopyTime(x.buf.Len())
 	}
 	r.charge(cost)
-	r.completeRecv(x.rreq, x.src, x.tag, x.buf)
+	r.completeRecv(r.w.recs.req(x.rreq), int(x.src), x.tag, x.buf)
 	r.w.freeXfer(x)
 }
 
@@ -307,10 +315,9 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 	size := b.Len()
 	r.w.checkKey("isend to", ctx, dst, tag, false)
 	req := r.w.allocReq()
-	req.r, req.peer, req.tag, req.ctx, req.buf = r, int32(dst), tag, int32(ctx), b
+	req.rank, req.peer, req.tag, req.ctx, req.buf = int32(r.id), int32(dst), tag, int32(ctx), b
 	p := r.net().Params()
 	r.charge(p.OPost)
-	dstRank := r.w.ranks[dst]
 	if p.Eager(size) {
 		// Eager: buffered-send semantics. The sender pays the injection
 		// overhead (plus the socket copy on host-attended transports) and
@@ -321,9 +328,8 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 		}
 		r.charge(cost)
 		env := r.w.allocEnv()
-		env.src, env.dst, env.tag, env.ctx = int32(r.id), int32(dst), tag, int32(ctx)
-		env.buf, env.dstRank = b.Clone(), dstRank
-		r.proc.Do(xmitEager, env)
+		env.src, env.dst, env.tag, env.ctx, env.buf = int32(r.id), int32(dst), tag, int32(ctx), b.Clone()
+		r.proc.Do(r.w.fn.xmitEager, env)
 		req.done = true
 		return req
 	}
@@ -334,8 +340,8 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 	req.rtsAt = r.proc.Now()
 	env := r.w.allocEnv()
 	env.src, env.dst, env.tag, env.ctx = int32(r.id), int32(dst), tag, int32(ctx)
-	env.buf, env.dstRank, env.sreq = b, dstRank, req
-	r.proc.Do(xmitRTS, env)
+	env.buf, env.sreq = b, req.self
+	r.proc.Do(r.w.fn.xmitRTS, env)
 	return req
 }
 
@@ -345,23 +351,23 @@ func (r *Rank) irecv(src, tag, ctx int, b Buf) *Request {
 	// deadlock or a wrong match instead of a bug report.
 	r.w.checkKey("irecv from", ctx, src, tag, true)
 	req := r.w.allocReq()
-	req.r, req.peer, req.tag, req.ctx, req.buf = r, int32(src), tag, int32(ctx), b
+	req.rank, req.peer, req.tag, req.ctx, req.buf = int32(r.id), int32(src), tag, int32(ctx), b
 	p := r.net().Params()
 	r.charge(p.OPost + p.OMatch*float64(r.m.eager.count+r.m.rts.count))
 	r.outstanding++
 	// An already-arrived eager message matches at post time.
-	if env := r.m.eager.take(ctx, src, tag); env != nil {
+	if env := r.m.eager.take(r.w.recs, ctx, src, tag); env != nil {
 		r.completeRecv(req, int(env.src), env.tag, env.buf)
 		r.w.freeEnv(env)
 		return req
 	}
 	// An already-arrived RTS is answered at post time (we are inside MPI).
-	if env := r.m.rts.take(ctx, src, tag); env != nil {
+	if env := r.m.rts.take(r.w.recs, ctx, src, tag); env != nil {
 		r.sendCTS(req, env)
 		r.w.freeEnv(env)
 		return req
 	}
-	r.m.post(req)
+	r.m.post(r.w.recs, req)
 	return req
 }
 
@@ -370,7 +376,7 @@ func (r *Rank) Wait(reqs ...*Request) {
 	r.chargeTest()
 	r.waitReqs = append(r.waitReqs, reqs...)
 	r.waitUntil()
-	clear(r.waitReqs) // completed requests stay collectable
+	clear(r.waitReqs) // no stale pointer to a record's next life
 	r.waitReqs, r.waitSeen = r.waitReqs[:0], 0
 }
 
@@ -404,10 +410,12 @@ func (r *Rank) TestHandles(hs []ReqHandle) bool {
 	return true
 }
 
-// FreeRequests returns completed requests to the world's pool. Freeing is
-// optional — an unfreed request is garbage-collected normally — but pooled
-// steady-state loops free their requests so iteration allocates nothing.
-// Freeing an incomplete request panics; Wait first.
+// FreeRequests returns completed requests to the shard's pool, where the next
+// post draws them. Freeing is optional, but an unfreed request is not
+// collected on its own: it lives in a slab chunk, and the chunks are
+// reclaimed with the world. Pooled steady-state loops free their requests so
+// iteration allocates nothing. Freeing an incomplete request panics; Wait
+// first.
 func (r *Rank) FreeRequests(reqs ...*Request) {
 	for _, q := range reqs {
 		r.w.freeReq(q)

@@ -234,3 +234,43 @@ func TestShardedChaosAndPuts(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordsCrossShards follows protocol records across the two shards of a
+// sharded world. Rank 0 runs on shard 0 and rank 1 on shard 1. A rendezvous
+// send from rank 0 draws its RTS envelope and its bulk xfer on shard 0; rank
+// 1 frees both into shard 1's pools, still naming shard 0's slab. Rank 1's
+// rendezvous send back draws those two records again on shard 1, and rank 0
+// frees them into shard 0's pools: the records end where they started.
+func TestRecordsCrossShards(t *testing.T) {
+	w := testShardedWorld(t, 2, 1, 2, nil)
+	s0, s1 := w.shards[0], w.shards[1]
+	if w.ranks[0].w != s0 || w.ranks[1].w != s1 {
+		t.Fatal("ranks 0 and 1 do not run on shards 0 and 1")
+	}
+	shardOf := func(i int32) int { return int(uint32(i) >> 25) }
+	var env, x int32
+	w.Start(func(c *Comm) {
+		big := Virtual(64 << 10) // above the eager limit: rendezvous
+		if c.Rank() == 0 {
+			c.Send(1, 9, big)
+			c.FreeRequests(c.Recv(1, 10, big))
+			return
+		}
+		c.FreeRequests(c.Recv(0, 9, big))
+		env, x = s1.envFree, s1.xfFree
+		if env == 0 || x == 0 || shardOf(env) != 0 || shardOf(x) != 0 {
+			t.Errorf("shard 1 holds envelope %#x and xfer %#x after the first exchange, want records of shard 0", env, x)
+		}
+		c.Send(0, 10, big)
+		if s1.envFree == env || s1.xfFree == x {
+			t.Error("rank 1's rendezvous send did not draw the records shard 1 held")
+		}
+	})
+	w.Run()
+	if s0.envFree != env || s0.xfFree != x {
+		t.Errorf("shard 0 holds envelope %#x and xfer %#x, want %#x and %#x back", s0.envFree, s0.xfFree, env, x)
+	}
+	if got := w.shards[0].recs.env(env); got.self != env || got.sreq != 0 || got.buf.Len() != 0 {
+		t.Errorf("envelope %#x came back as %+v, not blank", env, *got)
+	}
+}

@@ -12,8 +12,8 @@ import (
 // TestRecordSizes pins the records every schedule entry and every message
 // carries at their sizes on a 64-bit host. A schedule is rebuilt for every
 // rank on every call and holds one nbc.Op per entry; each in-flight message
-// holds a Request, an envelope or an xfer, and each of those an mpi.Buf. A
-// field added to or widened in any of them shows up in what a world
+// holds a Request, an envelope or an xfer, and each of those an mpi.Buf;
+// each protocol step queues a notice. A field added to or widened in any of them shows up in what a world
 // allocates, so the test names the record that grew (DESIGN.md §3
 // "Schedules" and "Payloads").
 func TestRecordSizes(t *testing.T) {
@@ -27,9 +27,10 @@ func TestRecordSizes(t *testing.T) {
 	}{
 		{"nbc.Op", nbc.Op{}, 48},
 		{"mpi.Buf", mpi.Buf{}, 16},
-		{"mpi.Request", mpi.Request{}, 96},
-		{"mpi.envelope", mpi.Envelope{}, 80},
-		{"mpi.xfer", mpi.Xfer{}, 88},
+		{"mpi.Request", mpi.Request{}, 88},
+		{"mpi.envelope", mpi.Envelope{}, 56},
+		{"mpi.xfer", mpi.Xfer{}, 72},
+		{"mpi.notice", mpi.Notice{}, 8},
 	} {
 		if got := reflect.TypeOf(tc.v).Size(); got > tc.max {
 			t.Errorf("%s grew to %d bytes, over its %d", tc.name, got, tc.max)

@@ -58,18 +58,64 @@ type shard struct {
 	opts   Options
 	winReg *winRegistry
 
+	// The world's protocol records, and this shard's number among the slabs
+	// that hold them: a shard draws fresh records from its own slabs and
+	// resolves an index from any shard's.
+	recs *records
+	id   int
+
 	// Free lists for pooled protocol records. Shard-level (not per rank) so
 	// a record freed by its receiver can be reused by any sender; safe
 	// without locks because the engine serializes all ranks of one shard.
-	// Each is an intrusive LIFO chain through a link field that a free record
-	// never otherwise uses, so a list costs nothing to grow. A record is
-	// drawn from its slab only when its list is empty.
-	reqFree *Request  // through mnext
-	envFree *envelope // through bnext
-	xfFree  *xfer     // through next
-	reqSlab netmodel.Slab[Request]
-	envSlab netmodel.Slab[envelope]
-	xfSlab  netmodel.Slab[xfer]
+	// Each is an intrusive LIFO chain of indices through a link field that a
+	// free record never otherwise uses, so a list costs nothing to grow. A
+	// record freed here may have been drawn on another shard: it belongs to
+	// whichever shard's list holds it. A record is drawn from this shard's
+	// slab only when its list is empty.
+	reqFree int32 // through mnext
+	envFree int32 // through bnext
+	xfFree  int32 // through next
+
+	// The protocol's network calls and delivery entry points (p2p.go), bound
+	// once in newShard: a method value made per message would allocate.
+	fn struct {
+		xmitEager, xmitRTS, xmitCTS, xmit                           func(any)
+		deliverEager, deliverRTS, deliverCTS, deliverXfer, sendDone func(any)
+	}
+}
+
+// records is a world's protocol records: one slab each of requests,
+// envelopes and transfers per shard, against which every index a record,
+// notice, matcher queue or free list holds resolves.
+type records struct {
+	reqs netmodel.Slabs[Request]
+	envs netmodel.Slabs[envelope]
+	xfs  netmodel.Slabs[xfer]
+}
+
+func newRecords(shards int) *records {
+	return &records{
+		reqs: netmodel.NewSlabs[Request](shards),
+		envs: netmodel.NewSlabs[envelope](shards),
+		xfs:  netmodel.NewSlabs[xfer](shards),
+	}
+}
+
+func (p *records) req(i int32) *Request  { return p.reqs.At(i) }
+func (p *records) env(i int32) *envelope { return p.envs.At(i) }
+func (p *records) xf(i int32) *xfer      { return p.xfs.At(i) }
+
+// newShard returns shard number id of a world whose records are recs, its
+// callbacks bound.
+func newShard(recs *records, id int, net *netmodel.Network, ranks []*Rank, opts Options) *shard {
+	s := &shard{recs: recs, id: id, net: net, ranks: ranks, opts: opts}
+	if net != nil {
+		s.eng = net.Engine()
+	}
+	f := &s.fn
+	f.xmitEager, f.xmitRTS, f.xmitCTS, f.xmit = s.xmitEager, s.xmitRTS, s.xmitCTS, s.xmit
+	f.deliverEager, f.deliverRTS, f.deliverCTS, f.deliverXfer, f.sendDone = s.deliverEager, s.deliverRTS, s.deliverCTS, s.deliverXfer, s.sendDone
+	return s
 }
 
 // NewWorld creates n ranks over network views: one view and no windows for
@@ -91,12 +137,16 @@ func NewWorld(nets []*netmodel.Network, win *sim.Windows, n int, opts Options) (
 	if k == 0 || k != want {
 		return nil, fmt.Errorf("mpi: %d network views for %d shards", k, want)
 	}
+	if k > netmodel.MaxShards {
+		return nil, fmt.Errorf("mpi: %d shards, a record index names at most %d", k, netmodel.MaxShards)
+	}
 	if m := nets[0].Ranks(); n > m {
 		return nil, fmt.Errorf("mpi: %d ranks but the placement covers %d", n, m)
 	}
 	w := &World{ranks: make([]*Rank, n), shards: make([]*shard, k), win: win, nextCtx: 1}
+	pool := newRecords(k)
 	for i, net := range nets {
-		w.shards[i] = &shard{eng: net.Engine(), net: net, ranks: w.ranks, opts: opts}
+		w.shards[i] = newShard(pool, i, net, w.ranks, opts)
 	}
 	recs := make([]Rank, n)
 	for i := range recs {
@@ -346,14 +396,17 @@ func (r *Rank) net() *netmodel.Network { return r.w.net }
 func (r *Rank) LayerState() *any { return &r.layerState }
 
 // allocReq draws a Request from the shard's pool. All fields except the
-// pooling generation are zero.
+// pooling generation and the record's index are zero.
 func (s *shard) allocReq() *Request {
-	if q := s.reqFree; q != nil {
-		s.reqFree, q.mnext = q.mnext, nil
+	if i := s.reqFree; i != 0 {
+		q := s.recs.req(i)
+		s.reqFree, q.mnext = q.mnext, 0
 		q.freed = false
 		return q
 	}
-	return s.reqSlab.New()
+	q, i := s.recs.reqs[s.id].New()
+	q.self = i
+	return q
 }
 
 // freeReq returns a completed request to the pool, bumping its generation so
@@ -366,16 +419,19 @@ func (s *shard) freeReq(q *Request) {
 	if !q.done {
 		panic("mpi: freeing an incomplete request (Wait before freeing)")
 	}
-	*q = Request{gen: q.gen + 1, freed: true, mnext: s.reqFree}
-	s.reqFree = q
+	*q = Request{self: q.self, gen: q.gen + 1, freed: true, mnext: s.reqFree}
+	s.reqFree = q.self
 }
 
 func (s *shard) allocEnv() *envelope {
-	if env := s.envFree; env != nil {
-		s.envFree, env.bnext = env.bnext, nil
+	if i := s.envFree; i != 0 {
+		env := s.recs.env(i)
+		s.envFree, env.bnext = env.bnext, 0
 		return env
 	}
-	return s.envSlab.New()
+	env, i := s.recs.envs[s.id].New()
+	env.self = i
+	return env
 }
 
 // freeEnv recycles an envelope. Callers free exactly at the point the
@@ -384,21 +440,24 @@ func (s *shard) allocEnv() *envelope {
 // answered with a CTS (the sender correlation travels on the send request,
 // not the envelope).
 func (s *shard) freeEnv(env *envelope) {
-	*env = envelope{bnext: s.envFree}
-	s.envFree = env
+	*env = envelope{self: env.self, bnext: s.envFree}
+	s.envFree = env.self
 }
 
 func (s *shard) allocXfer() *xfer {
-	if x := s.xfFree; x != nil {
-		s.xfFree, x.next = x.next, nil
+	if i := s.xfFree; i != 0 {
+		x := s.recs.xf(i)
+		s.xfFree, x.next = x.next, 0
 		return x
 	}
-	return s.xfSlab.New()
+	x, i := s.recs.xfs[s.id].New()
+	x.self = i
+	return x
 }
 
 func (s *shard) freeXfer(x *xfer) {
-	*x = xfer{next: s.xfFree}
-	s.xfFree = x
+	*x = xfer{self: x.self, next: s.xfFree}
+	s.xfFree = x.self
 }
 
 // waitUntil keeps the rank inside MPI until the queued notices are processed
@@ -436,7 +495,7 @@ func (r *Rank) poll() bool {
 				return false
 			}
 			n := r.notices[r.nhead]
-			r.notices[r.nhead] = notice{} // release references
+			r.notices[r.nhead] = notice{} // no stale index in the spare capacity
 			r.nhead++
 			n.process(r)
 		}

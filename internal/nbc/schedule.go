@@ -271,9 +271,9 @@ func (h *Handle) execRounds() {
 				}
 			case OpSend:
 				rec.AlgoBytes(rank.ID(), h.sched.Name, op.Buf.Len())
-				h.pending = append(h.pending, h.comm.Isend(op.Peer, h.tag+int(op.TagOff), op.Buf).Handle())
+				h.post(h.comm.Isend(op.Peer, h.tag+int(op.TagOff), op.Buf))
 			case OpRecv:
-				h.pending = append(h.pending, h.comm.Irecv(op.Peer, h.tag+int(op.TagOff), op.Buf).Handle())
+				h.post(h.comm.Irecv(op.Peer, h.tag+int(op.TagOff), op.Buf))
 			case OpPut:
 				rec.AlgoBytes(rank.ID(), h.sched.Name, op.Buf.Len())
 				h.pending = append(h.pending, h.sched.Win.PutInstanced(h.instance, op.Peer, op.N, op.Buf).Handle())
@@ -294,6 +294,20 @@ func (h *Handle) execRounds() {
 	h.done = true
 	h.freePending()
 	rec.OpEnd(rank.ID(), h.obsID, rank.Now())
+}
+
+// post adds a request the round just posted to its pending list. One that is
+// already complete (every eager send, and a receive its message had already
+// reached) goes straight back to the pool, so the round's next post draws the
+// same record, and the list holds a zero handle for it, which reads done: the
+// round waits exactly as it would on the request.
+func (h *Handle) post(q *mpi.Request) {
+	hd := q.Handle()
+	if hd.Done() {
+		h.comm.FreeRequests(q)
+		hd = mpi.ReqHandle{}
+	}
+	h.pending = append(h.pending, hd)
 }
 
 // awaitSatisfied checks the current round's put-count gate.

@@ -193,8 +193,12 @@ type Network struct {
 
 	Transfers int64 // Transfer calls, for the benchmark's per-transfer cost
 
-	freeRx *rxOp      // recycled inter-node transfer records, chained through next
-	rxSlab Slab[rxOp] // fresh records when freeRx is empty
+	freeRx int32       // recycled inter-node transfer records, chained through next
+	rxSlab *Slab[rxOp] // this view's, for fresh records when freeRx is empty
+	rxs    Slabs[rxOp] // every view's, which the indices on freeRx name
+	// fireDelivery and fireRxHalf, bound once (bind): a method value made
+	// per message would allocate.
+	fns struct{ delivery, rxHalf func(any) }
 
 	rec   *obs.Recorder
 	chaos *chaos.Injector
@@ -218,32 +222,43 @@ type Network struct {
 // Transfer allocation-free in steady state. On a sharded network a record
 // is drawn on the sending shard's view, crosses the window barrier
 // (transferPDES) and is recycled into the receiving node's view's pool, as
-// mpi's envelope pools exchange records.
+// mpi's envelope pools exchange records. It names its node and the next
+// record on a free list by index; the caller's (fn, arg) are its only
+// pointers.
 type rxOp struct {
-	rn       *nicState // the receiving node
-	bytes    int
-	src, dst int32   // ranks, the FIFO clamp's pair (int32 like sim.Pending.Src)
-	bw, jit  float64 // the sender's link bandwidth and delivery jitter
-	fn       func(any)
-	arg      any
-	next     *rxOp // the view's free list (72 B in all)
+	node       int32 // the receiving node
+	self, next int32 // this record's index (Slab) and the free list's link
+	src, dst   int32 // ranks, the FIFO clamp's pair (int32 like sim.Pending.Src)
+	bytes      int
+	bw, jit    float64 // the sender's link bandwidth and delivery jitter
+	fn         func(any)
+	arg        any // 72 B in all
+}
+
+// bind makes the view's engine callbacks, once per view.
+func (n *Network) bind() {
+	n.fns.delivery, n.fns.rxHalf = n.fireDelivery, n.fireRxHalf
 }
 
 func (n *Network) allocRx() *rxOp {
-	if rx := n.freeRx; rx != nil {
-		n.freeRx, rx.next = rx.next, nil
+	if i := n.freeRx; i != 0 {
+		rx := n.rxs.At(i)
+		n.freeRx, rx.next = rx.next, 0
 		return rx
 	}
-	return n.rxSlab.New()
+	rx, i := n.rxSlab.New()
+	rx.self = i
+	return rx
 }
 
-// fireDelivery is the engine callback for inter-node arrivals.
-func fireDelivery(arg any) {
+// fireDelivery is the engine callback for inter-node arrivals, run by the
+// view of the receiving node.
+func (n *Network) fireDelivery(arg any) {
 	rx := arg.(*rxOp)
-	rn, fn, a := rx.rn, rx.fn, rx.arg
-	rn.inRx--
-	rx.rn, rx.fn, rx.arg = nil, nil, nil // release references
-	rx.next, rn.net.freeRx = rn.net.freeRx, rx
+	fn, a := rx.fn, rx.arg
+	n.nodes[rx.node].inRx--
+	rx.fn, rx.arg = nil, nil // release references
+	rx.next, n.freeRx = n.freeRx, rx.self
 	fn(a)
 }
 
@@ -298,7 +313,9 @@ func New(eng *sim.Engine, p Params, nodeOf []int) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{eng: eng, p: p, nodeOf: append([]int(nil), nodeOf...)}
+	n := &Network{eng: eng, p: p, nodeOf: append([]int(nil), nodeOf...), rxs: NewSlabs[rxOp](1)}
+	n.rxSlab = n.rxs[0]
+	n.bind()
 	n.nodes = newNodes(used, p.NICs, func(int) *Network { return n })
 	n.topo = newTopo(&n.p, len(n.nodes))
 	return n, nil
@@ -377,12 +394,12 @@ func (n *Network) Transfer(src, dst, bytes int, deliver func(any), arg any) floa
 	rx := n.allocRx()
 	// Field by field: a whole-struct store of a pointer-holding record is a
 	// bulk copy under the GC's write barrier, measurably slower here.
-	rx.rn, rx.bytes, rx.src, rx.dst, rx.bw, rx.jit, rx.fn, rx.arg = &n.nodes[b], bytes, int32(src), int32(dst), bw, jit, deliver, arg
+	rx.node, rx.bytes, rx.src, rx.dst, rx.bw, rx.jit, rx.fn, rx.arg = int32(b), bytes, int32(src), int32(dst), bw, jit, deliver, arg
 	if n.pdes != nil {
-		n.transferPDES(rx, b, start+lat)
+		n.transferPDES(rx, start+lat)
 		return txEnd
 	}
-	return rx.receive(b, start+lat)
+	return n.receive(rx, start+lat)
 }
 
 // degrade applies the injector to the static latency and bandwidth of a
@@ -394,14 +411,13 @@ func (n *Network) degrade(now float64, src, a, b int, lat, bw float64) (float64,
 	return lat * lf, bw * bf, n.chaos.DeliveryJitter(src)
 }
 
-// receive runs the receive half on the view of the receiving node, number
-// node, the wire having delivered the message's head at time wire: incast
-// pressure, receiver NIC serialization, the sender's jitter and the pair's
-// FIFO clamp, then the delivery, queued in the lane of its rx channel. It
-// returns the arrival time.
-func (rx *rxOp) receive(node int, wire float64) float64 {
-	rn := rx.rn
-	n := rn.net
+// receive runs the receive half on n, the view of the receiving node, the
+// wire having delivered the message's head at time wire: incast pressure,
+// receiver NIC serialization, the sender's jitter and the pair's FIFO clamp,
+// then the delivery, queued in the lane of its rx channel. It returns the
+// arrival time.
+func (n *Network) receive(rx *rxOp, wire float64) float64 {
+	rn := &n.nodes[rx.node]
 	flows := rn.inRx
 	rn.inRx++
 	factor := 1.0
@@ -416,12 +432,12 @@ func (rx *rxOp) receive(node int, wire float64) float64 {
 	rxDur := n.p.MsgGap + float64(rx.bytes)/rx.bw*factor
 	rxEnd := rxStart + rxDur
 	rn.rxFree[ri] = rxEnd
-	n.rec.NIC(node, ri, obs.RX, rxStart, rxEnd, rx.bytes)
+	n.rec.NIC(int(rx.node), ri, obs.RX, rxStart, rxEnd, rx.bytes)
 	arrival := rxEnd + rx.jit
 	if n.chaos != nil {
 		arrival = fifoClamp(n.chaosFloor, int(rx.src), int(rx.dst), arrival)
 	}
-	rn.rx[ri].Append(arrival, fireDelivery, rx)
+	rn.rx[ri].Append(arrival, n.fns.delivery, rx)
 	return arrival
 }
 

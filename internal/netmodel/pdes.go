@@ -15,7 +15,7 @@
 //
 // A cross-node transfer is split at the wire: the tx half (link factors,
 // sender NIC serialization) runs at send time on the source shard; the rx
-// half (rxOp.receive: incast, receiver NIC serialization, jitter, FIFO
+// half (Network.receive: incast, receiver NIC serialization, jitter, FIFO
 // clamp, delivery — the same function a sequential Transfer runs at once)
 // is carried across the window barrier and runs on the destination shard at
 // the wire-arrival time start + latency — which is >= send time + the
@@ -65,11 +65,11 @@ func (n *Network) nextSeq(src int) uint64 {
 // when the MPI layer completes a rendezvous send or a put under PDES — the
 // sender's NIC is done with the buffer; the wire and receiver finish
 // asynchronously on the destination shard.
-func (n *Network) transferPDES(rx *rxOp, node int, wire float64) {
+func (n *Network) transferPDES(rx *rxOp, wire float64) {
 	if n.chaos != nil {
 		wire = fifoClamp(n.wireFloor, int(rx.src), int(rx.dst), wire)
 	}
-	n.pdes.out.Add(wire, rx.src, n.nextSeq(int(rx.src)), n.pdes.shardOfNode[node], fireRxHalf, rx)
+	n.pdes.out.Add(wire, rx.src, n.nextSeq(int(rx.src)), n.pdes.shardOfNode[rx.node], n.fns.rxHalf, rx)
 }
 
 // Splits reports whether this view splits a transfer from rank src to rank
@@ -84,17 +84,19 @@ func (n *Network) Splits(src, dst int) bool {
 // network every rank's, on a sharded view those of its shard's nodes.
 func (n *Network) Owns(rank int) bool { return n.nodes[n.nodeOf[rank]].net == n }
 
-// fireRxHalf runs on the destination shard at wire-arrival time.
-func fireRxHalf(arg any) {
+// fireRxHalf runs on the destination shard at wire-arrival time, on the view
+// of the receiving node; the nodes are shared, so any view's callback finds it.
+func (n *Network) fireRxHalf(arg any) {
 	rx := arg.(*rxOp)
-	n := rx.rn.net
-	rx.receive(n.nodeOf[rx.dst], n.eng.Now())
+	dn := n.nodes[rx.node].net
+	dn.receive(rx, dn.eng.Now())
 }
 
 // NewSharded builds the sharded network: one engine per shard, seeded with
 // seed, the windows that drive them and one view per engine, all over one
 // platform. It alone decides the partition: the shard count (<= 0:
-// GOMAXPROCS) is clamped to the nodes the placement uses, and each shard
+// GOMAXPROCS) is clamped to the nodes the placement uses and to MaxShards,
+// the most a record index can name (Slab), and each shard
 // gets a contiguous range of nodes, balanced to within one node; a rank runs
 // on its node's shard (Owns). The lookahead is Params.Latency, the minimum
 // cross-node wire latency (TestLookaheadFloorBounds). The views share NIC
@@ -111,7 +113,7 @@ func NewSharded(p Params, nodeOf []int, shards int, seed int64) ([]*Network, *si
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	shards = max(1, min(shards, used))
+	shards = max(1, min(shards, used, MaxShards))
 	engs := make([]*sim.Engine, shards)
 	for s := range engs {
 		engs[s] = sim.NewEngine(seed)
@@ -123,9 +125,11 @@ func NewSharded(p Params, nodeOf []int, shards int, seed int64) ([]*Network, *si
 	}
 	placement := append([]int(nil), nodeOf...)
 	seq := make([]uint64, len(nodeOf))
+	rxs := NewSlabs[rxOp](shards)
 	nets := make([]*Network, shards)
 	for s := range engs {
-		nets[s] = &Network{eng: engs[s], p: p, nodeOf: placement}
+		nets[s] = &Network{eng: engs[s], p: p, nodeOf: placement, rxs: rxs, rxSlab: rxs[s]}
+		nets[s].bind()
 		nets[s].pdes = &pdesLinks{out: ws.Outbox(s), shardOfNode: shardOfNode, seq: seq}
 	}
 	nodes := newNodes(used, p.NICs, func(node int) *Network { return nets[shardOfNode[node]] })

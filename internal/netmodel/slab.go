@@ -1,6 +1,10 @@
 package netmodel
 
-import "unsafe"
+import (
+	"fmt"
+	"sync/atomic"
+	"unsafe"
+)
 
 // Slab hands out fresh zeroed records of T for a pool whose free list has run
 // dry: netmodel's rxOp pool and mpi's request, envelope and transfer pools.
@@ -8,28 +12,101 @@ import "unsafe"
 // allocations instead of n. The first chunk holds slabFirst records and each
 // next one twice as many, up to the most that fit in slabBytes, the largest
 // size class the runtime serves from its per-size caches; past that, every
-// chunk is of that size. A chunk stays reachable while any of its records is,
-// so a record its owner drops without freeing is reclaimed with its chunk.
-// The zero Slab is ready and has allocated nothing. A Slab is not safe for
-// concurrent use; each engine's records come from its own.
+// chunk is of that size.
+//
+// Every record is named by an int32 index that encodes the shard owning the
+// slab, the chunk and the slot, and 0 names no record. Records link to each
+// other by index, so a record type without pointer fields makes chunks the
+// collector never traces. The chunks hang off a directory the owner shard
+// alone writes; another shard resolves an index (Slabs.At) only after the
+// record crossed a window barrier, which orders the directory entry before
+// the read, and the directory is republished through an atomic pointer when
+// it grows. Chunks therefore live as long as their slab: a record its owner
+// drops without freeing is reclaimed with the world, not with its chunk.
+// A new Slab has allocated no chunk and no directory. Only its owner shard
+// may call New.
 type Slab[T any] struct {
-	chunk []T // the unused rest of the current chunk
-	n     int // the record count of the current chunk
+	dir   atomic.Pointer[[][]T] // chunk directory; entry 0 stays empty, so index 0 names nothing
+	chunk []T                   // the unused rest of the current chunk
+	next  int32                 // the index of chunk[0]
+	n     int                   // the record count of the current chunk
+	used  int                   // directory entries in use, entry 0 included
+	shard int32
 }
 
 const (
 	slabFirst = 8
 	slabBytes = 32 << 10
+
+	// An index is shard:7 | chunk:15 | slot:10, read as a uint32.
+	slabSlotBits  = 10
+	slabChunkBits = 15
+	slabShardBits = 7
+
+	// MaxShards is the most shards whose records an index can name.
+	MaxShards = 1 << slabShardBits
 )
 
-// New returns a zeroed record that nothing else references.
-func (s *Slab[T]) New() *T {
-	if len(s.chunk) == 0 {
-		var zero T
-		s.n = max(slabFirst, min(2*s.n, slabBytes/int(unsafe.Sizeof(zero))))
-		s.chunk = make([]T, s.n)
+// Slabs is one Slab per shard of a world, indexed by shard: the set an index
+// of any of them resolves against.
+type Slabs[T any] []*Slab[T]
+
+// NewSlabs returns the slabs of a world of k shards, none of which has
+// allocated a chunk yet.
+func NewSlabs[T any](k int) Slabs[T] {
+	if k < 1 || k > MaxShards {
+		panic(fmt.Sprintf("netmodel: %d shards, an index names at most %d", k, MaxShards))
 	}
-	t := &s.chunk[0]
+	ss := make(Slabs[T], k)
+	for i := range ss {
+		ss[i] = &Slab[T]{shard: int32(i)}
+	}
+	return ss
+}
+
+// At returns the record an index names. The index must be one New returned.
+func (ss Slabs[T]) At(i int32) *T {
+	u := uint32(i)
+	d := *ss[u>>(slabSlotBits+slabChunkBits)].dir.Load()
+	return &d[u>>slabSlotBits&(1<<slabChunkBits-1)][u&(1<<slabSlotBits-1)]
+}
+
+// New returns a zeroed record that nothing else references, and its index.
+func (s *Slab[T]) New() (*T, int32) {
+	if len(s.chunk) == 0 {
+		s.grow()
+	}
+	t, i := &s.chunk[0], s.next
 	s.chunk = s.chunk[1:]
-	return t
+	s.next++
+	return t, i
+}
+
+// grow carves the next chunk and enters it in the directory, doubling the
+// directory into a new array when it is full: an array a reader may hold is
+// never written again at an entry it can reach.
+func (s *Slab[T]) grow() {
+	var zero T
+	s.n = max(slabFirst, min(2*s.n, slabBytes/int(unsafe.Sizeof(zero)), 1<<slabSlotBits))
+	if s.used == 0 {
+		s.used = 1
+	}
+	if s.used == 1<<slabChunkBits {
+		panic(fmt.Sprintf("netmodel: shard %d has carved %d chunks of %T, all an index can name", s.shard, s.used-1, zero))
+	}
+	d := s.dir.Load()
+	if d == nil || s.used == len(*d) {
+		var old [][]T
+		if d != nil {
+			old = *d
+		}
+		nd := make([][]T, max(8, 2*len(old)))
+		copy(nd, old)
+		d = &nd
+		s.dir.Store(d)
+	}
+	s.chunk = make([]T, s.n)
+	(*d)[s.used] = s.chunk
+	s.next = s.shard<<(slabSlotBits+slabChunkBits) | int32(s.used)<<slabSlotBits
+	s.used++
 }

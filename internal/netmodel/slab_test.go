@@ -1,29 +1,72 @@
 package netmodel
 
 import (
+	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 )
 
 // TestSlabChunks holds Slab to its growth rule: distinct zeroed records,
 // carved from chunks of 8, 16, 32, ... records up to the most that fit in
-// 32 KiB (455 of rxOp's 72 bytes), and of that size from then on.
+// 32 KiB (455 of rxOp's 72 bytes), and of that size from then on; and to its
+// names: every index New returns is distinct and non-zero, and At resolves
+// it to the record New returned with it.
 func TestSlabChunks(t *testing.T) {
-	var s Slab[rxOp]
+	ss := NewSlabs[rxOp](1)
+	s := ss[0]
+	if s.dir.Load() != nil {
+		t.Fatal("a new slab allocated a directory")
+	}
 	var chunks []int
 	seen := map[*rxOp]bool{}
+	idx := map[int32]*rxOp{}
 	for i := 0; i < 2000; i++ {
-		rx := s.New()
+		rx, ix := s.New()
 		if len(s.chunk) == s.n-1 {
 			chunks = append(chunks, s.n)
 		}
-		if seen[rx] || rx.bytes != 0 || rx.rn != nil {
+		if seen[rx] || rx.bytes != 0 || rx.next != 0 {
 			t.Fatalf("record %d was handed out before or is not zeroed", i)
 		}
-		seen[rx] = true
+		if ix == 0 || idx[ix] != nil {
+			t.Fatalf("record %d is named %#x, which is none or names another", i, ix)
+		}
+		seen[rx], idx[ix] = true, rx
 		rx.bytes = i + 1
 	}
 	if want := []int{8, 16, 32, 64, 128, 256, 455, 455, 455, 455}; !slices.Equal(chunks, want) {
 		t.Fatalf("chunks of %v records, want %v", chunks, want)
+	}
+	for ix, rx := range idx {
+		if ss.At(ix) != rx {
+			t.Fatalf("index %#x resolves to another record", ix)
+		}
+	}
+}
+
+// TestSlabsNameTheirShard draws records on every shard of a set and resolves
+// each index through the set: an index names the shard that drew it.
+func TestSlabsNameTheirShard(t *testing.T) {
+	ss := NewSlabs[rxOp](MaxShards)
+	for sh := len(ss) - 1; sh >= 0; sh-- {
+		for i := 0; i < 20; i++ {
+			rx, ix := ss[sh].New()
+			rx.bytes = sh<<8 | i
+			if got := ss.At(ix); got != rx || got.bytes != sh<<8|i {
+				t.Fatalf("shard %d record %d: index %#x resolves elsewhere", sh, i, ix)
+			}
+		}
+	}
+}
+
+// TestRxOpSize pins netmodel's transfer record, drawn once per inter-node
+// message in flight, at its size on a 64-bit host.
+func TestRxOpSize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	if got := reflect.TypeOf(rxOp{}).Size(); got > 72 {
+		t.Errorf("rxOp grew to %d bytes, over its 72", got)
 	}
 }

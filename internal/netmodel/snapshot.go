@@ -8,8 +8,8 @@ import (
 )
 
 // Snapshot is a detached copy of a quiescent network: NIC channel high-water
-// marks, counters, chaos FIFO floors, and the size of the delivery pool. It
-// shares nothing mutable with the parent, so any number of Forks can be
+// marks, counters and chaos FIFO floors; a fork starts with an empty delivery
+// pool. It shares nothing mutable with the parent, so any number of Forks can be
 // materialized from it concurrently.
 type Snapshot struct {
 	p      Params
@@ -19,7 +19,6 @@ type Snapshot struct {
 
 	transfers int64
 
-	delivCap   int
 	floors     map[uint64]float64
 	ctrlFloors map[uint64]float64
 }
@@ -39,9 +38,6 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 		tx:        make([][]float64, len(n.nodes)),
 		rx:        make([][]float64, len(n.nodes)),
 		transfers: n.Transfers,
-	}
-	for rx := n.freeRx; rx != nil; rx = rx.next {
-		s.delivCap++
 	}
 	for i, nd := range n.nodes {
 		if nd.inRx != 0 {
@@ -74,16 +70,14 @@ func (s *Snapshot) Fork(eng *sim.Engine, inj *chaos.Injector) *Network {
 		nodeOf:    s.nodeOf,
 		topo:      s.topo,
 		Transfers: s.transfers,
+		rxs:       NewSlabs[rxOp](1),
 	}
+	n.rxSlab = n.rxs[0]
+	n.bind()
 	n.nodes = newNodes(len(s.tx), s.p.NICs, func(int) *Network { return n })
 	for i := range n.nodes {
 		copy(n.nodes[i].txFree, s.tx[i])
 		copy(n.nodes[i].rxFree, s.rx[i])
-	}
-	recs := make([]rxOp, s.delivCap)
-	for i := len(recs) - 1; i >= 0; i-- {
-		recs[i].next = n.freeRx
-		n.freeRx = &recs[i]
 	}
 	if inj != nil {
 		// SetChaos resets the FIFO floors; install the injector first, then
