@@ -1,11 +1,12 @@
 package mpi
 
 // Aliases for the external test package: the record sizes it pins include
-// these three unexported ones.
+// these four unexported ones.
 type (
 	Envelope = envelope
 	Xfer     = xfer
 	Notice   = notice
+	Matcher  = matcher
 )
 
 // refsTo counts the slots the library owns that name q: on every rank, each
@@ -63,8 +64,12 @@ func (w *World) refsTo(q *Request) int {
 			holdPtr(r)
 		}
 		holdList(r.m.chain)
-		for _, l := range r.m.posted {
-			holdList(l)
+		if x := r.m.posted; x != nil {
+			for _, s := range x.slots {
+				if s.head != 0 {
+					holdList(reqList{s.head, s.tail})
+				}
+			}
 		}
 		for _, u := range []*unexpQueue{&r.m.eager, &r.m.rts} {
 			for i := u.ghead; i != 0; i = p.env(i).gnext {

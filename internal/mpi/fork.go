@@ -165,7 +165,7 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 	sh := newShard(newRecords(1), 0, s.net.Fork(eng, inj), w.ranks, s.opts)
 	w.shards = []*shard{sh}
 	// Rank records come out of one contiguous batch, and the lazily created
-	// structures (RNG, wait condition, matcher maps) stay absent in the fork
+	// structures (RNG, wait condition, matcher indexes) stay absent in the fork
 	// exactly where they were absent in the parent — per-fork cost is
 	// proportional to live state, not to the rank count times the size of a
 	// fully equipped rank.

@@ -2,12 +2,12 @@ package mpi
 
 // Message matching. A shallow queue is an insertion-ordered chain scanned
 // front to back, exactly like the linear engine it models; once a queue grows
-// past the depth shallow, it is indexed by FIFO match lists in a map keyed by
-// one packed word, so matching stays O(1) expected however many receives are
-// posted. Both reproduce the linear engine's matching decisions exactly (the
-// matching-order property test and FuzzMatch drive this matcher and the
-// linear reference in lockstep; see matchref.go and DESIGN.md §3
-// "Matching").
+// past the depth shallow, it is indexed by FIFO match lists in a keyIndex
+// (keyindex.go) keyed by one packed word, so matching stays O(1) expected
+// however many receives are posted. Both reproduce the linear engine's
+// matching decisions exactly (the matching-order property test and FuzzMatch
+// drive this matcher and the linear reference in lockstep; see matchref.go
+// and DESIGN.md §3 "Matching").
 //
 // Two invariants govern this file:
 //
@@ -25,8 +25,8 @@ package mpi
 //     changes. No virtual timestamp moves.
 type matchKey uint64
 
-// A matchKey packs (ctx, src, tag) into one word, so the matcher's maps take
-// the runtime's 64-bit fast path instead of hashing a three-int struct. The
+// A matchKey packs (ctx, src, tag) into one word, so the matcher's index
+// hashes and compares one integer instead of a three-int struct. The
 // rank and tag are stored +1, so the wildcards AnySource and AnyTag (-1) pack
 // as zero fields. The bounds are checked, not assumed: checkKey refuses
 // anything else at isend, irecv and World.Start, and comm.go's highest tag
@@ -46,17 +46,17 @@ func keyOf(ctx, src, tag int) matchKey {
 }
 
 // shallow is the depth up to which a queue lives only in its chain. A queue
-// whose push takes it past shallow moves into its map; the map empties, and
-// the queue returns to its chain, when the queue drains. A queue is therefore
-// in map mode exactly when its map is non-empty.
+// whose push takes it past shallow moves into its index; the index empties,
+// and the queue returns to its chain, when the queue drains. A queue is
+// therefore in index mode exactly when its index is live.
 const shallow = 16
 
-// reqList is a FIFO of posted receives linked through Request.mnext: the
-// posted chain, or one map bucket. Buckets are stored in their map by value,
-// so a new key costs a map slot and nothing else, and a steady state that
-// reuses its keys allocates nothing. The links are record indices (0: none),
-// resolved against the world's records, so neither a list nor the map that
-// holds it has a pointer for the collector to trace.
+// reqList is the posted chain: a FIFO of posted receives linked through
+// Request.mnext. A bucket of the index is the same pair of links in its
+// keySlot, so a new key costs a slot and nothing else, and a steady state
+// that reuses its keys allocates nothing. The links are record indices
+// (0: none), resolved against the world's records, so neither the chain nor
+// the index has a pointer for the collector to trace.
 type reqList struct {
 	head, tail int32
 }
@@ -79,22 +79,23 @@ type matcher struct {
 	// message can therefore match at most four buckets: {src,tag},
 	// {*,tag}, {src,*}, {*,*}.
 	chain       reqList
-	posted      map[matchKey]reqList
-	postedCount int // total posted receives (modeled-cost counter)
-	postedWild  int // posted receives with at least one wildcard
+	posted      *keyIndex // nil until the posted queue first passes shallow
+	postedCount int       // total posted receives (modeled-cost counter)
+	postedWild  int       // posted receives with at least one wildcard
 	pseq        uint64
 
 	eager unexpQueue // arrived eager messages with no matching receive
 	rts   unexpQueue // arrived RTS envelopes with no matching receive
 }
 
-// Nothing here is allocated ahead of use. A nil map reads as empty in Go, so
-// an idle rank keeps nil maps and empty chains: its matcher is the zero value
-// inside its Rank record, and a 16K-rank world where only a subset of ranks
-// communicate pays for exactly the maps it uses
-// (TestIdleWorldFootprint16K). A map is made the first time its queue grows
-// past shallow and kept, empty, when the queue drains, so a queue that swings
-// across shallow again reuses it.
+// Nothing here is allocated ahead of use. Each queue holds its index behind
+// one pointer, nil until the queue first grows past shallow, so an idle rank
+// keeps nil indexes and empty chains: its matcher is the zero value inside
+// its Rank record, and a 16K-rank world where only a subset of ranks
+// communicate pays for exactly the indexes it uses
+// (TestIdleWorldFootprint16K). An index is kept, empty, when its queue
+// drains, so a queue that swings across shallow again reuses it and its
+// grown table (TestMatcherSteadyStateAllocs).
 
 // post queues a receive. Its position in posted order is stamped into
 // req.pseq so concurrent buckets can be merged by age.
@@ -106,10 +107,13 @@ func (m *matcher) post(p *records, req *Request) {
 	if req.peer == AnySource || req.tag == AnyTag {
 		m.postedWild++
 	}
-	if len(m.posted) == 0 {
+	if !m.posted.live() {
 		if m.postedCount <= shallow {
 			m.chain.push(p, req)
 			return
+		}
+		if m.posted == nil {
+			m.posted = newKeyIndex()
 		}
 		for i := m.chain.head; i != 0; {
 			q := p.req(i)
@@ -121,24 +125,25 @@ func (m *matcher) post(p *records, req *Request) {
 	m.bucket(p, req)
 }
 
-// bucket appends a receive to its map bucket.
+// bucket appends a receive to its key's list in the index.
 func (m *matcher) bucket(p *records, req *Request) {
-	k := keyOf(int(req.ctx), int(req.peer), req.tag)
-	if m.posted == nil {
-		m.posted = map[matchKey]reqList{}
+	s := m.posted.claim(keyOf(int(req.ctx), int(req.peer), req.tag))
+	if s.tail == 0 {
+		s.head = req.self
+	} else {
+		p.req(s.tail).mnext = req.self
 	}
-	l := m.posted[k]
-	l.push(p, req)
-	m.posted[k] = l
+	s.tail = req.self
 }
 
 // matchArrival removes and returns the earliest-posted receive eligible for
 // a message with concrete (ctx, src, tag), or nil. On the chain that is the
-// first eligible receive; in map mode each candidate bucket is FIFO, so
+// first eligible receive; in index mode each candidate bucket is FIFO, so
 // comparing the four bucket heads by pseq finds the global earliest-posted
-// match.
+// match, whose slot goes to popPosted without a second lookup.
 func (m *matcher) matchArrival(p *records, ctx, src, tag int) *Request {
-	if len(m.posted) == 0 {
+	x := m.posted
+	if !x.live() {
 		var prev *Request
 		for i := m.chain.head; i != 0; {
 			q := p.req(i)
@@ -162,11 +167,10 @@ func (m *matcher) matchArrival(p *records, ctx, src, tag int) *Request {
 		}
 		return nil
 	}
-	bestK := keyOf(ctx, src, tag)
-	bestL := m.posted[bestK]
 	var best *Request
-	if bestL.head != 0 {
-		best = p.req(bestL.head)
+	bestS := x.find(keyOf(ctx, src, tag))
+	if bestS >= 0 {
+		best = p.req(x.slots[bestS].head)
 	}
 	if m.postedWild > 0 {
 		for _, k := range [3]matchKey{
@@ -174,9 +178,9 @@ func (m *matcher) matchArrival(p *records, ctx, src, tag int) *Request {
 			keyOf(ctx, src, AnyTag),
 			keyOf(ctx, AnySource, AnyTag),
 		} {
-			if l := m.posted[k]; l.head != 0 {
-				if q := p.req(l.head); best == nil || q.pseq < best.pseq {
-					best, bestK, bestL = q, k, l
+			if s := x.find(k); s >= 0 {
+				if q := p.req(x.slots[s].head); best == nil || q.pseq < best.pseq {
+					best, bestS = q, s
 				}
 			}
 		}
@@ -184,20 +188,19 @@ func (m *matcher) matchArrival(p *records, ctx, src, tag int) *Request {
 	if best == nil {
 		return nil
 	}
-	m.popPosted(bestK, bestL, best)
+	m.popPosted(bestS, best)
 	return best
 }
 
-// popPosted removes q, the head of the posted bucket l under key k, deleting
-// the bucket when it empties so the map's live key set tracks only occupied
+// popPosted removes q, the head of the posted bucket in slot s, deleting the
+// bucket when it empties so the index's live key set tracks only occupied
 // keys (rotating collective tags would otherwise grow it without bound). The
-// last bucket to go leaves the map empty and the queue back on its chain.
-func (m *matcher) popPosted(k matchKey, l reqList, q *Request) {
+// last bucket to go leaves the index empty and the queue back on its chain.
+func (m *matcher) popPosted(s int, q *Request) {
+	l := &m.posted.slots[s]
 	l.head, q.mnext = q.mnext, 0
 	if l.head == 0 {
-		delete(m.posted, k)
-	} else {
-		m.posted[k] = l
+		m.posted.del(s)
 	}
 	m.unpost(q)
 }
@@ -209,12 +212,6 @@ func (m *matcher) unpost(q *Request) {
 	}
 }
 
-// envList is a FIFO of unexpected envelopes sharing one concrete match key,
-// linked through envelope.bnext; stored by value like reqList.
-type envList struct {
-	head, tail int32
-}
-
 // unexpQueue holds arrived-but-unmatched envelopes of one protocol class
 // (eager or RTS) on a global arrival-ordered doubly-linked chain. While the
 // queue is at most shallow deep, every receive scans that chain. Deeper, each
@@ -222,9 +219,10 @@ type envList struct {
 // lookup, and only wildcard receives walk the chain. Because bucket order is
 // a subsequence of arrival order and all bucket-mates match identically, the
 // earliest matching envelope on the chain is always its bucket's head —
-// remove() asserts this. Links are record indices, as in reqList.
+// remove() asserts this. Links are record indices, as in reqList; the
+// buckets are keySlots of idx, linked through envelope.bnext.
 type unexpQueue struct {
-	buckets      map[matchKey]envList
+	idx          *keyIndex // nil until the queue first passes shallow
 	ghead, gtail int32
 	count        int // modeled-cost counter
 }
@@ -238,9 +236,12 @@ func (u *unexpQueue) push(p *records, env *envelope) {
 	}
 	u.gtail = env.self
 	u.count++
-	if len(u.buckets) > 0 {
+	if u.idx.live() {
 		u.bucket(p, env)
 	} else if u.count > shallow {
+		if u.idx == nil {
+			u.idx = newKeyIndex()
+		}
 		for i := u.ghead; i != 0; {
 			e := p.env(i)
 			u.bucket(p, e)
@@ -249,13 +250,9 @@ func (u *unexpQueue) push(p *records, env *envelope) {
 	}
 }
 
-// bucket appends an envelope to its map bucket.
+// bucket appends an envelope to its key's list in the index.
 func (u *unexpQueue) bucket(p *records, env *envelope) {
-	k := keyOf(int(env.ctx), int(env.src), env.tag)
-	if u.buckets == nil {
-		u.buckets = map[matchKey]envList{}
-	}
-	l := u.buckets[k]
+	l := u.idx.claim(keyOf(int(env.ctx), int(env.src), env.tag))
 	env.bnext = 0
 	if l.tail == 0 {
 		l.head = env.self
@@ -263,52 +260,53 @@ func (u *unexpQueue) bucket(p *records, env *envelope) {
 		p.env(l.tail).bnext = env.self
 	}
 	l.tail = env.self
-	u.buckets[k] = l
 }
 
 // find returns the earliest-arrived envelope a receive posted with
-// (ctx, peer, tag) would match, without removing it. peer and tag may be
-// wildcards; in map mode a fully concrete receive matches exactly one bucket.
-func (u *unexpQueue) find(p *records, ctx, peer, tag int) *envelope {
-	if peer != AnySource && tag != AnyTag && len(u.buckets) > 0 {
-		if h := u.buckets[keyOf(ctx, peer, tag)].head; h != 0 {
-			return p.env(h)
+// (ctx, peer, tag) would match, without removing it, and the slot of its
+// bucket when the lookup named one (else -1). peer and tag may be wildcards;
+// in index mode a fully concrete receive matches exactly one bucket.
+func (u *unexpQueue) find(p *records, ctx, peer, tag int) (*envelope, int) {
+	if peer != AnySource && tag != AnyTag && u.idx.live() {
+		if s := u.idx.find(keyOf(ctx, peer, tag)); s >= 0 {
+			return p.env(u.idx.slots[s].head), s
 		}
-		return nil
+		return nil, -1
 	}
 	for i := u.ghead; i != 0; {
 		env := p.env(i)
 		if int(env.ctx) == ctx &&
 			(peer == AnySource || int(env.src) == peer) &&
 			(tag == AnyTag || env.tag == tag) {
-			return env
+			return env, -1
 		}
 		i = env.gnext
 	}
-	return nil
+	return nil, -1
 }
 
 // take is find plus removal.
 func (u *unexpQueue) take(p *records, ctx, peer, tag int) *envelope {
-	env := u.find(p, ctx, peer, tag)
+	env, s := u.find(p, ctx, peer, tag)
 	if env != nil {
-		u.remove(p, env)
+		u.remove(p, env, s)
 	}
 	return env
 }
 
-func (u *unexpQueue) remove(p *records, env *envelope) {
-	if len(u.buckets) > 0 {
-		k := keyOf(int(env.ctx), int(env.src), env.tag)
-		l := u.buckets[k]
-		if l.head != env.self {
+// remove unlinks env, the head of its bucket in index mode: slot s when find
+// named it, else looked up here (a wildcard receive found env on the chain).
+func (u *unexpQueue) remove(p *records, env *envelope, s int) {
+	if u.idx.live() {
+		if s < 0 {
+			s = u.idx.find(keyOf(int(env.ctx), int(env.src), env.tag))
+		}
+		if s < 0 || u.idx.slots[s].head != env.self {
 			panic("mpi: unexpected-queue removal out of bucket order")
 		}
-		l.head = env.bnext
-		if l.head == 0 {
-			delete(u.buckets, k)
-		} else {
-			u.buckets[k] = l
+		l := &u.idx.slots[s]
+		if l.head = env.bnext; l.head == 0 {
+			u.idx.del(s)
 		}
 	}
 	if env.gprev == 0 {

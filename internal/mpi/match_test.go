@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -101,12 +102,13 @@ func retire(s *shard, q *Request) {
 }
 
 // TestMatcherSteadyStateAllocs pins the matching hot path at zero
-// steady-state allocations: once bucket lists and free lists are warm,
+// steady-state allocations: once index tables and free lists are warm,
 // match-and-repost cycles touch only pooled records. Three more cycles cross
 // shallow both ways every time: wildcard posts, the unexpected queue's
-// push/take cycle, and the posted chain's move into its map and back. Each
-// checks that it really reached map mode and drained back to the chain, so a
-// changed threshold cannot turn it into a chain-only cycle.
+// push/take cycle, and the posted chain's move into its index and back; a
+// last one takes a queue 256 deep and back twice. Each checks that it really
+// reached index mode and drained back to the chain, so a changed threshold
+// cannot turn it into a chain-only cycle.
 func TestMatcherSteadyStateAllocs(t *testing.T) {
 	for _, k := range []int{1, 64, 1024} {
 		mb := NewMatchBench(k, true)
@@ -131,7 +133,7 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 	}
 	crossed := func(mapped, drained bool) {
 		if !mapped || !drained {
-			t.Fatalf("cycle did not cross shallow both ways (map mode reached %v, chain regained %v)", mapped, drained)
+			t.Fatalf("cycle did not cross shallow both ways (index mode reached %v, chain regained %v)", mapped, drained)
 		}
 	}
 	// postAll posts every receive, source i%3 and tag i unless wildcarded
@@ -143,19 +145,19 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 			q.peer, q.tag = int32(src), tag
 			m.post(s.recs, q)
 		}
-		mapped := len(m.posted) > 0
+		mapped := m.posted.live()
 		for i, q := range reqs {
 			if got := m.matchArrival(s.recs, 1, i%3, i); got != q {
 				t.Fatalf("arrival %d matched %p, want %p", i, got, q)
 			}
 		}
-		crossed(mapped, len(m.posted) == 0 && m.postedCount == 0)
+		crossed(mapped, !m.posted.live() && m.postedCount == 0)
 	}
 	cycles := []struct {
 		name  string
 		cycle func()
 	}{
-		{"chain to map to chain", func() {
+		{"chain to index to chain", func() {
 			postAll(func(i int) (int, int) { return i % 3, i })
 		}},
 		{"wildcard posts", func() {
@@ -175,7 +177,7 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 			for _, env := range envs {
 				m.eager.push(s.recs, env)
 			}
-			mapped := len(m.eager.buckets) > 0
+			mapped := m.eager.idx.live()
 			for i, env := range envs {
 				src, tag := int(env.src), env.tag
 				if i%4 == 1 {
@@ -187,14 +189,44 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 					t.Fatalf("take %d returned %p, want %p", i, got, env)
 				}
 			}
-			crossed(mapped, len(m.eager.buckets) == 0 && m.eager.count == 0)
+			crossed(mapped, !m.eager.idx.live() && m.eager.count == 0)
 		}},
 	}
 	for _, c := range cycles {
-		c.cycle() // make the map once
+		c.cycle() // make the index once
 		if n := testing.AllocsPerRun(50, c.cycle); n != 0 {
 			t.Errorf("%s: %v allocs per cycle, want 0", c.name, n)
 		}
+	}
+
+	// One queue 0 -> 256 -> 0 deep, twice: the first crossing makes its
+	// index and doubles the table to 512 slots; kept when the queue drains,
+	// the table serves the second crossing without an allocation.
+	var dm matcher
+	deep := make([]*Request, 256)
+	for i := range deep {
+		deep[i] = s.allocReq()
+		deep[i].ctx, deep[i].tag = 1, i
+	}
+	deepCycle := func() {
+		for _, q := range deep {
+			dm.post(s.recs, q)
+		}
+		mapped := dm.posted.live() && len(dm.posted.slots) == 512
+		for i, q := range deep {
+			if got := dm.matchArrival(s.recs, 1, 0, i); got != q {
+				t.Fatalf("deep arrival %d matched %p, want %p", i, got, q)
+			}
+		}
+		crossed(mapped, !dm.posted.live() && dm.postedCount == 0)
+	}
+	deepCycle()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	deepCycle()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("second 0 -> 256 -> 0 crossing: %d allocs, want 0", n)
 	}
 }
 
@@ -417,17 +449,22 @@ func TestRefusedMatchKeys(t *testing.T) {
 //	op: bit 0 an arrival (else a post), bit 1 the arrival is an RTS (else
 //	    eager), bit 2 context 2 (else 1), bit 3 a post's source is
 //	    AnySource, bit 4 its tag is AnyTag, bits 5-7 the repeat count - 1;
-//	b:  bits 0-1 the source, bits 2-4 the tag.
+//	b:  bits 0-1 the source, bits 2-4 the tag, bits 5-7 the tag's bank.
 //
-// A repeated operation runs with tags tag, tag+1, ... (mod 8), so a few
-// bytes build deep queues. Every decision and all three modeled-cost
+// A repeated operation runs with tags tag, tag+1, ... (mod 8) within its
+// bank (bank k holds tags 8k to 8k+7), so a few bytes build deep queues over
+// up to 512 concrete keys. Every decision and all three modeled-cost
 // counters must agree with the reference after every operation. Requests and
 // envelopes are drawn from a pool and freed as they leave the matcher, as
 // processEager and irecv free them, so an index a chain or bucket keeps
 // after its record was drawn again diverges from the reference. The seed
 // corpus (testdata/fuzz/FuzzMatch) reaches both sides of shallow on the
-// posted and both unexpected queues, and redraw-deep frees and redraws
-// records past that depth.
+// posted and both unexpected queues, redraw-deep frees and redraws records
+// past that depth, and index-growth takes the posted and eager queues to 104
+// live keys each (three doublings of their index tables), drains both to
+// their chains in arrival and posting order, which is what finds a deletion
+// that loses the keys probed past it, and pushes them past shallow again
+// over new keys.
 func FuzzMatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		s := poolShard()
@@ -440,7 +477,7 @@ func FuzzMatch(f *testing.F) {
 			op, b := prog[pc], prog[pc+1]
 			ctx := 1 + int(op>>2&1)
 			for i := 0; i <= int(op>>5); i++ {
-				src, tag := int(b&3), (int(b>>2)+i)%8
+				src, tag := int(b&3), int(b>>5)*8+(int(b>>2&7)+i)%8
 				id := nextID
 				nextID++
 				if op&1 == 0 {

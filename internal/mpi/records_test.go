@@ -6,11 +6,11 @@ import (
 )
 
 // TestProtocolRecordsHoldNoPointers holds the protocol records and the
-// matcher's lists to DESIGN.md §3 "Pooling": a record names its rank by id
-// and every other record by index, so the slab chunks and map buckets that
-// hold them give the collector nothing to trace. The one pointer allowed is
-// the payload's: Buf's data pointer, nil in a virtual run, and Buf must hold
-// no other.
+// matcher's chain and index slots to DESIGN.md §3 "Pooling": a record names
+// its rank by id and every other record by index, so the slab chunks and
+// index tables that hold them give the collector nothing to trace. The one
+// pointer allowed is the payload's: Buf's data pointer, nil in a virtual
+// run, and Buf must hold no other.
 func TestProtocolRecordsHoldNoPointers(t *testing.T) {
 	buf := reflect.TypeOf(Buf{})
 	var walk func(typ reflect.Type, path string, skipBuf bool) []string
@@ -34,7 +34,7 @@ func TestProtocolRecordsHoldNoPointers(t *testing.T) {
 		}
 		return nil
 	}
-	for _, v := range []any{Request{}, envelope{}, xfer{}, notice{}, reqList{}, envList{}} {
+	for _, v := range []any{Request{}, envelope{}, xfer{}, notice{}, reqList{}, keySlot{}} {
 		typ := reflect.TypeOf(v)
 		for _, f := range walk(typ, typ.Name(), true) {
 			t.Errorf("%s: a pointer the collector must trace", f)

@@ -126,7 +126,7 @@ func newShard(recs *records, id int, net *netmodel.Network, ranks []*Rank, opts 
 // Per-rank state is deliberately minimal at construction: the rank records
 // come out of one contiguous batch allocation, and everything that is only
 // needed once a rank actually communicates — its RNG (≈5KB of math/rand
-// state), its wait condition, the matcher's maps and chains — is created lazily on
+// state), its wait condition, the matcher's indexes — is created lazily on
 // first use. An idle 16K-rank world therefore costs a few hundred bytes per
 // rank (pinned by TestIdleWorldFootprint16K), not kilobytes.
 func NewWorld(nets []*netmodel.Network, win *sim.Windows, n int, opts Options) (*World, error) {

@@ -3,7 +3,7 @@ package nbc
 // The steady-state zero-allocation contract at scale: the 4-rank gate test
 // in persistent_test.go proves the pools work, this one proves they still
 // work when the world is 4096 ranks — per-rank lazy state, handle pools,
-// matcher maps, and the engine's free lists must all reach a fixed point
+// matcher indexes, and the engine's free lists must all reach a fixed point
 // instead of growing with the iteration count.
 
 import (
