@@ -118,7 +118,7 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 			env := sh.recs.env(i)
 			rs.eager = append(rs.eager, envSnap{
 				src: env.src, dst: env.dst, tag: env.tag, ctx: env.ctx,
-				buf: env.buf.Clone(),
+				buf: sh.recs.data(env.buf).Clone(),
 			})
 			i = env.gnext
 		}
@@ -162,7 +162,7 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 		inj = s.chaos.Clone()
 	}
 	w := &World{ranks: make([]*Rank, len(s.ranks)), nextCtx: s.nextCtx}
-	sh := newShard(newRecords(1), 0, s.net.Fork(eng, inj), w.ranks, s.opts)
+	sh := newShard(newRecords(1, len(s.ranks)), 0, s.net.Fork(eng, inj), w.ranks, s.opts)
 	w.shards = []*shard{sh}
 	// Rank records come out of one contiguous batch, and the lazily created
 	// structures (RNG, wait condition, matcher indexes) stay absent in the fork
@@ -188,7 +188,7 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 		for _, es := range rs.eager {
 			env := sh.allocEnv()
 			env.src, env.dst, env.tag, env.ctx = es.src, es.dst, es.tag, es.ctx
-			env.buf = es.buf.Clone()
+			env.buf = sh.hold(es.buf.Clone())
 			r.m.eager.push(sh.recs, env)
 		}
 		if rs.layer != nil {

@@ -138,12 +138,12 @@ func TestForkCarriesUnexpectedEager(t *testing.T) {
 	if env.src != 0 || env.dst != 1 || env.tag != 77 {
 		t.Fatalf("fork envelope header (src=%d dst=%d tag=%d) wrong", env.src, env.dst, env.tag)
 	}
-	got := env.buf.Data()
+	got := fw.shards[0].recs.data(env.buf).Data()
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("fork envelope payload = %x, want %x", got, payload)
 	}
 	parentEnv := w.shards[0].recs.env(w.ranks[1].m.eager.ghead)
-	if parentEnv == env || &parentEnv.buf.Data()[0] == &got[0] {
+	if parentEnv == env || &w.shards[0].recs.data(parentEnv.buf).Data()[0] == &got[0] {
 		t.Fatal("fork envelope aliases the parent's storage")
 	}
 }

@@ -10,9 +10,10 @@ import "math/bits"
 // names no record), which leaves every key legal, the all-zero key of ctx 0,
 // AnySource and AnyTag included. Deletion shifts the rest of the probe run
 // back instead of leaving a tombstone, so a lookup stops at the first empty
-// slot however many keys came and went. The table starts at minSlots, doubles
-// before a new key would fill more than 3/4 of it, and never shrinks: a queue
-// that drains and fills again reuses it.
+// slot however many keys came and went. The table starts at the size the
+// world's records name (newRecords: room for one key per rank, between
+// minSlots and maxFirstSlots), doubles before a new key would fill more than
+// 3/4 of it, and never shrinks: a queue that drains and fills again reuses it.
 type keyIndex struct {
 	slots []keySlot
 	n     int  // occupied slots
@@ -26,11 +27,16 @@ type keySlot struct {
 	head, tail int32
 }
 
-const minSlots = 32
+const (
+	minSlots      = 32
+	maxFirstSlots = 1024
+)
 
-func newKeyIndex() *keyIndex {
+// newKeyIndex returns an empty index of slots slots, a power of two of at
+// least minSlots.
+func newKeyIndex(slots int) *keyIndex {
 	x := new(keyIndex)
-	x.grow()
+	x.resize(slots)
 	return x
 }
 
@@ -82,11 +88,12 @@ func (x *keyIndex) claim(k matchKey) *keySlot {
 	}
 }
 
-// grow doubles the table (or makes its first minSlots slots) and re-homes
-// every occupied slot.
-func (x *keyIndex) grow() {
+// grow doubles the table and re-homes every occupied slot.
+func (x *keyIndex) grow() { x.resize(2 * len(x.slots)) }
+
+// resize makes a table of size slots and re-homes every occupied slot.
+func (x *keyIndex) resize(size int) {
 	old := x.slots
-	size := max(2*len(old), minSlots)
 	x.slots = make([]keySlot, size)
 	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	mask := size - 1

@@ -22,7 +22,7 @@ import (
 // bounds the longest probe run for the key shapes nbc makes: sequential tags
 // from one source, sequential sources with one tag, and two contexts.
 func TestKeyIndexAgainstMap(t *testing.T) {
-	small := newKeyIndex()
+	small := newKeyIndex(minSlots)
 	homed := func(want func(h int) bool, n int) []matchKey {
 		var ks []matchKey
 		for tag := 0; len(ks) < n; tag++ {
@@ -52,7 +52,7 @@ func TestKeyIndexAgainstMap(t *testing.T) {
 	for _, tc := range cases {
 		for seed := int64(0); seed < 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			x := newKeyIndex()
+			x := newKeyIndex(minSlots)
 			ref := map[matchKey]keySlot{}
 			var st indexStats
 			for op := 0; op < 3000; op++ {
@@ -112,7 +112,7 @@ func TestKeyIndexAgainstMap(t *testing.T) {
 		{"two contexts", func(i int) matchKey { return keyOf(1+i%2, i/2, 7) }},
 	}
 	for _, sh := range shapes {
-		x := newKeyIndex()
+		x := newKeyIndex(minSlots)
 		for i := 0; i < 4096; i++ {
 			x.claim(sh.key(i)).head = 1
 			if probes := longestProbe(x); probes > bound {
@@ -186,4 +186,28 @@ func longestProbe(x *keyIndex) int {
 		}
 	}
 	return worst
+}
+
+// TestFirstIndexFromTheWorld pins the size of a queue's first index table:
+// room for one key per rank of the world under the 3/4 load, between minSlots
+// and maxFirstSlots. A rank of a 384-rank linear all-to-all posts one receive
+// per peer, and its first 512-slot table holds all 383 keys without growing.
+func TestFirstIndexFromTheWorld(t *testing.T) {
+	for _, c := range []struct{ ranks, slots int }{
+		{0, minSlots}, {24, minSlots}, {25, 64}, {384, 512}, {385, maxFirstSlots}, {16384, maxFirstSlots},
+	} {
+		if got := newRecords(1, c.ranks).slots; got != c.slots {
+			t.Errorf("a %d-rank world's first index has %d slots, want %d", c.ranks, got, c.slots)
+		}
+	}
+	s := newShard(newRecords(1, 384), 0, nil, nil, Options{})
+	var m matcher
+	for src := 0; src < 383; src++ {
+		q := s.allocReq()
+		q.peer, q.tag, q.ctx = int32(src), 0, 1
+		m.post(s.recs, q)
+	}
+	if got := len(m.posted.slots); got != 512 {
+		t.Errorf("383 posted keys in a 384-rank world: a %d-slot index, want the first table of 512", got)
+	}
 }

@@ -113,7 +113,7 @@ func (m *matcher) post(p *records, req *Request) {
 			return
 		}
 		if m.posted == nil {
-			m.posted = newKeyIndex()
+			m.posted = newKeyIndex(p.slots)
 		}
 		for i := m.chain.head; i != 0; {
 			q := p.req(i)
@@ -240,7 +240,7 @@ func (u *unexpQueue) push(p *records, env *envelope) {
 		u.bucket(p, env)
 	} else if u.count > shallow {
 		if u.idx == nil {
-			u.idx = newKeyIndex()
+			u.idx = newKeyIndex(p.slots)
 		}
 		for i := u.ghead; i != 0; {
 			e := p.env(i)

@@ -92,7 +92,7 @@ func TestMatchingOrderProperty(t *testing.T) {
 
 // poolShard returns a shard of a one-shard world with no engine: a record
 // pool for driving a matcher alone.
-func poolShard() *shard { return newShard(newRecords(1), 0, nil, nil, Options{}) }
+func poolShard() *shard { return newShard(newRecords(1, 0), 0, nil, nil, Options{}) }
 
 // retire completes a receive the matcher handed out and returns it to the
 // pool, as a receive leaves the matcher in processEager.

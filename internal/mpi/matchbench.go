@@ -22,7 +22,7 @@ type MatchBench struct {
 func NewMatchBench(k int, indexed bool) *MatchBench {
 	mb := &MatchBench{indexed: indexed, k: k, step: oddCoprimeStep(k)}
 	if indexed {
-		mb.s = newShard(newRecords(1), 0, nil, nil, Options{})
+		mb.s = newShard(newRecords(1, 0), 0, nil, nil, Options{})
 		for i := 0; i < k; i++ {
 			q := mb.s.allocReq()
 			q.peer, q.tag, q.ctx = 0, i, 1

@@ -104,7 +104,7 @@ func (r *Rank) window(ctx int) *Win {
 // host-attended put becomes visible.
 func (r *Rank) processPut(x *xfer) {
 	p := r.net().Params()
-	r.charge(p.ORecv + p.CopyTime(x.buf.Len()))
+	r.charge(p.ORecv + p.CopyTime(x.buf.n))
 	x.land(r)
 }
 
@@ -113,8 +113,8 @@ func (r *Rank) processPut(x *xfer) {
 // pool: the put leaves the protocol here.
 func (x *xfer) land(t *Rank) {
 	w := t.window(x.ctx)
-	if x.buf.HasData() && w.buf.HasData() {
-		copy(w.buf.Data()[x.off:], x.buf.Data())
+	if x.buf.i != 0 && w.buf.HasData() {
+		copy(w.buf.Data()[x.off:], t.w.recs.data(x.buf).Data())
 	}
 	if w.perInstance == nil {
 		w.perInstance = map[int64]int{}
@@ -137,15 +137,15 @@ func (w *Win) PutInstanced(instance int64, peer, off int, b Buf) *Request {
 		panic(fmt.Sprintf("mpi: put of %d bytes at offset %d exceeds window size %d", size, off, w.buf.Len()))
 	}
 	req := r.w.allocReq()
-	req.rank, req.peer, req.ctx, req.buf = int32(r.id), int32(peer), int32(w.ctx), b
+	req.rank, req.peer, req.ctx, req.buf.n = int32(r.id), int32(peer), int32(w.ctx), size
 	r.charge(p.OPost + p.OSend)
 	r.outstanding++
 	if !p.RDMA {
 		r.charge(p.CopyTime(size))
 	}
 	x := r.w.allocXfer()
-	x.req, x.src, x.dst, x.buf = req.self, int32(r.id), int32(peer), b.Clone()
+	x.req, x.src, x.dst, x.buf = req.self, int32(r.id), int32(peer), r.w.hold(b.Clone())
 	x.ctx, x.off, x.instance = w.ctx, off, instance
-	r.proc.Do(r.w.fn.xmit, x)
+	r.proc.DoH(r.w.h.xmit, x.self, 0)
 	return req
 }

@@ -18,16 +18,17 @@ const (
 // not be touched through its *Request pointer again — hold a ReqHandle when
 // completion must be observable past an ownership transfer.
 //
-// The record holds no pointer but its payload's: it names its rank by id and
-// every protocol record it links to by index (netmodel.Slab), so the slab
-// chunks it lives in give the collector nothing to trace.
+// The record holds no pointer: it names its rank by id, every protocol
+// record it links to by index (netmodel.Slab) and real payload storage by its
+// slot in the world's payload table, so the slab chunks it lives in give the
+// collector nothing to trace.
 type Request struct {
 	rank int32 // the owner's world rank
 	peer int32 // destination (send) or source filter (recv)
 	ctx  int32 // peer and ctx fit: checkKey bounds them by maxRanks and maxCtx
 	self int32 // this record's index
 	tag  int
-	buf  Buf // payload (send) or destination buffer (recv)
+	buf  payload // rendezvous send: the payload; recv: the destination buffer
 
 	matched int32   // send: the matched receive (rendezvous correlation)
 	mnext   int32   // the matcher's posted chain or bucket, or the shard's free list
@@ -68,14 +69,14 @@ func (h ReqHandle) Done() bool {
 // envelope describes a message in flight. Envelopes are pooled per shard;
 // bnext/gprev/gnext thread them through the matcher's unexpected queues, and
 // bnext a freed envelope through the shard's free list. Like Request it
-// links by index and holds no pointer but its payload's.
+// links by index and holds no pointer.
 type envelope struct {
 	src, dst int32 // world ranks
 	ctx      int32
 	self     int32 // this record's index
 	tag      int
-	buf      Buf
-	sreq     int32 // sending request (rendezvous correlation)
+	buf      payload // eager: a private copy of the payload; RTS: its length
+	sreq     int32   // sending request (rendezvous correlation)
 
 	bnext        int32 // unexpected-queue bucket FIFO link
 	gprev, gnext int32 // unexpected-queue global arrival chain links
@@ -127,29 +128,31 @@ func (n notice) process(r *Rank) {
 }
 
 // The protocol's network calls. A rank decides to send while its clock runs
-// ahead of the engine's, so the call itself is deferred with Proc.Do to the
+// ahead of the engine's, so the call itself is deferred with Proc.DoH to the
 // instant the rank's clock showed (it runs at once when the rank is level).
-// Like the delivery entry points below these are methods of the shard, bound
-// once (newShard), taking the protocol record the message owns anyway —
-// the envelope of an eager payload or RTS, the send request of a CTS, the
-// xfer of bulk data or a put — so neither deferring nor delivering ever
-// allocates a closure. A call runs on the shard of the rank that deferred
-// it; a delivery needs only the rank table, which every shard shares.
+// Like the delivery entry points below these are methods of the shard,
+// registered as engine handlers once (newShard), taking the index of the
+// protocol record the message owns anyway — the envelope of an eager payload
+// or RTS, the send request of a CTS, the xfer of bulk data or a put — so
+// neither deferring nor delivering allocates or holds a pointer. A call runs
+// on the shard of the rank that deferred it; a delivery needs only the rank
+// table, which every shard shares, and gets the index and the rank to notify,
+// so only deliverXfer reads its record.
 
-func (s *shard) xmitEager(arg any) {
-	env := arg.(*envelope)
-	s.net.Transfer(int(env.src), int(env.dst), env.buf.Len(), s.fn.deliverEager, env)
+func (s *shard) xmitEager(i, _ int32) {
+	env := s.recs.env(i)
+	s.net.TransferH(int(env.src), int(env.dst), env.buf.n, s.h.deliverEager, i, env.dst)
 }
 
-func (s *shard) xmitRTS(arg any) {
-	env := arg.(*envelope)
-	s.net.Ctrl(int(env.src), int(env.dst), s.fn.deliverRTS, env)
+func (s *shard) xmitRTS(i, _ int32) {
+	env := s.recs.env(i)
+	s.net.CtrlH(int(env.src), int(env.dst), s.h.deliverRTS, i, env.dst)
 }
 
 // xmitCTS runs on the receiver's shard: the send request's peer.
-func (s *shard) xmitCTS(arg any) {
-	sreq := arg.(*Request)
-	s.net.Ctrl(int(sreq.peer), int(sreq.rank), s.fn.deliverCTS, sreq)
+func (s *shard) xmitCTS(i, _ int32) {
+	sreq := s.recs.req(i)
+	s.net.CtrlH(int(sreq.peer), int(sreq.rank), s.h.deliverCTS, i, sreq.rank)
 }
 
 // xfer is a transfer that moves data by itself once started: a rendezvous
@@ -159,67 +162,64 @@ func (s *shard) xmitCTS(arg any) {
 // Records are pooled like envelopes: drawn from the sender's shard, freed
 // into the receiver's when the data leaves the protocol.
 type xfer struct {
-	req      int32 // the sender's; 0 once xmit completes it at NIC drain
-	rreq     int32 // bulk: the matched receive; 0 for a put
-	src, dst int32 // world ranks: the origin, which a receive completes with, and the target
-	self     int32 // this record's index
-	next     int32 // the shard's free list
-	tag      int   // bulk: what the receive completes with
-	buf      Buf
-	ctx, off int   // put: the target window's context and byte offset
-	instance int64 // put: the collective instance the landing counts for
+	req      int32   // the sender's; 0 once xmit completes it at NIC drain
+	rreq     int32   // bulk: the matched receive; 0 for a put
+	src, dst int32   // world ranks: the origin, which a receive completes with, and the target
+	self     int32   // this record's index
+	next     int32   // the shard's free list
+	tag      int     // bulk: what the receive completes with
+	buf      payload // a private copy of the payload
+	ctx, off int     // put: the target window's context and byte offset
+	instance int64   // put: the collective instance the landing counts for
 }
 
 // xmit starts an xfer. Where the network Splits the transfer, the delivery
 // fires on the receiver's shard, where the sender's request must not be
 // touched: the send completes here instead, when this shard's NIC has
 // drained the payload.
-func (s *shard) xmit(arg any) {
-	x := arg.(*xfer)
+func (s *shard) xmit(i, _ int32) {
+	x := s.recs.xf(i)
 	src, dst := int(x.src), int(x.dst)
 	if !s.net.Splits(src, dst) {
-		s.net.Transfer(src, dst, x.buf.Len(), s.fn.deliverXfer, x)
+		s.net.TransferH(src, dst, x.buf.n, s.h.deliverXfer, i, x.dst)
 		return
 	}
-	req := s.recs.req(x.req)
+	req := x.req
 	x.req = 0
-	drain := s.net.Transfer(src, dst, x.buf.Len(), s.fn.deliverXfer, x)
-	s.eng.AtTimeCall(drain, s.fn.sendDone, req)
+	drain := s.net.TransferH(src, dst, x.buf.n, s.h.deliverXfer, i, x.dst)
+	s.eng.AtTimeH(drain, s.h.sendDone, req, x.src)
 }
 
-// Delivery entry points passed to netmodel: bound methods plus an
-// already-held pointer, so no per-message closure is ever allocated.
+// Delivery entry points passed to netmodel: handlers called with a record's
+// index and the rank to notify.
 
-func (s *shard) deliverEager(arg any) {
-	env := arg.(*envelope)
-	s.ranks[env.dst].enqueue(notice{kind: ntEager, rec: env.self})
+func (s *shard) deliverEager(env, dst int32) {
+	s.ranks[dst].enqueue(notice{kind: ntEager, rec: env})
 }
 
-func (s *shard) deliverRTS(arg any) {
-	env := arg.(*envelope)
-	s.ranks[env.dst].enqueue(notice{kind: ntRTS, rec: env.self})
+func (s *shard) deliverRTS(env, dst int32) {
+	s.ranks[dst].enqueue(notice{kind: ntRTS, rec: env})
 }
 
-func (s *shard) deliverCTS(arg any) {
-	sreq := arg.(*Request)
-	s.ranks[sreq.rank].enqueue(notice{kind: ntCTS, rec: sreq.self})
+func (s *shard) deliverCTS(sreq, rank int32) {
+	s.ranks[rank].enqueue(notice{kind: ntCTS, rec: sreq})
 }
 
 // deliverXfer lands an xfer: the receiver's notice first, then the sender's
 // completion unless xmit already completed it at NIC drain. An RDMA put
 // lands here, with no target CPU; a target blocked in a put-counting
 // schedule must still observe the arrival.
-func (s *shard) deliverXfer(arg any) {
-	x := arg.(*xfer)
-	req, src, dst := x.req, x.src, s.ranks[x.dst]
+func (s *shard) deliverXfer(i, to int32) {
+	x := s.recs.xf(i)
+	req, src, dst := x.req, x.src, s.ranks[to]
 	switch {
 	case x.rreq != 0:
-		dst.enqueue(notice{kind: ntBulk, rec: x.self})
+		dst.enqueue(notice{kind: ntBulk, rec: i})
 	case dst.net().Params().RDMA:
 		x.land(dst)
 		dst.enqueue(notice{kind: ntWake})
 	default:
-		dst.enqueue(notice{kind: ntOneSided, rec: x.self})
+		dst.enqueue(notice{kind: ntOneSided, rec: i})
 	}
 	if req != 0 {
 		s.ranks[src].enqueue(notice{kind: ntSendDone, rec: req})
@@ -228,14 +228,18 @@ func (s *shard) deliverXfer(arg any) {
 
 // sendDone completes a send on the sender's own shard at the time its NIC
 // drained the payload (xmit's split).
-func (s *shard) sendDone(arg any) {
-	sreq := arg.(*Request)
-	s.ranks[sreq.rank].enqueue(notice{kind: ntSendDone, rec: sreq.self})
+func (s *shard) sendDone(sreq, rank int32) {
+	s.ranks[rank].enqueue(notice{kind: ntSendDone, rec: sreq})
 }
 
-// completeRecv finishes a receive request with the given payload.
-func (r *Rank) completeRecv(rreq *Request, src, tag int, data Buf) {
-	Copy(rreq.buf, data)
+// completeRecv finishes a receive request with the given payload, which
+// lands in the receive's buffer; the library lets go of that buffer here.
+func (r *Rank) completeRecv(rreq *Request, src, tag int, data payload) {
+	if rreq.buf.i != 0 {
+		p := r.w.recs
+		Copy(p.data(rreq.buf), p.data(data))
+		r.w.release(&rreq.buf)
+	}
 	rreq.SrcActual, rreq.TagActual = src, tag
 	rreq.done = true
 	r.outstanding--
@@ -245,7 +249,7 @@ func (r *Rank) processEager(env *envelope) {
 	p := r.net().Params()
 	cost := p.ORecv + p.OMatch*float64(r.m.postedCount)
 	if !p.RDMA {
-		cost += p.CopyTime(env.buf.Len())
+		cost += p.CopyTime(env.buf.n)
 	}
 	r.charge(cost)
 	if rreq := r.m.matchArrival(r.w.recs, int(env.ctx), int(env.src), env.tag); rreq != nil {
@@ -277,7 +281,7 @@ func (r *Rank) sendCTS(rreq *Request, env *envelope) {
 	// sender next looks at it when the CTS arrives.
 	sreq := r.w.recs.req(env.sreq)
 	sreq.matched = rreq.self
-	r.proc.Do(r.w.fn.xmitCTS, sreq)
+	r.proc.DoH(r.w.h.xmitCTS, sreq.self, 0)
 }
 
 func (r *Rank) processCTS(sreq *Request) {
@@ -288,21 +292,26 @@ func (r *Rank) processCTS(sreq *Request) {
 	p := r.net().Params()
 	cost := p.OSend
 	if !p.RDMA {
-		cost += p.CopyTime(sreq.buf.Len())
+		cost += p.CopyTime(sreq.buf.n)
 	}
 	r.charge(cost)
 	// The matched receive is the send's destination's, so its rank is the
-	// send's peer and the receive itself stays the receiver's to touch.
+	// send's peer and the receive itself stays the receiver's to touch. The
+	// xfer takes its own copy of the payload, so the send lets go of it.
 	x := r.w.allocXfer()
-	x.req, x.rreq, x.src, x.dst, x.tag, x.buf = sreq.self, sreq.matched, int32(r.id), sreq.peer, sreq.tag, sreq.buf.Clone()
-	r.proc.Do(r.w.fn.xmit, x)
+	x.req, x.rreq, x.src, x.dst, x.tag = sreq.self, sreq.matched, int32(r.id), sreq.peer, sreq.tag
+	if x.buf = sreq.buf; x.buf.i != 0 {
+		x.buf = r.w.holdData(r.w.recs.data(sreq.buf).Clone())
+		r.w.release(&sreq.buf)
+	}
+	r.proc.DoH(r.w.h.xmit, x.self, 0)
 }
 
 func (r *Rank) processBulk(x *xfer) {
 	p := r.net().Params()
 	cost := p.ORecv
 	if !p.RDMA {
-		cost += p.CopyTime(x.buf.Len())
+		cost += p.CopyTime(x.buf.n)
 	}
 	r.charge(cost)
 	r.completeRecv(r.w.recs.req(x.rreq), int(x.src), x.tag, x.buf)
@@ -315,7 +324,7 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 	size := b.Len()
 	r.w.checkKey("isend to", ctx, dst, tag, false)
 	req := r.w.allocReq()
-	req.rank, req.peer, req.tag, req.ctx, req.buf = int32(r.id), int32(dst), tag, int32(ctx), b
+	req.rank, req.peer, req.tag, req.ctx = int32(r.id), int32(dst), tag, int32(ctx)
 	p := r.net().Params()
 	r.charge(p.OPost)
 	if p.Eager(size) {
@@ -328,8 +337,9 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 		}
 		r.charge(cost)
 		env := r.w.allocEnv()
-		env.src, env.dst, env.tag, env.ctx, env.buf = int32(r.id), int32(dst), tag, int32(ctx), b.Clone()
-		r.proc.Do(r.w.fn.xmitEager, env)
+		env.src, env.dst, env.tag, env.ctx, env.buf = int32(r.id), int32(dst), tag, int32(ctx), r.w.hold(b.Clone())
+		r.proc.DoH(r.w.h.xmitEager, env.self, 0)
+		req.buf.n = size
 		req.done = true
 		return req
 	}
@@ -338,10 +348,11 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 	r.outstanding++
 	r.charge(p.OSend)
 	req.rtsAt = r.proc.Now()
+	req.buf = r.w.hold(b)
 	env := r.w.allocEnv()
 	env.src, env.dst, env.tag, env.ctx = int32(r.id), int32(dst), tag, int32(ctx)
-	env.buf, env.sreq = b, req.self
-	r.proc.Do(r.w.fn.xmitRTS, env)
+	env.buf.n, env.sreq = size, req.self
+	r.proc.DoH(r.w.h.xmitRTS, env.self, 0)
 	return req
 }
 
@@ -351,7 +362,7 @@ func (r *Rank) irecv(src, tag, ctx int, b Buf) *Request {
 	// deadlock or a wrong match instead of a bug report.
 	r.w.checkKey("irecv from", ctx, src, tag, true)
 	req := r.w.allocReq()
-	req.rank, req.peer, req.tag, req.ctx, req.buf = int32(r.id), int32(src), tag, int32(ctx), b
+	req.rank, req.peer, req.tag, req.ctx, req.buf = int32(r.id), int32(src), tag, int32(ctx), r.w.hold(b)
 	p := r.net().Params()
 	r.charge(p.OPost + p.OMatch*float64(r.m.eager.count+r.m.rts.count))
 	r.outstanding++

@@ -270,7 +270,7 @@ func TestRecordsCrossShards(t *testing.T) {
 	if s0.envFree != env || s0.xfFree != x {
 		t.Errorf("shard 0 holds envelope %#x and xfer %#x, want %#x and %#x back", s0.envFree, s0.xfFree, env, x)
 	}
-	if got := w.shards[0].recs.env(env); got.self != env || got.sreq != 0 || got.buf.Len() != 0 {
+	if got := w.shards[0].recs.env(env); got.self != env || got.sreq != 0 || got.buf != (payload{}) {
 		t.Errorf("envelope %#x came back as %+v, not blank", env, *got)
 	}
 }

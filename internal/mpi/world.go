@@ -75,29 +75,49 @@ type shard struct {
 	reqFree int32 // through mnext
 	envFree int32 // through bnext
 	xfFree  int32 // through next
+	bufFree int32 // payload slots, through next
+	held    int   // payload slots this shard took minus those it released
 
-	// The protocol's network calls and delivery entry points (p2p.go), bound
-	// once in newShard: a method value made per message would allocate.
-	fn struct {
-		xmitEager, xmitRTS, xmitCTS, xmit                           func(any)
-		deliverEager, deliverRTS, deliverCTS, deliverXfer, sendDone func(any)
-	}
+	// The protocol's network calls and delivery entry points (p2p.go),
+	// registered with the shard's engine in newShard.
+	h handlers
+}
+
+// handlers are the protocol's callbacks as the engine names them. Every shard
+// of a world registers them in the same order after netmodel's, so they are
+// the same on every shard (NewWorld checks it): a delivery sent from one
+// shard names its handler in the table of the engine it fires on.
+type handlers struct {
+	xmitEager, xmitRTS, xmitCTS, xmit                           sim.Handler
+	deliverEager, deliverRTS, deliverCTS, deliverXfer, sendDone sim.Handler
 }
 
 // records is a world's protocol records: one slab each of requests,
-// envelopes and transfers per shard, against which every index a record,
-// notice, matcher queue or free list holds resolves.
+// envelopes, transfers and payload slots per shard, against which every
+// index a record, notice, matcher queue or free list holds resolves.
 type records struct {
-	reqs netmodel.Slabs[Request]
-	envs netmodel.Slabs[envelope]
-	xfs  netmodel.Slabs[xfer]
+	reqs  netmodel.Slabs[Request]
+	envs  netmodel.Slabs[envelope]
+	xfs   netmodel.Slabs[xfer]
+	bufs  netmodel.Slabs[bufSlot]
+	slots int // the first table of a matcher queue's index (keyIndex)
 }
 
-func newRecords(shards int) *records {
+// newRecords returns the records of a world of the given shards and ranks.
+// A queue's first index has room for one key per rank under the 3/4 load,
+// between minSlots and maxFirstSlots slots: a linear all-to-all builds it
+// once instead of doubling it up from minSlots.
+func newRecords(shards, ranks int) *records {
+	slots := minSlots
+	for slots < maxFirstSlots && 3*slots < 4*ranks {
+		slots *= 2
+	}
 	return &records{
-		reqs: netmodel.NewSlabs[Request](shards),
-		envs: netmodel.NewSlabs[envelope](shards),
-		xfs:  netmodel.NewSlabs[xfer](shards),
+		reqs:  netmodel.NewSlabs[Request](shards),
+		envs:  netmodel.NewSlabs[envelope](shards),
+		xfs:   netmodel.NewSlabs[xfer](shards),
+		bufs:  netmodel.NewSlabs[bufSlot](shards),
+		slots: slots,
 	}
 }
 
@@ -105,16 +125,82 @@ func (p *records) req(i int32) *Request  { return p.reqs.At(i) }
 func (p *records) env(i int32) *envelope { return p.envs.At(i) }
 func (p *records) xf(i int32) *xfer      { return p.xfs.At(i) }
 
+// payload is a protocol record's hold on a Buf: its length and, for real
+// storage, the world's payload slot that keeps it (0: a virtual payload). A
+// virtual run never touches the table, and the records that carry a payload
+// hold no pointer.
+type payload struct {
+	n int
+	i int32
+}
+
+// bufSlot is one slot of a world's payload table: the real storage of a
+// record's payload, or, free, the next free slot.
+type bufSlot struct {
+	b    Buf
+	next int32
+}
+
+// data returns the Buf a payload names.
+func (p *records) data(pl payload) Buf {
+	if pl.i == 0 {
+		return Virtual(pl.n)
+	}
+	return p.bufs.At(pl.i).b
+}
+
+// hold returns the payload of b, entering real storage in a slot this shard
+// draws (holdData).
+func (s *shard) hold(b Buf) payload {
+	if b.p == nil {
+		return payload{n: b.n}
+	}
+	return s.holdData(b)
+}
+
+// holdData enters b's storage in a slot from the shard's free list, or fresh
+// from its slab. Like records, a slot freed on another shard belongs to that
+// shard's list.
+func (s *shard) holdData(b Buf) payload {
+	i := s.bufFree
+	var sl *bufSlot
+	if i != 0 {
+		sl = s.recs.bufs.At(i)
+		s.bufFree = sl.next
+	} else {
+		sl, i = s.recs.bufs[s.id].New()
+	}
+	sl.b, sl.next = b, 0
+	s.held++
+	return payload{n: b.Len(), i: i}
+}
+
+// release frees the slot of a payload, if it has one, into this shard's
+// list and leaves the payload virtual: the record lets go of the storage.
+func (s *shard) release(pl *payload) {
+	if pl.i == 0 {
+		return
+	}
+	sl := s.recs.bufs.At(pl.i)
+	sl.b, sl.next = Buf{}, s.bufFree
+	s.bufFree, pl.i = pl.i, 0
+	s.held--
+}
+
 // newShard returns shard number id of a world whose records are recs, its
-// callbacks bound.
+// callbacks registered with the engine of net.
 func newShard(recs *records, id int, net *netmodel.Network, ranks []*Rank, opts Options) *shard {
 	s := &shard{recs: recs, id: id, net: net, ranks: ranks, opts: opts}
-	if net != nil {
-		s.eng = net.Engine()
+	if net == nil {
+		return s
 	}
-	f := &s.fn
-	f.xmitEager, f.xmitRTS, f.xmitCTS, f.xmit = s.xmitEager, s.xmitRTS, s.xmitCTS, s.xmit
-	f.deliverEager, f.deliverRTS, f.deliverCTS, f.deliverXfer, f.sendDone = s.deliverEager, s.deliverRTS, s.deliverCTS, s.deliverXfer, s.sendDone
+	e := net.Engine()
+	s.eng = e
+	s.h = handlers{
+		xmitEager: e.Handle(s.xmitEager), xmitRTS: e.Handle(s.xmitRTS), xmitCTS: e.Handle(s.xmitCTS), xmit: e.Handle(s.xmit),
+		deliverEager: e.Handle(s.deliverEager), deliverRTS: e.Handle(s.deliverRTS), deliverCTS: e.Handle(s.deliverCTS),
+		deliverXfer: e.Handle(s.deliverXfer), sendDone: e.Handle(s.sendDone),
+	}
 	return s
 }
 
@@ -144,9 +230,12 @@ func NewWorld(nets []*netmodel.Network, win *sim.Windows, n int, opts Options) (
 		return nil, fmt.Errorf("mpi: %d ranks but the placement covers %d", n, m)
 	}
 	w := &World{ranks: make([]*Rank, n), shards: make([]*shard, k), win: win, nextCtx: 1}
-	pool := newRecords(k)
+	pool := newRecords(k, n)
 	for i, net := range nets {
 		w.shards[i] = newShard(pool, i, net, w.ranks, opts)
+		if h0 := w.shards[0].h; w.shards[i].h != h0 {
+			return nil, fmt.Errorf("mpi: shard %d registered its handlers at %v, shard 0 at %v", i, w.shards[i].h, h0)
+		}
 	}
 	recs := make([]Rank, n)
 	for i := range recs {
@@ -359,7 +448,7 @@ func (r *Rank) ChargeDDTBlocks(n int) {
 // charge advances the rank's clock by d seconds of library CPU time. The
 // rank does not wait for the engine: whatever follows runs ahead, under the
 // contract of package sim — rank-local state only, every network call
-// deferred with Proc.Do.
+// deferred with Proc.DoH.
 func (r *Rank) charge(d float64) {
 	if d <= 0 {
 		return
@@ -419,6 +508,7 @@ func (s *shard) freeReq(q *Request) {
 	if !q.done {
 		panic("mpi: freeing an incomplete request (Wait before freeing)")
 	}
+	s.release(&q.buf)
 	*q = Request{self: q.self, gen: q.gen + 1, freed: true, mnext: s.reqFree}
 	s.reqFree = q.self
 }
@@ -440,6 +530,7 @@ func (s *shard) allocEnv() *envelope {
 // answered with a CTS (the sender correlation travels on the send request,
 // not the envelope).
 func (s *shard) freeEnv(env *envelope) {
+	s.release(&env.buf)
 	*env = envelope{self: env.self, bnext: s.envFree}
 	s.envFree = env.self
 }
@@ -456,6 +547,7 @@ func (s *shard) allocXfer() *xfer {
 }
 
 func (s *shard) freeXfer(x *xfer) {
+	s.release(&x.buf)
 	*x = xfer{self: x.self, next: s.xfFree}
 	s.xfFree = x.self
 }

@@ -147,12 +147,12 @@ func (p *Params) CopyTime(n int) float64 { return float64(n) / p.CopyBandwidth }
 // the order they are scheduled: a bulk transfer arrives at its rx channel's
 // new rxFree, a control or same-size shared-memory message a fixed time after
 // it is sent. Chaos jitter, torus distances and mixed sizes make the odd
-// message fall back to an ordinary event.
+// message fall back to an ordinary event. The flows inbound to the node are
+// the deliveries its rx lanes hold (inbound).
 type nicState struct {
 	net    *Network  // the view whose engine runs the node: receive halves, deliveries
 	txFree []float64 // per channel
 	rxFree []float64
-	inRx   int        // flows currently inbound to this node
 	rx     []sim.Lane // per channel: bulk transfers in
 	ctrl   sim.Lane   // inter-node control messages in
 	shm    sim.Lane   // shared-memory data
@@ -193,12 +193,12 @@ type Network struct {
 
 	Transfers int64 // Transfer calls, for the benchmark's per-transfer cost
 
-	freeRx int32       // recycled inter-node transfer records, chained through next
+	// A sharded view's records of transfers in flight between shards
+	// (transferPDES); a sequential network has none.
+	freeRx int32       // recycled records, chained through next
 	rxSlab *Slab[rxOp] // this view's, for fresh records when freeRx is empty
 	rxs    Slabs[rxOp] // every view's, which the indices on freeRx name
-	// fireDelivery and fireRxHalf, bound once (bind): a method value made
-	// per message would allocate.
-	fns struct{ delivery, rxHalf func(any) }
+	rxHalf sim.Handler // fireRxHalf, registered with the view's engine (bind)
 
 	rec   *obs.Recorder
 	chaos *chaos.Injector
@@ -216,50 +216,32 @@ type Network struct {
 	wireFloor      map[uint64]float64
 }
 
-// rxOp is one inter-node transfer from the wire on: what its receive half
-// needs and, once that has run, the arrival record that releases the
-// receiver's incast slot and invokes the caller's callback. Pooling it keeps
-// Transfer allocation-free in steady state. On a sharded network a record
-// is drawn on the sending shard's view, crosses the window barrier
-// (transferPDES) and is recycled into the receiving node's view's pool, as
-// mpi's envelope pools exchange records. It names its node and the next
-// record on a free list by index; the caller's (fn, arg) are its only
-// pointers.
+// rxOp is one inter-node transfer at the wire: what its receive half needs,
+// the caller's handler included. A sequential Transfer runs the receive half
+// at once on a copy on the stack; after it, the delivery waits in an rx lane
+// under the caller's handler, and the lane's count is the receiver's incast
+// pressure. On a sharded network, where the receive half crosses the window
+// barrier (transferPDES), a record is drawn from a pool on the sending
+// shard's view and recycled into the receiving node's view's pool when the
+// receive half runs, as mpi's envelope pools exchange records. It names its
+// node, the next record on a free list and the caller's handler by index and
+// holds no pointer, so the slab chunks it lives in are never traced.
 type rxOp struct {
-	node       int32 // the receiving node
-	self, next int32 // this record's index (Slab) and the free list's link
-	src, dst   int32 // ranks, the FIFO clamp's pair (int32 like sim.Pending.Src)
-	bytes      int
-	bw, jit    float64 // the sender's link bandwidth and delivery jitter
-	fn         func(any)
-	arg        any // 72 B in all
+	node     int32 // the receiving node
+	next     int32 // the free list's link
+	src, dst int32 // ranks, the FIFO clamp's pair (int32 like sim.Pending.Src)
+	h        sim.Handler
+	a, b     int32 // the caller's handler and its arguments
+	bytes    int
+	bw, jit  float64 // the sender's link bandwidth and delivery jitter; 56 B in all
 }
 
-// bind makes the view's engine callbacks, once per view.
+// bind registers the view's engine callback, once per view. Every view of a
+// sharded network registers it first on its fresh engine, so it is the same
+// Handler on every view (NewSharded checks it): an rx half another shard
+// sends names its handler in the table of the engine it fires on.
 func (n *Network) bind() {
-	n.fns.delivery, n.fns.rxHalf = n.fireDelivery, n.fireRxHalf
-}
-
-func (n *Network) allocRx() *rxOp {
-	if i := n.freeRx; i != 0 {
-		rx := n.rxs.At(i)
-		n.freeRx, rx.next = rx.next, 0
-		return rx
-	}
-	rx, i := n.rxSlab.New()
-	rx.self = i
-	return rx
-}
-
-// fireDelivery is the engine callback for inter-node arrivals, run by the
-// view of the receiving node.
-func (n *Network) fireDelivery(arg any) {
-	rx := arg.(*rxOp)
-	fn, a := rx.fn, rx.arg
-	n.nodes[rx.node].inRx--
-	rx.fn, rx.arg = nil, nil // release references
-	rx.next, n.freeRx = n.freeRx, rx.self
-	fn(a)
+	n.rxHalf = n.eng.Handle(n.fireRxHalf)
 }
 
 // SetRecorder attaches an observability recorder; Transfer then reports the
@@ -313,8 +295,7 @@ func New(eng *sim.Engine, p Params, nodeOf []int) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{eng: eng, p: p, nodeOf: append([]int(nil), nodeOf...), rxs: NewSlabs[rxOp](1)}
-	n.rxSlab = n.rxs[0]
+	n := &Network{eng: eng, p: p, nodeOf: append([]int(nil), nodeOf...)}
 	n.bind()
 	n.nodes = newNodes(used, p.NICs, func(int) *Network { return n })
 	n.topo = newTopo(&n.p, len(n.nodes))
@@ -358,21 +339,27 @@ func minIdx(xs []float64) int {
 	return best
 }
 
-// Transfer schedules the movement of `bytes` payload bytes from the node of
-// rank src to the node of rank dst, and invokes deliver(arg) (in engine
-// event context) at the virtual time the last byte arrives. It returns the
-// predicted arrival time — for a transfer the view Splits, the time the
-// sender's NIC has drained the payload (transferPDES). The
-// (deliver, arg) pair replaces a closure so the caller can pass a
-// package-level function and an already-held pointer, keeping the
-// per-message hot path allocation-free.
+// Transfer is TransferH's (deliver, arg) form, through the engine's box
+// table (sim.Engine.Box).
 func (n *Network) Transfer(src, dst, bytes int, deliver func(any), arg any) float64 {
+	h, a, b := n.eng.Box(deliver, arg)
+	return n.TransferH(src, dst, bytes, h, a, b)
+}
+
+// TransferH schedules the movement of `bytes` payload bytes from the node of
+// rank src to the node of rank dst, and calls handler h with (ha, hb) (in
+// engine event context) at the virtual time the last byte arrives. It
+// returns the predicted arrival time — for a transfer the view Splits, the
+// time the sender's NIC has drained the payload (transferPDES). The handler
+// is resolved on the engine of the receiving node's view, so on a sharded
+// network it must be registered on every view's engine at the same place.
+func (n *Network) TransferH(src, dst, bytes int, h sim.Handler, ha, hb int32) float64 {
 	now := n.eng.Now()
 	n.Transfers++
 	a, b := n.nodeOf[src], n.nodeOf[dst]
 	if a == b {
 		arrival := now + n.p.ShmLatency + float64(bytes)/n.p.ShmBandwidth
-		n.nodes[a].shm.Append(arrival, deliver, arg)
+		n.nodes[a].shm.AppendH(arrival, h, ha, hb)
 		return arrival
 	}
 	// With no injector attached these are exactly the static params (same
@@ -391,15 +378,12 @@ func (n *Network) Transfer(src, dst, bytes int, deliver func(any), arg any) floa
 	sn.txFree[ti] = txEnd
 	n.rec.NIC(a, ti, obs.TX, start, txEnd, bytes)
 
-	rx := n.allocRx()
-	// Field by field: a whole-struct store of a pointer-holding record is a
-	// bulk copy under the GC's write barrier, measurably slower here.
-	rx.node, rx.bytes, rx.src, rx.dst, rx.bw, rx.jit, rx.fn, rx.arg = int32(b), bytes, int32(src), int32(dst), bw, jit, deliver, arg
+	rx := rxOp{node: int32(b), src: int32(src), dst: int32(dst), h: h, a: ha, b: hb, bytes: bytes, bw: bw, jit: jit}
 	if n.pdes != nil {
-		n.transferPDES(rx, start+lat)
+		n.transferPDES(&rx, start+lat)
 		return txEnd
 	}
-	return n.receive(rx, start+lat)
+	return n.receive(&rx, start+lat)
 }
 
 // degrade applies the injector to the static latency and bandwidth of a
@@ -414,12 +398,11 @@ func (n *Network) degrade(now float64, src, a, b int, lat, bw float64) (float64,
 // receive runs the receive half on n, the view of the receiving node, the
 // wire having delivered the message's head at time wire: incast pressure,
 // receiver NIC serialization, the sender's jitter and the pair's FIFO clamp,
-// then the delivery, queued in the lane of its rx channel. It returns the
-// arrival time.
+// then the delivery of the caller's handler, queued in the lane of its rx
+// channel. It returns the arrival time.
 func (n *Network) receive(rx *rxOp, wire float64) float64 {
 	rn := &n.nodes[rx.node]
-	flows := rn.inRx
-	rn.inRx++
+	flows := rn.inbound()
 	factor := 1.0
 	if over := flows - n.p.IncastK; over > 0 {
 		factor += n.p.IncastBeta * float64(over)
@@ -437,20 +420,37 @@ func (n *Network) receive(rx *rxOp, wire float64) float64 {
 	if n.chaos != nil {
 		arrival = fifoClamp(n.chaosFloor, int(rx.src), int(rx.dst), arrival)
 	}
-	rn.rx[ri].Append(arrival, n.fns.delivery, rx)
+	rn.rx[ri].AppendH(arrival, rx.h, rx.a, rx.b)
 	return arrival
 }
 
-// Ctrl schedules a small control message (RTS/CTS/ack) from src to dst,
-// invoking deliver(arg) on arrival. Control messages ride lanes of their own:
-// they see wire latency but do not occupy NIC channels, so bulk transfers
-// cannot head-of-line block the protocol handshake.
+// inbound returns the flows inbound to the node: the deliveries its rx lanes
+// hold, from the receive half that queued each to the instant it fires.
+func (nd *nicState) inbound() int {
+	flows := 0
+	for _, l := range nd.rx {
+		flows += l.Pending()
+	}
+	return flows
+}
+
+// Ctrl is CtrlH's (deliver, arg) form, through the engine's box table.
 func (n *Network) Ctrl(src, dst int, deliver func(any), arg any) float64 {
+	h, a, b := n.eng.Box(deliver, arg)
+	return n.CtrlH(src, dst, h, a, b)
+}
+
+// CtrlH schedules a small control message (RTS/CTS/ack) from src to dst,
+// calling handler h with (ha, hb) on arrival, resolved as TransferH's.
+// Control messages ride lanes of their own: they see wire latency but do not
+// occupy NIC channels, so bulk transfers cannot head-of-line block the
+// protocol handshake.
+func (n *Network) CtrlH(src, dst int, h sim.Handler, ha, hb int32) float64 {
 	now := n.eng.Now()
 	a, b := n.nodeOf[src], n.nodeOf[dst]
 	if a == b {
 		arrival := now + n.p.ShmLatency
-		n.nodes[a].shmCtl.Append(arrival, deliver, arg)
+		n.nodes[a].shmCtl.AppendH(arrival, h, ha, hb)
 		return arrival
 	}
 	lat, bw, jit := n.wireLatency(a, b), n.p.Bandwidth, 0.0
@@ -465,9 +465,9 @@ func (n *Network) Ctrl(src, dst int, deliver func(any), arg any) float64 {
 		// Cross-node control messages cross the window barrier like bulk
 		// deliveries: arrival >= now + Latency >= the window end, so the
 		// merge at the next barrier always precedes the event.
-		n.pdes.out.Add(arrival, int32(src), n.nextSeq(src), n.pdes.shardOfNode[b], deliver, arg)
+		n.pdes.out.Add(arrival, int32(src), n.nextSeq(src), n.pdes.shardOfNode[b], h, ha, hb)
 		return arrival
 	}
-	n.nodes[b].ctrl.Append(arrival, deliver, arg)
+	n.nodes[b].ctrl.AppendH(arrival, h, ha, hb)
 	return arrival
 }

@@ -69,7 +69,19 @@ func (n *Network) transferPDES(rx *rxOp, wire float64) {
 	if n.chaos != nil {
 		wire = fifoClamp(n.wireFloor, int(rx.src), int(rx.dst), wire)
 	}
-	n.pdes.out.Add(wire, rx.src, n.nextSeq(int(rx.src)), n.pdes.shardOfNode[rx.node], n.fns.rxHalf, rx)
+	p, i := n.allocRx()
+	*p = *rx
+	n.pdes.out.Add(wire, rx.src, n.nextSeq(int(rx.src)), n.pdes.shardOfNode[rx.node], n.rxHalf, i, 0)
+}
+
+// allocRx draws a record for a transfer that crosses the window barrier.
+func (n *Network) allocRx() (*rxOp, int32) {
+	if i := n.freeRx; i != 0 {
+		rx := n.rxs.At(i)
+		n.freeRx = rx.next
+		return rx, i
+	}
+	return n.rxSlab.New()
 }
 
 // Splits reports whether this view splits a transfer from rank src to rank
@@ -85,11 +97,14 @@ func (n *Network) Splits(src, dst int) bool {
 func (n *Network) Owns(rank int) bool { return n.nodes[n.nodeOf[rank]].net == n }
 
 // fireRxHalf runs on the destination shard at wire-arrival time, on the view
-// of the receiving node; the nodes are shared, so any view's callback finds it.
-func (n *Network) fireRxHalf(arg any) {
-	rx := arg.(*rxOp)
+// of the receiving node (the nodes are shared, so any view's callback finds
+// it), which recycles the record into its pool.
+func (n *Network) fireRxHalf(i, _ int32) {
+	p := n.rxs.At(i)
+	rx := *p
 	dn := n.nodes[rx.node].net
-	dn.receive(rx, dn.eng.Now())
+	p.next, dn.freeRx = dn.freeRx, i
+	dn.receive(&rx, dn.eng.Now())
 }
 
 // NewSharded builds the sharded network: one engine per shard, seeded with
@@ -128,8 +143,11 @@ func NewSharded(p Params, nodeOf []int, shards int, seed int64) ([]*Network, *si
 	rxs := NewSlabs[rxOp](shards)
 	nets := make([]*Network, shards)
 	for s := range engs {
-		nets[s] = &Network{eng: engs[s], p: p, nodeOf: placement, rxs: rxs, rxSlab: rxs[s]}
+		nets[s] = &Network{eng: engs[s], p: p, nodeOf: placement, rxs: rxs, rxSlab: &rxs[s]}
 		nets[s].bind()
+		if nets[s].rxHalf != nets[0].rxHalf {
+			return nil, nil, fmt.Errorf("netmodel: view %d registered its receive half as handler %d, view 0 as %d", s, nets[s].rxHalf, nets[0].rxHalf)
+		}
 		nets[s].pdes = &pdesLinks{out: ws.Outbox(s), shardOfNode: shardOfNode, seq: seq}
 	}
 	nodes := newNodes(used, p.NICs, func(node int) *Network { return nets[shardOfNode[node]] })

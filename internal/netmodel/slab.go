@@ -26,12 +26,16 @@ import (
 // A new Slab has allocated no chunk and no directory. Only its owner shard
 // may call New.
 type Slab[T any] struct {
-	dir   atomic.Pointer[[][]T] // chunk directory; entry 0 stays empty, so index 0 names nothing
-	chunk []T                   // the unused rest of the current chunk
-	next  int32                 // the index of chunk[0]
-	n     int                   // the record count of the current chunk
-	used  int                   // directory entries in use, entry 0 included
-	shard int32
+	// dir is the published directory: its first entry, which stays nil so
+	// that index 0 names nothing, followed by the first element of every
+	// chunk. At reaches a record through it in two loads.
+	dir    atomic.Pointer[*T]
+	chunks []*T // the owner's view of the directory, whose first entry dir points at
+	chunk  []T  // the current chunk
+	used   int  // records of chunk handed out: a cursor, so New stores no pointer
+	next   int32
+	shard  int32
+	_      [64]byte // the slabs of a world's shards sit side by side: keep their owners' writes off each other's cache lines
 }
 
 const (
@@ -49,7 +53,7 @@ const (
 
 // Slabs is one Slab per shard of a world, indexed by shard: the set an index
 // of any of them resolves against.
-type Slabs[T any] []*Slab[T]
+type Slabs[T any] []Slab[T]
 
 // NewSlabs returns the slabs of a world of k shards, none of which has
 // allocated a chunk yet.
@@ -59,25 +63,28 @@ func NewSlabs[T any](k int) Slabs[T] {
 	}
 	ss := make(Slabs[T], k)
 	for i := range ss {
-		ss[i] = &Slab[T]{shard: int32(i)}
+		ss[i].shard = int32(i)
 	}
 	return ss
 }
 
-// At returns the record an index names. The index must be one New returned.
+// At returns the record an index names. The index must be one New returned:
+// At does no bounds check, the directory entry and the slot being there by
+// construction.
 func (ss Slabs[T]) At(i int32) *T {
 	u := uint32(i)
-	d := *ss[u>>(slabSlotBits+slabChunkBits)].dir.Load()
-	return &d[u>>slabSlotBits&(1<<slabChunkBits-1)][u&(1<<slabSlotBits-1)]
+	d := ss[u>>(slabSlotBits+slabChunkBits)].dir.Load()
+	base := *(**T)(unsafe.Add(unsafe.Pointer(d), uintptr(u>>slabSlotBits&(1<<slabChunkBits-1))*unsafe.Sizeof(d)))
+	return (*T)(unsafe.Add(unsafe.Pointer(base), uintptr(u&(1<<slabSlotBits-1))*unsafe.Sizeof(*base)))
 }
 
 // New returns a zeroed record that nothing else references, and its index.
 func (s *Slab[T]) New() (*T, int32) {
-	if len(s.chunk) == 0 {
+	if s.used == len(s.chunk) {
 		s.grow()
 	}
-	t, i := &s.chunk[0], s.next
-	s.chunk = s.chunk[1:]
+	t, i := &s.chunk[s.used], s.next
+	s.used++
 	s.next++
 	return t, i
 }
@@ -87,26 +94,17 @@ func (s *Slab[T]) New() (*T, int32) {
 // never written again at an entry it can reach.
 func (s *Slab[T]) grow() {
 	var zero T
-	s.n = max(slabFirst, min(2*s.n, slabBytes/int(unsafe.Sizeof(zero)), 1<<slabSlotBits))
-	if s.used == 0 {
-		s.used = 1
+	n := max(slabFirst, min(2*len(s.chunk), slabBytes/int(unsafe.Sizeof(zero)), 1<<slabSlotBits))
+	if len(s.chunks) == 1<<slabChunkBits {
+		panic(fmt.Sprintf("netmodel: shard %d has carved %d chunks of %T, all an index can name", s.shard, len(s.chunks)-1, zero))
 	}
-	if s.used == 1<<slabChunkBits {
-		panic(fmt.Sprintf("netmodel: shard %d has carved %d chunks of %T, all an index can name", s.shard, s.used-1, zero))
+	if len(s.chunks) == cap(s.chunks) {
+		grown := make([]*T, max(1, len(s.chunks)), max(8, 2*len(s.chunks)))
+		copy(grown, s.chunks)
+		s.chunks = grown
+		s.dir.Store(&grown[0])
 	}
-	d := s.dir.Load()
-	if d == nil || s.used == len(*d) {
-		var old [][]T
-		if d != nil {
-			old = *d
-		}
-		nd := make([][]T, max(8, 2*len(old)))
-		copy(nd, old)
-		d = &nd
-		s.dir.Store(d)
-	}
-	s.chunk = make([]T, s.n)
-	(*d)[s.used] = s.chunk
-	s.next = s.shard<<(slabSlotBits+slabChunkBits) | int32(s.used)<<slabSlotBits
-	s.used++
+	s.chunk, s.used = make([]T, n), 0
+	s.next = s.shard<<(slabSlotBits+slabChunkBits) | int32(len(s.chunks))<<slabSlotBits
+	s.chunks = append(s.chunks, &s.chunk[0])
 }

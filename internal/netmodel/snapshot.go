@@ -24,8 +24,8 @@ type Snapshot struct {
 }
 
 // Snapshot captures the network's state. The network must be quiescent: the
-// engine owning it has drained its queue, so no delivery is in flight (every
-// inRx slot released). A recorder, if attached, is not carried across — it
+// engine owning it has drained its queue, so no delivery is in flight. A
+// recorder, if attached, is not carried across — it
 // is an observer of the parent run, not part of the simulated state.
 func (n *Network) Snapshot() (*Snapshot, error) {
 	if n.pdes != nil {
@@ -40,8 +40,8 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 		transfers: n.Transfers,
 	}
 	for i, nd := range n.nodes {
-		if nd.inRx != 0 {
-			return nil, fmt.Errorf("netmodel: snapshot with %d transfer(s) still inbound to node %d", nd.inRx, i)
+		if f := nd.inbound(); f != 0 {
+			return nil, fmt.Errorf("netmodel: snapshot with %d transfer(s) still inbound to node %d", f, i)
 		}
 		s.tx[i] = append([]float64(nil), nd.txFree...)
 		s.rx[i] = append([]float64(nil), nd.rxFree...)
@@ -70,9 +70,7 @@ func (s *Snapshot) Fork(eng *sim.Engine, inj *chaos.Injector) *Network {
 		nodeOf:    s.nodeOf,
 		topo:      s.topo,
 		Transfers: s.transfers,
-		rxs:       NewSlabs[rxOp](1),
 	}
-	n.rxSlab = n.rxs[0]
 	n.bind()
 	n.nodes = newNodes(len(s.tx), s.p.NICs, func(int) *Network { return n })
 	for i := range n.nodes {

@@ -13,7 +13,7 @@
 //
 // A process has a clock of its own, and spending virtual time does not park
 // its coroutine. Proc.Advance adds to the process's clock and records a stop,
-// the instant a Sleep of the same length would have ended; Proc.Do defers a
+// the instant a Sleep of the same length would have ended; Proc.DoH defers a
 // call to the current stop (and runs it at once while the process is level
 // with the engine). The coroutine parks only where it needs something from
 // the engine: in Proc.Sync (until the engine has caught up; Sleep is Advance
@@ -38,7 +38,7 @@
 // Advance, and anything inside a poll. It touches only state its own process
 // owns (or state, like a free list, whose order of use no result depends on).
 // It defers every interaction with the engine, the network or another process
-// with Do. It never parks: Sync, ParkUntil and Cond.Wait inside a poll or a
+// with DoH. It never parks: Sync, ParkUntil and Cond.Wait inside a poll or a
 // deferred call panic, and in a poll the itinerary's bound is honoured by
 // giving up (Proc.Full), not by syncing — except for the one step of new
 // work a poll starts once its wait holds (see maxAhead). And it reads what an
@@ -60,8 +60,19 @@
 // sifts bottom-up, and a walking ticket is re-keyed at the top of the array
 // instead of being popped and pushed, as is the head of a Lane.
 // The steady-state hot path (schedule, fire, re-key, free-list) performs no
-// allocation. Callback state that would otherwise force a closure allocation
-// can be passed through AtCall's (fn, arg) pair.
+// allocation.
+//
+// # Handlers
+//
+// A callback is a Handler: a func(a, b int32) registered once with
+// Engine.Handle, named by its index in the engine's table, and scheduled with
+// two int32 arguments — a record index and a rank, say. So an event record, a
+// lane entry and a deferred call hold no pointer, and the pools that hold them
+// give the collector nothing to trace however many messages are in flight.
+// The (fn, arg) forms (At, AtCall, AtTimeCall, InjectAt, Lane.Append, Proc.Do)
+// are adapters onto the same path: they park the pair in the engine's box
+// table and schedule the box handler with its slot, drawing their sequence
+// number exactly where a handler-form call would.
 package sim
 
 import (
@@ -69,7 +80,9 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime/debug"
 	"sort"
+	"sync"
 )
 
 // Time is virtual time in seconds.
@@ -77,23 +90,44 @@ type Time = float64
 
 // Event kinds stored in pooled event records.
 const (
-	evFunc uint8 = iota // fn()
-	evCall              // fn2(arg)
-	evWake              // wake proc if still parked on generation wgen
-	evLane              // the next callback of the Lane in arg
+	evCall     uint8 = iota // handler h with (a, b)
+	evWake                  // wake process a if still parked on generation wgen
+	evLane                  // the next callback of lane a
+	evFallback              // handler h with (a, b), appended to lane wgen out of order
 )
 
 // eventRec is what a pooled event does when it fires, recycled through a free
 // list afterwards; when it fires is the key of its queue entry (heapEnt). A
 // scheduled event cannot be withdrawn: the one kind that goes stale, the wake
-// ticket, is dropped by its park generation when it fires.
+// ticket, is dropped by its park generation when it fires. It names its
+// handler, process or lane by index and holds no pointer.
 type eventRec struct {
-	wgen uint64    // evWake: park generation the ticket targets
-	fn   func()    // evFunc
-	fn2  func(any) // evCall
-	arg  any       // evCall; evLane: the *Lane
-	proc *Proc     // evWake
+	wgen uint64  // evWake: park generation the ticket targets; evFallback: the lane
+	h    Handler // evCall, evFallback
+	a, b int32   // evCall, evFallback: the handler's arguments; evWake: the process; evLane: the lane
 	kind uint8
+}
+
+// Handler names a callback registered with Engine.Handle: its index in the
+// engine's handler table.
+type Handler int32
+
+// boxHandler is every engine's first handler: it calls the (fn, arg) pair an
+// adapter parked in box slot a.
+const boxHandler Handler = 0
+
+// boxes is the slot table the (fn, arg) adapters park their pairs in until the
+// box handler fires. The engines of a Windows share one, under a lock: a
+// delivery boxed on one shard may fire on another.
+type boxes struct {
+	mu   *sync.Mutex // nil while one engine owns the table
+	s    []box
+	free []int32
+}
+
+type box struct {
+	fn  func(any)
+	arg any
 }
 
 // ProcPanic wraps a panic that escaped a simulated process body, or a poll or
@@ -134,12 +168,23 @@ type Engine struct {
 	deadline  Time       // horizon of the current Run/RunUntil
 	strictEnd bool       // exclusive horizon: stop before t == deadline (PDES windows)
 	procPanic *ProcPanic // pending fault captured from a process body
+	// blamed is 1 + the index of the process whose poll or deferred calls are
+	// running in event context (Proc.reach), on whichever goroutine fires
+	// events, and 0 otherwise: a panic that escapes while it is set is that
+	// process's, and the recovery that catches it (runBody, runLoop) wraps it
+	// so. One field, not a deferred recover per wake ticket, and an index, not
+	// a pointer the collector's write barrier would see twice per ticket.
+	blamed int32
 
 	procs []*Proc
 	live  int
 	rng   *ClonableRand
 
-	lanePool []laneEnt // the callbacks of every lane (lane.go); entry 0 is unused
+	handlers []func(a, b int32) // indexed by Handler; handlers[0] opens a box
+	box      *boxes
+
+	lanes    []laneQ   // every bound lane's head and tail (lane.go), indexed by its id
+	lanePool []laneEnt // the callbacks of every lane; entry 0 is unused
 	laneFree int32     // first free entry of lanePool, chained through next; 0: none
 
 	// Stats counters, useful in tests and for harness reporting.
@@ -151,8 +196,64 @@ type Engine struct {
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: NewClonableRand(seed)}
+	return newEngine(&Engine{rng: NewClonableRand(seed)})
 }
+
+// newEngine gives e its handler table, holding the box handler alone, and an
+// empty box table.
+func newEngine(e *Engine) *Engine {
+	e.box = &boxes{}
+	e.handlers = []func(a, b int32){e.openBox}
+	return e
+}
+
+// Handle registers fn and returns the Handler that names it on this engine.
+// Handlers are numbered in registration order, so engines that register the
+// same callbacks in the same order agree on every Handler: an event another
+// shard's engine injects (Windows) names its handler in the table of the
+// engine it fires on.
+func (e *Engine) Handle(fn func(a, b int32)) Handler {
+	e.handlers = append(e.handlers, fn)
+	return Handler(len(e.handlers) - 1)
+}
+
+// park puts (fn, arg) in a free box slot and returns the slot.
+func (bt *boxes) park(fn func(any), arg any) int32 {
+	if bt.mu != nil {
+		bt.mu.Lock()
+	}
+	var i int32
+	if n := len(bt.free); n > 0 {
+		i = bt.free[n-1]
+		bt.free = bt.free[:n-1]
+		bt.s[i] = box{fn, arg}
+	} else {
+		i = int32(len(bt.s))
+		bt.s = append(bt.s, box{fn, arg})
+	}
+	if bt.mu != nil {
+		bt.mu.Unlock()
+	}
+	return i
+}
+
+// openBox is the box handler: it frees slot i and calls what it held.
+func (e *Engine) openBox(i, _ int32) {
+	bt := e.box
+	if bt.mu != nil {
+		bt.mu.Lock()
+	}
+	b := bt.s[i]
+	bt.s[i] = box{}
+	bt.free = append(bt.free, i)
+	if bt.mu != nil {
+		bt.mu.Unlock()
+	}
+	b.fn(b.arg)
+}
+
+// callThunk calls the func() At parked as its argument.
+func callThunk(fn any) { fn.(func())() }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -174,14 +275,9 @@ func (e *Engine) allocRec() int32 {
 	return int32(len(e.recs) - 1)
 }
 
-// freeRec recycles a record, dropping its references so fired callbacks can
-// be collected.
+// freeRec recycles a record. It holds no reference, so nothing needs
+// clearing.
 func (e *Engine) freeRec(idx int32) {
-	r := &e.recs[idx]
-	r.fn = nil
-	r.fn2 = nil
-	r.arg = nil
-	r.proc = nil
 	e.free = append(e.free, idx)
 }
 
@@ -331,26 +427,58 @@ func (e *Engine) due(d Time) Time {
 
 // scheduleAt allocates and enqueues a record firing at absolute time t under
 // the engine's next sequence number.
-func (e *Engine) scheduleAt(t Time, kind uint8) int32 {
+func (e *Engine) scheduleAt(t Time, kind uint8) *eventRec {
 	e.seq++
 	idx := e.allocRec()
-	e.recs[idx].kind = kind
+	r := &e.recs[idx]
+	r.kind = kind
 	e.heapPush(mkEnt(evKey{t, e.seq}, idx))
-	return idx
+	return r
+}
+
+// callAt schedules handler h with (a, b) at absolute time t.
+func (e *Engine) callAt(t Time, h Handler, a, b int32) {
+	r := e.scheduleAt(t, evCall)
+	r.h, r.a, r.b = h, a, b
+}
+
+// AtTimeH schedules handler h with (a, b) at absolute virtual time t
+// (t >= Now()), under the time of the relative-delay round trip,
+// now + (t - now).
+func (e *Engine) AtTimeH(t Time, h Handler, a, b int32) {
+	e.callAt(e.due(t-e.now), h, a, b)
+}
+
+// InjectH enqueues handler h with (a, b) at absolute virtual time t,
+// bypassing the delay-relative schedule path. It exists for the PDES window
+// barrier: the destination engine's clock at a barrier depends on how ranks
+// are partitioned, so computing a relative delay (t - now) and adding it back
+// would reintroduce partition-dependent floating-point round-off. Injected
+// events receive the engine's next sequence number, so the caller's
+// injection order is the tie-break order for simultaneous events.
+func (e *Engine) InjectH(t Time, h Handler, a, b int32) {
+	if !(t >= e.now) {
+		panic(fmt.Sprintf("sim: injecting event in the past (t=%g, now=%g)", t, e.now))
+	}
+	e.callAt(t, h, a, b)
 }
 
 // At schedules fn to run after delay d (d >= 0). Scheduling with d < 0
 // panics: the past is immutable.
-func (e *Engine) At(d Time, fn func()) {
-	e.recs[e.scheduleAt(e.due(d), evFunc)].fn = fn
+func (e *Engine) At(d Time, fn func()) { e.AtCall(d, callThunk, fn) }
+
+// AtCall schedules fn(arg) after delay d, through the box table.
+func (e *Engine) AtCall(d Time, fn func(any), arg any) {
+	t := e.due(d)
+	h, a, b := e.Box(fn, arg)
+	e.callAt(t, h, a, b)
 }
 
-// AtCall schedules fn(arg) after delay d. It is the allocation-free variant
-// of At for hot paths: passing state through arg instead of a closure lets
-// callers schedule with a package-level function and an already-held pointer.
-func (e *Engine) AtCall(d Time, fn func(any), arg any) {
-	r := &e.recs[e.scheduleAt(e.due(d), evCall)]
-	r.fn2, r.arg = fn, arg
+// Box parks (fn, arg) in the engine's box table and returns the handler form
+// that calls fn(arg) once and frees the slot: what a (fn, arg) adapter
+// schedules in place of the pair.
+func (e *Engine) Box(fn func(any), arg any) (Handler, int32, int32) {
+	return boxHandler, e.box.park(fn, arg), 0
 }
 
 // AtTimeCall schedules fn(arg) at absolute virtual time t (t >= Now()).
@@ -358,28 +486,19 @@ func (e *Engine) AtTimeCall(t Time, fn func(any), arg any) {
 	e.AtCall(t-e.now, fn, arg)
 }
 
-// InjectAt enqueues fn(arg) at absolute virtual time t, bypassing the
-// delay-relative schedule path. It exists for the PDES window barrier: the
-// destination engine's clock at a barrier depends on how ranks are
-// partitioned, so computing a relative delay (t - now) and adding it back
-// would reintroduce partition-dependent floating-point round-off. Injected
-// events receive the engine's next sequence number, so the caller's
-// injection order is the tie-break order for simultaneous events.
+// InjectAt is InjectH's (fn, arg) form.
 func (e *Engine) InjectAt(t Time, fn func(any), arg any) {
-	if !(t >= e.now) {
-		panic(fmt.Sprintf("sim: injecting event in the past (t=%g, now=%g)", t, e.now))
-	}
-	r := &e.recs[e.scheduleAt(t, evCall)]
-	r.fn2, r.arg = fn, arg
+	h, a, b := e.Box(fn, arg)
+	e.InjectH(t, h, a, b)
 }
 
-// wakeAt schedules a wake ticket for p's park generation g at absolute time
+// wakeAt schedules a wake ticket for process p's park generation g at absolute time
 // t. Wake tickets are plain pooled records — no closure — and stale tickets
 // (the process was already woken, re-parked, or finished) are dropped in the
 // event loop (fire), which is how same-instant wakeups coalesce into one.
-func (e *Engine) wakeAt(t Time, p *Proc, g uint64) {
-	r := &e.recs[e.scheduleAt(t, evWake)]
-	r.proc, r.wgen = p, g
+func (e *Engine) wakeAt(t Time, p int32, g uint64) {
+	r := e.scheduleAt(t, evWake)
+	r.a, r.wgen = p, g
 }
 
 // horizonReached reports whether no queued event may fire under the current
@@ -413,19 +532,20 @@ func (e *Engine) fire() *Proc {
 		e.now = top.time()
 		e.EventsFired++
 		switch r.kind {
-		case evFunc:
-			fn := r.fn
-			e.heapPop()
-			fn()
 		case evCall:
-			fn, arg := r.fn2, r.arg
+			h, a, b := r.h, r.a, r.b
 			e.heapPop()
-			fn(arg)
+			e.handlers[h](a, b)
 		case evLane:
-			fn, arg := r.arg.(*Lane).next()
-			fn(arg)
+			h, a, b := e.laneNext(r.a)
+			e.handlers[h](a, b)
+		case evFallback:
+			h, a, b := r.h, r.a, r.b
+			e.lanes[r.wgen].n--
+			e.heapPop()
+			e.handlers[h](a, b)
 		default: // evWake
-			if q := r.proc; q.done || q.gen != r.wgen {
+			if q := e.procs[r.a]; q.done || q.gen != r.wgen {
 				e.heapPop() // stale ticket: this wakeup was coalesced away
 			} else if q.reach(idx) {
 				e.Resumes++
@@ -447,9 +567,24 @@ func (e *Engine) runLoop(deadline Time) {
 	// processes parked that nothing will resume.
 	failed := true
 	defer func() {
-		if failed {
-			e.abandon()
+		if !failed {
+			return
 		}
+		if b := e.blamed; b != 0 {
+			// A poll or deferred call fired on this goroutine: its process is
+			// to blame. Wrapped before the unwinding, whose processes must not
+			// see it.
+			q := e.procs[b-1]
+			e.blamed = 0
+			r := recover()
+			pp, ok := r.(*ProcPanic)
+			if !ok {
+				pp = &ProcPanic{Proc: q.name, Value: r, Stack: debug.Stack()}
+			}
+			e.abandon()
+			panic(pp)
+		}
+		e.abandon()
 	}()
 	for q := e.fire(); q != nil; {
 		q, _ = q.next()

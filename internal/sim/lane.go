@@ -10,36 +10,65 @@ package sim
 // becomes an ordinary event (Engine.LaneFallbacks), so every lane stays
 // sorted and the firing order is exact whatever the caller promises. The
 // callbacks of all of an engine's lanes share one pool, grown by doubling,
-// with a free list. The
-// zero Lane is empty and must be bound to its engine before the first Append.
+// with a free list, and a lane's head and tail live in the engine too: a Lane
+// is a handle, its engine and its number there. The zero Lane is empty and
+// must be bound to its engine before the first Append.
 type Lane struct {
-	eng        *Engine
-	head, tail int32 // first and last pending callback in the engine's pool; 0 while empty
+	eng *Engine
+	id  int32 // the lane's entry in eng.lanes
+}
+
+// laneQ is a bound lane's first and last pending callback in the engine's
+// pool, 0 while the lane is empty, and the number of its callbacks that have
+// not fired, the ones that fell back to ordinary events included.
+type laneQ struct {
+	head, tail int32
+	n          int32
 }
 
 // laneEnt is a pending callback, its key and the index of the callback behind
-// it in its lane (once fired, of the next free entry).
+// it in its lane (once fired, of the next free entry): 32 bytes, no pointer.
 type laneEnt struct {
 	evKey
-	fn   func(any)
-	arg  any
+	h    Handler
+	a, b int32
 	next int32
 }
 
 // Bind attaches the lane to the engine its callbacks fire on, before the first
 // Append or while the lane is empty.
-func (l *Lane) Bind(e *Engine) { l.eng = e }
+func (l *Lane) Bind(e *Engine) {
+	if l.eng == e {
+		return
+	}
+	l.eng, l.id = e, int32(len(e.lanes))
+	e.lanes = append(e.lanes, laneQ{})
+}
 
-// Append schedules fn(arg) at absolute virtual time t (t >= Now()) under the
-// key Engine.AtTimeCall would give it: the next sequence number, and the time
-// of the relative-delay round trip, now + (t - now).
+// Append is AppendH's (fn, arg) form, through the engine's box table.
 func (l *Lane) Append(t Time, fn func(any), arg any) {
 	e := l.eng
 	t = e.due(t - e.now)
-	if l.tail != 0 && t < e.lanePool[l.tail].t {
+	h, a, b := e.Box(fn, arg)
+	l.append(t, h, a, b)
+}
+
+// AppendH schedules handler h with (a, b) at absolute virtual time t
+// (t >= Now()) under the key Engine.AtTimeH would give it: the next sequence
+// number, and the time of the relative-delay round trip, now + (t - now).
+func (l *Lane) AppendH(t Time, h Handler, a, b int32) {
+	e := l.eng
+	l.append(e.due(t-e.now), h, a, b)
+}
+
+func (l *Lane) append(t Time, h Handler, a, b int32) {
+	e := l.eng
+	q := &e.lanes[l.id]
+	q.n++
+	if q.tail != 0 && t < e.lanePool[q.tail].t {
 		e.LaneFallbacks++
-		r := &e.recs[e.scheduleAt(t, evCall)]
-		r.fn2, r.arg = fn, arg
+		r := e.scheduleAt(t, evFallback)
+		r.h, r.a, r.b, r.wgen = h, a, b, uint64(l.id)
 		return
 	}
 	e.seq++
@@ -61,34 +90,40 @@ func (l *Lane) Append(t Time, fn func(any), arg any) {
 		e.lanePool = append(e.lanePool, laneEnt{})
 		i = int32(len(e.lanePool) - 1)
 	}
-	e.lanePool[i] = laneEnt{evKey: key, fn: fn, arg: arg}
-	if l.tail == 0 { // the new head takes a place in the heap
-		l.head = i
+	e.lanePool[i] = laneEnt{evKey: key, h: h, a: a, b: b}
+	if q.tail == 0 { // the new head takes a place in the heap
+		q.head = i
 		idx := e.allocRec()
-		e.recs[idx].kind, e.recs[idx].arg = evLane, l
+		e.recs[idx].kind, e.recs[idx].a = evLane, l.id
 		e.heapPush(mkEnt(key, idx))
 	} else {
-		e.lanePool[l.tail].next = i
+		e.lanePool[q.tail].next = i
 	}
-	l.tail = i
+	q.tail = i
 }
 
-// next frees the lane's first callback, its head being the top of the queue,
-// re-keys the head to the callback behind it or pops it, and returns what to
-// call.
-func (l *Lane) next() (func(any), any) {
-	e := l.eng
-	i := l.head
+// Pending returns the number of callbacks appended to the lane that have not
+// fired yet, fallbacks included: how many deliveries a receiving channel has
+// in flight.
+func (l Lane) Pending() int { return int(l.eng.lanes[l.id].n) }
+
+// laneNext frees lane id's first callback, its head being the top of the
+// queue, re-keys the head to the callback behind it or pops it, and returns
+// what to call.
+func (e *Engine) laneNext(id int32) (Handler, int32, int32) {
+	q := &e.lanes[id]
+	q.n--
+	i := q.head
 	ent := &e.lanePool[i]
-	fn, arg, behind := ent.fn, ent.arg, ent.next
-	*ent = laneEnt{next: e.laneFree}
+	h, a, b, behind := ent.h, ent.a, ent.b, ent.next
+	ent.next = e.laneFree
 	e.laneFree = i
-	if l.head = behind; behind != 0 {
+	if q.head = behind; behind != 0 {
 		e.heap[0] = mkEnt(e.lanePool[behind].evKey, e.heap[0].rec())
 		e.siftDown()
 	} else {
-		l.tail = 0
+		q.tail = 0
 		e.heapPop()
 	}
-	return fn, arg
+	return h, a, b
 }

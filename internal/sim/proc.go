@@ -36,6 +36,7 @@ type Proc struct {
 	next    func() (*Proc, bool) // resume; returns the process to wake next, if any
 	yield   func(*Proc) bool     // suspend, naming the process to wake; false once stopped
 	stop    func()               // unwind a suspended process (Engine.abandon)
+	id      int32                // the process's index in the engine's procs
 	done    bool
 	inEvent bool   // a poll or a deferred call of this process is running: it must not park
 	gen     uint64 // park generation; wake tickets target a generation
@@ -57,10 +58,10 @@ type stop struct {
 	acts int
 }
 
-// action is a call deferred with Do.
+// action is a call deferred with DoH: 12 bytes, no pointer.
 type action struct {
-	fn  func(any)
-	arg any
+	h    Handler
+	a, b int32
 }
 
 // maxAhead bounds the pending stops of one process, and with them the memory
@@ -76,7 +77,7 @@ const maxAhead = 64
 // current virtual time (via a zero-delay wake event). If fn panics, the
 // panic is captured with its stack and re-raised from Run as a *ProcPanic.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, gen: 1}
+	p := &Proc{eng: e, name: name, gen: 1, id: int32(len(e.procs))}
 	e.procs = append(e.procs, p)
 	e.live++
 	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
@@ -85,7 +86,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.done = true
 		e.live--
 	})
-	e.wakeAt(e.now, p, 1)
+	e.wakeAt(e.now, p.id, 1)
 	return p
 }
 
@@ -95,29 +96,27 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // time like any other, and Run's result has to include it.
 func (p *Proc) runBody(fn func(*Proc)) (fail *ProcPanic) {
 	defer func() {
-		switch r := recover().(type) {
-		case nil, abandoned:
+		r := recover()
+		if r == nil {
+			return
+		}
+		// A poll or deferred call this process fired while parked is its
+		// owner's fault (Engine.blamed), not this process's.
+		q := p
+		if b := p.eng.blamed; b != 0 {
+			q, p.eng.blamed = p.eng.procs[b-1], 0
+		}
+		switch r := r.(type) {
+		case abandoned:
 		case *ProcPanic:
-			fail = r // a nested engine's Run, or a poll or deferred call this process fired
+			fail = r // a nested engine's Run
 		default:
-			fail = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+			fail = &ProcPanic{Proc: q.name, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	fn(p)
 	p.Sync()
 	return nil
-}
-
-// blame is deferred around what runs in event context on p's behalf: a panic
-// there belongs to p, whichever goroutine happens to be firing events.
-func (p *Proc) blame() {
-	switch r := recover().(type) {
-	case nil:
-	case *ProcPanic:
-		panic(r)
-	default:
-		panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
-	}
 }
 
 // Now returns the process's virtual time: its own clock while it runs ahead,
@@ -160,18 +159,28 @@ func (p *Proc) Advance(d Time) {
 	p.stops = append(p.stops, stop{t: p.local})
 }
 
-// Do calls fn(arg) in event context once the engine has reached the
-// process's current stop: at once when the process is level, otherwise after
-// the calls deferred to that stop before it and before the ticket moves on.
-// It is how code that runs ahead touches the engine or anything another
-// process may see.
+// DoH calls handler h with (a, b) in event context once the engine has
+// reached the process's current stop: at once when the process is level,
+// otherwise after the calls deferred to that stop before it and before the
+// ticket moves on. It is how code that runs ahead touches the engine or
+// anything another process may see.
+func (p *Proc) DoH(h Handler, a, b int32) {
+	if !p.Ahead() {
+		p.eng.handlers[h](a, b)
+		return
+	}
+	p.acts = append(p.acts, action{h, a, b})
+	p.stops[len(p.stops)-1].acts++
+}
+
+// Do is DoH's (fn, arg) form: a level process calls fn(arg) at once, one that
+// is ahead defers it through the engine's box table.
 func (p *Proc) Do(fn func(any), arg any) {
 	if !p.Ahead() {
 		fn(arg)
 		return
 	}
-	p.acts = append(p.acts, action{fn, arg})
-	p.stops[len(p.stops)-1].acts++
+	p.DoH(p.eng.Box(fn, arg))
 }
 
 // Sync parks the process until the engine has caught up with its clock. It
@@ -223,7 +232,7 @@ func (p *Proc) park() {
 	if p.Ahead() {
 		// The number the eager process's first Sleep would have drawn: nothing
 		// was scheduled since the process went ahead.
-		e.wakeAt(p.stops[p.at].t, p, p.gen)
+		e.wakeAt(p.stops[p.at].t, p.id, p.gen)
 	}
 	if q := e.fire(); q != p && !p.yield(q) {
 		panic(abandoned{})
@@ -243,18 +252,17 @@ func (p *Proc) park() {
 // schedule fires no earlier than now and draws a later sequence number than
 // the ticket's, so nothing can sift past it.
 func (p *Proc) reach(idx int32) bool {
-	defer p.blame()
 	e := p.eng
 	p.gen++
 	p.inEvent = true
+	e.blamed = p.id + 1
 	if p.Ahead() {
 		n := p.stops[p.at].acts
 		p.at++
 		for ; n > 0; n-- {
 			a := p.acts[p.act]
-			p.acts[p.act] = action{}
 			p.act++
-			a.fn(a.arg)
+			e.handlers[a.h](a.a, a.b)
 		}
 	}
 	resume := false
@@ -264,6 +272,7 @@ func (p *Proc) reach(idx int32) bool {
 		resume = p.poll == nil || p.poll()
 	}
 	p.inEvent = false
+	e.blamed = 0
 	if e.heap[0].rec() != idx {
 		panic(fmt.Sprintf("sim: an event was scheduled ahead of the firing wake ticket of %q", p.name))
 	}
@@ -278,8 +287,10 @@ func (p *Proc) reach(idx int32) bool {
 	return false
 }
 
+// condWaiter is a blocked process, by index (no pointer for the write
+// barrier to see), and the park generation its wake ticket targets.
 type condWaiter struct {
-	p *Proc
+	p int32
 	g uint64
 }
 
@@ -310,7 +321,7 @@ func (c *Cond) Block(p *Proc) {
 	if p.Ahead() {
 		panic(fmt.Sprintf("sim: process %q blocks on a Cond while ahead of the engine", p.name))
 	}
-	c.waiters = append(c.waiters, condWaiter{p, p.gen})
+	c.waiters = append(c.waiters, condWaiter{p.id, p.gen})
 }
 
 // Broadcast wakes all current waiters in FIFO order. It is safe to call from

@@ -153,7 +153,7 @@ func (w *qWorld) body(who int, ops []qOp) func(*Proc) {
 					pool := len(w.e.recs)
 					w.issue(who, op)
 					top := w.e.heap[0]
-					if r := &w.e.recs[top.rec()]; r.kind != evWake || r.proc != p || top.time() != w.e.now {
+					if r := &w.e.recs[top.rec()]; r.kind != evWake || w.e.procs[r.a] != p || top.time() != w.e.now {
 						w.out.Log = append(w.out.Log, fmt.Sprintf("p%d: the top of the queue is not its firing ticket", who))
 					}
 					w.out.topChecked++

@@ -27,7 +27,7 @@ func TestStaleWakeTicketDropped(t *testing.T) {
 	})
 	// At t=2 the proc is parked on its second sleep (gen 3). A ticket for
 	// gen 2 must be dropped, not resume it.
-	e.At(2, func() { e.wakeAt(e.now, p, 2) })
+	e.At(2, func() { e.wakeAt(e.now, p.id, 2) })
 	end := e.Run()
 	if wokeAt != 11 {
 		t.Fatalf("stale ticket woke the process early: woke at %g, want 11", wokeAt)
@@ -36,7 +36,7 @@ func TestStaleWakeTicketDropped(t *testing.T) {
 		t.Fatalf("run ended at %g, want 11", end)
 	}
 	// A ticket for a finished process is likewise dropped without incident.
-	e.wakeAt(e.now, p, 99)
+	e.wakeAt(e.now, p.id, 99)
 	e.Run()
 }
 
@@ -59,8 +59,8 @@ func TestWakeTicketCoalescing(t *testing.T) {
 	})
 	e.At(1, func() {
 		g := p.gen // the generation of the current park
-		e.wakeAt(e.now, p, g)
-		e.wakeAt(e.now, p, g)
+		e.wakeAt(e.now, p.id, g)
+		e.wakeAt(e.now, p.id, g)
 	})
 	e.At(2, func() {
 		ready = true
@@ -178,18 +178,24 @@ func TestSteadyStateAllocFree(t *testing.T) {
 
 // TestLanePoolGrowsByDoubling pins what a first run pays for the lane pool:
 // growing it to N entries allocates less than 2N entries in all, where
-// append's 1.25x growth of a large slice would allocate about 5N.
+// append's 1.25x growth of a large slice would allocate about 5N. An entry is
+// 32 bytes and holds no pointer. The appends take the handler form, which
+// boxes nothing.
 func TestLanePoolGrowsByDoubling(t *testing.T) {
 	e := NewEngine(1)
 	var l Lane
 	l.Bind(e)
+	nop := e.Handle(func(_, _ int32) {})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 100_000; i++ {
-		l.Append(float64(i), nopCall, nil)
+		l.AppendH(float64(i), nop, int32(i), 0)
 	}
 	runtime.ReadMemStats(&after)
 	n, entry := uint64(cap(e.lanePool)), uint64(unsafe.Sizeof(laneEnt{}))
+	if entry > 32 {
+		t.Errorf("a lane entry grew to %d bytes, over its 32", entry)
+	}
 	// 128 KiB covers the head's heap entry and record and the rounding of
 	// large allocations up to whole pages.
 	if got, limit := after.TotalAlloc-before.TotalAlloc, 2*n*entry+128<<10; got > limit {

@@ -54,15 +54,17 @@ func (s *Snapshot) Now() Time { return s.now }
 // Fork materializes a fresh engine from the snapshot: same clock, same event
 // sequence counter, a warm record pool with the parent's free-list order,
 // and a random stream positioned exactly where the parent's
-// was. The fork starts with no processes; spawn new ones to resume work.
+// was. The fork starts with no processes, no lanes and the box handler alone
+// in its handler table (a quiescent engine has nothing boxed); spawn new
+// processes and register handlers to resume work.
 // Fork only reads the snapshot, so concurrent Forks are safe.
 func (s *Snapshot) Fork() *Engine {
-	e := &Engine{
+	e := newEngine(&Engine{
 		now:         s.now,
 		seq:         s.seq,
 		rng:         s.rng.Clone(),
 		EventsFired: s.fired,
-	}
+	})
 	e.recs = make([]eventRec, len(s.free))
 	e.free = append(make([]int32, 0, len(s.free)), s.free...)
 	e.heap = make([]heapEnt, 0, len(s.free))

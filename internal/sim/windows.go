@@ -26,18 +26,19 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Pending is one cross-shard event awaiting injection at the next window
 // barrier. Src and Seq identify the producing rank and its per-rank message
 // sequence number; together with T they form the canonical merge key.
 type Pending struct {
-	T   Time
-	Src int32
-	Seq uint64
-	Dst int // destination shard index
-	Fn  func(any)
-	Arg any
+	T    Time
+	Seq  uint64
+	Src  int32
+	Dst  int32 // destination shard index
+	H    Handler
+	A, B int32
 }
 
 // Outbox collects one shard's outbound cross-shard events during a window.
@@ -47,9 +48,12 @@ type Outbox struct {
 	pend []Pending
 }
 
-// Add records one cross-shard event firing at absolute time t on shard dst.
-func (o *Outbox) Add(t Time, src int32, seq uint64, dst int, fn func(any), arg any) {
-	o.pend = append(o.pend, Pending{T: t, Src: src, Seq: seq, Dst: dst, Fn: fn, Arg: arg})
+// Add records one cross-shard event, handler h with (a, b), firing at
+// absolute time t on shard dst. The handler is resolved in the table of the
+// destination's engine, which registered its handlers in the same order as
+// the source's (Engine.Handle).
+func (o *Outbox) Add(t Time, src int32, seq uint64, dst int, h Handler, a, b int32) {
+	o.pend = append(o.pend, Pending{T: t, Seq: seq, Src: src, Dst: int32(dst), H: h, A: a, B: b})
 }
 
 // pendingByKey sorts by (T, Src, Seq) — a strict total order, since a
@@ -92,13 +96,22 @@ type windowWorker struct {
 
 // NewWindows creates a coordinator over the given engines. lookahead must be
 // positive: a zero lookahead would make every window empty and the
-// simulation unable to advance.
+// simulation unable to advance. The engines must have nothing boxed: their
+// (fn, arg) adapters share one box table from here on, under a lock, so a
+// callback boxed on one shard may fire on another; the handler path takes no
+// lock.
 func NewWindows(engs []*Engine, lookahead float64) *Windows {
 	if len(engs) == 0 {
 		panic("sim: NewWindows needs at least one engine")
 	}
 	if !(lookahead > 0) {
 		panic(fmt.Sprintf("sim: PDES lookahead must be positive, got %g", lookahead))
+	}
+	if len(engs) > 1 {
+		shared := &boxes{mu: new(sync.Mutex)}
+		for _, e := range engs {
+			e.box = shared
+		}
 	}
 	return &Windows{engs: engs, la: lookahead, out: make([]Outbox, len(engs))}
 }
@@ -136,8 +149,7 @@ func (ws *Windows) drain() {
 	sort.Sort(ws.merged)
 	for i := range ws.merged {
 		p := &ws.merged[i]
-		ws.engs[p.Dst].InjectAt(p.T, p.Fn, p.Arg)
-		p.Fn, p.Arg = nil, nil // drop refs so fired callbacks can be collected
+		ws.engs[p.Dst].InjectH(p.T, p.H, p.A, p.B)
 	}
 	ws.Injected += int64(len(ws.merged))
 }

@@ -50,12 +50,19 @@ func TestWindowsCrossShardExchange(t *testing.T) {
 	ws := NewWindows(engs, 0.5)
 	var got []float64
 	arrived, pending := NewCond(engs[1]), 0
+	// A cross-shard event names a handler in the receiving engine's table, so
+	// both engines register the handler, at the same place.
+	deliver := func(a, b int32) { pending++; arrived.Signal() }
+	h := engs[1].Handle(deliver)
+	if engs[0].Handle(deliver) != h {
+		t.Fatal("engines disagree on a handler registered in the same order")
+	}
 	// The sender emits three messages, each one lookahead ahead of its clock.
 	engs[0].Spawn("sender", func(p *Proc) {
 		for i := 1; i <= 3; i++ {
 			tt := float64(i)
 			p.Sleep(tt - 0.5 - p.Now())
-			ws.Outbox(0).Add(tt, 0, uint64(i), 1, func(any) { pending++; arrived.Signal() }, nil)
+			ws.Outbox(0).Add(tt, 0, uint64(i), 1, h, 0, 0)
 		}
 	})
 	engs[1].Spawn("receiver", func(p *Proc) {
@@ -86,18 +93,19 @@ func TestWindowsCanonicalMergeOrder(t *testing.T) {
 	engs := []*Engine{NewEngine(1), NewEngine(2), NewEngine(3)}
 	ws := NewWindows(engs, 0.25)
 	var order []int32
-	note := func(src int32) func(any) {
-		return func(any) { order = append(order, src) }
+	var note Handler
+	for _, e := range engs {
+		note = e.Handle(func(src, _ int32) { order = append(order, src) })
 	}
 	// Shards 0 and 1 both send to shard 2 at the same virtual time, appended
 	// in scrambled producer order.
 	engs[1].At(0, func() {
-		ws.Outbox(1).Add(1, 7, 0, 2, note(7), nil)
-		ws.Outbox(1).Add(1, 5, 1, 2, note(5), nil)
+		ws.Outbox(1).Add(1, 7, 0, 2, note, 7, 0)
+		ws.Outbox(1).Add(1, 5, 1, 2, note, 5, 0)
 	})
 	engs[0].At(0, func() {
-		ws.Outbox(0).Add(1, 9, 0, 2, note(9), nil)
-		ws.Outbox(0).Add(1, 2, 0, 2, note(2), nil)
+		ws.Outbox(0).Add(1, 9, 0, 2, note, 9, 0)
+		ws.Outbox(0).Add(1, 2, 0, 2, note, 2, 0)
 	})
 	ws.Run()
 	want := []int32{2, 5, 7, 9}
