@@ -28,15 +28,14 @@ test:
 # (worker pool, shared progress state, cache writes), the kb store, the
 # sharded PDES engine and everything that executes on it (sim windows, the
 # sharded netmodel views and mpi world) — run under the race detector, then
-# the bench layer's PDES determinism matrix (shards 1/2/4/8 byte-identical),
-# its noisy sweeps with the "congested" chaos profile attached, and
-# speculation, whose candidate pool runs on GOMAXPROCS workers by default.
+# the bench layer's noisy sweeps with the "congested" chaos profile attached,
+# and speculation, whose candidate pool runs on GOMAXPROCS workers by default.
 # A -race build also turns on checkptr, which checks every real-payload
 # mpi.Buf that Data rebuilds with unsafe.Slice: the fft kernel and bench's
 # data-mode tests move real bytes through every collective.
 race:
 	$(GO) test -race ./internal/runner ./internal/sim/... ./internal/mpi/... ./internal/nbc/... ./internal/chaos/... ./internal/kb ./internal/netmodel ./internal/fft
-	$(GO) test -race -count 1 -run 'PDES|TestChaos|Speculat|DataMode' ./internal/bench
+	$(GO) test -race -count 1 -run 'TestChaos|Speculat|DataMode' ./internal/bench
 	$(GO) test -race -count 1 -run Speculat ./internal/core
 
 # The one committed file too slow for tier-1: sweep -suite figs-fft -fast

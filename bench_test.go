@@ -225,7 +225,12 @@ func runOneShotWorld(tb testing.TB, ranks, shards int, prog func(*mpi.Comm)) (ev
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w, err := plat.Assemble(ranks, 1, platform.Block, "", 0, shards > 0, shards)
+	var w *mpi.World
+	if shards > 0 {
+		w, err = plat.NewWorldPDES(ranks, 1, platform.Block, shards)
+	} else {
+		w, err = plat.Assemble(ranks, 1, platform.Block, "", 0)
+	}
 	if err != nil {
 		tb.Fatal(err)
 	}

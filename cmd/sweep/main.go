@@ -66,7 +66,6 @@ func main() {
 		chaosSd  = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
 		histPath = flag.String("history", "", "file every scenario's tuned winner (guidelines: every adopted mock) in this history file, the one tune -history reads")
 		specOn   = flag.Bool("speculate", false, "run the suite's selectors as speculative+<selector>: every candidate measured on its own copy of the world")
-		shardStr = flag.String("shards", "", "run every scenario on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
 	)
 	flag.Parse()
 	if err := runner.CheckWorkers("jobs", *jobs); err != nil {
@@ -100,14 +99,13 @@ func main() {
 		audits = audits || s.Guidelines != nil
 	}
 	if audits {
-		// A guideline leaf is a virtual measurement, unobserved, on the
-		// sequential engine (DESIGN.md §5).
+		// A guideline leaf is an unobserved virtual measurement (DESIGN.md §5).
 		for _, f := range []struct {
 			name string
 			set  bool
-		}{{"observe", *observe}, {"data", *data}, {"shards", *shardStr != ""}, {"speculate", *specOn}} {
+		}{{"observe", *observe}, {"data", *data}, {"speculate", *specOn}} {
 			if f.set {
-				fail(fmt.Errorf("-%s: guidelines measures unobserved virtual leaves on the sequential engine", f.name))
+				fail(fmt.Errorf("-%s: guidelines measures unobserved virtual leaves", f.name))
 			}
 		}
 		if !*fast && chaosName != "" {
@@ -136,11 +134,6 @@ func main() {
 	// Opened before anything runs, so a corrupt or old-format file is refused
 	// up front, not after the sweep.
 	hist, err := kb.Open(kb.StoreOptions{SnapshotPath: *histPath})
-	if err != nil {
-		fail(err)
-	}
-
-	shards, pdes, err := bench.ParseShards(*shardStr)
 	if err != nil {
 		fail(err)
 	}
@@ -174,7 +167,6 @@ func main() {
 		for j := range s.Micro {
 			m := &s.Micro[j]
 			m.Observe, m.Data = m.Observe || *observe, m.Data || *data
-			m.PDES, m.Shards = pdes, shards
 			if chaosName != "" {
 				m.Chaos, m.ChaosSeed = chaosName, *chaosSd
 			}
@@ -182,7 +174,6 @@ func main() {
 		for j := range s.FFT {
 			f := &s.FFT[j]
 			f.Observe, f.Data = f.Observe || *observe, f.Data || *data
-			f.PDES, f.Shards = pdes, shards
 			if chaosName != "" {
 				f.Chaos, f.ChaosSeed = chaosName, *chaosSd
 			}

@@ -165,7 +165,7 @@ func sweep(t *testing.T, dir, args string) (code int, stdout, stderr string) {
 // runs no selector (the first used to be ignored, the second to run the
 // whole suite before saying it had nothing to share), -trace on a suite that
 // exports no trace (it used to leave an empty directory), a flag the
-// guideline audit's unobserved sequential leaves cannot take, -chaos on the
+// guideline audit's unobserved leaves cannot take, -chaos on the
 // full guideline grid, which has its own clean and congested axis, and a
 // -cache directory that is the next flag (what the old boolean -cache parses
 // to), and -out on a figure suite, which prints tables only. The unknown
@@ -180,7 +180,6 @@ func TestRefusals(t *testing.T) {
 		"-trace t -suite verification -fast":        "-trace: verification exports no trace",
 		"-observe -suite guidelines -fast":          "-observe: guidelines measures unobserved",
 		"-data -suite guidelines -fast":             "-data: guidelines measures unobserved",
-		"-shards 2 -suite guidelines -fast":         "-shards: guidelines measures unobserved",
 		"-speculate -suite guidelines -fast":        "-speculate: guidelines measures unobserved",
 		"-chaos congested -suite guidelines":        "-chaos: the full guidelines grid",
 		"-suite fig3 -fast -out x.json":             "has no machine-readable summary",
@@ -199,22 +198,10 @@ func TestCachedirGone(t *testing.T) {
 	}
 }
 
-// TestShardsReachTheSpecs: -shards is laid over every scenario of a figure
-// suite. Fig 3 prints the same tables at 2 and 4 shards, and they differ
-// from the sequential engine's, whose timeline is another one.
-func TestShardsReachTheSpecs(t *testing.T) {
-	tables := map[string]string{}
-	for _, shards := range []string{"", "-shards 2", "-shards 4"} {
-		code, stdout, stderr := sweep(t, t.TempDir(), "-suite fig3 -fast -quiet "+shards)
-		if code != 0 {
-			t.Fatalf("sweep -suite fig3 -fast %s: exit status %d\n%s", shards, code, stderr)
-		}
-		tables[shards] = stdout
-	}
-	if tables["-shards 2"] != tables["-shards 4"] {
-		t.Errorf("fig3 tables differ between 2 and 4 shards:\n%s\nvs\n%s", tables["-shards 2"], tables["-shards 4"])
-	}
-	if tables["-shards 2"] == tables[""] {
-		t.Error("fig3 on 2 shards printed the sequential engine's tables: -shards did not reach the specs")
+// TestShardsGone: every command runs on the one sequential engine, so the
+// -shards flag that switched to the sharded one is refused as unknown.
+func TestShardsGone(t *testing.T) {
+	if code, _, stderr := sweep(t, t.TempDir(), "-suite fig2 -fast -shards 2"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -shards") {
+		t.Errorf("sweep -shards: exit status %d, stderr %q; want exit status 2 and an unknown-flag error", code, stderr)
 	}
 }

@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		metrOut  = fl.String("metrics", "", "write overlap metrics + the rank-0 selection audit as JSON")
 		chaosStr = fl.String("chaos", "off", "fault/noise injection profile: off or a profile name")
 		chaosSd  = fl.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
-		shardStr = fl.String("shards", "", "run on the sharded PDES engine: auto (GOMAXPROCS, clamped to nodes) or a shard count, results identical for every count; empty = sequential engine, whose results differ")
 		verify   = fl.Bool("verify", false, "also measure every fixed implementation on the micro-benchmark loop and report whether the selector's winner is correct")
 	)
 	fl.Parse(args)
@@ -91,9 +90,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if prof != nil {
 		mspec.Chaos, mspec.ChaosSeed = prof.Name, *chaosSd
-	}
-	if mspec.Shards, mspec.PDES, err = bench.ParseShards(*shardStr); err != nil {
-		return err
 	}
 	op, err := core.OpByName(*opName)
 	if err != nil {

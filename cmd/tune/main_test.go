@@ -53,26 +53,6 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestShardsWithHistory: the history lookup happens once on the host, so it
-// composes with the sharded engine; the second invocation replays the winner.
-func TestShardsWithHistory(t *testing.T) {
-	chdir(t, t.TempDir())
-	args := strings.Fields("-op ialltoall -np 8 -msg 65536 -compute 0.005 -shards 2 -history h.json")
-	var first, second, stderr bytes.Buffer
-	if err := run(args, &first, &stderr); err != nil {
-		t.Fatalf("first run: %v\n%s", err, stderr.Bytes())
-	}
-	if strings.Contains(first.String(), "history hit") {
-		t.Fatalf("cold run reported a history hit:\n%s", first.Bytes())
-	}
-	if err := run(args, &second, &stderr); err != nil {
-		t.Fatalf("second run: %v\n%s", err, stderr.Bytes())
-	}
-	if !strings.HasPrefix(second.String(), "history hit for ") || !strings.Contains(second.String(), "selector fixed") {
-		t.Fatalf("warm run did not replay the stored winner:\n%s", second.Bytes())
-	}
-}
-
 // TestHistoryAcrossEnvironments: one -history file serves a scenario under
 // several environments, as the tuned daemon does. A chaos run must not evict
 // the clean winner (it did while the file held one entry per scenario), so
@@ -212,32 +192,15 @@ func TestSpeculateEveryOp(t *testing.T) {
 }
 
 // TestSpeculateComposes: a speculative session is a run like any other — it
-// writes a trace (of the committed-winner loop), and on the sharded engine its
-// -metrics artifact depends neither on the shard count nor on the number of
-// host threads its candidate pool runs on.
+// writes a trace (of the committed-winner loop), and its -metrics artifact
+// does not depend on the number of host threads its candidate pool runs on.
 func TestSpeculateComposes(t *testing.T) {
 	chdir(t, t.TempDir())
-	base := "-op ialltoall -np 32 -msg 65536 -compute 0.005 -iters 6 -selector speculative+brute-force "
-	if out, _ := tune(t, base+"-trace t.json"); !strings.Contains(out, "trace written to t.json") {
+	if out, _ := tune(t, "-op ialltoall -np 32 -msg 65536 -compute 0.005 -iters 6 -selector speculative+brute-force -trace t.json"); !strings.Contains(out, "trace written to t.json") {
 		t.Fatalf("no trace reported:\n%s", out)
 	}
 	if trace, err := os.ReadFile("t.json"); err != nil || !bytes.Contains(trace, []byte(`"traceEvents"`)) {
 		t.Fatalf("t.json is not a trace (%d bytes, err %v)", len(trace), err)
-	}
-	var metrics [][]byte
-	for _, shards := range []string{"1", "2", "4"} {
-		tune(t, base+"-shards "+shards+" -metrics m"+shards+".json")
-		m, err := os.ReadFile("m" + shards + ".json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		metrics = append(metrics, m)
-	}
-	if !bytes.Contains(metrics[0], []byte(`"kind": "sample"`)) {
-		t.Fatalf("sharded speculative audit holds no samples:\n%s", metrics[0])
-	}
-	if !bytes.Equal(metrics[0], metrics[1]) || !bytes.Equal(metrics[1], metrics[2]) {
-		t.Error("speculative tune -metrics differs between 1, 2 and 4 shards")
 	}
 	// The candidate pool has GOMAXPROCS workers; the decision must not
 	// depend on how many there are.
@@ -252,39 +215,11 @@ func TestSpeculateComposes(t *testing.T) {
 		}
 		pooled = append(pooled, m)
 	}
+	if !bytes.Contains(pooled[0], []byte(`"kind": "sample"`)) {
+		t.Fatalf("speculative audit holds no samples:\n%s", pooled[0])
+	}
 	if !bytes.Equal(pooled[0], pooled[1]) {
 		t.Error("speculative tune -metrics differs between GOMAXPROCS 1 and 8")
-	}
-}
-
-// TestShardsRunChaosAndPuts: a chaos profile and the put functions of
-// ialltoall-prim reach the sharded engine through the command line, alone
-// and together, and a session's -metrics artifact does not depend on the
-// shard count.
-func TestShardsRunChaosAndPuts(t *testing.T) {
-	chdir(t, t.TempDir())
-	const scenario = "-np 16 -msg 65536 -compute 0.005 -iters 18 "
-	for _, args := range []string{
-		scenario + "-chaos congested",
-		scenario + "-op ialltoall-prim",
-		scenario + "-op ialltoall-prim -chaos congested -chaos-seed 3",
-		"-op ialltoall-prim -chaos congested -np 32 -msg 65536 -compute 0.005 -iters 20",
-	} {
-		var metrics [][]byte
-		for _, shards := range []string{"2", "4"} {
-			out, _ := tune(t, args+" -shards "+shards+" -metrics m.json")
-			if !strings.Contains(out, "decision: ") {
-				t.Fatalf("tune %s -shards %s made no decision:\n%s", args, shards, out)
-			}
-			m, err := os.ReadFile("m.json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			metrics = append(metrics, m)
-		}
-		if !bytes.Equal(metrics[0], metrics[1]) {
-			t.Errorf("tune %s: -metrics differs between 2 and 4 shards", args)
-		}
 	}
 }
 
@@ -299,7 +234,6 @@ func TestRefusals(t *testing.T) {
 		"-op nonesuch":                              "unknown operation",
 		"-op neighborhood -np 8":                    "square rank count",
 		"-selector nonesuch":                        "unknown selector",
-		"-shards 0":                                 "invalid -shards",
 		"-evals 0":                                  "at least one measurement",
 		"-compute -1":                               "non-negative and finite",
 		"-msg -1024":                                "non-negative and finite",

@@ -18,7 +18,7 @@ import (
 // iteration counts. cmd/sweep -suite NAME runs any of them.
 
 // Suite is one named scenario grid and the way it is measured and rendered.
-// A driver may rewrite the run-wide spec fields (Observe, Data, Chaos, PDES)
+// A driver may rewrite the run-wide spec fields (Observe, Data, Chaos)
 // of every scenario before calling Run.
 type Suite struct {
 	Name       string

@@ -85,34 +85,3 @@ func TestCatalogue(t *testing.T) {
 		}
 	}
 }
-
-func TestParseShards(t *testing.T) {
-	cases := []struct {
-		in     string
-		shards int
-		pdes   bool
-		ok     bool
-	}{
-		{"", 0, false, true},
-		{"auto", 0, true, true},
-		{"1", 1, true, true},
-		{"8", 8, true, true},
-		{"0", 0, false, false},
-		{"-2", 0, false, false},
-		{"many", 0, false, false},
-		{"2.5", 0, false, false},
-	}
-	for _, c := range cases {
-		shards, pdes, err := ParseShards(c.in)
-		if (err == nil) != c.ok {
-			t.Errorf("ParseShards(%q) err = %v, want ok=%v", c.in, err, c.ok)
-			continue
-		}
-		if !c.ok {
-			continue
-		}
-		if shards != c.shards || pdes != c.pdes {
-			t.Errorf("ParseShards(%q) = (%d, %v), want (%d, %v)", c.in, shards, pdes, c.shards, c.pdes)
-		}
-	}
-}

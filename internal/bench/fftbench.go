@@ -36,10 +36,6 @@ type FFTSpec struct {
 	// MicroSpec; omitempty keeps clean-spec fingerprints stable.
 	Chaos     string `json:",omitempty"`
 	ChaosSeed int64  `json:",omitempty"`
-	// PDES/Shards select the sharded engine, as in MicroSpec: PDES is part
-	// of the spec's identity, the shard count only of its wall-clock.
-	PDES   bool `json:",omitempty"`
-	Shards int  `json:"-"`
 }
 
 func (s FFTSpec) String() string {
@@ -81,7 +77,7 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 	if spec.Flavor == fft.FlavorADCL || spec.Flavor == fft.FlavorADCLExt {
 		label += ":" + fft.SelectorName
 	}
-	w, err := spec.Platform.Assemble(spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed, spec.PDES, spec.Shards)
+	w, err := spec.Platform.Assemble(spec.Procs, spec.Seed, spec.Placement, spec.Chaos, spec.ChaosSeed)
 	if err != nil {
 		return FFTResult{}, nil, err
 	}
@@ -91,9 +87,12 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 		w.Observe(rec)
 	}
 	res := FFTResult{Spec: spec, Label: label, DecidedIter: -1}
-	// Per-rank error slots: under PDES, ranks on different shards fail
-	// concurrently, so a shared variable would race.
-	errs := make([]error, spec.Procs)
+	var runErr error // the first error a rank records
+	record := func(err error) {
+		if runErr == nil {
+			runErr = err
+		}
+	}
 
 	res.Total = timed(w, spec.Procs, func(c *mpi.Comm) func(float64) {
 		me := c.Rank()
@@ -107,7 +106,7 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 			FlopRate:        spec.Platform.FlopRate,
 		})
 		if err != nil {
-			errs[me] = err
+			record(err)
 			return nil
 		}
 		return func(t0 float64) {
@@ -116,7 +115,7 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 			for it := 0; it < spec.Iterations; it++ {
 				iterStart := c.Now()
 				if err := pl.Forward(); err != nil {
-					errs[me] = err
+					record(err)
 					return
 				}
 				if done, name := pl.Decided(); me == 0 && done {
@@ -140,10 +139,8 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 			}
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return FFTResult{}, nil, err
-		}
+	if runErr != nil {
+		return FFTResult{}, nil, runErr
 	}
 	res.PerIter = res.Total / float64(spec.Iterations)
 	res.Observed = observed(rec)

@@ -9,11 +9,11 @@ import (
 	"nbctune/internal/sim"
 )
 
-// engineOf assembles a sequential world for a spec's machine and returns its
+// engineOf assembles a world for a spec's machine and returns its
 // engine beside it, so a test can read the engine's counters after a run.
 func engineOf(t *testing.T, p platform.Platform, procs int, seed int64, pl platform.Placement, chaos string, chaosSeed int64) (*sim.Engine, *mpi.World) {
 	t.Helper()
-	w, err := p.Assemble(procs, seed, pl, chaos, chaosSeed, false, 0)
+	w, err := p.Assemble(procs, seed, pl, chaos, chaosSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"nbctune/internal/core"
 	"nbctune/internal/mpi"
@@ -60,41 +59,6 @@ type MicroSpec struct {
 	// violations→function-set feedback loop. Omitempty: mock-free specs
 	// fingerprint identically to specs that predate the guideline layer.
 	Mocks []string `json:",omitempty"`
-	// PDES selects the sharded multi-core simulation engine (DESIGN.md §2).
-	// Results are identical at every shard count but legitimately differ
-	// from the sequential engine in three model points (a rendezvous send or
-	// a put completes at NIC-drain time; incast is sampled and rx reserved
-	// at wire arrival; the window barrier orders cross-node control messages
-	// and rx halves by time, source rank and sequence, not by send order), so
-	// the flag is part of the spec's identity and cache fingerprint. Every op
-	// and chaos profile runs under it.
-	PDES bool `json:",omitempty"`
-	// Shards is the worker (OS thread) count used when PDES is set; <= 0
-	// selects min(GOMAXPROCS, used nodes). Excluded from the JSON form: the
-	// shard count changes only wall-clock, never a simulated quantity, so
-	// specs fingerprint (and cache, and summarize) identically at every
-	// count — the same philosophy as the runner's -jobs.
-	Shards int `json:"-"`
-}
-
-// ParseShards interprets a driver's -shards flag: "" keeps the sequential
-// engine, "auto" selects the sharded (PDES) engine with a GOMAXPROCS-derived
-// worker count (platform assembly clamps it to the used node count), and a
-// positive integer pins the shard count. Results are identical for every
-// shard count >= 1 — like -jobs, the count changes only wall-clock — but
-// differ from the default sequential engine (DESIGN.md §2).
-func ParseShards(v string) (shards int, pdes bool, err error) {
-	switch v {
-	case "":
-		return 0, false, nil
-	case "auto":
-		return 0, true, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, false, fmt.Errorf("invalid -shards %q (want auto or a positive shard count)", v)
-	}
-	return n, true, nil
 }
 
 // Names of the catalogue ops (core.OpByName) the scenario grids use; a spec
@@ -158,7 +122,7 @@ func (s MicroSpec) World() (*mpi.World, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	return s.Platform.Assemble(s.Procs, s.Seed, s.Placement, s.Chaos, s.ChaosSeed, s.PDES, s.Shards)
+	return s.Platform.Assemble(s.Procs, s.Seed, s.Placement, s.Chaos, s.ChaosSeed)
 }
 
 // payload allocates an n-byte buffer descriptor in the spec's data mode:
@@ -320,21 +284,24 @@ func runLoop(spec MicroSpec, w *mpi.World, label string, mkSel selectorFor) (Mic
 		w.Observe(rec)
 	}
 	res := MicroResult{Spec: spec, Impl: label, DecidedIter: -1}
-	// Per-rank error slots: under PDES, ranks on different shards check
-	// concurrently, so a shared variable would race.
-	errs := make([]error, spec.Procs)
+	var runErr error // the first error a rank records
+	record := func(err error) {
+		if runErr == nil {
+			runErr = err
+		}
+	}
 
 	res.Total = timed(w, spec.Procs, func(c *mpi.Comm) func(float64) {
 		me := c.Rank()
 		send, recv := op.Buffers(spec.Procs, spec.MsgSize, spec.payload)
 		fs, err := op.Build(c, send, recv, 0, spec.Mocks)
 		if err != nil {
-			errs[me] = err
+			record(err)
 			return nil
 		}
 		sel, err := mkSel(me, fs)
 		if err != nil {
-			errs[me] = err
+			record(err)
 			return nil
 		}
 		req := core.MustRequest(fs, sel, c.Now)
@@ -348,8 +315,8 @@ func runLoop(spec MicroSpec, w *mpi.World, label string, mkSel selectorFor) (Mic
 			for it := 0; it < spec.Iterations; it++ {
 				iterStart := c.Now()
 				spec.Iterate(c, req, timer)
-				if spec.Data && errs[me] == nil {
-					errs[me] = op.Check(me, 0, spec.MsgSize, recv)
+				if spec.Data && runErr == nil {
+					runErr = op.Check(me, 0, spec.MsgSize, recv)
 				}
 				if me == 0 && req.Decided() {
 					if res.DecidedIter < 0 {
@@ -370,10 +337,8 @@ func runLoop(spec MicroSpec, w *mpi.World, label string, mkSel selectorFor) (Mic
 			}
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return res, nil, fmt.Errorf("bench: %w", err)
-		}
+	if runErr != nil {
+		return res, nil, fmt.Errorf("bench: %w", runErr)
 	}
 	res.PerIter = res.Total / float64(spec.Iterations)
 	res.Observed = observed(rec)

@@ -188,25 +188,6 @@ func TestVerificationOptsSpeculate(t *testing.T) {
 	if !bytes.Equal(encode(t, st.Runs[0]), encode(t, v)) {
 		t.Fatal("speculative sweep run differs from the speculative verification of its scenario")
 	}
-	// On the sharded world too, with the same verification at every shard
-	// count.
-	spec.PDES = true
-	var base []byte
-	for _, shards := range []int{1, 2, 4} {
-		spec.Shards = shards
-		sv, err := RunVerificationOpts(spec, RunOptions{}, sel)
-		if err != nil {
-			t.Fatalf("speculative verification on %d shards: %v", shards, err)
-		}
-		if sv.ADCL[0].Winner == "" {
-			t.Fatalf("shards=%d: no winner committed", shards)
-		}
-		if got := encode(t, sv); base == nil {
-			base = got
-		} else if !bytes.Equal(got, base) {
-			t.Errorf("shards=%d: speculative verification differs from shards=1", shards)
-		}
-	}
 }
 
 // TestSpeculativeDeterministic: same spec, run twice, byte-identical — the

@@ -171,13 +171,13 @@ func opSet(c *mpi.Comm, op string, size int, mocks []string) (*core.FunctionSet,
 }
 
 // world assembles the scenario's simulated machine (platform.Assemble, with
-// the scenario's chaos profile attached) on the sequential engine.
+// the scenario's chaos profile attached).
 func (s Scenario) world() (runFn func(prog func(c *mpi.Comm)), err error) {
 	pl, err := platform.ByName(s.Platform)
 	if err != nil {
 		return nil, err
 	}
-	w, err := pl.Assemble(s.Procs, s.Seed, platform.Cyclic, s.Chaos, s.ChaosSeed, false, 0)
+	w, err := pl.Assemble(s.Procs, s.Seed, platform.Cyclic, s.Chaos, s.ChaosSeed)
 	if err != nil {
 		return nil, err
 	}

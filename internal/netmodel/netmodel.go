@@ -434,12 +434,6 @@ func (nd *nicState) inbound() int {
 	return flows
 }
 
-// Ctrl is CtrlH's (deliver, arg) form, through the engine's box table.
-func (n *Network) Ctrl(src, dst int, deliver func(any), arg any) float64 {
-	h, a, b := n.eng.Box(deliver, arg)
-	return n.CtrlH(src, dst, h, a, b)
-}
-
 // CtrlH schedules a small control message (RTS/CTS/ack) from src to dst,
 // calling handler h with (ha, hb) on arrival, resolved as TransferH's.
 // Control messages ride lanes of their own: they see wire latency but do not

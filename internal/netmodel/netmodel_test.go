@@ -186,7 +186,7 @@ func TestCtrlBypassesBulk(t *testing.T) {
 	eng, n := mustNet(t, p, []int{0, 1})
 	var ctrlAt, bulkAt float64
 	n.Transfer(0, 1, 10_000_000, func(any) { bulkAt = eng.Now() }, nil)
-	n.Ctrl(0, 1, func(any) { ctrlAt = eng.Now() }, nil)
+	n.CtrlH(0, 1, eng.Handle(func(_, _ int32) { ctrlAt = eng.Now() }), 0, 0)
 	eng.Run()
 	if ctrlAt >= bulkAt {
 		t.Fatalf("ctrl message (%g) should not queue behind 10MB bulk (%g)", ctrlAt, bulkAt)
@@ -276,7 +276,7 @@ func TestCountersAdvance(t *testing.T) {
 	rec.EnsureNodes(2)
 	n.SetRecorder(rec)
 	n.Transfer(0, 1, 1234, func(any) {}, nil)
-	n.Ctrl(1, 0, func(any) {}, nil)
+	n.CtrlH(1, 0, eng.Handle(func(_, _ int32) {}), 0, 0)
 	eng.Run()
 	if n.Transfers != 1 {
 		t.Fatalf("Transfers = %d, want 1", n.Transfers)
@@ -386,17 +386,15 @@ func TestChaosDeliveryPreservesChannelOrder(t *testing.T) {
 			n.SetChaos(in)
 			const msgs = 64
 			var order []int
+			deliver := eng.Handle(func(i, _ int32) { order = append(order, int(i)) })
 			for i := 0; i < msgs; i++ {
-				i := i
-				send := func() {
-					deliver := func(any) { order = append(order, i) }
+				eng.At(float64(i)*1e-5, func() {
 					if lane == "bulk" {
-						n.Transfer(0, 1, 256, deliver, nil)
+						n.TransferH(0, 1, 256, deliver, int32(i), 0)
 					} else {
-						n.Ctrl(0, 1, deliver, nil)
+						n.CtrlH(0, 1, deliver, int32(i), 0)
 					}
-				}
-				eng.At(float64(i)*1e-5, send)
+				})
 			}
 			eng.Run()
 			if len(order) != msgs {
@@ -554,14 +552,19 @@ func TestShardedChaosKeepsPairOrder(t *testing.T) {
 			const msgs = 64
 			var order []int
 			var at []float64
+			// Registered on both engines at the same place: a delivery's
+			// handler resolves on the receiving shard's engine.
+			onArrival := func(i, _ int32) { order, at = append(order, int(i)), append(at, engs[1].Now()) }
+			deliver := engs[0].Handle(onArrival)
+			if h := engs[1].Handle(onArrival); h != deliver {
+				t.Fatalf("delivery handler registered as %d and %d", deliver, h)
+			}
 			for i := 0; i < msgs; i++ {
-				i := i
-				deliver := func(any) { order, at = append(order, i), append(at, engs[1].Now()) }
 				engs[0].At(float64(i)*1e-5, func() {
 					if lane == "bulk" {
-						nets[0].Transfer(0, 1, 256, deliver, nil)
+						nets[0].TransferH(0, 1, 256, deliver, int32(i), 0)
 					} else {
-						nets[0].Ctrl(0, 1, deliver, nil)
+						nets[0].CtrlH(0, 1, deliver, int32(i), 0)
 					}
 				})
 			}

@@ -34,7 +34,6 @@ package netmodel
 
 import (
 	"fmt"
-	"runtime"
 
 	"nbctune/internal/sim"
 )
@@ -109,9 +108,9 @@ func (n *Network) fireRxHalf(i, _ int32) {
 
 // NewSharded builds the sharded network: one engine per shard, seeded with
 // seed, the windows that drive them and one view per engine, all over one
-// platform. It alone decides the partition: the shard count (<= 0:
-// GOMAXPROCS) is clamped to the nodes the placement uses and to MaxShards,
-// the most a record index can name (Slab), and each shard
+// platform. It alone decides the partition: the shard count is clamped to
+// at least 1, to the nodes the placement uses and to MaxShards, the most a
+// record index can name (Slab), and each shard
 // gets a contiguous range of nodes, balanced to within one node; a rank runs
 // on its node's shard (Owns). The lookahead is Params.Latency, the minimum
 // cross-node wire latency (TestLookaheadFloorBounds). The views share NIC
@@ -124,9 +123,6 @@ func NewSharded(p Params, nodeOf []int, shards int, seed int64) ([]*Network, *si
 	}
 	if p.Latency <= 0 {
 		return nil, nil, fmt.Errorf("netmodel %q: latency %g leaves no PDES lookahead", p.Name, p.Latency)
-	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
 	}
 	shards = max(1, min(shards, used, MaxShards))
 	engs := make([]*sim.Engine, shards)

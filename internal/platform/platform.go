@@ -249,12 +249,24 @@ func (p Platform) NewWorld(nprocs int, seed int64) (*sim.Engine, *mpi.World, err
 
 // NewWorldPlaced is NewWorld with an explicit placement policy.
 func (p Platform) NewWorldPlaced(nprocs int, seed int64, pl Placement) (*sim.Engine, *mpi.World, error) {
-	return withEngine(p.Assemble(nprocs, seed, pl, "", 0, false, 0))
+	return withEngine(p.Assemble(nprocs, seed, pl, "", 0))
 }
 
-// NewWorldPDES is Assemble's sharded (PDES) world on a clean machine.
+// NewWorldPDES builds nprocs ranks in placement pl on a clean machine, on the
+// sharded (PDES) engine of netmodel.NewSharded, which decides the partition
+// from shards. Every simulated quantity is independent of the shard count but
+// differs from Assemble's sequential engine (DESIGN.md §2); snapshot/fork is
+// not available on a sharded world. No command runs one.
 func (p Platform) NewWorldPDES(nprocs int, seed int64, pl Placement, shards int) (*mpi.World, error) {
-	return p.Assemble(nprocs, seed, pl, "", 0, true, shards)
+	nodeOf, err := p.NodeOf(nprocs, pl)
+	if err != nil {
+		return nil, err
+	}
+	nets, win, err := netmodel.NewSharded(p.Net, nodeOf, shards, seed)
+	if err != nil {
+		return nil, err
+	}
+	return mpi.NewWorld(nets, win, nprocs, mpi.Options{Seed: seed, Noise: p.Noise})
 }
 
 // withEngine returns a world without windows beside its engine.
@@ -266,36 +278,22 @@ func withEngine(w *mpi.World, err error) (*sim.Engine, *mpi.World, error) {
 }
 
 // Assemble builds the simulated machine for nprocs ranks in placement pl:
-// the network and the MPI world over it, on the sequential engine, or with
-// pdes set on the sharded (PDES) engine of netmodel.NewSharded, which
-// decides the partition from shards (<= 0: one shard per GOMAXPROCS). Every
-// simulated quantity is independent of the shard count but differs from the
-// sequential engine's (DESIGN.md §2); snapshot/fork is not available on a
-// sharded world.
+// the network and the MPI world over it, on the sequential engine.
 //
 // chaosName names a shipped fault/noise injection profile: the form the
 // drivers' -chaos flag, bench specs and guideline scenarios carry. "" and
 // "off" are exactly the clean build (no injector is constructed, no stream
 // is seeded, the arithmetic on every hot path is bit-identical). Otherwise
-// every network view gets its own chaos.Injector of the profile, seeded with
-// chaosSeed (link degradation, bursts, jitter, slow NICs, regime shifts), the
-// views agree on every draw, and the MPI world draws its ranks' OS detours
-// from it — keeping this the single assembly point for the whole simulated
-// machine, adversity included.
-func (p Platform) Assemble(nprocs int, seed int64, pl Placement, chaosName string, chaosSeed int64, pdes bool, shards int) (*mpi.World, error) {
+// the network gets a chaos.Injector of the profile, seeded with
+// chaosSeed (link degradation, bursts, jitter, slow NICs, regime shifts), and
+// the MPI world draws its ranks' OS detours from it — keeping this the single
+// assembly point for the whole simulated machine, adversity included.
+func (p Platform) Assemble(nprocs int, seed int64, pl Placement, chaosName string, chaosSeed int64) (*mpi.World, error) {
 	nodeOf, err := p.NodeOf(nprocs, pl)
 	if err != nil {
 		return nil, err
 	}
-	var nets []*netmodel.Network
-	var win *sim.Windows
-	if pdes {
-		nets, win, err = netmodel.NewSharded(p.Net, nodeOf, shards, seed)
-	} else {
-		var net *netmodel.Network
-		net, err = netmodel.New(sim.NewEngine(seed), p.Net, nodeOf)
-		nets = []*netmodel.Network{net}
-	}
+	net, err := netmodel.New(sim.NewEngine(seed), p.Net, nodeOf)
 	if err != nil {
 		return nil, err
 	}
@@ -304,13 +302,11 @@ func (p Platform) Assemble(nprocs int, seed int64, pl Placement, chaosName strin
 		return nil, err
 	}
 	if prof != nil {
-		for _, net := range nets {
-			inj, err := chaos.NewInjector(*prof, chaosSeed, nprocs, p.Nodes)
-			if err != nil {
-				return nil, err
-			}
-			net.SetChaos(inj)
+		inj, err := chaos.NewInjector(*prof, chaosSeed, nprocs, p.Nodes)
+		if err != nil {
+			return nil, err
 		}
+		net.SetChaos(inj)
 	}
-	return mpi.NewWorld(nets, win, nprocs, mpi.Options{Seed: seed, Noise: p.Noise})
+	return mpi.NewWorld([]*netmodel.Network{net}, nil, nprocs, mpi.Options{Seed: seed, Noise: p.Noise})
 }

@@ -28,7 +28,7 @@
 // goroutine is firing events: true resumes the coroutine; false leaves it
 // parked, on the stops the poll has just made (it is called again past them)
 // or on a Cond it blocked on. Every event therefore keeps the (time,
-// sequence) key it has when each Advance is a Sleep, each Do an inline call
+// sequence) key it has when each Advance is a Sleep, each DoH an inline call
 // and each poll a loop around Cond.Wait, so event counts, the order of
 // exact-time ties and the final clock do not depend on running ahead; only
 // the coroutine switches go, all but the one that ends the wait.
@@ -69,10 +69,11 @@
 // two int32 arguments — a record index and a rank, say. So an event record, a
 // lane entry and a deferred call hold no pointer, and the pools that hold them
 // give the collector nothing to trace however many messages are in flight.
-// The (fn, arg) forms (At, AtCall, AtTimeCall, InjectAt, Lane.Append, Proc.Do)
-// are adapters onto the same path: they park the pair in the engine's box
-// table and schedule the box handler with its slot, drawing their sequence
-// number exactly where a handler-form call would.
+// The (fn, arg) forms At, AtCall and netmodel's Network.Transfer are adapters
+// onto the same path, kept for the repository benchmark's probes, their only
+// caller: they park the pair in the engine's box table and schedule the box
+// handler with its slot, drawing their sequence number exactly where a
+// handler-form call would.
 package sim
 
 import (
@@ -190,7 +191,7 @@ type Engine struct {
 	// Stats counters, useful in tests and for harness reporting.
 	EventsFired   int64
 	Resumes       int64 // times the event loop handed control (back) to a process
-	LaneFallbacks int64 // lane appends that became ordinary events (Lane.Append)
+	LaneFallbacks int64 // lane appends that became ordinary events (Lane.AppendH)
 	QueuePeak     int   // most entries the heap has held at once
 }
 
@@ -309,7 +310,7 @@ const (
 
 // mkEnt builds the queue entry of record idx firing at k, and refuses a key
 // or an index the entry cannot hold. Clearing the sign bit turns a time of -0
-// (a legal InjectAt at the start) into +0, which sorts with the other
+// (a legal InjectH at the start) into +0, which sorts with the other
 // non-negative times; no negative time gets this far.
 func mkEnt(k evKey, idx int32) heapEnt {
 	if uint64(k.seq) >= maxSeq {
@@ -479,17 +480,6 @@ func (e *Engine) AtCall(d Time, fn func(any), arg any) {
 // schedules in place of the pair.
 func (e *Engine) Box(fn func(any), arg any) (Handler, int32, int32) {
 	return boxHandler, e.box.park(fn, arg), 0
-}
-
-// AtTimeCall schedules fn(arg) at absolute virtual time t (t >= Now()).
-func (e *Engine) AtTimeCall(t Time, fn func(any), arg any) {
-	e.AtCall(t-e.now, fn, arg)
-}
-
-// InjectAt is InjectH's (fn, arg) form.
-func (e *Engine) InjectAt(t Time, fn func(any), arg any) {
-	h, a, b := e.Box(fn, arg)
-	e.InjectH(t, h, a, b)
 }
 
 // wakeAt schedules a wake ticket for process p's park generation g at absolute time

@@ -223,7 +223,7 @@ func TestPanicFiredByRunCallerFreesProcesses(t *testing.T) {
 		{"deferred call", func(e *Engine) {
 			e.Spawn("owner", func(p *Proc) {
 				p.Advance(1)
-				p.Do(func(arg any) { panic(arg) }, "call fault")
+				p.DoH(e.Handle(func(_, _ int32) { panic("call fault") }), 0, 0)
 			})
 		}, &ProcPanic{Proc: "owner", Value: "call fault"}},
 	} {

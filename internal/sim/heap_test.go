@@ -72,11 +72,12 @@ func TestScheduleRefusesNaN(t *testing.T) {
 	e := NewEngine(1)
 	var l Lane
 	l.Bind(e)
+	h := e.Handle(func(_, _ int32) {})
 	refused(t, "past", func() { e.At(nan, func() {}) })
 	refused(t, "past", func() { e.AtCall(nan, func(any) {}, nil) })
-	refused(t, "past", func() { e.AtTimeCall(nan, func(any) {}, nil) })
-	refused(t, "past", func() { e.InjectAt(nan, func(any) {}, nil) })
-	refused(t, "past", func() { l.Append(nan, func(any) {}, nil) })
+	refused(t, "past", func() { e.AtTimeH(nan, h, 0, 0) })
+	refused(t, "past", func() { e.InjectH(nan, h, 0, 0) })
+	refused(t, "past", func() { l.AppendH(nan, h, 0, 0) })
 	e.Spawn("p", func(p *Proc) { p.Advance(nan) })
 	refused(t, "negative advance", func() { e.Run() })
 }
@@ -87,7 +88,7 @@ func TestInjectAtNegativeZero(t *testing.T) {
 	e := NewEngine(1)
 	var got []string
 	e.At(math.SmallestNonzeroFloat64, func() { got = append(got, fmt.Sprint("later at ", e.Now())) })
-	e.InjectAt(math.Copysign(0, -1), func(any) { got = append(got, fmt.Sprint("first at ", e.Now())) }, nil)
+	e.InjectH(math.Copysign(0, -1), e.Handle(func(_, _ int32) { got = append(got, fmt.Sprint("first at ", e.Now())) }), 0, 0)
 	e.Run()
 	if want := []string{"first at 0", "later at 5e-324"}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fired %q, want %q", got, want)

@@ -12,7 +12,7 @@ package sim
 // callbacks of all of an engine's lanes share one pool, grown by doubling,
 // with a free list, and a lane's head and tail live in the engine too: a Lane
 // is a handle, its engine and its number there. The zero Lane is empty and
-// must be bound to its engine before the first Append.
+// must be bound to its engine before the first AppendH.
 type Lane struct {
 	eng *Engine
 	id  int32 // the lane's entry in eng.lanes
@@ -36,21 +36,13 @@ type laneEnt struct {
 }
 
 // Bind attaches the lane to the engine its callbacks fire on, before the first
-// Append or while the lane is empty.
+// AppendH or while the lane is empty.
 func (l *Lane) Bind(e *Engine) {
 	if l.eng == e {
 		return
 	}
 	l.eng, l.id = e, int32(len(e.lanes))
 	e.lanes = append(e.lanes, laneQ{})
-}
-
-// Append is AppendH's (fn, arg) form, through the engine's box table.
-func (l *Lane) Append(t Time, fn func(any), arg any) {
-	e := l.eng
-	t = e.due(t - e.now)
-	h, a, b := e.Box(fn, arg)
-	l.append(t, h, a, b)
 }
 
 // AppendH schedules handler h with (a, b) at absolute virtual time t

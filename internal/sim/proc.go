@@ -14,7 +14,7 @@ import (
 
 // Proc is a simulated process: a coroutine with a clock of its own that may
 // run ahead of the engine's (see the package comment for the protocol and its
-// contract). Advance moves the process's clock and records a stop, Do defers
+// contract). Advance moves the process's clock and records a stop, DoH defers
 // a call to the current stop, and only Sync, ParkUntil and Cond.Wait park the
 // coroutine; while it is parked the event loop walks its wake ticket from
 // stop to stop, runs the deferred calls there, and finally asks the
@@ -173,16 +173,6 @@ func (p *Proc) DoH(h Handler, a, b int32) {
 	p.stops[len(p.stops)-1].acts++
 }
 
-// Do is DoH's (fn, arg) form: a level process calls fn(arg) at once, one that
-// is ahead defers it through the engine's box table.
-func (p *Proc) Do(fn func(any), arg any) {
-	if !p.Ahead() {
-		fn(arg)
-		return
-	}
-	p.DoH(p.eng.Box(fn, arg))
-}
-
 // Sync parks the process until the engine has caught up with its clock. It
 // returns at once, with no event, when the process is level.
 func (p *Proc) Sync() {
@@ -203,7 +193,7 @@ func (p *Proc) Sleep(d Time) {
 // it already has — and again each time a wake ticket of the process fires
 // with no stop pending, i.e. after whatever poll itself advanced by has been
 // walked, or after a Cond it blocked on was signaled. It runs in event
-// context, under the contract of the package comment: it may Advance, Do and
+// context, under the contract of the package comment: it may Advance, DoH and
 // Cond.Block, it must not park.
 func (p *Proc) ParkUntil(poll func() bool) {
 	if !p.Ahead() {

@@ -113,6 +113,7 @@ type qOutcome struct {
 type qWorld struct {
 	e     *Engine
 	lanes [3]Lane // 1: A, 2: B
+	cb    Handler // callback, for the lanes
 	ids   int
 	out   qOutcome
 }
@@ -126,7 +127,7 @@ func (w *qWorld) issue(who int, op qOp) {
 	for _, d := range op.delays() {
 		w.ids++
 		if op.kind == qLane {
-			w.lanes[op.lane].Append(w.e.Now()+d, w.callback, w.ids)
+			w.lanes[op.lane].AppendH(w.e.Now()+d, w.cb, int32(w.ids), 0)
 		} else {
 			w.e.AtCall(d, w.callback, w.ids)
 		}
@@ -135,7 +136,25 @@ func (w *qWorld) issue(who int, op qOp) {
 
 func (w *qWorld) body(who int, ops []qOp) func(*Proc) {
 	return func(p *Proc) {
-		for _, op := range ops {
+		// issue runs ops[i] as a call the process defers.
+		issue := w.e.Handle(func(i, _ int32) {
+			op := ops[i]
+			if !p.inEvent {
+				w.issue(who, op)
+				return
+			}
+			// A deferred call: the firing ticket is the top of the queue and
+			// stays there whatever the call schedules.
+			pool := len(w.e.recs)
+			w.issue(who, op)
+			top := w.e.heap[0]
+			if r := &w.e.recs[top.rec()]; r.kind != evWake || w.e.procs[r.a] != p || top.time() != w.e.now {
+				w.out.Log = append(w.out.Log, fmt.Sprintf("p%d: the top of the queue is not its firing ticket", who))
+			}
+			w.out.topChecked++
+			w.out.poolGrew = w.out.poolGrew || len(w.e.recs) > pool
+		})
+		for i, op := range ops {
 			switch op.kind {
 			case qAdvance:
 				p.Advance(op.d)
@@ -143,22 +162,7 @@ func (w *qWorld) body(who int, ops []qOp) func(*Proc) {
 				p.Sync()
 				w.out.Log = append(w.out.Log, fmt.Sprintf("%v p%d level", p.Now(), who))
 			default:
-				p.Do(func(any) {
-					if !p.inEvent {
-						w.issue(who, op)
-						return
-					}
-					// A deferred call: the firing ticket is the top of the
-					// queue and stays there whatever the call schedules.
-					pool := len(w.e.recs)
-					w.issue(who, op)
-					top := w.e.heap[0]
-					if r := &w.e.recs[top.rec()]; r.kind != evWake || w.e.procs[r.a] != p || top.time() != w.e.now {
-						w.out.Log = append(w.out.Log, fmt.Sprintf("p%d: the top of the queue is not its firing ticket", who))
-					}
-					w.out.topChecked++
-					w.out.poolGrew = w.out.poolGrew || len(w.e.recs) > pool
-				}, nil)
+				p.DoH(issue, int32(i), 0)
 			}
 		}
 	}
@@ -167,6 +171,7 @@ func (w *qWorld) body(who int, ops []qOp) func(*Proc) {
 func runQueueEngine(prog [][]qOp) qOutcome {
 	e := NewEngine(1)
 	w := &qWorld{e: e}
+	w.cb = e.Handle(func(id, _ int32) { w.callback(int(id)) })
 	w.lanes[1].Bind(e)
 	w.lanes[2].Bind(e)
 	for _, op := range prog[0] {
@@ -249,7 +254,7 @@ func (r *qRef) issue(who int, op qOp, deferred bool) {
 			r.push(r.now+d, 0, r.ids, 0)
 			continue
 		}
-		// Engine.AtTimeCall's time: the absolute instant, through the delay.
+		// Engine.AtTimeH's time: the absolute instant, through the delay.
 		t := r.now + d
 		t = r.now + (t - r.now)
 		lane, ln := op.lane, &r.lanes[op.lane]

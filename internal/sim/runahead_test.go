@@ -7,7 +7,7 @@ import (
 
 // The equivalence oracle of the run-ahead protocol: a small program is run
 // twice on fresh engines, once eagerly — every Advance read as a Sleep, every
-// Do as an inline call, every poll as a loop around Cond.Wait — and once
+// DoH as an inline call, every poll as a loop around Cond.Wait — and once
 // running ahead, and both runs must fire the same things at the same times in
 // the same order and end with the same clock and event count. Coalescing
 // stops into fewer events, or scheduling a stop at now + Σd instead of at the
@@ -65,6 +65,8 @@ type raWorld struct {
 	count int   // callbacks fired
 	work  []int // per process: items handed over and not yet processed
 	log   []string
+	act   Handler   // raAct on calls[a]
+	calls []*raCall // the deferred calls, named by index
 }
 
 func (w *raWorld) note(t Time, who int, what string) {
@@ -110,7 +112,8 @@ func (w *raWorld) body(who int, ops []byte) func(*Proc) {
 		do := func(delay Time, quiet bool) {
 			c := &raCall{w: w, who: who, delay: delay, quiet: quiet}
 			if w.ahead {
-				p.Do(raAct, c)
+				w.calls = append(w.calls, c)
+				p.DoH(w.act, int32(len(w.calls)-1), 0)
 			} else {
 				raAct(c)
 			}
@@ -199,6 +202,7 @@ func (w *raWorld) body(who int, ops []byte) func(*Proc) {
 func runRunAhead(prog [][]byte, ahead bool) (log []string, outcome string) {
 	e := NewEngine(1)
 	w := &raWorld{e: e, ahead: ahead, cond: NewCond(e), work: make([]int, len(prog))}
+	w.act = e.Handle(func(i, _ int32) { raAct(w.calls[i]) })
 	for who, ops := range prog {
 		e.Spawn(fmt.Sprintf("p%d", who), w.body(who, ops))
 	}

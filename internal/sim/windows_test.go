@@ -32,7 +32,7 @@ func TestInjectAtExact(t *testing.T) {
 	e.Run()
 	target := 1.0000000000000002 // representable, but (target-now)+now != target in general
 	var at float64 = -1
-	e.InjectAt(target, func(any) { at = e.Now() }, nil)
+	e.InjectH(target, e.Handle(func(_, _ int32) { at = e.Now() }), 0, 0)
 	e.Run()
 	if at != target {
 		t.Fatalf("injected event fired at %v, want exactly %v", at, target)
