@@ -22,6 +22,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,16 +40,29 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var ferr flagError
+	switch {
+	case err == nil:
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0) // the flag set printed the usage
+	case errors.As(err, &ferr):
+		os.Exit(2) // the flag set printed the error and the usage
+	default:
 		fmt.Fprintln(os.Stderr, "tune:", err)
 		os.Exit(1)
 	}
 }
 
+// flagError is a command line the flag set refused; it has printed why.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
+
 // run is the whole command: it parses args, runs the session and writes the
 // report to stdout (main_test.go pins its output byte for byte).
 func run(args []string, stdout, stderr io.Writer) error {
-	fl := flag.NewFlagSet("tune", flag.ExitOnError)
+	fl := flag.NewFlagSet("tune", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	var (
 		platName = fl.String("platform", "crill", "platform preset: crill, whale, whale-tcp, bgp, bgp-16k")
@@ -68,7 +82,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		chaosSd  = fl.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
 		verify   = fl.Bool("verify", false, "also measure every fixed implementation on the micro-benchmark loop and report whether the selector's winner is correct")
 	)
-	fl.Parse(args)
+	if err := fl.Parse(args); err != nil {
+		return flagError{err}
+	}
 	if *evals < 1 {
 		return fmt.Errorf("-evals %d: every implementation needs at least one measurement", *evals)
 	}

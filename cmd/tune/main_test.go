@@ -225,9 +225,11 @@ func TestSpeculateComposes(t *testing.T) {
 
 // TestRefusals: each unsupported combination is refused once, by the layer
 // that cannot serve it, before anything is printed: run's error is the one
-// line main prints before it exits 1, and stdout stays empty. A -history file
-// in a directory that does not exist used to be refused only after the whole
-// session, losing the winner it had learned.
+// line main prints before it exits 1, and stdout stays empty. A flag the set
+// does not define or cannot parse is run's error too, which the flag set has
+// printed to stderr and main exits 2 on, so the test binary survives it. A
+// -history file in a directory that does not exist used to be refused only
+// after the whole session, losing the winner it had learned.
 func TestRefusals(t *testing.T) {
 	chdir(t, t.TempDir())
 	for args, want := range map[string]string{
@@ -242,6 +244,8 @@ func TestRefusals(t *testing.T) {
 		"-np 16 -msg 1152921504606846976":           "overflows",
 		"-op ibcast -np 2 -msg 9223372036854775807": "segments",
 		"-history missing/h.json":                   "no such file or directory",
+		"-shards 2":                                 "flag provided but not defined: -shards",
+		"-np x":                                     `invalid value "x" for flag -np`,
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(strings.Fields(args), &stdout, &stderr)

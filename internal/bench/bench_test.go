@@ -92,10 +92,16 @@ func TestFixedRunCompilesOneSchedule(t *testing.T) {
 		})
 	}
 	var set int64
-	for _, b := range compile {
+	dear, cheap := 0, 0 // the functions whose schedules cost most and least
+	for fn, b := range compile {
 		set += b
+		if b > compile[dear] {
+			dear = fn
+		}
+		if b < compile[cheap] {
+			cheap = fn
+		}
 	}
-	const dear, cheap = 0, 20 // linear 32 KiB and binomial 128 KiB segments
 	runDear, runCheap := run(dear), run(cheap)
 	if got, want := runDear-runCheap, compile[dear]-compile[cheap]; want < set/20 || got < want*9/10 || got > want*11/10 {
 		t.Errorf("fixed runs of functions %d and %d allocate %d and %d bytes, %d apart; their schedules are %d apart (the set costs %d)",

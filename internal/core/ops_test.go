@@ -202,7 +202,7 @@ func allocatedBeneath() int64 {
 // tenth of what compiling its schedules allocates on the rank that needs
 // least.
 func TestSetsCompileOnFirstStart(t *testing.T) {
-	const np, msg, setBudget = 16, 2 << 20, 6 << 10
+	const np, msg, setBudget = 16, 2 << 20, 6048
 	ibcast := mustOp(t, "ibcast")
 	onEveryRank(t, np, func(c *mpi.Comm) {
 		me := c.Rank()

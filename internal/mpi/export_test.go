@@ -1,12 +1,15 @@
 package mpi
 
-// Aliases for the external test package: the record sizes it pins include
-// these four unexported ones.
+// Aliases for the external test package: the record sizes it pins and the
+// pointer-free records it walks include these unexported ones.
 type (
 	Envelope = envelope
 	Xfer     = xfer
 	Notice   = notice
 	Matcher  = matcher
+	Payload  = payload
+	ReqList  = reqList
+	KeySlot  = keySlot
 )
 
 // refsTo counts the slots the library owns that name q: on every rank, each

@@ -1,9 +1,11 @@
-package mpi
+package mpi_test
 
 import (
 	"reflect"
 	"testing"
 
+	"nbctune/internal/mpi"
+	"nbctune/internal/nbc"
 	"nbctune/internal/netmodel"
 	"nbctune/internal/sim"
 )
@@ -17,8 +19,11 @@ import (
 // world's payload table, so the slab chunks, pools and index tables that hold
 // them give the collector nothing to trace. sim's and netmodel's records are
 // unexported; the walk reaches them through the types of the fields that
-// hold them. Buf keeps its one pointer, the payload's data, nil in a virtual
-// run.
+// hold them. nbc's schedule entries are walked too: an Op names its payload
+// and its local work by index in its schedule's tables, so the op array that
+// every rank's schedule is gives the collector nothing to trace either
+// (DESIGN.md §3 "Schedules"). Buf keeps its one pointer, the payload's data,
+// nil in a virtual run.
 func TestProtocolRecordsHoldNoPointers(t *testing.T) {
 	var walk func(typ reflect.Type, path string) []string
 	walk = func(typ reflect.Type, path string) []string {
@@ -52,17 +57,17 @@ func TestProtocolRecordsHoldNoPointers(t *testing.T) {
 		t.Fatal("netmodel.Slab has no field chunk")
 	}
 	types := []reflect.Type{
-		reflect.TypeOf(Request{}), reflect.TypeOf(envelope{}), reflect.TypeOf(xfer{}), reflect.TypeOf(payload{}),
-		reflect.TypeOf(notice{}), reflect.TypeOf(reqList{}), reflect.TypeOf(keySlot{}),
+		reflect.TypeOf(mpi.Request{}), reflect.TypeOf(mpi.Envelope{}), reflect.TypeOf(mpi.Xfer{}), reflect.TypeOf(mpi.Payload{}),
+		reflect.TypeOf(mpi.Notice{}), reflect.TypeOf(mpi.ReqList{}), reflect.TypeOf(mpi.KeySlot{}),
 		elem(sim.Engine{}, "recs"), elem(sim.Engine{}, "lanePool"), elem(sim.Proc{}, "acts"), rxOp,
-		reflect.TypeOf(sim.Pending{}),
+		reflect.TypeOf(sim.Pending{}), reflect.TypeOf(nbc.Op{}),
 	}
 	for _, typ := range types {
 		for _, f := range walk(typ, typ.String()) {
 			t.Errorf("%s: a pointer the collector must trace", f)
 		}
 	}
-	if got := walk(reflect.TypeOf(Buf{}), "Buf"); len(got) != 1 {
+	if got := walk(reflect.TypeOf(mpi.Buf{}), "Buf"); len(got) != 1 {
 		t.Errorf("Buf holds %v, want its data pointer alone", got)
 	}
 }

@@ -12,9 +12,10 @@ import (
 
 // TestRecordSizes pins the records every schedule entry and every message
 // carries at their sizes on a 64-bit host. A schedule is rebuilt for every
-// rank on every call and holds one nbc.Op per entry; each in-flight message
-// holds a Request, an envelope or an xfer, each of those its payload's length
-// and slot, and a sim event record or lane entry while it is on the wire;
+// rank on every call and holds one nbc.Op per local step and per run of
+// posts; each in-flight message holds a Request, an envelope or an xfer, each
+// of those its payload's length and slot, and a sim event record or lane
+// entry while it is on the wire;
 // each protocol step queues a notice and each deferred network call a sim
 // action. A field added to or widened in any of them shows up in what a
 // world allocates, so the test names the record that grew (DESIGN.md §3

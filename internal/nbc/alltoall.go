@@ -2,6 +2,7 @@ package nbc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nbctune/internal/mpi"
 )
@@ -59,10 +60,10 @@ func Ialltoall(n, me int, send, recv mpi.Buf, algo AlltoallAlgo) *Schedule {
 
 func block(b mpi.Buf, i, bs int) mpi.Buf { return b.Slice(i*bs, bs) }
 
-func selfCopyOp(send, recv mpi.Buf, me, bs int) Op {
-	return Op{Kind: OpLocal, N: bs, Fn: func() {
-		mpi.Copy(block(recv, me, bs), block(send, me, bs))
-	}}
+// selfCopy adds the local entry that copies this rank's own bs-byte block
+// from send to recv.
+func (b *builder) selfCopy(send, recv mpi.Buf, me, bs int) {
+	b.local(bs, func() { mpi.Copy(block(recv, me, bs), block(send, me, bs)) })
 }
 
 // staging allocates an n-byte build-time scratch buffer matching like's
@@ -74,39 +75,38 @@ func staging(like mpi.Buf, n int) mpi.Buf {
 	return mpi.Virtual(n)
 }
 
-// ialltoallLinear posts all receives and sends in one round. It needs only a
-// single progress call to be fully in flight, but exposes maximal
-// concurrency to the network (incast on TCP).
+// ialltoallLinear posts all receives and sends in one round: a run of
+// receives from me+1, me+2, … and a run of sends to me-1, me-2, …, each into
+// or out of its peer's block. It needs only a single progress call to be
+// fully in flight, but exposes maximal concurrency to the network (incast on
+// TCP).
 func ialltoallLinear(n, me int, send, recv mpi.Buf, bs int) *Schedule {
-	b := newRoundBuf(2*n-1, 1)
-	b.add(selfCopyOp(send, recv, me, bs))
-	for off := 1; off < n; off++ {
-		peer := (me + off) % n
-		b.add(Op{Kind: OpRecv, Peer: peer, Buf: block(recv, peer, bs)})
+	b := newBuilder(IalltoallName(AlgoLinear), send, 3, 1)
+	sref, rref := b.buf(send), b.buf(recv)
+	b.selfCopy(send, recv, me, bs)
+	if n > 1 {
+		b.add(postRun(OpRecv, 0, (me+1)%n, 1, n-1, rref, 0, bs))
+		b.add(postRun(OpSend, 0, (me-1+n)%n, n-1, n-1, sref, 0, bs))
 	}
-	for off := 1; off < n; off++ {
-		peer := (me - off + n) % n
-		b.add(Op{Kind: OpSend, Peer: peer, Buf: block(send, peer, bs)})
-	}
-	b.end()
-	return &Schedule{Name: IalltoallName(AlgoLinear), Rounds: b.rounds}
+	return b.done()
 }
 
 // ialltoallPairwise exchanges with partner (me+step) / (me-step) in N-1
 // rounds. Structured and contention-free, but each round gates on a
 // progress call.
 func ialltoallPairwise(n, me int, send, recv mpi.Buf, bs int) *Schedule {
-	b := newRoundBuf(2*n-1, n)
-	b.add(selfCopyOp(send, recv, me, bs))
+	b := newBuilder(IalltoallName(AlgoPairwise), send, 2*n-1, n)
+	sref, rref := b.buf(send), b.buf(recv)
+	b.selfCopy(send, recv, me, bs)
 	b.end()
 	for step := 1; step < n; step++ {
 		to := (me + step) % n
 		from := (me - step + n) % n
-		b.add(Op{Kind: OpRecv, Peer: from, TagOff: tagOff(step), Buf: block(recv, from, bs)})
-		b.add(Op{Kind: OpSend, Peer: to, TagOff: tagOff(step), Buf: block(send, to, bs)})
+		b.add(postOne(OpRecv, step, from, rref, from*bs, bs))
+		b.add(postOne(OpSend, step, to, sref, to*bs, bs))
 		b.end()
 	}
-	return &Schedule{Name: IalltoallName(AlgoPairwise), Rounds: b.rounds}
+	return b.done()
 }
 
 // ialltoallBruck is the dissemination algorithm: ceil(log2 n) phases, each
@@ -115,7 +115,8 @@ func ialltoallPairwise(n, me int, send, recv mpi.Buf, bs int) *Schedule {
 // (log2 n) but ~n/2*log2(n) blocks of data in total, plus pack/unpack
 // copies, so it wins for small blocks and loses for large ones.
 func ialltoallBruck(n, me int, send, recv mpi.Buf, bs int) *Schedule {
-	s := &Schedule{Name: IalltoallName(AlgoBruck)}
+	phases := bits.Len(uint(n - 1)) // pow = 1, 2, 4, ... below n
+	b := newBuilder(IalltoallName(AlgoBruck), send, 2+4*phases, 2+2*phases)
 
 	// Working buffer in "rotated" order: tmp[i] = block destined for rank
 	// (me+i)%n. Staging buffers per phase are allocated at build time so a
@@ -123,12 +124,12 @@ func ialltoallBruck(n, me int, send, recv mpi.Buf, bs int) *Schedule {
 	tmp := staging(send, n*bs)
 
 	// Round 0: local rotation.
-	rot := Round{Op{Kind: OpLocal, N: n * bs, Fn: func() {
+	b.local(n*bs, func() {
 		for i := 0; i < n; i++ {
 			mpi.Copy(block(tmp, i, bs), block(send, (me+i)%n, bs))
 		}
-	}}}
-	s.Rounds = append(s.Rounds, rot)
+	})
+	b.end()
 
 	phase := 0
 	for pow := 1; pow < n; pow *= 2 {
@@ -141,37 +142,33 @@ func ialltoallBruck(n, me int, send, recv mpi.Buf, bs int) *Schedule {
 		cnt := len(idxs)
 		sbuf := staging(send, cnt*bs)
 		rbuf := staging(send, cnt*bs)
-		idxsCopy := append([]int(nil), idxs...)
 		to := (me + pow) % n
 		from := (me - pow + n) % n
 
 		// Pack + exchange in one round.
-		pack := Op{Kind: OpLocal, N: cnt * bs, Fn: func() {
-			for j, i := range idxsCopy {
+		b.local(cnt*bs, func() {
+			for j, i := range idxs {
 				mpi.Copy(block(sbuf, j, bs), block(tmp, i, bs))
 			}
-		}}
-		s.Rounds = append(s.Rounds, Round{
-			pack,
-			{Kind: OpRecv, Peer: from, TagOff: tagOff(phase), Buf: rbuf},
-			{Kind: OpSend, Peer: to, TagOff: tagOff(phase), Buf: sbuf},
 		})
+		b.add(postOne(OpRecv, phase, from, b.buf(rbuf), 0, cnt*bs))
+		b.add(postOne(OpSend, phase, to, b.buf(sbuf), 0, cnt*bs))
+		b.end()
 		// Unpack in the next round (after the receive completed).
-		unpack := Op{Kind: OpLocal, N: cnt * bs, Fn: func() {
-			for j, i := range idxsCopy {
+		b.local(cnt*bs, func() {
+			for j, i := range idxs {
 				mpi.Copy(block(tmp, i, bs), block(rbuf, j, bs))
 			}
-		}}
-		s.Rounds = append(s.Rounds, Round{unpack})
+		})
+		b.end()
 		phase++
 	}
 
 	// Final inverse rotation: recv[(me-i+n)%n] = tmp[i].
-	fin := Round{Op{Kind: OpLocal, N: n * bs, Fn: func() {
+	b.local(n*bs, func() {
 		for i := 0; i < n; i++ {
 			mpi.Copy(block(recv, (me-i+n)%n, bs), block(tmp, i, bs))
 		}
-	}}}
-	s.Rounds = append(s.Rounds, fin)
-	return s
+	})
+	return b.done()
 }

@@ -27,23 +27,24 @@ func IalltoallWindows(c *mpi.Comm, recv mpi.Buf) *mpi.Win {
 func IalltoallPutName(a AlltoallAlgo) string { return IalltoallName(a) + "-put" }
 
 // IalltoallLinearPut builds the one-sided linear algorithm: one round that
-// puts every block into the peers' windows, then a completion gate for the
-// n-1 incoming blocks. Like its two-sided sibling it occupies a single
-// schedule round, so a single progress call suffices to drive it — and on
-// RDMA fabrics not even the targets' progress is needed for the data to
-// flow.
+// puts every block into the peers' windows, a run of puts to me+1, me+2, …,
+// then a completion gate for the n-1 incoming blocks. Like its two-sided
+// sibling it occupies a single schedule round, so a single progress call
+// suffices to drive it — and on RDMA fabrics not even the targets' progress
+// is needed for the data to flow.
 func IalltoallLinearPut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule {
 	blockSize := send.Len() / n
-	b := newRoundBuf(n+1, 1)
-	b.add(selfCopyOp(send, recv, me, blockSize))
-	for off := 1; off < n; off++ {
-		peer := (me + off) % n
-		b.add(Op{Kind: OpPut, Peer: peer, N: me * blockSize,
-			Buf: block(send, peer, blockSize)})
+	b := newBuilder(IalltoallPutName(AlgoLinear), send, 3, 1)
+	b.s.Win = win
+	sref := b.buf(send)
+	b.selfCopy(send, recv, me, blockSize)
+	if n > 1 {
+		put := postRun(OpPut, 0, (me+1)%n, 1, n-1, sref, 0, blockSize)
+		put.N = me * blockSize
+		b.add(put)
 	}
 	b.add(Op{Kind: OpAwaitPuts, N: n - 1})
-	b.end()
-	return &Schedule{Name: IalltoallPutName(AlgoLinear), Rounds: b.rounds, Win: win}
+	return b.done()
 }
 
 // IalltoallPairwisePut builds the one-sided pairwise algorithm: n-1
@@ -52,15 +53,18 @@ func IalltoallLinearPut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule {
 // bounded per-round network pressure.
 func IalltoallPairwisePut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule {
 	blockSize := send.Len() / n
-	b := newRoundBuf(2*n-1, n)
-	b.add(selfCopyOp(send, recv, me, blockSize))
+	b := newBuilder(IalltoallPutName(AlgoPairwise), send, 2*n-1, n)
+	b.s.Win = win
+	sref := b.buf(send)
+	b.selfCopy(send, recv, me, blockSize)
 	b.end()
 	for step := 1; step < n; step++ {
 		to := (me + step) % n
-		b.add(Op{Kind: OpPut, Peer: to, N: me * blockSize,
-			Buf: block(send, to, blockSize)})
+		put := postOne(OpPut, 0, to, sref, to*blockSize, blockSize)
+		put.N = me * blockSize
+		b.add(put)
 		b.add(Op{Kind: OpAwaitPuts, N: step})
 		b.end()
 	}
-	return &Schedule{Name: IalltoallPutName(AlgoPairwise), Rounds: b.rounds, Win: win}
+	return b.done()
 }

@@ -108,9 +108,9 @@ func IbcastName(fanout, segSize int) string {
 // children in the same round in which it receives segment s+1 from its
 // parent.
 func Ibcast(n, me, root int, buf mpi.Buf, fanout, segSize int) *Schedule {
-	s := &Schedule{Name: IbcastName(fanout, segSize)}
+	name := IbcastName(fanout, segSize)
 	if n == 1 {
-		return s
+		return &Schedule{Name: name}
 	}
 	vrank := (me - root + n) % n
 	parent, children := bcastTree(n, vrank, fanout)
@@ -122,8 +122,7 @@ func Ibcast(n, me, root int, buf mpi.Buf, fanout, segSize int) *Schedule {
 	for i, c := range children {
 		children[i] = toWorld(c)
 	}
-	s.Rounds = pipelinedRounds(buf, segSize, parent, children)
-	return s
+	return pipelined(name, n, buf, segSize, parent, children)
 }
 
 // CheckSegments refuses a size-byte broadcast that splits into more segSize
@@ -137,31 +136,32 @@ func CheckSegments(size, segSize int) error {
 	return nil
 }
 
-// pipelinedRounds builds the rounds of one rank of a segmented broadcast
-// tree: parent (a comm rank, negative on the root) is whom it receives buf's
-// segments from, children whom it sends them to. The root sends one segment
-// per round; every other rank receives segment 0, then per round forwards the
-// previous segment while receiving the next, and finally forwards the last.
-func pipelinedRounds(buf mpi.Buf, segSize, parent int, children []int) []Round {
+// pipelined builds the schedule of one rank of a segmented broadcast tree
+// over n comm ranks: parent (a comm rank, negative on the root) is whom it
+// receives buf's segments from, children whom it sends them to, one entry per
+// run of children a step apart. The root sends one segment per round; every
+// other rank receives segment 0, then per round forwards the previous segment
+// while receiving the next, and finally forwards the last.
+func pipelined(name string, n int, buf mpi.Buf, segSize, parent int, children []int) *Schedule {
 	size := buf.Len()
 	S := numSegs(size, segSize)
-	ops, rounds := S*len(children), S
+	runs := runCount(children, n)
+	ops, rounds := S*runs, S
 	if parent >= 0 {
-		ops, rounds = S*(len(children)+1), S+1
+		ops, rounds = S*(runs+1), S+1
 	}
-	b := newRoundBuf(ops, rounds)
+	b := newBuilder(name, buf, ops, rounds)
+	ref := b.buf(buf)
 	sendTo := func(si int) {
 		off, l := seg(size, segSize, si)
-		for _, c := range children {
-			b.add(Op{Kind: OpSend, Peer: c, TagOff: tagOff(si), Buf: buf.Slice(off, l)})
-		}
+		b.fanOut(OpSend, si, children, n, ref, off, l)
 	}
 	if parent < 0 {
 		for si := 0; si < S; si++ {
 			sendTo(si)
 			b.end()
 		}
-		return b.rounds
+		return b.done()
 	}
 	for si := 0; si <= S; si++ {
 		if si > 0 {
@@ -169,9 +169,9 @@ func pipelinedRounds(buf mpi.Buf, segSize, parent int, children []int) []Round {
 		}
 		if si < S {
 			off, l := seg(size, segSize, si)
-			b.add(Op{Kind: OpRecv, Peer: parent, TagOff: tagOff(si), Buf: buf.Slice(off, l)})
+			b.add(postOne(OpRecv, si, parent, ref, off, l))
 		}
 		b.end()
 	}
-	return b.rounds
+	return b.done()
 }

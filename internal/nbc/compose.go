@@ -23,27 +23,28 @@ import (
 // windows are rejected — put completion counters are per window instance
 // and do not survive concatenation.
 func Compose(name string, parts ...*Schedule) *Schedule {
-	s := &Schedule{Name: name}
-	base := 0
+	ops, rounds := 0, 0
 	for _, p := range parts {
 		if p.Win != nil {
 			panic(fmt.Sprintf("nbc: Compose(%s): part %s uses a one-sided window", name, p.Name))
 		}
-		hi := -1
-		for _, r := range p.Rounds {
-			nr := make(Round, len(r))
-			for i, op := range r {
-				if op.Kind == OpSend || op.Kind == OpRecv {
-					hi = max(hi, int(op.TagOff))
-					op.TagOff = tagOff(int(op.TagOff) + base)
-				}
-				nr[i] = op
-			}
-			s.Rounds = append(s.Rounds, nr)
-		}
-		base += hi + 1
+		ops, rounds = ops+opCount(p), rounds+len(p.Rounds)
 	}
-	return s
+	b := newBuilder(name, mpi.Buf{}, ops, rounds)
+	base := 0
+	for _, p := range parts {
+		base += b.splice(p, base) + 1
+	}
+	return b.done()
+}
+
+// opCount returns the entries of s.
+func opCount(s *Schedule) int {
+	n := 0
+	for _, r := range s.Rounds {
+		n += len(r)
+	}
+	return n
 }
 
 // mockBlock returns the padded per-rank block size for splitting a size-byte
@@ -61,26 +62,26 @@ func mockBlock(size, n int) int {
 // broadcast: with real payloads every rank ends with the root's bytes (the
 // conformance test pins this).
 func MockBcastScatterAllgather(n, me, root int, buf mpi.Buf) *Schedule {
+	const name = "mock-ibcast-scatter-allgather"
 	size := buf.Len()
 	if n == 1 {
-		return &Schedule{Name: "mock-ibcast-scatter-allgather"}
+		return &Schedule{Name: name}
 	}
 	bs := mockBlock(size, n)
 	stage := staging(buf, n*bs) // padded rank-order staging, shared by both phases
 	myblk := staging(buf, bs)
 
-	pre := &Schedule{Name: "pack", Rounds: []Round{{{Kind: OpLocal, N: size, Fn: func() {
+	pre := newBuilder("pack", buf, 1, 1)
+	pre.local(size, func() {
 		if me == root {
 			mpi.Copy(stage.Slice(0, size), buf)
 		}
-	}}}}}
+	})
 	sc := Iscatter(n, me, root, stage, myblk)
 	ag := Iallgather(n, me, myblk, stage, AllgatherRing)
-	post := &Schedule{Name: "unpack", Rounds: []Round{{{Kind: OpLocal, N: size, Fn: func() {
-		mpi.Copy(buf, stage.Slice(0, size))
-	}}}}}
-	s := Compose("mock-ibcast-scatter-allgather", pre, sc, ag, post)
-	return s
+	post := newBuilder("unpack", buf, 1, 1)
+	post.local(size, func() { mpi.Copy(buf, stage.Slice(0, size)) })
+	return Compose(name, pre.done(), sc, ag, post.done())
 }
 
 // MockAllgatherGatherBcast builds the composed allgather mock of the
@@ -110,19 +111,20 @@ func MockAlltoallSplit(n, me int, send, recv mpi.Buf) *Schedule {
 		half = bs // 1-byte blocks: both passes carry the full block
 	}
 	pass := func(off, l int, phase int) *Schedule {
-		s := &Schedule{Name: fmt.Sprintf("half%d", phase)}
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: l, Fn: func() {
+		b := newBuilder(fmt.Sprintf("half%d", phase), send, 2*n-1, n)
+		sref, rref := b.buf(send), b.buf(recv)
+		b.local(l, func() {
 			mpi.Copy(block(recv, me, bs).Slice(off, l), block(send, me, bs).Slice(off, l))
-		}}})
+		})
+		b.end()
 		for step := 1; step < n; step++ {
 			to := (me + step) % n
 			from := (me - step + n) % n
-			s.Rounds = append(s.Rounds, Round{
-				{Kind: OpRecv, Peer: from, TagOff: tagOff(step), Buf: block(recv, from, bs).Slice(off, l)},
-				{Kind: OpSend, Peer: to, TagOff: tagOff(step), Buf: block(send, to, bs).Slice(off, l)},
-			})
+			b.add(postOne(OpRecv, step, from, rref, from*bs+off, l))
+			b.add(postOne(OpSend, step, to, sref, to*bs+off, l))
+			b.end()
 		}
-		return s
+		return b.done()
 	}
 	return Compose("mock-ialltoall-split2", pass(0, half, 0), pass(half, bs-half, 1))
 }

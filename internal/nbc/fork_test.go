@@ -84,9 +84,9 @@ func TestTagOffOutsideStrideRefused(t *testing.T) {
 	errs := make(chan string, n*len(offs))
 	w.Start(func(c *mpi.Comm) {
 		for _, off := range offs {
-			sched := &Schedule{Name: "bad", Rounds: []Round{{
-				{Kind: OpSend, Peer: 1 - c.Rank(), TagOff: tagOff(off), Buf: mpi.Virtual(1)},
-			}}}
+			b := newBuilder("bad", mpi.Buf{}, 1, 1)
+			b.add(postOne(OpSend, off, 1-c.Rank(), b.buf(mpi.Virtual(1)), 0, 1))
+			sched := b.done()
 			func() {
 				defer func() {
 					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "outside the") {

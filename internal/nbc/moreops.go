@@ -2,6 +2,7 @@ package nbc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nbctune/internal/mpi"
 )
@@ -48,47 +49,39 @@ func IallreduceName(n int, algo AllreduceAlgo) string { return "iallreduce-" + a
 // buffers build a timing-only schedule.
 func Iallreduce(n, me int, send, recv mpi.Buf, op mpi.ReduceOp, algo AllreduceAlgo) *Schedule {
 	size := send.Len()
-	s := &Schedule{Name: IallreduceName(n, algo)}
+	name := IallreduceName(n, algo)
 	switch algo.on(n) {
 	case AllreduceRecursiveDoubling:
+		phases := bits.Len(uint(n - 1))
+		b := newBuilder(name, send, 3*phases+2, 2*phases+2)
 		acc := staging(send, size)
 		tmp := staging(send, size)
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: size, Fn: func() {
-			mpi.Copy(acc, send)
-		}}})
+		aref, tref := b.buf(acc), b.buf(tmp)
+		b.local(size, func() { mpi.Copy(acc, send) })
+		b.end()
 		phase := 0
 		for dist := 1; dist < n; dist *= 2 {
 			peer := me ^ dist
-			s.Rounds = append(s.Rounds, Round{
-				{Kind: OpRecv, Peer: peer, TagOff: tagOff(phase), Buf: tmp},
-				{Kind: OpSend, Peer: peer, TagOff: tagOff(phase), Buf: acc},
-			})
-			s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: size, Fn: func() {
+			b.add(postOne(OpRecv, phase, peer, tref, 0, size))
+			b.add(postOne(OpSend, phase, peer, aref, 0, size))
+			b.end()
+			b.local(size, func() {
 				if op != nil && acc.HasData() && tmp.HasData() {
 					op(acc.Data(), tmp.Data())
 				}
-			}}})
+			})
+			b.end()
 			phase++
 		}
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: size, Fn: func() {
-			mpi.Copy(recv, acc)
-		}}})
-		return s
+		b.local(size, func() { mpi.Copy(recv, acc) })
+		return b.done()
 	case AllreduceReduceBcast:
 		red := Ireduce(n, me, 0, send, recv, op, ReduceBinomial)
-		s.Rounds = append(s.Rounds, red.Rounds...)
 		bc := Ibcast(n, me, 0, recv, FanoutBinomial, 1<<30)
-		// Offset the broadcast's tags past the reduce's.
-		base := 64
-		for _, r := range bc.Rounds {
-			nr := make(Round, len(r))
-			for i, op := range r {
-				op.TagOff = tagOff(int(op.TagOff) + base)
-				nr[i] = op
-			}
-			s.Rounds = append(s.Rounds, nr)
-		}
-		return s
+		b := newBuilder(name, send, opCount(red)+opCount(bc), len(red.Rounds)+len(bc.Rounds))
+		b.splice(red, 0)
+		b.splice(bc, 64) // the broadcast's tags past the reduce's
+		return b.done()
 	default:
 		panic(fmt.Sprintf("nbc: unknown allreduce algorithm %d", int(algo)))
 	}
@@ -100,7 +93,8 @@ func Iallreduce(n, me int, send, recv mpi.Buf, op mpi.ReduceOp, algo AllreduceAl
 // allocate staging at build time so the schedule stays reusable.
 func Igather(n, me, root int, send, recv mpi.Buf) *Schedule {
 	bs := send.Len()
-	s := &Schedule{Name: "igather-binomial"}
+	phases := bits.Len(uint(n - 1))
+	b := newBuilder("igather-binomial", send, phases+2, phases+2)
 	vrank := (me - root + n) % n
 	toWorld := func(v int) int { return (v + root) % n }
 
@@ -108,9 +102,9 @@ func Igather(n, me, root int, send, recv mpi.Buf) *Schedule {
 	// (binomial subtrees cover contiguous vrank ranges).
 	mySub := subtreeOf(vrank, n)
 	stage := staging(send, mySub*bs)
-	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: bs, Fn: func() {
-		mpi.Copy(stage.Slice(0, bs), send)
-	}}})
+	sref := b.buf(stage)
+	b.local(bs, func() { mpi.Copy(stage.Slice(0, bs), send) })
+	b.end()
 	// Receive children's subtrees (low bit upward), then send to parent.
 	// Peers disambiguate the transfers, so no tag offsets are needed.
 	low := vrank & (-vrank)
@@ -124,26 +118,23 @@ func Igather(n, me, root int, send, recv mpi.Buf) *Schedule {
 			break
 		}
 		cs := subtreeOf(child, n)
-		s.Rounds = append(s.Rounds, Round{
-			{Kind: OpRecv, Peer: toWorld(child), Buf: stage.Slice(off*bs, cs*bs)},
-		})
+		b.add(postOne(OpRecv, 0, toWorld(child), sref, off*bs, cs*bs))
+		b.end()
 		off += cs
 	}
 	if vrank != 0 {
 		parent := vrank & (vrank - 1)
-		s.Rounds = append(s.Rounds, Round{
-			{Kind: OpSend, Peer: toWorld(parent), Buf: stage},
-		})
+		b.add(postOne(OpSend, 0, toWorld(parent), sref, 0, mySub*bs))
 	} else {
 		// Root: scatter the vrank-ordered staging into recv's rank order.
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: n * bs, Fn: func() {
+		b.local(n*bs, func() {
 			for v := 0; v < n; v++ {
 				r := (v + root) % n
 				mpi.Copy(block(recv, r, bs), block(stage, v, bs))
 			}
-		}}})
+		})
 	}
-	return s
+	return b.done()
 }
 
 // subtreeOf returns the binomial subtree size of virtual rank v in an
@@ -165,25 +156,26 @@ func subtreeOf(v, n int) int {
 // from root (binomial tree, mirroring Igather).
 func Iscatter(n, me, root int, send, recv mpi.Buf) *Schedule {
 	bs := recv.Len()
-	s := &Schedule{Name: "iscatter-binomial"}
+	phases := bits.Len(uint(n - 1))
+	b := newBuilder("iscatter-binomial", recv, phases+2, phases+2)
 	vrank := (me - root + n) % n
 	toWorld := func(v int) int { return (v + root) % n }
 	mySub := subtreeOf(vrank, n)
 	stage := staging(recv, mySub*bs)
+	sref := b.buf(stage)
 	// Root packs send (rank order) into vrank order.
 	if vrank == 0 {
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: n * bs, Fn: func() {
+		b.local(n*bs, func() {
 			for v := 0; v < n; v++ {
 				r := (v + root) % n
 				mpi.Copy(block(stage, v, bs), block(send, r, bs))
 			}
-		}}})
+		})
 	} else {
 		parent := vrank & (vrank - 1)
-		s.Rounds = append(s.Rounds, Round{
-			{Kind: OpRecv, Peer: toWorld(parent), Buf: stage},
-		})
+		b.add(postOne(OpRecv, 0, toWorld(parent), sref, 0, mySub*bs))
 	}
+	b.end()
 	// Forward children's chunks, far child first. Peers disambiguate the
 	// transfers, so no tag offsets are needed.
 	low := vrank & (-vrank)
@@ -197,12 +189,9 @@ func Iscatter(n, me, root int, send, recv mpi.Buf) *Schedule {
 		}
 		cs := subtreeOf(child, n)
 		coff := child - vrank
-		s.Rounds = append(s.Rounds, Round{
-			{Kind: OpSend, Peer: toWorld(child), Buf: stage.Slice(coff*bs, cs*bs)},
-		})
+		b.add(postOne(OpSend, 0, toWorld(child), sref, coff*bs, cs*bs))
+		b.end()
 	}
-	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: bs, Fn: func() {
-		mpi.Copy(recv, stage.Slice(0, bs))
-	}}})
-	return s
+	b.local(bs, func() { mpi.Copy(recv, stage.Slice(0, bs)) })
+	return b.done()
 }

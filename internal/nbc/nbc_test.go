@@ -437,6 +437,14 @@ func TestRoundCounts(t *testing.T) {
 			t.Errorf("case %d (%s): rounds = %d, want %d", i, tc.sched.Name, got, tc.want)
 		}
 	}
+	// A linear all-to-all is three entries on every rank, whatever the comm
+	// size: the self copy and one run each of receives and sends.
+	const n = 384
+	for me := 0; me < n; me++ {
+		if got := opCount(Ialltoall(n, me, mpi.Virtual(n*1024), mpi.Virtual(n*1024), AlgoLinear)); got != 3 {
+			t.Fatalf("rank %d of a %d-rank linear all-to-all has %d entries, want 3", me, n, got)
+		}
+	}
 }
 
 // TestRoundsShareOneOpArray pins the layout of the schedules whose rounds
@@ -453,7 +461,7 @@ func TestRoundsShareOneOpArray(t *testing.T) {
 	pipelined := func(fanout int) func(n, me int) *Schedule {
 		return func(n, me int) *Schedule {
 			parent, children := bcastTree(n, me, fanout)
-			return &Schedule{Rounds: pipelinedRounds(v(2048), 32*1024, parent, children)}
+			return pipelined("", n, v(2048), 32*1024, parent, children)
 		}
 	}
 	builders := []struct {

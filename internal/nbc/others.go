@@ -21,15 +21,16 @@ const (
 // one-byte exchanges at doubling distances.
 func Ibarrier(n, me int) *Schedule {
 	phases := bits.Len(uint(n - 1)) // dist = 1, 2, 4, ... below n
-	b := newRoundBuf(2*phases, phases)
+	b := newBuilder(IbarrierName, mpi.Buf{}, 2*phases, phases)
+	one := b.buf(mpi.Virtual(1))
 	for phase, dist := 0, 1; dist < n; phase, dist = phase+1, dist*2 {
 		to := (me + dist) % n
 		from := (me - dist + n) % n
-		b.add(Op{Kind: OpRecv, Peer: from, TagOff: tagOff(phase), Buf: mpi.Virtual(1)})
-		b.add(Op{Kind: OpSend, Peer: to, TagOff: tagOff(phase), Buf: mpi.Virtual(1)})
+		b.add(postOne(OpRecv, phase, from, one, 0, 1))
+		b.add(postOne(OpSend, phase, to, one, 0, 1))
 		b.end()
 	}
-	return &Schedule{Name: IbarrierName, Rounds: b.rounds}
+	return b.done()
 }
 
 // AllgatherAlgo names an Iallgather algorithm.
@@ -61,54 +62,46 @@ func IallgatherName(a AllgatherAlgo) string { return "iallgather-" + a.String() 
 // every rank into recv (n*send.Len() bytes). send may alias recv's own
 // block; virtual buffers simulate timing only.
 func Iallgather(n, me int, send, recv mpi.Buf, algo AllgatherAlgo) *Schedule {
+	if n > 1 && algo == AllgatherBruck {
+		return IallgatherBruck(n, me, send, recv)
+	}
 	bs := send.Len()
-	s := &Schedule{Name: IallgatherName(algo)}
-	self := Op{Kind: OpLocal, N: bs, Fn: func() {
-		mpi.Copy(block(recv, me, bs), send)
-	}}
+	ops, rounds := 3, 1
+	if algo == AllgatherRing {
+		ops, rounds = 2*n-1, n
+	}
+	b := newBuilder(IallgatherName(algo), send, ops, rounds)
+	rref := b.buf(recv)
+	b.local(bs, func() { mpi.Copy(block(recv, me, bs), send) })
 	if n == 1 {
-		s.Rounds = append(s.Rounds, Round{self})
-		return s
+		return b.done()
 	}
 	switch algo {
 	case AllgatherLinear:
-		// One round: send own block to everyone, receive everyone's block.
-		b := newRoundBuf(2*n-1, 1)
-		b.add(self)
-		for off := 1; off < n; off++ {
-			peer := (me + off) % n
-			b.add(Op{Kind: OpRecv, Peer: peer, Buf: block(recv, peer, bs)})
-		}
-		for off := 1; off < n; off++ {
-			peer := (me - off + n) % n
-			b.add(Op{Kind: OpSend, Peer: peer, Buf: block(recv, me, bs)})
-		}
-		b.end()
-		s.Rounds = b.rounds
-		// Note: sends reference recv[me], written by the self copy in the
-		// same round; OpLocal entries run before any posting.
-		return s
+		// One round: a run of receives of everyone's block from me+1,
+		// me+2, …, and a run of sends of the own block to me-1, me-2, ….
+		// The sends carry recv[me], written by the self copy in the same
+		// round; OpLocal entries run before any posting.
+		b.add(postRun(OpRecv, 0, (me+1)%n, 1, n-1, rref, 0, bs))
+		send := postRun(OpSend, 0, (me-1+n)%n, n-1, n-1, rref, me*bs, bs)
+		send.SameBlock = true
+		b.add(send)
 	case AllgatherRing:
-		b := newRoundBuf(2*n-1, n)
-		b.add(self)
 		b.end()
 		right := (me + 1) % n
 		left := (me - 1 + n) % n
 		cur := me
 		for step := 0; step < n-1; step++ {
 			prev := (cur - 1 + n) % n
-			b.add(Op{Kind: OpRecv, Peer: left, TagOff: tagOff(step), Buf: block(recv, prev, bs)})
-			b.add(Op{Kind: OpSend, Peer: right, TagOff: tagOff(step), Buf: block(recv, cur, bs)})
+			b.add(postOne(OpRecv, step, left, rref, prev*bs, bs))
+			b.add(postOne(OpSend, step, right, rref, cur*bs, bs))
 			b.end()
 			cur = prev
 		}
-		s.Rounds = b.rounds
-		return s
-	case AllgatherBruck:
-		return IallgatherBruck(n, me, send, recv)
 	default:
 		panic(fmt.Sprintf("nbc: unknown allgather algorithm %d", int(algo)))
 	}
+	return b.done()
 }
 
 // ReduceAlgo names an Ireduce algorithm.
@@ -134,23 +127,25 @@ func IreduceName(a ReduceAlgo) string { return "ireduce-" + a.String() }
 // written at root. Virtual buffers give a timing-only schedule.
 func Ireduce(n, me, root int, send, recv mpi.Buf, op mpi.ReduceOp, algo ReduceAlgo) *Schedule {
 	size := send.Len()
-	s := &Schedule{Name: IreduceName(algo)}
+	phases := bits.Len(uint(n - 1))
+	b := newBuilder(IreduceName(algo), send, 2*phases+2, 2*phases+2)
 	acc := staging(send, size)
 	tmp := staging(send, size)
+	aref, tref := b.buf(acc), b.buf(tmp)
 	// Round 0 (local): refresh the accumulator from the send buffer so a
 	// persistent request can re-execute the schedule.
-	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: size, Fn: func() {
-		mpi.Copy(acc, send)
-	}}})
+	b.local(size, func() { mpi.Copy(acc, send) })
+	b.end()
 	vrank := (me - root + n) % n
 	toWorld := func(v int) int { return (v + root) % n }
 
-	reduceOp := func(phase int) Op {
-		return Op{Kind: OpLocal, N: size, Fn: func() {
+	reduce := func() {
+		b.local(size, func() {
 			if op != nil && acc.HasData() && tmp.HasData() {
 				op(acc.Data(), tmp.Data())
 			}
-		}, TagOff: tagOff(phase)}
+		})
+		b.end()
 	}
 
 	switch algo {
@@ -158,16 +153,14 @@ func Ireduce(n, me, root int, send, recv mpi.Buf, op mpi.ReduceOp, algo ReduceAl
 		phase := 0
 		for dist := 1; dist < n; dist *= 2 {
 			if vrank&dist != 0 {
-				s.Rounds = append(s.Rounds, Round{
-					{Kind: OpSend, Peer: toWorld(vrank - dist), TagOff: tagOff(phase), Buf: acc},
-				})
+				b.add(postOne(OpSend, phase, toWorld(vrank-dist), aref, 0, size))
+				b.end()
 				break
 			}
 			if vrank+dist < n {
-				s.Rounds = append(s.Rounds, Round{
-					{Kind: OpRecv, Peer: toWorld(vrank + dist), TagOff: tagOff(phase), Buf: tmp},
-				})
-				s.Rounds = append(s.Rounds, Round{reduceOp(phase)})
+				b.add(postOne(OpRecv, phase, toWorld(vrank+dist), tref, 0, size))
+				b.end()
+				reduce()
 			}
 			phase++
 		}
@@ -175,23 +168,19 @@ func Ireduce(n, me, root int, send, recv mpi.Buf, op mpi.ReduceOp, algo ReduceAl
 		// vrank n-1 starts; each rank receives the running partial from
 		// vrank+1, reduces, and forwards to vrank-1.
 		if vrank+1 < n {
-			s.Rounds = append(s.Rounds, Round{
-				{Kind: OpRecv, Peer: toWorld(vrank + 1), Buf: tmp},
-			})
-			s.Rounds = append(s.Rounds, Round{reduceOp(0)})
+			b.add(postOne(OpRecv, 0, toWorld(vrank+1), tref, 0, size))
+			b.end()
+			reduce()
 		}
 		if vrank != 0 {
-			s.Rounds = append(s.Rounds, Round{
-				{Kind: OpSend, Peer: toWorld(vrank - 1), Buf: acc},
-			})
+			b.add(postOne(OpSend, 0, toWorld(vrank-1), aref, 0, size))
+			b.end()
 		}
 	default:
 		panic(fmt.Sprintf("nbc: unknown reduce algorithm %d", int(algo)))
 	}
 	if vrank == 0 {
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: size, Fn: func() {
-			mpi.Copy(recv, acc)
-		}}})
+		b.local(size, func() { mpi.Copy(recv, acc) })
 	}
-	return s
+	return b.done()
 }

@@ -1,6 +1,7 @@
 package nbc
 
 import (
+	"math/bits"
 	"sort"
 
 	"nbctune/internal/mpi"
@@ -24,17 +25,16 @@ import (
 // small blocks.
 func IallgatherBruck(n, me int, send, recv mpi.Buf) *Schedule {
 	bs := send.Len()
-	s := &Schedule{Name: IallgatherName(AllgatherBruck)}
+	phases := bits.Len(uint(n - 1))
+	b := newBuilder(IallgatherName(AllgatherBruck), send, 2*phases+2, phases+2)
 	// tmp holds blocks in rotated order: tmp[i] = block of rank (me+i)%n.
 	tmp := staging(send, n*bs)
-	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: bs, Fn: func() {
-		mpi.Copy(block(tmp, 0, bs), send)
-	}}})
+	tref := b.buf(tmp)
+	b.local(bs, func() { mpi.Copy(block(tmp, 0, bs), send) })
+	b.end()
 	if n == 1 {
-		s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: bs, Fn: func() {
-			mpi.Copy(block(recv, me, bs), block(tmp, 0, bs))
-		}}})
-		return s
+		b.local(bs, func() { mpi.Copy(block(recv, me, bs), block(tmp, 0, bs)) })
+		return b.done()
 	}
 	phase := 0
 	for pow := 1; pow < n; pow *= 2 {
@@ -47,19 +47,18 @@ func IallgatherBruck(n, me int, send, recv mpi.Buf) *Schedule {
 		// Blocks 0..cnt-1 are contiguous in tmp, as is the receive region
 		// pow..pow+cnt-1, so no pack/unpack staging is needed (unlike the
 		// Bruck alltoall, whose per-phase block sets are strided).
-		s.Rounds = append(s.Rounds, Round{
-			{Kind: OpRecv, Peer: from, TagOff: tagOff(phase), Buf: tmp.Slice(pow*bs, cnt*bs)},
-			{Kind: OpSend, Peer: to, TagOff: tagOff(phase), Buf: tmp.Slice(0, cnt*bs)},
-		})
+		b.add(postOne(OpRecv, phase, from, tref, pow*bs, cnt*bs))
+		b.add(postOne(OpSend, phase, to, tref, 0, cnt*bs))
+		b.end()
 		phase++
 	}
 	// Inverse rotation into the caller's layout.
-	s.Rounds = append(s.Rounds, Round{{Kind: OpLocal, N: n * bs, Fn: func() {
+	b.local(n*bs, func() {
 		for i := 0; i < n; i++ {
 			mpi.Copy(block(recv, (me+i)%n, bs), block(tmp, i, bs))
 		}
-	}}})
-	return s
+	})
+	return b.done()
 }
 
 // IbarrierTree builds a binomial-tree barrier: gather completion up the tree,
@@ -69,35 +68,29 @@ func IallgatherBruck(n, me int, send, recv mpi.Buf) *Schedule {
 // what matters once OMatch×queue length and NIC message gaps dominate at 4K+
 // ranks.
 func IbarrierTree(n, me int) *Schedule {
-	s := &Schedule{Name: IbarrierTreeName}
 	if n == 1 {
-		return s
+		return &Schedule{Name: IbarrierTreeName}
 	}
 	parent, children := bcastTree(n, me, FanoutBinomial)
-	ops := 2 * len(children)
+	ops := 2 * runCount(children, n)
 	if parent >= 0 {
 		ops += 2
 	}
-	b := newRoundBuf(ops, 4)
+	b := newBuilder(IbarrierTreeName, mpi.Buf{}, ops, 4)
+	one := b.buf(mpi.Virtual(1))
 	// Up phase (tag offset 0): leaves report first; an inner node reports
 	// once all its children have.
-	for _, c := range children {
-		b.add(Op{Kind: OpRecv, Peer: c, TagOff: 0, Buf: mpi.Virtual(1)})
-	}
+	b.fanOut(OpRecv, 0, children, n, one, 0, 1)
 	b.end()
 	if parent >= 0 {
-		b.add(Op{Kind: OpSend, Peer: parent, TagOff: 0, Buf: mpi.Virtual(1)})
+		b.add(postOne(OpSend, 0, parent, one, 0, 1))
 		b.end()
-		b.add(Op{Kind: OpRecv, Peer: parent, TagOff: 1, Buf: mpi.Virtual(1)})
+		b.add(postOne(OpRecv, 1, parent, one, 0, 1))
 		b.end()
 	}
 	// Down phase (tag offset 1): release the subtree.
-	for _, c := range children {
-		b.add(Op{Kind: OpSend, Peer: c, TagOff: 1, Buf: mpi.Virtual(1)})
-	}
-	b.end()
-	s.Rounds = b.rounds
-	return s
+	b.fanOut(OpSend, 1, children, n, one, 0, 1)
+	return b.done()
 }
 
 // FanoutTorus is the fanout attribute value naming the torus-aware tree in
@@ -118,9 +111,9 @@ const FanoutTorus = -2
 // receiving segment s+1.
 func IbcastTorus(c *mpi.Comm, root int, buf mpi.Buf, segSize int) *Schedule {
 	n, me := c.Size(), c.Rank()
-	s := &Schedule{Name: IbcastName(FanoutTorus, segSize)}
+	name := IbcastName(FanoutTorus, segSize)
 	if n == 1 {
-		return s
+		return &Schedule{Name: name}
 	}
 	net := c.RankState().Network()
 	topo := net.Topo()
@@ -166,8 +159,7 @@ func IbcastTorus(c *mpi.Comm, root int, buf mpi.Buf, segSize int) *Schedule {
 		parent = leader[myNode]
 	}
 
-	s.Rounds = pipelinedRounds(buf, segSize, parent, children)
-	return s
+	return pipelined(name, n, buf, segSize, parent, children)
 }
 
 // nodeParentFn returns the node-tree parent function for the occupied nodes:

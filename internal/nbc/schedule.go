@@ -45,22 +45,40 @@ const (
 	OpAwaitPuts
 )
 
+// posts reports whether entries of kind k post requests: runs of Count.
+func (k OpKind) posts() bool { return k == OpSend || k == OpRecv || k == OpPut }
+
 // Op is one entry of a schedule round: its kind plus that kind's arguments,
-// as LibNBC stores a schedule entry. It is 48 bytes, and a schedule is
-// rebuilt for every rank on every call, so the one integer argument each
-// kind reads beside the peer and payload shares one field, N:
+// as LibNBC stores a schedule entry. It is 48 bytes and holds no pointer, so
+// the op array of a schedule, rebuilt for every rank on every call, gives the
+// collector nothing to trace: a payload is named by its index in the
+// schedule's table of base buffers and a byte range of it, local work by its
+// index in the schedule's table of functions. A virtual payload has no base
+// buffer: its entry names none and carries the length alone.
 //
-//	OpLocal      N is the bytes of local work, charged at CopyBandwidth
+// A post entry (OpSend, OpRecv, OpPut) is a run: it posts Count times, to the
+// comm ranks Peer, Peer+Step, … taken mod the comm size, all on TagOff. Each
+// post carries the Len bytes at Off + peer·Len of buffer Ref, the block of the
+// peer it goes to, or the Len bytes at Off for every peer when SameBlock is
+// set. A single post is a run of one, so a linear all-to-all is three entries
+// whatever the comm size. N is the one further integer a kind reads:
+//
+//	OpLocal      N is the bytes of local work, charged at CopyBandwidth;
+//	             Ref is the work's index in the function table, -1 for none
 //	OpPut        N is the byte offset in the target window
 //	OpAwaitPuts  N is the cumulative puts expected by this round
 //	OpSend/Recv  N is unused
 type Op struct {
-	Kind   OpKind
-	TagOff int32   // tag offset within the handle's tag range (0..mpi.NBTagStride-1); see tagOff
-	Peer   int     // comm rank (send destination / recv source / put target)
-	Buf    mpi.Buf // payload or destination descriptor (virtual or real)
-	N      int     // the kind's argument, as above
-	Fn     func()  // OpLocal: the work itself (may be nil for timing-only)
+	Kind      OpKind
+	SameBlock bool  // every post of the run carries the block at Off
+	TagOff    int32 // tag offset within the handle's tag range (0..mpi.NBTagStride-1); see tagOff
+	Peer      int32 // first comm rank of the run (send destination / recv source / put target)
+	Count     int32 // posts in the run
+	Step      int32 // comm-rank stride between the run's posts, 0 ≤ Step < comm size
+	Ref       int32 // the payload's base buffer, or OpLocal's work; -1: none
+	Off       int   // byte offset of the payload in its base buffer
+	Len       int   // bytes per post
+	N         int   // the kind's argument, as above
 }
 
 // tagOff narrows a builder's tag offset to Op.TagOff. An offset that does not
@@ -73,33 +91,153 @@ func tagOff(v int) int32 {
 	return int32(v)
 }
 
+// postOne returns an entry that posts kind once, to peer, with the n bytes at
+// off of base buffer ref.
+func postOne(kind OpKind, tag, peer int, ref int32, off, n int) Op {
+	return Op{Kind: kind, SameBlock: true, TagOff: tagOff(tag), Peer: int32(peer), Count: 1, Ref: ref, Off: off, Len: n}
+}
+
+// postRun returns an entry that posts kind count times, to peer, peer+step, …
+// mod the comm size (0 ≤ step < comm size), each post with its peer's n-byte
+// block at off + peer·n of base buffer ref.
+func postRun(kind OpKind, tag, peer, step, count int, ref int32, off, n int) Op {
+	return Op{Kind: kind, TagOff: tagOff(tag), Peer: int32(peer), Count: int32(count), Step: int32(step), Ref: ref, Off: off, Len: n}
+}
+
+// nextRun returns the longest run of peers[i:] whose successive comm ranks
+// are one step apart mod n, as (step, count).
+func nextRun(peers []int, i, n int) (step, count int) {
+	count = 1
+	if i+1 < len(peers) {
+		step = mod(peers[i+1]-peers[i], n)
+		for count = 2; i+count < len(peers) && mod(peers[i+count]-peers[i+count-1], n) == step; count++ {
+		}
+	}
+	return step, count
+}
+
+// runCount returns the runs nextRun splits peers into.
+func runCount(peers []int, n int) int {
+	runs := 0
+	for i := 0; i < len(peers); runs++ {
+		_, count := nextRun(peers, i, n)
+		i += count
+	}
+	return runs
+}
+
 // Round is a set of operations started together.
 type Round []Op
 
-// roundBuf lays a schedule's rounds out in one exactly sized array of ops,
-// as LibNBC builds a schedule in one contiguous buffer. A builder whose
-// round widths grow with the rank or segment count counts its ops and rounds
-// first, adds the ops in order and ends each round; every round is a capped
-// sub-slice of the array, so an append to one round can never write into the
-// next.
-type roundBuf struct {
-	ops    []Op
-	rounds []Round
-	start  int // first op of the open round
+// builder lays a schedule out as LibNBC builds one in a single buffer: its
+// ops in one array, every round a capped sub-slice of it that starts where
+// the round before it ends, so an append to one round can never write into
+// the next. A builder that knows its op and round counts sizes the array
+// exactly; one that does not lets it grow, and done re-slices every round
+// from the final array. Payloads with real bytes go into the schedule's
+// buffer table, and local work into its function table only when the
+// schedule carries data, as the work copies or reduces real bytes: a virtual
+// schedule has neither table.
+type builder struct {
+	s     *Schedule
+	ops   []Op
+	start int  // first op of the open round
+	data  bool // the schedule moves real bytes
 }
 
-func newRoundBuf(ops, rounds int) *roundBuf {
-	return &roundBuf{ops: make([]Op, 0, ops), rounds: make([]Round, 0, rounds)}
+// newBuilder starts schedule name over payloads like like, with room for ops
+// entries in rounds rounds.
+func newBuilder(name string, like mpi.Buf, ops, rounds int) *builder {
+	return &builder{
+		s:    &Schedule{Name: name, Rounds: make([]Round, 0, rounds)},
+		ops:  make([]Op, 0, ops),
+		data: like.HasData(),
+	}
 }
 
-func (b *roundBuf) add(op Op) { b.ops = append(b.ops, op) }
+// buf returns the Ref of base buffer x: its index in the schedule's table
+// when x has real bytes, -1 for a virtual payload, which is a length alone.
+func (b *builder) buf(x mpi.Buf) int32 {
+	if !x.HasData() {
+		return -1
+	}
+	b.s.bufs = append(b.s.bufs, x)
+	return int32(len(b.s.bufs) - 1)
+}
+
+func (b *builder) add(op Op) { b.ops = append(b.ops, op) }
+
+// local adds an OpLocal entry charging n bytes of copy time; work is
+// registered only when the schedule carries data.
+func (b *builder) local(n int, work func()) {
+	op := Op{Kind: OpLocal, N: n, Ref: -1}
+	if b.data {
+		op.Ref = int32(len(b.s.work))
+		b.s.work = append(b.s.work, work)
+	}
+	b.add(op)
+}
+
+// fanOut adds posts of kind to each of peers in turn, all with the n bytes at
+// off of base buffer ref, one entry per run of peers a step apart mod the
+// comm size commSize.
+func (b *builder) fanOut(kind OpKind, tag int, peers []int, commSize int, ref int32, off, n int) {
+	for i := 0; i < len(peers); {
+		step, count := nextRun(peers, i, commSize)
+		op := postOne(kind, tag, peers[i], ref, off, n)
+		op.Step, op.Count = int32(step), int32(count)
+		b.add(op)
+		i += count
+	}
+}
 
 // end closes the open round; a round without ops is dropped.
-func (b *roundBuf) end() {
+func (b *builder) end() {
 	if n := len(b.ops); n > b.start {
-		b.rounds = append(b.rounds, Round(b.ops[b.start:n:n]))
+		b.s.Rounds = append(b.s.Rounds, Round(b.ops[b.start:n:n]))
 		b.start = n
 	}
+}
+
+// splice appends part's rounds, their tags shifted by tagBase and their
+// buffer and work indexes rebased onto this schedule's tables, and returns
+// the highest tag offset part's sends and receives use (-1: none).
+func (b *builder) splice(part *Schedule, tagBase int) int {
+	bufBase, workBase := int32(len(b.s.bufs)), int32(len(b.s.work))
+	b.s.bufs = append(b.s.bufs, part.bufs...)
+	b.s.work = append(b.s.work, part.work...)
+	hi := -1
+	for _, r := range part.Rounds {
+		for _, op := range r {
+			if op.Kind == OpSend || op.Kind == OpRecv {
+				hi = max(hi, int(op.TagOff))
+				op.TagOff = tagOff(int(op.TagOff) + tagBase)
+			}
+			switch {
+			case op.Ref < 0:
+			case op.Kind.posts():
+				op.Ref += bufBase
+			case op.Kind == OpLocal:
+				op.Ref += workBase
+			}
+			b.add(op)
+		}
+		b.end()
+	}
+	return hi
+}
+
+// done closes the open round and returns the schedule, every round sliced
+// from the final op array.
+func (b *builder) done() *Schedule {
+	b.end()
+	start := 0
+	for i, r := range b.s.Rounds {
+		end := start + len(r)
+		b.s.Rounds[i] = b.ops[start:end:end]
+		start = end
+	}
+	return b.s
 }
 
 // Schedule is a per-rank compiled collective operation. Schedules are
@@ -113,6 +251,9 @@ type Schedule struct {
 	// Schedules with a window allow only one outstanding execution at a
 	// time (the completion counters are per window).
 	Win *mpi.Win
+
+	bufs []mpi.Buf // base buffers with real bytes, named by the post entries' Ref
+	work []func()  // local work, named by the OpLocal entries' Ref
 }
 
 // Handle is the execution state of one started schedule (LibNBC's
@@ -244,14 +385,26 @@ func (h *Handle) freePending() {
 }
 
 // execRounds executes the current round's local ops, posts its p2p ops, and
-// falls through rounds that have no point-to-point operations.
+// falls through rounds that post nothing and await nothing.
 func (h *Handle) execRounds() {
 	rank := h.comm.RankState()
 	rec := rank.Recorder()
+	n, params := h.comm.Size(), rank.Network().Params()
 	for h.round < len(h.sched.Rounds) {
 		r := h.sched.Rounds[h.round]
 		h.freePending()
-		h.pending = slices.Grow(h.pending, len(r))
+		// Room for every post that can stay open: an eager send completes
+		// at post, a rendezvous send stays open as long as a receive.
+		posts, open := 0, 0
+		for i := range r {
+			if op := &r[i]; op.Kind.posts() {
+				posts += int(op.Count)
+				if op.Kind != OpSend || !params.Eager(op.Len) {
+					open += int(op.Count)
+				}
+			}
+		}
+		h.pending = slices.Grow(h.pending, open)
 		h.await = -1
 		for i := range r {
 			op := &r[i]
@@ -265,25 +418,43 @@ func (h *Handle) execRounds() {
 			}
 			switch op.Kind {
 			case OpLocal:
-				h.comm.RankState().ChargeCopy(op.N)
-				if op.Fn != nil {
-					op.Fn()
+				rank.ChargeCopy(op.N)
+				if op.Ref >= 0 {
+					h.sched.work[op.Ref]()
 				}
-			case OpSend:
-				rec.AlgoBytes(rank.ID(), h.sched.Name, op.Buf.Len())
-				h.post(h.comm.Isend(op.Peer, h.tag+int(op.TagOff), op.Buf))
-			case OpRecv:
-				h.post(h.comm.Irecv(op.Peer, h.tag+int(op.TagOff), op.Buf))
-			case OpPut:
-				rec.AlgoBytes(rank.ID(), h.sched.Name, op.Buf.Len())
-				h.pending = append(h.pending, h.sched.Win.PutInstanced(h.instance, op.Peer, op.N, op.Buf).Handle())
 			case OpAwaitPuts:
 				h.await = op.N
+			case OpSend, OpRecv, OpPut:
+				var base mpi.Buf // virtual
+				if op.Ref >= 0 {
+					base = h.sched.bufs[op.Ref]
+				}
+				tag, peer := h.tag+int(op.TagOff), int(op.Peer)
+				for range op.Count {
+					off := op.Off
+					if !op.SameBlock {
+						off += peer * op.Len
+					}
+					b := base.Slice(off, op.Len)
+					switch op.Kind {
+					case OpSend:
+						rec.AlgoBytes(rank.ID(), h.sched.Name, op.Len)
+						h.post(h.comm.Isend(peer, tag, b))
+					case OpRecv:
+						h.post(h.comm.Irecv(peer, tag, b))
+					case OpPut:
+						rec.AlgoBytes(rank.ID(), h.sched.Name, op.Len)
+						h.post(h.sched.Win.PutInstanced(h.instance, peer, op.N, b))
+					}
+					if peer += int(op.Step); peer >= n {
+						peer -= n
+					}
+				}
 			default:
 				panic(fmt.Sprintf("nbc: unknown op kind %d", op.Kind))
 			}
 		}
-		if len(h.pending) > 0 || h.await >= 0 {
+		if posts > 0 || h.await >= 0 {
 			if rec != nil {
 				rec.MarkInstant(rank.ID(), fmt.Sprintf("%s r%d", h.sched.Name, h.round), rank.Now())
 			}
@@ -296,18 +467,18 @@ func (h *Handle) execRounds() {
 	rec.OpEnd(rank.ID(), h.obsID, rank.Now())
 }
 
-// post adds a request the round just posted to its pending list. One that is
-// already complete (every eager send, and a receive its message had already
-// reached) goes straight back to the pool, so the round's next post draws the
-// same record, and the list holds a zero handle for it, which reads done: the
-// round waits exactly as it would on the request.
+// post adds a request the round just posted to its pending list if it is
+// still open. One that is already complete (every eager send, and a receive
+// its message had already reached) goes straight back to the pool, so the
+// round's next post draws the same record: the round waits on its open
+// requests alone, and the progress charges count the rank's outstanding
+// requests, not the list.
 func (h *Handle) post(q *mpi.Request) {
-	hd := q.Handle()
-	if hd.Done() {
-		h.comm.FreeRequests(q)
-		hd = mpi.ReqHandle{}
+	if hd := q.Handle(); !hd.Done() {
+		h.pending = append(h.pending, hd)
+		return
 	}
-	h.pending = append(h.pending, hd)
+	h.comm.FreeRequests(q)
 }
 
 // awaitSatisfied checks the current round's put-count gate.
