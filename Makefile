@@ -38,17 +38,19 @@ race:
 	$(GO) test -race -count 1 -run 'TestChaos|Speculat|DataMode' ./internal/bench
 	$(GO) test -race -count 1 -run Speculat ./internal/core
 
-# The one committed file too slow for tier-1: sweep -suite figs-fft -fast
-# (~60 s on two cores) must reproduce results/fftbench.txt (Figs 9-12). Every
-# other file under results/ that regenerates in under 10 s is a row of the
-# root package's TestCommittedResults, which also names the ones it leaves out.
-# The binary goes to a scratch directory that the trap removes on every exit
+# The one committed run too slow for tier-1: sweep -suite figs-fft -fast
+# (~60 s on two cores) must reproduce results/fftbench.txt (Figs 9-12) and
+# its rows, results/fftbench.json. Every other file under results/ that
+# regenerates in under 10 s is a row of the root package's
+# TestCommittedResults, which also names the ones it leaves out. The binary
+# and the rows go to a scratch directory that the trap removes on every exit
 # path.
 e2e:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/" ./cmd/sweep; \
-	"$$d/sweep" -suite figs-fft -fast -quiet | cmp - results/fftbench.txt; \
-	echo "e2e: sweep -suite figs-fft -fast reproduces results/fftbench.txt (Figs 9-12)"
+	"$$d/sweep" -suite figs-fft -fast -quiet -out "$$d/fftbench.json" | cmp - results/fftbench.txt; \
+	cmp "$$d/fftbench.json" results/fftbench.json; \
+	echo "e2e: sweep -suite figs-fft -fast reproduces results/fftbench.txt and results/fftbench.json (Figs 9-12)"
 
 # One run of each BENCHMARK.json workload; the last line of each is the JSON
 # result. Add --trace 1 by hand for the per-layer metrics of one workload.

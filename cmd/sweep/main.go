@@ -19,10 +19,11 @@
 // scenario in a content-addressed store so re-runs of the same build are
 // nearly free and an interrupted sweep resumes where it stopped. Aggregated
 // output is byte-identical for every -jobs value and for cached vs fresh runs.
-// Alongside the tables, the aggregate suites write a machine-readable
-// summary (for guidelines, the report) to -out; without -out no file is
-// written. EXPERIMENTS.md gives the one command behind each committed
-// results/ file.
+// Every suite renders its tables from a machine-readable summary, one row
+// per scenario with every run measured on it (bench.SummaryRow); -out writes
+// it (for guidelines, the report; for a bundle, every member's summary in
+// one bench.BundleSummary). Without -out no file is written. EXPERIMENTS.md
+// gives the one command behind each committed results/ file.
 //
 // Example:
 //
@@ -54,11 +55,10 @@ func main() {
 	var (
 		suite    = flag.String("suite", "verification", "scenario grid: "+strings.Join(bench.SuiteNames(), ", "))
 		fast     = flag.Bool("fast", false, "trimmed scenario grid (minutes instead of hours; the scale of the committed results/ files)")
-		csv      = flag.Bool("csv", false, "emit CSV tables")
 		quiet    = flag.Bool("quiet", false, "suppress per-scenario progress lines")
 		jobs     = flag.Int("jobs", 0, "parallel scenario workers (0 = GOMAXPROCS, 1 = sequential)")
 		cacheDir = flag.String("cache", "", "result store directory: serve and persist scenario results there, for this build of sweep only; an interrupted sweep resumes from it (empty = no store)")
-		out      = flag.String("out", "", "machine-readable summary path (verification, fft, scale, fig2 and guidelines write one; empty = no file)")
+		out      = flag.String("out", "", "machine-readable summary path: one row per scenario with every run (guidelines: the report; a bundle: every member's summary); empty = no file")
 		observe  = flag.Bool("observe", false, "attach obs recorders so summary rows and the Fig 6 table carry overlap ratios (timing-neutral)")
 		traceDir = flag.String("trace", "", "directory for one Chrome trace-event JSON per run of a figure matrix (fig3..fig7, fig9..fig12; open in Perfetto)")
 		data     = flag.Bool("data", false, "real payloads with per-iteration data verification (virtual times unchanged; slower)")
@@ -74,11 +74,6 @@ func main() {
 	suites, err := bench.Suites(*suite, *fast)
 	if err != nil {
 		fail(err)
-	}
-	// The file holds the last suite's summary; whether there will be one is
-	// known from the suite, before hours of simulation.
-	if *out != "" && !suites[len(suites)-1].Summarizes() {
-		fail(fmt.Errorf("-out: %s has no machine-readable summary (verification, fft, scale, fig2 and guidelines do)", *suite))
 	}
 	if _, err := profiles.ByName(*chaosStr); err != nil {
 		fail(err)
@@ -159,7 +154,7 @@ func main() {
 		trace = func(cell string, rec *obs.Recorder) error { return writeTrace(*traceDir, cell, rec) }
 	}
 
-	var last *bench.Outcome
+	var outs []*bench.Outcome
 	var learned []kb.Record
 	for i := range suites {
 		s := &suites[i]
@@ -192,19 +187,15 @@ func main() {
 			fail(err)
 		}
 		for _, t := range o.Tables {
-			if *csv {
-				t.RenderCSV(os.Stdout)
-			} else {
-				t.Render(os.Stdout)
-			}
+			t.Render(os.Stdout)
 			fmt.Println()
 		}
-		last = o
+		outs = append(outs, o)
 		learned = append(learned, winners(o)...)
 	}
 
 	if *out != "" {
-		if err := last.WriteFile(*out); err != nil {
+		if err := bench.WriteOutcomes(*out, *suite, outs); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "summary written to %s\n", *out)
@@ -218,23 +209,30 @@ func main() {
 }
 
 // winners are the tuned decisions of a run in the form tune -history looks
-// them up: keyed by the same (HistoryKey, EnvFingerprint) pair. Each
-// verification run measured every fixed implementation, so the per-scenario
-// best is exactly what a tuner would commit. A guideline audit contributes
-// every mock its tuning round adopted, with the evaluations that cost — tune
-// replays a recorded catalogue mock of its op. The other suites decide
-// nothing a command looks up (a 3D-FFT kernel's winner has no tune
-// scenario), so they have nothing to file.
+// them up: keyed by the same (HistoryKey, EnvFingerprint) pair. A row of the
+// verification methodology (it carries selector verdicts) measured every
+// fixed implementation, so its best is exactly what a tuner would commit;
+// tune places ranks cyclically, so a row measured under another placement
+// is filed under an environment that names it, where no tune lookup hits. A
+// guideline audit contributes every mock its tuning round adopted, with the
+// evaluations that cost — tune replays a recorded catalogue mock of its op.
+// The other suites decide nothing a command looks up (a 3D-FFT kernel's
+// winner has no tune scenario), so they have nothing to file.
 func winners(o *bench.Outcome) []kb.Record {
 	var recs []kb.Record
 	switch {
-	case o.Verification != nil:
-		for _, v := range o.Verification.Runs {
+	case o.Summary != nil:
+		for _, r := range o.Summary.Rows {
+			pl, err := platform.ByName(r.Platform)
+			if r.Correct == nil || err != nil {
+				continue
+			}
+			env := core.EnvFingerprint(pl.Net.Topology.String(), r.Chaos, r.ChaosSeed)
+			if r.Placement != "" {
+				env = strings.TrimPrefix(env+"|placement="+r.Placement, "|")
+			}
 			recs = append(recs, kb.Record{
-				Key:    core.HistoryKey(v.Spec.Op, v.Spec.Platform.Name, v.Spec.Procs, v.Spec.MsgSize),
-				Env:    core.EnvFingerprint(v.Spec.Platform.Net.Topology.String(), v.Spec.Chaos, v.Spec.ChaosSeed),
-				Winner: v.Fixed[v.Best].Impl,
-				Score:  v.Fixed[v.Best].Total,
+				Key: core.HistoryKey(r.Op, r.Platform, r.Procs, r.Size), Env: env, Winner: r.Best, Score: r.BestTotal,
 			})
 		}
 	case o.Guidelines != nil:

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -29,32 +30,61 @@ func TestDefaultOut(t *testing.T) {
 	}
 }
 
-// TestCSV: -csv prints every table as one header line and one
-// comma-separated line per row, holding the cells of the aligned table the
-// same run prints without it (fig6, the cheapest figure suite).
-func TestCSV(t *testing.T) {
+// TestFigureOut: -out writes a figure suite's rows, one per scenario, each
+// with one run per implementation whose total is the table's total_s.
+func TestFigureOut(t *testing.T) {
 	dir := t.TempDir()
-	code, text, stderr := sweep(t, dir, "-suite fig6 -fast -quiet")
+	code, text, stderr := sweep(t, dir, "-suite fig3 -fast -quiet -out f.json")
 	if code != 0 {
-		t.Fatalf("sweep -suite fig6 -fast: exit status %d\n%s", code, stderr)
+		t.Fatalf("sweep -suite fig3 -fast -out f.json: exit status %d\n%s", code, stderr)
 	}
-	code, csv, stderr := sweep(t, dir, "-suite fig6 -fast -quiet -csv")
-	if code != 0 {
-		t.Fatalf("sweep -suite fig6 -fast -csv: exit status %d\n%s", code, stderr)
-	}
-	var want, got []string
-	for _, line := range strings.Split(text, "\n") {
-		if line != "" && !strings.HasPrefix(line, "## ") && !strings.HasPrefix(line, "-") {
-			want = append(want, strings.Join(strings.Fields(line), ","))
+	var sum bench.SweepSummary
+	readJSON(t, filepath.Join(dir, "f.json"), &sum)
+	var totals []string
+	for _, row := range sum.Rows {
+		for _, r := range row.Runs {
+			totals = append(totals, bench.Sec(r.Total))
 		}
 	}
-	for _, line := range strings.Split(csv, "\n") {
-		if line != "" {
-			got = append(got, line)
+	var column []string
+	for _, line := range strings.Split(text, "\n")[3:] { // title, header, rule
+		if f := strings.Fields(line); len(f) == 4 {
+			column = append(column, f[2])
 		}
 	}
-	if len(want) < 2 || strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("sweep -csv printed\n%s\nwant the header and rows of\n%s", csv, text)
+	if sum.Suite != "fig3" || len(sum.Rows) != 2 || len(totals) != 6 || strings.Join(totals, " ") != strings.Join(column, " ") {
+		t.Errorf("f.json: suite %q, %d rows, run totals %v; want fig3, 2 rows and the table's total_s column %v", sum.Suite, len(sum.Rows), totals, column)
+	}
+}
+
+// TestBundleOut: -out on a bundle writes every member's summary, in order,
+// in one file.
+func TestBundleOut(t *testing.T) {
+	dir := t.TempDir()
+	if code, _, stderr := sweep(t, dir, "-suite figs-micro -fast -quiet -out b.json"); code != 0 {
+		t.Fatalf("sweep -suite figs-micro -fast -out b.json: exit status %d\n%s", code, stderr)
+	}
+	var b bench.BundleSummary
+	readJSON(t, filepath.Join(dir, "b.json"), &b)
+	members, _ := bench.Suites("figs-micro", true)
+	if b.Bundle != "figs-micro" || len(b.Suites) != len(members) {
+		t.Fatalf("b.json: bundle %q with %d suites, want figs-micro with %d", b.Bundle, len(b.Suites), len(members))
+	}
+	for i, m := range members {
+		if s := b.Suites[i]; s.Suite != m.Name || len(s.Rows) != len(m.Micro) {
+			t.Errorf("b.json suite %d: %q with %d rows, want %q with %d", i, s.Suite, len(s.Rows), m.Name, len(m.Micro))
+		}
+	}
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(b, v)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -71,27 +101,25 @@ func TestUnknownSuite(t *testing.T) {
 }
 
 // TestShareKB: -history files the best fixed implementation of every
-// verification scenario, with its score, and every mock a guideline audit
+// verification row, with its score, and every mock a guideline audit
 // adopted, with the evaluations that cost, under the key and environment tune
 // -history looks up, into a file kb.Open reads back; a stored better score
 // keeps its record, and a registration the audit did not adopt is not filed.
-// A suite whose decisions no command looks up — the 3D-FFT sweep — yields no
-// records (and is refused before it runs; TestRefusals).
+// A row measured under block placement is filed where tune, which places
+// ranks cyclically, never looks. A suite whose decisions no command looks up
+// — the 3D-FFT sweep — yields no records (and is refused before it runs;
+// TestRefusals).
 func TestShareKB(t *testing.T) {
-	plat, err := platform.ByName("crill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(procs int, chaos string, best string, score float64) *bench.Verification {
-		return &bench.Verification{
-			Spec:  bench.MicroSpec{Platform: plat, Procs: procs, MsgSize: 1024, Op: "ibcast", Chaos: chaos, ChaosSeed: 3},
-			Fixed: []bench.MicroResult{{Impl: "slow", Total: 2 * score}, {Impl: best, Total: score}},
-			Best:  1,
+	row := func(plat, chaos, placement, best string, score float64) bench.SummaryRow {
+		return bench.SummaryRow{
+			Platform: plat, Procs: 8, Op: "ibcast", Size: 1024, Chaos: chaos, ChaosSeed: 3, Placement: placement,
+			Best: best, BestTotal: score, Correct: map[string]bool{"brute-force": true},
 		}
 	}
-	o := &bench.Outcome{Verification: &bench.SweepStats{Runs: []*bench.Verification{
-		run(8, "", "ibcast-binomial-seg32k", 0.5),
-		run(8, "congested", "ibcast-chain-seg32k", 0.7),
+	o := &bench.Outcome{Summary: &bench.SweepSummary{Rows: []bench.SummaryRow{
+		row("crill", "", "", "ibcast-binomial-seg32k", 0.5),
+		row("crill", "congested", "", "ibcast-chain-seg32k", 0.7),
+		row("bgp", "", "block", "ibcast-linear-seg32k", 0.3),
 	}}}
 	sc := guideline.Scenario{Platform: "whale-tcp", Procs: 8, Size: 262144}
 	audit := &bench.Outcome{Guidelines: &guideline.Report{Registrations: []guideline.Registration{
@@ -106,7 +134,7 @@ func TestShareKB(t *testing.T) {
 	better := kb.Record{Key: core.HistoryKey("ibcast", "crill", 8, 1024), Env: "chaos=congested#3", Winner: "kept", Score: 0.1}
 	hist.Put(better)
 	var diag bytes.Buffer
-	if err := fileWinners(hist, path, append(winners(o), winners(audit)...), &diag); err != nil || diag.String() != "2 tuned winners filed in "+path+"\n" {
+	if err := fileWinners(hist, path, append(winners(o), winners(audit)...), &diag); err != nil || diag.String() != "3 tuned winners filed in "+path+"\n" {
 		t.Fatalf("fileWinners: error %v, said %q", err, diag.String())
 	}
 	file, err := kb.Open(kb.StoreOptions{SnapshotPath: path})
@@ -116,6 +144,7 @@ func TestShareKB(t *testing.T) {
 	want := []kb.Record{
 		{Key: core.HistoryKey("ibcast", "crill", 8, 1024), Winner: "ibcast-binomial-seg32k", Score: 0.5},
 		better,
+		{Key: core.HistoryKey("ibcast", "bgp", 8, 1024), Env: "torus3d|placement=block", Winner: "ibcast-linear-seg32k", Score: 0.3},
 		{Key: core.HistoryKey("ibcast", "whale-tcp", 8, 262144), Winner: core.MockIbcastScatterAllgather, Evals: 66},
 	}
 	for _, w := range want {
@@ -126,8 +155,12 @@ func TestShareKB(t *testing.T) {
 	if file.Len() != len(want) {
 		t.Errorf("h.json holds %d records, want %d", file.Len(), len(want))
 	}
-	if fft := winners(&bench.Outcome{FFT: &bench.FFTSweepStats{}}); fft != nil {
-		t.Errorf("an FFT outcome yields %d records no command looks up", len(fft))
+	if _, ok := file.Lookup(core.HistoryKey("ibcast", "bgp", 8, 1024), core.EnvFingerprint("torus3d", "", 0)); ok {
+		t.Error("a winner tuned under block placement answers tune's cyclic lookup")
+	}
+	fft := (&bench.FFTSweepStats{Rows: [][2]bench.FFTResult{{{Spec: bench.FFTSpec{Platform: platform.Platform{Name: "crill"}}}, {}}}}).Summary()
+	if recs := winners(&bench.Outcome{Summary: fft}); recs != nil {
+		t.Errorf("an FFT outcome yields %d records no command looks up", len(recs))
 	}
 }
 
@@ -168,8 +201,8 @@ func sweep(t *testing.T, dir, args string) (code int, stdout, stderr string) {
 // guideline audit's unobserved leaves cannot take, -chaos on the
 // full guideline grid, which has its own clean and congested axis, and a
 // -cache directory that is the next flag (what the old boolean -cache parses
-// to), and -out on a figure suite, which prints tables only. The unknown
-// suite makes a missing worker-count refusal fail fast on the wrong message.
+// to). The unknown suite makes a missing worker-count refusal fail fast on
+// the wrong message.
 func TestRefusals(t *testing.T) {
 	for args, want := range map[string]string{
 		"-jobs -1 -suite nonesuch":                  "worker count",
@@ -182,7 +215,6 @@ func TestRefusals(t *testing.T) {
 		"-data -suite guidelines -fast":             "-data: guidelines measures unobserved",
 		"-speculate -suite guidelines -fast":        "-speculate: guidelines measures unobserved",
 		"-chaos congested -suite guidelines":        "-chaos: the full guidelines grid",
-		"-suite fig3 -fast -out x.json":             "has no machine-readable summary",
 	} {
 		if code, _, stderr := sweep(t, t.TempDir(), args); code != 1 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, want) {
 			t.Errorf("sweep %s: exit status %d, stderr %q; want exit status 1 and one line containing %q", args, code, stderr, want)

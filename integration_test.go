@@ -282,9 +282,40 @@ func TestAuditHistoryTuneLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs cmd/sweep and cmd/tune")
 	}
+	command := commandsIn(t)
+	if _, diag := command("sweep", "-suite", "guidelines", "-fast", "-quiet", "-out", "r.json", "-history", "h.json"); !strings.Contains(diag, "1 tuned winners filed in h.json") {
+		t.Fatalf("sweep did not file the adopted mock:\n%s", diag)
+	}
+	out, _ := command("tune", "-op", "ibcast", "-platform", "whale-tcp", "-np", "16", "-msg", "262144", "-history", "h.json")
+	if !strings.HasPrefix(out, "history hit for ") || !strings.Contains(out, "decision: "+core.MockIbcastScatterAllgather+" after 0 measurements") {
+		t.Fatalf("tune did not replay the mock sweep filed:\n%s", out)
+	}
+}
+
+// TestHistoryKeepsPlacement: the scale suite tunes its 1 024-rank broadcast
+// under block placement (torus winner), and tune places ranks cyclically
+// (binomial winner, EXPERIMENTS.md E15), so the winner sweep files must not
+// answer tune's lookup of the same scenario: tune learns instead.
+func TestHistoryKeepsPlacement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs cmd/sweep and cmd/tune")
+	}
+	command := commandsIn(t)
+	if _, diag := command("sweep", "-suite", "scale", "-fast", "-quiet", "-history", "h.json"); !strings.Contains(diag, "6 tuned winners filed in h.json") {
+		t.Fatalf("sweep did not file the scale winners:\n%s", diag)
+	}
+	out, _ := command("tune", "-op", "ibcast-scalable", "-platform", "bgp-16k", "-np", "1024", "-msg", "131072", "-compute", "0.05", "-progress", "4", "-evals", "2", "-history", "h.json")
+	if strings.Contains(out, "history hit") || !strings.Contains(out, "decision: ibcast-binomial-seg32k") {
+		t.Fatalf("tune under cyclic placement took the winner sweep tuned under block placement:\n%s", out)
+	}
+}
+
+// commandsIn builds sweep and tune and returns a runner of either in one
+// fresh directory, failing the test on a non-zero exit.
+func commandsIn(t *testing.T) func(name string, args ...string) (stdout, stderr string) {
 	bin := buildCommands(t)
 	dir := t.TempDir()
-	command := func(name string, args ...string) (stdout, stderr string) {
+	return func(name string, args ...string) (stdout, stderr string) {
 		var o, e bytes.Buffer
 		cmd := exec.Command(filepath.Join(bin, name), args...)
 		cmd.Dir, cmd.Stdout, cmd.Stderr = dir, &o, &e
@@ -292,13 +323,6 @@ func TestAuditHistoryTuneLoop(t *testing.T) {
 			t.Fatalf("%s %s: %v\n%s", name, strings.Join(args, " "), err, e.Bytes())
 		}
 		return o.String(), e.String()
-	}
-	if _, diag := command("sweep", "-suite", "guidelines", "-fast", "-quiet", "-out", "r.json", "-history", "h.json"); !strings.Contains(diag, "1 tuned winners filed in h.json") {
-		t.Fatalf("sweep did not file the adopted mock:\n%s", diag)
-	}
-	out, _ := command("tune", "-op", "ibcast", "-platform", "whale-tcp", "-np", "16", "-msg", "262144", "-history", "h.json")
-	if !strings.HasPrefix(out, "history hit for ") || !strings.Contains(out, "decision: "+core.MockIbcastScatterAllgather+" after 0 measurements") {
-		t.Fatalf("tune did not replay the mock sweep filed:\n%s", out)
 	}
 }
 

@@ -341,11 +341,6 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 5 { // title, header, separator, 2 rows
 		t.Fatalf("got %d lines:\n%s", len(lines), out)
 	}
-	var csv bytes.Buffer
-	tab.RenderCSV(&csv)
-	if !strings.HasPrefix(csv.String(), "a,bb\n") {
-		t.Fatalf("csv output: %s", csv.String())
-	}
 }
 
 func TestMsSecFormat(t *testing.T) {

@@ -40,38 +40,16 @@ type Suite struct {
 	tables func(s *Suite, o *Outcome) []*Table
 }
 
-// Outcome is what running a suite produced: the tables to print and the raw
-// results behind them (the one field matching the suite's kind is set).
+// Outcome is what running a suite produced: the tables to print and the
+// machine-readable form they are rendered from.
 type Outcome struct {
-	Tables       []*Table
-	Verification *SweepStats     // suites with Selectors
-	Fixed        [][]MicroResult // other micro suites: [scenario][implementation]
-	FFT          *FFTSweepStats  // FFT suites without Flavors
-	Cells        [][]FFTResult   // FFT suites with Flavors: [scenario][flavor]
-	// Summary is the machine-readable form of the aggregate statistics; nil
-	// for the figure matrices, which have none.
+	Tables []*Table
+	// Summary holds one row per scenario; set for every suite but the
+	// guideline audit.
 	Summary *SweepSummary
 	// Guidelines is the guideline suite's report, its machine-readable form
-	// in place of a Summary.
+	// in place of a Summary: findings with their raw samples.
 	Guidelines *guideline.Report
-}
-
-// WriteFile writes the outcome's machine-readable form, the guideline
-// report or the summary, to path.
-func (o *Outcome) WriteFile(path string) error {
-	if o.Guidelines != nil {
-		return o.Guidelines.WriteFile(path)
-	}
-	return WriteSummaryFile(path, o.Summary)
-}
-
-// Summarizes reports whether Run fills Outcome.Summary or
-// Outcome.Guidelines: the aggregate suites (a verification methodology, the
-// §IV-B statistic, the guideline audit) do, the per-implementation and
-// per-flavor matrices have none. A driver asked for a summary file decides
-// from it before anything runs.
-func (s *Suite) Summarizes() bool {
-	return s.Selectors != nil || s.Micro == nil && s.Flavors == nil
 }
 
 // Traces reports whether Run hands recorders to its trace sink: only the
@@ -81,37 +59,49 @@ func (s *Suite) Traces() bool {
 }
 
 // Run executes the suite's scenarios on the experiment runner and renders
-// its tables. A non-nil trace receives the recorder of every run of a
-// per-implementation or per-flavor matrix (the suites that fill Outcome.Fixed
-// or Outcome.Cells); the aggregate suites run whole verifications,
+// its tables from the outcome's summary (the guideline audit: its report). A
+// non-nil trace receives the recorder of every run of a per-implementation
+// or per-flavor matrix; the aggregate suites run whole verifications,
 // comparisons or guideline leaves per job and export none.
 func (s *Suite) Run(opt RunOptions, trace TraceSink) (*Outcome, error) {
 	o := &Outcome{}
+	sum := &SweepSummary{CodeVersion: summaryFormat} // a matrix's: rows alone
 	var err error
 	switch {
 	case s.Selectors != nil:
-		if o.Verification, err = VerificationSweepOpts(s.Micro, s.Selectors, opt); err == nil {
-			o.Summary = o.Verification.Summary()
+		var st *SweepStats
+		if st, err = VerificationSweepOpts(s.Micro, s.Selectors, opt); err == nil {
+			sum = st.Summary()
 		}
 	case s.Micro != nil:
-		o.Fixed, err = FixedMatrix(s.Micro, s.Impls, opt, trace)
+		var fixed [][]MicroResult
+		fixed, err = FixedMatrix(s.Micro, s.Impls, opt, trace)
+		for i, rs := range fixed {
+			sum.Rows = append(sum.Rows, microRow(s.Micro[i], rs))
+		}
 	case s.Flavors != nil:
-		o.Cells, err = fftComparisons(s.FFT, s.Flavors, opt, trace)
+		var cells [][]FFTResult
+		cells, err = fftComparisons(s.FFT, s.Flavors, opt, trace)
+		for _, rs := range cells {
+			sum.Rows = append(sum.Rows, fftRow(rs...))
+		}
 	case s.Guidelines != nil:
 		o.Guidelines, err = guideline.Run(guideline.Config{
 			Scenarios: s.Guidelines, Adopt: true,
 			Workers: opt.Workers, Cache: opt.Cache, Progress: opt.Progress,
 		})
 	default:
-		if o.FFT, err = FFTSweepOpts(s.FFT, opt); err == nil {
-			o.Summary = o.FFT.Summary()
+		var st *FFTSweepStats
+		if st, err = FFTSweepOpts(s.FFT, opt); err == nil {
+			sum = st.Summary()
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	if o.Summary != nil {
-		o.Summary.Suite = s.Name
+	if o.Guidelines == nil {
+		sum.Suite, sum.Scenarios = s.Name, len(sum.Rows)
+		o.Summary = sum
 	}
 	o.Tables = s.tables(s, o)
 	return o, nil
@@ -187,10 +177,10 @@ func preset(name string) platform.Platform {
 
 // rateTable is the per-selector correct-decision table of a verification
 // sweep.
-func rateTable(title string, st *SweepStats) *Table {
+func rateTable(title string, sum *SweepSummary) *Table {
 	t := NewTable(title, "selector", "correct", "total", "rate")
-	for _, sel := range st.Selectors {
-		t.AddRow(sel, st.Correct[sel], st.Total, fmt.Sprintf("%.1f%%", st.Rate(sel)*100))
+	for _, sel := range sum.Selectors {
+		t.AddRow(sel.Name, sel.Correct, sel.Total, fmt.Sprintf("%.1f%%", sel.Rate*100))
 	}
 	return t
 }
@@ -200,8 +190,8 @@ func verificationSuite(fast bool) Suite {
 		Micro:     VerificationScenarios(fast),
 		Selectors: []string{"brute-force", "attr-heuristic", "factorial-2k"},
 		tables: func(s *Suite, o *Outcome) []*Table {
-			st := o.Verification
-			return []*Table{rateTable(fmt.Sprintf("Verification sweep: %d scenarios (paper §IV-A: 324 runs, 90%% / 92%%)", st.Total), st)}
+			sum := o.Summary
+			return []*Table{rateTable(fmt.Sprintf("Verification sweep: %d scenarios (paper §IV-A: 324 runs, 90%% / 92%%)", sum.Scenarios), sum)}
 		},
 	}
 }
@@ -213,13 +203,13 @@ func scaleSuite(fast bool) Suite {
 		Micro:     ScaleScenarios(fast),
 		Selectors: []string{"brute-force", "attr-heuristic"},
 		tables: func(s *Suite, o *Outcome) []*Table {
-			st := o.Verification
-			t := NewTable(fmt.Sprintf("Scale sweep: %d scenarios on bgp-16k (winner per scenario)", st.Total),
+			sum := o.Summary
+			t := NewTable(fmt.Sprintf("Scale sweep: %d scenarios on bgp-16k (winner per scenario)", sum.Scenarios),
 				"scenario", "best fixed", "brute-force correct")
-			for _, v := range st.Runs {
-				t.AddRow(v.Spec.String(), v.Fixed[v.Best].Impl, v.Correct(0))
+			for _, r := range sum.Rows {
+				t.AddRow(r.Scenario, r.Best, r.Correct[sum.Selectors[0].Name])
 			}
-			return []*Table{t, rateTable("Correct-decision rates", st)}
+			return []*Table{t, rateTable("Correct-decision rates", sum)}
 		},
 	}
 }
@@ -228,10 +218,10 @@ func fftSuite(fast bool) Suite {
 	return Suite{
 		FFT: FFTScenarios(fast),
 		tables: func(s *Suite, o *Outcome) []*Table {
-			st := o.FFT
+			st := o.Summary.FFT
 			t := NewTable(fmt.Sprintf("FFT sweep: %d scenarios (paper §IV-B: ADCL faster in 74%% of 393 tests, up to 40%%)", st.Total),
 				"metric", "value")
-			t.AddRow("adcl faster than libnbc", fmt.Sprintf("%d/%d (%.1f%%)", st.ADCLFaster, st.Total, st.FasterRate()*100))
+			t.AddRow("adcl faster than libnbc", fmt.Sprintf("%d/%d (%.1f%%)", st.ADCLFaster, st.Total, st.FasterRate*100))
 			t.AddRow("on par (within 2%)", st.OnPar)
 			t.AddRow("max improvement vs libnbc", fmt.Sprintf("%.1f%%", st.MaxImprovement*100))
 			return []*Table{t}
@@ -262,13 +252,13 @@ func fig2(fast bool) Suite {
 		tables: func(s *Suite, o *Outcome) []*Table {
 			t := NewTable("Fig 2: Ialltoall verification runs (128KB/pair, 50ms compute/iter, 5 progress calls)",
 				"platform", "np", "implementation", "total_s", "correct")
-			for _, v := range o.Verification.Runs {
-				for _, r := range v.Fixed {
-					t.AddRow(v.Spec.Platform.Name, v.Spec.Procs, r.Impl, Sec(r.Total), "")
-				}
-				for i, r := range v.ADCL {
-					t.AddRow(v.Spec.Platform.Name, v.Spec.Procs, r.Impl+" -> "+r.Winner, Sec(r.Total),
-						fmt.Sprintf("%v", v.Correct(i)))
+			for _, row := range o.Summary.Rows {
+				for _, r := range row.Runs {
+					label, correct := r.Label, ""
+					if sel, tuned := strings.CutPrefix(r.Label, "adcl:"); tuned {
+						label, correct = r.Label+" -> "+r.Winner, fmt.Sprintf("%v", row.Correct[sel])
+					}
+					t.AddRow(row.Platform, row.Procs, label, Sec(r.Total), correct)
 				}
 			}
 			return []*Table{t}
@@ -286,13 +276,13 @@ func fig2(fast bool) Suite {
 }
 
 // fixedTable renders a fixed-implementation matrix: the lead columns come
-// from each scenario's spec, then implementation, total_s and periter_ms.
-func fixedTable(title string, leadCols []string, lead func(MicroSpec) []any) func(*Suite, *Outcome) []*Table {
+// from each scenario's keys, then implementation, total_s and periter_ms.
+func fixedTable(title string, leadCols []string, lead func(SummaryRow) []any) func(*Suite, *Outcome) []*Table {
 	return func(s *Suite, o *Outcome) []*Table {
 		t := NewTable(title, append(leadCols, "implementation", "total_s", "periter_ms")...)
-		for i, rs := range o.Fixed {
-			for _, r := range rs {
-				t.AddRow(append(lead(s.Micro[i]), r.Impl, Sec(r.Total), Ms(r.PerIter))...)
+		for _, row := range o.Summary.Rows {
+			for _, r := range row.Runs {
+				t.AddRow(append(lead(row), r.Label, Sec(r.Total), Ms(r.PerIter))...)
 			}
 		}
 		return []*Table{t}
@@ -304,7 +294,7 @@ func fixedTable(title string, leadCols []string, lead func(MicroSpec) []any) fun
 func fig3(_ bool) Suite {
 	s := Suite{tables: fixedTable(
 		"Fig 3: Ialltoall np=32, 128KB, 50ms compute/iter, 5 progress calls — whale vs whale-tcp",
-		[]string{"platform"}, func(m MicroSpec) []any { return []any{m.Platform.Name} })}
+		[]string{"platform"}, func(r SummaryRow) []any { return []any{r.Platform} })}
 	for _, name := range []string{"whale", "whale-tcp"} {
 		s.Micro = append(s.Micro, MicroSpec{
 			Platform: preset(name), Procs: 32, MsgSize: 128 * 1024, Op: OpIalltoall,
@@ -321,7 +311,7 @@ func fig4(fast bool) Suite {
 	np := pick(fast, 128, 256)
 	s := Suite{tables: fixedTable(
 		fmt.Sprintf("Fig 4: Ialltoall crill, 10s compute, 5 progress calls — 1KB (np=256) vs 128KB (np=%d)", np),
-		[]string{"msg", "np"}, func(m MicroSpec) []any { return []any{m.MsgSize, m.Procs} })}
+		[]string{"msg", "np"}, func(r SummaryRow) []any { return []any{r.Size, r.Procs} })}
 	for _, c := range []struct {
 		msg, np, iters int
 		compute        float64
@@ -342,7 +332,7 @@ func fig4(fast bool) Suite {
 func fig5(_ bool) Suite {
 	s := Suite{tables: fixedTable(
 		"Fig 5: Ialltoall whale, 1KB, 100 progress calls — 32 vs 128 procs",
-		[]string{"np"}, func(m MicroSpec) []any { return []any{m.Procs} })}
+		[]string{"np"}, func(r SummaryRow) []any { return []any{r.Procs} })}
 	for _, np := range []int{32, 128} {
 		s.Micro = append(s.Micro, MicroSpec{
 			Platform: preset("whale"), Procs: np, MsgSize: 1024, Op: OpIalltoall,
@@ -360,15 +350,15 @@ func fig6(_ bool) Suite {
 		Impls: 1,
 		tables: func(s *Suite, o *Outcome) []*Table {
 			cols := []string{"progress_calls", "implementation", "periter_ms"}
-			observed := o.Fixed[0][0].Spec.Observe // set by the driver, or forced by a trace
+			observed := s.Micro[0].Observe // set by the driver
 			if observed {
 				cols = append(cols, "overlap")
 			}
 			t := NewTable("Fig 6: Ibcast whale np=32, 1KB, 5ms compute/iter — time vs number of progress calls", cols...)
-			for i, rs := range o.Fixed {
-				row := []any{s.Micro[i].ProgressCalls, rs[0].Impl, Ms(rs[0].PerIter)}
+			for _, r := range o.Summary.Rows {
+				row := []any{r.Progress, r.Runs[0].Label, Ms(r.Runs[0].PerIter)}
 				if observed {
-					row = append(row, fmt.Sprintf("%.3f", rs[0].Overlap))
+					row = append(row, fmt.Sprintf("%.3f", r.Overlap))
 				}
 				t.AddRow(row...)
 			}
@@ -391,19 +381,13 @@ func fig7(_ bool) Suite {
 		tables: func(s *Suite, o *Outcome) []*Table {
 			t := NewTable("Fig 7: Ialltoall crill np=32, 128KB, 100ms compute/iter — best algorithm vs progress calls",
 				"progress_calls", "implementation", "total_s", "periter_ms", "best")
-			for i, rs := range o.Fixed {
-				best := 0
-				for j := range rs {
-					if rs[j].Total < rs[best].Total {
-						best = j
-					}
-				}
-				for j, r := range rs {
+			for _, row := range o.Summary.Rows {
+				for _, r := range row.Runs {
 					mark := ""
-					if j == best {
+					if r.Label == row.Best {
 						mark = "<--"
 					}
-					t.AddRow(s.Micro[i].ProgressCalls, r.Impl, Sec(r.Total), Ms(r.PerIter), mark)
+					t.AddRow(row.Progress, r.Label, Sec(r.Total), Ms(r.PerIter), mark)
 				}
 			}
 			return []*Table{t}
@@ -425,9 +409,8 @@ func fftFigure(title string, plats []string, nps []int, iters int, seed int64, f
 		Flavors: flavors,
 		tables: func(s *Suite, o *Outcome) []*Table {
 			t := NewTable(title, "platform", "np", "pattern", "flavor", "total_s", "periter_ms", "postlearn_ms", "note")
-			for i, rs := range o.Cells {
-				spec := s.FFT[i]
-				for _, r := range rs {
+			for _, row := range o.Summary.Rows {
+				for _, r := range row.Runs {
 					note, post := "", ""
 					if r.Winner != "" && r.Winner != r.Label {
 						note = "winner=" + r.Winner
@@ -435,7 +418,7 @@ func fftFigure(title string, plats []string, nps []int, iters int, seed int64, f
 					if r.PostLearnPerIter > 0 {
 						post = Ms(r.PostLearnPerIter)
 					}
-					t.AddRow(spec.Platform.Name, spec.Procs, spec.Pattern.String(), r.Label,
+					t.AddRow(row.Platform, row.Procs, row.Pattern, r.Label,
 						Sec(r.Total), Ms(r.PerIter), post, note)
 				}
 			}

@@ -1,7 +1,7 @@
 // Package bench implements the paper's measurement harnesses: the §IV-A
 // overlap micro-benchmark (initiate a non-blocking collective, compute in
 // chunks with progress calls in between, wait), the verification-run
-// methodology of Fig 2, and the table/CSV reporting used by the cmd/
+// methodology of Fig 2, and the table reporting used by the cmd/
 // drivers and the repository's benchmark suite. It is layer S7 of the
 // substitution map (DESIGN.md §1).
 //

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 
+	"nbctune/internal/platform"
 	"nbctune/internal/runner"
 )
 
@@ -14,10 +15,12 @@ const summaryFormat = "nbctune-v1"
 
 // SweepSummary is the machine-readable counterpart of the sweep tables:
 // cmd/sweep -out writes it (results/sweep_summary.json) so downstream tooling
-// does not have to scrape aligned text. Construction is fully deterministic
-// — rows follow scenario order, selector blocks follow selector order, and
-// JSON maps are key-sorted by encoding/json — so a summary is byte-identical
-// for any worker count and for cached vs fresh runs.
+// does not have to scrape aligned text. Every suite but the guideline audit
+// fills one, and its tables are rendered from it. Construction is fully
+// deterministic — rows follow scenario order, runs follow implementation,
+// flavor or selector order, and JSON maps are key-sorted by encoding/json —
+// so a summary is byte-identical for any worker count and for cached vs
+// fresh runs.
 type SweepSummary struct {
 	Suite       string            `json:"suite"`
 	CodeVersion string            `json:"code_version"`
@@ -46,10 +49,23 @@ type FFTSummary struct {
 	FasterRate     float64 `json:"faster_rate"`
 }
 
-// SummaryRow is one scenario's outcome. Verification rows fill Best/
-// BestTotal/Correct; FFT rows fill NBCTotal/ADCLTotal/Winner/Improvement.
+// SummaryRow is one scenario's outcome, the one per-scenario result shape of
+// every suite: its keys, every run measured on it, and the suite's verdict.
+// Micro-benchmark rows with fixed runs fill Best/BestTotal (the fastest
+// fixed run measured), verification rows also Correct; §IV-B rows fill
+// NBCTotal/ADCLTotal/Winner/Improvement.
 type SummaryRow struct {
-	Scenario    string          `json:"scenario"`
+	Scenario  string `json:"scenario"`
+	Platform  string `json:"platform,omitempty"`
+	Procs     int    `json:"np,omitempty"`
+	Op        string `json:"op,omitempty"`        // micro-benchmark op
+	Pattern   string `json:"pattern,omitempty"`   // 3D-FFT pattern
+	Size      int    `json:"size,omitempty"`      // message bytes, or FFT grid points per dimension
+	Progress  int    `json:"progress,omitempty"`  // progress calls per iteration, or per FFT tile (0: the kernel's default)
+	Placement string `json:"placement,omitempty"` // "block"; omitted when cyclic
+	Chaos     string `json:"chaos,omitempty"`
+	ChaosSeed int64  `json:"chaos_seed,omitempty"`
+
 	Best        string          `json:"best,omitempty"`
 	BestTotal   float64         `json:"best_total,omitempty"`
 	Correct     map[string]bool `json:"correct,omitempty"`
@@ -57,10 +73,87 @@ type SummaryRow struct {
 	ADCLTotal   float64         `json:"adcl_total,omitempty"`
 	Winner      string          `json:"winner,omitempty"`
 	Improvement float64         `json:"improvement,omitempty"`
-	// Overlap is the scenario's communication-overlap ratio (verification:
-	// of the best fixed run; FFT: of the ADCL run). Present only when the
-	// sweep ran with observation enabled (cmd/sweep -observe).
+	// Overlap is the scenario's communication-overlap ratio (micro: of the
+	// best fixed run; §IV-B: of the ADCL run). Present only when the sweep
+	// ran with observation enabled (cmd/sweep -observe).
 	Overlap float64 `json:"overlap,omitempty"`
+	// Runs holds every implementation, flavor or selector run of the
+	// scenario, in the order the suite measured them.
+	Runs []RunSummary `json:"runs,omitempty"`
+}
+
+// RunSummary is one run of a scenario: a MicroResult or FFTResult without
+// its spec and observation metrics. The decision fields are those of the
+// run's selection logic (a fixed run decides its own implementation at
+// once); zero values are omitted.
+type RunSummary struct {
+	Label            string  `json:"label"`
+	Total            float64 `json:"total"`
+	PerIter          float64 `json:"per_iter"`
+	Winner           string  `json:"winner,omitempty"`
+	Evals            int     `json:"evals,omitempty"`
+	DecidedIter      int     `json:"decided_iter,omitempty"`
+	PostLearnPerIter float64 `json:"post_learn_per_iter,omitempty"`
+	LearnTime        float64 `json:"learn_time,omitempty"` // 3D-FFT runs only
+}
+
+// BundleSummary is what cmd/sweep -out writes for a bundle: every member
+// suite's summary, in run order.
+type BundleSummary struct {
+	Bundle      string          `json:"bundle"`
+	CodeVersion string          `json:"code_version"`
+	Suites      []*SweepSummary `json:"suites"`
+}
+
+// placementName keys a row's placement: "block", or "" for the cyclic default.
+func placementName(p platform.Placement) string {
+	if p == platform.Block {
+		return "block"
+	}
+	return ""
+}
+
+// microRow is a micro-benchmark scenario's keys and runs, the fastest of its
+// fixed runs as Best.
+func microRow(s MicroSpec, fixed []MicroResult, tuned ...MicroResult) SummaryRow {
+	row := SummaryRow{
+		Scenario: s.String(), Platform: s.Platform.Name, Procs: s.Procs, Op: s.Op, Size: s.MsgSize,
+		Progress: s.ProgressCalls, Placement: placementName(s.Placement), Chaos: s.Chaos, ChaosSeed: s.ChaosSeed,
+	}
+	add := func(r MicroResult) {
+		row.Runs = append(row.Runs, RunSummary{
+			Label: r.Impl, Total: r.Total, PerIter: r.PerIter, Winner: r.Winner,
+			Evals: r.Evals, DecidedIter: r.DecidedIter, PostLearnPerIter: r.PostLearnPerIter,
+		})
+	}
+	best := 0
+	for i, r := range fixed {
+		if r.Total < fixed[best].Total {
+			best = i
+		}
+		add(r)
+	}
+	for _, r := range tuned {
+		add(r)
+	}
+	row.Best, row.BestTotal, row.Overlap = fixed[best].Impl, fixed[best].Total, fixed[best].Overlap
+	return row
+}
+
+// fftRow is a 3D-FFT scenario's keys and its runs, one per flavor.
+func fftRow(rs ...FFTResult) SummaryRow {
+	s := rs[0].Spec
+	row := SummaryRow{
+		Scenario: s.String(), Platform: s.Platform.Name, Procs: s.Procs, Pattern: s.Pattern.String(), Size: s.N,
+		Progress: s.ProgressPerTile, Placement: placementName(s.Placement), Chaos: s.Chaos, ChaosSeed: s.ChaosSeed,
+	}
+	for _, r := range rs {
+		row.Runs = append(row.Runs, RunSummary{
+			Label: r.Label, Total: r.Total, PerIter: r.PerIter, Winner: r.Winner, Evals: r.Evals,
+			DecidedIter: r.DecidedIter, PostLearnPerIter: r.PostLearnPerIter, LearnTime: r.LearnTime,
+		})
+	}
+	return row
 }
 
 // Summary renders the verification sweep as a SweepSummary.
@@ -76,13 +169,8 @@ func (s *SweepStats) Summary() *SweepSummary {
 		})
 	}
 	for _, v := range s.Runs {
-		row := SummaryRow{
-			Scenario:  v.Spec.String(),
-			Best:      v.Fixed[v.Best].Impl,
-			BestTotal: v.Fixed[v.Best].Total,
-			Correct:   map[string]bool{},
-			Overlap:   v.Fixed[v.Best].Overlap,
-		}
+		row := microRow(v.Spec, v.Fixed, v.ADCL...)
+		row.Correct = map[string]bool{}
 		for j, sel := range s.Selectors {
 			row.Correct[sel] = v.Correct(j)
 		}
@@ -104,21 +192,19 @@ func (s *FFTSweepStats) Summary() *SweepSummary {
 	}
 	for _, pair := range s.Rows {
 		nbcR, adclR := pair[0], pair[1]
-		sum.Rows = append(sum.Rows, SummaryRow{
-			Scenario:    nbcR.Spec.String(),
-			NBCTotal:    nbcR.Total,
-			ADCLTotal:   adclR.Total,
-			Winner:      adclR.Winner,
-			Improvement: (nbcR.Total - adclR.Total) / nbcR.Total,
-			Overlap:     adclR.Overlap,
-		})
+		row := fftRow(pair[:]...)
+		row.NBCTotal, row.ADCLTotal, row.Winner = nbcR.Total, adclR.Total, adclR.Winner
+		row.Improvement, row.Overlap = (nbcR.Total-adclR.Total)/nbcR.Total, adclR.Overlap
+		sum.Rows = append(sum.Rows, row)
 	}
 	return sum
 }
 
 // WriteJSON writes the summary as indented JSON.
-func (s *SweepSummary) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(s, "", "  ")
+func (s *SweepSummary) WriteJSON(w io.Writer) error { return writeJSON(w, s) }
+
+func writeJSON(w io.Writer, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -126,8 +212,22 @@ func (s *SweepSummary) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteSummaryFile writes the summary to path atomically, creating parent
+// WriteOutcomes writes the machine-readable form of a run of the suites
+// name resolves to (Suites) to path: a single suite's summary (the guideline
+// audit: its report), or a bundle's members' summaries as one
+// BundleSummary. The file is written atomically, creating parent
 // directories as needed: an interrupted sweep leaves the previous file whole.
-func WriteSummaryFile(path string, s *SweepSummary) error {
-	return runner.WriteFileAtomic(path, s.WriteJSON)
+func WriteOutcomes(path, name string, outs []*Outcome) error {
+	var v any = outs[0].Summary
+	switch {
+	case outs[0].Guidelines != nil:
+		return outs[0].Guidelines.WriteFile(path)
+	case len(outs) > 1:
+		b := &BundleSummary{Bundle: name, CodeVersion: summaryFormat}
+		for _, o := range outs {
+			b.Suites = append(b.Suites, o.Summary)
+		}
+		v = b
+	}
+	return runner.WriteFileAtomic(path, func(w io.Writer) error { return writeJSON(w, v) })
 }

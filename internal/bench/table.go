@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Table is a simple aligned text table with optional CSV output; the cmd/
-// drivers print every reproduced figure through it.
+// Table is a simple aligned text table; the cmd/ drivers print every
+// reproduced figure through it.
 type Table struct {
 	Title   string
 	Headers []string
@@ -64,15 +64,6 @@ func (t *Table) Render(w io.Writer) {
 	line(sep)
 	for _, r := range t.Rows {
 		line(r)
-	}
-}
-
-// RenderCSV writes the table as CSV (no quoting; cells must not contain
-// commas, which holds for all harness output).
-func (t *Table) RenderCSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.Headers, ","))
-	for _, r := range t.Rows {
-		fmt.Fprintln(w, strings.Join(r, ","))
 	}
 }
 

@@ -12,32 +12,35 @@ import (
 )
 
 // committedResults are the files under results/ that tier-1 regenerates,
-// each with the one command that writes it, spelled as EXPERIMENTS.md
-// spells it: run from the repository root, it rewrites the committed file.
-// cached marks the guideline audit's row, which is also run with -cache:
-// into an empty store, then served from it, leaves and adoption rounds alike.
+// each row with the one command that writes its files, spelled as
+// EXPERIMENTS.md spells it: run from the repository root, it rewrites the
+// committed files. cached marks the guideline audit's row, which is also run
+// with -cache: into an empty store, then served from it, leaves and adoption
+// rounds alike.
 var committedResults = []struct {
-	file, command string
-	cached        bool
+	files   []string
+	command string
+	cached  bool
 }{
-	{"results/sweep_summary.json", "go run ./cmd/sweep -suite verification -fast -observe -out results/sweep_summary.json", false},
-	{"results/sweep_summary_fft.json", "go run ./cmd/sweep -suite fft -fast -observe -out results/sweep_summary_fft.json", false},
-	{"results/guideline_report.json", "go run ./cmd/sweep -suite guidelines -fast -out results/guideline_report.json", true},
-	{"results/microbench.txt", "go run ./cmd/sweep -suite figs-micro -fast > results/microbench.txt", false},
-	{"results/e13_drift_audit.json", "go run ./cmd/tune -op ibcast -platform crill -np 16 -msg 2097152 -compute 0.002 -progress 5 -selector adaptive+brute-force -evals 2 -iters 200 -chaos regime-shift -chaos-seed 1 -metrics results/e13_drift_audit.json", false},
-	{"results/e15_audit_np64.json", "go run ./cmd/tune -op ibcast-scalable -platform bgp-16k -np 64 -msg 262144 -compute 0.05 -progress 4 -metrics results/e15_audit_np64.json", false},
+	{[]string{"results/sweep_summary.json"}, "go run ./cmd/sweep -suite verification -fast -observe -out results/sweep_summary.json", false},
+	{[]string{"results/sweep_summary_fft.json"}, "go run ./cmd/sweep -suite fft -fast -observe -out results/sweep_summary_fft.json", false},
+	{[]string{"results/guideline_report.json"}, "go run ./cmd/sweep -suite guidelines -fast -out results/guideline_report.json", true},
+	{[]string{"results/microbench.txt", "results/microbench.json"}, "go run ./cmd/sweep -suite figs-micro -fast -out results/microbench.json > results/microbench.txt", false},
+	{[]string{"results/e13_drift_audit.json"}, "go run ./cmd/tune -op ibcast -platform crill -np 16 -msg 2097152 -compute 0.002 -progress 5 -selector adaptive+brute-force -evals 2 -iters 200 -chaos regime-shift -chaos-seed 1 -metrics results/e13_drift_audit.json", false},
+	{[]string{"results/e15_audit_np64.json"}, "go run ./cmd/tune -op ibcast-scalable -platform bgp-16k -np 64 -msg 262144 -compute 0.05 -progress 4 -metrics results/e15_audit_np64.json", false},
 }
 
 // notRegenerated are the committed files too slow for tier-1, each with
 // what still guards it:
-//   - results/fftbench.txt (sweep -suite figs-fft -fast, ~60 s): `make e2e`
-//     cmps it, and internal/bench's TestFFTFlavorRowsMatchCommitted
-//     reproduces one row per flavor;
+//   - results/fftbench.txt and results/fftbench.json (one run of sweep
+//     -suite figs-fft -fast, ~60 s): `make e2e` cmps both, and
+//     internal/bench's TestFFTFlavorRowsMatchCommitted reproduces one
+//     fftbench.txt row per flavor;
 //   - results/scale_summary.json: the full scale grid, minutes;
 //   - results/e15_audit_np4096.* (~23 s): internal/bench's
 //     TestE15AuditArtifactIntegrity keeps the head, the digest and the
 //     compressed audit consistent.
-var notRegenerated = []string{"results/fftbench.txt", "results/scale_summary.json", "results/e15_audit_np4096.*"}
+var notRegenerated = []string{"results/fftbench.*", "results/scale_summary.json", "results/e15_audit_np4096.*"}
 
 // TestCommittedResults runs the command behind every row of
 // committedResults in a fresh directory and compares what it wrote with the
@@ -61,9 +64,11 @@ func TestCommittedResults(t *testing.T) {
 	}
 	covered := map[string]bool{}
 	for _, row := range committedResults {
-		covered[row.file] = true
+		for _, file := range row.files {
+			covered[file] = true
+		}
 		if !strings.Contains(spelled, row.command) {
-			t.Errorf("EXPERIMENTS.md does not spell the command that writes %s: %s", row.file, row.command)
+			t.Errorf("EXPERIMENTS.md does not spell the command that writes %s: %s", strings.Join(row.files, " and "), row.command)
 		}
 	}
 	for _, file := range committed {
@@ -79,14 +84,12 @@ func TestCommittedResults(t *testing.T) {
 
 	bin := buildCommands(t)
 	for _, row := range committedResults {
-		want, err := os.ReadFile(row.file)
-		if err != nil {
-			t.Fatal(err)
-		}
 		check := func(extra ...string) string {
-			got, stderr := runDocumented(t, bin, row.command, row.file, extra...)
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s differs from what %s writes", row.file, strings.Join(append([]string{row.command}, extra...), " "))
+			got, stderr := runDocumented(t, bin, row.command, row.files, extra...)
+			for i, file := range row.files {
+				if want, err := os.ReadFile(file); err != nil || !bytes.Equal(got[i], want) {
+					t.Errorf("%s differs from what %s writes (%v)", file, strings.Join(append([]string{row.command}, extra...), " "), err)
+				}
 			}
 			return stderr
 		}
@@ -115,9 +118,9 @@ func TestCommittedResults(t *testing.T) {
 
 // runDocumented runs a command spelled `go run ./cmd/NAME ARGS [> FILE]`
 // with the binary built in bin, in a fresh directory holding an empty
-// results/, and returns the contents of file there and what the command
+// results/, and returns the contents of files there and what the command
 // printed on stderr.
-func runDocumented(t *testing.T, bin, command, file string, extra ...string) ([]byte, string) {
+func runDocumented(t *testing.T, bin, command string, files []string, extra ...string) ([][]byte, string) {
 	t.Helper()
 	fields := strings.Fields(command)
 	if len(fields) < 3 || fields[0] != "go" || fields[1] != "run" || !strings.HasPrefix(fields[2], "./cmd/") {
@@ -143,9 +146,12 @@ func runDocumented(t *testing.T, bin, command, file string, extra ...string) ([]
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("%s: %v\n%s", command, err, stderr.Bytes())
 	}
-	got, err := os.ReadFile(filepath.Join(dir, file))
-	if err != nil {
-		t.Fatalf("%s wrote no %s: %v", command, file, err)
+	got := make([][]byte, len(files))
+	for i, file := range files {
+		var err error
+		if got[i], err = os.ReadFile(filepath.Join(dir, file)); err != nil {
+			t.Fatalf("%s wrote no %s: %v", command, file, err)
+		}
 	}
 	return got, stderr.String()
 }
