@@ -240,18 +240,18 @@ func runOneShotWorld(tb testing.TB, ranks, shards int, prog func(*mpi.Comm)) (ev
 }
 
 // oneShotAllocCeiling and oneShotMallocCeiling are what
-// TestOneShotWorldAllocBudget lets its three one-shot worlds allocate: the
-// 59.9 MiB they allocated when the byte ceiling was set plus 10 %, and 10 %
-// over the 233.8 K objects they allocated when the object ceiling was (they
-// make 234.0 K since a round's pending list reserves room for the requests
-// that can stay open alone). A world's first run allocates its live set once:
-// schedules in one exactly sized op array of 48-byte entries, one per run of
-// posts, protocol records from slab chunks that double up to 32 KiB, free
-// lists chained through their records, the lane pool grown by doubling, each
-// queue's first index sized for the world (DESIGN.md §3 "Pooling").
+// TestOneShotWorldAllocBudget lets its three one-shot worlds allocate: 10 %
+// over the 57.0 MiB and the 161.7 K objects they allocated when the ceilings
+// were set. A world's first run allocates its live set once: schedules in one
+// exactly sized op array of 32-byte entries, one per run of posts, protocol
+// records from slab chunks that double up to 32 KiB, free lists chained
+// through their records, the lane pool grown by doubling, each queue's first
+// index sized for the world; and per rank its process and coroutine, one
+// handle pool holding its first handle, and no wait condition or name
+// (DESIGN.md §3 "Pooling").
 const (
-	oneShotAllocCeiling  = 659 << 20 / 10 // 65.9 MiB
-	oneShotMallocCeiling = 257_200
+	oneShotAllocCeiling  = 627 << 20 / 10 // 62.7 MiB
+	oneShotMallocCeiling = 177_800
 )
 
 // TestOneShotWorldResumes pins the events the first two worlds of
@@ -299,8 +299,8 @@ func TestOneShotWorldAllocBudget(t *testing.T) {
 // BenchmarkOneShotWorld times world construction and one run, per event as
 // well as per world; it is the target of `go test -run '^$' -bench
 // OneShotWorld/alltoall384 -cpuprofile|-memprofile`. B/event and allocs/event
-// count every byte and every object allocated, beside -benchmem's per-world
-// figures. gcs/world counts the collections a world took and gc-cpu-frac is
+// count every byte and every object allocated, and B/rank and allocs/rank the
+// same per rank of the world, beside -benchmem's per-world figures. gcs/world counts the collections a world took and gc-cpu-frac is
 // the collector's share of the CPU time available meanwhile (runtime/metrics:
 // GC CPU over GOMAXPROCS times wall time), so what a live set costs to trace
 // shows beside what it costs to allocate.
@@ -322,6 +322,8 @@ func BenchmarkOneShotWorld(b *testing.B) {
 			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(events), "B/event")
 			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(events), "allocs/event")
 			b.ReportMetric(float64(resumes)/float64(events), "resumes/event")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N*ow.ranks), "allocs/rank")
+			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N*ow.ranks), "B/rank")
 			b.ReportMetric(float64(m1.NumGC-m0.NumGC)/float64(b.N), "gcs/world")
 			if total := cpu1[1] - cpu0[1]; total > 0 {
 				b.ReportMetric((cpu1[0]-cpu0[0])/total, "gc-cpu-frac")

@@ -243,6 +243,8 @@ func TestRefusals(t *testing.T) {
 		"-selector speculative+adaptive":            "adaptive selectors keep measuring",
 		"-np 16 -msg 1152921504606846976":           "overflows",
 		"-op ibcast -np 2 -msg 9223372036854775807": "segments",
+		"-op ibcast -np 2 -msg 2147483648":          "overflows",
+		"-np 16 -msg 134217728":                     "overflows",
 		"-history missing/h.json":                   "no such file or directory",
 		"-shards 2":                                 "flag provided but not defined: -shards",
 		"-np x":                                     `invalid value "x" for flag -np`,

@@ -62,8 +62,9 @@ func TestRunFixedDeterministic(t *testing.T) {
 // TestFixedRunCompilesOneSchedule: a fixed run pays for the one schedule it
 // starts, on every rank, and for no other of the set. No hook counts compiles;
 // the bytes do: what two fixed runs allocate differs by what compiling their
-// two schedules allocates, and the run of the cheaper one stays far below the
-// cost of compiling the set (which every run used to pay).
+// two schedules allocates, and the run of the cheaper one, less what the same
+// run of a barrier allocates, stays far below the cost of compiling the set
+// (which every run used to pay).
 func TestFixedRunCompilesOneSchedule(t *testing.T) {
 	spec := smallSpec(t)
 	spec.Op, spec.Procs, spec.MsgSize, spec.Iterations = OpIbcast, 16, 2<<20, 3
@@ -103,12 +104,21 @@ func TestFixedRunCompilesOneSchedule(t *testing.T) {
 		}
 	}
 	runDear, runCheap := run(dear), run(cheap)
+	// The world's own cost: the same fixed run of a barrier, whose one
+	// schedule is the smallest.
+	barrier := spec
+	barrier.Op = OpIbarrier
+	world := allocated(func() {
+		if _, err := RunFixed(barrier, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if got, want := runDear-runCheap, compile[dear]-compile[cheap]; want < set/20 || got < want*9/10 || got > want*11/10 {
 		t.Errorf("fixed runs of functions %d and %d allocate %d and %d bytes, %d apart; their schedules are %d apart (the set costs %d)",
 			dear, cheap, runDear, runCheap, got, want, set)
 	}
-	if runCheap > set/4 {
-		t.Errorf("a fixed run of function %d allocates %d bytes where compiling the whole set takes %d", cheap, runCheap, set)
+	if runCheap-world > set/4 {
+		t.Errorf("a fixed run of function %d allocates %d bytes over a barrier's %d where compiling the whole set takes %d", cheap, runCheap-world, world, set)
 	}
 }
 
@@ -173,9 +183,15 @@ func TestSpecValidation(t *testing.T) {
 				t.Errorf("%s of %d bytes: error %v", op, size, err)
 			}
 		}
-		spec.MsgSize = most
+		spec.MsgSize = nbc.MaxPayload // the largest a schedule addresses, under most
 		if err := spec.validate(); err != nil {
-			t.Errorf("%s of %d bytes refused: %v", op, most, err)
+			t.Errorf("%s of %d bytes refused: %v", op, spec.MsgSize, err)
+		}
+		// A payload of 2 GiB fits the tags but not a schedule entry's int32
+		// byte counts.
+		spec.MsgSize = 2 << 30
+		if err := spec.validate(); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("%s of 2 GiB: error %v", op, err)
 		}
 	}
 	// A set that cannot be built for the spec is an error from the entry

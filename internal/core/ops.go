@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"nbctune/internal/mpi"
@@ -157,14 +156,22 @@ func OpByName(name string) (*Op, error) {
 }
 
 // CheckSize refuses a payload parameter the operation cannot run at on n
-// ranks: a buffer size that overflows an int, or more segments than a
-// schedule has tags.
+// ranks: more segments than a schedule has tags, or a buffer larger than a
+// schedule addresses (nbc.MaxPayload, just under 2 GiB).
 func (o *Op) CheckSize(n, msg int) error {
-	if (o.Send == BlockPerRank || o.Recv == BlockPerRank) && msg > 0 && n > math.MaxInt/msg {
-		return fmt.Errorf("%d ranks x %d bytes overflows a buffer size", n, msg)
-	}
 	if o.SegSize > 0 {
-		return nbc.CheckSegments(msg, o.SegSize)
+		if err := nbc.CheckSegments(msg, o.SegSize); err != nil {
+			return err
+		}
+	}
+	for _, b := range [...]Blocks{o.Send, o.Recv} {
+		if per := b.bytes(n, 1); per > 0 && msg > nbc.MaxPayload/per {
+			size := fmt.Sprintf("%d bytes", msg)
+			if b == BlockPerRank {
+				size = fmt.Sprintf("%d ranks x %d bytes", n, msg)
+			}
+			return fmt.Errorf("%s overflows the %d bytes a schedule addresses", size, nbc.MaxPayload)
+		}
 	}
 	return nil
 }

@@ -198,17 +198,18 @@ func allocatedBeneath() int64 {
 
 // TestSetsCompileOnFirstStart: a function compiles its schedule when it is
 // first started and never again, and building a set compiles nothing — the
-// paper's 21-function Ibcast set at 16 ranks / 2 MiB fits a per-rank budget a
-// tenth of what compiling its schedules allocates on the rank that needs
-// least.
+// paper's 21-function Ibcast set at 16 ranks / 2 MiB fits a per-rank budget,
+// and on every rank allocates a tenth or less of what compiling its schedules
+// does.
 func TestSetsCompileOnFirstStart(t *testing.T) {
-	const np, msg, setBudget = 16, 2 << 20, 6048
+	const np, msg, setBudget = 16, 2 << 20, 4800
 	ibcast := mustOp(t, "ibcast")
 	onEveryRank(t, np, func(c *mpi.Comm) {
 		me := c.Rank()
 		var fs *FunctionSet
-		if got := allocated(func() { fs, _ = ibcast.Set(c, msg, nil) }); got > setBudget {
-			t.Errorf("rank %d: building the ibcast set allocates %d bytes, budget %d", me, got, setBudget)
+		built := allocated(func() { fs, _ = ibcast.Set(c, msg, nil) })
+		if built > setBudget {
+			t.Errorf("rank %d: building the ibcast set allocates %d bytes, budget %d", me, built, setBudget)
 		}
 		eager := allocated(func() {
 			for _, f := range nbc.DefaultFanouts {
@@ -217,8 +218,8 @@ func TestSetsCompileOnFirstStart(t *testing.T) {
 				}
 			}
 		})
-		if eager < 10*setBudget {
-			t.Errorf("rank %d: compiling the set's schedules allocates %d bytes: a budget of %d proves nothing", me, eager, setBudget)
+		if eager < 10*built {
+			t.Errorf("rank %d: compiling the set's schedules allocates %d bytes, building the set %d: not a tenth", me, eager, built)
 		}
 		if me != 0 || fs == nil {
 			return

@@ -95,13 +95,18 @@ func (c *Comm) WaitFor(pred func() bool) {
 	c.r.waitPred = nil
 }
 
+// Stepper is a WaitSteps hook.
+type Stepper interface {
+	Step() bool
+}
+
 // WaitSteps blocks inside MPI on the requests behind hs and then on each wait
-// set next installs: next runs in event context whenever the current set
+// set next installs: next.Step runs in event context whenever the current set
 // holds, and either returns true to end the wait or re-arms it with
 // ArmHandles or ArmFor and returns false. A multi-round collective thus
 // starts its next round at the instant the last one completes, as LibNBC's
 // progress engine does, and its rank is resumed once for the whole wait.
-func (c *Comm) WaitSteps(hs []ReqHandle, next func() bool) {
+func (c *Comm) WaitSteps(hs []ReqHandle, next Stepper) {
 	c.r.waitNext = next
 	c.WaitHandles(hs)
 	c.r.waitNext, c.r.waitPred = nil, nil

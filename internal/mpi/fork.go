@@ -165,8 +165,8 @@ func (s *WorldSnapshot) Fork() (*sim.Engine, *World) {
 	sh := newShard(newRecords(1, len(s.ranks)), 0, s.net.Fork(eng, inj), w.ranks, s.opts)
 	w.shards = []*shard{sh}
 	// Rank records come out of one contiguous batch, and the lazily created
-	// structures (RNG, wait condition, matcher indexes) stay absent in the fork
-	// exactly where they were absent in the parent — per-fork cost is
+	// structures (RNG, matcher indexes) stay absent in the fork exactly
+	// where they were absent in the parent — per-fork cost is
 	// proportional to live state, not to the rank count times the size of a
 	// fully equipped rank.
 	recs := make([]Rank, len(s.ranks))

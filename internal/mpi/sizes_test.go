@@ -23,7 +23,8 @@ import (
 // matcher inside it included, whether or not it communicates: a queue's
 // index hangs off one pointer so that an idle rank pays 8 bytes for it, and
 // a matcher that held its table inline would grow every Rank even where
-// TestIdleWorldFootprint16K's per-rank budget still held.
+// TestIdleWorldFootprint16K's per-rank budget still held. Every rank of a
+// started world also runs as a sim.Proc.
 func TestRecordSizes(t *testing.T) {
 	if strconv.IntSize != 64 {
 		t.Skip("sizes are pinned for 64-bit hosts")
@@ -39,13 +40,14 @@ func TestRecordSizes(t *testing.T) {
 		typ  reflect.Type
 		max  uintptr
 	}{
-		{"nbc.Op", reflect.TypeOf(nbc.Op{}), 48},
+		{"nbc.Op", reflect.TypeOf(nbc.Op{}), 32},
 		{"mpi.Buf", reflect.TypeOf(mpi.Buf{}), 16},
 		{"mpi.Request", reflect.TypeOf(mpi.Request{}), 88},
 		{"mpi.envelope", reflect.TypeOf(mpi.Envelope{}), 56},
 		{"mpi.xfer", reflect.TypeOf(mpi.Xfer{}), 72},
 		{"mpi.notice", reflect.TypeOf(mpi.Notice{}), 8},
-		{"mpi.Rank", reflect.TypeOf(mpi.Rank{}), 312},
+		{"mpi.Rank", reflect.TypeOf(mpi.Rank{}), 304},
+		{"sim.Proc", reflect.TypeOf(sim.Proc{}), 160},
 		{"mpi.matcher", reflect.TypeOf(mpi.Matcher{}), 88},
 		{"sim.eventRec", elem(sim.Engine{}, "recs"), 24},
 		{"sim.laneEnt", elem(sim.Engine{}, "lanePool"), 32},

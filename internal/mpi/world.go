@@ -212,9 +212,10 @@ func newShard(recs *records, id int, net *netmodel.Network, ranks []*Rank, opts 
 // Per-rank state is deliberately minimal at construction: the rank records
 // come out of one contiguous batch allocation, and everything that is only
 // needed once a rank actually communicates — its RNG (≈5KB of math/rand
-// state), its wait condition, the matcher's indexes — is created lazily on
-// first use. An idle 16K-rank world therefore costs a few hundred bytes per
-// rank (pinned by TestIdleWorldFootprint16K), not kilobytes.
+// state), the matcher's indexes — is created lazily on first use, and a rank
+// waits on its own process (sim.Proc.Block), which needs no object at all. An
+// idle 16K-rank world therefore costs a few hundred bytes per rank (pinned by
+// TestIdleWorldFootprint16K), not kilobytes.
 func NewWorld(nets []*netmodel.Network, win *sim.Windows, n int, opts Options) (*World, error) {
 	k, want := len(nets), 1
 	if win != nil {
@@ -274,18 +275,19 @@ func (w *World) Observe(rec *obs.Recorder) {
 
 // Start spawns one simulated process per rank, on its shard's engine, each
 // executing prog with its world communicator. Call Run afterwards to execute
-// the simulation.
+// the simulation. Every process runs one body, which finds its rank by the
+// process's number, and is named "rank<id>" only when a diagnostic asks.
 func (w *World) Start(prog func(c *Comm)) {
 	ctx := w.nextCtx
 	w.nextCtx++
 	w.shards[0].checkKey("Start with", ctx, AnySource, AnyTag, true)
+	body := func(p *sim.Proc) {
+		r := w.ranks[p.Num()]
+		r.proc = p
+		prog(&Comm{r: r, ctx: ctx})
+	}
 	for _, r := range w.ranks {
-		r := r
-		c := &Comm{r: r, ctx: ctx}
-		r.w.eng.Spawn(fmt.Sprintf("rank%d", r.id), func(p *sim.Proc) {
-			r.proc = p
-			prog(c)
-		})
+		r.w.eng.SpawnNumbered("rank", r.id, body)
 	}
 }
 
@@ -360,10 +362,8 @@ type Rank struct {
 	notices      []notice // arrived, not yet seen by the library
 	nhead        int      // first unprocessed notice (head cursor)
 	m            matcher  // posted receives and unexpected envelopes (match.go)
-	blockedInMPI bool
-	blockedAt    float64     // when the open blocked span began
-	cond         *sim.Cond   // lazily created with pollFn on first use (waitUntil)
-	pollFn       func() bool // r.poll, evaluated once: a method value allocates
+	blockedInMPI bool     // blocked on its own process (sim.Proc.Block) until enqueue wakes it
+	blockedAt    float64  // when the open blocked span began
 
 	// The wait set of the blocking call in progress, in fields rather than in
 	// a closure so that waiting allocates nothing: poll resumes the rank once
@@ -371,8 +371,8 @@ type Rank struct {
 	waitReqs []*Request // Wait's requests, copied into reused capacity
 	waitHs   []ReqHandle
 	waitPred func() bool
-	waitSeen int         // entries of waitReqs, or of waitHs, already seen done
-	waitNext func() bool // WaitSteps' hook: runs when the wait set holds (see poll)
+	waitSeen int     // entries of waitReqs, or of waitHs, already seen done
+	waitNext Stepper // WaitSteps' hook: runs when the wait set holds (see poll)
 
 	outstanding int // open non-blocking requests, for OTest charging
 
@@ -463,7 +463,7 @@ func (r *Rank) charge(d float64) {
 func (r *Rank) enqueue(n notice) {
 	r.notices = append(r.notices, n)
 	if r.blockedInMPI {
-		r.cond.Broadcast()
+		r.proc.Wake()
 	}
 }
 
@@ -557,12 +557,14 @@ func (s *shard) freeXfer(x *xfer) {
 // collectives, and the one place a rank parks: the progress engine (poll)
 // runs in event context for as long as the rank has to stay.
 func (r *Rank) waitUntil() {
-	if r.cond == nil {
-		r.cond = sim.NewCond(r.w.eng)
-		r.pollFn = r.poll
-	}
-	r.proc.ParkUntil(r.pollFn)
+	r.proc.ParkUntil((*rankPoll)(r))
 }
+
+// rankPoll is a Rank as the sim.Poller of its waits: an interface holding the
+// rank's pointer, where a method value of poll would allocate.
+type rankPoll Rank
+
+func (p *rankPoll) Poll() bool { return (*Rank)(p).poll() }
 
 // poll is the progress engine, called whenever the engine has caught up with
 // the rank (sim.Proc.ParkUntil). It drains the notice queue, performing
@@ -570,7 +572,7 @@ func (r *Rank) waitUntil() {
 // again, so the notices that arrive while those costs elapse are found by the
 // next call, when the engine is level with the last charge: only then can the
 // queue be declared empty and the wait set be tested. A rank with nothing to
-// do blocks on its cond until enqueue wakes it.
+// do blocks on its own process until enqueue wakes it.
 //
 // A wait set that holds ends the wait, unless WaitSteps set a hook: then the
 // hook runs here, in event context, and either ends the wait or installs the
@@ -600,10 +602,10 @@ func (r *Rank) poll() bool {
 		if !r.waitSatisfied() {
 			r.blockedInMPI = true
 			r.blockedAt = r.proc.Now()
-			r.cond.Block(r.proc)
+			r.proc.Block()
 			return false
 		}
-		if r.waitNext == nil || r.waitNext() {
+		if r.waitNext == nil || r.waitNext.Step() {
 			return true
 		}
 	}

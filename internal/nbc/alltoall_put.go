@@ -40,10 +40,10 @@ func IalltoallLinearPut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule {
 	b.selfCopy(send, recv, me, blockSize)
 	if n > 1 {
 		put := postRun(OpPut, 0, (me+1)%n, 1, n-1, sref, 0, blockSize)
-		put.N = me * blockSize
+		put.N = i32(me * blockSize)
 		b.add(put)
 	}
-	b.add(Op{Kind: OpAwaitPuts, N: n - 1})
+	b.add(awaitPuts(n - 1))
 	return b.done()
 }
 
@@ -61,9 +61,9 @@ func IalltoallPairwisePut(n, me int, send, recv mpi.Buf, win *mpi.Win) *Schedule
 	for step := 1; step < n; step++ {
 		to := (me + step) % n
 		put := postOne(OpPut, 0, to, sref, to*blockSize, blockSize)
-		put.N = me * blockSize
+		put.N = i32(me * blockSize)
 		b.add(put)
-		b.add(Op{Kind: OpAwaitPuts, N: step})
+		b.add(awaitPuts(step))
 		b.end()
 	}
 	return b.done()

@@ -3,6 +3,7 @@ package nbc
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"nbctune/internal/mpi"
 )
@@ -90,16 +91,40 @@ func FanoutName(fanout int) string {
 	case FanoutTorus:
 		return "torus"
 	default:
-		return fmt.Sprintf("%d-ary", fanout)
+		return strconv.Itoa(fanout) + "-ary"
 	}
 }
 
 // IbcastName names the broadcast schedule of a tree shape and segment size
 // without building it. Every constructor takes its schedule's name from such
 // a function, so a function set can declare its functions before any of them
-// is compiled (core.schedFn).
+// is compiled (core.schedFn). A segment of whole KiB is spelled in KiB
+// ("seg32k"), any other in bytes ("seg1536"), so no two sizes share a name.
+// The names of the paper's function set and of its torus variants come from
+// a table built once, so the builder, which every rank calls, allocates none.
 func IbcastName(fanout, segSize int) string {
-	return fmt.Sprintf("ibcast-%s-seg%dk", FanoutName(fanout), segSize/1024)
+	if name, ok := ibcastNames[[2]int{fanout, segSize}]; ok {
+		return name
+	}
+	return ibcastName(fanout, segSize)
+}
+
+var ibcastNames = func() map[[2]int]string {
+	m := map[[2]int]string{}
+	for _, fanout := range append([]int{FanoutTorus}, DefaultFanouts...) {
+		for _, segSize := range DefaultSegSizes {
+			m[[2]int{fanout, segSize}] = ibcastName(fanout, segSize)
+		}
+	}
+	return m
+}()
+
+func ibcastName(fanout, segSize int) string {
+	seg := strconv.Itoa(segSize)
+	if segSize%1024 == 0 {
+		seg = strconv.Itoa(segSize/1024) + "k"
+	}
+	return "ibcast-" + FanoutName(fanout) + "-seg" + seg
 }
 
 // Ibcast builds this rank's schedule for a non-blocking broadcast of buf

@@ -30,18 +30,18 @@ func TestComposeRebasesTags(t *testing.T) {
 	bb.add(postOne(OpSend, 2, 1, bb.buf(mpi.Bytes(make([]byte, 2))), 0, 2))
 	b := bb.done()
 	c := Compose("ab", a, b)
-	if got := c.Rounds[1][1].TagOff; got != 6 {
+	if got := c.Rounds[1][1].TagOff(); got != 6 {
 		t.Fatalf("second part's tag not rebased past the first: got %d, want 6", got)
 	}
 	// The second part's payload and work indexes follow the first part's.
-	if got := c.Rounds[1][1].Ref; got != 1 || c.bufs[got].Len() != 2 {
-		t.Fatalf("second part's payload not rebased: Ref %d over %d buffers", got, len(c.bufs))
+	if got := c.Rounds[1][1].Ref; got != 1 || c.data.bufs[got].Len() != 2 {
+		t.Fatalf("second part's payload not rebased: Ref %d over %d buffers", got, len(c.data.bufs))
 	}
-	if got := c.Rounds[1][0].Ref; got != 0 || len(c.work) != 1 {
-		t.Fatalf("second part's work not carried over: Ref %d over %d functions", got, len(c.work))
+	if got := c.Rounds[1][0].Ref; got != 0 || len(c.data.work) != 1 {
+		t.Fatalf("second part's work not carried over: Ref %d over %d functions", got, len(c.data.work))
 	}
 	// Originals must be untouched (schedules are immutable and reusable).
-	if a.Rounds[0][0].TagOff != 3 || b.Rounds[0][1].TagOff != 2 || b.Rounds[0][1].Ref != 0 {
+	if a.Rounds[0][0].TagOff() != 3 || b.Rounds[0][1].TagOff() != 2 || b.Rounds[0][1].Ref != 0 {
 		t.Fatalf("Compose mutated its input schedules")
 	}
 }

@@ -232,7 +232,7 @@ func TestComposeTagRebaseAcrossNBTagWindowWrap(t *testing.T) {
 		hi := 0
 		for _, r := range sched.Rounds {
 			for _, op := range r {
-				hi = max(hi, int(op.TagOff))
+				hi = max(hi, op.TagOff())
 			}
 		}
 		if hi < 1 || hi >= tagStride {

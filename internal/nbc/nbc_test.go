@@ -2,7 +2,9 @@ package nbc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -507,5 +509,99 @@ func TestRoundsShareOneOpArray(t *testing.T) {
 		if small != large {
 			t.Errorf("%s: building rank 0's schedule takes %v allocations at 16 ranks and %v at 256", b.name, small, large)
 		}
+	}
+}
+
+// TestOpPacking: an entry gives back what a builder put in at each field's
+// extreme — the last tag offset of the stride, an offset past it that
+// saturates (so the executor refuses it, TestTagOffOutsideStrideRefused), a
+// run of 16 383 posts (every peer of a 16K-rank world) and byte counts of
+// MaxPayload, 2^31-1 — and refuses a byte count past that.
+func TestOpPacking(t *testing.T) {
+	if tagSat < mpi.NBTagStride {
+		t.Fatalf("the saturated tag offset %d lies inside the %d-wide stride", tagSat, mpi.NBTagStride)
+	}
+	for _, kind := range []OpKind{OpSend, OpRecv, OpPut} {
+		for _, tc := range []struct{ tag, want int }{
+			{0, 0},
+			{mpi.NBTagStride - 1, mpi.NBTagStride - 1},
+			{-1, tagSat},
+			{3 - 1<<28, tagSat}, // would wrap to 3
+			{math.MaxInt, tagSat},
+		} {
+			for _, op := range []Op{
+				postOne(kind, tc.tag, 16383, 7, MaxPayload, MaxPayload),
+				postRun(kind, tc.tag, 16383, 16382, 16383, 7, MaxPayload, MaxPayload),
+			} {
+				same, count, step := true, 1, 0
+				if op.Count != 1 {
+					same, count, step = false, 16383, 16382
+				}
+				if op.Kind() != kind || op.SameBlock() != same || op.TagOff() != tc.want ||
+					op.Peer != 16383 || int(op.Count) != count || int(op.Step) != step || op.Ref != 7 ||
+					op.Off != MaxPayload || op.Len != MaxPayload {
+					t.Errorf("kind %d, tag offset %d: entry reads back kind %d, same block %v, tag offset %d, peer %d, count %d, step %d, ref %d, off %d, len %d",
+						kind, tc.tag, op.Kind(), op.SameBlock(), op.TagOff(), op.Peer, op.Count, op.Step, op.Ref, op.Off, op.Len)
+				}
+			}
+		}
+	}
+	b := newBuilder("local", mpi.Buf{}, 2, 1)
+	b.local(MaxPayload, nil)
+	b.add(awaitPuts(MaxPayload))
+	for i, op := range b.done().Rounds[0] {
+		if want := []OpKind{OpLocal, OpAwaitPuts}[i]; op.Kind() != want || op.TagOff() != 0 || op.N != MaxPayload {
+			t.Errorf("entry %d reads back kind %d, tag offset %d, N %d; want kind %d, 0 and %d", i, op.Kind(), op.TagOff(), op.N, want, MaxPayload)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "2 GiB") {
+			t.Errorf("a %d-byte post: recovered %v, want the 2 GiB refusal", int64(MaxPayload)+1, r)
+		}
+	}()
+	postOne(OpSend, 0, 1, -1, 0, int(int64(MaxPayload)+1))
+}
+
+// TestIbcastNames: a segment of whole KiB keeps the name it always had, and
+// any other size is spelled in bytes, so no two sizes share a name (512 and
+// 768 bytes were both "seg0k", and 1536 was "seg1k" like 1024). The names of
+// the paper's set cost no allocation: every rank's builder asks for one.
+func TestIbcastNames(t *testing.T) {
+	for _, tc := range []struct {
+		fanout, seg int
+		want        string
+	}{
+		{FanoutBinomial, 32 << 10, "ibcast-binomial-seg32k"},
+		{0, 64 << 10, "ibcast-linear-seg64k"},
+		{FanoutTorus, 128 << 10, "ibcast-torus-seg128k"},
+		{6, 8 << 10, "ibcast-6-ary-seg8k"},
+		{FanoutBinomial, 1 << 30, "ibcast-binomial-seg1048576k"},
+		{1, 1 << 10, "ibcast-chain-seg1k"},
+		{2, 512, "ibcast-2-ary-seg512"},
+		{2, 768, "ibcast-2-ary-seg768"},
+		{1, 1536, "ibcast-chain-seg1536"},
+	} {
+		if got := IbcastName(tc.fanout, tc.seg); got != tc.want {
+			t.Errorf("IbcastName(%d, %d) = %q, want %q", tc.fanout, tc.seg, got, tc.want)
+		}
+	}
+	seen := map[string]int{}
+	for seg := 1; seg <= 16<<10; seg++ {
+		name := IbcastName(FanoutBinomial, seg)
+		if prev, ok := seen[name]; ok {
+			t.Fatalf("segments of %d and %d bytes are both %q", prev, seg, name)
+		}
+		seen[name] = seg
+	}
+	fanouts := append([]int{FanoutTorus}, DefaultFanouts...)
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, fanout := range fanouts {
+			for _, seg := range DefaultSegSizes {
+				IbcastName(fanout, seg)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("naming the paper's set takes %v allocations, want 0", allocs)
 	}
 }

@@ -84,7 +84,7 @@ func Iallgather(n, me int, send, recv mpi.Buf, algo AllgatherAlgo) *Schedule {
 		// round; OpLocal entries run before any posting.
 		b.add(postRun(OpRecv, 0, (me+1)%n, 1, n-1, rref, 0, bs))
 		send := postRun(OpSend, 0, (me-1+n)%n, n-1, n-1, rref, me*bs, bs)
-		send.SameBlock = true
+		send.kt |= sameBit // every post carries the own block
 		b.add(send)
 	case AllgatherRing:
 		b.end()

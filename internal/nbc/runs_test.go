@@ -25,19 +25,19 @@ type post struct {
 // Count 1 each, carrying the block its post carries: the form every run must
 // post like.
 func singles(s *Schedule, n int) *Schedule {
-	b := &builder{s: &Schedule{Name: s.Name, Win: s.Win, bufs: s.bufs, work: s.work}}
+	b := &builder{s: &Schedule{Name: s.Name, Win: s.Win, data: s.data}}
 	for _, r := range s.Rounds {
 		for _, op := range r {
-			if !op.Kind.posts() {
+			if !op.Kind().posts() {
 				b.add(op)
 				continue
 			}
 			peer := int(op.Peer)
 			for range op.Count {
 				one := op
-				one.Peer, one.Count, one.Step, one.SameBlock = int32(peer), 1, 0, true
-				if !op.SameBlock {
-					one.Off += peer * op.Len
+				one.Peer, one.Count, one.Step, one.kt = int32(peer), 1, 0, op.kt|sameBit
+				if !op.SameBlock() {
+					one.Off = i32(int(op.Off) + peer*int(op.Len))
 				}
 				b.add(one)
 				peer = mod(peer+int(op.Step), n)
@@ -53,13 +53,13 @@ func postsOf(t *testing.T, s *Schedule) []post {
 	var ps []post
 	for ri, r := range s.Rounds {
 		for _, op := range r {
-			if !op.Kind.posts() {
+			if !op.Kind().posts() {
 				continue
 			}
-			if op.Count != 1 || !op.SameBlock {
+			if op.Count != 1 || !op.SameBlock() {
 				t.Fatalf("%s: round %d holds a run of %d after expansion", s.Name, ri, op.Count)
 			}
-			ps = append(ps, post{ri, op.Kind, int(op.Peer), int(op.TagOff), op.Off, op.Len, op.N})
+			ps = append(ps, post{ri, op.Kind(), int(op.Peer), op.TagOff(), int(op.Off), int(op.Len), int(op.N)})
 		}
 	}
 	return ps

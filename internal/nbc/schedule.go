@@ -49,12 +49,15 @@ const (
 func (k OpKind) posts() bool { return k == OpSend || k == OpRecv || k == OpPut }
 
 // Op is one entry of a schedule round: its kind plus that kind's arguments,
-// as LibNBC stores a schedule entry. It is 48 bytes and holds no pointer, so
+// as LibNBC stores a schedule entry. It is 32 bytes and holds no pointer, so
 // the op array of a schedule, rebuilt for every rank on every call, gives the
 // collector nothing to trace: a payload is named by its index in the
 // schedule's table of base buffers and a byte range of it, local work by its
 // index in the schedule's table of functions. A virtual payload has no base
-// buffer: its entry names none and carries the length alone.
+// buffer: its entry names none and carries the length alone. Byte counts are
+// int32, so a schedule addresses at most MaxPayload bytes, just under 2 GiB,
+// of any buffer (core.Op.CheckSize refuses a larger payload before anything
+// is built).
 //
 // A post entry (OpSend, OpRecv, OpPut) is a run: it posts Count times, to the
 // comm ranks Peer, Peer+Step, … taken mod the comm size, all on TagOff. Each
@@ -69,24 +72,64 @@ func (k OpKind) posts() bool { return k == OpSend || k == OpRecv || k == OpPut }
 //	OpAwaitPuts  N is the cumulative puts expected by this round
 //	OpSend/Recv  N is unused
 type Op struct {
-	Kind      OpKind
-	SameBlock bool  // every post of the run carries the block at Off
-	TagOff    int32 // tag offset within the handle's tag range (0..mpi.NBTagStride-1); see tagOff
-	Peer      int32 // first comm rank of the run (send destination / recv source / put target)
-	Count     int32 // posts in the run
-	Step      int32 // comm-rank stride between the run's posts, 0 ≤ Step < comm size
-	Ref       int32 // the payload's base buffer, or OpLocal's work; -1: none
-	Off       int   // byte offset of the payload in its base buffer
-	Len       int   // bytes per post
-	N         int   // the kind's argument, as above
+	kt    uint32 // Kind, SameBlock and TagOff in one word (see opWord)
+	Peer  int32  // first comm rank of the run (send destination / recv source / put target)
+	Count int32  // posts in the run
+	Step  int32  // comm-rank stride between the run's posts, 0 ≤ Step < comm size
+	Ref   int32  // the payload's base buffer, or OpLocal's work; -1: none
+	Off   int32  // byte offset of the payload in its base buffer
+	Len   int32  // bytes per post
+	N     int32  // the kind's argument, as above
 }
 
-// tagOff narrows a builder's tag offset to Op.TagOff. An offset that does not
-// fit saturates instead of wrapping into range, so the executor refuses it as
-// it refuses any offset outside the stride.
-func tagOff(v int) int32 {
+// The layout of Op.kt: the kind in the low kindBits, the SameBlock flag above
+// it, and the tag offset in the remaining bits. An offset that does not fit
+// is stored as tagSat, which lies above mpi.NBTagStride, so the executor
+// refuses it as it refuses any offset outside the stride.
+const (
+	kindBits = 3
+	sameBit  = 1 << kindBits
+	tagShift = kindBits + 1
+	tagSat   = 1<<(32-tagShift) - 1
+)
+
+// opWord packs a kind, the SameBlock flag and a builder's tag offset into
+// Op.kt. A tag offset below 0 or above tagSat saturates instead of wrapping
+// into range.
+func opWord(kind OpKind, same bool, tag int) uint32 {
+	if tag < 0 || tag > tagSat {
+		tag = tagSat
+	}
+	w := uint32(kind) | uint32(tag)<<tagShift
+	if same {
+		w |= sameBit
+	}
+	return w
+}
+
+// Kind is the entry's kind.
+func (op Op) Kind() OpKind { return OpKind(op.kt & (sameBit - 1)) }
+
+// SameBlock reports whether every post of the run carries the block at Off.
+func (op Op) SameBlock() bool { return op.kt&sameBit != 0 }
+
+// TagOff is the entry's tag offset within the handle's tag range
+// (0..mpi.NBTagStride-1 for an entry the executor accepts).
+func (op Op) TagOff() int { return int(op.kt >> tagShift) }
+
+// setTagOff re-tags the entry, saturating like opWord.
+func (op *Op) setTagOff(tag int) { op.kt = opWord(op.Kind(), op.SameBlock(), tag) }
+
+// MaxPayload is the largest buffer, in bytes, a schedule addresses: an entry
+// holds byte counts and offsets as int32.
+const MaxPayload = math.MaxInt32
+
+// i32 narrows a byte count or offset to an entry's field. Every payload a
+// command can ask for is at most MaxPayload (core.Op.CheckSize), so a value
+// that does not fit is a bug in a caller that skipped that check.
+func i32(v int) int32 {
 	if v != int(int32(v)) {
-		return math.MaxInt32
+		panic(fmt.Sprintf("nbc: %d bytes do not fit a schedule entry; payloads must be below 2 GiB", v))
 	}
 	return int32(v)
 }
@@ -94,15 +137,18 @@ func tagOff(v int) int32 {
 // postOne returns an entry that posts kind once, to peer, with the n bytes at
 // off of base buffer ref.
 func postOne(kind OpKind, tag, peer int, ref int32, off, n int) Op {
-	return Op{Kind: kind, SameBlock: true, TagOff: tagOff(tag), Peer: int32(peer), Count: 1, Ref: ref, Off: off, Len: n}
+	return Op{kt: opWord(kind, true, tag), Peer: int32(peer), Count: 1, Ref: ref, Off: i32(off), Len: i32(n)}
 }
 
 // postRun returns an entry that posts kind count times, to peer, peer+step, …
 // mod the comm size (0 ≤ step < comm size), each post with its peer's n-byte
 // block at off + peer·n of base buffer ref.
 func postRun(kind OpKind, tag, peer, step, count int, ref int32, off, n int) Op {
-	return Op{Kind: kind, TagOff: tagOff(tag), Peer: int32(peer), Count: int32(count), Step: int32(step), Ref: ref, Off: off, Len: n}
+	return Op{kt: opWord(kind, false, tag), Peer: int32(peer), Count: int32(count), Step: int32(step), Ref: ref, Off: i32(off), Len: i32(n)}
 }
+
+// awaitPuts returns an OpAwaitPuts entry gating its round on n puts.
+func awaitPuts(n int) Op { return Op{kt: opWord(OpAwaitPuts, false, 0), N: i32(n)} }
 
 // nextRun returns the longest run of peers[i:] whose successive comm ranks
 // are one step apart mod n, as (step, count).
@@ -137,7 +183,7 @@ type Round []Op
 // from the final array. Payloads with real bytes go into the schedule's
 // buffer table, and local work into its function table only when the
 // schedule carries data, as the work copies or reduces real bytes: a virtual
-// schedule has neither table.
+// schedule has neither table, and no tables record either.
 type builder struct {
 	s     *Schedule
 	ops   []Op
@@ -161,8 +207,17 @@ func (b *builder) buf(x mpi.Buf) int32 {
 	if !x.HasData() {
 		return -1
 	}
-	b.s.bufs = append(b.s.bufs, x)
-	return int32(len(b.s.bufs) - 1)
+	t := b.tables()
+	t.bufs = append(t.bufs, x)
+	return int32(len(t.bufs) - 1)
+}
+
+// tables returns the schedule's tables, creating them on first use.
+func (b *builder) tables() *tables {
+	if b.s.data == nil {
+		b.s.data = &tables{}
+	}
+	return b.s.data
 }
 
 func (b *builder) add(op Op) { b.ops = append(b.ops, op) }
@@ -170,10 +225,11 @@ func (b *builder) add(op Op) { b.ops = append(b.ops, op) }
 // local adds an OpLocal entry charging n bytes of copy time; work is
 // registered only when the schedule carries data.
 func (b *builder) local(n int, work func()) {
-	op := Op{Kind: OpLocal, N: n, Ref: -1}
+	op := Op{kt: opWord(OpLocal, false, 0), N: i32(n), Ref: -1}
 	if b.data {
-		op.Ref = int32(len(b.s.work))
-		b.s.work = append(b.s.work, work)
+		t := b.tables()
+		op.Ref = int32(len(t.work))
+		t.work = append(t.work, work)
 	}
 	b.add(op)
 }
@@ -203,21 +259,25 @@ func (b *builder) end() {
 // buffer and work indexes rebased onto this schedule's tables, and returns
 // the highest tag offset part's sends and receives use (-1: none).
 func (b *builder) splice(part *Schedule, tagBase int) int {
-	bufBase, workBase := int32(len(b.s.bufs)), int32(len(b.s.work))
-	b.s.bufs = append(b.s.bufs, part.bufs...)
-	b.s.work = append(b.s.work, part.work...)
+	var bufBase, workBase int32
+	if p := part.data; p != nil {
+		t := b.tables()
+		bufBase, workBase = int32(len(t.bufs)), int32(len(t.work))
+		t.bufs = append(t.bufs, p.bufs...)
+		t.work = append(t.work, p.work...)
+	}
 	hi := -1
 	for _, r := range part.Rounds {
 		for _, op := range r {
-			if op.Kind == OpSend || op.Kind == OpRecv {
-				hi = max(hi, int(op.TagOff))
-				op.TagOff = tagOff(int(op.TagOff) + tagBase)
+			if k := op.Kind(); k == OpSend || k == OpRecv {
+				hi = max(hi, op.TagOff())
+				op.setTagOff(op.TagOff() + tagBase)
 			}
 			switch {
 			case op.Ref < 0:
-			case op.Kind.posts():
+			case op.Kind().posts():
 				op.Ref += bufBase
-			case op.Kind == OpLocal:
+			case op.Kind() == OpLocal:
 				op.Ref += workBase
 			}
 			b.add(op)
@@ -252,6 +312,12 @@ type Schedule struct {
 	// time (the completion counters are per window).
 	Win *mpi.Win
 
+	data *tables // nil for a schedule that moves no real bytes
+}
+
+// tables are what a schedule that moves real bytes names by index: behind
+// one pointer, so a virtual schedule's header is 8 bytes instead of 48.
+type tables struct {
 	bufs []mpi.Buf // base buffers with real bytes, named by the post entries' Ref
 	work []func()  // local work, named by the OpLocal entries' Ref
 }
@@ -276,7 +342,6 @@ type Handle struct {
 	pending  []mpi.ReqHandle
 	await    int         // cumulative put count the current round waits for (-1: none)
 	awaitFn  func() bool // h.awaitSatisfied, evaluated once per record: a method value allocates
-	nextFn   func() bool // h.next, likewise
 	instance int64       // collective instance id on the schedule's window
 	done     bool
 	released bool
@@ -285,9 +350,27 @@ type Handle struct {
 }
 
 // handlePool is the per-rank free list of Handle records, kept in the rank's
-// opaque layer-state slot.
+// opaque layer-state slot. The rank's first handle and the free list's first
+// slot live inside the pool, so a rank that runs one collective at a time
+// makes one object for all of its collectives; a deeper pool grows as before.
 type handlePool struct {
-	free []*Handle
+	free  []*Handle
+	slot  [1]*Handle // free's first backing array
+	first Handle
+}
+
+// newPool returns a pool holding its own first handle, released.
+func newPool() *handlePool {
+	p := &handlePool{}
+	p.first = idleHandle(p, 0)
+	p.free = append(p.slot[:0], &p.first)
+	return p
+}
+
+// idleHandle returns a released record of pool p whose pending list has room
+// for pending requests.
+func idleHandle(p *handlePool, pending int) Handle {
+	return Handle{pool: p, pending: make([]mpi.ReqHandle, 0, pending), await: -1, done: true, released: true, obsID: -1}
 }
 
 // ForkLayer implements mpi.LayerForker: a forked world gets a pool of the
@@ -297,18 +380,14 @@ type handlePool struct {
 // fork's steady state starts allocation-free.
 func (p *handlePool) ForkLayer() any {
 	q := &handlePool{}
-	if len(p.free) > 0 {
-		q.free = make([]*Handle, len(p.free))
-		for i, h := range p.free {
-			q.free[i] = &Handle{
-				pool:     q,
-				pending:  make([]mpi.ReqHandle, 0, cap(h.pending)),
-				await:    -1,
-				done:     true,
-				released: true,
-				obsID:    -1,
-			}
+	q.free = q.slot[:0]
+	for i, h := range p.free {
+		fh := &q.first
+		if i > 0 {
+			fh = new(Handle)
 		}
+		*fh = idleHandle(q, cap(h.pending))
+		q.free = append(q.free, fh)
 	}
 	return q
 }
@@ -324,7 +403,7 @@ func (h *Handle) schedName() string {
 func poolFor(rank *mpi.Rank) *handlePool {
 	slot := rank.LayerState()
 	if *slot == nil {
-		*slot = &handlePool{}
+		*slot = newPool()
 	}
 	return (*slot).(*handlePool)
 }
@@ -397,9 +476,9 @@ func (h *Handle) execRounds() {
 		// at post, a rendezvous send stays open as long as a receive.
 		posts, open := 0, 0
 		for i := range r {
-			if op := &r[i]; op.Kind.posts() {
+			if op := &r[i]; op.Kind().posts() {
 				posts += int(op.Count)
-				if op.Kind != OpSend || !params.Eager(op.Len) {
+				if op.Kind() != OpSend || !params.Eager(int(op.Len)) {
 					open += int(op.Count)
 				}
 			}
@@ -408,50 +487,50 @@ func (h *Handle) execRounds() {
 		h.await = -1
 		for i := range r {
 			op := &r[i]
-			if uint32(op.TagOff) >= mpi.NBTagStride {
+			if op.TagOff() >= mpi.NBTagStride {
 				// An offset at or above the stride would alias a later
 				// operation's tag range and corrupt matching silently —
 				// the failure mode large-rank schedules (pairwise, ring,
 				// deeply segmented trees) hit before the stride was widened.
 				panic(fmt.Sprintf("nbc: %s round %d tag offset %d outside the %d-wide stride",
-					h.schedName(), h.round, op.TagOff, mpi.NBTagStride))
+					h.schedName(), h.round, op.TagOff(), mpi.NBTagStride))
 			}
-			switch op.Kind {
+			switch kind := op.Kind(); kind {
 			case OpLocal:
-				rank.ChargeCopy(op.N)
+				rank.ChargeCopy(int(op.N))
 				if op.Ref >= 0 {
-					h.sched.work[op.Ref]()
+					h.sched.data.work[op.Ref]()
 				}
 			case OpAwaitPuts:
-				h.await = op.N
+				h.await = int(op.N)
 			case OpSend, OpRecv, OpPut:
 				var base mpi.Buf // virtual
 				if op.Ref >= 0 {
-					base = h.sched.bufs[op.Ref]
+					base = h.sched.data.bufs[op.Ref]
 				}
-				tag, peer := h.tag+int(op.TagOff), int(op.Peer)
+				tag, peer, l, same := h.tag+op.TagOff(), int(op.Peer), int(op.Len), op.SameBlock()
 				for range op.Count {
-					off := op.Off
-					if !op.SameBlock {
-						off += peer * op.Len
+					off := int(op.Off)
+					if !same {
+						off += peer * l
 					}
-					b := base.Slice(off, op.Len)
-					switch op.Kind {
+					b := base.Slice(off, l)
+					switch kind {
 					case OpSend:
-						rec.AlgoBytes(rank.ID(), h.sched.Name, op.Len)
+						rec.AlgoBytes(rank.ID(), h.sched.Name, l)
 						h.post(h.comm.Isend(peer, tag, b))
 					case OpRecv:
 						h.post(h.comm.Irecv(peer, tag, b))
 					case OpPut:
-						rec.AlgoBytes(rank.ID(), h.sched.Name, op.Len)
-						h.post(h.sched.Win.PutInstanced(h.instance, peer, op.N, b))
+						rec.AlgoBytes(rank.ID(), h.sched.Name, l)
+						h.post(h.sched.Win.PutInstanced(h.instance, peer, int(op.N), b))
 					}
 					if peer += int(op.Step); peer >= n {
 						peer -= n
 					}
 				}
 			default:
-				panic(fmt.Sprintf("nbc: unknown op kind %d", op.Kind))
+				panic(fmt.Sprintf("nbc: unknown op kind %d", kind))
 			}
 		}
 		if posts > 0 || h.await >= 0 {
@@ -520,13 +599,16 @@ func (h *Handle) Progress() bool {
 // not be touched again.
 func (h *Handle) Wait() {
 	if !h.done {
-		if h.nextFn == nil {
-			h.nextFn = h.next
-		}
-		h.comm.WaitSteps(h.pending, h.nextFn)
+		h.comm.WaitSteps(h.pending, (*waitStep)(h))
 	}
 	h.release()
 }
+
+// waitStep is a Handle as the mpi.Stepper of its Wait: an interface holding
+// the handle's pointer, where a method value of next would allocate.
+type waitStep Handle
+
+func (s *waitStep) Step() bool { return (*Handle)(s).next() }
 
 // next is Wait's step, run in event context once the current wait set holds:
 // a round that awaits puts waits for them next; otherwise the following round

@@ -569,7 +569,7 @@ func (e *Engine) runLoop(deadline Time) {
 			r := recover()
 			pp, ok := r.(*ProcPanic)
 			if !ok {
-				pp = &ProcPanic{Proc: q.name, Value: r, Stack: debug.Stack()}
+				pp = &ProcPanic{Proc: q.Name(), Value: r, Stack: debug.Stack()}
 			}
 			e.abandon()
 			panic(pp)
@@ -612,7 +612,7 @@ func (e *Engine) Run() Time {
 		var stuck []string
 		for _, p := range e.procs {
 			if !p.done {
-				stuck = append(stuck, p.name)
+				stuck = append(stuck, p.Name())
 			}
 		}
 		sort.Strings(stuck)

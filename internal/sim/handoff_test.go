@@ -182,13 +182,13 @@ func TestPollPanicNamesItsOwner(t *testing.T) {
 	c := NewCond(e)
 	e.Spawn("owner", func(p *Proc) {
 		calls := 0
-		p.ParkUntil(func() bool {
+		p.ParkUntil(pollFunc(func() bool {
 			if calls++; calls > 1 {
 				panic("poll fault") // the second call: woken by firer's Broadcast
 			}
 			c.Block(p)
 			return false
-		})
+		}))
 	})
 	e.Spawn("firer", func(p *Proc) {
 		c.Broadcast()
@@ -265,3 +265,8 @@ func BenchmarkProcHandOff(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// pollFunc adapts a closure to the Poller ParkUntil takes.
+type pollFunc func() bool
+
+func (f pollFunc) Poll() bool { return f() }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
+	"strconv"
 )
 
 // Proc is a simulated process: a coroutine with a clock of its own that may
@@ -27,28 +28,37 @@ import (
 //
 // Wakeups are pooled evWake records addressed by (process, park generation).
 // Any API that logically wakes a process (the itinerary, Cond.Broadcast,
-// Cond.Signal) pushes such a record; the generation moves on every time the
-// event loop accepts one, so the event loop drops the others as stale, which
-// coalesces multiple same-instant wakeups of one process into a single one.
+// Cond.Signal, Proc.Wake) pushes such a record; the generation moves on every
+// time the event loop accepts one, so the event loop drops the others as
+// stale, which coalesces multiple same-instant wakeups of one process into a
+// single one.
 type Proc struct {
 	eng     *Engine
-	name    string
+	name    string               // the name, or with num ≥ 0 its prefix (Name)
 	next    func() (*Proc, bool) // resume; returns the process to wake next, if any
 	yield   func(*Proc) bool     // suspend, naming the process to wake; false once stopped
 	stop    func()               // unwind a suspended process (Engine.abandon)
 	id      int32                // the process's index in the engine's procs
+	num     int32                // SpawnNumbered's number, -1 for Spawn
 	done    bool
 	inEvent bool   // a poll or a deferred call of this process is running: it must not park
 	gen     uint64 // park generation; wake tickets target a generation
+	bgen    uint64 // the generation Block recorded for the next Wake; 0: not blocked
 
 	// The run-ahead itinerary. local is the process's own clock, meaningful
 	// while stops are pending; otherwise the process is level with the engine.
 	local Time
 	stops []stop   // instants the eager process would have woken at; stops[at:] are pending
-	at    int      // first pending stop
 	acts  []action // deferred calls of the pending stops, in order
-	act   int      // first pending call
-	poll  func() bool
+	at    int32    // first pending stop
+	act   int32    // first pending call
+	poll  Poller
+}
+
+// Poller is what a process parked in ParkUntil asks, in event context,
+// whether to resume.
+type Poller interface {
+	Poll() bool
 }
 
 // stop is one instant of a process's itinerary: where a Sleep would have
@@ -73,11 +83,32 @@ type action struct {
 // be exceeded by at most one step's stops, one round's posts.
 const maxAhead = 64
 
+// firstStops and firstActs are the itinerary's first capacities: room for the
+// stops and deferred calls of a typical wait (in a 16K-rank barrier and
+// broadcast, 94 % of the ranks never hold more than 8 stops and 88 % never
+// more than 2 calls), so most processes allocate each once instead of
+// growing them from one entry by doubling.
+const (
+	firstStops = 8
+	firstActs  = 2
+)
+
 // Spawn starts a new process executing fn. The process begins running at the
 // current virtual time (via a zero-delay wake event). If fn panics, the
 // panic is captured with its stack and re-raised from Run as a *ProcPanic.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, gen: 1, id: int32(len(e.procs))}
+	return e.spawn(name, -1, fn)
+}
+
+// SpawnNumbered is Spawn for process number n (0 ≤ n < 2^31) of a family named
+// prefix: the process's name, prefix followed by n in decimal, is built only
+// when a diagnostic asks for it (Name), and n is what Num returns.
+func (e *Engine) SpawnNumbered(prefix string, n int, fn func(p *Proc)) *Proc {
+	return e.spawn(prefix, int32(n), fn)
+}
+
+func (e *Engine) spawn(name string, num int32, fn func(p *Proc)) *Proc {
+	p := &Proc{eng: e, name: name, num: num, gen: 1, id: int32(len(e.procs))}
 	e.procs = append(e.procs, p)
 	e.live++
 	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
@@ -111,7 +142,7 @@ func (p *Proc) runBody(fn func(*Proc)) (fail *ProcPanic) {
 		case *ProcPanic:
 			fail = r // a nested engine's Run
 		default:
-			fail = &ProcPanic{Proc: q.name, Value: r, Stack: debug.Stack()}
+			fail = &ProcPanic{Proc: q.Name(), Value: r, Stack: debug.Stack()}
 		}
 	}()
 	fn(p)
@@ -131,13 +162,24 @@ func (p *Proc) Now() Time {
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.done }
 
+// Name returns the name the process was spawned under.
+func (p *Proc) Name() string {
+	if p.num < 0 {
+		return p.name
+	}
+	return p.name + strconv.Itoa(int(p.num))
+}
+
+// Num returns the number SpawnNumbered gave the process, -1 for Spawn's.
+func (p *Proc) Num() int { return int(p.num) }
+
 // Ahead reports whether the process's clock is ahead of the engine's, i.e.
 // whether stops are pending. A process that is not ahead is level.
-func (p *Proc) Ahead() bool { return p.at < len(p.stops) }
+func (p *Proc) Ahead() bool { return int(p.at) < len(p.stops) }
 
 // Full reports whether the itinerary holds as many stops as it should; a
 // poll stops making work and returns false then (Advance cannot sync there).
-func (p *Proc) Full() bool { return len(p.stops)-p.at >= maxAhead }
+func (p *Proc) Full() bool { return len(p.stops)-int(p.at) >= maxAhead }
 
 // Advance moves the process's clock forward by d without parking and records
 // the instant reached as a stop. The clock accumulates the way consecutive
@@ -145,7 +187,7 @@ func (p *Proc) Full() bool { return len(p.stops)-p.at >= maxAhead }
 // every stop is bit for bit the instant the Sleep would have ended at.
 func (p *Proc) Advance(d Time) {
 	if !(d >= 0) {
-		panic(fmt.Sprintf("sim: negative advance %g in %q", d, p.name))
+		panic(fmt.Sprintf("sim: negative advance %g in %q", d, p.Name()))
 	}
 	if d == 0 {
 		return
@@ -156,6 +198,9 @@ func (p *Proc) Advance(d Time) {
 		p.Sync() // level again, and local is exactly the engine's clock
 	}
 	p.local += d
+	if p.stops == nil {
+		p.stops = make([]stop, 0, firstStops)
+	}
 	p.stops = append(p.stops, stop{t: p.local})
 }
 
@@ -168,6 +213,9 @@ func (p *Proc) DoH(h Handler, a, b int32) {
 	if !p.Ahead() {
 		p.eng.handlers[h](a, b)
 		return
+	}
+	if p.acts == nil {
+		p.acts = make([]action, 0, firstActs)
 	}
 	p.acts = append(p.acts, action{h, a, b})
 	p.stops[len(p.stops)-1].acts++
@@ -192,13 +240,13 @@ func (p *Proc) Sleep(d Time) {
 // the engine has caught up with the process — the first time right here if
 // it already has — and again each time a wake ticket of the process fires
 // with no stop pending, i.e. after whatever poll itself advanced by has been
-// walked, or after a Cond it blocked on was signaled. It runs in event
-// context, under the contract of the package comment: it may Advance, DoH and
-// Cond.Block, it must not park.
-func (p *Proc) ParkUntil(poll func() bool) {
+// walked, or after a Cond it blocked on was signaled or a Block was woken. It
+// runs in event context, under the contract of the package comment: it may
+// Advance, DoH, Block and Cond.Block, it must not park.
+func (p *Proc) ParkUntil(poll Poller) {
 	if !p.Ahead() {
 		p.inEvent = true
-		ok := poll()
+		ok := poll.Poll()
 		p.inEvent = false
 		if ok {
 			return
@@ -216,7 +264,7 @@ func (p *Proc) ParkUntil(poll func() bool) {
 // returns it.
 func (p *Proc) park() {
 	if p.inEvent {
-		panic(fmt.Sprintf("sim: process %q parks in event context (inside a poll or a deferred call)", p.name))
+		panic(fmt.Sprintf("sim: process %q parks in event context (inside a poll or a deferred call)", p.Name()))
 	}
 	e := p.eng
 	if p.Ahead() {
@@ -259,12 +307,12 @@ func (p *Proc) reach(idx int32) bool {
 	if !p.Ahead() {
 		p.stops, p.at = p.stops[:0], 0
 		p.acts, p.act = p.acts[:0], 0
-		resume = p.poll == nil || p.poll()
+		resume = p.poll == nil || p.poll.Poll()
 	}
 	p.inEvent = false
 	e.blamed = 0
 	if e.heap[0].rec() != idx {
-		panic(fmt.Sprintf("sim: an event was scheduled ahead of the firing wake ticket of %q", p.name))
+		panic(fmt.Sprintf("sim: an event was scheduled ahead of the firing wake ticket of %q", p.Name()))
 	}
 	if resume || !p.Ahead() {
 		e.heapPop()
@@ -275,6 +323,27 @@ func (p *Proc) reach(idx int32) bool {
 	e.recs[idx].wgen = p.gen // indexed here: a deferred call may have grown the pool
 	e.siftDown()
 	return false
+}
+
+// Block makes the process its own waiter without parking it: the next Wake
+// sends it a wake ticket. It is Cond.Block for a condition only the process
+// itself waits on — a poll that found nothing to do (ParkUntil) — and costs
+// no Cond: the process records the generation its ticket will target.
+func (p *Proc) Block() {
+	if p.Ahead() {
+		panic(fmt.Sprintf("sim: process %q blocks while ahead of the engine", p.Name()))
+	}
+	p.bgen = p.gen
+}
+
+// Wake sends a blocked process (Block) a zero-delay wake ticket, as
+// Cond.Broadcast does its waiters, and does nothing to one that is not
+// blocked. It is safe from process context or event context.
+func (p *Proc) Wake() {
+	if p.bgen != 0 {
+		p.eng.wakeAt(p.eng.now, p.id, p.bgen)
+		p.bgen = 0
+	}
 }
 
 // condWaiter is a blocked process, by index (no pointer for the write
@@ -309,7 +378,7 @@ func (c *Cond) Wait(p *Proc) {
 // that is ahead already has a ticket on its way, and two would race.
 func (c *Cond) Block(p *Proc) {
 	if p.Ahead() {
-		panic(fmt.Sprintf("sim: process %q blocks on a Cond while ahead of the engine", p.name))
+		panic(fmt.Sprintf("sim: process %q blocks on a Cond while ahead of the engine", p.Name()))
 	}
 	c.waiters = append(c.waiters, condWaiter{p.id, p.gen})
 }

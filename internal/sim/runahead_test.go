@@ -157,7 +157,7 @@ func (w *raWorld) body(who int, ops []byte) func(*Proc) {
 					w.note(p.Now(), who, "woke")
 					continue
 				}
-				p.ParkUntil(func() bool {
+				p.ParkUntil(pollFunc(func() bool {
 					for {
 						if !process() || p.Ahead() {
 							return false
@@ -191,7 +191,7 @@ func (w *raWorld) body(who int, ops []byte) func(*Proc) {
 							return true
 						}
 					}
-				})
+				}))
 			}
 		}
 	}

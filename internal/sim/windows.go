@@ -187,7 +187,7 @@ func (ws *Windows) Run() Time {
 		live += e.live
 		for _, p := range e.procs {
 			if !p.done {
-				stuck = append(stuck, fmt.Sprintf("%s(shard %d)", p.name, s))
+				stuck = append(stuck, fmt.Sprintf("%s(shard %d)", p.Name(), s))
 			}
 		}
 	}
