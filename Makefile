@@ -34,13 +34,15 @@ test:
 # mpi.Buf that Data rebuilds with unsafe.Slice: the fft kernel and bench's
 # data-mode tests move real bytes through every collective. The race
 # runtime keeps what a test's goroutines used (one per simulated rank), so
-# internal/nbc's 4096-rank TestScaleConformance* worlds run in a process of
-# their own and the rest of the package in another: in one process the
-# package passed 5.5 GB; split, the two peak at 3.3 and 4.0 GB.
+# internal/nbc runs in three processes that partition its tests by name: the
+# 4096-rank TestScaleConformance* worlds, the TestConformance* grids, and the
+# rest. In one process the package passed 5.5 GB; split three ways, the
+# processes peak at 3.3, 2.9 and 1.1 GB.
 race:
 	$(GO) test -race ./internal/runner ./internal/sim/... ./internal/mpi/... ./internal/chaos/... ./internal/kb ./internal/netmodel ./internal/fft
 	$(GO) test -race -run '^TestScaleConformance' ./internal/nbc/...
-	$(GO) test -race -skip '^TestScaleConformance' ./internal/nbc/...
+	$(GO) test -race -run '^TestConformance' ./internal/nbc/...
+	$(GO) test -race -skip '^(TestScaleConformance|TestConformance)' ./internal/nbc/...
 	$(GO) test -race -count 1 -run 'TestChaos|Speculat|DataMode' ./internal/bench
 	$(GO) test -race -count 1 -run Speculat ./internal/core
 

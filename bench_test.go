@@ -11,6 +11,7 @@
 package nbctune_test
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/metrics"
 	"testing"
@@ -241,17 +242,20 @@ func runOneShotWorld(tb testing.TB, ranks, shards int, prog func(*mpi.Comm)) (ev
 
 // oneShotAllocCeiling and oneShotMallocCeiling are what
 // TestOneShotWorldAllocBudget lets its three one-shot worlds allocate: 10 %
-// over the 57.0 MiB and the 161.7 K objects they allocated when the ceilings
-// were set. A world's first run allocates its live set once: schedules in one
-// exactly sized op array of 32-byte entries, one per run of posts, protocol
-// records from slab chunks that double up to 32 KiB, free lists chained
-// through their records, the lane pool grown by doubling, each queue's first
-// index sized for the world; and per rank its process and coroutine, one
-// handle pool holding its first handle, and no wait condition or name
-// (DESIGN.md §3 "Pooling").
+// over the 45.8 MiB and the 160.2 K objects they allocated when the ceilings
+// were set (the all-to-all 27.9 MiB of them, 199 B per message). A world's
+// first run allocates its live set once: schedules in one exactly sized op
+// array of 32-byte entries, one per run of posts, protocol records from slab
+// chunks that double up to 32 KiB (64-byte requests, 48-byte envelopes,
+// transfers of at most 56 bytes), free lists chained through their records,
+// lane entries from chunks that double up to 32 KiB and are never copied, each
+// queue's first index sized for the world, and per rank a notice queue sized
+// once for the requests its round leaves open; and per rank its process and
+// coroutine, one handle pool holding its first handle, and no wait condition
+// or name (DESIGN.md §3 "Pooling").
 const (
-	oneShotAllocCeiling  = 627 << 20 / 10 // 62.7 MiB
-	oneShotMallocCeiling = 177_800
+	oneShotAllocCeiling  = 504 << 20 / 10 // 50.4 MiB
+	oneShotMallocCeiling = 176_200
 )
 
 // TestOneShotWorldResumes pins the events the first two worlds of
@@ -275,16 +279,25 @@ func TestOneShotWorldResumes(t *testing.T) {
 // TestOneShotWorldAllocBudget runs the 384-rank linear Ialltoall world and
 // the 1K- and 4K-rank barrier + broadcast worlds once each and fails if
 // together they allocate more than oneShotAllocCeiling bytes or more than
-// oneShotMallocCeiling objects, and logs what they allocated.
+// oneShotMallocCeiling objects. It logs what each world allocated, and for the
+// all-to-all the bytes per message of its 384·383 = 147 072, beside the
+// total.
 func TestOneShotWorldAllocBudget(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	var bytes, mallocs uint64
 	for _, ow := range oneShotWorlds[:3] {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		runOneShotWorld(t, ow.ranks, ow.shards, ow.prog)
+		runtime.ReadMemStats(&after)
+		b, m := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+		bytes, mallocs = bytes+b, mallocs+m
+		per := ""
+		if ow.name == "alltoall384" {
+			per = fmt.Sprintf(", %.0f B per message", float64(b)/float64(ow.ranks*(ow.ranks-1)))
+		}
+		t.Logf("%s: %.1f MiB in %d allocations%s", ow.name, float64(b)/(1<<20), m, per)
 	}
-	runtime.ReadMemStats(&after)
 	worlds := oneShotWorlds[0].name + ", " + oneShotWorlds[1].name + " and " + oneShotWorlds[2].name
-	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	if bytes > oneShotAllocCeiling {
 		t.Errorf("one-shot %s worlds allocated %.1f MiB, the ceiling is %.1f MiB",
 			worlds, float64(bytes)/(1<<20), float64(oneShotAllocCeiling)/(1<<20))
@@ -292,8 +305,8 @@ func TestOneShotWorldAllocBudget(t *testing.T) {
 	if mallocs > oneShotMallocCeiling {
 		t.Errorf("one-shot %s worlds made %d allocations, the ceiling is %d", worlds, mallocs, oneShotMallocCeiling)
 	}
-	t.Logf("one-shot %s worlds allocated %.1f MiB in %d allocations (ceilings %.1f MiB and %d)",
-		worlds, float64(bytes)/(1<<20), mallocs, float64(oneShotAllocCeiling)/(1<<20), oneShotMallocCeiling)
+	t.Logf("total: %.1f MiB in %d allocations (ceilings %.1f MiB and %d)",
+		float64(bytes)/(1<<20), mallocs, float64(oneShotAllocCeiling)/(1<<20), oneShotMallocCeiling)
 }
 
 // BenchmarkOneShotWorld times world construction and one run, per event as

@@ -1,5 +1,7 @@
 package mpi
 
+import "slices"
+
 // Comm is a communicator handle held by one rank. As in MPI, every member of
 // a communicator holds its own handle; handles of the same communicator share
 // a context id so their traffic never matches other communicators' traffic.
@@ -65,6 +67,12 @@ func (c *Comm) Sendrecv(dst, sendTag int, sbuf Buf, src, recvTag int, rbuf Buf) 
 
 // Wait blocks until all given requests complete.
 func (c *Comm) Wait(reqs ...*Request) { c.r.Wait(reqs...) }
+
+// Reserve makes room in the rank's notice queue for the notices of n more open
+// requests, one queued at a time each: a round that posts n receives sizes
+// the queue once, where appending to it would regrow it by doubling. It
+// changes no notice and no time.
+func (c *Comm) Reserve(n int) { c.r.notices = slices.Grow(c.r.notices, n) }
 
 // WaitHandles blocks until all requests behind the handles complete; freed
 // requests read as done.

@@ -104,8 +104,8 @@ func TestEagerSendRecvData(t *testing.T) {
 			c.Send(1, 7, Bytes([]byte{1, 2, 3, 4}))
 		case 1:
 			req := c.Recv(0, 7, Bytes(got))
-			if req.SrcActual != 0 || req.TagActual != 7 {
-				t.Errorf("match metadata = (%d,%d), want (0,7)", req.SrcActual, req.TagActual)
+			if req.SrcActual() != 0 || req.TagActual() != 7 {
+				t.Errorf("match metadata = (%d,%d), want (0,7)", req.SrcActual(), req.TagActual())
 			}
 		}
 	})
@@ -267,7 +267,7 @@ func TestAnySourceAnyTag(t *testing.T) {
 			b := make([]byte, 1)
 			for i := 0; i < 2; i++ {
 				req := c.Recv(AnySource, AnyTag, Bytes(b))
-				srcs[req.SrcActual] = true
+				srcs[req.SrcActual()] = true
 			}
 		} else {
 			c.Send(0, 100+c.Rank(), Bytes([]byte{byte(c.Rank())}))
@@ -590,4 +590,96 @@ func TestRequestPoolLifecycle(t *testing.T) {
 		c.Wait(q3)
 	})
 	eng.Run()
+}
+
+// TestWildcardReceiveReportsActual pins the accessors of a completed
+// receive's match: a receive posted with AnySource and AnyTag reports the
+// sender and the tag of the message it matched, whether the message arrived
+// before the post (eager and rendezvous unexpected queues) or after it (the
+// posted chain and, past shallow, the index), and the rank's wildcard count
+// returns to zero once the filters are overwritten.
+func TestWildcardReceiveReportsActual(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		bytes int
+		early bool // the messages arrive before the receives are posted
+		n     int  // senders, each sending once
+	}{
+		{"eager, posted first", 64, false, 3},
+		{"eager, arrived first", 64, true, 3},
+		{"rendezvous, posted first", 64 << 10, false, 3},
+		{"rendezvous, arrived first", 64 << 10, true, 3},
+		{"eager, posted past shallow", 64, false, shallow + 4},
+	} {
+		got := map[int]int{} // sender -> tag reported
+		_, w := testWorld(t, tc.n+1, nil)
+		w.Start(func(c *Comm) {
+			if c.Rank() != 0 {
+				c.Send(0, 100+c.Rank(), Virtual(tc.bytes))
+				return
+			}
+			if tc.early {
+				c.Compute(1e-3)
+			}
+			reqs := make([]*Request, tc.n)
+			for i := range reqs {
+				reqs[i] = c.Irecv(AnySource, AnyTag, Virtual(tc.bytes))
+			}
+			c.Wait(reqs...)
+			for _, q := range reqs {
+				got[q.SrcActual()] = q.TagActual()
+			}
+			if m := &c.r.m; m.postedCount != 0 || m.postedWild != 0 {
+				t.Errorf("%s: %d posted, %d wildcard receives left after the wait", tc.name, m.postedCount, m.postedWild)
+			}
+			c.FreeRequests(reqs...)
+		})
+		w.Run()
+		for src := 1; src <= tc.n; src++ {
+			if tag, ok := got[src]; !ok || tag != 100+src {
+				t.Errorf("%s: sender %d reported with tag %d (%v), want tag %d", tc.name, src, tag, ok, 100+src)
+			}
+		}
+	}
+}
+
+// TestOversizedBuffersRefused pins the bound of a protocol record's length:
+// Isend, Irecv and a put refuse a buffer of MaxPayload+1 = 2^31 bytes at the
+// call, which a record's int32 length would wrap, a put refuses an offset
+// past MaxPayload, and a window refuses a context past an int32; MaxPayload
+// bytes themselves are accepted.
+func TestOversizedBuffersRefused(t *testing.T) {
+	refusal := func(f func()) (msg string) {
+		defer func() {
+			if p := recover(); p != nil {
+				msg, _ = p.(string)
+			}
+		}()
+		f()
+		return ""
+	}
+	const over = MaxPayload + 1
+	runProg(t, 2, nil, func(c *Comm) {
+		win := c.CreateWin(Virtual(over + 8))
+		if c.Rank() != 0 {
+			return
+		}
+		for _, tc := range []struct {
+			name string
+			call func()
+			want string
+		}{
+			{"Isend of 2^31 bytes", func() { c.Isend(1, 0, Virtual(over)) }, "isend of a 2147483648-byte buffer"},
+			{"Irecv of 2^31 bytes", func() { c.Irecv(1, 0, Virtual(over)) }, "irecv into a 2147483648-byte buffer"},
+			{"put of 2^31 bytes", func() { win.PutInstanced(1, 1, 0, Virtual(over)) }, "put of a 2147483648-byte buffer"},
+			{"put at offset 2^31", func() { win.PutInstanced(1, 1, over, Virtual(8)) }, "offsets up to 2147483647"},
+			{"Isend of MaxPayload bytes", func() { c.Isend(1, 1, Virtual(MaxPayload)) }, ""},
+			{"Irecv of MaxPayload bytes", func() { c.Irecv(1, 2, Virtual(MaxPayload)) }, ""},
+			{"window of context 2200", func() { (&Comm{r: c.r, ctx: 2200}).CreateWin(Virtual(8)) }, "does not fit a put's int32"},
+		} {
+			if got := refusal(tc.call); tc.want == "" && got != "" || !strings.Contains(got, tc.want) {
+				t.Errorf("%s: panicked with %q, want %q", tc.name, got, tc.want)
+			}
+		}
+	})
 }

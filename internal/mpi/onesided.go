@@ -21,7 +21,10 @@ package mpi
 // world is an ordinary cross-shard message, and where the network splits it
 // its origin completes when its NIC has drained the payload (xmit).
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Win is a one-sided communication window: a per-rank exposed buffer.
 // Creating a window is collective over the communicator.
@@ -82,6 +85,10 @@ func (s *shard) registry() *winRegistry {
 func (c *Comm) CreateWin(b Buf) *Win {
 	c.wins++
 	ctx := c.ctx*1000003 + 500000 + c.wins
+	if ctx > math.MaxInt32 {
+		// A put carries the context in an int32 (xfer).
+		panic(fmt.Sprintf("mpi: window %d of context %d: its context %d does not fit a put's int32", c.wins, c.ctx, ctx))
+	}
 	win := &Win{c: c, buf: b, ctx: ctx}
 	reg := c.r.w.registry()
 	if reg.wins[ctx] == nil {
@@ -104,7 +111,7 @@ func (r *Rank) window(ctx int) *Win {
 // host-attended put becomes visible.
 func (r *Rank) processPut(x *xfer) {
 	p := r.net().Params()
-	r.charge(p.ORecv + p.CopyTime(x.buf.n))
+	r.charge(p.ORecv + p.CopyTime(int(x.buf.n)))
 	x.land(r)
 }
 
@@ -112,7 +119,7 @@ func (r *Rank) processPut(x *xfer) {
 // sent to, counts the arrival, and recycles the record into the target's
 // pool: the put leaves the protocol here.
 func (x *xfer) land(t *Rank) {
-	w := t.window(x.ctx)
+	w := t.window(int(x.ctx))
 	if x.buf.i != 0 && w.buf.HasData() {
 		copy(w.buf.Data()[x.off:], t.w.recs.data(x.buf).Data())
 	}
@@ -133,11 +140,12 @@ func (w *Win) PutInstanced(instance int64, peer, off int, b Buf) *Request {
 	r := w.c.r
 	p := r.net().Params()
 	size := b.Len()
-	if off < 0 || off+size > w.buf.Len() {
-		panic(fmt.Sprintf("mpi: put of %d bytes at offset %d exceeds window size %d", size, off, w.buf.Len()))
+	checkLen("put of", size)
+	if off < 0 || off+size > w.buf.Len() || off > MaxPayload {
+		panic(fmt.Sprintf("mpi: put of %d bytes at offset %d exceeds window size %d (offsets up to %d)", size, off, w.buf.Len(), MaxPayload))
 	}
 	req := r.w.allocReq()
-	req.rank, req.peer, req.ctx, req.buf.n = int32(r.id), int32(peer), int32(w.ctx), size
+	req.rank, req.peer, req.ctx, req.buf.n = int32(r.id), int32(peer), int32(w.ctx), int32(size)
 	r.charge(p.OPost + p.OSend)
 	r.outstanding++
 	if !p.RDMA {
@@ -145,7 +153,7 @@ func (w *Win) PutInstanced(instance int64, peer, off int, b Buf) *Request {
 	}
 	x := r.w.allocXfer()
 	x.req, x.src, x.dst, x.buf = req.self, int32(r.id), int32(peer), r.w.hold(b.Clone())
-	x.ctx, x.off, x.instance = w.ctx, off, instance
+	x.ctx, x.off, x.instance = int32(w.ctx), int32(off), instance
 	r.proc.DoH(r.w.h.xmit, x.self, 0)
 	return req
 }

@@ -22,12 +22,17 @@ const (
 // record it links to by index (netmodel.Slab) and real payload storage by its
 // slot in the world's payload table, so the slab chunks it lives in give the
 // collector nothing to trace.
+//
+// A receive's peer and tag are the filter it was posted with until it
+// completes, and the source and tag of the message it matched from then on
+// (SrcActual, TagActual): the matcher, done with the receive by then, is the
+// one reader of the filter, so the record needs no second pair of fields.
 type Request struct {
-	rank int32 // the owner's world rank
-	peer int32 // destination (send) or source filter (recv)
-	ctx  int32 // peer and ctx fit: checkKey bounds them by maxRanks and maxCtx
-	self int32 // this record's index
-	tag  int
+	rank int32   // the owner's world rank
+	peer int32   // destination (send); source filter, at completion the actual source (recv)
+	ctx  int32   // peer and ctx fit: checkKey bounds them by maxRanks and maxCtx
+	self int32   // this record's index
+	tag  int     // a send's tag; a receive's filter, at completion its actual tag
 	buf  payload // rendezvous send: the payload; recv: the destination buffer
 
 	matched int32   // send: the matched receive (rendezvous correlation)
@@ -41,11 +46,15 @@ type Request struct {
 	freed bool
 	done  bool // beside gen and freed, where it costs no padding
 	pseq  uint64
-
-	// Actual match metadata, valid for completed receives.
-	SrcActual int
-	TagActual int
 }
+
+// SrcActual returns the rank a completed receive's message came from, the
+// actual source of a receive posted with AnySource.
+func (req *Request) SrcActual() int { return int(req.peer) }
+
+// TagActual returns the tag of a completed receive's message, the actual tag
+// of a receive posted with AnyTag.
+func (req *Request) TagActual() int { return req.tag }
 
 // Handle returns a generation-checked reference to the request, valid across
 // a FreeRequests/FreeHandles of the underlying record: once freed (which
@@ -141,7 +150,7 @@ func (n notice) process(r *Rank) {
 
 func (s *shard) xmitEager(i, _ int32) {
 	env := s.recs.env(i)
-	s.net.TransferH(int(env.src), int(env.dst), env.buf.n, s.h.deliverEager, i, env.dst)
+	s.net.TransferH(int(env.src), int(env.dst), int(env.buf.n), s.h.deliverEager, i, env.dst)
 }
 
 func (s *shard) xmitRTS(i, _ int32) {
@@ -169,7 +178,7 @@ type xfer struct {
 	next     int32   // the shard's free list
 	tag      int     // bulk: what the receive completes with
 	buf      payload // a private copy of the payload
-	ctx, off int     // put: the target window's context and byte offset
+	ctx, off int32   // put: the target window's context and byte offset (CreateWin and PutInstanced bound both)
 	instance int64   // put: the collective instance the landing counts for
 }
 
@@ -181,12 +190,12 @@ func (s *shard) xmit(i, _ int32) {
 	x := s.recs.xf(i)
 	src, dst := int(x.src), int(x.dst)
 	if !s.net.Splits(src, dst) {
-		s.net.TransferH(src, dst, x.buf.n, s.h.deliverXfer, i, x.dst)
+		s.net.TransferH(src, dst, int(x.buf.n), s.h.deliverXfer, i, x.dst)
 		return
 	}
 	req := x.req
 	x.req = 0
-	drain := s.net.TransferH(src, dst, x.buf.n, s.h.deliverXfer, i, x.dst)
+	drain := s.net.TransferH(src, dst, int(x.buf.n), s.h.deliverXfer, i, x.dst)
 	s.eng.AtTimeH(drain, s.h.sendDone, req, x.src)
 }
 
@@ -240,7 +249,7 @@ func (r *Rank) completeRecv(rreq *Request, src, tag int, data payload) {
 		Copy(p.data(rreq.buf), p.data(data))
 		r.w.release(&rreq.buf)
 	}
-	rreq.SrcActual, rreq.TagActual = src, tag
+	rreq.peer, rreq.tag = int32(src), tag
 	rreq.done = true
 	r.outstanding--
 }
@@ -249,7 +258,7 @@ func (r *Rank) processEager(env *envelope) {
 	p := r.net().Params()
 	cost := p.ORecv + p.OMatch*float64(r.m.postedCount)
 	if !p.RDMA {
-		cost += p.CopyTime(env.buf.n)
+		cost += p.CopyTime(int(env.buf.n))
 	}
 	r.charge(cost)
 	if rreq := r.m.matchArrival(r.w.recs, int(env.ctx), int(env.src), env.tag); rreq != nil {
@@ -274,7 +283,6 @@ func (r *Rank) processRTS(env *envelope) {
 // sendCTS answers a rendezvous RTS: the receive is now matched and the
 // clear-to-send control message flows back to the sender.
 func (r *Rank) sendCTS(rreq *Request, env *envelope) {
-	rreq.SrcActual, rreq.TagActual = int(env.src), env.tag
 	p := r.net().Params()
 	r.charge(p.OSend)
 	// The send request is the receiver's to write between RTS and CTS: its
@@ -292,7 +300,7 @@ func (r *Rank) processCTS(sreq *Request) {
 	p := r.net().Params()
 	cost := p.OSend
 	if !p.RDMA {
-		cost += p.CopyTime(sreq.buf.n)
+		cost += p.CopyTime(int(sreq.buf.n))
 	}
 	r.charge(cost)
 	// The matched receive is the send's destination's, so its rank is the
@@ -311,7 +319,7 @@ func (r *Rank) processBulk(x *xfer) {
 	p := r.net().Params()
 	cost := p.ORecv
 	if !p.RDMA {
-		cost += p.CopyTime(x.buf.n)
+		cost += p.CopyTime(int(x.buf.n))
 	}
 	r.charge(cost)
 	r.completeRecv(r.w.recs.req(x.rreq), int(x.src), x.tag, x.buf)
@@ -323,6 +331,7 @@ func (r *Rank) processBulk(x *xfer) {
 func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 	size := b.Len()
 	r.w.checkKey("isend to", ctx, dst, tag, false)
+	checkLen("isend of", size)
 	req := r.w.allocReq()
 	req.rank, req.peer, req.tag, req.ctx = int32(r.id), int32(dst), tag, int32(ctx)
 	p := r.net().Params()
@@ -339,7 +348,7 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 		env := r.w.allocEnv()
 		env.src, env.dst, env.tag, env.ctx, env.buf = int32(r.id), int32(dst), tag, int32(ctx), r.w.hold(b.Clone())
 		r.proc.DoH(r.w.h.xmitEager, env.self, 0)
-		req.buf.n = size
+		req.buf.n = int32(size)
 		req.done = true
 		return req
 	}
@@ -351,7 +360,7 @@ func (r *Rank) isend(dst, tag, ctx int, b Buf) *Request {
 	req.buf = r.w.hold(b)
 	env := r.w.allocEnv()
 	env.src, env.dst, env.tag, env.ctx = int32(r.id), int32(dst), tag, int32(ctx)
-	env.buf.n, env.sreq = size, req.self
+	env.buf.n, env.sreq = int32(size), req.self
 	r.proc.DoH(r.w.h.xmitRTS, env.self, 0)
 	return req
 }
@@ -361,6 +370,7 @@ func (r *Rank) irecv(src, tag, ctx int, b Buf) *Request {
 	// Posted anyway it could never match (or would alias another key): a
 	// deadlock or a wrong match instead of a bug report.
 	r.w.checkKey("irecv from", ctx, src, tag, true)
+	checkLen("irecv into", b.Len())
 	req := r.w.allocReq()
 	req.rank, req.peer, req.tag, req.ctx, req.buf = int32(r.id), int32(src), tag, int32(ctx), r.w.hold(b)
 	p := r.net().Params()

@@ -49,8 +49,8 @@ func TestShardedDataIntegrity(t *testing.T) {
 			c.Recv(0, 7, Bytes(gotShm))
 		case 2:
 			req := c.Recv(0, 8, Bytes(gotEager))
-			if req.SrcActual != 0 || req.TagActual != 8 {
-				t.Errorf("match metadata = (%d,%d), want (0,8)", req.SrcActual, req.TagActual)
+			if req.SrcActual() != 0 || req.TagActual() != 8 {
+				t.Errorf("match metadata = (%d,%d), want (0,8)", req.SrcActual(), req.TagActual())
 			}
 		case 3:
 			c.Recv(0, 9, Bytes(gotBig))

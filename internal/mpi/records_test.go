@@ -56,10 +56,14 @@ func TestProtocolRecordsHoldNoPointers(t *testing.T) {
 	} else {
 		t.Fatal("netmodel.Slab has no field chunk")
 	}
+	// sim's lane pool is a set of chunks: its entry type is the element of a
+	// chunk.
+	lanePool, _ := reflect.TypeOf(sim.Engine{}).FieldByName("lanePool")
+	laneEnt := elem(reflect.New(lanePool.Type).Elem().Interface(), "chunks").Elem()
 	types := []reflect.Type{
 		reflect.TypeOf(mpi.Request{}), reflect.TypeOf(mpi.Envelope{}), reflect.TypeOf(mpi.Xfer{}), reflect.TypeOf(mpi.Payload{}),
 		reflect.TypeOf(mpi.Notice{}), reflect.TypeOf(mpi.ReqList{}), reflect.TypeOf(mpi.KeySlot{}),
-		elem(sim.Engine{}, "recs"), elem(sim.Engine{}, "lanePool"), elem(sim.Proc{}, "acts"), rxOp,
+		elem(sim.Engine{}, "recs"), laneEnt, elem(sim.Proc{}, "acts"), rxOp,
 		reflect.TypeOf(sim.Pending{}), reflect.TypeOf(nbc.Op{}),
 	}
 	for _, typ := range types {

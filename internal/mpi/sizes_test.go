@@ -35,6 +35,8 @@ func TestRecordSizes(t *testing.T) {
 		f, _ := reflect.TypeOf(v).FieldByName(field)
 		return f.Type.Elem()
 	}
+	lanePool, _ := reflect.TypeOf(sim.Engine{}).FieldByName("lanePool") // its chunks hold the lane entries
+	laneEnt := elem(reflect.New(lanePool.Type).Elem().Interface(), "chunks").Elem()
 	for _, tc := range []struct {
 		name string
 		typ  reflect.Type
@@ -42,15 +44,15 @@ func TestRecordSizes(t *testing.T) {
 	}{
 		{"nbc.Op", reflect.TypeOf(nbc.Op{}), 32},
 		{"mpi.Buf", reflect.TypeOf(mpi.Buf{}), 16},
-		{"mpi.Request", reflect.TypeOf(mpi.Request{}), 88},
-		{"mpi.envelope", reflect.TypeOf(mpi.Envelope{}), 56},
-		{"mpi.xfer", reflect.TypeOf(mpi.Xfer{}), 72},
+		{"mpi.Request", reflect.TypeOf(mpi.Request{}), 64},
+		{"mpi.envelope", reflect.TypeOf(mpi.Envelope{}), 48},
+		{"mpi.xfer", reflect.TypeOf(mpi.Xfer{}), 56},
 		{"mpi.notice", reflect.TypeOf(mpi.Notice{}), 8},
 		{"mpi.Rank", reflect.TypeOf(mpi.Rank{}), 304},
 		{"sim.Proc", reflect.TypeOf(sim.Proc{}), 160},
 		{"mpi.matcher", reflect.TypeOf(mpi.Matcher{}), 88},
 		{"sim.eventRec", elem(sim.Engine{}, "recs"), 24},
-		{"sim.laneEnt", elem(sim.Engine{}, "lanePool"), 32},
+		{"sim.laneEnt", laneEnt, 32},
 		{"sim.action", elem(sim.Proc{}, "acts"), 12},
 	} {
 		if got := tc.typ.Size(); got > tc.max {

@@ -14,6 +14,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 
 	"nbctune/internal/chaos"
 	"nbctune/internal/netmodel"
@@ -128,11 +129,17 @@ func (p *records) xf(i int32) *xfer      { return p.xfs.At(i) }
 // payload is a protocol record's hold on a Buf: its length and, for real
 // storage, the world's payload slot that keeps it (0: a virtual payload). A
 // virtual run never touches the table, and the records that carry a payload
-// hold no pointer.
+// hold no pointer. The length is an int32, so a message carries at most
+// MaxPayload bytes: isend, irecv and PutInstanced refuse a longer buffer
+// (checkLen).
 type payload struct {
-	n int
+	n int32
 	i int32
 }
+
+// MaxPayload is the longest buffer, in bytes, a message carries: a protocol
+// record holds its length as an int32.
+const MaxPayload = math.MaxInt32
 
 // bufSlot is one slot of a world's payload table: the real storage of a
 // record's payload, or, free, the next free slot.
@@ -144,7 +151,7 @@ type bufSlot struct {
 // data returns the Buf a payload names.
 func (p *records) data(pl payload) Buf {
 	if pl.i == 0 {
-		return Virtual(pl.n)
+		return Virtual(int(pl.n))
 	}
 	return p.bufs.At(pl.i).b
 }
@@ -153,7 +160,7 @@ func (p *records) data(pl payload) Buf {
 // draws (holdData).
 func (s *shard) hold(b Buf) payload {
 	if b.p == nil {
-		return payload{n: b.n}
+		return payload{n: int32(b.n)}
 	}
 	return s.holdData(b)
 }
@@ -172,7 +179,7 @@ func (s *shard) holdData(b Buf) payload {
 	}
 	sl.b, sl.next = b, 0
 	s.held++
-	return payload{n: b.Len(), i: i}
+	return payload{n: int32(b.Len()), i: i}
 }
 
 // release frees the slot of a payload, if it has one, into this shard's
@@ -301,6 +308,15 @@ func (s *shard) checkKey(op string, ctx, peer, tag int, wild bool) {
 		!(tag >= 0 && tag <= maxTag || wild && tag == AnyTag) {
 		panic(fmt.Sprintf("mpi: %s rank %d, tag %d, context %d: not matchable in a %d-rank world (tags 0..%d, contexts 0..%d)",
 			op, peer, tag, ctx, len(s.ranks), maxTag, maxCtx))
+	}
+}
+
+// checkLen panics unless a payload of n bytes fits a protocol record: at most
+// MaxPayload bytes, the bound nbc's schedules and core's size checks hold
+// every collective to.
+func checkLen(op string, n int) {
+	if n > MaxPayload {
+		panic(fmt.Sprintf("mpi: %s a %d-byte buffer: a message carries at most %d bytes", op, n, MaxPayload))
 	}
 }
 

@@ -20,7 +20,6 @@ package nbc
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"nbctune/internal/mpi"
@@ -121,8 +120,9 @@ func (op Op) TagOff() int { return int(op.kt >> tagShift) }
 func (op *Op) setTagOff(tag int) { op.kt = opWord(op.Kind(), op.SameBlock(), tag) }
 
 // MaxPayload is the largest buffer, in bytes, a schedule addresses: an entry
-// holds byte counts and offsets as int32.
-const MaxPayload = math.MaxInt32
+// holds byte counts and offsets as int32, as mpi's protocol records hold a
+// message's length.
+const MaxPayload = mpi.MaxPayload
 
 // i32 narrows a byte count or offset to an entry's field. Every payload a
 // command can ask for is at most MaxPayload (core.Op.CheckSize), so a value
@@ -484,6 +484,7 @@ func (h *Handle) execRounds() {
 			}
 		}
 		h.pending = slices.Grow(h.pending, open)
+		h.comm.Reserve(open)
 		h.await = -1
 		for i := range r {
 			op := &r[i]

@@ -179,14 +179,14 @@ type Engine struct {
 
 	procs []*Proc
 	live  int
-	rng   *ClonableRand
+	seed  int64         // the random stream's seed
+	rng   *ClonableRand // built from seed by the first Rand call; nil until then
 
 	handlers []func(a, b int32) // indexed by Handler; handlers[0] opens a box
 	box      *boxes
 
-	lanes    []laneQ   // every bound lane's head and tail (lane.go), indexed by its id
-	lanePool []laneEnt // the callbacks of every lane; entry 0 is unused
-	laneFree int32     // first free entry of lanePool, chained through next; 0: none
+	lanes    []laneQ  // every bound lane's head and tail (lane.go), indexed by its id
+	lanePool lanePool // the callbacks of every lane
 
 	// Stats counters, useful in tests and for harness reporting.
 	EventsFired   int64
@@ -195,9 +195,11 @@ type Engine struct {
 	QueuePeak     int   // most entries the heap has held at once
 }
 
-// NewEngine returns an engine whose random source is seeded with seed.
+// NewEngine returns an engine whose random source is seeded with seed. The
+// source (about 5 KB of math/rand state) is built on the first Rand call, so
+// an engine that never draws never pays for it.
 func NewEngine(seed int64) *Engine {
-	return newEngine(&Engine{rng: NewClonableRand(seed)})
+	return newEngine(&Engine{seed: seed})
 }
 
 // newEngine gives e its handler table, holding the box handler alone, and an
@@ -259,10 +261,16 @@ func callThunk(fn any) { fn.(func())() }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand returns the engine's deterministic random source. Nothing outside
-// the tests draws from it today; it stays because the seed is NewEngine's
-// only argument and the fork tests pin that the stream crosses a snapshot.
-func (e *Engine) Rand() *rand.Rand { return e.rng.Rand }
+// Rand returns the engine's deterministic random source, building it on the
+// first call. Nothing outside the tests draws from it today; it stays because
+// the seed is NewEngine's only argument and the fork tests pin that the
+// stream crosses a snapshot.
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = NewClonableRand(e.seed)
+	}
+	return e.rng.Rand
+}
 
 // allocRec returns a free record index, growing the pool only when the free
 // list is empty.

@@ -9,10 +9,11 @@ package sim
 // the lane drains. An append that would fire before the lane's last callback
 // becomes an ordinary event (Engine.LaneFallbacks), so every lane stays
 // sorted and the firing order is exact whatever the caller promises. The
-// callbacks of all of an engine's lanes share one pool, grown by doubling,
-// with a free list, and a lane's head and tail live in the engine too: a Lane
-// is a handle, its engine and its number there. The zero Lane is empty and
-// must be bound to its engine before the first AppendH.
+// callbacks of all of an engine's lanes share one pool (lanePool), grown in
+// chunks that are never copied, with a free list, and a lane's head and tail
+// live in the engine too: a Lane is a handle, its engine and its number
+// there. The zero Lane is empty and must be bound to its engine before the
+// first AppendH.
 type Lane struct {
 	eng *Engine
 	id  int32 // the lane's entry in eng.lanes
@@ -57,7 +58,7 @@ func (l *Lane) append(t Time, h Handler, a, b int32) {
 	e := l.eng
 	q := &e.lanes[l.id]
 	q.n++
-	if q.tail != 0 && t < e.lanePool[q.tail].t {
+	if q.tail != 0 && t < e.lanePool.at(q.tail).t {
 		e.LaneFallbacks++
 		r := e.scheduleAt(t, evFallback)
 		r.h, r.a, r.b, r.wgen = h, a, b, uint64(l.id)
@@ -65,31 +66,15 @@ func (l *Lane) append(t Time, h Handler, a, b int32) {
 	}
 	e.seq++
 	key := evKey{t, e.seq}
-	i := e.laneFree
-	if i != 0 {
-		e.laneFree = e.lanePool[i].next
-	} else {
-		if len(e.lanePool) == cap(e.lanePool) {
-			// Double: append grows a large slice by 1.25x, so a pool that
-			// ends at N entries would allocate about 5N on the way, not 2N.
-			grown := make([]laneEnt, len(e.lanePool), max(2*len(e.lanePool), 16))
-			copy(grown, e.lanePool)
-			e.lanePool = grown
-		}
-		if len(e.lanePool) == 0 {
-			e.lanePool = append(e.lanePool, laneEnt{}) // index 0 is every lane's "none"
-		}
-		e.lanePool = append(e.lanePool, laneEnt{})
-		i = int32(len(e.lanePool) - 1)
-	}
-	e.lanePool[i] = laneEnt{evKey: key, h: h, a: a, b: b}
+	i, ent := e.lanePool.alloc()
+	*ent = laneEnt{evKey: key, h: h, a: a, b: b}
 	if q.tail == 0 { // the new head takes a place in the heap
 		q.head = i
 		idx := e.allocRec()
 		e.recs[idx].kind, e.recs[idx].a = evLane, l.id
 		e.heapPush(mkEnt(key, idx))
 	} else {
-		e.lanePool[q.tail].next = i
+		e.lanePool.at(q.tail).next = i
 	}
 	q.tail = i
 }
@@ -105,17 +90,71 @@ func (l Lane) Pending() int { return int(l.eng.lanes[l.id].n) }
 func (e *Engine) laneNext(id int32) (Handler, int32, int32) {
 	q := &e.lanes[id]
 	q.n--
+	p := &e.lanePool
 	i := q.head
-	ent := &e.lanePool[i]
+	ent := p.at(i)
 	h, a, b, behind := ent.h, ent.a, ent.b, ent.next
-	ent.next = e.laneFree
-	e.laneFree = i
+	ent.next = p.free
+	p.free = i
 	if q.head = behind; behind != 0 {
-		e.heap[0] = mkEnt(e.lanePool[behind].evKey, e.heap[0].rec())
+		e.heap[0] = mkEnt(p.at(behind).evKey, e.heap[0].rec())
 		e.siftDown()
 	} else {
 		q.tail = 0
 		e.heapPop()
 	}
 	return h, a, b
+}
+
+// lanePool holds the callbacks of every lane of an engine. It grows the way
+// netmodel.Slab does: a first chunk of laneFirst entries, each next one twice
+// the last up to laneChunk entries (32 KiB, the largest size the runtime
+// serves from its per-size caches), then chunks of that size. A chunk is never
+// copied or dropped, so growing the pool to N entries allocates at most N plus
+// one chunk, and an entry's index names its chunk and its slot: index
+// c<<laneSlotBits | s is slot s of chunks[c]. chunks[0] is nil, so index 0
+// names no entry, every lane's "none". Entries freed by laneNext are reused
+// first, through their next links.
+type lanePool struct {
+	chunks [][]laneEnt
+	used   int32 // entries of the last chunk handed out
+	free   int32 // first free entry, chained through next; 0: none
+}
+
+const (
+	laneSlotBits = 10
+	laneChunk    = 1 << laneSlotBits
+	laneFirst    = 16
+)
+
+// at returns entry i, which alloc handed out.
+func (p *lanePool) at(i int32) *laneEnt {
+	return &p.chunks[i>>laneSlotBits][i&(laneChunk-1)]
+}
+
+// alloc returns a free entry and its index: the last one freed, or the next
+// of the last chunk, carving a new chunk when that one is full.
+func (p *lanePool) alloc() (int32, *laneEnt) {
+	if i := p.free; i != 0 {
+		ent := p.at(i)
+		p.free = ent.next
+		return i, ent
+	}
+	c := len(p.chunks) - 1
+	if c < 1 || int(p.used) == len(p.chunks[c]) {
+		n := laneFirst
+		if c < 1 {
+			p.chunks = append(p.chunks, nil) // chunk 0, which index 0 would name
+		} else {
+			n = min(2*len(p.chunks[c]), laneChunk)
+		}
+		if len(p.chunks) == 1<<(31-laneSlotBits) {
+			panic("sim: 2^21 chunks of lane entries (about 2.1e9 callbacks) are in flight, all an index can name")
+		}
+		p.chunks = append(p.chunks, make([]laneEnt, n))
+		p.used, c = 0, len(p.chunks)-1
+	}
+	i := int32(c)<<laneSlotBits | p.used
+	p.used++
+	return i, &p.chunks[c][i&(laneChunk-1)]
 }

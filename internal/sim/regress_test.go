@@ -176,30 +176,91 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestLanePoolGrowsByDoubling pins what a first run pays for the lane pool:
-// growing it to N entries allocates less than 2N entries in all, where
-// append's 1.25x growth of a large slice would allocate about 5N. An entry is
-// 32 bytes and holds no pointer. The appends take the handler form, which
-// boxes nothing.
-func TestLanePoolGrowsByDoubling(t *testing.T) {
+// TestLanePoolGrowsInChunks pins what a first run pays for the lane pool:
+// growing it to N entries allocates the N entries plus at most one chunk
+// (32 KiB) of spares, and nothing is copied on the way: chunks of 16 entries
+// and up double to 1 024 entries, then every chunk has 1 024, and an entry
+// stays at its address however far the pool grows. An entry is 32 bytes and
+// holds no pointer. Entries freed by firing are drawn again before any new
+// chunk. The appends take the handler form, which boxes nothing.
+func TestLanePoolGrowsInChunks(t *testing.T) {
+	const n = 100_000
 	e := NewEngine(1)
 	var l Lane
 	l.Bind(e)
 	nop := e.Handle(func(_, _ int32) {})
+	l.AppendH(0, nop, 0, 0)
+	first := e.lanePool.at(e.lanes[l.id].head)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < 100_000; i++ {
+	for i := 1; i < n; i++ {
 		l.AppendH(float64(i), nop, int32(i), 0)
 	}
 	runtime.ReadMemStats(&after)
-	n, entry := uint64(cap(e.lanePool)), uint64(unsafe.Sizeof(laneEnt{}))
+	entry := uint64(unsafe.Sizeof(laneEnt{}))
 	if entry > 32 {
 		t.Errorf("a lane entry grew to %d bytes, over its 32", entry)
 	}
-	// 128 KiB covers the head's heap entry and record and the rounding of
-	// large allocations up to whole pages.
-	if got, limit := after.TotalAlloc-before.TotalAlloc, 2*n*entry+128<<10; got > limit {
+	if got := e.lanePool.at(e.lanes[l.id].head); got != first {
+		t.Error("the first entry moved while the pool grew")
+	}
+	carved, want := 0, 0
+	for c, ch := range e.lanePool.chunks {
+		if len(ch) != want {
+			t.Fatalf("chunk %d holds %d entries, want %d", c, len(ch), want)
+		}
+		carved += len(ch)
+		want = min(max(2*want, laneFirst), laneChunk)
+	}
+	if carved < n || carved >= n+laneChunk {
+		t.Errorf("%d entries carved for %d live ones, want fewer than one chunk to spare", carved, n)
+	}
+	// 16 KiB covers the chunk directory's own growth (a 24-byte header per
+	// chunk, doubled by append) and the rounding of the last chunk up to a
+	// page.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, n*entry+laneChunk*entry+16<<10; got > limit {
 		t.Fatalf("growing the lane pool to %d entries of %d B allocated %d B, want under %d B", n, entry, got, limit)
 	}
 	e.Run()
+	chunks := len(e.lanePool.chunks)
+	for i := 0; i < n; i++ {
+		l.AppendH(e.Now()+float64(i), nop, int32(i), 0)
+	}
+	if len(e.lanePool.chunks) != chunks {
+		t.Errorf("refilling the drained pool carved %d new chunks, want none", len(e.lanePool.chunks)-chunks)
+	}
+	e.Run()
+}
+
+// TestNewEngineAllocs pins what an engine costs before it runs: its random
+// source (a 607-word math/rand state, about 4.9 KB) is built on the first Rand
+// call, so NewEngine allocates under 1 KiB, and the stream it then draws is
+// the one an eagerly seeded source gives. A snapshot of an engine that never
+// drew records no stream, and its fork builds the parent's from the seed.
+func TestNewEngineAllocs(t *testing.T) {
+	var before, after runtime.MemStats
+	const engines = 64
+	keep := make([]*Engine, engines)
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewEngine(int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / engines; per >= 1<<10 {
+		t.Errorf("NewEngine allocates %d B, want under 1 KiB", per)
+	}
+	if got, want := keep[5].Rand().Int63(), NewClonableRand(5).Rand.Int63(); got != want {
+		t.Errorf("the lazily built stream drew %d first, want %d", got, want)
+	}
+	snap, err := keep[6].Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.rng != nil || keep[6].rng != nil {
+		t.Error("a snapshot of an engine that never drew built its stream")
+	}
+	if got, want := snap.Fork().Rand().Int63(), NewClonableRand(6).Rand.Int63(); got != want {
+		t.Errorf("the fork of an undrawn engine drew %d first, want %d", got, want)
+	}
+	t.Logf("NewEngine allocates %d B", (after.TotalAlloc-before.TotalAlloc)/engines)
 }

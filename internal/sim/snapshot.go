@@ -19,7 +19,8 @@ type Snapshot struct {
 	seq   int64
 	fired int64
 	free  []int32 // free-list content in stack order; every record is on it
-	rng   *ClonableRand
+	seed  int64
+	rng   *ClonableRand // nil: the stream was not built yet, and a fork builds it from seed
 }
 
 // Snapshot captures the engine's state. It fails with a descriptive error if
@@ -43,7 +44,10 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		seq:   e.seq,
 		fired: e.EventsFired,
 		free:  append([]int32(nil), e.free...),
-		rng:   e.rng.Clone(),
+		seed:  e.seed,
+	}
+	if e.rng != nil {
+		s.rng = e.rng.Clone()
 	}
 	return s, nil
 }
@@ -62,9 +66,12 @@ func (s *Snapshot) Fork() *Engine {
 	e := newEngine(&Engine{
 		now:         s.now,
 		seq:         s.seq,
-		rng:         s.rng.Clone(),
+		seed:        s.seed,
 		EventsFired: s.fired,
 	})
+	if s.rng != nil {
+		e.rng = s.rng.Clone()
+	}
 	e.recs = make([]eventRec, len(s.free))
 	e.free = append(make([]int32, 0, len(s.free)), s.free...)
 	e.heap = make([]heapEnt, 0, len(s.free))
