@@ -126,10 +126,11 @@ stat:
 	ls -d cmd/*/ | wc -l                                                              # binaries
 	wc -l < DESIGN.md                                                                 # lines of DESIGN.md
 
-# Last, the gate runs its four fuzz targets for a fixed budget each: the
-# simulator's three oracles — run-ahead against the eager reading
+# Last, the gate runs its five fuzz targets for a fixed budget each: the
+# simulator's four oracles — run-ahead against the eager reading
 # (internal/sim/runahead_test.go), the event queue against a sorted reference
-# (queue_test.go) and the message matcher against the linear reference
+# (queue_test.go), the noise stream and its clones against math/rand
+# (rng_test.go) and the message matcher against the linear reference
 # (internal/mpi/match_test.go) — and the -history file loader against its own
 # Flush/Open round trip (internal/kb/kb_test.go); their committed corpora
 # already ran as plain tests in `test`. A failure leaves its
@@ -144,5 +145,6 @@ ci: build vet test race e2e
 	$(GO) test -run '^$$' -bench EventQueue -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzRunAhead -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzNoiseStream -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzHistoryFile -fuzztime 10s -fuzzminimizetime 1s ./internal/kb

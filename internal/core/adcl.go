@@ -67,20 +67,24 @@ type FunctionSet struct {
 }
 
 // Validate checks structural consistency: non-empty, unique names, and
-// attribute vectors matching the attribute set.
+// attribute vectors matching the attribute set. Every request validates its
+// set on every rank, so a valid set allocates nothing
+// (TestValidateAllocatesNothing).
 func (fs *FunctionSet) Validate() error {
 	if len(fs.Fns) == 0 {
 		return fmt.Errorf("adcl: function set %q is empty", fs.Name)
 	}
-	seen := map[string]bool{}
-	for _, f := range fs.Fns {
+	for i, f := range fs.Fns {
 		if f.Start == nil {
 			return fmt.Errorf("adcl: function %q has no start routine", f.Name)
 		}
-		if seen[f.Name] {
-			return fmt.Errorf("adcl: duplicate function name %q", f.Name)
+		// Pairwise, not a set: a set would allocate once per rank per
+		// request, and these sets hold at most a few dozen functions.
+		for _, g := range fs.Fns[:i] {
+			if g.Name == f.Name {
+				return fmt.Errorf("adcl: duplicate function name %q", f.Name)
+			}
 		}
-		seen[f.Name] = true
 		if fs.AttrSet != nil {
 			if len(f.Attrs) != len(fs.AttrSet.Attrs) {
 				return fmt.Errorf("adcl: function %q has %d attribute values, set has %d attributes",

@@ -39,6 +39,20 @@ func buildIbcastWith(t *testing.T, mocks []string) *FunctionSet {
 	return fs
 }
 
+// TestValidateAllocatesNothing: every rank validates its set on every
+// NewRequest, so a valid set costs no allocation, here the 21 functions of
+// the ibcast set.
+func TestValidateAllocatesNothing(t *testing.T) {
+	fs := buildIbcastWith(t, nil)
+	if len(fs.Fns) != 21 {
+		t.Fatalf("ibcast set has %d functions, want 21", len(fs.Fns))
+	}
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { err = fs.Validate() }); allocs != 0 || err != nil {
+		t.Errorf("Validate: %v allocations, error %v; want 0 and nil", allocs, err)
+	}
+}
+
 func TestMockExtendedSetValidates(t *testing.T) {
 	base := buildIbcastWith(t, nil)
 	ext := buildIbcastWith(t, []string{MockIbcastScatterAllgather})

@@ -258,10 +258,12 @@ func TestFunctionSetValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	dup := fakeSet([]int{0, 1})
-	dup.Fns[1].Name = dup.Fns[0].Name
-	if err := dup.Validate(); err == nil {
-		t.Error("duplicate names accepted")
+	dup := fakeSet([]int{0, 1}, []int{0, 1})
+	dup.Fns[3].Name = dup.Fns[1].Name
+	dup.Fns[3].Attrs = []int{99, 99} // the first fault is the name
+	want := `adcl: duplicate function name "` + dup.Fns[1].Name + `"`
+	if err := dup.Validate(); err == nil || err.Error() != want {
+		t.Errorf("duplicate names: error %v, want %s", err, want)
 	}
 	bad := fakeSet([]int{0, 1})
 	bad.Fns[0].Attrs = []int{99}

@@ -218,11 +218,11 @@ func newShard(recs *records, id int, net *netmodel.Network, ranks []*Rank, opts 
 //
 // Per-rank state is deliberately minimal at construction: the rank records
 // come out of one contiguous batch allocation, and everything that is only
-// needed once a rank actually communicates — its RNG (≈5KB of math/rand
-// state), the matcher's indexes — is created lazily on first use, and a rank
-// waits on its own process (sim.Proc.Block), which needs no object at all. An
-// idle 16K-rank world therefore costs a few hundred bytes per rank (pinned by
-// TestIdleWorldFootprint16K), not kilobytes.
+// needed once a rank actually communicates — its RNG (about 100 B: a seed
+// and a word count), the matcher's indexes — is created lazily on first use,
+// and a rank waits on its own process (sim.Proc.Block), which needs no object
+// at all. An idle 16K-rank world therefore costs a few hundred bytes per rank
+// (pinned by TestIdleWorldFootprint16K), not kilobytes.
 func NewWorld(nets []*netmodel.Network, win *sim.Windows, n int, opts Options) (*World, error) {
 	k, want := len(nets), 1
 	if win != nil {
@@ -413,7 +413,8 @@ func (r *Rank) Proc() *sim.Proc { return r.proc }
 // stream is fully determined by the world seed and the rank id, so lazy
 // creation draws the identical sequence an eagerly created stream would —
 // only ranks that actually consume randomness (noise/chaos models, test
-// programs) ever pay the ≈5KB of math/rand source state.
+// programs) ever pay for it: about 100 B, a seed and a word count from which
+// sim.ClonableRand computes math/rand's words.
 func (r *Rank) random() *sim.ClonableRand {
 	if r.rng == nil {
 		r.rng = sim.NewClonableRand(r.w.opts.Seed*7919 + int64(r.id))

@@ -196,8 +196,9 @@ type Engine struct {
 }
 
 // NewEngine returns an engine whose random source is seeded with seed. The
-// source (about 5 KB of math/rand state) is built on the first Rand call, so
-// an engine that never draws never pays for it.
+// source (a seed and a word count, about 100 B with its rand.Rand; see
+// ClonableRand) is built on the first Rand call, so an engine that never
+// draws never pays for it.
 func NewEngine(seed int64) *Engine {
 	return newEngine(&Engine{seed: seed})
 }

@@ -1,34 +1,6 @@
 package sim
 
-import (
-	"math/rand"
-	"testing"
-)
-
-// TestClonableRandStream pins two properties the fork machinery depends on:
-// the counting wrapper does not perturb the sequence rand.New(rand.NewSource)
-// would produce, and a mid-stream clone continues with the identical values.
-func TestClonableRandStream(t *testing.T) {
-	ref := rand.New(rand.NewSource(42))
-	cr := NewClonableRand(42)
-	for i := 0; i < 1000; i++ {
-		if a, b := ref.Float64(), cr.Rand.Float64(); a != b {
-			t.Fatalf("draw %d: wrapper diverged from plain source: %v != %v", i, b, a)
-		}
-		if a, b := ref.NormFloat64(), cr.Rand.NormFloat64(); a != b {
-			t.Fatalf("draw %d: NormFloat64 diverged: %v != %v", i, b, a)
-		}
-	}
-	clone := cr.Clone()
-	if clone.Draws() != cr.Draws() {
-		t.Fatalf("clone at %d draws, parent at %d", clone.Draws(), cr.Draws())
-	}
-	for i := 0; i < 1000; i++ {
-		if a, b := cr.Rand.Float64(), clone.Rand.Float64(); a != b {
-			t.Fatalf("post-clone draw %d: %v != %v", i, b, a)
-		}
-	}
-}
+import "testing"
 
 // TestSnapshotRequiresQuiescence checks the descriptive failure modes:
 // queued events and live processes both refuse to snapshot.
