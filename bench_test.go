@@ -242,10 +242,12 @@ func runOneShotWorld(tb testing.TB, ranks, shards int, prog func(*mpi.Comm)) (ev
 
 // oneShotAllocCeiling and oneShotMallocCeiling are what
 // TestOneShotWorldAllocBudget lets its three one-shot worlds allocate: 10 %
-// over the 45.8 MiB and the 160.2 K objects they allocated when the ceilings
-// were set (the all-to-all 27.9 MiB of them, 199 B per message). A world's
+// over the 40.5 MiB and the 144.9 K objects they allocated when the ceilings
+// were set (the all-to-all 27.8 MiB of them, 198 B per message). A world's
 // first run allocates its live set once: schedules in one exactly sized op
-// array of 32-byte entries, one per run of posts, protocol records from slab
+// array of 32-byte entries, one per run of posts, except the dissemination
+// barrier, one schedule of rank-relative entries that every rank of every
+// world shares and the first caller builds, protocol records from slab
 // chunks that double up to 32 KiB (64-byte requests, 48-byte envelopes,
 // transfers of at most 56 bytes), free lists chained through their records,
 // lane entries from chunks that double up to 32 KiB and are never copied, each
@@ -254,8 +256,8 @@ func runOneShotWorld(tb testing.TB, ranks, shards int, prog func(*mpi.Comm)) (ev
 // coroutine, one handle pool holding its first handle, and no wait condition
 // or name (DESIGN.md §3 "Pooling").
 const (
-	oneShotAllocCeiling  = 504 << 20 / 10 // 50.4 MiB
-	oneShotMallocCeiling = 176_200
+	oneShotAllocCeiling  = 446 << 20 / 10 // 44.6 MiB
+	oneShotMallocCeiling = 159_400
 )
 
 // TestOneShotWorldResumes pins the events the first two worlds of

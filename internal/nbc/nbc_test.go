@@ -3,8 +3,10 @@ package nbc
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -526,7 +528,8 @@ func TestOpPacking(t *testing.T) {
 			{0, 0},
 			{mpi.NBTagStride - 1, mpi.NBTagStride - 1},
 			{-1, tagSat},
-			{3 - 1<<28, tagSat}, // would wrap to 3
+			{3 - 1<<27, tagSat}, // would wrap to 3
+			{3 + 1<<27, tagSat}, // would wrap to 3 in the 27-bit field
 			{math.MaxInt, tagSat},
 		} {
 			for _, op := range []Op{
@@ -542,6 +545,17 @@ func TestOpPacking(t *testing.T) {
 					op.Off != MaxPayload || op.Len != MaxPayload {
 					t.Errorf("kind %d, tag offset %d: entry reads back kind %d, same block %v, tag offset %d, peer %d, count %d, step %d, ref %d, off %d, len %d",
 						kind, tc.tag, op.Kind(), op.SameBlock(), op.TagOff(), op.Peer, op.Count, op.Step, op.Ref, op.Off, op.Len)
+				}
+				// The relative flag reads back beside the others and survives
+				// a re-tag, which keeps every flag.
+				rel := op
+				rel.kt |= relBit
+				if rel.setTagOff(tc.tag); !rel.Relative() || rel.Kind() != kind || rel.SameBlock() != same || rel.TagOff() != tc.want {
+					t.Errorf("kind %d, tag offset %d: relative entry reads back relative %v, kind %d, same block %v, tag offset %d",
+						kind, tc.tag, rel.Relative(), rel.Kind(), rel.SameBlock(), rel.TagOff())
+				}
+				if op.Relative() {
+					t.Errorf("kind %d, tag offset %d: a builder's entry reads back relative", kind, tc.tag)
 				}
 			}
 		}
@@ -603,5 +617,74 @@ func TestIbcastNames(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("naming the paper's set takes %v allocations, want 0", allocs)
+	}
+}
+
+// TestIbarrierEdgeSizes: a comm of at most one rank — and the sizes 0 and −1,
+// whose n−1 has 64 significant bits — gets the empty barrier, which Run
+// completes at once, and a size whose distances do not fit an entry panics
+// rather than wraps.
+func TestIbarrierEdgeSizes(t *testing.T) {
+	for _, n := range []int{-1, 0, 1} {
+		s := Ibarrier(n, 0)
+		if s.Name != IbarrierName || len(s.Rounds) != 0 {
+			t.Errorf("Ibarrier(%d): %q with %d rounds, want %q with none", n, s.Name, len(s.Rounds), IbarrierName)
+		}
+		runProg(t, 1, nil, func(c *mpi.Comm) { Run(c, s) })
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Error("Ibarrier(1<<40) returned a schedule")
+		}
+	}()
+	Ibarrier(1<<40, 0)
+}
+
+// TestIbarrierSharedAcrossWorlds starts two worlds on two goroutines whose
+// first barrier asks for a round count that no call has built yet, and runs
+// both to completion: the schedule is built once, race-free (make race), and
+// every rank of both worlds runs the same one.
+func TestIbarrierSharedAcrossWorlds(t *testing.T) {
+	const n = 24 // 5 rounds
+	phases := bits.Len(uint(n - 1))
+	barriers[phases] = sharedBarrier{} // as yet unbuilt, whichever test ran before
+	got := [2][]*Schedule{make([]*Schedule, n), make([]*Schedule, n)}
+	nodeOf := make([]int, n)
+	for i := range nodeOf {
+		nodeOf[i] = i
+	}
+	var wg sync.WaitGroup
+	for w := range got {
+		eng := sim.NewEngine(1)
+		net, err := netmodel.New(eng, testParams(nil), nodeOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		world, err := mpi.NewWorld([]*netmodel.Network{net}, nil, n, mpi.Options{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		world.Start(func(c *mpi.Comm) {
+			s := Ibarrier(n, c.Rank())
+			got[w][c.Rank()] = s
+			Run(c, s)
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng.Run()
+		}()
+	}
+	wg.Wait()
+	want := got[0][0]
+	if want == nil || len(want.Rounds) != phases {
+		t.Fatalf("rank 0 ran %v, want a %d-round barrier", want, phases)
+	}
+	for w := range got {
+		for me, s := range got[w] {
+			if s != want {
+				t.Fatalf("world %d rank %d ran schedule %p, rank 0 of world 0 %p", w, me, s, want)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package nbc
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"nbctune/internal/mpi"
 )
@@ -17,17 +18,44 @@ const (
 	IbarrierTreeName = "ibarrier-tree"
 )
 
-// Ibarrier builds a dissemination barrier schedule: ceil(log2 n) rounds of
-// one-byte exchanges at doubling distances.
+// Ibarrier returns the dissemination barrier of an n-rank comm: ⌈log₂ n⌉
+// rounds of one-byte exchanges at doubling distances. Its entries are
+// Relative, so the schedule is the same on every rank and depends on n only
+// through its round count: every call with that count returns one shared,
+// immutable schedule, built on first use, and builds nothing. me is not read.
 func Ibarrier(n, me int) *Schedule {
-	phases := bits.Len(uint(n - 1)) // dist = 1, 2, 4, ... below n
+	phases := 0
+	if n > 1 {
+		phases = bits.Len(uint(n - 1)) // dist = 1, 2, 4, ... below n
+	}
+	sb := &barriers[phases]
+	sb.once.Do(func() { sb.s = dissemination(phases) })
+	return sb.s
+}
+
+// sharedBarrier is the dissemination barrier of one round count, built once
+// by whichever rank asks for it first.
+type sharedBarrier struct {
+	once sync.Once
+	s    *Schedule
+}
+
+// barriers holds the shared barrier of every round count whose distances fit
+// an entry's int32 peer: up to 31 rounds, 2^31 ranks, far above the 2^18 a
+// match key can name. A larger n indexes past the table and panics.
+var barriers [32]sharedBarrier
+
+// dissemination builds a barrier of the given round count: in round p every
+// rank receives from the rank 2^p below it and sends to the rank 2^p above.
+func dissemination(phases int) *Schedule {
 	b := newBuilder(IbarrierName, mpi.Buf{}, 2*phases, phases)
 	one := b.buf(mpi.Virtual(1))
-	for phase, dist := 0, 1; dist < n; phase, dist = phase+1, dist*2 {
-		to := (me + dist) % n
-		from := (me - dist + n) % n
-		b.add(postOne(OpRecv, phase, from, one, 0, 1))
-		b.add(postOne(OpSend, phase, to, one, 0, 1))
+	for phase, dist := 0, 1; phase < phases; phase, dist = phase+1, dist*2 {
+		from, to := postOne(OpRecv, phase, -dist, one, 0, 1), postOne(OpSend, phase, dist, one, 0, 1)
+		from.kt |= relBit
+		to.kt |= relBit
+		b.add(from)
+		b.add(to)
 		b.end()
 	}
 	return b.done()

@@ -21,10 +21,10 @@ type post struct {
 	n         int // OpPut: the window offset
 }
 
-// singles returns s with every run expanded into its posts, one entry of
-// Count 1 each, carrying the block its post carries: the form every run must
-// post like.
-func singles(s *Schedule, n int) *Schedule {
+// singles returns rank me's schedule s with every run expanded into its
+// posts, one entry of Count 1 each, to the comm rank it posts to and carrying
+// the block its post carries: the form every run must post like.
+func singles(s *Schedule, n, me int) *Schedule {
 	b := &builder{s: &Schedule{Name: s.Name, Win: s.Win, data: s.data}}
 	for _, r := range s.Rounds {
 		for _, op := range r {
@@ -33,9 +33,12 @@ func singles(s *Schedule, n int) *Schedule {
 				continue
 			}
 			peer := int(op.Peer)
+			if op.Relative() {
+				peer = mod(peer+me, n)
+			}
 			for range op.Count {
 				one := op
-				one.Peer, one.Count, one.Step, one.kt = int32(peer), 1, 0, op.kt|sameBit
+				one.Peer, one.Count, one.Step, one.kt = int32(peer), 1, 0, op.kt&^relBit|sameBit
 				if !op.SameBlock() {
 					one.Off = i32(int(op.Off) + peer*int(op.Len))
 				}
@@ -56,8 +59,8 @@ func postsOf(t *testing.T, s *Schedule) []post {
 			if !op.Kind().posts() {
 				continue
 			}
-			if op.Count != 1 || !op.SameBlock() {
-				t.Fatalf("%s: round %d holds a run of %d after expansion", s.Name, ri, op.Count)
+			if op.Count != 1 || !op.SameBlock() || op.Relative() {
+				t.Fatalf("%s: round %d holds a run of %d (relative: %v) after expansion", s.Name, ri, op.Count, op.Relative())
 			}
 			ps = append(ps, post{ri, op.Kind(), int(op.Peer), op.TagOff(), int(op.Off), int(op.Len), int(op.N)})
 		}
@@ -180,6 +183,18 @@ var runCases = []runCase{
 	bcastCase(3),
 	bcastCase(FanoutBinomial),
 	{
+		name:  "ibarrier-dissemination",
+		sizes: func(int, int) (int, int) { return 0, 0 },
+		build: func(n, me, _, _ int, _, _ mpi.Buf, _ *mpi.Win) *Schedule { return Ibarrier(n, me) },
+		want: func(n, me, _, _ int) []post {
+			var ps []post
+			for phase, d := 0, 1; d < n; phase, d = phase+1, d*2 {
+				ps = append(ps, post{phase, OpRecv, (me - d + n) % n, phase, 0, 1, 0}, post{phase, OpSend, (me + d) % n, phase, 0, 1, 0})
+			}
+			return ps
+		},
+	},
+	{
 		name:  "ibarrier-tree",
 		sizes: func(int, int) (int, int) { return 0, 0 },
 		build: func(n, me, _, _ int, _, _ mpi.Buf, _ *mpi.Win) *Schedule { return IbarrierTree(n, me) },
@@ -262,7 +277,7 @@ func runForm(t *testing.T, rc runCase, n, root, bs int, data bool, shards int, e
 		}
 		s := rc.build(n, me, root, bs, send, recv, win)
 		if expand {
-			s = singles(s, n)
+			s = singles(s, n, me)
 		}
 		Run(c, s)
 		if rc.rooted {
@@ -305,7 +320,7 @@ func TestRunsPostLikeSingles(t *testing.T) {
 				sendLen, recvLen := rc.sizes(n, bs)
 				for me := 0; me < n; me++ {
 					s := rc.build(n, me, root, bs, mpi.Virtual(sendLen), mpi.Virtual(recvLen), nil)
-					got, want := postsOf(t, singles(s, n)), rc.want(n, me, root, bs)
+					got, want := postsOf(t, singles(s, n, me)), rc.want(n, me, root, bs)
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s n=%d root=%d rank %d posts\n%v\nwant\n%v", rc.name, n, root, me, got, want)
 					}
@@ -333,6 +348,30 @@ func TestRunsPostLikeSingles(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestIbarrierPostsLikeAbsolute holds the shared dissemination barrier to the
+// posts each rank made when its schedule named absolute peers — receive from
+// (me−d+n)%n, send to (me+d)%n — at every comm size up to 64, at every power
+// of two up to 4096 and either side of it, on every rank.
+func TestIbarrierPostsLikeAbsolute(t *testing.T) {
+	i := slices.IndexFunc(runCases, func(rc runCase) bool { return rc.name == IbarrierName })
+	rc := runCases[i]
+	var sizes []int
+	for n := 1; n <= 64; n++ {
+		sizes = append(sizes, n)
+	}
+	for p := 64; p <= 4096; p *= 2 {
+		sizes = append(sizes, p-1, p, p+1)
+	}
+	for _, n := range sizes {
+		for me := 0; me < n; me++ {
+			got, want := postsOf(t, singles(Ibarrier(n, me), n, me)), rc.want(n, me, 0, 0)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d rank %d posts\n%v\nwant\n%v", n, me, got, want)
 			}
 		}
 	}

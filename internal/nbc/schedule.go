@@ -49,7 +49,7 @@ func (k OpKind) posts() bool { return k == OpSend || k == OpRecv || k == OpPut }
 
 // Op is one entry of a schedule round: its kind plus that kind's arguments,
 // as LibNBC stores a schedule entry. It is 32 bytes and holds no pointer, so
-// the op array of a schedule, rebuilt for every rank on every call, gives the
+// the op array of a schedule, built for a rank on each call, gives the
 // collector nothing to trace: a payload is named by its index in the
 // schedule's table of base buffers and a byte range of it, local work by its
 // index in the schedule's table of functions. A virtual payload has no base
@@ -63,7 +63,10 @@ func (k OpKind) posts() bool { return k == OpSend || k == OpRecv || k == OpPut }
 // post carries the Len bytes at Off + peer·Len of buffer Ref, the block of the
 // peer it goes to, or the Len bytes at Off for every peer when SameBlock is
 // set. A single post is a run of one, so a linear all-to-all is three entries
-// whatever the comm size. N is the one further integer a kind reads:
+// whatever the comm size. A Relative entry's Peer is a distance from the
+// executing rank, which the executor adds to the rank's comm rank mod the comm
+// size, so one entry serves every rank (Ibarrier's shared schedules). N is the
+// one further integer a kind reads:
 //
 //	OpLocal      N is the bytes of local work, charged at CopyBandwidth;
 //	             Ref is the work's index in the function table, -1 for none
@@ -71,8 +74,8 @@ func (k OpKind) posts() bool { return k == OpSend || k == OpRecv || k == OpPut }
 //	OpAwaitPuts  N is the cumulative puts expected by this round
 //	OpSend/Recv  N is unused
 type Op struct {
-	kt    uint32 // Kind, SameBlock and TagOff in one word (see opWord)
-	Peer  int32  // first comm rank of the run (send destination / recv source / put target)
+	kt    uint32 // Kind, SameBlock, Relative and TagOff in one word (see opWord)
+	Peer  int32  // first comm rank of the run (send destination / recv source / put target), or its distance from the own rank
 	Count int32  // posts in the run
 	Step  int32  // comm-rank stride between the run's posts, 0 ≤ Step < comm size
 	Ref   int32  // the payload's base buffer, or OpLocal's work; -1: none
@@ -81,14 +84,16 @@ type Op struct {
 	N     int32  // the kind's argument, as above
 }
 
-// The layout of Op.kt: the kind in the low kindBits, the SameBlock flag above
-// it, and the tag offset in the remaining bits. An offset that does not fit
-// is stored as tagSat, which lies above mpi.NBTagStride, so the executor
-// refuses it as it refuses any offset outside the stride.
+// The layout of Op.kt: the kind in the low kindBits, the SameBlock and
+// Relative flags above it, and the tag offset in the remaining 27 bits. An
+// offset that does not fit is stored as tagSat, which lies above
+// mpi.NBTagStride, so the executor refuses it as it refuses any offset outside
+// the stride.
 const (
 	kindBits = 3
 	sameBit  = 1 << kindBits
-	tagShift = kindBits + 1
+	relBit   = sameBit << 1
+	tagShift = kindBits + 2
 	tagSat   = 1<<(32-tagShift) - 1
 )
 
@@ -112,12 +117,16 @@ func (op Op) Kind() OpKind { return OpKind(op.kt & (sameBit - 1)) }
 // SameBlock reports whether every post of the run carries the block at Off.
 func (op Op) SameBlock() bool { return op.kt&sameBit != 0 }
 
+// Relative reports whether Peer is a distance from the executing rank rather
+// than a comm rank.
+func (op Op) Relative() bool { return op.kt&relBit != 0 }
+
 // TagOff is the entry's tag offset within the handle's tag range
 // (0..mpi.NBTagStride-1 for an entry the executor accepts).
 func (op Op) TagOff() int { return int(op.kt >> tagShift) }
 
-// setTagOff re-tags the entry, saturating like opWord.
-func (op *Op) setTagOff(tag int) { op.kt = opWord(op.Kind(), op.SameBlock(), tag) }
+// setTagOff re-tags the entry, saturating like opWord; its flags stay.
+func (op *Op) setTagOff(tag int) { op.kt = opWord(op.Kind(), op.SameBlock(), tag) | op.kt&relBit }
 
 // MaxPayload is the largest buffer, in bytes, a schedule addresses: an entry
 // holds byte counts and offsets as int32, as mpi's protocol records hold a
@@ -302,7 +311,8 @@ func (b *builder) done() *Schedule {
 
 // Schedule is a per-rank compiled collective operation. Schedules are
 // immutable and reusable: every Start creates fresh execution state, so a
-// persistent ADCL request can run the same schedule each iteration.
+// persistent ADCL request can run the same schedule each iteration, and a
+// schedule of Relative entries alone (Ibarrier's) is shared by every rank.
 type Schedule struct {
 	// Name identifies the algorithm/parameters, e.g. "ialltoall-pairwise".
 	Name   string
@@ -510,6 +520,9 @@ func (h *Handle) execRounds() {
 					base = h.sched.data.bufs[op.Ref]
 				}
 				tag, peer, l, same := h.tag+op.TagOff(), int(op.Peer), int(op.Len), op.SameBlock()
+				if op.Relative() {
+					peer = mod(peer+h.comm.Rank(), n)
+				}
 				for range op.Count {
 					off := int(op.Off)
 					if !same {

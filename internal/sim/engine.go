@@ -179,8 +179,7 @@ type Engine struct {
 
 	procs []*Proc
 	live  int
-	seed  int64         // the random stream's seed
-	rng   *ClonableRand // built from seed by the first Rand call; nil until then
+	rng   *ClonableRand
 
 	handlers []func(a, b int32) // indexed by Handler; handlers[0] opens a box
 	box      *boxes
@@ -196,11 +195,10 @@ type Engine struct {
 }
 
 // NewEngine returns an engine whose random source is seeded with seed. The
-// source (a seed and a word count, about 100 B with its rand.Rand; see
-// ClonableRand) is built on the first Rand call, so an engine that never
-// draws never pays for it.
+// source is a seed and a word count, about 100 B with its rand.Rand (see
+// ClonableRand).
 func NewEngine(seed int64) *Engine {
-	return newEngine(&Engine{seed: seed})
+	return newEngine(&Engine{rng: NewClonableRand(seed)})
 }
 
 // newEngine gives e its handler table, holding the box handler alone, and an
@@ -262,16 +260,10 @@ func callThunk(fn any) { fn.(func())() }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand returns the engine's deterministic random source, building it on the
-// first call. Nothing outside the tests draws from it today; it stays because
-// the seed is NewEngine's only argument and the fork tests pin that the
-// stream crosses a snapshot.
-func (e *Engine) Rand() *rand.Rand {
-	if e.rng == nil {
-		e.rng = NewClonableRand(e.seed)
-	}
-	return e.rng.Rand
-}
+// Rand returns the engine's deterministic random source. Nothing outside the
+// tests draws from it today; it stays because the seed is NewEngine's only
+// argument and the fork tests pin that the stream crosses a snapshot.
+func (e *Engine) Rand() *rand.Rand { return e.rng.Rand }
 
 // allocRec returns a free record index, growing the pool only when the free
 // list is empty.
