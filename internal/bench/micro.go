@@ -139,7 +139,7 @@ func (s MicroSpec) payload(n int) mpi.Buf {
 // rank-independent, so it is built on rank 0 of a throwaway world — of two
 // ranks unless the op's shape depends on the communicator size; the Start
 // closures are bound to that world and never invoked, so no schedule is ever
-// compiled for it (core.schedFn).
+// compiled for it (core.bind).
 func (s MicroSpec) HostFunctionSet() (*core.FunctionSet, error) {
 	op, err := core.OpByName(s.Op)
 	if err != nil {

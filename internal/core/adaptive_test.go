@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"nbctune/internal/kb"
+	"nbctune/internal/mpi"
 	"nbctune/internal/obs"
 )
 
@@ -190,4 +192,36 @@ func TestHistoryEnvInvalidation(t *testing.T) {
 	if f, ok := sel.(*FixedSelector); !ok || f.Fn != 0 {
 		t.Fatalf("hit returned %T", sel)
 	}
+}
+
+// TestAdaptiveDecidesBeforeAnySample: on a communicator that is not a power
+// of two, iallreduce is a one-function set, so attr-heuristic decides before
+// any sample is recorded. Committing that decision scores a function with no
+// samples: it must leave the baseline uncalibrated, not panic.
+func TestAdaptiveDecidesBeforeAnySample(t *testing.T) {
+	onEveryRank(t, 3, func(c *mpi.Comm) {
+		if c.Rank() != 0 {
+			return
+		}
+		fs := IallreduceSet(c, mpi.Buf{}, mpi.Buf{}, nil)
+		if len(fs.Fns) != 1 {
+			t.Errorf("iallreduce on 3 ranks has %d functions, want 1", len(fs.Fns))
+			return
+		}
+		s, err := SelectorByName("adaptive+attr-heuristic", fs, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 4; i++ {
+			fn, decided := s.Next()
+			if fn != 0 || !decided {
+				t.Errorf("Next() = %d, %v; want 0, true", fn, decided)
+			}
+			s.Record(fn, 1e-3)
+		}
+		if b := s.(*Adaptive).baseline; !math.IsNaN(b) {
+			t.Errorf("baseline = %g, want NaN (no tuning-time samples)", b)
+		}
+	})
 }

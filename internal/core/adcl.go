@@ -42,7 +42,7 @@ type Started interface {
 // function set (§IV-B-f).
 type Function struct {
 	Name  string
-	Attrs []int // attribute values, parallel to the set's AttributeSet
+	Attrs []int // attribute values, parallel to the set's AttributeSet; shared, read-only
 	Start func() Started
 }
 
@@ -50,7 +50,7 @@ type Function struct {
 // function set, e.g. the broadcast tree fan-out or the segment size.
 type Attribute struct {
 	Name   string
-	Values []int // admissible values, ascending
+	Values []int // admissible values in declaration order; shared, read-only
 }
 
 // AttributeSet declares the attribute dimensions of a function set.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"nbctune/internal/mpi"
 	"nbctune/internal/nbc"
@@ -15,66 +16,150 @@ import (
 // its buffers and appends guideline mocks; the constructors here only say
 // which schedules make up a set. Building a set compiles none of them.
 
-// schedFn is the function of a set that runs the schedule build compiles,
-// declared under the name nbc gives that schedule. The schedule is compiled
-// when the function is first started — most runs start one or a few of a
-// set's functions, and a set built only for its names none — and restarted
-// per execution from then on (persistent request semantics).
-func schedFn(c *mpi.Comm, name string, build func() *nbc.Schedule, attrs ...int) *Function {
-	var s *nbc.Schedule
-	return &Function{Name: name, Attrs: attrs, Start: func() Started {
-		if s == nil {
-			if s = build(); s.Name != name {
-				panic(fmt.Sprintf("adcl: function %q compiled to schedule %q", name, s.Name))
-			}
-		}
-		return nbc.Start(c, s)
-	}}
+// setDecl is a built-in set's catalogue: its name, attribute set and
+// functions, built once and shared, read-only, by every rank of every world
+// (ADCL creates function and attribute sets once; bind gives each rank its own).
+type setDecl struct {
+	name  string
+	attrs *AttributeSet
+	fns   []fnDecl
 }
 
-// algoSet builds a set characterized by the single attribute "algorithm":
+// fnDecl declares one function: its name (its schedule's), its attribute vector
+// and its schedule's constructor, nil for the blocking all-to-all.
+type fnDecl struct {
+	name  string
+	attrs []int
+	sched func(b *binding, attrs []int) *nbc.Schedule
+}
+
+// binding is one rank's instance of a catalogue: its FunctionSet and what the
+// schedules are compiled over.
+type binding struct {
+	fs         FunctionSet
+	c          *mpi.Comm
+	send, recv mpi.Buf
+	root       int
+	op         mpi.ReduceOp // ireduce only
+	win        *mpi.Win     // ialltoall-prim only
+}
+
+// slot is one function of a binding and the schedule its first Start compiled.
+type slot struct {
+	Function
+	b     *binding
+	decl  *fnDecl
+	sched *nbc.Schedule
+}
+
+// bind instantiates d on c: one block each for the binding, its slots and the
+// function pointers, and one start closure per function.
+func bind(c *mpi.Comm, send, recv mpi.Buf, root int, d *setDecl) *binding {
+	b := &binding{c: c, send: send, recv: recv, root: root}
+	b.fs = FunctionSet{Name: d.name, AttrSet: d.attrs, Fns: make([]*Function, len(d.fns))}
+	slots := make([]slot, len(d.fns))
+	for i := range d.fns {
+		s := &slots[i]
+		s.Name, s.Attrs, s.b, s.decl = d.fns[i].name, d.fns[i].attrs, b, &d.fns[i]
+		if s.decl.sched != nil {
+			s.Start = s.start
+		}
+		b.fs.Fns[i] = &s.Function
+	}
+	return b
+}
+
+// start runs the slot's schedule, compiled on the function's first start —
+// most runs start one or a few of a set's functions, and a set built only for
+// its names none — and restarted from then on (persistent request semantics).
+func (s *slot) start() Started {
+	if s.sched == nil {
+		if s.sched = s.decl.sched(s.b, s.decl.attrs); s.sched.Name != s.Name {
+			panic(fmt.Sprintf("adcl: function %q compiled to schedule %q", s.Name, s.sched.Name))
+		}
+	}
+	return nbc.Start(s.b.c, s.sched)
+}
+
+// algoDecl declares a set characterized by the single attribute "algorithm":
 // one function per entry of algos, named by fnName and compiled by sched.
-func algoSet[A ~int](c *mpi.Comm, name string, algos []A, fnName func(A) string, sched func(A) *nbc.Schedule) *FunctionSet {
+func algoDecl[A ~int](name string, algos []A, fnName func(A) string, sched func(*binding, A) *nbc.Schedule) *setDecl {
 	vals := make([]int, len(algos))
-	fs := &FunctionSet{Name: name, Fns: make([]*Function, len(algos))}
+	d := &setDecl{name: name, fns: make([]fnDecl, len(algos))}
+	compile := func(b *binding, attrs []int) *nbc.Schedule { return sched(b, A(attrs[0])) }
 	for i, a := range algos {
 		vals[i] = int(a)
-		fs.Fns[i] = schedFn(c, fnName(a), func() *nbc.Schedule { return sched(a) }, int(a))
+		d.fns[i] = fnDecl{fnName(a), []int{int(a)}, compile}
 	}
-	fs.AttrSet = &AttributeSet{Attrs: []Attribute{{Name: "algorithm", Values: vals}}}
-	return fs
+	d.attrs = &AttributeSet{Attrs: []Attribute{{Name: "algorithm", Values: vals}}}
+	return d
 }
 
-// IbcastSet builds the paper's default Ibcast function set over buf
-// (virtual or real) from root on comm.
-func IbcastSet(c *mpi.Comm, root int, buf mpi.Buf) *FunctionSet {
-	n, me := c.Size(), c.Rank()
-	segs := nbc.DefaultSegSizes
-	fs := &FunctionSet{
-		Name: "ibcast",
-		AttrSet: &AttributeSet{Attrs: []Attribute{
-			{Name: "fanout", Values: []int{nbc.FanoutBinomial, 0, 1, 2, 3, 4, 5}},
-			{Name: "segsize", Values: append([]int(nil), segs...)},
-		}},
-	}
-	for _, f := range nbc.DefaultFanouts {
+// ibcastDecl declares an Ibcast set over the given tree fan-outs, each
+// crossed with the paper's three segment sizes.
+func ibcastDecl(name string, fanoutValues, fanouts []int) *setDecl {
+	segs := append([]int(nil), nbc.DefaultSegSizes...)
+	d := &setDecl{name: name, attrs: &AttributeSet{Attrs: []Attribute{{Name: "fanout", Values: fanoutValues}, {Name: "segsize", Values: segs}}}}
+	for _, f := range fanouts {
+		sched := func(b *binding, a []int) *nbc.Schedule {
+			return nbc.Ibcast(b.c.Size(), b.c.Rank(), b.root, b.send, a[0], a[1])
+		}
+		if f == nbc.FanoutTorus {
+			sched = func(b *binding, a []int) *nbc.Schedule { return nbc.IbcastTorus(b.c, b.root, b.send, a[1]) }
+		}
 		for _, s := range segs {
-			fs.Fns = append(fs.Fns, ibcastFn(c, n, me, root, buf, f, s))
+			d.fns = append(d.fns, fnDecl{nbc.IbcastName(f, s), []int{f, s}, sched})
 		}
 	}
-	return fs
-}
-
-// ibcastFn is the Ibcast function of one tree shape and segment size.
-func ibcastFn(c *mpi.Comm, n, me, root int, buf mpi.Buf, fanout, seg int) *Function {
-	return schedFn(c, nbc.IbcastName(fanout, seg), func() *nbc.Schedule {
-		return nbc.Ibcast(n, me, root, buf, fanout, seg)
-	}, fanout, seg)
+	return d
 }
 
 // Attribute value used for the blocking implementation in the extended
 // Ialltoall function set.
 const AlltoallBlocking = 3
+
+func iallgatherSched(b *binding, a nbc.AllgatherAlgo) *nbc.Schedule {
+	return nbc.Iallgather(b.c.Size(), b.c.Rank(), b.send, b.recv, a)
+}
+
+// The catalogues of the sets whose shape does not depend on the
+// communicator size.
+var (
+	ibcastSet    = ibcastDecl("ibcast", []int{nbc.FanoutBinomial, 0, 1, 2, 3, 4, 5}, nbc.DefaultFanouts)
+	ialltoallSet = algoDecl("ialltoall", nbc.DefaultAlltoallAlgos, nbc.IalltoallName, func(b *binding, a nbc.AlltoallAlgo) *nbc.Schedule {
+		return nbc.Ialltoall(b.c.Size(), b.c.Rank(), b.send, b.recv, a)
+	})
+	ialltoallExtSet = &setDecl{name: "ialltoall-ext",
+		attrs: &AttributeSet{Attrs: []Attribute{{Name: "algorithm", Values: append(slices.Clip(ialltoallSet.attrs.Attrs[0].Values), AlltoallBlocking)}}},
+		fns:   append(slices.Clip(ialltoallSet.fns), fnDecl{name: "alltoall-blocking", attrs: []int{AlltoallBlocking}})}
+	ialltoallPrimSet = func() *setDecl {
+		d := &setDecl{name: "ialltoall-prim", attrs: &AttributeSet{Attrs: []Attribute{
+			{Name: "algorithm", Values: []int{int(nbc.AlgoLinear), int(nbc.AlgoBruck), int(nbc.AlgoPairwise)}},
+			{Name: "primitive", Values: []int{PrimitiveP2P, PrimitivePut}},
+		}}}
+		for _, f := range ialltoallSet.fns {
+			d.fns = append(d.fns, fnDecl{f.name, []int{f.attrs[0], PrimitiveP2P}, f.sched})
+		}
+		d.fns = append(d.fns,
+			fnDecl{nbc.IalltoallPutName(nbc.AlgoLinear), []int{int(nbc.AlgoLinear), PrimitivePut}, func(b *binding, _ []int) *nbc.Schedule {
+				return nbc.IalltoallLinearPut(b.c.Size(), b.c.Rank(), b.send, b.recv, b.win)
+			}},
+			fnDecl{nbc.IalltoallPutName(nbc.AlgoPairwise), []int{int(nbc.AlgoPairwise), PrimitivePut}, func(b *binding, _ []int) *nbc.Schedule {
+				return nbc.IalltoallPairwisePut(b.c.Size(), b.c.Rank(), b.send, b.recv, b.win)
+			}})
+		return d
+	}()
+	iallgatherSet = algoDecl("iallgather", []nbc.AllgatherAlgo{nbc.AllgatherRing, nbc.AllgatherLinear}, nbc.IallgatherName, iallgatherSched)
+	ireduceSet    = algoDecl("ireduce", []nbc.ReduceAlgo{nbc.ReduceBinomial, nbc.ReduceChain}, nbc.IreduceName, func(b *binding, a nbc.ReduceAlgo) *nbc.Schedule {
+		return nbc.Ireduce(b.c.Size(), b.c.Rank(), b.root, b.send, b.recv, b.op, a)
+	})
+)
+
+// IbcastSet builds the paper's default Ibcast function set over buf
+// (virtual or real) from root on comm.
+func IbcastSet(c *mpi.Comm, root int, buf mpi.Buf) *FunctionSet {
+	return &bind(c, buf, buf, root, ibcastSet).fs
+}
 
 // IalltoallSet builds the paper's Ialltoall function set exchanging
 // send.Len()/Size() bytes per rank pair. With includeBlocking the set also contains
@@ -82,22 +167,13 @@ const AlltoallBlocking = 3
 // modified function set of §IV-B-f that lets ADCL decide at runtime whether
 // a code region benefits from a non-blocking operation at all.
 func IalltoallSet(c *mpi.Comm, send, recv mpi.Buf, includeBlocking bool) *FunctionSet {
-	n, me := c.Size(), c.Rank()
-	fs := algoSet(c, "ialltoall", nbc.DefaultAlltoallAlgos, nbc.IalltoallName, func(a nbc.AlltoallAlgo) *nbc.Schedule {
-		return nbc.Ialltoall(n, me, send, recv, a)
-	})
-	if includeBlocking {
-		fs.Name = "ialltoall-ext"
-		algo := &fs.AttrSet.Attrs[0]
-		algo.Values = append(algo.Values, AlltoallBlocking)
-		fs.Fns = append(fs.Fns, &Function{
-			Name:  "alltoall-blocking",
-			Attrs: []int{AlltoallBlocking},
-			Start: func() Started {
-				c.Alltoall(send, recv)
-				return nil
-			},
-		})
+	if !includeBlocking {
+		return &bind(c, send, recv, 0, ialltoallSet).fs
+	}
+	fs := &bind(c, send, recv, 0, ialltoallExtSet).fs
+	fs.Fns[len(fs.Fns)-1].Start = func() Started {
+		c.Alltoall(send, recv)
+		return nil
 	}
 	return fs
 }
@@ -116,68 +192,39 @@ const (
 // grid is intentionally incomplete — selection logics that require full
 // grids fall back to brute force.
 func IalltoallPrimitivesSet(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet {
-	n, me := c.Size(), c.Rank()
-	fs := &FunctionSet{
-		Name: "ialltoall-prim",
-		AttrSet: &AttributeSet{Attrs: []Attribute{
-			{Name: "algorithm", Values: []int{int(nbc.AlgoLinear), int(nbc.AlgoBruck), int(nbc.AlgoPairwise)}},
-			{Name: "primitive", Values: []int{PrimitiveP2P, PrimitivePut}},
-		}},
-	}
-	for _, a := range nbc.DefaultAlltoallAlgos {
-		fs.Fns = append(fs.Fns, schedFn(c, nbc.IalltoallName(a), func() *nbc.Schedule {
-			return nbc.Ialltoall(n, me, send, recv, a)
-		}, int(a), PrimitiveP2P))
-	}
+	b := bind(c, send, recv, 0, ialltoallPrimSet)
 	// The window is created with the set, not with the first put schedule:
 	// creation is collective, and ranks start different functions.
-	win := nbc.IalltoallWindows(c, recv)
-	fs.Fns = append(fs.Fns,
-		schedFn(c, nbc.IalltoallPutName(nbc.AlgoLinear), func() *nbc.Schedule {
-			return nbc.IalltoallLinearPut(n, me, send, recv, win)
-		}, int(nbc.AlgoLinear), PrimitivePut),
-		schedFn(c, nbc.IalltoallPutName(nbc.AlgoPairwise), func() *nbc.Schedule {
-			return nbc.IalltoallPairwisePut(n, me, send, recv, win)
-		}, int(nbc.AlgoPairwise), PrimitivePut),
-	)
-	return fs
-}
-
-// iallgatherSet builds a function set over the given Iallgather algorithms.
-func iallgatherSet(c *mpi.Comm, name string, send, recv mpi.Buf, algos ...nbc.AllgatherAlgo) *FunctionSet {
-	n, me := c.Size(), c.Rank()
-	return algoSet(c, name, algos, nbc.IallgatherName, func(a nbc.AllgatherAlgo) *nbc.Schedule {
-		return nbc.Iallgather(n, me, send, recv, a)
-	})
+	b.win = nbc.IalltoallWindows(c, recv)
+	return &b.fs
 }
 
 // IallgatherSet builds a function set over the two Iallgather algorithms.
 func IallgatherSet(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet {
-	return iallgatherSet(c, "iallgather", send, recv, nbc.AllgatherRing, nbc.AllgatherLinear)
+	return &bind(c, send, recv, 0, iallgatherSet).fs
 }
 
 // IreduceSet builds a function set over the Ireduce algorithms.
 func IreduceSet(c *mpi.Comm, root int, send, recv mpi.Buf, op mpi.ReduceOp) *FunctionSet {
-	n, me := c.Size(), c.Rank()
-	return algoSet(c, "ireduce", []nbc.ReduceAlgo{nbc.ReduceBinomial, nbc.ReduceChain}, nbc.IreduceName, func(a nbc.ReduceAlgo) *nbc.Schedule {
-		return nbc.Ireduce(n, me, root, send, recv, op, a)
-	})
+	b := bind(c, send, recv, root, ireduceSet)
+	b.op = op
+	return &b.fs
 }
 
-// IallreduceSet builds a function set over the Iallreduce algorithms.
+// IallreduceSet builds a function set over the Iallreduce algorithms. Its
+// catalogue is built per call: the function names depend on the size.
 func IallreduceSet(c *mpi.Comm, send, recv mpi.Buf, op mpi.ReduceOp) *FunctionSet {
-	n, me := c.Size(), c.Rank()
+	n := c.Size()
 	algos := []nbc.AllreduceAlgo{nbc.AllreduceRecursiveDoubling, nbc.AllreduceReduceBcast}
-	fs := algoSet(c, "iallreduce", algos, func(a nbc.AllreduceAlgo) string { return nbc.IallreduceName(n, a) }, func(a nbc.AllreduceAlgo) *nbc.Schedule {
-		return nbc.Iallreduce(n, me, send, recv, op, a)
-	})
 	// On non-power-of-two communicators both algorithms compile to
 	// reduce-bcast; de-duplicate by name to keep the set valid.
-	if fs.Fns[0].Name == fs.Fns[1].Name {
-		fs.Fns = fs.Fns[1:]
-		fs.AttrSet.Attrs[0].Values = fs.AttrSet.Attrs[0].Values[1:]
+	if nbc.IallreduceName(n, algos[0]) == nbc.IallreduceName(n, algos[1]) {
+		algos = algos[1:]
 	}
-	return fs
+	d := algoDecl("iallreduce", algos, func(a nbc.AllreduceAlgo) string { return nbc.IallreduceName(n, a) }, func(b *binding, a nbc.AllreduceAlgo) *nbc.Schedule {
+		return nbc.Iallreduce(n, b.c.Rank(), b.send, b.recv, op, a)
+	})
+	return &bind(c, send, recv, 0, d).fs
 }
 
 // CustomFunction registers a user-supplied implementation, the low-level

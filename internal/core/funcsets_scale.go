@@ -11,39 +11,29 @@ import (
 // machinery can select at 4K+ simulated ranks — the regime where the winner
 // flips away from the small-scale choice (EXPERIMENTS.md E15).
 
+var (
+	ibcastScalableSet     = ibcastDecl("ibcast-scalable", []int{0, nbc.FanoutBinomial, nbc.FanoutTorus}, []int{0, nbc.FanoutBinomial, nbc.FanoutTorus})
+	iallgatherScalableSet = algoDecl("iallgather-scalable", []nbc.AllgatherAlgo{nbc.AllgatherRing, nbc.AllgatherLinear, nbc.AllgatherBruck}, nbc.IallgatherName, iallgatherSched)
+	ibarrierSet           = &setDecl{name: "ibarrier", attrs: &AttributeSet{Attrs: []Attribute{{Name: "algorithm", Values: []int{BarrierDissemination, BarrierTree}}}}, fns: []fnDecl{
+		{nbc.IbarrierName, []int{BarrierDissemination}, func(b *binding, _ []int) *nbc.Schedule { return nbc.Ibarrier(b.c.Size(), b.c.Rank()) }},
+		{nbc.IbarrierTreeName, []int{BarrierTree}, func(b *binding, _ []int) *nbc.Schedule { return nbc.IbarrierTree(b.c.Size(), b.c.Rank()) }},
+	}}
+)
+
 // IbcastScalableSet builds the scale-oriented Ibcast function set: the
 // linear tree (one round, best at tiny communicators), the binomial tree
 // (the default set's large-n winner), and the torus-aware hierarchical tree
 // (node leaders relaying over single torus hops, shared-memory fanout
 // within a node), each crossed with the paper's three segment sizes.
 func IbcastScalableSet(c *mpi.Comm, root int, buf mpi.Buf) *FunctionSet {
-	n, me := c.Size(), c.Rank()
-	segs := nbc.DefaultSegSizes
-	fs := &FunctionSet{
-		Name: "ibcast-scalable",
-		AttrSet: &AttributeSet{Attrs: []Attribute{
-			{Name: "fanout", Values: []int{0, nbc.FanoutBinomial, nbc.FanoutTorus}},
-			{Name: "segsize", Values: append([]int(nil), segs...)},
-		}},
-	}
-	for _, f := range []int{0, nbc.FanoutBinomial} {
-		for _, s := range segs {
-			fs.Fns = append(fs.Fns, ibcastFn(c, n, me, root, buf, f, s))
-		}
-	}
-	for _, s := range segs {
-		fs.Fns = append(fs.Fns, schedFn(c, nbc.IbcastName(nbc.FanoutTorus, s), func() *nbc.Schedule {
-			return nbc.IbcastTorus(c, root, buf, s)
-		}, nbc.FanoutTorus, s))
-	}
-	return fs
+	return &bind(c, buf, buf, root, ibcastScalableSet).fs
 }
 
 // IallgatherScalableSet extends the default Iallgather set with the Bruck
 // dissemination algorithm: O(log n) rounds against the ring's O(n), the
 // large-n winner for small blocks.
 func IallgatherScalableSet(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet {
-	return iallgatherSet(c, "iallgather-scalable", send, recv, nbc.AllgatherRing, nbc.AllgatherLinear, nbc.AllgatherBruck)
+	return &bind(c, send, recv, 0, iallgatherScalableSet).fs
 }
 
 // Ibarrier algorithm attribute values.
@@ -57,15 +47,5 @@ const (
 // binomial gather/release tree (same depth, O(1) partners per rank — fewer
 // total messages and matches, which is what scales).
 func IbarrierSet(c *mpi.Comm) *FunctionSet {
-	n, me := c.Size(), c.Rank()
-	return &FunctionSet{
-		Name: "ibarrier",
-		AttrSet: &AttributeSet{Attrs: []Attribute{
-			{Name: "algorithm", Values: []int{BarrierDissemination, BarrierTree}},
-		}},
-		Fns: []*Function{
-			schedFn(c, nbc.IbarrierName, func() *nbc.Schedule { return nbc.Ibarrier(n, me) }, BarrierDissemination),
-			schedFn(c, nbc.IbarrierTreeName, func() *nbc.Schedule { return nbc.IbarrierTree(n, me) }, BarrierTree),
-		},
-	}
+	return &bind(c, mpi.Buf{}, mpi.Buf{}, 0, ibarrierSet).fs
 }

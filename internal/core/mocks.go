@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nbctune/internal/mpi"
@@ -53,7 +54,7 @@ type MockDef struct {
 	Op   string
 	Name string
 
-	sched func(n, me, root int, send, recv mpi.Buf) *nbc.Schedule
+	sched func(*binding, []int) *nbc.Schedule
 }
 
 // Names of the catalog mocks, usable in bench.MicroSpec.Mocks and Op.Build.
@@ -67,16 +68,16 @@ const (
 // engine knows how to build, sorted by name.
 var mockCatalog = []MockDef{
 	{Op: "iallgather", Name: MockIallgatherGatherBcast,
-		sched: func(n, me, _ int, send, recv mpi.Buf) *nbc.Schedule {
-			return nbc.MockAllgatherGatherBcast(n, me, send, recv)
+		sched: func(b *binding, _ []int) *nbc.Schedule {
+			return nbc.MockAllgatherGatherBcast(b.c.Size(), b.c.Rank(), b.send, b.recv)
 		}},
 	{Op: "ialltoall", Name: MockIalltoallSplit,
-		sched: func(n, me, _ int, send, recv mpi.Buf) *nbc.Schedule {
-			return nbc.MockAlltoallSplit(n, me, send, recv)
+		sched: func(b *binding, _ []int) *nbc.Schedule {
+			return nbc.MockAlltoallSplit(b.c.Size(), b.c.Rank(), b.send, b.recv)
 		}},
 	{Op: "ibcast", Name: MockIbcastScatterAllgather,
-		sched: func(n, me, root int, buf, _ mpi.Buf) *nbc.Schedule {
-			return nbc.MockBcastScatterAllgather(n, me, root, buf)
+		sched: func(b *binding, _ []int) *nbc.Schedule {
+			return nbc.MockBcastScatterAllgather(b.c.Size(), b.c.Rank(), b.root, b.send)
 		}},
 }
 
@@ -118,7 +119,8 @@ func (o *Op) CheckMocks(mocks []string) error {
 // appendMocks extends fs with the named catalog mocks: each attribute's
 // value range gains the MockAttrValue sentinel and each mock joins with the
 // all-sentinel attribute vector. Mock names are sorted so the extended set's
-// function order is deterministic regardless of caller order.
+// function order is deterministic regardless of caller order. The attribute
+// set extended is a copy: a built-in set shares its catalogue's.
 func (o *Op) appendMocks(fs *FunctionSet, mocks []string, c *mpi.Comm, send, recv mpi.Buf, root int) error {
 	if len(mocks) == 0 {
 		return nil
@@ -128,24 +130,23 @@ func (o *Op) appendMocks(fs *FunctionSet, mocks []string, c *mpi.Comm, send, rec
 	}
 	sorted := append([]string(nil), mocks...)
 	sort.Strings(sorted)
-	attrs := []int(nil)
+	var sentinels []int
 	if fs.AttrSet != nil {
-		attrs = make([]int, len(fs.AttrSet.Attrs))
-		for i := range fs.AttrSet.Attrs {
-			fs.AttrSet.Attrs[i].Values = append(fs.AttrSet.Attrs[i].Values, MockAttrValue)
-			attrs[i] = MockAttrValue
+		ext := &AttributeSet{Attrs: make([]Attribute, len(fs.AttrSet.Attrs))}
+		sentinels = make([]int, len(ext.Attrs))
+		for i, a := range fs.AttrSet.Attrs {
+			ext.Attrs[i] = Attribute{Name: a.Name, Values: append(slices.Clip(a.Values), MockAttrValue)}
+			sentinels[i] = MockAttrValue
 		}
+		fs.AttrSet = ext
 	}
+	d := &setDecl{name: fs.Name}
 	for _, name := range sorted {
 		def, _ := MockByName(name)
-		fs.Fns = append(fs.Fns, def.fn(c, root, send, recv, attrs...))
+		d.fns = append(d.fns, fnDecl{def.Name, sentinels, def.sched})
 	}
+	fs.Fns = append(fs.Fns, bind(c, send, recv, root, d).fs.Fns...)
 	return nil
-}
-
-// fn is the mock as one function of a set on c.
-func (d MockDef) fn(c *mpi.Comm, root int, send, recv mpi.Buf, attrs ...int) *Function {
-	return schedFn(c, d.Name, func() *nbc.Schedule { return d.sched(c.Size(), c.Rank(), root, send, recv) }, attrs...)
 }
 
 // MockSet wraps one catalog mock as a single-candidate, uncharacterized
@@ -161,5 +162,5 @@ func MockSet(c *mpi.Comm, name string, msg int) (*FunctionSet, error) {
 		return nil, err
 	}
 	send, recv := op.Buffers(c.Size(), msg, mpi.Virtual)
-	return &FunctionSet{Name: name, Fns: []*Function{def.fn(c, 0, send, recv)}}, nil
+	return &bind(c, send, recv, 0, &setDecl{name: name, fns: []fnDecl{{name: def.Name, sched: def.sched}}}).fs, nil
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"nbctune/internal/mpi"
@@ -54,16 +56,104 @@ var opFunctions = map[string][]string{
 	},
 }
 
+// opShapes pins every catalogue op's attribute set — each attribute's name
+// and values, in declaration order — and the attribute vector of every
+// function of opFunctions, index for index. The sets share these from one
+// process-wide catalogue, so a write into it shows here.
+var opShapes = map[string]struct {
+	attrs []Attribute
+	fns   [][]int
+}{
+	"ialltoall":      {[]Attribute{{"algorithm", []int{0, 1, 2}}}, [][]int{{0}, {1}, {2}}},
+	"ialltoall-ext":  {[]Attribute{{"algorithm", []int{0, 1, 2, 3}}}, [][]int{{0}, {1}, {2}, {3}}},
+	"ialltoall-prim": {[]Attribute{{"algorithm", []int{0, 1, 2}}, {"primitive", []int{0, 1}}}, [][]int{{0, 0}, {1, 0}, {2, 0}, {0, 1}, {2, 1}}},
+	"ibcast": {
+		[]Attribute{{"fanout", []int{-1, 0, 1, 2, 3, 4, 5}}, {"segsize", []int{32768, 65536, 131072}}},
+		[][]int{
+			{0, 32768}, {0, 65536}, {0, 131072}, {1, 32768}, {1, 65536}, {1, 131072},
+			{2, 32768}, {2, 65536}, {2, 131072}, {3, 32768}, {3, 65536}, {3, 131072},
+			{4, 32768}, {4, 65536}, {4, 131072}, {5, 32768}, {5, 65536}, {5, 131072},
+			{-1, 32768}, {-1, 65536}, {-1, 131072},
+		},
+	},
+	"ibcast-scalable": {
+		[]Attribute{{"fanout", []int{0, -1, -2}}, {"segsize", []int{32768, 65536, 131072}}},
+		[][]int{
+			{0, 32768}, {0, 65536}, {0, 131072}, {-1, 32768}, {-1, 65536}, {-1, 131072},
+			{-2, 32768}, {-2, 65536}, {-2, 131072},
+		},
+	},
+	"iallgather":          {[]Attribute{{"algorithm", []int{0, 1}}}, [][]int{{0}, {1}}},
+	"iallgather-scalable": {[]Attribute{{"algorithm", []int{0, 1, 2}}}, [][]int{{0}, {1}, {2}}},
+	"ireduce":             {[]Attribute{{"algorithm", []int{0, 1}}}, [][]int{{0}, {1}}},
+	"iallreduce":          {[]Attribute{{"algorithm", []int{0, 1}}}, [][]int{{0}, {1}}},
+	"ibarrier":            {[]Attribute{{"algorithm", []int{0, 1}}}, [][]int{{0}, {1}}},
+	"neighborhood": {
+		[]Attribute{{"order", []int{0, 1}}, {"primitive", []int{0, 1}}, {"handling", []int{0, 1}}},
+		[][]int{{0, 0, 0}, {0, 0, 1}, {1, 0, 0}, {1, 0, 1}, {1, 1, 0}, {1, 1, 1}},
+	},
+}
+
+// opMocks lists the catalogue mocks that extend op name's sets.
+func opMocks(name string) []string {
+	var mocks []string
+	for _, mock := range MockNames() {
+		if def, _ := MockByName(mock); def.Op == name {
+			mocks = append(mocks, mock)
+		}
+	}
+	return mocks
+}
+
+// checkShape reports where fs, op name's set on np ranks extended with mocks,
+// differs from opFunctions and opShapes: iallreduce off a power of two keeps
+// its second function alone, and every mock adds the sentinel to each
+// attribute's values and joins with the all-sentinel vector.
+func checkShape(t *testing.T, fs *FunctionSet, name string, np int, mocks []string) {
+	t.Helper()
+	names, attrs, vecs := opFunctions[name], opShapes[name].attrs, opShapes[name].fns
+	if name == "iallreduce" && np&(np-1) != 0 {
+		names, vecs = names[1:], vecs[1:]
+		attrs = []Attribute{{attrs[0].Name, attrs[0].Values[1:]}}
+	}
+	names = append(slices.Clip(names), mocks...)
+	if len(mocks) > 0 {
+		ext, sentinels := make([]Attribute, len(attrs)), make([]int, len(attrs))
+		for i, a := range attrs {
+			ext[i] = Attribute{a.Name, append(slices.Clip(a.Values), MockAttrValue)}
+			sentinels[i] = MockAttrValue
+		}
+		attrs = ext
+		for range mocks {
+			vecs = append(slices.Clip(vecs), sentinels)
+		}
+	}
+	gotVecs := make([][]int, len(fs.Fns))
+	for i, f := range fs.Fns {
+		gotVecs[i] = f.Attrs
+	}
+	if got := fs.FunctionNames(); !reflect.DeepEqual(got, names) {
+		t.Errorf("%s on %d ranks: functions %v, want %v", name, np, got, names)
+	}
+	if fs.AttrSet == nil || !reflect.DeepEqual(fs.AttrSet.Attrs, attrs) {
+		t.Errorf("%s on %d ranks: attributes %+v, want %+v", name, np, fs.AttrSet, attrs)
+	}
+	if !reflect.DeepEqual(gotVecs, vecs) {
+		t.Errorf("%s on %d ranks: attribute vectors %v, want %v", name, np, gotVecs, vecs)
+	}
+}
+
 // TestOpCatalogue: every op of the catalogue, extended with every mock it
 // has, builds a valid function set on every rank of small communicators,
-// under the names the drivers have always printed, and one run of every
-// function completes. A set declares its functions' names before any schedule
-// exists (schedFn), and a function whose schedule compiles to another name
-// panics on its first Start: starting every function is what holds nbc's name
-// helpers — the allreduce fallback among them — to its constructors.
+// under the names the drivers have always printed and the attribute shape
+// opShapes pins, and one run of every function completes. A set declares its
+// functions' names before any schedule exists (bind), and a function whose
+// schedule compiles to another name panics on its first Start: starting
+// every function is what holds nbc's name helpers — the allreduce fallback
+// among them — to its constructors.
 func TestOpCatalogue(t *testing.T) {
-	if got := OpNames(); len(got) != len(opFunctions) {
-		t.Fatalf("catalogue lists %v, the test pins %d ops", got, len(opFunctions))
+	if got := OpNames(); len(got) != len(opFunctions) || len(got) != len(opShapes) {
+		t.Fatalf("catalogue lists %v, the test pins %d and %d ops", got, len(opFunctions), len(opShapes))
 	}
 	for _, name := range OpNames() {
 		op := mustOp(t, name)
@@ -74,18 +164,8 @@ func TestOpCatalogue(t *testing.T) {
 		if op.PerSize != (name == "iallreduce" || name == "neighborhood") {
 			t.Errorf("%s: PerSize = %v", name, op.PerSize)
 		}
-		var mocks []string
-		for _, mock := range MockNames() {
-			if def, _ := MockByName(mock); def.Op == name {
-				mocks = append(mocks, mock)
-			}
-		}
+		mocks := opMocks(name)
 		for _, np := range sizes {
-			want := opFunctions[name]
-			if name == "iallreduce" && np&(np-1) != 0 {
-				want = want[1:]
-			}
-			want = append(want[:len(want):len(want)], mocks...)
 			onEveryRank(t, np, func(c *mpi.Comm) {
 				fs, err := op.Set(c, 4096, mocks)
 				if err == nil {
@@ -95,9 +175,7 @@ func TestOpCatalogue(t *testing.T) {
 					t.Errorf("%s on %d ranks: %v", name, np, err)
 					return
 				}
-				if got := fs.FunctionNames(); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s on %d ranks: functions %v, want %v", name, np, got, want)
-				}
+				checkShape(t, fs, name, np, mocks)
 				for _, fn := range fs.Fns {
 					if h := fn.Start(); h != nil {
 						h.Wait()
@@ -109,6 +187,54 @@ func TestOpCatalogue(t *testing.T) {
 	if _, err := OpByName("igather"); err == nil || !strings.Contains(err.Error(), "ialltoall, ialltoall-ext") {
 		t.Errorf("unknown op error %v does not list the catalogue", err)
 	}
+}
+
+// TestSetCatalogueUnchanged: every rank's built-in set shares its catalogue's
+// attribute values and function table, so extending one rank's set — with
+// guideline mocks, or the all-to-all set with its blocking member — must
+// extend a copy. Plain sets built afterwards on another rank, and meanwhile
+// on another goroutine (a second world, as runner workers run them), still
+// hold the literal tables; under -race a write into the shared tables also
+// shows as a race with that goroutine's reads.
+func TestSetCatalogueUnchanged(t *testing.T) {
+	const np = 2
+	plain := func(c *mpi.Comm) {
+		for _, name := range []string{"ibcast", "ialltoall"} {
+			fs, err := mustOp(t, name).Set(c, 4096, nil)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				continue
+			}
+			checkShape(t, fs, name, np, nil)
+		}
+	}
+	_, other, err := platform.Crill().NewWorld(np, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Start(plain)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		other.Run()
+	}()
+	onEveryRank(t, np, func(c *mpi.Comm) {
+		if c.Rank() != 0 {
+			plain(c)
+			return
+		}
+		for _, name := range []string{"ibcast", "ialltoall-ext"} {
+			mocks := opMocks(name)
+			fs, err := mustOp(t, name).Set(c, 4096, mocks)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				continue
+			}
+			checkShape(t, fs, name, np, mocks)
+		}
+	})
+	wg.Wait()
 }
 
 // TestMocksAttachToTheirOp: every catalogue mock extends exactly the one op it
@@ -154,22 +280,24 @@ func TestMocksAttachToTheirOp(t *testing.T) {
 	}
 }
 
-// allocated returns the bytes f allocates, read from a heap profile that
-// samples every allocation with its call stack: only allocations made
-// beneath this function's frame count, so whatever other goroutines allocate
-// meanwhile does not. f must not park (a rank's coroutine runs it through).
-func allocated(f func()) int64 {
+// allocated returns the bytes and objects f allocates, read from a heap
+// profile that samples every allocation with its call stack: only
+// allocations made beneath this function's frame count, so whatever other
+// goroutines allocate meanwhile does not. f must not park (a rank's coroutine
+// runs it through).
+func allocated(f func()) (bytes, objects int64) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	before := allocatedBeneath()
+	b0, o0 := allocatedBeneath()
 	f()
-	return allocatedBeneath() - before
+	b1, o1 := allocatedBeneath()
+	return b1 - b0, o1 - o0
 }
 
-// allocatedBeneath sums the bytes the heap profile attributes to call stacks
-// through allocated but not through itself, after two collections have
-// published every allocation made so far.
-func allocatedBeneath() int64 {
+// allocatedBeneath sums the bytes and objects the heap profile attributes to
+// call stacks through allocated but not through itself, after two
+// collections have published every allocation made so far.
+func allocatedBeneath() (bytes, objects int64) {
 	runtime.GC()
 	runtime.GC()
 	n, _ := runtime.MemProfile(nil, true)
@@ -181,37 +309,40 @@ func allocatedBeneath() int64 {
 		}
 		recs = make([]runtime.MemProfileRecord, n+64)
 	}
-	var sum int64
 	for _, rec := range recs[:n] {
 		for frames := runtime.CallersFrames(rec.Stack()); ; { // innermost first
 			fr, more := frames.Next()
 			if fr.Function == "nbctune/internal/core.allocated" {
-				sum += rec.AllocBytes
+				bytes += rec.AllocBytes
+				objects += rec.AllocObjects
 			}
 			if !more || fr.Function == "nbctune/internal/core.allocated" || fr.Function == "nbctune/internal/core.allocatedBeneath" {
 				break
 			}
 		}
 	}
-	return sum
+	return bytes, objects
 }
 
 // TestSetsCompileOnFirstStart: a function compiles its schedule when it is
 // first started and never again, and building a set compiles nothing — the
-// paper's 21-function Ibcast set at 16 ranks / 2 MiB fits a per-rank budget,
-// and on every rank allocates a tenth or less of what compiling its schedules
-// does.
+// paper's 21-function Ibcast set at 16 ranks / 2 MiB fits a per-rank budget
+// of bytes and objects (bind: the set, its slots, its function pointers and
+// one start closure per function; the catalogue is shared), and on every
+// rank allocates a tenth or less of what compiling its schedules does.
 func TestSetsCompileOnFirstStart(t *testing.T) {
-	const np, msg, setBudget = 16, 2 << 20, 4800
+	const np, msg, byteBudget, objectBudget = 16, 2 << 20, 2376, 26 // 2 160 B and 24 objects, +10 %
 	ibcast := mustOp(t, "ibcast")
 	onEveryRank(t, np, func(c *mpi.Comm) {
 		me := c.Rank()
 		var fs *FunctionSet
-		built := allocated(func() { fs, _ = ibcast.Set(c, msg, nil) })
-		if built > setBudget {
-			t.Errorf("rank %d: building the ibcast set allocates %d bytes, budget %d", me, built, setBudget)
+		built, objects := allocated(func() { fs, _ = ibcast.Set(c, msg, nil) })
+		if built > byteBudget || objects > objectBudget {
+			t.Errorf("rank %d: building the ibcast set allocates %d bytes in %d objects, budget %d bytes, %d objects", me, built, objects, byteBudget, objectBudget)
+		} else if me == 0 {
+			t.Logf("building the ibcast set allocates %d bytes in %d objects (budget %d, %d)", built, objects, byteBudget, objectBudget)
 		}
-		eager := allocated(func() {
+		eager, _ := allocated(func() {
 			for _, f := range nbc.DefaultFanouts {
 				for _, seg := range nbc.DefaultSegSizes {
 					nbc.Ibcast(np, me, 0, mpi.Virtual(msg), f, seg)
@@ -225,15 +356,18 @@ func TestSetsCompileOnFirstStart(t *testing.T) {
 			return
 		}
 		compiles := 0
-		fn := schedFn(c, "counted", func() *nbc.Schedule {
-			compiles++
-			return &nbc.Schedule{Name: "counted"}
-		})
+		probe := bind(c, mpi.Buf{}, mpi.Buf{}, 0, &setDecl{name: "probe", fns: []fnDecl{
+			{name: "counted", sched: func(*binding, []int) *nbc.Schedule {
+				compiles++
+				return &nbc.Schedule{Name: "counted"}
+			}},
+			{name: "declared", sched: func(*binding, []int) *nbc.Schedule { return &nbc.Schedule{Name: "compiled"} }},
+		}}).fs
 		if compiles != 0 {
-			t.Errorf("schedFn compiled its schedule before any Start")
+			t.Errorf("bind compiled a schedule before any Start")
 		}
-		fn.Start().Wait()
-		fn.Start().Wait()
+		probe.Fns[0].Start().Wait()
+		probe.Fns[0].Start().Wait()
 		if compiles != 1 {
 			t.Errorf("two Starts compiled the schedule %d times, want once", compiles)
 		}
@@ -242,6 +376,6 @@ func TestSetsCompileOnFirstStart(t *testing.T) {
 				t.Errorf("a function declared under another name than its schedule's started")
 			}
 		}()
-		schedFn(c, "declared", func() *nbc.Schedule { return &nbc.Schedule{Name: "compiled"} }).Start()
+		probe.Fns[1].Start()
 	})
 }

@@ -98,7 +98,7 @@ func FanoutName(fanout int) string {
 // IbcastName names the broadcast schedule of a tree shape and segment size
 // without building it. Every constructor takes its schedule's name from such
 // a function, so a function set can declare its functions before any of them
-// is compiled (core.schedFn). A segment of whole KiB is spelled in KiB
+// is compiled (core.bind). A segment of whole KiB is spelled in KiB
 // ("seg32k"), any other in bytes ("seg1536"), so no two sizes share a name.
 // The names of the paper's function set and of its torus variants come from
 // a table built once, so the builder, which every rank calls, allocates none.
