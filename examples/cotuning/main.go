@@ -33,10 +33,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	allreduce, err := core.OpByName("iallreduce")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	world.Start(func(c *mpi.Comm) {
 		transpose := core.IalltoallSet(c, mpi.Virtual(np*64*1024), mpi.Virtual(np*64*1024), false)
-		residual := core.IallreduceSet(c, mpi.Virtual(8*1024), mpi.Virtual(8*1024), nil)
+		residual, err := allreduce.Set(c, 8*1024, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
 		reqT := core.MustRequest(transpose, core.NewBruteForce(len(transpose.Fns), 3), c.Now)
 		reqR := core.MustRequest(residual, core.NewBruteForce(len(residual.Fns), 3), c.Now)
 		timer := core.MustTimer(c.Now, reqT, reqR)

@@ -35,13 +35,21 @@ func TestIntegration_PutPrimitiveWinsWhenProgressStarved(t *testing.T) {
 	}
 	const np = 8
 	const msg = 256 * 1024
+	prim, err := core.OpByName("ialltoall-prim")
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng, world, err := plat.NewWorld(np, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var winner string
 	world.Start(func(c *mpi.Comm) {
-		fs := core.IalltoallPrimitivesSet(c, mpi.Virtual(np*msg), mpi.Virtual(np*msg))
+		fs, err := prim.Set(c, msg, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		req := core.MustRequest(fs, core.NewBruteForce(len(fs.Fns), 3), c.Now)
 		timer := core.MustTimer(c.Now, req)
 		for it := 0; it < 25; it++ {

@@ -41,6 +41,31 @@ func TestFunctionNames(t *testing.T) {
 	}
 }
 
+// TestHostShapeBuildsNoWorld: a host takes a spec's set from its
+// declaration alone, so the 21-function Ibcast set of a 16-rank spec costs
+// one binding's blocks and no simulated world, whose ranks alone would exceed
+// the ceilings. These are 10 % above the measured figures, which -v logs.
+func TestHostShapeBuildsNoWorld(t *testing.T) {
+	const objectCeiling, byteCeiling = 26, 2376 // 24 objects and 2 160 B, +10 %
+	spec := smallSpec(t)
+	spec.Op, spec.Procs, spec.MsgSize = OpIbcast, 16, 2<<20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 100
+	objects := testing.AllocsPerRun(runs, func() {
+		if fs, err := spec.HostFunctionSet(); err != nil || len(fs.Fns) != 21 {
+			t.Fatalf("host shape %v, %v", fs, err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	if objects > objectCeiling || bytes > byteCeiling {
+		t.Errorf("the host shape of %s allocates %v objects, %d bytes; ceilings %d, %d", spec, objects, bytes, objectCeiling, byteCeiling)
+	} else {
+		t.Logf("the host shape of %s allocates %v objects, %d bytes (ceilings %d, %d)", spec, objects, bytes, objectCeiling, byteCeiling)
+	}
+}
+
 func TestRunFixedDeterministic(t *testing.T) {
 	spec := smallSpec(t)
 	r1, err := RunFixed(spec, 0)

@@ -35,10 +35,10 @@ func TestChaosSweepSameSeedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b1, b2 bytes.Buffer
-	if err := s1.Summary().WriteJSON(&b1); err != nil {
+	if err := writeJSON(&b1, s1.Summary()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Summary().WriteJSON(&b2); err != nil {
+	if err := writeJSON(&b2, s2.Summary()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {

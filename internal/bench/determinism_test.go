@@ -109,10 +109,10 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seqJSON, parJSON bytes.Buffer
-	if err := seq.Summary().WriteJSON(&seqJSON); err != nil {
+	if err := writeJSON(&seqJSON, seq.Summary()); err != nil {
 		t.Fatal(err)
 	}
-	if err := par.Summary().WriteJSON(&parJSON); err != nil {
+	if err := writeJSON(&parJSON, par.Summary()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seqJSON.Bytes(), parJSON.Bytes()) {
@@ -143,10 +143,10 @@ func TestSweepCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var coldJSON, warmJSON bytes.Buffer
-	if err := cold.Summary().WriteJSON(&coldJSON); err != nil {
+	if err := writeJSON(&coldJSON, cold.Summary()); err != nil {
 		t.Fatal(err)
 	}
-	if err := warm.Summary().WriteJSON(&warmJSON); err != nil {
+	if err := writeJSON(&warmJSON, warm.Summary()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(coldJSON.Bytes(), warmJSON.Bytes()) {

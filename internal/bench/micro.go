@@ -63,7 +63,7 @@ type MicroSpec struct {
 
 // Names of the catalogue ops (core.OpByName) the scenario grids use; a spec
 // may name any op of the catalogue. The -scalable variants select from the
-// scale-oriented function sets (core/funcsets_scale.go) that add the O(log n)
+// scale-oriented function sets (core/funcsets.go) that add the O(log n)
 // and topology-aware algorithms; MsgSize is the per-rank block for
 // iallgather-scalable and is ignored by ibarrier.
 const (
@@ -134,33 +134,15 @@ func (s MicroSpec) payload(n int) mpi.Buf {
 	return mpi.Virtual(n)
 }
 
-// HostFunctionSet builds the spec's function set outside any run, for its
-// names and for host-side selector replay. The set's structure is
-// rank-independent, so it is built on rank 0 of a throwaway world — of two
-// ranks unless the op's shape depends on the communicator size; the Start
-// closures are bound to that world and never invoked, so no schedule is ever
-// compiled for it (core.bind).
+// HostFunctionSet is the spec's function set outside any run, for its names
+// and for host-side selector replay: the op's declaration bound with no
+// communicator (core.Op.Shape), so its functions must never start.
 func (s MicroSpec) HostFunctionSet() (*core.FunctionSet, error) {
 	op, err := core.OpByName(s.Op)
 	if err != nil {
 		return nil, err
 	}
-	n := 2
-	if op.PerSize {
-		n = s.Procs
-	}
-	_, w, err := s.Platform.NewWorld(n, 1)
-	if err != nil {
-		return nil, err
-	}
-	var fs *core.FunctionSet
-	w.Start(func(c *mpi.Comm) {
-		if c.Rank() == 0 {
-			fs, err = op.Set(c, s.MsgSize, s.Mocks)
-		}
-	})
-	w.Run()
-	return fs, err
+	return op.Shape(s.Procs, s.MsgSize, s.Mocks)
 }
 
 // FunctionNames lists the implementation names of the spec's function set,

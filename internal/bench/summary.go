@@ -200,9 +200,6 @@ func (s *FFTSweepStats) Summary() *SweepSummary {
 	return sum
 }
 
-// WriteJSON writes the summary as indented JSON.
-func (s *SweepSummary) WriteJSON(w io.Writer) error { return writeJSON(w, s) }
-
 func writeJSON(w io.Writer, v any) error {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -203,7 +203,11 @@ func TestAdaptiveDecidesBeforeAnySample(t *testing.T) {
 		if c.Rank() != 0 {
 			return
 		}
-		fs := IallreduceSet(c, mpi.Buf{}, mpi.Buf{}, nil)
+		fs, err := mustOp(t, "iallreduce").Set(c, 0, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		if len(fs.Fns) != 1 {
 			t.Errorf("iallreduce on 3 ranks has %d functions, want 1", len(fs.Fns))
 			return

@@ -12,36 +12,43 @@ import (
 // 7 tree fan-outs x 3 segment sizes) and ADCL_Ialltoall (linear,
 // dissemination, pairwise), plus the extended Ialltoall set that also
 // contains the blocking MPI_Alltoall (paper §IV-B-f), and sets for the other
-// converted operations. The op catalogue (ops.go) names each of them, sizes
-// its buffers and appends guideline mocks; the constructors here only say
-// which schedules make up a set. Building a set compiles none of them.
+// converted operations. Each is one declaration; the op catalogue (ops.go)
+// names it, sizes its buffers and appends guideline mocks, and bind is the
+// one way to instantiate it. Binding a set compiles none of its schedules.
 
 // setDecl is a built-in set's catalogue: its name, attribute set and
 // functions, built once and shared, read-only, by every rank of every world
-// (ADCL creates function and attribute sets once; bind gives each rank its own).
+// and by the host (ADCL creates function and attribute sets once; bind gives
+// each rank its own).
 type setDecl struct {
 	name  string
 	attrs *AttributeSet
 	fns   []fnDecl
+	// hook readies a rank's binding for what needs its communicator, before
+	// any function starts: ialltoall-prim's window, neighborhood's halo. A
+	// host's binding, which has no communicator, runs none.
+	hook func(b *binding) error
 }
 
-// fnDecl declares one function: its name (its schedule's), its attribute vector
-// and its schedule's constructor, nil for the blocking all-to-all.
+// fnDecl declares one function: its name, its attribute vector and how it
+// starts — sched compiles a schedule of the same name, or run starts it
+// directly (the blocking all-to-all, the halo exchanges).
 type fnDecl struct {
 	name  string
 	attrs []int
 	sched func(b *binding, attrs []int) *nbc.Schedule
+	run   func(b *binding, attrs []int) Started
 }
 
 // binding is one rank's instance of a catalogue: its FunctionSet and what the
-// schedules are compiled over.
+// functions run over.
 type binding struct {
 	fs         FunctionSet
 	c          *mpi.Comm
 	send, recv mpi.Buf
 	root       int
-	op         mpi.ReduceOp // ireduce only
-	win        *mpi.Win     // ialltoall-prim only
+	win        *mpi.Win // ialltoall-prim only
+	halo       *Halo    // neighborhood only
 }
 
 // slot is one function of a binding and the schedule its first Start compiled.
@@ -53,7 +60,8 @@ type slot struct {
 }
 
 // bind instantiates d on c: one block each for the binding, its slots and the
-// function pointers, and one start closure per function.
+// function pointers, and one start closure per function. A host binds with a
+// nil c, for the set's shape: its functions must never start.
 func bind(c *mpi.Comm, send, recv mpi.Buf, root int, d *setDecl) *binding {
 	b := &binding{c: c, send: send, recv: recv, root: root}
 	b.fs = FunctionSet{Name: d.name, AttrSet: d.attrs, Fns: make([]*Function, len(d.fns))}
@@ -61,18 +69,20 @@ func bind(c *mpi.Comm, send, recv mpi.Buf, root int, d *setDecl) *binding {
 	for i := range d.fns {
 		s := &slots[i]
 		s.Name, s.Attrs, s.b, s.decl = d.fns[i].name, d.fns[i].attrs, b, &d.fns[i]
-		if s.decl.sched != nil {
-			s.Start = s.start
-		}
+		s.Start = s.start
 		b.fs.Fns[i] = &s.Function
 	}
 	return b
 }
 
-// start runs the slot's schedule, compiled on the function's first start —
-// most runs start one or a few of a set's functions, and a set built only for
-// its names none — and restarted from then on (persistent request semantics).
+// start runs the slot's function. A schedule is compiled on the function's
+// first start — most runs start one or a few of a set's functions, and a set
+// built only for its names none — and restarted from then on (persistent
+// request semantics).
 func (s *slot) start() Started {
+	if s.decl.run != nil {
+		return s.decl.run(s.b, s.decl.attrs)
+	}
 	if s.sched == nil {
 		if s.sched = s.decl.sched(s.b, s.decl.attrs); s.sched.Name != s.Name {
 			panic(fmt.Sprintf("adcl: function %q compiled to schedule %q", s.Name, s.sched.Name))
@@ -89,7 +99,7 @@ func algoDecl[A ~int](name string, algos []A, fnName func(A) string, sched func(
 	compile := func(b *binding, attrs []int) *nbc.Schedule { return sched(b, A(attrs[0])) }
 	for i, a := range algos {
 		vals[i] = int(a)
-		d.fns[i] = fnDecl{fnName(a), []int{int(a)}, compile}
+		d.fns[i] = fnDecl{name: fnName(a), attrs: []int{int(a)}, sched: compile}
 	}
 	d.attrs = &AttributeSet{Attrs: []Attribute{{Name: "algorithm", Values: vals}}}
 	return d
@@ -108,7 +118,7 @@ func ibcastDecl(name string, fanoutValues, fanouts []int) *setDecl {
 			sched = func(b *binding, a []int) *nbc.Schedule { return nbc.IbcastTorus(b.c, b.root, b.send, a[1]) }
 		}
 		for _, s := range segs {
-			d.fns = append(d.fns, fnDecl{nbc.IbcastName(f, s), []int{f, s}, sched})
+			d.fns = append(d.fns, fnDecl{name: nbc.IbcastName(f, s), attrs: []int{f, s}, sched: sched})
 		}
 	}
 	return d
@@ -118,12 +128,31 @@ func ibcastDecl(name string, fanoutValues, fanouts []int) *setDecl {
 // Ialltoall function set.
 const AlltoallBlocking = 3
 
+// Primitive attribute values of the ialltoall-prim set.
+const (
+	PrimitiveP2P = 0 // Isend/Irecv
+	PrimitivePut = 1 // one-sided Put
+)
+
+// Ibarrier algorithm attribute values.
+const (
+	BarrierDissemination = 0
+	BarrierTree          = 1
+)
+
 func iallgatherSched(b *binding, a nbc.AllgatherAlgo) *nbc.Schedule {
 	return nbc.Iallgather(b.c.Size(), b.c.Rank(), b.send, b.recv, a)
 }
 
-// The catalogues of the sets whose shape does not depend on the
-// communicator size.
+// iallreduceDecl declares an Iallreduce set over algos. Operations tuned
+// through core carry no reduction: a schedule combines sizes only.
+func iallreduceDecl(algos ...nbc.AllreduceAlgo) *setDecl {
+	return algoDecl("iallreduce", algos, func(a nbc.AllreduceAlgo) string { return "iallreduce-" + a.String() }, func(b *binding, a nbc.AllreduceAlgo) *nbc.Schedule {
+		return nbc.Iallreduce(b.c.Size(), b.c.Rank(), b.send, b.recv, nil, a)
+	})
+}
+
+// The built-in catalogues.
 var (
 	ibcastSet    = ibcastDecl("ibcast", []int{nbc.FanoutBinomial, 0, 1, 2, 3, 4, 5}, nbc.DefaultFanouts)
 	ialltoallSet = algoDecl("ialltoall", nbc.DefaultAlltoallAlgos, nbc.IalltoallName, func(b *binding, a nbc.AlltoallAlgo) *nbc.Schedule {
@@ -131,28 +160,59 @@ var (
 	})
 	ialltoallExtSet = &setDecl{name: "ialltoall-ext",
 		attrs: &AttributeSet{Attrs: []Attribute{{Name: "algorithm", Values: append(slices.Clip(ialltoallSet.attrs.Attrs[0].Values), AlltoallBlocking)}}},
-		fns:   append(slices.Clip(ialltoallSet.fns), fnDecl{name: "alltoall-blocking", attrs: []int{AlltoallBlocking}})}
+		fns: append(slices.Clip(ialltoallSet.fns), fnDecl{name: "alltoall-blocking", attrs: []int{AlltoallBlocking}, run: func(b *binding, _ []int) Started {
+			b.c.Alltoall(b.send, b.recv)
+			return nil
+		}})}
+	// ialltoallPrimSet is the two-dimensional Ialltoall set the paper
+	// proposes as an extension (§III-E): algorithm x data-transfer
+	// primitive. The put-based variants deposit blocks directly into a
+	// shared receive window; the dissemination algorithm has no put variant
+	// (its store-and-forward staging defeats one-sided deposits), so the
+	// attribute grid is intentionally incomplete — selection logics that
+	// require full grids fall back to brute force.
 	ialltoallPrimSet = func() *setDecl {
 		d := &setDecl{name: "ialltoall-prim", attrs: &AttributeSet{Attrs: []Attribute{
 			{Name: "algorithm", Values: []int{int(nbc.AlgoLinear), int(nbc.AlgoBruck), int(nbc.AlgoPairwise)}},
 			{Name: "primitive", Values: []int{PrimitiveP2P, PrimitivePut}},
 		}}}
 		for _, f := range ialltoallSet.fns {
-			d.fns = append(d.fns, fnDecl{f.name, []int{f.attrs[0], PrimitiveP2P}, f.sched})
+			d.fns = append(d.fns, fnDecl{name: f.name, attrs: []int{f.attrs[0], PrimitiveP2P}, sched: f.sched})
 		}
 		d.fns = append(d.fns,
-			fnDecl{nbc.IalltoallPutName(nbc.AlgoLinear), []int{int(nbc.AlgoLinear), PrimitivePut}, func(b *binding, _ []int) *nbc.Schedule {
+			fnDecl{name: nbc.IalltoallPutName(nbc.AlgoLinear), attrs: []int{int(nbc.AlgoLinear), PrimitivePut}, sched: func(b *binding, _ []int) *nbc.Schedule {
 				return nbc.IalltoallLinearPut(b.c.Size(), b.c.Rank(), b.send, b.recv, b.win)
 			}},
-			fnDecl{nbc.IalltoallPutName(nbc.AlgoPairwise), []int{int(nbc.AlgoPairwise), PrimitivePut}, func(b *binding, _ []int) *nbc.Schedule {
+			fnDecl{name: nbc.IalltoallPutName(nbc.AlgoPairwise), attrs: []int{int(nbc.AlgoPairwise), PrimitivePut}, sched: func(b *binding, _ []int) *nbc.Schedule {
 				return nbc.IalltoallPairwisePut(b.c.Size(), b.c.Rank(), b.send, b.recv, b.win)
 			}})
+		// The window is created with the set, not with the first put
+		// schedule: creation is collective, and ranks start different
+		// functions.
+		d.hook = func(b *binding) error {
+			b.win = nbc.IalltoallWindows(b.c, b.recv)
+			return nil
+		}
 		return d
 	}()
 	iallgatherSet = algoDecl("iallgather", []nbc.AllgatherAlgo{nbc.AllgatherRing, nbc.AllgatherLinear}, nbc.IallgatherName, iallgatherSched)
 	ireduceSet    = algoDecl("ireduce", []nbc.ReduceAlgo{nbc.ReduceBinomial, nbc.ReduceChain}, nbc.IreduceName, func(b *binding, a nbc.ReduceAlgo) *nbc.Schedule {
-		return nbc.Ireduce(b.c.Size(), b.c.Rank(), b.root, b.send, b.recv, b.op, a)
+		return nbc.Ireduce(b.c.Size(), b.c.Rank(), b.root, b.send, b.recv, nil, a)
 	})
+	// Off a power of two, recursive doubling compiles to reduce-bcast: the
+	// set there holds that one function.
+	iallreduceSet         = iallreduceDecl(nbc.AllreduceRecursiveDoubling, nbc.AllreduceReduceBcast)
+	iallreduceFallbackSet = iallreduceDecl(nbc.AllreduceReduceBcast)
+	// The scalable sets add the O(log n) and topology-aware algorithms
+	// (nbc/scale.go) that the paper's ≤128-process sets lack, so the same
+	// tuning machinery can select at 4K+ simulated ranks, where the winner
+	// flips away from the small-scale choice (EXPERIMENTS.md E15).
+	ibcastScalableSet     = ibcastDecl("ibcast-scalable", []int{0, nbc.FanoutBinomial, nbc.FanoutTorus}, []int{0, nbc.FanoutBinomial, nbc.FanoutTorus})
+	iallgatherScalableSet = algoDecl("iallgather-scalable", []nbc.AllgatherAlgo{nbc.AllgatherRing, nbc.AllgatherLinear, nbc.AllgatherBruck}, nbc.IallgatherName, iallgatherSched)
+	ibarrierSet           = &setDecl{name: "ibarrier", attrs: &AttributeSet{Attrs: []Attribute{{Name: "algorithm", Values: []int{BarrierDissemination, BarrierTree}}}}, fns: []fnDecl{
+		{name: nbc.IbarrierName, attrs: []int{BarrierDissemination}, sched: func(b *binding, _ []int) *nbc.Schedule { return nbc.Ibarrier(b.c.Size(), b.c.Rank()) }},
+		{name: nbc.IbarrierTreeName, attrs: []int{BarrierTree}, sched: func(b *binding, _ []int) *nbc.Schedule { return nbc.IbarrierTree(b.c.Size(), b.c.Rank()) }},
+	}}
 )
 
 // IbcastSet builds the paper's default Ibcast function set over buf
@@ -167,63 +227,10 @@ func IbcastSet(c *mpi.Comm, root int, buf mpi.Buf) *FunctionSet {
 // modified function set of §IV-B-f that lets ADCL decide at runtime whether
 // a code region benefits from a non-blocking operation at all.
 func IalltoallSet(c *mpi.Comm, send, recv mpi.Buf, includeBlocking bool) *FunctionSet {
-	if !includeBlocking {
-		return &bind(c, send, recv, 0, ialltoallSet).fs
+	d := ialltoallSet
+	if includeBlocking {
+		d = ialltoallExtSet
 	}
-	fs := &bind(c, send, recv, 0, ialltoallExtSet).fs
-	fs.Fns[len(fs.Fns)-1].Start = func() Started {
-		c.Alltoall(send, recv)
-		return nil
-	}
-	return fs
-}
-
-// Primitive attribute values for IalltoallPrimitivesSet.
-const (
-	PrimitiveP2P = 0 // Isend/Irecv
-	PrimitivePut = 1 // one-sided Put
-)
-
-// IalltoallPrimitivesSet builds the two-dimensional Ialltoall function set
-// the paper proposes as an extension (§III-E): algorithm x data-transfer
-// primitive. The put-based variants deposit blocks directly into a shared
-// receive window; the dissemination algorithm has no put variant (its
-// store-and-forward staging defeats one-sided deposits), so the attribute
-// grid is intentionally incomplete — selection logics that require full
-// grids fall back to brute force.
-func IalltoallPrimitivesSet(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet {
-	b := bind(c, send, recv, 0, ialltoallPrimSet)
-	// The window is created with the set, not with the first put schedule:
-	// creation is collective, and ranks start different functions.
-	b.win = nbc.IalltoallWindows(c, recv)
-	return &b.fs
-}
-
-// IallgatherSet builds a function set over the two Iallgather algorithms.
-func IallgatherSet(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet {
-	return &bind(c, send, recv, 0, iallgatherSet).fs
-}
-
-// IreduceSet builds a function set over the Ireduce algorithms.
-func IreduceSet(c *mpi.Comm, root int, send, recv mpi.Buf, op mpi.ReduceOp) *FunctionSet {
-	b := bind(c, send, recv, root, ireduceSet)
-	b.op = op
-	return &b.fs
-}
-
-// IallreduceSet builds a function set over the Iallreduce algorithms. Its
-// catalogue is built per call: the function names depend on the size.
-func IallreduceSet(c *mpi.Comm, send, recv mpi.Buf, op mpi.ReduceOp) *FunctionSet {
-	n := c.Size()
-	algos := []nbc.AllreduceAlgo{nbc.AllreduceRecursiveDoubling, nbc.AllreduceReduceBcast}
-	// On non-power-of-two communicators both algorithms compile to
-	// reduce-bcast; de-duplicate by name to keep the set valid.
-	if nbc.IallreduceName(n, algos[0]) == nbc.IallreduceName(n, algos[1]) {
-		algos = algos[1:]
-	}
-	d := algoDecl("iallreduce", algos, func(a nbc.AllreduceAlgo) string { return nbc.IallreduceName(n, a) }, func(b *binding, a nbc.AllreduceAlgo) *nbc.Schedule {
-		return nbc.Iallreduce(n, b.c.Rank(), b.send, b.recv, op, a)
-	})
 	return &bind(c, send, recv, 0, d).fs
 }
 

@@ -116,17 +116,19 @@ func (o *Op) CheckMocks(mocks []string) error {
 	return nil
 }
 
-// appendMocks extends fs with the named catalog mocks: each attribute's
-// value range gains the MockAttrValue sentinel and each mock joins with the
-// all-sentinel attribute vector. Mock names are sorted so the extended set's
-// function order is deterministic regardless of caller order. The attribute
-// set extended is a copy: a built-in set shares its catalogue's.
-func (o *Op) appendMocks(fs *FunctionSet, mocks []string, c *mpi.Comm, send, recv mpi.Buf, root int) error {
+// appendMocks extends b's set with the named catalog mocks, bound like b:
+// each attribute's value range gains the MockAttrValue sentinel and each mock
+// joins with the all-sentinel attribute vector. Mock names are sorted so the
+// extended set's function order is deterministic regardless of caller order.
+// The attribute set extended is a copy: a built-in set shares its
+// catalogue's.
+func (o *Op) appendMocks(b *binding, mocks []string) (*FunctionSet, error) {
+	fs := &b.fs
 	if len(mocks) == 0 {
-		return nil
+		return fs, nil
 	}
 	if err := o.CheckMocks(mocks); err != nil {
-		return err
+		return nil, err
 	}
 	sorted := append([]string(nil), mocks...)
 	sort.Strings(sorted)
@@ -143,10 +145,10 @@ func (o *Op) appendMocks(fs *FunctionSet, mocks []string, c *mpi.Comm, send, rec
 	d := &setDecl{name: fs.Name}
 	for _, name := range sorted {
 		def, _ := MockByName(name)
-		d.fns = append(d.fns, fnDecl{def.Name, sentinels, def.sched})
+		d.fns = append(d.fns, fnDecl{name: def.Name, attrs: sentinels, sched: def.sched})
 	}
-	fs.Fns = append(fs.Fns, bind(c, send, recv, root, d).fs.Fns...)
-	return nil
+	fs.Fns = append(fs.Fns, bind(b.c, b.send, b.recv, b.root, d).fs.Fns...)
+	return fs, nil
 }
 
 // MockSet wraps one catalog mock as a single-candidate, uncharacterized

@@ -94,151 +94,148 @@ func (w *typedWaitall) Wait() {
 	}
 }
 
+// neighborhoodSet declares the six implementations. A rank's binding holds
+// its halo, whose buffer contents are re-read at every execution (persistent
+// request semantics).
+var neighborhoodSet = &setDecl{
+	name: "neighborhood",
+	attrs: &AttributeSet{Attrs: []Attribute{
+		{Name: "order", Values: []int{OrderAllAtOnce, OrderPairwise}},
+		{Name: "primitive", Values: []int{PrimIsendIrecv, PrimSendrecv}},
+		{Name: "handling", Values: []int{HandlePack, HandleDDT}},
+	}},
+	fns: []fnDecl{
+		{name: "aao-isendirecv-pack", attrs: []int{OrderAllAtOnce, PrimIsendIrecv, HandlePack}, run: haloAllAtOnce},
+		{name: "aao-isendirecv-ddt", attrs: []int{OrderAllAtOnce, PrimIsendIrecv, HandleDDT}, run: haloAllAtOnce},
+		{name: "pairwise-isendirecv-pack", attrs: []int{OrderPairwise, PrimIsendIrecv, HandlePack}, run: haloPairwise},
+		{name: "pairwise-isendirecv-ddt", attrs: []int{OrderPairwise, PrimIsendIrecv, HandleDDT}, run: haloPairwise},
+		{name: "pairwise-sendrecv-pack", attrs: []int{OrderPairwise, PrimSendrecv, HandlePack}, run: haloPairwise},
+		{name: "pairwise-sendrecv-ddt", attrs: []int{OrderPairwise, PrimSendrecv, HandleDDT}, run: haloPairwise},
+	},
+}
+
+// neighborhoodGridSet is the op catalogue's neighborhood set: the same
+// functions over the square periodic process grid of its communicator, whose
+// local field has msg/8 columns of 8-byte cells (timing only).
+var neighborhoodGridSet = &setDecl{name: neighborhoodSet.name, attrs: neighborhoodSet.attrs, fns: neighborhoodSet.fns,
+	hook: func(b *binding) (err error) {
+		g, cols := gridSide(b.c.Size()), max(b.send.Len()/8, 4)
+		b.halo, err = Grid2D(b.c, g, g, cols, cols, 8, mpi.Buf{})
+		return err
+	}}
+
+// gridSide is the side of a square grid of n ranks, 0 if n is not square.
+func gridSide(n int) int {
+	g := 1
+	for (g+1)*(g+1) <= n {
+		g++
+	}
+	if g*g != n {
+		return 0
+	}
+	return g
+}
+
 // NeighborhoodSet builds the neighborhood-exchange function set on comm for
-// the given halo. The halo's buffer contents are re-read at every execution
-// (persistent request semantics).
+// the given halo.
 func NeighborhoodSet(c *mpi.Comm, halo *Halo) (*FunctionSet, error) {
 	if err := halo.Validate(); err != nil {
 		return nil, err
 	}
-	fs := &FunctionSet{
-		Name: "neighborhood",
-		AttrSet: &AttributeSet{Attrs: []Attribute{
-			{Name: "order", Values: []int{OrderAllAtOnce, OrderPairwise}},
-			{Name: "primitive", Values: []int{PrimIsendIrecv, PrimSendrecv}},
-			{Name: "handling", Values: []int{HandlePack, HandleDDT}},
-		}},
-	}
-	const tag = 1 << 20 // neighborhood traffic tag
+	b := bind(c, halo.Buf, halo.Buf, 0, neighborhoodSet)
+	b.halo = halo
+	return &b.fs, nil
+}
 
-	// Staging buffers per peer, allocated once (persistent).
-	mkStagings := func() (sends, recvs [][]byte) {
-		sends = make([][]byte, len(halo.Peers))
-		recvs = make([][]byte, len(halo.Peers))
-		for i := range halo.Peers {
-			if halo.Buf.HasData() {
-				sends[i] = make([]byte, halo.SendTypes[i].Size())
-				recvs[i] = make([]byte, halo.RecvTypes[i].Size())
-			}
-		}
-		return
-	}
+const haloTag = 1 << 20 // neighborhood traffic tag
 
-	// All-at-once, Isend/Irecv, for both data handlings.
-	for _, handling := range []int{HandlePack, HandleDDT} {
-		handling := handling
-		sends, recvs := mkStagings()
-		name := "aao-isendirecv-pack"
+// packed is the message of h's region dt: dt's bytes packed from h's buffer,
+// or dt's length alone.
+func (h *Halo) packed(dt mpi.Datatype) mpi.Buf {
+	if !h.Buf.HasData() {
+		return mpi.Virtual(dt.Size())
+	}
+	p := make([]byte, dt.Size())
+	dt.Pack(p, h.Buf.Data())
+	return mpi.Bytes(p)
+}
+
+// inbox is the buffer a message for h's region dt lands in; unpack moves it
+// into the region.
+func (h *Halo) inbox(dt mpi.Datatype) mpi.Buf {
+	if !h.Buf.HasData() {
+		return mpi.Virtual(dt.Size())
+	}
+	return mpi.Bytes(make([]byte, dt.Size()))
+}
+
+func (h *Halo) unpack(dt mpi.Datatype, m mpi.Buf) {
+	if h.Buf.HasData() {
+		dt.Unpack(h.Buf.Data(), m.Data())
+	}
+}
+
+// haloAllAtOnce posts every receive, then packs and posts every send, and
+// returns the waitall that unpacks.
+func haloAllAtOnce(b *binding, attrs []int) Started {
+	c, h, handling := b.c, b.halo, attrs[2]
+	w := &typedWaitall{c: c}
+	for i, peer := range h.Peers {
+		rt := h.RecvTypes[i]
 		if handling == HandleDDT {
-			name = "aao-isendirecv-ddt"
+			chargeDDT(c, rt)
 		}
-		fs.Fns = append(fs.Fns, &Function{
-			Name:  name,
-			Attrs: []int{OrderAllAtOnce, PrimIsendIrecv, handling},
-			Start: func() Started {
-				w := &typedWaitall{c: c}
-				for i, peer := range halo.Peers {
-					rt := halo.RecvTypes[i]
-					size := rt.Size()
-					if handling == HandleDDT {
-						chargeDDT(c, rt)
-					}
-					rbuf := mpi.Virtual(size)
-					if halo.Buf.HasData() {
-						rbuf = mpi.Bytes(recvs[i])
-					}
-					w.reqs = append(w.reqs, c.Irecv(peer, tag, rbuf))
-					i := i
-					w.unpacks = append(w.unpacks, func() {
-						if halo.Buf.HasData() {
-							halo.RecvTypes[i].Unpack(halo.Buf.Data(), recvs[i])
-						}
-						if handling == HandlePack {
-							c.RankState().ChargeCopy(halo.RecvTypes[i].Size())
-						}
-					})
-				}
-				for i, peer := range halo.Peers {
-					st := halo.SendTypes[i]
-					size := st.Size()
-					sbuf := mpi.Virtual(size)
-					if halo.Buf.HasData() {
-						st.Pack(sends[i], halo.Buf.Data())
-						sbuf = mpi.Bytes(sends[i])
-					}
-					if handling == HandlePack {
-						c.RankState().ChargeCopy(size)
-					} else {
-						chargeDDT(c, st)
-					}
-					w.reqs = append(w.reqs, c.Isend(peer, tag, sbuf))
-				}
-				return w
-			},
+		rbuf := h.inbox(rt)
+		w.reqs = append(w.reqs, c.Irecv(peer, haloTag, rbuf))
+		w.unpacks = append(w.unpacks, func() {
+			h.unpack(rt, rbuf)
+			if handling == HandlePack {
+				c.RankState().ChargeCopy(rt.Size())
+			}
 		})
 	}
-
-	// Pairwise orderings: with Isend/Irecv per pair, and with blocking
-	// Sendrecv (the latter returns nil: blocking implementations have no
-	// wait pointer, paper §III-E).
-	for _, prim := range []int{PrimIsendIrecv, PrimSendrecv} {
-		for _, handling := range []int{HandlePack, HandleDDT} {
-			prim, handling := prim, handling
-			sends, recvs := mkStagings()
-			name := "pairwise-"
-			if prim == PrimIsendIrecv {
-				name += "isendirecv-"
-			} else {
-				name += "sendrecv-"
-			}
-			if handling == HandlePack {
-				name += "pack"
-			} else {
-				name += "ddt"
-			}
-			fs.Fns = append(fs.Fns, &Function{
-				Name:  name,
-				Attrs: []int{OrderPairwise, prim, handling},
-				Start: func() Started {
-					// Shift-style: step i sends towards Peers[i] and
-					// receives from the opposite end of the dimension —
-					// deadlock-free on periodic grids of any size.
-					for i, peer := range halo.Peers {
-						opp := opposite(i)
-						from := halo.Peers[opp]
-						st, rt := halo.SendTypes[i], halo.RecvTypes[opp]
-						size := st.Size()
-						sbuf, rbuf := mpi.Virtual(size), mpi.Virtual(size)
-						if halo.Buf.HasData() {
-							st.Pack(sends[i], halo.Buf.Data())
-							sbuf, rbuf = mpi.Bytes(sends[i]), mpi.Bytes(recvs[opp])
-						}
-						if handling == HandlePack {
-							c.RankState().ChargeCopy(2 * size)
-						} else {
-							chargeDDT(c, st)
-							chargeDDT(c, rt)
-						}
-						if prim == PrimSendrecv {
-							c.Sendrecv(peer, tag, sbuf, from, tag, rbuf)
-						} else {
-							rq := c.Irecv(from, tag, rbuf)
-							sq := c.Isend(peer, tag, sbuf)
-							c.Wait(rq, sq)
-						}
-						if halo.Buf.HasData() {
-							rt.Unpack(halo.Buf.Data(), recvs[opp])
-						}
-					}
-					return nil // completed synchronously
-				},
-			})
+	for i, peer := range h.Peers {
+		st := h.SendTypes[i]
+		sbuf := h.packed(st)
+		if handling == HandlePack {
+			c.RankState().ChargeCopy(st.Size())
+		} else {
+			chargeDDT(c, st)
 		}
+		w.reqs = append(w.reqs, c.Isend(peer, haloTag, sbuf))
 	}
-	if err := fs.Validate(); err != nil {
-		return nil, err
+	return w
+}
+
+// haloPairwise exchanges one neighbor pair at a time, with Isend/Irecv or
+// with blocking Sendrecv, and returns nil: a pairwise exchange completes
+// synchronously, like a blocking implementation, which has no wait pointer
+// (paper §III-E).
+func haloPairwise(b *binding, attrs []int) Started {
+	c, h, prim, handling := b.c, b.halo, attrs[1], attrs[2]
+	// Shift-style: step i sends towards Peers[i] and receives from the
+	// opposite end of the dimension — deadlock-free on periodic grids of
+	// any size.
+	for i, peer := range h.Peers {
+		from := h.Peers[opposite(i)]
+		st, rt := h.SendTypes[i], h.RecvTypes[opposite(i)]
+		sbuf, rbuf := h.packed(st), h.inbox(rt)
+		if handling == HandlePack {
+			c.RankState().ChargeCopy(2 * st.Size())
+		} else {
+			chargeDDT(c, st)
+			chargeDDT(c, rt)
+		}
+		if prim == PrimSendrecv {
+			c.Sendrecv(peer, haloTag, sbuf, from, haloTag, rbuf)
+		} else {
+			rq := c.Irecv(from, haloTag, rbuf)
+			sq := c.Isend(peer, haloTag, sbuf)
+			c.Wait(rq, sq)
+		}
+		h.unpack(rt, rbuf)
 	}
-	return fs, nil
+	return nil
 }
 
 // chargeDDT accounts the derived-datatype descriptor overhead for one

@@ -10,7 +10,7 @@ import (
 
 // The op catalogue: every tunable operation the drivers know, defined once
 // as data — its name, how its buffers are sized from the communicator size
-// and the payload parameter, the constructor of its function set, the
+// and the payload parameter, the declaration of its function set, the
 // guideline mocks that may extend the set (mocks.go), and the data pattern a
 // correct run delivers. cmd/tune's -op, the micro-benchmark's MicroSpec.Op
 // and the guideline engine's expression leaves all resolve through OpByName,
@@ -60,10 +60,6 @@ type Op struct {
 	// buffer works in place: its set is built over the send buffer alone,
 	// which is also where the result is checked.
 	Send, Recv Blocks
-	// PerSize marks sets whose shape — which functions exist — depends on
-	// the communicator size, so a host-side copy must be built at the real
-	// rank count rather than on a small stand-in.
-	PerSize bool
 	// Pattern is nil for operations whose result depends on more than who
 	// sent what (reductions, halo exchanges); data verification is refused
 	// for those.
@@ -72,17 +68,14 @@ type Op struct {
 	// payload in, one tag offset per segment; 0 for unsegmented sets.
 	SegSize int
 
-	build func(c *mpi.Comm, send, recv mpi.Buf, root int) (*FunctionSet, error)
+	// decl declares the operation's set on n ranks, or says why there is
+	// none: most sets have one shape at every size.
+	decl func(n int) (*setDecl, error)
 }
 
-// set adapts an infallible two-buffer constructor to Op.build.
-func set(f func(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet) func(*mpi.Comm, mpi.Buf, mpi.Buf, int) (*FunctionSet, error) {
-	return func(c *mpi.Comm, send, recv mpi.Buf, _ int) (*FunctionSet, error) { return f(c, send, recv), nil }
-}
-
-// rooted adapts an in-place rooted constructor to Op.build.
-func rooted(f func(c *mpi.Comm, root int, buf mpi.Buf) *FunctionSet) func(*mpi.Comm, mpi.Buf, mpi.Buf, int) (*FunctionSet, error) {
-	return func(c *mpi.Comm, buf, _ mpi.Buf, root int) (*FunctionSet, error) { return f(c, root, buf), nil }
+// always declares d at every rank count.
+func always(d *setDecl) func(int) (*setDecl, error) {
+	return func(int) (*setDecl, error) { return d, nil }
 }
 
 var (
@@ -93,47 +86,28 @@ var (
 
 // ops is the catalogue, in the order help texts list it.
 var ops = []*Op{
-	{Name: "ialltoall", Send: BlockPerRank, Recv: BlockPerRank, Pattern: personalized,
-		build: set(func(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet { return IalltoallSet(c, send, recv, false) })},
-	{Name: "ialltoall-ext", Send: BlockPerRank, Recv: BlockPerRank, Pattern: personalized,
-		build: set(func(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet { return IalltoallSet(c, send, recv, true) })},
-	{Name: "ialltoall-prim", Send: BlockPerRank, Recv: BlockPerRank, Pattern: personalized,
-		build: set(IalltoallPrimitivesSet)},
-	{Name: "ibcast", Send: OneBlock, Pattern: fromRoot, SegSize: nbc.DefaultSegSizes[0], build: rooted(IbcastSet)},
-	{Name: "ibcast-scalable", Send: OneBlock, Pattern: fromRoot, SegSize: nbc.DefaultSegSizes[0], build: rooted(IbcastScalableSet)},
-	{Name: "iallgather", Send: OneBlock, Recv: BlockPerRank, Pattern: gathered, build: set(IallgatherSet)},
-	{Name: "iallgather-scalable", Send: OneBlock, Recv: BlockPerRank, Pattern: gathered, build: set(IallgatherScalableSet)},
-	{Name: "ireduce", Send: OneBlock, Recv: OneBlock,
-		build: func(c *mpi.Comm, send, recv mpi.Buf, root int) (*FunctionSet, error) {
-			return IreduceSet(c, root, send, recv, nil), nil
-		}},
-	{Name: "iallreduce", Send: OneBlock, Recv: OneBlock, PerSize: true,
-		build: set(func(c *mpi.Comm, send, recv mpi.Buf) *FunctionSet { return IallreduceSet(c, send, recv, nil) })},
+	{Name: "ialltoall", Send: BlockPerRank, Recv: BlockPerRank, Pattern: personalized, decl: always(ialltoallSet)},
+	{Name: "ialltoall-ext", Send: BlockPerRank, Recv: BlockPerRank, Pattern: personalized, decl: always(ialltoallExtSet)},
+	{Name: "ialltoall-prim", Send: BlockPerRank, Recv: BlockPerRank, Pattern: personalized, decl: always(ialltoallPrimSet)},
+	{Name: "ibcast", Send: OneBlock, Pattern: fromRoot, SegSize: nbc.DefaultSegSizes[0], decl: always(ibcastSet)},
+	{Name: "ibcast-scalable", Send: OneBlock, Pattern: fromRoot, SegSize: nbc.DefaultSegSizes[0], decl: always(ibcastScalableSet)},
+	{Name: "iallgather", Send: OneBlock, Recv: BlockPerRank, Pattern: gathered, decl: always(iallgatherSet)},
+	{Name: "iallgather-scalable", Send: OneBlock, Recv: BlockPerRank, Pattern: gathered, decl: always(iallgatherScalableSet)},
+	{Name: "ireduce", Send: OneBlock, Recv: OneBlock, decl: always(ireduceSet)},
+	{Name: "iallreduce", Send: OneBlock, Recv: OneBlock, decl: func(n int) (*setDecl, error) {
+		if nbc.IallreduceName(n, nbc.AllreduceRecursiveDoubling) == nbc.IallreduceName(n, nbc.AllreduceReduceBcast) {
+			return iallreduceFallbackSet, nil
+		}
+		return iallreduceSet, nil
+	}},
 	// A barrier moves no payload: the empty pattern holds trivially.
-	{Name: "ibarrier", Pattern: gathered,
-		build: set(func(c *mpi.Comm, _, _ mpi.Buf) *FunctionSet { return IbarrierSet(c) })},
-	{Name: "neighborhood", Send: OneBlock, PerSize: true, build: neighborhoodGrid},
-}
-
-// neighborhoodGrid builds the halo-exchange set on a square periodic process
-// grid whose local field has msg/8 columns of 8-byte cells (timing only).
-func neighborhoodGrid(c *mpi.Comm, row, _ mpi.Buf, _ int) (*FunctionSet, error) {
-	g := 1
-	for (g+1)*(g+1) <= c.Size() {
-		g++
-	}
-	if g*g != c.Size() {
-		return nil, fmt.Errorf("neighborhood needs a square rank count, have %d", c.Size())
-	}
-	cols := row.Len() / 8
-	if cols < 4 {
-		cols = 4
-	}
-	halo, err := Grid2D(c, g, g, cols, cols, 8, mpi.Buf{})
-	if err != nil {
-		return nil, err
-	}
-	return NeighborhoodSet(c, halo)
+	{Name: "ibarrier", Pattern: gathered, decl: always(ibarrierSet)},
+	{Name: "neighborhood", Send: OneBlock, decl: func(n int) (*setDecl, error) {
+		if gridSide(n) == 0 {
+			return nil, fmt.Errorf("neighborhood needs a square rank count, have %d", n)
+		}
+		return neighborhoodGridSet, nil
+	}},
 }
 
 // OpNames lists the catalogue in definition order.
@@ -155,10 +129,14 @@ func OpByName(name string) (*Op, error) {
 	return nil, fmt.Errorf("unknown operation %q (have %s)", name, strings.Join(OpNames(), ", "))
 }
 
-// CheckSize refuses a payload parameter the operation cannot run at on n
-// ranks: more segments than a schedule has tags, or a buffer larger than a
-// schedule addresses (nbc.MaxPayload, just under 2 GiB).
+// CheckSize refuses a rank count the operation declares no set for, and a
+// payload parameter it cannot run at on n ranks: more segments than a
+// schedule has tags, or a buffer larger than a schedule addresses
+// (nbc.MaxPayload, just under 2 GiB).
 func (o *Op) CheckSize(n, msg int) error {
+	if _, err := o.decl(n); err != nil {
+		return err
+	}
 	if o.SegSize > 0 {
 		if err := nbc.CheckSegments(msg, o.SegSize); err != nil {
 			return err
@@ -190,18 +168,21 @@ func (o *Op) Buffers(n, msg int, alloc func(int) mpi.Buf) (send, recv mpi.Buf) {
 	return send, alloc(o.Recv.bytes(n, msg))
 }
 
-// Build compiles the operation's function set on c over buffers obtained
-// from Buffers, extended with the named guideline mocks (none: exactly the
+// Build binds the operation's function set on c over buffers obtained from
+// Buffers, extended with the named guideline mocks (none: exactly the
 // built-in set).
 func (o *Op) Build(c *mpi.Comm, send, recv mpi.Buf, root int, mocks []string) (*FunctionSet, error) {
-	fs, err := o.build(c, send, recv, root)
-	if err == nil {
-		err = o.appendMocks(fs, mocks, c, send, recv, root)
-	}
+	d, err := o.decl(c.Size())
 	if err != nil {
 		return nil, err
 	}
-	return fs, nil
+	b := bind(c, send, recv, root, d)
+	if d.hook != nil {
+		if err := d.hook(b); err != nil {
+			return nil, err
+		}
+	}
+	return o.appendMocks(b, mocks)
 }
 
 // Set is CheckSize + Buffers + Build with length-only payloads rooted at rank
@@ -212,6 +193,17 @@ func (o *Op) Set(c *mpi.Comm, msg int, mocks []string) (*FunctionSet, error) {
 	}
 	send, recv := o.Buffers(c.Size(), msg, mpi.Virtual)
 	return o.Build(c, send, recv, 0, mocks)
+}
+
+// Shape is the set Set builds on n ranks at payload parameter msg, taken
+// from its declaration alone: the names and attributes a host lists, tunes
+// over and replays, with functions that must never start.
+func (o *Op) Shape(n, msg int, mocks []string) (*FunctionSet, error) {
+	if err := o.CheckSize(n, msg); err != nil {
+		return nil, err
+	}
+	d, _ := o.decl(n)
+	return o.appendMocks(bind(nil, mpi.Buf{}, mpi.Buf{}, 0, d), mocks)
 }
 
 // Fill stamps rank me's send buffer with the operation's pattern.

@@ -146,11 +146,13 @@ func checkShape(t *testing.T, fs *FunctionSet, name string, np int, mocks []stri
 // TestOpCatalogue: every op of the catalogue, extended with every mock it
 // has, builds a valid function set on every rank of small communicators,
 // under the names the drivers have always printed and the attribute shape
-// opShapes pins, and one run of every function completes. A set declares its
-// functions' names before any schedule exists (bind), and a function whose
-// schedule compiles to another name panics on its first Start: starting
-// every function is what holds nbc's name helpers — the allreduce fallback
-// among them — to its constructors.
+// opShapes pins, and one run of every function completes. The host shape
+// (Op.Shape) of every op, size and mock list has the same names and
+// attributes, with no world. A set declares its functions' names before any
+// schedule exists (bind), and a function whose schedule compiles to another
+// name panics on its first Start: starting every function is what holds
+// nbc's name helpers — the allreduce fallback among them — to its
+// constructors.
 func TestOpCatalogue(t *testing.T) {
 	if got := OpNames(); len(got) != len(opFunctions) || len(got) != len(opShapes) {
 		t.Fatalf("catalogue lists %v, the test pins %d and %d ops", got, len(opFunctions), len(opShapes))
@@ -161,11 +163,17 @@ func TestOpCatalogue(t *testing.T) {
 		if name == "neighborhood" {
 			sizes = []int{9, 16} // square process grids only
 		}
-		if op.PerSize != (name == "iallreduce" || name == "neighborhood") {
-			t.Errorf("%s: PerSize = %v", name, op.PerSize)
-		}
 		mocks := opMocks(name)
 		for _, np := range sizes {
+			host, err := op.Shape(np, 4096, mocks)
+			if err == nil {
+				err = host.Validate()
+			}
+			if err != nil {
+				t.Errorf("%s host shape on %d ranks: %v", name, np, err)
+			} else {
+				checkShape(t, host, name, np, mocks)
+			}
 			onEveryRank(t, np, func(c *mpi.Comm) {
 				fs, err := op.Set(c, 4096, mocks)
 				if err == nil {
@@ -194,8 +202,10 @@ func TestOpCatalogue(t *testing.T) {
 // guideline mocks, or the all-to-all set with its blocking member — must
 // extend a copy. Plain sets built afterwards on another rank, and meanwhile
 // on another goroutine (a second world, as runner workers run them), still
-// hold the literal tables; under -race a write into the shared tables also
-// shows as a race with that goroutine's reads.
+// hold the literal tables, and so do the host shapes, every op with its
+// mocks, that a third goroutine builds from the same declarations; under
+// -race a write into the shared tables also shows as a race with those
+// goroutines' reads.
 func TestSetCatalogueUnchanged(t *testing.T) {
 	const np = 2
 	plain := func(c *mpi.Comm) {
@@ -214,10 +224,26 @@ func TestSetCatalogueUnchanged(t *testing.T) {
 	}
 	other.Start(plain)
 	var wg sync.WaitGroup
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		other.Run()
+	}()
+	go func() {
+		defer wg.Done()
+		for _, op := range ops {
+			hostNP := 4
+			if op.Name == "neighborhood" {
+				hostNP = 9
+			}
+			mocks := opMocks(op.Name)
+			fs, err := op.Shape(hostNP, 4096, mocks)
+			if err != nil {
+				t.Errorf("%s host shape: %v", op.Name, err)
+				continue
+			}
+			checkShape(t, fs, op.Name, hostNP, mocks)
+		}
 	}()
 	onEveryRank(t, np, func(c *mpi.Comm) {
 		if c.Rank() != 0 {

@@ -147,10 +147,10 @@ var traceLandscapes = []struct {
 func traceOne(t *testing.T, label string, fs *FunctionSet, selName string, evals int, cost landscape) searchTrace {
 	t.Helper()
 	tr := searchTrace{Case: label}
-	if r, err := speculativeRounds(selName, fs, evals); err != nil {
+	if s, err := speculable(selName, fs, evals); err != nil {
 		tr.Rounds = err.Error()
 	} else {
-		tr.Rounds = strconv.Itoa(r)
+		tr.Rounds = strconv.Itoa(s.rounds())
 	}
 	sel, err := SelectorByName(selName, fs, evals)
 	if err != nil {

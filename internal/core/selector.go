@@ -241,6 +241,8 @@ func (s *Search) Evals() int  { return s.screen.n + s.final.n }
 
 // rounds is the most measurements the search can ask of one candidate: its
 // evaluations per stage times the stages that can reach the same candidate.
+// Every speculative fork runs exactly this many rounds, so the replay can
+// never starve; surplus measurements are simply never consumed.
 func (s *Search) rounds() int {
 	if s.plan == nil {
 		return s.evals

@@ -62,19 +62,6 @@ func speculable(inner string, fs *FunctionSet, evalsPerFn int) (*Search, error) 
 	return s, nil
 }
 
-// speculativeRounds returns the per-candidate measurement budget the named
-// inner selector can demand of any single candidate in the worst case: its
-// evaluations per stage times the stages that can reach one candidate. Every
-// fork runs exactly this many rounds, so the replay can never starve; surplus
-// measurements are simply never consumed.
-func speculativeRounds(inner string, fs *FunctionSet, evalsPerFn int) (int, error) {
-	s, err := speculable(inner, fs, evalsPerFn)
-	if err != nil {
-		return 0, err
-	}
-	return s.rounds(), nil
-}
-
 // Speculation is the decided result of a speculative evaluation: the winner
 // (the application's iterations all run post-decision) and the audit of how
 // the decision was reached — fork and join events bracketing the inner

@@ -54,10 +54,11 @@ func TestSpeculativeMatchesSequential(t *testing.T) {
 
 		// Sequential reference: the same inner selector fed the same streams
 		// front to back, exactly as it would measure in-line.
-		rounds, err := speculativeRounds(inner, fs, evals)
+		s, err := speculable(inner, fs, evals)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rounds := s.rounds()
 		streams := make([][]float64, len(fs.Fns))
 		for fn := range streams {
 			streams[fn], _ = run(fn, rounds)
@@ -114,12 +115,12 @@ func TestSpeculativeRoundsBudgets(t *testing.T) {
 		{"factorial-2k", 10},      // corner screen + survivor brute force
 	}
 	for _, c := range cases {
-		got, err := speculativeRounds(c.inner, fs, 5)
+		s, err := speculable(c.inner, fs, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", c.inner, err)
 		}
-		if got != c.want {
-			t.Fatalf("speculativeRounds(%s) = %d, want %d", c.inner, got, c.want)
+		if got := s.rounds(); got != c.want {
+			t.Fatalf("speculable(%s).rounds() = %d, want %d", c.inner, got, c.want)
 		}
 	}
 }
@@ -131,8 +132,8 @@ func TestSpeculativeRejectsAdaptive(t *testing.T) {
 	if _, err := Speculate("adaptive", fs, 3, 2, stubStream(separableCosts(fs))); err == nil {
 		t.Fatal("speculative evaluation accepted an adaptive inner selector")
 	}
-	if _, err := speculativeRounds("adaptive", fs, 3); err == nil {
-		t.Fatal("speculativeRounds accepted an adaptive inner selector")
+	if _, err := speculable("adaptive", fs, 3); err == nil {
+		t.Fatal("speculable accepted an adaptive inner selector")
 	}
 }
 

@@ -176,3 +176,25 @@ func TestComplexRowRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// DFT1D is the O(n^2) reference transform FFT1D is validated against.
+func DFT1D(x []complex128, inverse bool) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for k := 0; k < n; k++ {
+		var s complex128
+		for j := 0; j < n; j++ {
+			ang := sign * 2 * math.Pi * float64(k) * float64(j) / float64(n)
+			s += x[j] * cmplx.Exp(complex(0, ang))
+		}
+		if inverse {
+			s /= complex(float64(n), 0)
+		}
+		out[k] = s
+	}
+	return out
+}

@@ -94,15 +94,6 @@ func (c *Comm) FreeRequests(reqs ...*Request) { c.r.FreeRequests(reqs...) }
 // the pool; already-freed handles are skipped.
 func (c *Comm) FreeHandles(hs []ReqHandle) { c.r.FreeHandles(hs) }
 
-// WaitFor blocks inside MPI until pred holds, processing protocol notices as
-// they arrive. Non-request completion conditions (put counters, window
-// states) wait through this.
-func (c *Comm) WaitFor(pred func() bool) {
-	c.ArmFor(pred)
-	c.r.waitUntil()
-	c.r.waitPred = nil
-}
-
 // Stepper is a WaitSteps hook.
 type Stepper interface {
 	Step() bool
@@ -129,7 +120,7 @@ func (c *Comm) ArmHandles(hs []ReqHandle) {
 }
 
 // ArmFor, inside a WaitSteps hook, makes pred the next wait set, charging
-// what WaitFor charges on entry: one progress pass.
+// what entering a wait charges: one progress pass.
 func (c *Comm) ArmFor(pred func() bool) {
 	c.r.charge(c.r.net().Params().OProgress)
 	c.r.waitHs, c.r.waitPred, c.r.waitSeen = nil, pred, 0

@@ -683,3 +683,20 @@ func TestOversizedBuffersRefused(t *testing.T) {
 		}
 	})
 }
+
+// WaitFor blocks inside MPI until pred holds, processing protocol notices as
+// they arrive. The tests wait for non-request completion conditions
+// (put counters, window states) through this.
+func (c *Comm) WaitFor(pred func() bool) {
+	c.ArmFor(pred)
+	c.r.waitUntil()
+	c.r.waitPred = nil
+}
+
+// SrcActual returns the rank a completed receive's message came from, the
+// actual source of a receive posted with AnySource.
+func (req *Request) SrcActual() int { return int(req.peer) }
+
+// TagActual returns the tag of a completed receive's message, the actual tag
+// of a receive posted with AnyTag.
+func (req *Request) TagActual() int { return req.tag }

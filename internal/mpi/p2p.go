@@ -24,9 +24,9 @@ const (
 // collector nothing to trace.
 //
 // A receive's peer and tag are the filter it was posted with until it
-// completes, and the source and tag of the message it matched from then on
-// (SrcActual, TagActual): the matcher, done with the receive by then, is the
-// one reader of the filter, so the record needs no second pair of fields.
+// completes, and the source and tag of the message it matched from then on:
+// the matcher, done with the receive by then, is the one reader of the
+// filter, so the record needs no second pair of fields.
 type Request struct {
 	rank int32   // the owner's world rank
 	peer int32   // destination (send); source filter, at completion the actual source (recv)
@@ -47,14 +47,6 @@ type Request struct {
 	done  bool // beside gen and freed, where it costs no padding
 	pseq  uint64
 }
-
-// SrcActual returns the rank a completed receive's message came from, the
-// actual source of a receive posted with AnySource.
-func (req *Request) SrcActual() int { return int(req.peer) }
-
-// TagActual returns the tag of a completed receive's message, the actual tag
-// of a receive posted with AnyTag.
-func (req *Request) TagActual() int { return req.tag }
 
 // Handle returns a generation-checked reference to the request, valid across
 // a FreeRequests/FreeHandles of the underlying record: once freed (which

@@ -148,8 +148,6 @@ func (pp *ProcPanic) Error() string {
 	return fmt.Sprintf("sim: panic in process %q: %v", pp.Proc, pp.Value)
 }
 
-func (pp *ProcPanic) String() string { return pp.Error() }
-
 // Unwrap exposes the original panic value when it was an error.
 func (pp *ProcPanic) Unwrap() error {
 	if err, ok := pp.Value.(error); ok {
