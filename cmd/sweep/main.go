@@ -14,6 +14,10 @@
 //     (internal/guideline); every violated guideline's mock is adopted into
 //     a fresh tuning round, and -history files the mocks the selector chose.
 //
+// -chaos and -chaos-seed set the machine of every scenario of every suite,
+// the guideline grids included (clean without it); a flag no suite of the run
+// acts on is refused. Speculation is a selector name, speculative+<inner>.
+//
 // Scenarios execute on the experiment runner (internal/runner): -jobs
 // parallelizes across a worker pool, -cache DIR persists every completed
 // scenario in a content-addressed store so re-runs of the same build are
@@ -65,7 +69,6 @@ func main() {
 		chaosStr = flag.String("chaos", "off", "fault/noise injection profile: off, "+strings.Join(profiles.Names(), ", "))
 		chaosSd  = flag.Int64("chaos-seed", 1, "seed for the chaos injector's deterministic streams")
 		histPath = flag.String("history", "", "file every scenario's tuned winner (guidelines: every adopted mock) in this history file, the one tune -history reads")
-		specOn   = flag.Bool("speculate", false, "run the suite's selectors as speculative+<selector>: every candidate measured on its own copy of the world")
 	)
 	flag.Parse()
 	if err := runner.CheckWorkers("jobs", *jobs); err != nil {
@@ -84,9 +87,9 @@ func main() {
 	}
 
 	// A flag is refused, not ignored, when no suite of the run acts on it.
-	// Speculation acts on the suite's selectors, the history file on their
-	// winners and on the guideline audit's adopted mocks, -trace on the runs
-	// of a per-implementation or per-flavor matrix.
+	// The history file acts on the selectors' winners and on the guideline
+	// audit's adopted mocks, -trace on the runs of a per-implementation or
+	// per-flavor matrix.
 	var selects, traces, audits bool
 	for _, s := range suites {
 		selects = selects || len(s.Selectors) > 0
@@ -98,33 +101,17 @@ func main() {
 		for _, f := range []struct {
 			name string
 			set  bool
-		}{{"observe", *observe}, {"data", *data}, {"speculate", *specOn}} {
+		}{{"observe", *observe}, {"data", *data}} {
 			if f.set {
 				fail(fmt.Errorf("-%s: guidelines measures unobserved virtual leaves", f.name))
 			}
 		}
-		if !*fast && chaosName != "" {
-			fail(fmt.Errorf("-chaos: the full guidelines grid runs its own clean and congested machines (-fast takes a profile)"))
-		}
-	}
-	const noSelector = "-%s: %s runs no selection logic (%s do)"
-	if *specOn && !selects {
-		fail(fmt.Errorf(noSelector, "speculate", *suite, "verification, scale and fig2"))
 	}
 	if *histPath != "" && !selects && !audits {
-		fail(fmt.Errorf(noSelector, "history", *suite, "verification, scale, fig2 and guidelines"))
+		fail(fmt.Errorf("-history: %s runs no selection logic (verification, scale, fig2 and guidelines do)", *suite))
 	}
 	if *traceDir != "" && !traces {
 		fail(fmt.Errorf("-trace: %s exports no trace (fig3..fig7 and fig9..fig12 do)", *suite))
-	}
-	if *specOn {
-		// Speculation is a selector name: each selector a suite runs becomes
-		// speculative+<selector>.
-		for i := range suites {
-			for j, sel := range suites[i].Selectors {
-				suites[i].Selectors[j] = "speculative+" + sel
-			}
-		}
 	}
 	// Opened before anything runs, so a corrupt or old-format file is refused
 	// up front, not after the sweep.
@@ -173,13 +160,9 @@ func main() {
 				f.Chaos, f.ChaosSeed = chaosName, *chaosSd
 			}
 		}
-		// Every guideline scenario takes -chaos-seed; -chaos reaches only the
-		// fast grid, the full one refusing it above.
 		for j := range s.Guidelines {
-			g := &s.Guidelines[j]
-			g.ChaosSeed = *chaosSd
 			if chaosName != "" {
-				g.Chaos = chaosName
+				s.Guidelines[j].Chaos, s.Guidelines[j].ChaosSeed = chaosName, *chaosSd
 			}
 		}
 		o, err := s.Run(opt, trace)

@@ -194,27 +194,22 @@ func sweep(t *testing.T, dir, args string) (code int, stdout, stderr string) {
 
 // TestRefusals: a flag the run cannot honour is refused with one error line
 // and exit status 1, before any simulation: a negative worker count (0 is
-// GOMAXPROCS; -1 used to be too), -speculate or -history on a suite that
-// runs no selector (the first used to be ignored, the second to run the
-// whole suite before saying it had nothing to share), -trace on a suite that
-// exports no trace (it used to leave an empty directory), a flag the
-// guideline audit's unobserved leaves cannot take, -chaos on the
-// full guideline grid, which has its own clean and congested axis, and a
-// -cache directory that is the next flag (what the old boolean -cache parses
-// to). The unknown suite makes a missing worker-count refusal fail fast on
-// the wrong message.
+// GOMAXPROCS; -1 used to be too), -history on a suite that runs no selector
+// (it used to run the whole suite before saying it had nothing to share),
+// -trace on a suite that exports no trace (it used to leave an empty
+// directory), a flag the guideline audit's unobserved leaves cannot take,
+// and a -cache directory that is the next flag (what the old boolean -cache
+// parses to). The unknown suite makes a missing worker-count refusal fail
+// fast on the wrong message.
 func TestRefusals(t *testing.T) {
 	for args, want := range map[string]string{
 		"-jobs -1 -suite nonesuch":                  "worker count",
-		"-speculate -suite fft":                     "runs no selection logic",
 		"-history h.json -suite fft":                "-history: fft runs no selection logic",
 		"-history missing/h.json -suite fig2 -fast": "no such file or directory",
 		"-suite fig2 -cache -fast":                  "looks like a flag",
 		"-trace t -suite verification -fast":        "-trace: verification exports no trace",
 		"-observe -suite guidelines -fast":          "-observe: guidelines measures unobserved",
 		"-data -suite guidelines -fast":             "-data: guidelines measures unobserved",
-		"-speculate -suite guidelines -fast":        "-speculate: guidelines measures unobserved",
-		"-chaos congested -suite guidelines":        "-chaos: the full guidelines grid",
 	} {
 		if code, _, stderr := sweep(t, t.TempDir(), args); code != 1 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, want) {
 			t.Errorf("sweep %s: exit status %d, stderr %q; want exit status 1 and one line containing %q", args, code, stderr, want)
@@ -225,15 +220,54 @@ func TestRefusals(t *testing.T) {
 // TestCachedirGone: the store directory is the value of -cache; the separate
 // -cachedir flag is gone and is refused as unknown.
 func TestCachedirGone(t *testing.T) {
-	if code, _, stderr := sweep(t, t.TempDir(), "-suite fig2 -fast -cachedir d"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -cachedir") {
-		t.Errorf("sweep -cachedir: exit status %d, stderr %q; want exit status 2 and an unknown-flag error", code, stderr)
-	}
+	unknownFlag(t, "cachedir", "-suite fig2 -fast -cachedir d")
 }
 
 // TestShardsGone: every command runs on the one sequential engine, so the
 // -shards flag that switched to the sharded one is refused as unknown.
 func TestShardsGone(t *testing.T) {
-	if code, _, stderr := sweep(t, t.TempDir(), "-suite fig2 -fast -shards 2"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -shards") {
-		t.Errorf("sweep -shards: exit status %d, stderr %q; want exit status 2 and an unknown-flag error", code, stderr)
+	unknownFlag(t, "shards", "-suite fig2 -fast -shards 2")
+}
+
+// TestSpeculateGone: speculation is a selector name (speculative+<inner>,
+// tune -selector), so the -speculate flag that prefixed a suite's selectors
+// is refused as unknown.
+func TestSpeculateGone(t *testing.T) {
+	unknownFlag(t, "speculate", "-suite fig2 -fast -speculate")
+}
+
+// unknownFlag checks that sweep args exits with status 2 on the unknown flag
+// name, as the flag package refuses one.
+func unknownFlag(t *testing.T, name, args string) {
+	t.Helper()
+	if code, _, stderr := sweep(t, t.TempDir(), args); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -"+name) {
+		t.Errorf("sweep %s: exit status %d, stderr %q; want exit status 2 and an unknown-flag error", args, code, stderr)
+	}
+}
+
+// TestGuidelineChaos: -chaos and -chaos-seed reach every guideline scenario
+// through the override every suite shares, the smoke grid here as the full
+// one: every finding is judged on the named machine and seed. Without -chaos
+// the scenarios stay clean under the catalogue's seed, whatever -chaos-seed
+// says (it used to rewrite a clean scenario's seed).
+func TestGuidelineChaos(t *testing.T) {
+	for args, want := range map[string]guideline.Scenario{
+		"-chaos congested -chaos-seed 7": {Chaos: "congested", ChaosSeed: 7},
+		"-chaos-seed 7":                  {ChaosSeed: 1},
+	} {
+		dir := t.TempDir()
+		if code, _, stderr := sweep(t, dir, "-suite guidelines -fast -quiet -out r.json "+args); code != 0 {
+			t.Fatalf("sweep -suite guidelines -fast %s: exit status %d\n%s", args, code, stderr)
+		}
+		var rep guideline.Report
+		readJSON(t, filepath.Join(dir, "r.json"), &rep)
+		if len(rep.Findings) == 0 {
+			t.Fatalf("%s: r.json has no findings", args)
+		}
+		for _, f := range rep.Findings {
+			if f.Scenario.Chaos != want.Chaos || f.Scenario.ChaosSeed != want.ChaosSeed {
+				t.Errorf("%s: finding %s on %s has chaos %q seed %d, want %q seed %d", args, f.Guideline, f.Scenario, f.Scenario.Chaos, f.Scenario.ChaosSeed, want.Chaos, want.ChaosSeed)
+			}
+		}
 	}
 }

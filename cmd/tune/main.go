@@ -21,7 +21,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -275,12 +274,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			out.CandidateTime = specRes.CandidateTime
 			out.EvalRounds = specRes.EvalRounds
 		}
-		err := runner.WriteFileAtomic(*metrOut, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(out)
-		})
-		if err != nil {
+		if err := runner.WriteJSON(*metrOut, out); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "\nmetrics + selection audit written to %s\n", *metrOut)

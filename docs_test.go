@@ -52,9 +52,10 @@ var quotedCounts = []struct {
 
 // TestDocsCiteWhatExists checks the facts the docs quote against the
 // repository, reading files only: every test a doc names is declared, every
-// DESIGN.md section a doc or a Go comment cites exists, and every count in
-// quotedCounts, and every scenario count any doc quotes, is one the code
-// builds.
+// DESIGN.md section a doc or a Go comment cites exists, every flag a doc
+// spells on a sweep or tune command line is one that command declares, and
+// every count in quotedCounts, and every scenario count any doc quotes, is
+// one the code builds.
 func TestDocsCiteWhatExists(t *testing.T) {
 	read := func(file string) string {
 		b, err := os.ReadFile(file)
@@ -115,6 +116,26 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		checkCitations(f, fold(comment.ReplaceAllString(read(f), " ")))
 	}
 
+	// Command lines: `sweep -suite fig2 -fast` is the command word, then
+	// flags, each with at most one value; the line ends at the first word
+	// that neither is a flag nor follows one. -h prints the usage of both;
+	// `go test ./cmd/tune -run X` passes its flags to go test.
+	declaredFlags := commandFlags(t)
+	commandLine := regexp.MustCompile(`(go test \S*)?\b(sweep|tune)((?: -[a-zA-Z][\w-]*(?: [^\s-]\S*)?)+)`)
+	flagName := regexp.MustCompile(` -([a-zA-Z][\w-]*)`)
+	for _, f := range names[:len(citingDocs)] {
+		for _, m := range commandLine.FindAllStringSubmatch(docs[f], -1) {
+			if m[1] != "" {
+				continue
+			}
+			for _, fl := range flagName.FindAllStringSubmatch(m[3], -1) {
+				if fl[1] != "h" && !slices.Contains(declaredFlags[m[2]], fl[1]) {
+					t.Errorf("%s spells %q, but %s declares no -%s", f, m[0], m[2], fl[1])
+				}
+			}
+		}
+	}
+
 	// Quoted counts.
 	for _, row := range quotedCounts {
 		if want := fmt.Sprintf(row.phrase, row.value(t)); !strings.Contains(docs[row.file], want) {
@@ -153,23 +174,35 @@ func scenarios(name string, fast bool) func(t *testing.T) string {
 	}
 }
 
-// flags counts the command-line flags the binaries declare, with the
-// pattern `make stat` counts them by.
+// flags counts the command-line flags the binaries declare.
 func flags(t *testing.T) string {
+	n := 0
+	for _, names := range commandFlags(t) {
+		n += len(names)
+	}
+	return strconv.Itoa(n)
+}
+
+// commandFlags maps each binary, cmd/<name>, to the names of the flags its
+// main.go declares, found by the pattern `make stat` counts them by.
+func commandFlags(t *testing.T) map[string][]string {
 	mains, err := filepath.Glob("cmd/*/main.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	flag := regexp.MustCompile(`fl(ag)?\.(Bool|Int|Int64|Uint|String|Float64|Duration|Var)\(`)
-	n := 0
+	flag := regexp.MustCompile(`fl(?:ag)?\.(?:Bool|Int|Int64|Uint|String|Float64|Duration|Var)\((?:[^"()]*, )?"([^"]+)"`)
+	declared := map[string][]string{}
 	for _, f := range mains {
 		b, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n += len(flag.FindAll(b, -1))
+		cmd := filepath.Base(filepath.Dir(f))
+		for _, m := range flag.FindAllSubmatch(b, -1) {
+			declared[cmd] = append(declared[cmd], string(m[1]))
+		}
 	}
-	return strconv.Itoa(n)
+	return declared
 }
 
 // declaredTests returns the name of every test, fuzz target and benchmark

@@ -482,13 +482,13 @@ func fig12(fast bool) Suite {
 // guidelines: the E14 audit of Hunold-style performance guidelines
 // (internal/guideline), every violated dominance guideline's mock adopted
 // into a fresh tuning round. The fast grid is results/guideline_report.json's
-// clean smoke matrix; the full grid has its own clean/congested axis.
+// smoke matrix; both grids run on the clean machine unless -chaos names one.
 func guidelines(fast bool) Suite {
-	scenarios := guideline.FullScenarios(42, 1)
+	grid := guideline.FullScenarios
 	if fast {
-		scenarios = guideline.SmokeScenarios(42, "", 1)
+		grid = guideline.SmokeScenarios
 	}
-	return Suite{Guidelines: scenarios, tables: guidelineTables}
+	return Suite{Guidelines: grid(42, "", 1), tables: guidelineTables}
 }
 
 // guidelineTables renders a guideline report: one row per finding, then the

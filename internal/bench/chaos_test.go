@@ -34,15 +34,8 @@ func TestChaosSweepSameSeedByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b1, b2 bytes.Buffer
-	if err := writeJSON(&b1, s1.Summary()); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeJSON(&b2, s2.Summary()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatalf("same chaos seed gave different summaries:\n%s\nvs\n%s", b1.String(), b2.String())
+	if b1, b2 := indented(t, s1.Summary()), indented(t, s2.Summary()); b1 != b2 {
+		t.Fatalf("same chaos seed gave different summaries:\n%s\nvs\n%s", b1, b2)
 	}
 }
 

@@ -108,16 +108,8 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seqJSON, parJSON bytes.Buffer
-	if err := writeJSON(&seqJSON, seq.Summary()); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeJSON(&parJSON, par.Summary()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seqJSON.Bytes(), parJSON.Bytes()) {
-		t.Fatalf("parallel sweep summary differs from sequential:\n%s\nvs\n%s",
-			seqJSON.String(), parJSON.String())
+	if seqJSON, parJSON := indented(t, seq.Summary()), indented(t, par.Summary()); seqJSON != parJSON {
+		t.Fatalf("parallel sweep summary differs from sequential:\n%s\nvs\n%s", seqJSON, parJSON)
 	}
 }
 
@@ -142,16 +134,8 @@ func TestSweepCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var coldJSON, warmJSON bytes.Buffer
-	if err := writeJSON(&coldJSON, cold.Summary()); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeJSON(&warmJSON, warm.Summary()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(coldJSON.Bytes(), warmJSON.Bytes()) {
-		t.Fatalf("cached sweep summary differs from cold run:\n%s\nvs\n%s",
-			coldJSON.String(), warmJSON.String())
+	if coldJSON, warmJSON := indented(t, cold.Summary()), indented(t, warm.Summary()); coldJSON != warmJSON {
+		t.Fatalf("cached sweep summary differs from cold run:\n%s\nvs\n%s", coldJSON, warmJSON)
 	}
 }
 
@@ -277,4 +261,15 @@ func TestPutTotalsPinned(t *testing.T) {
 			}
 		}
 	}
+}
+
+// indented is v as the summary files spell it, for comparing two summaries
+// in memory and printing both when they differ.
+func indented(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -169,12 +169,9 @@ type MicroResult struct {
 }
 
 // Observed holds a result's observability metrics, filled only when the
-// spec's Observe is set.
+// spec's Observe is set; the recorder itself (Metrics) holds the rest.
 type Observed struct {
-	Overlap          float64 `json:",omitempty"` // aggregate fraction of comm hidden under compute
-	ProgressMade     int64   `json:",omitempty"` // explicit progress calls across all ranks
-	ProgressAdvanced int64   `json:",omitempty"` // progress calls that advanced a schedule round
-	StallTime        float64 `json:",omitempty"` // summed rendezvous RTS->CTS stall seconds
+	Overlap float64 `json:",omitempty"` // aggregate fraction of comm hidden under compute
 }
 
 // observed derives a result's metrics from the run's recorder (nil: none).
@@ -182,8 +179,7 @@ func observed(rec *obs.Recorder) Observed {
 	if rec == nil {
 		return Observed{}
 	}
-	m := rec.Metrics()
-	return Observed{m.Overlap, m.ProgressCalls, m.ProgressAdvanced, m.RendezvousStallTime}
+	return Observed{rec.Metrics().Overlap}
 }
 
 // Iterate runs one §IV-A benchmark iteration on rank c: initiate, compute in

@@ -46,7 +46,7 @@ func TestObservationIsTimingNeutral(t *testing.T) {
 	if m.ProgressAdvanced > m.ProgressCalls {
 		t.Errorf("advanced (%d) > calls (%d)", m.ProgressAdvanced, m.ProgressCalls)
 	}
-	if observed.Overlap != m.Overlap || observed.ProgressMade != m.ProgressCalls {
+	if observed.Overlap != m.Overlap {
 		t.Error("result metrics do not match recorder metrics")
 	}
 	if len(m.NIC) == 0 {
@@ -95,7 +95,7 @@ func TestObserveFlagCarriesIntoResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Overlap <= 0 || r.ProgressMade == 0 {
+	if r.Overlap <= 0 {
 		t.Errorf("Observe spec produced empty metrics: %+v", r)
 	}
 }

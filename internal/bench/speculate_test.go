@@ -180,7 +180,7 @@ func TestVerificationOptsSpeculate(t *testing.T) {
 	if VerificationKey(spec, []string{sel}) == VerificationKey(spec, []string{"brute-force"}) {
 		t.Fatal("the prefixed name must have its own VerificationKey")
 	}
-	// The sweep runs each scenario's verification (sweep -speculate).
+	// A sweep whose selector list names it runs each scenario's verification.
 	st, err := VerificationSweepOpts([]MicroSpec{spec}, []string{sel}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"io"
-
 	"nbctune/internal/platform"
 	"nbctune/internal/runner"
 )
@@ -200,15 +197,6 @@ func (s *FFTSweepStats) Summary() *SweepSummary {
 	return sum
 }
 
-func writeJSON(w io.Writer, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(b, '\n'))
-	return err
-}
-
 // WriteOutcomes writes the machine-readable form of a run of the suites
 // name resolves to (Suites) to path: a single suite's summary (the guideline
 // audit: its report), or a bundle's members' summaries as one
@@ -218,7 +206,7 @@ func WriteOutcomes(path, name string, outs []*Outcome) error {
 	var v any = outs[0].Summary
 	switch {
 	case outs[0].Guidelines != nil:
-		return outs[0].Guidelines.WriteFile(path)
+		v = outs[0].Guidelines
 	case len(outs) > 1:
 		b := &BundleSummary{Bundle: name, CodeVersion: summaryFormat}
 		for _, o := range outs {
@@ -226,5 +214,5 @@ func WriteOutcomes(path, name string, outs []*Outcome) error {
 		}
 		v = b
 	}
-	return runner.WriteFileAtomic(path, func(w io.Writer) error { return writeJSON(w, v) })
+	return runner.WriteJSON(path, v)
 }

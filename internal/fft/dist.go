@@ -77,23 +77,22 @@ var Patterns = []Pattern{Pipelined, Tiled, Windowed, WindowTiled}
 // paper's defaults are tile=10 and window=3; at simulation scale the tile
 // size is planes/2 (at least 2), preserving tile>1 vs tile=1 and window 2
 // vs 3 distinctions.
-func (p Pattern) params(planes int) (tile, window int) {
+func (p Pattern) params(planes int) (tile, window int, err error) {
 	bigTile := planes / 2
 	if bigTile < 2 {
 		bigTile = planes // degenerate: single tile
 	}
 	switch p {
 	case Pipelined:
-		return 1, 2
+		return 1, 2, nil
 	case Tiled:
-		return bigTile, 2
+		return bigTile, 2, nil
 	case Windowed:
-		return 1, 3
+		return 1, 3, nil
 	case WindowTiled:
-		return bigTile, 3
-	default:
-		panic("fft: unknown pattern")
+		return bigTile, 3, nil
 	}
+	return 0, 0, fmt.Errorf("fft: unknown pattern %d", int(p))
 }
 
 // Config describes one distributed 3D-FFT setup.
@@ -182,8 +181,13 @@ type Plan struct {
 }
 
 // NewPlan builds the per-rank FFT plan. The communicator size must divide N,
-// and the tile size must divide the local plane count.
+// the tile size must divide the local plane count, and the pattern must be
+// one of Patterns; zero counts take their defaults, negative ones are
+// refused.
 func NewPlan(c *mpi.Comm, cfg Config) (*Plan, error) {
+	if cfg.EvalsPerFn < 0 || cfg.ProgressPerTile < 0 {
+		return nil, fmt.Errorf("fft: EvalsPerFn=%d and ProgressPerTile=%d must not be negative", cfg.EvalsPerFn, cfg.ProgressPerTile)
+	}
 	cfg = cfg.withDefaults()
 	P := c.Size()
 	N := cfg.N
@@ -194,7 +198,10 @@ func NewPlan(c *mpi.Comm, cfg Config) (*Plan, error) {
 		return nil, fmt.Errorf("fft: communicator size %d must divide N=%d", P, N)
 	}
 	L := N / P
-	tp, W := cfg.Pattern.params(L)
+	tp, W, err := cfg.Pattern.params(L)
+	if err != nil {
+		return nil, err
+	}
 	if L%tp != 0 {
 		return nil, fmt.Errorf("fft: tile size %d must divide local planes %d", tp, L)
 	}
@@ -241,7 +248,6 @@ func NewPlan(c *mpi.Comm, cfg Config) (*Plan, error) {
 		pl.reqs = append(pl.reqs, sl.req)
 		pl.slots = append(pl.slots, sl)
 	}
-	var err error
 	if pl.timer, err = core.NewTimer(c.Now, pl.reqs...); err != nil {
 		return nil, err
 	}

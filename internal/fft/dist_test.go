@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nbctune/internal/mpi"
@@ -247,30 +248,32 @@ func TestADCLExtIncludesBlocking(t *testing.T) {
 	}
 }
 
+// TestPlanValidation: a configuration NewPlan cannot run is an error on
+// every rank, never a panic and never a run with a made-up value.
 func TestPlanValidation(t *testing.T) {
-	eng, w := fftWorld(t, 3)
-	errs := make([]error, 3)
-	w.Start(func(c *mpi.Comm) {
-		_, err := NewPlan(c, Config{N: 16, Pattern: Pipelined, Flavor: FlavorMPI})
-		errs[c.Rank()] = err
-	})
-	eng.Run()
-	for _, err := range errs {
-		if err == nil {
-			t.Fatal("P=3 must not divide N=16")
-		}
-	}
-
-	eng2, w2 := fftWorld(t, 2)
-	errs2 := make([]error, 2)
-	w2.Start(func(c *mpi.Comm) {
-		_, err := NewPlan(c, Config{N: 6, Pattern: Pipelined, Flavor: FlavorMPI})
-		errs2[c.Rank()] = err
-	})
-	eng2.Run()
-	for _, err := range errs2 {
-		if err == nil {
-			t.Fatal("non-power-of-two N accepted")
+	for _, tc := range []struct {
+		name string
+		np   int
+		cfg  Config
+		want string
+	}{
+		{"P must divide N", 3, Config{N: 16, Pattern: Pipelined, Flavor: FlavorMPI}, "must divide N=16"},
+		{"N a power of two", 2, Config{N: 6, Pattern: Pipelined, Flavor: FlavorMPI}, "must be a power of two"},
+		{"unknown pattern", 2, Config{N: 16, Pattern: 99, Flavor: FlavorMPI}, "unknown pattern 99"},
+		{"unknown flavor", 2, Config{N: 16, Pattern: Pipelined, Flavor: 99}, "unknown flavor 99"},
+		{"negative evals", 2, Config{N: 16, Pattern: Pipelined, Flavor: FlavorADCL, EvalsPerFn: -1}, "must not be negative"},
+		{"negative progress", 2, Config{N: 16, Pattern: Pipelined, Flavor: FlavorADCL, ProgressPerTile: -2}, "must not be negative"},
+	} {
+		eng, w := fftWorld(t, tc.np)
+		errs := make([]error, tc.np)
+		w.Start(func(c *mpi.Comm) {
+			_, errs[c.Rank()] = NewPlan(c, tc.cfg)
+		})
+		eng.Run()
+		for rank, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: rank %d: NewPlan error %v, want one containing %q", tc.name, rank, err, tc.want)
+			}
 		}
 	}
 }

@@ -156,10 +156,10 @@ func TestPatternParams(t *testing.T) {
 		{Tiled, 2, 2, 2}, // degenerate: one tile
 	}
 	for _, tc := range cases {
-		tile, window := tc.p.params(tc.planes)
-		if tile != tc.tile || window != tc.window {
-			t.Errorf("%v planes=%d: got (%d,%d), want (%d,%d)",
-				tc.p, tc.planes, tile, window, tc.tile, tc.window)
+		tile, window, err := tc.p.params(tc.planes)
+		if err != nil || tile != tc.tile || window != tc.window {
+			t.Errorf("%v planes=%d: got (%d,%d) %v, want (%d,%d)",
+				tc.p, tc.planes, tile, window, err, tc.tile, tc.window)
 		}
 	}
 }

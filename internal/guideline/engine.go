@@ -32,59 +32,49 @@ type Config struct {
 
 // SmokeScenarios is the CI-sized matrix: the three mock-checkable
 // operations plus iallreduce on two contrasting platforms, one rank count,
-// small and large payloads, clean machine. Small enough for a make target,
-// large enough that the shipped guidelines produce at least one genuine
-// violation (the committed results/guideline_report.json pins which).
+// small and large payloads. Small enough for a make target, large enough
+// that the shipped guidelines produce at least one genuine violation on the
+// clean machine (the committed results/guideline_report.json pins which).
 func SmokeScenarios(seed int64, chaos string, chaosSeed int64) []Scenario {
-	var out []Scenario
-	type opSizes struct {
-		op    string
-		sizes []int
-	}
-	for _, pl := range []string{"crill", "whale-tcp"} {
-		for _, os := range []opSizes{
-			{"ibcast", []int{4096, 262144}},
-			{"ialltoall", []int{2048, 32768}},
-			{"iallgather", []int{1024, 65536}},
-			{"iallreduce", []int{8192}},
-		} {
-			for _, size := range os.sizes {
-				out = append(out, Scenario{
-					Op: os.op, Platform: pl, Procs: 16, Size: size,
-					Chaos: chaos, ChaosSeed: chaosSeed,
-					Seed: seed, Reps: 5, Evals: 2,
-				})
-			}
-		}
-	}
-	return out
+	return grid([]string{"crill", "whale-tcp"}, []int{16}, []opSizes{
+		{"ibcast", []int{4096, 262144}},
+		{"ialltoall", []int{2048, 32768}},
+		{"iallgather", []int{1024, 65536}},
+		{"iallreduce", []int{8192}},
+	}, 5, 2, seed, chaos, chaosSeed)
 }
 
-// FullScenarios is the overnight matrix: four platforms, two rank counts, a
-// size ladder per operation, clean and chaotic machines.
-func FullScenarios(seed int64, chaosSeed int64) []Scenario {
-	var out []Scenario
-	type opSizes struct {
-		op    string
-		sizes []int
-	}
-	ops := []opSizes{
+// FullScenarios is the overnight matrix: four platforms, two rank counts and
+// a size ladder per operation, on one machine (chaos "" is the clean one).
+func FullScenarios(seed int64, chaos string, chaosSeed int64) []Scenario {
+	return grid([]string{"crill", "whale", "whale-tcp", "bgp"}, []int{16, 32}, []opSizes{
 		{"ibcast", []int{1024, 16384, 262144, 1048576}},
 		{"ialltoall", []int{512, 8192, 65536}},
 		{"iallgather", []int{512, 8192, 65536}},
 		{"iallreduce", []int{1024, 65536}},
-	}
-	for _, pl := range []string{"crill", "whale", "whale-tcp", "bgp"} {
-		for _, np := range []int{16, 32} {
-			for _, chaos := range []string{"", "congested"} {
-				for _, os := range ops {
-					for _, size := range os.sizes {
-						out = append(out, Scenario{
-							Op: os.op, Platform: pl, Procs: np, Size: size,
-							Chaos: chaos, ChaosSeed: chaosSeed,
-							Seed: seed, Reps: 7, Evals: 3,
-						})
-					}
+	}, 7, 3, seed, chaos, chaosSeed)
+}
+
+// opSizes is one operation of a grid and its payload ladder.
+type opSizes struct {
+	op    string
+	sizes []int
+}
+
+// grid is every (platform, rank count, operation, size) scenario, in that
+// nesting order, each with the same repetitions, evaluations, seed and
+// machine.
+func grid(platforms []string, procs []int, ops []opSizes, reps, evals int, seed int64, chaos string, chaosSeed int64) []Scenario {
+	var out []Scenario
+	for _, pl := range platforms {
+		for _, np := range procs {
+			for _, os := range ops {
+				for _, size := range os.sizes {
+					out = append(out, Scenario{
+						Op: os.op, Platform: pl, Procs: np, Size: size,
+						Chaos: chaos, ChaosSeed: chaosSeed,
+						Seed: seed, Reps: reps, Evals: evals,
+					})
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"nbctune/internal/core"
@@ -98,7 +97,7 @@ func TestCleanScenarioNoViolation(t *testing.T) {
 }
 
 // TestReportDeterminism: the same config produces byte-identical report
-// files across runs and worker counts, and the report passes its own
+// encodings across runs and worker counts, and the report passes its own
 // consistency check.
 func TestReportDeterminism(t *testing.T) {
 	scs := []Scenario{
@@ -114,12 +113,7 @@ func TestReportDeterminism(t *testing.T) {
 		if err := rep.Check(); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(t.TempDir(), "rep.json")
-		if err := rep.WriteFile(path); err != nil {
-			t.Fatal(err)
-		}
-		files[i], err = os.ReadFile(path)
-		if err != nil {
+		if files[i], err = json.Marshal(rep); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,4 +187,27 @@ func clone(t *testing.T, r *Report) *Report {
 		t.Fatal(err)
 	}
 	return &out
+}
+
+// TestScenarioGrids: the smoke and full grids are 14 and 96 scenarios on one
+// machine each, the clean one unless a profile is passed, and a profile that
+// is passed reaches every scenario with its seed.
+func TestScenarioGrids(t *testing.T) {
+	for _, g := range []struct {
+		name  string
+		grid  func(seed int64, chaos string, chaosSeed int64) []Scenario
+		count int
+	}{{"smoke", SmokeScenarios, 14}, {"full", FullScenarios, 96}} {
+		for _, chaos := range []string{"", "congested"} {
+			scs := g.grid(42, chaos, 7)
+			if len(scs) != g.count {
+				t.Errorf("%s grid, chaos %q: %d scenarios, want %d", g.name, chaos, len(scs), g.count)
+			}
+			for _, sc := range scs {
+				if sc.Chaos != chaos || sc.ChaosSeed != 7 || sc.Seed != 42 {
+					t.Errorf("%s grid, chaos %q: scenario %s has chaos %q, chaos seed %d, seed %d", g.name, chaos, sc, sc.Chaos, sc.ChaosSeed, sc.Seed)
+				}
+			}
+		}
+	}
 }

@@ -1,13 +1,10 @@
 package guideline
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"nbctune/internal/obs"
-	"nbctune/internal/runner"
 )
 
 // SchemaVersion identifies the report layout. Report.Check, which a test
@@ -71,17 +68,6 @@ type Report struct {
 	Violations    int
 	Findings      []Finding
 	Registrations []Registration `json:",omitempty"`
-}
-
-// WriteFile writes the report atomically as indented JSON (trailing newline),
-// creating parent directories. Encoding is deterministic: the report holds no
-// maps and no timestamps.
-func (r *Report) WriteFile(path string) error {
-	return runner.WriteFileAtomic(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(r)
-	})
 }
 
 // Check validates a report's internal consistency: schema version, and —

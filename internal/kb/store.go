@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -228,9 +227,5 @@ func (s *Store) Flush(force bool) error {
 	}
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	return runner.WriteFileAtomic(s.opts.SnapshotPath, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(snapshotFile{Version: 1, Records: s.Records()})
-	})
+	return runner.WriteJSON(s.opts.SnapshotPath, snapshotFile{Version: 1, Records: s.Records()})
 }

@@ -65,10 +65,6 @@ type WorldSnapshot struct {
 	ranks   []rankSnap
 }
 
-// Now returns the virtual time the snapshot was taken at — the common start
-// time of every fork, so a fork's selection cost is feng.Now() minus this.
-func (s *WorldSnapshot) Now() float64 { return float64(s.sim.Now()) }
-
 // Snapshot checkpoints the world. The engine must be quiescent (run until
 // its queue drained) and every rank's protocol state at rest; otherwise a
 // descriptive error explains what is still in flight. The unexpected-eager

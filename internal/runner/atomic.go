@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -43,4 +44,18 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 		return fmt.Errorf("write %s: %w", path, err)
 	}
 	return nil
+}
+
+// WriteJSON writes v to path through WriteFileAtomic as JSON indented by two
+// spaces with a trailing newline, the form of every artifact the commands
+// write (results/ summaries and reports, tune -metrics, -history files).
+func WriteJSON(path string, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
+		return err
+	})
 }

@@ -394,6 +394,33 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 	}
 }
 
+// TestWriteJSON: an artifact is the bytes json.Encoder with a two-space
+// indent writes, the form the committed files were written in, and a value
+// that cannot be encoded leaves no file.
+func TestWriteJSON(t *testing.T) {
+	v := map[string]any{"b": []int{1, 2}, "a": "<x>", "c": map[string]float64{}}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v.json")
+	if err := WriteJSON(path, v); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("WriteJSON wrote %q (%v), want %q", got, err, want.Bytes())
+	}
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := WriteJSON(bad, func() {}); err == nil {
+		t.Fatal("WriteJSON encoded a func")
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Fatalf("a failed WriteJSON left %s (%v)", bad, err)
+	}
+}
+
 func TestCachePutIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := OpenCache(dir)
