@@ -29,7 +29,8 @@ test:
 # sharded PDES engine and everything that executes on it (sim windows, the
 # sharded netmodel views and mpi world) — run under the race detector, then
 # the bench layer's noisy sweeps with the "congested" chaos profile attached,
-# and speculation, whose candidate pool runs on GOMAXPROCS workers by default.
+# speculation, whose candidate pool runs on GOMAXPROCS workers by default, and
+# the schedule memos that concurrently bound worlds share.
 # A -race build also turns on checkptr, which checks every real-payload
 # mpi.Buf that Data rebuilds with unsafe.Slice: the fft kernel and bench's
 # data-mode tests move real bytes through every collective. The race
@@ -44,7 +45,7 @@ race:
 	$(GO) test -race -run '^TestConformance' ./internal/nbc/...
 	$(GO) test -race -skip '^(TestScaleConformance|TestConformance)' ./internal/nbc/...
 	$(GO) test -race -count 1 -run 'TestChaos|Speculat|DataMode' ./internal/bench
-	$(GO) test -race -count 1 -run 'Speculat|TestSetCatalogueUnchanged' ./internal/core
+	$(GO) test -race -count 1 -run 'Speculat|TestSetCatalogueUnchanged|TestConcurrentBindsShareOneSchedule' ./internal/core
 
 # The one committed run too slow for tier-1: sweep -suite figs-fft -fast
 # (~60 s on two cores) must reproduce results/fftbench.txt (Figs 9-12) and

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/metrics"
+	"sync/atomic"
 	"testing"
 
 	"nbctune/internal/bench"
@@ -218,9 +219,8 @@ func barrierBcast(c *mpi.Comm) {
 }
 
 // runOneShotWorld builds a world of ranks on the given number of shards (0:
-// sequential), runs prog on every rank and returns the events its engines
-// fired and the coroutine resumes they took.
-func runOneShotWorld(tb testing.TB, ranks, shards int, prog func(*mpi.Comm)) (events, resumes int64) {
+// sequential), runs prog on every rank and returns the world.
+func runOneShotWorld(tb testing.TB, ranks, shards int, prog func(*mpi.Comm)) *mpi.World {
 	tb.Helper()
 	plat, err := platform.ByName("bgp-16k")
 	if err != nil {
@@ -237,7 +237,7 @@ func runOneShotWorld(tb testing.TB, ranks, shards int, prog func(*mpi.Comm)) (ev
 	}
 	w.Start(prog)
 	w.Run()
-	return w.EventsFired(), w.Resumes()
+	return w
 }
 
 // oneShotAllocCeiling and oneShotMallocCeiling are what
@@ -271,7 +271,8 @@ const (
 func TestOneShotWorldResumes(t *testing.T) {
 	want := map[string][2]int64{"alltoall384": {742464, 7296}, "bcast1k": {101278, 3072}}
 	for _, ow := range oneShotWorlds[:2] {
-		events, resumes := runOneShotWorld(t, ow.ranks, ow.shards, ow.prog)
+		world := runOneShotWorld(t, ow.ranks, ow.shards, ow.prog)
+		events, resumes := world.EventsFired(), world.Resumes()
 		if w := want[ow.name]; events != w[0] || resumes != w[1] {
 			t.Errorf("%s: %d events and %d resumes, want %d and %d", ow.name, events, resumes, w[0], w[1])
 		}
@@ -311,6 +312,16 @@ func TestOneShotWorldAllocBudget(t *testing.T) {
 		float64(bytes)/(1<<20), mallocs, float64(oneShotAllocCeiling)/(1<<20), oneShotMallocCeiling)
 }
 
+// oneShotStats is what the first rank of a benchmarked world to end its
+// program reads of the runtime, while every other rank is still alive, and
+// oneShotEnded counts the world's ranks that ended. oneShotStats is a package
+// variable because a local runtime.MemStats is a 5 KiB frame, which, inlined
+// into the rank program, grows every rank's stack.
+var (
+	oneShotStats runtime.MemStats
+	oneShotEnded atomic.Int32
+)
+
 // BenchmarkOneShotWorld times world construction and one run, per event as
 // well as per world; it is the target of `go test -run '^$' -bench
 // OneShotWorld/alltoall384 -cpuprofile|-memprofile`. B/event and allocs/event
@@ -318,18 +329,32 @@ func TestOneShotWorldAllocBudget(t *testing.T) {
 // same per rank of the world, beside -benchmem's per-world figures. gcs/world counts the collections a world took and gc-cpu-frac is
 // the collector's share of the CPU time available meanwhile (runtime/metrics:
 // GC CPU over GOMAXPROCS times wall time), so what a live set costs to trace
-// shows beside what it costs to allocate.
+// shows beside what it costs to allocate. stack-B/rank is the process's
+// goroutine stack bytes (StackInuse) over the world's ranks, read when the
+// first rank ends its program, and queue-peak/rank the most entries the event
+// heap held at once over the ranks (sequential worlds only: a sharded world
+// has a heap per shard).
 func BenchmarkOneShotWorld(b *testing.B) {
 	for _, ow := range oneShotWorlds {
 		b.Run(ow.name, func(b *testing.B) {
 			b.ReportAllocs()
+			prog := func(c *mpi.Comm) {
+				ow.prog(c)
+				if oneShotEnded.Add(1) == 1 {
+					runtime.ReadMemStats(&oneShotStats)
+				}
+			}
 			var m0, m1 runtime.MemStats
 			cpu0, cpu1 := gcCPU(), [2]float64{}
 			runtime.ReadMemStats(&m0)
-			var events, resumes int64
+			var events, resumes, stack, peak int64
 			for i := 0; i < b.N; i++ {
-				e, r := runOneShotWorld(b, ow.ranks, ow.shards, ow.prog)
-				events, resumes = events+e, resumes+r
+				oneShotEnded.Store(0)
+				w := runOneShotWorld(b, ow.ranks, ow.shards, prog)
+				events, resumes, stack = events+w.EventsFired(), resumes+w.Resumes(), stack+int64(oneShotStats.StackInuse)
+				if eng := w.Engine(); eng != nil {
+					peak += int64(eng.QueuePeak)
+				}
 			}
 			runtime.ReadMemStats(&m1)
 			cpu1 = gcCPU()
@@ -340,6 +365,10 @@ func BenchmarkOneShotWorld(b *testing.B) {
 			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N*ow.ranks), "allocs/rank")
 			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N*ow.ranks), "B/rank")
 			b.ReportMetric(float64(m1.NumGC-m0.NumGC)/float64(b.N), "gcs/world")
+			b.ReportMetric(float64(stack)/float64(b.N*ow.ranks), "stack-B/rank")
+			if peak > 0 {
+				b.ReportMetric(float64(peak)/float64(b.N*ow.ranks), "queue-peak/rank")
+			}
 			if total := cpu1[1] - cpu0[1]; total > 0 {
 				b.ReportMetric((cpu1[0]-cpu0[0])/total, "gc-cpu-frac")
 			}

@@ -15,8 +15,10 @@
 //     a fresh tuning round, and -history files the mocks the selector chose.
 //
 // -chaos and -chaos-seed set the machine of every scenario of every suite,
-// the guideline grids included (clean without it); a flag no suite of the run
-// acts on is refused. Speculation is a selector name, speculative+<inner>.
+// the guideline grids included. Without -chaos every scenario is clean and
+// -chaos-seed, with no profile to seed, is refused, as is any flag that no
+// suite of the run acts on. Speculation is a selector name,
+// speculative+<inner>.
 //
 // Scenarios execute on the experiment runner (internal/runner): -jobs
 // parallelizes across a worker pool, -cache DIR persists every completed
@@ -84,6 +86,13 @@ func main() {
 	chaosName := *chaosStr
 	if chaosName == "off" {
 		chaosName = "" // canonical clean spelling: specs fingerprint identically to pre-chaos runs
+	}
+	if chaosName == "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "chaos-seed" {
+				fail(fmt.Errorf("-chaos-seed: no -chaos profile to seed"))
+			}
+		})
 	}
 
 	// A flag is refused, not ignored, when no suite of the run acts on it.

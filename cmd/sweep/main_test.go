@@ -198,8 +198,9 @@ func sweep(t *testing.T, dir, args string) (code int, stdout, stderr string) {
 // (it used to run the whole suite before saying it had nothing to share),
 // -trace on a suite that exports no trace (it used to leave an empty
 // directory), a flag the guideline audit's unobserved leaves cannot take,
-// and a -cache directory that is the next flag (what the old boolean -cache
-// parses to). The unknown suite makes a missing worker-count refusal fail
+// a -cache directory that is the next flag (what the old boolean -cache
+// parses to), and a -chaos-seed with no -chaos profile to seed (it used to
+// be ignored). The unknown suite makes a missing worker-count refusal fail
 // fast on the wrong message.
 func TestRefusals(t *testing.T) {
 	for args, want := range map[string]string{
@@ -210,6 +211,8 @@ func TestRefusals(t *testing.T) {
 		"-trace t -suite verification -fast":        "-trace: verification exports no trace",
 		"-observe -suite guidelines -fast":          "-observe: guidelines measures unobserved",
 		"-data -suite guidelines -fast":             "-data: guidelines measures unobserved",
+		"-chaos-seed 7 -suite fig2 -fast":           "-chaos-seed: no -chaos profile to seed",
+		"-chaos off -chaos-seed 7 -suite fft -fast": "-chaos-seed: no -chaos profile to seed",
 	} {
 		if code, _, stderr := sweep(t, t.TempDir(), args); code != 1 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, want) {
 			t.Errorf("sweep %s: exit status %d, stderr %q; want exit status 1 and one line containing %q", args, code, stderr, want)
@@ -247,27 +250,30 @@ func unknownFlag(t *testing.T, name, args string) {
 
 // TestGuidelineChaos: -chaos and -chaos-seed reach every guideline scenario
 // through the override every suite shares, the smoke grid here as the full
-// one: every finding is judged on the named machine and seed. Without -chaos
-// the scenarios stay clean under the catalogue's seed, whatever -chaos-seed
-// says (it used to rewrite a clean scenario's seed).
+// one: every finding is judged on the named machine and seed. -chaos-seed
+// without -chaos is refused and writes nothing (it used to leave the
+// scenarios clean under the catalogue's seed, and before that to rewrite a
+// clean scenario's seed).
 func TestGuidelineChaos(t *testing.T) {
-	for args, want := range map[string]guideline.Scenario{
-		"-chaos congested -chaos-seed 7": {Chaos: "congested", ChaosSeed: 7},
-		"-chaos-seed 7":                  {ChaosSeed: 1},
-	} {
-		dir := t.TempDir()
-		if code, _, stderr := sweep(t, dir, "-suite guidelines -fast -quiet -out r.json "+args); code != 0 {
-			t.Fatalf("sweep -suite guidelines -fast %s: exit status %d\n%s", args, code, stderr)
-		}
-		var rep guideline.Report
-		readJSON(t, filepath.Join(dir, "r.json"), &rep)
-		if len(rep.Findings) == 0 {
-			t.Fatalf("%s: r.json has no findings", args)
-		}
-		for _, f := range rep.Findings {
-			if f.Scenario.Chaos != want.Chaos || f.Scenario.ChaosSeed != want.ChaosSeed {
-				t.Errorf("%s: finding %s on %s has chaos %q seed %d, want %q seed %d", args, f.Guideline, f.Scenario, f.Scenario.Chaos, f.Scenario.ChaosSeed, want.Chaos, want.ChaosSeed)
-			}
+	dir := t.TempDir()
+	const args = "-suite guidelines -fast -quiet -out r.json "
+	if code, _, stderr := sweep(t, dir, args+"-chaos-seed 7"); code != 1 || !strings.Contains(stderr, "-chaos-seed: no -chaos profile") {
+		t.Errorf("sweep %s-chaos-seed 7: exit status %d, stderr %q; want exit status 1 and a -chaos-seed refusal", args, code, stderr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "r.json")); !os.IsNotExist(err) {
+		t.Errorf("a refused run left r.json (%v)", err)
+	}
+	if code, _, stderr := sweep(t, dir, args+"-chaos congested -chaos-seed 7"); code != 0 {
+		t.Fatalf("sweep %s-chaos congested -chaos-seed 7: exit status %d\n%s", args, code, stderr)
+	}
+	var rep guideline.Report
+	readJSON(t, filepath.Join(dir, "r.json"), &rep)
+	if len(rep.Findings) == 0 {
+		t.Fatal("r.json has no findings")
+	}
+	for _, f := range rep.Findings {
+		if f.Scenario.Chaos != "congested" || f.Scenario.ChaosSeed != 7 {
+			t.Errorf("finding %s on %s has chaos %q seed %d, want congested seed 7", f.Guideline, f.Scenario, f.Scenario.Chaos, f.Scenario.ChaosSeed)
 		}
 	}
 }

@@ -96,6 +96,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if prof == nil {
+		fl.Visit(func(f *flag.Flag) {
+			if f.Name == "chaos-seed" {
+				err = fmt.Errorf("-chaos-seed: no -chaos profile to seed")
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
 	// The scenario as a micro-benchmark spec: it names the op, assembles the
 	// world and carries the loop parameters of every path below.
 	mspec := bench.MicroSpec{

@@ -229,7 +229,8 @@ func TestSpeculateComposes(t *testing.T) {
 // does not define or cannot parse is run's error too, which the flag set has
 // printed to stderr and main exits 2 on, so the test binary survives it. A
 // -history file in a directory that does not exist used to be refused only
-// after the whole session, losing the winner it had learned.
+// after the whole session, losing the winner it had learned, and a
+// -chaos-seed with no -chaos profile to seed used to be ignored.
 func TestRefusals(t *testing.T) {
 	chdir(t, t.TempDir())
 	for args, want := range map[string]string{
@@ -248,6 +249,8 @@ func TestRefusals(t *testing.T) {
 		"-history missing/h.json":                   "no such file or directory",
 		"-shards 2":                                 "flag provided but not defined: -shards",
 		"-np x":                                     `invalid value "x" for flag -np`,
+		"-chaos-seed 7":                             "-chaos-seed: no -chaos profile to seed",
+		"-chaos off -chaos-seed 7":                  "-chaos-seed: no -chaos profile to seed",
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(strings.Fields(args), &stdout, &stderr)

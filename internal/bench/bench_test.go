@@ -84,15 +84,22 @@ func TestRunFixedDeterministic(t *testing.T) {
 	}
 }
 
-// TestFixedRunCompilesOneSchedule: a fixed run pays for the one schedule it
-// starts, on every rank, and for no other of the set. No hook counts compiles;
-// the bytes do: what two fixed runs allocate differs by what compiling their
-// two schedules allocates, and the run of the cheaper one, less what the same
-// run of a barrier allocates, stays far below the cost of compiling the set
-// (which every run used to pay).
+// fixedRunPayload is the payload of TestFixedRunCompilesOneSchedule's spec,
+// moved on each run of the test so that no earlier run in the process (go
+// test -count N) has compiled its schedules.
+var fixedRunPayload = 2 << 20
+
+// TestFixedRunCompilesOneSchedule: the first fixed run of a function pays for
+// that function's schedule on every rank and for no other of the set, and a
+// second fixed run of the same spec compiles none, as the set's declaration
+// keeps what the first compiled. No hook counts compiles; the bytes do: the
+// first run of the function whose schedules cost most allocates over its
+// second run what compiling them allocates, and the second allocates over a
+// barrier's run less than half of that.
 func TestFixedRunCompilesOneSchedule(t *testing.T) {
 	spec := smallSpec(t)
-	spec.Op, spec.Procs, spec.MsgSize, spec.Iterations = OpIbcast, 16, 2<<20, 3
+	fixedRunPayload += 8
+	spec.Op, spec.Procs, spec.MsgSize, spec.Iterations = OpIbcast, 16, fixedRunPayload, 3
 	allocated := func(f func()) int64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -100,17 +107,7 @@ func TestFixedRunCompilesOneSchedule(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return int64(after.TotalAlloc - before.TotalAlloc)
 	}
-	var compile []int64 // per function: compiling its schedule on every rank
-	for _, f := range nbc.DefaultFanouts {
-		for _, seg := range nbc.DefaultSegSizes {
-			compile = append(compile, allocated(func() {
-				for me := 0; me < spec.Procs; me++ {
-					nbc.Ibcast(spec.Procs, me, 0, mpi.Virtual(spec.MsgSize), f, seg)
-				}
-			}))
-		}
-	}
-	run := func(fn int) int64 {
+	fixed := func(spec MicroSpec, fn int) int64 {
 		return allocated(func() {
 			if _, err := RunFixed(spec, fn); err != nil {
 				t.Fatal(err)
@@ -118,33 +115,37 @@ func TestFixedRunCompilesOneSchedule(t *testing.T) {
 		})
 	}
 	var set int64
-	dear, cheap := 0, 0 // the functions whose schedules cost most and least
-	for fn, b := range compile {
-		set += b
-		if b > compile[dear] {
-			dear = fn
-		}
-		if b < compile[cheap] {
-			cheap = fn
+	dear, dearBytes := 0, int64(0) // the function whose schedules cost most
+	fn := 0
+	for _, f := range nbc.DefaultFanouts {
+		for _, seg := range nbc.DefaultSegSizes {
+			b := allocated(func() {
+				for me := 0; me < spec.Procs; me++ {
+					nbc.Ibcast(spec.Procs, me, 0, mpi.Virtual(spec.MsgSize), f, seg)
+				}
+			})
+			if set += b; b > dearBytes {
+				dear, dearBytes = fn, b
+			}
+			fn++
 		}
 	}
-	runDear, runCheap := run(dear), run(cheap)
-	// The world's own cost: the same fixed run of a barrier, whose one
-	// schedule is the smallest.
+	// The world's own cost: a fixed run of a barrier, whose one schedule is
+	// the smallest, once it and whatever else a world of the spec shares are
+	// compiled.
 	barrier := spec
 	barrier.Op = OpIbarrier
-	world := allocated(func() {
-		if _, err := RunFixed(barrier, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got, want := runDear-runCheap, compile[dear]-compile[cheap]; want < set/20 || got < want*9/10 || got > want*11/10 {
-		t.Errorf("fixed runs of functions %d and %d allocate %d and %d bytes, %d apart; their schedules are %d apart (the set costs %d)",
-			dear, cheap, runDear, runCheap, got, want, set)
+	fixed(barrier, 0)
+	world := fixed(barrier, 0)
+	first, second := fixed(spec, dear), fixed(spec, dear)
+	if got := first - second; dearBytes < set/20 || got < dearBytes*9/10 || got > dearBytes*11/10 {
+		t.Errorf("two fixed runs of function %d allocate %d and %d bytes, %d apart; compiling its schedules allocates %d (the set %d)",
+			dear, first, second, got, dearBytes, set)
 	}
-	if runCheap-world > set/4 {
-		t.Errorf("a fixed run of function %d allocates %d bytes over a barrier's %d where compiling the whole set takes %d", cheap, runCheap-world, world, set)
+	if second-world > dearBytes/2 {
+		t.Errorf("a second fixed run of function %d allocates %d bytes over a barrier's %d where compiling its schedules takes %d", dear, second-world, world, dearBytes)
 	}
+	t.Logf("function %d: first run %d B, second %d B, a barrier's %d B; its schedules %d B, the set's %d B", dear, first, second, world, dearBytes, set)
 }
 
 func TestRunFixedOutOfRange(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"nbctune/internal/mpi"
 	"nbctune/internal/nbc"
@@ -14,7 +15,8 @@ import (
 // contains the blocking MPI_Alltoall (paper §IV-B-f), and sets for the other
 // converted operations. Each is one declaration; the op catalogue (ops.go)
 // names it, sizes its buffers and appends guideline mocks, and bind is the
-// one way to instantiate it. Binding a set compiles none of its schedules.
+// one way to instantiate it. Binding a set compiles none of its schedules,
+// and a declaration compiles each virtual schedule once per process and shape.
 
 // setDecl is a built-in set's catalogue: its name, attribute set and
 // functions, built once and shared, read-only, by every rank of every world
@@ -38,6 +40,57 @@ type fnDecl struct {
 	attrs []int
 	sched func(b *binding, attrs []int) *nbc.Schedule
 	run   func(b *binding, attrs []int) Started
+	// memo keeps the virtual schedules sched compiled, for every binding of
+	// the process; nil where a schedule reads more than its shape (a window,
+	// the comm's topology) and in a per-call declaration (mocks).
+	memo *schedMemo
+}
+
+// schedMemo holds one function's virtual schedules by shape. A schedule is
+// immutable — nbc.Start makes fresh execution state and composition copies
+// entries — so every world, rank and speculative candidate of one shape
+// starts the same one. The lock is there because worlds bind concurrently
+// (sweep -jobs, speculation's candidate pool).
+type schedMemo struct {
+	mu     sync.Mutex
+	scheds map[memoKey]*nbc.Schedule
+}
+
+// memoKey is all that a memoized schedule reads of its binding: the comm's
+// size and the rank's place in it, the root and the buffer lengths.
+type memoKey struct{ n, rank, root, send, recv int }
+
+// compile compiles the function's schedule on b; a name that differs from
+// the declared one panics.
+func (d *fnDecl) compile(b *binding) *nbc.Schedule {
+	s := d.sched(b, d.attrs)
+	if s.Name != d.name {
+		panic(fmt.Sprintf("adcl: function %q compiled to schedule %q", d.name, s.Name))
+	}
+	return s
+}
+
+// schedule returns the function's schedule on b: the memoized one of b's
+// shape, compiled by the first binding of that shape in the process, or one
+// of b's own where the declaration keeps no memo or b moves real bytes (a
+// data-mode schedule's tables hold the world's buffers).
+func (d *fnDecl) schedule(b *binding) *nbc.Schedule {
+	if d.memo == nil || b.send.HasData() || b.recv.HasData() {
+		return d.compile(b)
+	}
+	k := memoKey{b.c.Size(), b.c.Rank(), b.root, b.send.Len(), b.recv.Len()}
+	m := d.memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, ok := m.scheds[k]
+	if !ok {
+		s = d.compile(b)
+		if m.scheds == nil {
+			m.scheds = make(map[memoKey]*nbc.Schedule)
+		}
+		m.scheds[k] = s
+	}
+	return s
 }
 
 // binding is one rank's instance of a catalogue: its FunctionSet and what the
@@ -51,7 +104,7 @@ type binding struct {
 	halo       *Halo    // neighborhood only
 }
 
-// slot is one function of a binding and the schedule its first Start compiled.
+// slot is one function of a binding and the schedule its first Start took.
 type slot struct {
 	Function
 	b     *binding
@@ -75,7 +128,7 @@ func bind(c *mpi.Comm, send, recv mpi.Buf, root int, d *setDecl) *binding {
 	return b
 }
 
-// start runs the slot's function. A schedule is compiled on the function's
+// start runs the slot's function. A schedule is taken on the function's
 // first start — most runs start one or a few of a set's functions, and a set
 // built only for its names none — and restarted from then on (persistent
 // request semantics).
@@ -84,9 +137,7 @@ func (s *slot) start() Started {
 		return s.decl.run(s.b, s.decl.attrs)
 	}
 	if s.sched == nil {
-		if s.sched = s.decl.sched(s.b, s.decl.attrs); s.sched.Name != s.Name {
-			panic(fmt.Sprintf("adcl: function %q compiled to schedule %q", s.Name, s.sched.Name))
-		}
+		s.sched = s.decl.schedule(s.b)
 	}
 	return nbc.Start(s.b.c, s.sched)
 }
@@ -99,7 +150,7 @@ func algoDecl[A ~int](name string, algos []A, fnName func(A) string, sched func(
 	compile := func(b *binding, attrs []int) *nbc.Schedule { return sched(b, A(attrs[0])) }
 	for i, a := range algos {
 		vals[i] = int(a)
-		d.fns[i] = fnDecl{name: fnName(a), attrs: []int{int(a)}, sched: compile}
+		d.fns[i] = fnDecl{name: fnName(a), attrs: []int{int(a)}, sched: compile, memo: &schedMemo{}}
 	}
 	d.attrs = &AttributeSet{Attrs: []Attribute{{Name: "algorithm", Values: vals}}}
 	return d
@@ -118,7 +169,11 @@ func ibcastDecl(name string, fanoutValues, fanouts []int) *setDecl {
 			sched = func(b *binding, a []int) *nbc.Schedule { return nbc.IbcastTorus(b.c, b.root, b.send, a[1]) }
 		}
 		for _, s := range segs {
-			d.fns = append(d.fns, fnDecl{name: nbc.IbcastName(f, s), attrs: []int{f, s}, sched: sched})
+			fn := fnDecl{name: nbc.IbcastName(f, s), attrs: []int{f, s}, sched: sched}
+			if f != nbc.FanoutTorus { // the torus tree reads the comm's placement
+				fn.memo = &schedMemo{}
+			}
+			d.fns = append(d.fns, fn)
 		}
 	}
 	return d
@@ -177,7 +232,7 @@ var (
 			{Name: "primitive", Values: []int{PrimitiveP2P, PrimitivePut}},
 		}}}
 		for _, f := range ialltoallSet.fns {
-			d.fns = append(d.fns, fnDecl{name: f.name, attrs: []int{f.attrs[0], PrimitiveP2P}, sched: f.sched})
+			d.fns = append(d.fns, fnDecl{name: f.name, attrs: []int{f.attrs[0], PrimitiveP2P}, sched: f.sched, memo: f.memo})
 		}
 		d.fns = append(d.fns,
 			fnDecl{name: nbc.IalltoallPutName(nbc.AlgoLinear), attrs: []int{int(nbc.AlgoLinear), PrimitivePut}, sched: func(b *binding, _ []int) *nbc.Schedule {
@@ -210,8 +265,8 @@ var (
 	ibcastScalableSet     = ibcastDecl("ibcast-scalable", []int{0, nbc.FanoutBinomial, nbc.FanoutTorus}, []int{0, nbc.FanoutBinomial, nbc.FanoutTorus})
 	iallgatherScalableSet = algoDecl("iallgather-scalable", []nbc.AllgatherAlgo{nbc.AllgatherRing, nbc.AllgatherLinear, nbc.AllgatherBruck}, nbc.IallgatherName, iallgatherSched)
 	ibarrierSet           = &setDecl{name: "ibarrier", attrs: &AttributeSet{Attrs: []Attribute{{Name: "algorithm", Values: []int{BarrierDissemination, BarrierTree}}}}, fns: []fnDecl{
-		{name: nbc.IbarrierName, attrs: []int{BarrierDissemination}, sched: func(b *binding, _ []int) *nbc.Schedule { return nbc.Ibarrier(b.c.Size(), b.c.Rank()) }},
-		{name: nbc.IbarrierTreeName, attrs: []int{BarrierTree}, sched: func(b *binding, _ []int) *nbc.Schedule { return nbc.IbarrierTree(b.c.Size(), b.c.Rank()) }},
+		{name: nbc.IbarrierName, attrs: []int{BarrierDissemination}, sched: func(b *binding, _ []int) *nbc.Schedule { return nbc.Ibarrier(b.c.Size(), b.c.Rank()) }, memo: &schedMemo{}},
+		{name: nbc.IbarrierTreeName, attrs: []int{BarrierTree}, sched: func(b *binding, _ []int) *nbc.Schedule { return nbc.IbarrierTree(b.c.Size(), b.c.Rank()) }, memo: &schedMemo{}},
 	}}
 )
 

@@ -381,7 +381,7 @@ func TestSetsCompileOnFirstStart(t *testing.T) {
 		if me != 0 || fs == nil {
 			return
 		}
-		compiles := 0
+		compiles, memos := 0, memoSize()
 		probe := bind(c, mpi.Buf{}, mpi.Buf{}, 0, &setDecl{name: "probe", fns: []fnDecl{
 			{name: "counted", sched: func(*binding, []int) *nbc.Schedule {
 				compiles++
@@ -396,6 +396,9 @@ func TestSetsCompileOnFirstStart(t *testing.T) {
 		probe.Fns[0].Start().Wait()
 		if compiles != 1 {
 			t.Errorf("two Starts compiled the schedule %d times, want once", compiles)
+		}
+		if n := memoSize(); n != memos {
+			t.Errorf("a probe set took the memos from %d to %d schedules", memos, n)
 		}
 		defer func() {
 			if recover() == nil {
