@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -311,6 +312,52 @@ func TestScenarioCounts(t *testing.T) {
 	}
 }
 
+// TestTimedLoopFailures pins the timed loop's two failure modes. An error a
+// rank records (a data-mode mismatch) leaves every rank iterating, so the
+// collectives of the others still find it, and the run returns it. An error
+// a step returns (an FFT Forward error) ends the loop, and the run returns
+// it rather than panicking.
+func TestTimedLoopFailures(t *testing.T) {
+	spec := smallSpec(t)
+	const iters, failAt = 5, 2
+	mismatch := errors.New("mismatch")
+	for _, returned := range []bool{false, true} {
+		w, err := spec.World()
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := make([]int, spec.Procs)
+		_, _, err = timedLoop(w, spec.Procs, iters, false, func(c *mpi.Comm, record func(error)) (func() error, func() (string, int), error) {
+			me := c.Rank()
+			step := func() error {
+				c.Barrier()
+				if steps[me]++; steps[me] == failAt {
+					if returned {
+						return mismatch
+					}
+					if me == 1 {
+						record(mismatch)
+					}
+				}
+				return nil
+			}
+			return step, func() (string, int) { return "", 0 }, nil
+		})
+		if !errors.Is(err, mismatch) {
+			t.Errorf("returned=%v: run error %v, want the step's", returned, err)
+		}
+		want := iters
+		if returned {
+			want = failAt
+		}
+		for me, n := range steps {
+			if n != want {
+				t.Errorf("returned=%v: rank %d ran %d steps, want %d", returned, me, n, want)
+			}
+		}
+	}
+}
+
 func TestFFTRunSmoke(t *testing.T) {
 	plat, err := platform.ByName("whale")
 	if err != nil {
@@ -320,10 +367,11 @@ func TestFFTRunSmoke(t *testing.T) {
 		Platform: plat, Procs: 8, N: 32, Pattern: fft.WindowTiled,
 		Iterations: 10, Seed: 5, EvalsPerFn: 2,
 	}
-	rs, err := FFTComparison(spec, []fft.Flavor{fft.FlavorNBC, fft.FlavorADCL, fft.FlavorMPI}, nil)
+	m, err := fftMatrix([]FFTSpec{spec}, []fft.Flavor{fft.FlavorNBC, fft.FlavorADCL, fft.FlavorMPI}, RunOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs := m[0]
 	if len(rs) != 3 {
 		t.Fatalf("got %d results", len(rs))
 	}

@@ -61,8 +61,7 @@ func (s *Suite) Traces() bool {
 // Run executes the suite's scenarios on the experiment runner and renders
 // its tables from the outcome's summary (the guideline audit: its report). A
 // non-nil trace receives the recorder of every run of a per-implementation
-// or per-flavor matrix; the aggregate suites run whole verifications,
-// comparisons or guideline leaves per job and export none.
+// or per-flavor matrix; the aggregate suites export none.
 func (s *Suite) Run(opt RunOptions, trace TraceSink) (*Outcome, error) {
 	o := &Outcome{}
 	sum := &SweepSummary{CodeVersion: summaryFormat} // a matrix's: rows alone
@@ -81,7 +80,7 @@ func (s *Suite) Run(opt RunOptions, trace TraceSink) (*Outcome, error) {
 		}
 	case s.Flavors != nil:
 		var cells [][]FFTResult
-		cells, err = fftComparisons(s.FFT, s.Flavors, opt, trace)
+		cells, err = fftMatrix(s.FFT, s.Flavors, opt, trace)
 		for _, rs := range cells {
 			sum.Rows = append(sum.Rows, fftRow(rs...))
 		}

@@ -175,8 +175,8 @@ func TestPresetNoiseInKeys(t *testing.T) {
 	fs := FFTSpec{Platform: spec.Platform, Procs: 4, N: 16, Iterations: 2, Seed: 1}
 	fq := fs
 	fq.Platform = quiet.Platform
-	if flavors := []fft.Flavor{fft.FlavorNBC}; FFTComparisonKey(fs, flavors) == FFTComparisonKey(fq, flavors) {
-		t.Error("presets differing only in OS noise share an FFTComparisonKey")
+	if FFTKey(fs) == FFTKey(fq) {
+		t.Error("presets differing only in OS noise share an FFTKey")
 	}
 }
 

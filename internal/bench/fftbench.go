@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 
 	"nbctune/internal/fft"
 	"nbctune/internal/mpi"
@@ -45,16 +43,9 @@ func (s FFTSpec) String() string {
 
 // FFTResult is the outcome of one FFT kernel run.
 type FFTResult struct {
-	Spec             FFTSpec
-	Label            string
-	Total            float64 // barrier-to-barrier, rank-max
-	PerIter          float64
-	Winner           string // ADCL flavors: decided implementation
-	Evals            int
-	DecidedIter      int
-	PostLearnPerIter float64 // mean per-iteration time after the decision
-	LearnTime        float64 // time spent until the decision locked in
-	Observed
+	Spec  FFTSpec
+	Label string // the flavor, with ":<selector>" for a tuned one
+	Loop
 }
 
 // RunFFT executes the kernel, by default with timing-only payloads (the
@@ -68,7 +59,8 @@ func RunFFT(spec FFTSpec) (FFTResult, error) {
 }
 
 // runFFT is RunFFT, additionally returning the run's recorder (nil unless
-// spec.Observe is set) for trace export.
+// spec.Observe is set) for trace export: the kernel's forward transform is
+// the iteration of the timed loop.
 func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 	if spec.Iterations < 1 {
 		return FFTResult{}, nil, fmt.Errorf("bench: iterations must be >= 1")
@@ -81,21 +73,7 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 	if err != nil {
 		return FFTResult{}, nil, err
 	}
-	var rec *obs.Recorder
-	if spec.Observe {
-		rec = obs.NewRecorder(spec.Procs)
-		w.Observe(rec)
-	}
-	res := FFTResult{Spec: spec, Label: label, DecidedIter: -1}
-	var runErr error // the first error a rank records
-	record := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
-
-	res.Total = timed(w, spec.Procs, func(c *mpi.Comm) func(float64) {
-		me := c.Rank()
+	l, rec, err := timedLoop(w, spec.Procs, spec.Iterations, spec.Observe, func(c *mpi.Comm, _ func(error)) (func() error, func() (string, int), error) {
 		pl, err := fft.NewPlan(c, fft.Config{
 			N:               spec.N,
 			Pattern:         spec.Pattern,
@@ -106,119 +84,43 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 			FlopRate:        spec.Platform.FlopRate,
 		})
 		if err != nil {
-			record(err)
-			return nil
+			return nil, nil, err
 		}
-		return func(t0 float64) {
-			var postSum float64
-			var postN int
-			for it := 0; it < spec.Iterations; it++ {
-				iterStart := c.Now()
-				if err := pl.Forward(); err != nil {
-					record(err)
-					return
-				}
-				if done, name := pl.Decided(); me == 0 && done {
-					if res.DecidedIter < 0 {
-						res.DecidedIter = it
-						res.Winner = name
-						res.LearnTime = iterStart - t0
-					}
-					postSum += c.Now() - iterStart
-					postN++
-				}
-			}
-			if me == 0 {
-				res.Evals = pl.Evals()
-				if postN > 0 {
-					res.PostLearnPerIter = postSum / float64(postN)
-				}
-				if res.Winner == "" {
-					_, res.Winner = pl.Decided()
-				}
-			}
-		}
+		return pl.Forward, func() (string, int) {
+			_, name := pl.Decided()
+			return name, pl.Evals()
+		}, nil
 	})
-	if runErr != nil {
-		return FFTResult{}, nil, runErr
-	}
-	res.PerIter = res.Total / float64(spec.Iterations)
-	res.Observed = observed(rec)
-	return res, rec, nil
+	return FFTResult{Spec: spec, Label: label, Loop: l}, rec, err
 }
 
-// FFTComparison runs the kernel under several flavors on the same scenario,
-// the structure of Figs 9-12. A non-nil trace forces observation on and
-// receives every run's recorder.
-func FFTComparison(spec FFTSpec, flavors []fft.Flavor, trace TraceSink) ([]FFTResult, error) {
-	out := make([]FFTResult, 0, len(flavors))
-	for _, fl := range flavors {
-		s := spec
-		s.Flavor = fl
-		s.Observe = s.Observe || trace != nil
-		r, rec, err := runFFT(s)
-		if err != nil {
-			return nil, err
-		}
-		if trace != nil {
-			name := fmt.Sprintf("%s-np%d-%s_%s", s.Platform.Name, s.Procs, s.Pattern, r.Label)
-			if err := trace(name, rec); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, r)
+// fftJob is the experiment-runner job of one kernel run. A non-nil trace
+// forces observation on and receives the run's recorder; a traced job
+// carries no cache key, since a cache hit would export nothing.
+func fftJob(spec FFTSpec, trace TraceSink) runner.Job {
+	label, key := spec.String(), FFTKey(spec)
+	if trace != nil {
+		spec.Observe, key = true, ""
 	}
-	return out, nil
+	return runner.Job{Label: label, Key: key, Run: func() (any, error) {
+		r, rec, err := runFFT(spec)
+		if err != nil || trace == nil {
+			return r, err
+		}
+		return r, trace(fmt.Sprintf("%s-np%d-%s_%s", spec.Platform.Name, spec.Procs, spec.Pattern, r.Label), rec)
+	}}
 }
 
-// fftComparisons runs one multi-flavor comparison job per scenario on the
-// experiment runner and returns the results indexed [scenario][flavor], in
-// submission order regardless of completion order. It is the one runner path
-// of the §IV-B sweep and of the Fig 9-12 suites. Traced jobs carry no cache
-// key: a cache hit would export nothing.
-func fftComparisons(specs []FFTSpec, flavors []fft.Flavor, opt RunOptions, trace TraceSink) ([][]FFTResult, error) {
-	jobs := make([]runner.Job, len(specs))
+// fftMatrix runs every flavor on every scenario, the structure of Figs 9-12
+// and of the §IV-B sweep: one runner job per (scenario, flavor), the results
+// indexed [scenario][flavor].
+func fftMatrix(specs []FFTSpec, flavors []fft.Flavor, opt RunOptions, trace TraceSink) ([][]FFTResult, error) {
+	cells := make([][]runner.Job, len(specs))
 	for i, spec := range specs {
-		spec := spec
-		jobs[i] = runner.Job{
-			Label: spec.String(),
-			Key:   FFTComparisonKey(spec, flavors),
-			Run:   func() (any, error) { return FFTComparison(spec, flavors, trace) },
-			Note:  fftComparisonNote,
-		}
-		if trace != nil {
-			jobs[i].Key = ""
+		for _, fl := range flavors {
+			spec.Flavor = fl
+			cells[i] = append(cells[i], fftJob(spec, trace))
 		}
 	}
-	rrs, err := runner.Run(jobs, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]FFTResult, len(specs))
-	for i, rr := range rrs {
-		if err := rr.Decode(&out[i]); err != nil {
-			return nil, fmt.Errorf("scenario %d: %w", rr.Index, err)
-		}
-		if len(out[i]) != len(flavors) {
-			return nil, fmt.Errorf("scenario %d: comparison produced %d results", rr.Index, len(out[i]))
-		}
-	}
-	return out, nil
-}
-
-// fftComparisonNote annotates a progress line with every flavor's simulated
-// time and, for the tuned flavors, the winner.
-func fftComparisonNote(raw json.RawMessage) string {
-	var rs []FFTResult
-	if json.Unmarshal(raw, &rs) != nil {
-		return ""
-	}
-	parts := make([]string, len(rs))
-	for i, r := range rs {
-		parts[i] = fmt.Sprintf("%s=%.3fs", r.Label, r.Total)
-		if r.Winner != "" && r.Winner != r.Label {
-			parts[i] += " winner=" + r.Winner
-		}
-	}
-	return strings.Join(parts, " ")
+	return matrix[FFTResult](cells, opt)
 }

@@ -157,29 +157,9 @@ func (s MicroSpec) FunctionNames() []string {
 
 // MicroResult is the outcome of one micro-benchmark run.
 type MicroResult struct {
-	Spec             MicroSpec
-	Impl             string  // implementation or "adcl:<selector>"
-	Total            float64 // barrier-to-barrier loop time, rank-max (seconds)
-	PerIter          float64 // Total / Iterations
-	Winner           string  // ADCL runs: decided implementation
-	Evals            int     // ADCL runs: learning-phase measurements
-	DecidedIter      int     // ADCL runs: iteration at which the winner locked in
-	PostLearnPerIter float64 // ADCL runs: mean per-iteration time after decision
-	Observed
-}
-
-// Observed holds a result's observability metrics, filled only when the
-// spec's Observe is set; the recorder itself (Metrics) holds the rest.
-type Observed struct {
-	Overlap float64 `json:",omitempty"` // aggregate fraction of comm hidden under compute
-}
-
-// observed derives a result's metrics from the run's recorder (nil: none).
-func observed(rec *obs.Recorder) Observed {
-	if rec == nil {
-		return Observed{}
-	}
-	return Observed{rec.Metrics().Overlap}
+	Spec MicroSpec
+	Impl string // implementation or "adcl:<selector>"
+	Loop
 }
 
 // Iterate runs one §IV-A benchmark iteration on rank c: initiate, compute in
@@ -203,35 +183,6 @@ func (s MicroSpec) Iterate(c *mpi.Comm, req *core.Request, timer *core.Timer) {
 	core.StopMaybeSynced(c, timer, req)
 }
 
-// timed runs one rank program per rank of w and returns the rank-max
-// barrier-to-barrier virtual time of its timed region, the Total of every
-// result. prog sets the rank up and returns the region (nil: the rank gives
-// up); the region receives the time it starts at.
-func timed(w *mpi.World, procs int, prog func(c *mpi.Comm) (region func(t0 float64))) float64 {
-	starts := make([]float64, procs)
-	ends := make([]float64, procs)
-	w.Start(func(c *mpi.Comm) {
-		region := prog(c)
-		if region == nil {
-			return
-		}
-		me := c.Rank()
-		c.Barrier()
-		starts[me] = c.Now()
-		region(starts[me])
-		c.Barrier()
-		ends[me] = c.Now()
-	})
-	w.Run()
-	total := 0.0
-	for me := range starts {
-		if d := ends[me] - starts[me]; d > total {
-			total = d
-		}
-	}
-	return total
-}
-
 // selectorFor picks a rank's selection logic once its function set is built.
 type selectorFor func(rank int, fs *core.FunctionSet) (core.Selector, error)
 
@@ -248,79 +199,45 @@ func pinned(fn int) selectorFor {
 
 // runLoop is the §IV-A rank program: on every rank of the already assembled
 // world w it builds the op's function set, lets mkSel pick the selection
-// logic (rank 0's result is the one reported), and iterates barrier to
-// barrier. It returns the aggregate result, plus the run's recorder when
+// logic (rank 0's result is the one reported), and iterates in the timed
+// loop. It returns the aggregate result, plus the run's recorder when
 // spec.Observe is set (nil otherwise).
 func runLoop(spec MicroSpec, w *mpi.World, label string, mkSel selectorFor) (MicroResult, *obs.Recorder, error) {
 	op, err := core.OpByName(spec.Op)
 	if err != nil {
 		return MicroResult{}, nil, err
 	}
-	var rec *obs.Recorder
-	if spec.Observe {
-		rec = obs.NewRecorder(spec.Procs)
-		w.Observe(rec)
-	}
-	res := MicroResult{Spec: spec, Impl: label, DecidedIter: -1}
-	var runErr error // the first error a rank records
-	record := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
-
-	res.Total = timed(w, spec.Procs, func(c *mpi.Comm) func(float64) {
+	l, rec, err := timedLoop(w, spec.Procs, spec.Iterations, spec.Observe, func(c *mpi.Comm, record func(error)) (func() error, func() (string, int), error) {
 		me := c.Rank()
 		send, recv := op.Buffers(spec.Procs, spec.MsgSize, spec.payload)
 		fs, err := op.Build(c, send, recv, 0, spec.Mocks)
 		if err != nil {
-			record(err)
-			return nil
+			return nil, nil, err
 		}
 		sel, err := mkSel(me, fs)
 		if err != nil {
-			record(err)
-			return nil
+			return nil, nil, err
 		}
 		req := core.MustRequest(fs, sel, c.Now)
 		timer := core.MustTimer(c.Now, req)
 		if spec.Data {
 			op.Fill(me, 0, spec.MsgSize, send)
 		}
-		return func(float64) {
-			var postSum float64
-			var postN int
-			for it := 0; it < spec.Iterations; it++ {
-				iterStart := c.Now()
-				spec.Iterate(c, req, timer)
-				if spec.Data && runErr == nil {
-					runErr = op.Check(me, 0, spec.MsgSize, recv)
-				}
-				if me == 0 && req.Decided() {
-					if res.DecidedIter < 0 {
-						res.DecidedIter = it
-					}
-					postSum += c.Now() - iterStart
-					postN++
-				}
+		step := func() error {
+			spec.Iterate(c, req, timer)
+			if spec.Data {
+				record(op.Check(me, 0, spec.MsgSize, recv))
 			}
-			if me == 0 {
-				if wf := req.Winner(); wf != nil {
-					res.Winner = wf.Name
-				}
-				res.Evals = req.Selector().Evals()
-				if postN > 0 {
-					res.PostLearnPerIter = postSum / float64(postN)
-				}
-			}
+			return nil
 		}
+		return step, func() (string, int) {
+			if wf := req.Winner(); wf != nil {
+				return wf.Name, sel.Evals()
+			}
+			return "", sel.Evals()
+		}, nil
 	})
-	if runErr != nil {
-		return res, nil, fmt.Errorf("bench: %w", runErr)
-	}
-	res.PerIter = res.Total / float64(spec.Iterations)
-	res.Observed = observed(rec)
-	return res, rec, nil
+	return MicroResult{Spec: spec, Impl: label, Loop: l}, rec, err
 }
 
 // run assembles the spec's world and runs the §IV-A loop on it.
@@ -387,45 +304,41 @@ func fixedJob(spec MicroSpec, fn int, impl string, trace TraceSink) runner.Job {
 	}}
 }
 
+// fixedJobs is one fixedJob per implementation of the spec's function set,
+// of its first limit implementations when limit > 0.
+func (s MicroSpec) fixedJobs(limit int, trace TraceSink) ([]runner.Job, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	fs, err := s.HostFunctionSet()
+	if err != nil {
+		return nil, err
+	}
+	names := fs.FunctionNames()
+	if limit > 0 && limit < len(names) {
+		names = names[:limit]
+	}
+	jobs := make([]runner.Job, len(names))
+	for fn, impl := range names {
+		jobs[fn] = fixedJob(s, fn, impl, trace)
+	}
+	return jobs, nil
+}
+
 // FixedMatrix measures the fixed implementations of every scenario on the
 // experiment runner, one job per (scenario, implementation), and returns the
 // results indexed [scenario][implementation] in submission order regardless
 // of completion order. limit > 0 measures only the first limit
 // implementations of each function set.
 func FixedMatrix(specs []MicroSpec, limit int, opt RunOptions, trace TraceSink) ([][]MicroResult, error) {
-	var jobs []runner.Job
-	out := make([][]MicroResult, len(specs))
+	cells := make([][]runner.Job, len(specs))
 	for i, spec := range specs {
-		if err := spec.validate(); err != nil {
+		var err error
+		if cells[i], err = spec.fixedJobs(limit, trace); err != nil {
 			return nil, err
 		}
-		fs, err := spec.HostFunctionSet()
-		if err != nil {
-			return nil, err
-		}
-		names := fs.FunctionNames()
-		if limit > 0 && limit < len(names) {
-			names = names[:limit]
-		}
-		out[i] = make([]MicroResult, len(names))
-		for fn, impl := range names {
-			jobs = append(jobs, fixedJob(spec, fn, impl, trace))
-		}
 	}
-	rs, err := runner.Run(jobs, opt)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for i := range out {
-		for fn := range out[i] {
-			if err := rs[k].Decode(&out[i][fn]); err != nil {
-				return nil, fmt.Errorf("cell %d: %w", k, err)
-			}
-			k++
-		}
-	}
-	return out, nil
+	return matrix[MicroResult](cells, opt)
 }
 
 // Verification reproduces the paper's verification-run methodology (Fig 2):
@@ -445,18 +358,11 @@ func RunVerificationOpts(spec MicroSpec, opt RunOptions, selectors ...string) (*
 	if len(selectors) == 0 {
 		selectors = []string{"brute-force", "attr-heuristic"}
 	}
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	fs, err := spec.HostFunctionSet()
+	jobs, err := spec.fixedJobs(0, nil)
 	if err != nil {
 		return nil, err
 	}
-	names := fs.FunctionNames()
-	jobs := make([]runner.Job, 0, len(names)+len(selectors))
-	for i := range names {
-		jobs = append(jobs, fixedJob(spec, i, names[i], nil))
-	}
+	fixed := len(jobs)
 	for _, sel := range selectors {
 		sel := sel
 		jobs = append(jobs, runner.Job{
@@ -465,27 +371,15 @@ func RunVerificationOpts(spec MicroSpec, opt RunOptions, selectors ...string) (*
 			Run:   func() (any, error) { return RunADCL(spec, sel) },
 		})
 	}
-	rs, err := runner.Run(jobs, opt)
+	rs, err := matrix[MicroResult]([][]runner.Job{jobs}, opt)
 	if err != nil {
 		return nil, err
 	}
-	v := &Verification{Spec: spec}
-	for i := range names {
-		var r MicroResult
-		if err := rs[i].Decode(&r); err != nil {
-			return nil, err
-		}
-		v.Fixed = append(v.Fixed, r)
+	v := &Verification{Spec: spec, Fixed: rs[0][:fixed:fixed], ADCL: rs[0][fixed:]}
+	for i, r := range v.Fixed {
 		if r.Total < v.Fixed[v.Best].Total {
 			v.Best = i
 		}
-	}
-	for j := range selectors {
-		var r MicroResult
-		if err := rs[len(names)+j].Decode(&r); err != nil {
-			return nil, err
-		}
-		v.ADCL = append(v.ADCL, r)
 	}
 	return v, nil
 }

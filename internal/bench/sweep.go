@@ -270,10 +270,10 @@ func (s *FFTSweepStats) FasterRate() float64 {
 	return float64(s.ADCLFaster) / float64(s.Total)
 }
 
-// FFTSweepOpts runs the §IV-B sweep on the experiment runner: one
-// LibNBC-vs-ADCL comparison job per scenario.
+// FFTSweepOpts runs the §IV-B sweep on the experiment runner: one job per
+// (scenario, flavor), LibNBC and ADCL.
 func FFTSweepOpts(specs []FFTSpec, opt RunOptions) (*FFTSweepStats, error) {
-	rows, err := fftComparisons(specs, []fft.Flavor{fft.FlavorNBC, fft.FlavorADCL}, opt, nil)
+	rows, err := fftMatrix(specs, []fft.Flavor{fft.FlavorNBC, fft.FlavorADCL}, opt, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ import (
 // All instances must re-open measurement at the same iteration, or ranks
 // would disagree on the implementation of a collective and deadlock. That
 // holds exactly when every rank feeds identical measurement values — which
-// decision synchronization (SyncedStop's max-allreduce) provides — so
+// the max-allreduce of decision synchronization provides — so
 // StopMaybeSynced keeps syncing for as long as a monitor is attached, not
 // just during the initial learning phase.
 

@@ -42,7 +42,8 @@ type fnDecl struct {
 	run   func(b *binding, attrs []int) Started
 	// memo keeps the virtual schedules sched compiled, for every binding of
 	// the process; nil where a schedule reads more than its shape (a window,
-	// the comm's topology) and in a per-call declaration (mocks).
+	// the comm's topology), where sched shares its schedules itself (the
+	// dissemination barrier) and in a per-call declaration (mocks).
 	memo *schedMemo
 }
 
@@ -265,7 +266,7 @@ var (
 	ibcastScalableSet     = ibcastDecl("ibcast-scalable", []int{0, nbc.FanoutBinomial, nbc.FanoutTorus}, []int{0, nbc.FanoutBinomial, nbc.FanoutTorus})
 	iallgatherScalableSet = algoDecl("iallgather-scalable", []nbc.AllgatherAlgo{nbc.AllgatherRing, nbc.AllgatherLinear, nbc.AllgatherBruck}, nbc.IallgatherName, iallgatherSched)
 	ibarrierSet           = &setDecl{name: "ibarrier", attrs: &AttributeSet{Attrs: []Attribute{{Name: "algorithm", Values: []int{BarrierDissemination, BarrierTree}}}}, fns: []fnDecl{
-		{name: nbc.IbarrierName, attrs: []int{BarrierDissemination}, sched: func(b *binding, _ []int) *nbc.Schedule { return nbc.Ibarrier(b.c.Size(), b.c.Rank()) }, memo: &schedMemo{}},
+		{name: nbc.IbarrierName, attrs: []int{BarrierDissemination}, sched: func(b *binding, _ []int) *nbc.Schedule { return nbc.Ibarrier(b.c.Size(), b.c.Rank()) }},
 		{name: nbc.IbarrierTreeName, attrs: []int{BarrierTree}, sched: func(b *binding, _ []int) *nbc.Schedule { return nbc.IbarrierTree(b.c.Size(), b.c.Rank()) }, memo: &schedMemo{}},
 	}}
 )

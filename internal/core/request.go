@@ -136,7 +136,7 @@ type Timer struct {
 	t0      float64
 	running bool
 	seen    []Selector // StopWith scratch, capacity-reused so Stop never allocates
-	syncBuf [16]byte   // SyncedStop scratch: the allreduce's 8-byte input and output
+	syncBuf [16]byte   // StopMaybeSynced scratch: the allreduce's 8-byte input and output
 }
 
 // NewTimer creates a timer measuring for the given requests. The requests'

@@ -2,27 +2,18 @@ package core
 
 import "nbctune/internal/mpi"
 
-// Decision synchronization. ADCL's selectors run one instance per rank; to
-// keep every rank switching implementations in lockstep, all instances must
-// see identical measurement streams. SyncedStop max-reduces the local timer
-// interval across the communicator before recording it, so every selector
-// receives the slowest rank's time — which is also the measurement that
-// actually matters for a collective operation. The 8-byte allreduce costs a
-// few microseconds per iteration and is only needed while a selector is
-// still learning; StopMaybeSynced drops it once every decision is made.
-func SyncedStop(c *mpi.Comm, t *Timer) {
-	in, out := t.syncBuf[:8:8], t.syncBuf[8:]
-	mpi.PutFloat64(in, t.Elapsed())
-	c.Allreduce(mpi.Bytes(in), mpi.Bytes(out), mpi.MaxFloat64)
-	t.StopWith(mpi.GetFloat64(out))
-}
-
 // StopMaybeSynced stops the timer with decision synchronization while any
 // attached request is still learning, and with a plain local stop once all
-// decisions are locked in. Selectors that keep monitoring after deciding
+// decisions are locked in. ADCL's selectors run one instance per rank; to
+// keep every rank switching implementations in lockstep, all instances must
+// see identical measurement streams, so a synchronized stop max-reduces the
+// local interval across the communicator before recording it: every
+// selector receives the slowest rank's time, which is also the measurement
+// that matters for a collective operation. The 8-byte allreduce costs a few
+// microseconds per iteration. Selectors that keep monitoring after deciding
 // (Adaptive drift detectors) force synchronization permanently: their
-// re-tune trigger must fire at the same iteration on every rank, which
-// only holds when every rank sees identical (max-reduced) measurements.
+// re-tune trigger must fire at the same iteration on every rank, which only
+// holds when every rank sees identical (max-reduced) measurements.
 func StopMaybeSynced(c *mpi.Comm, t *Timer, reqs ...*Request) {
 	learning := false
 	for _, r := range reqs {
@@ -35,9 +26,12 @@ func StopMaybeSynced(c *mpi.Comm, t *Timer, reqs ...*Request) {
 			break
 		}
 	}
-	if learning {
-		SyncedStop(c, t)
+	if !learning {
+		t.Stop()
 		return
 	}
-	t.Stop()
+	in, out := t.syncBuf[:8:8], t.syncBuf[8:]
+	mpi.PutFloat64(in, t.Elapsed())
+	c.Allreduce(mpi.Bytes(in), mpi.Bytes(out), mpi.MaxFloat64)
+	t.StopWith(mpi.GetFloat64(out))
 }

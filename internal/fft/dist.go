@@ -5,13 +5,13 @@ import (
 
 	"nbctune/internal/core"
 	"nbctune/internal/mpi"
-	"nbctune/internal/nbc"
 )
 
-// Flavor selects the communication back end of the transpose step: which
-// function set the per-slot persistent request runs (transposeSet) and under
-// which selection logic — the fixed flavors are one-function sets under a
-// FixedSelector, the ADCL flavors the tuned sets under SelectorName.
+// Flavor selects the communication back end of the transpose step. Every
+// flavor runs ADCL's Ialltoall function set over each slot's buffers — the
+// extended set, which adds the blocking MPI_Alltoall (paper §IV-B-f), for
+// mpi and adcl-ext — the fixed flavors pinned to one of its functions by a
+// FixedSelector, the ADCL flavors tuned under SelectorName.
 type Flavor int
 
 // SelectorName is the selection logic every ADCL flavor tunes under.
@@ -29,19 +29,26 @@ const (
 	FlavorADCLExt
 )
 
+// flavors holds each flavor's name, whether it binds the extended set, and
+// the function a fixed flavor pins ("" for the tuned ones).
+var flavors = [...]struct {
+	name     string
+	extended bool
+	pin      string
+}{
+	FlavorMPI:     {"mpi", true, "alltoall-blocking"},
+	FlavorNBC:     {"libnbc", false, "ialltoall-linear"},
+	FlavorADCL:    {"adcl", false, ""},
+	FlavorADCLExt: {"adcl-ext", true, ""},
+}
+
+func (f Flavor) known() bool { return f >= 0 && int(f) < len(flavors) }
+
 func (f Flavor) String() string {
-	switch f {
-	case FlavorMPI:
-		return "mpi"
-	case FlavorNBC:
-		return "libnbc"
-	case FlavorADCL:
-		return "adcl"
-	case FlavorADCLExt:
-		return "adcl-ext"
-	default:
+	if !f.known() {
 		return fmt.Sprintf("flavor(%d)", int(f))
 	}
+	return flavors[f].name
 }
 
 // Pattern is the computation/communication interleaving of the transpose
@@ -119,33 +126,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// transposeSet builds the flavor's all-to-all over one slot's buffers as a
-// function set. The blocking MPI_Alltoall is a function with no wait pointer
-// (nil Started, paper §IV-B-f); LibNBC's default is the linear schedule.
-func (f Flavor) transposeSet(c *mpi.Comm, send, recv mpi.Buf) (*core.FunctionSet, error) {
-	one := func(start func() core.Started) *core.FunctionSet {
-		return &core.FunctionSet{Name: f.String(), Fns: []*core.Function{{Name: f.String(), Start: start}}}
-	}
-	switch f {
-	case FlavorMPI:
-		return one(func() core.Started {
-			c.Alltoall(send, recv)
-			return nil
-		}), nil
-	case FlavorNBC:
-		sched := nbc.Ialltoall(c.Size(), c.Rank(), send, recv, nbc.AlgoLinear)
-		return one(func() core.Started { return nbc.Start(c, sched) }), nil
-	case FlavorADCL, FlavorADCLExt:
-		return core.IalltoallSet(c, send, recv, f == FlavorADCLExt), nil
-	}
-	return nil, fmt.Errorf("fft: unknown flavor %d", int(f))
-}
-
-// selector is the selection logic the slots' requests share: SelectorName
-// for the tuned flavors, the set's one function for the fixed ones.
+// selector is the selection logic the slots' requests share: the pinned
+// function for a fixed flavor, SelectorName for a tuned one.
 func (c Config) selector(fs *core.FunctionSet) (core.Selector, error) {
-	if c.Flavor == FlavorMPI || c.Flavor == FlavorNBC {
-		return &core.FixedSelector{Fn: 0}, nil
+	if pin := flavors[c.Flavor].pin; pin != "" {
+		return &core.FixedSelector{Fn: fs.IndexOf(pin)}, nil
 	}
 	return core.SelectorByName(SelectorName, fs, c.EvalsPerFn)
 }
@@ -181,12 +166,15 @@ type Plan struct {
 }
 
 // NewPlan builds the per-rank FFT plan. The communicator size must divide N,
-// the tile size must divide the local plane count, and the pattern must be
-// one of Patterns; zero counts take their defaults, negative ones are
-// refused.
+// the tile size must divide the local plane count, the pattern must be one
+// of Patterns and the flavor one of the four Flavor constants; zero counts
+// take their defaults, negative ones are refused.
 func NewPlan(c *mpi.Comm, cfg Config) (*Plan, error) {
 	if cfg.EvalsPerFn < 0 || cfg.ProgressPerTile < 0 {
 		return nil, fmt.Errorf("fft: EvalsPerFn=%d and ProgressPerTile=%d must not be negative", cfg.EvalsPerFn, cfg.ProgressPerTile)
+	}
+	if !cfg.Flavor.known() {
+		return nil, fmt.Errorf("fft: unknown flavor %d", int(cfg.Flavor))
 	}
 	cfg = cfg.withDefaults()
 	P := c.Size()
@@ -233,10 +221,7 @@ func NewPlan(c *mpi.Comm, cfg Config) (*Plan, error) {
 			sl.sendB = mpi.Bytes(sl.send)
 			sl.recvB = mpi.Bytes(sl.recv)
 		}
-		fs, err := cfg.Flavor.transposeSet(c, sl.sendB, sl.recvB)
-		if err != nil {
-			return nil, err
-		}
+		fs := core.IalltoallSet(c, sl.sendB, sl.recvB, flavors[cfg.Flavor].extended)
 		if shared == nil {
 			if shared, err = cfg.selector(fs); err != nil {
 				return nil, err
@@ -259,12 +244,17 @@ func NewPlan(c *mpi.Comm, cfg Config) (*Plan, error) {
 func (p *Plan) Slab() []complex128 { return p.slab }
 
 // Decided reports whether the selection has converged — for the fixed
-// flavors, from the first transpose on — and the winner's name.
+// flavors, from the first transpose on — and the winner's name, which for a
+// fixed flavor is the flavor's own.
 func (p *Plan) Decided() (bool, string) {
-	if w := p.reqs[0].Winner(); w != nil {
+	switch w := p.reqs[0].Winner(); {
+	case w == nil:
+		return false, ""
+	case flavors[p.cfg.Flavor].pin != "":
+		return true, p.cfg.Flavor.String()
+	default:
 		return true, w.Name
 	}
-	return false, ""
 }
 
 // Evals returns the ADCL learning cost so far (0 for fixed flavors).

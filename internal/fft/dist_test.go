@@ -215,6 +215,45 @@ func TestADCLFlavorConvergesAcrossIterations(t *testing.T) {
 	}
 }
 
+// TestFixedFlavorsPinCatalogueFunctions: a fixed flavor runs a function of
+// ADCL's own Ialltoall set — LibNBC's default its linear algorithm, blocking
+// MPI the extended set's blocking all-to-all — and reports the flavor's name
+// as its winner.
+func TestFixedFlavorsPinCatalogueFunctions(t *testing.T) {
+	for _, tc := range []struct {
+		flavor    Flavor
+		set, pin  string
+		setLength int
+	}{
+		{FlavorNBC, "ialltoall", "ialltoall-linear", 3},
+		{FlavorMPI, "ialltoall-ext", "alltoall-blocking", 4},
+	} {
+		eng, w := fftWorld(t, 4)
+		errs := make([]error, 4)
+		w.Start(func(c *mpi.Comm) {
+			pl, err := NewPlan(c, Config{N: 16, Pattern: Tiled, Flavor: tc.flavor, Virtual: true, FlopRate: 1e9})
+			if err == nil {
+				err = pl.Forward()
+			}
+			if err != nil {
+				errs[c.Rank()] = err
+				return
+			}
+			fs, ran := pl.reqs[0].FunctionSet(), pl.reqs[0].Winner()
+			done, name := pl.Decided()
+			if fs.Name != tc.set || len(fs.Fns) != tc.setLength || ran.Name != tc.pin || !done || name != tc.flavor.String() {
+				errs[c.Rank()] = fmt.Errorf("rank %d: set %s (%d functions) ran %s, decided %v as %q", c.Rank(), fs.Name, len(fs.Fns), ran.Name, done, name)
+			}
+		})
+		eng.Run()
+		for _, err := range errs {
+			if err != nil {
+				t.Errorf("%s: %v", tc.flavor, err)
+			}
+		}
+	}
+}
+
 func TestADCLExtIncludesBlocking(t *testing.T) {
 	const N, P = 16, 4
 	eng, w := fftWorld(t, P)

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,62 +25,88 @@ const (
 )
 
 // traceEvent is one entry of the Chrome trace-event format. Ts and Dur are
-// in microseconds.
+// in microseconds. Args is nil, a nameArgs or a nicArgs: structs whose
+// fields encode in the order a map's sorted keys would.
 type traceEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Ts   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string   `json:"name"`
+	Ph   string   `json:"ph"`
+	Pid  int      `json:"pid"`
+	Tid  int      `json:"tid"`
+	Ts   float64  `json:"ts"`
+	Dur  *float64 `json:"dur,omitempty"`
+	Cat  string   `json:"cat,omitempty"`
+	S    string   `json:"s,omitempty"`
+	Args any      `json:"args,omitempty"`
+}
+
+type nameArgs struct {
+	Name string `json:"name"`
+}
+
+type nicArgs struct {
+	Bytes   int    `json:"bytes"`
+	Channel int    `json:"channel"`
+	Dir     string `json:"dir"`
 }
 
 const usPerSec = 1e6
 
-func complete(name string, pid, tid int, t0, t1 float64, cat string, args map[string]any) traceEvent {
+func complete(name string, pid, tid int, t0, t1 float64, cat string, args any) traceEvent {
 	dur := (t1 - t0) * usPerSec
 	return traceEvent{Name: name, Ph: "X", Pid: pid, Tid: tid, Ts: t0 * usPerSec, Dur: &dur, Cat: cat, Args: args}
 }
 
 func metaName(kind string, pid, tid int, name string) traceEvent {
-	ev := traceEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": name}}
-	return ev
+	return traceEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid, Args: nameArgs{name}}
 }
 
 // WriteChromeTrace writes the recorded timelines in Chrome trace-event JSON.
 // Open the file at https://ui.perfetto.dev or chrome://tracing. Safe on a
-// nil recorder (writes an empty trace).
+// nil recorder (writes an empty trace). Events are encoded one at a time
+// through a buffered writer, so a trace of hundreds of megabytes is never
+// held in memory whole.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	var evs []traceEvent
+	bw := bufio.NewWriter(w)
+	var one bytes.Buffer
+	enc := json.NewEncoder(&one)
+	var err error
+	sep := ""
+	emit := func(ev traceEvent) {
+		if err != nil {
+			return
+		}
+		one.Reset()
+		if err = enc.Encode(ev); err != nil {
+			return
+		}
+		bw.WriteString(sep)
+		bw.Write(one.Bytes()[:one.Len()-1]) // Encode ends each value with a newline
+		sep = ","
+	}
+	bw.WriteString(`{"traceEvents":[`)
 	if r != nil {
-		evs = append(evs,
-			metaName("process_name", pidRanks, 0, "rank states"),
-			metaName("process_name", pidOps, 0, "collectives"),
-		)
+		emit(metaName("process_name", pidRanks, 0, "rank states"))
+		emit(metaName("process_name", pidOps, 0, "collectives"))
 		for rank := range r.ranks {
-			evs = append(evs,
-				metaName("thread_name", pidRanks, rank, fmt.Sprintf("rank %d", rank)),
-				metaName("thread_name", pidOps, rank, fmt.Sprintf("rank %d", rank)),
-			)
+			name := fmt.Sprintf("rank %d", rank)
+			emit(metaName("thread_name", pidRanks, rank, name))
+			emit(metaName("thread_name", pidOps, rank, name))
 		}
 		for rank := range r.ranks {
 			tl := &r.ranks[rank]
 			for _, iv := range tl.intervals {
-				evs = append(evs, complete(iv.State.String(), pidRanks, rank, iv.Start, iv.End, "state", nil))
+				emit(complete(iv.State.String(), pidRanks, rank, iv.Start, iv.End, "state", nil))
 			}
 			for _, op := range tl.ops {
 				if op.End <= op.Start {
 					continue // left open; no duration to draw
 				}
-				evs = append(evs, complete(op.Name, pidOps, rank, op.Start, op.End, "op", nil))
+				emit(complete(op.Name, pidOps, rank, op.Start, op.End, "op", nil))
 			}
 		}
 		for rank := range r.ranks {
 			for _, mk := range r.ranks[rank].marks {
-				evs = append(evs, traceEvent{
+				emit(traceEvent{
 					Name: mk.Name, Ph: "i", Pid: pidOps, Tid: mk.Rank,
 					Ts: mk.T * usPerSec, S: "t", Cat: "round",
 				})
@@ -89,22 +117,17 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 				continue
 			}
 			pid := pidNIC + node
-			evs = append(evs, metaName("process_name", pid, 0, fmt.Sprintf("node %d NIC", node)))
+			emit(metaName("process_name", pid, 0, fmt.Sprintf("node %d NIC", node)))
 			for _, s := range spans {
 				tid := s.Channel*2 + int(s.Dir)
 				name := fmt.Sprintf("%s %dB", s.Dir, s.Bytes)
-				evs = append(evs, complete(name, pid, tid, s.Start, s.End, "nic",
-					map[string]any{"bytes": s.Bytes, "channel": s.Channel, "dir": s.Dir.String()}))
+				emit(complete(name, pid, tid, s.Start, s.End, "nic", nicArgs{s.Bytes, s.Channel, s.Dir.String()}))
 			}
 		}
 	}
-	out := struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-		DisplayUnit string       `json:"displayTimeUnit"`
-	}{TraceEvents: evs, DisplayUnit: "ms"}
-	if out.TraceEvents == nil {
-		out.TraceEvents = []traceEvent{}
+	if err != nil {
+		return err
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	bw.WriteString(`],"displayTimeUnit":"ms"}` + "\n")
+	return bw.Flush()
 }

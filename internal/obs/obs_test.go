@@ -3,7 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -315,4 +318,145 @@ func TestAuditLog(t *testing.T) {
 	if !strings.Contains(string(enc), "\"kind\": \"decide\"") {
 		t.Error("decide event missing from JSON")
 	}
+}
+
+// TestChromeTraceStreams: the export encodes one event at a time, so no copy
+// of the document builds up in the heap: when its first bytes reach the
+// writer, HeapInuse has grown by less than a tenth of what the export writes
+// in the end. The bytes are those of the whole-document encoder the export
+// replaced (wholeChromeTrace, kept as the oracle).
+func TestChromeTraceStreams(t *testing.T) {
+	const ranks, spans = 16, 1000
+	r := NewRecorder(ranks)
+	r.EnsureNodes(ranks / 4)
+	for rank := 0; rank < ranks; rank++ {
+		for i := 0; i < spans; i++ {
+			t0 := float64(i) * 1e-5
+			r.StateSpan(rank, State(i%3), t0, t0+1e-5)
+			r.OpEnd(rank, r.OpBegin(rank, "ialltoall-<linear>&", t0), t0+2e-5)
+			r.MarkInstant(rank, "round 1", t0)
+			r.NIC(rank/4, rank%4, Dir(i%2), t0, t0+3e-6, 1024+i)
+		}
+	}
+	r.OpBegin(0, "left open", 1) // no duration: not exported
+	var want bytes.Buffer
+	if err := wholeChromeTrace(r, &want); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	probe := &heapProbe{base: ms.HeapInuse}
+	if err := r.WriteChromeTrace(probe); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(probe.out.Bytes(), want.Bytes()) {
+		t.Fatalf("streamed export (%d B) differs from the whole-document encoding (%d B)", probe.out.Len(), want.Len())
+	}
+	if limit := uint64(probe.out.Len() / 10); probe.grown >= limit {
+		t.Errorf("HeapInuse grew %d B before the first write of a %d B export (limit %d)", probe.grown, probe.out.Len(), limit)
+	}
+	var empty bytes.Buffer
+	if err := wholeChromeTrace(nil, &empty); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := (*Recorder)(nil).WriteChromeTrace(&got); err != nil || !bytes.Equal(got.Bytes(), empty.Bytes()) {
+		t.Errorf("nil recorder exported %q (%v), want %q", got.Bytes(), err, empty.Bytes())
+	}
+}
+
+// heapProbe keeps what is written to it and reads HeapInuse at the first
+// write, as its growth over base.
+type heapProbe struct {
+	base, grown uint64
+	out         bytes.Buffer
+}
+
+func (p *heapProbe) Write(b []byte) (int, error) {
+	if p.out.Len() == 0 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		if ms.HeapInuse > p.base {
+			p.grown = ms.HeapInuse - p.base
+		}
+	}
+	return p.out.Write(b)
+}
+
+// wholeChromeTrace is the former export: every event built first, a map of
+// arguments each, then the whole document encoded in memory.
+func wholeChromeTrace(r *Recorder, w io.Writer) error {
+	type event struct {
+		Name string         `json:"name"`
+		Ph   string         `json:"ph"`
+		Pid  int            `json:"pid"`
+		Tid  int            `json:"tid"`
+		Ts   float64        `json:"ts"`
+		Dur  *float64       `json:"dur,omitempty"`
+		Cat  string         `json:"cat,omitempty"`
+		S    string         `json:"s,omitempty"`
+		Args map[string]any `json:"args,omitempty"`
+	}
+	complete := func(name string, pid, tid int, t0, t1 float64, cat string, args map[string]any) event {
+		dur := (t1 - t0) * usPerSec
+		return event{Name: name, Ph: "X", Pid: pid, Tid: tid, Ts: t0 * usPerSec, Dur: &dur, Cat: cat, Args: args}
+	}
+	metaName := func(kind string, pid, tid int, name string) event {
+		return event{Name: kind, Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": name}}
+	}
+	var evs []event
+	if r != nil {
+		evs = append(evs,
+			metaName("process_name", pidRanks, 0, "rank states"),
+			metaName("process_name", pidOps, 0, "collectives"),
+		)
+		for rank := range r.ranks {
+			evs = append(evs,
+				metaName("thread_name", pidRanks, rank, fmt.Sprintf("rank %d", rank)),
+				metaName("thread_name", pidOps, rank, fmt.Sprintf("rank %d", rank)),
+			)
+		}
+		for rank := range r.ranks {
+			tl := &r.ranks[rank]
+			for _, iv := range tl.intervals {
+				evs = append(evs, complete(iv.State.String(), pidRanks, rank, iv.Start, iv.End, "state", nil))
+			}
+			for _, op := range tl.ops {
+				if op.End <= op.Start {
+					continue
+				}
+				evs = append(evs, complete(op.Name, pidOps, rank, op.Start, op.End, "op", nil))
+			}
+		}
+		for rank := range r.ranks {
+			for _, mk := range r.ranks[rank].marks {
+				evs = append(evs, event{
+					Name: mk.Name, Ph: "i", Pid: pidOps, Tid: mk.Rank,
+					Ts: mk.T * usPerSec, S: "t", Cat: "round",
+				})
+			}
+		}
+		for node, spans := range r.nicByNode {
+			if len(spans) == 0 {
+				continue
+			}
+			pid := pidNIC + node
+			evs = append(evs, metaName("process_name", pid, 0, fmt.Sprintf("node %d NIC", node)))
+			for _, s := range spans {
+				tid := s.Channel*2 + int(s.Dir)
+				name := fmt.Sprintf("%s %dB", s.Dir, s.Bytes)
+				evs = append(evs, complete(name, pid, tid, s.Start, s.End, "nic",
+					map[string]any{"bytes": s.Bytes, "channel": s.Channel, "dir": s.Dir.String()}))
+			}
+		}
+	}
+	out := struct {
+		TraceEvents []event `json:"traceEvents"`
+		DisplayUnit string  `json:"displayTimeUnit"`
+	}{TraceEvents: evs, DisplayUnit: "ms"}
+	if out.TraceEvents == nil {
+		out.TraceEvents = []event{}
+	}
+	return json.NewEncoder(w).Encode(out)
 }

@@ -14,16 +14,16 @@ import (
 // committedResults are the files under results/ that tier-1 regenerates,
 // each row with the one command that writes its files, spelled as
 // EXPERIMENTS.md spells it: run from the repository root, it rewrites the
-// committed files. cached marks the guideline audit's row, which is also run
-// with -cache: into an empty store, then served from it, leaves and adoption
-// rounds alike.
+// committed files. cached marks the rows also run with -cache, into an empty
+// store and then served from it: the guideline audit's, leaves and adoption
+// rounds alike, and the §IV-B sweep's, one job per (scenario, flavor).
 var committedResults = []struct {
 	files   []string
 	command string
 	cached  bool
 }{
 	{[]string{"results/sweep_summary.json"}, "go run ./cmd/sweep -suite verification -fast -observe -out results/sweep_summary.json", false},
-	{[]string{"results/sweep_summary_fft.json"}, "go run ./cmd/sweep -suite fft -fast -observe -out results/sweep_summary_fft.json", false},
+	{[]string{"results/sweep_summary_fft.json"}, "go run ./cmd/sweep -suite fft -fast -observe -out results/sweep_summary_fft.json", true},
 	{[]string{"results/guideline_report.json"}, "go run ./cmd/sweep -suite guidelines -fast -out results/guideline_report.json", true},
 	{[]string{"results/microbench.txt", "results/microbench.json"}, "go run ./cmd/sweep -suite figs-micro -fast -out results/microbench.json > results/microbench.txt", false},
 	{[]string{"results/e13_drift_audit.json"}, "go run ./cmd/tune -op ibcast -platform crill -np 16 -msg 2097152 -compute 0.002 -progress 5 -selector adaptive+brute-force -evals 2 -iters 200 -chaos regime-shift -chaos-seed 1 -metrics results/e13_drift_audit.json", false},
@@ -97,11 +97,12 @@ func TestCommittedResults(t *testing.T) {
 		if row.cached {
 			store := t.TempDir()
 			check("-cache", store)
-			adoptions := 0
+			jobs, adoptions := 0, 0
 			for _, line := range strings.Split(check("-cache", store), "\n") {
 				if !strings.HasPrefix(line, "[") {
 					continue
 				}
+				jobs++
 				if !strings.Contains(line, " cached eta=") {
 					t.Errorf("%s -cache: a run on the store it just wrote simulated again: %s", row.command, line)
 				}
@@ -109,7 +110,10 @@ func TestCommittedResults(t *testing.T) {
 					adoptions++
 				}
 			}
-			if adoptions == 0 {
+			if jobs == 0 {
+				t.Errorf("%s -cache: the warm run printed no progress line", row.command)
+			}
+			if adoptions == 0 && strings.Contains(row.command, "-suite guidelines") {
 				t.Errorf("%s -cache: no adoption round went through the runner", row.command)
 			}
 		}
