@@ -44,7 +44,7 @@ race:
 	$(GO) test -race -run '^TestScaleConformance' ./internal/nbc/...
 	$(GO) test -race -run '^TestConformance' ./internal/nbc/...
 	$(GO) test -race -skip '^(TestScaleConformance|TestConformance)' ./internal/nbc/...
-	$(GO) test -race -count 1 -run 'TestChaos|Speculat|DataMode' ./internal/bench
+	$(GO) test -race -count 1 -run 'TestChaos|Speculat|DataMode|TestReleasedWorldIsInert|TestRecycledRecordsAcrossWorkers' ./internal/bench
 	$(GO) test -race -count 1 -run 'Speculat|TestSetCatalogueUnchanged|TestConcurrentBindsShareOneSchedule' ./internal/core
 
 # The one committed run too slow for tier-1: sweep -suite figs-fft -fast

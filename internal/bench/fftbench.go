@@ -91,6 +91,7 @@ func runFFT(spec FFTSpec) (FFTResult, *obs.Recorder, error) {
 			return name, pl.Evals()
 		}, nil
 	})
+	w.Release()
 	return FFTResult{Spec: spec, Label: label, Loop: l}, rec, err
 }
 

@@ -240,13 +240,15 @@ func runLoop(spec MicroSpec, w *mpi.World, label string, mkSel selectorFor) (Mic
 	return MicroResult{Spec: spec, Impl: label, Loop: l}, rec, err
 }
 
-// run assembles the spec's world and runs the §IV-A loop on it.
+// run assembles the spec's world, runs the §IV-A loop on it and releases it.
 func (s MicroSpec) run(label string, mkSel selectorFor) (MicroResult, *obs.Recorder, error) {
 	w, err := s.World()
 	if err != nil {
 		return MicroResult{}, nil, err
 	}
-	return runLoop(s, w, label, mkSel)
+	r, rec, err := runLoop(s, w, label, mkSel)
+	w.Release()
+	return r, rec, err
 }
 
 // RunFixed runs the benchmark pinned to implementation index fn.

@@ -67,8 +67,8 @@ func RunSpeculative(spec MicroSpec, selector string, workers int) (*SpecResult, 
 	}
 	// phase assembles the spec's world, brings it to the decision point —
 	// one measured iteration of implementation 0, so every pool (handles,
-	// requests, matcher lists) is at working size — and runs s's loop there,
-	// returning its result and virtual duration.
+	// requests, matcher lists) is at working size — runs s's loop there and
+	// releases the world, returning the loop's result and virtual duration.
 	phase := func(s MicroSpec, label string, mkSel selectorFor) (MicroResult, *obs.Recorder, float64, error) {
 		w, err := s.World()
 		if err != nil {
@@ -83,7 +83,9 @@ func RunSpeculative(spec MicroSpec, selector string, workers int) (*SpecResult, 
 		}
 		base := w.Now()
 		res, rec, err := runLoop(s, w, label, mkSel)
-		return res, rec, w.Now() - base, err
+		dur := w.Now() - base
+		w.Release()
+		return res, rec, dur, err
 	}
 
 	// Candidate measurement. Each call owns its world; durs[fn] is written at

@@ -171,8 +171,9 @@ func opSet(c *mpi.Comm, op string, size int, mocks []string) (*core.FunctionSet,
 }
 
 // world assembles the scenario's simulated machine (platform.Assemble, with
-// the scenario's chaos profile attached).
-func (s Scenario) world() (runFn func(prog func(c *mpi.Comm)), err error) {
+// the scenario's chaos profile attached) and returns the one run it serves:
+// run starts prog, runs it to the end and releases the world.
+func (s Scenario) world() (run func(prog func(c *mpi.Comm)), err error) {
 	pl, err := platform.ByName(s.Platform)
 	if err != nil {
 		return nil, err
@@ -184,6 +185,7 @@ func (s Scenario) world() (runFn func(prog func(c *mpi.Comm)), err error) {
 	return func(prog func(c *mpi.Comm)) {
 		w.Start(prog)
 		w.Run()
+		w.Release()
 	}, nil
 }
 

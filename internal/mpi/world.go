@@ -95,7 +95,8 @@ type handlers struct {
 
 // records is a world's protocol records: one slab each of requests,
 // envelopes, transfers and payload slots per shard, against which every
-// index a record, notice, matcher queue or free list holds resolves.
+// index a record, notice, matcher queue or free list holds resolves. Their
+// chunks come from the pools below, where World.Release puts them back.
 type records struct {
 	reqs  netmodel.Slabs[Request]
 	envs  netmodel.Slabs[envelope]
@@ -114,13 +115,21 @@ func newRecords(shards, ranks int) *records {
 		slots *= 2
 	}
 	return &records{
-		reqs:  netmodel.NewSlabs[Request](shards),
-		envs:  netmodel.NewSlabs[envelope](shards),
-		xfs:   netmodel.NewSlabs[xfer](shards),
-		bufs:  netmodel.NewSlabs[bufSlot](shards),
+		reqs:  netmodel.NewSlabs(shards, &reqChunks),
+		envs:  netmodel.NewSlabs(shards, &envChunks),
+		xfs:   netmodel.NewSlabs(shards, &xfChunks),
+		bufs:  netmodel.NewSlabs(shards, &bufChunks),
 		slots: slots,
 	}
 }
+
+// The record chunks of released worlds, one pool per record type.
+var (
+	reqChunks sim.ChunkPool[Request]
+	envChunks sim.ChunkPool[envelope]
+	xfChunks  sim.ChunkPool[xfer]
+	bufChunks sim.ChunkPool[bufSlot]
+)
 
 func (p *records) req(i int32) *Request  { return p.reqs.At(i) }
 func (p *records) env(i int32) *envelope { return p.envs.At(i) }
@@ -328,6 +337,23 @@ func (w *World) Run() {
 	} else {
 		w.shards[0].eng.Run()
 	}
+}
+
+// Release hands the chunks of the world's records and lane callbacks to the
+// process-wide pools later worlds grow from. Call it once Run has returned, as
+// the world's last use: no *Request or ReqHandle into it may outlive it. A
+// released world has no ranks, so Start spawns nothing and Run returns at once.
+func (w *World) Release() {
+	for _, s := range w.shards {
+		s.eng.Release()
+		s.ranks = nil
+	}
+	r := w.shards[0].recs
+	r.reqs.Release()
+	r.envs.Release()
+	r.xfs.Release()
+	r.bufs.Release()
+	w.ranks = nil
 }
 
 // Now returns the world's virtual time: between runs, the time the last

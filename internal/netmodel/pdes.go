@@ -136,7 +136,7 @@ func NewSharded(p Params, nodeOf []int, shards int, seed int64) ([]*Network, *si
 	}
 	placement := append([]int(nil), nodeOf...)
 	seq := make([]uint64, len(nodeOf))
-	rxs := NewSlabs[rxOp](shards)
+	rxs := NewSlabs[rxOp](shards, nil)
 	nets := make([]*Network, shards)
 	for s := range engs {
 		nets[s] = &Network{eng: engs[s], p: p, nodeOf: placement, rxs: rxs, rxSlab: &rxs[s]}

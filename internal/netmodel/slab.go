@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"unsafe"
+
+	"nbctune/internal/sim"
 )
 
 // Slab hands out fresh zeroed records of T for a pool whose free list has run
@@ -21,10 +23,11 @@ import (
 // alone writes; another shard resolves an index (Slabs.At) only after the
 // record crossed a window barrier, which orders the directory entry before
 // the read, and the directory is republished through an atomic pointer when
-// it grows. Chunks therefore live as long as their slab: a record its owner
-// drops without freeing is reclaimed with the world, not with its chunk.
-// A new Slab has allocated no chunk and no directory. Only its owner shard
-// may call New.
+// it grows. Chunks therefore live until Slabs.Release puts them in the
+// slab's pool, which new chunks are drawn from, or until the world is
+// dropped: a record its owner drops without freeing is reclaimed with all the
+// others, not with its chunk. A new Slab has allocated no chunk and no
+// directory. Only its owner shard may call New.
 type Slab[T any] struct {
 	// dir is the published directory: its first entry, which stays nil so
 	// that index 0 names nothing, followed by the first element of every
@@ -35,7 +38,8 @@ type Slab[T any] struct {
 	used   int  // records of chunk handed out: a cursor, so New stores no pointer
 	next   int32
 	shard  int32
-	_      [64]byte // the slabs of a world's shards sit side by side: keep their owners' writes off each other's cache lines
+	pool   *sim.ChunkPool[T] // where grow draws chunks and Release puts them; nil: neither
+	_      [64]byte          // the slabs of a world's shards sit side by side: keep their owners' writes off each other's cache lines
 }
 
 const (
@@ -56,16 +60,29 @@ const (
 type Slabs[T any] []Slab[T]
 
 // NewSlabs returns the slabs of a world of k shards, none of which has
-// allocated a chunk yet.
-func NewSlabs[T any](k int) Slabs[T] {
+// allocated a chunk yet, drawing their chunks from pool (nil: carving them).
+func NewSlabs[T any](k int, pool *sim.ChunkPool[T]) Slabs[T] {
 	if k < 1 || k > MaxShards {
 		panic(fmt.Sprintf("netmodel: %d shards, an index names at most %d", k, MaxShards))
 	}
 	ss := make(Slabs[T], k)
 	for i := range ss {
-		ss[i].shard = int32(i)
+		ss[i].shard, ss[i].pool = int32(i), pool
 	}
 	return ss
+}
+
+// Release hands every slab's chunks to its pool and leaves it as NewSlabs
+// made it: no record it handed out may be reached again.
+func (ss Slabs[T]) Release() {
+	for i := range ss {
+		s := &ss[i]
+		for c := 1; c < len(s.chunks); c++ {
+			s.pool.Put(c, s.chunks[c])
+		}
+		s.dir.Store(nil)
+		s.chunks, s.chunk, s.used, s.next = nil, nil, 0, 0
+	}
 }
 
 // At returns the record an index names. The index must be one New returned:
@@ -104,7 +121,7 @@ func (s *Slab[T]) grow() {
 		s.chunks = grown
 		s.dir.Store(&grown[0])
 	}
-	s.chunk, s.used = make([]T, n), 0
+	s.chunk, s.used = s.pool.Get(len(s.chunks), n), 0
 	s.next = s.shard<<(slabSlotBits+slabChunkBits) | int32(len(s.chunks))<<slabSlotBits
 	s.chunks = append(s.chunks, &s.chunk[0])
 }

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strconv"
 	"testing"
+
+	"nbctune/internal/sim"
 )
 
 // TestSlabChunks holds Slab to its growth rule: distinct zeroed records,
@@ -13,7 +15,7 @@ import (
 // names: every index New returns is distinct and non-zero, and At resolves
 // it to the record New returned with it.
 func TestSlabChunks(t *testing.T) {
-	ss := NewSlabs[rxOp](1)
+	ss := NewSlabs[rxOp](1, nil)
 	s := &ss[0]
 	if s.dir.Load() != nil {
 		t.Fatal("a new slab allocated a directory")
@@ -45,10 +47,42 @@ func TestSlabChunks(t *testing.T) {
 	}
 }
 
+// TestReleasedChunksServeAgain: slabs that draw from a pool hand out, after
+// Release, the records and indices of a fresh set, every record zeroed
+// whether its chunk is recycled or carved, past the ordinal from which every
+// chunk has one length (sim.ChunkPool).
+func TestReleasedChunksServeAgain(t *testing.T) {
+	var pool sim.ChunkPool[rxOp]
+	ss := NewSlabs(2, &pool)
+	draw := func() (idx []int32, chunks []int) {
+		for i := 0; i < 6000; i++ {
+			rx, ix := ss[1].New()
+			if ss[1].used == 1 {
+				chunks = append(chunks, len(ss[1].chunk))
+			}
+			if *rx != (rxOp{}) {
+				t.Fatalf("record %d is not zeroed", i)
+			}
+			rx.bytes, rx.next = i+1, ix
+			idx = append(idx, ix)
+		}
+		return idx, chunks
+	}
+	idx, chunks := draw()
+	ss.Release()
+	if ss[1].dir.Load() != nil || ss[1].chunks != nil {
+		t.Fatal("a released slab kept its directory")
+	}
+	again, chunksAgain := draw()
+	if !slices.Equal(idx, again) || !slices.Equal(chunks, chunksAgain) {
+		t.Errorf("after Release the slab handed out other indices or chunks: %v, want %v", chunksAgain, chunks)
+	}
+}
+
 // TestSlabsNameTheirShard draws records on every shard of a set and resolves
 // each index through the set: an index names the shard that drew it.
 func TestSlabsNameTheirShard(t *testing.T) {
-	ss := NewSlabs[rxOp](MaxShards)
+	ss := NewSlabs[rxOp](MaxShards, nil)
 	for sh := len(ss) - 1; sh >= 0; sh-- {
 		for i := 0; i < 20; i++ {
 			rx, ix := ss[sh].New()

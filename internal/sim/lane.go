@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"sync"
+	"unsafe"
+)
+
 // Lane is a FIFO of callbacks that, as a rule, are scheduled in the order they
 // fire — the deliveries of one receiving NIC channel, say. Each keeps the
 // (time, sequence) key it would have had as an ordinary event, but only the
@@ -110,11 +115,11 @@ func (e *Engine) laneNext(id int32) (Handler, int32, int32) {
 // netmodel.Slab does: a first chunk of laneFirst entries, each next one twice
 // the last up to laneChunk entries (32 KiB, the largest size the runtime
 // serves from its per-size caches), then chunks of that size. A chunk is never
-// copied or dropped, so growing the pool to N entries allocates at most N plus
-// one chunk, and an entry's index names its chunk and its slot: index
-// c<<laneSlotBits | s is slot s of chunks[c]. chunks[0] is nil, so index 0
-// names no entry, every lane's "none". Entries freed by laneNext are reused
-// first, through their next links.
+// copied, and dropped only by Engine.Release, so growing the pool to N entries
+// allocates at most N plus one chunk, and an entry's index names its chunk and
+// its slot: index c<<laneSlotBits | s is slot s of chunks[c]. chunks[0] is
+// nil, so index 0 names no entry, every lane's "none". Entries freed by
+// laneNext are reused first, through their next links.
 type lanePool struct {
 	chunks [][]laneEnt
 	used   int32 // entries of the last chunk handed out
@@ -151,10 +156,54 @@ func (p *lanePool) alloc() (int32, *laneEnt) {
 		if len(p.chunks) == 1<<(31-laneSlotBits) {
 			panic("sim: 2^21 chunks of lane entries (about 2.1e9 callbacks) are in flight, all an index can name")
 		}
-		p.chunks = append(p.chunks, make([]laneEnt, n))
+		p.chunks = append(p.chunks, laneChunks.Get(len(p.chunks), n))
 		p.used, c = 0, len(p.chunks)-1
 	}
 	i := int32(c)<<laneSlotBits | p.used
 	p.used++
 	return i, &p.chunks[c][i&(laneChunk-1)]
+}
+
+// laneChunks holds the lane chunks of released engines (Engine.Release).
+var laneChunks ChunkPool[laneEnt]
+
+// Release hands the engine's lane chunks to the pool later engines grow from.
+// Call it once Run has returned, every lane empty; a later append carves anew.
+func (e *Engine) Release() {
+	p := &e.lanePool
+	for c := 1; c < len(p.chunks); c++ {
+		laneChunks.Put(c, &p.chunks[c][0])
+	}
+	*p = lanePool{}
+}
+
+// ChunkPool keeps released chunks of records (lanePool's, netmodel.Slab's)
+// for the next pool of the type to grow. Such a pool fixes a chunk's length by
+// its ordinal c >= 1 among its chunks, so there is a sync.Pool per ordinal up
+// to chunkOrdinals; a chunk left idle across two collections is dropped.
+type ChunkPool[T any] [chunkOrdinals]sync.Pool
+
+// chunkOrdinals is where chunk lengths stop growing: a first chunk of 8 or
+// more records doubles 7 times to 1 024, the most any chunk holds.
+const chunkOrdinals = 8
+
+// Get returns a zeroed chunk of ordinal c, whose length is n: one a released
+// pool left, cleared, or a new one, which is all a nil ChunkPool returns.
+func (p *ChunkPool[T]) Get(c, n int) []T {
+	if p != nil {
+		if first, _ := p[min(c, chunkOrdinals)-1].Get().(*T); first != nil {
+			chunk := unsafe.Slice(first, n)
+			clear(chunk)
+			return chunk
+		}
+	}
+	return make([]T, n)
+}
+
+// Put keeps the chunk of ordinal c whose first record is first; a nil
+// ChunkPool drops it. Nothing may reach the chunk afterwards.
+func (p *ChunkPool[T]) Put(c int, first *T) {
+	if p != nil {
+		p[min(c, chunkOrdinals)-1].Put(first)
+	}
 }
